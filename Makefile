@@ -1,5 +1,6 @@
-# Build/test entry points. `make test` is the tier-1 gate; `make race`
-# must also stay green — every concurrent code path in the repository
+# Build/test entry points. `make test` is the tier-1 gate (the root
+# module, then the benchmark harness's own module under bench/, which
+# the root's ./... does not enter); `make race` must also stay green — every concurrent code path in the repository
 # (internal/serve, SemiCoreParallel) is written to be race-detector-clean,
 # with cross-goroutine state accessed only via sync/atomic or channels.
 GO ?= go
@@ -11,6 +12,8 @@ all: test vet
 test:
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 race:
 	$(GO) test -race ./...

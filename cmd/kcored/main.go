@@ -80,12 +80,12 @@ func main() {
 		queueCap  = flag.Int("queue", 4096, "ingest queue capacity (enqueue blocks when full)")
 		applyW    = flag.Int("apply-workers", 0, "region-parallel flush width per writer: >= 2 partitions each coalesced batch into component-disjoint regions applied by that many concurrent workers; 1 forces the sequential apply path; 0 picks automatically — sharded graphs (-shards >= 2) get min(GOMAXPROCS/(shards+1), 4) workers per writer, single-writer graphs stay sequential. The width multiplies across -shards: a sharded graph runs shards+1 writers, each applying with this many workers")
 		blockSize = flag.Int("block", 4096, "I/O accounting block size B")
-		backend   = flag.String("backend", "", "serving backend for every opened graph: mem (in-memory adjacency, the default), sharded (multi-core writers; or just set -shards >= 2), or disk (beyond-RAM: adjacency stays on disk in partition files behind a bounded block cache, only the core arrays and a small update overlay are resident)")
+		backend   = flag.String("backend", "", "serving backend for every opened graph: mem (in-memory adjacency, the default), sharded (multi-core writers; or just set -shards >= 2), or disk (beyond-RAM: adjacency stays on disk in partition files behind a bounded block cache, only the core arrays and a small update overlay are resident — with -data-dir too)")
 		cacheBlks = flag.Int("cache-blocks", 0, "disk backend block-cache budget in blocks of -block bytes (0 picks the default); resident adjacency is capped at cache-blocks*block bytes however large the graph")
 		shards    = flag.Int("shards", 1, "writers per graph: >= 2 shards every opened graph across that many parallel writers (plus a cut session for cross-shard edges); 1 keeps the single-writer engine")
 		parter    = flag.String("partitioner", "hash", "node partitioner for sharded graphs: hash, range, or ldg (locality-aware streaming assignment; shrinks the cross-shard edge ratio on clustered graphs)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the serving mux (see `make profile`); leave off in production")
-		dataDir   = flag.String("data-dir", "", "durability directory: every graph gets a write-ahead log and checkpoints under <dir>/<name>/, and a restart with the same -data-dir recovers all graphs (checkpoint + WAL replay) before opening any -graph/-load path anew")
+		dataDir   = flag.String("data-dir", "", "durability directory: every graph gets a write-ahead log and checkpoints under <dir>/<name>/, and a restart with the same -data-dir recovers all graphs (checkpoint + WAL replay) before opening any -graph/-load path anew. Mem and sharded graphs pay for it with one more resident copy of the adjacency (the mirror checkpoints are written from, mirror_arcs in /stats); disk-backed graphs do not — their checkpoints stream the partition files")
 		fsyncPol  = flag.String("fsync", "interval", "WAL sync policy with -data-dir: always (fsync every batch), interval (background fsync; a crash may lose the last unsynced batches), never (fsync only at checkpoints/shutdown)")
 		ckptEvery = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval with -data-dir (0 disables periodic checkpoints; one is still taken at startup and on clean shutdown)")
 		follow    = flag.String("follow", "", "leader base URL (http://host:port): run as a read replica of the leader's default graph instead of opening any graph locally; incompatible with -graph/-load")
@@ -234,6 +234,13 @@ func main() {
 		fmt.Println("kcored: pprof enabled at /debug/pprof/")
 	}
 	srv := &http.Server{Handler: handler}
+	// The handler goes in before the banner: the banner tells a harness
+	// (or an init system) that the process may be signalled, and from the
+	// first request on there is acked state that only the graceful path
+	// below checkpoints. A signal that lands before Notify would kill the
+	// process by default action, with no drain and no final checkpoint.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	// The resolved address is printed (and flushed) before serving so
 	// harnesses using port 0 can discover the endpoint.
 	fmt.Printf("kcored: listening on http://%s (%d graphs, kmax %d, epoch %d)\n",
@@ -241,8 +248,6 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		fatal(err)

@@ -15,6 +15,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -463,6 +464,15 @@ func TestKcoredPprofOptIn(t *testing.T) {
 // line printed before the listen announcement (the recovery summary).
 func startKcoredProc(t *testing.T, args ...string) (string, *exec.Cmd, []string) {
 	t.Helper()
+	return startKcoredProcOnBanner(t, nil, args...)
+}
+
+// startKcoredProcOnBanner is startKcoredProc with a hook that runs on
+// the goroutine reading the daemon's stdout, the moment the listen
+// announcement has been read and before anything else happens — as
+// close to "the instant the banner appears" as a harness gets.
+func startKcoredProcOnBanner(t *testing.T, onBanner func(*exec.Cmd), args ...string) (string, *exec.Cmd, []string) {
+	t.Helper()
 	cmd := exec.Command(filepath.Join(binDir, "kcored"), args...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -488,6 +498,9 @@ func startKcoredProc(t *testing.T, args ...string) (string, *exec.Cmd, []string)
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			if m := listenRe.FindStringSubmatch(sc.Text()); m != nil {
+				if onBanner != nil {
+					onBanner(cmd)
+				}
 				info.url = m[1]
 				ch <- info
 				// Keep draining so the daemon never blocks on a full pipe.
@@ -595,6 +608,155 @@ func TestKcoredDataDirRoundTrip(t *testing.T) {
 	}
 	if err := cmd2.Wait(); err != nil {
 		t.Fatalf("second kcored did not exit cleanly on SIGTERM: %v", err)
+	}
+}
+
+// TestKcoredDurableDiskStats drives the process in the configuration
+// whose memory the durable disk backend exists for (-backend disk
+// -data-dir) and reads the answer to "how many adjacency copies are
+// resident" off /stats: no mirror, checkpoints that stream the partition
+// files and say what that cost, none of it charged to the engine's io
+// block — against a mem graph in the same process, which does keep a
+// mirror. Then SIGKILL and restart: what the streamed checkpoints and
+// the WAL hold recovers behind the disk backend again.
+func TestKcoredDurableDiskStats(t *testing.T) {
+	dataDir := t.TempDir()
+	args := []string{"-graph", graphBase, "-addr", "127.0.0.1:0", "-flush", "1ms",
+		"-backend", "disk", "-cache-blocks", "8", "-data-dir", dataDir, "-fsync", "always"}
+	base, cmd, _ := startKcoredProc(t, args...)
+
+	type graphStats struct {
+		Backend string `json:"backend"`
+		Edges   int64  `json:"edges"`
+		IO      struct {
+			Reads int64
+		} `json:"io"`
+		Durability *struct {
+			LSN                  uint64  `json:"lsn"`
+			Checkpoints          int64   `json:"checkpoints"`
+			CheckpointBlockReads int64   `json:"checkpoint_block_reads"`
+			CheckpointLastMs     float64 `json:"checkpoint_last_ms"`
+			MirrorArcs           *int64  `json:"mirror_arcs"`
+		} `json:"durability"`
+	}
+	var st graphStats
+	getJSON(t, http.StatusOK, base+"/stats", &st)
+	d := st.Durability
+	if st.Backend != "disk" || d == nil || d.MirrorArcs == nil {
+		t.Fatalf("stats = %+v, want a disk graph with a durability block that reports mirror_arcs", st)
+	}
+	if *d.MirrorArcs != 0 || d.Checkpoints != 1 || d.CheckpointBlockReads == 0 || d.CheckpointLastMs <= 0 {
+		t.Fatalf("after the opening checkpoint: %+v (mirror_arcs %d); want no mirror, and a streamed checkpoint with its block reads and duration", *d, *d.MirrorArcs)
+	}
+	opening := d.CheckpointBlockReads
+
+	postJSON(t, http.StatusOK, base+"/update?wait=1",
+		`{"updates":[{"op":"delete","u":0,"v":1}]}`, new(struct{}))
+	getJSON(t, http.StatusOK, base+"/stats", &st)
+	ioBefore := st.IO.Reads
+	postJSON(t, http.StatusOK, base+"/g/default/checkpoint", "", new(struct{}))
+	getJSON(t, http.StatusOK, base+"/stats", &st)
+	if d := st.Durability; d.Checkpoints != 2 || d.CheckpointBlockReads <= opening {
+		t.Fatalf("after a forced checkpoint: %+v, want a second one that read more blocks", *d)
+	}
+	if st.IO.Reads != ioBefore {
+		t.Fatalf("the checkpoint moved the engine's io.Reads from %d to %d", ioBefore, st.IO.Reads)
+	}
+
+	// The mem backend's mirror shows up in the same field.
+	postJSON(t, http.StatusCreated, base+"/graphs", fmt.Sprintf(`{"name":"m","path":%q}`, graphBase), new(struct{}))
+	var mem graphStats
+	getJSON(t, http.StatusOK, base+"/g/m/stats", &mem)
+	if mem.Backend != "mem" || mem.Durability == nil || mem.Durability.MirrorArcs == nil || *mem.Durability.MirrorArcs != 2*mem.Edges {
+		t.Fatalf("mem graph stats = %+v, want mirror_arcs = 2 x %d edges", mem, mem.Edges)
+	}
+
+	postJSON(t, http.StatusOK, base+"/update?wait=1",
+		`{"updates":[{"op":"delete","u":0,"v":2}]}`, new(struct{}))
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait() //nolint:errcheck // killed
+
+	base2, _, startup := startKcoredProc(t, args...)
+	if joined := strings.Join(startup, "\n"); !strings.Contains(joined, "recovered 2 graphs, 1 replayed records") {
+		t.Fatalf("restart after SIGKILL: %q, want both graphs back and the one record past the checkpoint replayed", startup)
+	}
+	getJSON(t, http.StatusOK, base2+"/stats", &st)
+	if d := st.Durability; st.Backend != "disk" || d == nil || d.LSN != 2 || *d.MirrorArcs != 0 {
+		t.Fatalf("recovered default graph stats = %+v, want the disk backend at lsn 2 without a mirror", st)
+	}
+}
+
+// newestCheckpointSeq reports the highest committed checkpoint sequence
+// number under a durable graph directory (0 when there is none).
+func newestCheckpointSeq(t *testing.T, graphDir string) uint64 {
+	t.Helper()
+	ents, err := os.ReadDir(filepath.Join(graphDir, "ckpt"))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var newest uint64
+	for _, e := range ents {
+		if seq, err := strconv.ParseUint(e.Name(), 16, 64); err == nil && seq > newest {
+			newest = seq
+		}
+	}
+	return newest
+}
+
+// TestKcoredSignalAtBanner pins the shutdown contract at its earliest
+// point: the listen banner tells a harness the daemon may be signalled,
+// so a SIGTERM sent the instant the banner appears must take the
+// graceful path — exit status 0 and a final checkpoint on disk — never
+// the default action that kills the process with no drain. (The banner
+// used to be printed before signal.Notify ran; that window is what made
+// TestKcoredStaleBaseRedecomposed fail with "signal: terminated".)
+// Several rounds, because the window was microseconds wide.
+func TestKcoredSignalAtBanner(t *testing.T) {
+	dataDir := t.TempDir()
+	graphDir := filepath.Join(dataDir, "default")
+	args := []string{"-graph", graphBase, "-addr", "127.0.0.1:0", "-flush", "1ms",
+		"-data-dir", dataDir, "-fsync", "always"}
+
+	// Some acked state for the final checkpoints to carry.
+	base, cmd, _ := startKcoredProc(t, args...)
+	postJSON(t, http.StatusOK, base+"/update?wait=1",
+		`{"updates":[{"op":"delete","u":0,"v":1}]}`, new(struct{}))
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("kcored did not exit cleanly on SIGTERM: %v", err)
+	}
+
+	sigterm := func(cmd *exec.Cmd) { cmd.Process.Signal(syscall.SIGTERM) } //nolint:errcheck // a failed send shows as a hung Wait
+	for round := 0; round < 8; round++ {
+		before := newestCheckpointSeq(t, graphDir)
+		_, cmd, startup := startKcoredProcOnBanner(t, sigterm, args...)
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("round %d: SIGTERM at the banner killed kcored instead of shutting it down: %v", round, err)
+		}
+		if joined := strings.Join(startup, "\n"); !strings.Contains(joined, "recovered 1 graphs") {
+			t.Fatalf("round %d: the previous round left nothing recoverable: %q", round, startup)
+		}
+		// One checkpoint from recovery, one from the graceful shutdown.
+		if after := newestCheckpointSeq(t, graphDir); after < before+2 {
+			t.Fatalf("round %d: newest checkpoint went %d -> %d, want the recovery checkpoint plus a final one", round, before, after)
+		}
+	}
+
+	// What the last final checkpoint holds is the acked state.
+	base, _, _ = startKcoredProc(t, args...)
+	var st struct {
+		Durability *struct {
+			LSN      uint64 `json:"lsn"`
+			Degraded bool   `json:"degraded"`
+		} `json:"durability"`
+	}
+	getJSON(t, http.StatusOK, base+"/stats", &st)
+	if st.Durability == nil || st.Durability.LSN != 1 || st.Durability.Degraded {
+		t.Fatalf("durability after the signalled rounds = %+v, want lsn 1, not degraded", st.Durability)
 	}
 }
 

@@ -84,17 +84,7 @@ func TestStoreServesBaseGraph(t *testing.T) {
 	// Mutate through the overlay; the small OverlayArcs threshold forces
 	// partition merges mid-stream.
 	stream := testutil.NewMutationStream(n, seed, edges)
-	for i := 0; i < 400; i++ {
-		mut := stream.NextValid()
-		if mut.Op == testutil.OpInsert {
-			err = st.InsertEdge(mut.U, mut.V)
-		} else {
-			err = st.DeleteEdge(mut.U, mut.V)
-		}
-		if err != nil {
-			t.Fatalf("mutation %d: %v", i, err)
-		}
-	}
+	mutate(t, st, stream, 400)
 	live := stream.Live()
 	if st.NumEdges() != int64(len(live)) {
 		t.Fatalf("NumEdges() = %d, want %d after mutations", st.NumEdges(), len(live))

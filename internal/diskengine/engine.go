@@ -104,9 +104,10 @@ type Engine struct {
 }
 
 // Open lays the on-disk graph at base out into partitions and starts a
-// serving session over it. Memory stays O(n + cache): the core/cnt
-// arrays, the overlay, and CacheBlocks block frames — never the full
-// adjacency.
+// serving session over it. Memory stays O(n + cache + overlay): the
+// core/cnt arrays, the overlay, and CacheBlocks block frames — never the
+// full adjacency, with or without the durable shell around it (its
+// checkpoints stream a pinned View).
 func Open(base string, o Options) (*Engine, error) {
 	dir := o.Dir
 	owned := false
@@ -158,6 +159,23 @@ func Open(base string, o Options) (*Engine, error) {
 
 // Store exposes the underlying disk store (for stats and tests).
 func (e *Engine) Store() *Store { return e.st }
+
+// Pin captures a View on the writer goroutine, behind everything
+// enqueued before the call: the pinned partition generations, overlay
+// copy and epoch describe the graph at exactly that flush boundary. at
+// runs at the same boundary (the durable shell reads its LSN there).
+// The writer is held for O(partitions + overlay) plus at;
+// streaming the view happens on the caller's goroutine afterwards. The
+// caller must Release the view.
+func (e *Engine) Pin(at func()) (*View, error) {
+	var vw *View
+	err := e.Do(func() {
+		vw = e.st.Pin()
+		vw.Epoch = e.Snapshot()
+		at()
+	})
+	return vw, err
+}
 
 // BackendType labels the engine in /stats.
 func (e *Engine) BackendType() string { return "disk" }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -45,16 +46,32 @@ const nodeRecSize = 12
 // holds the edge region (arcs*4 bytes of sorted global neighbour ids)
 // followed by the node-record region ((hi-lo)*nodeRecSize bytes), so the
 // record of node v sits at arcs*4 + (v-lo)*nodeRecSize.
+//
+// A partition generation is immutable once written, and reference
+// counted: the store holds one reference while the generation is current
+// and every pinned View holds another. A merge drops the store's
+// reference to the generation it replaces; the file is unlinked when the
+// last reference goes, so a view can keep streaming a generation that is
+// no longer current.
 type part struct {
 	lo, hi uint32
 	arcs   int64
 	gen    int // file generation, bumped per merge rewrite
 	path   string
-	f      *storage.CachedFile
+	crcs   []uint32            // per-block CRC32C of the file, recorded at write time
+	f      *storage.CachedFile // the store's cached handle; views open their own
+	refs   atomic.Int32
 }
 
 func (p *part) recOff(v uint32) int64 {
 	return p.arcs*4 + int64(v-p.lo)*nodeRecSize
+}
+
+// unref drops one reference, unlinking the file with the last.
+func (p *part) unref() {
+	if p.refs.Add(-1) == 0 {
+		os.Remove(p.path)
+	}
 }
 
 // StoreOptions tunes a Store.
@@ -94,6 +111,7 @@ type Store struct {
 	overlayArcs int
 	limit       int
 
+	rawBuf   []byte // on-disk bytes of the list being decoded
 	scratch  []uint32
 	mergeBuf []uint32
 	nbrBuf   []uint32
@@ -156,14 +174,10 @@ func BuildStore(base string, o StoreOptions) (*Store, error) {
 	}
 	for _, r := range ranges {
 		p := &part{lo: r.Lo, hi: r.Hi, arcs: r.Arcs}
-		crcs, err := st.writePart(p, 0, func(fn func(v uint32, nbrs []uint32) error) error {
+		err := st.writePart(p, 0, func(fn func(v uint32, nbrs []uint32) error) error {
 			return src.Scan(r.Lo, r.Hi-1, nil, fn)
 		})
 		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		if p.f, err = st.cache.Open(p.path, crcs, ctr); err != nil {
 			st.Close()
 			return nil, err
 		}
@@ -175,12 +189,13 @@ func BuildStore(base string, o StoreOptions) (*Store, error) {
 // writePart streams (v, nbrs) records for [p.lo, p.hi) from scan into a
 // generation-gen partition file: edge region first, node records after
 // (their arc offsets are only known once the lists are written). It
-// sets p.path/p.arcs/p.gen and returns the per-block checksums.
-func (st *Store) writePart(p *part, gen int, scan func(fn func(v uint32, nbrs []uint32) error) error) ([]uint32, error) {
+// fills in the rest of p and opens it through the block cache, holding
+// the store's reference.
+func (st *Store) writePart(p *part, gen int, scan func(fn func(v uint32, nbrs []uint32) error) error) error {
 	path := filepath.Join(st.dir, fmt.Sprintf("part-%d.g%d", p.lo, gen))
 	w, err := storage.CreateBlockWriter(path, st.io)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	w.TrackBlockCRCs()
 	nt := make([]byte, 0, int64(p.hi-p.lo)*nodeRecSize)
@@ -212,7 +227,7 @@ func (st *Store) writePart(p *part, gen int, scan func(fn func(v uint32, nbrs []
 	if err := scan(emit); err != nil {
 		w.Close()
 		os.Remove(path)
-		return nil, err
+		return err
 	}
 	for ; next < p.hi; next++ {
 		binary.LittleEndian.PutUint64(rec[0:8], uint64(arcs))
@@ -222,16 +237,22 @@ func (st *Store) writePart(p *part, gen int, scan func(fn func(v uint32, nbrs []
 	if _, err := w.Write(nt); err != nil {
 		w.Close()
 		os.Remove(path)
-		return nil, err
+		return err
 	}
 	if err := w.Close(); err != nil {
 		os.Remove(path)
-		return nil, err
+		return err
 	}
 	p.path = path
 	p.arcs = arcs
 	p.gen = gen
-	return append([]uint32(nil), w.BlockCRCs()...), nil
+	p.crcs = slices.Clone(w.BlockCRCs())
+	if p.f, err = st.cache.Open(path, p.crcs, st.io); err != nil {
+		os.Remove(path)
+		return err
+	}
+	p.refs.Store(1)
+	return nil
 }
 
 // Close releases the partition files. Overlay contents are discarded —
@@ -280,35 +301,32 @@ func (st *Store) locate(v uint32) (*part, error) {
 	return st.parts[i], nil
 }
 
-// record reads node v's (partition-local arc offset, degree).
-func (st *Store) record(v uint32) (p *part, off int64, deg uint32, err error) {
-	p, err = st.locate(v)
-	if err != nil {
-		return nil, 0, 0, err
-	}
+// record reads node v's (partition-local arc offset, degree) through f,
+// a handle on p's file.
+func (p *part) record(f *storage.CachedFile, v uint32) (off int64, deg uint32, err error) {
 	var rec [nodeRecSize]byte
-	if err := p.f.ReadAt(rec[:], p.recOff(v)); err != nil {
-		return nil, 0, 0, err
+	if err := f.ReadAt(rec[:], p.recOff(v)); err != nil {
+		return 0, 0, err
 	}
 	off = int64(binary.LittleEndian.Uint64(rec[0:8]))
 	deg = binary.LittleEndian.Uint32(rec[8:12])
 	if off > p.arcs || off+int64(deg) > p.arcs {
-		return nil, 0, 0, fmt.Errorf("diskengine: node %d record [%d,+%d) outside partition of %d arcs (corrupt)", v, off, deg, p.arcs)
+		return 0, 0, fmt.Errorf("diskengine: node %d record [%d,+%d) outside partition of %d arcs (corrupt)", v, off, deg, p.arcs)
 	}
-	return p, off, deg, nil
+	return off, deg, nil
 }
 
-// diskNeighbors reads v's on-disk list (pre-overlay), appending into buf.
-func (st *Store) diskNeighbors(v uint32, buf []uint32) ([]uint32, error) {
-	p, off, deg, err := st.record(v)
-	if err != nil {
-		return nil, err
-	}
+// readList reads the deg arcs at arc offset off through f into buf,
+// with *raw as the reusable byte scratch the on-disk form lands in.
+func readList(f *storage.CachedFile, off int64, deg uint32, raw *[]byte, buf []uint32) ([]uint32, error) {
 	if deg == 0 {
 		return buf[:0], nil
 	}
-	raw := make([]byte, 4*deg)
-	if err := p.f.ReadAt(raw, off*4); err != nil {
+	if need := 4 * int(deg); cap(*raw) < need {
+		*raw = make([]byte, need)
+	}
+	b := (*raw)[:4*deg]
+	if err := f.ReadAt(b, off*4); err != nil {
 		return nil, err
 	}
 	if cap(buf) < int(deg) {
@@ -316,9 +334,22 @@ func (st *Store) diskNeighbors(v uint32, buf []uint32) ([]uint32, error) {
 	}
 	buf = buf[:deg]
 	for i := range buf {
-		buf[i] = binary.LittleEndian.Uint32(raw[4*i:])
+		buf[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 	return buf, nil
+}
+
+// diskNeighbors reads v's on-disk list (pre-overlay), appending into buf.
+func (st *Store) diskNeighbors(v uint32, buf []uint32) ([]uint32, error) {
+	p, err := st.locate(v)
+	if err != nil {
+		return nil, err
+	}
+	off, deg, err := p.record(p.f, v)
+	if err != nil {
+		return nil, err
+	}
+	return readList(p.f, off, deg, &st.rawBuf, buf)
 }
 
 // neighbors returns v's merged (disk + overlay) list in st.mergeBuf.
@@ -491,7 +522,7 @@ func (st *Store) MergeOverlay() error {
 		}
 		p := st.parts[i]
 		np := &part{lo: p.lo, hi: p.hi}
-		crcs, err := st.writePart(np, p.gen+1, func(fn func(v uint32, nbrs []uint32) error) error {
+		err := st.writePart(np, p.gen+1, func(fn func(v uint32, nbrs []uint32) error) error {
 			var out []uint32
 			for v := p.lo; v < p.hi; v++ {
 				disk, err := st.diskNeighbors(v, st.scratch[:0])
@@ -509,11 +540,8 @@ func (st *Store) MergeOverlay() error {
 		if err != nil {
 			return err
 		}
-		if np.f, err = st.cache.Open(np.path, crcs, st.io); err != nil {
-			return err
-		}
 		p.f.Close()
-		os.Remove(p.path)
+		p.unref()
 		st.parts[i] = np
 		bytes += np.arcs*4 + int64(np.hi-np.lo)*nodeRecSize
 	}

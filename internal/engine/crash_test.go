@@ -13,8 +13,8 @@ import (
 	"kcore/internal/wal"
 )
 
-// The crash suite drives a fixed write script against a durable graph
-// with a fault injector underneath every WAL/checkpoint file operation,
+// The crash suite drives a fixed write script against a durable graph —
+// once per backend in crashBackends — with a fault injector underneath every WAL/checkpoint file operation,
 // crashes it at each boundary in turn, and asserts that recovery on the
 // finalized (damage-applied) directory reconstructs a state that is
 // bit-identical — same core numbers, same LSN semantics — to an
@@ -33,6 +33,12 @@ const (
 	crashOps   = 6
 )
 
+// crashBackends are the backends the sweeps run over: the mem backend
+// checkpoints a clone of its resident mirror, the disk backend streams a
+// view pinned on its partition store — different code writes the tables,
+// the same contract holds at every boundary.
+var crashBackends = []string{engine.BackendMem, engine.BackendDisk}
+
 // crashOutcome is what the script observed before the injected fault.
 type crashOutcome struct {
 	openOK    bool
@@ -40,9 +46,10 @@ type crashOutcome struct {
 	attempted int // applies submitted (acked + at most one in flight)
 }
 
-// runCrashScript executes the write script on a fresh registry over
-// inj. Every error is tolerated (that is the point); panics are not.
-func runCrashScript(t *testing.T, dataDir, base string, inj *faultfs.Injector) crashOutcome {
+// runCrashScript executes the write script against the given backend on
+// a fresh registry over inj. Every error is tolerated (that is the
+// point); panics are not.
+func runCrashScript(t *testing.T, backend, dataDir, base string, inj *faultfs.Injector) crashOutcome {
 	t.Helper()
 	reg := engine.NewRegistry(&engine.Options{
 		Serve: serve.Options{MaxBatch: 1},
@@ -55,7 +62,7 @@ func runCrashScript(t *testing.T, dataDir, base string, inj *faultfs.Injector) c
 	})
 	defer reg.Close() // must never panic, crashed or not
 	var out crashOutcome
-	eng, err := reg.Open("g", base)
+	eng, err := reg.OpenBackend("g", base, engine.BackendConfig{Backend: backend, CacheBlocks: 8})
 	if err != nil {
 		return out
 	}
@@ -85,7 +92,7 @@ func runCrashScript(t *testing.T, dataDir, base string, inj *faultfs.Injector) c
 // anywhere, and any recovered graph serves base + the first R script
 // updates for some R with acked <= R <= attempted (an acked Sync is
 // never lost; an unacked in-flight record may legally survive).
-func verifyCrashRecovery(t *testing.T, label, dataDir string, out crashOutcome, inj *faultfs.Injector) {
+func verifyCrashRecovery(t *testing.T, label, backend, dataDir string, out crashOutcome, inj *faultfs.Injector) {
 	t.Helper()
 	if err := inj.Finalize(); err != nil {
 		t.Fatalf("%s: finalize: %v", label, err)
@@ -115,6 +122,9 @@ func verifyCrashRecovery(t *testing.T, label, dataDir string, out crashOutcome, 
 	if !ok {
 		t.Fatalf("%s: recovered graph not registered", label)
 	}
+	if bt, _ := engine.AsBackendTyper(eng); bt.BackendType() != backend {
+		t.Fatalf("%s: recovered behind the %s backend, want %s", label, bt.BackendType(), backend)
+	}
 	r := int(durStats(t, eng).LSN)
 	if r < out.acked || r > out.attempted {
 		t.Fatalf("%s: recovered LSN %d outside [acked %d, attempted %d]",
@@ -128,10 +138,10 @@ func verifyCrashRecovery(t *testing.T, label, dataDir string, out crashOutcome, 
 
 // countCrashBoundaries runs the script unarmed and reports how many
 // injector boundaries one clean run (including clean shutdown) crosses.
-func countCrashBoundaries(t *testing.T) int64 {
+func countCrashBoundaries(t *testing.T, backend string) int64 {
 	t.Helper()
 	inj := faultfs.NewInjector(faultfs.OS)
-	out := runCrashScript(t, t.TempDir(), writeGraph(t, crashNodes, crashGSeed), inj)
+	out := runCrashScript(t, backend, t.TempDir(), writeGraph(t, crashNodes, crashGSeed), inj)
 	if !out.openOK || out.acked != crashOps {
 		t.Fatalf("unarmed script did not run clean: %+v", out)
 	}
@@ -142,22 +152,23 @@ func countCrashBoundaries(t *testing.T) int64 {
 // crash (worst-case damage: all unsynced bytes lost, all un-fsynced
 // renames reverted) at every single boundary of the script.
 func TestCrashSweepEveryBoundary(t *testing.T) {
-	total := countCrashBoundaries(t)
-	if total < 20 {
-		t.Fatalf("only %d boundaries — the script no longer exercises the durability path", total)
-	}
-	for k := int64(1); k <= total; k++ {
-		k := k
-		t.Run(fmt.Sprintf("op%03d", k), func(t *testing.T) {
-			dataDir := t.TempDir()
-			inj := faultfs.NewInjector(faultfs.OS)
-			inj.Arm(k, faultfs.Crash)
-			out := runCrashScript(t, dataDir, writeGraph(t, crashNodes, crashGSeed), inj)
-			if !inj.Crashed() {
-				t.Fatalf("boundary %d never fired (script crossed %d ops)", k, inj.Ops())
-			}
-			verifyCrashRecovery(t, inj.Trigger(), dataDir, out, inj)
-		})
+	for _, backend := range crashBackends {
+		total := countCrashBoundaries(t, backend)
+		if total < 20 {
+			t.Fatalf("%s: only %d boundaries — the script no longer exercises the durability path", backend, total)
+		}
+		for k := int64(1); k <= total; k++ {
+			t.Run(fmt.Sprintf("%s/op%03d", backend, k), func(t *testing.T) {
+				dataDir := t.TempDir()
+				inj := faultfs.NewInjector(faultfs.OS)
+				inj.Arm(k, faultfs.Crash)
+				out := runCrashScript(t, backend, dataDir, writeGraph(t, crashNodes, crashGSeed), inj)
+				if !inj.Crashed() {
+					t.Fatalf("boundary %d never fired (script crossed %d ops)", k, inj.Ops())
+				}
+				verifyCrashRecovery(t, inj.Trigger(), backend, dataDir, out, inj)
+			})
+		}
 	}
 }
 
@@ -167,23 +178,25 @@ func TestCrashSweepEveryBoundary(t *testing.T) {
 // kept with probability 1/2. Failures print the seed to re-run with
 // -crashseed.
 func TestCrashRandomizedTornWrites(t *testing.T) {
-	total := countCrashBoundaries(t)
-	for i := 0; i < *crashTrials; i++ {
-		seed := *crashSeed + int64(i)
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			dataDir := t.TempDir()
-			inj := faultfs.NewInjector(faultfs.OS).WithRand(seed)
-			k := 1 + (seed*2654435761)%total
-			if k < 0 {
-				k += total
-			}
-			inj.Arm(k, faultfs.Crash)
-			out := runCrashScript(t, dataDir, writeGraph(t, crashNodes, crashGSeed), inj)
-			if !inj.Crashed() {
-				t.Fatalf("seed %d: boundary %d never fired", seed, k)
-			}
-			verifyCrashRecovery(t, fmt.Sprintf("seed %d, %s", seed, inj.Trigger()), dataDir, out, inj)
-		})
+	for _, backend := range crashBackends {
+		total := countCrashBoundaries(t, backend)
+		for i := 0; i < *crashTrials; i++ {
+			seed := *crashSeed + int64(i)
+			t.Run(fmt.Sprintf("%s/seed%d", backend, seed), func(t *testing.T) {
+				dataDir := t.TempDir()
+				inj := faultfs.NewInjector(faultfs.OS).WithRand(seed)
+				k := 1 + (seed*2654435761)%total
+				if k < 0 {
+					k += total
+				}
+				inj.Arm(k, faultfs.Crash)
+				out := runCrashScript(t, backend, dataDir, writeGraph(t, crashNodes, crashGSeed), inj)
+				if !inj.Crashed() {
+					t.Fatalf("seed %d: boundary %d never fired", seed, k)
+				}
+				verifyCrashRecovery(t, fmt.Sprintf("seed %d, %s", seed, inj.Trigger()), backend, dataDir, out, inj)
+			})
+		}
 	}
 }
 
@@ -192,20 +205,21 @@ func TestCrashRandomizedTornWrites(t *testing.T) {
 // engine must surface an error — never panic, never ack a write it did
 // not log — and the directory must stay recoverable.
 func TestCrashFailModeSurfacesErrors(t *testing.T) {
-	total := countCrashBoundaries(t)
-	for k := int64(1); k <= total; k += 5 {
-		k := k
-		t.Run(fmt.Sprintf("op%03d", k), func(t *testing.T) {
-			dataDir := t.TempDir()
-			inj := faultfs.NewInjector(faultfs.OS)
-			inj.Arm(k, faultfs.Fail)
-			out := runCrashScript(t, dataDir, writeGraph(t, crashNodes, crashGSeed), inj)
-			if inj.Crashed() {
-				t.Fatalf("Fail mode crashed the filesystem")
-			}
-			// The tree is intact (no crash, no damage to finalize), so if
-			// the graph was created at all it must recover consistently.
-			verifyCrashRecovery(t, fmt.Sprintf("fail at %d", k), dataDir, out, inj)
-		})
+	for _, backend := range crashBackends {
+		total := countCrashBoundaries(t, backend)
+		for k := int64(1); k <= total; k += 5 {
+			t.Run(fmt.Sprintf("%s/op%03d", backend, k), func(t *testing.T) {
+				dataDir := t.TempDir()
+				inj := faultfs.NewInjector(faultfs.OS)
+				inj.Arm(k, faultfs.Fail)
+				out := runCrashScript(t, backend, dataDir, writeGraph(t, crashNodes, crashGSeed), inj)
+				if inj.Crashed() {
+					t.Fatalf("Fail mode crashed the filesystem")
+				}
+				// The tree is intact (no crash, no damage to finalize), so if
+				// the graph was created at all it must recover consistently.
+				verifyCrashRecovery(t, fmt.Sprintf("fail at %d", k), backend, dataDir, out, inj)
+			})
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kcore"
+	"kcore/internal/diskengine"
 	"kcore/internal/faultfs"
 	"kcore/internal/serve"
 	"kcore/internal/stats"
@@ -150,9 +151,16 @@ type walFailure struct{ err error }
 // graph-level commit point: a single mutex ordering LSN allocation and
 // adjacency-mirror patches across all writer sessions, so the WAL is a
 // linearized redo log of exactly what the writers applied.
+//
+// What a checkpoint is written from depends on the backend. Mem and
+// sharded graphs keep mirror, a resident copy of the adjacency patched
+// at the commit point and cloned per checkpoint. A disk-backed graph
+// keeps no copy at all: disk is set instead, and a checkpoint streams a
+// view pinned on the engine's own partition store (checkpoint below).
 type durable struct {
 	name  string
 	inner Engine
+	disk  *diskengine.Engine // inner, when it is the disk backend; nil otherwise
 	gd    *wal.GraphDir
 	ctr   *stats.WalCounters
 	opts  DurabilityOptions
@@ -160,8 +168,8 @@ type durable struct {
 
 	mu     sync.Mutex // the commit point: guards lsn + mirror + feed order
 	lsn    uint64
-	mirror *wal.Mirror
-	feed   *wal.Feed // replica change-stream window, appended under mu
+	mirror *wal.Mirror // nil for the disk backend
+	feed   *wal.Feed   // replica change-stream window, appended under mu
 
 	enc [][]byte // per-session record scratch, owned by writer goroutines
 
@@ -189,8 +197,8 @@ func newDurable(name string, sessions int, opts DurabilityOptions) *durable {
 	return d
 }
 
-// seedMirror populates the adjacency mirror from the graph the engine
-// will serve, before any update can flow.
+// seedMirror populates the adjacency mirror from the graph a mem or
+// sharded engine will serve, before any update can flow.
 func (d *durable) seedMirror(g *kcore.Graph) error {
 	m := wal.NewMirror(g.NumNodes())
 	if err := g.VisitEdges(func(u, v uint32) error {
@@ -207,9 +215,10 @@ func (d *durable) seedMirror(g *kcore.Graph) error {
 // onApply is the durability hook, chained onto every writer session's
 // OnApply callback. It runs post-apply on the session's writer
 // goroutine with the exact net batch; under the commit point it stamps
-// the batch with the next LSN and patches the mirror, then appends the
-// framed record to the session's log outside the lock (appends within a
-// session are already ordered by its writer goroutine).
+// the batch with the next LSN and patches the mirror (where there is
+// one), then appends the framed record to the session's log outside the
+// lock (appends within a session are already ordered by its writer
+// goroutine).
 func (d *durable) onApply(session int, deletes, inserts []kcore.Edge) {
 	if len(deletes)+len(inserts) == 0 {
 		return
@@ -217,25 +226,28 @@ func (d *durable) onApply(session int, deletes, inserts []kcore.Edge) {
 	if d.replaying.Load() {
 		// Recovery replays through the normal update path; the records
 		// already exist, so just keep the mirror in step.
-		d.mu.Lock()
-		d.mirror.Apply(deletes, inserts)
-		d.mu.Unlock()
+		if d.mirror != nil {
+			d.mu.Lock()
+			d.mirror.Apply(deletes, inserts)
+			d.mu.Unlock()
+		}
 		return
 	}
 	d.mu.Lock()
 	d.lsn++
 	lsn := d.lsn
-	d.mirror.Apply(deletes, inserts)
+	if d.mirror != nil {
+		d.mirror.Apply(deletes, inserts)
+	}
 	// The feed append must happen under the commit point: LSNs are
 	// allocated here, and the feed's contract is strictly increasing,
 	// gap-free appends (followers replay it in order).
 	d.feed.Append(lsn, deletes, inserts)
 	d.mu.Unlock()
 	if d.broken.Load() != nil {
-		// The log already failed: the mirror must keep tracking what the
-		// writer applies (it is the state of record for the final
-		// checkpoint attempt), but appending out-of-order would corrupt
-		// the log further.
+		// The log already failed: the LSN and the mirror keep tracking
+		// what the writer applies (a checkpoint must describe the served
+		// state), but appending out-of-order would corrupt the log further.
 		return
 	}
 	buf := wal.AppendRecord(d.enc[session][:0], lsn, deletes, inserts)
@@ -300,30 +312,53 @@ func (d *durable) startLoops() {
 	}
 }
 
-// checkpoint persists the mirror at its current LSN. It serializes with
-// other checkpoints, barriers the inner engine first so the mirror
-// covers everything enqueued so far, and stores the core numbers only
-// when the graph was quiescent across the capture (so the array
-// provably matches the adjacency at that LSN).
+// checkpoint persists the graph's adjacency as of one exact LSN. It
+// serializes with other checkpoints and starts with a barrier on the
+// inner engine, so the checkpoint covers everything enqueued so far.
+//
+// On the disk backend the barrier itself is the capture: the writer
+// pins the current partition generations, copies the overlay and notes
+// the LSN and epoch — all at one flush boundary, so the stored cores
+// always match — and goes back to applying updates while the view is
+// streamed to the checkpoint tables from this goroutine.
+//
+// Elsewhere the mirror is cloned under the commit point, and the core
+// numbers are stored only when the graph was quiescent across the
+// capture (so the array provably matches the adjacency at that LSN).
 func (d *durable) checkpoint() error {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
-	if err := d.inner.Sync(); err != nil {
+	t0 := time.Now()
+	var (
+		lsn   uint64
+		src   wal.Source
+		cores []uint32
+	)
+	if d.disk != nil {
+		vw, err := d.disk.Pin(func() { lsn = d.CurrentLSN() })
+		if err != nil {
+			return err
+		}
+		defer vw.Release()
+		src, cores = vw, vw.Epoch.Cores()
+	} else {
+		if err := d.inner.Sync(); err != nil {
+			return err
+		}
+		d.mu.Lock()
+		lsn = d.lsn
+		src = d.mirror.Clone()
+		d.mu.Unlock()
+		ep := d.inner.Snapshot()
+		if d.CurrentLSN() == lsn {
+			cores = ep.Cores()
+		}
+	}
+	if err := d.gd.Checkpoint(lsn, src, cores); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	lsn := d.lsn
-	clone := d.mirror.Clone()
-	d.mu.Unlock()
-	ep := d.inner.Snapshot()
-	var cores []uint32
-	d.mu.Lock()
-	quiescent := d.lsn == lsn
-	d.mu.Unlock()
-	if quiescent {
-		cores = ep.Cores()
-	}
-	return d.gd.Checkpoint(lsn, clone, cores)
+	d.ctr.SetCheckpointLast(time.Since(t0))
+	return nil
 }
 
 // replay feeds recovered records through the normal update path and
@@ -401,10 +436,17 @@ func (d *durable) Unwrap() Engine { return d.inner }
 
 // DurabilityStats implements DurabilityStatser.
 func (d *durable) DurabilityStats() stats.WalSnapshot {
+	var mirrorArcs int64
 	d.mu.Lock()
 	d.ctr.SetLSN(d.lsn)
+	if d.mirror != nil {
+		mirrorArcs = d.mirror.NumArcs()
+	}
 	d.mu.Unlock()
-	return d.ctr.Snapshot()
+	s := d.ctr.Snapshot()
+	s.MirrorArcs = mirrorArcs
+	s.CheckpointBlockReads = d.gd.IO().Snapshot().Reads
+	return s
 }
 
 // Checkpoint implements Checkpointer.

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"kcore"
 	"kcore/internal/engine"
 	"kcore/internal/gen"
 	"kcore/internal/serve"
@@ -57,25 +56,7 @@ func freshEdges(n uint32, seed int64, count int) []serve.Update {
 // resulting core numbers — the ground truth recovery must reproduce.
 func oracleCores(t *testing.T, n uint32, seed int64, ups []serve.Update, r int) []uint32 {
 	t.Helper()
-	g, err := kcore.Open(writeGraph(t, n, seed), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	eng, err := serve.New(g, &serve.Options{MaxBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for _, up := range ups[:r] {
-		if err := eng.Enqueue(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	return slices.Clone(eng.Snapshot().Cores())
+	return memCoresAfter(t, writeGraph(t, n, seed), [][]serve.Update{ups[:r]})[0]
 }
 
 // copyTree snapshots a directory tree — the moral equivalent of pulling

@@ -171,12 +171,13 @@ func (r *Registry) buildDurable(name, dir, base string, c BackendConfig) (*durab
 }
 
 // assembleDurable builds the durable shell around a serving engine for
-// g: mirror seeded from g, logs opened, hooks chained. The backend is
-// routed on c.Backend — the WAL shell is the same for all of them, only
-// the inner engine construction differs. When replaying is set the
-// shell starts in replay mode (records are not re-logged) and
-// background loops are not started; the recovery path finishes that.
-// On error the graph handle has been closed.
+// g: logs opened, hooks chained, and — except on the disk backend, whose
+// checkpoints stream its own partition store — the mirror seeded from g.
+// The backend is routed on c.Backend — the WAL shell is the same for all
+// of them, only the inner engine construction and the checkpoint source
+// differ. When replaying is set the shell starts in replay mode (records
+// are not re-logged) and background loops are not started; the recovery
+// path finishes that. On error the graph handle has been closed.
 func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendConfig, replaying bool) (*durable, error) {
 	sharded := c.Backend == BackendSharded
 	sessions := 1
@@ -187,9 +188,11 @@ func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendCo
 	if replaying {
 		d.replaying.Store(true)
 	}
-	if err := d.seedMirror(g); err != nil {
-		g.Close() //nolint:errcheck // seed error wins
-		return nil, err
+	if c.Backend != BackendDisk {
+		if err := d.seedMirror(g); err != nil {
+			g.Close() //nolint:errcheck // seed error wins
+			return nil, err
+		}
 	}
 	gd, err := wal.Open(dir, sessions, &wal.Options{
 		FS:           r.dur.FS,
@@ -223,9 +226,9 @@ func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendCo
 		}
 		d.inner = eng
 	case c.Backend == BackendDisk:
-		// The disk engine reads the base files itself; g was only needed
-		// to seed the mirror. Its partition cache lives inside the graph
-		// directory, wiped and rebuilt at every open.
+		// The disk engine reads the base files itself; g only named them.
+		// Its partition cache lives inside the graph directory, wiped and
+		// rebuilt at every open.
 		so := r.opts.Serve
 		so.Counters = new(stats.ServeCounters)
 		prev := so.OnApply
@@ -250,7 +253,7 @@ func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendCo
 			gd.Close() //nolint:errcheck // engine error wins
 			return nil, err
 		}
-		d.inner = eng
+		d.inner, d.disk = eng, eng
 	default:
 		so := r.opts.Serve
 		so.Counters = new(stats.ServeCounters)

@@ -233,12 +233,12 @@ func (b kcoreBackend) SnapshotDelta(prev *kcore.CoreSnapshot, dirty []uint32) (*
 	return b.m.SnapshotDelta(prev, dirty)
 }
 
-// envelope is a queue entry: one update, a barrier marker, or an
+// envelope is a queue entry: one update, a barrier (see Do), or an
 // internal batch (flushed in isolation, see EnqueueInternal).
 type envelope struct {
 	up       Update
-	sync     chan error // non-nil marks a barrier
-	internal []Update   // non-nil marks an isolated internal batch
+	barrier  func(err error) // non-nil marks a barrier; called with the writer's error state
+	internal []Update        // non-nil marks an isolated internal batch
 }
 
 // ConcurrentSession serves core-decomposition queries to many goroutines
@@ -406,7 +406,16 @@ func (s *ConcurrentSession) EnqueueInternal(ups []Update) error {
 // applied and published, then reports the writer's error state. It is the
 // read-your-writes barrier: a Snapshot taken after Sync returns reflects
 // all of the caller's prior updates.
-func (s *ConcurrentSession) Sync() error {
+func (s *ConcurrentSession) Sync() error { return s.Do(func() {}) }
+
+// Do runs fn on the writer goroutine once every update enqueued before
+// the call has been applied and published, and returns after fn has.
+// The writer does nothing else while fn runs, so fn sees the backend,
+// the current epoch and whatever the OnApply hooks maintain at one exact
+// flush boundary — and every queued update waits for it: keep fn short.
+// fn is skipped, and the writer's error returned, when maintenance has
+// failed (the backend may then be torn mid-batch).
+func (s *ConcurrentSession) Do(fn func()) error {
 	if f := s.failure.Load(); f != nil {
 		// The writer is dead: every already-enqueued update has been (or
 		// will be) drained without effect, so the barrier is trivially
@@ -420,7 +429,12 @@ func (s *ConcurrentSession) Sync() error {
 		return ErrClosed
 	}
 	ack := make(chan error, 1)
-	s.queue <- envelope{sync: ack}
+	s.queue <- envelope{barrier: func(err error) {
+		if err == nil {
+			fn()
+		}
+		ack <- err
+	}}
 	s.mu.RUnlock()
 	return <-ack
 }

@@ -213,6 +213,73 @@ func TestSyncIsReadYourWrites(t *testing.T) {
 	}
 }
 
+// TestDoRunsOnTheWriterBetweenFlushes pins the barrier contract Sync is
+// the trivial case of: fn runs once everything enqueued before the call
+// is applied and published, and nothing is applied or published while it
+// runs — updates enqueued meanwhile wait in the queue — so it observes
+// one exact flush boundary. After Close it does not run at all.
+func TestDoRunsOnTheWriterBetweenFlushes(t *testing.T) {
+	g, edges := openGraph(t, 200, 7)
+	sess, err := serve.New(g, &serve.Options{MaxBatch: 4, FlushInterval: 100 * time.Microsecond, QueueCapacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A background enqueuer keeps the writer busy toggling edges.
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e := edges[i%64]
+			op := serve.OpDelete
+			if (i/64)%2 == 1 {
+				op = serve.OpInsert
+			}
+			if err := sess.Enqueue(serve.Update{Op: op, U: e.U, V: e.V}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	for i := 0; i < 40; i++ {
+		mine := edges[100+i]
+		before := sess.Snapshot().Applied
+		if err := sess.Delete(mine.U, mine.V); err != nil {
+			t.Fatal(err)
+		}
+		var entry, exit *serve.Epoch
+		if err := sess.Do(func() {
+			entry = sess.Snapshot()
+			time.Sleep(300 * time.Microsecond) // several flush intervals, were the writer free to flush
+			exit = sess.Snapshot()
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if entry == nil || entry != exit {
+			t.Fatalf("round %d: an epoch was published while Do's func ran (%v -> %v)", i, entry, exit)
+		}
+		if entry.Applied <= before {
+			t.Fatalf("round %d: Do ran before the delete enqueued ahead of it was applied", i)
+		}
+	}
+	close(stop)
+	<-done
+
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	if err := sess.Do(func() { ran = true }); err != serve.ErrClosed || ran {
+		t.Fatalf("Do after Close = %v (ran: %v), want ErrClosed and no run", err, ran)
+	}
+}
+
 func TestInvalidUpdatesAreRejectedNotFatal(t *testing.T) {
 	g, edges := openGraph(t, 100, 5)
 	sess, err := serve.New(g, nil)

@@ -53,7 +53,7 @@ func (s *ConcurrentSession) run() {
 		var ok bool
 		if len(pending) == 0 {
 			// Idle: block until work arrives or the queue closes. The
-			// flush timer is NOT armed here — the envelope may be a sync
+			// flush timer is NOT armed here — the envelope may be a
 			// barrier, which opens no batch; arming on it made the timer
 			// fire spuriously on an empty pending set one interval after
 			// every idle-state Sync. The timer is armed below, when a real
@@ -76,14 +76,14 @@ func (s *ConcurrentSession) run() {
 			}
 		}
 		s.ctr.SetQueueDepth(len(s.queue))
-		if env.sync != nil {
-			// Barrier: apply everything before it, then ack.
+		if env.barrier != nil {
+			// Barrier: apply everything before it, then run it.
 			flush()
+			var err error
 			if f := s.failure.Load(); f != nil {
-				env.sync <- f.err
-			} else {
-				env.sync <- nil
+				err = f.err
 			}
+			env.barrier(err)
 			continue
 		}
 		if env.internal != nil {

@@ -1,6 +1,9 @@
 package stats
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // WalCounters instruments one graph's durability layer: WAL appends and
 // fsyncs on the write path, checkpoints, and what recovery did on open.
@@ -11,6 +14,7 @@ type WalCounters struct {
 	bytes       atomic.Int64
 	fsyncs      atomic.Int64
 	checkpoints atomic.Int64
+	ckptLastNs  atomic.Int64
 	replayed    atomic.Int64
 	recoveryNs  atomic.Int64
 	lsn         atomic.Uint64
@@ -28,6 +32,10 @@ func (c *WalCounters) NoteFsync() { c.fsyncs.Add(1) }
 
 // NoteCheckpoint records one completed checkpoint.
 func (c *WalCounters) NoteCheckpoint() { c.checkpoints.Add(1) }
+
+// SetCheckpointLast records how long the newest completed checkpoint
+// took end to end (capture, table writes, commit, retention).
+func (c *WalCounters) SetCheckpointLast(d time.Duration) { c.ckptLastNs.Store(int64(d)) }
 
 // AddReplayed records n WAL records replayed during recovery.
 func (c *WalCounters) AddReplayed(n int64) { c.replayed.Add(n) }
@@ -53,26 +61,40 @@ func (c *WalCounters) Degraded() bool { return c.degraded.Load() }
 // Snapshot captures the current values.
 func (c *WalCounters) Snapshot() WalSnapshot {
 	return WalSnapshot{
-		Appends:     c.appends.Load(),
-		Bytes:       c.bytes.Load(),
-		Fsyncs:      c.fsyncs.Load(),
-		Checkpoints: c.checkpoints.Load(),
-		Replayed:    c.replayed.Load(),
-		RecoveryNs:  c.recoveryNs.Load(),
-		LSN:         c.lsn.Load(),
-		Degraded:    c.degraded.Load(),
+		Appends:          c.appends.Load(),
+		Bytes:            c.bytes.Load(),
+		Fsyncs:           c.fsyncs.Load(),
+		Checkpoints:      c.checkpoints.Load(),
+		CheckpointLastMs: float64(c.ckptLastNs.Load()) / 1e6,
+		Replayed:         c.replayed.Load(),
+		RecoveryNs:       c.recoveryNs.Load(),
+		LSN:              c.lsn.Load(),
+		Degraded:         c.degraded.Load(),
 	}
 }
 
 // WalSnapshot is an immutable copy of WalCounters, shaped for the
-// per-graph stats JSON.
+// per-graph stats JSON. CheckpointBlockReads and MirrorArcs are not
+// counters of this struct's: the durable shell fills them in from the
+// checkpoint I/O counter and from its adjacency mirror (which a
+// disk-backed graph does not have).
 type WalSnapshot struct {
-	Appends     int64  `json:"wal_appends"`
-	Bytes       int64  `json:"wal_bytes"`
-	Fsyncs      int64  `json:"wal_fsyncs"`
-	Checkpoints int64  `json:"checkpoints"`
-	Replayed    int64  `json:"replayed_records"`
-	RecoveryNs  int64  `json:"recovery_ns"`
-	LSN         uint64 `json:"lsn"`
-	Degraded    bool   `json:"degraded"`
+	Appends     int64 `json:"wal_appends"`
+	Bytes       int64 `json:"wal_bytes"`
+	Fsyncs      int64 `json:"wal_fsyncs"`
+	Checkpoints int64 `json:"checkpoints"`
+	// CheckpointBlockReads counts the blocks checkpoints have read to
+	// stream their source (partition files, on the disk backend); they
+	// never appear in the engine's own io counters.
+	CheckpointBlockReads int64 `json:"checkpoint_block_reads"`
+	// CheckpointLastMs is the duration of the newest completed checkpoint.
+	CheckpointLastMs float64 `json:"checkpoint_last_ms"`
+	// MirrorArcs is the size of the resident adjacency copy checkpoints
+	// are written from: the graph's arc count on the mem and sharded
+	// backends, 0 on the disk backend.
+	MirrorArcs int64  `json:"mirror_arcs"`
+	Replayed   int64  `json:"replayed_records"`
+	RecoveryNs int64  `json:"recovery_ns"`
+	LSN        uint64 `json:"lsn"`
+	Degraded   bool   `json:"degraded"`
 }

@@ -111,13 +111,26 @@ func parseManifest(data []byte) (manifest, error) {
 // ckptDirName names a committed checkpoint directory by sequence.
 func ckptDirName(seq uint64) string { return fmt.Sprintf("%016x", seq) }
 
-// writeCheckpoint persists the mirror (and, when quiescent, the core
+// Source is the adjacency a checkpoint persists, as of one LSN. A Mirror
+// is one (the resident copy mem and sharded graphs keep); the disk
+// backend's pinned store view is the other, streaming the lists out of
+// its partition files so no copy of the edge set is ever resident.
+type Source interface {
+	NumNodes() uint32
+	NumArcs() int64
+	// Scan calls fn once per node, v ascending over [0, NumNodes()), with
+	// v's neighbour list sorted ascending; the slice is only valid during
+	// the call. Whatever blocks the scan reads are charged to io.
+	Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error
+}
+
+// writeCheckpoint persists src (and, when known to match it, the core
 // numbers) as checkpoint seq under root/ckpt. The tables are written
 // into a hidden tmp directory, fsynced file by file, then committed
 // with a single rename followed by a directory fsync — a crash anywhere
 // in between leaves either the previous checkpoints or a complete new
 // one, never a half-visible directory.
-func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, m *Mirror, cores []uint32, ioCtr *stats.IOCounter) error {
+func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src Source, cores []uint32, ioCtr *stats.IOCounter) error {
 	ckptRoot := filepath.Join(root, "ckpt")
 	if err := fs.MkdirAll(ckptRoot, 0o755); err != nil {
 		return err
@@ -129,15 +142,17 @@ func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, m *Mirror, cor
 	if err := fs.MkdirAll(tmp, 0o755); err != nil {
 		return err
 	}
-	b, err := storage.NewBuilderFS(fs, filepath.Join(tmp, ckptGraphBase), m.NumNodes(), ioCtr)
+	b, err := storage.NewBuilderFS(fs, filepath.Join(tmp, ckptGraphBase), src.NumNodes(), ioCtr)
 	if err != nil {
 		return err
 	}
-	for v := uint32(0); v < m.NumNodes(); v++ {
-		if err := b.AppendList(v, m.Neighbors(v)); err != nil {
-			b.Abort()
-			return err
-		}
+	if err := src.Scan(ioCtr, b.AppendList); err != nil {
+		b.Abort()
+		return err
+	}
+	if b.Arcs() != src.NumArcs() {
+		b.Abort()
+		return fmt.Errorf("wal: checkpoint source streamed %d arcs but reports %d", b.Arcs(), src.NumArcs())
 	}
 	if err := b.CloseSync(); err != nil {
 		return err
@@ -151,8 +166,8 @@ func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, m *Mirror, cor
 		Version:  manifestVersion,
 		Seq:      seq,
 		LSN:      lsn,
-		Nodes:    m.NumNodes(),
-		Arcs:     m.NumArcs(),
+		Nodes:    src.NumNodes(),
+		Arcs:     src.NumArcs(),
 		HasCores: cores != nil,
 	})
 	mf, err := fs.Create(filepath.Join(tmp, manifestName))

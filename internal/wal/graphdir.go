@@ -34,8 +34,9 @@ type Options struct {
 	SegmentBytes int64
 	// Counters receives WAL instrumentation; nil allocates a private set.
 	Counters *stats.WalCounters
-	// IO is charged for checkpoint table writes at block granularity;
-	// nil allocates a default-block-size counter.
+	// IO is charged, at block granularity, for checkpoint table writes
+	// and for whatever a streamed checkpoint Source reads; nil allocates a
+	// default-block-size counter.
 	IO *stats.IOCounter
 }
 
@@ -121,6 +122,9 @@ func Open(dir string, sessions int, opts *Options) (*GraphDir, error) {
 // Counters exposes the WAL instrumentation.
 func (g *GraphDir) Counters() *stats.WalCounters { return g.ctr }
 
+// IO exposes the counter checkpoints charge their block I/O to.
+func (g *GraphDir) IO() *stats.IOCounter { return g.io }
+
 // Log returns session i's append log.
 func (g *GraphDir) Log(i int) *Log { return g.logs[i] }
 
@@ -136,13 +140,13 @@ func (g *GraphDir) SyncAll() error {
 	return firstErr
 }
 
-// Checkpoint writes a new committed checkpoint of the mirror at lsn,
-// then applies retention: the newest two checkpoints survive and every
-// log segment whose records all sit at or below the older survivor's
-// LSN is removed.
-func (g *GraphDir) Checkpoint(lsn uint64, m *Mirror, cores []uint32) error {
+// Checkpoint writes a new committed checkpoint of src at lsn, then
+// applies retention: the newest two checkpoints survive and every log
+// segment whose records all sit at or below the older survivor's LSN is
+// removed.
+func (g *GraphDir) Checkpoint(lsn uint64, src Source, cores []uint32) error {
 	seq := g.nextSeq
-	if err := writeCheckpoint(g.fs, g.dir, seq, lsn, m, cores, g.io); err != nil {
+	if err := writeCheckpoint(g.fs, g.dir, seq, lsn, src, cores, g.io); err != nil {
 		return err
 	}
 	g.nextSeq = seq + 1

@@ -1,16 +1,19 @@
 package wal
 
 import (
+	"slices"
 	"sort"
 
 	"kcore/internal/memgraph"
+	"kcore/internal/stats"
 )
 
-// Mirror is the durability layer's own copy of the graph's adjacency,
-// patched from the same applied-batch feed that produces WAL records.
-// Checkpoints are written from a Clone of the mirror, so they never
-// touch the serving graph's files and always describe exactly the state
-// as of a known LSN.
+// Mirror is the durability layer's own resident copy of a mem or sharded
+// graph's adjacency, patched from the same applied-batch feed that
+// produces WAL records. Their checkpoints are written from a Clone of
+// the mirror, so they never touch the serving graph's files and always
+// describe exactly the state as of a known LSN. Disk-backed graphs keep
+// no mirror: their checkpoint Source streams the partition store.
 //
 // Lists are kept sorted ascending (the storage format's invariant), so
 // a checkpoint is a straight sweep. Mirror is not internally locked:
@@ -34,13 +37,8 @@ func (m *Mirror) NumEdges() int64 { return m.edges }
 // NumArcs reports stored arcs (2x edges).
 func (m *Mirror) NumArcs() int64 { return 2 * m.edges }
 
-// Neighbors returns node v's sorted adjacency list, aliased (callers
-// must not mutate or retain it across patches).
-func (m *Mirror) Neighbors(v uint32) []uint32 { return m.adj[v] }
-
 // Seed inserts edge {u,v} during initial population, without the sorted
-// maintenance cost; callers must Finish before the first Neighbors or
-// Apply. Self-loops and out-of-range ids are ignored, matching the
+// maintenance cost; callers must Finish before the first Scan or Apply. Self-loops and out-of-range ids are ignored, matching the
 // serving graph's validation.
 func (m *Mirror) Seed(u, v uint32) {
 	if u == v || u >= m.NumNodes() || v >= m.NumNodes() {
@@ -53,9 +51,20 @@ func (m *Mirror) Seed(u, v uint32) {
 
 // Finish sorts every list after seeding.
 func (m *Mirror) Finish() {
-	for v := range m.adj {
-		sort.Slice(m.adj[v], func(i, j int) bool { return m.adj[v][i] < m.adj[v][j] })
+	for _, list := range m.adj {
+		slices.Sort(list)
 	}
+}
+
+// Scan implements Source: a straight sweep of the resident lists (aliased
+// — fn must not mutate or retain them), no I/O.
+func (m *Mirror) Scan(_ *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
+	for v, list := range m.adj {
+		if err := fn(uint32(v), list); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Apply patches the mirror with one applied batch: deletes first, then

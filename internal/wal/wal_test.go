@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"kcore/internal/faultfs"
@@ -226,8 +227,56 @@ func TestMirrorApplyAndClone(t *testing.T) {
 	if m.NumEdges() != 3 || c.NumEdges() != 4 {
 		t.Fatalf("clone not independent: m=%d c=%d", m.NumEdges(), c.NumEdges())
 	}
-	if got := m.Neighbors(1); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("Neighbors(1) = %v, want [2]", got)
+	var lists [][]uint32
+	if err := m.Scan(nil, func(v uint32, nbrs []uint32) error {
+		if int(v) != len(lists) {
+			t.Fatalf("Scan visited node %d, want %d", v, len(lists))
+		}
+		lists = append(lists, slices.Clone(nbrs))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]uint32{{}, {2}, {1, 3}, {2, 4}, {3}}; !reflect.DeepEqual(lists, want) {
+		t.Fatalf("Scan = %v, want %v", lists, want)
+	}
+}
+
+// lyingSource reports one arc more than its Mirror streams — what a torn
+// capture of a streamed source would look like.
+type lyingSource struct{ *Mirror }
+
+func (s lyingSource) NumArcs() int64 { return s.Mirror.NumArcs() + 1 }
+
+// TestCheckpointRejectsInconsistentSource: a source whose scan fails, or
+// whose streamed arcs disagree with what it reports, commits nothing —
+// the previous checkpoint stays the newest one.
+func TestCheckpointRejectsInconsistentSource(t *testing.T) {
+	dir := t.TempDir()
+	gd, err := Open(dir, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gd.Close()
+	m := mirrorOf(6, edges(0, 1, 1, 2, 2, 3))
+	if err := gd.Checkpoint(1, m, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := gd.Checkpoint(2, lyingSource{m}, nil); err == nil {
+		t.Fatal("a source streaming fewer arcs than it reports was committed")
+	}
+	unsorted := NewMirror(6)
+	unsorted.Seed(0, 3)
+	unsorted.Seed(0, 1) // never Finished: list [3 1] violates the scan contract
+	if err := gd.Checkpoint(3, unsorted, nil); err == nil {
+		t.Fatal("a source streaming an unsorted list was committed")
+	}
+	sc, err := Scan(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Manifest.LSN != 1 || sc.Fallback {
+		t.Fatalf("newest valid checkpoint is at LSN %d (fallback %v), want the untouched one at 1", sc.Manifest.LSN, sc.Fallback)
 	}
 }
 
