@@ -1,6 +1,6 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out,
-// complementing the per-figure suite in bench_test.go. Run with
-// `go test -bench=Ablation -benchmem`.
+// Ablation benchmarks for the design choices docs/ARCHITECTURE.md calls
+// out ("Deviations from the paper"), complementing the per-figure suite
+// in bench_test.go. Run with `go test -bench=Ablation -benchmem`.
 package kcore_test
 
 import (
@@ -125,35 +125,4 @@ func restore(b *testing.B, s *maintain.Session, edges []memgraph.Edge) {
 		}
 	}
 	b.StartTimer()
-}
-
-// BenchmarkAblationLocalCore microbenchmarks one locality-equation
-// evaluation (the inner loop every semi-external algorithm shares) on a
-// high-degree node.
-func BenchmarkAblationLocalCore(b *testing.B) {
-	_, csr := benchGraph(b, "orkut-sim")
-	// Find the highest-degree node.
-	var v uint32
-	for u := uint32(0); u < csr.NumNodes(); u++ {
-		if csr.Degree(u) > csr.Degree(v) {
-			v = u
-		}
-	}
-	res, err := semicore.SemiCoreStar(csr, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st, err := semicore.StateFrom(res.Core, res.Cnt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nbrs := csr.Neighbors(v)
-	deg := uint32(len(nbrs))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := st.LocalCore(deg, nbrs); got == 0 {
-			b.Fatal("zero core for hub node")
-		}
-	}
-	b.ReportMetric(float64(deg), "degree")
 }

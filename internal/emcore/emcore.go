@@ -15,7 +15,8 @@
 // Deviation from Cheng et al.: partitions are contiguous node ranges with
 // an arc budget rather than the original clustering heuristic. This keeps
 // the baseline honest (same asymptotics, same failure mode) without
-// importing a second paper's partitioner; see DESIGN.md.
+// importing a second paper's partitioner; see docs/ARCHITECTURE.md,
+// "Deviations from the paper".
 package emcore
 
 import (

@@ -14,8 +14,8 @@ import (
 	"kcore/internal/storage"
 )
 
-// Ablation exercises the design choices DESIGN.md calls out, beyond the
-// paper's own exhibits:
+// Ablation exercises the design choices docs/ARCHITECTURE.md calls out
+// ("Deviations from the paper"), beyond the paper's own exhibits:
 //
 //  1. block size B: the I/O counts of a semi-external scan scale ~1/B
 //     while the algorithm is unchanged — evidence the counter measures

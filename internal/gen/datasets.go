@@ -134,7 +134,8 @@ func ByGroup(g Group) []Dataset {
 }
 
 // SampleGraph is the paper's Fig. 1 running example, reconstructed
-// edge-by-edge from the algorithm traces in Figs. 2-8 (see DESIGN.md).
+// edge-by-edge from the algorithm traces in Figs. 2-8 (see
+// docs/ARCHITECTURE.md, "Deviations from the paper").
 // Core numbers: v0..v3 -> 3, v4..v7 -> 2, v8 -> 1.
 func SampleGraph() *memgraph.CSR {
 	return Build(SampleGraphEdges())

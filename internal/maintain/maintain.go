@@ -282,10 +282,11 @@ func (s *Session) InsertTwoPhase(u, v uint32) (stats.RunStats, error) {
 // separate converge phase is needed (Theorem 5.1).
 //
 // One bookkeeping correction relative to the printed pseudocode (see
-// DESIGN.md): the Eq. 2 neighbour increments of lines 11-12 (and the
-// corresponding decrements of lines 22-23) apply only to neighbours whose
-// status is not √, because a √ neighbour already counted this node
-// speculatively inside its own ComputeCnt*.
+// docs/ARCHITECTURE.md, "Deviations from the paper"): the Eq. 2
+// neighbour increments of lines 11-12 (and the corresponding decrements
+// of lines 22-23) apply only to neighbours whose status is not √, because
+// a √ neighbour already counted this node speculatively inside its own
+// ComputeCnt*.
 func (s *Session) InsertStar(u, v uint32) (stats.RunStats, error) {
 	start := time.Now()
 	rs := s.beginOp("SemiInsert*")

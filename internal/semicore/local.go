@@ -84,19 +84,9 @@ func (lc *LocalConverger) Converge(g NeighborSource, st *State, seeds []uint32, 
 		if err != nil {
 			return err
 		}
-		cold := st.Core[v]
-		nc := st.buf.compute(cold, nbrs, st.Core)
-		rs.NodeComputations++
-		st.Core[v] = nc
-		if nc != cold {
-			rs.Dirty = append(rs.Dirty, v)
-		}
-		st.Cnt[v] = computeCnt(nbrs, nc, st.Core)
-		st.UpdateNbrCnt(nbrs, cold, nc)
-		for _, u := range nbrs {
-			if st.Cnt[u] < int32(st.Core[u]) {
-				push(u)
-			}
+		_, violated := st.recompute(v, nbrs, rs)
+		for _, u := range violated {
+			push(u)
 		}
 	}
 	rs.Iterations++

@@ -92,7 +92,7 @@ func SemiCoreParallel(g *memgraph.CSR, opts *ParallelOptions) (*Result, error) {
 					for _, u := range nbrs {
 						snapshot = append(snapshot, atomic.LoadUint32(&core[u]))
 					}
-					nc := buf.computeFromValues(cold, snapshot)
+					nc := buf.hindex(cold, snapshot)
 					localComps++
 					if nc != cold {
 						atomic.StoreUint32(&core[v], nc)
@@ -114,40 +114,4 @@ func SemiCoreParallel(g *memgraph.CSR, opts *ParallelOptions) (*Result, error) {
 	res.Stats.MemPeakBytes = mem.Peak()
 	res.Stats.Duration = time.Since(start)
 	return res, nil
-}
-
-// computeFromValues is LocalCore over pre-fetched neighbour estimates
-// instead of indexing a shared core array.
-func (b *localCoreBuf) computeFromValues(cold uint32, vals []uint32) uint32 {
-	if cold == 0 {
-		return 0
-	}
-	if len(b.num) < int(cold)+1 {
-		b.num = make([]uint32, int(cold)+1)
-	}
-	num := b.num
-	for _, c := range vals {
-		if c > cold {
-			c = cold
-		}
-		num[c]++
-	}
-	s := uint32(0)
-	k := int64(cold)
-	for ; k >= 1; k-- {
-		s += num[k]
-		if s >= uint32(k) {
-			break
-		}
-	}
-	for _, c := range vals {
-		if c > cold {
-			c = cold
-		}
-		num[c] = 0
-	}
-	if k < 0 {
-		k = 0
-	}
-	return uint32(k)
 }

@@ -87,7 +87,7 @@ func SemiCore(g graph.Source, opts *Options) (*Result, error) {
 		computed = computed[:0]
 		err := g.Scan(0, n-1, nil, func(v uint32, nbrs []uint32) error {
 			cold := core[v]
-			nc := buf.compute(cold, nbrs, core)
+			nc := buf.localCore(cold, nbrs, core, nil)
 			res.Stats.NodeComputations++
 			if tr != nil {
 				computed = append(computed, v)
@@ -159,7 +159,7 @@ func SemiCorePlus(g graph.Source, opts *Options) (*Result, error) {
 			func(v uint32, nbrs []uint32) error {
 				active[v] = false
 				cold := core[v]
-				nc := buf.compute(cold, nbrs, core)
+				nc := buf.localCore(cold, nbrs, core, nil)
 				res.Stats.NodeComputations++
 				if tr != nil {
 					computed = append(computed, v)

@@ -16,6 +16,11 @@ type State struct {
 	Core []uint32
 	Cnt  []int32
 	buf  localCoreBuf
+	viol []uint32 // scratch: the violated neighbours recompute returns
+	// paperRule makes recompute read neighbours' stored estimates only
+	// (Algorithm 5 as printed). Nothing outside the tests sets it: they
+	// measure the lookahead against it.
+	paperRule bool
 }
 
 // NewState allocates zeroed state for n nodes, registering the 8n model
@@ -31,27 +36,61 @@ func NewState(n uint32, mem *stats.MemModel) *State {
 	}
 }
 
-// LocalCore applies the locality equation once for a node with estimate
-// cold and the given neighbour list, against the state's core array.
-func (s *State) LocalCore(cold uint32, nbrs []uint32) uint32 {
-	return s.buf.compute(cold, nbrs, s.Core)
-}
-
-// ComputeCnt evaluates Eq. 2 for a node whose core number is cv.
+// ComputeCnt evaluates Eq. 2 for a node whose core number is cv:
+// cnt(v) = |{u in nbr(v) : core(u) >= cv}| (Algorithm 5, lines 16-20).
 func (s *State) ComputeCnt(nbrs []uint32, cv uint32) int32 {
-	return computeCnt(nbrs, cv, s.Core)
-}
-
-// UpdateNbrCnt is Algorithm 5 lines 21-24: after v's estimate dropped from
-// cold to cnew, each neighbour u with cnew < core(u) <= cold loses v from
-// its support set, so cnt(u) decreases by one.
-func (s *State) UpdateNbrCnt(nbrs []uint32, cold, cnew uint32) {
+	var c int32
 	for _, u := range nbrs {
-		cu := s.Core[u]
-		if cu > cnew && cu <= cold {
-			s.Cnt[u]--
+		if s.Core[u] >= cv {
+			c++
 		}
 	}
+	return c
+}
+
+// recompute is the one recompute step of SemiCore* (Algorithm 5 lines
+// 8-12 fused): apply the locality equation to v over its neighbours'
+// lookahead bounds (localCoreBuf.localCore), then in a single walk set
+// cnt(v) per Eq. 2 against the stored estimates, take v out of the
+// support set of every neighbour u with cnew < core(u) <= cold
+// (UpdateNbrCnt, lines 21-24), and collect the neighbours left with
+// cnt(u) < core(u). It reports whether core(v) changed and those violated
+// neighbours; the slice is scratch, valid until the next call.
+//
+// Invariants kept: estimates stay upper bounds, every non-negative cnt
+// stays exact with respect to the stored estimates, and
+// cnt(v) >= core(v) on return (at least core(v) neighbours have
+// eff >= core(v), and core >= eff).
+func (s *State) recompute(v uint32, nbrs []uint32, rs *stats.RunStats) (bool, []uint32) {
+	core, cnt := s.Core, s.Cnt
+	cold := core[v]
+	look := cnt
+	if s.paperRule {
+		look = nil
+	}
+	nc := s.buf.localCore(cold, nbrs, core, look)
+	rs.NodeComputations++
+	core[v] = nc
+	if nc != cold {
+		rs.Dirty = append(rs.Dirty, v)
+	}
+	var support int32
+	viol := s.viol[:0]
+	for _, u := range nbrs {
+		cu := core[u]
+		if cu >= nc {
+			support++
+			if cu > nc && cu <= cold {
+				cnt[u]--
+			}
+		}
+		if cnt[u] < int32(cu) {
+			viol = append(viol, u)
+		}
+	}
+	cnt[v] = support
+	s.viol = viol
+	return nc != cold, viol
 }
 
 // Converge runs Algorithm 5 lines 4-14: starting from the window
@@ -82,33 +121,25 @@ func (s *State) Converge(g graph.Source, vmin, vmax uint32, rs *stats.RunStats, 
 			func() uint32 { return curMax },
 			func(v uint32) bool { return s.Cnt[v] < int32(s.Core[v]) },
 			func(v uint32, nbrs []uint32) error {
-				cold := s.Core[v]
-				nc := s.buf.compute(cold, nbrs, s.Core)
-				rs.NodeComputations++
+				changed, violated := s.recompute(v, nbrs, rs)
 				if tr != nil {
 					computed = append(computed, v)
 				}
-				s.Core[v] = nc
-				if nc != cold {
+				if changed {
 					iterUpdated++
-					rs.Dirty = append(rs.Dirty, v)
 				}
-				s.Cnt[v] = computeCnt(nbrs, nc, s.Core)
-				s.UpdateNbrCnt(nbrs, cold, nc)
-				for _, u := range nbrs {
-					if s.Cnt[u] < int32(s.Core[u]) {
-						// UpdateRange (shared with Algorithm 4).
-						if u > curMax {
-							curMax = u
+				for _, u := range violated {
+					// UpdateRange (shared with Algorithm 4).
+					if u > curMax {
+						curMax = u
+					}
+					if u < v {
+						update = true
+						if int64(u) < nextMin {
+							nextMin = int64(u)
 						}
-						if u < v {
-							update = true
-							if int64(u) < nextMin {
-								nextMin = int64(u)
-							}
-							if int64(u) > nextMax {
-								nextMax = int64(u)
-							}
+						if int64(u) > nextMax {
+							nextMax = int64(u)
 						}
 					}
 				}
@@ -129,19 +160,32 @@ func (s *State) Converge(g graph.Source, vmin, vmax uint32, rs *stats.RunStats, 
 	return nil
 }
 
-// SemiCoreStar runs Algorithm 5: initialise core(v) <- deg(v) and
-// cnt(v) <- 0 (below any positive degree, so every non-isolated node is
-// recomputed exactly once in the first pass, establishing real counters),
-// then converge over the full node range.
+// SemiCoreStar runs Algorithm 5: initialise core(v) <- deg(v) and mark
+// every non-isolated node "not yet counted", so each is recomputed
+// exactly once in the first pass, establishing real counters, then
+// converge over the full node range. The paper writes the marker as
+// cnt(v) <- 0; here it is -1, because the lookahead of
+// localCoreBuf.localCore reads a neighbour's cnt as evidence and a
+// marker must not pass for a count. A marker is only ever decremented
+// before its node's first computation overwrites it, so it stays
+// negative; isolated nodes get the real count 0.
 func SemiCoreStar(g graph.Source, opts *Options) (*Result, error) {
+	return semiCoreStar(g, opts, false)
+}
+
+func semiCoreStar(g graph.Source, opts *Options, paperRule bool) (*Result, error) {
 	start := time.Now()
 	n := g.NumNodes()
 	mem := opts.mem()
 	st := NewState(n, mem)
+	st.paperRule = paperRule
 	defer mem.Free("semicore*/core")
 	defer mem.Free("semicore*/cnt")
 	err := g.ScanDegrees(func(v uint32, deg uint32) error {
 		st.Core[v] = deg
+		if deg > 0 {
+			st.Cnt[v] = -1
+		}
 		return nil
 	})
 	if err != nil {
