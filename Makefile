@@ -5,7 +5,7 @@
 # with cross-goroutine state accessed only via sync/atomic or channels.
 GO ?= go
 
-.PHONY: all test race vet doc bench bench-serve bench-wal bench-replication bench-disk crash-sweep fuzz profile clean
+.PHONY: all test race vet doc bench crash-sweep fuzz profile clean
 
 all: test vet
 
@@ -37,38 +37,9 @@ bench:
 # local hunts.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test -fuzz=FuzzShardedAgreesWithSingleEngine -fuzztime=$(FUZZTIME) -run '^$$' ./internal/shard
-	$(GO) test -fuzz=FuzzComposeRepairMatchesFullPeel -fuzztime=$(FUZZTIME) -run '^$$' ./internal/shard
 	$(GO) test -fuzz=FuzzMaintenanceSequence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/maintain
 	$(GO) test -fuzz=FuzzChangeStreamDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/replica
 	$(GO) test -fuzz=FuzzDiskEngineAgreesWithMem -fuzztime=$(FUZZTIME) -run '^$$' ./internal/diskengine
-
-# Full serve benchmark grid — reader throughput, mixed workloads,
-# cached-vs-uncached memoized queries, and 1-vs-N-graph registry runs;
-# writes the BENCH_serve.json baseline (including the measured
-# kcore_cache_speedup) that later performance work is measured against.
-bench-serve:
-	KCORE_BENCH_JSON=$(CURDIR)/BENCH_serve.json $(GO) test -run TestEmitServeBenchJSON -count=1 -v ./internal/serve
-
-# WAL overhead on the insert-flood fixture (durability off vs
-# fsync=never vs fsync=interval); merges the wal_overhead entry into
-# BENCH_serve.json without touching the serve grid.
-bench-wal:
-	KCORE_BENCH_JSON=$(CURDIR)/BENCH_serve.json $(GO) test -run TestEmitWalBenchJSON -count=1 -v ./internal/engine
-
-# Replication lag: the leader-apply-to-follower-visible round trip and
-# cold-follower catch-up throughput; merges the replication_lag entry
-# into BENCH_serve.json without touching the serve grid. Recorded at
-# GOMAXPROCS=4 like the rest of the baseline.
-bench-replication:
-	KCORE_BENCH_JSON=$(CURDIR)/BENCH_serve.json GOMAXPROCS=4 $(GO) test -run TestEmitReplicationBenchJSON -count=1 -v ./internal/replica
-
-# Disk backend: cold vs warm random-read latency through the block
-# cache (with measured hit rates), overlay merge throughput, and the
-# end-to-end disk-engine update flood; merges the disk_backend entry
-# into BENCH_serve.json without touching the serve grid.
-bench-disk:
-	KCORE_BENCH_JSON=$(CURDIR)/BENCH_serve.json $(GO) test -run TestEmitDiskBenchJSON -count=1 -v ./internal/diskengine
 
 # The crash-point fault-injection suite: the exhaustive boundary sweep
 # plus a longer randomized torn-write run. CRASHSEED pins a failing seed

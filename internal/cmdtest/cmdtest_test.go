@@ -759,48 +759,3 @@ func TestKcoredSignalAtBanner(t *testing.T) {
 		t.Fatalf("durability after the signalled rounds = %+v, want lsn 1, not degraded", st.Durability)
 	}
 }
-
-// TestKcoredSharded boots the daemon with -shards 2 and checks the
-// end-to-end sharded surfaces: queries and synchronous updates behave
-// like the single-writer daemon, and /stats exposes the per-shard
-// counter block (2 shards plus the cut session) with the cross-shard
-// edge ratio.
-func TestKcoredSharded(t *testing.T) {
-	base := startKcored(t, "-shards", "2")
-
-	var deg struct {
-		Degeneracy uint32 `json:"degeneracy"`
-		Nodes      uint32 `json:"nodes"`
-	}
-	getJSON(t, http.StatusOK, base+"/degeneracy", &deg)
-	if deg.Nodes != 150 {
-		t.Fatalf("degeneracy reports %d nodes, want 150", deg.Nodes)
-	}
-
-	var upd struct {
-		Enqueued int    `json:"enqueued"`
-		Epoch    uint64 `json:"epoch"`
-	}
-	postJSON(t, http.StatusOK, base+"/update?wait=1",
-		`{"updates":[{"op":"delete","u":0,"v":1}]}`, &upd)
-	if upd.Enqueued != 1 {
-		t.Fatalf("enqueued = %d, want 1", upd.Enqueued)
-	}
-	if upd.Epoch == 0 {
-		t.Fatal("composite epoch did not advance past the initial compose")
-	}
-
-	var st struct {
-		Shards *struct {
-			Shards []json.RawMessage `json:"shards"`
-		} `json:"shards"`
-		CrossRatio *float64 `json:"cross_shard_edge_ratio"`
-	}
-	getJSON(t, http.StatusOK, base+"/stats", &st)
-	if st.Shards == nil || st.CrossRatio == nil {
-		t.Fatal("sharded kcored /stats lacks the shard block")
-	}
-	if got := len(st.Shards.Shards); got != 3 { // 2 shards + cut session
-		t.Fatalf("/stats reports %d shard writers, want 3", got)
-	}
-}

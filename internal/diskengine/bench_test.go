@@ -1,10 +1,7 @@
 package diskengine_test
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 	"time"
 
@@ -157,90 +154,4 @@ func BenchmarkDiskUpdateFlood(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
-}
-
-// TestEmitDiskBenchJSON measures the disk backend — cold and warm
-// random-read latency with the measured cache hit rates, the overlay
-// merge throughput, and the end-to-end update flood — and merges a
-// `disk_backend` entry into the artifact named by KCORE_BENCH_JSON
-// (BENCH_serve.json via `make bench-disk`).
-func TestEmitDiskBenchJSON(t *testing.T) {
-	path := os.Getenv("KCORE_BENCH_JSON")
-	if path == "" {
-		t.Skip("set KCORE_BENCH_JSON=<path> to emit the disk backend figures")
-	}
-	type entry struct {
-		Name      string             `json:"name"`
-		N         int                `json:"n"`
-		NsPerOp   float64            `json:"ns_per_op"`
-		OpsPerSec float64            `json:"ops_per_sec"`
-		Extra     map[string]float64 `json:"extra,omitempty"`
-	}
-	record := func(name string, fn func(b *testing.B)) entry {
-		res := testing.Benchmark(fn)
-		e := entry{Name: name, N: res.N, NsPerOp: float64(res.NsPerOp())}
-		if res.T > 0 {
-			e.OpsPerSec = float64(res.N) / res.T.Seconds()
-		}
-		if len(res.Extra) > 0 {
-			e.Extra = make(map[string]float64, len(res.Extra))
-			for k, v := range res.Extra {
-				e.Extra[k] = v
-			}
-		}
-		t.Logf("%s: %.0f ns/op (n=%d, extra=%v)", name, e.NsPerOp, e.N, e.Extra)
-		return e
-	}
-	cold := record("DiskNeighbors/cache=cold", BenchmarkDiskNeighborsCold)
-	warm := record("DiskNeighbors/cache=warm", BenchmarkDiskNeighborsWarm)
-	merge := record("DiskOverlayMerge", BenchmarkDiskOverlayMerge)
-	flood := record("DiskUpdateFlood", BenchmarkDiskUpdateFlood)
-
-	coldWarmRatio := 0.0
-	if warm.NsPerOp > 0 {
-		coldWarmRatio = cold.NsPerOp / warm.NsPerOp
-	}
-	disk := map[string]any{
-		"fixture":               "social",
-		"graph_nodes":           diskBenchNodes,
-		"cold_query_ns":         cold.NsPerOp,
-		"warm_query_ns":         warm.NsPerOp,
-		"cold_over_warm":        coldWarmRatio,
-		"cold_hit_rate":         cold.Extra["hit_rate"],
-		"warm_hit_rate":         warm.Extra["hit_rate"],
-		"merge_arcs_per_sec":    merge.Extra["merged_arcs/s"],
-		"flood_updates_per_sec": flood.Extra["updates/s"],
-	}
-	t.Logf("disk backend: cold/warm = %.1fx, warm hit rate %.3f", coldWarmRatio, warm.Extra["hit_rate"])
-
-	// Merge into the existing serve artifact rather than clobbering it.
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Fatalf("existing %s is not JSON: %v", path, err)
-		}
-	}
-	doc["disk_backend"] = disk
-	results, _ := doc["results"].([]any)
-	kept := results[:0]
-	for _, r := range results {
-		if m, ok := r.(map[string]any); ok {
-			if name, _ := m["name"].(string); strings.HasPrefix(name, "Disk") {
-				continue // replace stale disk entries from an earlier run
-			}
-		}
-		kept = append(kept, r)
-	}
-	for _, e := range []entry{cold, warm, merge, flood} {
-		kept = append(kept, e)
-	}
-	doc["results"] = kept
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("merged disk_backend into %s", path)
 }

@@ -5,7 +5,6 @@ import (
 
 	"kcore"
 	"kcore/internal/diskengine"
-	"kcore/internal/shard"
 	"kcore/internal/stats"
 )
 
@@ -14,8 +13,6 @@ const (
 	// BackendMem is the single-writer in-memory engine (internal/serve
 	// over a kcore.Graph) — the default.
 	BackendMem = "mem"
-	// BackendSharded is the multi-core sharded engine (internal/shard).
-	BackendSharded = "sharded"
 	// BackendDisk is the beyond-RAM engine (internal/diskengine):
 	// adjacency on disk behind a bounded block cache.
 	BackendDisk = "disk"
@@ -42,44 +39,24 @@ type DiskStatser interface {
 func AsDiskStatser(e Engine) (DiskStatser, bool) { return as[DiskStatser](e) }
 
 // BackendConfig selects and tunes the backend a graph is opened behind.
-// The zero value is the mem backend; Shards >= 2 with no explicit
-// Backend selects the sharded one (the historical OpenSharded contract).
+// The zero value is the mem backend.
 type BackendConfig struct {
-	// Backend is BackendMem, BackendSharded, BackendDisk, or "" (mem,
-	// or sharded when Shards >= 2).
+	// Backend is BackendMem, BackendDisk, or "" (mem).
 	Backend string
-	// Shards is the writer count of the sharded backend.
-	Shards int
-	// Partitioner is the sharded backend's node-assignment strategy
-	// (shard.PartitionerHash/Range/LDG; "" selects hash).
-	Partitioner string
 	// CacheBlocks is the disk backend's block-cache frame budget;
 	// <=0 selects the diskengine default.
 	CacheBlocks int
 }
 
-// normalize resolves defaults and rejects inconsistent combinations.
+// normalize resolves the default backend and rejects unknown names.
 func (c BackendConfig) normalize() (BackendConfig, error) {
 	switch c.Backend {
 	case "":
-		if c.Shards >= 2 {
-			c.Backend = BackendSharded
-		} else {
-			c.Backend = BackendMem
-		}
-	case BackendMem, BackendSharded, BackendDisk:
-	default:
-		return c, fmt.Errorf("engine: unknown backend %q (want %s, %s or %s)",
-			c.Backend, BackendMem, BackendSharded, BackendDisk)
-	}
-	if c.Backend == BackendSharded && c.Shards < 2 {
 		c.Backend = BackendMem
-	}
-	if c.Backend == BackendDisk && c.Shards >= 2 {
-		return c, fmt.Errorf("engine: the disk backend is single-writer (got shards=%d)", c.Shards)
-	}
-	if c.Backend != BackendSharded {
-		c.Shards = 0
+	case BackendMem, BackendDisk:
+	default:
+		return c, fmt.Errorf("engine: unknown backend %q (want %s or %s)",
+			c.Backend, BackendMem, BackendDisk)
 	}
 	return c, nil
 }
@@ -90,15 +67,14 @@ func (c BackendConfig) normalize() (BackendConfig, error) {
 type backendCtor func(r *Registry, name, base string, c BackendConfig) (*entry, error)
 
 var backendCtors = map[string]backendCtor{
-	BackendMem:     openMemBackend,
-	BackendSharded: openShardedBackend,
-	BackendDisk:    openDiskBackend,
+	BackendMem:  openMemBackend,
+	BackendDisk: openDiskBackend,
 }
 
 // OpenBackend opens the on-disk graph at path prefix base behind the
-// configured backend and registers it under name. Open and OpenSharded
-// are thin wrappers over it; in data-dir mode the engine is additionally
-// wrapped in the durability shell, whatever the backend.
+// configured backend and registers it under name. Open is a thin wrapper
+// over it; in data-dir mode the engine is additionally wrapped in the
+// durability shell, whatever the backend.
 func (r *Registry) OpenBackend(name, base string, c BackendConfig) (Engine, error) {
 	c, err := c.normalize()
 	if err != nil {
@@ -133,28 +109,6 @@ func openMemBackend(r *Registry, name, base string, _ BackendConfig) (*entry, er
 		return nil, err
 	}
 	return &entry{name: name, base: base, eng: eng, g: g, ownsGraph: true}, nil
-}
-
-func openShardedBackend(r *Registry, name, base string, c BackendConfig) (*entry, error) {
-	g, err := kcore.Open(base, &r.opts.Open)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := shard.New(g, &shard.Options{
-		Shards:      c.Shards,
-		Partitioner: c.Partitioner,
-		Serve:       r.opts.Serve,
-		Open:        r.opts.Open,
-		Counters:    new(stats.ServeCounters),
-	})
-	if cerr := g.Close(); cerr != nil && err == nil {
-		eng.Close() //nolint:errcheck // base close error wins
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &entry{name: name, base: base, eng: eng, shards: c.Shards}, nil
 }
 
 func openDiskBackend(r *Registry, name, base string, c BackendConfig) (*entry, error) {

@@ -122,12 +122,6 @@ func as[T any](e Engine) (T, bool) {
 	}
 }
 
-// AsShardStatser finds ShardStats support on e or any wrapped engine.
-func AsShardStatser(e Engine) (ShardStatser, bool) { return as[ShardStatser](e) }
-
-// AsRebalancer finds Rebalance support on e or any wrapped engine.
-func AsRebalancer(e Engine) (Rebalancer, bool) { return as[Rebalancer](e) }
-
 // AsCheckpointer finds Checkpoint support on e or any wrapped engine.
 func AsCheckpointer(e Engine) (Checkpointer, bool) { return as[Checkpointer](e) }
 
@@ -149,12 +143,12 @@ type walFailure struct{ err error }
 
 // durable wraps an inner engine with the durability layer. It owns the
 // graph-level commit point: a single mutex ordering LSN allocation and
-// adjacency-mirror patches across all writer sessions, so the WAL is a
-// linearized redo log of exactly what the writers applied.
+// adjacency-mirror patches against checkpoint captures and stats reads,
+// so the WAL is a linearized redo log of exactly what the writer applied.
 //
-// What a checkpoint is written from depends on the backend. Mem and
-// sharded graphs keep mirror, a resident copy of the adjacency patched
-// at the commit point and cloned per checkpoint. A disk-backed graph
+// What a checkpoint is written from depends on the backend. A mem graph
+// keeps mirror, a resident copy of the adjacency patched at the commit
+// point and cloned per checkpoint. A disk-backed graph
 // keeps no copy at all: disk is set instead, and a checkpoint streams a
 // view pinned on the engine's own partition store (checkpoint below).
 type durable struct {
@@ -171,7 +165,7 @@ type durable struct {
 	mirror *wal.Mirror // nil for the disk backend
 	feed   *wal.Feed   // replica change-stream window, appended under mu
 
-	enc [][]byte // per-session record scratch, owned by writer goroutines
+	enc []byte // record scratch, owned by the writer goroutine
 
 	replaying   atomic.Bool
 	broken      atomic.Pointer[walFailure]
@@ -185,20 +179,18 @@ type durable struct {
 	closeErr  error
 }
 
-func newDurable(name string, sessions int, opts DurabilityOptions) *durable {
-	d := &durable{
+func newDurable(name string, opts DurabilityOptions) *durable {
+	return &durable{
 		name: name,
 		ctr:  &stats.WalCounters{},
 		opts: opts,
-		enc:  make([][]byte, sessions),
 		feed: wal.NewFeed(opts.FeedRecords, opts.FeedBytes),
 		quit: make(chan struct{}),
 	}
-	return d
 }
 
-// seedMirror populates the adjacency mirror from the graph a mem or
-// sharded engine will serve, before any update can flow.
+// seedMirror populates the adjacency mirror from the graph a mem engine
+// will serve, before any update can flow.
 func (d *durable) seedMirror(g *kcore.Graph) error {
 	m := wal.NewMirror(g.NumNodes())
 	if err := g.VisitEdges(func(u, v uint32) error {
@@ -212,14 +204,13 @@ func (d *durable) seedMirror(g *kcore.Graph) error {
 	return nil
 }
 
-// onApply is the durability hook, chained onto every writer session's
-// OnApply callback. It runs post-apply on the session's writer
-// goroutine with the exact net batch; under the commit point it stamps
-// the batch with the next LSN and patches the mirror (where there is
-// one), then appends the framed record to the session's log outside the
-// lock (appends within a session are already ordered by its writer
-// goroutine).
-func (d *durable) onApply(session int, deletes, inserts []kcore.Edge) {
+// onApply is the durability hook, chained onto the writer session's
+// OnApply callback. It runs post-apply on the writer goroutine with the
+// exact net batch; under the commit point it stamps the batch with the
+// next LSN and patches the mirror (where there is one), then appends the
+// framed record to the log outside the lock (appends are already ordered
+// by the writer goroutine).
+func (d *durable) onApply(deletes, inserts []kcore.Edge) {
 	if len(deletes)+len(inserts) == 0 {
 		return
 	}
@@ -250,9 +241,8 @@ func (d *durable) onApply(session int, deletes, inserts []kcore.Edge) {
 		// state), but appending out-of-order would corrupt the log further.
 		return
 	}
-	buf := wal.AppendRecord(d.enc[session][:0], lsn, deletes, inserts)
-	d.enc[session] = buf
-	if err := d.gd.Log(session).Append(buf, lsn); err != nil {
+	d.enc = wal.AppendRecord(d.enc[:0], lsn, deletes, inserts)
+	if err := d.gd.Log().Append(d.enc, lsn); err != nil {
 		d.noteBroken(fmt.Errorf("engine: wal append (graph %q): %w", d.name, err))
 	}
 }
@@ -284,7 +274,7 @@ func (d *durable) startLoops() {
 				case <-d.quit:
 					return
 				case <-t.C:
-					if err := d.gd.SyncAll(); err != nil {
+					if err := d.gd.Sync(); err != nil {
 						d.noteBroken(fmt.Errorf("engine: wal fsync (graph %q): %w", d.name, err))
 					}
 				}
@@ -406,9 +396,9 @@ func (d *durable) Apply(ups ...serve.Update) error {
 
 // Sync is the durable commit point: after the inner barrier (all
 // submitted updates applied and published, so their records are
-// appended), every session log is fsynced before the Sync is
-// acknowledged — under the always and interval policies an acked Sync
-// therefore survives any crash.
+// appended), the log is fsynced before the Sync is acknowledged — under
+// the always and interval policies an acked Sync therefore survives any
+// crash.
 func (d *durable) Sync() error {
 	if d.degraded {
 		return d.degradedErr
@@ -419,7 +409,7 @@ func (d *durable) Sync() error {
 	if f := d.broken.Load(); f != nil {
 		return f.err
 	}
-	if err := d.gd.SyncAll(); err != nil {
+	if err := d.gd.Sync(); err != nil {
 		d.noteBroken(fmt.Errorf("engine: wal fsync (graph %q): %w", d.name, err))
 		return d.broken.Load().err
 	}
@@ -519,7 +509,7 @@ func (d *durable) Close() error {
 			} else if firstErr == nil {
 				firstErr = syncErr
 			}
-			if err := d.gd.SyncAll(); err != nil && firstErr == nil {
+			if err := d.gd.Sync(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}

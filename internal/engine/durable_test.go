@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"kcore/internal/engine"
 	"kcore/internal/gen"
 	"kcore/internal/serve"
+	"kcore/internal/verify"
 	"kcore/internal/wal"
 )
 
@@ -464,30 +466,53 @@ func TestDurableDiskRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDurableShardedRoundTrip(t *testing.T) {
-	const n, seed, k = 120, 39, 6
+// TestRecoverLegacyShardedDataDir: a data dir left by a sharded kcored
+// (CONFIG naming the retired backend and its topology, one log directory
+// per shard writer with the graph-level LSNs interleaved across them)
+// comes back as one mem writer with nothing lost, and the post-recovery
+// log reset leaves no per-shard directory behind.
+func TestRecoverLegacyShardedDataDir(t *testing.T) {
+	const n, seed, k = 80, 39, 6
 	dataDir := t.TempDir()
+	opts := durableOptions(dataDir)
+	opts.Durability.SegmentBytes = 32 // one record per segment file
 	ups := freshEdges(n, seed, k)
-
-	reg := engine.NewRegistry(durableOptions(dataDir))
-	eng, err := reg.OpenSharded("g", writeGraph(t, n, seed), 3, "")
+	reg := engine.NewRegistry(opts)
+	eng, err := reg.Open("g", writeGraph(t, n, seed))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := engine.AsShardStatser(eng); !ok {
-		t.Fatal("durable wrapper hides ShardStats")
 	}
 	for _, up := range ups {
 		if err := eng.Apply(up); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := slices.Clone(eng.Snapshot().Cores())
-	if err := reg.Close(); err != nil {
+	img := t.TempDir()
+	copyTree(t, dataDir, img)
+	reg.Close() //nolint:errcheck // the image is what the test recovers
+
+	// Re-dress the image: segment i (named by its first LSN, so sorted
+	// by LSN) moves to log directory s(i mod 3).
+	walDir := filepath.Join(img, "g", "wal")
+	segs, err := filepath.Glob(filepath.Join(walDir, "s0", "*.seg"))
+	if err != nil || len(segs) != k {
+		t.Fatalf("segments = %v, %v; want %d", segs, err, k)
+	}
+	for i, seg := range segs {
+		sdir := filepath.Join(walDir, fmt.Sprintf("s%d", i%3))
+		if err := os.MkdirAll(sdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(seg, filepath.Join(sdir, filepath.Base(seg))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy := "backend=sharded\nshards=3\npartitioner=ldg\ncache_blocks=0\n"
+	if err := os.WriteFile(filepath.Join(img, "g", "CONFIG"), []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	reg2 := engine.NewRegistry(durableOptions(dataDir))
+	reg2 := engine.NewRegistry(durableOptions(img))
 	defer reg2.Close()
 	rep, err := reg2.Recover()
 	if err != nil {
@@ -496,14 +521,21 @@ func TestDurableShardedRoundTrip(t *testing.T) {
 	if len(rep.Graphs) != 1 || rep.Graphs[0].Err != nil || rep.Graphs[0].Degraded {
 		t.Fatalf("recovery report = %+v", rep.Graphs)
 	}
-	if rep.Graphs[0].Shards != 3 {
-		t.Fatalf("recovered with %d shards, want the CONFIG topology 3", rep.Graphs[0].Shards)
+	if rep.Graphs[0].Replayed != k {
+		t.Fatalf("replayed %d records, want all %d across the three logs", rep.Graphs[0].Replayed, k)
 	}
 	eng2, _ := reg2.Get("g")
-	if _, ok := engine.AsShardStatser(eng2); !ok {
-		t.Fatal("recovered engine is not sharded")
+	if bt, ok := engine.AsBackendTyper(eng2); !ok || bt.BackendType() != engine.BackendMem {
+		t.Fatal("a legacy sharded CONFIG must normalise to the mem backend")
 	}
-	if !slices.Equal(eng2.Snapshot().Cores(), want) {
-		t.Fatal("recovered sharded cores differ from pre-shutdown cores")
+	edges := gen.Social(n, 3, 8, 8, seed)
+	for _, up := range ups {
+		edges = append(edges, gen.Edge{U: up.U, V: up.V})
+	}
+	if err := verify.CheckAgainst(gen.Build(edges), eng2.Snapshot().Cores()); err != nil {
+		t.Fatalf("recovered cores differ from the reference: %v", err)
+	}
+	if dirs, err := filepath.Glob(filepath.Join(walDir, "s*")); err != nil || len(dirs) != 1 || filepath.Base(dirs[0]) != "s0" {
+		t.Fatalf("log directories after recovery = %v (%v), want only s0", dirs, err)
 	}
 }

@@ -1,9 +1,7 @@
 // Package engine is the seam between the serving algorithms and the
 // layers above them. It defines Engine — the capability surface a
 // query/update backend must offer — and Registry, which owns many named
-// engines so one process can serve many graphs (and, later, many shards
-// of one graph: the ROADMAP's "shard = session" plan plugs sharded and
-// alternative backends in behind this same interface).
+// engines so one process can serve many graphs.
 //
 // internal/serve.ConcurrentSession is the canonical Engine; the HTTP
 // layer (internal/httpapi) talks only to this package.
@@ -14,7 +12,6 @@ import (
 
 	"kcore"
 	"kcore/internal/serve"
-	"kcore/internal/shard"
 	"kcore/internal/stats"
 )
 
@@ -47,22 +44,6 @@ type Engine interface {
 
 // ConcurrentSession is the reference implementation.
 var _ Engine = (*serve.ConcurrentSession)(nil)
-
-// ShardStatser is the optional engine extension for per-writer
-// observability: sharded engines (internal/shard) expose their routing
-// and compose counters plus one ServeSnapshot per shard writer through
-// it. The HTTP layer surfaces it under /g/{name}/stats when present.
-type ShardStatser interface {
-	ShardStats() stats.ShardedSnapshot
-}
-
-// Rebalancer is the optional engine extension for partition maintenance:
-// sharded engines expose the locality-aware repartitioning operation
-// (internal/shard Rebalance) through it, and the HTTP layer mounts it at
-// POST /g/{name}/rebalance when present.
-type Rebalancer interface {
-	Rebalance() (shard.RebalanceReport, error)
-}
 
 var (
 	// ErrReadOnly reports a write on a read-only engine: a replication

@@ -12,14 +12,13 @@ import (
 	"kcore"
 	"kcore/internal/diskengine"
 	"kcore/internal/serve"
-	"kcore/internal/shard"
 	"kcore/internal/stats"
 	"kcore/internal/wal"
 )
 
-// configName is the per-graph serving-topology file inside a durable
-// graph directory: recovery rebuilds the same shard layout the graph
-// was created with.
+// configName is the per-graph serving-configuration file inside a
+// durable graph directory: recovery reopens the graph behind the backend
+// it was created with.
 const configName = "CONFIG"
 
 func writeGraphConfig(o *DurabilityOptions, dir string, c BackendConfig) error {
@@ -27,12 +26,7 @@ func writeGraphConfig(o *DurabilityOptions, dir string, c BackendConfig) error {
 	if err != nil {
 		return err
 	}
-	shards := c.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if _, err := fmt.Fprintf(f, "backend=%s\nshards=%d\npartitioner=%s\ncache_blocks=%d\n",
-		c.Backend, shards, c.Partitioner, c.CacheBlocks); err != nil {
+	if _, err := fmt.Fprintf(f, "backend=%s\ncache_blocks=%d\n", c.Backend, c.CacheBlocks); err != nil {
 		f.Close()
 		return err
 	}
@@ -43,13 +37,14 @@ func writeGraphConfig(o *DurabilityOptions, dir string, c BackendConfig) error {
 	return f.Close()
 }
 
-// readGraphConfig parses the topology file, defaulting to a
-// single-writer mem engine when it is missing or damaged (topology is
-// serving configuration, not durable state — the graph's data is intact
-// either way). Pre-backend CONFIG files carry only shards/partitioner
-// lines; the empty Backend normalizes to mem or sharded from Shards.
+// readGraphConfig parses the configuration file, defaulting to the mem
+// backend when it is missing or damaged (it is serving configuration,
+// not durable state — the graph's data is intact either way). Unknown
+// keys and backend names are skipped, which is how a file written by a
+// sharded kcored (backend=sharded, shards=N, partitioner=) comes back
+// as one mem writer, its per-shard logs merged by LSN (wal.Scan).
 func readGraphConfig(dir string) BackendConfig {
-	c := BackendConfig{Shards: 1}
+	var c BackendConfig
 	data, err := os.ReadFile(filepath.Join(dir, configName))
 	if err != nil {
 		return c
@@ -61,16 +56,9 @@ func readGraphConfig(dir string) BackendConfig {
 		}
 		switch key {
 		case "backend":
-			switch val {
-			case BackendMem, BackendSharded, BackendDisk:
+			if val == BackendMem || val == BackendDisk {
 				c.Backend = val
 			}
-		case "shards":
-			if n, err := strconv.Atoi(val); err == nil && n >= 1 && n <= 1024 {
-				c.Shards = n
-			}
-		case "partitioner":
-			c.Partitioner = val
 		case "cache_blocks":
 			if n, err := strconv.Atoi(val); err == nil && n >= 0 {
 				c.CacheBlocks = n
@@ -125,19 +113,12 @@ func (r *Registry) openDurable(name, base string, c BackendConfig) (Engine, erro
 		r.commit(name, nil)
 		return nil, fmt.Errorf("engine: open durable %q: %w", name, err)
 	}
-	e := &entry{name: name, base: base, eng: d, shards: entryShards(c.Shards), dir: dir}
+	e := &entry{name: name, base: base, eng: d, dir: dir}
 	if !r.commit(name, e) {
 		e.shutdown() //nolint:errcheck // ErrClosed wins
 		return nil, ErrClosed
 	}
 	return d, nil
-}
-
-func entryShards(shards int) int {
-	if shards >= 2 {
-		return shards
-	}
-	return 0
 }
 
 func (r *Registry) buildDurable(name, dir, base string, c BackendConfig) (*durable, error) {
@@ -171,20 +152,15 @@ func (r *Registry) buildDurable(name, dir, base string, c BackendConfig) (*durab
 }
 
 // assembleDurable builds the durable shell around a serving engine for
-// g: logs opened, hooks chained, and — except on the disk backend, whose
+// g: log opened, hook chained, and — except on the disk backend, whose
 // checkpoints stream its own partition store — the mirror seeded from g.
-// The backend is routed on c.Backend — the WAL shell is the same for all
-// of them, only the inner engine construction and the checkpoint source
+// The backend is routed on c.Backend — the WAL shell is the same for
+// both, only the inner engine construction and the checkpoint source
 // differ. When replaying is set the shell starts in replay mode (records
 // are not re-logged) and background loops are not started; the recovery
 // path finishes that. On error the graph handle has been closed.
 func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendConfig, replaying bool) (*durable, error) {
-	sharded := c.Backend == BackendSharded
-	sessions := 1
-	if sharded {
-		sessions = c.Shards + 1
-	}
-	d := newDurable(name, sessions, *r.dur)
+	d := newDurable(name, *r.dur)
 	if replaying {
 		d.replaying.Store(true)
 	}
@@ -194,7 +170,7 @@ func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendCo
 			return nil, err
 		}
 	}
-	gd, err := wal.Open(dir, sessions, &wal.Options{
+	gd, err := wal.Open(dir, &wal.Options{
 		FS:           r.dur.FS,
 		Policy:       r.dur.Policy,
 		SegmentBytes: r.dur.SegmentBytes,
@@ -206,38 +182,19 @@ func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendCo
 		return nil, err
 	}
 	d.gd = gd
-	switch {
-	case sharded:
-		eng, err := shard.New(g, &shard.Options{
-			Shards:         c.Shards,
-			Partitioner:    c.Partitioner,
-			Serve:          r.opts.Serve,
-			Open:           r.opts.Open,
-			Counters:       new(stats.ServeCounters),
-			OnApplySession: d.onApply,
-		})
-		if cerr := g.Close(); cerr != nil && err == nil {
-			eng.Close() //nolint:errcheck // base close error wins
-			err = cerr
+	so := r.opts.Serve
+	so.Counters = new(stats.ServeCounters)
+	prev := so.OnApply
+	so.OnApply = func(deletes, inserts []kcore.Edge) {
+		if prev != nil {
+			prev(deletes, inserts)
 		}
-		if err != nil {
-			gd.Close() //nolint:errcheck // engine error wins
-			return nil, err
-		}
-		d.inner = eng
-	case c.Backend == BackendDisk:
+		d.onApply(deletes, inserts)
+	}
+	if c.Backend == BackendDisk {
 		// The disk engine reads the base files itself; g only named them.
 		// Its partition cache lives inside the graph directory, wiped and
 		// rebuilt at every open.
-		so := r.opts.Serve
-		so.Counters = new(stats.ServeCounters)
-		prev := so.OnApply
-		so.OnApply = func(deletes, inserts []kcore.Edge) {
-			if prev != nil {
-				prev(deletes, inserts)
-			}
-			d.onApply(0, deletes, inserts)
-		}
 		base := g.Base()
 		if err := g.Close(); err != nil {
 			gd.Close() //nolint:errcheck // close error wins
@@ -254,32 +211,22 @@ func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendCo
 			return nil, err
 		}
 		d.inner, d.disk = eng, eng
-	default:
-		so := r.opts.Serve
-		so.Counters = new(stats.ServeCounters)
-		prev := so.OnApply
-		so.OnApply = func(deletes, inserts []kcore.Edge) {
-			if prev != nil {
-				prev(deletes, inserts)
-			}
-			d.onApply(0, deletes, inserts)
-		}
-		eng, err := serve.New(g, &so)
-		if err != nil {
-			gd.Close() //nolint:errcheck // engine error wins
-			g.Close()  //nolint:errcheck
-			return nil, err
-		}
-		d.inner = eng
-		d.g = g // the durable shell owns the live graph handle
+		return d, nil
 	}
+	eng, err := serve.New(g, &so)
+	if err != nil {
+		gd.Close() //nolint:errcheck // engine error wins
+		g.Close()  //nolint:errcheck
+		return nil, err
+	}
+	d.inner = eng
+	d.g = g // the durable shell owns the live graph handle
 	return d, nil
 }
 
 // GraphRecovery reports what recovery did for one graph directory.
 type GraphRecovery struct {
 	Name     string        `json:"name"`
-	Shards   int           `json:"shards,omitempty"`
 	Replayed int64         `json:"replayed_records"`
 	Degraded bool          `json:"degraded,omitempty"`
 	Fallback bool          `json:"checkpoint_fallback,omitempty"`
@@ -410,7 +357,6 @@ func (r *Registry) recoverGraph(name string) (gr GraphRecovery) {
 	if err != nil {
 		return fail(err)
 	}
-	gr.Shards = entryShards(c.Shards)
 	liveBase, err := wal.CopyLive(dir, sc.Path)
 	if err != nil {
 		return fail(err)
@@ -474,7 +420,7 @@ func (r *Registry) recoverGraph(name string) (gr GraphRecovery) {
 		}
 	}
 	d.ctr.SetRecoveryNs(time.Since(t0).Nanoseconds())
-	e := &entry{name: name, base: liveBase, eng: d, shards: entryShards(c.Shards), dir: dir}
+	e := &entry{name: name, base: liveBase, eng: d, dir: dir}
 	if !r.commit(name, e) {
 		d.Close() //nolint:errcheck // ErrClosed wins
 		gr.Err = ErrClosed

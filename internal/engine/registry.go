@@ -8,13 +8,8 @@ import (
 
 	"kcore"
 	"kcore/internal/serve"
-	"kcore/internal/shard"
 	"kcore/internal/stats"
 )
-
-// Sharded is the multi-writer engine; the registry builds one per graph
-// opened with shards >= 2.
-var _ Engine = (*shard.Sharded)(nil)
 
 // Options carries the shared defaults a Registry applies to every engine
 // it creates. The zero value selects the serve and open defaults.
@@ -33,15 +28,13 @@ type Options struct {
 }
 
 // entry is one registered graph: the engine, the backing graph handle
-// and whether the registry owns (and must close) that handle. Sharded
-// engines own their derived per-shard graphs themselves, so g is nil.
+// and whether the registry owns (and must close) that handle.
 type entry struct {
 	name      string
 	base      string // path prefix for opened graphs, "" for attached
 	eng       Engine
 	g         *kcore.Graph
 	ownsGraph bool
-	shards    int    // 0 for a single-writer engine
 	dir       string // durable graph directory, removed on Drop; "" otherwise
 }
 
@@ -139,19 +132,6 @@ func (r *Registry) Open(name, base string) (Engine, error) {
 	return r.OpenBackend(name, base, BackendConfig{})
 }
 
-// OpenSharded opens the on-disk graph at path prefix base and registers
-// a sharded multi-writer engine for it under name: the graph's edges are
-// scattered across `shards` per-shard writers plus a cut session
-// (internal/shard), and queries are served from composite epochs merged
-// across them. partitioner names the node-assignment strategy
-// (shard.PartitionerHash/Range/LDG; "" selects the hash). shards < 2
-// falls back to a plain single-writer Open. The per-shard graphs are
-// derived state in a temporary work directory owned by the engine; the
-// base graph is only read during the scatter.
-func (r *Registry) OpenSharded(name, base string, shards int, partitioner string) (Engine, error) {
-	return r.OpenBackend(name, base, BackendConfig{Shards: shards, Partitioner: partitioner})
-}
-
 // Register installs an externally built engine under name — the
 // follower registry mode: a replication follower (internal/replica) or
 // any other self-contained Engine joins the registry and is served,
@@ -227,10 +207,9 @@ func (r *Registry) Names() []string {
 type GraphInfo struct {
 	Name string `json:"name"`
 	Path string `json:"path,omitempty"`
-	// Backend labels the serving backend ("mem", "sharded", "disk",
-	// "follower"); empty for externally built engines with no label.
+	// Backend labels the serving backend ("mem", "disk", "follower");
+	// empty for externally built engines with no label.
 	Backend  string `json:"backend,omitempty"`
-	Shards   int    `json:"shards,omitempty"`
 	Nodes    uint32 `json:"nodes"`
 	Edges    int64  `json:"edges"`
 	Kmax     uint32 `json:"kmax"`
@@ -264,14 +243,13 @@ func (r *Registry) List() []GraphInfo {
 	for i, e := range entries {
 		snap := e.eng.Snapshot()
 		infos[i] = GraphInfo{
-			Name:   e.name,
-			Path:   e.base,
-			Shards: e.shards,
-			Nodes:  snap.NumNodes(),
-			Edges:  snap.NumEdges,
-			Kmax:   snap.Kmax,
-			Epoch:  snap.Seq,
-			Serve:  e.eng.Stats(),
+			Name:  e.name,
+			Path:  e.base,
+			Nodes: snap.NumNodes(),
+			Edges: snap.NumEdges,
+			Kmax:  snap.Kmax,
+			Epoch: snap.Seq,
+			Serve: e.eng.Stats(),
 		}
 		if bt, ok := AsBackendTyper(e.eng); ok {
 			infos[i].Backend = bt.BackendType()
@@ -310,9 +288,8 @@ func (r *Registry) Drop(name string) error {
 }
 
 // shutdown drains the engine then releases the graph, keeping the first
-// error. Sharded entries hold no graph handle (the engine owns its
-// derived per-shard graphs and releases them itself); durable entries
-// likewise — the durable shell owns its live graph handle.
+// error. Durable entries hold no graph handle — the durable shell owns
+// its live graph.
 func (e *entry) shutdown() error {
 	err := e.eng.Close()
 	if e.ownsGraph && e.g != nil {

@@ -210,57 +210,3 @@ func TestRegistryCloseSealsAndIsIdempotent(t *testing.T) {
 		t.Fatalf("Sync after registry Close = %v, want serve.ErrClosed", err)
 	}
 }
-
-// TestRegistryOpenSharded covers the sharded open path: shards >= 2
-// builds a multi-writer engine behind the same Engine interface, List
-// reports the shard count, updates round-trip with read-your-writes,
-// and Drop drains it cleanly. shards < 2 must fall back to the plain
-// single-writer engine.
-func TestRegistryOpenSharded(t *testing.T) {
-	reg := engine.NewRegistry(nil)
-	defer reg.Close()
-
-	base := writeGraph(t, 140, 6)
-	eng, err := reg.OpenSharded("sharded", base, 3, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := eng.(engine.ShardStatser); !ok {
-		t.Fatal("sharded engine does not expose ShardStats")
-	}
-	if eng.Snapshot().NumNodes() != 140 {
-		t.Fatalf("nodes = %d, want 140", eng.Snapshot().NumNodes())
-	}
-
-	before := eng.Snapshot().NumEdges
-	if err := eng.Apply(serve.Update{Op: serve.OpInsert, U: 0, V: 139}); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Snapshot().NumEdges; got != before+1 {
-		t.Fatalf("edges after applied insert = %d, want %d", got, before+1)
-	}
-
-	infos := reg.List()
-	if len(infos) != 1 || infos[0].Shards != 3 {
-		t.Fatalf("List = %+v, want one entry with Shards=3", infos)
-	}
-
-	plain, err := reg.OpenSharded("plain", base, 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := plain.(engine.ShardStatser); ok {
-		t.Fatal("shards=1 should open the plain single-writer engine")
-	}
-
-	if err := reg.Drop("sharded"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := reg.Get("sharded"); ok {
-		t.Fatal("dropped sharded graph still resolvable")
-	}
-	// The last composite epoch outlives the drop.
-	if eng.Snapshot() == nil {
-		t.Fatal("sharded snapshot lost after Drop")
-	}
-}

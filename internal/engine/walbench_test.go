@@ -1,8 +1,6 @@
 package engine_test
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
@@ -59,89 +57,14 @@ func benchWalFlood(b *testing.B, dur *engine.DurabilityOptions) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
 }
 
-// TestEmitWalBenchJSON measures the durability tax on the insert-flood
-// fixture — the same flood with durability off, fsync=never, and
-// fsync=interval — and merges a `wal_overhead` entry (slowdown factors
-// against the in-memory baseline) into the artifact named by
-// KCORE_BENCH_JSON (BENCH_serve.json via `make bench-wal`).
-func TestEmitWalBenchJSON(t *testing.T) {
-	path := os.Getenv("KCORE_BENCH_JSON")
-	if path == "" {
-		t.Skip("set KCORE_BENCH_JSON=<path> to emit the WAL overhead figures")
+// BenchmarkWalFlood measures the durability tax on the insert-flood
+// fixture: the same flood with durability off, fsync=never, and
+// fsync=interval.
+func BenchmarkWalFlood(b *testing.B) {
+	b.Run("durability=off", func(b *testing.B) { benchWalFlood(b, nil) })
+	for _, policy := range []wal.SyncPolicy{wal.SyncNever, wal.SyncInterval} {
+		b.Run("fsync="+policy.String(), func(b *testing.B) {
+			benchWalFlood(b, &engine.DurabilityOptions{Dir: b.TempDir(), Policy: policy})
+		})
 	}
-	type entry struct {
-		Name      string             `json:"name"`
-		N         int                `json:"n"`
-		NsPerOp   float64            `json:"ns_per_op"`
-		OpsPerSec float64            `json:"ops_per_sec"`
-		Extra     map[string]float64 `json:"extra,omitempty"`
-	}
-	record := func(name string, dur *engine.DurabilityOptions) entry {
-		res := testing.Benchmark(func(b *testing.B) { benchWalFlood(b, dur) })
-		e := entry{Name: name, N: res.N, NsPerOp: float64(res.NsPerOp())}
-		if res.T > 0 {
-			e.OpsPerSec = float64(res.N) / res.T.Seconds()
-		}
-		if len(res.Extra) > 0 {
-			e.Extra = make(map[string]float64, len(res.Extra))
-			for k, v := range res.Extra {
-				e.Extra[k] = v
-			}
-		}
-		t.Logf("%s: %.0f updates/s (%.0f ns/op, n=%d)", name, e.OpsPerSec, e.NsPerOp, e.N)
-		return e
-	}
-	dir := t.TempDir()
-	baseline := record("WalFlood/durability=off", nil)
-	never := record("WalFlood/fsync=never", &engine.DurabilityOptions{
-		Dir: dir + "/never", Policy: wal.SyncNever})
-	interval := record("WalFlood/fsync=interval", &engine.DurabilityOptions{
-		Dir: dir + "/interval", Policy: wal.SyncInterval})
-	slowdown := func(e entry) float64 {
-		if baseline.NsPerOp == 0 {
-			return 0
-		}
-		return e.NsPerOp / baseline.NsPerOp
-	}
-	overhead := map[string]any{
-		"fixture":                    "insert-flood",
-		"graph_nodes":                walBenchNodes,
-		"baseline_updates_per_sec":   baseline.OpsPerSec,
-		"fsync_never_slowdown":       slowdown(never),
-		"fsync_interval_slowdown":    slowdown(interval),
-		"fsync_never_updates_sec":    never.OpsPerSec,
-		"fsync_interval_updates_sec": interval.OpsPerSec,
-	}
-	t.Logf("wal overhead: never %.2fx, interval %.2fx", slowdown(never), slowdown(interval))
-
-	// Merge into the existing serve artifact rather than clobbering it.
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Fatalf("existing %s is not JSON: %v", path, err)
-		}
-	}
-	doc["wal_overhead"] = overhead
-	results, _ := doc["results"].([]any)
-	kept := results[:0]
-	for _, r := range results {
-		if m, ok := r.(map[string]any); ok {
-			if name, _ := m["name"].(string); len(name) >= 8 && name[:8] == "WalFlood" {
-				continue // replace stale WalFlood entries from an earlier run
-			}
-		}
-		kept = append(kept, r)
-	}
-	for _, e := range []entry{baseline, never, interval} {
-		kept = append(kept, e)
-	}
-	doc["results"] = kept
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("merged wal_overhead into %s", path)
 }

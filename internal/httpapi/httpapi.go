@@ -7,14 +7,13 @@
 //
 //	GET    /healthz                     liveness + per-graph epochs
 //	GET    /graphs                      list registered graphs
-//	POST   /graphs                      open a graph: {"name":..,"path":..,"shards":N,"partitioner":"ldg"}
+//	POST   /graphs                      open a graph: {"name":..,"path":..,"backend":"disk","cache_blocks":N}
 //	DELETE /graphs/{name}               drain and drop a graph
 //	GET    /g/{name}/core?v=7           core number of node 7
 //	GET    /g/{name}/kcore?k=3&limit=9  k-core members (memoized per epoch)
 //	GET    /g/{name}/degeneracy         kmax and k-core size profile
-//	GET    /g/{name}/stats              serving + I/O counters (+ per-shard block when sharded)
+//	GET    /g/{name}/stats              serving + I/O counters
 //	POST   /g/{name}/update[?wait=1]    {"updates":[{"op":"insert","u":1,"v":2},..]}
-//	POST   /g/{name}/rebalance          locality-aware repartition (sharded graphs only)
 //	POST   /g/{name}/checkpoint         force a durability checkpoint (data-dir mode only)
 //	GET    /g/{name}/changes?from=L     replication change stream: CRC-framed batch records
 //	                                    with LSN > L plus idle heartbeats (data-dir mode only)
@@ -46,7 +45,6 @@ import (
 
 	"kcore/internal/engine"
 	"kcore/internal/serve"
-	"kcore/internal/shard"
 	"kcore/internal/wal"
 )
 
@@ -76,7 +74,6 @@ func New(reg *engine.Registry, defaultGraph string) *Server {
 	s.mux.HandleFunc("GET /g/{name}/degeneracy", s.graph(handleDegeneracy))
 	s.mux.HandleFunc("GET /g/{name}/stats", s.graph(handleStats))
 	s.mux.HandleFunc("POST /g/{name}/update", s.graph(handleUpdate))
-	s.mux.HandleFunc("POST /g/{name}/rebalance", s.graph(handleRebalance))
 	s.mux.HandleFunc("POST /g/{name}/checkpoint", s.graph(handleCheckpoint))
 	s.mux.HandleFunc("GET /g/{name}/changes", s.graph(handleChanges))
 	s.mux.HandleFunc("GET /g/{name}/checkpoint", s.graph(handleCheckpointFetch))
@@ -140,16 +137,6 @@ func refuseWrite(w http.ResponseWriter, err error) bool {
 	return true
 }
 
-// degradedErrOf surfaces a durable graph's degraded read-only state as
-// an error for handlers whose underlying operation would otherwise
-// bypass the durable shell's write gate.
-func degradedErrOf(eng engine.Engine) error {
-	if ds, ok := engine.AsDurabilityStatser(eng); ok && ds.DurabilityStats().Degraded {
-		return engine.ErrDegraded
-	}
-	return nil
-}
-
 // uintParam parses a required uint32 query parameter.
 func uintParam(r *http.Request, name string) (uint32, error) {
 	raw := r.URL.Query().Get(name)
@@ -190,23 +177,23 @@ func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 }
 
 // createGraphRequest is the body of POST /graphs. Backend selects the
-// serving engine: "mem" (default), "sharded" (or Shards >= 2), or
-// "disk" — the beyond-RAM engine whose adjacency stays on disk behind a
-// block cache of CacheBlocks frames. Partitioner selects the
-// node-assignment strategy for sharded opens: "hash" (default), "range",
-// or "ldg" (locality-aware streaming assignment).
+// serving engine: "mem" (default) or "disk" — the beyond-RAM engine
+// whose adjacency stays on disk behind a block cache of CacheBlocks
+// frames.
 type createGraphRequest struct {
 	Name        string `json:"name"`
 	Path        string `json:"path"`
 	Backend     string `json:"backend,omitempty"`
-	Shards      int    `json:"shards,omitempty"`
-	Partitioner string `json:"partitioner,omitempty"`
 	CacheBlocks int    `json:"cache_blocks,omitempty"`
 }
 
 func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 	var req createGraphRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// Unknown fields are refused, not dropped: a request that names an
+	// option this server does not have must not look like it was honoured.
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad body: %v", err)
 		return
 	}
@@ -214,36 +201,19 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "name and path are required")
 		return
 	}
-	if req.Shards < 0 {
-		httpError(w, http.StatusBadRequest, "shards must be >= 0, got %d", req.Shards)
-		return
-	}
-	switch req.Partitioner {
-	case "", shard.PartitionerHash, shard.PartitionerRange, shard.PartitionerLDG:
-	default:
-		httpError(w, http.StatusBadRequest, "unknown partitioner %q (want %s, %s or %s)",
-			req.Partitioner, shard.PartitionerHash, shard.PartitionerRange, shard.PartitionerLDG)
-		return
-	}
 	switch req.Backend {
-	case "", engine.BackendMem, engine.BackendSharded, engine.BackendDisk:
+	case "", engine.BackendMem, engine.BackendDisk:
 	default:
-		httpError(w, http.StatusBadRequest, "unknown backend %q (want %s, %s or %s)",
-			req.Backend, engine.BackendMem, engine.BackendSharded, engine.BackendDisk)
+		httpError(w, http.StatusBadRequest, "unknown backend %q (want %s or %s)",
+			req.Backend, engine.BackendMem, engine.BackendDisk)
 		return
 	}
 	if req.CacheBlocks < 0 {
 		httpError(w, http.StatusBadRequest, "cache_blocks must be >= 0, got %d", req.CacheBlocks)
 		return
 	}
-	if req.Backend == engine.BackendDisk && req.Shards >= 2 {
-		httpError(w, http.StatusBadRequest, "the disk backend is single-writer (got shards=%d)", req.Shards)
-		return
-	}
 	eng, err := s.reg.OpenBackend(req.Name, req.Path, engine.BackendConfig{
 		Backend:     req.Backend,
-		Shards:      req.Shards,
-		Partitioner: req.Partitioner,
 		CacheBlocks: req.CacheBlocks,
 	})
 	switch {
@@ -255,8 +225,7 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	default:
-		// Open/decompose failures (missing files, bad format, bad
-		// backend combinations, ...).
+		// Open/decompose failures (missing files, bad format, ...).
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
@@ -270,9 +239,6 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	if bt, ok := engine.AsBackendTyper(eng); ok {
 		resp["backend"] = bt.BackendType()
-	}
-	if req.Shards >= 2 {
-		resp["shards"] = req.Shards
 	}
 	writeJSON(w, http.StatusCreated, resp)
 }
@@ -373,13 +339,6 @@ func handleStats(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
 	if ds, ok := engine.AsDiskStatser(eng); ok {
 		resp["disk"] = ds.DiskStats()
 	}
-	// Sharded engines additionally expose routing/compose counters, the
-	// cross-shard edge ratio, and one counter block per shard writer.
-	if ss, ok := engine.AsShardStatser(eng); ok {
-		shardStats := ss.ShardStats()
-		resp["shards"] = shardStats
-		resp["cross_shard_edge_ratio"] = shardStats.Routing.CrossShardEdgeRatio()
-	}
 	// Durable graphs expose WAL/checkpoint/recovery counters and the
 	// degraded read-only flag.
 	if ds, ok := engine.AsDurabilityStatser(eng); ok {
@@ -419,42 +378,6 @@ func handleCheckpoint(eng engine.Engine, w http.ResponseWriter, r *http.Request)
 		"checkpointed": true,
 		"durability":   snap,
 		"epoch":        eng.Snapshot().Seq,
-	})
-}
-
-// handleRebalance runs the locality-aware repartitioning of a sharded
-// engine: nodes are reassigned by the LDG/label-propagation partitioner
-// over the graph as served right now, and every edge whose owner changed
-// migrates between sessions through the normal update path. Responds
-// with the migration report (moved nodes, migrated edges, cut ratio
-// before/after); 400 for engines that are not sharded.
-func handleRebalance(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
-	rb, ok := engine.AsRebalancer(eng)
-	if !ok {
-		httpError(w, http.StatusBadRequest, "graph is not sharded: nothing to rebalance")
-		return
-	}
-	// Rebalance migrates edges through the shard sessions directly, below
-	// the durable shell's write gate — check the degraded flag up front so
-	// a degraded graph answers the same 409 as any other refused write.
-	if err := degradedErrOf(eng); err != nil {
-		refuseWrite(w, err)
-		return
-	}
-	rep, err := rb.Rebalance()
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"moved_nodes":                   rep.MovedNodes,
-		"migrated_edges":                rep.MigratedEdges,
-		"cut_edges_before":              rep.CutEdgesBefore,
-		"cut_edges_after":               rep.CutEdgesAfter,
-		"total_edges":                   rep.TotalEdges,
-		"cross_shard_edge_ratio_before": rep.CrossShardEdgeRatioBefore(),
-		"cross_shard_edge_ratio_after":  rep.CrossShardEdgeRatioAfter(),
-		"epoch":                         eng.Snapshot().Seq,
 	})
 }
 

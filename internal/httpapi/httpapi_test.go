@@ -300,6 +300,19 @@ func TestAdminCreateListDrop(t *testing.T) {
 	do(t, "POST", ts.URL+"/graphs", `{"name":"bad/name","path":"/x"}`, http.StatusBadRequest, &e)
 	do(t, "POST", ts.URL+"/graphs", fmt.Sprintf(`{"name":"missing","path":%q}`, base+"-nope"),
 		http.StatusUnprocessableEntity, &e)
+	// Options of the retired sharded engine are refused by name, never
+	// silently dropped.
+	for _, tc := range []struct{ field, want string }{
+		{`"shards":2`, `"shards"`},
+		{`"partitioner":"ldg"`, `"partitioner"`},
+		{`"backend":"sharded"`, "want mem or disk"},
+	} {
+		do(t, "POST", ts.URL+"/graphs", fmt.Sprintf(`{"name":"retired","path":%q,%s}`, base, tc.field),
+			http.StatusBadRequest, &e)
+		if !strings.Contains(e.Error, tc.want) {
+			t.Fatalf("create with %s: error %q does not mention %s", tc.field, e.Error, tc.want)
+		}
+	}
 
 	// Drop round-trip: gone from routes and from the listing.
 	var dropped struct {
@@ -384,144 +397,4 @@ func TestTwoGraphsServeConcurrently(t *testing.T) {
 			t.Fatalf("graph %s enqueued = %d, want 200", name, st.Enqueued)
 		}
 	}
-}
-
-// TestShardedGraphOverHTTP creates a sharded graph through the admin
-// API and checks the sharded surfaces: creation echoes the shard count,
-// /stats gains the per-shard block and cross-shard edge ratio, queries
-// and synchronous updates behave exactly like a single-writer graph,
-// and a bad shard count is rejected.
-func TestShardedGraphOverHTTP(t *testing.T) {
-	ts, _ := newAPI(t)
-	base := writeGraph(t, 130, 77)
-
-	var created struct {
-		Name   string `json:"name"`
-		Shards int    `json:"shards"`
-		Nodes  uint32 `json:"nodes"`
-		Edges  int64  `json:"edges"`
-	}
-	do(t, "POST", ts.URL+"/graphs",
-		fmt.Sprintf(`{"name":"sh","path":%q,"shards":4}`, base),
-		http.StatusCreated, &created)
-	if created.Shards != 4 || created.Nodes != 130 {
-		t.Fatalf("created = %+v, want shards=4 nodes=130", created)
-	}
-
-	var bad map[string]any
-	do(t, "POST", ts.URL+"/graphs",
-		fmt.Sprintf(`{"name":"neg","path":%q,"shards":-1}`, base),
-		http.StatusBadRequest, &bad)
-
-	// Synchronous update + query round trip through the sharded engine.
-	var upd struct {
-		Enqueued int    `json:"enqueued"`
-		Epoch    uint64 `json:"epoch"`
-	}
-	do(t, "POST", ts.URL+"/g/sh/update?wait=1",
-		`{"updates":[{"op":"insert","u":0,"v":129}]}`, http.StatusOK, &upd)
-	if upd.Enqueued != 1 {
-		t.Fatalf("enqueued = %d, want 1", upd.Enqueued)
-	}
-	var core struct {
-		Core  uint32 `json:"core"`
-		Epoch uint64 `json:"epoch"`
-	}
-	do(t, "GET", ts.URL+"/g/sh/core?v=0", "", http.StatusOK, &core)
-
-	var st struct {
-		Edges  int64 `json:"edges"`
-		Shards *struct {
-			Routing struct {
-				Composes int64 `json:"composes"`
-			} `json:"routing"`
-			Shards []json.RawMessage `json:"shards"`
-		} `json:"shards"`
-		CrossRatio *float64 `json:"cross_shard_edge_ratio"`
-	}
-	do(t, "GET", ts.URL+"/g/sh/stats", "", http.StatusOK, &st)
-	if st.Shards == nil || st.CrossRatio == nil {
-		t.Fatalf("sharded /stats missing shard block: %+v", st)
-	}
-	if got := len(st.Shards.Shards); got != 5 { // 4 shards + cut session
-		t.Fatalf("/stats reports %d shard writers, want 5", got)
-	}
-	if st.Shards.Routing.Composes == 0 {
-		t.Fatal("/stats reports zero composes after a waited update")
-	}
-
-	// The plain default graph's /stats must not grow a shard block.
-	var plain struct {
-		Shards *json.RawMessage `json:"shards"`
-	}
-	do(t, "GET", ts.URL+"/g/default/stats", "", http.StatusOK, &plain)
-	if plain.Shards != nil {
-		t.Fatal("single-writer /stats unexpectedly has a shards block")
-	}
-
-	var dropped map[string]any
-	do(t, "DELETE", ts.URL+"/graphs/sh", "", http.StatusOK, &dropped)
-}
-
-// TestRebalanceOverHTTP covers the locality-aware repartitioning
-// endpoint: a sharded graph opened with the (cut-heavy) hash partition
-// rebalances to a smaller cut and reports the migration; non-sharded
-// graphs answer 400; unknown partitioner names on create answer 400
-// while "ldg" works.
-func TestRebalanceOverHTTP(t *testing.T) {
-	ts, _ := newAPI(t)
-	base := writeGraph(t, 140, 81)
-
-	var created map[string]any
-	do(t, "POST", ts.URL+"/graphs",
-		fmt.Sprintf(`{"name":"sh","path":%q,"shards":3}`, base),
-		http.StatusCreated, &created)
-
-	var rep struct {
-		MovedNodes    int     `json:"moved_nodes"`
-		MigratedEdges int     `json:"migrated_edges"`
-		CutBefore     int64   `json:"cut_edges_before"`
-		CutAfter      int64   `json:"cut_edges_after"`
-		TotalEdges    int64   `json:"total_edges"`
-		RatioAfter    float64 `json:"cross_shard_edge_ratio_after"`
-		Epoch         uint64  `json:"epoch"`
-	}
-	do(t, "POST", ts.URL+"/g/sh/rebalance", "", http.StatusOK, &rep)
-	if rep.CutAfter >= rep.CutBefore {
-		t.Fatalf("rebalance did not shrink the cut: %d -> %d", rep.CutBefore, rep.CutAfter)
-	}
-	if rep.MovedNodes == 0 || rep.MigratedEdges == 0 || rep.TotalEdges == 0 {
-		t.Fatalf("rebalance report looks empty: %+v", rep)
-	}
-
-	// The rebalances counter surfaces in the sharded /stats block.
-	var st struct {
-		Shards struct {
-			Routing struct {
-				Rebalances    int64 `json:"rebalances"`
-				MigratedEdges int64 `json:"migrated_edges"`
-			} `json:"routing"`
-		} `json:"shards"`
-	}
-	do(t, "GET", ts.URL+"/g/sh/stats", "", http.StatusOK, &st)
-	if st.Shards.Routing.Rebalances != 1 || st.Shards.Routing.MigratedEdges != int64(rep.MigratedEdges) {
-		t.Fatalf("stats rebalance counters = %+v, want 1 rebalance / %d migrated edges",
-			st.Shards.Routing, rep.MigratedEdges)
-	}
-
-	// Non-sharded graphs have nothing to rebalance.
-	var e errResp
-	do(t, "POST", ts.URL+"/g/default/rebalance", "", http.StatusBadRequest, &e)
-	if e.Error == "" {
-		t.Fatal("rebalance of a plain graph returned no error body")
-	}
-
-	// Partitioner selection: unknown names rejected, ldg accepted.
-	do(t, "POST", ts.URL+"/graphs",
-		fmt.Sprintf(`{"name":"badpart","path":%q,"shards":2,"partitioner":"metis"}`, base),
-		http.StatusBadRequest, &e)
-	var ldg map[string]any
-	do(t, "POST", ts.URL+"/graphs",
-		fmt.Sprintf(`{"name":"ldg","path":%q,"shards":2,"partitioner":"ldg"}`, base),
-		http.StatusCreated, &ldg)
 }

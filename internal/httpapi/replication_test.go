@@ -13,7 +13,6 @@ import (
 	"kcore/internal/engine"
 	"kcore/internal/httpapi"
 	"kcore/internal/serve"
-	"kcore/internal/shard"
 	"kcore/internal/stats"
 	"kcore/internal/wal"
 )
@@ -43,17 +42,14 @@ func newStubReadOnly(t *testing.T, writeErr error, degraded bool) *stubReadOnly 
 	return &stubReadOnly{sess: sess, g: g, writeErr: writeErr, degraded: degraded}
 }
 
-func (s *stubReadOnly) Snapshot() *serve.Epoch              { return s.sess.Snapshot() }
-func (s *stubReadOnly) Enqueue(ups ...serve.Update) error   { return s.writeErr }
-func (s *stubReadOnly) Apply(ups ...serve.Update) error     { return s.writeErr }
-func (s *stubReadOnly) Sync() error                         { return s.sess.Sync() }
-func (s *stubReadOnly) Counters() *stats.ServeCounters      { return s.sess.Counters() }
-func (s *stubReadOnly) Stats() stats.ServeSnapshot          { return s.sess.Stats() }
-func (s *stubReadOnly) IOStats() kcore.IOStats              { return s.sess.IOStats() }
-func (s *stubReadOnly) Checkpoint() error                   { return s.writeErr }
-func (s *stubReadOnly) Rebalance() (shard.RebalanceReport, error) {
-	return shard.RebalanceReport{}, s.writeErr
-}
+func (s *stubReadOnly) Snapshot() *serve.Epoch            { return s.sess.Snapshot() }
+func (s *stubReadOnly) Enqueue(ups ...serve.Update) error { return s.writeErr }
+func (s *stubReadOnly) Apply(ups ...serve.Update) error   { return s.writeErr }
+func (s *stubReadOnly) Sync() error                       { return s.sess.Sync() }
+func (s *stubReadOnly) Counters() *stats.ServeCounters    { return s.sess.Counters() }
+func (s *stubReadOnly) Stats() stats.ServeSnapshot        { return s.sess.Stats() }
+func (s *stubReadOnly) IOStats() kcore.IOStats            { return s.sess.IOStats() }
+func (s *stubReadOnly) Checkpoint() error                 { return s.writeErr }
 func (s *stubReadOnly) DurabilityStats() stats.WalSnapshot {
 	return stats.WalSnapshot{Degraded: s.degraded}
 }
@@ -105,7 +101,6 @@ func TestWriteRefusalSemantics(t *testing.T) {
 		{"follower update wait", followerErr, false, "POST", "/g/%s/update?wait=1", `{"updates":[{"op":"delete","u":1,"v":2}]}`},
 		{"degraded update", engine.ErrDegraded, true, "POST", "/g/%s/update", `{"updates":[{"op":"insert","u":1,"v":2}]}`},
 		{"degraded checkpoint", engine.ErrDegraded, true, "POST", "/g/%s/checkpoint", ""},
-		{"degraded rebalance", engine.ErrDegraded, true, "POST", "/g/%s/rebalance", ""},
 	}
 	ts, reg := newAPI(t)
 	for i, tc := range cases {

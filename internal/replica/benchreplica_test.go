@@ -1,10 +1,7 @@
 package replica_test
 
 import (
-	"encoding/json"
 	"net/http/httptest"
-	"os"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,8 +18,7 @@ const (
 	replBenchSeed  = 77
 )
 
-// startBenchLeader builds the standard durable leader fixture over any
-// testing.TB, so the same setup serves benchmarks and the JSON emitter.
+// startBenchLeader builds the standard durable leader fixture.
 func startBenchLeader(tb testing.TB, seed int64) (*httptest.Server, engine.Engine, *testutil.MutationStream, engine.ChangeStreamer) {
 	tb.Helper()
 	base, edges := testutil.WriteSocial(tb, replBenchNodes, seed)
@@ -124,79 +120,4 @@ func BenchmarkReplicationCatchUp(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(backlog*b.N)/b.Elapsed().Seconds(), "records/s")
-}
-
-// TestEmitReplicationBenchJSON runs the replication benchmarks and
-// merges a `replication_lag` entry into the artifact named by
-// KCORE_BENCH_JSON (BENCH_serve.json via `make bench-replication`),
-// leaving the rest of the document untouched.
-func TestEmitReplicationBenchJSON(t *testing.T) {
-	path := os.Getenv("KCORE_BENCH_JSON")
-	if path == "" {
-		t.Skip("set KCORE_BENCH_JSON=<path> to emit the replication lag figures")
-	}
-	type entry struct {
-		Name      string             `json:"name"`
-		N         int                `json:"n"`
-		NsPerOp   float64            `json:"ns_per_op"`
-		OpsPerSec float64            `json:"ops_per_sec"`
-		Extra     map[string]float64 `json:"extra,omitempty"`
-	}
-	record := func(name string, fn func(b *testing.B)) entry {
-		res := testing.Benchmark(fn)
-		e := entry{Name: name, N: res.N, NsPerOp: float64(res.NsPerOp())}
-		if res.T > 0 {
-			e.OpsPerSec = float64(res.N) / res.T.Seconds()
-		}
-		if len(res.Extra) > 0 {
-			e.Extra = make(map[string]float64, len(res.Extra))
-			for k, v := range res.Extra {
-				e.Extra[k] = v
-			}
-		}
-		t.Logf("%s: %.0f ns/op (n=%d, extra %v)", name, e.NsPerOp, e.N, e.Extra)
-		return e
-	}
-	lag := record("ReplicationApplyLag", BenchmarkReplicationApplyLag)
-	catchup := record("ReplicationCatchUp", BenchmarkReplicationCatchUp)
-	summary := map[string]any{
-		"fixture":                 "social valid-mutation stream",
-		"graph_nodes":             replBenchNodes,
-		"apply_to_visible_ns":     lag.NsPerOp,
-		"applies_per_sec":         lag.OpsPerSec,
-		"replica_lag_ns":          lag.Extra["replica_lag_ns"],
-		"catchup_records_per_sec": catchup.Extra["records/s"],
-		"catchup_backlog_records": 256,
-	}
-
-	// Merge into the existing serve artifact rather than clobbering it.
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Fatalf("existing %s is not JSON: %v", path, err)
-		}
-	}
-	doc["replication_lag"] = summary
-	results, _ := doc["results"].([]any)
-	kept := results[:0]
-	for _, r := range results {
-		if m, ok := r.(map[string]any); ok {
-			if name, _ := m["name"].(string); strings.HasPrefix(name, "Replication") {
-				continue // replace stale entries from an earlier run
-			}
-		}
-		kept = append(kept, r)
-	}
-	for _, e := range []entry{lag, catchup} {
-		kept = append(kept, e)
-	}
-	doc["results"] = kept
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("merged replication_lag into %s", path)
 }

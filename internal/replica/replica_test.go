@@ -48,7 +48,7 @@ type leaderHarness struct {
 	cores map[uint64][]uint32 // leader core numbers at each LSN
 }
 
-func startLeader(t *testing.T, seed int64, shards, feedRecords int) *leaderHarness {
+func startLeader(t *testing.T, seed int64, feedRecords int) *leaderHarness {
 	t.Helper()
 	const n = 200
 	base, edges := testutil.WriteSocial(t, n, seed)
@@ -60,7 +60,7 @@ func startLeader(t *testing.T, seed int64, shards, feedRecords int) *leaderHarne
 		},
 	})
 	t.Cleanup(func() { reg.Close() })
-	eng, err := reg.OpenSharded("default", base, shards, "")
+	eng, err := reg.Open("default", base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func (h *leaderHarness) verify(f *replica.Follower, log *ackLog) {
 
 func TestConformanceSingleWriter(t *testing.T) {
 	seed := testutil.Seed(t, 901)
-	h := startLeader(t, seed, 1, 0)
+	h := startLeader(t, seed, 0)
 	log := &ackLog{}
 	ctr := new(stats.ReplicaCounters)
 	f, err := replica.New(replica.Options{
@@ -199,48 +199,13 @@ func TestConformanceSingleWriter(t *testing.T) {
 	}
 }
 
-func TestConformanceShardedWithRebalance(t *testing.T) {
-	seed := testutil.Seed(t, 902)
-	h := startLeader(t, seed, 3, 0)
-	log := &ackLog{}
-	ctr := new(stats.ReplicaCounters)
-	f, err := replica.New(replica.Options{
-		Leader:    h.srv.URL,
-		Counters:  ctr,
-		OnApplied: log.hook,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	rb, ok := engine.AsRebalancer(h.eng)
-	if !ok {
-		t.Fatal("sharded engine does not expose Rebalance")
-	}
-	for i := 0; i < 120; i++ {
-		h.step()
-		if i == 60 {
-			// Mid-stream repartition: migration traffic nets to zero on
-			// the union graph, so the feed must carry no record of it and
-			// the follower must stay bit-identical across it.
-			if _, err := rb.Rebalance(); err != nil {
-				t.Fatalf("rebalance: %v", err)
-			}
-			h.record()
-		}
-	}
-	waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
-	h.verify(f, log)
-}
-
 // TestConformanceNetworkFaults runs the workload through a fault proxy
 // that drops, truncates and corrupts-by-duplication the stream at
 // seeded byte offsets. The follower must reconnect from its cursor and
 // still be bit-identical at every acknowledged LSN.
 func TestConformanceNetworkFaults(t *testing.T) {
 	seed := testutil.Seed(t, 903)
-	h := startLeader(t, seed, 1, 0)
+	h := startLeader(t, seed, 0)
 	rnd := h.ms.Rand()
 	actions := []netfault.Action{netfault.Drop, netfault.Truncate, netfault.Duplicate, netfault.Drop, netfault.Truncate, netfault.Duplicate}
 	offsets := make([]int64, len(actions))
@@ -294,7 +259,7 @@ func TestConformanceNetworkFaults(t *testing.T) {
 // converge.
 func TestConformanceStall(t *testing.T) {
 	seed := testutil.Seed(t, 904)
-	h := startLeader(t, seed, 1, 0)
+	h := startLeader(t, seed, 0)
 	proxy, err := netfault.New(h.srv.Listener.Addr().String(), func(conn int) netfault.Fault {
 		if conn == 1 {
 			return netfault.Fault{Action: netfault.Stall, AfterBytes: 64, Stall: 10 * time.Second}
@@ -337,7 +302,7 @@ func TestConformanceStall(t *testing.T) {
 // fresh checkpoint, then converge from there.
 func TestCheckpointCatchUp(t *testing.T) {
 	seed := testutil.Seed(t, 905)
-	h := startLeader(t, seed, 1, 8)
+	h := startLeader(t, seed, 8)
 	var refuse atomic.Bool
 	proxy, err := netfault.New(h.srv.Listener.Addr().String(), func(conn int) netfault.Fault {
 		if refuse.Load() {
@@ -405,7 +370,7 @@ func TestCheckpointCatchUp(t *testing.T) {
 // surface itself (the HTTP 409 mapping is tested in internal/httpapi).
 func TestFollowerRefusesWrites(t *testing.T) {
 	seed := testutil.Seed(t, 906)
-	h := startLeader(t, seed, 1, 0)
+	h := startLeader(t, seed, 0)
 	f, err := replica.New(replica.Options{Leader: h.srv.URL})
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,7 @@
 package serve_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -17,7 +15,6 @@ import (
 	"kcore/internal/graphio"
 	"kcore/internal/memgraph"
 	"kcore/internal/serve"
-	"kcore/internal/shard"
 	"kcore/internal/testutil"
 )
 
@@ -191,7 +188,7 @@ func BenchmarkServeMixedWorkload(b *testing.B) {
 // epoch: the uncached path is the O(n) filter scan on the embedded
 // CoreSnapshot, the cached path is the per-epoch memo (first call pays
 // one counting sort, the rest are subslices). The ratio between the two
-// is the memoization speedup recorded in BENCH_serve.json.
+// is the memoization speedup.
 func benchKCoreQuery(b *testing.B, cached bool) {
 	g, _ := openGraph(b, benchGraphNodes, 27)
 	sess, err := serve.New(g, nil)
@@ -260,21 +257,20 @@ func openLargeGraph(tb testing.TB) (*kcore.Graph, []kcore.Edge) {
 	return g, csr.EdgeList()
 }
 
-// benchLargeMixed measures a read-your-writes mixed workload on the
-// large fixture: each of 8 workers interleaves 15 lock-free snapshot
-// reads with one synchronous edge deletion (Apply = enqueue + barrier),
-// so every update forces a flush and an epoch publication. That is the
-// freshness-bound serving regime where the per-publish cost dominates
-// the writer: with fullCopy the publication pays the O(n) copy-on-publish
-// path, without it the O(changed) copy-on-write path. The ops/s ratio
-// between the two is publish_path_speedup in BENCH_serve.json.
+// BenchmarkServeLargeMixedWorkload measures a read-your-writes mixed
+// workload on the large fixture: each of 8 workers interleaves 15
+// lock-free snapshot reads with one synchronous edge deletion (Apply =
+// enqueue + barrier), so every update forces a flush and an epoch
+// publication. That is the freshness-bound serving regime where the
+// per-publish cost (the O(changed) copy-on-write path) dominates the
+// writer.
 //
 // Workers delete distinct worker-owned edges (no annihilation, no
 // rejects), walking their slice of the ~971k-edge list; a benchmark run
 // consumes a small prefix of each slice.
-func benchLargeMixed(b *testing.B, fullCopy bool) {
+func BenchmarkServeLargeMixedWorkload(b *testing.B) {
 	g, edges := openLargeGraph(b)
-	sess, err := serve.New(g, &serve.Options{FullCopySnapshots: fullCopy})
+	sess, err := serve.New(g, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -317,382 +313,6 @@ func benchLargeMixed(b *testing.B, fullCopy bool) {
 	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-}
-
-// BenchmarkServeLargeMixedWorkload compares the two publish paths under
-// the read-your-writes mixed workload on the ≥100k-node fixture.
-func BenchmarkServeLargeMixedWorkload(b *testing.B) {
-	b.Run("publish=cow", func(b *testing.B) { benchLargeMixed(b, false) })
-	b.Run("publish=fullcopy", func(b *testing.B) { benchLargeMixed(b, true) })
-}
-
-// shardedBenchBlocks is the block count of the sharded benchmark
-// fixture: 8 independent RMAT subgraphs on contiguous id ranges, so
-// every shard count that divides 8 keeps each block whole under a range
-// partition (zero cut edges — the best-case partition the sharded
-// engine's gather merge is built for). The fixture is the scaling
-// ceiling: every update stream is shard-local, so aggregate writer
-// throughput is bounded only by cores and the compose barrier.
-const (
-	shardedBenchBlocks     = 8
-	shardedBenchBlockScale = 14 // 2^14 nodes per block, 2^17 total
-)
-
-// shardedBenchFixture caches the generated block-diagonal edge list.
-var shardedBenchFixture struct {
-	once   sync.Once
-	csr    *memgraph.CSR
-	blocks [][]kcore.Edge // per-block edge lists (block = id range)
-}
-
-// openShardedLargeGraph opens the block-diagonal ≥100k-node fixture and
-// returns the handle, the per-block edge lists, and the node count.
-func openShardedLargeGraph(tb testing.TB) (*kcore.Graph, [][]kcore.Edge, uint32) {
-	tb.Helper()
-	shardedBenchFixture.once.Do(func() {
-		blockNodes := uint32(1) << shardedBenchBlockScale
-		var all []kcore.Edge
-		blocks := make([][]kcore.Edge, shardedBenchBlocks)
-		for bl := 0; bl < shardedBenchBlocks; bl++ {
-			off := uint32(bl) * blockNodes
-			for _, e := range gen.RMAT(shardedBenchBlockScale, 8, 0.57, 0.19, 0.19, int64(83+bl)) {
-				edge := kcore.Edge{U: e.U + off, V: e.V + off}
-				blocks[bl] = append(blocks[bl], edge)
-				all = append(all, edge)
-			}
-		}
-		csr, err := memgraph.FromEdges(blockNodes*shardedBenchBlocks, all)
-		if err != nil {
-			panic(err)
-		}
-		shardedBenchFixture.csr, shardedBenchFixture.blocks = csr, blocks
-	})
-	csr := shardedBenchFixture.csr
-	base := filepath.Join(tb.TempDir(), "sharded-large")
-	if err := graphio.WriteCSR(base, csr, nil); err != nil {
-		tb.Fatal(err)
-	}
-	g, err := kcore.Open(base, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { g.Close() })
-	return g, shardedBenchFixture.blocks, csr.NumNodes()
-}
-
-// benchLargeSharded measures the sharded engine on the block-diagonal
-// fixture: 8 workers (one per block) each interleave 15 lock-free
-// composite-snapshot reads with one asynchronous edge deletion routed to
-// the worker's own shard, and a final Sync (one compose barrier) drains
-// every writer before the clock stops. All update streams are
-// shard-local, so N shard writers flood in parallel; the ops/s column
-// is the aggregate mixed throughput and the updates/s extra metric is
-// the aggregate writer (maintenance) throughput the shards=1/2/4/8 grid
-// compares. On a single-core box the grid is flat — the entries record
-// the machinery's overhead there and the scaling headroom on real
-// hardware.
-func benchLargeSharded(b *testing.B, shards int) {
-	g, blocks, nodes := openShardedLargeGraph(b)
-	sh, err := shard.New(g, &shard.Options{
-		Shards:    shards,
-		Partition: shard.RangePartition(nodes),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sh.Close()
-
-	const workers = shardedBenchBlocks
-	start := time.Now()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	per := b.N / workers
-	for w := 0; w < workers; w++ {
-		n := per
-		if w == 0 {
-			n += b.N % workers
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			own := blocks[w]
-			next := 0
-			v := uint32(w)
-			for i := 0; i < n; i++ {
-				if i%16 == 15 && next < len(own) {
-					e := own[next]
-					next++
-					if err := sh.Enqueue(serve.Update{Op: serve.OpDelete, U: e.U, V: e.V}); err != nil {
-						b.Errorf("enqueue: %v", err)
-						return
-					}
-					continue
-				}
-				snap := sh.Snapshot()
-				if _, err := snap.CoreOf(v % snap.NumNodes()); err != nil {
-					b.Error(err)
-					return
-				}
-				v += 13
-			}
-		}(w, n)
-	}
-	wg.Wait()
-	if err := sh.Sync(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	elapsed := time.Since(start)
-	st := sh.Stats()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-	if elapsed > 0 {
-		b.ReportMetric(float64(st.Applied)/elapsed.Seconds(), "updates/s")
-	}
-	if ratio := sh.ShardStats().Routing.CrossShardEdgeRatio(); ratio != 0 {
-		b.Fatalf("sharded fixture is not cut-free: cross-shard edge ratio %v", ratio)
-	}
-}
-
-// BenchmarkServeLargeShardedWorkload runs the sharded mixed workload
-// across the shard-count grid; shards=1 is the single-writer baseline
-// behind the same routing and compose machinery.
-func BenchmarkServeLargeShardedWorkload(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchLargeSharded(b, shards)
-		})
-	}
-}
-
-// clusteredCutFixture caches the clustered-with-cut fixture: the 8-block
-// power-law RMAT graph of the sharded bench plus clusteredCutEdges
-// random cross-block edges — a realistic partitioned deployment whose
-// cut is small but permanently nonzero, so every compose runs in the cut
-// regime. This is the fixture the tentpole acceptance figure
-// (peel_repair_speedup) is measured on.
-const clusteredCutEdges = 64
-
-var clusteredCutFixture struct {
-	once   sync.Once
-	csr    *memgraph.CSR
-	blocks [][]kcore.Edge // per-block shard-local edges (the workers' update streams)
-}
-
-// openClusteredCutGraph opens the clustered-with-cut fixture and returns
-// the handle, the per-block shard-local edge lists, and the node count.
-func openClusteredCutGraph(tb testing.TB) (*kcore.Graph, [][]kcore.Edge, uint32) {
-	tb.Helper()
-	clusteredCutFixture.once.Do(func() {
-		blockNodes := uint32(1) << shardedBenchBlockScale
-		all := testutil.RMATBlocks(shardedBenchBlocks, shardedBenchBlockScale, 8, 83)
-		blocks := make([][]kcore.Edge, shardedBenchBlocks)
-		for _, e := range all {
-			if bl := e.U / blockNodes; bl == e.V/blockNodes {
-				blocks[bl] = append(blocks[bl], e)
-			}
-		}
-		all = append(all, testutil.CrossBlockEdges(shardedBenchBlocks, blockNodes, clusteredCutEdges, 97)...)
-		csr, err := memgraph.FromEdges(blockNodes*shardedBenchBlocks, all)
-		if err != nil {
-			panic(err)
-		}
-		clusteredCutFixture.csr, clusteredCutFixture.blocks = csr, blocks
-	})
-	csr := clusteredCutFixture.csr
-	base := filepath.Join(tb.TempDir(), "clustered-cut")
-	if err := graphio.WriteCSR(base, csr, nil); err != nil {
-		tb.Fatal(err)
-	}
-	g, err := kcore.Open(base, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { g.Close() })
-	return g, clusteredCutFixture.blocks, csr.NumNodes()
-}
-
-// benchClusteredCut measures the cut-regime compose on the
-// clustered-with-cut ≥100k-node fixture: 8 workers (one per block) each
-// interleave 15 lock-free composite reads with one synchronous
-// shard-local deletion (Apply = enqueue + compose barrier), while the 64
-// cross-block edges keep the cut permanently nonzero — so every compose
-// runs in the cut regime. With fullPeel each of those composes rescans
-// and peels the whole union (the PR-4 baseline, O(n+m)); without it the
-// persistent union view repairs only the affected regions (O(changed)).
-// The ops/s ratio between the two is peel_repair_speedup in
-// BENCH_serve.json — the tentpole acceptance figure.
-func benchClusteredCut(b *testing.B, fullPeel bool) {
-	g, blocks, nodes := openClusteredCutGraph(b)
-	sh, err := shard.New(g, &shard.Options{
-		Shards:           shardedBenchBlocks,
-		Partition:        shard.RangePartition(nodes),
-		FullPeelComposes: fullPeel,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sh.Close()
-
-	const workers = shardedBenchBlocks
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	per := b.N / workers
-	for w := 0; w < workers; w++ {
-		n := per
-		if w == 0 {
-			n += b.N % workers
-		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			own := blocks[w]
-			next := 0
-			v := uint32(w)
-			for i := 0; i < n; i++ {
-				if i%16 == 15 && next < len(own) {
-					e := own[next]
-					next++
-					if err := sh.Apply(serve.Update{Op: serve.OpDelete, U: e.U, V: e.V}); err != nil {
-						b.Errorf("apply: %v", err)
-						return
-					}
-					continue
-				}
-				snap := sh.Snapshot()
-				if _, err := snap.CoreOf(v % snap.NumNodes()); err != nil {
-					b.Error(err)
-					return
-				}
-				v += 13
-			}
-		}(w, n)
-	}
-	wg.Wait()
-	b.StopTimer()
-	st := sh.ShardStats().Routing
-	if st.CutEdges == 0 {
-		b.Fatal("clustered-cut fixture lost its cut: composes were not exercising the cut regime")
-	}
-	if !fullPeel && st.RepairMerges == 0 && st.Composes > 1 {
-		b.Fatal("repair engine never took the repair path")
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-	b.ReportMetric(float64(st.RepairMerges), "repair_merges")
-	b.ReportMetric(float64(st.PeelMerges), "peel_merges")
-}
-
-// BenchmarkServeClusteredCutWorkload compares the O(changed) repair
-// compose against the full-peel baseline on the clustered fixture with a
-// permanent nonzero cut.
-func BenchmarkServeClusteredCutWorkload(b *testing.B) {
-	b.Run("compose=repair", func(b *testing.B) { benchClusteredCut(b, false) })
-	b.Run("compose=fullpeel", func(b *testing.B) { benchClusteredCut(b, true) })
-}
-
-// benchComposeStall measures how long routing is blocked by composes:
-// the per-op latency of Enqueue on the ≥100k-node clustered-cut fixture
-// while a background loop keeps a compose in flight essentially
-// continuously. With SerialComposes (the pre-two-phase baseline) every
-// compose holds the engine's exclusive lock for its whole duration —
-// session barriers, feed ingest, snapshot build, publish — so Enqueues
-// stall behind it and the tail collapses. With the two-phase compose the
-// exclusive section is only the phase-A watermark capture plus the
-// phase-C publish, and Enqueues route concurrently with the expensive
-// phase B. The p99 ratio between the modes is compose_stall_speedup in
-// BENCH_serve.json — the PR-7 tentpole acceptance figure.
-//
-// exclusive_ns_per_compose (from the engine's own stall accounting) is
-// the CI-gated figure: unlike the p99 it does not depend on how often
-// the background loop manages to compose, only on how long each compose
-// excludes routing.
-func benchComposeStall(b *testing.B, serial bool) {
-	g, blocks, nodes := openClusteredCutGraph(b)
-	sh, err := shard.New(g, &shard.Options{
-		Shards:         shardedBenchBlocks,
-		Partition:      shard.RangePartition(nodes),
-		SerialComposes: serial,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sh.Close()
-
-	// Background composer: each Sync composes as long as updates keep
-	// routing, which the measured loop guarantees.
-	stop := make(chan struct{})
-	var cg sync.WaitGroup
-	cg.Add(1)
-	go func() {
-		defer cg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := sh.Sync(); err != nil {
-				b.Errorf("sync: %v", err)
-				return
-			}
-		}
-	}()
-
-	// base excludes construction: New's initial compose is a full peel
-	// of the 131k-node fixture and would otherwise dominate the
-	// per-compose averages of short runs in both modes.
-	base := sh.ShardStats().Routing
-
-	// Paced probes on a 50µs grid so the blocked-time distribution is
-	// sampled by a steady arrival process (the stall figures are
-	// per-arrival percentiles; a closed tight loop would also saturate
-	// the session queues and measure queue backpressure instead). The
-	// busy-wait is deliberate: time.Sleep granularity is of the same
-	// order as the two-phase freeze itself.
-	const probeInterval = 50 * time.Microsecond
-	own := blocks[0]
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		sched := start.Add(time.Duration(i) * probeInterval)
-		for time.Now().Before(sched) {
-		}
-		e := own[(i/2)%len(own)]
-		op := serve.OpDelete
-		if i%2 == 1 {
-			op = serve.OpInsert
-		}
-		if err := sh.Enqueue(serve.Update{Op: op, U: e.U, V: e.V}); err != nil {
-			b.Fatalf("enqueue: %v", err)
-		}
-	}
-	b.StopTimer()
-	close(stop)
-	cg.Wait()
-	if err := sh.Sync(); err != nil {
-		b.Fatal(err)
-	}
-
-	st := sh.ShardStats().Routing
-	composes := st.Composes - base.Composes
-	if composes == 0 {
-		b.Fatal("background loop never composed: the stall metric measured nothing")
-	}
-	// p99 comes from the engine's own arrival-weighted lock-wait
-	// histogram (stats.NoteEnqueueBlock): it measures time blocked on
-	// the routing lock specifically, so single-core scheduler noise —
-	// which hits both modes alike — does not drown the signal.
-	b.ReportMetric(float64(st.EnqueueBlockP99Ns()), "p99_enqueue_block_ns")
-	b.ReportMetric(float64(st.ComposeExclusiveNs-base.ComposeExclusiveNs)/float64(composes), "exclusive_ns_per_compose")
-	b.ReportMetric(float64(composes), "composes")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-}
-
-// BenchmarkServeComposeStall compares Enqueue tail latency under the
-// whole-compose freeze (mode=serial, the pre-two-phase baseline) against
-// the two-phase compose (mode=twophase, the default).
-func BenchmarkServeComposeStall(b *testing.B) {
-	b.Run("mode=serial", func(b *testing.B) { benchComposeStall(b, true) })
-	b.Run("mode=twophase", func(b *testing.B) { benchComposeStall(b, false) })
 }
 
 // Flood-benchmark fixture: a block-diagonal social graph whose
@@ -763,9 +383,8 @@ func openFloodGraph(tb testing.TB) (*kcore.Graph, []kcore.Edge) {
 // publish with no read traffic. workers=1 is the sequential baseline
 // (the disk-backed dyngraph apply path); workers>=2 partitions each
 // batch into component-disjoint regions applied concurrently against
-// the in-memory mirror. The updates/s ratio between the two columns is
-// parallel_apply_speedup in BENCH_serve.json. Honest accounting: part
-// of that ratio is the mirror's in-memory adjacency beating the
+// the in-memory mirror. Honest accounting: part of the updates/s ratio
+// between the two columns is the mirror's in-memory adjacency beating the
 // dyngraph's buffered window scans — on a single-core runner that is
 // most of it; real worker concurrency (recorded via the gomaxprocs
 // metric on each entry) adds on top.
@@ -844,7 +463,7 @@ const multiGraphWorkers = 8
 // (15:1 read:update, as benchMixed) spread across `graphs` independent
 // graphs in one process: multiGraphWorkers workers round-robin over the
 // graphs, each toggling worker-owned edges. One graph reproduces the
-// single-writer bottleneck; more graphs scale it out (shard = engine).
+// single-writer bottleneck; more graphs scale it out.
 func benchMultiGraphMixed(b *testing.B, graphs int) {
 	reg := engine.NewRegistry(nil)
 	defer reg.Close()
@@ -921,218 +540,5 @@ func BenchmarkMultiGraphMixedWorkload(b *testing.B) {
 		b.Run(fmt.Sprintf("graphs=%d", graphs), func(b *testing.B) {
 			benchMultiGraphMixed(b, graphs)
 		})
-	}
-}
-
-// TestEmitServeBenchJSON runs the serve benchmark grid via
-// testing.Benchmark and writes the results to the file named by
-// KCORE_BENCH_JSON (the `make bench-serve` artifact BENCH_serve.json),
-// seeding the performance trajectory later PRs measure against.
-func TestEmitServeBenchJSON(t *testing.T) {
-	path := os.Getenv("KCORE_BENCH_JSON")
-	if path == "" {
-		t.Skip("set KCORE_BENCH_JSON=<path> to emit the serve benchmark artifact")
-	}
-	type entry struct {
-		Name      string             `json:"name"`
-		Readers   int                `json:"readers"`
-		Writer    string             `json:"writer"`
-		N         int                `json:"n"`
-		NsPerOp   float64            `json:"ns_per_op"`
-		OpsPerSec float64            `json:"ops_per_sec"`
-		Extra     map[string]float64 `json:"extra,omitempty"`
-	}
-	var entries []entry
-	record := func(name string, readers int, writer string, run func(b *testing.B)) entry {
-		res := testing.Benchmark(run)
-		e := entry{Name: name, Readers: readers, Writer: writer, N: res.N,
-			NsPerOp: float64(res.NsPerOp())}
-		if res.T > 0 {
-			e.OpsPerSec = float64(res.N) / res.T.Seconds()
-		}
-		if len(res.Extra) > 0 {
-			e.Extra = make(map[string]float64, len(res.Extra))
-			for k, v := range res.Extra {
-				e.Extra[k] = v
-			}
-		}
-		entries = append(entries, e)
-		t.Logf("%s: %.0f ops/s (%.0f ns/op, n=%d)", name, e.OpsPerSec, e.NsPerOp, e.N)
-		return e
-	}
-	for _, readers := range []int{1, 4, 16} {
-		for _, busy := range []bool{false, true} {
-			readers, busy := readers, busy
-			writer := "idle"
-			if busy {
-				writer = "busy"
-			}
-			record(fmt.Sprintf("ServeReadThroughput/readers=%d/writer=%s", readers, writer),
-				readers, writer, func(b *testing.B) { benchReads(b, readers, busy) })
-		}
-	}
-	for _, workers := range []int{1, 4, 16} {
-		workers := workers
-		record(fmt.Sprintf("ServeMixedWorkload/workers=%d", workers),
-			workers, "mixed", func(b *testing.B) { benchMixed(b, workers) })
-	}
-	// Cached vs uncached k-core membership queries against one epoch;
-	// the ratio is the acceptance figure for per-epoch memoization.
-	uncached := record("KCoreQuery/uncached", 1, "idle",
-		func(b *testing.B) { benchKCoreQuery(b, false) })
-	cached := record("KCoreQuery/cached", 1, "idle",
-		func(b *testing.B) { benchKCoreQuery(b, true) })
-	speedup := 0.0
-	if cached.NsPerOp > 0 {
-		speedup = uncached.NsPerOp / cached.NsPerOp
-	}
-	t.Logf("k-core memoization speedup: %.1fx", speedup)
-	// Mixed workload spread over 1 vs N graphs in one registry. The
-	// worker pool is fixed at 8 (recorded as readers); the graph count
-	// varies and lives in the benchmark name.
-	for _, graphs := range []int{1, 2, 4} {
-		graphs := graphs
-		record(fmt.Sprintf("MultiGraphMixedWorkload/graphs=%d", graphs),
-			multiGraphWorkers, "mixed", func(b *testing.B) { benchMultiGraphMixed(b, graphs) })
-	}
-	// Publish-path comparison on the ≥100k-node fixture: the same
-	// read-your-writes mixed workload with copy-on-write epochs (the
-	// default) and with the forced full-copy baseline. Their ratio is
-	// the PR-3 acceptance figure.
-	cow := record("ServeLargeMixedWorkload/publish=cow", 8, "mixed",
-		func(b *testing.B) { benchLargeMixed(b, false) })
-	full := record("ServeLargeMixedWorkload/publish=fullcopy", 8, "mixed",
-		func(b *testing.B) { benchLargeMixed(b, true) })
-	publishSpeedup := 0.0
-	if cow.NsPerOp > 0 {
-		publishSpeedup = full.NsPerOp / cow.NsPerOp
-	}
-	t.Logf("publish-path speedup (cow vs full copy): %.1fx", publishSpeedup)
-	// Sharded mixed workload on the block-diagonal fixture: aggregate
-	// throughput as the writer count grows (ops/s for the mixed loop,
-	// updates/s in extra for the writer-side maintenance rate). The
-	// scaling figure compares shards=4 against shards=1; on a
-	// single-core runner it hovers near 1 and records overhead instead.
-	shardedUpdates := make(map[int]float64)
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		e := record(fmt.Sprintf("ServeLargeShardedWorkload/shards=%d", shards),
-			shardedBenchBlocks, "mixed", func(b *testing.B) { benchLargeSharded(b, shards) })
-		shardedUpdates[shards] = e.Extra["updates/s"]
-	}
-	shardScaling := 0.0
-	if shardedUpdates[1] > 0 {
-		shardScaling = shardedUpdates[4] / shardedUpdates[1]
-	}
-	t.Logf("sharded writer scaling (4 vs 1 shards): %.2fx on GOMAXPROCS=%d",
-		shardScaling, runtime.GOMAXPROCS(0))
-	// Cut-regime compose on the clustered-with-cut fixture: the same
-	// read-your-writes workload with the O(changed) union-view repair
-	// (the default) and with the forced full-peel baseline. Their ratio
-	// is the PR-5 tentpole acceptance figure.
-	repairBench := record("ServeClusteredCutWorkload/compose=repair", shardedBenchBlocks, "mixed",
-		func(b *testing.B) { benchClusteredCut(b, false) })
-	fullPeelBench := record("ServeClusteredCutWorkload/compose=fullpeel", shardedBenchBlocks, "mixed",
-		func(b *testing.B) { benchClusteredCut(b, true) })
-	peelRepairSpeedup := 0.0
-	if repairBench.NsPerOp > 0 {
-		peelRepairSpeedup = fullPeelBench.NsPerOp / repairBench.NsPerOp
-	}
-	t.Logf("cut-regime compose speedup (repair vs full peel): %.1fx", peelRepairSpeedup)
-	// Flush-path flood with the sequential apply vs the region-parallel
-	// apply (4 workers). Their ratio is the PR-6 tentpole acceptance
-	// figure; each entry's extra block carries gomaxprocs so the record
-	// says what concurrency the run actually had (see benchParallelFlood
-	// for what the ratio means on a single-core runner).
-	seqFlood := record("ServeParallelApplyFlood/workers=1", 1, "flood",
-		func(b *testing.B) { benchParallelFlood(b, 1) })
-	parFlood := record("ServeParallelApplyFlood/workers=4", 1, "flood",
-		func(b *testing.B) { benchParallelFlood(b, 4) })
-	parallelApplySpeedup := 0.0
-	if parFlood.NsPerOp > 0 {
-		parallelApplySpeedup = seqFlood.NsPerOp / parFlood.NsPerOp
-	}
-	t.Logf("flush-path flood speedup (4 workers vs sequential): %.1fx on GOMAXPROCS=%d",
-		parallelApplySpeedup, runtime.GOMAXPROCS(0))
-	// Compose-stall tail latency on the clustered-cut fixture: Enqueue
-	// p99 under the whole-compose freeze vs the two-phase compose. Their
-	// ratio is the PR-7 tentpole acceptance figure.
-	serialStall := record("ServeComposeStall/mode=serial", 1, "stall",
-		func(b *testing.B) { benchComposeStall(b, true) })
-	twoPhaseStall := record("ServeComposeStall/mode=twophase", 1, "stall",
-		func(b *testing.B) { benchComposeStall(b, false) })
-	composeStallSpeedup := 0.0
-	if p := twoPhaseStall.Extra["p99_enqueue_block_ns"]; p > 0 {
-		composeStallSpeedup = serialStall.Extra["p99_enqueue_block_ns"] / p
-	}
-	t.Logf("compose-stall speedup (p99 enqueue block, serial freeze vs two-phase): %.1fx on GOMAXPROCS=%d",
-		composeStallSpeedup, runtime.GOMAXPROCS(0))
-	doc := map[string]any{
-		"benchmark":                 "serve",
-		"go":                        runtime.Version(),
-		"gomaxprocs":                runtime.GOMAXPROCS(0),
-		"graph_nodes":               benchGraphNodes,
-		"large_graph_nodes":         largeBenchFixture.csr.NumNodes(),
-		"generated_at":              time.Now().UTC().Format(time.RFC3339),
-		"kcore_cache_speedup":       speedup,
-		"publish_path_speedup":      publishSpeedup,
-		"sharded_writer_scaling_4x": shardScaling,
-		"peel_repair_speedup":       peelRepairSpeedup,
-		"parallel_apply_speedup":    parallelApplySpeedup,
-		"compose_stall_speedup":     composeStallSpeedup,
-		"results":                   entries,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
-}
-
-// TestComposeStallGate is the CI regression gate for the two-phase
-// compose: it re-measures the per-compose exclusive-section time on the
-// clustered-cut fixture and fails if it regressed more than 2x against
-// the committed BENCH_serve.json entry. The exclusive section is the
-// figure the PR-7 redesign exists to shrink, and unlike wall-clock
-// throughput it is stable enough on shared runners to gate on (it counts
-// only time spent under the engine's exclusive lock, not scheduler
-// noise). Env-gated so plain `go test` stays fast; CI runs it with
-// KCORE_BENCH_GATE=1 at GOMAXPROCS=4 to match the committed artifact.
-func TestComposeStallGate(t *testing.T) {
-	if os.Getenv("KCORE_BENCH_GATE") == "" {
-		t.Skip("set KCORE_BENCH_GATE=1 to run the compose-stall regression gate")
-	}
-	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_serve.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Results []struct {
-			Name  string             `json:"name"`
-			Extra map[string]float64 `json:"extra"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	committed := 0.0
-	for _, r := range doc.Results {
-		if r.Name == "ServeComposeStall/mode=twophase" {
-			committed = r.Extra["exclusive_ns_per_compose"]
-		}
-	}
-	if committed == 0 {
-		t.Fatal("BENCH_serve.json has no ServeComposeStall/mode=twophase entry with exclusive_ns_per_compose")
-	}
-	res := testing.Benchmark(func(b *testing.B) { benchComposeStall(b, false) })
-	got := res.Extra["exclusive_ns_per_compose"]
-	t.Logf("compose exclusive section: %.0f ns/compose measured vs %.0f committed (GOMAXPROCS=%d)",
-		got, committed, runtime.GOMAXPROCS(0))
-	if got > 2*committed {
-		t.Fatalf("compose exclusive section regressed: %.0f ns/compose, more than 2x the committed %.0f",
-			got, committed)
 	}
 }

@@ -15,15 +15,19 @@ import (
 // milliseconds.
 const largeGraphNodes = 100_000
 
-// measurePublishBytes opens the large fixture, publishes one epoch per
-// round by toggling distinct edges through synchronous single-update
-// flushes, and reports the mean heap bytes allocated per publish.
-func measurePublishBytes(t *testing.T, fullCopy bool) float64 {
-	t.Helper()
+// TestPublishAllocatesOChunkNotON is the copy-on-write regression guard:
+// publishing an epoch after a single-edge batch on the 100k-node fixture
+// must allocate on the order of a few 16 KiB chunks, not the 400 KB+ an
+// O(n) copy-on-publish pays. One epoch is published per round by
+// toggling distinct edges through synchronous single-update flushes; the
+// mean heap bytes allocated per publish is what the bound is on.
+func TestPublishAllocatesOChunkNotON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-node fixture")
+	}
 	g, edges := openGraph(t, largeGraphNodes, 83)
 	sess, err := serve.New(g, &serve.Options{
-		FlushInterval:     time.Hour, // flushes are driven by Sync barriers only
-		FullCopySnapshots: fullCopy,
+		FlushInterval: time.Hour, // flushes are driven by Sync barriers only
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,28 +55,12 @@ func measurePublishBytes(t *testing.T, fullCopy bool) float64 {
 	runtime.ReadMemStats(&ms)
 	perPublish := float64(ms.TotalAlloc-before) / rounds
 	st := sess.Stats()
-	t.Logf("fullCopy=%v: %.0f bytes/publish (epochs=%d, dirty/publish=%.1f, chunks copied %d of %d)",
-		fullCopy, perPublish, st.Epochs, st.DirtyNodesPerPublish(), st.CowChunksCopied, st.CowChunksTotal)
-	return perPublish
-}
-
-// TestPublishAllocatesOChunkNotON is the copy-on-write regression guard:
-// publishing an epoch after a single-edge batch on the 100k-node fixture
-// must allocate on the order of a few 16 KiB chunks, not the 400 KB+ an
-// O(n) copy-on-publish pays. The full-copy escape hatch is measured too,
-// proving the threshold actually separates the two paths.
-func TestPublishAllocatesOChunkNotON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("100k-node fixture")
-	}
+	t.Logf("%.0f bytes/publish (epochs=%d, dirty/publish=%.1f, chunks copied %d of %d)",
+		perPublish, st.Epochs, st.DirtyNodesPerPublish(), st.CowChunksCopied, st.CowChunksTotal)
 	// An O(n) publish allocates at least 4n bytes for the core array
-	// copy alone; O(chunk) publishes stay well under n bytes. The
-	// threshold sits between the two with a 4x margin each way.
+	// copy alone; O(chunk) publishes stay well under n bytes.
 	const limit = largeGraphNodes // 100 KB, vs 400 KB+ for a full copy
-	if got := measurePublishBytes(t, false); got > limit {
-		t.Fatalf("copy-on-write publish allocates %.0f bytes, want <= %d (O(chunk) regression)", got, limit)
-	}
-	if got := measurePublishBytes(t, true); got <= limit {
-		t.Fatalf("full-copy baseline allocates %.0f bytes <= %d; threshold no longer discriminates", got, limit)
+	if perPublish > limit {
+		t.Fatalf("copy-on-write publish allocates %.0f bytes, want <= %d (O(chunk) regression)", perPublish, limit)
 	}
 }

@@ -75,7 +75,7 @@ type Epoch struct {
 
 	// dirty is the exact delta against the predecessor epoch: the
 	// deduplicated set of nodes whose core number changed in this
-	// publication. nil for epoch 0 and full-copy publications.
+	// publication. nil for epoch 0.
 	dirty []uint32
 
 	// repair, when non-nil, is the plan for deriving this epoch's memo
@@ -92,8 +92,8 @@ type Epoch struct {
 
 // Dirty returns the nodes whose core number changed relative to the
 // previous published epoch — the exact delta, deduplicated. It is nil
-// for epoch 0 and for epochs published through the FullCopySnapshots
-// path. The slice is shared with the epoch and must not be mutated.
+// for epoch 0. The slice is shared with the epoch and must not be
+// mutated.
 func (e *Epoch) Dirty() []uint32 { return e.dirty }
 
 // Options tunes a ConcurrentSession. The zero value selects defaults.
@@ -119,14 +119,6 @@ type Options struct {
 	ApplyWorkers int
 	// Counters receives serving metrics; nil allocates a private set.
 	Counters *stats.ServeCounters
-	// FullCopySnapshots forces every publication through the pre-COW
-	// path: a full O(n) core-array copy, degeneracy rescan and
-	// from-scratch memo per epoch, instead of copy-on-write chunk
-	// sharing and incremental memo repair. It exists to benchmark the
-	// delta path against its baseline (publish_path_speedup in
-	// BENCH_serve.json) and as a diagnostic escape hatch; leave it off
-	// in production.
-	FullCopySnapshots bool
 	// OnPublish, when non-nil, observes every published epoch from the
 	// writer goroutine (after the swap). Intended for tests.
 	OnPublish func(*Epoch)
@@ -134,9 +126,8 @@ type Options struct {
 	// from the writer goroutine: the net delete and insert batches, in
 	// the order they were applied (deletes first). Rejected and
 	// annihilated updates never appear. The slices are writer-owned
-	// scratch — the callback must copy anything it keeps. Composite
-	// engines (internal/shard) use this to patch their cross-shard union
-	// view incrementally instead of rescanning the per-session graphs.
+	// scratch — the callback must copy anything it keeps. The durability
+	// shell (internal/engine) writes its log records from it.
 	//
 	// Ordering guarantee: OnApply fires on the writer goroutine
 	// immediately before the OnPublish call for the epoch that covers the
@@ -146,9 +137,8 @@ type Options struct {
 	// OnApplyInternal, when non-nil, observes applied flushes of
 	// EnqueueInternal batches with the same contract as OnApply. Internal
 	// batches are flushed in isolation — they never coalesce or
-	// annihilate against user updates — so composite engines can route
-	// migration traffic (internal/shard.Rebalance) through the normal
-	// writer while keeping its deltas distinguishable in the feed. When
+	// annihilate against other updates — so a replication follower
+	// (internal/replica) gets exactly one epoch per leader record. When
 	// nil, internal flushes report through OnApply instead.
 	OnApplyInternal func(deletes, inserts []kcore.Edge)
 }
@@ -490,16 +480,11 @@ func (s *ConcurrentSession) Close() error {
 // superset of the changed nodes, possibly with duplicates); it is
 // reduced here to the exact delta against the previous epoch, which
 // drives the copy-on-write snapshot, the memo repair plan and the dirty
-// counters — all O(changed). The FullCopySnapshots option routes through
-// the full-copy path instead.
+// counters — all O(changed). Only epoch 0 is a full copy.
 func (s *ConcurrentSession) publishDelta(appliedNow int, rawDirty []uint32) {
 	prev := s.cur.Load()
-	if prev == nil || s.opts.FullCopySnapshots {
-		snap := s.b.Snapshot()
-		if prev != nil {
-			s.ctr.NotePublishDelta(0, snap.NumChunks(), snap.NumChunks())
-		}
-		s.publish(snap, appliedNow, nil, nil)
+	if prev == nil {
+		s.publish(s.b.Snapshot(), appliedNow, nil, nil)
 		return
 	}
 	cores := s.b.Cores()
@@ -548,24 +533,6 @@ func repairPlan(prev *Epoch, dirty []uint32, n uint32) *memoRepair {
 		return nil
 	}
 	return &memoRepair{base: prev, dirty: link, total: len(dirty)}
-}
-
-// ComposeEpoch builds a detached epoch around an externally assembled
-// snapshot, for composite engines (internal/shard) that publish epochs
-// merged from several underlying sessions. The epoch carries the full
-// per-epoch memo machinery: when prev is a compatible predecessor (same
-// node count) and dirty is a sound superset of the nodes whose core
-// number changed since prev, the memo is repaired incrementally from
-// prev's exactly as the writer path does; otherwise the first memoized
-// query pays one counting sort. Unlike writer-published epochs, the
-// recorded dirty set may be a superset of the exact delta. ctr (may be
-// nil) receives the epoch's cache hit/miss accounting.
-func ComposeEpoch(prev *Epoch, snap *kcore.CoreSnapshot, seq, applied uint64, dirty []uint32, ctr *stats.ServeCounters) *Epoch {
-	e := &Epoch{CoreSnapshot: snap, Seq: seq, Applied: applied, dirty: dirty, ctr: ctr}
-	if prev != nil && dirty != nil && prev.NumNodes() == snap.NumNodes() {
-		e.repair.Store(repairPlan(prev, dirty, snap.NumNodes()))
-	}
-	return e
 }
 
 // publish swaps in a fresh epoch built from snap.

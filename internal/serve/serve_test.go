@@ -521,7 +521,7 @@ func TestAdaptiveBatchGrowsUnderPressure(t *testing.T) {
 }
 
 // TestOnApplyReportsNetBatches pins the OnApply delta-feed contract the
-// sharded union view is built on: the callback sees exactly the applied
+// write-ahead log is built on: the callback sees exactly the applied
 // net batches, deletes before inserts, with rejected and annihilated
 // updates excluded.
 func TestOnApplyReportsNetBatches(t *testing.T) {

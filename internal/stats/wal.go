@@ -90,8 +90,8 @@ type WalSnapshot struct {
 	// CheckpointLastMs is the duration of the newest completed checkpoint.
 	CheckpointLastMs float64 `json:"checkpoint_last_ms"`
 	// MirrorArcs is the size of the resident adjacency copy checkpoints
-	// are written from: the graph's arc count on the mem and sharded
-	// backends, 0 on the disk backend.
+	// are written from: the graph's arc count on the mem backend, 0 on
+	// the disk backend.
 	MirrorArcs int64  `json:"mirror_arcs"`
 	Replayed   int64  `json:"replayed_records"`
 	RecoveryNs int64  `json:"recovery_ns"`

@@ -154,9 +154,6 @@ func (m *MutationStream) randNode() uint32 { return uint32(m.r.Intn(int(m.n))) }
 // consume the one source, deterministically.
 func (m *MutationStream) Rand() *rand.Rand { return m.r }
 
-// LiveCount reports how many edges the mirror currently holds.
-func (m *MutationStream) LiveCount() int { return len(m.live) }
-
 // Live returns a copy of the mirror's current edge set, each edge with
 // U < V.
 func (m *MutationStream) Live() []memgraph.Edge {

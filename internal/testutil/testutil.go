@@ -13,7 +13,6 @@ package testutil
 
 import (
 	"flag"
-	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -23,7 +22,7 @@ import (
 )
 
 // seedFlag lets a failing randomized test be replayed exactly:
-// `go test ./internal/shard -run TestX -seed 12345`. Zero keeps each
+// `go test ./internal/serve -run TestX -seed 12345`. Zero keeps each
 // test's default seed. Registered once here; every test binary that
 // imports testutil gets the flag.
 var seedFlag = flag.Int64("seed", 0, "override the seed of randomized tests (0 keeps each test's default)")
@@ -40,19 +39,12 @@ func Seed(tb testing.TB, def int64) int64 {
 	return seed
 }
 
-// SocialEdges is the raw generator stream of the standard social fixture
-// (a superset of the deduplicated on-disk graph — duplicates and
-// self-loops are dropped at build time).
-func SocialEdges(n uint32, seed int64) []memgraph.Edge {
-	return gen.Social(n, 3, 8, 8, seed)
-}
-
 // WriteSocial materialises the standard social fixture on disk under the
 // test's temp dir and returns its path prefix (for kcore.Open) plus the
 // deduplicated edge list actually stored.
 func WriteSocial(tb testing.TB, n uint32, seed int64) (base string, edges []memgraph.Edge) {
 	tb.Helper()
-	csr := gen.Build(SocialEdges(n, seed))
+	csr := gen.Build(gen.Social(n, 3, 8, 8, seed))
 	return WriteCSR(tb, csr), csr.EdgeList()
 }
 
@@ -79,8 +71,8 @@ func WriteCSR(tb testing.TB, csr *memgraph.CSR) string {
 }
 
 // BlockDiagonalSocial builds `blocks` independent social subgraphs on
-// contiguous id ranges of blockNodes each — the partition-aligned
-// fixture whose range partition has zero cut edges.
+// contiguous id ranges of blockNodes each — the fixture whose blocks
+// are exactly the independent regions of the region-parallel flush.
 func BlockDiagonalSocial(blocks int, blockNodes uint32, seed int64) []memgraph.Edge {
 	var edges []memgraph.Edge
 	for bl := 0; bl < blocks; bl++ {
@@ -88,39 +80,6 @@ func BlockDiagonalSocial(blocks int, blockNodes uint32, seed int64) []memgraph.E
 		for _, e := range gen.Social(blockNodes, 3, 6, 6, seed+int64(bl)) {
 			edges = append(edges, memgraph.Edge{U: e.U + off, V: e.V + off})
 		}
-	}
-	return edges
-}
-
-// RMATBlocks builds `blocks` independent power-law RMAT subgraphs of
-// 2^scale nodes each on contiguous id ranges — the production-scale
-// clustered fixture of the sharded benchmarks.
-func RMATBlocks(blocks, scale, edgeFactor int, seed int64) []memgraph.Edge {
-	blockNodes := uint32(1) << scale
-	var edges []memgraph.Edge
-	for bl := 0; bl < blocks; bl++ {
-		off := uint32(bl) * blockNodes
-		for _, e := range gen.RMAT(scale, edgeFactor, 0.57, 0.19, 0.19, seed+int64(bl)) {
-			edges = append(edges, memgraph.Edge{U: e.U + off, V: e.V + off})
-		}
-	}
-	return edges
-}
-
-// CrossBlockEdges generates `count` random edges whose endpoints lie in
-// distinct blocks of blockNodes contiguous ids — the controlled nonzero
-// cut laid over a block-diagonal fixture.
-func CrossBlockEdges(blocks int, blockNodes uint32, count int, seed int64) []memgraph.Edge {
-	r := rand.New(rand.NewSource(seed))
-	edges := make([]memgraph.Edge, 0, count)
-	for len(edges) < count {
-		bu, bv := r.Intn(blocks), r.Intn(blocks)
-		if bu == bv {
-			continue
-		}
-		u := uint32(bu)*blockNodes + uint32(r.Intn(int(blockNodes)))
-		v := uint32(bv)*blockNodes + uint32(r.Intn(int(blockNodes)))
-		edges = append(edges, memgraph.Edge{U: u, V: v})
 	}
 	return edges
 }

@@ -112,9 +112,9 @@ func parseManifest(data []byte) (manifest, error) {
 func ckptDirName(seq uint64) string { return fmt.Sprintf("%016x", seq) }
 
 // Source is the adjacency a checkpoint persists, as of one LSN. A Mirror
-// is one (the resident copy mem and sharded graphs keep); the disk
-// backend's pinned store view is the other, streaming the lists out of
-// its partition files so no copy of the edge set is ever resident.
+// is one (the resident copy mem graphs keep); the disk backend's
+// pinned store view is the other, streaming the lists out of its
+// partition files so no copy of the edge set is ever resident.
 type Source interface {
 	NumNodes() uint32
 	NumArcs() int64

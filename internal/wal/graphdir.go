@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"kcore/internal/faultfs"
@@ -40,8 +39,8 @@ type Options struct {
 	IO *stats.IOCounter
 }
 
-// GraphDir owns one graph's durability directory: its per-session logs,
-// its checkpoints, and the retention rule tying them together (keep the
+// GraphDir owns one graph's durability directory: its log, its
+// checkpoints, and the retention rule tying them together (keep the
 // newest two checkpoints; drop log segments entirely at or below the
 // older retained checkpoint's LSN).
 type GraphDir struct {
@@ -51,14 +50,34 @@ type GraphDir struct {
 	segBytes int64
 	ctr      *stats.WalCounters
 	io       *stats.IOCounter
-	logs     []*Log
+	log      *Log
 	nextSeq  uint64
 }
 
 func walRoot(dir string) string { return filepath.Join(dir, "wal") }
 
-func sessionDir(dir string, id int) string {
-	return filepath.Join(walRoot(dir), "s"+strconv.Itoa(id))
+// logDir is where the writer's log lives. Data directories written by
+// the retired sharded engine hold sibling s1, s2, … directories too;
+// logDirs finds them all.
+func logDir(dir string) string { return filepath.Join(walRoot(dir), "s0") }
+
+// logDirs lists every s* log directory on disk under dir (none when the
+// WAL tree does not exist).
+func logDirs(fsys faultfs.FS, dir string) ([]string, error) {
+	ents, err := fsys.ReadDir(walRoot(dir))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	var dirs []string
+	for _, e := range ents {
+		if e.IsDir() && strings.HasPrefix(e.Name(), "s") {
+			dirs = append(dirs, filepath.Join(walRoot(dir), e.Name()))
+		}
+	}
+	return dirs, nil
 }
 
 // LiveDir is where the engine's mutable working graph lives inside a
@@ -68,10 +87,10 @@ func LiveDir(dir string) string { return filepath.Join(dir, "live") }
 // LiveBase is the storage path prefix of the working graph.
 func LiveBase(dir string) string { return filepath.Join(LiveDir(dir), "graph") }
 
-// Open creates (or reopens) the durability directory with one log per
-// writer session. Existing checkpoints set the next sequence number;
-// logs always start fresh segments (recovery resets them explicitly).
-func Open(dir string, sessions int, opts *Options) (*GraphDir, error) {
+// Open creates (or reopens) the durability directory. Existing
+// checkpoints set the next sequence number; the log always starts a
+// fresh segment (recovery resets it explicitly).
+func Open(dir string, opts *Options) (*GraphDir, error) {
 	var o Options
 	if opts != nil {
 		o = *opts
@@ -84,9 +103,6 @@ func Open(dir string, sessions int, opts *Options) (*GraphDir, error) {
 	}
 	if o.IO == nil {
 		o.IO = stats.NewIOCounter(0)
-	}
-	if sessions < 1 {
-		sessions = 1
 	}
 	g := &GraphDir{
 		fs:       o.FS,
@@ -107,14 +123,9 @@ func Open(dir string, sessions int, opts *Options) (*GraphDir, error) {
 	if len(cks) > 0 {
 		g.nextSeq = cks[0].seq + 1
 	}
-	g.logs = make([]*Log, sessions)
-	for i := range g.logs {
-		l, err := newLog(g.fs, sessionDir(dir, i), i, g.segBytes, g.policy, g.ctr)
-		if err != nil {
-			g.closeLogs()
-			return nil, err
-		}
-		g.logs[i] = l
+	g.log, err = newLog(g.fs, logDir(dir), g.segBytes, g.policy, g.ctr)
+	if err != nil {
+		return nil, err
 	}
 	return g, nil
 }
@@ -125,20 +136,12 @@ func (g *GraphDir) Counters() *stats.WalCounters { return g.ctr }
 // IO exposes the counter checkpoints charge their block I/O to.
 func (g *GraphDir) IO() *stats.IOCounter { return g.io }
 
-// Log returns session i's append log.
-func (g *GraphDir) Log(i int) *Log { return g.logs[i] }
+// Log returns the append log.
+func (g *GraphDir) Log() *Log { return g.log }
 
-// SyncAll fsyncs every session log; the graph-level commit point calls
-// this before acknowledging a Sync.
-func (g *GraphDir) SyncAll() error {
-	var firstErr error
-	for _, l := range g.logs {
-		if err := l.Sync(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+// Sync fsyncs the log; the graph-level commit point calls this before
+// acknowledging a Sync.
+func (g *GraphDir) Sync() error { return g.log.Sync() }
 
 // Checkpoint writes a new committed checkpoint of src at lsn, then
 // applies retention: the newest two checkpoints survive and every log
@@ -175,51 +178,38 @@ func (g *GraphDir) Checkpoint(lsn uint64, src Source, cores []uint32) error {
 			}
 		}
 	}
-	for i := range g.logs {
-		if err := truncateBelow(g.fs, sessionDir(g.dir, i), cutoff); err != nil {
+	dirs, err := logDirs(g.fs, g.dir)
+	if err != nil {
+		return err
+	}
+	for _, d := range dirs {
+		if err := truncateBelow(g.fs, d, cutoff); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ResetLogs closes every log and deletes the whole WAL tree, so the
-// next appends start fresh segments. Recovery calls this right after
-// writing its post-replay checkpoint: old segments (including any torn
-// tails) are dead weight once a committed checkpoint covers them.
+// ResetLogs closes the log and deletes the whole WAL tree — every s*
+// directory on disk — so the next append starts a fresh segment.
+// Recovery calls this right after writing its post-replay checkpoint:
+// old segments (including any torn tails) are dead weight once a
+// committed checkpoint covers them.
 func (g *GraphDir) ResetLogs() error {
-	g.closeLogs()
+	g.log.Close() //nolint:errcheck // its segments are deleted next
 	if err := g.fs.RemoveAll(walRoot(g.dir)); err != nil {
 		return err
 	}
-	for i := range g.logs {
-		l, err := newLog(g.fs, sessionDir(g.dir, i), i, g.segBytes, g.policy, g.ctr)
-		if err != nil {
-			return err
-		}
-		g.logs[i] = l
+	l, err := newLog(g.fs, logDir(g.dir), g.segBytes, g.policy, g.ctr)
+	if err != nil {
+		return err
 	}
+	g.log = l
 	return nil
 }
 
-func (g *GraphDir) closeLogs() {
-	for _, l := range g.logs {
-		if l != nil {
-			l.Close()
-		}
-	}
-}
-
-// Close fsyncs (policy permitting) and closes every log.
-func (g *GraphDir) Close() error {
-	var firstErr error
-	for _, l := range g.logs {
-		if err := l.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+// Close fsyncs (policy permitting) and closes the log.
+func (g *GraphDir) Close() error { return g.log.Close() }
 
 // Recovered is the outcome of scanning a graph directory: the chosen
 // checkpoint, the consecutive replay tail beyond it, and damage
@@ -335,22 +325,15 @@ func Scan(fsys faultfs.FS, dir string) (*Recovered, error) {
 	return res, nil
 }
 
-// scanLogs reads every session log under dir and classifies damage.
+// scanLogs reads every log directory under dir and classifies damage.
 func scanLogs(fsys faultfs.FS, dir string) (recs []Record, torn, damaged bool, reason string, err error) {
-	ents, derr := fsys.ReadDir(walRoot(dir))
+	dirs, derr := logDirs(fsys, dir)
 	if derr != nil {
-		if os.IsNotExist(derr) {
-			return nil, false, false, "", nil
-		}
 		return nil, false, false, "", derr
 	}
 	seen := make(map[uint64]bool)
 	var reasons []string
-	for _, e := range ents {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), "s") {
-			continue
-		}
-		sdir := filepath.Join(walRoot(dir), e.Name())
+	for _, sdir := range dirs {
 		lrecs, ltorn, ldmg, lerr := readLogDir(fsys, sdir)
 		if lerr != nil {
 			return nil, false, false, "", lerr
@@ -360,7 +343,7 @@ func scanLogs(fsys faultfs.FS, dir string) (recs []Record, torn, damaged bool, r
 		}
 		if ldmg {
 			damaged = true
-			reasons = append(reasons, fmt.Sprintf("log %s: mid-log corruption", e.Name()))
+			reasons = append(reasons, fmt.Sprintf("log %s: mid-log corruption", filepath.Base(sdir)))
 		}
 		for _, r := range lrecs {
 			if seen[r.LSN] {

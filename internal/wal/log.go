@@ -55,7 +55,8 @@ func (p SyncPolicy) String() string {
 
 const (
 	segMagic = "KWALSEG1"
-	// segHeaderSize frames each segment: magic + u32 version + u32 logID.
+	// segHeaderSize frames each segment: magic + u32 version + u32 log id
+	// (always 0: one writer, one log; never read back).
 	segHeaderSize = 16
 	segVersion    = 1
 	// DefaultSegmentBytes is the roll threshold when the caller does not
@@ -68,13 +69,12 @@ const (
 // decisions need only the directory listing.
 func segName(firstLSN uint64) string { return fmt.Sprintf("%016x%s", firstLSN, segSuffix) }
 
-// Log is one writer session's segmented append log. Appends arrive
+// Log is the writer's segmented append log. Appends arrive
 // from a single writer goroutine, but Sync (the commit path) can be
 // called from any goroutine, so file state is guarded by a small mutex.
 type Log struct {
 	fs       faultfs.FS
 	dir      string
-	id       int
 	segBytes int64
 	policy   SyncPolicy
 	ctr      *stats.WalCounters
@@ -85,16 +85,16 @@ type Log struct {
 	synced bool // no appends since the last fsync
 }
 
-// newLog creates (or reuses) the session directory and returns a log
+// newLog creates (or reuses) the log directory and returns a log
 // that will start a fresh segment at the first append.
-func newLog(fs faultfs.FS, dir string, id int, segBytes int64, policy SyncPolicy, ctr *stats.WalCounters) (*Log, error) {
+func newLog(fs faultfs.FS, dir string, segBytes int64, policy SyncPolicy, ctr *stats.WalCounters) (*Log, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Log{fs: fs, dir: dir, id: id, segBytes: segBytes, policy: policy, ctr: ctr, synced: true}, nil
+	return &Log{fs: fs, dir: dir, segBytes: segBytes, policy: policy, ctr: ctr, synced: true}, nil
 }
 
 // Append writes one framed record (encoded by AppendRecord) whose first
@@ -146,7 +146,6 @@ func (l *Log) rollLocked(firstLSN uint64) error {
 	var hdr [segHeaderSize]byte
 	copy(hdr[:8], segMagic)
 	binary.LittleEndian.PutUint32(hdr[8:], segVersion)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(l.id))
 	if _, err := f.Write(hdr[:]); err != nil {
 		f.Close()
 		return err
@@ -205,7 +204,7 @@ type segEntry struct {
 	path     string
 }
 
-// listSegments returns a session directory's segments sorted by first
+// listSegments returns a log directory's segments sorted by first
 // LSN. Unparseable names are ignored.
 func listSegments(fs faultfs.FS, dir string) ([]segEntry, error) {
 	ents, err := fs.ReadDir(dir)
@@ -228,7 +227,7 @@ func listSegments(fs faultfs.FS, dir string) ([]segEntry, error) {
 	return segs, nil
 }
 
-// readLogDir reads every record from one session's segments in LSN
+// readLogDir reads every record from one log directory's segments in LSN
 // order. A bad frame in the final segment is a torn tail: reading stops
 // there, the tail is logically truncated, and torn reports true. A bad
 // frame anywhere else — or a final segment followed by readable data —

@@ -8,12 +8,12 @@ import (
 	"kcore/internal/stats"
 )
 
-// Mirror is the durability layer's own resident copy of a mem or sharded
-// graph's adjacency, patched from the same applied-batch feed that
-// produces WAL records. Their checkpoints are written from a Clone of
-// the mirror, so they never touch the serving graph's files and always
-// describe exactly the state as of a known LSN. Disk-backed graphs keep
-// no mirror: their checkpoint Source streams the partition store.
+// Mirror is the durability layer's own resident copy of a mem graph's
+// adjacency, patched from the same applied-batch feed that produces WAL
+// records. Its checkpoints are written from a Clone of the mirror, so
+// they never touch the serving graph's files and always describe exactly
+// the state as of a known LSN. Disk-backed graphs keep no mirror: their
+// checkpoint Source streams the partition store.
 //
 // Lists are kept sorted ascending (the storage format's invariant), so
 // a checkpoint is a straight sweep. Mirror is not internally locked:

@@ -8,8 +8,10 @@
 //	<dir>/ckpt/<seq>/        committed checkpoints (graph.meta/.nt/.et,
 //	                         optional cores file, MANIFEST) — newest two
 //	                         are retained
-//	<dir>/wal/s<k>/          one log per writer session k, segment files
-//	                         named by the LSN of their first record
+//	<dir>/wal/s0/            the writer's log, segment files named by the
+//	                         LSN of their first record (s1, s2, … exist
+//	                         only in directories a sharded kcored wrote;
+//	                         recovery merges them by LSN, then sweeps them)
 //	<dir>/live/              the mutable working copy the engine serves
 //	                         from (rebuilt from a checkpoint on open)
 //

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -100,7 +101,7 @@ func appendN(t *testing.T, l *Log, start uint64, n int) {
 func TestLogAppendReadAndTornTail(t *testing.T) {
 	dir := t.TempDir()
 	ctr := &stats.WalCounters{}
-	l, err := newLog(faultfs.OS, dir, 0, 0, SyncAlways, ctr)
+	l, err := newLog(faultfs.OS, dir, 0, SyncAlways, ctr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestLogAppendReadAndTornTail(t *testing.T) {
 func TestLogRollAndMidLogDamage(t *testing.T) {
 	dir := t.TempDir()
 	// A tiny roll threshold forces one record per segment.
-	l, err := newLog(faultfs.OS, dir, 0, 32, SyncInterval, &stats.WalCounters{})
+	l, err := newLog(faultfs.OS, dir, 32, SyncInterval, &stats.WalCounters{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestLogRollAndMidLogDamage(t *testing.T) {
 
 func TestTruncateBelowKeepsCoveringSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, err := newLog(faultfs.OS, dir, 0, 32, SyncInterval, &stats.WalCounters{})
+	l, err := newLog(faultfs.OS, dir, 32, SyncInterval, &stats.WalCounters{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func (s lyingSource) NumArcs() int64 { return s.Mirror.NumArcs() + 1 }
 // the previous checkpoint stays the newest one.
 func TestCheckpointRejectsInconsistentSource(t *testing.T) {
 	dir := t.TempDir()
-	gd, err := Open(dir, 1, nil)
+	gd, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestCheckpointRejectsInconsistentSource(t *testing.T) {
 
 func TestCheckpointScanReplayTail(t *testing.T) {
 	dir := t.TempDir()
-	gd, err := Open(dir, 1, nil)
+	gd, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +295,11 @@ func TestCheckpointScanReplayTail(t *testing.T) {
 	// Three records past the checkpoint.
 	for lsn := uint64(1); lsn <= 3; lsn++ {
 		frame := AppendRecord(nil, lsn, nil, edges(uint32(lsn), uint32(lsn)+2))
-		if err := gd.Log(0).Append(frame, lsn); err != nil {
+		if err := gd.Log().Append(frame, lsn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := gd.SyncAll(); err != nil {
+	if err := gd.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if err := gd.Close(); err != nil {
@@ -320,9 +321,95 @@ func TestCheckpointScanReplayTail(t *testing.T) {
 	}
 }
 
+// TestScanMergesLegacyShardLogs: a directory written by the retired
+// sharded engine holds one log per shard writer, with the graph-level
+// LSNs interleaved across them. Scan merges them into one consecutive
+// tail, and once recovery's checkpoint covers it the reset sweeps every
+// s* directory, so a second recovery replays nothing stale.
+func TestScanMergesLegacyShardLogs(t *testing.T) {
+	dir := t.TempDir()
+	gd, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mirrorOf(16, nil)
+	if err := gd.Checkpoint(0, m, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := gd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logs := make([]*Log, 3)
+	for i := range logs {
+		// One record per segment, so retention has something to drop.
+		l, err := newLog(faultfs.OS, filepath.Join(walRoot(dir), fmt.Sprintf("s%d", i)), 32, SyncAlways, &stats.WalCounters{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[i] = l
+	}
+	for lsn := uint64(1); lsn <= 7; lsn++ {
+		ins := edges(uint32(lsn), uint32(lsn)+1)
+		if err := logs[(lsn*2)%3].Append(AppendRecord(nil, lsn, nil, ins), lsn); err != nil {
+			t.Fatal(err)
+		}
+		m.Apply(nil, ins)
+	}
+	for _, l := range logs {
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sc, err := Scan(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Gap || sc.Damaged || sc.Torn || len(sc.Records) != 7 {
+		t.Fatalf("merged scan = %d records gap=%v damaged=%v torn=%v, want 7 clean", len(sc.Records), sc.Gap, sc.Damaged, sc.Torn)
+	}
+	for i, rec := range sc.Records {
+		if rec.LSN != uint64(i+1) {
+			t.Fatalf("record %d has LSN %d, want the consecutive tail 1..7", i, rec.LSN)
+		}
+	}
+
+	// What recovery does next: reopen, checkpoint the replayed state,
+	// reset the logs. A second checkpoint makes LSN 7 the older retained
+	// one, so retention truncates below it — in every log directory.
+	gd, err = Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := gd.Checkpoint(sc.MaxLSN(), m, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if segs, err := listSegments(faultfs.OS, filepath.Join(walRoot(dir), "s1")); err != nil || len(segs) != 1 {
+		t.Fatalf("s1 holds %d segments after retention (%v), want only its newest", len(segs), err)
+	}
+	if err := gd.ResetLogs(); err != nil {
+		t.Fatal(err)
+	}
+	if err := gd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if dirs, err := logDirs(faultfs.OS, dir); err != nil || len(dirs) != 1 || dirs[0] != logDir(dir) {
+		t.Fatalf("log directories after reset = %v (%v), want only s0", dirs, err)
+	}
+	sc, err = Scan(faultfs.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Manifest.LSN != 7 || len(sc.Records) != 0 {
+		t.Fatalf("second scan = checkpoint LSN %d + %d records, want 7 + 0", sc.Manifest.LSN, len(sc.Records))
+	}
+}
+
 func TestScanGapStopsAtConsecutivePrefix(t *testing.T) {
 	dir := t.TempDir()
-	gd, err := Open(dir, 1, nil)
+	gd, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,12 +418,12 @@ func TestScanGapStopsAtConsecutivePrefix(t *testing.T) {
 	}
 	for _, lsn := range []uint64{1, 2, 4, 5} { // 3 missing
 		frame := AppendRecord(nil, lsn, nil, edges(0, uint32(lsn)))
-		if err := gd.Log(0).Append(frame, lsn); err != nil {
+		if err := gd.Log().Append(frame, lsn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	gd.SyncAll() //nolint:errcheck
-	gd.Close()   //nolint:errcheck
+	gd.Sync()  //nolint:errcheck
+	gd.Close() //nolint:errcheck
 	sc, err := Scan(faultfs.OS, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +439,7 @@ func TestScanGapStopsAtConsecutivePrefix(t *testing.T) {
 
 func TestScanFallsBackToOlderCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	gd, err := Open(dir, 1, nil)
+	gd, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +496,7 @@ func TestScanEmptyDirIsNoData(t *testing.T) {
 
 func TestCheckpointRetentionTruncatesLogs(t *testing.T) {
 	dir := t.TempDir()
-	gd, err := Open(dir, 1, &Options{SegmentBytes: 32}) // one record per segment
+	gd, err := Open(dir, &Options{SegmentBytes: 32}) // one record per segment
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +507,7 @@ func TestCheckpointRetentionTruncatesLogs(t *testing.T) {
 	for lsn := uint64(1); lsn <= 6; lsn++ {
 		ins := edges(uint32(lsn), uint32(lsn)+1)
 		frame := AppendRecord(nil, lsn, nil, ins)
-		if err := gd.Log(0).Append(frame, lsn); err != nil {
+		if err := gd.Log().Append(frame, lsn); err != nil {
 			t.Fatal(err)
 		}
 		m.Apply(nil, ins)
@@ -437,7 +524,7 @@ func TestCheckpointRetentionTruncatesLogs(t *testing.T) {
 	if err != nil || len(cks) != 2 {
 		t.Fatalf("checkpoints after retention = %d (%v), want 2", len(cks), err)
 	}
-	recs, _, _, err := readLogDir(faultfs.OS, sessionDir(dir, 0))
+	recs, _, _, err := readLogDir(faultfs.OS, logDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

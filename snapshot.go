@@ -126,22 +126,21 @@ func (s *CoreSnapshot) withUpdates(core []uint32, dirty []uint32, numEdges int64
 
 // SnapshotFromCores builds an immutable CoreSnapshot directly from a core
 // array (one full O(n) copy into private chunks). It exists for layers
-// that compute core numbers outside a Maintainer — the sharded engine's
-// scatter-gather merge (internal/shard) assembles its composite epochs
-// through it.
+// that compute core numbers outside a Maintainer — the disk backend
+// (internal/diskengine) publishes its first epoch through it.
 func SnapshotFromCores(core []uint32, numEdges int64) *CoreSnapshot {
 	return newCoreSnapshot(core, numEdges)
 }
 
 // WithUpdates derives a snapshot of core from s, sharing every chunk the
 // dirty set does not touch — the exported face of the copy-on-write delta
-// path, for composite publishers (internal/shard) that maintain their own
-// core arrays. dirty must contain every node whose core number differs
-// between s and core; supersets, duplicates and unchanged nodes are
-// tolerated. When s covers a different node count than core, the delta
-// cannot be trusted and the result falls back to a freshly built
-// snapshot, reported as every chunk copied. Reports how many chunks
-// were copied.
+// path, for publishers that maintain their own core array (the disk
+// backend, internal/diskengine). dirty must contain every node whose
+// core number differs between s and core; supersets, duplicates and
+// unchanged nodes are tolerated. When s covers a different node count
+// than core, the delta cannot be trusted and the result falls back to a
+// freshly built snapshot, reported as every chunk copied. Reports how
+// many chunks were copied.
 func (s *CoreSnapshot) WithUpdates(core []uint32, dirty []uint32, numEdges int64) (*CoreSnapshot, int) {
 	if uint32(len(core)) != s.n {
 		ns := newCoreSnapshot(core, numEdges)
