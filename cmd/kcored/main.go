@@ -15,9 +15,8 @@
 // The -graph flag names the default graph (served both at /g/default/...
 // and at the pre-registry single-graph routes); each -load name=path
 // flag opens an additional graph, and more can be added or dropped at
-// runtime through the /graphs admin endpoints. -apply-workers >= 2
-// applies each coalesced batch with that many region-parallel workers.
-// See internal/httpapi for the full route list.
+// runtime through the /graphs admin endpoints. See internal/httpapi for
+// the full route list.
 //
 // -data-dir turns on durability: every graph gets a write-ahead log and
 // checkpoints under <dir>/<name>/ (sync policy from -fsync, periodic
@@ -70,12 +69,11 @@ func main() {
 		batch     = flag.Int("batch", 256, "max updates coalesced into one batch")
 		flush     = flag.Duration("flush", 2*time.Millisecond, "max delay before pending updates are applied")
 		queueCap  = flag.Int("queue", 4096, "ingest queue capacity (enqueue blocks when full)")
-		applyW    = flag.Int("apply-workers", 0, "region-parallel flush width: >= 2 partitions each coalesced batch into component-disjoint regions applied by that many concurrent workers; 0 and 1 both select the sequential apply path (the default)")
 		blockSize = flag.Int("block", 4096, "I/O accounting block size B")
 		backend   = flag.String("backend", "", "serving backend for every opened graph: mem (the default: the paper's Section V scheme — one CSR file read through one-block buffers plus an in-memory insert/delete buffer, internal/dyngraph) or disk (beyond-RAM: adjacency stays on disk in partition files behind a bounded block cache, only the core arrays and a small update overlay are resident — with -data-dir too)")
 		cacheBlks = flag.Int("cache-blocks", 0, "disk backend block-cache budget in blocks of -block bytes (0 picks the default); resident adjacency is capped at cache-blocks*block bytes however large the graph")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the serving mux (see `make profile`); leave off in production")
-		dataDir   = flag.String("data-dir", "", "durability directory: every graph gets a write-ahead log and checkpoints under <dir>/<name>/, and a restart with the same -data-dir recovers all graphs (checkpoint + WAL replay) before opening any -graph/-load path anew. Mem graphs pay for it with one more resident copy of the adjacency (the mirror checkpoints are written from, mirror_arcs in /stats); disk-backed graphs do not — their checkpoints stream the partition files")
+		dataDir   = flag.String("data-dir", "", "durability directory: every graph gets a write-ahead log and checkpoints under <dir>/<name>/, and a restart with the same -data-dir recovers all graphs (checkpoint + WAL replay) before opening any -graph/-load path anew. It adds no resident copy of the adjacency on either backend: a checkpoint streams the graph's own files (checkpoint_block_reads in /stats)")
 		fsyncPol  = flag.String("fsync", "interval", "WAL sync policy with -data-dir: always (fsync every batch), interval (background fsync; a crash may lose the last unsynced batches), never (fsync only at checkpoints/shutdown)")
 		ckptEvery = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval with -data-dir (0 disables periodic checkpoints; one is still taken at startup and on clean shutdown)")
 		follow    = flag.String("follow", "", "leader base URL (http://host:port): run as a read replica of the leader's default graph instead of opening any graph locally; incompatible with -graph/-load")
@@ -107,7 +105,6 @@ func main() {
 			MaxBatch:      *batch,
 			FlushInterval: *flush,
 			QueueCapacity: *queueCap,
-			ApplyWorkers:  *applyW,
 		},
 		Open: kcore.OpenOptions{BlockSize: *blockSize},
 	}

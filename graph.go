@@ -117,6 +117,17 @@ func (g *Graph) HasEdge(u, v uint32) (bool, error) { return g.dyn.HasEdge(u, v) 
 // Flush forces buffered edits to be merged into the disk tables.
 func (g *Graph) Flush() error { return g.dyn.Compact() }
 
+// View is a pinned, read-only image of a Graph: Scan streams the
+// adjacency as it stood at Pin, from any goroutine, while the graph keeps
+// taking edits and compactions; Release frees it. The durable serving
+// shell (internal/engine) writes its checkpoints from one.
+type View = dyngraph.View
+
+// Pin captures a View of the graph as it stands, in O(update buffer)
+// time and memory and without reading the tables. Like every other
+// method it must not run concurrently with a mutation of g.
+func (g *Graph) Pin() (*View, error) { return g.dyn.Pin() }
+
 // IOStats reports the cumulative block I/O performed through this handle.
 func (g *Graph) IOStats() IOStats { return ioStatsFrom(g.ctr.Snapshot()) }
 

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -458,6 +459,25 @@ func TestKcoredPprofOptIn(t *testing.T) {
 	}
 }
 
+// TestKcoredRetiredFlags: the flags of retired subsystems (sharding, PR
+// 17; the region-parallel flush, PR 18) are gone from the flag set, so
+// the flag package refuses them with exit status 2 and the usage text
+// before anything is opened.
+func TestKcoredRetiredFlags(t *testing.T) {
+	for _, flag := range []string{"-shards", "-partitioner", "-apply-workers"} {
+		t.Run(flag, func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(binDir, "kcored"), "-graph", graphBase, "-addr", "127.0.0.1:0", flag, "2").CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("kcored %s 2: %v, want exit status 2\n%s", flag, err, out)
+			}
+			if !strings.Contains(string(out), "flag provided but not defined: "+flag) {
+				t.Fatalf("kcored %s 2 printed %q, want the flag package's refusal", flag, out)
+			}
+		})
+	}
+}
+
 // startKcoredProc is startKcored with the full argument list under the
 // test's control: it returns the base URL, the process handle (so the
 // test can signal it and wait for a graceful exit), and every stdout
@@ -613,12 +633,12 @@ func TestKcoredDataDirRoundTrip(t *testing.T) {
 
 // TestKcoredDurableDiskStats drives the process in the configuration
 // whose memory the durable disk backend exists for (-backend disk
-// -data-dir) and reads the answer to "how many adjacency copies are
-// resident" off /stats: no mirror, checkpoints that stream the partition
-// files and say what that cost, none of it charged to the engine's io
-// block — against a mem graph in the same process, which does keep a
-// mirror. Then SIGKILL and restart: what the streamed checkpoints and
-// the WAL hold recovers behind the disk backend again.
+// -data-dir) and reads how its checkpoints are made off /stats: they
+// stream the partition files and say what that cost, none of it charged
+// to the engine's io block — and so do those of a mem graph in the same
+// process, from its base tables. Then SIGKILL and restart: what the
+// streamed checkpoints and the WAL hold recovers behind the same
+// backends again.
 func TestKcoredDurableDiskStats(t *testing.T) {
 	dataDir := t.TempDir()
 	args := []string{"-graph", graphBase, "-addr", "127.0.0.1:0", "-flush", "1ms",
@@ -636,17 +656,16 @@ func TestKcoredDurableDiskStats(t *testing.T) {
 			Checkpoints          int64   `json:"checkpoints"`
 			CheckpointBlockReads int64   `json:"checkpoint_block_reads"`
 			CheckpointLastMs     float64 `json:"checkpoint_last_ms"`
-			MirrorArcs           *int64  `json:"mirror_arcs"`
 		} `json:"durability"`
 	}
 	var st graphStats
 	getJSON(t, http.StatusOK, base+"/stats", &st)
 	d := st.Durability
-	if st.Backend != "disk" || d == nil || d.MirrorArcs == nil {
-		t.Fatalf("stats = %+v, want a disk graph with a durability block that reports mirror_arcs", st)
+	if st.Backend != "disk" || d == nil {
+		t.Fatalf("stats = %+v, want a disk graph with a durability block", st)
 	}
-	if *d.MirrorArcs != 0 || d.Checkpoints != 1 || d.CheckpointBlockReads == 0 || d.CheckpointLastMs <= 0 {
-		t.Fatalf("after the opening checkpoint: %+v (mirror_arcs %d); want no mirror, and a streamed checkpoint with its block reads and duration", *d, *d.MirrorArcs)
+	if d.Checkpoints != 1 || d.CheckpointBlockReads == 0 || d.CheckpointLastMs <= 0 {
+		t.Fatalf("after the opening checkpoint: %+v; want a streamed checkpoint with its block reads and duration", *d)
 	}
 	opening := d.CheckpointBlockReads
 
@@ -663,12 +682,12 @@ func TestKcoredDurableDiskStats(t *testing.T) {
 		t.Fatalf("the checkpoint moved the engine's io.Reads from %d to %d", ioBefore, st.IO.Reads)
 	}
 
-	// The mem backend's mirror shows up in the same field.
+	// A mem graph's opening checkpoint streamed its base tables the same way.
 	postJSON(t, http.StatusCreated, base+"/graphs", fmt.Sprintf(`{"name":"m","path":%q}`, graphBase), new(struct{}))
 	var mem graphStats
 	getJSON(t, http.StatusOK, base+"/g/m/stats", &mem)
-	if mem.Backend != "mem" || mem.Durability == nil || mem.Durability.MirrorArcs == nil || *mem.Durability.MirrorArcs != 2*mem.Edges {
-		t.Fatalf("mem graph stats = %+v, want mirror_arcs = 2 x %d edges", mem, mem.Edges)
+	if d := mem.Durability; mem.Backend != "mem" || d == nil || d.Checkpoints != 1 || d.CheckpointBlockReads == 0 || mem.IO.Reads == 0 {
+		t.Fatalf("mem graph stats = %+v, want a streamed opening checkpoint next to the decomposition's own reads", mem)
 	}
 
 	postJSON(t, http.StatusOK, base+"/update?wait=1",
@@ -683,8 +702,12 @@ func TestKcoredDurableDiskStats(t *testing.T) {
 		t.Fatalf("restart after SIGKILL: %q, want both graphs back and the one record past the checkpoint replayed", startup)
 	}
 	getJSON(t, http.StatusOK, base2+"/stats", &st)
-	if d := st.Durability; st.Backend != "disk" || d == nil || d.LSN != 2 || *d.MirrorArcs != 0 {
-		t.Fatalf("recovered default graph stats = %+v, want the disk backend at lsn 2 without a mirror", st)
+	if d := st.Durability; st.Backend != "disk" || d == nil || d.LSN != 2 {
+		t.Fatalf("recovered default graph stats = %+v, want the disk backend at lsn 2", st)
+	}
+	getJSON(t, http.StatusOK, base2+"/g/m/stats", &mem)
+	if mem.Backend != "mem" || mem.Durability == nil || mem.Durability.Checkpoints == 0 {
+		t.Fatalf("recovered mem graph stats = %+v, want the mem backend with its post-recovery checkpoint", mem)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"kcore/internal/dyngraph"
 	"kcore/internal/emcore"
 	"kcore/internal/graph"
 	"kcore/internal/maintain"
@@ -93,8 +94,8 @@ type StoreOptions struct {
 
 // Store is the disk-backed dynamic graph: partition files behind a
 // bounded block cache plus the in-memory insert/delete overlay. It
-// implements maintain.NeighborGraph, so the paper's SemiInsert*/
-// SemiDelete* maintenance runs over it unchanged.
+// implements maintain.Graph, so the paper's SemiInsert*/SemiDelete*
+// maintenance runs over it unchanged.
 //
 // All mutation and all reads run on one goroutine (the serve writer);
 // the atomic gauges exist only so Stats/DiskStats can be read
@@ -363,12 +364,12 @@ func (st *Store) neighbors(v uint32) ([]uint32, error) {
 	if len(ins) == 0 && len(del) == 0 {
 		return disk, nil
 	}
-	st.mergeBuf = merge(disk, ins, del, st.mergeBuf)
+	st.mergeBuf = dyngraph.Merge(disk, ins, del, st.mergeBuf)
 	return st.mergeBuf, nil
 }
 
-// Neighbors implements maintain.NeighborGraph: the merged adjacency of
-// v, valid until the next store operation.
+// Neighbors returns the merged adjacency of v, valid until the next
+// store operation.
 func (st *Store) Neighbors(v uint32) ([]uint32, error) {
 	nbrs, err := st.neighbors(v)
 	if err != nil {
@@ -381,10 +382,10 @@ func (st *Store) Neighbors(v uint32) ([]uint32, error) {
 // HasEdge reports whether {u,v} is live: overlay first, then one
 // indexed partition read.
 func (st *Store) HasEdge(u, v uint32) (bool, error) {
-	if contains(st.del[u], v) {
+	if dyngraph.Contains(st.del[u], v) {
 		return false, nil
 	}
-	if contains(st.ins[u], v) {
+	if dyngraph.Contains(st.ins[u], v) {
 		return true, nil
 	}
 	disk, err := st.diskNeighbors(u, st.scratch[:0])
@@ -392,7 +393,7 @@ func (st *Store) HasEdge(u, v uint32) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return contains(disk, v), nil
+	return dyngraph.Contains(disk, v), nil
 }
 
 func (st *Store) checkPair(u, v uint32) error {
@@ -439,7 +440,7 @@ func (st *Store) DeleteEdge(u, v uint32) error {
 
 func (st *Store) insertTrusted(u, v uint32) error {
 	// An insert cancels a buffered delete of the same edge.
-	if contains(st.del[u], v) {
+	if dyngraph.Contains(st.del[u], v) {
 		st.removeBuffered(st.del, u, v)
 	} else {
 		st.addBuffered(st.ins, u, v)
@@ -449,7 +450,7 @@ func (st *Store) insertTrusted(u, v uint32) error {
 }
 
 func (st *Store) deleteTrusted(u, v uint32) error {
-	if contains(st.ins[u], v) {
+	if dyngraph.Contains(st.ins[u], v) {
 		st.removeBuffered(st.ins, u, v)
 	} else {
 		st.addBuffered(st.del, u, v)
@@ -459,15 +460,15 @@ func (st *Store) deleteTrusted(u, v uint32) error {
 }
 
 func (st *Store) addBuffered(m map[uint32][]uint32, u, v uint32) {
-	m[u] = insertSorted(m[u], v)
-	m[v] = insertSorted(m[v], u)
+	m[u] = dyngraph.InsertSorted(m[u], v)
+	m[v] = dyngraph.InsertSorted(m[v], u)
 	st.overlayArcs += 2
 	st.ovGauge.Store(int64(st.overlayArcs))
 }
 
 func (st *Store) removeBuffered(m map[uint32][]uint32, u, v uint32) {
-	m[u] = removeSorted(m[u], v)
-	m[v] = removeSorted(m[v], u)
+	m[u] = dyngraph.RemoveSorted(m[u], v)
+	m[v] = dyngraph.RemoveSorted(m[v], u)
 	if len(m[u]) == 0 {
 		delete(m, u)
 	}
@@ -530,7 +531,7 @@ func (st *Store) MergeOverlay() error {
 				if err != nil {
 					return err
 				}
-				out = merge(disk, st.ins[v], st.del[v], out)
+				out = dyngraph.Merge(disk, st.ins[v], st.del[v], out)
 				if err := fn(v, out); err != nil {
 					return err
 				}
@@ -629,50 +630,6 @@ func (st *Store) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint
 }
 
 var (
-	_ maintain.NeighborGraph = (*Store)(nil)
-	_ graph.Source           = (*Store)(nil)
+	_ maintain.Graph = (*Store)(nil)
+	_ graph.Source   = (*Store)(nil)
 )
-
-func contains(l []uint32, x uint32) bool {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })
-	return i < len(l) && l[i] == x
-}
-
-func insertSorted(l []uint32, x uint32) []uint32 {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })
-	l = append(l, 0)
-	copy(l[i+1:], l[i:])
-	l[i] = x
-	return l
-}
-
-func removeSorted(l []uint32, x uint32) []uint32 {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })
-	if i < len(l) && l[i] == x {
-		copy(l[i:], l[i+1:])
-		l = l[:len(l)-1]
-	}
-	return l
-}
-
-// merge overlays buffered inserts/deletes onto a disk adjacency list.
-// disk and ins are sorted and disjoint; del is a subset of disk.
-func merge(disk, ins, del, out []uint32) []uint32 {
-	out = out[:0]
-	i, j := 0, 0
-	for i < len(disk) || j < len(ins) {
-		var x uint32
-		if i < len(disk) && (j >= len(ins) || disk[i] <= ins[j]) {
-			x = disk[i]
-			i++
-			if contains(del, x) {
-				continue
-			}
-		} else {
-			x = ins[j]
-			j++
-		}
-		out = append(out, x)
-	}
-	return out
-}

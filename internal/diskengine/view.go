@@ -1,6 +1,7 @@
 package diskengine
 
 import (
+	"kcore/internal/dyngraph"
 	"kcore/internal/serve"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
@@ -41,19 +42,9 @@ func (st *Store) Pin() *View {
 	// The store edits its overlay lists in place, so the view needs its
 	// own; one backing array serves every list of both maps.
 	buf := make([]uint32, 0, st.overlayArcs)
-	vw.ins, buf = copyOverlay(st.ins, buf)
-	vw.del, _ = copyOverlay(st.del, buf)
+	vw.ins, buf = dyngraph.CopyOverlay(st.ins, buf)
+	vw.del, _ = dyngraph.CopyOverlay(st.del, buf)
 	return vw
-}
-
-func copyOverlay(m map[uint32][]uint32, buf []uint32) (map[uint32][]uint32, []uint32) {
-	out := make(map[uint32][]uint32, len(m))
-	for v, l := range m {
-		start := len(buf)
-		buf = append(buf, l...)
-		out[v] = buf[start:len(buf):len(buf)]
-	}
-	return out, buf
 }
 
 // Release drops the view's partition references; generations a merge
@@ -125,7 +116,7 @@ func (sc *viewScan) part(p *part, fn func(v uint32, nbrs []uint32) error) error 
 		}
 		sc.disk = nbrs
 		if ins, del := sc.vw.ins[v], sc.vw.del[v]; len(ins)+len(del) > 0 {
-			sc.out = merge(nbrs, ins, del, sc.out)
+			sc.out = dyngraph.Merge(nbrs, ins, del, sc.out)
 			nbrs = sc.out
 		}
 		if err := fn(v, nbrs); err != nil {

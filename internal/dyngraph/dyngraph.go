@@ -10,7 +10,6 @@ package dyngraph
 import (
 	"fmt"
 	"os"
-	"sort"
 
 	"kcore/internal/graph"
 	"kcore/internal/stats"
@@ -105,10 +104,10 @@ func (g *Graph) IOCounter() *stats.IOCounter { return g.ctr }
 // HasEdge reports whether {u,v} is currently present. It consults the
 // buffer first and falls back to one indexed disk read.
 func (g *Graph) HasEdge(u, v uint32) (bool, error) {
-	if contains(g.del[u], v) {
+	if Contains(g.del[u], v) {
 		return false, nil
 	}
-	if contains(g.ins[u], v) {
+	if Contains(g.ins[u], v) {
 		return true, nil
 	}
 	nbrs, err := g.disk.Neighbors(u, g.scratch[:0])
@@ -116,7 +115,7 @@ func (g *Graph) HasEdge(u, v uint32) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return contains(nbrs, v), nil
+	return Contains(nbrs, v), nil
 }
 
 // InsertEdge buffers the insertion of {u,v}. Inserting an existing edge
@@ -133,7 +132,7 @@ func (g *Graph) InsertEdge(u, v uint32) error {
 		return fmt.Errorf("dyngraph: edge (%d,%d) already present", u, v)
 	}
 	// An insert cancels a buffered delete of the same edge.
-	if contains(g.del[u], v) {
+	if Contains(g.del[u], v) {
 		g.removeBuffered(g.del, u, v)
 	} else {
 		g.addBuffered(g.ins, u, v)
@@ -155,44 +154,7 @@ func (g *Graph) DeleteEdge(u, v uint32) error {
 	if !present {
 		return fmt.Errorf("dyngraph: edge (%d,%d) not present", u, v)
 	}
-	if contains(g.ins[u], v) {
-		g.removeBuffered(g.ins, u, v)
-	} else {
-		g.addBuffered(g.del, u, v)
-	}
-	g.arcs -= 2
-	return g.maybeCompact()
-}
-
-// InsertEdgeTrusted buffers the insertion of {u,v} without the composite
-// presence probe — on an overlay miss that probe is a disk read, and it
-// is pure re-validation when the caller has already established the edge
-// is absent (the region-parallel flush validates every op against its
-// in-memory mirror, which is kept bit-identical to this graph). The
-// overlay bookkeeping is unchanged: a buffered delete of the same edge
-// is cancelled, otherwise the insert is buffered. Trust violated means
-// overlay corruption (a base edge in the insert buffer), so callers
-// without an exact replica must use InsertEdge.
-func (g *Graph) InsertEdgeTrusted(u, v uint32) error {
-	if err := g.checkPair(u, v); err != nil {
-		return err
-	}
-	if contains(g.del[u], v) {
-		g.removeBuffered(g.del, u, v)
-	} else {
-		g.addBuffered(g.ins, u, v)
-	}
-	g.arcs += 2
-	return g.maybeCompact()
-}
-
-// DeleteEdgeTrusted buffers the deletion of {u,v} the caller has already
-// validated as present; see InsertEdgeTrusted for the contract.
-func (g *Graph) DeleteEdgeTrusted(u, v uint32) error {
-	if err := g.checkPair(u, v); err != nil {
-		return err
-	}
-	if contains(g.ins[u], v) {
+	if Contains(g.ins[u], v) {
 		g.removeBuffered(g.ins, u, v)
 	} else {
 		g.addBuffered(g.del, u, v)
@@ -213,15 +175,15 @@ func (g *Graph) checkPair(u, v uint32) error {
 }
 
 func (g *Graph) addBuffered(m map[uint32][]uint32, u, v uint32) {
-	m[u] = insertSorted(m[u], v)
-	m[v] = insertSorted(m[v], u)
+	m[u] = InsertSorted(m[u], v)
+	m[v] = InsertSorted(m[v], u)
 	g.bufArcs += 2
 	g.noteBufferSize()
 }
 
 func (g *Graph) removeBuffered(m map[uint32][]uint32, u, v uint32) {
-	m[u] = removeSorted(m[u], v)
-	m[v] = removeSorted(m[v], u)
+	m[u] = RemoveSorted(m[u], v)
+	m[v] = RemoveSorted(m[v], u)
 	if len(m[u]) == 0 {
 		delete(m, u)
 	}
@@ -289,28 +251,6 @@ func (g *Graph) Compact() error {
 	return nil
 }
 
-// merge overlays buffered inserts/deletes onto a disk adjacency list.
-// disk and ins are sorted and disjoint; del is a subset of disk.
-func merge(disk, ins, del, out []uint32) []uint32 {
-	out = out[:0]
-	i, j := 0, 0
-	for i < len(disk) || j < len(ins) {
-		var x uint32
-		if i < len(disk) && (j >= len(ins) || disk[i] <= ins[j]) {
-			x = disk[i]
-			i++
-			if contains(del, x) {
-				continue
-			}
-		} else {
-			x = ins[j]
-			j++
-		}
-		out = append(out, x)
-	}
-	return out
-}
-
 // Neighbors returns the merged adjacency of v, appending into buf.
 func (g *Graph) Neighbors(v uint32, buf []uint32) ([]uint32, error) {
 	disk, err := g.disk.Neighbors(v, g.scratch[:0])
@@ -318,7 +258,7 @@ func (g *Graph) Neighbors(v uint32, buf []uint32) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return merge(disk, g.ins[v], g.del[v], buf), nil
+	return Merge(disk, g.ins[v], g.del[v], buf), nil
 }
 
 // Degree reports the merged degree of v (one indexed node-table read plus
@@ -346,37 +286,7 @@ func (g *Graph) Scan(vmin, vmax uint32, want func(v uint32) bool, fn func(v uint
 
 // ScanDynamic implements graph.Source over the merged view.
 func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
-	var out []uint32
-	return g.disk.ScanDynamic(vmin, vmaxFn, want, func(v uint32, disk []uint32) error {
-		ins, del := g.ins[v], g.del[v]
-		if len(ins) == 0 && len(del) == 0 {
-			return fn(v, disk)
-		}
-		out = merge(disk, ins, del, out)
-		return fn(v, out)
-	})
+	return g.disk.ScanDynamic(vmin, vmaxFn, want, overlaid(g.ins, g.del, fn))
 }
 
 var _ graph.Source = (*Graph)(nil)
-
-func contains(l []uint32, x uint32) bool {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })
-	return i < len(l) && l[i] == x
-}
-
-func insertSorted(l []uint32, x uint32) []uint32 {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })
-	l = append(l, 0)
-	copy(l[i+1:], l[i:])
-	l[i] = x
-	return l
-}
-
-func removeSorted(l []uint32, x uint32) []uint32 {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })
-	if i < len(l) && l[i] == x {
-		copy(l[i:], l[i+1:])
-		l = l[:len(l)-1]
-	}
-	return l
-}

@@ -1,0 +1,68 @@
+package dyngraph
+
+import (
+	"kcore/internal/stats"
+	"kcore/internal/storage"
+)
+
+// View is a pinned, read-only image of the graph as it stood at Pin:
+// its own read handles on the base tables that were current, a copy of
+// the update buffer, and the arc count. Nothing in it is O(m) — the
+// adjacency stays in the tables, and the handles keep those readable
+// however many compactions rename newer ones into their place while the
+// view lives. Scan streams it from any goroutine, concurrently with the
+// graph's owner; Release must follow.
+type View struct {
+	disk     *storage.Graph
+	ins, del map[uint32][]uint32
+	arcs     int64
+}
+
+// Pin captures a View. It must run on the goroutine that owns the graph
+// (under internal/serve, the writer: see ConcurrentSession.Do), reads no
+// table block and costs O(buffer), independent of the graph's size.
+func (g *Graph) Pin() (*View, error) {
+	disk, err := storage.Open(g.base, g.ctr) // Scan re-charges the reads
+	if err != nil {
+		return nil, err
+	}
+	vw := &View{disk: disk, arcs: g.arcs}
+	buf := make([]uint32, 0, g.bufArcs)
+	vw.ins, buf = CopyOverlay(g.ins, buf)
+	vw.del, _ = CopyOverlay(g.del, buf)
+	return vw, nil
+}
+
+// Release closes the view's table handles; tables a compaction replaced
+// in the meantime leave the disk here.
+func (vw *View) Release() { vw.disk.Close() }
+
+// NumNodes reports n.
+func (vw *View) NumNodes() uint32 { return vw.disk.NumNodes() }
+
+// NumArcs reports the arc count of the pinned adjacency.
+func (vw *View) NumArcs() int64 { return vw.arcs }
+
+// Scan calls fn once per node in id order with its merged (base + buffer)
+// neighbour list, valid during the call only. Both tables are read front
+// to back through the view's own one-block buffers: every block once,
+// charged to io, and checked against the CRC32C their header records
+// (storage.ScanVerified), so a table damaged under the running graph
+// fails the scan instead of being copied.
+func (vw *View) Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
+	return vw.disk.ScanVerified(io, overlaid(vw.ins, vw.del, fn))
+}
+
+// overlaid wraps a scan callback so that it sees each base list merged
+// with the buffered edits of its node.
+func overlaid(ins, del map[uint32][]uint32, fn func(v uint32, nbrs []uint32) error) func(uint32, []uint32) error {
+	var out []uint32
+	return func(v uint32, disk []uint32) error {
+		i, d := ins[v], del[v]
+		if len(i) == 0 && len(d) == 0 {
+			return fn(v, disk)
+		}
+		out = Merge(disk, i, d, out)
+		return fn(v, out)
+	}
+}

@@ -33,9 +33,9 @@ const (
 	crashOps   = 6
 )
 
-// crashBackends are the backends the sweeps run over: the mem backend
-// checkpoints a clone of its resident mirror, the disk backend streams a
-// view pinned on its partition store — different code writes the tables,
+// crashBackends are the backends the sweeps run over: a mem graph's
+// checkpoint streams a view pinned on its base tables, a disk graph's one
+// pinned on its partition store — different code reads the adjacency,
 // the same contract holds at every boundary.
 var crashBackends = []string{engine.BackendMem, engine.BackendDisk}
 

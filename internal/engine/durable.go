@@ -143,27 +143,23 @@ type walFailure struct{ err error }
 
 // durable wraps an inner engine with the durability layer. It owns the
 // graph-level commit point: a single mutex ordering LSN allocation and
-// adjacency-mirror patches against checkpoint captures and stats reads,
-// so the WAL is a linearized redo log of exactly what the writer applied.
+// feed appends against checkpoint captures and stats reads, so the WAL
+// is a linearized redo log of exactly what the writer applied.
 //
-// What a checkpoint is written from depends on the backend. A mem graph
-// keeps mirror, a resident copy of the adjacency patched at the commit
-// point and cloned per checkpoint. A disk-backed graph
-// keeps no copy at all: disk is set instead, and a checkpoint streams a
-// view pinned on the engine's own partition store (checkpoint below).
+// It keeps no copy of the adjacency on any backend: a checkpoint streams
+// a view pinned on the inner engine's own files (pin, checkpoint below).
 type durable struct {
 	name  string
 	inner Engine
-	disk  *diskengine.Engine // inner, when it is the disk backend; nil otherwise
+	pin   pinFunc
 	gd    *wal.GraphDir
 	ctr   *stats.WalCounters
 	opts  DurabilityOptions
 	g     *kcore.Graph // owned live graph handle (single-writer recovery); may be nil
 
-	mu     sync.Mutex // the commit point: guards lsn + mirror + feed order
-	lsn    uint64
-	mirror *wal.Mirror // nil for the disk backend
-	feed   *wal.Feed   // replica change-stream window, appended under mu
+	mu   sync.Mutex // the commit point: guards lsn + feed order
+	lsn  uint64
+	feed *wal.Feed // replica change-stream window, appended under mu
 
 	enc []byte // record scratch, owned by the writer goroutine
 
@@ -189,56 +185,73 @@ func newDurable(name string, opts DurabilityOptions) *durable {
 	}
 }
 
-// seedMirror populates the adjacency mirror from the graph a mem engine
-// will serve, before any update can flow.
-func (d *durable) seedMirror(g *kcore.Graph) error {
-	m := wal.NewMirror(g.NumNodes())
-	if err := g.VisitEdges(func(u, v uint32) error {
-		m.Seed(u, v)
-		return nil
-	}); err != nil {
-		return err
+// pinFunc captures the inner engine's graph on its writer goroutine,
+// behind everything enqueued before the call (serve.ConcurrentSession.Do):
+// a view of the adjacency that costs O(update buffer) to take and streams
+// from any goroutine afterwards, and the epoch published at that same
+// flush boundary, whose cores are therefore exactly the view's. at runs
+// at the boundary too — the shell reads its LSN there. The writer goes
+// back to applying updates as soon as the capture returns; the caller
+// must call release once it has streamed the view.
+type pinFunc func(at func()) (src wal.Source, ep *serve.Epoch, release func(), err error)
+
+// pinMem is the mem backend's pinFunc: a kcore.View of g, the graph eng
+// serves.
+func pinMem(eng *serve.ConcurrentSession, g *kcore.Graph) pinFunc {
+	return func(at func()) (wal.Source, *serve.Epoch, func(), error) {
+		var (
+			vw     *kcore.View
+			ep     *serve.Epoch
+			pinErr error
+		)
+		err := eng.Do(func() {
+			vw, pinErr = g.Pin()
+			ep = eng.Snapshot()
+			at()
+		})
+		if err == nil {
+			err = pinErr
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return vw, ep, vw.Release, nil
 	}
-	m.Finish()
-	d.mirror = m
-	return nil
+}
+
+// pinDisk is the disk backend's pinFunc: a view of eng's partition store.
+func pinDisk(eng *diskengine.Engine) pinFunc {
+	return func(at func()) (wal.Source, *serve.Epoch, func(), error) {
+		vw, err := eng.Pin(at)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return vw, vw.Epoch, vw.Release, nil
+	}
 }
 
 // onApply is the durability hook, chained onto the writer session's
 // OnApply callback. It runs post-apply on the writer goroutine with the
 // exact net batch; under the commit point it stamps the batch with the
-// next LSN and patches the mirror (where there is one), then appends the
-// framed record to the log outside the lock (appends are already ordered
-// by the writer goroutine).
+// next LSN, then appends the framed record to the log outside the lock
+// (appends are already ordered by the writer goroutine). Recovery
+// replays through the normal update path, and its records already exist.
 func (d *durable) onApply(deletes, inserts []kcore.Edge) {
-	if len(deletes)+len(inserts) == 0 {
-		return
-	}
-	if d.replaying.Load() {
-		// Recovery replays through the normal update path; the records
-		// already exist, so just keep the mirror in step.
-		if d.mirror != nil {
-			d.mu.Lock()
-			d.mirror.Apply(deletes, inserts)
-			d.mu.Unlock()
-		}
+	if len(deletes)+len(inserts) == 0 || d.replaying.Load() {
 		return
 	}
 	d.mu.Lock()
 	d.lsn++
 	lsn := d.lsn
-	if d.mirror != nil {
-		d.mirror.Apply(deletes, inserts)
-	}
 	// The feed append must happen under the commit point: LSNs are
 	// allocated here, and the feed's contract is strictly increasing,
 	// gap-free appends (followers replay it in order).
 	d.feed.Append(lsn, deletes, inserts)
 	d.mu.Unlock()
 	if d.broken.Load() != nil {
-		// The log already failed: the LSN and the mirror keep tracking
-		// what the writer applies (a checkpoint must describe the served
-		// state), but appending out-of-order would corrupt the log further.
+		// The log already failed: the LSN keeps tracking what the writer
+		// applies (the feed and /stats describe the served state), but
+		// appending out-of-order would corrupt the log further.
 		return
 	}
 	d.enc = wal.AppendRecord(d.enc[:0], lsn, deletes, inserts)
@@ -302,49 +315,25 @@ func (d *durable) startLoops() {
 	}
 }
 
-// checkpoint persists the graph's adjacency as of one exact LSN. It
-// serializes with other checkpoints and starts with a barrier on the
-// inner engine, so the checkpoint covers everything enqueued so far.
-//
-// On the disk backend the barrier itself is the capture: the writer
-// pins the current partition generations, copies the overlay and notes
-// the LSN and epoch — all at one flush boundary, so the stored cores
-// always match — and goes back to applying updates while the view is
-// streamed to the checkpoint tables from this goroutine.
-//
-// Elsewhere the mirror is cloned under the commit point, and the core
-// numbers are stored only when the graph was quiescent across the
-// capture (so the array provably matches the adjacency at that LSN).
+// checkpoint persists the graph's adjacency and core numbers as of one
+// exact LSN. It serializes with other checkpoints and starts with a
+// barrier on the inner engine, so the checkpoint covers everything
+// enqueued so far. The barrier itself is the capture (pinFunc): view,
+// epoch and LSN are all taken at one flush boundary, so the stored cores
+// always match the stored adjacency, and the writer goes back to
+// applying updates while the view is streamed to the checkpoint tables
+// from this goroutine.
 func (d *durable) checkpoint() error {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	t0 := time.Now()
-	var (
-		lsn   uint64
-		src   wal.Source
-		cores []uint32
-	)
-	if d.disk != nil {
-		vw, err := d.disk.Pin(func() { lsn = d.CurrentLSN() })
-		if err != nil {
-			return err
-		}
-		defer vw.Release()
-		src, cores = vw, vw.Epoch.Cores()
-	} else {
-		if err := d.inner.Sync(); err != nil {
-			return err
-		}
-		d.mu.Lock()
-		lsn = d.lsn
-		src = d.mirror.Clone()
-		d.mu.Unlock()
-		ep := d.inner.Snapshot()
-		if d.CurrentLSN() == lsn {
-			cores = ep.Cores()
-		}
+	var lsn uint64
+	src, ep, release, err := d.pin(func() { lsn = d.CurrentLSN() })
+	if err != nil {
+		return err
 	}
-	if err := d.gd.Checkpoint(lsn, src, cores); err != nil {
+	defer release()
+	if err := d.gd.Checkpoint(lsn, src, ep.Cores()); err != nil {
 		return err
 	}
 	d.ctr.SetCheckpointLast(time.Since(t0))
@@ -426,15 +415,8 @@ func (d *durable) Unwrap() Engine { return d.inner }
 
 // DurabilityStats implements DurabilityStatser.
 func (d *durable) DurabilityStats() stats.WalSnapshot {
-	var mirrorArcs int64
-	d.mu.Lock()
-	d.ctr.SetLSN(d.lsn)
-	if d.mirror != nil {
-		mirrorArcs = d.mirror.NumArcs()
-	}
-	d.mu.Unlock()
+	d.ctr.SetLSN(d.CurrentLSN())
 	s := d.ctr.Snapshot()
-	s.MirrorArcs = mirrorArcs
 	s.CheckpointBlockReads = d.gd.IO().Snapshot().Reads
 	return s
 }

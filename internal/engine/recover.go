@@ -152,23 +152,16 @@ func (r *Registry) buildDurable(name, dir, base string, c BackendConfig) (*durab
 }
 
 // assembleDurable builds the durable shell around a serving engine for
-// g: log opened, hook chained, and — except on the disk backend, whose
-// checkpoints stream its own partition store — the mirror seeded from g.
-// The backend is routed on c.Backend — the WAL shell is the same for
-// both, only the inner engine construction and the checkpoint source
-// differ. When replaying is set the shell starts in replay mode (records
-// are not re-logged) and background loops are not started; the recovery
-// path finishes that. On error the graph handle has been closed.
+// g: log opened, hook chained, pin function set. The backend is routed
+// on c.Backend — the WAL shell is the same for both, only the inner
+// engine construction and what its pinned view reads differ. When
+// replaying is set the shell starts in replay mode (records are not
+// re-logged) and background loops are not started; the recovery path
+// finishes that. On error the graph handle has been closed.
 func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendConfig, replaying bool) (*durable, error) {
 	d := newDurable(name, *r.dur)
 	if replaying {
 		d.replaying.Store(true)
-	}
-	if c.Backend != BackendDisk {
-		if err := d.seedMirror(g); err != nil {
-			g.Close() //nolint:errcheck // seed error wins
-			return nil, err
-		}
 	}
 	gd, err := wal.Open(dir, &wal.Options{
 		FS:           r.dur.FS,
@@ -210,7 +203,7 @@ func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendCo
 			gd.Close() //nolint:errcheck // engine error wins
 			return nil, err
 		}
-		d.inner, d.disk = eng, eng
+		d.inner, d.pin = eng, pinDisk(eng)
 		return d, nil
 	}
 	eng, err := serve.New(g, &so)
@@ -219,7 +212,7 @@ func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendCo
 		g.Close()  //nolint:errcheck
 		return nil, err
 	}
-	d.inner = eng
+	d.inner, d.pin = eng, pinMem(eng, g)
 	d.g = g // the durable shell owns the live graph handle
 	return d, nil
 }
@@ -376,8 +369,8 @@ func (r *Registry) recoverGraph(name string) (gr GraphRecovery) {
 		degradedReason = sc.Reason
 	}
 	if degradedReason == "" && sc.Cores != nil {
-		// The quiescent checkpoint stored its core numbers; the recovered
-		// adjacency must decompose to exactly them (core numbers are
+		// The checkpoint stored the core numbers of its adjacency; what
+		// was recovered must decompose to exactly them (core numbers are
 		// unique per graph), or something is silently inconsistent.
 		if !slices.Equal(d.inner.Snapshot().Cores(), sc.Cores) {
 			degradedReason = "checkpoint core numbers disagree with recovered adjacency"

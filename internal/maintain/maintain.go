@@ -18,9 +18,8 @@ import (
 // Graph is the dynamic-graph surface a maintenance session drives: the
 // read contract of graph.Source plus single-edge mutation and presence
 // checks. internal/dyngraph.Graph (the paper's disk-plus-buffer scheme)
-// is the canonical implementation; internal/serve's in-memory mirror is
-// another, so the same algorithms run region-parallel over shared
-// memory without touching the disk path.
+// is the canonical implementation; internal/diskengine.Store (partition
+// files behind a block cache, plus an overlay) is the other.
 type Graph interface {
 	graph.Source
 	// InsertEdge adds {u,v}; inserting a present edge or a self-loop is
@@ -33,14 +32,6 @@ type Graph interface {
 	HasEdge(u, v uint32) (bool, error)
 	// NumEdges reports the current undirected edge count.
 	NumEdges() int64
-}
-
-// NeighborGraph is the optional random-access extension of Graph that
-// the worklist-driven region converge needs (semicore.LocalConverger):
-// adjacency by node, no window scan.
-type NeighborGraph interface {
-	Graph
-	Neighbors(v uint32) ([]uint32, error)
 }
 
 // Session is a maintenance session over a dynamic graph.
@@ -59,10 +50,6 @@ type Session struct {
 	// of the (possibly large) candidate flood is amortised across
 	// operations instead of reallocated per call.
 	dirtyBuf []uint32
-	// seedBuf and localConv are the scratch of BatchDeleteRegion: the
-	// violated-endpoint seeds and the worklist converge's stamp array.
-	seedBuf   []uint32
-	localConv semicore.LocalConverger
 	// Trace, when non-nil, observes each iteration of each operation.
 	Trace semicore.Trace
 }

@@ -3,11 +3,9 @@ package serve_test
 import (
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"kcore"
 	"kcore/internal/engine"
@@ -313,138 +311,6 @@ func BenchmarkServeLargeMixedWorkload(b *testing.B) {
 	wg.Wait()
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-}
-
-// Flood-benchmark fixture: a block-diagonal social graph whose
-// disconnected communities are exactly the independent regions the
-// parallel flush partitions a batch into. The interleaved edge order
-// round-robins across blocks so every contiguous flood window spans all
-// of them — each coalesced batch splits into floodBenchBlocks regions.
-const (
-	floodBenchBlocks     = 8
-	floodBenchBlockNodes = uint32(1) << 12 // 2^12 nodes per block, 2^15 total
-	floodBatch           = 1024            // updates per flush (MaxBatch = one Sync window)
-)
-
-var floodBenchFixture struct {
-	once  sync.Once
-	csr   *memgraph.CSR
-	order []kcore.Edge // stored edges, round-robin interleaved across blocks
-}
-
-// openFloodGraph opens the block-diagonal flood fixture and returns the
-// handle plus the interleaved update order.
-func openFloodGraph(tb testing.TB) (*kcore.Graph, []kcore.Edge) {
-	tb.Helper()
-	floodBenchFixture.once.Do(func() {
-		raw := testutil.BlockDiagonalSocial(floodBenchBlocks, floodBenchBlockNodes, 61)
-		csr, err := memgraph.FromEdges(uint32(floodBenchBlocks)*floodBenchBlockNodes, raw)
-		if err != nil {
-			panic(err)
-		}
-		perBlock := make([][]kcore.Edge, floodBenchBlocks)
-		for _, e := range csr.EdgeList() {
-			bl := e.U / floodBenchBlockNodes
-			perBlock[bl] = append(perBlock[bl], e)
-		}
-		var order []kcore.Edge
-		for i := 0; ; i++ {
-			added := false
-			for bl := range perBlock {
-				if i < len(perBlock[bl]) {
-					order = append(order, perBlock[bl][i])
-					added = true
-				}
-			}
-			if !added {
-				break
-			}
-		}
-		floodBenchFixture.csr, floodBenchFixture.order = csr, order
-	})
-	base := filepath.Join(tb.TempDir(), "flood")
-	if err := graphio.WriteCSR(base, floodBenchFixture.csr, nil); err != nil {
-		tb.Fatal(err)
-	}
-	g, err := kcore.Open(base, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { g.Close() })
-	return g, floodBenchFixture.order
-}
-
-// benchParallelFlood measures pure flush-path throughput — the
-// SemiInsert/SemiDelete-flood regime where the writer, not the readers,
-// is the bottleneck: updates arrive in floodBatch-sized windows (a whole
-// delete pass over the edge list, then a whole insert pass, so every
-// update is valid and nothing annihilates in the coalescer) and every
-// window ends in a Sync, so the clock measures coalesce + apply +
-// publish with no read traffic. workers=1 is the sequential baseline
-// (the disk-backed dyngraph apply path); workers>=2 partitions each
-// batch into component-disjoint regions applied concurrently against
-// the in-memory mirror. Honest accounting: part of the updates/s ratio
-// between the two columns is the mirror's in-memory adjacency beating the
-// dyngraph's buffered window scans — on a single-core runner that is
-// most of it; real worker concurrency (recorded via the gomaxprocs
-// metric on each entry) adds on top.
-func benchParallelFlood(b *testing.B, workers int) {
-	g, order := openFloodGraph(b)
-	sess, err := serve.New(g, &serve.Options{
-		MaxBatch:      floodBatch,
-		FlushInterval: time.Minute,
-		ApplyWorkers:  workers,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sess.Close()
-
-	batch := make([]serve.Update, 0, floodBatch)
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		sz := floodBatch
-		if rem := b.N - done; rem < sz {
-			sz = rem
-		}
-		batch = batch[:0]
-		for j := 0; j < sz; j++ {
-			i := done + j
-			e := order[i%len(order)]
-			op := serve.OpDelete
-			if (i/len(order))%2 == 1 {
-				op = serve.OpInsert
-			}
-			batch = append(batch, serve.Update{Op: op, U: e.U, V: e.V})
-		}
-		if err := sess.Enqueue(batch...); err != nil {
-			b.Fatal(err)
-		}
-		if err := sess.Sync(); err != nil {
-			b.Fatal(err)
-		}
-		done += sz
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-	st := sess.Stats()
-	if workers > 1 && b.N >= floodBatch && st.ParallelApplies == 0 {
-		b.Fatalf("flood never took the region-parallel path: %+v", st)
-	}
-	b.ReportMetric(float64(st.ParallelApplies), "parallel_applies")
-	b.ReportMetric(float64(st.SeqFallbacks), "seq_fallbacks")
-}
-
-// BenchmarkServeParallelApplyFlood compares flush-path throughput under
-// an update flood with the sequential apply and the region-parallel
-// apply (4 workers).
-func BenchmarkServeParallelApplyFlood(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchParallelFlood(b, workers)
-		})
-	}
 }
 
 // writeBenchGraph materialises a graph fixture on disk for registry

@@ -108,15 +108,6 @@ type Options struct {
 	// QueueCapacity bounds the ingest queue; enqueueing blocks when it is
 	// full (backpressure). 0 selects 4096.
 	QueueCapacity int
-	// ApplyWorkers sets the width of the region-parallel flush: net-effect
-	// batches are partitioned into component-disjoint regions and applied
-	// by up to this many concurrent workers over an in-memory mirror of
-	// the graph (parallel.go). Values <= 1 (the default) keep the pure
-	// sequential apply path; the parallel path also falls back to it per
-	// flush when the batch is tiny or forms a single connected region.
-	// Publication semantics are identical on both paths: one epoch per
-	// flush, cores bit-identical to the sequential writer's.
-	ApplyWorkers int
 	// Counters receives serving metrics; nil allocates a private set.
 	Counters *stats.ServeCounters
 	// OnPublish, when non-nil, observes every published epoch from the
@@ -198,10 +189,8 @@ type Backend interface {
 	SnapshotDelta(prev *kcore.CoreSnapshot, dirty []uint32) (*kcore.CoreSnapshot, int)
 }
 
-// kcoreBackend adapts the in-memory serving pair (graph + maintainer)
-// to the Backend surface. It is the path serve.New wires up; the
-// concrete g/m fields additionally stay set on the session because the
-// region-parallel applier needs them (mirror build + ApplyPrepared).
+// kcoreBackend adapts the mem serving pair (graph + maintainer) to the
+// Backend surface. It is the path serve.New wires up.
 type kcoreBackend struct {
 	g *kcore.Graph
 	m *kcore.Maintainer
@@ -237,13 +226,7 @@ type envelope struct {
 // the single writer goroutine). See the package comment for the
 // consistency model.
 type ConcurrentSession struct {
-	// b is the maintained state being served. g/m are the concrete
-	// in-memory pair behind it when the session was built by New; they
-	// stay nil for NewBackend sessions, which therefore never take the
-	// region-parallel path (it needs the mirror and ApplyPrepared).
-	b    Backend
-	g    *kcore.Graph
-	m    *kcore.Maintainer
+	b    Backend // the maintained state being served
 	opts Options
 	ctr  *stats.ServeCounters
 
@@ -257,13 +240,6 @@ type ConcurrentSession struct {
 	dirtyStamp   []uint32
 	stampGen     uint32
 	dirtyScratch []uint32
-
-	// Writer-owned parallel-apply engine (parallel.go): built lazily on
-	// the first flush that qualifies, dropped (parBroken) on any mirror
-	// divergence or build failure so the session degrades to the
-	// sequential path instead of trusting a bad mirror.
-	par       *parallelApplier
-	parBroken bool
 
 	mu     sync.RWMutex // guards closed against concurrent sends
 	closed bool
@@ -290,8 +266,6 @@ func New(g *kcore.Graph, opts *Options) (*ConcurrentSession, error) {
 	}
 	s := &ConcurrentSession{
 		b:          kcoreBackend{g: g, m: m},
-		g:          g,
-		m:          m,
 		opts:       o,
 		ctr:        o.Counters,
 		queue:      make(chan envelope, o.QueueCapacity),
@@ -305,11 +279,9 @@ func New(g *kcore.Graph, opts *Options) (*ConcurrentSession, error) {
 
 // NewBackend starts a session over an already-decomposed Backend,
 // publishing its current state as epoch 0. Unlike New it runs no
-// initial decomposition — the backend arrives maintained — and it never
-// takes the region-parallel apply path (batches go through the
-// backend's own InsertEdges/DeleteEdges). Everything else — coalescing,
-// annihilation, O(changed) copy-on-write publication, memo repair,
-// OnApply hooks — is the same writer the in-memory path uses, so a
+// initial decomposition — the backend arrives maintained. Everything
+// else — coalescing, annihilation, O(changed) copy-on-write publication,
+// memo repair, OnApply hooks — is the same writer New starts, so a
 // disk-backed engine serves and repairs exactly like the mem path.
 // The caller keeps ownership of b but must not mutate it while the
 // session is open.

@@ -161,7 +161,7 @@ func (s *ConcurrentSession) flush(pending []Update, internal bool) {
 		key := uint64(u)<<32 | uint64(v)
 		st, ok := states[key]
 		if !ok {
-			present, err := s.hasEdge(u, v)
+			present, err := s.b.HasEdge(u, v)
 			if err != nil {
 				s.fail(fmt.Errorf("serve: validate %s (%d,%d): %w", up.Op, u, v, err))
 				// Nothing from this flush reaches the published state:
@@ -204,11 +204,7 @@ func (s *ConcurrentSession) flush(pending []Update, internal bool) {
 	s.ctr.NoteAnnihilated(annihilated)
 
 	// Deletes first: each edge carries at most one net op, so the two
-	// same-kind batches touch disjoint edges and commute. applyBatches
-	// (parallel.go) routes through the region-parallel path when the
-	// session is configured for it and the batch splits into independent
-	// regions, and through the sequential maintainer batches otherwise;
-	// the resulting state is bit-identical either way.
+	// same-kind batches touch disjoint edges and commute.
 	applied, dirty, err := s.applyBatches(deletes, inserts)
 	if err != nil {
 		s.fail(err)
@@ -228,6 +224,37 @@ func (s *ConcurrentSession) flush(pending []Update, internal bool) {
 		}
 		s.publishDelta(applied, dirty)
 	}
+}
+
+// applyBatches runs the net flush through the backend — the delete
+// batch, then the insert batch — and returns the applied count plus the
+// concatenated raw dirty sets. On error the caller must fail the
+// session; nothing has been published.
+func (s *ConcurrentSession) applyBatches(deletes, inserts []kcore.Edge) (applied int, dirty []uint32, err error) {
+	apply := func(op Op, edges []kcore.Edge) error {
+		if len(edges) == 0 {
+			return nil
+		}
+		var info kcore.RunInfo
+		var err error
+		if op == OpInsert {
+			info, err = s.b.InsertEdges(edges)
+		} else {
+			info, err = s.b.DeleteEdges(edges)
+		}
+		if err != nil {
+			return fmt.Errorf("serve: apply %s batch of %d: %w", op, len(edges), err)
+		}
+		s.ctr.NoteBatch(len(edges))
+		applied += len(edges)
+		dirty = append(dirty, info.Dirty...)
+		return nil
+	}
+	if err := apply(OpDelete, deletes); err != nil {
+		return applied, dirty, err
+	}
+	err = apply(OpInsert, inserts)
+	return applied, dirty, err
 }
 
 // validSoFar counts the replayed updates that passed validation — the

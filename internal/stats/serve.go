@@ -33,11 +33,6 @@ type ServeCounters struct {
 	cowChunksTotal  atomic.Int64 // snapshot chunks a full copy would have written
 	memoRepairs     atomic.Int64 // epoch memos repaired from a predecessor instead of rebuilt
 	adaptiveBatch   atomic.Int64 // gauge: the writer's current adaptive MaxBatch
-
-	parallelApplies atomic.Int64 // flushes applied by the region-parallel path
-	applyRegionsSum atomic.Int64 // independent regions across parallel applies
-	applyWorkersSum atomic.Int64 // distinct workers used across parallel applies
-	seqFallbacks    atomic.Int64 // flushes a parallel-configured writer applied sequentially
 }
 
 // NoteEnqueued records n updates accepted into the ingest queue.
@@ -99,20 +94,6 @@ func (c *ServeCounters) NoteMemoRepair() { c.memoRepairs.Add(1) }
 // the writer currently flushes at.
 func (c *ServeCounters) SetAdaptiveBatch(n int) { c.adaptiveBatch.Store(int64(n)) }
 
-// NoteParallelApply records one flush applied by the region-parallel
-// path: how many component-disjoint regions the batch split into and how
-// many distinct workers they were assigned to.
-func (c *ServeCounters) NoteParallelApply(regions, workers int) {
-	c.parallelApplies.Add(1)
-	c.applyRegionsSum.Add(int64(regions))
-	c.applyWorkersSum.Add(int64(workers))
-}
-
-// NoteSeqFallback records one flush a parallel-configured writer applied
-// sequentially instead (batch too small, a single connected region, or
-// no usable mirror).
-func (c *ServeCounters) NoteSeqFallback() { c.seqFallbacks.Add(1) }
-
 // Epoch reports the sequence number of the last published epoch.
 func (c *ServeCounters) Epoch() uint64 { return c.epoch.Load() }
 
@@ -137,11 +118,6 @@ func (c *ServeCounters) Snapshot(now time.Time) ServeSnapshot {
 		CowChunksTotal:  c.cowChunksTotal.Load(),
 		MemoRepairs:     c.memoRepairs.Load(),
 		AdaptiveBatch:   c.adaptiveBatch.Load(),
-
-		ParallelApplies: c.parallelApplies.Load(),
-		ApplyRegionsSum: c.applyRegionsSum.Load(),
-		ApplyWorkersSum: c.applyWorkersSum.Load(),
-		SeqFallbacks:    c.seqFallbacks.Load(),
 	}
 	if nanos := c.published.Load(); nanos != 0 {
 		s.EpochAge = now.Sub(time.Unix(0, nanos))
@@ -170,11 +146,6 @@ type ServeSnapshot struct {
 	CowChunksTotal  int64 `json:"cow_chunks_total"`
 	MemoRepairs     int64 `json:"memo_repairs"`
 	AdaptiveBatch   int64 `json:"adaptive_max_batch"`
-
-	ParallelApplies int64 `json:"parallel_applies"`
-	ApplyRegionsSum int64 `json:"apply_regions_sum"`
-	ApplyWorkersSum int64 `json:"apply_workers_sum"`
-	SeqFallbacks    int64 `json:"seq_fallbacks"`
 }
 
 // CacheHitRate reports the fraction of memoized epoch queries served
@@ -213,13 +184,4 @@ func (s ServeSnapshot) CowShareRate() float64 {
 		return 0
 	}
 	return 1 - float64(s.CowChunksCopied)/float64(s.CowChunksTotal)
-}
-
-// RegionsPerParallelApply reports the average number of independent
-// regions per region-parallel flush; 0 before the first one.
-func (s ServeSnapshot) RegionsPerParallelApply() float64 {
-	if s.ParallelApplies == 0 {
-		return 0
-	}
-	return float64(s.ApplyRegionsSum) / float64(s.ParallelApplies)
 }

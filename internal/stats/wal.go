@@ -74,27 +74,23 @@ func (c *WalCounters) Snapshot() WalSnapshot {
 }
 
 // WalSnapshot is an immutable copy of WalCounters, shaped for the
-// per-graph stats JSON. CheckpointBlockReads and MirrorArcs are not
-// counters of this struct's: the durable shell fills them in from the
-// checkpoint I/O counter and from its adjacency mirror (which a
-// disk-backed graph does not have).
+// per-graph stats JSON. CheckpointBlockReads is not a counter of this
+// struct's: the durable shell fills it in from the checkpoint I/O
+// counter.
 type WalSnapshot struct {
 	Appends     int64 `json:"wal_appends"`
 	Bytes       int64 `json:"wal_bytes"`
 	Fsyncs      int64 `json:"wal_fsyncs"`
 	Checkpoints int64 `json:"checkpoints"`
 	// CheckpointBlockReads counts the blocks checkpoints have read to
-	// stream their source (partition files, on the disk backend); they
-	// never appear in the engine's own io counters.
+	// stream their pinned view (the base tables of a mem graph, the
+	// partition files of a disk one); they never appear in the engine's
+	// own io counters.
 	CheckpointBlockReads int64 `json:"checkpoint_block_reads"`
 	// CheckpointLastMs is the duration of the newest completed checkpoint.
 	CheckpointLastMs float64 `json:"checkpoint_last_ms"`
-	// MirrorArcs is the size of the resident adjacency copy checkpoints
-	// are written from: the graph's arc count on the mem backend, 0 on
-	// the disk backend.
-	MirrorArcs int64  `json:"mirror_arcs"`
-	Replayed   int64  `json:"replayed_records"`
-	RecoveryNs int64  `json:"recovery_ns"`
-	LSN        uint64 `json:"lsn"`
-	Degraded   bool   `json:"degraded"`
+	Replayed         int64   `json:"replayed_records"`
+	RecoveryNs       int64   `json:"recovery_ns"`
+	LSN              uint64  `json:"lsn"`
+	Degraded         bool    `json:"degraded"`
 }

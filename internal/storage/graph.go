@@ -313,6 +313,33 @@ func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint3
 	return nil
 }
 
+// ScanVerified is a Scan of every node for a reader that must not take
+// the tables on trust (a checkpoint about to copy them): reads are
+// charged to io from here on, not to the counter the graph was opened
+// with, and the CRC32C of each table, accumulated block by block as the
+// pass loads them, must match the header's — the check Verify makes,
+// folded into the one pass. fn sees nothing it could not see from Scan;
+// a mismatch is reported after the last node. Headers without checksums
+// (graphs from older builders) pass unchecked, as in Verify.
+func (g *Graph) ScanVerified(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
+	g.io = io
+	g.nt.rescan(io)
+	g.et.rescan(io)
+	if err := g.ScanDynamic(0, func() uint32 { return g.meta.N }, nil, fn); err != nil {
+		return err
+	}
+	if !g.meta.HasCRC {
+		return nil
+	}
+	if crc, whole := g.nt.scannedCRC(); !whole || crc != g.meta.NtCRC {
+		return fmt.Errorf("storage: verify %s: node table crc %08x (whole=%v), want %08x", g.base, crc, whole, g.meta.NtCRC)
+	}
+	if crc, whole := g.et.scannedCRC(); !whole || crc != g.meta.EtCRC {
+		return fmt.Errorf("storage: verify %s: edge table crc %08x (whole=%v), want %08x", g.base, crc, whole, g.meta.EtCRC)
+	}
+	return nil
+}
+
 // InvalidateBuffers drops both tables' block buffers, forcing the next
 // reads to be charged. Algorithm drivers call this between runs so counts
 // are independent.

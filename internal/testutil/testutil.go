@@ -69,17 +69,3 @@ func WriteCSR(tb testing.TB, csr *memgraph.CSR) string {
 	}
 	return base
 }
-
-// BlockDiagonalSocial builds `blocks` independent social subgraphs on
-// contiguous id ranges of blockNodes each — the fixture whose blocks
-// are exactly the independent regions of the region-parallel flush.
-func BlockDiagonalSocial(blocks int, blockNodes uint32, seed int64) []memgraph.Edge {
-	var edges []memgraph.Edge
-	for bl := 0; bl < blocks; bl++ {
-		off := uint32(bl) * blockNodes
-		for _, e := range gen.Social(blockNodes, 3, 6, 6, seed+int64(bl)) {
-			edges = append(edges, memgraph.Edge{U: e.U + off, V: e.V + off})
-		}
-	}
-	return edges
-}

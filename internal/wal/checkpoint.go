@@ -23,7 +23,7 @@ const (
 
 // manifest is the committed description of one checkpoint: which LSN
 // the adjacency tables capture, their shape, and whether a core-number
-// file rides along (only written when the checkpoint was quiescent).
+// file rides along.
 type manifest struct {
 	Version  int
 	Seq      uint64
@@ -111,10 +111,10 @@ func parseManifest(data []byte) (manifest, error) {
 // ckptDirName names a committed checkpoint directory by sequence.
 func ckptDirName(seq uint64) string { return fmt.Sprintf("%016x", seq) }
 
-// Source is the adjacency a checkpoint persists, as of one LSN. A Mirror
-// is one (the resident copy mem graphs keep); the disk backend's
-// pinned store view is the other, streaming the lists out of its
-// partition files so no copy of the edge set is ever resident.
+// Source is the adjacency a checkpoint persists, as of one LSN: a view
+// pinned on the serving graph's own files (dyngraph.View over the base
+// tables of a mem graph, diskengine.View over the partitions of a disk
+// one), streaming the lists so no copy of the edge set is ever resident.
 type Source interface {
 	NumNodes() uint32
 	NumArcs() int64

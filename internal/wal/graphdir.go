@@ -219,7 +219,8 @@ type Recovered struct {
 	Manifest manifest
 	Path     string
 	// Cores is the checkpoint's core-number array when one was stored
-	// (quiescent checkpoint) and it verified; nil otherwise.
+	// and it verified; nil otherwise (kcored stores one with every
+	// checkpoint, but older data dirs hold checkpoints without).
 	Cores []uint32
 	// Fallback reports that the newest checkpoint did not validate and
 	// an older one was used.

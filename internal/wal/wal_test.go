@@ -201,53 +201,49 @@ func TestTruncateBelowKeepsCoveringSegments(t *testing.T) {
 	}
 }
 
-// mirrorOf builds a small mirror over n nodes from explicit edges.
-func mirrorOf(n uint32, es []memgraph.Edge) *Mirror {
-	m := NewMirror(n)
+// sliceSource is the tests' checkpoint Source: resident sorted lists.
+type sliceSource [][]uint32
+
+// sourceOf builds a sliceSource over n nodes from explicit edges.
+func sourceOf(n uint32, es []memgraph.Edge) sliceSource {
+	s := make(sliceSource, n)
+	s.insert(es)
+	return s
+}
+
+func (s sliceSource) insert(es []memgraph.Edge) {
 	for _, e := range es {
-		m.Seed(e.U, e.V)
+		s[e.U] = append(s[e.U], e.V)
+		s[e.V] = append(s[e.V], e.U)
+		slices.Sort(s[e.U])
+		slices.Sort(s[e.V])
 	}
-	m.Finish()
-	return m
 }
 
-func TestMirrorApplyAndClone(t *testing.T) {
-	m := mirrorOf(5, edges(0, 1, 1, 2))
-	m.Apply(edges(0, 1), edges(2, 3, 3, 4))
-	if m.NumEdges() != 3 {
-		t.Fatalf("edges = %d, want 3", m.NumEdges())
+func (s sliceSource) NumNodes() uint32 { return uint32(len(s)) }
+
+func (s sliceSource) NumArcs() int64 {
+	var arcs int64
+	for _, l := range s {
+		arcs += int64(len(l))
 	}
-	// No-op deletes and duplicate inserts are tolerated (the WAL replays
-	// net batches; the mirror must not desync on idempotent noise).
-	m.Apply(edges(0, 1), edges(2, 3))
-	if m.NumEdges() != 3 {
-		t.Fatalf("edges after no-op batch = %d, want 3", m.NumEdges())
-	}
-	c := m.Clone()
-	c.Apply(nil, edges(0, 4))
-	if m.NumEdges() != 3 || c.NumEdges() != 4 {
-		t.Fatalf("clone not independent: m=%d c=%d", m.NumEdges(), c.NumEdges())
-	}
-	var lists [][]uint32
-	if err := m.Scan(nil, func(v uint32, nbrs []uint32) error {
-		if int(v) != len(lists) {
-			t.Fatalf("Scan visited node %d, want %d", v, len(lists))
+	return arcs
+}
+
+func (s sliceSource) Scan(_ *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
+	for v, l := range s {
+		if err := fn(uint32(v), l); err != nil {
+			return err
 		}
-		lists = append(lists, slices.Clone(nbrs))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
-	if want := [][]uint32{{}, {2}, {1, 3}, {2, 4}, {3}}; !reflect.DeepEqual(lists, want) {
-		t.Fatalf("Scan = %v, want %v", lists, want)
-	}
+	return nil
 }
 
-// lyingSource reports one arc more than its Mirror streams — what a torn
-// capture of a streamed source would look like.
-type lyingSource struct{ *Mirror }
+// lyingSource reports one arc more than it streams — what a torn capture
+// of a streamed source would look like.
+type lyingSource struct{ sliceSource }
 
-func (s lyingSource) NumArcs() int64 { return s.Mirror.NumArcs() + 1 }
+func (s lyingSource) NumArcs() int64 { return s.sliceSource.NumArcs() + 1 }
 
 // TestCheckpointRejectsInconsistentSource: a source whose scan fails, or
 // whose streamed arcs disagree with what it reports, commits nothing —
@@ -259,16 +255,14 @@ func TestCheckpointRejectsInconsistentSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gd.Close()
-	m := mirrorOf(6, edges(0, 1, 1, 2, 2, 3))
+	m := sourceOf(6, edges(0, 1, 1, 2, 2, 3))
 	if err := gd.Checkpoint(1, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := gd.Checkpoint(2, lyingSource{m}, nil); err == nil {
 		t.Fatal("a source streaming fewer arcs than it reports was committed")
 	}
-	unsorted := NewMirror(6)
-	unsorted.Seed(0, 3)
-	unsorted.Seed(0, 1) // never Finished: list [3 1] violates the scan contract
+	unsorted := sliceSource{{3, 1}, {0}, {}, {0}, {}, {}} // list [3 1] violates the scan contract
 	if err := gd.Checkpoint(3, unsorted, nil); err == nil {
 		t.Fatal("a source streaming an unsorted list was committed")
 	}
@@ -287,7 +281,7 @@ func TestCheckpointScanReplayTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mirrorOf(6, edges(0, 1, 1, 2, 2, 3))
+	m := sourceOf(6, edges(0, 1, 1, 2, 2, 3))
 	cores := []uint32{1, 1, 1, 1, 0, 0}
 	if err := gd.Checkpoint(0, m, cores); err != nil {
 		t.Fatal(err)
@@ -332,7 +326,7 @@ func TestScanMergesLegacyShardLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mirrorOf(16, nil)
+	m := sourceOf(16, nil)
 	if err := gd.Checkpoint(0, m, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +347,7 @@ func TestScanMergesLegacyShardLogs(t *testing.T) {
 		if err := logs[(lsn*2)%3].Append(AppendRecord(nil, lsn, nil, ins), lsn); err != nil {
 			t.Fatal(err)
 		}
-		m.Apply(nil, ins)
+		m.insert(ins)
 	}
 	for _, l := range logs {
 		if err := l.Close(); err != nil {
@@ -413,7 +407,7 @@ func TestScanGapStopsAtConsecutivePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gd.Checkpoint(0, mirrorOf(4, nil), nil); err != nil {
+	if err := gd.Checkpoint(0, sourceOf(4, nil), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, lsn := range []uint64{1, 2, 4, 5} { // 3 missing
@@ -443,10 +437,10 @@ func TestScanFallsBackToOlderCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gd.Checkpoint(3, mirrorOf(4, edges(0, 1)), nil); err != nil {
+	if err := gd.Checkpoint(3, sourceOf(4, edges(0, 1)), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := gd.Checkpoint(7, mirrorOf(4, edges(0, 1, 1, 2)), nil); err != nil {
+	if err := gd.Checkpoint(7, sourceOf(4, edges(0, 1, 1, 2)), nil); err != nil {
 		t.Fatal(err)
 	}
 	gd.Close() //nolint:errcheck
@@ -500,7 +494,7 @@ func TestCheckpointRetentionTruncatesLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mirrorOf(16, nil)
+	m := sourceOf(16, nil)
 	if err := gd.Checkpoint(0, m, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -510,9 +504,9 @@ func TestCheckpointRetentionTruncatesLogs(t *testing.T) {
 		if err := gd.Log().Append(frame, lsn); err != nil {
 			t.Fatal(err)
 		}
-		m.Apply(nil, ins)
+		m.insert(ins)
 	}
-	if err := gd.Checkpoint(4, m.Clone(), nil); err != nil {
+	if err := gd.Checkpoint(4, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := gd.Checkpoint(6, m, nil); err != nil {

@@ -84,23 +84,9 @@ func NewMaintainer(g *Graph, opts *MaintainerOptions) (*Maintainer, error) {
 // operations.
 func (m *Maintainer) Cores() []uint32 { return m.session.Core() }
 
-// Cnt returns the live Eq. 2 support counters, aligned with Cores. Like
-// Cores it aliases the maintained state: the region-parallel writer
-// (internal/serve) wraps both arrays in per-worker semicore states so
-// its workers repair the same state the maintainer owns.
+// Cnt returns the live Eq. 2 support counters, aligned with Cores and
+// aliasing the maintained state the same way.
 func (m *Maintainer) Cnt() []int32 { return m.session.Cnt() }
-
-// ApplyPrepared mutates the graph only — the delete batch then the
-// insert batch — leaving core/cnt untouched. It is the graph half of a
-// region-scoped batch apply: the caller has already repaired the
-// maintained state against an exact in-memory mirror of this graph (the
-// region-parallel flush of internal/serve) and asserts every edge is
-// valid, so only the authoritative adjacency still has to change. A
-// mid-batch failure leaves graph and state inconsistent; the caller
-// must treat it as fatal to the session.
-func (m *Maintainer) ApplyPrepared(deletes, inserts []Edge) error {
-	return m.session.ApplyEdges(deletes, inserts)
-}
 
 // CoreOf reports the current core number of v.
 func (m *Maintainer) CoreOf(v uint32) (uint32, error) {
