@@ -70,7 +70,7 @@ func main() {
 		flush     = flag.Duration("flush", 2*time.Millisecond, "max delay before pending updates are applied")
 		queueCap  = flag.Int("queue", 4096, "ingest queue capacity (enqueue blocks when full)")
 		blockSize = flag.Int("block", 4096, "I/O accounting block size B")
-		backend   = flag.String("backend", "", "serving backend for every opened graph: mem (the default: the paper's Section V scheme — one CSR file read through one-block buffers plus an in-memory insert/delete buffer, internal/dyngraph) or disk (beyond-RAM: adjacency stays on disk in partition files behind a bounded block cache, only the core arrays and a small update overlay are resident — with -data-dir too)")
+		backend   = flag.String("backend", "", "base driver under every opened graph's update buffer (internal/dyngraph, the paper's Section V scheme: an immutable on-disk graph plus an in-memory insert/delete buffer, folded back when full): mem (the default: the CSR tables at the path, read through one-block buffers and compacted whole) or disk (beyond-RAM: the tables laid out into partition files behind a bounded block cache, rewritten partition by partition; only the core arrays and the buffer are resident — with -data-dir too)")
 		cacheBlks = flag.Int("cache-blocks", 0, "disk backend block-cache budget in blocks of -block bytes (0 picks the default); resident adjacency is capped at cache-blocks*block bytes however large the graph")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the serving mux (see `make profile`); leave off in production")
 		dataDir   = flag.String("data-dir", "", "durability directory: every graph gets a write-ahead log and checkpoints under <dir>/<name>/, and a restart with the same -data-dir recovers all graphs (checkpoint + WAL replay) before opening any -graph/-load path anew. It adds no resident copy of the adjacency on either backend: a checkpoint streams the graph's own files (checkpoint_block_reads in /stats)")

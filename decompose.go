@@ -103,10 +103,9 @@ func Decompose(g *Graph, opts *DecomposeOptions) (*Result, error) {
 		}
 		core, cnt, rs = res.Core, res.Cnt, res.Stats
 	case EMCore:
-		// EMCore reads the raw tables (it re-partitions them itself) and
-		// requires a flushed graph.
-		if g.dyn.BufferedArcs() > 0 {
-			return nil, fmt.Errorf("kcore: EMCore requires a flushed graph; call Flush first")
+		// EMCore reads the raw tables (it re-partitions them itself).
+		if err := g.rawTablesCurrent("EMCore"); err != nil {
+			return nil, err
 		}
 		sg, err := storage.Open(g.base, g.ctr)
 		if err != nil {
@@ -124,12 +123,12 @@ func Decompose(g *Graph, opts *DecomposeOptions) (*Result, error) {
 		}
 		core, rs = res.Core, res.Stats
 	case IMCore:
+		if err := g.rawTablesCurrent("IMCore"); err != nil {
+			return nil, err
+		}
 		csr, err := graphio.ReadToCSR(g.base)
 		if err != nil {
 			return nil, err
-		}
-		if g.dyn.BufferedArcs() > 0 {
-			return nil, fmt.Errorf("kcore: IMCore requires a flushed graph; call Flush first")
 		}
 		res := imcore.Decompose(csr, mem)
 		core, rs = res.Core, res.Stats
@@ -146,4 +145,17 @@ func Decompose(g *Graph, opts *DecomposeOptions) (*Result, error) {
 	out.Info = runInfoFrom(rs, g.IOStats().Sub(before))
 	out.Info.MemPeakBytes = mem.Peak()
 	return out, nil
+}
+
+// rawTablesCurrent reports whether the tables at g.base hold the graph as
+// it stands, which the baselines that read them directly need: nothing
+// buffered, and no flush gone into partition files instead.
+func (g *Graph) rawTablesCurrent(algo string) error {
+	if g.dyn.BufferedArcs() > 0 {
+		return fmt.Errorf("kcore: %s requires a flushed graph; call Flush first", algo)
+	}
+	if g.parts != nil && g.dyn.Compactions > 0 {
+		return fmt.Errorf("kcore: %s reads the tables at %s, which a partitioned graph never updates", algo, g.base)
+	}
+	return nil
 }

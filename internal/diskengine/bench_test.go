@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"kcore/internal/diskengine"
+	"kcore/internal/dyngraph"
 	"kcore/internal/memgraph"
 	"kcore/internal/serve"
-	"kcore/internal/stats"
 	"kcore/internal/testutil"
 )
 
@@ -20,30 +20,24 @@ const (
 // benchStore lays the standard bench fixture out as a partition store
 // under the given cache budget, returning the fixture's live edges so
 // mutation streams can seed their mirrors with them.
-func benchStore(b *testing.B, cacheBlocks int) (*diskengine.Store, []memgraph.Edge) {
+func benchStore(b *testing.B, cacheBlocks int) (*dyngraph.Graph, *diskengine.Store, []memgraph.Edge) {
 	b.Helper()
 	base, edges := testutil.WriteSocial(b, diskBenchNodes, diskBenchSeed)
-	st, err := diskengine.BuildStore(base, diskengine.StoreOptions{
-		Dir:         b.TempDir(),
-		CacheBlocks: cacheBlocks,
-		IO:          stats.NewIOCounter(4096),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { st.Close() })
-	return st, edges
+	g, st := openStore(b, base, 4096, 0, diskengine.Options{Dir: b.TempDir(), CacheBlocks: cacheBlocks})
+	return g, st, edges
 }
 
 // BenchmarkDiskNeighborsCold reads random nodes' neighbour lists through
 // a single-frame cache — every partition touch is a miss, so this is the
 // cold (all-I/O) query latency of the disk backend.
 func BenchmarkDiskNeighborsCold(b *testing.B) {
-	st, _ := benchStore(b, 1)
+	g, st, _ := benchStore(b, 1)
 	r := rand.New(rand.NewSource(diskBenchSeed))
+	var buf []uint32
+	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Neighbors(uint32(r.Intn(diskBenchNodes))); err != nil {
+		if buf, err = g.Neighbors(uint32(r.Intn(diskBenchNodes)), buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,16 +50,18 @@ func BenchmarkDiskNeighborsCold(b *testing.B) {
 // read is a hit, so this is the warm (resident) query latency, and the
 // reported hit rate approaches 1.
 func BenchmarkDiskNeighborsWarm(b *testing.B) {
-	st, _ := benchStore(b, 4096)
+	g, st, _ := benchStore(b, 4096)
 	r := rand.New(rand.NewSource(diskBenchSeed))
+	var buf []uint32
+	var err error
 	for v := uint32(0); v < diskBenchNodes; v++ {
-		if _, err := st.Neighbors(v); err != nil { // pre-warm the cache
+		if buf, err = g.Neighbors(v, buf); err != nil { // pre-warm the cache
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Neighbors(uint32(r.Intn(diskBenchNodes))); err != nil {
+		if buf, err = g.Neighbors(uint32(r.Intn(diskBenchNodes)), buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -85,7 +81,7 @@ func reportHitRate(b *testing.B, st *diskengine.Store) {
 // arcs/s is the sequential-rewrite throughput the EMCore-style merge
 // sustains.
 func BenchmarkDiskOverlayMerge(b *testing.B) {
-	st, edges := benchStore(b, 64)
+	st, _, edges := benchStore(b, 64)
 	stream := testutil.NewMutationStream(diskBenchNodes, diskBenchSeed, edges)
 	const batch = 512
 	var mergedArcs int64
@@ -103,7 +99,7 @@ func BenchmarkDiskOverlayMerge(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if err := st.MergeOverlay(); err != nil {
+		if err := st.Compact(); err != nil {
 			b.Fatal(err)
 		}
 		mergedArcs += 2 * batch
@@ -120,15 +116,7 @@ func BenchmarkDiskOverlayMerge(b *testing.B) {
 // maintenance window scans, and epoch publication.
 func BenchmarkDiskUpdateFlood(b *testing.B) {
 	base, fixture := testutil.WriteSocial(b, diskBenchNodes, diskBenchSeed)
-	eng, err := diskengine.Open(base, diskengine.Options{
-		Dir:         b.TempDir(),
-		CacheBlocks: 256,
-		Serve:       &serve.Options{MaxBatch: 256, FlushInterval: time.Millisecond},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
+	eng := openEngine(b, base, 256, 0, 0, &serve.Options{MaxBatch: 256, FlushInterval: time.Millisecond})
 	stream := testutil.NewMutationStream(diskBenchNodes, diskBenchSeed, fixture)
 	const pool = 2048
 	edges := make([]serve.Update, pool)

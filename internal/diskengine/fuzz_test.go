@@ -3,7 +3,6 @@ package diskengine_test
 import (
 	"testing"
 
-	"kcore/internal/diskengine"
 	"kcore/internal/serve"
 	"kcore/internal/testutil"
 )
@@ -24,16 +23,7 @@ func FuzzDiskEngineAgreesWithMem(f *testing.F) {
 		const n = 48
 		base, _ := testutil.WriteSocial(t, n, seed%512)
 
-		eng, err := diskengine.Open(base, diskengine.Options{
-			Dir:         t.TempDir(),
-			CacheBlocks: 1 + int(cacheRaw)%12,
-			BlockSize:   256,
-			OverlayArcs: 32,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
+		eng := openEngine(t, base, 1+int(cacheRaw)%12, 256, 32, nil)
 		oracle := memOracle(t, base)
 
 		// Decode 3 bytes per update: op bit, then endpoints over a range

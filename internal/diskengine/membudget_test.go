@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"kcore"
-	"kcore/internal/diskengine"
 	"kcore/internal/serve"
 	"kcore/internal/testutil"
 )
@@ -82,16 +81,7 @@ func TestDiskEngineUnderMemoryBudget(t *testing.T) {
 	prev := debug.SetMemoryLimit(int64(ms.HeapAlloc) + 64<<20)
 	defer debug.SetMemoryLimit(prev)
 
-	eng, err := diskengine.Open(base, diskengine.Options{
-		Dir:         t.TempDir(),
-		CacheBlocks: cacheBlocks,
-		BlockSize:   blockSize,
-		OverlayArcs: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	eng := openEngine(t, base, cacheBlocks, blockSize, 256, nil)
 
 	// The premise of the harness: the fixture's adjacency must dwarf the
 	// cache budget, or the test proves nothing about beyond-RAM serving.
@@ -144,19 +134,9 @@ func TestCacheBudgetMetamorphic(t *testing.T) {
 	base, edges := testutil.WriteSocial(t, n, seed)
 
 	budgets := []int{1, 2, 8, 64}
-	engines := make([]*diskengine.Engine, len(budgets))
+	engines := make([]diskEngine, len(budgets))
 	for i, blocks := range budgets {
-		eng, err := diskengine.Open(base, diskengine.Options{
-			Dir:         t.TempDir(),
-			CacheBlocks: blocks,
-			BlockSize:   256,
-			OverlayArcs: 128,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		engines[i] = eng
+		engines[i] = openEngine(t, base, blocks, 256, 128, nil)
 	}
 
 	stream := testutil.NewMutationStream(n, seed+1, edges)

@@ -1,19 +1,16 @@
-// Package diskengine serves core decomposition for graphs whose
-// adjacency does not fit in RAM — the serving-stack realisation of the
-// paper's semi-external model. Adjacency lives on disk in contiguous
-// node-range partition files (laid out by internal/emcore's range
-// planner) and is read through a bounded CLOCK block cache
-// (storage.BlockCache): however large the graph, at most the configured
-// number of cache frames is ever resident. In memory stay only the
-// O(n) core/cnt arrays — exactly what the semi-external model budgets —
-// plus a small delta overlay of recently inserted/deleted edges.
-// Updates buffer in the overlay; once it passes a threshold the touched
-// partitions are rewritten EMCore-style (sequential read + sequential
-// write of just those partitions, new-generation files swapped in).
-// Queries and incremental repairs run over cached blocks + overlay
-// through the same maintain.Session window scans the in-memory path
-// uses, published through the same serve.ConcurrentSession writer — so
-// cores are bit-identical to the mem backend on any update stream.
+// Package diskengine is the base driver (dyngraph.Base) for graphs whose
+// adjacency should not be read one block at a time from one file: the
+// adjacency lives in contiguous node-range partition files (laid out by
+// internal/emcore's range planner) and is read through a bounded CLOCK
+// block cache (storage.BlockCache), so however large the graph, at most
+// the configured number of cache frames is ever resident. The update
+// buffer over it, and every rule about it, is dyngraph.Graph's; when
+// that buffer fills, Rewrite replaces only the partitions an edit landed
+// in, EMCore-style (sequential read + sequential write of just those
+// partitions, new-generation files swapped in). A kcore.Graph opened
+// with OpenOptions.Partitions sits on this driver and is decomposed,
+// maintained and served by exactly the code that runs over the CSR
+// tables — so cores are bit-identical on any update stream.
 //
 // Every partition file carries per-block CRC32C checksums
 // (storage.BlockWriter.TrackBlockCRCs): a bit flip or truncation on
@@ -33,7 +30,6 @@ import (
 	"kcore/internal/dyngraph"
 	"kcore/internal/emcore"
 	"kcore/internal/graph"
-	"kcore/internal/maintain"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 )
@@ -50,7 +46,7 @@ const nodeRecSize = 12
 //
 // A partition generation is immutable once written, and reference
 // counted: the store holds one reference while the generation is current
-// and every pinned View holds another. A merge drops the store's
+// and every pinned view holds another. A rewrite drops the store's
 // reference to the generation it replaces; the file is unlinked when the
 // last reference goes, so a view can keep streaming a generation that is
 // no longer current.
@@ -75,103 +71,90 @@ func (p *part) unref() {
 	}
 }
 
-// StoreOptions tunes a Store.
-type StoreOptions struct {
-	// Dir is the partition working directory (required; owned by the
-	// caller).
+// Options tunes a Store.
+type Options struct {
+	// Dir is the partition working directory, owned exclusively by the
+	// store: it is wiped at Open (partitions are a rebuildable serving
+	// projection, not durable state). Empty selects base+".parts",
+	// which is additionally removed at Close.
 	Dir string
-	// CacheBlocks is the block-cache frame budget; <=0 selects 1024.
+	// CacheBlocks bounds resident adjacency to CacheBlocks blocks;
+	// <=0 selects 1024.
 	CacheBlocks int
 	// PartitionArcs is the target arcs per partition; <=0 selects
 	// max(arcs/8, 4096).
 	PartitionArcs int64
-	// OverlayArcs is the buffered-arc threshold that triggers a merge of
-	// the overlay into the touched partitions; <=0 selects 1<<16.
-	OverlayArcs int
-	// IO receives block accounting; nil allocates one at BlockSize 4096.
-	IO *stats.IOCounter
 }
 
-// Store is the disk-backed dynamic graph: partition files behind a
-// bounded block cache plus the in-memory insert/delete overlay. It
-// implements maintain.Graph, so the paper's SemiInsert*/SemiDelete*
-// maintenance runs over it unchanged.
+// Store is the partition driver: partition files behind a bounded block
+// cache, implementing dyngraph.Base.
 //
-// All mutation and all reads run on one goroutine (the serve writer);
-// the atomic gauges exist only so Stats/DiskStats can be read
-// concurrently.
+// Every read and rewrite runs on one goroutine (the one that owns the
+// dyngraph.Graph above; under internal/serve, the writer); the atomic
+// gauges exist only so DiskStats can be read concurrently.
 type Store struct {
-	dir   string
-	n     uint32
-	arcs  int64 // current logical arc count (disk + overlay)
-	io    *stats.IOCounter
-	cache *storage.BlockCache
-	parts []*part
+	dir      string
+	ownedDir bool
+	n        uint32
+	io       *stats.IOCounter
+	cache    *storage.BlockCache
+	parts    []*part
 
-	ins, del    map[uint32][]uint32 // sorted overlay neighbour lists
-	overlayArcs int
-	limit       int
-
-	rawBuf   []byte // on-disk bytes of the list being decoded
-	scratch  []uint32
-	mergeBuf []uint32
-	nbrBuf   []uint32
+	rawBuf  []byte   // on-disk bytes of the list being decoded
+	scratch []uint32 // the list a scan or rewrite is looking at
 
 	// Concurrent-read gauges for DiskStats.
-	ovGauge     atomic.Int64
 	merges      atomic.Int64
 	mergedParts atomic.Int64
 	mergedBytes atomic.Int64
 }
 
-// BuildStore lays the graph at base out into partition files under
-// o.Dir and opens them through a fresh block cache. The source graph is
-// streamed once, sequentially; it is closed again before BuildStore
-// returns.
-func BuildStore(base string, o StoreOptions) (*Store, error) {
-	if o.Dir == "" {
-		return nil, fmt.Errorf("diskengine: StoreOptions.Dir is required")
+// Open lays the graph at base out into partition files under o.Dir and
+// opens them through a fresh block cache of ctr's block size. The source
+// graph is streamed once, sequentially; it is closed again before Open
+// returns. Reads through the cache, the build and every rewrite are
+// charged to ctr.
+func Open(base string, ctr *stats.IOCounter, o Options) (*Store, error) {
+	dir, owned := o.Dir, false
+	if dir == "" {
+		dir, owned = base+".parts", true
 	}
-	ctr := o.IO
-	if ctr == nil {
-		ctr = stats.NewIOCounter(4096)
-	}
-	src, err := storage.Open(base, ctr)
-	if err != nil {
+	if err := os.RemoveAll(dir); err != nil {
 		return nil, err
 	}
-	defer src.Close()
-
-	partArcs := o.PartitionArcs
-	if partArcs <= 0 {
-		partArcs = src.NumArcs() / 8
-		if partArcs < 4096 {
-			partArcs = 4096
-		}
-	}
-	limit := o.OverlayArcs
-	if limit <= 0 {
-		limit = 1 << 16
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
 	}
 	cacheBlocks := o.CacheBlocks
 	if cacheBlocks <= 0 {
 		cacheBlocks = 1024
 	}
-
 	st := &Store{
-		dir:   o.Dir,
-		n:     src.NumNodes(),
-		arcs:  src.NumArcs(),
-		io:    ctr,
-		cache: storage.NewBlockCache(cacheBlocks, ctr.BlockSize()),
-		ins:   make(map[uint32][]uint32),
-		del:   make(map[uint32][]uint32),
-		limit: limit,
+		dir:      dir,
+		ownedDir: owned,
+		io:       ctr,
+		cache:    storage.NewBlockCache(cacheBlocks, ctr.BlockSize()),
 	}
+	if err := st.build(base, o.PartitionArcs); err != nil {
+		st.Close(nil, nil)
+		return nil, err
+	}
+	return st, nil
+}
 
+func (st *Store) build(base string, partArcs int64) error {
+	src, err := storage.Open(base, st.io)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	st.n = src.NumNodes()
+	if partArcs <= 0 {
+		partArcs = max(src.NumArcs()/8, 4096)
+	}
 	ranges, err := emcore.PlanRanges(src, partArcs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, r := range ranges {
 		p := &part{lo: r.Lo, hi: r.Hi, arcs: r.Arcs}
@@ -179,12 +162,11 @@ func BuildStore(base string, o StoreOptions) (*Store, error) {
 			return src.Scan(r.Lo, r.Hi-1, nil, fn)
 		})
 		if err != nil {
-			st.Close()
-			return nil, err
+			return err
 		}
 		st.parts = append(st.parts, p)
 	}
-	return st, nil
+	return nil
 }
 
 // writePart streams (v, nbrs) records for [p.lo, p.hi) from scan into a
@@ -256,10 +238,11 @@ func (st *Store) writePart(p *part, gen int, scan func(fn func(v uint32, nbrs []
 	return nil
 }
 
-// Close releases the partition files. Overlay contents are discarded —
-// the store is a serving projection of the base graph plus the applied
-// updates, rebuilt at open; durability is the WAL layer's job.
-func (st *Store) Close() error {
+// Close releases the partition files and, if the store chose its
+// working directory itself, removes it. Buffered edits are discarded —
+// the partitions are a serving projection of the base graph plus the
+// applied updates, rebuilt at open; durability is the WAL layer's job.
+func (st *Store) Close(_, _ map[uint32][]uint32) error {
 	var first error
 	for _, p := range st.parts {
 		if p.f != nil {
@@ -269,29 +252,25 @@ func (st *Store) Close() error {
 			p.f = nil
 		}
 	}
+	if st.ownedDir {
+		if err := os.RemoveAll(st.dir); err != nil && first == nil {
+			first = err
+		}
+	}
 	return first
 }
-
-// Cache exposes the block cache (for stats and tests).
-func (st *Store) Cache() *storage.BlockCache { return st.cache }
-
-// IOCounter exposes the counter charged by partition reads and merges.
-func (st *Store) IOCounter() *stats.IOCounter { return st.io }
-
-// Partitions reports the partition count (fixed at build).
-func (st *Store) Partitions() int { return len(st.parts) }
 
 // NumNodes reports n (fixed at build, like every backend's).
 func (st *Store) NumNodes() uint32 { return st.n }
 
-// NumArcs reports the current logical arc count.
-func (st *Store) NumArcs() int64 { return st.arcs }
-
-// NumEdges reports the current logical undirected edge count.
-func (st *Store) NumEdges() int64 { return st.arcs / 2 }
-
-// OverlayArcs reports the buffered-arc count (writer-goroutine view).
-func (st *Store) OverlayArcs() int { return st.overlayArcs }
+// NumArcs reports the arcs stored in the current partition generations.
+func (st *Store) NumArcs() int64 {
+	var arcs int64
+	for _, p := range st.parts {
+		arcs += p.arcs
+	}
+	return arcs
+}
 
 // locate returns the partition containing v.
 func (st *Store) locate(v uint32) (*part, error) {
@@ -340,8 +319,8 @@ func readList(f *storage.CachedFile, off int64, deg uint32, raw *[]byte, buf []u
 	return buf, nil
 }
 
-// diskNeighbors reads v's on-disk list (pre-overlay), appending into buf.
-func (st *Store) diskNeighbors(v uint32, buf []uint32) ([]uint32, error) {
+// Neighbors reads v's list through the cache, appending into buf.
+func (st *Store) Neighbors(v uint32, buf []uint32) ([]uint32, error) {
 	p, err := st.locate(v)
 	if err != nil {
 		return nil, err
@@ -353,185 +332,50 @@ func (st *Store) diskNeighbors(v uint32, buf []uint32) ([]uint32, error) {
 	return readList(p.f, off, deg, &st.rawBuf, buf)
 }
 
-// neighbors returns v's merged (disk + overlay) list in st.mergeBuf.
-func (st *Store) neighbors(v uint32) ([]uint32, error) {
-	disk, err := st.diskNeighbors(v, st.scratch[:0])
-	st.scratch = disk[:0]
+// Degree reads v's degree (one node-record read through the cache).
+func (st *Store) Degree(v uint32) (uint32, error) {
+	p, err := st.locate(v)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	ins, del := st.ins[v], st.del[v]
-	if len(ins) == 0 && len(del) == 0 {
-		return disk, nil
-	}
-	st.mergeBuf = dyngraph.Merge(disk, ins, del, st.mergeBuf)
-	return st.mergeBuf, nil
+	_, deg, err := p.record(p.f, v)
+	return deg, err
 }
 
-// Neighbors returns the merged adjacency of v, valid until the next
-// store operation.
-func (st *Store) Neighbors(v uint32) ([]uint32, error) {
-	nbrs, err := st.neighbors(v)
-	if err != nil {
-		return nil, err
-	}
-	st.nbrBuf = append(st.nbrBuf[:0], nbrs...)
-	return st.nbrBuf, nil
-}
-
-// HasEdge reports whether {u,v} is live: overlay first, then one
-// indexed partition read.
-func (st *Store) HasEdge(u, v uint32) (bool, error) {
-	if dyngraph.Contains(st.del[u], v) {
-		return false, nil
-	}
-	if dyngraph.Contains(st.ins[u], v) {
-		return true, nil
-	}
-	disk, err := st.diskNeighbors(u, st.scratch[:0])
-	st.scratch = disk[:0]
-	if err != nil {
-		return false, err
-	}
-	return dyngraph.Contains(disk, v), nil
-}
-
-func (st *Store) checkPair(u, v uint32) error {
-	if u >= st.n || v >= st.n {
-		return fmt.Errorf("diskengine: edge (%d,%d) out of range n=%d", u, v, st.n)
-	}
-	if u == v {
-		return fmt.Errorf("diskengine: self-loop (%d,%d)", u, v)
-	}
-	return nil
-}
-
-// InsertEdge buffers the insertion of {u,v}; inserting a present edge or
-// a self-loop is an error. A full overlay triggers a partition merge.
-func (st *Store) InsertEdge(u, v uint32) error {
-	if err := st.checkPair(u, v); err != nil {
-		return err
-	}
-	present, err := st.HasEdge(u, v)
-	if err != nil {
-		return err
-	}
-	if present {
-		return fmt.Errorf("diskengine: edge (%d,%d) already present", u, v)
-	}
-	return st.insertTrusted(u, v)
-}
-
-// DeleteEdge buffers the deletion of {u,v}; deleting an absent edge is
-// an error.
-func (st *Store) DeleteEdge(u, v uint32) error {
-	if err := st.checkPair(u, v); err != nil {
-		return err
-	}
-	present, err := st.HasEdge(u, v)
-	if err != nil {
-		return err
-	}
-	if !present {
-		return fmt.Errorf("diskengine: edge (%d,%d) not present", u, v)
-	}
-	return st.deleteTrusted(u, v)
-}
-
-func (st *Store) insertTrusted(u, v uint32) error {
-	// An insert cancels a buffered delete of the same edge.
-	if dyngraph.Contains(st.del[u], v) {
-		st.removeBuffered(st.del, u, v)
-	} else {
-		st.addBuffered(st.ins, u, v)
-	}
-	st.arcs += 2
-	return st.maybeMerge()
-}
-
-func (st *Store) deleteTrusted(u, v uint32) error {
-	if dyngraph.Contains(st.ins[u], v) {
-		st.removeBuffered(st.ins, u, v)
-	} else {
-		st.addBuffered(st.del, u, v)
-	}
-	st.arcs -= 2
-	return st.maybeMerge()
-}
-
-func (st *Store) addBuffered(m map[uint32][]uint32, u, v uint32) {
-	m[u] = dyngraph.InsertSorted(m[u], v)
-	m[v] = dyngraph.InsertSorted(m[v], u)
-	st.overlayArcs += 2
-	st.ovGauge.Store(int64(st.overlayArcs))
-}
-
-func (st *Store) removeBuffered(m map[uint32][]uint32, u, v uint32) {
-	m[u] = dyngraph.RemoveSorted(m[u], v)
-	m[v] = dyngraph.RemoveSorted(m[v], u)
-	if len(m[u]) == 0 {
-		delete(m, u)
-	}
-	if len(m[v]) == 0 {
-		delete(m, v)
-	}
-	st.overlayArcs -= 2
-	st.ovGauge.Store(int64(st.overlayArcs))
-}
-
-func (st *Store) maybeMerge() error {
-	if st.overlayArcs <= st.limit {
-		return nil
-	}
-	return st.MergeOverlay()
-}
-
-// MergeOverlay rewrites every partition the overlay touches — a
-// sequential read of the old partition merged with its overlay entries,
-// a sequential write of the new generation, an in-memory swap — then
-// clears the overlay. Untouched partitions keep their files and their
-// cached blocks; this is the EMCore write-back cycle confined to the
-// dirty ranges. The rewritten files are a serving projection, not
-// durable state, so no fsync/rename dance is needed: a crash loses the
-// work dir and the store is rebuilt at next open.
-func (st *Store) MergeOverlay() error {
-	if st.overlayArcs == 0 {
-		return nil
-	}
-	touched := make(map[int]bool)
-	mark := func(m map[uint32][]uint32) error {
+// Rewrite replaces every partition ins or del touch — a sequential read
+// of the old partition merged with its edits, a sequential write of the
+// new generation, an in-memory swap. Untouched partitions keep their
+// files and their cached blocks; this is the EMCore write-back cycle
+// confined to the dirty ranges. The rewritten files are a serving
+// projection, not durable state, so no fsync/rename dance is needed: a
+// crash loses the work dir and the store is rebuilt at next open.
+func (st *Store) Rewrite(ins, del map[uint32][]uint32) error {
+	touched := make(map[*part]bool)
+	for _, m := range []map[uint32][]uint32{ins, del} {
 		for v := range m {
-			i := sort.Search(len(st.parts), func(i int) bool { return st.parts[i].hi > v })
-			if i >= len(st.parts) || v < st.parts[i].lo {
-				return fmt.Errorf("diskengine: overlay node %d outside every partition", v)
+			p, err := st.locate(v)
+			if err != nil {
+				return err
 			}
-			touched[i] = true
+			touched[p] = true
 		}
-		return nil
-	}
-	if err := mark(st.ins); err != nil {
-		return err
-	}
-	if err := mark(st.del); err != nil {
-		return err
 	}
 
 	var bytes int64
-	for i := range st.parts {
-		if !touched[i] {
+	for i, p := range st.parts {
+		if !touched[p] {
 			continue
 		}
-		p := st.parts[i]
 		np := &part{lo: p.lo, hi: p.hi}
 		err := st.writePart(np, p.gen+1, func(fn func(v uint32, nbrs []uint32) error) error {
 			var out []uint32
 			for v := p.lo; v < p.hi; v++ {
-				disk, err := st.diskNeighbors(v, st.scratch[:0])
+				disk, err := st.Neighbors(v, st.scratch[:0])
 				st.scratch = disk[:0]
 				if err != nil {
 					return err
 				}
-				out = dyngraph.Merge(disk, st.ins[v], st.del[v], out)
+				out = dyngraph.Merge(disk, ins[v], del[v], out)
 				if err := fn(v, out); err != nil {
 					return err
 				}
@@ -547,18 +391,15 @@ func (st *Store) MergeOverlay() error {
 		bytes += np.arcs*4 + int64(np.hi-np.lo)*nodeRecSize
 	}
 
-	st.ins = make(map[uint32][]uint32)
-	st.del = make(map[uint32][]uint32)
-	st.overlayArcs = 0
-	st.ovGauge.Store(0)
 	st.merges.Add(1)
 	st.mergedParts.Add(int64(len(touched)))
 	st.mergedBytes.Add(bytes)
 	return nil
 }
 
-// DiskStats snapshots the cache, overlay and merge gauges; safe to call
-// concurrently with the writer goroutine.
+// DiskStats snapshots the cache and rewrite gauges; safe to call
+// concurrently with the owning goroutine. The buffer's fill and limit
+// are the caller's to add (kcore.Graph.DiskStats).
 func (st *Store) DiskStats() stats.DiskSnapshot {
 	cs := st.cache.Stats()
 	return stats.DiskSnapshot{
@@ -569,15 +410,13 @@ func (st *Store) DiskStats() stats.DiskSnapshot {
 		CacheMisses:      cs.Misses,
 		CacheEvictions:   cs.Evictions,
 		CacheHitRate:     cs.HitRate(),
-		OverlayArcs:      st.ovGauge.Load(),
-		OverlayLimit:     st.limit,
 		Merges:           st.merges.Load(),
 		MergedPartitions: st.mergedParts.Load(),
 		MergedBytes:      st.mergedBytes.Load(),
 	}
 }
 
-// ScanDegrees implements graph.Source over the merged view.
+// ScanDegrees implements graph.Source over the partitions.
 func (st *Store) ScanDegrees(fn func(v uint32, deg uint32) error) error {
 	for _, p := range st.parts {
 		for v := p.lo; v < p.hi; v++ {
@@ -585,9 +424,7 @@ func (st *Store) ScanDegrees(fn func(v uint32, deg uint32) error) error {
 			if err := p.f.ReadAt(rec[:], p.recOff(v)); err != nil {
 				return err
 			}
-			d := int64(binary.LittleEndian.Uint32(rec[8:12]))
-			d += int64(len(st.ins[v])) - int64(len(st.del[v]))
-			if err := fn(v, uint32(d)); err != nil {
+			if err := fn(v, binary.LittleEndian.Uint32(rec[8:12])); err != nil {
 				if graph.IsStop(err) {
 					return nil
 				}
@@ -598,12 +435,12 @@ func (st *Store) ScanDegrees(fn func(v uint32, deg uint32) error) error {
 	return nil
 }
 
-// Scan implements graph.Source over the merged view.
+// Scan implements graph.Source over the partitions.
 func (st *Store) Scan(vmin, vmax uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
 	return st.ScanDynamic(vmin, func() uint32 { return vmax }, want, fn)
 }
 
-// ScanDynamic implements graph.Source over the merged view: skipped
+// ScanDynamic implements graph.Source over the partitions: skipped
 // nodes cost no I/O (their records are simply not read), wanted nodes
 // cost the record read plus the list blocks — the cache absorbing
 // whatever locality the window has.
@@ -615,7 +452,8 @@ func (st *Store) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint
 		if want != nil && !want(v) {
 			continue
 		}
-		nbrs, err := st.neighbors(v)
+		nbrs, err := st.Neighbors(v, st.scratch[:0])
+		st.scratch = nbrs[:0]
 		if err != nil {
 			return err
 		}
@@ -629,7 +467,4 @@ func (st *Store) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint
 	return nil
 }
 
-var (
-	_ maintain.Graph = (*Store)(nil)
-	_ graph.Source   = (*Store)(nil)
-)
+var _ dyngraph.Base = (*Store)(nil)

@@ -1,4 +1,4 @@
-package dyngraph
+package dyngraph_test
 
 import (
 	"fmt"
@@ -6,30 +6,17 @@ import (
 	"path/filepath"
 	"testing"
 
+	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
 	"kcore/internal/graphio"
 	"kcore/internal/imcore"
-	"kcore/internal/memgraph"
 	"kcore/internal/stats"
 )
 
-func open(t *testing.T, g *memgraph.CSR, opts Options) (*Graph, *stats.IOCounter) {
-	t.Helper()
-	base := filepath.Join(t.TempDir(), "g")
-	if err := graphio.WriteCSR(base, g, nil); err != nil {
-		t.Fatal(err)
-	}
-	ctr := stats.NewIOCounter(0)
-	dg, err := Open(base, ctr, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dg.Close() })
-	return dg, ctr
-}
+func TestOverlayBasics(t *testing.T) { onEachDriver(t, testOverlayBasics) }
 
-func TestOverlayBasics(t *testing.T) {
-	g, _ := open(t, gen.SampleGraph(), Options{})
+func testOverlayBasics(t *testing.T, open driverOpen) {
+	g := open(gen.SampleGraph(), dyngraph.Options{})
 	if g.NumNodes() != 9 || g.NumEdges() != 15 {
 		t.Fatalf("n=%d m=%d, want 9/15", g.NumNodes(), g.NumEdges())
 	}
@@ -75,8 +62,10 @@ func TestOverlayBasics(t *testing.T) {
 	}
 }
 
-func TestRejections(t *testing.T) {
-	g, _ := open(t, gen.SampleGraph(), Options{})
+func TestRejections(t *testing.T) { onEachDriver(t, testRejections) }
+
+func testRejections(t *testing.T, open driverOpen) {
+	g := open(gen.SampleGraph(), dyngraph.Options{})
 	if err := g.InsertEdge(0, 0); err == nil {
 		t.Fatal("self-loop accepted")
 	}
@@ -95,10 +84,16 @@ func TestRejections(t *testing.T) {
 	if err := g.InsertEdge(0, 100); err == nil {
 		t.Fatal("out-of-range accepted")
 	}
+	// Only the one valid insert left a trace.
+	if g.NumEdges() != 16 || g.BufferedArcs() != 2 {
+		t.Fatalf("m=%d buffered=%d after the rejections, want 16 and 2", g.NumEdges(), g.BufferedArcs())
+	}
 }
 
-func TestScanMergedView(t *testing.T) {
-	g, _ := open(t, gen.SampleGraph(), Options{})
+func TestScanMergedView(t *testing.T) { onEachDriver(t, testScanMergedView) }
+
+func testScanMergedView(t *testing.T, open driverOpen) {
+	g := open(gen.SampleGraph(), dyngraph.Options{})
 	if err := g.InsertEdge(7, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +121,12 @@ func TestScanMergedView(t *testing.T) {
 	}
 }
 
-func TestCompactionEquivalence(t *testing.T) {
+func TestCompactionEquivalence(t *testing.T) { onEachDriver(t, testCompactionEquivalence) }
+
+func testCompactionEquivalence(t *testing.T, open driverOpen) {
 	src := gen.Build(gen.ErdosRenyi(120, 400, 97))
-	g, ctr := open(t, src, Options{BufferArcs: 1 << 30}) // manual compaction only
+	g := open(src, dyngraph.Options{BufferArcs: 1 << 30}) // manual compaction only
+	ctr := g.ctr
 	ref := imcore.NewDynGraph(src)
 	r := rand.New(rand.NewSource(98))
 	for i := 0; i < 200; i++ {
@@ -185,8 +183,10 @@ func TestCompactionEquivalence(t *testing.T) {
 	}
 }
 
-func TestAutoCompaction(t *testing.T) {
-	g, _ := open(t, gen.SampleGraph(), Options{BufferArcs: 4})
+func TestAutoCompaction(t *testing.T) { onEachDriver(t, testAutoCompaction) }
+
+func testAutoCompaction(t *testing.T, open driverOpen) {
+	g := open(gen.SampleGraph(), dyngraph.Options{BufferArcs: 4})
 	// Each insert buffers 2 arcs; the third edit exceeds the 4-arc limit.
 	pairs := [][2]uint32{{7, 8}, {0, 4}, {1, 4}, {2, 8}}
 	for _, p := range pairs {
@@ -210,13 +210,14 @@ func TestAutoCompaction(t *testing.T) {
 // TestCloseNeverTearsState: once any auto-compaction has rewritten the
 // files, Close must flush the rest of the buffer instead of discarding it
 // (a discard would mix pre-compaction and lost post-compaction edits).
+// The rule is the CSR driver's: its files are the caller's graph.
 func TestCloseNeverTearsState(t *testing.T) {
 	src := gen.SampleGraph()
 	base := filepath.Join(t.TempDir(), "g")
 	if err := graphio.WriteCSR(base, src, nil); err != nil {
 		t.Fatal(err)
 	}
-	g, err := Open(base, stats.NewIOCounter(0), Options{BufferArcs: 4})
+	g, err := dyngraph.Open(base, stats.NewIOCounter(0), dyngraph.Options{BufferArcs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestCloseNeverTearsState(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Open(base, stats.NewIOCounter(0), Options{})
+	g2, err := dyngraph.Open(base, stats.NewIOCounter(0), dyngraph.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestClosePreservesDiskWhenNoCompaction(t *testing.T) {
 	if err := graphio.WriteCSR(base, src, nil); err != nil {
 		t.Fatal(err)
 	}
-	g, err := Open(base, stats.NewIOCounter(0), Options{BufferArcs: 1 << 20})
+	g, err := dyngraph.Open(base, stats.NewIOCounter(0), dyngraph.Options{BufferArcs: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestClosePreservesDiskWhenNoCompaction(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Open(base, stats.NewIOCounter(0), Options{})
+	g2, err := dyngraph.Open(base, stats.NewIOCounter(0), dyngraph.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

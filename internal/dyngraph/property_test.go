@@ -1,4 +1,4 @@
-package dyngraph
+package dyngraph_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
 	"kcore/internal/imcore"
 	"kcore/internal/memgraph"
@@ -13,7 +14,9 @@ import (
 
 // TestPropertyChurnEquivalence drives random edit sequences with random
 // compaction thresholds against the in-memory mutable-adjacency oracle.
-func TestPropertyChurnEquivalence(t *testing.T) {
+func TestPropertyChurnEquivalence(t *testing.T) { onEachDriver(t, testPropertyChurnEquivalence) }
+
+func testPropertyChurnEquivalence(t *testing.T, open driverOpen) {
 	f := func(seed int64, smallBuffer bool) bool {
 		// Exactly 60 nodes whatever the sample: gen.Build sizes the graph
 		// by its highest id, and a sample that misses node 59 (about one
@@ -26,7 +29,7 @@ func TestPropertyChurnEquivalence(t *testing.T) {
 		if smallBuffer {
 			buf = 8
 		}
-		g, _ := open(t, src, Options{BufferArcs: buf})
+		g := open(src, dyngraph.Options{BufferArcs: buf})
 		ref := imcore.NewDynGraph(src)
 		r := rand.New(rand.NewSource(seed + 1))
 		for i := 0; i < 80; i++ {

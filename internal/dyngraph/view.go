@@ -1,56 +1,52 @@
 package dyngraph
 
-import (
-	"kcore/internal/stats"
-	"kcore/internal/storage"
-)
+import "kcore/internal/stats"
 
-// View is a pinned, read-only image of the graph as it stood at Pin:
-// its own read handles on the base tables that were current, a copy of
-// the update buffer, and the arc count. Nothing in it is O(m) — the
-// adjacency stays in the tables, and the handles keep those readable
-// however many compactions rename newer ones into their place while the
-// view lives. Scan streams it from any goroutine, concurrently with the
-// graph's owner; Release must follow.
+// View is a pinned, read-only image of the graph as it stood at Pin: a
+// pinned base (the files that were current), a copy of the update
+// buffer, and the arc count. Nothing in it is O(m) — the adjacency stays
+// in the files, which the pinned base keeps readable however many
+// rewrites replace them while the view lives. Scan streams it from any
+// goroutine, concurrently with the graph's owner; Release must follow.
 type View struct {
-	disk     *storage.Graph
+	base     BaseView
 	ins, del map[uint32][]uint32
+	n        uint32
 	arcs     int64
 }
 
 // Pin captures a View. It must run on the goroutine that owns the graph
 // (under internal/serve, the writer: see ConcurrentSession.Do), reads no
-// table block and costs O(buffer), independent of the graph's size.
+// block of the base and costs O(buffer), independent of the graph's size.
 func (g *Graph) Pin() (*View, error) {
-	disk, err := storage.Open(g.base, g.ctr) // Scan re-charges the reads
+	base, err := g.base.Pin()
 	if err != nil {
 		return nil, err
 	}
-	vw := &View{disk: disk, arcs: g.arcs}
-	buf := make([]uint32, 0, g.bufArcs)
+	vw := &View{base: base, n: g.NumNodes(), arcs: g.arcs}
+	// The owner edits its buffer lists in place, so the view needs its
+	// own; one backing array serves every list of both maps.
+	buf := make([]uint32, 0, g.BufferedArcs())
 	vw.ins, buf = CopyOverlay(g.ins, buf)
 	vw.del, _ = CopyOverlay(g.del, buf)
 	return vw, nil
 }
 
-// Release closes the view's table handles; tables a compaction replaced
-// in the meantime leave the disk here.
-func (vw *View) Release() { vw.disk.Close() }
+// Release gives the pinned base back; files a rewrite replaced in the
+// meantime leave the disk here.
+func (vw *View) Release() { vw.base.Release() }
 
 // NumNodes reports n.
-func (vw *View) NumNodes() uint32 { return vw.disk.NumNodes() }
+func (vw *View) NumNodes() uint32 { return vw.n }
 
 // NumArcs reports the arc count of the pinned adjacency.
 func (vw *View) NumArcs() int64 { return vw.arcs }
 
 // Scan calls fn once per node in id order with its merged (base + buffer)
-// neighbour list, valid during the call only. Both tables are read front
-// to back through the view's own one-block buffers: every block once,
-// charged to io, and checked against the CRC32C their header records
-// (storage.ScanVerified), so a table damaged under the running graph
-// fails the scan instead of being copied.
+// neighbour list, valid during the call only. The base is read as
+// BaseView.Scan promises: sequentially, verified, charged to io.
 func (vw *View) Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
-	return vw.disk.ScanVerified(io, overlaid(vw.ins, vw.del, fn))
+	return vw.base.Scan(io, overlaid(vw.ins, vw.del, fn))
 }
 
 // overlaid wraps a scan callback so that it sees each base list merged

@@ -1,4 +1,4 @@
-package dyngraph
+package dyngraph_test
 
 import (
 	"os"
@@ -6,41 +6,12 @@ import (
 	"slices"
 	"testing"
 
+	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
 	"kcore/internal/testutil"
 )
-
-// mutate applies count valid mutations of the stream to the graph.
-func mutate(t *testing.T, g *Graph, stream *testutil.MutationStream, count int) {
-	t.Helper()
-	for i := 0; i < count; i++ {
-		mut := stream.NextValid()
-		var err error
-		if mut.Op == testutil.OpInsert {
-			err = g.InsertEdge(mut.U, mut.V)
-		} else {
-			err = g.DeleteEdge(mut.U, mut.V)
-		}
-		if err != nil {
-			t.Fatalf("mutation %d: %v", i, err)
-		}
-	}
-}
-
-// adjacency turns an edge list into sorted per-node lists.
-func adjacency(n uint32, edges []memgraph.Edge) [][]uint32 {
-	adj := make([][]uint32, n)
-	for _, e := range edges {
-		adj[e.U] = append(adj[e.U], e.V)
-		adj[e.V] = append(adj[e.V], e.U)
-	}
-	for _, l := range adj {
-		slices.Sort(l)
-	}
-	return adj
-}
 
 // openFDs counts the process's open file descriptors (Linux; -1 elsewhere).
 func openFDs() int {
@@ -53,30 +24,35 @@ func openFDs() int {
 
 // TestViewOutlivesCompaction: a view pinned with edits in the buffer
 // keeps describing the adjacency of its pin while the graph is mutated
-// past its buffer limit twice — two compactions rename new tables over
-// the ones the view reads — then streams exactly the pin-time lists,
-// every block of the pinned tables once, charged to the scan's counter
-// and not the graph's, and gives its handles back at Release.
-func TestViewOutlivesCompaction(t *testing.T) {
+// past its buffer limit until every file the view reads has been
+// replaced — new tables renamed over the old, or new partition
+// generations beside them — then streams exactly the pin-time lists,
+// every block of the pinned files once, charged to the scan's counter
+// and never to the graph's (or through its block cache), keeps the
+// replaced files readable until Release, and gives them back there.
+func TestViewOutlivesCompaction(t *testing.T) { onEachDriver(t, testViewOutlivesCompaction) }
+
+func testViewOutlivesCompaction(t *testing.T, open driverOpen) {
 	const n, limit = 200, 64
 	seed := testutil.Seed(t, 23)
 	csr := gen.Build(gen.Social(n, 3, 6, 6, seed))
-	g, ctr := open(t, csr, Options{BufferArcs: limit})
+	g := open(csr, dyngraph.Options{BufferArcs: limit})
 	stream := testutil.NewMutationStream(n, seed+1, csr.EdgeList())
-	mutate(t, g, stream, limit/4) // stays buffered: the view needs base and buffer both
+	mutate(t, g.Graph, stream, limit/4) // stays buffered: the view needs base and buffer both
 	if g.BufferedArcs() == 0 || g.Compactions != 0 {
 		t.Fatalf("fixture: %d arcs buffered after %d compactions, want a non-empty buffer and none", g.BufferedArcs(), g.Compactions)
 	}
 
 	fdsBefore := openFDs()
-	pinned := stream.Live()
-	var tableBlocks int64
-	for _, ext := range []string{".nt", ".et"} {
-		fi, err := os.Stat(g.base + ext)
+	pinned, pinnedFiles := stream.Live(), g.files()
+	blockSize := int64(g.ctr.BlockSize())
+	var fileBlocks int64
+	for _, f := range pinnedFiles {
+		fi, err := os.Stat(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tableBlocks += (fi.Size() + int64(ctr.BlockSize()) - 1) / int64(ctr.BlockSize())
+		fileBlocks += (fi.Size() + blockSize - 1) / blockSize
 	}
 	vw, err := g.Pin()
 	if err != nil {
@@ -86,40 +62,68 @@ func TestViewOutlivesCompaction(t *testing.T) {
 		t.Fatalf("view reports %d nodes, %d arcs; want %d, %d", vw.NumNodes(), vw.NumArcs(), n, 2*len(pinned))
 	}
 
-	for g.Compactions < 2 {
-		mutate(t, g, stream, limit/2)
+	// A replaced generation stays on disk beside its successor for as
+	// long as the view references it, so every pinned file has been
+	// replaced once there are twice as many.
+	for g.Compactions < 2 || (g.generations && len(g.files()) < 2*len(pinnedFiles)) {
+		mutate(t, g.Graph, stream, limit/2)
 	}
 	if slices.Equal(stream.Live(), pinned) {
 		t.Fatal("fixture: the mutations after the pin changed nothing")
 	}
+	for _, f := range pinnedFiles {
+		if _, err := os.Stat(f); err != nil {
+			t.Fatalf("a file the view pins was unlinked under it: %v", err)
+		}
+	}
 
-	ioBefore := ctr.Snapshot()
-	walIO := stats.NewIOCounter(ctr.BlockSize())
+	quiet := g.gauges()
+	walIO := stats.NewIOCounter(4096) // any block size: the view reads at the graph's
 	got := make([][]uint32, 0, n)
 	if err := vw.Scan(walIO, func(v uint32, nbrs []uint32) error {
 		if int(v) != len(got) {
-			t.Fatalf("Scan visited node %d, want %d", v, len(got))
+			t.Fatalf("Scan visited node %d, want %d (id order, every node)", v, len(got))
 		}
 		got = append(got, slices.Clone(nbrs))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if len(got) != n {
+		t.Fatalf("Scan stopped at node %d of %d", len(got), n)
+	}
 	for v, want := range adjacency(n, pinned) {
 		if !slices.Equal(got[v], want) {
 			t.Fatalf("view list of %d = %v, want the pin-time %v", v, got[v], want)
 		}
 	}
-	if io := ctr.Snapshot(); io != ioBefore {
-		t.Errorf("the scan moved the graph's I/O counter: %+v -> %+v", ioBefore, io)
+	if now := g.gauges(); now != quiet {
+		t.Errorf("the scan moved the graph's own counters: %+v -> %+v", quiet, now)
 	}
-	if reads := walIO.Snapshot().Reads; reads != tableBlocks {
-		t.Errorf("the scan read %d blocks of the %d-block pinned tables", reads, tableBlocks)
+	// Sequential: every block once, plus at most the one block the two
+	// regions of a partition file share.
+	slack := int64(0)
+	if g.generations {
+		slack = int64(len(pinnedFiles))
+	}
+	if reads := walIO.Snapshot().Reads; reads < fileBlocks || reads > fileBlocks+slack {
+		t.Errorf("the scan read %d blocks of the %d-block pinned files (slack %d)", reads, fileBlocks, slack)
 	}
 
 	vw.Release()
 	if fds := openFDs(); fds != fdsBefore {
 		t.Errorf("%d descriptors open after Release, %d before Pin", fds, fdsBefore)
+	}
+	current := g.files()
+	if len(current) != len(pinnedFiles) {
+		t.Errorf("%d base files on disk after Release, %d before Pin: %v", len(current), len(pinnedFiles), current)
+	}
+	if g.generations {
+		for _, f := range pinnedFiles {
+			if slices.Contains(current, f) {
+				t.Errorf("%s, replaced under the view, survived its Release", f)
+			}
+		}
 	}
 	// The graph itself went on undisturbed.
 	for v, want := range adjacency(n, stream.Live()) {
@@ -129,22 +133,24 @@ func TestViewOutlivesCompaction(t *testing.T) {
 	}
 }
 
-// TestViewDetectsDamage: the scan checks both tables against the CRC32C
-// their header records, so a flipped neighbour id that every structural
-// check passes (still sorted, in range, same length) fails the scan
-// instead of reaching a checkpoint.
-func TestViewDetectsDamage(t *testing.T) {
+// TestViewDetectsDamage: the scan checks every block it reads against
+// the CRC32C recorded when the file was written, so a flipped neighbour
+// id that every structural check passes (still sorted, in range, same
+// length) fails the scan instead of reaching a checkpoint.
+func TestViewDetectsDamage(t *testing.T) { onEachDriver(t, testViewDetectsDamage) }
+
+func testViewDetectsDamage(t *testing.T, open driverOpen) {
 	csr, err := memgraph.FromEdges(6, []memgraph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 3, V: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, ctr := open(t, csr, Options{})
-	et, err := os.OpenFile(g.base+".et", os.O_WRONLY, 0)
+	g := open(csr, dyngraph.Options{})
+	et, err := os.OpenFile(g.edgeFile(), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer et.Close()
-	// nbr(0) = [1 2] opens the edge table; make it [1 3].
+	// nbr(0) = [1 2] opens the edge data; make it [1 3].
 	if _, err := et.WriteAt([]byte{3, 0, 0, 0}, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -153,21 +159,21 @@ func TestViewDetectsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer vw.Release()
-	if err := vw.Scan(stats.NewIOCounter(ctr.BlockSize()), func(uint32, []uint32) error { return nil }); err == nil {
-		t.Fatal("the scan streamed a corrupted edge table without noticing")
+	if err := vw.Scan(stats.NewIOCounter(512), func(uint32, []uint32) error { return nil }); err == nil {
+		t.Fatal("the scan streamed corrupted edge data without noticing")
 	}
 }
 
 // pinCost opens a random graph of n nodes and m edges, buffers the same
 // number of updates, and reports what one Pin allocates and whether it
-// read a table block.
-func pinCost(t *testing.T, n uint32, m int, seed int64) (allocBytes uint64, ioMoved bool) {
+// read a block or looked one up in a cache.
+func pinCost(t *testing.T, open driverOpen, n uint32, m int, seed int64) (allocBytes uint64, ioMoved bool) {
 	t.Helper()
 	csr := gen.Build(gen.ErdosRenyi(n, m, seed))
-	g, ctr := open(t, csr, Options{})
-	mutate(t, g, testutil.NewMutationStream(n, seed+1, csr.EdgeList()), 500)
+	g := open(csr, dyngraph.Options{})
+	mutate(t, g.Graph, testutil.NewMutationStream(n, seed+1, csr.EdgeList()), 500)
 
-	ioBefore := ctr.Snapshot()
+	quiet := g.gauges()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	vw, err := g.Pin()
@@ -176,21 +182,25 @@ func pinCost(t *testing.T, n uint32, m int, seed int64) (allocBytes uint64, ioMo
 		t.Fatal(err)
 	}
 	vw.Release()
-	return ms1.TotalAlloc - ms0.TotalAlloc, ctr.Snapshot() != ioBefore
+	return ms1.TotalAlloc - ms0.TotalAlloc, g.gauges() != quiet
 }
 
 // TestPinCostIndependentOfGraphSize bounds what the writer goroutine
-// pays to capture a checkpoint view: no table I/O at all, and allocation
-// that follows the update buffer and two block buffers, not m — a graph
+// pays to capture a checkpoint view: no I/O at all, and allocation that
+// follows the update buffer and the base's file count, not m — a graph
 // with four times the edges (and the same buffer) pins for the same
 // price, a small fraction of what copying its adjacency would take.
 func TestPinCostIndependentOfGraphSize(t *testing.T) {
+	onEachDriver(t, testPinCostIndependentOfGraphSize)
+}
+
+func testPinCostIndependentOfGraphSize(t *testing.T, open driverOpen) {
 	const n, m = 4000, 30000
 	seed := testutil.Seed(t, 29)
-	small, moved1 := pinCost(t, n, m, seed)
-	large, moved4 := pinCost(t, n, 4*m, seed)
+	small, moved1 := pinCost(t, open, n, m, seed)
+	large, moved4 := pinCost(t, open, n, 4*m, seed)
 	if moved1 || moved4 {
-		t.Errorf("Pin read table blocks")
+		t.Errorf("Pin performed I/O or cache lookups")
 	}
 	t.Logf("Pin allocates %d B at m=%d, %d B at m=%d", small, m, large, 4*m)
 	const slack = 16 << 10

@@ -4,39 +4,18 @@ import (
 	"fmt"
 
 	"kcore"
-	"kcore/internal/diskengine"
-	"kcore/internal/stats"
 )
 
 // Backend names accepted by BackendConfig (and the HTTP create route).
 const (
-	// BackendMem is the single-writer in-memory engine (internal/serve
-	// over a kcore.Graph) — the default.
+	// BackendMem reads the graph's CSR tables one block at a time and
+	// compacts a full update buffer into them — the default.
 	BackendMem = "mem"
-	// BackendDisk is the beyond-RAM engine (internal/diskengine):
-	// adjacency on disk behind a bounded block cache.
+	// BackendDisk lays the tables out into partition files read through
+	// a bounded block cache (kcore.OpenOptions.Partitions); a full
+	// update buffer rewrites the partitions it touches.
 	BackendDisk = "disk"
 )
-
-// BackendTyper is the optional engine extension labelling which backend
-// serves a graph; every registry-built engine implements it, and /stats
-// reports the label.
-type BackendTyper interface {
-	BackendType() string
-}
-
-// AsBackendTyper finds the backend label on e or any wrapped engine.
-func AsBackendTyper(e Engine) (BackendTyper, bool) { return as[BackendTyper](e) }
-
-// DiskStatser is the optional engine extension of disk backends: block
-// cache economy, overlay fill and merge cost, surfaced under
-// /g/{name}/stats.
-type DiskStatser interface {
-	DiskStats() stats.DiskSnapshot
-}
-
-// AsDiskStatser finds disk stats support on e or any wrapped engine.
-func AsDiskStatser(e Engine) (DiskStatser, bool) { return as[DiskStatser](e) }
 
 // BackendConfig selects and tunes the backend a graph is opened behind.
 // The zero value is the mem backend.
@@ -44,7 +23,7 @@ type BackendConfig struct {
 	// Backend is BackendMem, BackendDisk, or "" (mem).
 	Backend string
 	// CacheBlocks is the disk backend's block-cache frame budget;
-	// <=0 selects the diskengine default.
+	// <=0 selects the default (1024).
 	CacheBlocks int
 }
 
@@ -61,14 +40,17 @@ func (c BackendConfig) normalize() (BackendConfig, error) {
 	return c, nil
 }
 
-// backendCtor builds a finished registry entry for one backend kind.
-// The driver table below is the single seam new backends plug into —
-// the durable path routes on the same names (assembleDurable).
-type backendCtor func(r *Registry, name, base string, c BackendConfig) (*entry, error)
-
-var backendCtors = map[string]backendCtor{
-	BackendMem:  openMemBackend,
-	BackendDisk: openDiskBackend,
+// openGraph opens the graph at base on the base driver c names: both
+// backends are a kcore.Graph under the same serving session, and differ
+// only here. partsDir is where a disk graph keeps its partition files;
+// empty lets the graph pick (and remove at Close) base+".parts".
+func (r *Registry) openGraph(base string, c BackendConfig, partsDir string) (*kcore.Graph, error) {
+	o := r.opts.Open
+	o.Partitions = nil
+	if c.Backend == BackendDisk {
+		o.Partitions = &kcore.PartitionOptions{Dir: partsDir, CacheBlocks: c.CacheBlocks}
+	}
+	return kcore.Open(base, &o)
 }
 
 // OpenBackend opens the on-disk graph at path prefix base behind the
@@ -86,7 +68,7 @@ func (r *Registry) OpenBackend(name, base string, c BackendConfig) (Engine, erro
 	if err := r.reserve(name); err != nil {
 		return nil, err
 	}
-	e, err := backendCtors[c.Backend](r, name, base, c)
+	e, err := r.openEntry(name, base, c)
 	if err != nil {
 		r.commit(name, nil)
 		return nil, fmt.Errorf("engine: open %s %q: %w", c.Backend, name, err)
@@ -98,8 +80,8 @@ func (r *Registry) OpenBackend(name, base string, c BackendConfig) (Engine, erro
 	return e.eng, nil
 }
 
-func openMemBackend(r *Registry, name, base string, _ BackendConfig) (*entry, error) {
-	g, err := kcore.Open(base, &r.opts.Open)
+func (r *Registry) openEntry(name, base string, c BackendConfig) (*entry, error) {
+	g, err := r.openGraph(base, c, "")
 	if err != nil {
 		return nil, err
 	}
@@ -109,18 +91,4 @@ func openMemBackend(r *Registry, name, base string, _ BackendConfig) (*entry, er
 		return nil, err
 	}
 	return &entry{name: name, base: base, eng: eng, g: g, ownsGraph: true}, nil
-}
-
-func openDiskBackend(r *Registry, name, base string, c BackendConfig) (*entry, error) {
-	so := r.opts.Serve
-	so.Counters = new(stats.ServeCounters)
-	eng, err := diskengine.Open(base, diskengine.Options{
-		CacheBlocks: c.CacheBlocks,
-		BlockSize:   r.opts.Open.BlockSize,
-		Serve:       &so,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &entry{name: name, base: base, eng: eng}, nil
 }

@@ -77,7 +77,7 @@ func runCrashScript(t *testing.T, backend, dataDir, base string, inj *faultfs.In
 		if i == crashOps/2 {
 			// A mid-script checkpoint, so the sweep also crashes inside
 			// checkpoint commit and WAL truncation.
-			if cp, ok := engine.AsCheckpointer(eng); ok {
+			if cp, ok := eng.(engine.Checkpointer); ok {
 				if err := cp.Checkpoint(); err != nil {
 					return out
 				}
@@ -122,8 +122,8 @@ func verifyCrashRecovery(t *testing.T, label, backend, dataDir string, out crash
 	if !ok {
 		t.Fatalf("%s: recovered graph not registered", label)
 	}
-	if bt, _ := engine.AsBackendTyper(eng); bt.BackendType() != backend {
-		t.Fatalf("%s: recovered behind the %s backend, want %s", label, bt.BackendType(), backend)
+	if got := eng.Report().Backend; got != backend {
+		t.Fatalf("%s: recovered behind the %s backend, want %s", label, got, backend)
 	}
 	r := int(durStats(t, eng).LSN)
 	if r < out.acked || r > out.attempted {

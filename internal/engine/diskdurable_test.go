@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"kcore"
-	"kcore/internal/diskengine"
 	"kcore/internal/engine"
 	"kcore/internal/faultfs"
 	"kcore/internal/gen"
@@ -133,8 +132,9 @@ func durableHeap(t *testing.T, backend string, scale, k int, seed int64) (after,
 		}
 	}
 	reg := engine.NewRegistry(&engine.Options{
-		// A mem graph compacts its base tables every 129 edits, so the
-		// stream lands several compactions; the disk backend ignores it.
+		// 129 edits fill the update buffer, so the stream lands several
+		// compactions of a mem graph's base tables, and as many merges into
+		// a disk graph's partitions.
 		Open:       kcore.OpenOptions{BlockSize: 512, BufferArcs: 256},
 		Durability: &engine.DurabilityOptions{Dir: t.TempDir(), Policy: wal.SyncNever, FS: fs},
 	})
@@ -156,15 +156,16 @@ func durableHeap(t *testing.T, backend string, scale, k int, seed int64) (after,
 		}
 	}
 
-	ds, _ := engine.AsDurabilityStatser(eng)
-	before, ioBefore := ds.DurabilityStats(), eng.IOStats()
-	cp, _ := engine.AsCheckpointer(eng)
+	if rep := eng.Report(); rep.Disk != nil && rep.Disk.Merges == 0 {
+		t.Errorf("k=%d: %d updates against a %d-arc buffer merged nothing: %+v", k, rounds*perRound, rep.Disk.OverlayLimit, rep.Disk)
+	}
+	before, ioBefore := *eng.Report().Durability, eng.IOStats()
 	fs.armed.Store(true)
-	if err := cp.Checkpoint(); err != nil {
+	if err := eng.(engine.Checkpointer).Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	fs.armed.Store(false)
-	st := ds.DurabilityStats()
+	st := *eng.Report().Durability
 	if st.Checkpoints != before.Checkpoints+1 || st.CheckpointLastMs <= 0 {
 		t.Errorf("k=%d: checkpoint not accounted: %+v", k, st)
 	}
@@ -218,10 +219,10 @@ func TestDurableMemoryIndependentOfEdges(t *testing.T) {
 // TestCheckpointStreamsUnderWrites parks a checkpoint right after its
 // capture, before the first table byte is written, and keeps writing:
 // every update is acked while the checkpoint is parked, and the files the
-// checkpoint is about to stream are replaced under it — the mem graph's
-// small update buffer overflows into compactions that rename new base
-// tables into place, a forced overlay merge replaces the disk backend's
-// partition generations. Released, the checkpoint must describe exactly
+// checkpoint is about to stream are replaced under it — the small update
+// buffer overflows six times, into compactions that rename new base
+// tables into place on the mem backend and into merges that write new
+// partition generations on the disk backend. Released, the checkpoint must describe exactly
 // the state at its manifest LSN — the LSN of the capture, not of the
 // later writes — with matching stored cores, the replaced files must
 // have stayed readable for it and be gone afterwards, and the later
@@ -258,8 +259,8 @@ func TestCheckpointStreamsUnderWrites(t *testing.T) {
 			dataDir := t.TempDir()
 			reg := engine.NewRegistry(&engine.Options{
 				Serve: serve.Options{MaxBatch: 1}, // one update per record: LSN == updates applied
-				// Nine edits fill a mem graph's buffer: it is non-empty at the
-				// capture and compacts six times under the parked checkpoint.
+				// Nine edits fill the buffer: it is non-empty at the capture and
+				// is folded into the base six times under the parked checkpoint.
 				Open:       kcore.OpenOptions{BlockSize: 512, BufferArcs: 16},
 				Durability: &engine.DurabilityOptions{Dir: dataDir, Policy: wal.SyncAlways, FS: fs},
 			})
@@ -278,7 +279,6 @@ func TestCheckpointStreamsUnderWrites(t *testing.T) {
 			}
 			// What the disk backend lets the test see on top: the pinned
 			// partition generations as files.
-			var disk *diskengine.Engine
 			partsOnDisk := func() []string {
 				names, err := filepath.Glob(filepath.Join(dataDir, "g", "parts", "part-*"))
 				if err != nil {
@@ -286,28 +286,16 @@ func TestCheckpointStreamsUnderWrites(t *testing.T) {
 				}
 				return names
 			}
-			if backend == engine.BackendDisk {
-				disk = eng.(engine.Unwrapper).Unwrap().(*diskengine.Engine)
-			}
-
 			apply(ups[:beforeCapture])
 			pinned, writesAtCapture := partsOnDisk(), eng.IOStats().Writes
 			fs.armed.Store(true)
 			ckptErr := make(chan error, 1)
 			go func() {
-				cp, _ := engine.AsCheckpointer(eng)
-				ckptErr <- cp.Checkpoint()
+				ckptErr <- eng.(engine.Checkpointer).Checkpoint()
 			}()
 			<-reached // captured at LSN beforeCapture, nothing streamed yet
 
-			apply(ups[beforeCapture : beforeCapture+duringSnapshot/2])
-			if disk != nil {
-				var mergeErr error
-				if err := disk.Do(func() { mergeErr = disk.Store().MergeOverlay() }); err != nil || mergeErr != nil {
-					t.Fatalf("forced merge: %v, %v", err, mergeErr)
-				}
-			}
-			apply(ups[beforeCapture+duringSnapshot/2:])
+			apply(ups[beforeCapture:])
 			// Compactions and merges are the only block writes either backend makes.
 			if eng.IOStats().Writes == writesAtCapture {
 				t.Fatal("nothing rewrote the tables under the parked checkpoint")
@@ -317,8 +305,8 @@ func TestCheckpointStreamsUnderWrites(t *testing.T) {
 					t.Fatalf("a generation the parked checkpoint pins was unlinked: %v", err)
 				}
 			}
-			if now := partsOnDisk(); disk != nil && len(now) <= len(pinned) {
-				t.Fatalf("the forced merge replaced no partition generation (%d files before, %d now)", len(pinned), len(now))
+			if now := partsOnDisk(); backend == engine.BackendDisk && len(now) <= len(pinned) {
+				t.Fatalf("the merges replaced no partition generation (%d files before, %d now)", len(pinned), len(now))
 			}
 
 			close(release)
@@ -372,7 +360,7 @@ func TestMemCheckpointRejectsCorruptTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, _ := engine.AsCheckpointer(eng)
+	cp := eng.(engine.Checkpointer)
 	if err := eng.Apply(ups[0]); err != nil {
 		t.Fatal(err)
 	}

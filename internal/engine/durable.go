@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"kcore"
-	"kcore/internal/diskengine"
 	"kcore/internal/faultfs"
 	"kcore/internal/serve"
 	"kcore/internal/stats"
@@ -68,15 +67,11 @@ var ErrDegraded = errors.New("engine: graph is degraded (read-only)")
 
 // Checkpointer is the optional engine extension for forcing a
 // checkpoint; durable engines implement it and the HTTP layer mounts it
-// at POST /g/{name}/checkpoint.
+// at POST /g/{name}/checkpoint. It and ChangeStreamer are the two things
+// only some engines can do, found with a type assertion on the Engine;
+// what an engine merely has to say about itself is in its Report.
 type Checkpointer interface {
 	Checkpoint() error
-}
-
-// DurabilityStatser is the optional engine extension exposing WAL and
-// recovery counters; surfaced under /g/{name}/stats.
-type DurabilityStatser interface {
-	DurabilityStats() stats.WalSnapshot
 }
 
 // ChangeStreamer is the optional engine extension replication leaders
@@ -93,49 +88,6 @@ type ChangeStreamer interface {
 	OpenCheckpoint() (*wal.CheckpointHandle, error)
 }
 
-// ReplicaStatser is the optional engine extension replication followers
-// implement: cursor, lag, and stream-health counters, surfaced under
-// /g/{name}/stats and GET /graphs.
-type ReplicaStatser interface {
-	ReplicaStats() stats.ReplicaSnapshot
-}
-
-// Unwrapper lets wrapping engines (the durable shell) expose the engine
-// they decorate, so optional-interface discovery can see through them.
-type Unwrapper interface {
-	Unwrap() Engine
-}
-
-// as finds an implementation of the optional interface T on e or any
-// engine it wraps.
-func as[T any](e Engine) (T, bool) {
-	for {
-		if t, ok := e.(T); ok {
-			return t, true
-		}
-		u, ok := e.(Unwrapper)
-		if !ok {
-			var zero T
-			return zero, false
-		}
-		e = u.Unwrap()
-	}
-}
-
-// AsCheckpointer finds Checkpoint support on e or any wrapped engine.
-func AsCheckpointer(e Engine) (Checkpointer, bool) { return as[Checkpointer](e) }
-
-// AsDurabilityStatser finds WAL stats support on e or any wrapped engine.
-func AsDurabilityStatser(e Engine) (DurabilityStatser, bool) {
-	return as[DurabilityStatser](e)
-}
-
-// AsChangeStreamer finds change-stream support on e or any wrapped engine.
-func AsChangeStreamer(e Engine) (ChangeStreamer, bool) { return as[ChangeStreamer](e) }
-
-// AsReplicaStatser finds replica stats support on e or any wrapped engine.
-func AsReplicaStatser(e Engine) (ReplicaStatser, bool) { return as[ReplicaStatser](e) }
-
 // walFailure is the sticky error after a WAL append or fsync fails:
 // the engine refuses new writes (applied-but-unlogged state would
 // silently diverge from what a restart recovers).
@@ -147,15 +99,14 @@ type walFailure struct{ err error }
 // is a linearized redo log of exactly what the writer applied.
 //
 // It keeps no copy of the adjacency on any backend: a checkpoint streams
-// a view pinned on the inner engine's own files (pin, checkpoint below).
+// a view pinned on the graph's own files (checkpoint below).
 type durable struct {
 	name  string
-	inner Engine
-	pin   pinFunc
+	inner *serve.ConcurrentSession
+	g     *kcore.Graph // the graph inner serves; owned
 	gd    *wal.GraphDir
 	ctr   *stats.WalCounters
 	opts  DurabilityOptions
-	g     *kcore.Graph // owned live graph handle (single-writer recovery); may be nil
 
 	mu   sync.Mutex // the commit point: guards lsn + feed order
 	lsn  uint64
@@ -182,51 +133,6 @@ func newDurable(name string, opts DurabilityOptions) *durable {
 		opts: opts,
 		feed: wal.NewFeed(opts.FeedRecords, opts.FeedBytes),
 		quit: make(chan struct{}),
-	}
-}
-
-// pinFunc captures the inner engine's graph on its writer goroutine,
-// behind everything enqueued before the call (serve.ConcurrentSession.Do):
-// a view of the adjacency that costs O(update buffer) to take and streams
-// from any goroutine afterwards, and the epoch published at that same
-// flush boundary, whose cores are therefore exactly the view's. at runs
-// at the boundary too — the shell reads its LSN there. The writer goes
-// back to applying updates as soon as the capture returns; the caller
-// must call release once it has streamed the view.
-type pinFunc func(at func()) (src wal.Source, ep *serve.Epoch, release func(), err error)
-
-// pinMem is the mem backend's pinFunc: a kcore.View of g, the graph eng
-// serves.
-func pinMem(eng *serve.ConcurrentSession, g *kcore.Graph) pinFunc {
-	return func(at func()) (wal.Source, *serve.Epoch, func(), error) {
-		var (
-			vw     *kcore.View
-			ep     *serve.Epoch
-			pinErr error
-		)
-		err := eng.Do(func() {
-			vw, pinErr = g.Pin()
-			ep = eng.Snapshot()
-			at()
-		})
-		if err == nil {
-			err = pinErr
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return vw, ep, vw.Release, nil
-	}
-}
-
-// pinDisk is the disk backend's pinFunc: a view of eng's partition store.
-func pinDisk(eng *diskengine.Engine) pinFunc {
-	return func(at func()) (wal.Source, *serve.Epoch, func(), error) {
-		vw, err := eng.Pin(at)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return vw, vw.Epoch, vw.Release, nil
 	}
 }
 
@@ -317,23 +223,36 @@ func (d *durable) startLoops() {
 
 // checkpoint persists the graph's adjacency and core numbers as of one
 // exact LSN. It serializes with other checkpoints and starts with a
-// barrier on the inner engine, so the checkpoint covers everything
-// enqueued so far. The barrier itself is the capture (pinFunc): view,
-// epoch and LSN are all taken at one flush boundary, so the stored cores
-// always match the stored adjacency, and the writer goes back to
-// applying updates while the view is streamed to the checkpoint tables
-// from this goroutine.
+// barrier on the inner session (serve.ConcurrentSession.Do), so the
+// checkpoint covers everything enqueued so far. The barrier itself is
+// the capture: a view of the adjacency that costs O(update buffer) to
+// take, the epoch published at that flush boundary and the LSN are all
+// read on the writer goroutine, so the stored cores always match the
+// stored adjacency, and the writer goes back to applying updates while
+// the view is streamed to the checkpoint tables from this goroutine.
 func (d *durable) checkpoint() error {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	t0 := time.Now()
-	var lsn uint64
-	src, ep, release, err := d.pin(func() { lsn = d.CurrentLSN() })
+	var (
+		vw     *kcore.View
+		ep     *serve.Epoch
+		lsn    uint64
+		pinErr error
+	)
+	err := d.inner.Do(func() {
+		vw, pinErr = d.g.Pin()
+		ep = d.inner.Snapshot()
+		lsn = d.CurrentLSN()
+	})
+	if err == nil {
+		err = pinErr
+	}
 	if err != nil {
 		return err
 	}
-	defer release()
-	if err := d.gd.Checkpoint(lsn, src, ep.Cores()); err != nil {
+	defer vw.Release()
+	if err := d.gd.Checkpoint(lsn, vw, ep.Cores()); err != nil {
 		return err
 	}
 	d.ctr.SetCheckpointLast(time.Since(t0))
@@ -411,14 +330,14 @@ func (d *durable) Stats() stats.ServeSnapshot { return d.inner.Stats() }
 
 func (d *durable) IOStats() kcore.IOStats { return d.inner.IOStats() }
 
-func (d *durable) Unwrap() Engine { return d.inner }
-
-// DurabilityStats implements DurabilityStatser.
-func (d *durable) DurabilityStats() stats.WalSnapshot {
+// Report adds the WAL/checkpoint/recovery block to the session's report.
+func (d *durable) Report() serve.Report {
 	d.ctr.SetLSN(d.CurrentLSN())
-	s := d.ctr.Snapshot()
-	s.CheckpointBlockReads = d.gd.IO().Snapshot().Reads
-	return s
+	w := d.ctr.Snapshot()
+	w.CheckpointBlockReads = d.gd.IO().Snapshot().Reads
+	r := d.inner.Report()
+	r.Durability = &w
+	return r
 }
 
 // Checkpoint implements Checkpointer.
@@ -503,10 +422,8 @@ func (d *durable) Close() error {
 		if err := d.inner.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if d.g != nil {
-			if err := d.g.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if err := d.g.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 		if f := d.broken.Load(); f != nil && firstErr == nil {
 			firstErr = f.err

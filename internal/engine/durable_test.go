@@ -107,11 +107,10 @@ func durStats(t *testing.T, eng engine.Engine) (s struct {
 	Degraded    bool
 }) {
 	t.Helper()
-	ds, ok := engine.AsDurabilityStatser(eng)
-	if !ok {
-		t.Fatal("durable engine does not expose DurabilityStats")
+	w := eng.Report().Durability
+	if w == nil {
+		t.Fatal("durable engine reports no durability block")
 	}
-	w := ds.DurabilityStats()
 	s.LSN, s.Replayed, s.Checkpoints, s.Appends, s.Degraded =
 		w.LSN, w.Replayed, w.Checkpoints, w.Appends, w.Degraded
 	return s
@@ -371,7 +370,7 @@ func TestRecoverMidLogDamageComesUpDegraded(t *testing.T) {
 	if err := eng2.Apply(ups[0]); !errors.Is(err, engine.ErrDegraded) {
 		t.Fatalf("write on degraded graph = %v, want ErrDegraded", err)
 	}
-	if cp, ok := engine.AsCheckpointer(eng2); !ok {
+	if cp, ok := eng2.(engine.Checkpointer); !ok {
 		t.Fatal("degraded engine lost its Checkpointer")
 	} else if err := cp.Checkpoint(); !errors.Is(err, engine.ErrDegraded) {
 		t.Fatalf("checkpoint on degraded graph = %v, want ErrDegraded", err)
@@ -429,11 +428,8 @@ func TestDurableDiskRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bt, ok := engine.AsBackendTyper(eng); !ok || bt.BackendType() != engine.BackendDisk {
-		t.Fatalf("durable wrapper hides the disk backend label")
-	}
-	if _, ok := engine.AsDiskStatser(eng); !ok {
-		t.Fatal("durable wrapper hides DiskStats")
+	if rep := eng.Report(); rep.Backend != engine.BackendDisk || rep.Disk == nil {
+		t.Fatalf("durable wrapper hides the disk backend: %+v", rep)
 	}
 	for _, up := range ups {
 		if err := eng.Apply(up); err != nil {
@@ -458,7 +454,7 @@ func TestDurableDiskRoundTrip(t *testing.T) {
 		t.Fatalf("recovery report = %+v", rep.Graphs)
 	}
 	eng2, _ := reg2.Get("g")
-	if bt, ok := engine.AsBackendTyper(eng2); !ok || bt.BackendType() != engine.BackendDisk {
+	if eng2.Report().Backend != engine.BackendDisk {
 		t.Fatal("recovered engine is not disk-backed despite the CONFIG label")
 	}
 	if !slices.Equal(eng2.Snapshot().Cores(), want) {
@@ -525,7 +521,7 @@ func TestRecoverLegacyShardedDataDir(t *testing.T) {
 		t.Fatalf("replayed %d records, want all %d across the three logs", rep.Graphs[0].Replayed, k)
 	}
 	eng2, _ := reg2.Get("g")
-	if bt, ok := engine.AsBackendTyper(eng2); !ok || bt.BackendType() != engine.BackendMem {
+	if eng2.Report().Backend != engine.BackendMem {
 		t.Fatal("a legacy sharded CONFIG must normalise to the mem backend")
 	}
 	edges := gen.Social(n, 3, 8, 8, seed)

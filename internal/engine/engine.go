@@ -37,6 +37,9 @@ type Engine interface {
 	Stats() stats.ServeSnapshot
 	// IOStats reports block I/O performed by the backend.
 	IOStats() kcore.IOStats
+	// Report says which backend serves the graph and snapshots the
+	// counters of every layer the engine has (disk, durability, replica).
+	Report() serve.Report
 	// Close drains pending updates, publishes the final epoch and stops
 	// the engine.
 	Close() error

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"kcore"
-	"kcore/internal/diskengine"
 	"kcore/internal/serve"
 	"kcore/internal/stats"
 	"kcore/internal/wal"
@@ -131,11 +130,11 @@ func (r *Registry) buildDurable(name, dir, base string, c BackendConfig) (*durab
 	if err := r.dur.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	g, err := kcore.Open(base, &r.opts.Open)
+	g, err := r.openGraph(base, c, partsDir(dir))
 	if err != nil {
 		return nil, err
 	}
-	d, err := r.assembleDurable(name, dir, g, c, false)
+	d, err := r.assembleDurable(name, dir, g, false)
 	if err != nil {
 		return nil, err
 	}
@@ -151,14 +150,16 @@ func (r *Registry) buildDurable(name, dir, base string, c BackendConfig) (*durab
 	return d, nil
 }
 
-// assembleDurable builds the durable shell around a serving engine for
-// g: log opened, hook chained, pin function set. The backend is routed
-// on c.Backend — the WAL shell is the same for both, only the inner
-// engine construction and what its pinned view reads differ. When
+// partsDir is where a durable disk graph keeps its partition files:
+// inside the graph directory, wiped and rebuilt at every open.
+func partsDir(dir string) string { return filepath.Join(dir, "parts") }
+
+// assembleDurable builds the durable shell around a serving session for
+// g, whichever backend g was opened on: log opened, hook chained. When
 // replaying is set the shell starts in replay mode (records are not
 // re-logged) and background loops are not started; the recovery path
-// finishes that. On error the graph handle has been closed.
-func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendConfig, replaying bool) (*durable, error) {
+// finishes that. The shell owns g; on error it has been closed.
+func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, replaying bool) (*durable, error) {
 	d := newDurable(name, *r.dur)
 	if replaying {
 		d.replaying.Store(true)
@@ -184,36 +185,13 @@ func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, c BackendCo
 		}
 		d.onApply(deletes, inserts)
 	}
-	if c.Backend == BackendDisk {
-		// The disk engine reads the base files itself; g only named them.
-		// Its partition cache lives inside the graph directory, wiped and
-		// rebuilt at every open.
-		base := g.Base()
-		if err := g.Close(); err != nil {
-			gd.Close() //nolint:errcheck // close error wins
-			return nil, err
-		}
-		eng, err := diskengine.Open(base, diskengine.Options{
-			Dir:         filepath.Join(dir, "parts"),
-			CacheBlocks: c.CacheBlocks,
-			BlockSize:   r.opts.Open.BlockSize,
-			Serve:       &so,
-		})
-		if err != nil {
-			gd.Close() //nolint:errcheck // engine error wins
-			return nil, err
-		}
-		d.inner, d.pin = eng, pinDisk(eng)
-		return d, nil
-	}
 	eng, err := serve.New(g, &so)
 	if err != nil {
 		gd.Close() //nolint:errcheck // engine error wins
 		g.Close()  //nolint:errcheck
 		return nil, err
 	}
-	d.inner, d.pin = eng, pinMem(eng, g)
-	d.g = g // the durable shell owns the live graph handle
+	d.inner, d.g = eng, g
 	return d, nil
 }
 
@@ -354,11 +332,11 @@ func (r *Registry) recoverGraph(name string) (gr GraphRecovery) {
 	if err != nil {
 		return fail(err)
 	}
-	g, err := kcore.Open(liveBase, &r.opts.Open)
+	g, err := r.openGraph(liveBase, c, partsDir(dir))
 	if err != nil {
 		return fail(err)
 	}
-	d, err := r.assembleDurable(name, dir, g, c, true)
+	d, err := r.assembleDurable(name, dir, g, true)
 	if err != nil {
 		return fail(err)
 	}

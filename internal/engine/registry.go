@@ -207,8 +207,7 @@ func (r *Registry) Names() []string {
 type GraphInfo struct {
 	Name string `json:"name"`
 	Path string `json:"path,omitempty"`
-	// Backend labels the serving backend ("mem", "disk", "follower");
-	// empty for externally built engines with no label.
+	// Backend labels the serving backend ("mem", "disk", "follower").
 	Backend  string `json:"backend,omitempty"`
 	Nodes    uint32 `json:"nodes"`
 	Edges    int64  `json:"edges"`
@@ -241,27 +240,23 @@ func (r *Registry) List() []GraphInfo {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	infos := make([]GraphInfo, len(entries))
 	for i, e := range entries {
-		snap := e.eng.Snapshot()
+		snap, rep := e.eng.Snapshot(), e.eng.Report()
 		infos[i] = GraphInfo{
-			Name:  e.name,
-			Path:  e.base,
-			Nodes: snap.NumNodes(),
-			Edges: snap.NumEdges,
-			Kmax:  snap.Kmax,
-			Epoch: snap.Seq,
-			Serve: e.eng.Stats(),
+			Name:       e.name,
+			Path:       e.base,
+			Backend:    rep.Backend,
+			Nodes:      snap.NumNodes(),
+			Edges:      snap.NumEdges,
+			Kmax:       snap.Kmax,
+			Epoch:      snap.Seq,
+			Serve:      e.eng.Stats(),
+			Durability: rep.Durability,
+			Replica:    rep.Replica,
 		}
-		if bt, ok := AsBackendTyper(e.eng); ok {
-			infos[i].Backend = bt.BackendType()
+		if rep.Durability != nil {
+			infos[i].Degraded = rep.Durability.Degraded
 		}
-		if ds, ok := AsDurabilityStatser(e.eng); ok {
-			w := ds.DurabilityStats()
-			infos[i].Durability = &w
-			infos[i].Degraded = w.Degraded
-		}
-		if rs, ok := AsReplicaStatser(e.eng); ok {
-			rep := rs.ReplicaStats()
-			infos[i].Replica = &rep
+		if rep.Replica != nil {
 			infos[i].Role = "follower"
 		}
 	}

@@ -1,9 +1,11 @@
 // Package graph defines the neighbour-access contract shared by every
 // graph backend in the repository: the on-disk table pair
-// (internal/storage), the buffered dynamic view (internal/dyngraph) and
-// the in-memory CSR (internal/memgraph). The semi-external algorithms of
-// the paper are written against this interface only, so one implementation
-// serves both the I/O-accounted disk runs and the fast in-memory tests.
+// (internal/storage) and the partition files (internal/diskengine) a
+// dynamic graph is based on, the one buffered dynamic graph over either
+// (internal/dyngraph) and the in-memory CSR (internal/memgraph). The
+// semi-external algorithms of the paper are written against this
+// interface only, so one implementation serves both the I/O-accounted
+// disk runs and the fast in-memory tests.
 package graph
 
 // Source is a read-only, scan-oriented graph. Node ids are dense in

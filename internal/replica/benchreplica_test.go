@@ -33,7 +33,7 @@ func startBenchLeader(tb testing.TB, seed int64) (*httptest.Server, engine.Engin
 	}
 	srv := httptest.NewServer(httpapi.New(reg, "default"))
 	tb.Cleanup(srv.Close)
-	cs, ok := engine.AsChangeStreamer(eng)
+	cs, ok := eng.(engine.ChangeStreamer)
 	if !ok {
 		tb.Fatal("durable engine does not expose a change stream")
 	}

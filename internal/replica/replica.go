@@ -155,10 +155,7 @@ type Follower struct {
 	closeErr  error
 }
 
-var (
-	_ engine.Engine         = (*Follower)(nil)
-	_ engine.ReplicaStatser = (*Follower)(nil)
-)
+var _ engine.Engine = (*Follower)(nil)
 
 // New bootstraps a follower from the leader's newest checkpoint
 // (bounded by BootstrapRetries) and starts the background stream loop.
@@ -504,12 +501,18 @@ func (f *Follower) Stats() stats.ServeSnapshot { return f.state.Load().sess.Stat
 // IOStats reports block I/O through the local graph.
 func (f *Follower) IOStats() kcore.IOStats { return f.state.Load().sess.IOStats() }
 
-// ReplicaStats snapshots the replication counters (engine.ReplicaStatser):
-// cursor, observed leader LSN, lag, stream health.
+// ReplicaStats snapshots the replication counters: cursor, observed
+// leader LSN, lag, stream health.
 func (f *Follower) ReplicaStats() stats.ReplicaSnapshot { return f.ctr.Snapshot() }
 
-// BackendType labels the engine in stats listings (engine.BackendTyper).
-func (f *Follower) BackendType() string { return "follower" }
+// Report relabels the apply session's report as a follower's and adds
+// the replication block to it.
+func (f *Follower) Report() serve.Report {
+	r := f.state.Load().sess.Report()
+	rs := f.ReplicaStats()
+	r.Backend, r.Replica = "follower", &rs
+	return r
+}
 
 // Close stops the stream loop and the apply session. Snapshots already
 // taken stay readable.

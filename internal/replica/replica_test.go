@@ -66,7 +66,7 @@ func startLeader(t *testing.T, seed int64, feedRecords int) *leaderHarness {
 	}
 	srv := httptest.NewServer(httpapi.New(reg, "default"))
 	t.Cleanup(srv.Close)
-	cs, ok := engine.AsChangeStreamer(eng)
+	cs, ok := eng.(engine.ChangeStreamer)
 	if !ok {
 		t.Fatal("durable engine does not expose a change stream")
 	}
@@ -341,7 +341,7 @@ func TestCheckpointCatchUp(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		h.step()
 	}
-	cp, ok := engine.AsCheckpointer(h.eng)
+	cp, ok := h.eng.(engine.Checkpointer)
 	if !ok {
 		t.Fatal("durable engine does not expose Checkpoint")
 	}

@@ -153,63 +153,22 @@ func (o Options) withDefaults() Options {
 // ErrClosed is returned by operations on a closed session.
 var ErrClosed = errors.New("serve: session closed")
 
-// Backend is the maintained decomposition a ConcurrentSession serves:
-// the edge store plus the incremental core-maintenance state behind one
-// surface. The writer goroutine is the only caller of the mutating
-// methods (InsertEdges/DeleteEdges), so implementations need no internal
-// locking on the maintenance path; IOStats may be read concurrently.
-//
-// The in-memory path (New) adapts a kcore.Graph + kcore.Maintainer pair;
-// internal/diskengine implements it over block-cached on-disk partitions
-// with an in-memory overlay. Publication semantics are identical either
-// way: the session only sees net-effect batches and snapshot deltas.
-type Backend interface {
-	// NumNodes returns the fixed node-id space size.
-	NumNodes() uint32
-	// NumEdges returns the current number of live edges.
-	NumEdges() int64
-	// HasEdge reports whether the undirected edge {u,v} is live.
-	HasEdge(u, v uint32) (bool, error)
-	// IOStats reports cumulative block I/O through the backend's store.
-	IOStats() kcore.IOStats
-	// Cores exposes the live core array (writer-owned; read between
-	// applies only).
-	Cores() []uint32
-	// InsertEdges applies a batch of net insertions and repairs cores.
-	InsertEdges(edges []kcore.Edge) (kcore.RunInfo, error)
-	// DeleteEdges atomically applies a batch of net deletions and
-	// repairs cores.
-	DeleteEdges(edges []kcore.Edge) (kcore.RunInfo, error)
-	// Snapshot builds a full immutable core snapshot of the current
-	// state.
-	Snapshot() *kcore.CoreSnapshot
-	// SnapshotDelta derives a snapshot from prev copying only the chunks
-	// covering dirty (a sound superset of changed nodes), returning the
-	// copied-chunk count.
-	SnapshotDelta(prev *kcore.CoreSnapshot, dirty []uint32) (*kcore.CoreSnapshot, int)
-}
-
-// kcoreBackend adapts the mem serving pair (graph + maintainer) to the
-// Backend surface. It is the path serve.New wires up.
-type kcoreBackend struct {
-	g *kcore.Graph
-	m *kcore.Maintainer
-}
-
-func (b kcoreBackend) NumNodes() uint32                  { return b.g.NumNodes() }
-func (b kcoreBackend) NumEdges() int64                   { return b.g.NumEdges() }
-func (b kcoreBackend) HasEdge(u, v uint32) (bool, error) { return b.g.HasEdge(u, v) }
-func (b kcoreBackend) IOStats() kcore.IOStats            { return b.g.IOStats() }
-func (b kcoreBackend) Cores() []uint32                   { return b.m.Cores() }
-func (b kcoreBackend) InsertEdges(edges []kcore.Edge) (kcore.RunInfo, error) {
-	return b.m.InsertEdges(edges)
-}
-func (b kcoreBackend) DeleteEdges(edges []kcore.Edge) (kcore.RunInfo, error) {
-	return b.m.DeleteEdges(edges)
-}
-func (b kcoreBackend) Snapshot() *kcore.CoreSnapshot { return b.m.Snapshot() }
-func (b kcoreBackend) SnapshotDelta(prev *kcore.CoreSnapshot, dirty []uint32) (*kcore.CoreSnapshot, int) {
-	return b.m.SnapshotDelta(prev, dirty)
+// Report is what an engine says about itself beyond its serving
+// counters: which backend reads its adjacency, and the counters of each
+// layer it has. A ConcurrentSession fills in the graph's part; the shells
+// around one (the durable shell in internal/engine, the follower in
+// internal/replica) add their block to the report of what they wrap.
+type Report struct {
+	// Backend labels the engine in /stats and listings.
+	Backend string
+	// Disk is the block cache, update buffer and rewrite economy of a
+	// partitioned graph; nil otherwise.
+	Disk *stats.DiskSnapshot
+	// Durability is the WAL/checkpoint/recovery block of a graph served
+	// from a data dir; nil otherwise.
+	Durability *stats.WalSnapshot
+	// Replica is the cursor/lag/stream block of a follower; nil otherwise.
+	Replica *stats.ReplicaSnapshot
 }
 
 // envelope is a queue entry: one update, a barrier (see Do), or an
@@ -226,7 +185,8 @@ type envelope struct {
 // the single writer goroutine). See the package comment for the
 // consistency model.
 type ConcurrentSession struct {
-	b    Backend // the maintained state being served
+	g    *kcore.Graph      // the edge store, and
+	m    *kcore.Maintainer // the maintained cores over it, being served
 	opts Options
 	ctr  *stats.ServeCounters
 
@@ -265,40 +225,14 @@ func New(g *kcore.Graph, opts *Options) (*ConcurrentSession, error) {
 		return nil, fmt.Errorf("serve: initial decomposition: %w", err)
 	}
 	s := &ConcurrentSession{
-		b:          kcoreBackend{g: g, m: m},
+		g:          g,
+		m:          m,
 		opts:       o,
 		ctr:        o.Counters,
 		queue:      make(chan envelope, o.QueueCapacity),
 		dirtyStamp: make([]uint32, g.NumNodes()),
 	}
 	s.publish(m.Snapshot(), 0, nil, nil)
-	s.wg.Add(1)
-	go s.run()
-	return s, nil
-}
-
-// NewBackend starts a session over an already-decomposed Backend,
-// publishing its current state as epoch 0. Unlike New it runs no
-// initial decomposition — the backend arrives maintained. Everything
-// else — coalescing, annihilation, O(changed) copy-on-write publication,
-// memo repair, OnApply hooks — is the same writer New starts, so a
-// disk-backed engine serves and repairs exactly like the mem path.
-// The caller keeps ownership of b but must not mutate it while the
-// session is open.
-func NewBackend(b Backend, opts *Options) (*ConcurrentSession, error) {
-	var o Options
-	if opts != nil {
-		o = *opts
-	}
-	o = o.withDefaults()
-	s := &ConcurrentSession{
-		b:          b,
-		opts:       o,
-		ctr:        o.Counters,
-		queue:      make(chan envelope, o.QueueCapacity),
-		dirtyStamp: make([]uint32, b.NumNodes()),
-	}
-	s.publish(b.Snapshot(), 0, nil, nil)
 	s.wg.Add(1)
 	go s.run()
 	return s, nil
@@ -372,11 +306,11 @@ func (s *ConcurrentSession) Sync() error { return s.Do(func() {}) }
 
 // Do runs fn on the writer goroutine once every update enqueued before
 // the call has been applied and published, and returns after fn has.
-// The writer does nothing else while fn runs, so fn sees the backend,
+// The writer does nothing else while fn runs, so fn sees the graph,
 // the current epoch and whatever the OnApply hooks maintain at one exact
 // flush boundary — and every queued update waits for it: keep fn short.
 // fn is skipped, and the writer's error returned, when maintenance has
-// failed (the backend may then be torn mid-batch).
+// failed (the graph may then be torn mid-batch).
 func (s *ConcurrentSession) Do(fn func()) error {
 	if f := s.failure.Load(); f != nil {
 		// The writer is dead: every already-enqueued update has been (or
@@ -416,13 +350,14 @@ func (s *ConcurrentSession) Stats() stats.ServeSnapshot {
 	return s.ctr.Snapshot(time.Now())
 }
 
-// IOStats reports the block I/O performed through the backend's store.
-func (s *ConcurrentSession) IOStats() kcore.IOStats { return s.b.IOStats() }
+// IOStats reports the block I/O performed through the graph.
+func (s *ConcurrentSession) IOStats() kcore.IOStats { return s.g.IOStats() }
 
-// BackendType labels the engine in stats listings (engine.BackendTyper).
-// Engines embedding a ConcurrentSession over a different backend shadow
-// it with their own label.
-func (s *ConcurrentSession) BackendType() string { return "mem" }
+// Report describes the graph being served; safe to call concurrently
+// with the writer.
+func (s *ConcurrentSession) Report() Report {
+	return Report{Backend: s.g.Backend(), Disk: s.g.DiskStats()}
+}
 
 // Counters exposes the live serving counters shared with published
 // epochs; callers may read them concurrently (all fields are atomic).
@@ -456,10 +391,10 @@ func (s *ConcurrentSession) Close() error {
 func (s *ConcurrentSession) publishDelta(appliedNow int, rawDirty []uint32) {
 	prev := s.cur.Load()
 	if prev == nil {
-		s.publish(s.b.Snapshot(), appliedNow, nil, nil)
+		s.publish(s.m.Snapshot(), appliedNow, nil, nil)
 		return
 	}
-	cores := s.b.Cores()
+	cores := s.m.Cores()
 	s.stampGen++
 	if s.stampGen == 0 { // wrapped: do the rare O(n) clear
 		clear(s.dirtyStamp)
@@ -477,7 +412,7 @@ func (s *ConcurrentSession) publishDelta(appliedNow int, rawDirty []uint32) {
 	}
 	s.dirtyScratch = scratch
 	dirty := append(make([]uint32, 0, len(scratch)), scratch...)
-	snap, copied := s.b.SnapshotDelta(prev.CoreSnapshot, dirty)
+	snap, copied := s.m.SnapshotDelta(prev.CoreSnapshot, dirty)
 	s.ctr.NotePublishDelta(len(dirty), copied, snap.NumChunks())
 	s.publish(snap, appliedNow, dirty, repairPlan(prev, dirty, snap.NumNodes()))
 }

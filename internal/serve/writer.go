@@ -145,7 +145,7 @@ func (s *ConcurrentSession) flush(pending []Update, internal bool) {
 		s.ctr.NoteRejected(len(pending))
 		return
 	}
-	n := s.b.NumNodes()
+	n := s.g.NumNodes()
 	rejected := 0
 	states := make(map[uint64]*edgeState, len(pending))
 	keys := make([]uint64, 0, len(pending))
@@ -161,7 +161,7 @@ func (s *ConcurrentSession) flush(pending []Update, internal bool) {
 		key := uint64(u)<<32 | uint64(v)
 		st, ok := states[key]
 		if !ok {
-			present, err := s.b.HasEdge(u, v)
+			present, err := s.g.HasEdge(u, v)
 			if err != nil {
 				s.fail(fmt.Errorf("serve: validate %s (%d,%d): %w", up.Op, u, v, err))
 				// Nothing from this flush reaches the published state:
@@ -226,7 +226,7 @@ func (s *ConcurrentSession) flush(pending []Update, internal bool) {
 	}
 }
 
-// applyBatches runs the net flush through the backend — the delete
+// applyBatches runs the net flush through the maintainer — the delete
 // batch, then the insert batch — and returns the applied count plus the
 // concatenated raw dirty sets. On error the caller must fail the
 // session; nothing has been published.
@@ -238,9 +238,9 @@ func (s *ConcurrentSession) applyBatches(deletes, inserts []kcore.Edge) (applied
 		var info kcore.RunInfo
 		var err error
 		if op == OpInsert {
-			info, err = s.b.InsertEdges(edges)
+			info, err = s.m.InsertEdges(edges)
 		} else {
-			info, err = s.b.DeleteEdges(edges)
+			info, err = s.m.DeleteEdges(edges)
 		}
 		if err != nil {
 			return fmt.Errorf("serve: apply %s batch of %d: %w", op, len(edges), err)

@@ -3,7 +3,9 @@ package stats
 // DiskSnapshot is a point-in-time view of a disk backend's working
 // state: the block-cache economy (the whole adjacency memory budget),
 // the overlay fill level, and the cumulative cost of overlay merges.
-// Filled by internal/diskengine, surfaced under /g/{name}/stats.
+// Filled by kcore.Graph.DiskStats (cache and merges from
+// internal/diskengine, the overlay from internal/dyngraph), surfaced
+// under /g/{name}/stats.
 type DiskSnapshot struct {
 	// Partitions is the fixed partition-file count.
 	Partitions int `json:"partitions"`

@@ -112,9 +112,9 @@ func parseManifest(data []byte) (manifest, error) {
 func ckptDirName(seq uint64) string { return fmt.Sprintf("%016x", seq) }
 
 // Source is the adjacency a checkpoint persists, as of one LSN: a view
-// pinned on the serving graph's own files (dyngraph.View over the base
-// tables of a mem graph, diskengine.View over the partitions of a disk
-// one), streaming the lists so no copy of the edge set is ever resident.
+// pinned on the serving graph's own files (dyngraph.View, over the base
+// tables of a mem graph or the partitions of a disk one), streaming the
+// lists so no copy of the edge set is ever resident.
 type Source interface {
 	NumNodes() uint32
 	NumArcs() int64

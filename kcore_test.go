@@ -284,6 +284,33 @@ func TestEMCoreRequiresFlush(t *testing.T) {
 	if _, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: kcore.EMCore, TempDir: t.TempDir()}); err != nil {
 		t.Fatal(err)
 	}
+
+	// A partitioned graph flushes into its partition files, never into
+	// the tables the two baselines read: they run while those tables are
+	// still the graph, and refuse once a flush has gone elsewhere.
+	pg, err := kcore.Open(g.Base(), &kcore.OpenOptions{Partitions: &kcore.PartitionOptions{Dir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pg.Close()
+	if _, err := kcore.Decompose(pg, &kcore.DecomposeOptions{Algorithm: kcore.IMCore}); err != nil {
+		t.Fatalf("IMCore over an unedited partitioned graph: %v", err)
+	}
+	pm, err := kcore.NewMaintainer(pg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pm.DeleteEdge(7, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := pg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []kcore.Algorithm{kcore.EMCore, kcore.IMCore} {
+		if _, err := kcore.Decompose(pg, &kcore.DecomposeOptions{Algorithm: algo, TempDir: t.TempDir()}); err == nil {
+			t.Fatalf("%v decomposed the stale tables under a flushed partitioned graph", algo)
+		}
+	}
 }
 
 func writeFile(path, content string) error {

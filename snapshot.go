@@ -124,31 +124,6 @@ func (s *CoreSnapshot) withUpdates(core []uint32, dirty []uint32, numEdges int64
 	return ns, copied
 }
 
-// SnapshotFromCores builds an immutable CoreSnapshot directly from a core
-// array (one full O(n) copy into private chunks). It exists for layers
-// that compute core numbers outside a Maintainer — the disk backend
-// (internal/diskengine) publishes its first epoch through it.
-func SnapshotFromCores(core []uint32, numEdges int64) *CoreSnapshot {
-	return newCoreSnapshot(core, numEdges)
-}
-
-// WithUpdates derives a snapshot of core from s, sharing every chunk the
-// dirty set does not touch — the exported face of the copy-on-write delta
-// path, for publishers that maintain their own core array (the disk
-// backend, internal/diskengine). dirty must contain every node whose
-// core number differs between s and core; supersets, duplicates and
-// unchanged nodes are tolerated. When s covers a different node count
-// than core, the delta cannot be trusted and the result falls back to a
-// freshly built snapshot, reported as every chunk copied. Reports how
-// many chunks were copied.
-func (s *CoreSnapshot) WithUpdates(core []uint32, dirty []uint32, numEdges int64) (*CoreSnapshot, int) {
-	if uint32(len(core)) != s.n {
-		ns := newCoreSnapshot(core, numEdges)
-		return ns, len(ns.chunks)
-	}
-	return s.withUpdates(core, dirty, numEdges)
-}
-
 // Snapshot captures the maintainer's current core numbers as an immutable
 // CoreSnapshot with one full O(n) copy. The copy decouples readers from
 // subsequent maintenance: the returned snapshot never changes, no matter
