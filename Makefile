@@ -1,8 +1,10 @@
 # Build/test entry points. `make test` is the tier-1 gate (the root
 # module, then the benchmark harness's own module under bench/, which
-# the root's ./... does not enter); `make race` must also stay green — every concurrent code path in the repository
-# (internal/serve, SemiCoreParallel) is written to be race-detector-clean,
-# with cross-goroutine state accessed only via sync/atomic or channels.
+# the root's ./... does not enter); `make race` must also stay green —
+# every concurrent code path in the repository (internal/serve's readers
+# and writer, internal/engine's checkpoints streamed off the writer,
+# internal/replica) is written to be race-detector-clean, with
+# cross-goroutine state accessed only via sync/atomic, mutexes or channels.
 GO ?= go
 
 .PHONY: all test race vet doc bench crash-sweep fuzz profile clean
@@ -39,7 +41,7 @@ FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzMaintenanceSequence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/maintain
 	$(GO) test -fuzz=FuzzChangeStreamDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/replica
-	$(GO) test -fuzz=FuzzDiskEngineAgreesWithMem -fuzztime=$(FUZZTIME) -run '^$$' ./internal/diskengine
+	$(GO) test -fuzz=FuzzDiskEngineAgreesWithMem -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
 
 # The crash-point fault-injection suite: the exhaustive boundary sweep
 # plus a longer randomized torn-write run. CRASHSEED pins a failing seed

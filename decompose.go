@@ -149,13 +149,10 @@ func Decompose(g *Graph, opts *DecomposeOptions) (*Result, error) {
 
 // rawTablesCurrent reports whether the tables at g.base hold the graph as
 // it stands, which the baselines that read them directly need: nothing
-// buffered, and no flush gone into partition files instead.
+// buffered.
 func (g *Graph) rawTablesCurrent(algo string) error {
 	if g.dyn.BufferedArcs() > 0 {
 		return fmt.Errorf("kcore: %s requires a flushed graph; call Flush first", algo)
-	}
-	if g.parts != nil && g.dyn.Compactions > 0 {
-		return fmt.Errorf("kcore: %s reads the tables at %s, which a partitioned graph never updates", algo, g.base)
 	}
 	return nil
 }

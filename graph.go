@@ -3,7 +3,6 @@ package kcore
 import (
 	"fmt"
 
-	"kcore/internal/diskengine"
 	"kcore/internal/dyngraph"
 	"kcore/internal/graphio"
 	"kcore/internal/stats"
@@ -54,25 +53,21 @@ type OpenOptions struct {
 	// BufferArcs caps the in-memory update buffer before edits are
 	// folded into the disk graph; 0 selects a default (1<<16).
 	BufferArcs int
-	// Partitions, when non-nil, reads the graph through a bounded block
-	// cache instead of one block at a time: the tables at base are laid
-	// out into partition files at Open (base itself is never written
-	// after that), and a full buffer rewrites only the partitions it
-	// touches. nil reads, and compacts into, the tables at base.
-	Partitions *PartitionOptions
+	// CacheBlocks, when positive, reads the tables through a block cache
+	// of that many blocks, which verifies every block it loads against a
+	// checksum recorded by one pass over the tables at Open; 0 reads each
+	// table through a one-block buffer. The layout, the update buffer and
+	// the compaction into the tables at base are the same either way.
+	CacheBlocks int
 }
-
-// PartitionOptions sizes the partition layout: where the files go, how
-// many cache blocks may be resident, how large a partition is.
-type PartitionOptions = diskengine.Options
 
 // Graph is a handle to an on-disk graph with a dynamic update overlay.
 // All reads and compaction writes are counted at block granularity.
 type Graph struct {
-	dyn   *dyngraph.Graph
-	ctr   *stats.IOCounter
-	base  string
-	parts *diskengine.Store // the base under dyn when partitioned, else nil
+	dyn    *dyngraph.Graph
+	ctr    *stats.IOCounter
+	base   string
+	cached bool // opened with CacheBlocks
 }
 
 // Open attaches to the graph stored at path prefix base.
@@ -82,27 +77,18 @@ func Open(base string, opts *OpenOptions) (*Graph, error) {
 		o = *opts
 	}
 	ctr := stats.NewIOCounter(o.BlockSize)
-	do := dyngraph.Options{BufferArcs: o.BufferArcs}
-	if o.Partitions == nil {
-		dyn, err := dyngraph.Open(base, ctr, do)
-		if err != nil {
-			return nil, err
-		}
-		return &Graph{dyn: dyn, ctr: ctr, base: base}, nil
-	}
-	parts, err := diskengine.Open(base, ctr, *o.Partitions)
+	dyn, err := dyngraph.Open(base, ctr, dyngraph.Options{BufferArcs: o.BufferArcs, CacheBlocks: o.CacheBlocks})
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{dyn: dyngraph.New(parts, do), ctr: ctr, base: base, parts: parts}, nil
+	return &Graph{dyn: dyn, ctr: ctr, base: base, cached: o.CacheBlocks > 0}, nil
 }
 
 // Close releases the underlying files. If no compaction happened during
 // the session, buffered edits not flushed with Flush are discarded and
 // the on-disk graph is exactly as opened; if automatic compaction already
 // rewrote the files, Close flushes the remaining buffer too, so the disk
-// state is never torn between old and new edits. A partitioned graph
-// never wrote to base: its partition files are simply discarded.
+// state is never torn between old and new edits.
 func (g *Graph) Close() error { return g.dyn.Close() }
 
 // Base reports the path prefix the graph was opened from.
@@ -152,28 +138,20 @@ func (g *Graph) Pin() (*View, error) { return g.dyn.Pin() }
 // IOStats reports the cumulative block I/O performed through this handle.
 func (g *Graph) IOStats() IOStats { return ioStatsFrom(g.ctr.Snapshot()) }
 
-// Backend names the layout the graph reads its disk half from, as
-// kcored's -backend flag spells it: "mem" for the tables at base, "disk"
-// for partitions behind the block cache.
+// Backend names the block reader under the tables, as kcored's -backend
+// flag spells it: "mem" for one-block buffers, "disk" for the block
+// cache (OpenOptions.CacheBlocks).
 func (g *Graph) Backend() string {
-	if g.parts != nil {
+	if g.cached {
 		return "disk"
 	}
 	return "mem"
 }
 
-// DiskStats snapshots the block cache, update buffer and partition
-// rewrite gauges of a partitioned graph; nil otherwise. Unlike the rest
-// of the handle it may be called concurrently with a mutation.
-func (g *Graph) DiskStats() *stats.DiskSnapshot {
-	if g.parts == nil {
-		return nil
-	}
-	ds := g.parts.DiskStats()
-	ds.OverlayArcs = int64(g.dyn.BufferedArcs())
-	ds.OverlayLimit = g.dyn.BufferLimit()
-	return &ds
-}
+// DiskStats snapshots the block cache, update buffer and rewrite gauges
+// of a graph opened with CacheBlocks; nil otherwise. Unlike the rest of
+// the handle it may be called concurrently with a mutation.
+func (g *Graph) DiskStats() *stats.DiskSnapshot { return g.dyn.DiskStats() }
 
 // ResetIOStats zeroes the handle's I/O counters (experiment hygiene).
 func (g *Graph) ResetIOStats() { g.ctr.Reset() }

@@ -1,14 +1,11 @@
-package diskengine_test
+package dyngraph_test
 
 import (
 	"math/rand"
 	"testing"
-	"time"
 
-	"kcore/internal/diskengine"
 	"kcore/internal/dyngraph"
 	"kcore/internal/memgraph"
-	"kcore/internal/serve"
 	"kcore/internal/testutil"
 )
 
@@ -17,21 +14,21 @@ const (
 	diskBenchSeed  = 7
 )
 
-// benchStore lays the standard bench fixture out as a partition store
-// under the given cache budget, returning the fixture's live edges so
-// mutation streams can seed their mirrors with them.
-func benchStore(b *testing.B, cacheBlocks int) (*dyngraph.Graph, *diskengine.Store, []memgraph.Edge) {
+// benchStore opens the standard bench fixture under the given cache
+// budget, returning the fixture's live edges so mutation streams can
+// seed their mirrors with them.
+func benchStore(b *testing.B, cacheBlocks int) (*dyngraph.Graph, []memgraph.Edge) {
 	b.Helper()
 	base, edges := testutil.WriteSocial(b, diskBenchNodes, diskBenchSeed)
-	g, st := openStore(b, base, 4096, 0, diskengine.Options{Dir: b.TempDir(), CacheBlocks: cacheBlocks})
-	return g, st, edges
+	g, _ := openAt(b, base, 4096, dyngraph.Options{CacheBlocks: cacheBlocks})
+	return g, edges
 }
 
 // BenchmarkDiskNeighborsCold reads random nodes' neighbour lists through
-// a single-frame cache — every partition touch is a miss, so this is the
+// a single-frame cache — every block touch is a miss, so this is the
 // cold (all-I/O) query latency of the disk backend.
 func BenchmarkDiskNeighborsCold(b *testing.B) {
-	g, st, _ := benchStore(b, 1)
+	g, _ := benchStore(b, 1)
 	r := rand.New(rand.NewSource(diskBenchSeed))
 	var buf []uint32
 	var err error
@@ -42,7 +39,7 @@ func BenchmarkDiskNeighborsCold(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportHitRate(b, st)
+	reportHitRate(b, g)
 }
 
 // BenchmarkDiskNeighborsWarm is the same random-read workload with a
@@ -50,7 +47,7 @@ func BenchmarkDiskNeighborsCold(b *testing.B) {
 // read is a hit, so this is the warm (resident) query latency, and the
 // reported hit rate approaches 1.
 func BenchmarkDiskNeighborsWarm(b *testing.B) {
-	g, st, _ := benchStore(b, 4096)
+	g, _ := benchStore(b, 4096)
 	r := rand.New(rand.NewSource(diskBenchSeed))
 	var buf []uint32
 	var err error
@@ -66,22 +63,21 @@ func BenchmarkDiskNeighborsWarm(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	reportHitRate(b, st)
+	reportHitRate(b, g)
 }
 
-func reportHitRate(b *testing.B, st *diskengine.Store) {
-	ds := st.DiskStats()
+func reportHitRate(b *testing.B, g *dyngraph.Graph) {
+	ds := g.DiskStats()
 	if total := ds.CacheHits + ds.CacheMisses; total > 0 {
 		b.ReportMetric(float64(ds.CacheHits)/float64(total), "hit_rate")
 	}
 }
 
 // BenchmarkDiskOverlayMerge measures the overlay merge: buffer a block
-// of fresh edges, then rewrite the touched partitions. The reported
-// arcs/s is the sequential-rewrite throughput the EMCore-style merge
-// sustains.
+// of fresh edges, then rewrite the tables. The reported arcs/s is the
+// buffered arcs folded back per second of sequential rewrite.
 func BenchmarkDiskOverlayMerge(b *testing.B) {
-	st, _, edges := benchStore(b, 64)
+	st, edges := benchStore(b, 64)
 	stream := testutil.NewMutationStream(diskBenchNodes, diskBenchSeed, edges)
 	const batch = 512
 	var mergedArcs int64
@@ -108,38 +104,4 @@ func BenchmarkDiskOverlayMerge(b *testing.B) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(mergedArcs)/sec, "merged_arcs/s")
 	}
-}
-
-// BenchmarkDiskUpdateFlood floods a full disk engine with toggling
-// single-edge updates through the serving queue — the end-to-end update
-// path: coalescing, HasEdge probes over cached blocks + overlay, the
-// maintenance window scans, and epoch publication.
-func BenchmarkDiskUpdateFlood(b *testing.B) {
-	base, fixture := testutil.WriteSocial(b, diskBenchNodes, diskBenchSeed)
-	eng := openEngine(b, base, 256, 0, 0, &serve.Options{MaxBatch: 256, FlushInterval: time.Millisecond})
-	stream := testutil.NewMutationStream(diskBenchNodes, diskBenchSeed, fixture)
-	const pool = 2048
-	edges := make([]serve.Update, pool)
-	for i := range edges {
-		e := stream.MakeAbsent()
-		edges[i] = serve.Update{Op: serve.OpInsert, U: e.U, V: e.V}
-	}
-	present := make([]bool, pool)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % pool
-		up := edges[j]
-		if present[j] {
-			up.Op = serve.OpDelete
-		}
-		present[j] = !present[j]
-		if err := eng.Enqueue(up); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := eng.Sync(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
 }

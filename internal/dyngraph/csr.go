@@ -3,34 +3,82 @@ package dyngraph
 import (
 	"fmt"
 	"os"
+	"sync/atomic"
 
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 )
 
-// csrTables is the Base over the paper's own layout: the node-table /
-// edge-table pair at a path prefix, read through one-block buffers
-// (storage.Graph) and rewritten whole. The files are the caller's graph,
-// not a projection of it, which is what its Close rule is about.
+// csrTables is the base under the update buffer: the paper's own layout,
+// the node-table / edge-table pair at a path prefix, rewritten whole when
+// the buffer is folded back. The files are the caller's graph, not a
+// projection of it, which is what its Close rule is about.
 type csrTables struct {
 	*storage.Graph // the current tables; replaced by every Rewrite
-	rewritten      bool
+
+	// cache, when non-nil, is what the tables are read through: the
+	// resident adjacency is its frames and nothing else. nil reads each
+	// table through a one-block buffer.
+	cache *storage.BlockCache
+
+	// Rewrites done and the table bytes they wrote; atomic so that
+	// DiskStats may be read off the owning goroutine.
+	merges      atomic.Int64
+	mergedBytes atomic.Int64
 }
 
-func openCSR(base string, ctr *stats.IOCounter) (*csrTables, error) {
-	disk, err := storage.Open(base, ctr)
-	if err != nil {
+// tableExts are the three files of a graph at a path prefix.
+var tableExts = [...]string{".meta", ".nt", ".et"}
+
+// compactBase is where a rewrite builds the next tables before renaming
+// them over base.
+func compactBase(base string) string { return base + ".compact" }
+
+// removeTables unlinks whatever exists of the three files at base.
+func removeTables(base string) {
+	for _, ext := range tableExts {
+		os.Remove(base + ext)
+	}
+}
+
+func openCSR(base string, ctr *stats.IOCounter, cacheBlocks int) (*csrTables, error) {
+	removeTables(compactBase(base)) // a rewrite some killed process never finished
+	c := &csrTables{}
+	if cacheBlocks > 0 {
+		c.cache = storage.NewBlockCache(cacheBlocks, ctr.BlockSize())
+	}
+	if err := c.open(base, ctr); err != nil {
 		return nil, err
 	}
-	return &csrTables{Graph: disk}, nil
+	return c, nil
+}
+
+// open attaches the tables at base through the block reader this graph
+// uses; with a cache that is a charged, verifying pass over both
+// (storage.OpenCached), so the tables a rewrite just renamed into place
+// get fresh per-block checksums.
+func (c *csrTables) open(base string, ctr *stats.IOCounter) error {
+	disk, err := storage.OpenCached(base, ctr, c.cache)
+	if err != nil {
+		return err
+	}
+	c.Graph = disk
+	return nil
 }
 
 // Rewrite merges the buffer into the tables: one sequential read of the
-// old graph, one sequential write of the new one (both counted), then an
-// atomic swap.
-func (c *csrTables) Rewrite(ins, del map[uint32][]uint32) error {
+// old graph — through the cache where there is one, so no block is
+// copied that was not verified — one sequential write of the new one
+// (both counted), then an atomic swap. Closing the old tables drops
+// their frames. No error path leaves anything at compactBase.
+func (c *csrTables) Rewrite(ins, del map[uint32][]uint32) (err error) {
 	base, ctr := c.Base(), c.IOCounter()
-	tmp := base + ".compact"
+	tmp := compactBase(base)
+	defer func() {
+		if err != nil {
+			removeTables(tmp)
+		}
+	}()
 	b, err := storage.NewBuilder(tmp, c.NumNodes(), ctr)
 	if err != nil {
 		return err
@@ -45,17 +93,16 @@ func (c *csrTables) Rewrite(ins, del map[uint32][]uint32) error {
 	if err := c.Graph.Close(); err != nil {
 		return err
 	}
-	for _, ext := range []string{".meta", ".nt", ".et"} {
+	for _, ext := range tableExts {
 		if err := os.Rename(tmp+ext, base+ext); err != nil {
 			return fmt.Errorf("dyngraph: swapping %s: %w", ext, err)
 		}
 	}
-	disk, err := storage.Open(base, ctr)
-	if err != nil {
+	if err := c.open(base, ctr); err != nil {
 		return err
 	}
-	c.Graph = disk
-	c.rewritten = true
+	c.merges.Add(1)
+	c.mergedBytes.Add(int64(c.NumNodes())*storage.NodeRecordSize + c.NumArcs()*storage.ArcSize)
 	return nil
 }
 
@@ -66,7 +113,7 @@ func (c *csrTables) Rewrite(ins, del map[uint32][]uint32) error {
 // applied, late ones lost), so the buffer is folded in first in that
 // case.
 func (c *csrTables) Close(ins, del map[uint32][]uint32) error {
-	if c.rewritten && len(ins)+len(del) > 0 {
+	if c.merges.Load() > 0 && len(ins)+len(del) > 0 {
 		if err := c.Rewrite(ins, del); err != nil {
 			c.Graph.Close()
 			return err
@@ -75,25 +122,10 @@ func (c *csrTables) Close(ins, del map[uint32][]uint32) error {
 	return c.Graph.Close()
 }
 
-// Pin opens private read handles on the tables that are current: they
-// keep those readable however many rewrites rename newer ones into their
-// place, and leave the disk when the view closes them.
-func (c *csrTables) Pin() (BaseView, error) {
-	disk, err := storage.Open(c.Base(), c.IOCounter()) // Scan re-charges the reads
-	if err != nil {
-		return nil, err
-	}
-	return csrView{disk}, nil
+// Pin opens private read handles, one-block buffers whatever the graph
+// itself reads through, on the tables that are current: they keep those
+// readable however many rewrites rename newer ones into their place, and
+// leave the disk when the view closes them.
+func (c *csrTables) Pin() (*storage.Graph, error) {
+	return storage.Open(c.Base(), c.IOCounter()) // View.Scan re-charges the reads
 }
-
-// csrView reads both tables front to back through its own one-block
-// buffers: every block once, checked against the CRC32C their header
-// records (storage.ScanVerified), so a table damaged under the running
-// graph fails the scan instead of being copied.
-type csrView struct{ disk *storage.Graph }
-
-func (vw csrView) Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
-	return vw.disk.ScanVerified(io, fn)
-}
-
-func (vw csrView) Release() { vw.disk.Close() }

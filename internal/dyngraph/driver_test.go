@@ -1,103 +1,66 @@
 package dyngraph_test
 
 import (
-	"path/filepath"
 	"slices"
 	"testing"
 
-	"kcore/internal/diskengine"
 	"kcore/internal/dyngraph"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
 	"kcore/internal/testutil"
 )
 
-// fixture is a dynamic graph on one base driver, plus what a test may
-// observe of that driver from outside the graph.
+// fixture is a dynamic graph on one block reader, plus what a test may
+// observe from outside the graph.
 type fixture struct {
 	*dyngraph.Graph
+	// base is the path prefix of the tables.
+	base string
 	// ctr is what the graph's own reads and rewrites are charged to.
 	ctr *stats.IOCounter
-	// files lists the base files on disk holding adjacency: what a view
-	// pinned now would read, plus any older generation still kept.
-	files func() []string
-	// edgeFile is the file whose first bytes are nbr(0).
-	edgeFile func() string
-	// gauges snapshots everything a view must not move: the graph's I/O
-	// counter and, where there is one, the block cache's counters.
-	gauges func() any
-	// generations: a rewrite writes new file names and the old ones are
-	// unlinked with their last reference (the alternative renames new
-	// tables over the old names). Such files also hold two regions that
-	// a sequential scan reads separately, sharing at most one block.
-	generations bool
+}
+
+// files lists the files holding adjacency: what a view pinned now reads.
+func (f *fixture) files() []string { return []string{f.base + ".nt", f.base + ".et"} }
+
+// gauges snapshots everything a view must not move: the graph's I/O
+// counter and, where there is one, the block cache's counters.
+func (f *fixture) gauges() any {
+	if ds := f.DiskStats(); ds != nil {
+		return [2]any{f.ctr.Snapshot(), *ds}
+	}
+	return f.ctr.Snapshot()
 }
 
 // drivers is the conformance table: everything dyngraph promises must
-// hold whichever Base the buffer sits on.
+// hold whichever block reader sits under the tables — one-block buffers,
+// or a cache of four frames, far below any fixture's adjacency.
 var drivers = []struct {
-	name string
-	open func(t *testing.T, csr *memgraph.CSR, opts dyngraph.Options) *fixture
+	name        string
+	cacheBlocks int
 }{
-	{"csr", func(t *testing.T, csr *memgraph.CSR, opts dyngraph.Options) *fixture {
-		base := testutil.WriteCSR(t, csr)
-		ctr := stats.NewIOCounter(512)
-		g, err := dyngraph.Open(base, ctr, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { g.Close() })
-		return &fixture{
-			Graph:    g,
-			ctr:      ctr,
-			files:    func() []string { return []string{base + ".nt", base + ".et"} },
-			edgeFile: func() string { return base + ".et" },
-			gauges:   func() any { return ctr.Snapshot() },
-		}
-	}},
-	{"partitions", func(t *testing.T, csr *memgraph.CSR, opts dyngraph.Options) *fixture {
-		dir := t.TempDir()
-		ctr := stats.NewIOCounter(512)
-		// Four frames: far below any fixture's adjacency. Eight partitions
-		// whatever the size, so what Pin pays per partition does not grow
-		// with the graph.
-		st, err := diskengine.Open(testutil.WriteCSR(t, csr), ctr, diskengine.Options{
-			Dir:           dir,
-			CacheBlocks:   4,
-			PartitionArcs: max(csr.NumArcs()/8, 64),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := dyngraph.New(st, opts)
-		t.Cleanup(func() { g.Close() })
-		files := func() []string {
-			names, err := filepath.Glob(filepath.Join(dir, "part-*"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			slices.Sort(names)
-			return names
-		}
-		return &fixture{
-			Graph:       g,
-			ctr:         ctr,
-			files:       files,
-			edgeFile:    func() string { return files()[0] },
-			gauges:      func() any { return [2]any{ctr.Snapshot(), st.DiskStats()} },
-			generations: true,
-		}
-	}},
+	{"uncached", 0},
+	{"cached", 4},
 }
 
 // driverOpen opens a graph on the driver a subtest runs over.
 type driverOpen = func(*memgraph.CSR, dyngraph.Options) *fixture
 
-// onEachDriver runs test once per base driver, as subtests.
+// onEachDriver runs test once per block reader, as subtests.
 func onEachDriver(t *testing.T, test func(*testing.T, driverOpen)) {
 	for _, d := range drivers {
 		t.Run(d.name, func(t *testing.T) {
-			test(t, func(csr *memgraph.CSR, opts dyngraph.Options) *fixture { return d.open(t, csr, opts) })
+			test(t, func(csr *memgraph.CSR, opts dyngraph.Options) *fixture {
+				base := testutil.WriteCSR(t, csr)
+				ctr := stats.NewIOCounter(512)
+				opts.CacheBlocks = d.cacheBlocks
+				g, err := dyngraph.Open(base, ctr, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { g.Close() })
+				return &fixture{Graph: g, base: base, ctr: ctr}
+			})
 		})
 	}
 }

@@ -9,11 +9,10 @@
 // Graph is the only owner of that buffer in the tree: which edits are
 // accepted, how a neighbour list is the base list overlaid with them,
 // when the buffer is folded back, and what a pinned View captures are
-// decided here once. What differs between deployments is only how the
-// immutable base is laid out and read, behind Base: the CSR table pair
-// through one-block buffers (csr.go, what Open attaches), or
-// degree-ordered partition files behind a block cache
-// (internal/diskengine).
+// decided here once. The base under it is one layout, the CSR table pair
+// at a path prefix (csr.go), read one block at a time or — with
+// Options.CacheBlocks — through a bounded, checksummed block cache, and
+// folded back by one rule: rewritten whole.
 package dyngraph
 
 import (
@@ -24,54 +23,21 @@ import (
 	"kcore/internal/stats"
 )
 
-// Base is the immutable on-disk graph under a Graph's update buffer: a
-// driver for one file layout. Its reads describe the graph as last
-// rewritten — a driver receives the buffer in Rewrite and Close, it never
-// keeps one. All calls come from the goroutine that owns the Graph.
-type Base interface {
-	// Source scans the base lists; ErrStop ends a scan as in any Source.
-	graph.Source
-	// NumArcs reports the arcs stored in the base.
-	NumArcs() int64
-	// Neighbors reads the base list of v, appending into buf.
-	Neighbors(v uint32, buf []uint32) ([]uint32, error)
-	// Degree reads the base degree of v.
-	Degree(v uint32) (uint32, error)
-	// Rewrite folds the buffered edits into the base: afterwards every
-	// read answers for the base lists merged with ins and del (Merge).
-	// Views pinned before keep reading the files they pinned.
-	Rewrite(ins, del map[uint32][]uint32) error
-	// Pin captures the base as it stands, without reading it.
-	Pin() (BaseView, error)
-	// Close releases the base. ins and del are the edits still buffered:
-	// a driver whose files belong to the caller decides here whether
-	// they may be dropped (see csrTables.Close), a driver serving a
-	// private projection of them just discards it.
-	Close(ins, del map[uint32][]uint32) error
-}
-
-// BaseView is a pinned base: the files that were current at Pin, kept
-// readable until Release however often the base is rewritten meanwhile.
-type BaseView interface {
-	// Scan calls fn once per node in id order with its base list, valid
-	// during the call only, from any goroutine. Every block it reads is
-	// verified against the checksum recorded when it was written and
-	// charged to io — never to the counter or cache the base serves from.
-	Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error
-	Release()
-}
-
 // Options tunes a dynamic graph.
 type Options struct {
 	// BufferArcs is the buffered-arc capacity that triggers an automatic
 	// rewrite of the base (each logical edge buffers two arcs);
 	// non-positive selects 1<<16.
 	BufferArcs int
+	// CacheBlocks, when positive, reads the tables through a CLOCK cache
+	// of that many blocks that verifies each block it loads; otherwise
+	// each table is read through a one-block buffer.
+	CacheBlocks int
 }
 
 // Graph is an on-disk base graph with a write buffer overlay.
 type Graph struct {
-	base    Base
+	base    *csrTables
 	ins     map[uint32][]uint32 // sorted inserted neighbours
 	del     map[uint32][]uint32 // sorted deleted neighbours
 	bufArcs atomic.Int64        // written by the owner, read by stats
@@ -82,37 +48,31 @@ type Graph struct {
 	Compactions int
 }
 
-// New layers an empty update buffer over base, which the graph owns from
-// here on.
-func New(base Base, opts Options) *Graph {
-	limit := opts.BufferArcs
-	if limit <= 0 {
-		limit = 1 << 16
-	}
-	return &Graph{
-		base:  base,
-		ins:   make(map[uint32][]uint32),
-		del:   make(map[uint32][]uint32),
-		limit: limit,
-		arcs:  base.NumArcs(),
-	}
-}
-
 // Open attaches a dynamic view to the CSR tables stored at base. All I/O —
 // reads through the overlay and compaction writes — is charged to ctr.
 func Open(base string, ctr *stats.IOCounter, opts Options) (*Graph, error) {
 	if ctr == nil {
 		ctr = stats.NewIOCounter(0)
 	}
-	tables, err := openCSR(base, ctr)
+	tables, err := openCSR(base, ctr, opts.CacheBlocks)
 	if err != nil {
 		return nil, err
 	}
-	return New(tables, opts), nil
+	limit := opts.BufferArcs
+	if limit <= 0 {
+		limit = 1 << 16
+	}
+	return &Graph{
+		base:  tables,
+		ins:   make(map[uint32][]uint32),
+		del:   make(map[uint32][]uint32),
+		limit: limit,
+		arcs:  tables.NumArcs(),
+	}, nil
 }
 
-// Close releases the base, handing it the edits still buffered; what
-// becomes of them is the driver's rule (Base.Close).
+// Close releases the tables. Edits still buffered are discarded, unless
+// a rewrite already replaced the tables (see csrTables.Close).
 func (g *Graph) Close() error { return g.base.Close(g.ins, g.del) }
 
 // NumNodes reports n. The node set is fixed at open time (the
@@ -133,6 +93,28 @@ func (g *Graph) BufferedArcs() int { return int(g.bufArcs.Load()) }
 // BufferLimit reports the buffered-arc count past which the base is
 // rewritten.
 func (g *Graph) BufferLimit() int { return g.limit }
+
+// DiskStats snapshots the block cache, the buffer's fill and the
+// rewrites done so far, from any goroutine; nil on a graph that reads
+// without a cache.
+func (g *Graph) DiskStats() *stats.DiskSnapshot {
+	if g.base.cache == nil {
+		return nil
+	}
+	cs := g.base.cache.Stats()
+	return &stats.DiskSnapshot{
+		CacheBlocks:    cs.Blocks,
+		CacheBlockSize: cs.BlockSize,
+		CacheHits:      cs.Hits,
+		CacheMisses:    cs.Misses,
+		CacheEvictions: cs.Evictions,
+		CacheHitRate:   cs.HitRate(),
+		OverlayArcs:    int64(g.BufferedArcs()),
+		OverlayLimit:   g.limit,
+		Merges:         g.base.merges.Load(),
+		MergedBytes:    g.base.mergedBytes.Load(),
+	}
+}
 
 // baseList reads the base list of v into the graph's scratch.
 func (g *Graph) baseList(v uint32) ([]uint32, error) {
@@ -239,9 +221,8 @@ func (g *Graph) maybeCompact() error {
 	return g.Compact()
 }
 
-// Compact folds the buffer into the base (Base.Rewrite: the CSR tables
-// are rewritten whole, partitions only where an edit landed; reads and
-// writes both counted) and clears it.
+// Compact folds the buffer into the base (the tables are rewritten
+// whole; reads and writes both counted) and clears it.
 func (g *Graph) Compact() error {
 	if g.BufferedArcs() == 0 {
 		return nil

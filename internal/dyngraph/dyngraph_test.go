@@ -3,6 +3,7 @@ package dyngraph_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -204,6 +205,73 @@ func testAutoCompaction(t *testing.T, open driverOpen) {
 		if has, _ := g.HasEdge(p[0], p[1]); !has {
 			t.Fatalf("edge %v lost across compaction", p)
 		}
+	}
+}
+
+// compactFiles lists what exists of the tables a rewrite builds beside
+// the ones at base.
+func compactFiles(t *testing.T, base string) []string {
+	t.Helper()
+	left, err := filepath.Glob(base + ".compact.*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return left
+}
+
+// TestOpenSweepsAbandonedRewrite: a process killed inside a rewrite
+// leaves half-built tables beside the real ones; the next Open removes
+// them.
+func TestOpenSweepsAbandonedRewrite(t *testing.T) { onEachDriver(t, testOpenSweepsAbandonedRewrite) }
+
+func testOpenSweepsAbandonedRewrite(t *testing.T, open driverOpen) {
+	g := open(gen.SampleGraph(), dyngraph.Options{})
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ext := range []string{".nt", ".et"} { // no header yet: the builder writes it last
+		if err := os.WriteFile(g.base+".compact"+ext, []byte("half a table"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g2, err := dyngraph.Open(g.base, g.ctr, dyngraph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	if left := compactFiles(t, g.base); len(left) != 0 {
+		t.Errorf("Open left %v of an abandoned rewrite behind", left)
+	}
+}
+
+// TestFailedRewriteLeavesNothingBehind: a rewrite whose scan of the old
+// tables fails (here the edge table lost its second half under the
+// running graph) reports the error, keeps the buffer, and removes the
+// tables it had started to build.
+func TestFailedRewriteLeavesNothingBehind(t *testing.T) {
+	onEachDriver(t, testFailedRewriteLeavesNothingBehind)
+}
+
+func testFailedRewriteLeavesNothingBehind(t *testing.T, open driverOpen) {
+	g := open(gen.Build(gen.Social(200, 3, 6, 6, 41)), dyngraph.Options{})
+	if err := g.InsertEdge(0, 199); err != nil { // reads nbr(0): the head of the table only
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(g.base + ".et")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(g.base+".et", fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Compact(); err == nil {
+		t.Fatal("Compact rewrote a truncated edge table without noticing")
+	}
+	if g.BufferedArcs() != 2 || g.Compactions != 0 {
+		t.Errorf("%d arcs buffered after %d compactions, want the edit still buffered", g.BufferedArcs(), g.Compactions)
+	}
+	if left := compactFiles(t, g.base); len(left) != 0 {
+		t.Errorf("the failed rewrite left %v behind", left)
 	}
 }
 

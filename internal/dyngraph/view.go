@@ -1,15 +1,19 @@
 package dyngraph
 
-import "kcore/internal/stats"
+import (
+	"kcore/internal/stats"
+	"kcore/internal/storage"
+)
 
-// View is a pinned, read-only image of the graph as it stood at Pin: a
-// pinned base (the files that were current), a copy of the update
-// buffer, and the arc count. Nothing in it is O(m) — the adjacency stays
-// in the files, which the pinned base keeps readable however many
-// rewrites replace them while the view lives. Scan streams it from any
-// goroutine, concurrently with the graph's owner; Release must follow.
+// View is a pinned, read-only image of the graph as it stood at Pin:
+// private read handles on the tables that were current, a copy of the
+// update buffer, and the arc count. Nothing in it is O(m) — the
+// adjacency stays in the files, which the open handles keep readable
+// however many rewrites rename newer ones into their place while the
+// view lives. Scan streams it from any goroutine, concurrently with the
+// graph's owner; Release must follow.
 type View struct {
-	base     BaseView
+	disk     *storage.Graph
 	ins, del map[uint32][]uint32
 	n        uint32
 	arcs     int64
@@ -19,11 +23,11 @@ type View struct {
 // (under internal/serve, the writer: see ConcurrentSession.Do), reads no
 // block of the base and costs O(buffer), independent of the graph's size.
 func (g *Graph) Pin() (*View, error) {
-	base, err := g.base.Pin()
+	disk, err := g.base.Pin()
 	if err != nil {
 		return nil, err
 	}
-	vw := &View{base: base, n: g.NumNodes(), arcs: g.arcs}
+	vw := &View{disk: disk, n: g.NumNodes(), arcs: g.arcs}
 	// The owner edits its buffer lists in place, so the view needs its
 	// own; one backing array serves every list of both maps.
 	buf := make([]uint32, 0, g.BufferedArcs())
@@ -32,9 +36,9 @@ func (g *Graph) Pin() (*View, error) {
 	return vw, nil
 }
 
-// Release gives the pinned base back; files a rewrite replaced in the
+// Release closes the view's handles; tables a rewrite replaced in the
 // meantime leave the disk here.
-func (vw *View) Release() { vw.base.Release() }
+func (vw *View) Release() { vw.disk.Close() }
 
 // NumNodes reports n.
 func (vw *View) NumNodes() uint32 { return vw.n }
@@ -43,10 +47,14 @@ func (vw *View) NumNodes() uint32 { return vw.n }
 func (vw *View) NumArcs() int64 { return vw.arcs }
 
 // Scan calls fn once per node in id order with its merged (base + buffer)
-// neighbour list, valid during the call only. The base is read as
-// BaseView.Scan promises: sequentially, verified, charged to io.
+// neighbour list, valid during the call only. Both tables are read
+// front to back through the view's own one-block buffers: every block
+// once, charged to io — never to the counter or the cache the graph
+// serves from — and checked against the CRC32C their header records
+// (storage.ScanVerified), so a table damaged under the running graph
+// fails the scan instead of being copied.
 func (vw *View) Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
-	return vw.base.Scan(io, overlaid(vw.ins, vw.del, fn))
+	return vw.disk.ScanVerified(io, overlaid(vw.ins, vw.del, fn))
 }
 
 // overlaid wraps a scan callback so that it sees each base list merged

@@ -252,9 +252,7 @@ func Decompose(src *storage.Graph, opts Options) (*Result, error) {
 
 // buildPartitions streams the source graph into contiguous-range partition
 // files and fills the initial upper bounds (ub(v) = deg(v)). Range
-// boundaries come from the shared RangePlanner, so the baseline and the
-// serving disk backend agree on the partition layout for a given graph
-// and arc budget.
+// boundaries come from the RangePlanner.
 func buildPartitions(src *storage.Graph, dir string, partArcs int64, ub []uint32, ctr *stats.IOCounter) ([]partition, error) {
 	var parts []partition
 	var w *storage.BlockWriter

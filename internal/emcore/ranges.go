@@ -1,13 +1,9 @@
 package emcore
 
-import "kcore/internal/storage"
-
 // NodeRange is one contiguous node range [Lo, Hi) holding Arcs arcs —
 // the partition unit of the EMCore layout. Contiguous ranges under an
 // arc budget are the deviation from Cheng et al.'s clustering heuristic
-// documented in the package comment; exporting the planner lets the
-// serving disk backend (internal/diskengine) lay its partitions out the
-// same way the baseline does.
+// documented in the package comment.
 type NodeRange struct {
 	Lo, Hi uint32
 	Arcs   int64
@@ -15,8 +11,7 @@ type NodeRange struct {
 
 // RangePlanner accumulates a node-order degree stream into contiguous
 // ranges, closing each range as soon as it holds at least the target
-// number of arcs. It is the boundary-decision core of buildPartitions,
-// shared with consumers that write their own partition record format.
+// number of arcs. It is the boundary-decision core of buildPartitions.
 type RangePlanner struct {
 	target int64
 	cur    NodeRange
@@ -61,18 +56,4 @@ func (p *RangePlanner) Finish(hi uint32) []NodeRange {
 		p.out = append(p.out, p.cur)
 	}
 	return p.out
-}
-
-// PlanRanges plans contiguous partitions for an on-disk graph from its
-// degree table alone — one sequential node-table scan, no edge I/O.
-func PlanRanges(src *storage.Graph, targetArcs int64) ([]NodeRange, error) {
-	p := NewRangePlanner(targetArcs)
-	err := src.ScanDegrees(func(v, deg uint32) error {
-		p.Add(v, deg)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return p.Finish(src.NumNodes()), nil
 }

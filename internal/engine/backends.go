@@ -11,9 +11,9 @@ const (
 	// BackendMem reads the graph's CSR tables one block at a time and
 	// compacts a full update buffer into them — the default.
 	BackendMem = "mem"
-	// BackendDisk lays the tables out into partition files read through
-	// a bounded block cache (kcore.OpenOptions.Partitions); a full
-	// update buffer rewrites the partitions it touches.
+	// BackendDisk reads the same tables through a bounded, checksummed
+	// block cache (kcore.OpenOptions.CacheBlocks) and compacts into them
+	// by the same rule.
 	BackendDisk = "disk"
 )
 
@@ -40,15 +40,17 @@ func (c BackendConfig) normalize() (BackendConfig, error) {
 	return c, nil
 }
 
-// openGraph opens the graph at base on the base driver c names: both
-// backends are a kcore.Graph under the same serving session, and differ
-// only here. partsDir is where a disk graph keeps its partition files;
-// empty lets the graph pick (and remove at Close) base+".parts".
-func (r *Registry) openGraph(base string, c BackendConfig, partsDir string) (*kcore.Graph, error) {
+// openGraph opens the graph at base behind the block reader c names:
+// both backends are a kcore.Graph under the same serving session, and
+// differ only here.
+func (r *Registry) openGraph(base string, c BackendConfig) (*kcore.Graph, error) {
 	o := r.opts.Open
-	o.Partitions = nil
+	o.CacheBlocks = 0
 	if c.Backend == BackendDisk {
-		o.Partitions = &kcore.PartitionOptions{Dir: partsDir, CacheBlocks: c.CacheBlocks}
+		o.CacheBlocks = c.CacheBlocks
+		if o.CacheBlocks <= 0 {
+			o.CacheBlocks = 1024
+		}
 	}
 	return kcore.Open(base, &o)
 }
@@ -81,7 +83,7 @@ func (r *Registry) OpenBackend(name, base string, c BackendConfig) (Engine, erro
 }
 
 func (r *Registry) openEntry(name, base string, c BackendConfig) (*entry, error) {
-	g, err := r.openGraph(base, c, "")
+	g, err := r.openGraph(base, c)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"kcore"
 	"kcore/internal/engine"
 	"kcore/internal/gen"
 	"kcore/internal/serve"
@@ -219,6 +220,76 @@ func crashImage(t *testing.T, n uint32, seed int64, k int) (img string, ups []se
 	img = t.TempDir()
 	copyTree(t, dataDir, img)
 	return img, ups
+}
+
+// TestDurableFirstOpenLeavesBaseAlone: a durable graph serves, and
+// compacts into, its own copy of the tables from its first open on — the
+// files the operator passed are only ever read. Here the update buffer
+// overflows several times before the process dies without a Close; the
+// base files must be byte for byte what they were, their modification
+// times must not read as "the operator refreshed the base" (that signal
+// once made kcored drop the correctly recovered graph, WAL and all, after
+// the server's own first in-place compaction), and recovery must serve
+// every acked update.
+func TestDurableFirstOpenLeavesBaseAlone(t *testing.T) {
+	const n, seed, k = 80, 36, 24
+	readTables := func(base string) string {
+		var all []byte
+		for _, ext := range []string{".meta", ".nt", ".et"} {
+			data, err := os.ReadFile(base + ext)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, data...)
+		}
+		return string(all)
+	}
+	for _, backend := range []string{engine.BackendMem, engine.BackendDisk} {
+		t.Run(backend, func(t *testing.T) {
+			base := writeGraph(t, n, seed)
+			before := readTables(base)
+			dataDir := t.TempDir()
+			opts := durableOptions(dataDir)
+			opts.Open = kcore.OpenOptions{BlockSize: 512, BufferArcs: 8} // five edits overflow it
+			reg := engine.NewRegistry(opts)
+			defer reg.Close()
+			eng, err := reg.OpenBackend("g", base, engine.BackendConfig{Backend: backend, CacheBlocks: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ups := freshEdges(n, seed, k)
+			for _, up := range ups {
+				if err := eng.Apply(up); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if eng.IOStats().Writes == 0 {
+				t.Fatalf("fixture: %d updates against an 8-arc buffer compacted nothing", k)
+			}
+			img := t.TempDir()
+			copyTree(t, dataDir, img) // the process dies here: no Close, no final checkpoint
+
+			if readTables(base) != before {
+				t.Error("the durable graph wrote to the base files it was opened from")
+			}
+			reg2 := engine.NewRegistry(durableOptions(img))
+			defer reg2.Close()
+			rep, err := reg2.Recover()
+			if err != nil || len(rep.Graphs) != 1 || rep.Graphs[0].Err != nil || rep.Graphs[0].Degraded {
+				t.Fatalf("recovery: %v, %+v", err, rep)
+			}
+			if engine.BaseNewerThanCheckpoint(base, rep.Graphs[0]) {
+				t.Error("the untouched base reads as newer than the recovered checkpoint")
+			}
+			if rep.Graphs[0].Replayed != k {
+				t.Errorf("replayed %d records, want %d", rep.Graphs[0].Replayed, k)
+			}
+			eng2, _ := reg2.Get("g")
+			if !slices.Equal(eng2.Snapshot().Cores(), oracleCores(t, n, seed, ups, k)) {
+				t.Error("recovered cores differ from the oracle over every acked update")
+			}
+		})
+	}
 }
 
 func TestRecoverReplaysWalTail(t *testing.T) {
@@ -459,6 +530,35 @@ func TestDurableDiskRoundTrip(t *testing.T) {
 	}
 	if !slices.Equal(eng2.Snapshot().Cores(), want) {
 		t.Fatal("recovered disk-backed cores differ from pre-shutdown cores")
+	}
+}
+
+// TestRecoverRemovesLegacyPartsDir: a data dir written while the disk
+// backend kept partition files under <name>/parts/ recovers as before
+// (checkpoint + WAL are all recovery ever read) and loses the directory
+// nothing reads any more.
+func TestRecoverRemovesLegacyPartsDir(t *testing.T) {
+	const n, seed, k = 80, 40, 3
+	img, ups := crashImage(t, n, seed, k)
+	parts := filepath.Join(img, "g", "parts")
+	if err := os.MkdirAll(parts, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(parts, "part-0.g3"), []byte("an old partition generation"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := engine.NewRegistry(durableOptions(img))
+	defer reg.Close()
+	rep, err := reg.Recover()
+	if err != nil || len(rep.Graphs) != 1 || rep.Graphs[0].Err != nil || rep.Graphs[0].Degraded {
+		t.Fatalf("recovery: %v, %+v", err, rep)
+	}
+	if _, err := os.Stat(parts); !os.IsNotExist(err) {
+		t.Errorf("the legacy partition directory survived recovery: %v", err)
+	}
+	eng, _ := reg.Get("g")
+	if !slices.Equal(eng.Snapshot().Cores(), oracleCores(t, n, seed, ups, k)) {
+		t.Error("recovered cores differ from the oracle")
 	}
 }
 

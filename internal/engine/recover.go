@@ -130,7 +130,16 @@ func (r *Registry) buildDurable(name, dir, base string, c BackendConfig) (*durab
 	if err := r.dur.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	g, err := r.openGraph(base, c, partsDir(dir))
+	// A durable graph serves, and compacts into, its own copy of the
+	// tables under live/ from its first open on, exactly as after a
+	// recovery: the operator's files at base are only ever read, so
+	// their modification times keep meaning "the operator refreshed the
+	// base" (BaseNewerThanCheckpoint).
+	liveBase, err := wal.CopyLive(dir, base)
+	if err != nil {
+		return nil, err
+	}
+	g, err := r.openGraph(liveBase, c)
 	if err != nil {
 		return nil, err
 	}
@@ -149,10 +158,6 @@ func (r *Registry) buildDurable(name, dir, base string, c BackendConfig) (*durab
 	d.startLoops()
 	return d, nil
 }
-
-// partsDir is where a durable disk graph keeps its partition files:
-// inside the graph directory, wiped and rebuilt at every open.
-func partsDir(dir string) string { return filepath.Join(dir, "parts") }
 
 // assembleDurable builds the durable shell around a serving session for
 // g, whichever backend g was opened on: log opened, hook chained. When
@@ -328,11 +333,16 @@ func (r *Registry) recoverGraph(name string) (gr GraphRecovery) {
 	if err != nil {
 		return fail(err)
 	}
-	liveBase, err := wal.CopyLive(dir, sc.Path)
+	// Data dirs written before the disk backend read the tables in place
+	// hold a directory of partition files; nothing reads it any more.
+	if err := os.RemoveAll(filepath.Join(dir, "parts")); err != nil {
+		return fail(err)
+	}
+	liveBase, err := wal.CopyLive(dir, wal.CheckpointBase(sc.Path))
 	if err != nil {
 		return fail(err)
 	}
-	g, err := r.openGraph(liveBase, c, partsDir(dir))
+	g, err := r.openGraph(liveBase, c)
 	if err != nil {
 		return fail(err)
 	}

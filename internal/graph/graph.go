@@ -1,7 +1,6 @@
 // Package graph defines the neighbour-access contract shared by every
 // graph backend in the repository: the on-disk table pair
-// (internal/storage) and the partition files (internal/diskengine) a
-// dynamic graph is based on, the one buffered dynamic graph over either
+// (internal/storage), the one buffered dynamic graph over it
 // (internal/dyngraph) and the in-memory CSR (internal/memgraph). The
 // semi-external algorithms of the paper are written against this
 // interface only, so one implementation serves both the I/O-accounted

@@ -1,4 +1,4 @@
-package diskengine_test
+package serve_test
 
 import (
 	"testing"
@@ -24,7 +24,7 @@ func FuzzDiskEngineAgreesWithMem(f *testing.F) {
 		base, _ := testutil.WriteSocial(t, n, seed%512)
 
 		eng := openEngine(t, base, 1+int(cacheRaw)%12, 256, 32, nil)
-		oracle := memOracle(t, base)
+		oracle := memOracle(t, n, seed%512)
 
 		// Decode 3 bytes per update: op bit, then endpoints over a range
 		// slightly wider than the node-id space so out-of-range ids occur.

@@ -1,15 +1,50 @@
-package diskengine_test
+package serve_test
 
 import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"kcore"
 	"kcore/internal/serve"
+	"kcore/internal/stats"
 	"kcore/internal/testutil"
 )
+
+// diskEngine is a serving session over a kcore.Graph read through the
+// block cache: what kcored -backend disk runs.
+type diskEngine struct {
+	*serve.ConcurrentSession
+	g *kcore.Graph
+}
+
+func (e diskEngine) DiskStats() stats.DiskSnapshot { return *e.g.DiskStats() }
+
+// openEngine opens base with a block cache of cacheBlocks blocks and
+// starts a session over it.
+func openEngine(tb testing.TB, base string, cacheBlocks, blockSize, bufferArcs int, so *serve.Options) diskEngine {
+	tb.Helper()
+	g, err := kcore.Open(base, &kcore.OpenOptions{
+		BlockSize:   blockSize,
+		BufferArcs:  bufferArcs,
+		CacheBlocks: cacheBlocks,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sess, err := serve.New(g, so)
+	if err != nil {
+		g.Close()
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		sess.Close()
+		g.Close()
+	})
+	return diskEngine{sess, g}
+}
 
 // toUpdate converts a testutil mutation (valid or not) to a serve queue
 // update; the serving layer must reject the invalid ones itself.
@@ -21,11 +56,13 @@ func toUpdate(mut testutil.Mutation) serve.Update {
 	return serve.Update{Op: op, U: mut.U, V: mut.V}
 }
 
-// memOracle opens an in-memory serving session over the same fixture —
-// the reference the disk engine must agree with bit-for-bit, including
-// rejection of the stream's invalid updates.
-func memOracle(t *testing.T, base string) *serve.ConcurrentSession {
+// memOracle opens an uncached serving session over a second copy of the
+// social fixture (every graph compacts into the tables it opened, so
+// none are shared) — the reference the disk engine must agree with
+// bit-for-bit, including rejection of the stream's invalid updates.
+func memOracle(t *testing.T, n uint32, seed int64) *serve.ConcurrentSession {
 	t.Helper()
+	base, _ := testutil.WriteSocial(t, n, seed)
 	og, err := kcore.Open(base, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +128,7 @@ func TestDiskEngineUnderMemoryBudget(t *testing.T) {
 		t.Fatalf("fixture adjacency %d B is under 4x the %d B cache budget; grow the fixture", adjBytes, budget)
 	}
 
-	oracle := memOracle(t, base)
+	oracle := memOracle(t, n, seed)
 	compareCores(t, eng.Snapshot().Cores(), oracle.Snapshot().Cores(), "initial")
 
 	stream := testutil.NewMutationStream(n, seed+1, edges)
@@ -131,11 +168,12 @@ func TestDiskEngineUnderMemoryBudget(t *testing.T) {
 func TestCacheBudgetMetamorphic(t *testing.T) {
 	const n = 150
 	seed := testutil.Seed(t, 31)
-	base, edges := testutil.WriteSocial(t, n, seed)
+	_, edges := testutil.WriteSocial(t, n, seed)
 
 	budgets := []int{1, 2, 8, 64}
 	engines := make([]diskEngine, len(budgets))
 	for i, blocks := range budgets {
+		base, _ := testutil.WriteSocial(t, n, seed) // each engine compacts into its own tables
 		engines[i] = openEngine(t, base, blocks, 256, 128, nil)
 	}
 
@@ -164,4 +202,97 @@ func TestCacheBudgetMetamorphic(t *testing.T) {
 	if ev := engines[0].DiskStats().CacheEvictions; ev == 0 {
 		t.Errorf("single-frame cache never evicted — fixture too small to exercise eviction order")
 	}
+}
+
+// TestEngineMatchesMemOracle drives the disk engine and the in-memory
+// maintainer through the same valid mutation stream, comparing core
+// arrays at every sync point. Cache and overlay are sized small enough
+// that block eviction and merges both happen mid-test.
+func TestEngineMatchesMemOracle(t *testing.T) {
+	const n = 300
+	seed := testutil.Seed(t, 11)
+	base, edges := testutil.WriteSocial(t, n, seed)
+
+	oracleBase, _ := testutil.WriteSocial(t, n, seed)
+	og, err := kcore.Open(oracleBase, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer og.Close()
+	oracle, err := kcore.NewMaintainer(og, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := openEngine(t, base, 8, 512, 128, nil)
+	compareCores(t, eng.Snapshot().Cores(), oracle.Cores(), "initial")
+
+	stream := testutil.NewMutationStream(n, seed+1, edges)
+	for round := 0; round < 8; round++ {
+		for i := 0; i < 25; i++ {
+			mut := stream.NextValid()
+			e := []kcore.Edge{{U: mut.U, V: mut.V}}
+			err = eng.Enqueue(toUpdate(mut))
+			if err == nil && mut.Op == testutil.OpInsert {
+				_, err = oracle.InsertEdges(e)
+			} else if err == nil {
+				_, err = oracle.DeleteEdges(e)
+			}
+			if err != nil {
+				t.Fatalf("round %d mutation %d: %v", round, i, err)
+			}
+		}
+		if err := eng.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		compareCores(t, eng.Snapshot().Cores(), oracle.Cores(), "after round")
+	}
+
+	ds := eng.DiskStats()
+	if ds.CacheEvictions == 0 {
+		t.Errorf("no cache evictions at 8x512B cache: %+v", ds)
+	}
+	if ds.Merges == 0 {
+		t.Errorf("no overlay merges at BufferArcs=128: %+v", ds)
+	}
+	if b := eng.Report().Backend; b != "disk" {
+		t.Errorf("Report().Backend = %q", b)
+	}
+	if eng.IOStats().Total() == 0 {
+		t.Error("IOStats().Total() = 0, disk backend should measure I/O")
+	}
+}
+
+// BenchmarkDiskUpdateFlood floods a full disk engine with toggling
+// single-edge updates through the serving queue — the end-to-end update
+// path: coalescing, HasEdge probes over cached blocks + overlay, the
+// maintenance window scans, and epoch publication.
+func BenchmarkDiskUpdateFlood(b *testing.B) {
+	const diskBenchNodes, diskBenchSeed = 2000, 7
+	base, fixture := testutil.WriteSocial(b, diskBenchNodes, diskBenchSeed)
+	eng := openEngine(b, base, 256, 0, 0, &serve.Options{MaxBatch: 256, FlushInterval: time.Millisecond})
+	stream := testutil.NewMutationStream(diskBenchNodes, diskBenchSeed, fixture)
+	const pool = 2048
+	edges := make([]serve.Update, pool)
+	for i := range edges {
+		e := stream.MakeAbsent()
+		edges[i] = serve.Update{Op: serve.OpInsert, U: e.U, V: e.V}
+	}
+	present := make([]bool, pool)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % pool
+		up := edges[j]
+		if present[j] {
+			up.Op = serve.OpDelete
+		}
+		present[j] = !present[j]
+		if err := eng.Enqueue(up); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
 }

@@ -3,12 +3,9 @@ package stats
 // DiskSnapshot is a point-in-time view of a disk backend's working
 // state: the block-cache economy (the whole adjacency memory budget),
 // the overlay fill level, and the cumulative cost of overlay merges.
-// Filled by kcore.Graph.DiskStats (cache and merges from
-// internal/diskengine, the overlay from internal/dyngraph), surfaced
-// under /g/{name}/stats.
+// Filled by internal/dyngraph (Graph.DiskStats), surfaced under
+// /g/{name}/stats.
 type DiskSnapshot struct {
-	// Partitions is the fixed partition-file count.
-	Partitions int `json:"partitions"`
 	// CacheBlocks and CacheBlockSize bound resident adjacency to
 	// CacheBlocks*CacheBlockSize bytes.
 	CacheBlocks    int `json:"cache_blocks"`
@@ -19,13 +16,12 @@ type DiskSnapshot struct {
 	CacheMisses    int64   `json:"cache_misses"`
 	CacheEvictions int64   `json:"cache_evictions"`
 	CacheHitRate   float64 `json:"cache_hit_rate"`
-	// OverlayArcs is the buffered update size; at OverlayLimit the
-	// touched partitions are rewritten.
+	// OverlayArcs is the buffered update size; past OverlayLimit the
+	// buffer is merged into the tables, which are rewritten whole.
 	OverlayArcs  int64 `json:"overlay_arcs"`
 	OverlayLimit int   `json:"overlay_limit"`
-	// Merges counts overlay merges; MergedPartitions and MergedBytes
-	// their cumulative partition rewrites and bytes written.
-	Merges           int64 `json:"merges"`
-	MergedPartitions int64 `json:"merged_partitions"`
-	MergedBytes      int64 `json:"merged_bytes"`
+	// Merges counts overlay merges, MergedBytes the table bytes they
+	// wrote.
+	Merges      int64 `json:"merges"`
+	MergedBytes int64 `json:"merged_bytes"`
 }

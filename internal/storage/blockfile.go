@@ -149,14 +149,6 @@ type BlockWriter struct {
 	fill   int
 	offset int64
 	crc    uint32
-
-	// Per-block CRC tracking (TrackBlockCRCs): checksums of the logical
-	// byte stream split at B-aligned boundaries, independent of flush
-	// timing, so a reader can verify any single block without scanning
-	// the whole table (see CachedFile).
-	trackBlocks bool
-	blockCRC    uint32
-	blockCRCs   []uint32
 }
 
 // CreateBlockWriter creates (truncates) path for counted writing on the
@@ -187,44 +179,11 @@ func (bw *BlockWriter) Offset() int64 { return bw.offset }
 // CRC reports the CRC32C of every byte written so far.
 func (bw *BlockWriter) CRC() uint32 { return bw.crc }
 
-// TrackBlockCRCs turns on per-block checksum recording: every B-aligned
-// block of the logical byte stream gets its own CRC32C, retrievable via
-// BlockCRCs after Close. Call before the first Write.
-func (bw *BlockWriter) TrackBlockCRCs() { bw.trackBlocks = true }
-
-// BlockCRCs returns the per-block checksums recorded so far — one per
-// B-aligned block, including the final partial block once Close has run.
-// The slice is writer-owned; callers must copy it to keep it.
-func (bw *BlockWriter) BlockCRCs() []uint32 { return bw.blockCRCs }
-
-// trackCRC folds p into the per-block checksums, splitting at B-aligned
-// boundaries of the logical stream. Called before offset advances.
-func (bw *BlockWriter) trackCRC(p []byte) {
-	off := bw.offset
-	b := int64(bw.b)
-	for len(p) > 0 {
-		n := b - off%b
-		if n > int64(len(p)) {
-			n = int64(len(p))
-		}
-		bw.blockCRC = crc32.Update(bw.blockCRC, castagnoli, p[:n])
-		off += n
-		p = p[n:]
-		if off%b == 0 {
-			bw.blockCRCs = append(bw.blockCRCs, bw.blockCRC)
-			bw.blockCRC = 0
-		}
-	}
-}
-
 // Write appends p, flushing full blocks as they fill.
 func (bw *BlockWriter) Write(p []byte) (int, error) {
 	total := len(p)
 	bw.io.AddWriteBytes(int64(total))
 	bw.crc = crc32.Update(bw.crc, castagnoli, p)
-	if bw.trackBlocks {
-		bw.trackCRC(p)
-	}
 	for len(p) > 0 {
 		n := copy(bw.buf[bw.fill:], p)
 		bw.fill += n
@@ -266,11 +225,6 @@ func (bw *BlockWriter) Sync() error {
 
 // Close flushes buffered bytes and closes the file.
 func (bw *BlockWriter) Close() error {
-	if bw.trackBlocks && bw.offset%int64(bw.b) != 0 {
-		bw.blockCRCs = append(bw.blockCRCs, bw.blockCRC)
-		bw.blockCRC = 0
-		bw.trackBlocks = false // idempotent across double Close
-	}
 	if err := bw.flush(); err != nil {
 		bw.f.Close()
 		return err

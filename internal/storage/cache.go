@@ -14,7 +14,7 @@ import (
 // are ever resident, however large the files behind them grow.
 //
 // Concurrency: all lookups and loads happen on one goroutine (the serve
-// writer is the sole reader of the disk store), so the frame table needs
+// writer is the sole reader of a cached graph), so the frame table needs
 // no lock; the hit/miss/eviction counters are atomic because Stats is
 // read concurrently by /stats handlers.
 type BlockCache struct {
@@ -116,8 +116,8 @@ func (c *BlockCache) grab() int {
 	}
 }
 
-// drop invalidates every cached block of file id (on file close or
-// partition rewrite).
+// drop invalidates every cached block of file id (on file close: the
+// tables a rewrite replaced leave the cache here).
 func (c *BlockCache) drop(id uint64) {
 	for key, idx := range c.index {
 		if key.file == id {
@@ -130,8 +130,8 @@ func (c *BlockCache) drop(id uint64) {
 
 // CachedFile reads a file through a shared BlockCache, charging one read
 // I/O per block actually fetched from disk. When opened with per-block
-// checksums (BlockWriter.TrackBlockCRCs output) every fetched block is
-// verified before it enters the cache: a bit flip or a torn block
+// checksums (OpenVerified records them) every fetched block is verified
+// before it enters the cache: a bit flip or a torn block
 // surfaces as an error at read time, never as silently wrong bytes, and
 // whole-block truncation is caught at Open by the size/checksum-count
 // cross-check.
@@ -152,11 +152,47 @@ type ioSink interface {
 	AddReadBytes(int64)
 }
 
+// OpenVerified opens path for cached, counted, checksummed reading. It
+// first reads the file once, front to back, charging ctr one read per
+// block: the pass records each block's CRC32C for Open and, when want
+// is non-nil, must find the whole file's CRC32C equal to *want. The
+// pass fills no frame.
+func (c *BlockCache) OpenVerified(path string, want *uint32, ctr ioSink) (*CachedFile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var (
+		crcs  []uint32
+		whole uint32
+		buf   = make([]byte, c.b)
+	)
+	for {
+		n, err := io.ReadFull(f, buf)
+		if n > 0 {
+			crcs = append(crcs, crc32.Checksum(buf[:n], castagnoli))
+			whole = crc32.Update(whole, castagnoli, buf[:n])
+			ctr.AddReadBlocks(1)
+			ctr.AddReadBytes(int64(n))
+		}
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if want != nil && whole != *want {
+		return nil, fmt.Errorf("storage: verify %s: crc %08x, want %08x", path, whole, *want)
+	}
+	return c.Open(path, crcs, ctr)
+}
+
 // Open opens path for cached, counted reading. crcs, when non-nil, must
-// hold one CRC32C per block of the file as recorded by
-// BlockWriter.TrackBlockCRCs at the same block size; the count is
-// cross-checked against the file size here so a truncated or grown file
-// is rejected immediately.
+// hold one CRC32C per block of the file at the cache's block size; the
+// count is cross-checked against the file size here so a truncated or
+// grown file is rejected immediately.
 func (c *BlockCache) Open(path string, crcs []uint32, ctr ioSink) (*CachedFile, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,8 +1,11 @@
 // Package storage implements the on-disk graph representation the paper
 // prescribes: an edge table that stores nbr(v1), nbr(v2), ... consecutively
 // as adjacency lists, and a node table that stores the offset and degree of
-// every node. Both tables are read through one-block buffers so that every
-// algorithm's I/O is counted in B-sized block transfers.
+// every node. Every algorithm's I/O is counted in B-sized block transfers,
+// whichever of the two block readers sits under the tables: one-block
+// buffers (Open, the external-memory model at its minimum), or a bounded
+// CLOCK cache shared by both tables that checks every block it loads
+// against a CRC32C recorded at open (OpenCached). The layout is the same.
 //
 // A graph <base> occupies three files:
 //
@@ -19,6 +22,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -108,6 +112,11 @@ func ReadMeta(base string) (Meta, error) {
 		if err != nil {
 			return m, fmt.Errorf("storage: meta value %q: %w", line, err)
 		}
+		// The header also arrives over the network (a follower's
+		// checkpoint download): nothing in it is taken modulo 2^32.
+		if x < 0 || (key != "arcs" && x > math.MaxUint32) {
+			return m, fmt.Errorf("storage: meta value %q out of range", line)
+		}
 		switch key {
 		case "version":
 			m.Version = int(x)
@@ -131,43 +140,74 @@ func ReadMeta(base string) (Meta, error) {
 	return m, nil
 }
 
+// tableReader is how a Graph reads one table: *BlockFile (a private
+// one-block buffer) or *CachedFile (frames of a shared BlockCache).
+type tableReader interface {
+	ReadAt(p []byte, off int64) error
+	Size() int64
+	Close() error
+}
+
 // Graph is a read handle over an on-disk graph. All reads are charged to
-// the counter passed at Open time. A Graph holds O(1) memory: one block
-// buffer per table plus scratch reused across calls.
+// the counter passed at Open time. A Graph holds O(1) memory beyond its
+// block reader's: scratch reused across calls.
 type Graph struct {
 	base string
 	meta Meta
-	nt   *BlockFile
-	et   *BlockFile
+	nt   tableReader
+	et   tableReader
 	io   *stats.IOCounter
 
 	recBuf [NodeRecordSize]byte
 	nbrBuf []byte // scratch for neighbour byte decoding
 }
 
-// Open opens the graph stored at base, charging subsequent reads to ctr.
+// Open opens the graph stored at base through one-block buffers, charging
+// subsequent reads to ctr.
 func Open(base string, ctr *stats.IOCounter) (*Graph, error) {
+	return OpenCached(base, ctr, nil)
+}
+
+// OpenCached opens the graph stored at base through cache, whose block
+// size must be ctr's (a nil cache is Open). Opening reads both tables
+// once, front to back and charged to ctr: the pass records the CRC32C of
+// every block, which each later cache fill is checked against, and must
+// reproduce the header's whole-table checksums (headers from older
+// builders carry none and pass unchecked, as in Verify) — so no block
+// that disagrees with the header is ever served, however long after open
+// it is first fetched.
+func OpenCached(base string, ctr *stats.IOCounter, cache *BlockCache) (*Graph, error) {
 	meta, err := ReadMeta(base)
 	if err != nil {
 		return nil, err
 	}
-	nt, err := OpenBlockFile(nodePath(base), ctr)
+	table := func(path, name string, size int64, crc *uint32) (tableReader, error) {
+		var t tableReader
+		if cache == nil {
+			t, err = OpenBlockFile(path, ctr)
+		} else {
+			if !meta.HasCRC {
+				crc = nil
+			}
+			t, err = cache.OpenVerified(path, crc, ctr)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if t.Size() != size {
+			t.Close()
+			return nil, fmt.Errorf("storage: %s table size %d, want %d", name, t.Size(), size)
+		}
+		return t, nil
+	}
+	nt, err := table(nodePath(base), "node", int64(meta.N)*NodeRecordSize, &meta.NtCRC)
 	if err != nil {
 		return nil, err
 	}
-	if want := int64(meta.N) * NodeRecordSize; nt.Size() != want {
-		nt.Close()
-		return nil, fmt.Errorf("storage: node table size %d, want %d", nt.Size(), want)
-	}
-	et, err := OpenBlockFile(edgePath(base), ctr)
+	et, err := table(edgePath(base), "edge", meta.Arcs*ArcSize, &meta.EtCRC)
 	if err != nil {
 		nt.Close()
 		return nil, err
-	}
-	if want := meta.Arcs * ArcSize; et.Size() != want {
-		nt.Close()
-		et.Close()
-		return nil, fmt.Errorf("storage: edge table size %d, want %d", et.Size(), want)
 	}
 	return &Graph{base: base, meta: meta, nt: nt, et: et, io: ctr}, nil
 }
@@ -320,30 +360,28 @@ func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint3
 // pass loads them, must match the header's — the check Verify makes,
 // folded into the one pass. fn sees nothing it could not see from Scan;
 // a mismatch is reported after the last node. Headers without checksums
-// (graphs from older builders) pass unchecked, as in Verify.
+// (graphs from older builders) pass unchecked, as in Verify. The pass
+// needs buffers of its own: g must come from Open, not OpenCached.
 func (g *Graph) ScanVerified(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
+	nt, ok1 := g.nt.(*BlockFile)
+	et, ok2 := g.et.(*BlockFile)
+	if !ok1 || !ok2 {
+		return fmt.Errorf("storage: ScanVerified on %s, which reads through a shared cache", g.base)
+	}
 	g.io = io
-	g.nt.rescan(io)
-	g.et.rescan(io)
+	nt.rescan(io)
+	et.rescan(io)
 	if err := g.ScanDynamic(0, func() uint32 { return g.meta.N }, nil, fn); err != nil {
 		return err
 	}
 	if !g.meta.HasCRC {
 		return nil
 	}
-	if crc, whole := g.nt.scannedCRC(); !whole || crc != g.meta.NtCRC {
+	if crc, whole := nt.scannedCRC(); !whole || crc != g.meta.NtCRC {
 		return fmt.Errorf("storage: verify %s: node table crc %08x (whole=%v), want %08x", g.base, crc, whole, g.meta.NtCRC)
 	}
-	if crc, whole := g.et.scannedCRC(); !whole || crc != g.meta.EtCRC {
+	if crc, whole := et.scannedCRC(); !whole || crc != g.meta.EtCRC {
 		return fmt.Errorf("storage: verify %s: edge table crc %08x (whole=%v), want %08x", g.base, crc, whole, g.meta.EtCRC)
 	}
 	return nil
-}
-
-// InvalidateBuffers drops both tables' block buffers, forcing the next
-// reads to be charged. Algorithm drivers call this between runs so counts
-// are independent.
-func (g *Graph) InvalidateBuffers() {
-	g.nt.InvalidateBuffer()
-	g.et.InvalidateBuffer()
 }

@@ -107,20 +107,27 @@ func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		bw.TrackBlockCRCs()
 		if _, err := bw.Write(data); err != nil {
 			return false
 		}
 		if err := bw.Close(); err != nil {
 			return false
 		}
-		crcs := append([]uint32(nil), bw.BlockCRCs()...)
 
-		// The undamaged file reads back byte-exact through the cache.
+		// The undamaged file reads back byte-exact through the cache; the
+		// open pass records the per-block checksums the damaged copies
+		// are then held to.
 		cache := NewBlockCache(2, blockSize)
-		cf, err := cache.Open(path, crcs, ctr)
+		whole := bw.CRC()
+		cf, err := cache.OpenVerified(path, &whole, ctr)
 		if err != nil {
 			return false
+		}
+		crcs := cf.crcs
+		wrong := whole + 1
+		if bad, err := cache.OpenVerified(path, &wrong, ctr); err == nil {
+			bad.Close()
+			return false // a whole-file checksum mismatch must fail the open
 		}
 		got := make([]byte, size)
 		if err := cf.ReadAt(got, 0); err != nil {
@@ -243,7 +250,7 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 		defer g.Close()
 		for trial := 0; trial < 20; trial++ {
 			v := uint32(r.Intn(n))
-			g.InvalidateBuffers()
+			invalidateBuffers(g)
 			before := rctr.Reads()
 			nbrs, err := g.Neighbors(v, nil)
 			if err != nil {

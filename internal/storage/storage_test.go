@@ -36,6 +36,13 @@ func buildGraph(t *testing.T, adj [][]uint32, blockSize int) (*Graph, *stats.IOC
 	return g, rctr
 }
 
+// invalidateBuffers drops both tables' block buffers, so the next reads
+// are charged.
+func invalidateBuffers(g *Graph) {
+	g.nt.(*BlockFile).InvalidateBuffer()
+	g.et.(*BlockFile).InvalidateBuffer()
+}
+
 var sampleAdj = [][]uint32{
 	{1, 2, 3},
 	{0, 2, 3},
@@ -136,7 +143,7 @@ func TestPartialScanSkipsBlocks(t *testing.T) {
 	// Full scan for comparison: node table 600*12/512 = 15 blocks (ceil
 	// 7200/512=15 exact), edge table 1198*4 = 4792 bytes -> 10 blocks.
 	ctr.Reset()
-	g.InvalidateBuffers()
+	invalidateBuffers(g)
 	if err := g.Scan(0, g.NumNodes()-1, nil, func(uint32, []uint32) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +283,21 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := Open(base, ctr); err == nil {
 		t.Fatal("malformed meta accepted")
+	}
+	// Values outside their field's range must be rejected, not wrapped.
+	for _, meta := range []string{
+		"version=1\nnodes=4294967297\narcs=2\n",  // would open as N = 1
+		"version=1\nnodes=-4294967293\narcs=2\n", // would open as N = 3
+		"version=1\nnodes=3\narcs=-2\n",
+		"version=1\nnodes=3\narcs=2\nntcrc=-1\netcrc=0\n",
+		"version=1\nnodes=3\narcs=2\nntcrc=0\netcrc=4294967296\n",
+	} {
+		if err := os.WriteFile(base+".meta", []byte(meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadMeta(base); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("meta %q: err = %v, want an out-of-range rejection", meta, err)
+		}
 	}
 }
 

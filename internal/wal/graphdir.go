@@ -3,13 +3,13 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
 	"kcore/internal/faultfs"
+	"kcore/internal/graphio"
 	"kcore/internal/stats"
 )
 
@@ -359,11 +359,16 @@ func scanLogs(fsys faultfs.FS, dir string) (recs []Record, torn, damaged bool, r
 	return recs, torn, damaged, strings.Join(reasons, "; "), nil
 }
 
-// CopyLive rebuilds dir/live as a copy of the chosen checkpoint's graph
-// files, returning the storage base path of the copy. The engine serves
-// (and compacts) the live copy, so the committed checkpoint files are
-// never touched.
-func CopyLive(dir, ckptPath string) (string, error) {
+// CheckpointBase is the storage path prefix of the graph files inside
+// the checkpoint directory ckptPath.
+func CheckpointBase(ckptPath string) string { return filepath.Join(ckptPath, ckptGraphBase) }
+
+// CopyLive rebuilds dir/live as a copy of the graph files at path prefix
+// srcBase — a chosen checkpoint's, or the base a graph is first opened
+// from — returning the storage base path of the copy. The engine serves
+// (and compacts) the live copy, so neither the committed checkpoint
+// files nor the operator's are ever touched.
+func CopyLive(dir, srcBase string) (string, error) {
 	live := LiveDir(dir)
 	if err := os.RemoveAll(live); err != nil {
 		return "", err
@@ -371,29 +376,8 @@ func CopyLive(dir, ckptPath string) (string, error) {
 	if err := os.MkdirAll(live, 0o755); err != nil {
 		return "", err
 	}
-	for _, ext := range []string{".meta", ".nt", ".et"} {
-		src := filepath.Join(ckptPath, ckptGraphBase+ext)
-		dst := LiveBase(dir) + ext
-		if err := copyFile(src, dst); err != nil {
-			return "", err
-		}
+	if err := graphio.CopyGraph(LiveBase(dir), srcBase); err != nil {
+		return "", err
 	}
 	return LiveBase(dir), nil
-}
-
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

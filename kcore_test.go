@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"kcore"
@@ -285,30 +286,33 @@ func TestEMCoreRequiresFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A partitioned graph flushes into its partition files, never into
-	// the tables the two baselines read: they run while those tables are
-	// still the graph, and refuse once a flush has gone elsewhere.
-	pg, err := kcore.Open(g.Base(), &kcore.OpenOptions{Partitions: &kcore.PartitionOptions{Dir: t.TempDir()}})
+	// A graph read through the block cache flushes into the same tables,
+	// so once flushed the two baselines may read them, and agree.
+	cg, err := kcore.Open(g.Base(), &kcore.OpenOptions{CacheBlocks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pg.Close()
-	if _, err := kcore.Decompose(pg, &kcore.DecomposeOptions{Algorithm: kcore.IMCore}); err != nil {
-		t.Fatalf("IMCore over an unedited partitioned graph: %v", err)
-	}
-	pm, err := kcore.NewMaintainer(pg, nil)
+	defer cg.Close()
+	cm, err := kcore.NewMaintainer(cg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pm.DeleteEdge(7, 8); err != nil {
+	if _, err := cm.DeleteEdge(7, 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := pg.Flush(); err != nil {
+	if _, err := kcore.Decompose(cg, &kcore.DecomposeOptions{Algorithm: kcore.IMCore}); err == nil {
+		t.Fatal("IMCore ran over an unflushed buffer of a cached graph")
+	}
+	if err := cg.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for _, algo := range []kcore.Algorithm{kcore.EMCore, kcore.IMCore} {
-		if _, err := kcore.Decompose(pg, &kcore.DecomposeOptions{Algorithm: algo, TempDir: t.TempDir()}); err == nil {
-			t.Fatalf("%v decomposed the stale tables under a flushed partitioned graph", algo)
+		res, err := kcore.Decompose(cg, &kcore.DecomposeOptions{Algorithm: algo, TempDir: t.TempDir()})
+		if err != nil {
+			t.Fatalf("%v over a flushed cached graph: %v", algo, err)
+		}
+		if !slices.Equal(res.Core, cm.Cores()) {
+			t.Fatalf("%v = %v, maintained cores %v", algo, res.Core, cm.Cores())
 		}
 	}
 }
