@@ -40,7 +40,7 @@ bench:
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzMaintenanceSequence -fuzztime=$(FUZZTIME) -run '^$$' ./internal/maintain
-	$(GO) test -fuzz=FuzzChangeStreamDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/replica
+	$(GO) test -fuzz=FuzzChangeStreamDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzDiskEngineAgreesWithMem -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
 
 # The crash-point fault-injection suite: the exhaustive boundary sweep

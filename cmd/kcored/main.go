@@ -34,7 +34,9 @@
 // (GET /g/default/changes), and serves the same read routes with
 // epoch-consistent bounded-stale data (internal/replica). Local writes
 // are refused with 409. -follow composes with -data-dir (the follower's
-// checkpoint working directory) but not with -graph/-load.
+// checkpoint working directory) and with -backend/-cache-blocks (the
+// block reader its downloaded tables are served through), but not with
+// -graph/-load.
 package main
 
 import (
@@ -76,7 +78,7 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "durability directory: every graph gets a write-ahead log and checkpoints under <dir>/<name>/, and a restart with the same -data-dir recovers all graphs (checkpoint + WAL replay) before opening any -graph/-load path anew. It adds no resident copy of the adjacency on either backend: a checkpoint streams the graph's own files (checkpoint_block_reads in /stats)")
 		fsyncPol  = flag.String("fsync", "interval", "WAL sync policy with -data-dir: always (fsync every batch), interval (background fsync; a crash may lose the last unsynced batches), never (fsync only at checkpoints/shutdown)")
 		ckptEvery = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval with -data-dir (0 disables periodic checkpoints; one is still taken at startup and on clean shutdown)")
-		follow    = flag.String("follow", "", "leader base URL (http://host:port): run as a read replica of the leader's default graph instead of opening any graph locally; incompatible with -graph/-load")
+		follow    = flag.String("follow", "", "leader base URL (http://host:port): run as a read replica of the leader's default graph instead of opening any graph locally; -backend/-cache-blocks choose the block reader under the downloaded tables, -data-dir where they are kept; incompatible with -graph/-load")
 	)
 	extra := make(map[string]string)
 	flag.Func("load", "additional graph as name=path (repeatable)", func(s string) error {
@@ -177,12 +179,16 @@ func main() {
 
 	if *follow != "" {
 		fmt.Printf("kcored: following %s (graph %q)\n", *follow, DefaultGraph)
+		oo, err := engine.BackendConfig{Backend: *backend, CacheBlocks: *cacheBlks}.OpenOptions(opts.Open)
+		if err != nil {
+			fatal(err)
+		}
 		f, err := replica.New(replica.Options{
 			Leader: *follow,
 			Graph:  DefaultGraph,
 			Dir:    *dataDir,
 			Serve:  opts.Serve,
-			Open:   opts.Open,
+			Open:   oo,
 		})
 		if err != nil {
 			fatal(err)

@@ -33,6 +33,26 @@ func followerStats(t *testing.T, base string) replicaStats {
 	return *st.Replica
 }
 
+// followerCacheBlocks reports the frame budget in a follower's /stats
+// disk block, -1 when it has none (an uncached follower).
+func followerCacheBlocks(t *testing.T, base string) int {
+	t.Helper()
+	var st struct {
+		Backend string `json:"backend"`
+		Disk    *struct {
+			CacheBlocks int `json:"cache_blocks"`
+		} `json:"disk"`
+	}
+	getJSON(t, http.StatusOK, base+"/stats", &st)
+	if st.Backend != "follower" {
+		t.Fatalf("follower /stats is labelled %q", st.Backend)
+	}
+	if st.Disk == nil {
+		return -1
+	}
+	return st.Disk.CacheBlocks
+}
+
 // waitFollowerLSN polls a follower's /stats until its apply cursor
 // reaches lsn.
 func waitFollowerLSN(t *testing.T, base string, lsn uint64, within time.Duration) replicaStats {
@@ -68,8 +88,9 @@ func coreVec(t *testing.T, base string, n int) []uint32 {
 // processes: a durable leader and a -follow follower. The follower
 // bootstraps from the leader's checkpoint, tails its change stream,
 // converges to every leader write, refuses local writes, and — killed
-// hard mid-stream and restarted on the same directory — bootstraps
-// again and reconverges.
+// hard mid-stream and restarted on the same directory, this time behind
+// -backend disk — bootstraps again, reconverges, and serves through the
+// block cache it was given.
 func TestKcoredFollowerEndToEnd(t *testing.T) {
 	leaderURL, _, _ := startKcoredProc(t,
 		"-graph", graphBase, "-addr", "127.0.0.1:0", "-flush", "1ms",
@@ -95,6 +116,9 @@ func TestKcoredFollowerEndToEnd(t *testing.T) {
 	rs := waitFollowerLSN(t, followerURL, 1, 10*time.Second)
 	if rs.Bootstraps < 1 {
 		t.Fatalf("follower converged without a bootstrap: %+v", rs)
+	}
+	if n := followerCacheBlocks(t, followerURL); n != -1 {
+		t.Fatalf("a follower started without -backend reports a %d-frame block cache", n)
 	}
 	if got, want := coreVec(t, followerURL, 24), coreVec(t, leaderURL, 24); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("follower cores %v differ from leader %v", got, want)
@@ -140,8 +164,11 @@ func TestKcoredFollowerEndToEnd(t *testing.T) {
 
 	followerURL2, _, _ := startKcoredProc(t,
 		"-follow", leaderURL, "-addr", "127.0.0.1:0", "-flush", "1ms",
-		"-data-dir", followDir)
+		"-data-dir", followDir, "-backend", "disk", "-cache-blocks", "8")
 	waitFollowerLSN(t, followerURL2, 3, 10*time.Second)
+	if n := followerCacheBlocks(t, followerURL2); n != 8 {
+		t.Fatalf("-follow -backend disk -cache-blocks 8 serves through %d cache frames (-1: none)", n)
+	}
 	if got, want := coreVec(t, followerURL2, 24), coreVec(t, leaderURL, 24); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("restarted follower cores %v differ from leader %v", got, want)
 	}

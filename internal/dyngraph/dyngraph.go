@@ -90,10 +90,6 @@ func (g *Graph) NumEdges() int64 { return g.arcs / 2 }
 // of the graph it may be read from any goroutine.
 func (g *Graph) BufferedArcs() int { return int(g.bufArcs.Load()) }
 
-// BufferLimit reports the buffered-arc count past which the base is
-// rewritten.
-func (g *Graph) BufferLimit() int { return g.limit }
-
 // DiskStats snapshots the block cache, the buffer's fill and the
 // rewrites done so far, from any goroutine; nil on a graph that reads
 // without a cache.

@@ -40,11 +40,15 @@ func (c BackendConfig) normalize() (BackendConfig, error) {
 	return c, nil
 }
 
-// openGraph opens the graph at base behind the block reader c names:
-// both backends are a kcore.Graph under the same serving session, and
-// differ only here.
-func (r *Registry) openGraph(base string, c BackendConfig) (*kcore.Graph, error) {
-	o := r.opts.Open
+// OpenOptions resolves c over the defaults o into the options a graph's
+// tables are opened with. Both backends are a kcore.Graph under the same
+// serving session and differ only in the block reader chosen here — for
+// a graph this process writes and for one it follows alike.
+func (c BackendConfig) OpenOptions(o kcore.OpenOptions) (kcore.OpenOptions, error) {
+	c, err := c.normalize()
+	if err != nil {
+		return o, err
+	}
 	o.CacheBlocks = 0
 	if c.Backend == BackendDisk {
 		o.CacheBlocks = c.CacheBlocks
@@ -52,45 +56,5 @@ func (r *Registry) openGraph(base string, c BackendConfig) (*kcore.Graph, error)
 			o.CacheBlocks = 1024
 		}
 	}
-	return kcore.Open(base, &o)
-}
-
-// OpenBackend opens the on-disk graph at path prefix base behind the
-// configured backend and registers it under name. Open is a thin wrapper
-// over it; in data-dir mode the engine is additionally wrapped in the
-// durability shell, whatever the backend.
-func (r *Registry) OpenBackend(name, base string, c BackendConfig) (Engine, error) {
-	c, err := c.normalize()
-	if err != nil {
-		return nil, err
-	}
-	if r.dur != nil {
-		return r.openDurable(name, base, c)
-	}
-	if err := r.reserve(name); err != nil {
-		return nil, err
-	}
-	e, err := r.openEntry(name, base, c)
-	if err != nil {
-		r.commit(name, nil)
-		return nil, fmt.Errorf("engine: open %s %q: %w", c.Backend, name, err)
-	}
-	if !r.commit(name, e) {
-		e.shutdown() //nolint:errcheck // ErrClosed wins
-		return nil, ErrClosed
-	}
-	return e.eng, nil
-}
-
-func (r *Registry) openEntry(name, base string, c BackendConfig) (*entry, error) {
-	g, err := r.openGraph(base, c)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := r.start(g)
-	if err != nil {
-		g.Close() //nolint:errcheck // already failing; start error wins
-		return nil, err
-	}
-	return &entry{name: name, base: base, eng: eng, g: g, ownsGraph: true}, nil
+	return o, nil
 }

@@ -33,10 +33,9 @@ const (
 	crashOps   = 6
 )
 
-// crashBackends are the backends the sweeps run over: a mem graph's
-// checkpoint streams a view pinned on its base tables, a disk graph's one
-// pinned on its partition store — different code reads the adjacency,
-// the same contract holds at every boundary.
+// crashBackends are the backends the sweeps run over: the same tables
+// behind one-block buffers and behind a block cache — a different reader
+// serves the adjacency, the same contract holds at every boundary.
 var crashBackends = []string{engine.BackendMem, engine.BackendDisk}
 
 // crashOutcome is what the script observed before the injected fault.

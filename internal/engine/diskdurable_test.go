@@ -158,7 +158,7 @@ func durableHeap(t *testing.T, backend string, scale, k int, seed int64) (after,
 	if rep := eng.Report(); rep.Disk != nil && rep.Disk.Merges == 0 {
 		t.Errorf("k=%d: %d updates against a %d-arc buffer merged nothing: %+v", k, rounds*perRound, rep.Disk.OverlayLimit, rep.Disk)
 	}
-	before, ioBefore := *eng.Report().Durability, eng.IOStats()
+	before, ioBefore := *eng.Report().Durability, eng.Report().IO
 	fs.armed.Store(true)
 	if err := eng.(engine.Checkpointer).Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func durableHeap(t *testing.T, backend string, scale, k int, seed int64) (after,
 	if st.CheckpointBlockReads <= before.CheckpointBlockReads {
 		t.Errorf("k=%d: a streamed checkpoint read no blocks: %+v", k, st)
 	}
-	if io := eng.IOStats(); io.Reads != ioBefore.Reads {
+	if io := eng.Report().IO; io.Reads != ioBefore.Reads {
 		t.Errorf("k=%d: the checkpoint charged %d block reads to the engine's io counter", k, io.Reads-ioBefore.Reads)
 	}
 	if atCheckpoint == 0 {
@@ -275,7 +275,7 @@ func TestCheckpointStreamsUnderWrites(t *testing.T) {
 				}
 			}
 			apply(ups[:beforeCapture])
-			writesAtCapture := eng.IOStats().Writes
+			writesAtCapture := eng.Report().IO.Writes
 			fs.armed.Store(true)
 			ckptErr := make(chan error, 1)
 			go func() {
@@ -285,7 +285,7 @@ func TestCheckpointStreamsUnderWrites(t *testing.T) {
 
 			apply(ups[beforeCapture:])
 			// Compactions are the only block writes either backend makes.
-			rewritten := eng.IOStats().Writes != writesAtCapture
+			rewritten := eng.Report().IO.Writes != writesAtCapture
 			close(release)
 			if !rewritten {
 				t.Fatal("nothing rewrote the tables under the parked checkpoint")

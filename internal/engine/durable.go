@@ -51,12 +51,6 @@ func (o DurabilityOptions) withDefaults() DurabilityOptions {
 	if o.SyncInterval <= 0 {
 		o.SyncInterval = 100 * time.Millisecond
 	}
-	if o.FeedRecords <= 0 {
-		o.FeedRecords = 8192
-	}
-	if o.FeedBytes <= 0 {
-		o.FeedBytes = 8 << 20
-	}
 	return o
 }
 
@@ -102,8 +96,7 @@ type walFailure struct{ err error }
 // a view pinned on the graph's own files (checkpoint below).
 type durable struct {
 	name  string
-	inner *serve.ConcurrentSession
-	g     *kcore.Graph // the graph inner serves; owned
+	inner *Live // the graph under live/, in service; owned
 	gd    *wal.GraphDir
 	ctr   *stats.WalCounters
 	opts  DurabilityOptions
@@ -114,10 +107,8 @@ type durable struct {
 
 	enc []byte // record scratch, owned by the writer goroutine
 
-	replaying   atomic.Bool
-	broken      atomic.Pointer[walFailure]
-	degraded    bool // set before serving starts, immutable after
-	degradedErr error
+	broken   atomic.Pointer[walFailure]
+	degraded error // non-nil seals the engine read-only; set before serving starts, immutable after
 
 	ckptMu    sync.Mutex
 	quit      chan struct{}
@@ -136,14 +127,15 @@ func newDurable(name string, opts DurabilityOptions) *durable {
 	}
 }
 
-// onApply is the durability hook, chained onto the writer session's
+// onApply is the durability hook, installed as the writer session's
 // OnApply callback. It runs post-apply on the writer goroutine with the
 // exact net batch; under the commit point it stamps the batch with the
 // next LSN, then appends the framed record to the log outside the lock
-// (appends are already ordered by the writer goroutine). Recovery
-// replays through the normal update path, and its records already exist.
+// (appends are already ordered by the writer goroutine). Recovery's
+// replay never comes through here: OnApply observes user flushes only,
+// and the records replay applies already exist.
 func (d *durable) onApply(deletes, inserts []kcore.Edge) {
-	if len(deletes)+len(inserts) == 0 || d.replaying.Load() {
+	if len(deletes)+len(inserts) == 0 {
 		return
 	}
 	d.mu.Lock()
@@ -174,8 +166,7 @@ func (d *durable) noteBroken(err error) {
 
 // markDegraded seals the engine read-only before it is published.
 func (d *durable) markDegraded(reason string) {
-	d.degraded = true
-	d.degradedErr = fmt.Errorf("%w: %s", ErrDegraded, reason)
+	d.degraded = fmt.Errorf("%w: %s", ErrDegraded, reason)
 	d.ctr.SetDegraded(true)
 }
 
@@ -241,7 +232,7 @@ func (d *durable) checkpoint() error {
 		pinErr error
 	)
 	err := d.inner.Do(func() {
-		vw, pinErr = d.g.Pin()
+		vw, pinErr = d.inner.G.Pin()
 		ep = d.inner.Snapshot()
 		lsn = d.CurrentLSN()
 	})
@@ -259,23 +250,27 @@ func (d *durable) checkpoint() error {
 	return nil
 }
 
-// replay feeds recovered records through the normal update path and
-// installs the recovered LSN watermark.
+// replay applies the recovered WAL tail, one record at a time, each its
+// own flush and epoch exactly as when it was logged (ApplyRecord). A
+// record the recovered graph does not take in full means checkpoint and
+// log disagree; the first such is the error.
 func (d *durable) replay(recs []wal.Record) error {
+	var bad error // written on the writer goroutine, read after the Sync below
 	for _, rec := range recs {
-		ups := make([]serve.Update, 0, len(rec.Deletes)+len(rec.Inserts))
-		for _, e := range rec.Deletes {
-			ups = append(ups, serve.Update{Op: serve.OpDelete, U: e.U, V: e.V})
-		}
-		for _, e := range rec.Inserts {
-			ups = append(ups, serve.Update{Op: serve.OpInsert, U: e.U, V: e.V})
-		}
-		if err := d.inner.Enqueue(ups...); err != nil {
+		err := ApplyRecord(d.inner.ConcurrentSession, rec, func(_ *serve.Epoch, err error) {
+			if bad == nil {
+				bad = err
+			}
+		})
+		if err != nil {
 			return err
 		}
 	}
 	if err := d.inner.Sync(); err != nil {
 		return err
+	}
+	if bad != nil {
+		return bad
 	}
 	d.ctr.AddReplayed(int64(len(recs)))
 	return nil
@@ -286,8 +281,8 @@ func (d *durable) replay(recs []wal.Record) error {
 func (d *durable) Snapshot() *serve.Epoch { return d.inner.Snapshot() }
 
 func (d *durable) Enqueue(ups ...serve.Update) error {
-	if d.degraded {
-		return d.degradedErr
+	if d.degraded != nil {
+		return d.degraded
 	}
 	if f := d.broken.Load(); f != nil {
 		return f.err
@@ -308,8 +303,8 @@ func (d *durable) Apply(ups ...serve.Update) error {
 // the always and interval policies an acked Sync therefore survives any
 // crash.
 func (d *durable) Sync() error {
-	if d.degraded {
-		return d.degradedErr
+	if d.degraded != nil {
+		return d.degraded
 	}
 	if err := d.inner.Sync(); err != nil {
 		return err
@@ -324,12 +319,6 @@ func (d *durable) Sync() error {
 	return nil
 }
 
-func (d *durable) Counters() *stats.ServeCounters { return d.inner.Counters() }
-
-func (d *durable) Stats() stats.ServeSnapshot { return d.inner.Stats() }
-
-func (d *durable) IOStats() kcore.IOStats { return d.inner.IOStats() }
-
 // Report adds the WAL/checkpoint/recovery block to the session's report.
 func (d *durable) Report() serve.Report {
 	d.ctr.SetLSN(d.CurrentLSN())
@@ -342,8 +331,8 @@ func (d *durable) Report() serve.Report {
 
 // Checkpoint implements Checkpointer.
 func (d *durable) Checkpoint() error {
-	if d.degraded {
-		return d.degradedErr
+	if d.degraded != nil {
+		return d.degraded
 	}
 	return d.checkpoint()
 }
@@ -378,7 +367,7 @@ func (d *durable) OpenCheckpoint() (*wal.CheckpointHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h.Manifest.LSN >= d.feed.OldestCursor() || d.degraded {
+	if h.Manifest.LSN >= d.feed.OldestCursor() || d.degraded != nil {
 		return h, nil
 	}
 	if cerr := d.checkpoint(); cerr == nil {
@@ -403,7 +392,7 @@ func (d *durable) Close() error {
 		d.feed.Close() // wake streaming change handlers so they can wind down
 		d.wg.Wait()
 		var firstErr error
-		if !d.degraded {
+		if d.degraded == nil {
 			syncErr := d.inner.Sync()
 			if syncErr == nil && d.broken.Load() == nil {
 				firstErr = d.checkpoint()
@@ -420,9 +409,6 @@ func (d *durable) Close() error {
 			}
 		}
 		if err := d.inner.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := d.g.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if f := d.broken.Load(); f != nil && firstErr == nil {

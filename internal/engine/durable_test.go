@@ -263,7 +263,7 @@ func TestDurableFirstOpenLeavesBaseAlone(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if eng.IOStats().Writes == 0 {
+			if eng.Report().IO.Writes == 0 {
 				t.Fatalf("fixture: %d updates against an 8-arc buffer compacted nothing", k)
 			}
 			img := t.TempDir()
@@ -296,7 +296,11 @@ func TestRecoverReplaysWalTail(t *testing.T) {
 	const n, seed, k = 80, 33, 6
 	img, ups := crashImage(t, n, seed, k)
 
-	reg := engine.NewRegistry(durableOptions(img))
+	// Recover with the default batch size: replay is per record whatever
+	// the coalescing window, one epoch each, as when they were logged.
+	opts := durableOptions(img)
+	opts.Serve.MaxBatch = 0
+	reg := engine.NewRegistry(opts)
 	defer reg.Close()
 	rep, err := reg.Recover()
 	if err != nil {
@@ -311,6 +315,54 @@ func TestRecoverReplaysWalTail(t *testing.T) {
 	eng, _ := reg.Get("g")
 	if !slices.Equal(eng.Snapshot().Cores(), oracleCores(t, n, seed, ups, k)) {
 		t.Fatal("recovered cores differ from the oracle")
+	}
+	if ep := eng.Snapshot(); ep.Seq != k || ep.Applied != k {
+		t.Fatalf("replay of %d records published %d epochs covering %d updates, want one epoch per record", k, ep.Seq, ep.Applied)
+	}
+	if st := durStats(t, eng); st.Appends != 0 || st.LSN != k {
+		t.Fatalf("replay re-logged its records or lost the watermark: %+v", st)
+	}
+}
+
+// TestRecoverRefusedRecordComesUpDegraded: a logged record applies in
+// full on the state it was logged against, so a tail record the
+// recovered graph refuses — here one re-inserting an edge an earlier
+// record already inserted — means checkpoint and log disagree. Recovery
+// says so and serves read-only instead of acking a state nobody wrote.
+func TestRecoverRefusedRecordComesUpDegraded(t *testing.T) {
+	const n, seed, k = 80, 38, 3
+	img, ups := crashImage(t, n, seed, k)
+	segs, err := filepath.Glob(filepath.Join(img, "g", "wal", "s0", "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments = %v, %v; want exactly 1", segs, err)
+	}
+	f, err := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(wal.AppendRecord(nil, k+1, nil, []kcore.Edge{{U: ups[0].U, V: ups[0].V}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := engine.NewRegistry(durableOptions(img))
+	defer reg.Close()
+	rep, err := reg.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := rep.Graphs[0]
+	if g.Err != nil || !g.Degraded || !strings.Contains(g.Reason, fmt.Sprintf("record %d", k+1)) {
+		t.Fatalf("a refused tail record must degrade and name the record: %+v", g)
+	}
+	eng, _ := reg.Get("g")
+	if !slices.Equal(eng.Snapshot().Cores(), oracleCores(t, n, seed, ups, k)) {
+		t.Fatal("degraded graph does not serve the records that did apply")
+	}
+	if err := eng.Apply(freshEdges(n, seed, k+1)[k]); !errors.Is(err, engine.ErrDegraded) {
+		t.Fatalf("write on degraded graph = %v, want ErrDegraded", err)
 	}
 }
 
@@ -633,5 +685,46 @@ func TestRecoverLegacyShardedDataDir(t *testing.T) {
 	}
 	if dirs, err := filepath.Glob(filepath.Join(walDir, "s*")); err != nil || len(dirs) != 1 || filepath.Base(dirs[0]) != "s0" {
 		t.Fatalf("log directories after recovery = %v (%v), want only s0", dirs, err)
+	}
+}
+
+// TestRecoverParentWrittenDataDir: testdata/parent-datadir was written
+// by the commit before the WAL codecs, manifests and bring-ups were
+// merged (20a2554; n=48 social graph at seed 41 behind -backend disk
+// -cache-blocks 8, block size 512, three acked inserts, a forced
+// checkpoint, four more acked inserts, then a crash that tore an eighth
+// record mid-write; live/ and LOCK left out). Formats are unchanged, so
+// it must recover as it would have there: newest checkpoint (LSN 3), four
+// records replayed, the torn one dropped, cores equal to a from-scratch
+// decomposition of the acked prefix.
+func TestRecoverParentWrittenDataDir(t *testing.T) {
+	const n, seed, k = 48, 41, 7
+	img := t.TempDir()
+	copyTree(t, filepath.Join("testdata", "parent-datadir"), img)
+	opts := durableOptions(img)
+	opts.Open.BlockSize = 512
+	reg := engine.NewRegistry(opts)
+	defer reg.Close()
+	rep, err := reg.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Graphs) != 1 || rep.Graphs[0].Err != nil || rep.Graphs[0].Degraded || rep.Graphs[0].Fallback {
+		t.Fatalf("recovery report = %+v", rep.Graphs)
+	}
+	if got := rep.Graphs[0].Replayed; got != 4 {
+		t.Fatalf("replayed %d records, want the 4 past the LSN-3 checkpoint", got)
+	}
+	eng, _ := reg.Get("g")
+	r := eng.Report()
+	if r.Backend != engine.BackendDisk || r.Disk == nil || r.Disk.CacheBlocks != 8 || r.Durability.LSN != k {
+		t.Fatalf("recovered as %s with disk block %+v at LSN %d, want disk, 8 frames, LSN %d", r.Backend, r.Disk, r.Durability.LSN, k)
+	}
+	edges := gen.Social(n, 3, 8, 8, seed)
+	for _, up := range freshEdges(n, seed, k) {
+		edges = append(edges, gen.Edge{U: up.U, V: up.V})
+	}
+	if err := verify.CheckAgainst(gen.Build(edges), eng.Snapshot().Cores()); err != nil {
+		t.Fatalf("recovered cores differ from the reference on the acked prefix: %v", err)
 	}
 }

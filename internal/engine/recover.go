@@ -1,16 +1,15 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"kcore"
-	"kcore/internal/serve"
 	"kcore/internal/stats"
 	"kcore/internal/wal"
 )
@@ -95,81 +94,59 @@ func (r *Registry) releaseDataDir() {
 	}
 }
 
-// openDurable is the data-dir variant of OpenBackend: the graph is
-// opened from base, wrapped in the durability layer under
-// <dataDir>/<name>/, and an initial checkpoint is committed before the
-// engine is published. c must already be normalized.
-func (r *Registry) openDurable(name, base string, c BackendConfig) (Engine, error) {
-	if err := r.ensureDataDir(); err != nil {
-		return nil, err
-	}
-	if err := r.reserve(name); err != nil {
-		return nil, err
-	}
+// createDurable is the data-dir variant of a first open: whatever is
+// under <dataDir>/<name>/ is replaced by a durable graph started from
+// the tables at base. c must already be normalized, oo resolved from it.
+func (r *Registry) createDurable(name, base string, c BackendConfig, oo kcore.OpenOptions) (*entry, error) {
 	dir := filepath.Join(r.dur.Dir, name)
-	d, err := r.buildDurable(name, dir, base, c)
-	if err != nil {
-		r.commit(name, nil)
-		return nil, fmt.Errorf("engine: open durable %q: %w", name, err)
-	}
-	e := &entry{name: name, base: base, eng: d, dir: dir}
-	if !r.commit(name, e) {
-		e.shutdown() //nolint:errcheck // ErrClosed wins
-		return nil, ErrClosed
-	}
-	return d, nil
-}
-
-func (r *Registry) buildDurable(name, dir, base string, c BackendConfig) (*durable, error) {
 	// A fresh Open owns the name: whatever an earlier failed creation
 	// (or an unrecoverable leftover the operator chose to replace) left
 	// under it is discarded.
-	if err := r.dur.FS.RemoveAll(dir); err != nil {
-		return nil, err
-	}
-	if err := r.dur.FS.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	// A durable graph serves, and compacts into, its own copy of the
-	// tables under live/ from its first open on, exactly as after a
-	// recovery: the operator's files at base are only ever read, so
-	// their modification times keep meaning "the operator refreshed the
-	// base" (BaseNewerThanCheckpoint).
-	liveBase, err := wal.CopyLive(dir, base)
-	if err != nil {
-		return nil, err
-	}
-	g, err := r.openGraph(liveBase, c)
-	if err != nil {
-		return nil, err
-	}
-	d, err := r.assembleDurable(name, dir, g, false)
-	if err != nil {
-		return nil, err
-	}
-	err = writeGraphConfig(r.dur, dir, c)
+	err := r.dur.FS.RemoveAll(dir)
 	if err == nil {
-		err = d.checkpoint()
+		err = r.dur.FS.MkdirAll(dir, 0o755)
+	}
+	if err == nil {
+		err = writeGraphConfig(r.dur, dir, c)
+	}
+	var d *durable
+	if err == nil {
+		d, err = r.startDurable(name, dir, base, oo, nil)
 	}
 	if err != nil {
-		d.Close() //nolint:errcheck // creation error wins
-		return nil, err
+		if d != nil {
+			d.Close() //nolint:errcheck // creation error wins
+		}
+		return nil, fmt.Errorf("engine: open durable %q: %w", name, err)
 	}
-	d.startLoops()
-	return d, nil
+	return &entry{base: base, eng: d, dir: dir}, nil
 }
 
-// assembleDurable builds the durable shell around a serving session for
-// g, whichever backend g was opened on: log opened, hook chained. When
-// replaying is set the shell starts in replay mode (records are not
-// re-logged) and background loops are not started; the recovery path
-// finishes that. The shell owns g; on error it has been closed.
-func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, replaying bool) (*durable, error) {
-	d := newDurable(name, *r.dur)
-	if replaying {
-		d.replaying.Store(true)
+// startDurable is the one way a durable graph comes into service, first
+// open and recovery alike: copy the tables at src into live/ and bring
+// that copy up behind the durability shell, apply the WAL tail, commit
+// a checkpoint of the result, drop the logs it covers, start the
+// background loops. A first open (sc == nil, src the operator's base) is
+// a recovery with no expected cores, an empty tail and no logs yet; a
+// recovery passes what wal.Scan found, src its chosen checkpoint.
+//
+// The graph serves, and compacts into, its own copy from the first open
+// on: the operator's files are only ever read, so their modification
+// times keep meaning "the operator refreshed the base"
+// (BaseNewerThanCheckpoint), and committed checkpoints are never
+// touched.
+//
+// An error next to a nil shell means nothing came up and nothing stays
+// open. An error next to a shell means the graph is in service on what
+// was recovered but durability could not be re-armed: recovery marks it
+// degraded, a first open closes it.
+func (r *Registry) startDurable(name, dir, src string, oo kcore.OpenOptions, sc *wal.Recovered) (*durable, error) {
+	liveBase, err := wal.CopyLive(dir, src)
+	if err != nil {
+		return nil, err
 	}
-	gd, err := wal.Open(dir, &wal.Options{
+	d := newDurable(name, *r.dur)
+	d.gd, err = wal.Open(dir, &wal.Options{
 		FS:           r.dur.FS,
 		Policy:       r.dur.Policy,
 		SegmentBytes: r.dur.SegmentBytes,
@@ -177,27 +154,53 @@ func (r *Registry) assembleDurable(name, dir string, g *kcore.Graph, replaying b
 		IO:           stats.NewIOCounter(r.opts.Open.BlockSize),
 	})
 	if err != nil {
-		g.Close() //nolint:errcheck // wal error wins
 		return nil, err
 	}
-	d.gd = gd
-	so := r.opts.Serve
-	so.Counters = new(stats.ServeCounters)
-	prev := so.OnApply
-	so.OnApply = func(deletes, inserts []kcore.Edge) {
-		if prev != nil {
-			prev(deletes, inserts)
+	so := r.serveOptions()
+	so.OnApply = d.onApply
+	var want []uint32
+	if sc != nil {
+		want = sc.Cores
+	}
+	// The checkpoint stored the core numbers of its adjacency; what was
+	// recovered must decompose to exactly them, or something is silently
+	// inconsistent (ErrCoreMismatch).
+	d.inner, err = BringUp(liveBase, oo, so, want)
+	if d.inner == nil {
+		d.gd.Close() //nolint:errcheck // bring-up error wins
+		return nil, err
+	}
+	// step runs the next stage unless an earlier one failed.
+	step := func(what string, f func() error) {
+		if err == nil {
+			if err = f(); err != nil {
+				err = fmt.Errorf("%s: %w", what, err)
+			}
 		}
-		d.onApply(deletes, inserts)
 	}
-	eng, err := serve.New(g, &so)
-	if err != nil {
-		gd.Close() //nolint:errcheck // engine error wins
-		g.Close()  //nolint:errcheck
-		return nil, err
+	if sc != nil {
+		if sc.Damaged {
+			err = errors.New(sc.Reason)
+		}
+		step("replay", func() error { return d.replay(sc.Records) })
+		// The change feed restarts at the recovered watermark: replayed
+		// records are covered by the checkpoint below, so a follower with
+		// an older cursor must catch up from that checkpoint anyway.
+		d.mu.Lock()
+		d.lsn = sc.MaxLSN()
+		d.mu.Unlock()
+		d.feed.Reset(sc.MaxLSN())
 	}
-	d.inner, d.g = eng, g
-	return d, nil
+	step("checkpoint", d.checkpoint)
+	if sc != nil {
+		// Old segments, torn tails included, are dead weight once the
+		// checkpoint covering them commits.
+		step("resetting logs", d.gd.ResetLogs)
+	}
+	if err == nil {
+		d.startLoops()
+	}
+	return d, err
 }
 
 // GraphRecovery reports what recovery did for one graph directory.
@@ -311,100 +314,41 @@ func (r *Registry) Recover() (*RecoveryReport, error) {
 func (r *Registry) recoverGraph(name string) (gr GraphRecovery) {
 	t0 := time.Now()
 	gr.Name = name
-	defer func() { gr.Elapsed = time.Since(t0) }()
-	if err := r.reserve(name); err != nil {
-		gr.Err = err
-		return gr
-	}
-	dir := filepath.Join(r.dur.Dir, name)
-	fail := func(err error) GraphRecovery {
-		r.commit(name, nil)
-		gr.Err = err
-		return gr
-	}
-	sc, err := wal.Scan(r.dur.FS, dir)
-	if err != nil {
-		return fail(err)
-	}
-	if fi, serr := r.dur.FS.Stat(wal.ManifestPath(sc.Path)); serr == nil {
-		gr.CheckpointTime = fi.ModTime()
-	}
-	c, err := readGraphConfig(dir).normalize()
-	if err != nil {
-		return fail(err)
-	}
-	// Data dirs written before the disk backend read the tables in place
-	// hold a directory of partition files; nothing reads it any more.
-	if err := os.RemoveAll(filepath.Join(dir, "parts")); err != nil {
-		return fail(err)
-	}
-	liveBase, err := wal.CopyLive(dir, wal.CheckpointBase(sc.Path))
-	if err != nil {
-		return fail(err)
-	}
-	g, err := r.openGraph(liveBase, c)
-	if err != nil {
-		return fail(err)
-	}
-	d, err := r.assembleDurable(name, dir, g, true)
-	if err != nil {
-		return fail(err)
-	}
-	gr.Fallback = sc.Fallback
-	gr.Reason = sc.Reason
-	degradedReason := ""
-	if sc.Damaged {
-		degradedReason = sc.Reason
-	}
-	if degradedReason == "" && sc.Cores != nil {
-		// The checkpoint stored the core numbers of its adjacency; what
-		// was recovered must decompose to exactly them (core numbers are
-		// unique per graph), or something is silently inconsistent.
-		if !slices.Equal(d.inner.Snapshot().Cores(), sc.Cores) {
-			degradedReason = "checkpoint core numbers disagree with recovered adjacency"
+	_, gr.Err = r.install(name, func() (*entry, error) {
+		dir := filepath.Join(r.dur.Dir, name)
+		sc, err := wal.Scan(r.dur.FS, dir)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if degradedReason == "" {
-		if err := d.replay(sc.Records); err != nil {
-			degradedReason = "replay: " + err.Error()
-		} else {
-			gr.Replayed = d.ctr.Replayed()
+		gr.CheckpointTime, gr.Fallback, gr.Reason = sc.Time, sc.Fallback, sc.Reason
+		oo, err := readGraphConfig(dir).OpenOptions(r.opts.Open)
+		if err != nil {
+			return nil, err
 		}
-	}
-	d.mu.Lock()
-	d.lsn = sc.MaxLSN()
-	d.mu.Unlock()
-	d.replaying.Store(false)
-	// The change feed restarts at the recovered watermark: replayed
-	// records are covered by the post-recovery checkpoint, so a follower
-	// with an older cursor must catch up from that checkpoint anyway.
-	d.feed.Reset(sc.MaxLSN())
-	if degradedReason == "" {
-		// Re-arm durability: a fresh checkpoint covering the replay,
-		// then fresh logs (old segments, torn tails included, are dead
-		// weight once the checkpoint commits).
-		if err := d.checkpoint(); err != nil {
-			degradedReason = "post-recovery checkpoint: " + err.Error()
-		} else if err := d.gd.ResetLogs(); err != nil {
-			degradedReason = "resetting logs: " + err.Error()
-		} else {
-			d.startLoops()
+		// Data dirs written before the disk backend read the tables in
+		// place hold a directory of partition files; nothing reads it any
+		// more.
+		if err := os.RemoveAll(filepath.Join(dir, "parts")); err != nil {
+			return nil, err
 		}
-	}
-	if degradedReason != "" {
-		d.markDegraded(degradedReason)
-		gr.Degraded = true
-		if gr.Reason == "" {
-			gr.Reason = degradedReason
-		} else if !strings.Contains(gr.Reason, degradedReason) {
-			gr.Reason += "; " + degradedReason
+		d, err := r.startDurable(name, dir, wal.CheckpointBase(sc.Path), oo, sc)
+		if d == nil {
+			return nil, err
 		}
-	}
-	d.ctr.SetRecoveryNs(time.Since(t0).Nanoseconds())
-	e := &entry{name: name, base: liveBase, eng: d, dir: dir}
-	if !r.commit(name, e) {
-		d.Close() //nolint:errcheck // ErrClosed wins
-		gr.Err = ErrClosed
-	}
+		if err != nil {
+			reason := err.Error()
+			d.markDegraded(reason)
+			gr.Degraded = true
+			if gr.Reason == "" {
+				gr.Reason = reason
+			} else if !strings.Contains(gr.Reason, reason) {
+				gr.Reason += "; " + reason
+			}
+		}
+		gr.Replayed = d.ctr.Replayed()
+		d.ctr.SetRecoveryNs(time.Since(t0).Nanoseconds())
+		return &entry{base: wal.LiveBase(dir), eng: d, dir: dir}, nil
+	})
+	gr.Elapsed = time.Since(t0)
 	return gr
 }

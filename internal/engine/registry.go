@@ -16,7 +16,8 @@ import (
 type Options struct {
 	// Serve tunes every session the registry starts. Counters is
 	// ignored: the registry allocates a private ServeCounters per
-	// engine so counters are always per-graph.
+	// engine so counters are always per-graph. In data-dir mode OnApply
+	// is the durability shell's: it writes the log from it.
 	Serve serve.Options
 	// Open tunes every graph the registry opens from disk.
 	Open kcore.OpenOptions
@@ -27,15 +28,13 @@ type Options struct {
 	Durability *DurabilityOptions
 }
 
-// entry is one registered graph: the engine, the backing graph handle
-// and whether the registry owns (and must close) that handle.
+// entry is one registered graph. The engine owns everything under it:
+// closing it releases the graph too.
 type entry struct {
-	name      string
-	base      string // path prefix for opened graphs, "" for attached
-	eng       Engine
-	g         *kcore.Graph
-	ownsGraph bool
-	dir       string // durable graph directory, removed on Drop; "" otherwise
+	name string
+	base string // path prefix the graph was opened from, "" for registered engines
+	eng  Engine
+	dir  string // durable graph directory, removed on Drop; "" otherwise
 }
 
 // Registry owns a set of named engines sharing option defaults, so one
@@ -125,11 +124,64 @@ func (r *Registry) commit(name string, e *entry) bool {
 	return true
 }
 
+// install reserves name, runs build outside the lock (it is the
+// expensive part: opening, decomposing, replaying), and registers the
+// entry build returns. It is the one way into the table: a plain or
+// durable open, a recovered graph and a registered follower all come
+// through here, so a failed build always releases the reservation and an
+// entry that finishes after Close is always shut down.
+func (r *Registry) install(name string, build func() (*entry, error)) (Engine, error) {
+	if err := r.reserve(name); err != nil {
+		return nil, err
+	}
+	e, err := build()
+	if err != nil {
+		r.commit(name, nil)
+		return nil, err
+	}
+	e.name = name
+	if !r.commit(name, e) {
+		e.eng.Close() //nolint:errcheck // ErrClosed wins
+		return nil, ErrClosed
+	}
+	return e.eng, nil
+}
+
 // Open opens the on-disk graph at path prefix base, decomposes it, and
 // registers a serving engine for it under name. The registry owns the
 // graph handle and closes it when the entry is dropped.
 func (r *Registry) Open(name, base string) (Engine, error) {
 	return r.OpenBackend(name, base, BackendConfig{})
+}
+
+// OpenBackend opens the on-disk graph at path prefix base behind the
+// configured backend and registers it under name. In data-dir mode the
+// graph is copied into, and served from, its durable directory behind
+// the durability shell, whatever the backend.
+func (r *Registry) OpenBackend(name, base string, c BackendConfig) (Engine, error) {
+	c, err := c.normalize()
+	if err != nil {
+		return nil, err
+	}
+	oo, err := c.OpenOptions(r.opts.Open)
+	if err != nil {
+		return nil, err
+	}
+	if r.dur != nil {
+		if err := r.ensureDataDir(); err != nil {
+			return nil, err
+		}
+	}
+	return r.install(name, func() (*entry, error) {
+		if r.dur != nil {
+			return r.createDurable(name, base, c, oo)
+		}
+		l, err := BringUp(base, oo, r.serveOptions(), nil)
+		if err != nil {
+			return nil, fmt.Errorf("engine: open %s %q: %w", c.Backend, name, err)
+		}
+		return &entry{base: base, eng: l}, nil
+	})
 }
 
 // Register installs an externally built engine under name — the
@@ -138,44 +190,16 @@ func (r *Registry) Open(name, base string) (Engine, error) {
 // listed, and dropped like a locally opened graph. The registry takes
 // ownership: Drop and Close will Close the engine.
 func (r *Registry) Register(name string, eng Engine) error {
-	if err := r.reserve(name); err != nil {
-		return err
-	}
-	e := &entry{name: name, eng: eng}
-	if !r.commit(name, e) {
-		e.shutdown() //nolint:errcheck // ErrClosed wins
-		return ErrClosed
-	}
-	return nil
+	_, err := r.install(name, func() (*entry, error) { return &entry{eng: eng}, nil })
+	return err
 }
 
-// Attach registers a serving engine for an already-open graph under
-// name. The caller keeps ownership of g (it is not closed on Drop) but
-// must not touch it directly while the engine is registered — the
-// engine's writer goroutine is the sole mutator.
-func (r *Registry) Attach(name string, g *kcore.Graph) (Engine, error) {
-	if err := r.reserve(name); err != nil {
-		return nil, err
-	}
-	eng, err := r.start(g)
-	if err != nil {
-		r.commit(name, nil)
-		return nil, fmt.Errorf("engine: start %q: %w", name, err)
-	}
-	e := &entry{name: name, base: g.Base(), eng: eng, g: g}
-	if !r.commit(name, e) {
-		e.shutdown() //nolint:errcheck // ErrClosed wins
-		return nil, ErrClosed
-	}
-	return eng, nil
-}
-
-// start builds an engine for g from the shared defaults, with private
-// per-graph counters.
-func (r *Registry) start(g *kcore.Graph) (Engine, error) {
+// serveOptions is the shared session tuning with private per-graph
+// counters.
+func (r *Registry) serveOptions() serve.Options {
 	o := r.opts.Serve
 	o.Counters = new(stats.ServeCounters)
-	return serve.New(g, &o)
+	return o
 }
 
 // Get returns the engine registered under name.
@@ -249,7 +273,7 @@ func (r *Registry) List() []GraphInfo {
 			Edges:      snap.NumEdges,
 			Kmax:       snap.Kmax,
 			Epoch:      snap.Seq,
-			Serve:      e.eng.Stats(),
+			Serve:      rep.Serve,
 			Durability: rep.Durability,
 			Replica:    rep.Replica,
 		}
@@ -263,9 +287,9 @@ func (r *Registry) List() []GraphInfo {
 	return infos
 }
 
-// Drop unregisters name, drains and closes its engine, and closes the
-// backing graph if the registry owns it. In-flight readers holding
-// epochs are unaffected (epochs are immutable and self-contained).
+// Drop unregisters name and drains and closes its engine, the backing
+// graph with it. In-flight readers holding epochs are unaffected (epochs
+// are immutable and self-contained).
 func (r *Registry) Drop(name string) error {
 	r.mu.Lock()
 	e, ok := r.byName[name]
@@ -275,37 +299,19 @@ func (r *Registry) Drop(name string) error {
 	}
 	delete(r.byName, name)
 	r.mu.Unlock()
-	err := e.shutdown()
-	if rerr := e.remove(); err == nil {
-		err = rerr
-	}
-	return err
-}
-
-// shutdown drains the engine then releases the graph, keeping the first
-// error. Durable entries hold no graph handle — the durable shell owns
-// its live graph.
-func (e *entry) shutdown() error {
 	err := e.eng.Close()
-	if e.ownsGraph && e.g != nil {
-		if cerr := e.g.Close(); err == nil {
-			err = cerr
+	if e.dir != "" {
+		// A dropped durable graph takes its directory with it.
+		if rerr := os.RemoveAll(e.dir); err == nil {
+			err = rerr
 		}
 	}
 	return err
 }
 
-// remove deletes a durable entry's graph directory after shutdown.
-func (e *entry) remove() error {
-	if e.dir == "" {
-		return nil
-	}
-	return os.RemoveAll(e.dir)
-}
-
 // Close shuts every engine down concurrently (each drains its pending
 // updates and publishes a final epoch) and seals the registry; further
-// Open/Attach calls fail with ErrClosed. Close is idempotent and
+// Open/Register calls fail with ErrClosed. Close is idempotent and
 // returns the first shutdown error.
 func (r *Registry) Close() error {
 	r.mu.Lock()
@@ -329,7 +335,7 @@ func (r *Registry) Close() error {
 		wg.Add(1)
 		go func(i int, e *entry) {
 			defer wg.Done()
-			errs[i] = e.shutdown()
+			errs[i] = e.eng.Close()
 		}(i, e)
 	}
 	wg.Wait()

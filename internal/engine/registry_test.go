@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"kcore"
 	"kcore/internal/engine"
 	"kcore/internal/gen"
 	"kcore/internal/graphio"
@@ -89,35 +88,6 @@ func TestRegistryOpenMissingPath(t *testing.T) {
 	// The failed reservation is released.
 	if _, err := reg.Open("ghost", writeGraph(t, 80, 5)); err != nil {
 		t.Fatalf("name not released after failed open: %v", err)
-	}
-}
-
-func TestRegistryAttachKeepsCallerOwnership(t *testing.T) {
-	reg := engine.NewRegistry(nil)
-	base := writeGraph(t, 100, 7)
-	g, err := kcore.Open(base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-
-	eng, err := reg.Attach("mine", g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := eng.Snapshot().NumEdges
-	if err := reg.Drop("mine"); err != nil {
-		t.Fatal(err)
-	}
-	// The graph handle survives the drop: the caller owns it.
-	if g.NumEdges() != before {
-		t.Fatalf("graph changed across Drop: %d -> %d edges", before, g.NumEdges())
-	}
-	if _, err := g.Neighbors(0); err != nil {
-		t.Fatalf("caller-owned graph unusable after Drop: %v", err)
-	}
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

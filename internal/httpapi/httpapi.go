@@ -316,10 +316,10 @@ func handleDegeneracy(eng engine.Engine, w http.ResponseWriter, r *http.Request)
 }
 
 func handleStats(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
-	snap := eng.Snapshot()
+	snap, rep := eng.Snapshot(), eng.Report()
 	setEpochHeader(w, snap.Seq)
 	resp := map[string]any{
-		"serve":   eng.Stats(),
+		"serve":   rep.Serve,
 		"epoch":   snap.Seq,
 		"applied": snap.Applied,
 		"nodes":   snap.NumNodes(),
@@ -329,11 +329,10 @@ func handleStats(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
 	// block only appears once the backend has actually measured block
 	// I/O — an all-zero block would read as "measured: zero", which for
 	// purely in-memory serving is not what happened.
-	rep := eng.Report()
 	if rep.Backend != "" {
 		resp["backend"] = rep.Backend
 	}
-	if io := eng.IOStats(); io.Total() != 0 || io.ReadBytes != 0 || io.WriteBytes != 0 {
+	if io := rep.IO; io.Total() != 0 || io.ReadBytes != 0 || io.WriteBytes != 0 {
 		resp["io"] = io
 	}
 	// Disk backends expose the cache/overlay/merge economy.

@@ -190,7 +190,7 @@ func TestKCoreLimitAndMemoizedPath(t *testing.T) {
 		do(t, "GET", ts.URL+fmt.Sprintf("/kcore?k=%d", i%4), "", http.StatusOK, &kc)
 	}
 	eng, _ := reg.Get("default")
-	st := eng.Stats()
+	st := eng.Report().Serve
 	if st.CacheMisses != 1 {
 		t.Fatalf("cache misses = %d, want 1 (one per epoch)", st.CacheMisses)
 	}
@@ -393,7 +393,7 @@ func TestTwoGraphsServeConcurrently(t *testing.T) {
 		if eng.Snapshot().Seq == 0 {
 			t.Fatalf("graph %s never advanced", name)
 		}
-		if st := eng.Stats(); st.Enqueued != 4*25*2 {
+		if st := eng.Report().Serve; st.Enqueued != 4*25*2 {
 			t.Fatalf("graph %s enqueued = %d, want 200", name, st.Enqueued)
 		}
 	}

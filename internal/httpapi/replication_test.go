@@ -22,45 +22,27 @@ import (
 // (replication follower, degraded durable graph) without standing up
 // real replication or injecting real damage.
 type stubReadOnly struct {
-	sess     *serve.ConcurrentSession
-	g        *kcore.Graph
+	*engine.Live
 	writeErr error
 	degraded bool
 }
 
 func newStubReadOnly(t *testing.T, writeErr error, degraded bool) *stubReadOnly {
 	t.Helper()
-	g, err := kcore.Open(writeGraph(t, 80, 9), nil)
+	live, err := engine.BringUp(writeGraph(t, 80, 9), kcore.OpenOptions{}, serve.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := serve.New(g, nil)
-	if err != nil {
-		g.Close()
-		t.Fatal(err)
-	}
-	return &stubReadOnly{sess: sess, g: g, writeErr: writeErr, degraded: degraded}
+	return &stubReadOnly{Live: live, writeErr: writeErr, degraded: degraded}
 }
 
-func (s *stubReadOnly) Snapshot() *serve.Epoch            { return s.sess.Snapshot() }
 func (s *stubReadOnly) Enqueue(ups ...serve.Update) error { return s.writeErr }
 func (s *stubReadOnly) Apply(ups ...serve.Update) error   { return s.writeErr }
-func (s *stubReadOnly) Sync() error                       { return s.sess.Sync() }
-func (s *stubReadOnly) Counters() *stats.ServeCounters    { return s.sess.Counters() }
-func (s *stubReadOnly) Stats() stats.ServeSnapshot        { return s.sess.Stats() }
-func (s *stubReadOnly) IOStats() kcore.IOStats            { return s.sess.IOStats() }
 func (s *stubReadOnly) Checkpoint() error                 { return s.writeErr }
 func (s *stubReadOnly) Report() serve.Report {
-	r := s.sess.Report()
+	r := s.Live.Report()
 	r.Durability, r.Replica = &stats.WalSnapshot{Degraded: s.degraded}, &stats.ReplicaSnapshot{}
 	return r
-}
-func (s *stubReadOnly) Close() error {
-	err := s.sess.Close()
-	if cerr := s.g.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // newDurableAPI builds a registry in data-dir mode with one durable
@@ -256,7 +238,7 @@ func TestCheckpointDownloadTar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := wal.ParseCheckpointManifest(data); err != nil {
+			if _, err := wal.ParseManifest(data); err != nil {
 				t.Fatalf("downloaded manifest does not parse: %v", err)
 			}
 		}

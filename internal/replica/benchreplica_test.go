@@ -58,9 +58,9 @@ func applyValid(tb testing.TB, eng engine.Engine, ms *testutil.MutationStream) {
 func waitApplied(tb testing.TB, f *replica.Follower, lsn uint64) {
 	tb.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for f.ReplicaStats().AppliedLSN < lsn {
+	for f.Report().Replica.AppliedLSN < lsn {
 		if time.Now().After(deadline) {
-			tb.Fatalf("follower stuck at %d, want %d", f.ReplicaStats().AppliedLSN, lsn)
+			tb.Fatalf("follower stuck at %d, want %d", f.Report().Replica.AppliedLSN, lsn)
 		}
 		time.Sleep(20 * time.Microsecond)
 	}

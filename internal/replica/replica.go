@@ -1,19 +1,26 @@
 // Package replica implements the follower side of replication: a
-// read-only engine that bootstraps from a leader's checkpoint download,
-// tails its change stream (GET /g/{name}/changes — the CRC-framed WAL
-// wire format), and applies each record as one isolated batch through
-// the normal serving path, so every published follower epoch is exactly
-// one leader commit-point state. Reads are epoch-consistent and
+// read-only engine that bootstraps from a leader's checkpoint download
+// (engine.BringUp, the bring-up crash recovery uses), tails its change
+// stream (GET /g/{name}/changes — the CRC-framed WAL wire format, read
+// by the wal.FrameReader that reads log segments), and applies each
+// record exactly as recovery applies a WAL tail (engine.ApplyRecord: one
+// isolated flush, one epoch), so every published follower epoch is
+// exactly one leader commit-point state. Reads are epoch-consistent and
 // bounded-stale; local writes are refused with engine.ErrReadOnly.
 //
 // Cursor protocol: the follower's cursor is the LSN of the newest record
-// whose epoch is published. On reconnect it resumes from the cursor
+// whose epoch is published; it advances in that record's completion
+// callback and nowhere else. On reconnect it resumes from the cursor
 // (records at or below it are duplicates and skipped — exactly-once
 // apply), and when the leader answers 410 Gone (the cursor fell out of
 // the retained feed window) it falls back to a fresh checkpoint
 // bootstrap. A mid-stream fault — torn frame, CRC failure, LSN gap,
 // heartbeat silence — closes the connection and re-enters the same
-// loop, so a follower never serves a torn or out-of-order state.
+// loop, so a follower never serves a torn or out-of-order state. A
+// record the local graph does not take in full — any update of it
+// refused, or the writer failed — proves the local copy is not the state
+// the leader logged it against: the cursor stops there for good and the
+// copy is rebuilt from a checkpoint.
 package replica
 
 import (
@@ -49,7 +56,9 @@ type Options struct {
 	Dir string
 	// Serve tunes the local apply session.
 	Serve serve.Options
-	// Open tunes the local graph handle.
+	// Open tunes the local graph handle: the block reader the downloaded
+	// tables are served through (engine.BackendConfig.OpenOptions
+	// resolves a -backend / -cache-blocks pair into it).
 	Open kcore.OpenOptions
 	// Client issues the HTTP requests; nil uses a private client with no
 	// global timeout (the change stream is long-lived — liveness comes
@@ -105,26 +114,22 @@ var (
 	// errTrimmed reports a cursor the leader can no longer serve from its
 	// feed window (410 Gone) — fall back to checkpoint catch-up.
 	errTrimmed = errors.New("replica: cursor behind the leader's feed window")
-	// errDiverged reports a stream record the local state refused to
-	// apply — impossible while follower state matches the leader, so the
+	// errDiverged reports a stream record the local state did not take in
+	// full — impossible while follower state matches the leader, so the
 	// local copy is rebuilt from a fresh checkpoint.
 	errDiverged = errors.New("replica: local state diverged from the stream")
 )
 
-// state is the follower's current serving backend: the graph opened from
-// one downloaded checkpoint plus the apply session over it. Rebootstrap
-// swaps in a whole new state; epochs from the old one stay readable.
+// state is the follower's current serving backend: the graph brought up
+// from one downloaded checkpoint. Rebootstrap swaps in a whole new
+// state; epochs from the old one stay readable.
 type state struct {
-	g    *kcore.Graph
-	sess *serve.ConcurrentSession
-	dir  string // checkpoint subdir owning the graph files
-}
-
-// pendingRec tracks one enqueued stream record until the epoch covering
-// it is published.
-type pendingRec struct {
-	lsn uint64
-	t0  time.Time
+	*engine.Live
+	dir string // checkpoint subdir owning the graph files
+	// diverged is set, on the apply session's writer goroutine, by the
+	// first record that did not apply in full; no later record of this
+	// state moves the cursor, and the stream loop rebuilds the state.
+	diverged atomic.Bool
 }
 
 // Follower is a read-only replication engine (engine.Engine). Build one
@@ -137,15 +142,6 @@ type Follower struct {
 
 	state   atomic.Pointer[state]
 	bootSeq int // numbers checkpoint subdirs; touched only by the run loop
-
-	// pend is the FIFO of enqueued-but-unpublished stream records; the
-	// stream goroutine pushes, the apply session's writer goroutine pops
-	// (OnApplyInternal) and publishes (OnPublish). cur carries the popped
-	// entry between those two strictly-paired callbacks.
-	pendMu sync.Mutex
-	pend   []pendingRec
-	cur    pendingRec
-	curSet bool
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -199,37 +195,6 @@ func New(opts Options) (*Follower, error) {
 	return f, nil
 }
 
-// onApplyInternal pops the oldest pending record: the flush being
-// reported is exactly one stream record (internal batches flush in
-// isolation), applied in enqueue order.
-func (f *Follower) onApplyInternal(deletes, inserts []kcore.Edge) {
-	f.pendMu.Lock()
-	if len(f.pend) > 0 {
-		f.cur, f.curSet = f.pend[0], true
-		f.pend = f.pend[1:]
-	}
-	f.pendMu.Unlock()
-}
-
-// onPublish runs immediately after onApplyInternal for the epoch
-// covering the record (the serve ordering guarantee): the record's LSN
-// is now visible to readers, so the cursor advances here and nowhere
-// else.
-func (f *Follower) onPublish(ep *serve.Epoch) {
-	f.pendMu.Lock()
-	rec, ok := f.cur, f.curSet
-	f.curSet = false
-	f.pendMu.Unlock()
-	if !ok {
-		return // epoch 0 of a fresh session, no record behind it
-	}
-	f.ctr.SetAppliedLSN(rec.lsn)
-	f.ctr.NoteLag(time.Since(rec.t0).Nanoseconds())
-	if f.opts.OnApplied != nil {
-		f.opts.OnApplied(rec.lsn, ep)
-	}
-}
-
 // bootstrap downloads, validates and serves the leader's newest
 // checkpoint, replacing any current state. The old session is closed
 // first (quiescing its writer so the cursor cannot move concurrently);
@@ -271,42 +236,27 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		return fmt.Errorf("replica: downloaded checkpoint: %w", err)
 	}
 
-	// Quiesce the old session before touching the cursor or the pending
-	// queue: once Close returns, no writer goroutine can race them.
+	// Quiesce the old session before touching the cursor: once it is
+	// closed, none of its records' callbacks can race the reset below.
 	old := f.state.Load()
 	if old != nil {
-		old.sess.Close() //nolint:errcheck // replaced either way
-	}
-	f.pendMu.Lock()
-	f.pend, f.curSet = nil, false
-	f.pendMu.Unlock()
-
-	g, err := kcore.Open(wal.CheckpointGraphBase(subdir), &f.opts.Open)
-	if err != nil {
-		os.RemoveAll(subdir) //nolint:errcheck // open error wins
-		return err
+		old.ConcurrentSession.Close() //nolint:errcheck // replaced either way
 	}
 	so := f.opts.Serve
 	so.Counters = nil // each session gets private counters
-	so.OnApplyInternal = f.onApplyInternal
-	so.OnPublish = f.onPublish
-	sess, err := serve.New(g, &so)
+	live, err := engine.BringUp(wal.CheckpointBase(subdir), f.opts.Open, so, cores)
 	if err != nil {
-		g.Close()            //nolint:errcheck // serve error wins
-		os.RemoveAll(subdir) //nolint:errcheck
-		return err
-	}
-	if cores != nil && !slices.Equal(sess.Snapshot().Cores(), cores) {
-		sess.Close()         //nolint:errcheck // divergence error wins
-		g.Close()            //nolint:errcheck
-		os.RemoveAll(subdir) //nolint:errcheck
-		return fmt.Errorf("replica: checkpoint core numbers disagree with its adjacency")
+		if live != nil {
+			live.Close() //nolint:errcheck // mismatch error wins
+		}
+		os.RemoveAll(subdir) //nolint:errcheck // bring-up error wins
+		return fmt.Errorf("replica: downloaded checkpoint: %w", err)
 	}
 	f.ctr.SetAppliedLSN(man.LSN)
 	f.ctr.NoteBootstrap(n)
-	f.state.Store(&state{g: g, sess: sess, dir: subdir})
+	f.state.Store(&state{Live: live, dir: subdir})
 	if old != nil {
-		old.g.Close()         //nolint:errcheck // replaced state
+		old.Close()           //nolint:errcheck // replaced state
 		os.RemoveAll(old.dir) //nolint:errcheck
 	}
 	return nil
@@ -315,10 +265,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 // extractCheckpoint unpacks a checkpoint tar into dir, admitting only
 // the canonical bundle file names, and reports the bytes written.
 func extractCheckpoint(r io.Reader, dir string) (int64, error) {
-	allowed := make(map[string]bool)
-	for _, name := range wal.CheckpointBundleNames() {
-		allowed[name] = true
-	}
+	allowed := wal.CheckpointBundleNames()
 	var total int64
 	tr := tar.NewReader(r)
 	for {
@@ -329,7 +276,7 @@ func extractCheckpoint(r io.Reader, dir string) (int64, error) {
 		if err != nil {
 			return total, fmt.Errorf("replica: checkpoint tar: %w", err)
 		}
-		if !allowed[hdr.Name] {
+		if !slices.Contains(allowed, hdr.Name) {
 			return total, fmt.Errorf("replica: checkpoint tar: unexpected entry %q", hdr.Name)
 		}
 		w, err := os.Create(filepath.Join(dir, hdr.Name))
@@ -390,15 +337,11 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 	st := f.state.Load()
 	// Barrier first: records enqueued by a previous connection must be
 	// published before the cursor is read, or the resume point would be
-	// stale and re-fetch them. A record that is still pending after the
-	// barrier was refused by the local graph — divergence.
-	if err := st.sess.Sync(); err != nil {
+	// stale and re-fetch them.
+	if err := st.Sync(); err != nil {
 		return false, fmt.Errorf("%w: apply session: %v", errDiverged, err)
 	}
-	f.pendMu.Lock()
-	stuck := len(f.pend) > 0
-	f.pendMu.Unlock()
-	if stuck {
+	if st.diverged.Load() {
 		return false, errDiverged
 	}
 	cursor := f.ctr.AppliedLSN()
@@ -435,48 +378,59 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 	var read int64
 	next := cursor + 1
 	for {
-		frame, ferr := fr.ReadFrame()
+		rec, ferr := fr.ReadFrame()
 		f.ctr.AddStreamBytes(fr.BytesRead() - read)
 		read = fr.BytesRead()
 		if ferr != nil {
 			return progressed, ferr
 		}
+		if st.diverged.Load() {
+			return progressed, errDiverged
+		}
 		watchdog.Reset(f.opts.HeartbeatTimeout)
-		f.ctr.ObserveLeaderLSN(frame.LSN)
-		if frame.Heartbeat {
+		f.ctr.ObserveLeaderLSN(rec.LSN)
+		if rec.Heartbeat {
 			f.ctr.NoteHeartbeat()
 			continue
 		}
-		if frame.LSN < next {
+		if rec.LSN < next {
 			// At or below the cursor: already applied before a reconnect —
 			// skipped, so every record is applied exactly once.
 			f.ctr.NoteDuplicate()
 			continue
 		}
-		if frame.LSN > next {
-			return progressed, fmt.Errorf("replica: LSN gap on stream: got %d, want %d", frame.LSN, next)
+		if rec.LSN > next {
+			return progressed, fmt.Errorf("replica: LSN gap on stream: got %d, want %d", rec.LSN, next)
 		}
-		ups := make([]serve.Update, 0, len(frame.Deletes)+len(frame.Inserts))
-		for _, e := range frame.Deletes {
-			ups = append(ups, serve.Update{Op: serve.OpDelete, U: e.U, V: e.V})
-		}
-		for _, e := range frame.Inserts {
-			ups = append(ups, serve.Update{Op: serve.OpInsert, U: e.U, V: e.V})
-		}
-		f.pendMu.Lock()
-		f.pend = append(f.pend, pendingRec{lsn: frame.LSN, t0: time.Now()})
-		f.pendMu.Unlock()
-		if err := st.sess.EnqueueInternal(ups); err != nil {
+		t0 := time.Now()
+		// The callback runs on the apply session's writer goroutine right
+		// after the epoch covering the record is published: the record's
+		// LSN is now visible to readers, so the cursor advances here and
+		// nowhere else — unless this record, or one before it, did not
+		// apply in full, in which case it never advances on this state
+		// again.
+		err := engine.ApplyRecord(st.ConcurrentSession, rec, func(ep *serve.Epoch, err error) {
+			if err != nil || st.diverged.Load() {
+				st.diverged.Store(true)
+				return
+			}
+			f.ctr.SetAppliedLSN(rec.LSN)
+			f.ctr.NoteLag(time.Since(t0).Nanoseconds())
+			if f.opts.OnApplied != nil {
+				f.opts.OnApplied(rec.LSN, ep)
+			}
+		})
+		if err != nil {
 			return progressed, fmt.Errorf("%w: enqueue: %v", errDiverged, err)
 		}
 		f.ctr.NoteRecord()
-		next = frame.LSN + 1
+		next = rec.LSN + 1
 		progressed = true
 	}
 }
 
 // Snapshot returns the current epoch (engine.Engine).
-func (f *Follower) Snapshot() *serve.Epoch { return f.state.Load().sess.Snapshot() }
+func (f *Follower) Snapshot() *serve.Epoch { return f.state.Load().Snapshot() }
 
 // Enqueue refuses local writes: a follower's state is exactly the
 // leader's change stream.
@@ -485,31 +439,17 @@ func (f *Follower) Enqueue(ups ...serve.Update) error {
 }
 
 // Apply refuses local writes (engine.ErrReadOnly).
-func (f *Follower) Apply(ups ...serve.Update) error {
-	return fmt.Errorf("replica: refusing local write: %w", engine.ErrReadOnly)
-}
+func (f *Follower) Apply(ups ...serve.Update) error { return f.Enqueue(ups...) }
 
 // Sync blocks until every stream record received so far is published.
-func (f *Follower) Sync() error { return f.state.Load().sess.Sync() }
-
-// Counters exposes the apply session's serving counters.
-func (f *Follower) Counters() *stats.ServeCounters { return f.state.Load().sess.Counters() }
-
-// Stats snapshots the apply session's serving counters.
-func (f *Follower) Stats() stats.ServeSnapshot { return f.state.Load().sess.Stats() }
-
-// IOStats reports block I/O through the local graph.
-func (f *Follower) IOStats() kcore.IOStats { return f.state.Load().sess.IOStats() }
-
-// ReplicaStats snapshots the replication counters: cursor, observed
-// leader LSN, lag, stream health.
-func (f *Follower) ReplicaStats() stats.ReplicaSnapshot { return f.ctr.Snapshot() }
+func (f *Follower) Sync() error { return f.state.Load().Sync() }
 
 // Report relabels the apply session's report as a follower's and adds
-// the replication block to it.
+// the replication block — cursor, observed leader LSN, lag, stream
+// health — to it.
 func (f *Follower) Report() serve.Report {
-	r := f.state.Load().sess.Report()
-	rs := f.ReplicaStats()
+	r := f.state.Load().Report()
+	rs := f.ctr.Snapshot()
 	r.Backend, r.Replica = "follower", &rs
 	return r
 }
@@ -521,16 +461,9 @@ func (f *Follower) Close() error {
 		f.cancel()
 		f.wg.Wait()
 		if st := f.state.Load(); st != nil {
-			err := st.sess.Close()
-			if errors.Is(err, serve.ErrClosed) {
-				// A failed rebootstrap can leave the session already closed;
-				// that is not a Close error.
-				err = nil
-			}
-			if cerr := st.g.Close(); err == nil {
-				err = cerr
-			}
-			f.closeErr = err
+			// A failed rebootstrap can leave the session already closed;
+			// Live.Close does not count that as an error.
+			f.closeErr = st.Close()
 		}
 		if f.ownDir {
 			if err := os.RemoveAll(f.dir); err != nil && f.closeErr == nil {

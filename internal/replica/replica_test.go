@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"kcore"
 	"kcore/internal/engine"
 	"kcore/internal/httpapi"
 	"kcore/internal/netfault"
@@ -33,7 +34,30 @@ import (
 //     cursor, or falls back to checkpoint catch-up when the cursor left
 //     the leader's retained feed window.
 //
-// Every test is seeded and replayable with -seed.
+// Every test is seeded and replayable with -seed, and runs once per
+// follower block reader in followerReaders: the leader is always a mem
+// graph, the follower serves its downloaded tables through one-block
+// buffers or through a block cache far smaller than the adjacency.
+
+// followerReaders are the configurations the follower side runs behind.
+var followerReaders = []engine.BackendConfig{
+	{Backend: engine.BackendMem},
+	{Backend: engine.BackendDisk, CacheBlocks: 4},
+}
+
+// eachReader runs fn once per follower reader, handing it the resolved
+// open options for replica.Options.Open.
+func eachReader(t *testing.T, fn func(t *testing.T, open kcore.OpenOptions)) {
+	for _, c := range followerReaders {
+		t.Run(c.Backend, func(t *testing.T) {
+			open, err := c.OpenOptions(kcore.OpenOptions{BlockSize: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn(t, open)
+		})
+	}
+}
 
 // leaderHarness is one running leader: durable registry, engine, HTTP
 // server, and the per-LSN core-number history the follower is judged
@@ -174,29 +198,47 @@ func (h *leaderHarness) verify(f *replica.Follower, log *ackLog) {
 	}
 }
 
-func TestConformanceSingleWriter(t *testing.T) {
-	seed := testutil.Seed(t, 901)
-	h := startLeader(t, seed, 0)
-	log := &ackLog{}
-	ctr := new(stats.ReplicaCounters)
-	f, err := replica.New(replica.Options{
-		Leader:    h.srv.URL,
-		Counters:  ctr,
-		OnApplied: log.hook,
-	})
-	if err != nil {
-		t.Fatal(err)
+// checkReader asserts the follower serves through the reader it was
+// configured with: a cached follower reports its block-cache economy, an
+// uncached one has none to report.
+func checkReader(t *testing.T, f *replica.Follower, open kcore.OpenOptions) {
+	t.Helper()
+	d := f.Report().Disk
+	if (d != nil) != (open.CacheBlocks > 0) {
+		t.Fatalf("follower opened with CacheBlocks %d reports disk block %+v", open.CacheBlocks, d)
 	}
-	defer f.Close()
+	if d != nil && (d.CacheBlocks != open.CacheBlocks || d.CacheMisses == 0) {
+		t.Fatalf("cached follower's disk block = %+v, want %d frames and some misses", d, open.CacheBlocks)
+	}
+}
 
-	for i := 0; i < 120; i++ {
-		h.step()
-	}
-	waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
-	h.verify(f, log)
-	if rs := f.ReplicaStats(); rs.Records == 0 || rs.Bootstraps != 1 {
-		t.Fatalf("unexpected stream stats: %+v", rs)
-	}
+func TestConformanceSingleWriter(t *testing.T) {
+	eachReader(t, func(t *testing.T, open kcore.OpenOptions) {
+		seed := testutil.Seed(t, 901)
+		h := startLeader(t, seed, 0)
+		log := &ackLog{}
+		ctr := new(stats.ReplicaCounters)
+		f, err := replica.New(replica.Options{
+			Leader:    h.srv.URL,
+			Open:      open,
+			Counters:  ctr,
+			OnApplied: log.hook,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+
+		for i := 0; i < 120; i++ {
+			h.step()
+		}
+		waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
+		h.verify(f, log)
+		checkReader(t, f, open)
+		if rs := f.Report().Replica; rs.Records == 0 || rs.Bootstraps != 1 {
+			t.Fatalf("unexpected stream stats: %+v", rs)
+		}
+	})
 }
 
 // TestConformanceNetworkFaults runs the workload through a fault proxy
@@ -204,53 +246,57 @@ func TestConformanceSingleWriter(t *testing.T) {
 // seeded byte offsets. The follower must reconnect from its cursor and
 // still be bit-identical at every acknowledged LSN.
 func TestConformanceNetworkFaults(t *testing.T) {
-	seed := testutil.Seed(t, 903)
-	h := startLeader(t, seed, 0)
-	rnd := h.ms.Rand()
-	actions := []netfault.Action{netfault.Drop, netfault.Truncate, netfault.Duplicate, netfault.Drop, netfault.Truncate, netfault.Duplicate}
-	offsets := make([]int64, len(actions))
-	for i := range offsets {
-		offsets[i] = int64(1 + rnd.Intn(4000))
-	}
-	proxy, err := netfault.New(h.srv.Listener.Addr().String(), func(conn int) netfault.Fault {
-		// Connection 0 carries the bootstrap download — leave it clean so
-		// the follower comes up; fault the next len(actions) connections.
-		if conn == 0 || conn > len(actions) {
-			return netfault.Fault{}
+	eachReader(t, func(t *testing.T, open kcore.OpenOptions) {
+		seed := testutil.Seed(t, 903)
+		h := startLeader(t, seed, 0)
+		rnd := h.ms.Rand()
+		actions := []netfault.Action{netfault.Drop, netfault.Truncate, netfault.Duplicate, netfault.Drop, netfault.Truncate, netfault.Duplicate}
+		offsets := make([]int64, len(actions))
+		for i := range offsets {
+			offsets[i] = int64(1 + rnd.Intn(4000))
 		}
-		return netfault.Fault{
-			Action:     actions[conn-1],
-			AfterBytes: offsets[conn-1],
-			DupBytes:   16,
+		proxy, err := netfault.New(h.srv.Listener.Addr().String(), func(conn int) netfault.Fault {
+			// Connection 0 carries the bootstrap download — leave it clean so
+			// the follower comes up; fault the next len(actions) connections.
+			if conn == 0 || conn > len(actions) {
+				return netfault.Fault{}
+			}
+			return netfault.Fault{
+				Action:     actions[conn-1],
+				AfterBytes: offsets[conn-1],
+				DupBytes:   16,
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer proxy.Close()
+
+		log := &ackLog{}
+		ctr := new(stats.ReplicaCounters)
+		f, err := replica.New(replica.Options{
+			Leader:       "http://" + proxy.Addr(),
+			Open:         open,
+			Counters:     ctr,
+			OnApplied:    log.hook,
+			ReconnectMin: 5 * time.Millisecond,
+			Client:       oneConnPerRequest(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+
+		for i := 0; i < 150; i++ {
+			h.step()
+		}
+		waitConverged(t, ctr, h.cs.CurrentLSN(), 20*time.Second)
+		h.verify(f, log)
+		checkReader(t, f, open)
+		if ctr.Reconnects() == 0 {
+			t.Fatal("fault plan injected no reconnects — the proxy never triggered")
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	log := &ackLog{}
-	ctr := new(stats.ReplicaCounters)
-	f, err := replica.New(replica.Options{
-		Leader:       "http://" + proxy.Addr(),
-		Counters:     ctr,
-		OnApplied:    log.hook,
-		ReconnectMin: 5 * time.Millisecond,
-		Client:       oneConnPerRequest(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	for i := 0; i < 150; i++ {
-		h.step()
-	}
-	waitConverged(t, ctr, h.cs.CurrentLSN(), 20*time.Second)
-	h.verify(f, log)
-	if ctr.Reconnects() == 0 {
-		t.Fatal("fault plan injected no reconnects — the proxy never triggered")
-	}
 }
 
 // TestConformanceStall proves heartbeat-silence detection: the proxy
@@ -258,42 +304,46 @@ func TestConformanceNetworkFaults(t *testing.T) {
 // the follower must declare the connection dead, reconnect, and
 // converge.
 func TestConformanceStall(t *testing.T) {
-	seed := testutil.Seed(t, 904)
-	h := startLeader(t, seed, 0)
-	proxy, err := netfault.New(h.srv.Listener.Addr().String(), func(conn int) netfault.Fault {
-		if conn == 1 {
-			return netfault.Fault{Action: netfault.Stall, AfterBytes: 64, Stall: 10 * time.Second}
+	eachReader(t, func(t *testing.T, open kcore.OpenOptions) {
+		seed := testutil.Seed(t, 904)
+		h := startLeader(t, seed, 0)
+		proxy, err := netfault.New(h.srv.Listener.Addr().String(), func(conn int) netfault.Fault {
+			if conn == 1 {
+				return netfault.Fault{Action: netfault.Stall, AfterBytes: 64, Stall: 10 * time.Second}
+			}
+			return netfault.Fault{}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return netfault.Fault{}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
+		defer proxy.Close()
 
-	log := &ackLog{}
-	ctr := new(stats.ReplicaCounters)
-	f, err := replica.New(replica.Options{
-		Leader:           "http://" + proxy.Addr(),
-		Counters:         ctr,
-		OnApplied:        log.hook,
-		ReconnectMin:     5 * time.Millisecond,
-		HeartbeatTimeout: time.Second,
-		Client:           oneConnPerRequest(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+		log := &ackLog{}
+		ctr := new(stats.ReplicaCounters)
+		f, err := replica.New(replica.Options{
+			Leader:           "http://" + proxy.Addr(),
+			Open:             open,
+			Counters:         ctr,
+			OnApplied:        log.hook,
+			ReconnectMin:     5 * time.Millisecond,
+			HeartbeatTimeout: time.Second,
+			Client:           oneConnPerRequest(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
 
-	for i := 0; i < 60; i++ {
-		h.step()
-	}
-	waitConverged(t, ctr, h.cs.CurrentLSN(), 20*time.Second)
-	h.verify(f, log)
-	if ctr.Reconnects() == 0 {
-		t.Fatal("stalled stream was never declared dead")
-	}
+		for i := 0; i < 60; i++ {
+			h.step()
+		}
+		waitConverged(t, ctr, h.cs.CurrentLSN(), 20*time.Second)
+		h.verify(f, log)
+		checkReader(t, f, open)
+		if ctr.Reconnects() == 0 {
+			t.Fatal("stalled stream was never declared dead")
+		}
+	})
 }
 
 // TestCheckpointCatchUp proves the 410 fallback: the follower is cut
@@ -301,69 +351,73 @@ func TestConformanceStall(t *testing.T) {
 // reconnect the cursor is unservable and the follower must download a
 // fresh checkpoint, then converge from there.
 func TestCheckpointCatchUp(t *testing.T) {
-	seed := testutil.Seed(t, 905)
-	h := startLeader(t, seed, 8)
-	var refuse atomic.Bool
-	proxy, err := netfault.New(h.srv.Listener.Addr().String(), func(conn int) netfault.Fault {
-		if refuse.Load() {
-			return netfault.Fault{Action: netfault.Drop, AfterBytes: 0}
+	eachReader(t, func(t *testing.T, open kcore.OpenOptions) {
+		seed := testutil.Seed(t, 905)
+		h := startLeader(t, seed, 8)
+		var refuse atomic.Bool
+		proxy, err := netfault.New(h.srv.Listener.Addr().String(), func(conn int) netfault.Fault {
+			if refuse.Load() {
+				return netfault.Fault{Action: netfault.Drop, AfterBytes: 0}
+			}
+			return netfault.Fault{}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return netfault.Fault{}
+		defer proxy.Close()
+
+		log := &ackLog{}
+		ctr := new(stats.ReplicaCounters)
+		f, err := replica.New(replica.Options{
+			Leader:       "http://" + proxy.Addr(),
+			Open:         open,
+			Counters:     ctr,
+			OnApplied:    log.hook,
+			ReconnectMin: 5 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+
+		for i := 0; i < 10; i++ {
+			h.step()
+		}
+		waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
+
+		// Sever the follower (live stream dies, reconnects are refused),
+		// then write far past the 8-record window and commit a fresh
+		// checkpoint covering the new state.
+		refuse.Store(true)
+		proxy.SeverAll()
+		for i := 0; i < 60; i++ {
+			h.step()
+		}
+		cp, ok := h.eng.(engine.Checkpointer)
+		if !ok {
+			t.Fatal("durable engine does not expose Checkpoint")
+		}
+		if err := cp.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		refuse.Store(false)
+
+		waitConverged(t, ctr, h.cs.CurrentLSN(), 20*time.Second)
+		// The follower is streaming again after catch-up: a few more records
+		// must flow through the stream path (not another bootstrap).
+		for i := 0; i < 10; i++ {
+			h.step()
+		}
+		waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
+		h.verify(f, log)
+		checkReader(t, f, open)
+		if ctr.Bootstraps() < 2 {
+			t.Fatalf("expected a checkpoint catch-up after the window moved, got %d bootstraps", ctr.Bootstraps())
+		}
+		if rs := f.Report().Replica; rs.CatchupBytes == 0 {
+			t.Fatalf("catch-up accounted no bytes: %+v", rs)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	log := &ackLog{}
-	ctr := new(stats.ReplicaCounters)
-	f, err := replica.New(replica.Options{
-		Leader:       "http://" + proxy.Addr(),
-		Counters:     ctr,
-		OnApplied:    log.hook,
-		ReconnectMin: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	for i := 0; i < 10; i++ {
-		h.step()
-	}
-	waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
-
-	// Sever the follower (live stream dies, reconnects are refused),
-	// then write far past the 8-record window and commit a fresh
-	// checkpoint covering the new state.
-	refuse.Store(true)
-	proxy.SeverAll()
-	for i := 0; i < 60; i++ {
-		h.step()
-	}
-	cp, ok := h.eng.(engine.Checkpointer)
-	if !ok {
-		t.Fatal("durable engine does not expose Checkpoint")
-	}
-	if err := cp.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	refuse.Store(false)
-
-	waitConverged(t, ctr, h.cs.CurrentLSN(), 20*time.Second)
-	// The follower is streaming again after catch-up: a few more records
-	// must flow through the stream path (not another bootstrap).
-	for i := 0; i < 10; i++ {
-		h.step()
-	}
-	waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
-	h.verify(f, log)
-	if ctr.Bootstraps() < 2 {
-		t.Fatalf("expected a checkpoint catch-up after the window moved, got %d bootstraps", ctr.Bootstraps())
-	}
-	if rs := f.ReplicaStats(); rs.CatchupBytes == 0 {
-		t.Fatalf("catch-up accounted no bytes: %+v", rs)
-	}
 }
 
 // TestFollowerRefusesWrites pins the read-only contract of the engine

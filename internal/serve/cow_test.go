@@ -54,7 +54,7 @@ func TestPublishAllocatesOChunkNotON(t *testing.T) {
 	}
 	runtime.ReadMemStats(&ms)
 	perPublish := float64(ms.TotalAlloc-before) / rounds
-	st := sess.Stats()
+	st := sess.Report().Serve
 	t.Logf("%.0f bytes/publish (epochs=%d, dirty/publish=%.1f, chunks copied %d of %d)",
 		perPublish, st.Epochs, st.DirtyNodesPerPublish(), st.CowChunksCopied, st.CowChunksTotal)
 	// An O(n) publish allocates at least 4n bytes for the core array

@@ -257,7 +257,7 @@ func TestEngineMatchesMemOracle(t *testing.T) {
 	if b := eng.Report().Backend; b != "disk" {
 		t.Errorf("Report().Backend = %q", b)
 	}
-	if eng.IOStats().Total() == 0 {
+	if eng.Report().IO.Total() == 0 {
 		t.Error("IOStats().Total() = 0, disk backend should measure I/O")
 	}
 }

@@ -80,7 +80,7 @@ func TestMemoCountsHitsAndMisses(t *testing.T) {
 		e.KCoreAt(2)
 		e.Profile()
 	}
-	st := sess.Stats()
+	st := sess.Report().Serve
 	if st.CacheMisses != 1 {
 		t.Fatalf("cache misses = %d, want 1", st.CacheMisses)
 	}
@@ -103,12 +103,12 @@ func TestMemoCountsHitsAndMisses(t *testing.T) {
 		t.Fatal("epoch did not advance")
 	}
 	e2.KCoreAt(1)
-	if st := sess.Stats(); st.CacheMisses != 2 {
+	if st := sess.Report().Serve; st.CacheMisses != 2 {
 		t.Fatalf("cache misses after new epoch = %d, want 2", st.CacheMisses)
 	}
 	// The old epoch's memo is untouched and still hot.
 	e.KCoreAt(3)
-	if st := sess.Stats(); st.CacheMisses != 2 {
+	if st := sess.Report().Serve; st.CacheMisses != 2 {
 		t.Fatalf("old epoch recomputed: misses = %d, want 2", st.CacheMisses)
 	}
 }
@@ -143,7 +143,7 @@ func TestMemoConcurrentFirstAccess(t *testing.T) {
 			t.Fatalf("goroutine %d saw %d nodes, want %d", i, len(r), len(want))
 		}
 	}
-	if st := sess.Stats(); st.CacheMisses != 1 {
+	if st := sess.Report().Serve; st.CacheMisses != 1 {
 		t.Fatalf("concurrent first access: misses = %d, want 1", st.CacheMisses)
 	}
 }
@@ -208,7 +208,7 @@ func TestMemoRepairMatchesRebuild(t *testing.T) {
 			t.Fatalf("step %d: epoch did not advance", step)
 		}
 		checkMemoAgainstScan(t, e2)
-		if st := sess.Stats(); st.MemoRepairs != int64(step+1) {
+		if st := sess.Report().Serve; st.MemoRepairs != int64(step+1) {
 			t.Fatalf("step %d: memo repairs = %d, want %d", step, st.MemoRepairs, step+1)
 		}
 		e = e2
@@ -238,7 +238,7 @@ func TestMemoRepairChainsAcrossUnqueriedEpochs(t *testing.T) {
 		t.Fatalf("epoch = %d, want 3", e.Seq)
 	}
 	checkMemoAgainstScan(t, e)
-	st := sess.Stats()
+	st := sess.Report().Serve
 	if st.MemoRepairs != 1 {
 		t.Fatalf("memo repairs = %d, want 1", st.MemoRepairs)
 	}
@@ -264,7 +264,7 @@ func TestMemoRepairBuildsUnqueriedBase(t *testing.T) {
 	}
 	e := sess.Snapshot()
 	checkMemoAgainstScan(t, e)
-	st := sess.Stats()
+	st := sess.Report().Serve
 	if st.MemoRepairs != 1 {
 		t.Fatalf("memo repairs = %d, want 1", st.MemoRepairs)
 	}

@@ -120,18 +120,15 @@ type Options struct {
 	// scratch — the callback must copy anything it keeps. The durability
 	// shell (internal/engine) writes its log records from it.
 	//
+	// Only flushes of user updates are reported: an EnqueueInternal batch
+	// is history being applied again (a WAL record at recovery, a
+	// leader's record on a follower) and answers to its own callback.
+	//
 	// Ordering guarantee: OnApply fires on the writer goroutine
 	// immediately before the OnPublish call for the epoch that covers the
 	// flush, with nothing in between — so a consumer that watches both
 	// callbacks sees them strictly paired and in publication order.
 	OnApply func(deletes, inserts []kcore.Edge)
-	// OnApplyInternal, when non-nil, observes applied flushes of
-	// EnqueueInternal batches with the same contract as OnApply. Internal
-	// batches are flushed in isolation — they never coalesce or
-	// annihilate against other updates — so a replication follower
-	// (internal/replica) gets exactly one epoch per leader record. When
-	// nil, internal flushes report through OnApply instead.
-	OnApplyInternal func(deletes, inserts []kcore.Edge)
 }
 
 func (o Options) withDefaults() Options {
@@ -153,16 +150,21 @@ func (o Options) withDefaults() Options {
 // ErrClosed is returned by operations on a closed session.
 var ErrClosed = errors.New("serve: session closed")
 
-// Report is what an engine says about itself beyond its serving
-// counters: which backend reads its adjacency, and the counters of each
-// layer it has. A ConcurrentSession fills in the graph's part; the shells
-// around one (the durable shell in internal/engine, the follower in
-// internal/replica) add their block to the report of what they wrap.
+// Report is everything an engine says about itself: which backend reads
+// its adjacency, and a snapshot of the counters of each layer it has. A
+// ConcurrentSession fills in the session's and the graph's part; the
+// shells around one (the durable shell in internal/engine, the follower
+// in internal/replica) add their block to the report of what they wrap.
 type Report struct {
 	// Backend labels the engine in /stats and listings.
 	Backend string
+	// Serve is the serving counters: queue depth, batch shape, epoch
+	// age, memo hits and misses.
+	Serve stats.ServeSnapshot
+	// IO is the block I/O performed through the graph.
+	IO kcore.IOStats
 	// Disk is the block cache, update buffer and rewrite economy of a
-	// partitioned graph; nil otherwise.
+	// graph read through the block cache; nil otherwise.
 	Disk *stats.DiskSnapshot
 	// Durability is the WAL/checkpoint/recovery block of a graph served
 	// from a data dir; nil otherwise.
@@ -171,12 +173,26 @@ type Report struct {
 	Replica *stats.ReplicaSnapshot
 }
 
+// BatchResult is what the writer made of one EnqueueInternal batch.
+type BatchResult struct {
+	// Epoch covers the batch: the epoch its flush published, or the one
+	// already current when nothing of the batch applied.
+	Epoch *Epoch
+	// Applied, Rejected and Annihilated partition the batch's updates,
+	// as the counters of the same names do.
+	Applied, Rejected, Annihilated int
+	// Err is the writer's fatal error, when maintenance has failed; the
+	// batch then counts as rejected whole.
+	Err error
+}
+
 // envelope is a queue entry: one update, a barrier (see Do), or an
 // internal batch (flushed in isolation, see EnqueueInternal).
 type envelope struct {
 	up       Update
-	barrier  func(err error) // non-nil marks a barrier; called with the writer's error state
-	internal []Update        // non-nil marks an isolated internal batch
+	barrier  func(err error)   // non-nil marks a barrier; called with the writer's error state
+	internal []Update          // the updates of an isolated internal batch, and
+	done     func(BatchResult) // its completion callback; non-nil marks one
 }
 
 // ConcurrentSession serves core-decomposition queries to many goroutines
@@ -274,16 +290,17 @@ func (s *ConcurrentSession) Enqueue(ups ...Update) error {
 
 // EnqueueInternal submits a batch of updates that the writer flushes in
 // isolation: everything already pending is flushed first (FIFO order is
-// preserved), then the batch is coalesced and applied as its own flush,
-// reported through OnApplyInternal rather than OnApply. Internal updates
-// therefore never annihilate against user updates enqueued around them.
-// The caller must not mutate ups after the call. It blocks while the
-// queue is full and returns ErrClosed after Close or the writer's fatal
-// error if maintenance failed.
-func (s *ConcurrentSession) EnqueueInternal(ups []Update) error {
-	if len(ups) == 0 {
-		return nil
-	}
+// preserved), then the batch is coalesced and applied as its own flush
+// and, if anything of it applied, published as its own epoch — so the
+// batch never coalesces or annihilates against updates enqueued around
+// it. This is how logged history is applied: one record, one epoch. The
+// flush is not reported through OnApply; instead done runs exactly once,
+// on the writer goroutine right after the publish (keep it short), with
+// the outcome — an empty batch included. The caller must not mutate ups
+// after the call. It blocks while the queue is full; after Close, or
+// once maintenance has failed, it returns the error without enqueueing
+// and done never runs.
+func (s *ConcurrentSession) EnqueueInternal(ups []Update, done func(BatchResult)) error {
 	if f := s.failure.Load(); f != nil {
 		return f.err
 	}
@@ -292,7 +309,7 @@ func (s *ConcurrentSession) EnqueueInternal(ups []Update) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.queue <- envelope{internal: ups}
+	s.queue <- envelope{internal: ups, done: done}
 	s.ctr.NoteEnqueued(len(ups))
 	s.ctr.SetQueueDepth(len(s.queue))
 	return nil
@@ -343,25 +360,18 @@ func (s *ConcurrentSession) Apply(ups ...Update) error {
 	return s.Sync()
 }
 
-// Stats snapshots the serving counters (including the live queue depth
-// and the age of the current epoch).
-func (s *ConcurrentSession) Stats() stats.ServeSnapshot {
-	s.ctr.SetQueueDepth(len(s.queue))
-	return s.ctr.Snapshot(time.Now())
-}
-
-// IOStats reports the block I/O performed through the graph.
-func (s *ConcurrentSession) IOStats() kcore.IOStats { return s.g.IOStats() }
-
-// Report describes the graph being served; safe to call concurrently
-// with the writer.
+// Report snapshots the serving counters (including the live queue depth
+// and the age of the current epoch) and describes the graph being
+// served; safe to call concurrently with the writer.
 func (s *ConcurrentSession) Report() Report {
-	return Report{Backend: s.g.Backend(), Disk: s.g.DiskStats()}
+	s.ctr.SetQueueDepth(len(s.queue))
+	return Report{
+		Backend: s.g.Backend(),
+		Serve:   s.ctr.Snapshot(time.Now()),
+		IO:      s.g.IOStats(),
+		Disk:    s.g.DiskStats(),
+	}
 }
-
-// Counters exposes the live serving counters shared with published
-// epochs; callers may read them concurrently (all fields are atomic).
-func (s *ConcurrentSession) Counters() *stats.ServeCounters { return s.ctr }
 
 // Close stops the writer after draining already-enqueued updates and
 // publishing the final epoch. The last Snapshot stays readable. Close

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -126,7 +127,7 @@ func TestConcurrentReadersSeeConsistentEpochs(t *testing.T) {
 	if final.Applied < 1000 {
 		t.Fatalf("applied %d updates, want >= 1000", final.Applied)
 	}
-	st := sess.Stats()
+	st := sess.Report().Serve
 	if st.Batches >= st.Applied {
 		t.Fatalf("no coalescing: %d batches for %d applied updates", st.Batches, st.Applied)
 	}
@@ -300,7 +301,7 @@ func TestInvalidUpdatesAreRejectedNotFatal(t *testing.T) {
 	if err := sess.Apply(bad...); err != nil {
 		t.Fatal(err)
 	}
-	st := sess.Stats()
+	st := sess.Report().Serve
 	if st.Rejected != 4 {
 		t.Fatalf("rejected = %d, want 4", st.Rejected)
 	}
@@ -338,7 +339,7 @@ func TestIntraBatchDuplicatesRejectDeterministically(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	st := sess.Stats()
+	st := sess.Report().Serve
 	if st.Applied != 1 || st.Rejected != 1 {
 		t.Fatalf("applied/rejected = %d/%d, want 1/1", st.Applied, st.Rejected)
 	}
@@ -372,7 +373,7 @@ func TestCoalescingBoundsEpochCount(t *testing.T) {
 	if err := sess.Apply(ups...); err != nil {
 		t.Fatal(err)
 	}
-	st := sess.Stats()
+	st := sess.Report().Serve
 	if st.Applied != 500 {
 		t.Fatalf("applied = %d, want 500", st.Applied)
 	}
@@ -439,7 +440,7 @@ func TestOddToggleRunNetsSingleOp(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	st := sess.Stats()
+	st := sess.Report().Serve
 	if st.Applied != 1 || st.Annihilated != 2 || st.Rejected != 0 {
 		t.Fatalf("applied/annihilated/rejected = %d/%d/%d, want 1/2/0",
 			st.Applied, st.Annihilated, st.Rejected)
@@ -488,7 +489,7 @@ func TestAdaptiveBatchGrowsUnderPressure(t *testing.T) {
 	if err := sess.Apply(ups...); err != nil {
 		t.Fatal(err)
 	}
-	st := sess.Stats()
+	st := sess.Report().Serve
 	if st.Applied != 600 {
 		t.Fatalf("applied = %d, want 600", st.Applied)
 	}
@@ -515,7 +516,7 @@ func TestAdaptiveBatchGrowsUnderPressure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := sess.Stats(); st.AdaptiveBatch != 4 {
+	if st := sess.Report().Serve; st.AdaptiveBatch != 4 {
 		t.Fatalf("adaptive batch gauge = %d after drain, want decay back to 4", st.AdaptiveBatch)
 	}
 }
@@ -571,11 +572,113 @@ func TestOnApplyReportsNetBatches(t *testing.T) {
 			}
 		}
 	}
-	st := sess.Stats()
+	st := sess.Report().Serve
 	if int64(dels+ins) != st.Applied {
 		t.Fatalf("OnApply reported %d ops, applied counter says %d", dels+ins, st.Applied)
 	}
 	if st.Annihilated != 2 || st.Rejected == 0 {
 		t.Fatalf("fixture did not exercise annihilation+rejection: %+v", st)
+	}
+}
+
+// TestEnqueueInternalReportsItsOutcome pins the isolated-batch contract
+// recovery and followers apply history through: the callback runs once
+// per batch on the writer goroutine, right after the publish, with the
+// covering epoch and the applied/rejected/annihilated split; OnApply
+// never sees the batch; the batch never coalesces with its neighbours;
+// and a failed writer reports its error instead of an outcome.
+func TestEnqueueInternalReportsItsOutcome(t *testing.T) {
+	base, edges := testutil.WriteSocial(t, 200, 31)
+	// Two small frames over a table many blocks long, so that once the
+	// table is damaged (last case) almost any fetch finds the damage.
+	g, err := kcore.Open(base, &kcore.OpenOptions{BlockSize: 512, CacheBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	var userFlushes atomic.Int64
+	sess, err := serve.New(g, &serve.Options{
+		OnApply: func(_, _ []kcore.Edge) { userFlushes.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	run := func(ups ...serve.Update) serve.BatchResult {
+		t.Helper()
+		ch := make(chan serve.BatchResult, 1)
+		err := sess.EnqueueInternal(ups, func(r serve.BatchResult) {
+			if r.Epoch != sess.Snapshot() {
+				t.Errorf("callback ran with epoch %d while epoch %d is current", r.Epoch.Seq, sess.Snapshot().Seq)
+			}
+			ch <- r
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return <-ch
+	}
+	ins := func(e kcore.Edge) serve.Update { return serve.Update{Op: serve.OpInsert, U: e.U, V: e.V} }
+	del := func(e kcore.Edge) serve.Update { return serve.Update{Op: serve.OpDelete, U: e.U, V: e.V} }
+	present := edges[:3]
+	has := make(map[kcore.Edge]bool)
+	for _, e := range edges {
+		has[e] = true
+	}
+	var absent []kcore.Edge
+	for v := uint32(1); len(absent) < 3; v++ {
+		if e := (kcore.Edge{U: 0, V: v}); !has[e] {
+			absent = append(absent, e)
+		}
+	}
+	check := func(name string, r serve.BatchResult, seq uint64, applied, rejected, annihilated int) {
+		t.Helper()
+		if r.Err != nil || r.Epoch.Seq != seq || r.Applied != applied || r.Rejected != rejected || r.Annihilated != annihilated {
+			t.Fatalf("%s: epoch %d, %d applied / %d rejected / %d annihilated, err %v; want epoch %d, %d / %d / %d",
+				name, r.Epoch.Seq, r.Applied, r.Rejected, r.Annihilated, r.Err, seq, applied, rejected, annihilated)
+		}
+	}
+	check("all applied", run(del(present[0]), ins(absent[0])), 1, 2, 0, 0)
+	check("some rejected", run(ins(present[1]), ins(absent[1])), 2, 1, 1, 0)
+	check("none applied", run(ins(present[1]), del(absent[2])), 2, 0, 2, 0)
+	check("annihilated", run(ins(absent[2]), del(absent[2])), 2, 0, 0, 2)
+	check("empty", run(), 2, 0, 0, 0)
+	if n := userFlushes.Load(); n != 0 {
+		t.Fatalf("OnApply observed %d internal flushes", n)
+	}
+	// Isolation: a user insert and an internal delete of the same edge,
+	// enqueued back to back, are two flushes and two epochs — coalesced
+	// they would have annihilated into none.
+	if err := sess.Enqueue(ins(absent[2])); err != nil {
+		t.Fatal(err)
+	}
+	check("isolated", run(del(absent[2])), 4, 1, 0, 0)
+	if n := userFlushes.Load(); n != 1 {
+		t.Fatalf("OnApply observed %d flushes, want the one user flush", n)
+	}
+
+	// Writer failed: damage every block of the edge table under the
+	// session, then touch lists all over it.
+	et, err := os.ReadFile(base + ".et")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(et); i += 64 {
+		et[i] ^= 1
+	}
+	if err := os.WriteFile(base+".et", et, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var batch []serve.Update
+	for i := 0; i < len(edges); i += len(edges) / 24 {
+		batch = append(batch, del(edges[i]))
+	}
+	r := run(batch...)
+	if r.Err == nil || r.Rejected != len(batch) || r.Applied != 0 || r.Epoch.Seq != 4 {
+		t.Fatalf("failed writer reported %+v, want its error, the batch rejected whole and epoch 4", r)
+	}
+	err = sess.EnqueueInternal(batch, func(serve.BatchResult) { t.Error("callback ran for a batch a failed session refused") })
+	if err == nil {
+		t.Fatal("a failed session accepted an internal batch")
 	}
 }

@@ -86,13 +86,13 @@ func (s *ConcurrentSession) run() {
 			env.barrier(err)
 			continue
 		}
-		if env.internal != nil {
+		if env.done != nil {
 			// Isolated batch: flush everything enqueued before it first
 			// (FIFO), then flush the internal batch as its own window so
-			// it cannot coalesce or annihilate against user updates and
-			// is reported through OnApplyInternal.
+			// it cannot coalesce or annihilate against user updates, and
+			// tell its submitter what became of it.
 			flush()
-			s.flush(env.internal, true)
+			env.done(s.flush(env.internal, true))
 			continue
 		}
 		if len(pending) == 0 {
@@ -137,19 +137,28 @@ type edgeState struct {
 // internal state; in that case the flush publishes nothing — the session
 // is fatally failed and the last published epoch (a whole-flush boundary)
 // stays frozen, so the torn state is never visible to readers.
-func (s *ConcurrentSession) flush(pending []Update, internal bool) {
+//
+// The result says what became of the updates; OnApply observes the flush
+// unless it is an internal batch's.
+func (s *ConcurrentSession) flush(pending []Update, internal bool) BatchResult {
+	// failed is the verdict when nothing of this flush reaches the
+	// published state: every update of it counts as rejected, so that
+	// enqueued = applied + rejected + annihilated holds across a failure.
+	failed := func() BatchResult {
+		s.ctr.NoteRejected(len(pending))
+		return BatchResult{Epoch: s.cur.Load(), Rejected: len(pending), Err: s.failure.Load().err}
+	}
 	if len(pending) == 0 {
-		return
+		return BatchResult{Epoch: s.cur.Load()}
 	}
 	if s.failure.Load() != nil {
-		s.ctr.NoteRejected(len(pending))
-		return
+		return failed()
 	}
 	n := s.g.NumNodes()
 	rejected := 0
 	states := make(map[uint64]*edgeState, len(pending))
 	keys := make([]uint64, 0, len(pending))
-	for i, up := range pending {
+	for _, up := range pending {
 		u, v := up.U, up.V
 		if u > v {
 			u, v = v, u
@@ -164,12 +173,7 @@ func (s *ConcurrentSession) flush(pending []Update, internal bool) {
 			present, err := s.g.HasEdge(u, v)
 			if err != nil {
 				s.fail(fmt.Errorf("serve: validate %s (%d,%d): %w", up.Op, u, v, err))
-				// Nothing from this flush reaches the published state:
-				// count the whole flush — already-rejected prefix, valid
-				// prefix, and the unreplayed tail — so that
-				// enqueued = applied + rejected + annihilated holds.
-				s.ctr.NoteRejected(rejected + validSoFar(states) + len(pending) - i)
-				return
+				return failed()
 			}
 			st = &edgeState{present: present}
 			states[key] = st
@@ -211,19 +215,17 @@ func (s *ConcurrentSession) flush(pending []Update, internal bool) {
 		// The failed batches are lost from the published state; account
 		// for them so enqueued = applied + rejected + annihilated stays
 		// an invariant across the failure.
-		s.ctr.NoteRejected(len(deletes) + len(inserts) - applied)
-		return
+		lost := len(deletes) + len(inserts) - applied
+		s.ctr.NoteRejected(lost)
+		return BatchResult{Epoch: s.cur.Load(), Applied: applied, Rejected: rejected + lost, Annihilated: annihilated, Err: err}
 	}
 	if applied > 0 {
-		onApply := s.opts.OnApply
-		if internal && s.opts.OnApplyInternal != nil {
-			onApply = s.opts.OnApplyInternal
-		}
-		if onApply != nil {
-			onApply(deletes, inserts)
+		if !internal && s.opts.OnApply != nil {
+			s.opts.OnApply(deletes, inserts)
 		}
 		s.publishDelta(applied, dirty)
 	}
+	return BatchResult{Epoch: s.cur.Load(), Applied: applied, Rejected: rejected, Annihilated: annihilated}
 }
 
 // applyBatches runs the net flush through the maintainer — the delete
@@ -255,14 +257,4 @@ func (s *ConcurrentSession) applyBatches(deletes, inserts []kcore.Edge) (applied
 	}
 	err = apply(OpInsert, inserts)
 	return applied, dirty, err
-}
-
-// validSoFar counts the replayed updates that passed validation — the
-// ones a mid-replay failure strands without an applied/rejected verdict.
-func validSoFar(states map[uint64]*edgeState) int {
-	valid := 0
-	for _, st := range states {
-		valid += st.count
-	}
-	return valid
 }

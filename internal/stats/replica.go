@@ -43,9 +43,6 @@ func (c *ReplicaCounters) ObserveLeaderLSN(lsn uint64) {
 	}
 }
 
-// LeaderLSN reports the highest leader LSN observed.
-func (c *ReplicaCounters) LeaderLSN() uint64 { return c.leaderLSN.Load() }
-
 // NoteRecord counts one batch record applied from the stream.
 func (c *ReplicaCounters) NoteRecord() { c.records.Add(1) }
 

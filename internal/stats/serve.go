@@ -175,13 +175,3 @@ func (s ServeSnapshot) DirtyNodesPerPublish() float64 {
 	}
 	return float64(s.DirtyNodesSum) / float64(s.Epochs)
 }
-
-// CowShareRate reports the fraction of snapshot chunks shared with the
-// predecessor epoch instead of copied, in [0,1]; 0 when no delta
-// publishes happened.
-func (s ServeSnapshot) CowShareRate() float64 {
-	if s.CowChunksTotal == 0 {
-		return 0
-	}
-	return 1 - float64(s.CowChunksCopied)/float64(s.CowChunksTotal)
-}

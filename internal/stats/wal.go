@@ -49,14 +49,8 @@ func (c *WalCounters) SetRecoveryNs(ns int64) { c.recoveryNs.Store(ns) }
 // SetLSN publishes the newest durable log sequence number.
 func (c *WalCounters) SetLSN(lsn uint64) { c.lsn.Store(lsn) }
 
-// Appends reports the number of WAL records appended.
-func (c *WalCounters) Appends() int64 { return c.appends.Load() }
-
 // SetDegraded flips the degraded read-only flag.
 func (c *WalCounters) SetDegraded(v bool) { c.degraded.Store(v) }
-
-// Degraded reports whether the graph is serving degraded (read-only).
-func (c *WalCounters) Degraded() bool { return c.degraded.Load() }
 
 // Snapshot captures the current values.
 func (c *WalCounters) Snapshot() WalSnapshot {
@@ -83,9 +77,9 @@ type WalSnapshot struct {
 	Fsyncs      int64 `json:"wal_fsyncs"`
 	Checkpoints int64 `json:"checkpoints"`
 	// CheckpointBlockReads counts the blocks checkpoints have read to
-	// stream their pinned view (the base tables of a mem graph, the
-	// partition files of a disk one); they never appear in the engine's
-	// own io counters.
+	// stream their pinned view (the graph's live tables, through private
+	// handles on either backend); they never appear in the engine's own
+	// io counters.
 	CheckpointBlockReads int64 `json:"checkpoint_block_reads"`
 	// CheckpointLastMs is the duration of the newest completed checkpoint.
 	CheckpointLastMs float64 `json:"checkpoint_last_ms"`

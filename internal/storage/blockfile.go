@@ -142,13 +142,12 @@ func (bf *BlockFile) ReadAt(p []byte, off int64) error {
 // callers can store a checksum alongside the file and detect torn or
 // bit-flipped tables at open (see Verify).
 type BlockWriter struct {
-	f      faultfs.File
-	b      int
-	io     *stats.IOCounter
-	buf    []byte
-	fill   int
-	offset int64
-	crc    uint32
+	f    faultfs.File
+	b    int
+	io   *stats.IOCounter
+	buf  []byte
+	fill int
+	crc  uint32
 }
 
 // CreateBlockWriter creates (truncates) path for counted writing on the
@@ -173,9 +172,6 @@ func CreateBlockWriterFS(fsys faultfs.FS, path string, ctr *stats.IOCounter) (*B
 	}, nil
 }
 
-// Offset reports the number of bytes written so far (buffered included).
-func (bw *BlockWriter) Offset() int64 { return bw.offset }
-
 // CRC reports the CRC32C of every byte written so far.
 func (bw *BlockWriter) CRC() uint32 { return bw.crc }
 
@@ -188,7 +184,6 @@ func (bw *BlockWriter) Write(p []byte) (int, error) {
 		n := copy(bw.buf[bw.fill:], p)
 		bw.fill += n
 		p = p[n:]
-		bw.offset += int64(n)
 		if bw.fill == bw.b {
 			if err := bw.flush(); err != nil {
 				return total - len(p), err

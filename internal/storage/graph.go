@@ -58,11 +58,6 @@ func metaPath(base string) string { return base + ".meta" }
 func nodePath(base string) string { return base + ".nt" }
 func edgePath(base string) string { return base + ".et" }
 
-// WriteMeta writes the header file for a graph on the real filesystem.
-func WriteMeta(base string, m Meta) error {
-	return WriteMetaFS(faultfs.OS, base, m, false)
-}
-
 // WriteMetaFS writes the header file through the given filesystem,
 // optionally fsyncing it before close (checkpoint writers need the
 // header durable before the checkpoint directory is committed).

@@ -21,10 +21,10 @@ const (
 	manifestVersion = 1
 )
 
-// manifest is the committed description of one checkpoint: which LSN
+// Manifest is the committed description of one checkpoint: which LSN
 // the adjacency tables capture, their shape, and whether a core-number
 // file rides along.
-type manifest struct {
+type Manifest struct {
 	Version  int
 	Seq      uint64
 	LSN      uint64
@@ -35,7 +35,7 @@ type manifest struct {
 
 // encodeManifest renders the text manifest with a trailing CRC line
 // covering everything above it.
-func encodeManifest(m manifest) []byte {
+func encodeManifest(m Manifest) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "version=%d\n", m.Version)
 	fmt.Fprintf(&b, "seq=%d\n", m.Seq)
@@ -52,9 +52,9 @@ func encodeManifest(m manifest) []byte {
 	return []byte(fmt.Sprintf("%scrc=%d\n", body, crc))
 }
 
-// parseManifest validates the CRC line and parses the fields.
-func parseManifest(data []byte) (manifest, error) {
-	var m manifest
+// ParseManifest validates the CRC line and parses the fields.
+func ParseManifest(data []byte) (Manifest, error) {
+	var m Manifest
 	text := string(data)
 	i := strings.LastIndex(strings.TrimRight(text, "\n"), "\n")
 	if i < 0 {
@@ -111,9 +111,21 @@ func parseManifest(data []byte) (manifest, error) {
 // ckptDirName names a committed checkpoint directory by sequence.
 func ckptDirName(seq uint64) string { return fmt.Sprintf("%016x", seq) }
 
+// CheckpointBase is the storage path prefix of the graph tables inside
+// the checkpoint directory ckptDir.
+func CheckpointBase(ckptDir string) string { return filepath.Join(ckptDir, ckptGraphBase) }
+
+// CheckpointBundleNames reports the files of a checkpoint directory in
+// canonical order — what a download carries, and the whitelist a
+// follower extracts. The cores file comes last: it is the one a
+// checkpoint may lack (Manifest.HasCores).
+func CheckpointBundleNames() []string {
+	return []string{manifestName, ckptGraphBase + ".meta", ckptGraphBase + ".nt", ckptGraphBase + ".et", coresName}
+}
+
 // Source is the adjacency a checkpoint persists, as of one LSN: a view
-// pinned on the serving graph's own files (dyngraph.View, over the base
-// tables of a mem graph or the partitions of a disk one), streaming the
+// pinned on the serving graph's own tables plus a copy of its update
+// buffer (dyngraph.View, the same on either backend), streaming the
 // lists so no copy of the edge set is ever resident.
 type Source interface {
 	NumNodes() uint32
@@ -142,7 +154,7 @@ func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src Source, co
 	if err := fs.MkdirAll(tmp, 0o755); err != nil {
 		return err
 	}
-	b, err := storage.NewBuilderFS(fs, filepath.Join(tmp, ckptGraphBase), src.NumNodes(), ioCtr)
+	b, err := storage.NewBuilderFS(fs, CheckpointBase(tmp), src.NumNodes(), ioCtr)
 	if err != nil {
 		return err
 	}
@@ -162,7 +174,7 @@ func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src Source, co
 			return err
 		}
 	}
-	man := encodeManifest(manifest{
+	man := encodeManifest(Manifest{
 		Version:  manifestVersion,
 		Seq:      seq,
 		LSN:      lsn,
@@ -272,19 +284,21 @@ func listCheckpoints(fs faultfs.FS, root string) ([]ckptEntry, error) {
 	return out, nil
 }
 
-// validateCheckpoint parses the manifest and fully verifies the graph
+// readManifest loads and checks the manifest of one checkpoint directory.
+func readManifest(fs faultfs.FS, ckptDir string) (Manifest, error) {
+	data, err := fs.ReadFile(filepath.Join(ckptDir, manifestName))
+	if err != nil {
+		return Manifest{}, err
+	}
+	return ParseManifest(data)
+}
+
+// validateCheckpoint reads the manifest and fully verifies the graph
 // tables (sizes and CRC32C), returning the manifest on success.
-func validateCheckpoint(fs faultfs.FS, path string) (manifest, error) {
-	data, err := fs.ReadFile(filepath.Join(path, manifestName))
+func validateCheckpoint(fs faultfs.FS, path string) (Manifest, error) {
+	m, err := readManifest(fs, path)
 	if err != nil {
-		return manifest{}, err
+		return Manifest{}, err
 	}
-	m, err := parseManifest(data)
-	if err != nil {
-		return manifest{}, err
-	}
-	if err := storage.Verify(filepath.Join(path, ckptGraphBase)); err != nil {
-		return manifest{}, err
-	}
-	return m, nil
+	return m, storage.Verify(CheckpointBase(path))
 }

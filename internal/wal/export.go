@@ -13,33 +13,6 @@ import (
 // files (served as a tar download), and a follower validates the
 // downloaded directory before serving from it.
 
-// CheckpointManifest is the exported view of a committed checkpoint's
-// manifest.
-type CheckpointManifest struct {
-	Seq      uint64
-	LSN      uint64
-	Nodes    uint32
-	Arcs     int64
-	HasCores bool
-}
-
-// ParseCheckpointManifest validates the manifest's CRC line and parses
-// its fields.
-func ParseCheckpointManifest(data []byte) (CheckpointManifest, error) {
-	m, err := parseManifest(data)
-	if err != nil {
-		return CheckpointManifest{}, err
-	}
-	return CheckpointManifest{Seq: m.Seq, LSN: m.LSN, Nodes: m.Nodes, Arcs: m.Arcs, HasCores: m.HasCores}, nil
-}
-
-// ManifestPath locates the manifest file inside a checkpoint directory.
-func ManifestPath(ckptDir string) string { return filepath.Join(ckptDir, manifestName) }
-
-// CheckpointGraphBase is the storage path prefix of the graph tables
-// inside a checkpoint directory.
-func CheckpointGraphBase(ckptDir string) string { return filepath.Join(ckptDir, ckptGraphBase) }
-
 // CheckpointFile is one open file of a checkpoint bundle.
 type CheckpointFile struct {
 	// Name is the file's base name inside the checkpoint directory
@@ -57,7 +30,7 @@ func (cf CheckpointFile) Reader() io.Reader { return io.NewSectionReader(cf.f, 0
 // checkpoint is pinned against retention, the handle stays readable
 // even if a later checkpoint removes the directory.
 type CheckpointHandle struct {
-	Manifest CheckpointManifest
+	Manifest Manifest
 	Files    []CheckpointFile
 }
 
@@ -100,17 +73,13 @@ func (g *GraphDir) OpenNewestCheckpoint() (*CheckpointHandle, error) {
 }
 
 func openCheckpoint(fs faultfs.FS, dir string) (*CheckpointHandle, error) {
-	data, err := fs.ReadFile(filepath.Join(dir, manifestName))
+	man, err := readManifest(fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	man, err := ParseCheckpointManifest(data)
-	if err != nil {
-		return nil, err
-	}
-	names := []string{manifestName, ckptGraphBase + ".meta", ckptGraphBase + ".nt", ckptGraphBase + ".et"}
-	if man.HasCores {
-		names = append(names, coresName)
+	names := CheckpointBundleNames()
+	if !man.HasCores {
+		names = names[:len(names)-1]
 	}
 	h := &CheckpointHandle{Manifest: man}
 	for _, name := range names {
@@ -130,28 +99,21 @@ func openCheckpoint(fs faultfs.FS, dir string) (*CheckpointHandle, error) {
 	return h, nil
 }
 
-// CheckpointBundleNames reports the file names a checkpoint download may
-// contain, in canonical order — the whitelist a follower extracts.
-func CheckpointBundleNames() []string {
-	return []string{manifestName, ckptGraphBase + ".meta", ckptGraphBase + ".nt", ckptGraphBase + ".et", coresName}
-}
-
 // ValidateCheckpointDir fully verifies a checkpoint directory a
 // follower downloaded: manifest CRC, graph table sizes and CRCs, and
 // the cores file when the manifest promises one. It returns the
 // manifest and the core numbers (nil when absent).
-func ValidateCheckpointDir(dir string) (CheckpointManifest, []uint32, error) {
+func ValidateCheckpointDir(dir string) (Manifest, []uint32, error) {
 	m, err := validateCheckpoint(faultfs.OS, dir)
 	if err != nil {
-		return CheckpointManifest{}, nil, err
+		return Manifest{}, nil, err
 	}
 	var cores []uint32
 	if m.HasCores {
 		cores, err = readCores(faultfs.OS, filepath.Join(dir, coresName))
 		if err != nil {
-			return CheckpointManifest{}, nil, err
+			return Manifest{}, nil, err
 		}
 	}
-	man := CheckpointManifest{Seq: m.Seq, LSN: m.LSN, Nodes: m.Nodes, Arcs: m.Arcs, HasCores: m.HasCores}
-	return man, cores, nil
+	return m, cores, nil
 }

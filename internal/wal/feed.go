@@ -54,7 +54,7 @@ func NewFeed(maxRecords int, maxBytes int64) *Feed {
 
 // recBytes approximates a record's wire size for the byte cap.
 func recBytes(r Record) int64 {
-	return int64(recHeaderSize + payloadSize(len(r.Deletes), len(r.Inserts)))
+	return int64(frameHeaderSize + payloadSize(len(r.Deletes), len(r.Inserts)))
 }
 
 // Append publishes the applied batch stamped lsn. The caller must hold
@@ -137,17 +137,6 @@ func (f *Feed) TailFrom(from uint64, max int) ([]Record, error) {
 func (f *Feed) OldestCursor() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.trimmed
-}
-
-// NewestLSN reports the LSN of the newest record in the window (the
-// trim watermark when the window is empty).
-func (f *Feed) NewestLSN() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if n := len(f.recs); n > 0 {
-		return f.recs[n-1].LSN
-	}
 	return f.trimmed
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"kcore/internal/faultfs"
 	"kcore/internal/graphio"
@@ -130,9 +131,6 @@ func Open(dir string, opts *Options) (*GraphDir, error) {
 	return g, nil
 }
 
-// Counters exposes the WAL instrumentation.
-func (g *GraphDir) Counters() *stats.WalCounters { return g.ctr }
-
 // IO exposes the counter checkpoints charge their block I/O to.
 func (g *GraphDir) IO() *stats.IOCounter { return g.io }
 
@@ -170,11 +168,8 @@ func (g *GraphDir) Checkpoint(lsn uint64, src Source, cores []uint32) error {
 		if ck.seq < seq {
 			// The oldest retained checkpoint bounds what replay could
 			// ever need.
-			data, err := g.fs.ReadFile(filepath.Join(ck.path, manifestName))
-			if err == nil {
-				if man, perr := parseManifest(data); perr == nil && man.LSN < cutoff {
-					cutoff = man.LSN
-				}
+			if man, err := readManifest(g.fs, ck.path); err == nil && man.LSN < cutoff {
+				cutoff = man.LSN
 			}
 		}
 	}
@@ -215,9 +210,12 @@ func (g *GraphDir) Close() error { return g.log.Close() }
 // checkpoint, the consecutive replay tail beyond it, and damage
 // classification.
 type Recovered struct {
-	// Manifest describes the chosen checkpoint; Path is its directory.
-	Manifest manifest
+	// Manifest describes the chosen checkpoint, Path is its directory and
+	// Time the manifest file's modification time: when the state was
+	// last made durable (zero if the file could not be examined).
+	Manifest Manifest
 	Path     string
+	Time     time.Time
 	// Cores is the checkpoint's core-number array when one was stored
 	// and it verified; nil otherwise (kcored stores one with every
 	// checkpoint, but older data dirs hold checkpoints without).
@@ -275,6 +273,9 @@ func Scan(fsys faultfs.FS, dir string) (*Recovered, error) {
 		}
 		res.Manifest = man
 		res.Path = ck.path
+		if fi, serr := fsys.Stat(filepath.Join(ck.path, manifestName)); serr == nil {
+			res.Time = fi.ModTime()
+		}
 		res.Fallback = i > 0
 		chosen = i
 		break
@@ -358,10 +359,6 @@ func scanLogs(fsys faultfs.FS, dir string) (recs []Record, torn, damaged bool, r
 	}
 	return recs, torn, damaged, strings.Join(reasons, "; "), nil
 }
-
-// CheckpointBase is the storage path prefix of the graph files inside
-// the checkpoint directory ckptPath.
-func CheckpointBase(ckptPath string) string { return filepath.Join(ckptPath, ckptGraphBase) }
 
 // CopyLive rebuilds dir/live as a copy of the graph files at path prefix
 // srcBase — a chosen checkpoint's, or the base a graph is first opened

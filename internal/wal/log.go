@@ -1,8 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -228,46 +230,44 @@ func listSegments(fs faultfs.FS, dir string) ([]segEntry, error) {
 }
 
 // readLogDir reads every record from one log directory's segments in LSN
-// order. A bad frame in the final segment is a torn tail: reading stops
-// there, the tail is logically truncated, and torn reports true. A bad
-// frame anywhere else — or a final segment followed by readable data —
-// means mid-log damage: records read so far are returned with damaged
-// set, and the caller decides whether the graph can still come up.
+// order, each segment through a FrameReader. A bad segment header or a
+// bad frame (a heartbeat included: they are never logged) in the final
+// segment is a torn tail: reading stops there, the tail is logically
+// truncated, and torn reports true. The same anywhere else means mid-log
+// damage: the records read so far are returned with damaged set, and the
+// caller decides whether the graph can still come up.
 func readLogDir(fs faultfs.FS, dir string) (recs []Record, torn, damaged bool, err error) {
 	segs, err := listSegments(fs, dir)
 	if err != nil {
 		return nil, false, false, err
 	}
 	for i, seg := range segs {
-		last := i == len(segs)-1
 		data, err := fs.ReadFile(seg.path)
 		if err != nil {
 			return nil, false, false, err
 		}
-		if len(data) < segHeaderSize || string(data[:8]) != segMagic ||
-			binary.LittleEndian.Uint32(data[8:]) != segVersion {
-			if last {
-				return recs, true, damaged, nil
-			}
-			return recs, false, true, nil
-		}
-		off := segHeaderSize
-		for {
-			rec, next, done, derr := decodeRecord(data, off)
-			if done {
-				break
-			}
-			if derr != nil {
-				if last {
-					return recs, true, damaged, nil
+		bad := len(data) < segHeaderSize || string(data[:8]) != segMagic ||
+			binary.LittleEndian.Uint32(data[8:]) != segVersion
+		if !bad {
+			fr := NewFrameReader(bytes.NewReader(data[segHeaderSize:]))
+			for {
+				rec, rerr := fr.ReadFrame()
+				if rerr == io.EOF {
+					break
 				}
-				return recs, false, true, nil
+				if rerr != nil || rec.Heartbeat {
+					bad = true
+					break
+				}
+				recs = append(recs, rec)
 			}
-			recs = append(recs, rec)
-			off = next
+		}
+		if bad {
+			last := i == len(segs)-1
+			return recs, last, !last, nil
 		}
 	}
-	return recs, false, damaged, nil
+	return recs, false, false, nil
 }
 
 // truncateBelow removes whole segments that contain only records with
