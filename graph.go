@@ -22,11 +22,14 @@ func FileEdges(path string) EdgeSource { return graphio.TextSource{Path: path} }
 type BuildOptions struct {
 	// NumNodes forces the node count; 0 derives max id + 1.
 	NumNodes uint32
-	// SortBudgetArcs bounds the arcs the external sorter holds in memory
-	// (the build never materialises the graph); 0 selects a default.
+	// SortBudgetArcs bounds the arcs' worth of memory (8 bytes each) the
+	// external sorter holds — its buffer and its sort scratch are both
+	// inside the budget, half each; the build never materialises the
+	// graph. 0 selects the default, 1<<20.
 	SortBudgetArcs int
-	// TempDir holds external-sort spill runs; empty uses the graph's
-	// directory.
+	// TempDir is where the external sort creates its private spill
+	// directory, removed again on every path out of Build; empty uses the
+	// graph's directory.
 	TempDir string
 }
 

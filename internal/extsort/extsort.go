@@ -4,19 +4,23 @@
 // budget — the same regime the paper's semi-external model assumes for
 // the graphs themselves (node state fits, edge state does not).
 //
-// The sorter buffers arcs in memory up to a budget, spills sorted runs to
-// temporary files, and k-way merges the runs with a binary heap. All spill
-// and merge traffic is charged to an I/O counter at block granularity, so
-// graph construction cost is measurable alongside algorithm cost.
+// The sorter packs each arc into one 64-bit key (source in the high half),
+// buffers keys up to half its budget, sorts each full buffer with an LSD
+// radix sort whose scratch is the other half, and spills it as one run
+// into a directory of its own. Iterate merges the runs with a typed
+// binary heap of (key, run) pairs. Runs are encoded, written, read and
+// decoded a block at a time, and all of that traffic is charged to an I/O
+// counter at block granularity, so graph construction costs what its
+// passes cost and is measurable alongside algorithm cost.
 package extsort
 
 import (
-	"container/heap"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"kcore/internal/stats"
 	"kcore/internal/storage"
@@ -28,44 +32,66 @@ type Arc struct {
 	U, V uint32
 }
 
-// Less orders arcs by source, then target.
-func (a Arc) Less(b Arc) bool {
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	return a.V < b.V
-}
+// key packs the arc so that integer order is (source, target) order.
+func (a Arc) key() uint64 { return uint64(a.U)<<32 | uint64(a.V) }
 
+func arcOf(key uint64) Arc { return Arc{U: uint32(key >> 32), V: uint32(key)} }
+
+// A run file stores each arc as U then V, both little-endian: as one
+// little-endian word that is the key with its halves exchanged.
 const arcBytes = 8
 
-// Sorter accumulates arcs and yields them in sorted order.
-type Sorter struct {
-	dir     string
-	io      *stats.IOCounter
-	budget  int // max arcs held in memory
-	buf     []Arc
-	runs    []string
-	total   int64
-	spilled bool
+func putKey(b []byte, key uint64) {
+	binary.LittleEndian.PutUint64(b, bits.RotateLeft64(key, 32))
 }
 
-// NewSorter creates a sorter spilling runs into dir. budgetArcs bounds the
-// arcs held in memory at once; non-positive selects 1<<20.
+func getKey(b []byte) uint64 {
+	return bits.RotateLeft64(binary.LittleEndian.Uint64(b), 32)
+}
+
+// defaultBudgetArcs is the budget a non-positive NewSorter argument selects.
+const defaultBudgetArcs = 1 << 20
+
+// Sorter accumulates arcs and yields them in sorted order. The arc-sized
+// memory it holds — the key buffer plus the radix scratch — never exceeds
+// its budget; the merge adds two blocks per run.
+type Sorter struct {
+	dir      string
+	io       *stats.IOCounter
+	bufCap   int      // max keys buffered: half the budget, the rest is scratch
+	buf      []uint64 // packed arcs not yet spilled
+	scratch  []uint64 // radix sort's second buffer, allocated on first use
+	spillDir string   // private run directory, created by the first spill
+	runs     []string
+	total    int64
+	iterated bool
+	closed   bool
+}
+
+// NewSorter creates a sorter spilling runs into a private directory under
+// dir. budgetArcs bounds the arcs' worth of memory held at once, sort
+// scratch included; non-positive selects 1<<20. Close releases the sorter.
 func NewSorter(dir string, budgetArcs int, ctr *stats.IOCounter) *Sorter {
 	if budgetArcs <= 0 {
-		budgetArcs = 1 << 20
+		budgetArcs = defaultBudgetArcs
 	}
 	if ctr == nil {
 		ctr = stats.NewIOCounter(0)
 	}
-	return &Sorter{dir: dir, io: ctr, budget: budgetArcs}
+	return &Sorter{dir: dir, io: ctr, bufCap: max(1, budgetArcs/2)}
 }
 
 // Add appends one arc, spilling a sorted run if the buffer is full.
 func (s *Sorter) Add(a Arc) error {
-	s.buf = append(s.buf, a)
+	if len(s.buf) == cap(s.buf) {
+		// append's own growth would overshoot the budget.
+		grown := make([]uint64, len(s.buf), min(s.bufCap, max(256, 2*cap(s.buf))))
+		copy(grown, s.buf)
+		s.buf = grown
+	}
+	s.buf = append(s.buf, a.key())
 	s.total++
-	if len(s.buf) >= s.budget {
+	if len(s.buf) >= s.bufCap {
 		return s.spill()
 	}
 	return nil
@@ -74,41 +100,54 @@ func (s *Sorter) Add(a Arc) error {
 // Total reports the number of arcs added.
 func (s *Sorter) Total() int64 { return s.total }
 
+// sortBuf sorts the buffered keys. When the radix sort's last pass lands
+// in the scratch, the two slices trade roles instead of copying back.
+func (s *Sorter) sortBuf() {
+	if len(s.buf) >= radixCutoff && cap(s.scratch) < len(s.buf) {
+		s.scratch = make([]uint64, len(s.buf), cap(s.buf))
+	}
+	if sortKeys(s.buf, s.scratch) {
+		s.buf, s.scratch = s.scratch[:len(s.buf)], s.buf
+	}
+}
+
 // spill sorts the buffer and writes it as one run file.
 func (s *Sorter) spill() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	sort.Slice(s.buf, func(i, j int) bool { return s.buf[i].Less(s.buf[j]) })
-	name := filepath.Join(s.dir, fmt.Sprintf("run-%d.arcs", len(s.runs)))
-	w, err := newArcWriter(name, s.io)
-	if err != nil {
-		return err
+	if s.closed {
+		return errors.New("extsort: sorter is closed")
 	}
-	for _, a := range s.buf {
-		if err := w.write(a); err != nil {
-			w.close()
+	if s.spillDir == "" {
+		d, err := os.MkdirTemp(s.dir, "extsort-*")
+		if err != nil {
 			return err
 		}
+		s.spillDir = d
 	}
-	if err := w.close(); err != nil {
+	s.sortBuf()
+	name := filepath.Join(s.spillDir, fmt.Sprintf("run-%d.arcs", len(s.runs)))
+	if err := writeRun(name, s.buf, s.io); err != nil {
 		return err
 	}
 	s.runs = append(s.runs, name)
 	s.buf = s.buf[:0]
-	s.spilled = true
 	return nil
 }
 
 // Iterate sorts any remaining buffered arcs and streams every arc in
-// global sorted order. It may be called once; it removes the run files
-// when done.
+// global sorted order. It may be called once.
 func (s *Sorter) Iterate(fn func(a Arc) error) error {
-	if !s.spilled {
+	if s.iterated || s.closed {
+		return errors.New("extsort: Iterate on a used or closed sorter")
+	}
+	s.iterated = true
+	if len(s.runs) == 0 {
 		// Pure in-memory path.
-		sort.Slice(s.buf, func(i, j int) bool { return s.buf[i].Less(s.buf[j]) })
-		for _, a := range s.buf {
-			if err := fn(a); err != nil {
+		s.sortBuf()
+		for _, k := range s.buf {
+			if err := fn(arcOf(k)); err != nil {
 				return err
 			}
 		}
@@ -117,122 +156,166 @@ func (s *Sorter) Iterate(fn func(a Arc) error) error {
 	if err := s.spill(); err != nil {
 		return err
 	}
+	// Every run is sorted and in its file: the merge needs no arc-sized
+	// memory.
+	s.buf, s.scratch = nil, nil
+
+	readers := make([]*runReader, 0, len(s.runs))
 	defer func() {
-		for _, r := range s.runs {
-			os.Remove(r)
+		for _, r := range readers {
+			r.f.Close()
 		}
 	}()
-	h := &mergeHeap{}
+	h := make(mergeHeap, 0, len(s.runs))
 	for _, name := range s.runs {
-		r, err := newArcReader(name, s.io)
+		r, err := openRun(name, s.io)
 		if err != nil {
 			return err
 		}
-		a, ok, err := r.read()
+		readers = append(readers, r)
+		key, ok, err := r.next()
 		if err != nil {
-			r.close()
 			return err
 		}
 		if ok {
-			heap.Push(h, mergeItem{arc: a, src: r})
-		} else {
-			r.close()
+			h = append(h, mergeItem{key: key, run: r})
 		}
 	}
-	defer func() {
-		for _, it := range *h {
-			it.src.close()
-		}
-	}()
-	for h.Len() > 0 {
-		it := (*h)[0]
-		if err := fn(it.arc); err != nil {
+	h.init()
+	for len(h) > 0 {
+		top := &h[0]
+		if err := fn(arcOf(top.key)); err != nil {
 			return err
 		}
-		a, ok, err := it.src.read()
+		key, ok, err := top.run.next()
 		if err != nil {
 			return err
 		}
 		if ok {
-			(*h)[0].arc = a
-			heap.Fix(h, 0)
+			top.key = key
 		} else {
-			it.src.close()
-			heap.Pop(h)
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		h.down(0)
 	}
 	return nil
 }
 
+// Close removes the sorter's spill directory and drops its buffers. It is
+// idempotent, and safe whether or not Iterate ran or finished.
+func (s *Sorter) Close() error {
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	s.buf, s.scratch = nil, nil
+	if s.spillDir == "" {
+		return nil
+	}
+	return os.RemoveAll(s.spillDir)
+}
+
+// mergeItem is the head of one run; mergeHeap is a binary min-heap of
+// them by key. Equal keys are equal arcs, so ties need no order.
 type mergeItem struct {
-	arc Arc
-	src *arcReader
+	key uint64
+	run *runReader
 }
 
 type mergeHeap []mergeItem
 
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return h[i].arc.Less(h[j].arc) }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// arcWriter writes fixed-width arcs through a counted block writer.
-type arcWriter struct {
-	w   *storage.BlockWriter
-	buf [arcBytes]byte
-}
-
-func newArcWriter(path string, ctr *stats.IOCounter) (*arcWriter, error) {
-	bw, err := storage.CreateBlockWriter(path, ctr)
-	if err != nil {
-		return nil, err
+func (h mergeHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	return &arcWriter{w: bw}, nil
 }
 
-func (w *arcWriter) write(a Arc) error {
-	binary.LittleEndian.PutUint32(w.buf[0:4], a.U)
-	binary.LittleEndian.PutUint32(w.buf[4:8], a.V)
-	_, err := w.w.Write(w.buf[:])
-	return err
+// down restores the heap below i after h[i] grew.
+func (h mergeHeap) down(i int) {
+	n := len(h)
+	if i >= n {
+		return
+	}
+	it := h[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].key < h[c].key {
+			c++
+		}
+		if it.key <= h[c].key {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = it
 }
 
-func (w *arcWriter) close() error { return w.w.Close() }
+// chunkBytes is how much of a run one Write or ReadAt moves: the whole
+// arcs that fit in a block (at least one).
+func chunkBytes(ctr *stats.IOCounter) int {
+	return max(1, ctr.BlockSize()/arcBytes) * arcBytes
+}
 
-// arcReader streams fixed-width arcs through a counted block reader.
-type arcReader struct {
+// writeRun writes sorted keys as one run file, a block of arcs per Write.
+func writeRun(path string, keys []uint64, ctr *stats.IOCounter) error {
+	w, err := storage.CreateBlockWriter(path, ctr)
+	if err != nil {
+		return err
+	}
+	chunk := make([]byte, chunkBytes(ctr))
+	for len(keys) > 0 {
+		n := min(len(keys), len(chunk)/arcBytes)
+		for i, k := range keys[:n] {
+			putKey(chunk[i*arcBytes:], k)
+		}
+		if _, err := w.Write(chunk[:n*arcBytes]); err != nil {
+			w.Close()
+			return err
+		}
+		keys = keys[n:]
+	}
+	return w.Close()
+}
+
+// runReader streams one run file's keys, a block of arcs per ReadAt.
+type runReader struct {
 	f   *storage.BlockFile
-	off int64
-	buf [arcBytes]byte
+	off int64  // file offset of the next chunk
+	buf []byte // the chunk last fetched; buf[pos:] is not yet consumed
+	pos int
 }
 
-func newArcReader(path string, ctr *stats.IOCounter) (*arcReader, error) {
+func openRun(path string, ctr *stats.IOCounter) (*runReader, error) {
 	f, err := storage.OpenBlockFile(path, ctr)
 	if err != nil {
 		return nil, err
 	}
-	return &arcReader{f: f}, nil
+	if f.Size()%arcBytes != 0 {
+		f.Close()
+		return nil, fmt.Errorf("extsort: run %s holds %d bytes, not whole arcs", path, f.Size())
+	}
+	return &runReader{f: f, buf: make([]byte, 0, chunkBytes(ctr))}, nil
 }
 
-func (r *arcReader) read() (Arc, bool, error) {
-	if r.off >= r.f.Size() {
-		return Arc{}, false, nil
+// next returns the run's next key, or ok == false at its end.
+func (r *runReader) next() (key uint64, ok bool, err error) {
+	if r.pos == len(r.buf) {
+		n := min(int64(cap(r.buf)), r.f.Size()-r.off)
+		if n == 0 {
+			return 0, false, nil
+		}
+		r.buf, r.pos = r.buf[:n], 0
+		if err := r.f.ReadAt(r.buf, r.off); err != nil {
+			return 0, false, err
+		}
+		r.off += n
 	}
-	if err := r.f.ReadAt(r.buf[:], r.off); err != nil {
-		return Arc{}, false, err
-	}
-	r.off += arcBytes
-	return Arc{
-		U: binary.LittleEndian.Uint32(r.buf[0:4]),
-		V: binary.LittleEndian.Uint32(r.buf[4:8]),
-	}, true, nil
+	key = getKey(r.buf[r.pos:])
+	r.pos += arcBytes
+	return key, true, nil
 }
-
-func (r *arcReader) close() error { return r.f.Close() }

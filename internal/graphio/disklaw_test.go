@@ -45,6 +45,45 @@ func TestSemiCoreIOLaw(t *testing.T) {
 	}
 }
 
+// TestBuildIOLaw pins construction's cost in the same model: Build is one
+// sort plus sequential scans. The sorter's buffer is half of
+// SortBudgetArcs, so A arcs spill as runs of a_i = SortBudgetArcs/2 arcs
+// and a remainder; each run is written once and read once, ceil(8*a_i/B)
+// blocks either way, and the only other counted I/O is writing the two
+// tables front to back. Moving runs a block per call changed none of it.
+func TestBuildIOLaw(t *testing.T) {
+	edges := gen.ErdosRenyi(400, 3000, 705)
+	mem := gen.Build(edges)
+	var arcs int64 // sorted before duplicates go: two per edge that is no loop
+	for _, e := range edges {
+		if e.U != e.V {
+			arcs += 2
+		}
+	}
+	for _, blockSize := range []int{512, 4096} {
+		for _, budget := range []int{200, 1026, 2 * int(arcs), 0} {
+			ctr := stats.NewIOCounter(blockSize)
+			base := filepath.Join(t.TempDir(), "g")
+			err := Build(base, SliceSource(edges), BuildOptions{N: mem.NumNodes(), SortBudgetArcs: budget, IO: ctr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			B := int64(blockSize)
+			blocks := func(bytes int64) int64 { return (bytes + B - 1) / B }
+			var runBlocks int64
+			if run := int64(budget / 2); budget > 0 && run <= arcs {
+				runBlocks = arcs / run * blocks(8*run)
+				runBlocks += blocks(8 * (arcs % run))
+			}
+			tables := blocks(int64(mem.NumNodes())*storage.NodeRecordSize) + blocks(mem.NumArcs()*storage.ArcSize)
+			if got := ctr.Snapshot(); got.Reads != runBlocks || got.Writes != runBlocks+tables {
+				t.Fatalf("B=%d budget=%d: reads %d writes %d, want %d run blocks each way + %d table blocks written",
+					blockSize, budget, got.Reads, got.Writes, runBlocks, tables)
+			}
+		}
+	}
+}
+
 // TestDiskParityAllVariants runs each semi-external variant on disk and
 // in memory and requires identical cores, iteration counts and node
 // computation counts — the backends must be observationally equivalent.

@@ -54,10 +54,13 @@ func (s CSRSource) Edges(fn func(u, v uint32) error) error {
 type BuildOptions struct {
 	// N forces the node count; 0 derives it as max id + 1.
 	N uint32
-	// SortBudgetArcs bounds the arcs the external sorter holds in memory;
-	// 0 selects the sorter default.
+	// SortBudgetArcs bounds the arcs' worth of memory the external sorter
+	// holds: its buffer and its sort scratch are both inside the budget
+	// (half each), so a run is SortBudgetArcs/2 arcs. 0 selects the sorter
+	// default, 1<<20.
 	SortBudgetArcs int
-	// TempDir holds spill runs; empty uses the target's directory.
+	// TempDir is where the sorter creates its private spill directory;
+	// empty uses the target's directory. Build removes it on every path.
 	TempDir string
 	// IO receives block-level accounting for the build; nil allocates a
 	// private counter.
@@ -67,6 +70,8 @@ type BuildOptions struct {
 // Build writes the graph at path prefix base from src. Every edge is
 // symmetrised into two arcs, external-sorted, deduplicated (parallel
 // edges and self-loops dropped), and streamed into the storage builder.
+// Whether it succeeds or fails, no spill file outlives it, and builds
+// sharing a directory do not see each other's.
 func Build(base string, src EdgeSource, opts BuildOptions) error {
 	ctr := opts.IO
 	if ctr == nil {
@@ -77,16 +82,17 @@ func Build(base string, src EdgeSource, opts BuildOptions) error {
 		dir = filepath.Dir(base)
 	}
 	sorter := extsort.NewSorter(dir, opts.SortBudgetArcs, ctr)
+	defer sorter.Close()
 	n := opts.N
 	err := src.Edges(func(u, v uint32) error {
 		if u == v {
 			return nil
 		}
-		if u >= n {
-			n = u + 1
-		}
-		if v >= n {
-			n = v + 1
+		if top := max(u, v); top >= n {
+			if opts.N != 0 {
+				return fmt.Errorf("graphio: edge (%d,%d) endpoint exceeds forced node count %d", u, v, opts.N)
+			}
+			n = top + 1
 		}
 		if err := sorter.Add(extsort.Arc{U: u, V: v}); err != nil {
 			return err
@@ -95,9 +101,6 @@ func Build(base string, src EdgeSource, opts BuildOptions) error {
 	})
 	if err != nil {
 		return err
-	}
-	if opts.N != 0 && n > opts.N {
-		return fmt.Errorf("graphio: edge endpoint exceeds forced node count %d", opts.N)
 	}
 
 	b, err := storage.NewBuilder(base, n, ctr)

@@ -1,8 +1,14 @@
 package graphio
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"kcore/internal/gen"
@@ -211,4 +217,155 @@ func TestDiskBackedDecomposition(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
+}
+
+// dirNames lists a directory, for "nothing but the caller's files" checks.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestConcurrentBuildsShareADirectory builds several graphs into one
+// directory at once, each spilling dozens of runs there. When runs were
+// named run-%d.arcs in the shared directory the builds overwrote and
+// deleted each other's: one failed with "no such file", another returned
+// nil with arcs missing.
+func TestConcurrentBuildsShareADirectory(t *testing.T) {
+	dir := t.TempDir()
+	const builds = 4
+	edges := make([][]memgraph.Edge, builds)
+	for i := range edges {
+		edges[i] = gen.ErdosRenyi(500, 4000, int64(40+i))
+	}
+	errs := make([]error, builds)
+	var wg sync.WaitGroup
+	for i := range edges {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = Build(filepath.Join(dir, fmt.Sprintf("g%d", i)), SliceSource(edges[i]),
+				BuildOptions{N: 500, SortBudgetArcs: 128})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("build %d: %v", i, err)
+		}
+		got, err := ReadToCSR(filepath.Join(dir, fmt.Sprintf("g%d", i)))
+		if err != nil {
+			t.Fatalf("build %d: %v", i, err)
+		}
+		csrEqual(t, got, gen.Build(edges[i]))
+	}
+	if names := dirNames(t, dir); len(names) != 3*builds {
+		t.Fatalf("want only the %d graphs' files, got %v", builds, names)
+	}
+}
+
+// failingSource hands out edges[:failAt], then fails; delivered counts
+// what Build consumed.
+type failingSource struct {
+	edges     []memgraph.Edge
+	failAt    int
+	delivered int
+}
+
+var errSourceBroke = errors.New("source broke")
+
+func (s *failingSource) Edges(fn func(u, v uint32) error) error {
+	for i, e := range s.edges {
+		if i == s.failAt {
+			return errSourceBroke
+		}
+		s.delivered++
+		if err := fn(e.U, e.V); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestBuildErrorPathsLeaveNoSpill fails Build after it has spilled runs,
+// once per exit: the source, the forced node count, the table builder.
+// Each must leave the spill directory holding only the caller's file.
+func TestBuildErrorPathsLeaveNoSpill(t *testing.T) {
+	edges := gen.ErdosRenyi(300, 2000, 11)
+	const sentinel = "callers-file"
+	run := func(name string, build func(t *testing.T, dir string) error) {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := writeFile(filepath.Join(dir, sentinel), "x"); err != nil {
+				t.Fatal(err)
+			}
+			if err := build(t, dir); err == nil {
+				t.Fatal("Build succeeded")
+			}
+			if names := dirNames(t, dir); len(names) != 1 || names[0] != sentinel {
+				t.Fatalf("Build left %v behind", names)
+			}
+		})
+	}
+	run("source fails", func(t *testing.T, dir string) error {
+		src := &failingSource{edges: edges, failAt: 1500}
+		err := Build(filepath.Join(dir, "g"), src, BuildOptions{SortBudgetArcs: 64})
+		if !errors.Is(err, errSourceBroke) {
+			t.Errorf("err = %v, want the source's", err)
+		}
+		return err
+	})
+	run("endpoint beyond forced N", func(t *testing.T, dir string) error {
+		bad := slices.Clone(edges)
+		bad[1500] = memgraph.Edge{U: 3, V: 300}
+		src := &failingSource{edges: bad, failAt: -1}
+		err := Build(filepath.Join(dir, "g"), src, BuildOptions{N: 300, SortBudgetArcs: 64})
+		if src.delivered != 1501 {
+			t.Errorf("Build consumed %d edges, want it to stop at the offending 1501st", src.delivered)
+		}
+		if err != nil && !strings.Contains(err.Error(), "(3,300)") {
+			t.Errorf("err = %v, want it to name the edge", err)
+		}
+		return err
+	})
+	run("table builder fails", func(t *testing.T, dir string) error {
+		err := Build(filepath.Join(dir, "no-such-dir", "g"), SliceSource(edges),
+			BuildOptions{TempDir: dir, SortBudgetArcs: 64})
+		if !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("err = %v, want not-exist from the table files", err)
+		}
+		return err
+	})
+}
+
+// TestBuildBytesIndependentOfBudget: the sort budget decides how many runs
+// there are and nothing else — the three files are the same bytes.
+func TestBuildBytesIndependentOfBudget(t *testing.T) {
+	edges := gen.RMAT(9, 8, 0.57, 0.19, 0.19, 12) // duplicates and self-loops included
+	dir := t.TempDir()
+	var want [3][]byte
+	for i, budget := range []int{0, 16, 128} {
+		base := filepath.Join(dir, fmt.Sprintf("g%d", budget))
+		if err := Build(base, SliceSource(edges), BuildOptions{N: 1 << 9, SortBudgetArcs: budget}); err != nil {
+			t.Fatal(err)
+		}
+		for j, ext := range []string{".meta", ".nt", ".et"} {
+			got, err := os.ReadFile(base + ext)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				want[j] = got
+			} else if !bytes.Equal(got, want[j]) {
+				t.Fatalf("SortBudgetArcs %d: %s differs from the default budget's", budget, ext)
+			}
+		}
+	}
 }
