@@ -41,6 +41,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -48,6 +49,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -72,7 +74,7 @@ func main() {
 		flush     = flag.Duration("flush", 2*time.Millisecond, "max delay before pending updates are applied")
 		queueCap  = flag.Int("queue", 4096, "ingest queue capacity (enqueue blocks when full)")
 		blockSize = flag.Int("block", 4096, "I/O accounting block size B")
-		backend   = flag.String("backend", "", "block reader under every opened graph's tables (internal/dyngraph, the paper's Section V scheme: the immutable CSR tables plus an in-memory insert/delete buffer, folded back into them whole when full): mem (the default: one-block buffers) or disk (a bounded block cache that checks every block it loads against a checksum recorded by one pass over the tables at open; only the core arrays, the buffer and the cache are resident — with -data-dir too). Without -data-dir either backend compacts into the tables at the graph's path; with it, into a private copy under the data dir")
+		backend   = flag.String("backend", "", "block reader under every opened graph's tables (internal/dyngraph, the paper's Section V scheme: the immutable CSR tables plus an in-memory insert/delete buffer, folded back into them whole when full): mem (the default: 64 cache frames, blocks taken on trust until a checkpoint scans them) or disk (a block cache of -cache-blocks frames that checks every block it loads against a checksum recorded by one pass over the tables at open; only the core arrays, the buffer and the cache are resident — with -data-dir too). Without -data-dir either backend compacts into the tables at the graph's path; with it, into a private copy under the data dir")
 		cacheBlks = flag.Int("cache-blocks", 0, "disk backend block-cache budget in blocks of -block bytes (0 picks the default, 1024); resident adjacency is capped at cache-blocks*block bytes however large the graph")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the serving mux (see `make profile`); leave off in production")
 		dataDir   = flag.String("data-dir", "", "durability directory: every graph gets a write-ahead log and checkpoints under <dir>/<name>/, and a restart with the same -data-dir recovers all graphs (checkpoint + WAL replay) before opening any -graph/-load path anew. It adds no resident copy of the adjacency on either backend: a checkpoint streams the graph's own files (checkpoint_block_reads in /stats)")
@@ -128,6 +130,7 @@ func main() {
 	defer reg.Close()
 
 	recovered := make(map[string]engine.GraphRecovery)
+	unrecovered := make(map[string]error) // durable state that is there but did not come back
 	if opts.Durability != nil {
 		rep, err := reg.Recover()
 		if err != nil {
@@ -137,6 +140,9 @@ func main() {
 		for _, g := range rep.Graphs {
 			if g.Err != nil {
 				fmt.Fprintf(os.Stderr, "kcored: graph %q unrecoverable: %v\n", g.Name, g.Err)
+				if !errors.Is(g.Err, wal.ErrNoData) {
+					unrecovered[g.Name] = g.Err
+				}
 				continue
 			}
 			recovered[g.Name] = g
@@ -150,8 +156,16 @@ func main() {
 	// brought that name up from a checkpoint at least as fresh as the
 	// base file. A base modified after the recovered checkpoint means the
 	// operator refreshed the data: the stale recovered graph (and its
-	// durable dir) is dropped and the base re-decomposed.
+	// durable dir) is dropped and the base re-decomposed. A name whose
+	// durable state exists but failed to recover is never opened over:
+	// opening replaces the directory, and whatever made recovery fail (a
+	// directory that could not be listed, a damaged checkpoint) may be
+	// repairable while the acked updates in it are not reproducible.
 	open := func(name, path string) {
+		if err, ok := unrecovered[name]; ok {
+			fatal(fmt.Errorf("graph %q: %s holds durable state that did not recover (%v); refusing to replace it with %s — move the directory aside to start over from the base",
+				name, filepath.Join(*dataDir, name), err, path))
+		}
 		if gr, ok := recovered[name]; ok {
 			if !engine.BaseNewerThanCheckpoint(path, gr) {
 				fmt.Printf("kcored: graph %q already recovered from %s, skipping base %s\n", name, *dataDir, path)

@@ -56,11 +56,14 @@ type OpenOptions struct {
 	// BufferArcs caps the in-memory update buffer before edits are
 	// folded into the disk graph; 0 selects a default (1<<16).
 	BufferArcs int
-	// CacheBlocks, when positive, reads the tables through a block cache
-	// of that many blocks, which verifies every block it loads against a
-	// checksum recorded by one pass over the tables at Open; 0 reads each
-	// table through a one-block buffer. The layout, the update buffer and
-	// the compaction into the tables at base are the same either way.
+	// CacheBlocks is the frame budget of the block cache the tables are
+	// read through. 0 selects the default: 64 frames — the measured
+	// floor, see docs/ARCHITECTURE.md, "Block readers" — which take the
+	// blocks they load on trust and cost nothing at Open. A positive
+	// budget also verifies every block it loads against a checksum
+	// recorded by one pass over the tables at Open. The layout, the
+	// update buffer and the compaction into the tables at base are the
+	// same either way.
 	CacheBlocks int
 }
 
@@ -70,7 +73,7 @@ type Graph struct {
 	dyn    *dyngraph.Graph
 	ctr    *stats.IOCounter
 	base   string
-	cached bool // opened with CacheBlocks
+	cached bool // opened with a CacheBlocks budget
 }
 
 // Open attaches to the graph stored at path prefix base.
@@ -141,9 +144,9 @@ func (g *Graph) Pin() (*View, error) { return g.dyn.Pin() }
 // IOStats reports the cumulative block I/O performed through this handle.
 func (g *Graph) IOStats() IOStats { return ioStatsFrom(g.ctr.Snapshot()) }
 
-// Backend names the block reader under the tables, as kcored's -backend
-// flag spells it: "mem" for one-block buffers, "disk" for the block
-// cache (OpenOptions.CacheBlocks).
+// Backend names how the tables are read, as kcored's -backend flag
+// spells it: "mem" for the default frames, "disk" for a budgeted,
+// verifying block cache (OpenOptions.CacheBlocks).
 func (g *Graph) Backend() string {
 	if g.cached {
 		return "disk"
@@ -152,7 +155,7 @@ func (g *Graph) Backend() string {
 }
 
 // DiskStats snapshots the block cache, update buffer and rewrite gauges
-// of a graph opened with CacheBlocks; nil otherwise. Unlike the rest of
+// of a graph opened with a CacheBlocks budget; nil otherwise. Unlike the rest of
 // the handle it may be called concurrently with a mutation.
 func (g *Graph) DiskStats() *stats.DiskSnapshot { return g.dyn.DiskStats() }
 

@@ -7,6 +7,7 @@ package cmdtest
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -628,6 +630,79 @@ func TestKcoredDataDirRoundTrip(t *testing.T) {
 	}
 	if err := cmd2.Wait(); err != nil {
 		t.Fatalf("second kcored did not exit cleanly on SIGTERM: %v", err)
+	}
+}
+
+// TestKcoredKeepsUnrecoveredGraph: a restart that cannot list a graph's
+// checkpoints (here ENOTDIR: ckpt is a regular file, the checkpoints
+// moved aside) must not answer by re-creating the graph from -graph over
+// its durable directory — that used to serve the base without the acked
+// update and leave one new checkpoint where two good ones and the log
+// had been. kcored exits 1 naming the directory, which it leaves as it
+// found it; with the directory repaired the acked state recovers.
+func TestKcoredKeepsUnrecoveredGraph(t *testing.T) {
+	dataDir := t.TempDir()
+	args := []string{"-graph", graphBase, "-addr", "127.0.0.1:0", "-flush", "1ms",
+		"-data-dir", dataDir, "-fsync", "always"}
+	base, cmd, _ := startKcoredProc(t, args...)
+	var upd struct {
+		Enqueued int `json:"enqueued"`
+	}
+	postJSON(t, http.StatusOK, base+"/update?wait=1", `{"updates":[{"op":"delete","u":0,"v":1}]}`, &upd)
+	if err := cmd.Process.Kill(); err != nil { // no final checkpoint: the delete lives in the log
+		t.Fatal(err)
+	}
+	cmd.Wait() //nolint:errcheck // killed
+
+	graphDir := filepath.Join(dataDir, "default")
+	ckpt, aside := filepath.Join(graphDir, "ckpt"), filepath.Join(graphDir, "ckpt.aside")
+	if err := os.Rename(ckpt, aside); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() []string {
+		var names []string
+		err := filepath.Walk(graphDir, func(path string, info os.FileInfo, err error) error {
+			if err == nil {
+				names = append(names, fmt.Sprintf("%s %d", path, info.Size()))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	before := listing()
+
+	// Bounded: a kcored that re-creates the graph comes up and serves.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, filepath.Join(binDir, "kcored"), args...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("kcored over an unlistable ckpt: %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "refusing to replace") || !strings.Contains(string(out), graphDir) {
+		t.Fatalf("kcored printed %q, want a refusal naming %s", out, graphDir)
+	}
+	if after := listing(); !slices.Equal(before, after) {
+		t.Fatalf("the graph directory changed:\nbefore %q\nafter  %q", before, after)
+	}
+
+	if err := os.Remove(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(aside, ckpt); err != nil {
+		t.Fatal(err)
+	}
+	_, _, startup := startKcoredProc(t, args...)
+	if !slices.ContainsFunc(startup, func(line string) bool {
+		return strings.Contains(line, "recovered 1 graphs, 1 replayed records")
+	}) {
+		t.Fatalf("no recovery of the acked update in startup lines: %q", startup)
 	}
 }
 

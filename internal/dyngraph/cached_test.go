@@ -125,8 +125,9 @@ func TestStoreReadsDoNotAllocate(t *testing.T) {
 		run(t, g, func() int64 { return g.DiskStats().CacheEvictions })
 	})
 	t.Run("uncached", func(t *testing.T) {
-		// A one-block buffer per table: every block it drops is a re-read.
-		g, ctr := openAt(t, base, 512, dyngraph.Options{})
+		// The default open's frames at B=64 hold 4 KiB, below the node
+		// table alone: every block they drop is a re-read.
+		g, ctr := openAt(t, base, 64, dyngraph.Options{})
 		run(t, g, ctr.Reads)
 	})
 }

@@ -16,9 +16,10 @@ import (
 type csrTables struct {
 	*storage.Graph // the current tables; replaced by every Rewrite
 
-	// cache, when non-nil, is what the tables are read through: the
-	// resident adjacency is its frames and nothing else. nil reads each
-	// table through a one-block buffer.
+	// cache, when non-nil, is the budgeted cache the tables are read
+	// through, verifying every block it loads: the resident adjacency is
+	// its frames and nothing else. nil leaves the tables on storage.Open's
+	// small private cache, unverified.
 	cache *storage.BlockCache
 
 	// Rewrites done and the table bytes they wrote; atomic so that
@@ -53,12 +54,19 @@ func openCSR(base string, ctr *stats.IOCounter, cacheBlocks int) (*csrTables, er
 	return c, nil
 }
 
-// open attaches the tables at base through the block reader this graph
-// uses; with a cache that is a charged, verifying pass over both
-// (storage.OpenCached), so the tables a rewrite just renamed into place
-// get fresh per-block checksums.
+// open attaches the tables at base; with a budgeted cache that is a
+// charged, verifying pass over both (storage.OpenCached), so the tables a
+// rewrite just renamed into place get fresh per-block checksums.
 func (c *csrTables) open(base string, ctr *stats.IOCounter) error {
-	disk, err := storage.OpenCached(base, ctr, c.cache)
+	var (
+		disk *storage.Graph
+		err  error
+	)
+	if c.cache == nil {
+		disk, err = storage.Open(base, ctr)
+	} else {
+		disk, err = storage.OpenCached(base, ctr, c.cache)
+	}
 	if err != nil {
 		return err
 	}
@@ -122,10 +130,10 @@ func (c *csrTables) Close(ins, del map[uint32][]uint32) error {
 	return c.Graph.Close()
 }
 
-// Pin opens private read handles, one-block buffers whatever the graph
-// itself reads through, on the tables that are current: they keep those
-// readable however many rewrites rename newer ones into their place, and
-// leave the disk when the view closes them.
+// Pin opens private read handles, with frames of their own whatever the
+// graph itself reads through, on the tables that are current: they keep
+// those readable however many rewrites rename newer ones into their
+// place, and leave the disk when the view closes them.
 func (c *csrTables) Pin() (*storage.Graph, error) {
 	return storage.Open(c.Base(), c.IOCounter()) // View.Scan re-charges the reads
 }

@@ -33,8 +33,8 @@ func (f *fixture) gauges() any {
 }
 
 // drivers is the conformance table: everything dyngraph promises must
-// hold whichever block reader sits under the tables — one-block buffers,
-// or a cache of four frames, far below any fixture's adjacency.
+// hold however the tables are opened — the default frames, or a
+// verifying cache of four, far below any fixture's adjacency.
 var drivers = []struct {
 	name        string
 	cacheBlocks int

@@ -10,9 +10,9 @@
 // accepted, how a neighbour list is the base list overlaid with them,
 // when the buffer is folded back, and what a pinned View captures are
 // decided here once. The base under it is one layout, the CSR table pair
-// at a path prefix (csr.go), read one block at a time or — with
-// Options.CacheBlocks — through a bounded, checksummed block cache, and
-// folded back by one rule: rewritten whole.
+// at a path prefix (csr.go), read through a block cache — storage.Open's
+// few frames or, with Options.CacheBlocks, a budgeted, checksummed one —
+// and folded back by one rule: rewritten whole.
 package dyngraph
 
 import (
@@ -31,7 +31,7 @@ type Options struct {
 	BufferArcs int
 	// CacheBlocks, when positive, reads the tables through a CLOCK cache
 	// of that many blocks that verifies each block it loads; otherwise
-	// each table is read through a one-block buffer.
+	// they are read as storage.Open reads them.
 	CacheBlocks int
 }
 
@@ -91,8 +91,8 @@ func (g *Graph) NumEdges() int64 { return g.arcs / 2 }
 func (g *Graph) BufferedArcs() int { return int(g.bufArcs.Load()) }
 
 // DiskStats snapshots the block cache, the buffer's fill and the
-// rewrites done so far, from any goroutine; nil on a graph that reads
-// without a cache.
+// rewrites done so far, from any goroutine; nil on a graph opened
+// without a cache budget.
 func (g *Graph) DiskStats() *stats.DiskSnapshot {
 	if g.base.cache == nil {
 		return nil

@@ -48,11 +48,11 @@ func (vw *View) NumArcs() int64 { return vw.arcs }
 
 // Scan calls fn once per node in id order with its merged (base + buffer)
 // neighbour list, valid during the call only. Both tables are read
-// front to back through the view's own one-block buffers: every block
-// once, charged to io — never to the counter or the cache the graph
-// serves from — and checked against the CRC32C their header records
-// (storage.ScanVerified), so a table damaged under the running graph
-// fails the scan instead of being copied.
+// front to back through the view's own frames: every block once, charged
+// to io — never to the counter or the cache the graph serves from — and
+// checked against the CRC32C their header records (storage.ScanVerified),
+// so a table damaged under the running graph fails the scan instead of
+// being copied.
 func (vw *View) Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
 	return vw.disk.ScanVerified(io, overlaid(vw.ins, vw.del, fn))
 }

@@ -8,10 +8,11 @@ import (
 
 // Backend names accepted by BackendConfig (and the HTTP create route).
 const (
-	// BackendMem reads the graph's CSR tables one block at a time and
-	// compacts a full update buffer into them — the default.
+	// BackendMem reads the graph's CSR tables through the default open's
+	// few cache frames and compacts a full update buffer into them —
+	// the default.
 	BackendMem = "mem"
-	// BackendDisk reads the same tables through a bounded, checksummed
+	// BackendDisk reads the same tables through a budgeted, checksummed
 	// block cache (kcore.OpenOptions.CacheBlocks) and compacts into them
 	// by the same rule.
 	BackendDisk = "disk"

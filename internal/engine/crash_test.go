@@ -34,8 +34,9 @@ const (
 )
 
 // crashBackends are the backends the sweeps run over: the same tables
-// behind one-block buffers and behind a block cache — a different reader
-// serves the adjacency, the same contract holds at every boundary.
+// on the default frames and behind a verifying block cache — the
+// adjacency is opened differently, the same contract holds at every
+// boundary.
 var crashBackends = []string{engine.BackendMem, engine.BackendDisk}
 
 // crashOutcome is what the script observed before the injected fault.

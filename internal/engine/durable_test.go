@@ -4,14 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 
 	"kcore"
 	"kcore/internal/engine"
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/serve"
 	"kcore/internal/verify"
@@ -426,6 +429,84 @@ func TestRecoverTailWithoutCheckpointFails(t *testing.T) {
 	}
 	if !strings.Contains(rep.Summary(), "unrecoverable") {
 		t.Fatalf("summary does not surface the failure: %q", rep.Summary())
+	}
+}
+
+// unlistable is the real filesystem with one directory that cannot be
+// listed, as under EMFILE.
+type unlistable struct {
+	faultfs.FS
+	dir string
+}
+
+func (f unlistable) ReadDir(name string) ([]os.DirEntry, error) {
+	if name == f.dir {
+		return nil, &os.PathError{Op: "open", Path: name, Err: syscall.EMFILE}
+	}
+	return f.FS.ReadDir(name)
+}
+
+// TestRecoverSurfacesCheckpointListingError: a checkpoint directory that
+// cannot be listed at restart is an error of that restart, carrying its
+// cause — not "this graph has no checkpoints", which the caller answers
+// by re-creating the graph from its base over two good checkpoints and
+// an acked WAL tail. Nothing under the graph's directory changes.
+func TestRecoverSurfacesCheckpointListingError(t *testing.T) {
+	const n, seed, k = 80, 38, 5
+	img, ups := crashImage(t, n, seed, k)
+	readTree := func() map[string]string {
+		files := make(map[string]string)
+		err := filepath.Walk(filepath.Join(img, "g"), func(path string, info os.FileInfo, err error) error {
+			if err != nil || info.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			files[path] = string(data)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	before := readTree()
+
+	opts := durableOptions(img)
+	opts.Durability.FS = unlistable{faultfs.OS, filepath.Join(img, "g", "ckpt")}
+	reg := engine.NewRegistry(opts)
+	defer reg.Close()
+	rep, err := reg.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Graphs) != 1 {
+		t.Fatalf("recovery report = %+v", rep.Graphs)
+	}
+	gerr := rep.Graphs[0].Err
+	if !errors.Is(gerr, syscall.EMFILE) || errors.Is(gerr, wal.ErrNoCheckpoint) || errors.Is(gerr, wal.ErrNoData) {
+		t.Fatalf("recovery error = %v, want the listing failure itself", gerr)
+	}
+	if _, ok := reg.Get("g"); ok {
+		t.Fatal("a graph whose checkpoints could not be listed was registered")
+	}
+	if after := readTree(); !maps.Equal(before, after) {
+		t.Fatalf("the graph directory changed: %d files before, %d after", len(before), len(after))
+	}
+
+	// The same image recovers in full once the directory lists again.
+	reg.Close()
+	reg2 := engine.NewRegistry(durableOptions(img))
+	defer reg2.Close()
+	rep, err = reg2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := rep.Graphs[0]; g.Err != nil || g.Degraded {
+		t.Fatalf("recovery after the transient failure: %+v", g)
+	}
+	eng, _ := reg2.Get("g")
+	if !slices.Equal(eng.Snapshot().Cores(), oracleCores(t, n, seed, ups, k)) {
+		t.Fatal("recovered cores differ from the oracle at all acked updates")
 	}
 }
 

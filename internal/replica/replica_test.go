@@ -36,8 +36,8 @@ import (
 //
 // Every test is seeded and replayable with -seed, and runs once per
 // follower block reader in followerReaders: the leader is always a mem
-// graph, the follower serves its downloaded tables through one-block
-// buffers or through a block cache far smaller than the adjacency.
+// graph, the follower serves its downloaded tables on the default frames
+// or through a verifying block cache far smaller than the adjacency.
 
 // followerReaders are the configurations the follower side runs behind.
 var followerReaders = []engine.BackendConfig{

@@ -18,7 +18,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // not currently buffered is fetched. This models the minimal one-block
 // read buffer of the external-memory model: a sequential scan of F bytes
 // costs ceil(F/B) I/Os, repeated small reads inside one block cost one,
-// and a skip scan is charged only for the blocks it actually touches.
+// and a skip scan is charged only for the blocks it actually touches. It
+// is the sequential reader of sort runs and EMCore partition files; the
+// graph tables are read through CachedFile.
 type BlockFile struct {
 	f       *os.File
 	size    int64
@@ -27,12 +29,6 @@ type BlockFile struct {
 	buf     []byte
 	blockID int64 // id of the buffered block, -1 if none
 	bufLen  int   // valid bytes in buf (short for the final block)
-
-	// Front-to-back checksum (see rescan): crc covers blocks
-	// [0, crcNext) for as long as they are loaded in file order; -1 when
-	// nobody asked.
-	crc     uint32
-	crcNext int64
 }
 
 // OpenBlockFile opens path for counted reading. The counter's block size
@@ -55,7 +51,6 @@ func OpenBlockFile(path string, ctr *stats.IOCounter) (*BlockFile, error) {
 		io:      ctr,
 		buf:     make([]byte, b),
 		blockID: -1,
-		crcNext: -1,
 	}, nil
 }
 
@@ -64,26 +59,6 @@ func (bf *BlockFile) Size() int64 { return bf.size }
 
 // Close closes the underlying file.
 func (bf *BlockFile) Close() error { return bf.f.Close() }
-
-// InvalidateBuffer drops the buffered block so the next read is charged.
-// Used by tests and by re-open paths after the file is rewritten.
-func (bf *BlockFile) InvalidateBuffer() { bf.blockID = -1 }
-
-// rescan prepares the file for one front-to-back pass by a reader that
-// does not trust it: the buffer is dropped, reads are charged to ctr
-// from here on, and the CRC32C of the blocks is accumulated as they are
-// loaded, for scannedCRC to report.
-func (bf *BlockFile) rescan(ctr *stats.IOCounter) {
-	bf.io = ctr
-	bf.blockID = -1
-	bf.crc, bf.crcNext = 0, 0
-}
-
-// scannedCRC reports the CRC32C of the file as read since rescan, and
-// whether those reads covered every block of it in order.
-func (bf *BlockFile) scannedCRC() (crc uint32, whole bool) {
-	return bf.crc, bf.crcNext >= 0 && bf.crcNext*bf.b >= bf.size
-}
 
 // loadBlock fetches block id into the buffer, charging one read I/O.
 func (bf *BlockFile) loadBlock(id int64) error {
@@ -105,10 +80,6 @@ func (bf *BlockFile) loadBlock(id int64) error {
 	bf.blockID = id
 	bf.bufLen = n
 	bf.io.AddReadBlocks(1)
-	if id == bf.crcNext {
-		bf.crc = crc32.Update(bf.crc, castagnoli, bf.buf[:n])
-		bf.crcNext++
-	}
 	return nil
 }
 

@@ -6,17 +6,19 @@ import (
 	"io"
 	"os"
 	"sync/atomic"
+
+	"kcore/internal/stats"
 )
 
 // BlockCache is a bounded CLOCK cache of fixed-size file blocks shared
-// by every CachedFile opened through it. It is the disk backend's whole
-// memory budget for adjacency: at most Blocks frames of BlockSize bytes
-// are ever resident, however large the files behind them grow.
+// by every CachedFile opened through it. It is a graph's whole memory
+// budget for adjacency: at most Blocks frames of BlockSize bytes are ever
+// resident, however large the files behind them grow.
 //
-// Concurrency: all lookups and loads happen on one goroutine (the serve
-// writer is the sole reader of a cached graph), so the frame table needs
-// no lock; the hit/miss/eviction counters are atomic because Stats is
-// read concurrently by /stats handlers.
+// Concurrency: all lookups and loads happen on one goroutine (a graph has
+// one reader at a time; under internal/serve, the writer), so the frame
+// table needs no lock; the hit/miss/eviction counters are atomic because
+// Stats is read concurrently by /stats handlers.
 type BlockCache struct {
 	b      int
 	frames []cacheFrame
@@ -36,8 +38,8 @@ type blockKey struct {
 
 type cacheFrame struct {
 	key  blockKey
-	buf  []byte
-	n    int // valid bytes (short for a file's final block)
+	buf  []byte // allocated by the frame's first fill
+	n    int    // valid bytes (short for a file's final block)
 	ref  bool
 	live bool
 }
@@ -49,15 +51,11 @@ func NewBlockCache(blocks, blockSize int) *BlockCache {
 	if blocks < 1 {
 		blocks = 1
 	}
-	c := &BlockCache{
+	return &BlockCache{
 		b:      blockSize,
 		frames: make([]cacheFrame, blocks),
 		index:  make(map[blockKey]int, blocks),
 	}
-	for i := range c.frames {
-		c.frames[i].buf = make([]byte, blockSize)
-	}
-	return c
 }
 
 // BlockSize reports the cache's block size in bytes.
@@ -142,14 +140,8 @@ type CachedFile struct {
 	id    uint64
 	cache *BlockCache
 	crcs  []uint32 // per-block CRC32C; nil disables verification
-	io    ioSink
-}
-
-// ioSink is the slice of the stats counter CachedFile charges
-// (satisfied by *stats.IOCounter).
-type ioSink interface {
-	AddReadBlocks(int64)
-	AddReadBytes(int64)
+	io    *stats.IOCounter
+	last  int // the frame the previous lookup was served from
 }
 
 // OpenVerified opens path for cached, counted, checksummed reading. It
@@ -157,7 +149,7 @@ type ioSink interface {
 // block: the pass records each block's CRC32C for Open and, when want
 // is non-nil, must find the whole file's CRC32C equal to *want. The
 // pass fills no frame.
-func (c *BlockCache) OpenVerified(path string, want *uint32, ctr ioSink) (*CachedFile, error) {
+func (c *BlockCache) OpenVerified(path string, want *uint32, ctr *stats.IOCounter) (*CachedFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -193,7 +185,7 @@ func (c *BlockCache) OpenVerified(path string, want *uint32, ctr ioSink) (*Cache
 // hold one CRC32C per block of the file at the cache's block size; the
 // count is cross-checked against the file size here so a truncated or
 // grown file is rejected immediately.
-func (c *BlockCache) Open(path string, crcs []uint32, ctr ioSink) (*CachedFile, error) {
+func (c *BlockCache) Open(path string, crcs []uint32, ctr *stats.IOCounter) (*CachedFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -238,10 +230,19 @@ func (cf *CachedFile) Close() error {
 func (cf *CachedFile) block(id int64) ([]byte, error) {
 	c := cf.cache
 	key := blockKey{file: cf.id, block: id}
-	if idx, ok := c.index[key]; ok {
-		c.frames[idx].ref = true
+	// Most lookups want the block the previous one did (consecutive node
+	// records, a list that starts where the last one ended): look there
+	// before hashing.
+	idx, ok := cf.last, c.frames[cf.last].live && c.frames[cf.last].key == key
+	if !ok {
+		idx, ok = c.index[key]
+	}
+	if ok {
+		fr := &c.frames[idx]
+		fr.ref = true
+		cf.last = idx
 		c.hits.Add(1)
-		return c.frames[idx].buf[:c.frames[idx].n], nil
+		return fr.buf[:fr.n], nil
 	}
 	c.misses.Add(1)
 	off := id * int64(c.b)
@@ -252,8 +253,11 @@ func (cf *CachedFile) block(id int64) ([]byte, error) {
 	if off+want > cf.size {
 		want = cf.size - off
 	}
-	idx := c.grab()
+	idx = c.grab()
 	fr := &c.frames[idx]
+	if fr.buf == nil {
+		fr.buf = make([]byte, c.b)
+	}
 	n, err := cf.f.ReadAt(fr.buf[:want], off)
 	if err != nil && err != io.EOF {
 		return nil, err
@@ -272,6 +276,7 @@ func (cf *CachedFile) block(id int64) ([]byte, error) {
 	fr.ref = true
 	fr.live = true
 	c.index[key] = idx
+	cf.last = idx
 	return fr.buf[:n], nil
 }
 

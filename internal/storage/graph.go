@@ -1,11 +1,13 @@
 // Package storage implements the on-disk graph representation the paper
 // prescribes: an edge table that stores nbr(v1), nbr(v2), ... consecutively
 // as adjacency lists, and a node table that stores the offset and degree of
-// every node. Every algorithm's I/O is counted in B-sized block transfers,
-// whichever of the two block readers sits under the tables: one-block
-// buffers (Open, the external-memory model at its minimum), or a bounded
-// CLOCK cache shared by both tables that checks every block it loads
-// against a CRC32C recorded at open (OpenCached). The layout is the same.
+// every node. Every algorithm's I/O is counted in B-sized block transfers.
+// There is one block reader under the tables: a bounded CLOCK cache of
+// B-sized frames shared by both (CachedFile). Open gives a graph a private
+// cache of defaultCacheBlocks frames and takes the blocks it loads on
+// trust; OpenCached reads through the caller's cache and checks every
+// block it loads against a CRC32C recorded by one pass at open. Either
+// way ScanVerified reads the whole graph against the header's checksums.
 //
 // A graph <base> occupies three files:
 //
@@ -22,6 +24,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"strconv"
@@ -135,57 +138,64 @@ func ReadMeta(base string) (Meta, error) {
 	return m, nil
 }
 
-// tableReader is how a Graph reads one table: *BlockFile (a private
-// one-block buffer) or *CachedFile (frames of a shared BlockCache).
-type tableReader interface {
-	ReadAt(p []byte, off int64) error
-	Size() int64
-	Close() error
-}
+// defaultCacheBlocks is the frame count of the private cache Open reads
+// through. It is the measured floor (docs/ARCHITECTURE.md, "Block
+// readers: what a cache buys"): from here up no decomposition or
+// maintenance run reads more than one block over what a one-block buffer
+// per table reads, and below 16 frames the edge stream evicts the
+// node-table block.
+const defaultCacheBlocks = 64
 
 // Graph is a read handle over an on-disk graph. All reads are charged to
 // the counter passed at Open time. A Graph holds O(1) memory beyond its
-// block reader's: scratch reused across calls.
+// cache's frames: scratch reused across calls.
 type Graph struct {
 	base string
 	meta Meta
-	nt   tableReader
-	et   tableReader
+	nt   *CachedFile
+	et   *CachedFile
 	io   *stats.IOCounter
 
 	recBuf [NodeRecordSize]byte
 	nbrBuf []byte // scratch for neighbour byte decoding
 }
 
-// Open opens the graph stored at base through one-block buffers, charging
-// subsequent reads to ctr.
+// Open opens the graph stored at base through a private cache of
+// defaultCacheBlocks frames, charging subsequent reads to ctr. Opening
+// reads no table block and nothing is checksummed at load: whoever must
+// not take the tables on trust runs ScanVerified.
 func Open(base string, ctr *stats.IOCounter) (*Graph, error) {
-	return OpenCached(base, ctr, nil)
+	cache := NewBlockCache(defaultCacheBlocks, ctr.BlockSize())
+	return open(base, ctr, func(path string, _ *uint32) (*CachedFile, error) {
+		return cache.Open(path, nil, ctr)
+	})
 }
 
 // OpenCached opens the graph stored at base through cache, whose block
-// size must be ctr's (a nil cache is Open). Opening reads both tables
-// once, front to back and charged to ctr: the pass records the CRC32C of
-// every block, which each later cache fill is checked against, and must
-// reproduce the header's whole-table checksums (headers from older
-// builders carry none and pass unchecked, as in Verify) — so no block
-// that disagrees with the header is ever served, however long after open
-// it is first fetched.
+// size must be ctr's. Opening reads both tables once, front to back and
+// charged to ctr: the pass records the CRC32C of every block, which each
+// later cache fill is checked against, and must reproduce the header's
+// whole-table checksums (headers from older builders carry none and pass
+// unchecked, as in Verify) — so no block that disagrees with the header
+// is ever served, however long after open it is first fetched.
 func OpenCached(base string, ctr *stats.IOCounter, cache *BlockCache) (*Graph, error) {
+	return open(base, ctr, func(path string, crc *uint32) (*CachedFile, error) {
+		return cache.OpenVerified(path, crc, ctr)
+	})
+}
+
+// open reads the header and attaches both tables through openTable, which
+// gets the table's header checksum (nil when the header has none).
+func open(base string, ctr *stats.IOCounter, openTable func(path string, crc *uint32) (*CachedFile, error)) (*Graph, error) {
 	meta, err := ReadMeta(base)
 	if err != nil {
 		return nil, err
 	}
-	table := func(path, name string, size int64, crc *uint32) (tableReader, error) {
-		var t tableReader
-		if cache == nil {
-			t, err = OpenBlockFile(path, ctr)
-		} else {
-			if !meta.HasCRC {
-				crc = nil
-			}
-			t, err = cache.OpenVerified(path, crc, ctr)
+	table := func(path, name string, size int64, crc *uint32) (*CachedFile, error) {
+		if !meta.HasCRC {
+			crc = nil
 		}
+		t, err := openTable(path, crc)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +245,8 @@ func (g *Graph) IOCounter() *stats.IOCounter { return g.io }
 
 // NodeRecord reads node v's record from the node table: the arc offset of
 // its adjacency list and its degree. The read is charged at block
-// granularity.
+// granularity. A record whose list does not lie inside the edge table is
+// an error here, before anything is sized from it.
 func (g *Graph) NodeRecord(v uint32) (offset int64, degree uint32, err error) {
 	if v >= g.meta.N {
 		return 0, 0, fmt.Errorf("storage: node %d out of range [0,%d)", v, g.meta.N)
@@ -245,6 +256,9 @@ func (g *Graph) NodeRecord(v uint32) (offset int64, degree uint32, err error) {
 	}
 	offset = int64(binary.LittleEndian.Uint64(g.recBuf[0:8]))
 	degree = binary.LittleEndian.Uint32(g.recBuf[8:12])
+	if offset < 0 || offset > g.meta.Arcs-int64(degree) {
+		return 0, 0, fmt.Errorf("storage: %s: node %d's record (offset %d, degree %d) lies outside the %d-arc edge table", g.base, v, uint64(offset), degree, g.meta.Arcs)
+	}
 	return offset, degree, nil
 }
 
@@ -265,7 +279,8 @@ func (g *Graph) Neighbors(v uint32, buf []uint32) ([]uint32, error) {
 	return g.readList(off, deg, buf)
 }
 
-// readList fetches deg arcs starting at arc offset off.
+// readList fetches deg arcs starting at arc offset off, a range NodeRecord
+// vouched for.
 func (g *Graph) readList(off int64, deg uint32, buf []uint32) ([]uint32, error) {
 	need := int(deg) * ArcSize
 	if cap(g.nbrBuf) < need {
@@ -349,34 +364,52 @@ func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint3
 }
 
 // ScanVerified is a Scan of every node for a reader that must not take
-// the tables on trust (a checkpoint about to copy them): reads are
-// charged to io from here on, not to the counter the graph was opened
-// with, and the CRC32C of each table, accumulated block by block as the
-// pass loads them, must match the header's — the check Verify makes,
-// folded into the one pass. fn sees nothing it could not see from Scan;
-// a mismatch is reported after the last node. Headers without checksums
-// (graphs from older builders) pass unchecked, as in Verify. The pass
-// needs buffers of its own: g must come from Open, not OpenCached.
+// the tables on trust (a checkpoint about to copy them, a recovery about
+// to serve them): reads are charged to io from here on, not to the
+// counter the graph was opened with, and the pass folds the CRC32C of the
+// bytes it decodes — the node records in id order, which are the node
+// table; the raw lists, each of which must start where the previous one
+// ended and the last of which must end the edge table, so they are the
+// edge table — and holds both to the header's. fn sees nothing it could
+// not see from Scan; a checksum mismatch is reported after the last node.
+// Headers without checksums (graphs from older builders) are held to the
+// tiling alone.
 func (g *Graph) ScanVerified(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
-	nt, ok1 := g.nt.(*BlockFile)
-	et, ok2 := g.et.(*BlockFile)
-	if !ok1 || !ok2 {
-		return fmt.Errorf("storage: ScanVerified on %s, which reads through a shared cache", g.base)
+	g.io, g.nt.io, g.et.io = io, io, io
+	var (
+		ntCRC, etCRC uint32
+		end          int64 // where the lists read so far stop tiling the edge table
+		nbrs         []uint32
+	)
+	for v := uint32(0); v < g.meta.N; v++ {
+		off, deg, err := g.NodeRecord(v)
+		if err != nil {
+			return err
+		}
+		if off != end {
+			return fmt.Errorf("storage: verify %s: node %d's list starts at arc %d, the previous one ended at %d", g.base, v, off, end)
+		}
+		if nbrs, err = g.readList(off, deg, nbrs); err != nil {
+			return err
+		}
+		end = off + int64(deg)
+		ntCRC = crc32.Update(ntCRC, castagnoli, g.recBuf[:])
+		etCRC = crc32.Update(etCRC, castagnoli, g.nbrBuf[:len(nbrs)*ArcSize])
+		if err := fn(v, nbrs); err != nil {
+			return err
+		}
 	}
-	g.io = io
-	nt.rescan(io)
-	et.rescan(io)
-	if err := g.ScanDynamic(0, func() uint32 { return g.meta.N }, nil, fn); err != nil {
-		return err
+	if end != g.meta.Arcs {
+		return fmt.Errorf("storage: verify %s: the lists end at arc %d of %d", g.base, end, g.meta.Arcs)
 	}
 	if !g.meta.HasCRC {
 		return nil
 	}
-	if crc, whole := nt.scannedCRC(); !whole || crc != g.meta.NtCRC {
-		return fmt.Errorf("storage: verify %s: node table crc %08x (whole=%v), want %08x", g.base, crc, whole, g.meta.NtCRC)
+	if ntCRC != g.meta.NtCRC {
+		return fmt.Errorf("storage: verify %s: node table crc %08x, want %08x", g.base, ntCRC, g.meta.NtCRC)
 	}
-	if crc, whole := et.scannedCRC(); !whole || crc != g.meta.EtCRC {
-		return fmt.Errorf("storage: verify %s: edge table crc %08x (whole=%v), want %08x", g.base, crc, whole, g.meta.EtCRC)
+	if etCRC != g.meta.EtCRC {
+		return fmt.Errorf("storage: verify %s: edge table crc %08x, want %08x", g.base, etCRC, g.meta.EtCRC)
 	}
 	return nil
 }

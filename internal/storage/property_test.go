@@ -1,13 +1,17 @@
 package storage
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"kcore/internal/faultfs"
 	"kcore/internal/stats"
 )
 
@@ -265,6 +269,178 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropertyScanVerified holds the one verified pass — a checkpoint's
+// scan of its pinned view (a private handle from Open, as here), Verify
+// at recovery and on a follower — to what it promises, on random graphs
+// at B in {64, 512, 4096}, every third one with a hub whose list is
+// longer than the 64 frames Open reads through at B = 64:
+//
+//   - an undamaged graph passes, every list as written, for
+//     ceil(nt/B) + ceil(et/B) block reads, plus at most one per list
+//     longer than the frames (such a list evicts the node-table block,
+//     which the next record re-reads);
+//   - a flipped byte anywhere in either table, and either table
+//     truncated, fails Open or the scan;
+//   - a node record whose offset breaks the tiling of the edge table is
+//     reported as that — in range and under a header that vouches for
+//     the damaged node table, so nothing else can catch it first — with
+//     and without header checksums;
+//   - a header without checksums passes clean tables, as in Verify.
+func TestPropertyScanVerified(t *testing.T) {
+	nop := func(uint32, []uint32) error { return nil }
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		blockSize := []int{64, 512, 4096}[r.Intn(3)]
+		n := 2 + r.Intn(300)
+		hub := -1
+		if r.Intn(3) == 0 {
+			n, hub = 1500, r.Intn(1500)
+		}
+		adj := make([][]uint32, n)
+		for v := range adj {
+			deg := min(r.Intn(8), n-1)
+			if v == hub {
+				deg = 1100 + r.Intn(300)
+			}
+			seen := map[uint32]bool{uint32(v): true}
+			for len(adj[v]) < deg {
+				if u := uint32(r.Intn(n)); !seen[u] {
+					seen[u] = true
+					adj[v] = append(adj[v], u)
+				}
+			}
+			sort.Slice(adj[v], func(i, j int) bool { return adj[v][i] < adj[v][j] })
+		}
+		if len(adj[0])+len(adj[1]) == 0 {
+			adj[0], adj[1] = []uint32{1}, []uint32{0} // the tiling case needs a non-empty table
+		}
+		dir := t.TempDir()
+		base := filepath.Join(dir, "g")
+		b, err := NewBuilder(base, uint32(n), stats.NewIOCounter(blockSize))
+		if err != nil {
+			return false
+		}
+		for v := range adj {
+			if err := b.AppendList(uint32(v), adj[v]); err != nil {
+				return false
+			}
+		}
+		if err := b.Close(); err != nil {
+			return false
+		}
+		meta, err := ReadMeta(base)
+		if err != nil {
+			return false
+		}
+		nt, _ := os.ReadFile(base + ".nt")
+		et, _ := os.ReadFile(base + ".et")
+
+		// scan opens whatever is at base and runs the verified pass on a
+		// counter of its own.
+		scan := func(fn func(uint32, []uint32) error) (reads int64, err error) {
+			own := stats.NewIOCounter(blockSize)
+			g, err := Open(base, own)
+			if err != nil {
+				return 0, err
+			}
+			defer g.Close()
+			ctr := stats.NewIOCounter(blockSize)
+			err = g.ScanVerified(ctr, fn)
+			if own.Reads() != 0 {
+				t.Errorf("seed %d: the pass charged the counter the graph was opened with", seed)
+			}
+			return ctr.Reads(), err
+		}
+		restore := func() {
+			os.WriteFile(base+".nt", nt, 0o644)
+			os.WriteFile(base+".et", et, 0o644)
+			WriteMetaFS(faultfs.OS, base, meta, false)
+		}
+
+		// Clean: the lists as written, at the sequential price.
+		B := int64(blockSize)
+		blocks := (int64(len(nt))+B-1)/B + (int64(len(et))+B-1)/B
+		var long int64
+		for _, l := range adj {
+			if int64(len(l))*ArcSize > defaultCacheBlocks*B {
+				long++
+			}
+		}
+		ok := true
+		reads, err := scan(func(v uint32, nbrs []uint32) error {
+			if len(nbrs) != len(adj[v]) {
+				ok = false
+				return nil
+			}
+			for i := range nbrs {
+				ok = ok && nbrs[i] == adj[v][i]
+			}
+			return nil
+		})
+		if err != nil || !ok || reads < blocks || reads > blocks+long {
+			t.Logf("seed %d B=%d: clean scan: err %v, lists ok %v, %d reads for %d blocks and %d long lists", seed, blockSize, err, ok, reads, blocks, long)
+			return false
+		}
+		if Verify(base) != nil {
+			return false
+		}
+
+		// A flipped byte anywhere, a truncation of either table.
+		for _, ext := range []string{".nt", ".et"} {
+			data := append([]byte(nil), map[string][]byte{".nt": nt, ".et": et}[ext]...)
+			data[r.Intn(len(data))] ^= 1 << uint(r.Intn(8))
+			os.WriteFile(base+ext, data, 0o644)
+			if _, err := scan(nop); err == nil {
+				t.Logf("seed %d: flipped byte in %s not detected", seed, ext)
+				return false
+			}
+			os.Truncate(base+ext, int64(r.Intn(len(data))))
+			if _, err := scan(nop); err == nil {
+				t.Logf("seed %d: truncated %s not detected", seed, ext)
+				return false
+			}
+			restore()
+		}
+
+		// A broken tiling the header vouches for: the first node with a
+		// list gives it up to its successor, whose own list now starts
+		// one arc early (or, for the last node, the table ends one arc
+		// late) — every record still in range, the node-table checksum
+		// recomputed to match.
+		v := 0
+		for len(adj[v]) == 0 {
+			v++
+		}
+		bad := append([]byte(nil), nt...)
+		rec := bad[v*NodeRecordSize:]
+		binary.LittleEndian.PutUint32(rec[8:], uint32(len(adj[v])-1))
+		os.WriteFile(base+".nt", bad, 0o644)
+		for _, hasCRC := range []bool{true, false} {
+			m := meta
+			m.HasCRC, m.NtCRC = hasCRC, crc32.Checksum(bad, castagnoli)
+			WriteMetaFS(faultfs.OS, base, m, false)
+			if _, err := scan(nop); err == nil || !(strings.Contains(err.Error(), "previous one ended") || strings.Contains(err.Error(), "lists end")) {
+				t.Logf("seed %d: broken tiling (header checksums %v): %v", seed, hasCRC, err)
+				return false
+			}
+		}
+		restore()
+
+		// No checksums in the header: clean tables pass.
+		m := meta
+		m.HasCRC = false
+		WriteMetaFS(faultfs.OS, base, m, false)
+		if _, err := scan(nop); err != nil || Verify(base) != nil {
+			t.Logf("seed %d: a header without checksums: %v", seed, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -36,11 +36,11 @@ func buildGraph(t *testing.T, adj [][]uint32, blockSize int) (*Graph, *stats.IOC
 	return g, rctr
 }
 
-// invalidateBuffers drops both tables' block buffers, so the next reads
+// invalidateBuffers drops both tables' cached blocks, so the next reads
 // are charged.
 func invalidateBuffers(g *Graph) {
-	g.nt.(*BlockFile).InvalidateBuffer()
-	g.et.(*BlockFile).InvalidateBuffer()
+	g.nt.cache.drop(g.nt.id)
+	g.et.cache.drop(g.et.id)
 }
 
 var sampleAdj = [][]uint32{
@@ -101,15 +101,13 @@ func TestSequentialScanIOCount(t *testing.T) {
 	if got := ctr.Reads(); got != 4 {
 		t.Fatalf("full scan cost %d read I/Os, want 4", got)
 	}
-	// A second full scan re-fetches all four blocks: the one-block buffer
-	// holds each table's tail, which is evicted as soon as the scan
-	// returns to the head.
+	// A second full scan is free: four blocks fit the graph's frames.
 	before := ctr.Reads()
 	if err := g.Scan(0, g.NumNodes()-1, nil, func(uint32, []uint32) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctr.Reads() - before; got != 4 {
-		t.Fatalf("second scan cost %d read I/Os, want 4", got)
+	if got := ctr.Reads() - before; got != 0 {
+		t.Fatalf("second scan cost %d read I/Os, want 0", got)
 	}
 }
 

@@ -1,70 +1,19 @@
 package storage
 
-import (
-	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-)
+import "kcore/internal/stats"
 
-// Verify checks the stored graph at base for corruption without loading
-// it: the meta header must parse, both tables must have exactly the
-// sizes the header implies, and — when the header carries checksums —
-// the CRC32C of each table must match. A truncated, torn, or
-// bit-flipped graph fails here instead of being read as garbage.
+// Verify checks the stored graph at base for corruption: the meta header
+// must parse, both tables must have exactly the sizes the header implies
+// (Open), and one ScanVerified pass — on a counter of its own, nobody's
+// I/O — must find every node record inside the edge table, the lists
+// tiling it, and, when the header carries checksums, the CRC32C of each
+// table equal to the header's. A truncated, torn, or bit-flipped graph
+// fails here instead of being read as garbage.
 func Verify(base string) error {
-	m, err := ReadMeta(base)
+	g, err := Open(base, stats.NewIOCounter(0))
 	if err != nil {
 		return err
 	}
-	ntCRC, ntSize, err := fileCRC(nodePath(base))
-	if err != nil {
-		return err
-	}
-	if want := int64(m.N) * NodeRecordSize; ntSize != want {
-		return fmt.Errorf("storage: verify %s: node table size %d, want %d", base, ntSize, want)
-	}
-	etCRC, etSize, err := fileCRC(edgePath(base))
-	if err != nil {
-		return err
-	}
-	if want := m.Arcs * ArcSize; etSize != want {
-		return fmt.Errorf("storage: verify %s: edge table size %d, want %d", base, etSize, want)
-	}
-	if m.HasCRC {
-		if ntCRC != m.NtCRC {
-			return fmt.Errorf("storage: verify %s: node table crc %08x, want %08x", base, ntCRC, m.NtCRC)
-		}
-		if etCRC != m.EtCRC {
-			return fmt.Errorf("storage: verify %s: edge table crc %08x, want %08x", base, etCRC, m.EtCRC)
-		}
-	}
-	return nil
-}
-
-// fileCRC streams the file once, returning its CRC32C and size.
-func fileCRC(path string) (uint32, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	var (
-		crc  uint32
-		size int64
-		buf  = make([]byte, 64<<10)
-	)
-	for {
-		n, err := f.Read(buf)
-		if n > 0 {
-			crc = crc32.Update(crc, castagnoli, buf[:n])
-			size += int64(n)
-		}
-		if err == io.EOF {
-			return crc, size, nil
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-	}
+	defer g.Close()
+	return g.ScanVerified(g.io, func(uint32, []uint32) error { return nil })
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -262,12 +263,18 @@ type ckptEntry struct {
 }
 
 // listCheckpoints returns committed checkpoints sorted newest-first.
-// Tmp directories and stray names are ignored.
+// Tmp directories and stray names are ignored. Only a ckpt directory
+// that does not exist means "none yet": any other failure to list it is
+// an error, because a caller told "none" goes on to treat the graph as
+// unrecoverable and its directory as free to re-create.
 func listCheckpoints(fs faultfs.FS, root string) ([]ckptEntry, error) {
 	ckptRoot := filepath.Join(root, "ckpt")
 	ents, err := fs.ReadDir(ckptRoot)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
-		return nil, nil // no ckpt directory yet
+		return nil, fmt.Errorf("wal: listing checkpoints: %w", err)
 	}
 	var out []ckptEntry
 	for _, e := range ents {
