@@ -35,13 +35,6 @@ type DurabilityOptions struct {
 	// FS routes durability file operations; nil selects the real
 	// filesystem. The crash suite installs a faultfs.Injector.
 	FS faultfs.FS
-	// FeedRecords bounds the in-memory change-stream window served to
-	// replicas (GET /g/{name}/changes) in records; 0 selects 8192. A
-	// follower whose cursor falls out of the window catches up from a
-	// checkpoint instead.
-	FeedRecords int
-	// FeedBytes bounds the same window in encoded bytes; 0 selects 8 MiB.
-	FeedBytes int64
 }
 
 func (o DurabilityOptions) withDefaults() DurabilityOptions {
@@ -69,12 +62,16 @@ type Checkpointer interface {
 }
 
 // ChangeStreamer is the optional engine extension replication leaders
-// implement: the applied-batch change feed, the current commit-point
-// LSN, and an open handle on the newest committed checkpoint. The HTTP
-// layer mounts it at GET /g/{name}/changes and GET /g/{name}/checkpoint.
+// implement: a cursor over the write-ahead log itself, the current
+// commit-point LSN, and an open handle on the newest committed
+// checkpoint. The HTTP layer mounts it at GET /g/{name}/changes and GET
+// /g/{name}/checkpoint.
 type ChangeStreamer interface {
-	// ChangeFeed returns the in-memory window of applied batch records.
-	ChangeFeed() *wal.Feed
+	// Changes opens a cursor over the logged records with LSN > from: only
+	// records the log took, as far back as log retention — which is
+	// checkpoint retention — reaches (*wal.TrimmedError past that). A
+	// degraded graph is not a stream source and returns its error.
+	Changes(from uint64) (*wal.Tail, error)
 	// CurrentLSN reports the newest allocated LSN.
 	CurrentLSN() uint64
 	// OpenCheckpoint pins and opens the newest committed checkpoint for
@@ -88,9 +85,9 @@ type ChangeStreamer interface {
 type walFailure struct{ err error }
 
 // durable wraps an inner engine with the durability layer. It owns the
-// graph-level commit point: a single mutex ordering LSN allocation and
-// feed appends against checkpoint captures and stats reads, so the WAL
-// is a linearized redo log of exactly what the writer applied.
+// graph-level commit point: a single mutex ordering LSN allocation
+// against checkpoint captures and stats reads, so the WAL is a
+// linearized redo log of exactly what the writer applied.
 //
 // It keeps no copy of the adjacency on any backend: a checkpoint streams
 // a view pinned on the graph's own files (checkpoint below).
@@ -101,9 +98,8 @@ type durable struct {
 	ctr   *stats.WalCounters
 	opts  DurabilityOptions
 
-	mu   sync.Mutex // the commit point: guards lsn + feed order
-	lsn  uint64
-	feed *wal.Feed // replica change-stream window, appended under mu
+	mu  sync.Mutex // the commit point: guards lsn
+	lsn uint64     // the published state's LSN (records allocated so far)
 
 	enc []byte // record scratch, owned by the writer goroutine
 
@@ -122,7 +118,6 @@ func newDurable(name string, opts DurabilityOptions) *durable {
 		name: name,
 		ctr:  &stats.WalCounters{},
 		opts: opts,
-		feed: wal.NewFeed(opts.FeedRecords, opts.FeedBytes),
 		quit: make(chan struct{}),
 	}
 }
@@ -131,9 +126,11 @@ func newDurable(name string, opts DurabilityOptions) *durable {
 // OnApply callback. It runs post-apply on the writer goroutine with the
 // exact net batch; under the commit point it stamps the batch with the
 // next LSN, then appends the framed record to the log outside the lock
-// (appends are already ordered by the writer goroutine). Recovery's
-// replay never comes through here: OnApply observes user flushes only,
-// and the records replay applies already exist.
+// (appends are already ordered by the writer goroutine). Followers read
+// the record from the log once that append has finished, and never one
+// whose append failed. Recovery's replay never comes through here:
+// OnApply observes user flushes only, and the records replay applies
+// already exist.
 func (d *durable) onApply(deletes, inserts []kcore.Edge) {
 	if len(deletes)+len(inserts) == 0 {
 		return
@@ -141,15 +138,11 @@ func (d *durable) onApply(deletes, inserts []kcore.Edge) {
 	d.mu.Lock()
 	d.lsn++
 	lsn := d.lsn
-	// The feed append must happen under the commit point: LSNs are
-	// allocated here, and the feed's contract is strictly increasing,
-	// gap-free appends (followers replay it in order).
-	d.feed.Append(lsn, deletes, inserts)
 	d.mu.Unlock()
 	if d.broken.Load() != nil {
 		// The log already failed: the LSN keeps tracking what the writer
-		// applies (the feed and /stats describe the served state), but
-		// appending out-of-order would corrupt the log further.
+		// applies (/stats describes the served state), but the log takes
+		// nothing behind a failed append.
 		return
 	}
 	d.enc = wal.AppendRecord(d.enc[:0], lsn, deletes, inserts)
@@ -251,15 +244,21 @@ func (d *durable) checkpoint() error {
 }
 
 // replay applies the recovered WAL tail, one record at a time, each its
-// own flush and epoch exactly as when it was logged (ApplyRecord). A
-// record the recovered graph does not take in full means checkpoint and
-// log disagree; the first such is the error.
+// own flush and epoch exactly as when it was logged (ApplyRecord), and
+// moves the shell's LSN with every record that applied. A record the
+// recovered graph does not take in full means checkpoint and log
+// disagree; the first such is the error, and the LSN stops before it.
 func (d *durable) replay(recs []wal.Record) error {
 	var bad error // written on the writer goroutine, read after the Sync below
 	for _, rec := range recs {
 		err := ApplyRecord(d.inner.ConcurrentSession, rec, func(_ *serve.Epoch, err error) {
-			if bad == nil {
-				bad = err
+			if bad != nil {
+				return
+			}
+			if bad = err; bad == nil {
+				d.mu.Lock()
+				d.lsn = rec.LSN
+				d.mu.Unlock()
 			}
 		})
 		if err != nil {
@@ -337,8 +336,13 @@ func (d *durable) Checkpoint() error {
 	return d.checkpoint()
 }
 
-// ChangeFeed implements ChangeStreamer.
-func (d *durable) ChangeFeed() *wal.Feed { return d.feed }
+// Changes implements ChangeStreamer.
+func (d *durable) Changes(from uint64) (*wal.Tail, error) {
+	if d.degraded != nil {
+		return nil, d.degraded
+	}
+	return d.gd.Log().Tail(from)
+}
 
 // CurrentLSN implements ChangeStreamer.
 func (d *durable) CurrentLSN() uint64 {
@@ -350,36 +354,13 @@ func (d *durable) CurrentLSN() uint64 {
 // OpenCheckpoint implements ChangeStreamer: the checkpoint mutex pins
 // the newest committed checkpoint against retention while its files are
 // opened; once the fds are held, a concurrent checkpoint's retention
-// pass can remove the directory without hurting the download.
-//
-// Self-healing: a checkpoint whose LSN predates the feed's retention
-// window cannot seed a follower that can then stream — its cursor would
-// answer 410 immediately and the follower would bootstrap forever. When
-// the newest checkpoint is that stale, a fresh one is committed and
-// served instead, so catch-up always lands inside the servable window.
+// pass can remove the directory without hurting the download. A
+// follower can always stream on from it: retention drops only segments
+// wholly at or below the older retained checkpoint.
 func (d *durable) OpenCheckpoint() (*wal.CheckpointHandle, error) {
-	open := func() (*wal.CheckpointHandle, error) {
-		d.ckptMu.Lock()
-		defer d.ckptMu.Unlock()
-		return d.gd.OpenNewestCheckpoint()
-	}
-	h, err := open()
-	if err != nil {
-		return nil, err
-	}
-	if h.Manifest.LSN >= d.feed.OldestCursor() || d.degraded != nil {
-		return h, nil
-	}
-	if cerr := d.checkpoint(); cerr == nil {
-		if fresh, ferr := open(); ferr == nil {
-			h.Close() //nolint:errcheck // superseded handle
-			return fresh, nil
-		}
-	}
-	// Checkpointing failed (broken durability, full disk): the stale
-	// handle is still a valid bootstrap — the follower just retries the
-	// stream and lands back here.
-	return h, nil
+	d.ckptMu.Lock()
+	defer d.ckptMu.Unlock()
+	return d.gd.OpenNewestCheckpoint()
 }
 
 // Close stops the background loops, drains the inner engine, takes a
@@ -389,7 +370,6 @@ func (d *durable) OpenCheckpoint() (*wal.CheckpointHandle, error) {
 func (d *durable) Close() error {
 	d.closeOnce.Do(func() {
 		close(d.quit)
-		d.feed.Close() // wake streaming change handlers so they can wind down
 		d.wg.Wait()
 		var firstErr error
 		if d.degraded == nil {

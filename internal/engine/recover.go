@@ -179,23 +179,20 @@ func (r *Registry) startDurable(name, dir, src string, oo kcore.OpenOptions, sc 
 		}
 	}
 	if sc != nil {
+		// The shell's LSN is the published state's: the checkpoint's, plus
+		// each tail record replay applies. Damage skips the replay, and
+		// then the LSN stays the checkpoint's.
+		d.lsn = sc.Manifest.LSN
 		if sc.Damaged {
 			err = errors.New(sc.Reason)
 		}
 		step("replay", func() error { return d.replay(sc.Records) })
-		// The change feed restarts at the recovered watermark: replayed
-		// records are covered by the checkpoint below, so a follower with
-		// an older cursor must catch up from that checkpoint anyway.
-		d.mu.Lock()
-		d.lsn = sc.MaxLSN()
-		d.mu.Unlock()
-		d.feed.Reset(sc.MaxLSN())
 	}
 	step("checkpoint", d.checkpoint)
 	if sc != nil {
 		// Old segments, torn tails included, are dead weight once the
-		// checkpoint covering them commits.
-		step("resetting logs", d.gd.ResetLogs)
+		// checkpoint covering them commits; the log goes on after it.
+		step("resetting logs", func() error { return d.gd.ResetLogs(d.CurrentLSN()) })
 	}
 	if err == nil {
 		d.startLoops()

@@ -269,7 +269,7 @@ func TestAlgorithmsAgreeUnderMutation(t *testing.T) {
 		if isDelete {
 			_, err = session.BatchDelete(batch)
 		} else {
-			_, err = session.BatchInsert(batch)
+			_, err = session.BatchInsert(batch, false)
 		}
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)

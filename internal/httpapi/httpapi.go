@@ -15,8 +15,8 @@
 //	GET    /g/{name}/stats              serving + I/O counters
 //	POST   /g/{name}/update[?wait=1]    {"updates":[{"op":"insert","u":1,"v":2},..]}
 //	POST   /g/{name}/checkpoint         force a durability checkpoint (data-dir mode only)
-//	GET    /g/{name}/changes?from=L     replication change stream: CRC-framed batch records
-//	                                    with LSN > L plus idle heartbeats (data-dir mode only)
+//	GET    /g/{name}/changes?from=L     replication change stream: the WAL's CRC-framed batch
+//	                                    records with LSN > L plus idle heartbeats (data-dir mode only)
 //	GET    /g/{name}/checkpoint         download the newest committed checkpoint as a tar
 //
 // Every graph read response carries an X-Kcore-Epoch header with the
@@ -310,7 +310,7 @@ func handleDegeneracy(eng engine.Engine, w http.ResponseWriter, r *http.Request)
 		"degeneracy": snap.Kmax,
 		"nodes":      snap.NumNodes(),
 		"edges":      snap.NumEdges,
-		"core_sizes": snap.Profile(),
+		"core_sizes": snap.Sizes(), // O(Kmax): the snapshot keeps its histogram
 		"epoch":      snap.Seq,
 	})
 }
@@ -382,16 +382,17 @@ func handleCheckpoint(eng engine.Engine, w http.ResponseWriter, r *http.Request)
 // heartbeat write within one interval.
 const changesHeartbeat = 500 * time.Millisecond
 
-// changesBatchMax caps the records pulled from the feed per write, so a
+// changesBatchMax caps the records read from the log per write, so a
 // follower resuming far behind streams in bounded chunks instead of one
 // giant buffer.
 const changesBatchMax = 256
 
-// handleChanges streams the replication change feed as CRC-framed
-// records (the WAL wire format) with LSN > from, then idles emitting
-// heartbeats until new batches land. A cursor older than the feed's
-// retention window answers 410 Gone with the oldest servable cursor —
-// the follower's signal to bootstrap from a checkpoint instead.
+// handleChanges streams the graph's write-ahead log as CRC-framed records
+// (the log's own frame format) with LSN > from, then idles emitting
+// heartbeats until the next append lands, and ends when the log closes.
+// A cursor older than log retention answers 410 Gone with the oldest
+// servable cursor — the follower's signal to bootstrap from a checkpoint
+// instead; a degraded graph, which is no stream source, answers 503.
 func handleChanges(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
 	cs, ok := eng.(engine.ChangeStreamer)
 	if !ok {
@@ -406,75 +407,54 @@ func handleChanges(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	feed := cs.ChangeFeed()
-	// Probe the cursor before committing to a streaming response: a
-	// trimmed cursor must surface as a real 410 status, which is
-	// impossible once the header is out.
+	// Open the cursor before committing to a streaming response: a trimmed
+	// cursor must surface as a real 410 status, which is impossible once
+	// the header is out.
+	tail, err := cs.Changes(from)
 	var trimmed *wal.TrimmedError
-	if _, err := feed.TailFrom(from, 1); errors.As(err, &trimmed) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusGone)
-		json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck // client gone; nothing to do
-			"error":      err.Error(),
-			"oldest_lsn": trimmed.Oldest,
-		})
+	switch {
+	case errors.As(err, &trimmed):
+		writeJSON(w, http.StatusGone, map[string]any{"error": err.Error(), "oldest_lsn": trimmed.Oldest})
+		return
+	case err != nil:
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Kcore-LSN", strconv.FormatUint(cs.CurrentLSN(), 10))
 	setEpochHeader(w, eng.Snapshot().Seq)
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	rc := http.NewResponseController(w)
 
 	heartbeat := time.NewTimer(changesHeartbeat)
 	defer heartbeat.Stop()
-	cursor := from
 	var buf []byte
 	for {
-		// Capture the wakeup channel before tailing: an append racing an
-		// empty TailFrom then cannot be missed.
-		wait := feed.Wait()
-		recs, err := feed.TailFrom(cursor, changesBatchMax)
+		recs, wait, err := tail.Next(changesBatchMax)
 		if err != nil {
-			// Trimmed mid-stream (retention overtook a stalled client):
-			// close the connection; the reconnect gets the 410.
+			// The log closed, or retention overtook a stalled client: close
+			// the connection; a reconnect gets the 410.
 			return
 		}
-		if len(recs) > 0 {
-			buf = buf[:0]
-			for _, rec := range recs {
-				buf = wal.AppendRecord(buf, rec.LSN, rec.Deletes, rec.Inserts)
-			}
-			if _, err := w.Write(buf); err != nil {
-				return
-			}
-			flush()
-			cursor = recs[len(recs)-1].LSN
-			continue
+		buf = buf[:0]
+		for _, rec := range recs {
+			buf = wal.AppendRecord(buf, rec.LSN, rec.Deletes, rec.Inserts)
 		}
-		if !heartbeat.Stop() {
+		if len(recs) == 0 {
+			heartbeat.Reset(changesHeartbeat)
 			select {
-			case <-heartbeat.C:
-			default:
-			}
-		}
-		heartbeat.Reset(changesHeartbeat)
-		select {
-		case <-r.Context().Done():
-			return
-		case <-wait:
-		case <-heartbeat.C:
-			buf = wal.AppendHeartbeat(buf[:0], cs.CurrentLSN())
-			if _, err := w.Write(buf); err != nil {
+			case <-r.Context().Done():
 				return
+			case <-wait:
+				continue
+			case <-heartbeat.C:
+				buf = wal.AppendHeartbeat(buf, cs.CurrentLSN())
 			}
-			flush()
 		}
+		if _, err := w.Write(buf); err != nil {
+			return
+		}
+		rc.Flush() //nolint:errcheck // a failed write already says the client is gone
 	}
 }
 

@@ -46,14 +46,15 @@ func (s *stubReadOnly) Report() serve.Report {
 }
 
 // newDurableAPI builds a registry in data-dir mode with one durable
-// default graph.
-func newDurableAPI(t *testing.T, feedRecords int) (*httptest.Server, *engine.Registry, engine.Engine) {
+// default graph whose log rolls segments at segmentBytes (0: the
+// default).
+func newDurableAPI(t *testing.T, segmentBytes int64) (*httptest.Server, *engine.Registry, engine.Engine) {
 	t.Helper()
 	reg := engine.NewRegistry(&engine.Options{
 		Serve: serve.Options{FlushInterval: time.Millisecond},
 		Durability: &engine.DurabilityOptions{
-			Dir:         t.TempDir(),
-			FeedRecords: feedRecords,
+			Dir:          t.TempDir(),
+			SegmentBytes: segmentBytes,
 		},
 	})
 	t.Cleanup(func() { reg.Close() })
@@ -107,9 +108,9 @@ func TestWriteRefusalSemantics(t *testing.T) {
 }
 
 // TestChangesRouteStatusCodes pins the non-streaming answers of the
-// change-stream route: 400 without a change feed, 410 with the oldest
-// servable cursor once retention trimmed past the requested one, and
-// 400 on a malformed cursor.
+// change-stream route: 400 without a log, 410 with the oldest servable
+// cursor once checkpoint retention removed the segment the requested one
+// needs, and 400 on a malformed cursor.
 func TestChangesRouteStatusCodes(t *testing.T) {
 	t.Run("not durable", func(t *testing.T) {
 		ts, _ := newAPI(t)
@@ -120,21 +121,39 @@ func TestChangesRouteStatusCodes(t *testing.T) {
 		do(t, "GET", ts.URL+"/g/default/changes?from=banana", "", http.StatusBadRequest, nil)
 	})
 	t.Run("trimmed cursor answers 410 with oldest", func(t *testing.T) {
-		ts, _, eng := newDurableAPI(t, 4)
-		driveRecords(t, eng, 12)
+		// One record per segment; the second forced checkpoint makes the
+		// first one at the last LSN the older retained checkpoint, and
+		// every segment but the newest goes.
+		ts, _, eng := newDurableAPI(t, 32)
+		last := driveRecords(t, eng, 12)
+		for i := 0; i < 2; i++ {
+			do(t, "POST", ts.URL+"/g/default/checkpoint", "", http.StatusOK, nil)
+		}
 		var resp struct {
 			Error     string `json:"error"`
 			OldestLSN uint64 `json:"oldest_lsn"`
 		}
 		do(t, "GET", ts.URL+"/g/default/changes?from=0", "", http.StatusGone, &resp)
-		if resp.OldestLSN == 0 || resp.Error == "" {
-			t.Fatalf("410 body must carry the oldest servable cursor: %+v", resp)
+		if resp.OldestLSN != last-1 || resp.Error == "" {
+			t.Fatalf("410 body must carry the oldest servable cursor %d: %+v", last-1, resp)
+		}
+		// That cursor itself streams.
+		resp2, err := http.Get(fmt.Sprintf("%s/g/default/changes?from=%d", ts.URL, last-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp2.Body.Close()
+		if resp2.StatusCode != http.StatusOK {
+			t.Fatalf("the oldest servable cursor answered %d", resp2.StatusCode)
+		}
+		if rec, err := wal.NewFrameReader(resp2.Body).ReadFrame(); err != nil || rec.LSN != last {
+			t.Fatalf("first frame from the oldest cursor = %+v, %v; want record %d", rec, err, last)
 		}
 	})
 }
 
 // driveRecords applies toggling delete/insert pairs until at least k
-// change-feed records exist, returning the resulting LSN. Each pair
+// records are logged, returning the resulting LSN. Each pair
 // touches a distinct edge, so at least one of the two applies whether
 // or not the fixture already held it.
 func driveRecords(t *testing.T, eng engine.Engine, k uint64) uint64 {

@@ -68,25 +68,31 @@ func (s *Session) BatchDelete(edges []memgraph.Edge) (stats.RunStats, error) {
 	return rs, nil
 }
 
-// BatchInsert adds a set of edges, applying SemiInsert* per edge. Unlike
-// deletion, insertion raises core numbers, so old values are not upper
-// bounds after batching and no single-pass shortcut is sound (a new edge
-// between two of v's neighbours can raise core(v) without touching v);
-// this helper exists for API symmetry and amortises only the shared
-// buffer and scan machinery. Edges are validated as they are applied; on
-// error the already-inserted prefix remains applied and consistent.
-func (s *Session) BatchInsert(edges []memgraph.Edge) (stats.RunStats, error) {
+// BatchInsert adds a set of edges, applying SemiInsert* per edge — or,
+// with twoPhase, SemiInsert (Algorithm 7). Unlike deletion, insertion
+// raises core numbers, so old values are not upper bounds after batching
+// and no single-pass shortcut is sound (a new edge between two of v's
+// neighbours can raise core(v) without touching v); this helper exists
+// for API symmetry and amortises only the shared buffer and scan
+// machinery. Edges are validated as they are applied; on error the
+// already-inserted prefix remains applied and consistent, and the
+// returned stats are that prefix's work.
+func (s *Session) BatchInsert(edges []memgraph.Edge, twoPhase bool) (stats.RunStats, error) {
 	start := time.Now()
-	total := stats.RunStats{Algorithm: "SemiInsertBatch*"}
+	insert, total := s.InsertStar, stats.RunStats{Algorithm: "SemiInsertBatch*"}
+	if twoPhase {
+		insert, total.Algorithm = s.InsertTwoPhase, "SemiInsertBatch"
+	}
 	for _, e := range edges {
-		rs, err := s.InsertStar(e.U, e.V)
-		if err != nil {
-			return total, err
-		}
+		rs, err := insert(e.U, e.V)
 		total.Iterations += rs.Iterations
 		total.NodeComputations += rs.NodeComputations
 		total.UpdatedPerIter = append(total.UpdatedPerIter, rs.UpdatedPerIter...)
 		total.Dirty = append(total.Dirty, rs.Dirty...)
+		if err != nil {
+			total.Duration = time.Since(start)
+			return total, err
+		}
 	}
 	total.Duration = time.Since(start)
 	return total, nil

@@ -117,7 +117,7 @@ func TestBatchInsertMatchesSequential(t *testing.T) {
 		}
 	}
 	a := newSessionFor(t, g, dyngraph.Options{})
-	if _, err := a.BatchInsert(add); err != nil {
+	if _, err := a.BatchInsert(add, false); err != nil {
 		t.Fatal(err)
 	}
 	b := newSessionFor(t, g, dyngraph.Options{})

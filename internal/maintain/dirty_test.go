@@ -89,7 +89,7 @@ func TestDirtySetIsSound(t *testing.T) {
 					d.check("BatchDelete", rs, err)
 				case 4:
 					batch := []memgraph.Edge{makeAbsent(), makeAbsent(), makeAbsent()}
-					rs, err := s.BatchInsert(batch)
+					rs, err := s.BatchInsert(batch, false)
 					d.check("BatchInsert", rs, err)
 				}
 				if err := s.VerifyState(); err != nil {

@@ -3,13 +3,17 @@ package replica_test
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"kcore/internal/faultfs"
 	"kcore/internal/memgraph"
 	"kcore/internal/replica"
+	"kcore/internal/serve"
 	"kcore/internal/stats"
 	"kcore/internal/testutil"
 	"kcore/internal/wal"
@@ -60,7 +64,7 @@ func TestStreamDivergenceRebootstraps(t *testing.T) {
 	}{{"partial", true}, {"full", false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			seed := testutil.Seed(t, 907)
-			h := startLeader(t, seed, 0)
+			h := startLeader(t, seed)
 			live := h.ms.Live()
 			present := live[0]
 			has := make(map[memgraph.Edge]bool, len(live))
@@ -115,5 +119,117 @@ func TestStreamDivergenceRebootstraps(t *testing.T) {
 			waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
 			h.verify(f, log)
 		})
+	}
+}
+
+// stepUntil applies workload mutations on the leader until it has
+// logged n more records.
+func (h *leaderHarness) stepUntil(n uint64) {
+	for target := h.cs.CurrentLSN() + n; h.cs.CurrentLSN() < target; {
+		h.step()
+	}
+}
+
+// waitSame polls until the follower serves exactly the leader's cores at
+// the leader's LSN.
+func waitSame(t *testing.T, h *leaderHarness, f *replica.Follower, ctr *stats.ReplicaCounters) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for ctr.AppliedLSN() != h.cs.CurrentLSN() || !slices.Equal(f.Snapshot().Cores(), h.eng.Snapshot().Cores()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower at LSN %d never served the leader's cores at LSN %d (%d bootstraps)",
+				ctr.AppliedLSN(), h.cs.CurrentLSN(), ctr.Bootstraps())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFollowerNeverSeesUnloggedRecord: a record whose log append failed
+// is not history. The leader serves it and refuses writes from then on,
+// but no follower may apply it — after the leader restarts it logs a
+// different record under the same LSN, which a follower holding the
+// first would skip as a duplicate.
+func TestFollowerNeverSeesUnloggedRecord(t *testing.T) {
+	seed := testutil.Seed(t, 908)
+	h := startLeader(t, seed)
+	ctr := new(stats.ReplicaCounters)
+	f, err := replica.New(replica.Options{Leader: h.srv.URL, Counters: ctr, ReconnectMin: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h.stepUntil(10)
+	k := h.cs.CurrentLSN() + 1
+	waitConverged(t, ctr, k-1, 10*time.Second)
+
+	// Record k deletes every edge of one node, so a follower holding it
+	// serves that node at core 0 and the leader, which never logged it,
+	// does not. The next log write fails.
+	v := h.ms.Live()[0].U
+	var ups []serve.Update
+	for _, e := range h.ms.Live() {
+		if e.U == v || e.V == v {
+			ups = append(ups, serve.Update{Op: serve.OpDelete, U: e.U, V: e.V})
+		}
+	}
+	h.fs.Arm(h.fs.Ops()+1, faultfs.Fail)
+	if err := h.eng.Apply(ups...); err == nil {
+		t.Fatal("the leader acked a record its log refused")
+	}
+	if h.cs.CurrentLSN() < k {
+		t.Fatalf("fixture: the failed flush allocated no LSN (leader at %d)", h.cs.CurrentLSN())
+	}
+	time.Sleep(300 * time.Millisecond)
+	if got := ctr.AppliedLSN(); got != k-1 {
+		t.Fatalf("follower applied up to LSN %d; the leader's log holds %d", got, k-1)
+	}
+
+	h.restart(h.dir)
+	if got := h.cs.CurrentLSN(); got != k-1 {
+		t.Fatalf("restarted leader at LSN %d, want %d", got, k-1)
+	}
+	h.stepUntil(3) // LSN k is now a different record
+	waitSame(t, h, f, ctr)
+	if n := ctr.Bootstraps(); n != 1 {
+		t.Fatalf("%d bootstraps: the follower should have streamed on", n)
+	}
+}
+
+// TestFollowerRebootstrapsOnLeaderFork: a leader that went back in
+// history — here restored from an image of its data dir taken m records
+// ago — re-issues LSNs the follower holds other records under. Its
+// X-Kcore-LSN below the follower's cursor is divergence: the follower
+// rebuilds from the leader's checkpoint once and converges, instead of
+// skipping the new history as duplicates and serving cores the leader
+// never had.
+func TestFollowerRebootstrapsOnLeaderFork(t *testing.T) {
+	seed := testutil.Seed(t, 909)
+	h := startLeader(t, seed)
+	ctr := new(stats.ReplicaCounters)
+	f, err := replica.New(replica.Options{Leader: h.srv.URL, Counters: ctr, ReconnectMin: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h.stepUntil(10)
+	img := t.TempDir()
+	if err := os.CopyFS(img, os.DirFS(h.dir)); err != nil { // every Apply synced: a consistent image
+		t.Fatal(err)
+	}
+	k := h.cs.CurrentLSN()
+	h.stepUntil(10)
+	waitConverged(t, ctr, k+10, 10*time.Second)
+
+	h.restart(img)
+	if got := h.cs.CurrentLSN(); got != k {
+		t.Fatalf("leader restored at LSN %d, want %d", got, k)
+	}
+	h.stepUntil(3) // LSNs k+1.. are new history
+	waitSame(t, h, f, ctr)
+	if n := ctr.Bootstraps(); n != 2 {
+		t.Fatalf("%d bootstraps, want exactly one rebuild after the fork", n)
+	}
+	if rs := f.Report().Replica; rs.LeaderLSN != h.cs.CurrentLSN() {
+		t.Fatalf("leader_lsn %d after the fork, want the leader's %d", rs.LeaderLSN, h.cs.CurrentLSN())
 	}
 }

@@ -1,8 +1,8 @@
 // Package replica implements the follower side of replication: a
 // read-only engine that bootstraps from a leader's checkpoint download
 // (engine.BringUp, the bring-up crash recovery uses), tails its change
-// stream (GET /g/{name}/changes — the CRC-framed WAL wire format, read
-// by the wal.FrameReader that reads log segments), and applies each
+// stream (GET /g/{name}/changes — the leader's WAL segments as they are
+// on disk, read by the wal.FrameReader that reads them), and applies each
 // record exactly as recovery applies a WAL tail (engine.ApplyRecord: one
 // isolated flush, one epoch), so every published follower epoch is
 // exactly one leader commit-point state. Reads are epoch-consistent and
@@ -12,15 +12,17 @@
 // whose epoch is published; it advances in that record's completion
 // callback and nowhere else. On reconnect it resumes from the cursor
 // (records at or below it are duplicates and skipped — exactly-once
-// apply), and when the leader answers 410 Gone (the cursor fell out of
-// the retained feed window) it falls back to a fresh checkpoint
-// bootstrap. A mid-stream fault — torn frame, CRC failure, LSN gap,
-// heartbeat silence — closes the connection and re-enters the same
-// loop, so a follower never serves a torn or out-of-order state. A
-// record the local graph does not take in full — any update of it
-// refused, or the writer failed — proves the local copy is not the state
-// the leader logged it against: the cursor stops there for good and the
-// copy is rebuilt from a checkpoint.
+// apply), and when the leader answers 410 Gone (checkpoint retention
+// removed the log segment the cursor needs) it falls back to a fresh
+// checkpoint bootstrap. A mid-stream fault — torn frame, CRC failure, LSN
+// gap, heartbeat silence — closes the connection and re-enters the same
+// loop, so a follower never serves a torn or out-of-order state. Two
+// things prove the local copy is not the leader's history, and both
+// rebuild it from a checkpoint: a record the local graph does not take
+// in full — any update of it refused, or the writer failed — after which
+// the cursor stops for good; and a leader behind the cursor (an
+// X-Kcore-LSN header or a heartbeat below it), which went back in
+// history and re-issues LSNs this copy holds other records under.
 package replica
 
 import (
@@ -33,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,12 +114,13 @@ func (o Options) withDefaults() Options {
 }
 
 var (
-	// errTrimmed reports a cursor the leader can no longer serve from its
-	// feed window (410 Gone) — fall back to checkpoint catch-up.
-	errTrimmed = errors.New("replica: cursor behind the leader's feed window")
+	// errTrimmed reports a cursor the leader's log no longer reaches back
+	// to (410 Gone) — fall back to checkpoint catch-up.
+	errTrimmed = errors.New("replica: cursor behind the leader's log retention")
 	// errDiverged reports a stream record the local state did not take in
-	// full — impossible while follower state matches the leader, so the
-	// local copy is rebuilt from a fresh checkpoint.
+	// full, or a leader behind the cursor — impossible while follower
+	// state is a prefix of the leader's history, so the local copy is
+	// rebuilt from a fresh checkpoint.
 	errDiverged = errors.New("replica: local state diverged from the stream")
 )
 
@@ -252,8 +256,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		os.RemoveAll(subdir) //nolint:errcheck // bring-up error wins
 		return fmt.Errorf("replica: downloaded checkpoint: %w", err)
 	}
-	f.ctr.SetAppliedLSN(man.LSN)
-	f.ctr.NoteBootstrap(n)
+	f.ctr.NoteBootstrap(n, man.LSN)
 	f.state.Store(&state{Live: live, dir: subdir})
 	if old != nil {
 		old.Close()           //nolint:errcheck // replaced state
@@ -306,7 +309,7 @@ func (f *Follower) run() {
 			return
 		}
 		if errors.Is(err, errTrimmed) || errors.Is(err, errDiverged) {
-			// The feed window has moved past the cursor (or the state is
+			// Log retention has moved past the cursor (or the state is
 			// bad): catch up from a fresh checkpoint. Failure falls through
 			// to the normal backoff and tries again.
 			if berr := f.bootstrap(f.ctx); berr == nil {
@@ -373,6 +376,16 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return false, fmt.Errorf("replica: change stream: %s: %s", resp.Status, body)
 	}
+	// The leader's LSN never falls behind anything it logged. Below the
+	// cursor, it went back in history — restored from an older image, or
+	// lost an unsynced tail to a crash — and re-issues LSNs this copy
+	// holds other records under.
+	if lsn, err := strconv.ParseUint(resp.Header.Get("X-Kcore-LSN"), 10, 64); err == nil {
+		if lsn < cursor {
+			return false, fmt.Errorf("%w: leader at LSN %d, behind the cursor %d", errDiverged, lsn, cursor)
+		}
+		f.ctr.ObserveLeaderLSN(lsn)
+	}
 
 	fr := wal.NewFrameReader(resp.Body)
 	var read int64
@@ -390,6 +403,9 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 		watchdog.Reset(f.opts.HeartbeatTimeout)
 		f.ctr.ObserveLeaderLSN(rec.LSN)
 		if rec.Heartbeat {
+			if rec.LSN+1 < next {
+				return progressed, fmt.Errorf("%w: leader heartbeat at LSN %d, behind the cursor %d", errDiverged, rec.LSN, next-1)
+			}
 			f.ctr.NoteHeartbeat()
 			continue
 		}

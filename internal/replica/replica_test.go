@@ -4,6 +4,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -12,12 +14,14 @@ import (
 
 	"kcore"
 	"kcore/internal/engine"
+	"kcore/internal/faultfs"
 	"kcore/internal/httpapi"
 	"kcore/internal/netfault"
 	"kcore/internal/replica"
 	"kcore/internal/serve"
 	"kcore/internal/stats"
 	"kcore/internal/testutil"
+	"kcore/internal/wal"
 )
 
 // The replication conformance suite: a real leader (durable registry +
@@ -31,8 +35,8 @@ import (
 //   - the follower converges to the leader's final LSN;
 //   - under injected network faults (drops, stalls, mid-frame
 //     truncation, duplicated bytes) it resumes exactly-once from its
-//     cursor, or falls back to checkpoint catch-up when the cursor left
-//     the leader's retained feed window.
+//     cursor, or falls back to checkpoint catch-up when checkpoint
+//     retention removed the log segment its cursor needs.
 //
 // Every test is seeded and replayable with -seed, and runs once per
 // follower block reader in followerReaders: the leader is always a mem
@@ -61,9 +65,12 @@ func eachReader(t *testing.T, fn func(t *testing.T, open kcore.OpenOptions)) {
 
 // leaderHarness is one running leader: durable registry, engine, HTTP
 // server, and the per-LSN core-number history the follower is judged
-// against.
+// against. The server's URL outlives the registry behind it (restart).
 type leaderHarness struct {
 	t     *testing.T
+	dir   string            // the registry's data dir
+	fs    *faultfs.Injector // under every durability file operation; unarmed
+	api   atomic.Pointer[httpapi.Server]
 	reg   *engine.Registry
 	eng   engine.Engine
 	srv   *httptest.Server
@@ -72,39 +79,74 @@ type leaderHarness struct {
 	cores map[uint64][]uint32 // leader core numbers at each LSN
 }
 
-func startLeader(t *testing.T, seed int64, feedRecords int) *leaderHarness {
+// leaderSegmentBytes rolls the leader's log every few records, so every
+// test streams across segment rolls and checkpoints can trim the log.
+const leaderSegmentBytes = 256
+
+// leaderOptions puts a registry on the data dir at dir.
+func leaderOptions(dir string, fs faultfs.FS) *engine.Options {
+	return &engine.Options{
+		Serve: serve.Options{FlushInterval: time.Millisecond},
+		Durability: &engine.DurabilityOptions{
+			Dir:          dir,
+			SegmentBytes: leaderSegmentBytes,
+			FS:           fs,
+		},
+	}
+}
+
+func startLeader(t *testing.T, seed int64) *leaderHarness {
 	t.Helper()
 	const n = 200
 	base, edges := testutil.WriteSocial(t, n, seed)
-	reg := engine.NewRegistry(&engine.Options{
-		Serve: serve.Options{FlushInterval: time.Millisecond},
-		Durability: &engine.DurabilityOptions{
-			Dir:         t.TempDir(),
-			FeedRecords: feedRecords,
-		},
-	})
-	t.Cleanup(func() { reg.Close() })
-	eng, err := reg.Open("default", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(httpapi.New(reg, "default"))
-	t.Cleanup(srv.Close)
-	cs, ok := eng.(engine.ChangeStreamer)
-	if !ok {
-		t.Fatal("durable engine does not expose a change stream")
-	}
 	h := &leaderHarness{
-		t: t, reg: reg, eng: eng, srv: srv, cs: cs,
+		t: t, dir: t.TempDir(), fs: faultfs.NewInjector(faultfs.OS),
 		ms:    testutil.NewMutationStream(n, seed+1, edges),
 		cores: make(map[uint64][]uint32),
 	}
+	reg := engine.NewRegistry(leaderOptions(h.dir, h.fs))
+	eng, err := reg.Open("default", base)
+	if err != nil {
+		reg.Close()
+		t.Fatal(err)
+	}
+	h.serve(reg, eng)
+	h.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.api.Load().ServeHTTP(w, r)
+	}))
+	t.Cleanup(h.srv.Close)
 	h.record()
 	return h
 }
 
+// serve puts reg's default graph eng behind the harness's URL.
+func (h *leaderHarness) serve(reg *engine.Registry, eng engine.Engine) {
+	h.t.Cleanup(func() { reg.Close() })
+	cs, ok := eng.(engine.ChangeStreamer)
+	if !ok {
+		h.t.Fatal("durable engine does not expose a change stream")
+	}
+	h.reg, h.eng, h.cs = reg, eng, cs
+	h.api.Store(httpapi.New(reg, "default"))
+}
+
+// restart closes the leader and brings up, behind the same URL, the
+// graph recovered from the data dir at dir: its own, or an image of it.
+func (h *leaderHarness) restart(dir string) {
+	h.t.Helper()
+	h.reg.Close() //nolint:errcheck // a leader whose log failed closes with that error
+	reg := engine.NewRegistry(leaderOptions(dir, nil))
+	rep, err := reg.Recover()
+	if err != nil || len(rep.Graphs) != 1 || rep.Graphs[0].Err != nil || rep.Graphs[0].Degraded {
+		reg.Close()
+		h.t.Fatalf("leader recovery: %v, %+v", err, rep)
+	}
+	eng, _ := reg.Get("default")
+	h.serve(reg, eng)
+}
+
 // record captures the leader's core numbers at its current LSN. Called
-// after every Apply, so the history covers every LSN the feed can emit.
+// after every Apply, so the history covers every LSN the log can stream.
 func (h *leaderHarness) record() {
 	h.cores[h.cs.CurrentLSN()] = slices.Clone(h.eng.Snapshot().Cores())
 }
@@ -215,7 +257,7 @@ func checkReader(t *testing.T, f *replica.Follower, open kcore.OpenOptions) {
 func TestConformanceSingleWriter(t *testing.T) {
 	eachReader(t, func(t *testing.T, open kcore.OpenOptions) {
 		seed := testutil.Seed(t, 901)
-		h := startLeader(t, seed, 0)
+		h := startLeader(t, seed)
 		log := &ackLog{}
 		ctr := new(stats.ReplicaCounters)
 		f, err := replica.New(replica.Options{
@@ -248,7 +290,7 @@ func TestConformanceSingleWriter(t *testing.T) {
 func TestConformanceNetworkFaults(t *testing.T) {
 	eachReader(t, func(t *testing.T, open kcore.OpenOptions) {
 		seed := testutil.Seed(t, 903)
-		h := startLeader(t, seed, 0)
+		h := startLeader(t, seed)
 		rnd := h.ms.Rand()
 		actions := []netfault.Action{netfault.Drop, netfault.Truncate, netfault.Duplicate, netfault.Drop, netfault.Truncate, netfault.Duplicate}
 		offsets := make([]int64, len(actions))
@@ -306,7 +348,7 @@ func TestConformanceNetworkFaults(t *testing.T) {
 func TestConformanceStall(t *testing.T) {
 	eachReader(t, func(t *testing.T, open kcore.OpenOptions) {
 		seed := testutil.Seed(t, 904)
-		h := startLeader(t, seed, 0)
+		h := startLeader(t, seed)
 		proxy, err := netfault.New(h.srv.Listener.Addr().String(), func(conn int) netfault.Fault {
 			if conn == 1 {
 				return netfault.Fault{Action: netfault.Stall, AfterBytes: 64, Stall: 10 * time.Second}
@@ -346,14 +388,16 @@ func TestConformanceStall(t *testing.T) {
 	})
 }
 
-// TestCheckpointCatchUp proves the 410 fallback: the follower is cut
-// off while the leader writes far past its tiny feed window, so on
-// reconnect the cursor is unservable and the follower must download a
-// fresh checkpoint, then converge from there.
+// TestCheckpointCatchUp proves the two ways back for a follower cut off
+// while the leader writes on, its log rolling every few records. While
+// checkpoint retention still keeps the segment its cursor needs, it
+// resumes from the log — however many records that is. Once a second
+// checkpoint has dropped those segments, the cursor is unservable (410)
+// and it must download a fresh checkpoint, then stream on from there.
 func TestCheckpointCatchUp(t *testing.T) {
 	eachReader(t, func(t *testing.T, open kcore.OpenOptions) {
 		seed := testutil.Seed(t, 905)
-		h := startLeader(t, seed, 8)
+		h := startLeader(t, seed)
 		var refuse atomic.Bool
 		proxy, err := netfault.New(h.srv.Listener.Addr().String(), func(conn int) netfault.Fault {
 			if refuse.Load() {
@@ -384,25 +428,36 @@ func TestCheckpointCatchUp(t *testing.T) {
 			h.step()
 		}
 		waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
-
-		// Sever the follower (live stream dies, reconnects are refused),
-		// then write far past the 8-record window and commit a fresh
-		// checkpoint covering the new state.
-		refuse.Store(true)
-		proxy.SeverAll()
-		for i := 0; i < 60; i++ {
-			h.step()
-		}
 		cp, ok := h.eng.(engine.Checkpointer)
 		if !ok {
 			t.Fatal("durable engine does not expose Checkpoint")
 		}
-		if err := cp.Checkpoint(); err != nil {
-			t.Fatal(err)
+		// cutOff severs the follower (the live stream dies, reconnects are
+		// refused), writes on across many segments, commits ckpts
+		// checkpoints, and lets the follower back in.
+		cutOff := func(ckpts int) {
+			refuse.Store(true)
+			proxy.SeverAll()
+			for i := 0; i < 60; i++ {
+				h.step()
+			}
+			for i := 0; i < ckpts; i++ {
+				if err := cp.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			refuse.Store(false)
+			waitConverged(t, ctr, h.cs.CurrentLSN(), 20*time.Second)
 		}
-		refuse.Store(false)
 
-		waitConverged(t, ctr, h.cs.CurrentLSN(), 20*time.Second)
+		cutOff(1) // the older retained checkpoint is the opening one
+		if n := ctr.Bootstraps(); n != 1 {
+			t.Fatalf("a follower the log still reaches back to bootstrapped again: %d bootstraps", n)
+		}
+		cutOff(2) // now the older retained checkpoint is past the cursor
+		if n := ctr.Bootstraps(); n != 2 {
+			t.Fatalf("want exactly one checkpoint catch-up after retention passed the cursor, got %d bootstraps", n-1)
+		}
 		// The follower is streaming again after catch-up: a few more records
 		// must flow through the stream path (not another bootstrap).
 		for i := 0; i < 10; i++ {
@@ -411,11 +466,8 @@ func TestCheckpointCatchUp(t *testing.T) {
 		waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
 		h.verify(f, log)
 		checkReader(t, f, open)
-		if ctr.Bootstraps() < 2 {
-			t.Fatalf("expected a checkpoint catch-up after the window moved, got %d bootstraps", ctr.Bootstraps())
-		}
-		if rs := f.Report().Replica; rs.CatchupBytes == 0 {
-			t.Fatalf("catch-up accounted no bytes: %+v", rs)
+		if rs := f.Report().Replica; rs.Bootstraps != 2 || rs.CatchupBytes == 0 {
+			t.Fatalf("catch-up accounting: %+v", rs)
 		}
 	})
 }
@@ -424,7 +476,7 @@ func TestCheckpointCatchUp(t *testing.T) {
 // surface itself (the HTTP 409 mapping is tested in internal/httpapi).
 func TestFollowerRefusesWrites(t *testing.T) {
 	seed := testutil.Seed(t, 906)
-	h := startLeader(t, seed, 0)
+	h := startLeader(t, seed)
 	f, err := replica.New(replica.Options{Leader: h.srv.URL})
 	if err != nil {
 		t.Fatal(err)
@@ -437,5 +489,87 @@ func TestFollowerRefusesWrites(t *testing.T) {
 		if !errors.Is(try, engine.ErrReadOnly) {
 			t.Fatalf("want ErrReadOnly, got %v", try)
 		}
+	}
+}
+
+// TestDegradedLeaderIsNotAStreamSource: a leader recovered degraded —
+// here mid-log damage behind two readable records, so recovery skipped
+// the replay — serves its checkpoint's state and reports that state's
+// LSN, not the readable records'. Its change stream answers 503, not
+// 410: a follower bootstraps from the checkpoint once and serves the
+// leader's cores, instead of downloading it again on every reconnect.
+func TestDegradedLeaderIsNotAStreamSource(t *testing.T) {
+	seed := testutil.Seed(t, 910)
+	base, edges := testutil.WriteSocial(t, 200, seed)
+	opts := leaderOptions(t.TempDir(), nil)
+	opts.Durability.SegmentBytes = 32 // one record per segment
+	reg := engine.NewRegistry(opts)
+	defer reg.Close()
+	eng, err := reg.Open("default", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := testutil.NewMutationStream(200, seed+1, edges)
+	for i := 0; i < 5; i++ {
+		applyValid(t, eng, ms)
+	}
+	// Every Apply synced: the copy is the image of a leader that crashed
+	// with a five-record tail.
+	img := t.TempDir()
+	if err := os.CopyFS(img, os.DirFS(opts.Durability.Dir)); err != nil {
+		t.Fatal(err)
+	}
+	reg.Close()
+	segs, err := filepath.Glob(filepath.Join(img, "default", "wal", "s0", "*.seg"))
+	if err != nil || len(segs) != 5 {
+		t.Fatalf("segments = %v, %v; want 5", segs, err)
+	}
+	slices.Sort(segs)
+	data, err := os.ReadFile(segs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(segs[2], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := wal.Scan(nil, filepath.Join(img, "default"))
+	if err != nil || !sc.Damaged || len(sc.Records) != 2 {
+		t.Fatalf("fixture: scan = %v, %+v; want damage behind 2 readable records", err, sc)
+	}
+
+	reg2 := engine.NewRegistry(leaderOptions(img, nil))
+	defer reg2.Close()
+	rep, err := reg2.Recover()
+	if err != nil || len(rep.Graphs) != 1 || !rep.Graphs[0].Degraded {
+		t.Fatalf("recovery: %v, %+v; want one degraded graph", err, rep)
+	}
+	eng, _ = reg2.Get("default")
+	if got := eng.Report().Durability.LSN; got != sc.Manifest.LSN {
+		t.Fatalf("durability.lsn = %d, want the checkpoint's %d: the replay was skipped", got, sc.Manifest.LSN)
+	}
+	srv := httptest.NewServer(httpapi.New(reg2, "default"))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/g/default/changes?from=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("degraded leader's change stream answered %d, want 503", resp.StatusCode)
+	}
+
+	ctr := new(stats.ReplicaCounters)
+	f, err := replica.New(replica.Options{Leader: srv.URL, Counters: ctr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	time.Sleep(time.Second)
+	if n := ctr.Bootstraps(); n != 1 {
+		t.Fatalf("%d bootstraps in 1s off a degraded leader, want 1", n)
+	}
+	if !slices.Equal(f.Snapshot().Cores(), eng.Snapshot().Cores()) {
+		t.Fatal("follower does not serve the degraded leader's cores")
 	}
 }

@@ -212,11 +212,3 @@ func (e *Epoch) KCoreAt(k uint32) []uint32 {
 	}
 	return e.memo.order[:e.memo.sizes[k]]
 }
-
-// Profile returns the memoized degeneracy size profile
-// (Profile()[k] = |k-core|), computed once per epoch. The returned slice
-// is shared and read-only; CoreSnapshot.Sizes returns a private copy.
-func (e *Epoch) Profile() []int64 {
-	e.ensure()
-	return e.memo.sizes
-}

@@ -52,15 +52,25 @@ func TestKCoreAtMatchesScan(t *testing.T) {
 		}
 	}
 
-	wantSizes := e.Sizes()
-	gotSizes := e.Profile()
-	if len(wantSizes) != len(gotSizes) {
-		t.Fatalf("Profile has %d entries, Sizes has %d", len(gotSizes), len(wantSizes))
+	checkSizes(t, e)
+}
+
+// checkSizes verifies the memo's size profile through KCoreAt against
+// the snapshot's incrementally maintained Sizes: |KCoreAt(k)| is
+// Sizes()[k] for every k through Kmax, and nothing past it.
+func checkSizes(t *testing.T, e *serve.Epoch) {
+	t.Helper()
+	sizes := e.Sizes()
+	if uint32(len(sizes)) != e.Kmax+1 {
+		t.Fatalf("epoch %d: Sizes has %d entries, Kmax is %d", e.Seq, len(sizes), e.Kmax)
 	}
-	for k := range wantSizes {
-		if wantSizes[k] != gotSizes[k] {
-			t.Fatalf("Profile[%d] = %d, want %d", k, gotSizes[k], wantSizes[k])
+	for k, want := range sizes {
+		if got := len(e.KCoreAt(uint32(k))); int64(got) != want {
+			t.Fatalf("epoch %d: |KCoreAt(%d)| = %d, Sizes[%d] = %d", e.Seq, k, got, k, want)
 		}
+	}
+	if got := e.KCoreAt(e.Kmax + 1); got != nil {
+		t.Fatalf("epoch %d: KCoreAt(Kmax+1) has %d nodes", e.Seq, len(got))
 	}
 }
 
@@ -78,7 +88,7 @@ func TestMemoCountsHitsAndMisses(t *testing.T) {
 	e := sess.Snapshot()
 	for i := 0; i < 10; i++ {
 		e.KCoreAt(2)
-		e.Profile()
+		e.KCoreAt(0)
 	}
 	st := sess.Report().Serve
 	if st.CacheMisses != 1 {
@@ -133,7 +143,7 @@ func TestMemoConcurrentFirstAccess(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			results[i] = e.KCoreAt(uint32(i % 4))
-			_ = e.Profile()
+			_ = e.KCoreAt(0)
 		}(i)
 	}
 	wg.Wait()
@@ -152,7 +162,7 @@ func TestMemoConcurrentFirstAccess(t *testing.T) {
 // uncached paths: KCoreAt must set-match the O(n) KCore filter for every
 // k through Kmax+2, its result must be ordered core-descending (the only
 // order guarantee — repaired memos do not keep ties id-ascending), and
-// Profile must equal Sizes.
+// its sizes must be Sizes'.
 func checkMemoAgainstScan(t *testing.T, e *serve.Epoch) {
 	t.Helper()
 	for k := uint32(0); k <= e.Kmax+2; k++ {
@@ -168,15 +178,7 @@ func checkMemoAgainstScan(t *testing.T, e *serve.Epoch) {
 			}
 		}
 	}
-	wantSizes, gotSizes := e.Sizes(), e.Profile()
-	if len(wantSizes) != len(gotSizes) {
-		t.Fatalf("epoch %d: Profile has %d entries, Sizes has %d", e.Seq, len(gotSizes), len(wantSizes))
-	}
-	for k := range wantSizes {
-		if wantSizes[k] != gotSizes[k] {
-			t.Fatalf("epoch %d: Profile[%d] = %d, want %d", e.Seq, k, gotSizes[k], wantSizes[k])
-		}
-	}
+	checkSizes(t, e)
 }
 
 // TestMemoRepairMatchesRebuild publishes a run of single-edge epochs,
@@ -226,7 +228,7 @@ func TestMemoRepairChainsAcrossUnqueriedEpochs(t *testing.T) {
 	}
 	defer sess.Close()
 
-	sess.Snapshot().Profile() // build epoch 0's memo
+	sess.Snapshot().KCoreAt(0) // build epoch 0's memo
 	for i := 0; i < 3; i++ {
 		ed := edges[i]
 		if err := sess.Apply(serve.Update{Op: serve.OpDelete, U: ed.U, V: ed.V}); err != nil {

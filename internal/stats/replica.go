@@ -24,10 +24,7 @@ type ReplicaCounters struct {
 
 // SetAppliedLSN publishes the cursor: the LSN of the newest record whose
 // epoch is visible to readers.
-func (c *ReplicaCounters) SetAppliedLSN(lsn uint64) {
-	c.appliedLSN.Store(lsn)
-	c.ObserveLeaderLSN(lsn)
-}
+func (c *ReplicaCounters) SetAppliedLSN(lsn uint64) { c.appliedLSN.Store(lsn) }
 
 // AppliedLSN reports the follower's apply cursor.
 func (c *ReplicaCounters) AppliedLSN() uint64 { return c.appliedLSN.Load() }
@@ -58,10 +55,15 @@ func (c *ReplicaCounters) NoteReconnect() { c.reconnects.Add(1) }
 // Reconnects reports the reconnect count.
 func (c *ReplicaCounters) Reconnects() int64 { return c.reconnects.Load() }
 
-// NoteBootstrap counts one checkpoint catch-up of n downloaded bytes.
-func (c *ReplicaCounters) NoteBootstrap(n int64) {
+// NoteBootstrap counts one checkpoint catch-up of n downloaded bytes
+// that put the follower at the checkpoint's LSN: cursor and observed
+// leader LSN both restart there (after a fork, the abandoned history's
+// LSN would otherwise read as lag until the leader passed it).
+func (c *ReplicaCounters) NoteBootstrap(n int64, lsn uint64) {
 	c.bootstraps.Add(1)
 	c.catchup.Add(n)
+	c.appliedLSN.Store(lsn)
+	c.leaderLSN.Store(lsn)
 }
 
 // Bootstraps reports the checkpoint catch-up count.

@@ -124,7 +124,7 @@ func Open(dir string, opts *Options) (*GraphDir, error) {
 	if len(cks) > 0 {
 		g.nextSeq = cks[0].seq + 1
 	}
-	g.log, err = newLog(g.fs, logDir(dir), g.segBytes, g.policy, g.ctr)
+	g.log, err = newLog(g.fs, logDir(dir), g.segBytes, g.policy, g.ctr, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -186,16 +186,16 @@ func (g *GraphDir) Checkpoint(lsn uint64, src Source, cores []uint32) error {
 }
 
 // ResetLogs closes the log and deletes the whole WAL tree — every s*
-// directory on disk — so the next append starts a fresh segment.
-// Recovery calls this right after writing its post-replay checkpoint:
-// old segments (including any torn tails) are dead weight once a
-// committed checkpoint covers them.
-func (g *GraphDir) ResetLogs() error {
+// directory on disk — so the next append starts a fresh segment, with
+// the records after lsn. Recovery calls this right after writing its
+// post-replay checkpoint at lsn: old segments (including any torn tails)
+// are dead weight once a committed checkpoint covers them.
+func (g *GraphDir) ResetLogs(lsn uint64) error {
 	g.log.Close() //nolint:errcheck // its segments are deleted next
 	if err := g.fs.RemoveAll(walRoot(g.dir)); err != nil {
 		return err
 	}
-	l, err := newLog(g.fs, logDir(g.dir), g.segBytes, g.policy, g.ctr)
+	l, err := newLog(g.fs, logDir(g.dir), g.segBytes, g.policy, g.ctr, lsn)
 	if err != nil {
 		return err
 	}
@@ -240,14 +240,6 @@ type Recovered struct {
 	Damaged bool
 	// Reason explains Damaged (and Fallback) for logs and stats.
 	Reason string
-}
-
-// MaxLSN reports the highest LSN the recovered state includes.
-func (r *Recovered) MaxLSN() uint64 {
-	if n := len(r.Records); n > 0 {
-		return r.Records[n-1].LSN
-	}
-	return r.Manifest.LSN
 }
 
 // Scan inspects a graph directory and computes what can be recovered.

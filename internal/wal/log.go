@@ -3,8 +3,11 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -71,40 +74,69 @@ const (
 // decisions need only the directory listing.
 func segName(firstLSN uint64) string { return fmt.Sprintf("%016x%s", firstLSN, segSuffix) }
 
-// Log is the writer's segmented append log. Appends arrive
-// from a single writer goroutine, but Sync (the commit path) can be
-// called from any goroutine, so file state is guarded by a small mutex.
+// Log is the writer's segmented append log, and the change stream a
+// leader serves its followers (Tail). Appends arrive from a single writer
+// goroutine, but Sync (the commit path) and tails can run on any
+// goroutine, so file state is guarded by a small mutex.
 type Log struct {
 	fs       faultfs.FS
 	dir      string
 	segBytes int64
 	policy   SyncPolicy
 	ctr      *stats.WalCounters
+	base     uint64 // the LSN the log's first record follows
 
 	mu     sync.Mutex
 	f      faultfs.File
 	size   int64
 	synced bool // no appends since the last fsync
+	// seg is the segment appends go to (its first LSN; 0 before the first)
+	// and end how many of its bytes the last successful Append finished:
+	// a tail reads it no further, so it never sees a partial frame or a
+	// record whose append failed.
+	seg  uint64
+	end  int64
+	err  error         // the first failed Append: nothing is appended behind it
+	wake chan struct{} // closed and replaced by every successful Append; closed and nil once closed
 }
 
-// newLog creates (or reuses) the log directory and returns a log
-// that will start a fresh segment at the first append.
-func newLog(fs faultfs.FS, dir string, segBytes int64, policy SyncPolicy, ctr *stats.WalCounters) (*Log, error) {
+// newLog creates (or reuses) the log directory and returns a log that
+// will start a fresh segment at the first append, whose records follow
+// LSN base.
+func newLog(fs faultfs.FS, dir string, segBytes int64, policy SyncPolicy, ctr *stats.WalCounters, base uint64) (*Log, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
 	if err := fs.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Log{fs: fs, dir: dir, segBytes: segBytes, policy: policy, ctr: ctr, synced: true}, nil
+	return &Log{fs: fs, dir: dir, segBytes: segBytes, policy: policy, ctr: ctr, base: base,
+		synced: true, wake: make(chan struct{})}, nil
 }
 
 // Append writes one framed record (encoded by AppendRecord) whose first
 // LSN is firstLSN, rolling to a new segment when the current one is
-// full. Under SyncAlways the record is fsynced before Append returns.
+// full. Under SyncAlways the record is fsynced before Append returns. A
+// failed Append may leave part of its frame in the segment, so the log
+// refuses every Append after it.
 func (l *Log) Append(frame []byte, firstLSN uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
+	if l.err = l.appendLocked(frame, firstLSN); l.err != nil {
+		return l.err
+	}
+	l.end = l.size
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = make(chan struct{})
+	}
+	return nil
+}
+
+func (l *Log) appendLocked(frame []byte, firstLSN uint64) error {
 	if l.f == nil || l.size+int64(len(frame)) > l.segBytes {
 		if err := l.rollLocked(firstLSN); err != nil {
 			return err
@@ -145,6 +177,8 @@ func (l *Log) rollLocked(firstLSN uint64) error {
 	if err != nil {
 		return err
 	}
+	// Listable from here on: tails read it no further than end.
+	l.seg, l.end = firstLSN, 0
 	var hdr [segHeaderSize]byte
 	copy(hdr[:8], segMagic)
 	binary.LittleEndian.PutUint32(hdr[8:], segVersion)
@@ -182,10 +216,15 @@ func (l *Log) Sync() error {
 	return l.syncLocked()
 }
 
-// Close fsyncs (policy permitting) and closes the open segment.
+// Close fsyncs (policy permitting) and closes the open segment; tails
+// drain what was appended and then end.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.wake != nil {
+		close(l.wake)
+		l.wake = nil
+	}
 	if l.f == nil {
 		return nil
 	}
@@ -229,6 +268,12 @@ func listSegments(fs faultfs.FS, dir string) ([]segEntry, error) {
 	return segs, nil
 }
 
+// badHeader reports whether b does not start with a segment header.
+func badHeader(b []byte) bool {
+	return len(b) < segHeaderSize || string(b[:8]) != segMagic ||
+		binary.LittleEndian.Uint32(b[8:]) != segVersion
+}
+
 // readLogDir reads every record from one log directory's segments in LSN
 // order, each segment through a FrameReader. A bad segment header or a
 // bad frame (a heartbeat included: they are never logged) in the final
@@ -246,8 +291,7 @@ func readLogDir(fs faultfs.FS, dir string) (recs []Record, torn, damaged bool, e
 		if err != nil {
 			return nil, false, false, err
 		}
-		bad := len(data) < segHeaderSize || string(data[:8]) != segMagic ||
-			binary.LittleEndian.Uint32(data[8:]) != segVersion
+		bad := badHeader(data)
 		if !bad {
 			fr := NewFrameReader(bytes.NewReader(data[segHeaderSize:]))
 			for {
@@ -286,4 +330,166 @@ func truncateBelow(fs faultfs.FS, dir string, keep uint64) error {
 		}
 	}
 	return nil
+}
+
+// TrimmedError reports a cursor older than the log's retention: the
+// segment holding the record after it went with the checkpoint that
+// covered it.
+type TrimmedError struct {
+	// Oldest is the oldest cursor the log can still serve from.
+	Oldest uint64
+}
+
+func (e *TrimmedError) Error() string {
+	return fmt.Sprintf("wal: change feed trimmed (oldest servable cursor %d)", e.Oldest)
+}
+
+// Tail is a read cursor over a log's records: a leader serves each
+// follower connection from one. It is just a position — the segment it
+// reads (by first LSN; 0 until it has one), the offset of its next frame
+// there, and the LSN of the next record to return — and holds no file,
+// index or record between calls. A Tail is not safe for concurrent use.
+type Tail struct {
+	l    *Log
+	seg  uint64
+	off  int64
+	next uint64
+}
+
+// Tail opens a cursor whose Next returns the records with LSN > from. A
+// from older than retention keeps is a *TrimmedError naming the oldest
+// cursor there is.
+func (l *Log) Tail(from uint64) (*Tail, error) {
+	t := &Tail{l: l, next: from + 1}
+	if err := t.advance(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Next returns up to max records past the cursor, in LSN order, and moves
+// the cursor past them. Segments older than the one the log appends to
+// are read to their end, that one only up to the bytes the last
+// successful Append finished. With nothing new Next returns no records
+// and a channel the next Append or Close closes; once the log is closed
+// and read to its end, io.EOF. A cursor whose segment retention removed
+// gets a *TrimmedError; damage or an LSN gap is an error.
+func (t *Tail) Next(max int) ([]Record, <-chan struct{}, error) {
+	var (
+		out  []Record
+		wake chan struct{}
+	)
+	for len(out) < max {
+		// The snapshot follows the listing the cursor's segment came from,
+		// and a roll names its segment the moment it creates it: a listed
+		// segment other than seg is one appends are done with.
+		t.l.mu.Lock()
+		seg, end := t.l.seg, t.l.end
+		wake = t.l.wake
+		t.l.mu.Unlock()
+		if t.seg != 0 {
+			sealed := t.seg != seg // never written again: read to its end
+			limit := end
+			if sealed {
+				limit = math.MaxInt64
+			}
+			var err error
+			if out, err = t.read(limit, out, max); err != nil {
+				return out, nil, err
+			}
+			if len(out) == max || !sealed {
+				break
+			}
+		}
+		// Read to its end, removed by retention, or none yet: the next one.
+		from := t.seg
+		if err := t.advance(); err != nil {
+			return out, nil, err
+		}
+		if t.seg == from {
+			break
+		}
+	}
+	switch {
+	case len(out) > 0:
+		return out, nil, nil
+	case wake == nil:
+		return nil, nil, io.EOF // closed
+	}
+	return nil, wake, nil
+}
+
+// advance moves the cursor past its segment, found by name alone — each
+// is named by its first LSN: to the newest later one that starts at most
+// at the next record, the one holding it, or else to the first later one.
+// The oldest cursor retention keeps is the one before the first
+// segment's first record, or the log's base while it has no segment; a
+// cursor older than that is a *TrimmedError.
+func (t *Tail) advance() error {
+	segs, err := listSegments(t.l.fs, t.l.dir)
+	if err != nil {
+		return err
+	}
+	oldest := t.l.base
+	if len(segs) > 0 {
+		oldest = segs[0].firstLSN - 1
+	}
+	if oldest >= t.next {
+		return &TrimmedError{Oldest: oldest}
+	}
+	from := t.seg
+	for _, s := range segs {
+		if s.firstLSN > from && (s.firstLSN <= t.next || t.seg == from) {
+			t.seg, t.off = s.firstLSN, segHeaderSize
+		}
+	}
+	return nil
+}
+
+// read decodes the cursor's segment from its offset up to byte limit into
+// out, until out holds max records. Records below the cursor are passed
+// over; one past the next LSN is a gap — a roll names a segment after the
+// record that opens it, so that holds across segments too.
+func (t *Tail) read(limit int64, out []Record, max int) ([]Record, error) {
+	if limit <= t.off {
+		return out, nil
+	}
+	path := filepath.Join(t.l.dir, segName(t.seg))
+	f, err := t.l.fs.Open(path)
+	if os.IsNotExist(err) {
+		return out, nil // removed by retention (never the one appends go to)
+	}
+	if err != nil {
+		return out, err
+	}
+	defer f.Close()
+	if t.off == segHeaderSize {
+		var hdr [segHeaderSize]byte
+		if _, err := f.ReadAt(hdr[:], 0); err != nil || badHeader(hdr[:]) {
+			return out, fmt.Errorf("wal: %s: bad segment header", path)
+		}
+	}
+	fr := NewFrameReader(io.NewSectionReader(f, t.off, limit-t.off))
+	for len(out) < max {
+		start := fr.BytesRead()
+		rec, err := fr.ReadFrame()
+		if err == io.EOF {
+			break
+		}
+		if err == nil && rec.Heartbeat {
+			err = errors.New("heartbeat frame in a log")
+		}
+		if err != nil {
+			return out, fmt.Errorf("wal: %s at offset %d: %w", path, t.off, err)
+		}
+		if rec.LSN > t.next {
+			return out, fmt.Errorf("wal: %s: LSN gap: record %d follows %d", path, rec.LSN, t.next-1)
+		}
+		t.off += fr.BytesRead() - start
+		if rec.LSN == t.next {
+			out = append(out, rec)
+			t.next++
+		}
+	}
+	return out, nil
 }

@@ -25,6 +25,11 @@
 // replays the consecutive LSN prefix of the surviving log records. Because every acked Sync has
 // fsynced all logs (under the always/interval policies), that prefix
 // covers at least the last acked Sync.
+//
+// The log is also the change stream a replication leader serves: a Tail
+// is a cursor over the segments, never past the last finished append,
+// and reaches back as far as checkpoint retention keeps segments — there
+// is no other copy of the history.
 package wal
 
 import (

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"kcore/internal/faultfs"
@@ -149,7 +150,7 @@ func appendN(t *testing.T, l *Log, start uint64, n int) {
 func TestLogAppendReadAndTornTail(t *testing.T) {
 	dir := t.TempDir()
 	ctr := &stats.WalCounters{}
-	l, err := newLog(faultfs.OS, dir, 0, SyncAlways, ctr)
+	l, err := newLog(faultfs.OS, dir, 0, SyncAlways, ctr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestLogAppendReadAndTornTail(t *testing.T) {
 func TestLogRollAndMidLogDamage(t *testing.T) {
 	dir := t.TempDir()
 	// A tiny roll threshold forces one record per segment.
-	l, err := newLog(faultfs.OS, dir, 32, SyncInterval, &stats.WalCounters{})
+	l, err := newLog(faultfs.OS, dir, 32, SyncInterval, &stats.WalCounters{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestReadLogDirDamageProperty(t *testing.T) {
 	recLen := len(AppendRecord(nil, 1, nil, edges(1, 2)))
 	master := t.TempDir()
 	// Exactly perSeg records fit a segment.
-	l, err := newLog(faultfs.OS, master, int64(segHeaderSize+perSeg*recLen), SyncNever, &stats.WalCounters{})
+	l, err := newLog(faultfs.OS, master, int64(segHeaderSize+perSeg*recLen), SyncNever, &stats.WalCounters{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +315,7 @@ func TestReadLogDirDamageProperty(t *testing.T) {
 
 func TestTruncateBelowKeepsCoveringSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, err := newLog(faultfs.OS, dir, 32, SyncInterval, &stats.WalCounters{})
+	l, err := newLog(faultfs.OS, dir, 32, SyncInterval, &stats.WalCounters{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,8 +442,8 @@ func TestCheckpointScanReplayTail(t *testing.T) {
 	if sc.Manifest.LSN != 0 || sc.Fallback || sc.Damaged || sc.Gap || sc.Torn {
 		t.Fatalf("scan = %+v, want clean checkpoint at LSN 0", sc)
 	}
-	if len(sc.Records) != 3 || sc.MaxLSN() != 3 {
-		t.Fatalf("replay tail = %d records, MaxLSN %d; want 3 and 3", len(sc.Records), sc.MaxLSN())
+	if len(sc.Records) != 3 || lastLSN(sc) != 3 {
+		t.Fatalf("replay tail = %d records, last LSN %d; want 3 and 3", len(sc.Records), lastLSN(sc))
 	}
 	if !reflect.DeepEqual(sc.Cores, cores) {
 		t.Fatalf("cores = %v, want %v", sc.Cores, cores)
@@ -470,7 +471,7 @@ func TestScanMergesLegacyShardLogs(t *testing.T) {
 	logs := make([]*Log, 3)
 	for i := range logs {
 		// One record per segment, so retention has something to drop.
-		l, err := newLog(faultfs.OS, filepath.Join(walRoot(dir), fmt.Sprintf("s%d", i)), 32, SyncAlways, &stats.WalCounters{})
+		l, err := newLog(faultfs.OS, filepath.Join(walRoot(dir), fmt.Sprintf("s%d", i)), 32, SyncAlways, &stats.WalCounters{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -510,14 +511,14 @@ func TestScanMergesLegacyShardLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := gd.Checkpoint(sc.MaxLSN(), m, nil); err != nil {
+		if err := gd.Checkpoint(lastLSN(sc), m, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if segs, err := listSegments(faultfs.OS, filepath.Join(walRoot(dir), "s1")); err != nil || len(segs) != 1 {
 		t.Fatalf("s1 holds %d segments after retention (%v), want only its newest", len(segs), err)
 	}
-	if err := gd.ResetLogs(); err != nil {
+	if err := gd.ResetLogs(lastLSN(sc)); err != nil {
 		t.Fatal(err)
 	}
 	if err := gd.Close(); err != nil {
@@ -556,9 +557,9 @@ func TestScanGapStopsAtConsecutivePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sc.Gap || len(sc.Records) != 2 || sc.MaxLSN() != 2 {
+	if !sc.Gap || len(sc.Records) != 2 || lastLSN(sc) != 2 {
 		t.Fatalf("gap scan = gap=%v records=%d max=%d; want gap with LSNs 1..2",
-			sc.Gap, len(sc.Records), sc.MaxLSN())
+			sc.Gap, len(sc.Records), lastLSN(sc))
 	}
 	if sc.Damaged {
 		t.Fatal("a gap must not classify as damage (it is provably unacked)")
@@ -666,9 +667,221 @@ func TestCheckpointRetentionTruncatesLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Manifest.LSN != 6 || sc.MaxLSN() != 6 || sc.Gap {
+	if sc.Manifest.LSN != 6 || lastLSN(sc) != 6 || sc.Gap {
 		t.Fatalf("scan after retention = lsn %d max %d gap %v, want 6/6/false",
-			sc.Manifest.LSN, sc.MaxLSN(), sc.Gap)
+			sc.Manifest.LSN, lastLSN(sc), sc.Gap)
 	}
 	gd.Close() //nolint:errcheck
+}
+
+// tearFS tears the one write it is armed for: half the bytes land, then
+// the write fails — the worst a failed append can leave in a segment.
+type tearFS struct {
+	faultfs.FS
+	armed *atomic.Bool
+}
+
+func (fs tearFS) Create(name string) (faultfs.File, error) {
+	f, err := fs.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return tearFile{f, fs.armed}, nil
+}
+
+type tearFile struct {
+	faultfs.File
+	armed *atomic.Bool
+}
+
+func (f tearFile) Write(p []byte) (int, error) {
+	if f.armed.CompareAndSwap(true, false) {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, errors.New("torn write")
+	}
+	return f.File.Write(p)
+}
+
+// drainTail reads a tail until it has caught up (or, on a closed log,
+// ended), max records per Next.
+func drainTail(t *testing.T, tl *Tail, max int) []Record {
+	t.Helper()
+	var all []Record
+	for {
+		recs, _, err := tl.Next(max)
+		if err == io.EOF {
+			return all
+		}
+		if err != nil {
+			t.Fatalf("tail: %v", err)
+		}
+		if len(recs) > max {
+			t.Fatalf("Next(%d) returned %d records", max, len(recs))
+		}
+		if len(recs) == 0 {
+			return all
+		}
+		all = append(all, recs...)
+	}
+}
+
+// sameRecords fails the test unless got is exactly want.
+func sameRecords(t *testing.T, what string, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].LSN != want[i].LSN || got[i].Heartbeat ||
+			!sameEdges(got[i].Deletes, want[i].Deletes) || !sameEdges(got[i].Inserts, want[i].Inserts) {
+			t.Fatalf("%s: record %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestTailProperty: a tail over a log rolling at a random SegmentBytes
+// (32…4096) returns exactly the records in (from, last appended], in
+// order across rolls — to a reader racing the writer from the start, and
+// to cursors opened at random points between appends, each in the
+// segment holding record from+1. Half the trials
+// tear one append mid-write: no tail ever returns a partial frame or
+// anything from that append on, and the log takes nothing after it. Two
+// checkpoints at the last LSN then leave the segment holding it as the
+// oldest, and an older cursor gets a *TrimmedError naming that oldest
+// cursor; from there the records still stream.
+func TestTailProperty(t *testing.T) {
+	seed := testutil.Seed(t, 79)
+	rnd := rand.New(rand.NewSource(seed))
+	for trial := 0; trial < 24; trial++ {
+		segBytes := int64(32 + rnd.Intn(4096-32+1))
+		n := 20 + rnd.Intn(150)
+		tearAt := uint64(0)
+		if rnd.Intn(2) == 0 {
+			tearAt = uint64(1 + rnd.Intn(n))
+		}
+		policy := []SyncPolicy{SyncNever, SyncInterval}[rnd.Intn(2)]
+		what := fmt.Sprintf("trial %d (segBytes %d, n %d, tear at %d)", trial, segBytes, n, tearAt)
+		armed := new(atomic.Bool)
+		dir := t.TempDir()
+		gd, err := Open(dir, &Options{FS: tearFS{faultfs.OS, armed}, SegmentBytes: segBytes, Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := gd.Log()
+
+		racer, err := l.Tail(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raced := make(chan []Record)
+		go func() {
+			var all []Record
+			for {
+				recs, wait, err := racer.Next(1 + len(all)%7)
+				if err != nil {
+					if err != io.EOF {
+						all = append(all, Record{LSN: 0, Heartbeat: true}) // poison: fails the comparison
+					}
+					raced <- all
+					return
+				}
+				all = append(all, recs...)
+				if len(recs) == 0 {
+					<-wait
+				}
+			}
+		}()
+
+		var want []Record
+		segStart := map[uint64]uint64{} // model: record LSN -> first LSN of its segment
+		var cur, size uint64            // model's open segment and its bytes
+		for lsn := uint64(1); lsn <= uint64(n); lsn++ {
+			rec := Record{LSN: lsn, Deletes: edges(), Inserts: edges()}
+			for k := rnd.Intn(4); k > 0; k-- {
+				rec.Inserts = append(rec.Inserts, memgraph.Edge{U: uint32(rnd.Intn(100)), V: uint32(rnd.Intn(100))})
+			}
+			for k := rnd.Intn(3); k > 0; k-- {
+				rec.Deletes = append(rec.Deletes, memgraph.Edge{U: uint32(rnd.Intn(100)), V: uint32(rnd.Intn(100))})
+			}
+			frame := AppendRecord(nil, lsn, rec.Deletes, rec.Inserts)
+			rolls := cur == 0 || size+uint64(len(frame)) > uint64(segBytes)
+			if lsn == tearAt {
+				armed.Store(true)
+				if err := l.Append(frame, lsn); err == nil {
+					t.Fatalf("%s: a torn append succeeded", what)
+				}
+				if rolls {
+					cur = lsn // its segment exists, with half a header
+				}
+				if err := l.Append(AppendRecord(nil, lsn, nil, nil), lsn); err == nil {
+					t.Fatalf("%s: the log took an append after a failed one", what)
+				}
+				break
+			}
+			if err := l.Append(frame, lsn); err != nil {
+				t.Fatal(err)
+			}
+			if rolls {
+				cur, size = lsn, segHeaderSize
+			}
+			size += uint64(len(frame))
+			segStart[lsn] = cur
+			want = append(want, rec)
+			if rnd.Intn(3) == 0 {
+				from := uint64(rnd.Intn(int(lsn) + 1))
+				tl, err := l.Tail(from)
+				if err != nil {
+					t.Fatalf("%s: tail at %d: %v", what, from, err)
+				}
+				if from < lsn && tl.seg != segStart[from+1] {
+					t.Fatalf("%s: tail at %d opened in segment %d, record %d is in %d", what, from, tl.seg, from+1, segStart[from+1])
+				}
+				sameRecords(t, fmt.Sprintf("%s: tail at %d after %d", what, from, lsn), drainTail(t, tl, 1+rnd.Intn(8)), want[from:])
+			}
+		}
+		last := uint64(len(want))
+		from := uint64(rnd.Intn(int(last) + 1))
+		tl, err := l.Tail(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRecords(t, what+": tail after the appends", drainTail(t, tl, 1+rnd.Intn(8)), want[from:])
+		if err := gd.Close(); err != nil && tearAt == 0 {
+			t.Fatal(err)
+		}
+		sameRecords(t, what+": racing reader", <-raced, want)
+		if last == 0 {
+			continue
+		}
+
+		// Retention: the older of two checkpoints at last drops every
+		// segment but the one holding last — or, when the torn append
+		// opened a segment after it, that one.
+		for i := 0; i < 2; i++ {
+			if err := gd.Checkpoint(last, sourceOf(4, nil), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		oldest := segStart[last] - 1
+		if cur == last+1 {
+			oldest = last
+		}
+		var trimmed *TrimmedError
+		if _, err := l.Tail(oldest - 1); oldest > 0 && (!errors.As(err, &trimmed) || trimmed.Oldest != oldest) {
+			t.Fatalf("%s: tail below retention = %v, want TrimmedError{%d}", what, err, oldest)
+		}
+		tl, err = l.Tail(oldest)
+		if err != nil {
+			t.Fatalf("%s: tail at the oldest cursor %d: %v", what, oldest, err)
+		}
+		sameRecords(t, what+": tail from the oldest cursor", drainTail(t, tl, 8), want[oldest:])
+	}
+}
+
+// lastLSN is the LSN a scan's state reaches once its tail is replayed.
+func lastLSN(sc *Recovered) uint64 {
+	if n := len(sc.Records); n > 0 {
+		return sc.Records[n-1].LSN
+	}
+	return sc.Manifest.LSN
 }

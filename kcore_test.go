@@ -170,6 +170,50 @@ func TestMaintainerTwoPhaseVariant(t *testing.T) {
 	}
 }
 
+// TestInsertEdgesErrorKeepsPrefixStats: InsertEdges is not atomic — the
+// edges before a failing one stay applied — and the RunInfo it returns
+// with the error is that applied prefix's work, on both insertion
+// algorithms: the graph is larger than the default frames, so inserting
+// two edges reads blocks.
+func TestInsertEdgesErrorKeepsPrefixStats(t *testing.T) {
+	edges := gen.BarabasiAlbert(2000, 4, 205)
+	base := filepath.Join(t.TempDir(), "g")
+	if err := kcore.Build(base, kcore.SliceEdges(edges), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []kcore.InsertAlgorithm{kcore.SemiInsertStar, kcore.SemiInsertTwoPhase} {
+		t.Run(algo.String(), func(t *testing.T) {
+			g, err := kcore.Open(base, &kcore.OpenOptions{BlockSize: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			m, err := kcore.NewMaintainer(g, &kcore.MaintainerOptions{Insert: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := kcore.Edge{U: 0, V: 1999}, kcore.Edge{U: 1, V: 1998}
+			for _, e := range []kcore.Edge{a, b} {
+				if has, _ := g.HasEdge(e.U, e.V); has {
+					t.Fatalf("fixture: %v is already an edge", e)
+				}
+			}
+			info, err := m.InsertEdges([]kcore.Edge{a, b, a})
+			if err == nil {
+				t.Fatal("a batch re-inserting its own first edge was accepted")
+			}
+			if info.IO.Reads == 0 || info.NodeComputations == 0 {
+				t.Fatalf("the applied prefix's work is missing from the error's RunInfo: %+v", info)
+			}
+			for _, e := range []kcore.Edge{a, b} {
+				if has, _ := g.HasEdge(e.U, e.V); !has {
+					t.Fatalf("prefix edge %v not applied", e)
+				}
+			}
+		})
+	}
+}
+
 func TestQueries(t *testing.T) {
 	core := []uint32{3, 3, 3, 3, 2, 2, 2, 2, 1}
 	if kcore.Degeneracy(core) != 3 {

@@ -147,36 +147,14 @@ func (m *Maintainer) DeleteEdges(edges []Edge) (RunInfo, error) {
 // atomic: edges are validated as they are applied, so when a mid-batch
 // edge errors (duplicate, self-loop, out-of-range id) the
 // already-inserted prefix stays applied — with exact core numbers — and
-// the failing edge and everything after it are not. This holds on both
-// the SemiInsert* and the two-phase SemiInsert path. Callers needing
-// all-or-nothing behaviour must pre-validate the batch against the
-// graph (see internal/serve's applyRun) or delete the prefix on error.
+// the failing edge and everything after it are not. The RunInfo returned
+// with the error is that prefix's work: its I/O, node computations and
+// dirty nodes. This holds on both the SemiInsert* and the two-phase
+// SemiInsert path. Callers needing all-or-nothing behaviour must
+// pre-validate the batch against the graph (see internal/serve's
+// applyRun) or delete the prefix on error.
 func (m *Maintainer) InsertEdges(edges []Edge) (RunInfo, error) {
-	if m.insert == SemiInsertTwoPhase {
-		var total RunInfo
-		total.Algorithm = "SemiInsert (batch)"
-		before := m.g.IOStats()
-		for _, e := range edges {
-			info, err := m.InsertEdge(e.U, e.V)
-			if err != nil {
-				// The applied prefix's reads and writes happened; the
-				// error return must carry them too, or they vanish
-				// from the stats.
-				total.IO = m.g.IOStats().Sub(before)
-				return total, err
-			}
-			total.Iterations += info.Iterations
-			total.NodeComputations += info.NodeComputations
-			total.Dirty = append(total.Dirty, info.Dirty...)
-			total.Duration += info.Duration
-		}
-		total.IO = m.g.IOStats().Sub(before)
-		return total, nil
-	}
 	before := m.g.IOStats()
-	rs, err := m.session.BatchInsert(edges)
-	if err != nil {
-		return RunInfo{}, err
-	}
-	return runInfoFrom(rs, m.g.IOStats().Sub(before)), nil
+	rs, err := m.session.BatchInsert(edges, m.insert == SemiInsertTwoPhase)
+	return runInfoFrom(rs, m.g.IOStats().Sub(before)), err
 }
