@@ -10,46 +10,124 @@ import (
 	"time"
 
 	"kcore"
+	"kcore/internal/engine"
 	"kcore/internal/gen"
 )
 
-// TestCachedOpenIOGate pins what opening a graph through the block cache
-// costs: one sequential pass over both tables — the pass that records the
-// per-block checksums every later cache fill is verified against, and
-// checks the whole-table ones against the header — and not one block
-// more, nor any write (nothing is copied or laid out anew).
-func TestCachedOpenIOGate(t *testing.T) {
-	g := buildFrom(t, gen.RMAT(13, 12, .57, .19, .19, 1), 0)
-	var blocks int64
-	for _, ext := range []string{".nt", ".et"} {
-		fi, err := os.Stat(g.Base() + ext)
+// fileBlocks sums ⌈size/B⌉ over the files at base + each of exts.
+func fileBlocks(t *testing.T, base string, b int64, exts ...string) int64 {
+	t.Helper()
+	var n int64
+	for _, ext := range exts {
+		fi, err := os.Stat(base + ext)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocks += (fi.Size() + 4095) / 4096
+		n += (fi.Size() + b - 1) / b
 	}
-	cg, err := kcore.Open(g.Base(), &kcore.OpenOptions{CacheBlocks: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cg.Close()
-	if io := cg.IOStats(); io.Reads != blocks || io.Writes != 0 {
-		t.Errorf("cached Open charged %d reads and %d writes, want exactly the %d table blocks and none", io.Reads, io.Writes, blocks)
-	}
-	if ds := cg.DiskStats(); ds.CacheHits+ds.CacheMisses != 0 {
-		t.Errorf("the open pass went through the cache: %+v", ds)
+	return n
+}
+
+// TestCachedOpenIOGate pins what opening a graph through the block cache
+// costs: with the checksum sidecar Build writes, reading the sidecar —
+// ⌈crc/B⌉ blocks, folded into the per-block checksums every later cache
+// fill is verified against and held to the header's whole-table ones —
+// and not one block more, nor any write, nor any cache lookup. Without
+// the sidecar (a graph from an older builder, a follower's download) the
+// open falls back to one sequential pass over both tables, ⌈nt/B⌉ +
+// ⌈et/B⌉ reads, recording the same checksums. An uncached Open reads
+// nothing.
+func TestCachedOpenIOGate(t *testing.T) {
+	g := buildFrom(t, gen.RMAT(13, 12, .57, .19, .19, 1), 0)
+	for _, leg := range []struct {
+		name string
+		exts []string
+	}{{"sidecar", []string{".crc"}}, {"fallback", []string{".nt", ".et"}}} {
+		if leg.name == "fallback" {
+			if err := os.Remove(g.Base() + ".crc"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := fileBlocks(t, g.Base(), 4096, leg.exts...)
+		cg, err := kcore.Open(g.Base(), &kcore.OpenOptions{CacheBlocks: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if io := cg.IOStats(); io.Reads != want || io.Writes != 0 {
+			t.Errorf("%s: cached Open charged %d reads and %d writes, want exactly the %d blocks of %v and none", leg.name, io.Reads, io.Writes, want, leg.exts)
+		}
+		if ds := cg.DiskStats(); ds.CacheHits+ds.CacheMisses != 0 {
+			t.Errorf("%s: the open went through the cache: %+v", leg.name, ds)
+		}
+		cg.Close()
 	}
 	if io := g.IOStats(); io.Reads != 0 {
 		t.Errorf("an uncached Open charged %d reads", io.Reads)
 	}
 }
 
+// TestCachedFoldBackIOGate pins what folding the update buffer back into
+// a cached graph's tables costs: one sequential read of the old tables
+// through the cache, one sequential write of the new tables and their
+// sidecar, and a reopen that reads only the new sidecar — no second pass
+// over the tables it has just written. The cache holds the whole graph,
+// so nothing is evicted and every old block is read once between open
+// and the end of the flush: the deletes' misses before it, the rest in
+// it.
+func TestCachedFoldBackIOGate(t *testing.T) {
+	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
+	g := buildFrom(t, edges, 0)
+	base := g.Base()
+	res, err := kcore.Decompose(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := fileBlocks(t, base, 4096, ".nt", ".et")
+	cg, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: int(old) + 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cg.Close()
+	m, err := kcore.NewMaintainer(cg, &kcore.MaintainerOptions{FromResult: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range gen.Build(edges).EdgeList()[:20] {
+		if _, err := m.DeleteEdge(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	io0, ds0 := cg.IOStats(), cg.DiskStats()
+	if err := cg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	io, ds := cg.IOStats().Sub(io0), cg.DiskStats()
+	sidecar := fileBlocks(t, base, 4096, ".crc")
+	if ds.Merges != 1 || ds.CacheEvictions != 0 {
+		t.Fatalf("%d merges and %d evictions, want one merge on a cache that holds the graph", ds.Merges, ds.CacheEvictions)
+	}
+	scan := old - ds0.CacheMisses // the old blocks the deletes left unread
+	if misses := ds.CacheMisses - ds0.CacheMisses; misses != scan {
+		t.Errorf("the rewrite missed %d blocks of the old tables, want the %d not yet cached", misses, scan)
+	}
+	if io.Reads != scan+sidecar {
+		t.Errorf("one fold-back read %d blocks, want the old tables' %d plus the new sidecar's %d", io.Reads, scan, sidecar)
+	}
+	if want := fileBlocks(t, base, 4096, ".nt", ".et", ".crc"); io.Writes != want {
+		t.Errorf("one fold-back wrote %d blocks, want the new tables' and sidecar's %d", io.Writes, want)
+	}
+}
+
 // TestCachedGraphRefusesDamagedBlocks: a graph read through the block
-// cache never serves bytes that disagree with its header. A table whose
-// checksum does not match fails Open; a block damaged after Open — here
-// one byte of a neighbour id, in a block the cache does not hold — fails
-// the first operation that fetches it, with the checksum error and no
-// neighbour list, and keeps failing; blocks around it still read.
+// cache never serves bytes that disagree with its header. A block damaged
+// after Open — here one byte of a neighbour id, in a block the cache does
+// not hold — fails the first operation that fetches it, with the checksum
+// error and no neighbour list, and keeps failing; blocks around it still
+// read. A fresh open finds the same damage at the first fill of that
+// block: the sidecar vouches for the tables as they were written, not as
+// they are. So a damaged graph still never serves: SemiCore*'s first pass
+// reads every block, and an engine's first open, plain or durable, fails.
+// Without the sidecar the open's pass over the tables finds it at Open.
 func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
 	g := buildFrom(t, gen.RMAT(10, 8, .57, .19, .19, 2), 0)
 	base, n := g.Base(), g.NumNodes()
@@ -68,6 +146,12 @@ func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
 		b[0] ^= 0x01
 		if _, err := f.WriteAt(b[:], off); err != nil {
 			t.Fatal(err)
+		}
+	}
+	corrupt := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Fatalf("%s: %v, want the checksum error", what, err)
 		}
 	}
 
@@ -95,21 +179,47 @@ func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
 		last-- // the node whose list ends the table
 	}
 	nbrs, err := cg.Neighbors(last)
-	if err == nil || !strings.Contains(err.Error(), "corrupt") || nbrs != nil {
-		t.Fatalf("Neighbors(%d) over a damaged block = %v, %v; want the checksum error and no list", last, nbrs, err)
+	corrupt(fmt.Sprintf("Neighbors(%d) over a damaged block", last), err)
+	if nbrs != nil {
+		t.Fatalf("Neighbors(%d) over a damaged block returned a list", last)
 	}
-	if _, err := m.DeleteEdge(last, 0); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("a maintenance operation that fetches the damaged block: %v, want the checksum error", err)
-	}
+	_, err = m.DeleteEdge(last, 0)
+	corrupt("a maintenance operation that fetches the damaged block", err)
 	if _, err := cg.Neighbors(0); err != nil {
 		t.Errorf("an undamaged block stopped reading: %v", err)
 	}
 
-	// The same damage, found at Open: the open pass checks each table
-	// against the header.
+	// The same damage, after a fresh open: found at the first fill.
+	fresh, err := kcore.Open(base, opts)
+	if err != nil {
+		t.Fatalf("an open through a valid sidecar read the tables: %v", err)
+	}
+	_, err = fresh.Neighbors(last)
+	corrupt("the first fill of the damaged block", err)
+	if _, err := fresh.Neighbors(0); err != nil {
+		t.Errorf("an undamaged block of a fresh open: %v", err)
+	}
+	fresh.Close()
+
+	// Never served: an engine's first open decomposes, and fails.
+	for _, durable := range []bool{false, true} {
+		eo := &engine.Options{Open: kcore.OpenOptions{BlockSize: 512}}
+		if durable {
+			eo.Durability = &engine.DurabilityOptions{Dir: t.TempDir()}
+		}
+		reg := engine.NewRegistry(eo)
+		_, err := reg.OpenBackend("g", base, engine.BackendConfig{Backend: engine.BackendDisk, CacheBlocks: 4})
+		reg.Close()
+		corrupt(fmt.Sprintf("engine first open (durable %v) of a damaged graph", durable), err)
+	}
+
+	// No sidecar: the open's pass checks each table against the header.
+	if err := os.Remove(base + ".crc"); err != nil {
+		t.Fatal(err)
+	}
 	if bad, err := kcore.Open(base, opts); err == nil {
 		bad.Close()
-		t.Fatal("Open accepted an edge table whose checksum does not match the header")
+		t.Fatal("Open without a sidecar accepted an edge table whose checksum does not match the header")
 	}
 }
 

@@ -34,9 +34,10 @@ type BuildOptions struct {
 }
 
 // Build converts an edge stream into the on-disk node-table/edge-table
-// format at path prefix base (three files: base.meta, base.nt, base.et).
-// Edges are symmetrised, external-sorted and deduplicated; self-loops are
-// dropped.
+// format at path prefix base (three files: base.meta, base.nt, base.et,
+// and the checksum sidecar base.crc a cached Open reads in place of a
+// pass over the tables). Edges are symmetrised, external-sorted and
+// deduplicated; self-loops are dropped.
 func Build(base string, src EdgeSource, opts *BuildOptions) error {
 	var o BuildOptions
 	if opts != nil {
@@ -60,10 +61,12 @@ type OpenOptions struct {
 	// read through. 0 selects the default: 64 frames — the measured
 	// floor, see docs/ARCHITECTURE.md, "Block readers" — which take the
 	// blocks they load on trust and cost nothing at Open. A positive
-	// budget also verifies every block it loads against a checksum
-	// recorded by one pass over the tables at Open. The layout, the
-	// update buffer and the compaction into the tables at base are the
-	// same either way.
+	// budget also verifies every block it loads against a checksum the
+	// header vouches for: Open reads the checksum sidecar Build writes
+	// beside the tables (base.crc), or, when there is none it can hold to
+	// the header, makes one pass over the tables to record them. The
+	// layout, the update buffer and the compaction into the tables at
+	// base are the same either way.
 	CacheBlocks int
 }
 

@@ -28,14 +28,15 @@ type csrTables struct {
 	mergedBytes atomic.Int64
 }
 
-// tableExts are the three files of a graph at a path prefix.
-var tableExts = [...]string{".meta", ".nt", ".et"}
+// tableExts are the files of a graph at a path prefix, the checksum
+// sidecar included.
+var tableExts = [...]string{".meta", ".nt", ".et", ".crc"}
 
 // compactBase is where a rewrite builds the next tables before renaming
 // them over base.
 func compactBase(base string) string { return base + ".compact" }
 
-// removeTables unlinks whatever exists of the three files at base.
+// removeTables unlinks whatever exists of the files at base.
 func removeTables(base string) {
 	for _, ext := range tableExts {
 		os.Remove(base + ext)
@@ -54,9 +55,10 @@ func openCSR(base string, ctr *stats.IOCounter, cacheBlocks int) (*csrTables, er
 	return c, nil
 }
 
-// open attaches the tables at base; with a budgeted cache that is a
-// charged, verifying pass over both (storage.OpenCached), so the tables a
-// rewrite just renamed into place get fresh per-block checksums.
+// open attaches the tables at base; with a budgeted cache it is a
+// verified open (storage.OpenCached), which gives the tables a rewrite
+// just renamed into place their per-block checksums from the sidecar the
+// rewrite wrote beside them.
 func (c *csrTables) open(base string, ctr *stats.IOCounter) error {
 	var (
 		disk *storage.Graph
@@ -76,9 +78,10 @@ func (c *csrTables) open(base string, ctr *stats.IOCounter) error {
 
 // Rewrite merges the buffer into the tables: one sequential read of the
 // old graph — through the cache where there is one, so no block is
-// copied that was not verified — one sequential write of the new one
-// (both counted), then an atomic swap. Closing the old tables drops
-// their frames. No error path leaves anything at compactBase.
+// copied that was not verified — one sequential write of the new one and
+// its checksum sidecar (both counted), then a swap by renames. Closing
+// the old tables drops their frames. No error path leaves anything at
+// compactBase.
 func (c *csrTables) Rewrite(ins, del map[uint32][]uint32) (err error) {
 	base, ctr := c.Base(), c.IOCounter()
 	tmp := compactBase(base)

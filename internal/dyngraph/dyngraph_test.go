@@ -220,8 +220,8 @@ func compactFiles(t *testing.T, base string) []string {
 }
 
 // TestOpenSweepsAbandonedRewrite: a process killed inside a rewrite
-// leaves half-built tables beside the real ones; the next Open removes
-// them.
+// leaves half-built tables, and a sidecar for them, beside the real ones;
+// the next Open removes them.
 func TestOpenSweepsAbandonedRewrite(t *testing.T) { onEachDriver(t, testOpenSweepsAbandonedRewrite) }
 
 func testOpenSweepsAbandonedRewrite(t *testing.T, open driverOpen) {
@@ -229,7 +229,7 @@ func testOpenSweepsAbandonedRewrite(t *testing.T, open driverOpen) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, ext := range []string{".nt", ".et"} { // no header yet: the builder writes it last
+	for _, ext := range []string{".nt", ".et", ".crc"} { // no header yet: the builder writes it last
 		if err := os.WriteFile(g.base+".compact"+ext, []byte("half a table"), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -618,22 +618,35 @@ func TestDataDirDoubleOpenRejected(t *testing.T) {
 // backend unchanged: writes are logged and survive a shutdown, recovery
 // routes through the CONFIG's backend label back to a disk engine over
 // the checkpoint copy, and the recovered cores match the pre-shutdown
-// state exactly.
+// state exactly. The live copy carries the checksum sidecar on both
+// paths — the base's on the first open, so that open reads exactly what
+// a plain cached open of the base does, with no pass over the tables;
+// the checkpoint's on recovery.
 func TestDurableDiskRoundTrip(t *testing.T) {
 	const n, seed, k = 120, 41, 6
 	dataDir := t.TempDir()
 	ups := freshEdges(n, seed, k)
+	base := writeGraph(t, n, seed)
+	cfg := engine.BackendConfig{Backend: engine.BackendDisk, CacheBlocks: 8}
+
+	plain := engine.NewRegistry(nil)
+	pe, err := plain.OpenBackend("g", base, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainReads := pe.Report().IO.Reads
+	plain.Close()
 
 	reg := engine.NewRegistry(durableOptions(dataDir))
-	eng, err := reg.OpenBackend("g", writeGraph(t, n, seed), engine.BackendConfig{
-		Backend:     engine.BackendDisk,
-		CacheBlocks: 8,
-	})
+	eng, err := reg.OpenBackend("g", base, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep := eng.Report(); rep.Backend != engine.BackendDisk || rep.Disk == nil {
 		t.Fatalf("durable wrapper hides the disk backend: %+v", rep)
+	}
+	if got := eng.Report().IO.Reads; got != plainReads {
+		t.Fatalf("durable first open read %d blocks, a plain cached open of the base %d", got, plainReads)
 	}
 	for _, up := range ups {
 		if err := eng.Apply(up); err != nil {
@@ -663,6 +676,9 @@ func TestDurableDiskRoundTrip(t *testing.T) {
 	}
 	if !slices.Equal(eng2.Snapshot().Cores(), want) {
 		t.Fatal("recovered disk-backed cores differ from pre-shutdown cores")
+	}
+	if _, err := os.Stat(wal.LiveBase(filepath.Join(dataDir, "g")) + ".crc"); err != nil {
+		t.Errorf("the live copy recovery made has no checksum sidecar: %v", err)
 	}
 }
 
@@ -777,7 +793,9 @@ func TestRecoverLegacyShardedDataDir(t *testing.T) {
 // record mid-write; live/ and LOCK left out). Formats are unchanged, so
 // it must recover as it would have there: newest checkpoint (LSN 3), four
 // records replayed, the torn one dropped, cores equal to a from-scratch
-// decomposition of the acked prefix.
+// decomposition of the acked prefix. Its checkpoints predate checksum
+// sidecars, so the live copy has none and the cached open takes the pass
+// over the tables; the checkpoint recovery commits has one.
 func TestRecoverParentWrittenDataDir(t *testing.T) {
 	const n, seed, k = 48, 41, 7
 	img := t.TempDir()
@@ -807,5 +825,12 @@ func TestRecoverParentWrittenDataDir(t *testing.T) {
 	}
 	if err := verify.CheckAgainst(gen.Build(edges), eng.Snapshot().Cores()); err != nil {
 		t.Fatalf("recovered cores differ from the reference on the acked prefix: %v", err)
+	}
+	dir := filepath.Join(img, "g")
+	if _, err := os.Stat(wal.LiveBase(dir) + ".crc"); !os.IsNotExist(err) {
+		t.Errorf("the live copy of a checkpoint written without sidecars has one: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ckpt", "0000000000000003", "graph.crc")); err != nil {
+		t.Errorf("the checkpoint recovery committed: %v", err)
 	}
 }

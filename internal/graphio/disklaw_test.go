@@ -52,7 +52,9 @@ func TestSemiCoreIOLaw(t *testing.T) {
 // SortBudgetArcs, so A arcs spill as runs of a_i = SortBudgetArcs/2 arcs
 // and a remainder; each run is written once and read once, ceil(8*a_i/B)
 // blocks either way, and the only other counted I/O is writing the two
-// tables front to back. Moving runs a block per call changed none of it.
+// tables front to back and then their checksum sidecar: an 8-byte header
+// and 4 bytes per 512-byte granule of each table. Moving runs a block per
+// call changed none of it.
 func TestBuildIOLaw(t *testing.T) {
 	edges := gen.ErdosRenyi(400, 3000, 705)
 	mem := gen.Build(edges)
@@ -77,10 +79,12 @@ func TestBuildIOLaw(t *testing.T) {
 				runBlocks = arcs / run * blocks(8*run)
 				runBlocks += blocks(8 * (arcs % run))
 			}
-			tables := blocks(int64(mem.NumNodes())*storage.NodeRecordSize) + blocks(mem.NumArcs()*storage.ArcSize)
-			if got := ctr.Snapshot(); got.Reads != runBlocks || got.Writes != runBlocks+tables {
-				t.Fatalf("B=%d budget=%d: reads %d writes %d, want %d run blocks each way + %d table blocks written",
-					blockSize, budget, got.Reads, got.Writes, runBlocks, tables)
+			nt, et := int64(mem.NumNodes())*storage.NodeRecordSize, mem.NumArcs()*storage.ArcSize
+			tables := blocks(nt) + blocks(et)
+			sidecar := blocks(8 + 4*((nt+511)/512+(et+511)/512))
+			if got := ctr.Snapshot(); got.Reads != runBlocks || got.Writes != runBlocks+tables+sidecar {
+				t.Fatalf("B=%d budget=%d: reads %d writes %d, want %d run blocks each way + %d table and %d sidecar blocks written",
+					blockSize, budget, got.Reads, got.Writes, runBlocks, tables, sidecar)
 			}
 		}
 	}

@@ -254,12 +254,17 @@ func WriteText(path string, g *memgraph.CSR) error {
 }
 
 // CopyGraph duplicates an on-disk graph (used by experiments that mutate
-// their input via compaction).
+// their input via compaction, and for a durable graph's live copy): its
+// three files and, when the source has one, its checksum sidecar, so a
+// verified open of the copy costs what one of the source would.
 func CopyGraph(dstBase, srcBase string) error {
 	for _, ext := range []string{".meta", ".nt", ".et"} {
 		if err := copyFile(dstBase+ext, srcBase+ext); err != nil {
 			return err
 		}
+	}
+	if err := copyFile(dstBase+".crc", srcBase+".crc"); err != nil && !os.IsNotExist(err) {
+		return err
 	}
 	return nil
 }

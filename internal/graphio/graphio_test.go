@@ -266,7 +266,7 @@ func TestConcurrentBuildsShareADirectory(t *testing.T) {
 		}
 		csrEqual(t, got, gen.Build(edges[i]))
 	}
-	if names := dirNames(t, dir); len(names) != 3*builds {
+	if names := dirNames(t, dir); len(names) != 4*builds {
 		t.Fatalf("want only the %d graphs' files, got %v", builds, names)
 	}
 }

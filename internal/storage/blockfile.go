@@ -111,7 +111,8 @@ func (bf *BlockFile) ReadAt(p []byte, off int64) error {
 // write I/O per flushed block. Close flushes the final partial block.
 // The writer keeps a running CRC32C of the logical byte stream so
 // callers can store a checksum alongside the file and detect torn or
-// bit-flipped tables at open (see Verify).
+// bit-flipped tables at open (see Verify), and, for the graph tables,
+// the CRC32C of every granule of it (the checksum sidecar's contents).
 type BlockWriter struct {
 	f    faultfs.File
 	b    int
@@ -119,6 +120,11 @@ type BlockWriter struct {
 	buf  []byte
 	fill int
 	crc  uint32
+
+	keepGranules bool
+	granules     []uint32 // finished granules' CRC32Cs
+	gcrc         uint32   // the granule being written
+	gfill        int
 }
 
 // CreateBlockWriter creates (truncates) path for counted writing on the
@@ -143,14 +149,23 @@ func CreateBlockWriterFS(fsys faultfs.FS, path string, ctr *stats.IOCounter) (*B
 	}, nil
 }
 
-// CRC reports the CRC32C of every byte written so far.
+// CRC reports the CRC32C of every byte flushed so far: after Sync or
+// Close, of the whole stream.
 func (bw *BlockWriter) CRC() uint32 { return bw.crc }
+
+// granuleCRCs reports the CRC32C of every granule flushed so far, the
+// last one short if the stream does not end on a granule boundary.
+func (bw *BlockWriter) granuleCRCs() []uint32 {
+	if bw.gfill > 0 {
+		return append(bw.granules, bw.gcrc)
+	}
+	return bw.granules
+}
 
 // Write appends p, flushing full blocks as they fill.
 func (bw *BlockWriter) Write(p []byte) (int, error) {
 	total := len(p)
 	bw.io.AddWriteBytes(int64(total))
-	bw.crc = crc32.Update(bw.crc, castagnoli, p)
 	for len(p) > 0 {
 		n := copy(bw.buf[bw.fill:], p)
 		bw.fill += n
@@ -164,11 +179,26 @@ func (bw *BlockWriter) Write(p []byte) (int, error) {
 	return total, nil
 }
 
+// flush writes the buffered bytes and checksums them: a block at a time,
+// because the tables arrive as 12-byte records and short lists, and a
+// CRC call per Write costs more than the CRC itself.
 func (bw *BlockWriter) flush() error {
 	if bw.fill == 0 {
 		return nil
 	}
-	n, err := bw.f.Write(bw.buf[:bw.fill])
+	blk := bw.buf[:bw.fill]
+	bw.crc = crc32.Update(bw.crc, castagnoli, blk)
+	for q := blk; bw.keepGranules && len(q) > 0; {
+		n := min(len(q), granule-bw.gfill)
+		bw.gcrc = crc32.Update(bw.gcrc, castagnoli, q[:n])
+		bw.gfill += n
+		q = q[n:]
+		if bw.gfill == granule {
+			bw.granules = append(bw.granules, bw.gcrc)
+			bw.gcrc, bw.gfill = 0, 0
+		}
+	}
+	n, err := bw.f.Write(blk)
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,8 @@ import (
 	"kcore/internal/stats"
 )
 
-// Builder writes a graph to disk. Adjacency lists must be appended in
+// Builder writes a graph to disk: the two tables, the checksum sidecar
+// and, last, the meta header. Adjacency lists must be appended in
 // node-id order, one call per node, with each list sorted ascending.
 // Writes are charged to the counter at block granularity, so building is
 // itself an I/O-accounted operation (used by EMCore re-partitioning and by
@@ -16,6 +17,7 @@ import (
 type Builder struct {
 	fs     faultfs.FS
 	base   string
+	ctr    *stats.IOCounter
 	n      uint32
 	next   uint32
 	arcs   int64
@@ -45,7 +47,8 @@ func NewBuilderFS(fsys faultfs.FS, base string, n uint32, ctr *stats.IOCounter) 
 		nt.Close()
 		return nil, err
 	}
-	return &Builder{fs: fsys, base: base, n: n, nt: nt, et: et}, nil
+	nt.keepGranules, et.keepGranules = true, true
+	return &Builder{fs: fsys, base: base, ctr: ctr, n: n, nt: nt, et: et}, nil
 }
 
 // AppendList writes nbr(v) for the next node. Lists must arrive for
@@ -97,14 +100,16 @@ func (b *Builder) AppendList(v uint32, nbrs []uint32) error {
 // Arcs reports the number of arcs appended so far.
 func (b *Builder) Arcs() int64 { return b.arcs }
 
-// Close pads any unwritten nodes with empty lists, flushes both tables and
-// writes the meta file (including table checksums).
+// Close pads any unwritten nodes with empty lists, flushes both tables,
+// writes their granule checksums to the sidecar and writes the meta file
+// (including the whole-table checksums).
 func (b *Builder) Close() error { return b.finish(false) }
 
-// CloseSync is Close with durability: both tables are fsynced before
-// the meta file is written, and the meta file is fsynced too. Callers
-// that commit the graph by renaming its directory (checkpoints) need
-// this ordering so a valid header never points at volatile tables.
+// CloseSync is Close with durability: both tables and the sidecar are
+// fsynced before the meta file is written, and the meta file is fsynced
+// too. Callers that commit the graph by renaming its directory
+// (checkpoints) need this ordering so a valid header never points at
+// volatile tables.
 func (b *Builder) CloseSync() error { return b.finish(true) }
 
 func (b *Builder) finish(durable bool) error {
@@ -129,12 +134,16 @@ func (b *Builder) finish(durable bool) error {
 			return err
 		}
 	}
-	ntCRC, etCRC := b.nt.CRC(), b.et.CRC()
 	if err := b.nt.Close(); err != nil {
 		b.et.Close()
 		return err
 	}
 	if err := b.et.Close(); err != nil {
+		return err
+	}
+	ntCRC, etCRC := b.nt.CRC(), b.et.CRC()
+	granules := append(b.nt.granuleCRCs(), b.et.granuleCRCs()...)
+	if err := writeSidecar(b.fs, b.base, granules, b.ctr, durable); err != nil {
 		return err
 	}
 	m := Meta{Version: FormatVersion, N: b.n, Arcs: b.arcs, HasCRC: true, NtCRC: ntCRC, EtCRC: etCRC}

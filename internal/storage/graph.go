@@ -6,14 +6,18 @@
 // B-sized frames shared by both (CachedFile). Open gives a graph a private
 // cache of defaultCacheBlocks frames and takes the blocks it loads on
 // trust; OpenCached reads through the caller's cache and checks every
-// block it loads against a CRC32C recorded by one pass at open. Either
+// block it loads against a CRC32C the header vouches for, folded from the
+// checksum sidecar or, failing that, recorded by one pass at open. Either
 // way ScanVerified reads the whole graph against the header's checksums.
 //
-// A graph <base> occupies three files:
+// A graph <base> occupies three files, and a fourth, optional one:
 //
-//	<base>.meta  text header (version, node count, arc count)
+//	<base>.meta  text header (version, node count, arc count, table CRC32Cs)
 //	<base>.nt    node table: n records of {offset uint64, degree uint32}
 //	<base>.et    edge table: arcs uint32 neighbour ids, lists concatenated
+//	<base>.crc   checksum sidecar: a CRC32C per 512-byte granule of .nt,
+//	             then of .et (sidecar.go); the Builder writes it, readers
+//	             that lack it or cannot hold it to the header do without
 //
 // Offsets are arc indexes (not bytes) into the edge table. Graphs are
 // undirected: every edge {u,v} is stored as the two arcs u→v and v→u, and
@@ -165,37 +169,49 @@ type Graph struct {
 // reads no table block and nothing is checksummed at load: whoever must
 // not take the tables on trust runs ScanVerified.
 func Open(base string, ctr *stats.IOCounter) (*Graph, error) {
-	cache := NewBlockCache(defaultCacheBlocks, ctr.BlockSize())
-	return open(base, ctr, func(path string, _ *uint32) (*CachedFile, error) {
-		return cache.Open(path, nil, ctr)
-	})
+	return open(base, ctr, NewBlockCache(defaultCacheBlocks, ctr.BlockSize()), false)
 }
 
 // OpenCached opens the graph stored at base through cache, whose block
-// size must be ctr's. Opening reads both tables once, front to back and
-// charged to ctr: the pass records the CRC32C of every block, which each
-// later cache fill is checked against, and must reproduce the header's
-// whole-table checksums (headers from older builders carry none and pass
-// unchecked, as in Verify) — so no block that disagrees with the header
-// is ever served, however long after open it is first fetched.
+// size must be ctr's, and checks every block a later cache fill loads
+// against a CRC32C the header vouches for — so no block that disagrees
+// with the header is ever served, however long after open it is first
+// fetched. The per-block checksums come from the sidecar when folding
+// its granule checksums reproduces the header's whole-table ones: that
+// costs the sidecar's blocks, charged to ctr. Otherwise (no sidecar, or
+// a stale, damaged or foreign one; a block size that is not a whole
+// number of granules; a graph from an older builder) opening reads both
+// tables once, front to back and charged to ctr, records the CRC32C of
+// every block and must reproduce the header's whole-table checksums
+// (headers from older builders carry none and pass unchecked, as in
+// Verify).
 func OpenCached(base string, ctr *stats.IOCounter, cache *BlockCache) (*Graph, error) {
-	return open(base, ctr, func(path string, crc *uint32) (*CachedFile, error) {
-		return cache.OpenVerified(path, crc, ctr)
-	})
+	return open(base, ctr, cache, true)
 }
 
-// open reads the header and attaches both tables through openTable, which
-// gets the table's header checksum (nil when the header has none).
-func open(base string, ctr *stats.IOCounter, openTable func(path string, crc *uint32) (*CachedFile, error)) (*Graph, error) {
+// open reads the header and attaches both tables through cache, with
+// per-block checksums when verify is set.
+func open(base string, ctr *stats.IOCounter, cache *BlockCache, verify bool) (*Graph, error) {
 	meta, err := ReadMeta(base)
 	if err != nil {
 		return nil, err
 	}
-	table := func(path, name string, size int64, crc *uint32) (*CachedFile, error) {
-		if !meta.HasCRC {
-			crc = nil
+	var ntBlocks, etBlocks []uint32
+	sidecar := false
+	if verify {
+		ntBlocks, etBlocks, sidecar = readSidecar(base, meta, cache.BlockSize(), ctr)
+	}
+	// blocks is nil unless the sidecar vouched for it.
+	table := func(path, name string, size int64, whole uint32, blocks []uint32) (t *CachedFile, err error) {
+		if verify && !sidecar {
+			want := &whole
+			if !meta.HasCRC {
+				want = nil
+			}
+			t, err = cache.OpenVerified(path, want, ctr)
+		} else {
+			t, err = cache.Open(path, blocks, ctr)
 		}
-		t, err := openTable(path, crc)
 		if err != nil {
 			return nil, err
 		}
@@ -205,11 +221,11 @@ func open(base string, ctr *stats.IOCounter, openTable func(path string, crc *ui
 		}
 		return t, nil
 	}
-	nt, err := table(nodePath(base), "node", int64(meta.N)*NodeRecordSize, &meta.NtCRC)
+	nt, err := table(nodePath(base), "node", int64(meta.N)*NodeRecordSize, meta.NtCRC, ntBlocks)
 	if err != nil {
 		return nil, err
 	}
-	et, err := table(edgePath(base), "edge", meta.Arcs*ArcSize, &meta.EtCRC)
+	et, err := table(edgePath(base), "edge", meta.Arcs*ArcSize, meta.EtCRC, etBlocks)
 	if err != nil {
 		nt.Close()
 		return nil, err
