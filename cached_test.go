@@ -1,17 +1,22 @@
 package kcore_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"kcore"
 	"kcore/internal/engine"
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
+	"kcore/internal/serve"
 )
 
 // fileBlocks sums ⌈size/B⌉ over the files at base + each of exts.
@@ -115,6 +120,232 @@ func TestCachedFoldBackIOGate(t *testing.T) {
 	}
 	if want := fileBlocks(t, base, 4096, ".nt", ".et", ".crc"); io.Writes != want {
 		t.Errorf("one fold-back wrote %d blocks, want the new tables' and sidecar's %d", io.Writes, want)
+	}
+}
+
+// TestFlushRefusesDamagedTable: the fold-back reads the tables it
+// replaces through storage.ScanVerified, so an in-range neighbour id
+// flipped under the graph — still sorted, the tiling intact: nothing but
+// a checksum can tell — fails the Flush with the checksum error and
+// leaves every file at the graph's base as it was, instead of being
+// copied into new tables whose fresh checksums would vouch for the
+// damage. On both block readers: the default frames take the blocks they
+// load on trust, a cache checks each against the sidecar.
+func TestFlushRefusesDamagedTable(t *testing.T) {
+	edges := gen.RMAT(10, 8, .57, .19, .19, 2)
+	for _, frames := range []int{0, 4} {
+		t.Run(fmt.Sprintf("frames=%d", frames), func(t *testing.T) {
+			g := buildFrom(t, edges, 0)
+			base := g.Base()
+			res, err := kcore.Decompose(g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cg, err := kcore.Open(base, &kcore.OpenOptions{BlockSize: 512, CacheBlocks: frames})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cg.Close()
+			m, err := kcore.NewMaintainer(cg, &kcore.MaintainerOptions{FromResult: res})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := gen.Build(edges).EdgeList()[0]
+			if _, err := m.DeleteEdge(e.U, e.V); err != nil {
+				t.Fatal(err)
+			}
+			// The last arc of the edge table is the highest neighbour x of
+			// the node w whose list ends it, and x < w: x+1 keeps the list
+			// sorted, in range and free of w.
+			w := g.NumNodes() - 1
+			for d, _ := g.Degree(w); d == 0; d, _ = g.Degree(w) {
+				w--
+			}
+			nbrs, err := g.Neighbors(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := nbrs[len(nbrs)-1]
+			if x+1 >= w {
+				t.Fatalf("fixture: node %d's highest neighbour is %d", w, x)
+			}
+			fi, err := os.Stat(base + ".et")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(base+".et", os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(binary.LittleEndian.AppendUint32(nil, x+1), fi.Size()-4); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			files := func() (all []string) {
+				for _, ext := range []string{".meta", ".nt", ".et", ".crc"} {
+					data, err := os.ReadFile(base + ext)
+					if err != nil {
+						t.Fatal(err)
+					}
+					all = append(all, string(data))
+				}
+				return all
+			}
+			before := files()
+			if err := cg.Flush(); err == nil || !strings.Contains(err.Error(), "crc") && !strings.Contains(err.Error(), "corrupt") {
+				t.Fatalf("Flush over a damaged table: %v, want the checksum error", err)
+			}
+			if !slices.Equal(files(), before) {
+				t.Error("the failed Flush changed the files at the graph's base")
+			}
+			if left, _ := filepath.Glob(base + ".compact.*"); len(left) != 0 {
+				t.Errorf("the failed Flush left %v behind", left)
+			}
+			if cg.BufferedArcs() != 2 {
+				t.Errorf("%d arcs buffered after the failed Flush, want the delete's 2", cg.BufferedArcs())
+			}
+		})
+	}
+}
+
+// tableWrites is a durability filesystem that counts the table sets
+// checkpoints create (one graph.nt each) and the bytes written to their
+// table and sidecar files.
+type tableWrites struct {
+	faultfs.FS
+	sets, bytes atomic.Int64
+}
+
+func (f *tableWrites) Create(name string) (faultfs.File, error) {
+	file, err := f.FS.Create(name)
+	switch filepath.Base(name) {
+	case "graph.nt":
+		f.sets.Add(1)
+		fallthrough
+	case "graph.et", "graph.crc":
+		if err == nil {
+			return countedFile{file, &f.bytes}, nil
+		}
+	}
+	return file, err
+}
+
+type countedFile struct {
+	faultfs.File
+	n *atomic.Int64
+}
+
+func (c countedFile) Write(p []byte) (int, error) {
+	n, err := c.File.Write(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// TestDurableFoldBackIOGate pins what a durable graph's fold-back costs:
+// the checkpoint its full buffer triggers, adopted — nothing rewritten on
+// the writer, and no table set but the checkpoints'. The schedule fills
+// a 512-arc buffer once, syncs, forces a checkpoint and closes. Exactly
+// two table sets are written, the opening checkpoint's and the fill's,
+// each streaming live/ once (⌈nt/B⌉ + ⌈et/B⌉ reads) and writing its
+// tables and sidecar; the forced and the final checkpoint are at the
+// fill's LSN and write nothing. The graph's own counter writes no block,
+// and live/ ends up as the fill checkpoint's tables. A second leg applies
+// one more update before the close: the final checkpoint then writes a
+// third table set, and Close still leaves live/ alone — the adopted
+// graph's buffer is in the log and that checkpoint, not folded back.
+func TestDurableFoldBackIOGate(t *testing.T) {
+	const fill = 512
+	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
+	base := buildFrom(t, edges, 0).Base()
+	have := make(map[kcore.Edge]bool)
+	for _, e := range gen.Build(edges).EdgeList() {
+		have[e] = true
+	}
+	var ups []serve.Update // fresh inserts, two arcs each: enough to pass the fill once
+	for u := uint32(0); len(ups) <= fill/2; u++ {
+		if e := (kcore.Edge{U: u, V: u + 1}); !have[e] {
+			ups = append(ups, serve.Update{Op: serve.OpInsert, U: e.U, V: e.V})
+		}
+	}
+	scan := fileBlocks(t, base, 4096, ".nt", ".et")
+	for _, leg := range []struct {
+		backend string
+		more    bool // one update after the forced checkpoint
+	}{{engine.BackendMem, false}, {engine.BackendDisk, false}, {engine.BackendMem, true}, {engine.BackendDisk, true}} {
+		name := leg.backend
+		if leg.more {
+			name += "-update-before-close"
+		}
+		t.Run(name, func(t *testing.T) {
+			backend := leg.backend
+			fs := &tableWrites{FS: faultfs.OS}
+			dataDir := t.TempDir()
+			reg := engine.NewRegistry(&engine.Options{
+				Open:       kcore.OpenOptions{BufferArcs: fill},
+				Durability: &engine.DurabilityOptions{Dir: dataDir, FS: fs},
+			})
+			eng, err := reg.OpenBackend("g", base, engine.BackendConfig{Backend: backend, CacheBlocks: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Apply(ups...); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.(engine.Checkpointer).Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			rep := eng.Report()
+			sets, bytes := fs.sets.Load(), fs.bytes.Load()
+			ckpt := filepath.Join(dataDir, "g", "ckpt")
+			var written int64
+			for _, seq := range []string{"0000000000000001", "0000000000000002"} {
+				for _, ext := range []string{".nt", ".et", ".crc"} {
+					fi, err := os.Stat(filepath.Join(ckpt, seq, "graph"+ext))
+					if err != nil {
+						t.Fatal(err)
+					}
+					written += fi.Size()
+				}
+			}
+			if sets != 2 || bytes != written {
+				t.Errorf("%d table sets, %d bytes written; want the two checkpoints' %d", sets, bytes, written)
+			}
+			if leg.more {
+				if err := eng.Apply(serve.Update{Op: serve.OpDelete, U: ups[0].U, V: ups[0].V}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := reg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if rep.IO.Writes != 0 {
+				t.Errorf("the graph wrote %d blocks of its own, want none: the fold-back is the checkpoint", rep.IO.Writes)
+			}
+			d := rep.Durability
+			if d.Checkpoints != 2 || d.InplaceFoldbacks != 0 || d.CheckpointBlockReads != 2*scan {
+				t.Errorf("durability %+v, want 2 checkpoints that read %d blocks each and no in-place fold-back", *d, scan)
+			}
+			if rep.Disk != nil && rep.Disk.Merges != 1 {
+				t.Errorf("%d merges, want the one adoption", rep.Disk.Merges)
+			}
+			want := int64(2)
+			if leg.more {
+				want = 3 // the final checkpoint's, at the update's LSN
+			}
+			if got := fs.sets.Load(); got != want {
+				t.Errorf("%d table sets written by the close, want %d", got, want)
+			}
+			live, err := os.Stat(filepath.Join(dataDir, "g", "live", "graph.et"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fill, err := os.Stat(filepath.Join(ckpt, "0000000000000002", "graph.et")); err != nil || !os.SameFile(live, fill) {
+				t.Errorf("live/ is not the fill checkpoint's tables (%v)", err)
+			}
+		})
 	}
 }
 

@@ -41,7 +41,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -49,7 +48,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -74,12 +72,12 @@ func main() {
 		flush     = flag.Duration("flush", 2*time.Millisecond, "max delay before pending updates are applied")
 		queueCap  = flag.Int("queue", 4096, "ingest queue capacity (enqueue blocks when full)")
 		blockSize = flag.Int("block", 4096, "I/O accounting block size B")
-		backend   = flag.String("backend", "", "block reader under every opened graph's tables (internal/dyngraph, the paper's Section V scheme: the immutable CSR tables plus an in-memory insert/delete buffer, folded back into them whole when full): mem (the default: 64 cache frames, blocks taken on trust until a checkpoint scans them) or disk (a block cache of -cache-blocks frames that checks every block it loads against a checksum the graph's header vouches for, read from the checksum sidecar the graph was built with, or recorded by one pass over the tables at open when it has none; only the core arrays, the buffer and the cache are resident — with -data-dir too). Without -data-dir either backend compacts into the tables at the graph's path; with it, into a private copy under the data dir")
+		backend   = flag.String("backend", "", "block reader under every opened graph's tables (internal/dyngraph, the paper's Section V scheme: the immutable CSR tables plus an in-memory insert/delete buffer, folded back into them whole when full): mem (the default: 64 cache frames, blocks taken on trust until a checkpoint scans them) or disk (a block cache of -cache-blocks frames that checks every block it loads against a checksum the graph's header vouches for, read from the checksum sidecar the graph was built with, or recorded by one pass over the tables at open when it has none; only the core arrays, the buffer and the cache are resident — with -data-dir too). Without -data-dir either backend folds back into the tables at the graph's path, on the writer; with it, the graph serves its own tables under the data dir (a copy of the base at first open) and folds back by adopting the checkpoint the full buffer triggers, written off the writer")
 		cacheBlks = flag.Int("cache-blocks", 0, "disk backend block-cache budget in blocks of -block bytes (0 picks the default, 1024); resident adjacency is capped at cache-blocks*block bytes however large the graph (plus 4 bytes of checksum per table block)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the serving mux (see `make profile`); leave off in production")
 		dataDir   = flag.String("data-dir", "", "durability directory: every graph gets a write-ahead log and checkpoints under <dir>/<name>/, and a restart with the same -data-dir recovers all graphs (checkpoint + WAL replay) before opening any -graph/-load path anew. It adds no resident copy of the adjacency on either backend: a checkpoint streams the graph's own files (checkpoint_block_reads in /stats)")
 		fsyncPol  = flag.String("fsync", "interval", "WAL sync policy with -data-dir: always (fsync every batch), interval (background fsync; a crash may lose the last unsynced batches), never (fsync only at checkpoints/shutdown)")
-		ckptEvery = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval with -data-dir (0 disables periodic checkpoints; one is still taken at startup and on clean shutdown)")
+		ckptEvery = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval with -data-dir (0 disables periodic checkpoints; one is still taken at startup, on clean shutdown and when the update buffer fills)")
 		follow    = flag.String("follow", "", "leader base URL (http://host:port): run as a read replica of the leader's default graph instead of opening any graph locally; -backend/-cache-blocks choose the block reader under the downloaded tables, -data-dir where they are kept; incompatible with -graph/-load")
 	)
 	extra := make(map[string]string)
@@ -130,7 +128,6 @@ func main() {
 	defer reg.Close()
 
 	recovered := make(map[string]engine.GraphRecovery)
-	unrecovered := make(map[string]error) // durable state that is there but did not come back
 	if opts.Durability != nil {
 		rep, err := reg.Recover()
 		if err != nil {
@@ -140,9 +137,6 @@ func main() {
 		for _, g := range rep.Graphs {
 			if g.Err != nil {
 				fmt.Fprintf(os.Stderr, "kcored: graph %q unrecoverable: %v\n", g.Name, g.Err)
-				if !errors.Is(g.Err, wal.ErrNoData) {
-					unrecovered[g.Name] = g.Err
-				}
 				continue
 			}
 			recovered[g.Name] = g
@@ -157,15 +151,9 @@ func main() {
 	// base file. A base modified after the recovered checkpoint means the
 	// operator refreshed the data: the stale recovered graph (and its
 	// durable dir) is dropped and the base re-decomposed. A name whose
-	// durable state exists but failed to recover is never opened over:
-	// opening replaces the directory, and whatever made recovery fail (a
-	// directory that could not be listed, a damaged checkpoint) may be
-	// repairable while the acked updates in it are not reproducible.
+	// durable state exists but failed to recover is never opened over: the
+	// registry refuses it (engine.ErrUnrecovered, naming the directory).
 	open := func(name, path string) {
-		if err, ok := unrecovered[name]; ok {
-			fatal(fmt.Errorf("graph %q: %s holds durable state that did not recover (%v); refusing to replace it with %s — move the directory aside to start over from the base",
-				name, filepath.Join(*dataDir, name), err, path))
-		}
 		if gr, ok := recovered[name]; ok {
 			if !engine.BaseNewerThanCheckpoint(path, gr) {
 				fmt.Printf("kcored: graph %q already recovered from %s, skipping base %s\n", name, *dataDir, path)

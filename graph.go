@@ -55,7 +55,8 @@ type OpenOptions struct {
 	// BlockSize is the I/O accounting block size B; 0 selects 4096.
 	BlockSize int
 	// BufferArcs caps the in-memory update buffer before edits are
-	// folded into the disk graph; 0 selects a default (1<<16).
+	// folded into the disk graph; 0 selects a default (1<<16). (A durable
+	// kcored graph folds back at it by adopting a checkpoint: see Adopt.)
 	BufferArcs int
 	// CacheBlocks is the frame budget of the block cache the tables are
 	// read through. 0 selects the default: 64 frames — the measured
@@ -65,13 +66,13 @@ type OpenOptions struct {
 	// header vouches for: Open reads the checksum sidecar Build writes
 	// beside the tables (base.crc), or, when there is none it can hold to
 	// the header, makes one pass over the tables to record them. The
-	// layout, the update buffer and the compaction into the tables at
+	// layout, the update buffer and the fold-back into the tables at
 	// base are the same either way.
 	CacheBlocks int
 }
 
 // Graph is a handle to an on-disk graph with a dynamic update overlay.
-// All reads and compaction writes are counted at block granularity.
+// All reads and fold-back writes are counted at block granularity.
 type Graph struct {
 	dyn    *dyngraph.Graph
 	ctr    *stats.IOCounter
@@ -93,11 +94,13 @@ func Open(base string, opts *OpenOptions) (*Graph, error) {
 	return &Graph{dyn: dyn, ctr: ctr, base: base, cached: o.CacheBlocks > 0}, nil
 }
 
-// Close releases the underlying files. If no compaction happened during
-// the session, buffered edits not flushed with Flush are discarded and
-// the on-disk graph is exactly as opened; if automatic compaction already
-// rewrote the files, Close flushes the remaining buffer too, so the disk
-// state is never torn between old and new edits.
+// Close releases the underlying files. If no fold-back (see FoldBacks)
+// replaced them during the session, buffered edits are discarded and the
+// on-disk graph is exactly as opened; otherwise Close flushes the
+// remaining buffer too, so the disk state is never torn between old and
+// new edits. Once Adopt has put a checkpoint's tables in place, Close
+// discards the buffer: whoever wrote the checkpoint (a durable graph's
+// checkpoints and log) holds those edits and restores the files.
 func (g *Graph) Close() error { return g.dyn.Close() }
 
 // Base reports the path prefix the graph was opened from.
@@ -130,12 +133,21 @@ func (g *Graph) Degree(v uint32) (uint32, error) {
 // HasEdge reports whether {u,v} is currently present.
 func (g *Graph) HasEdge(u, v uint32) (bool, error) { return g.dyn.HasEdge(u, v) }
 
-// Flush forces buffered edits to be merged into the disk tables.
+// Flush forces buffered edits to be merged into the disk tables, from one
+// verified scan of them: a checksum mismatch fails it, files untouched.
 func (g *Graph) Flush() error { return g.dyn.Compact() }
+
+// BufferedArcs reports the arcs in the update buffer; it may be read
+// during a mutation.
+func (g *Graph) BufferedArcs() int { return g.dyn.BufferedArcs() }
+
+// FoldBacks counts the buffer's fold-backs into the tables (Flush, the
+// automatic one, Adopt); it may be read during a mutation.
+func (g *Graph) FoldBacks() int64 { return g.dyn.FoldBacks() }
 
 // View is a pinned, read-only image of a Graph: Scan streams the
 // adjacency as it stood at Pin, from any goroutine, while the graph keeps
-// taking edits and compactions; Release frees it. The durable serving
+// taking edits and fold-backs; Release frees it. The durable serving
 // shell (internal/engine) writes its checkpoints from one.
 type View = dyngraph.View
 
@@ -143,6 +155,12 @@ type View = dyngraph.View
 // time and memory and without reading the tables. Like every other
 // method it must not run concurrently with a mutation of g.
 func (g *Graph) Pin() (*View, error) { return g.dyn.Pin() }
+
+// Adopt folds the buffer back without writing or reading a table: the
+// tables at path prefix tables, holding exactly view's adjacency (a
+// checkpoint of it), replace the graph's, and the buffer keeps the edits
+// made since Pin; a view pinned before the last fold-back is ErrStale.
+func (g *Graph) Adopt(view *View, tables string) error { return g.dyn.Adopt(view, tables) }
 
 // IOStats reports the cumulative block I/O performed through this handle.
 func (g *Graph) IOStats() IOStats { return ioStatsFrom(g.ctr.Snapshot()) }
@@ -157,7 +175,7 @@ func (g *Graph) Backend() string {
 	return "mem"
 }
 
-// DiskStats snapshots the block cache, update buffer and rewrite gauges
+// DiskStats snapshots the block cache, update buffer and fold-back gauges
 // of a graph opened with a CacheBlocks budget; nil otherwise. Unlike the rest of
 // the handle it may be called concurrently with a mutation.
 func (g *Graph) DiskStats() *stats.DiskSnapshot { return g.dyn.DiskStats() }

@@ -10,24 +10,32 @@
 // accepted, how a neighbour list is the base list overlaid with them,
 // when the buffer is folded back, and what a pinned View captures are
 // decided here once. The base under it is one layout, the CSR table pair
-// at a path prefix (csr.go), read through a block cache — storage.Open's
-// few frames or, with Options.CacheBlocks, a budgeted, checksummed one —
-// and folded back by one rule: rewritten whole.
+// at a path prefix, read through a block cache — storage.Open's few
+// frames or, with Options.CacheBlocks, a budgeted, checksummed one — and
+// folded back by one writer, storage.WriteGraph of a View: Compact writes
+// the graph's own tables, Adopt takes a checkpoint's.
 package dyngraph
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"sync/atomic"
 
+	"kcore/internal/faultfs"
 	"kcore/internal/graph"
+	"kcore/internal/graphio"
 	"kcore/internal/stats"
+	"kcore/internal/storage"
 )
+
+// DefaultBufferArcs is what a non-positive Options.BufferArcs selects.
+const DefaultBufferArcs = 1 << 16
 
 // Options tunes a dynamic graph.
 type Options struct {
-	// BufferArcs is the buffered-arc capacity that triggers an automatic
-	// rewrite of the base (each logical edge buffers two arcs);
-	// non-positive selects 1<<16.
+	// BufferArcs is the buffered-arc capacity past which the buffer is
+	// folded back (each logical edge buffers two arcs).
 	BufferArcs int
 	// CacheBlocks, when positive, reads the tables through a CLOCK cache
 	// of that many blocks that verifies each block it loads; otherwise
@@ -37,48 +45,89 @@ type Options struct {
 
 // Graph is an on-disk base graph with a write buffer overlay.
 type Graph struct {
-	base    *csrTables
+	disk    *storage.Graph      // the current tables; replaced by every fold-back
+	cache   *storage.BlockCache // the budgeted cache they are read through; nil: storage.Open's frames
 	ins     map[uint32][]uint32 // sorted inserted neighbours
 	del     map[uint32][]uint32 // sorted deleted neighbours
 	bufArcs atomic.Int64        // written by the owner, read by stats
 	limit   int
 	arcs    int64 // current logical arc count
 	scratch []uint32
-	// Compactions counts buffer flushes to disk.
-	Compactions int
+	// Fold-backs done and the table bytes they put in place; atomic so
+	// that they may be read off the owning goroutine.
+	merges, mergedBytes atomic.Int64
+	adopted             bool // the tables have been a checkpoint's (Adopt)
+}
+
+// ErrStale reports an Adopt of a view pinned before the last fold-back.
+var ErrStale = errors.New("dyngraph: the tables were folded back since the pin")
+
+// tableExts are the files of a graph at a path prefix, the checksum
+// sidecar included.
+var tableExts = [...]string{".meta", ".nt", ".et", ".crc"}
+
+// removeTables unlinks whatever exists of the files at base.
+func removeTables(base string) {
+	for _, ext := range tableExts {
+		os.Remove(base + ext)
+	}
 }
 
 // Open attaches a dynamic view to the CSR tables stored at base. All I/O —
-// reads through the overlay and compaction writes — is charged to ctr.
+// reads through the overlay and fold-back writes — is charged to ctr.
 func Open(base string, ctr *stats.IOCounter, opts Options) (*Graph, error) {
 	if ctr == nil {
 		ctr = stats.NewIOCounter(0)
 	}
-	tables, err := openCSR(base, ctr, opts.CacheBlocks)
-	if err != nil {
+	removeTables(base + ".compact") // a fold-back some killed process never finished
+	g := &Graph{ins: make(map[uint32][]uint32), del: make(map[uint32][]uint32), limit: opts.BufferArcs}
+	if g.limit <= 0 {
+		g.limit = DefaultBufferArcs
+	}
+	if opts.CacheBlocks > 0 {
+		g.cache = storage.NewBlockCache(opts.CacheBlocks, ctr.BlockSize())
+	}
+	if err := g.open(base, ctr); err != nil {
 		return nil, err
 	}
-	limit := opts.BufferArcs
-	if limit <= 0 {
-		limit = 1 << 16
-	}
-	return &Graph{
-		base:  tables,
-		ins:   make(map[uint32][]uint32),
-		del:   make(map[uint32][]uint32),
-		limit: limit,
-		arcs:  tables.NumArcs(),
-	}, nil
+	g.arcs = g.disk.NumArcs()
+	return g, nil
 }
 
-// Close releases the tables. Edits still buffered are discarded, unless
-// a rewrite already replaced the tables (see csrTables.Close).
-func (g *Graph) Close() error { return g.base.Close(g.ins, g.del) }
+// open attaches the tables at base; with a budgeted cache it is a
+// verified open (storage.OpenCached), through their sidecar.
+func (g *Graph) open(base string, ctr *stats.IOCounter) (err error) {
+	if g.cache == nil {
+		g.disk, err = storage.Open(base, ctr)
+	} else {
+		g.disk, err = storage.OpenCached(base, ctr, g.cache)
+	}
+	return err
+}
+
+// Close releases the tables. The files are the caller's graph: if no
+// fold-back replaced them this session, edits still buffered are
+// discarded and the files are exactly as opened; once one has, discarding
+// the rest would leave a torn state (early edits in the files, late ones
+// lost), so the buffer is folded in first. A graph that has adopted a
+// checkpoint discards them too: the checkpoints and the log it adopted
+// from hold them, and restore the files.
+func (g *Graph) Close() error {
+	var err error
+	if g.FoldBacks() > 0 && !g.adopted {
+		err = g.Compact()
+	}
+	return errors.Join(err, g.disk.Close())
+}
+
+// FoldBacks counts the times the buffer was folded into the tables, by
+// Compact or by Adopt; it may be read from any goroutine.
+func (g *Graph) FoldBacks() int64 { return g.merges.Load() }
 
 // NumNodes reports n. The node set is fixed at open time (the
 // semi-external model keeps per-node state in memory, so node arrivals
 // are a re-build, not a buffered update).
-func (g *Graph) NumNodes() uint32 { return g.base.NumNodes() }
+func (g *Graph) NumNodes() uint32 { return g.disk.NumNodes() }
 
 // NumArcs reports the current logical arc count (disk plus buffer).
 func (g *Graph) NumArcs() int64 { return g.arcs }
@@ -91,13 +140,13 @@ func (g *Graph) NumEdges() int64 { return g.arcs / 2 }
 func (g *Graph) BufferedArcs() int { return int(g.bufArcs.Load()) }
 
 // DiskStats snapshots the block cache, the buffer's fill and the
-// rewrites done so far, from any goroutine; nil on a graph opened
+// fold-backs done so far, from any goroutine; nil on a graph opened
 // without a cache budget.
 func (g *Graph) DiskStats() *stats.DiskSnapshot {
-	if g.base.cache == nil {
+	if g.cache == nil {
 		return nil
 	}
-	cs := g.base.cache.Stats()
+	cs := g.cache.Stats()
 	return &stats.DiskSnapshot{
 		CacheBlocks:    cs.Blocks,
 		CacheBlockSize: cs.BlockSize,
@@ -107,14 +156,14 @@ func (g *Graph) DiskStats() *stats.DiskSnapshot {
 		CacheHitRate:   cs.HitRate(),
 		OverlayArcs:    int64(g.BufferedArcs()),
 		OverlayLimit:   g.limit,
-		Merges:         g.base.merges.Load(),
-		MergedBytes:    g.base.mergedBytes.Load(),
+		Merges:         g.FoldBacks(),
+		MergedBytes:    g.mergedBytes.Load(),
 	}
 }
 
 // baseList reads the base list of v into the graph's scratch.
 func (g *Graph) baseList(v uint32) ([]uint32, error) {
-	l, err := g.base.Neighbors(v, g.scratch[:0])
+	l, err := g.disk.Neighbors(v, g.scratch[:0])
 	g.scratch = l[:0]
 	return l, err
 }
@@ -217,19 +266,85 @@ func (g *Graph) maybeCompact() error {
 	return g.Compact()
 }
 
-// Compact folds the buffer into the base (the tables are rewritten
-// whole; reads and writes both counted) and clears it.
+// Compact folds the buffer into the base and clears it: the tables merged
+// with it are written whole from one verified scan (damage fails it, and
+// is never laundered into new tables with valid checksums), then renamed
+// over them. Reads and writes are both charged to the graph's counter.
 func (g *Graph) Compact() error {
 	if g.BufferedArcs() == 0 {
 		return nil
 	}
-	if err := g.base.Rewrite(g.ins, g.del); err != nil {
+	vw := &View{disk: g.disk, ins: g.ins, del: g.del, n: g.NumNodes(), arcs: g.arcs}
+	if err := g.swap(func(tmp string) error {
+		return storage.WriteGraph(faultfs.OS, tmp, vw, g.disk.IOCounter(), false)
+	}); err != nil {
 		return err
 	}
-	g.ins = make(map[uint32][]uint32)
-	g.del = make(map[uint32][]uint32)
+	g.ins, g.del = make(map[uint32][]uint32), make(map[uint32][]uint32)
 	g.bufArcs.Store(0)
-	g.Compactions++
+	return nil
+}
+
+// Adopt folds the buffer back without writing: the tables at path prefix
+// tables, which hold exactly vw's adjacency (a checkpoint of it), are
+// hard-linked (copied where linking fails) over the graph's, and the
+// buffer keeps the edits made since the pin — O(buffer), no table read.
+// A view pinned before the last fold-back is ErrStale and changes nothing.
+func (g *Graph) Adopt(vw *View, tables string) error {
+	if vw.merges != g.FoldBacks() {
+		return ErrStale
+	}
+	if err := g.swap(func(tmp string) error { return graphio.CopyGraph(tmp, tables, true) }); err != nil {
+		return err
+	}
+	g.adopted = true
+	// The pinned edits are in the base now: one still buffered leaves the
+	// buffer, one undone since the pin is buffered as its opposite. Both
+	// sides list each edge twice; u < v takes it once.
+	for _, side := range [...][3]map[uint32][]uint32{{vw.ins, g.ins, g.del}, {vw.del, g.del, g.ins}} {
+		pinned, same, opposite := side[0], side[1], side[2]
+		for u, l := range pinned {
+			for _, v := range l {
+				switch {
+				case u > v:
+				case Contains(same[u], v):
+					g.removeBuffered(same, u, v)
+				default:
+					g.addBuffered(opposite, u, v)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// swap replaces the tables with those fill puts at <base>.compact,
+// renamed over them and reopened through the same block reader. No error
+// path leaves anything at <base>.compact.
+func (g *Graph) swap(fill func(tmp string) error) (err error) {
+	base, ctr := g.disk.Base(), g.disk.IOCounter()
+	tmp := base + ".compact"
+	defer func() {
+		if err != nil {
+			removeTables(tmp)
+		}
+	}()
+	if err := fill(tmp); err != nil {
+		return err
+	}
+	if err := g.disk.Close(); err != nil {
+		return err
+	}
+	for _, ext := range tableExts {
+		if err := os.Rename(tmp+ext, base+ext); err != nil {
+			return fmt.Errorf("dyngraph: swapping %s: %w", ext, err)
+		}
+	}
+	if err := g.open(base, ctr); err != nil {
+		return err
+	}
+	g.merges.Add(1)
+	g.mergedBytes.Add(int64(g.NumNodes())*storage.NodeRecordSize + g.disk.NumArcs()*storage.ArcSize)
 	return nil
 }
 
@@ -250,7 +365,7 @@ func (g *Graph) merged(v, deg uint32) uint32 {
 // Degree reports the merged degree of v (one indexed node-record read
 // plus buffer arithmetic).
 func (g *Graph) Degree(v uint32) (uint32, error) {
-	d, err := g.base.Degree(v)
+	d, err := g.disk.Degree(v)
 	if err != nil {
 		return 0, err
 	}
@@ -259,7 +374,7 @@ func (g *Graph) Degree(v uint32) (uint32, error) {
 
 // ScanDegrees implements graph.Source over the merged view.
 func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {
-	return g.base.ScanDegrees(func(v uint32, d uint32) error {
+	return g.disk.ScanDegrees(func(v uint32, d uint32) error {
 		return fn(v, g.merged(v, d))
 	})
 }
@@ -271,7 +386,7 @@ func (g *Graph) Scan(vmin, vmax uint32, want func(v uint32) bool, fn func(v uint
 
 // ScanDynamic implements graph.Source over the merged view.
 func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
-	return g.base.ScanDynamic(vmin, vmaxFn, want, overlaid(g.ins, g.del, fn))
+	return g.disk.ScanDynamic(vmin, vmaxFn, want, overlaid(g.ins, g.del, fn))
 }
 
 var _ graph.Source = (*Graph)(nil)

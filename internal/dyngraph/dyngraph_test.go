@@ -168,8 +168,8 @@ func testCompactionEquivalence(t *testing.T, open driverOpen) {
 	if err := g.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if g.BufferedArcs() != 0 || g.Compactions != 1 {
-		t.Fatalf("buffered=%d compactions=%d after Compact", g.BufferedArcs(), g.Compactions)
+	if g.BufferedArcs() != 0 || g.FoldBacks() != 1 {
+		t.Fatalf("buffered=%d compactions=%d after Compact", g.BufferedArcs(), g.FoldBacks())
 	}
 	if ctr.Writes() == writesBefore {
 		t.Fatal("compaction performed no write I/O")
@@ -179,7 +179,7 @@ func testCompactionEquivalence(t *testing.T, open driverOpen) {
 	if err := g.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if g.Compactions != 1 {
+	if g.FoldBacks() != 1 {
 		t.Fatal("empty compaction should not count")
 	}
 }
@@ -195,7 +195,7 @@ func testAutoCompaction(t *testing.T, open driverOpen) {
 			t.Fatal(err)
 		}
 	}
-	if g.Compactions == 0 {
+	if g.FoldBacks() == 0 {
 		t.Fatal("auto compaction never triggered")
 	}
 	if g.NumEdges() != 19 {
@@ -267,8 +267,8 @@ func testFailedRewriteLeavesNothingBehind(t *testing.T, open driverOpen) {
 	if err := g.Compact(); err == nil {
 		t.Fatal("Compact rewrote a truncated edge table without noticing")
 	}
-	if g.BufferedArcs() != 2 || g.Compactions != 0 {
-		t.Errorf("%d arcs buffered after %d compactions, want the edit still buffered", g.BufferedArcs(), g.Compactions)
+	if g.BufferedArcs() != 2 || g.FoldBacks() != 0 {
+		t.Errorf("%d arcs buffered after %d compactions, want the edit still buffered", g.BufferedArcs(), g.FoldBacks())
 	}
 	if left := compactFiles(t, g.base); len(left) != 0 {
 		t.Errorf("the failed rewrite left %v behind", left)
@@ -295,8 +295,8 @@ func TestCloseNeverTearsState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g.Compactions == 0 || g.BufferedArcs() == 0 {
-		t.Fatalf("test setup wrong: compactions=%d buffered=%d", g.Compactions, g.BufferedArcs())
+	if g.FoldBacks() == 0 || g.BufferedArcs() == 0 {
+		t.Fatalf("test setup wrong: compactions=%d buffered=%d", g.FoldBacks(), g.BufferedArcs())
 	}
 	if err := g.Close(); err != nil {
 		t.Fatal(err)

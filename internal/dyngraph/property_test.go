@@ -1,15 +1,22 @@
 package dyngraph_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"kcore/internal/dyngraph"
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/imcore"
 	"kcore/internal/memgraph"
+	"kcore/internal/stats"
+	"kcore/internal/storage"
+	"kcore/internal/testutil"
 )
 
 // TestPropertyChurnEquivalence drives random edit sequences with random
@@ -50,25 +57,122 @@ func testPropertyChurnEquivalence(t *testing.T, open driverOpen) {
 				}
 			}
 		}
-		if g.NumEdges() != ref.NumEdges() {
-			return false
-		}
-		for v := uint32(0); v < 60; v++ {
-			got, err := g.Neighbors(v, nil)
-			if err != nil {
-				return false
-			}
-			if fmt.Sprint(got) != fmt.Sprint(ref.Neighbors(v)) {
-				return false
-			}
-			d, err := g.Degree(v)
-			if err != nil || d != ref.Degree(v) {
-				return false
-			}
-		}
-		return true
+		return agrees(g.Graph, ref) == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	rng := rand.New(rand.NewSource(testutil.Seed(t, 17)))
+	if err := quick.Check(f, &quick.Config{MaxCount: 15, Rand: rng}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// agrees compares the graph with the oracle on the edge count and every
+// neighbour list and degree.
+func agrees(g *dyngraph.Graph, ref *imcore.DynGraph) error {
+	if g.NumEdges() != ref.NumEdges() {
+		return fmt.Errorf("m = %d, want %d", g.NumEdges(), ref.NumEdges())
+	}
+	for v := uint32(0); v < ref.NumNodes(); v++ {
+		got, err := g.Neighbors(v, nil)
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(got, ref.Neighbors(v)) {
+			return fmt.Errorf("nbr(%d) = %v, want %v", v, got, ref.Neighbors(v))
+		}
+		if d, err := g.Degree(v); err != nil || d != ref.Degree(v) {
+			return fmt.Errorf("deg(%d) = %d (%v), want %d", v, d, err, ref.Degree(v))
+		}
+	}
+	return nil
+}
+
+// TestPropertyRebase drives random edit streams with pins and adoptions
+// at random points. Edits toggle edges of a small pool, so they keep
+// cancelling each other across a pin: inserts undo pinned deletes,
+// deletes undo pinned inserts. An adoption takes, as the base, the tables
+// the checkpoint writer (storage.WriteGraph) makes of the view, and must
+// leave exactly the edits made since the pin in the buffer; fold-backs
+// in place between some pins and their adoptions make those views stale,
+// and their adoption fails with ErrStale and changes nothing. After every
+// step the graph agrees with imcore.DynGraph on every neighbour list and
+// degree.
+func TestPropertyRebase(t *testing.T) { onEachDriver(t, testPropertyRebase) }
+
+func testPropertyRebase(t *testing.T, open driverOpen) {
+	const n, steps = 40, 600
+	seed := testutil.Seed(t, 71)
+	r := rand.New(rand.NewSource(seed))
+	src, err := memgraph.FromEdges(n, gen.ErdosRenyi(n, 120, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := open(src, dyngraph.Options{BufferArcs: 1 << 30}) // fold-backs only where the test asks
+	ref := imcore.NewDynGraph(src)
+	pool := make([][2]uint32, 24)
+	for i := range pool {
+		u := uint32(r.Intn(n))
+		pool[i] = [2]uint32{u, (u + 1 + uint32(r.Intn(n-1))) % n}
+	}
+	var (
+		vw                *dyngraph.View
+		stale             bool // a fold-back ran since vw's pin
+		adopted, rejected int
+	)
+	defer func() {
+		if vw != nil {
+			vw.Release()
+		}
+	}()
+	for i := 0; i < steps; i++ {
+		switch x := r.Intn(16); {
+		case x == 0 && vw == nil:
+			if vw, err = g.Pin(); err != nil {
+				t.Fatal(err)
+			}
+		case x == 1 && vw != nil:
+			tables := filepath.Join(t.TempDir(), "ckpt")
+			if err := storage.WriteGraph(faultfs.OS, tables, vw, stats.NewIOCounter(512), false); err != nil {
+				t.Fatal(err)
+			}
+			fb, buffered := g.FoldBacks(), g.BufferedArcs()
+			switch err := g.Adopt(vw, tables); {
+			case stale && errors.Is(err, dyngraph.ErrStale):
+				if g.FoldBacks() != fb || g.BufferedArcs() != buffered {
+					t.Fatalf("step %d: a stale adoption changed the graph", i)
+				}
+				rejected++
+			case !stale && err == nil:
+				adopted++
+			default:
+				t.Fatalf("step %d: adopting a view pinned %s a fold-back: %v", i, map[bool]string{true: "before", false: "after"}[stale], err)
+			}
+			vw.Release()
+			vw, stale = nil, false
+		case x == 2:
+			if g.BufferedArcs() > 0 {
+				if err := g.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				stale = vw != nil
+			}
+		default:
+			e := pool[r.Intn(len(pool))]
+			u, v := e[0], e[1]
+			if ref.HasEdge(u, v) {
+				err = errors.Join(g.DeleteEdge(u, v), ref.Delete(u, v))
+			} else {
+				err = errors.Join(g.InsertEdge(u, v), ref.Insert(u, v))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := agrees(g.Graph, ref); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if adopted == 0 || rejected == 0 {
+		t.Fatalf("fixture: %d adoptions and %d stale ones, want both kinds", adopted, rejected)
+	}
+	t.Logf("%d adoptions, %d stale", adopted, rejected)
 }

@@ -4,8 +4,7 @@ import "sort"
 
 // The update buffer is a pair of maps from node to a sorted neighbour
 // list: inserted arcs and deleted arcs. The helpers below are the whole
-// of its list arithmetic; a Base driver folding a buffer it was handed
-// into its files (Rewrite) uses Merge too.
+// of its list arithmetic.
 
 // Contains reports whether the sorted list l holds x.
 func Contains(l []uint32, x uint32) bool {

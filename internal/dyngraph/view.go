@@ -9,7 +9,7 @@ import (
 // private read handles on the tables that were current, a copy of the
 // update buffer, and the arc count. Nothing in it is O(m) — the
 // adjacency stays in the files, which the open handles keep readable
-// however many rewrites rename newer ones into their place while the
+// however many fold-backs rename newer ones into their place while the
 // view lives. Scan streams it from any goroutine, concurrently with the
 // graph's owner; Release must follow.
 type View struct {
@@ -17,17 +17,18 @@ type View struct {
 	ins, del map[uint32][]uint32
 	n        uint32
 	arcs     int64
+	merges   int64 // the graph's FoldBacks at the pin, for Adopt
 }
 
 // Pin captures a View. It must run on the goroutine that owns the graph
 // (under internal/serve, the writer: see ConcurrentSession.Do), reads no
 // block of the base and costs O(buffer), independent of the graph's size.
 func (g *Graph) Pin() (*View, error) {
-	disk, err := g.base.Pin()
+	disk, err := storage.Open(g.disk.Base(), g.disk.IOCounter()) // frames of its own
 	if err != nil {
 		return nil, err
 	}
-	vw := &View{disk: disk, n: g.NumNodes(), arcs: g.arcs}
+	vw := &View{disk: disk, n: g.NumNodes(), arcs: g.arcs, merges: g.FoldBacks()}
 	// The owner edits its buffer lists in place, so the view needs its
 	// own; one backing array serves every list of both maps.
 	buf := make([]uint32, 0, g.BufferedArcs())
@@ -36,7 +37,7 @@ func (g *Graph) Pin() (*View, error) {
 	return vw, nil
 }
 
-// Release closes the view's handles; tables a rewrite replaced in the
+// Release closes the view's handles; tables a fold-back replaced in the
 // meantime leave the disk here.
 func (vw *View) Release() { vw.disk.Close() }
 

@@ -39,8 +39,8 @@ func testViewOutlivesCompaction(t *testing.T, open driverOpen) {
 	g := open(csr, dyngraph.Options{BufferArcs: limit})
 	stream := testutil.NewMutationStream(n, seed+1, csr.EdgeList())
 	mutate(t, g.Graph, stream, limit/4) // stays buffered: the view needs base and buffer both
-	if g.BufferedArcs() == 0 || g.Compactions != 0 {
-		t.Fatalf("fixture: %d arcs buffered after %d compactions, want a non-empty buffer and none", g.BufferedArcs(), g.Compactions)
+	if g.BufferedArcs() == 0 || g.FoldBacks() != 0 {
+		t.Fatalf("fixture: %d arcs buffered after %d compactions, want a non-empty buffer and none", g.BufferedArcs(), g.FoldBacks())
 	}
 
 	fdsBefore := openFDs()
@@ -62,7 +62,7 @@ func testViewOutlivesCompaction(t *testing.T, open driverOpen) {
 		t.Fatalf("view reports %d nodes, %d arcs; want %d, %d", vw.NumNodes(), vw.NumArcs(), n, 2*len(pinned))
 	}
 
-	for g.Compactions < 2 {
+	for g.FoldBacks() < 2 {
 		mutate(t, g.Graph, stream, limit/2)
 	}
 	if slices.Equal(stream.Live(), pinned) {

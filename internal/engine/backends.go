@@ -9,12 +9,11 @@ import (
 // Backend names accepted by BackendConfig (and the HTTP create route).
 const (
 	// BackendMem reads the graph's CSR tables through the default open's
-	// few cache frames and compacts a full update buffer into them —
-	// the default.
+	// few cache frames — the default. Both fold a full buffer back by one
+	// rule: in place, or, on a durable graph, by adopting a checkpoint.
 	BackendMem = "mem"
 	// BackendDisk reads the same tables through a budgeted, checksummed
-	// block cache (kcore.OpenOptions.CacheBlocks) and compacts into them
-	// by the same rule.
+	// block cache (kcore.OpenOptions.CacheBlocks).
 	BackendDisk = "disk"
 )
 

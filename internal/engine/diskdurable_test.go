@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"kcore"
 	"kcore/internal/engine"
@@ -18,6 +19,7 @@ import (
 	"kcore/internal/memgraph"
 	"kcore/internal/serve"
 	"kcore/internal/testutil"
+	"kcore/internal/verify"
 	"kcore/internal/wal"
 )
 
@@ -103,6 +105,7 @@ func durableHeap(t *testing.T, backend string, scale, k int, seed int64) (after,
 		base   string
 		stream [][]serve.Update
 		want   [][]uint32
+		extra  serve.Update // one more valid update, for the measured checkpoint to write
 	)
 	func() {
 		n := uint32(1) << scale
@@ -119,6 +122,7 @@ func durableHeap(t *testing.T, backend string, scale, k int, seed int64) (after,
 			}
 			stream = append(stream, ups)
 		}
+		extra = toServeUpdate(ms.NextValid())
 		want = memCoresAfter(t, base, stream)
 	}()
 
@@ -133,7 +137,7 @@ func durableHeap(t *testing.T, backend string, scale, k int, seed int64) (after,
 	}
 	reg := engine.NewRegistry(&engine.Options{
 		// 129 edits fill the update buffer, so the stream lands several
-		// compactions of the live tables on either backend.
+		// fold-backs of the live tables on either backend.
 		Open:       kcore.OpenOptions{BlockSize: 512, BufferArcs: 256},
 		Durability: &engine.DurabilityOptions{Dir: t.TempDir(), Policy: wal.SyncNever, FS: fs},
 	})
@@ -158,9 +162,21 @@ func durableHeap(t *testing.T, backend string, scale, k int, seed int64) (after,
 	if rep := eng.Report(); rep.Disk != nil && rep.Disk.Merges == 0 {
 		t.Errorf("k=%d: %d updates against a %d-arc buffer merged nothing: %+v", k, rounds*perRound, rep.Disk.OverlayLimit, rep.Disk)
 	}
-	before, ioBefore := *eng.Report().Durability, eng.Report().IO
+	// The last fill's checkpoint may be streaming, or may hold the final
+	// LSN already: one checkpoint waits for it, and one more record gives
+	// the measured checkpoint something to write — the loop's, if that
+	// record fills the buffer, or the explicit one.
+	cp := eng.(engine.Checkpointer)
+	if err := cp.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	before := *eng.Report().Durability
 	fs.armed.Store(true)
-	if err := eng.(engine.Checkpointer).Checkpoint(); err != nil {
+	if err := eng.Apply(extra); err != nil {
+		t.Fatal(err)
+	}
+	ioBefore, foldBacks := eng.Report().IO, engine.GraphOf(eng).FoldBacks()
+	if err := cp.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	fs.armed.Store(false)
@@ -171,7 +187,9 @@ func durableHeap(t *testing.T, backend string, scale, k int, seed int64) (after,
 	if st.CheckpointBlockReads <= before.CheckpointBlockReads {
 		t.Errorf("k=%d: a streamed checkpoint read no blocks: %+v", k, st)
 	}
-	if io := eng.Report().IO; io.Reads != ioBefore.Reads {
+	// An adopting checkpoint reopens the tables through the engine's own
+	// reader (on disk that reads their sidecar); the stream never is.
+	if io := eng.Report().IO; io.Reads != ioBefore.Reads && engine.GraphOf(eng).FoldBacks() == foldBacks {
 		t.Errorf("k=%d: the checkpoint charged %d block reads to the engine's io counter", k, io.Reads-ioBefore.Reads)
 	}
 	if atCheckpoint == 0 {
@@ -215,105 +233,223 @@ func TestDurableMemoryIndependentOfEdges(t *testing.T) {
 	}
 }
 
-// TestCheckpointStreamsUnderWrites parks a checkpoint right after its
-// capture, before the first table byte is written, and keeps writing:
-// every update is acked while the checkpoint is parked, and the tables
-// the checkpoint is about to stream are replaced under it — the small
-// update buffer overflows six times, into compactions that rename new
-// tables into place on either backend. Released, the checkpoint must
+// parked is a durable graph whose first fill-triggered checkpoint is
+// parked right after its capture, before the first table byte is
+// written.
+type parked struct {
+	eng     engine.Engine
+	dataDir string
+	pinned  int // the updates applied when the checkpoint pinned: its LSN
+	// release lets the checkpoint go and waits until it has committed and,
+	// where it may, been adopted.
+	release func()
+}
+
+// parkFill serves base behind a durable registry with a fill of fill
+// arcs and one update per record, applies ups one at a time until the
+// buffer passes the fill, and waits for the checkpoint that triggers to
+// be parked.
+func parkFill(t *testing.T, backend, base string, fill int, ups []serve.Update) *parked {
+	t.Helper()
+	reached, gate := make(chan struct{}), make(chan struct{})
+	var parkOnce, releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(gate) }) }
+	fs := &createHookFS{FS: faultfs.OS}
+	fs.hook = func(name string) {
+		if inCheckpointTmp(name, "graph.nt") {
+			parkOnce.Do(func() {
+				close(reached)
+				<-gate
+			})
+		}
+	}
+	p := &parked{dataDir: t.TempDir()}
+	reg := engine.NewRegistry(&engine.Options{
+		Serve:      serve.Options{MaxBatch: 1}, // one update per record: LSN == updates applied
+		Open:       kcore.OpenOptions{BlockSize: 512, BufferArcs: fill},
+		Durability: &engine.DurabilityOptions{Dir: p.dataDir, Policy: wal.SyncAlways, FS: fs},
+	})
+	t.Cleanup(func() {
+		open() // a test that failed while parked must still close
+		reg.Close()
+	})
+	var err error
+	if p.eng, err = reg.OpenBackend("g", base, engine.BackendConfig{Backend: backend, CacheBlocks: 8}); err != nil {
+		t.Fatal(err)
+	}
+	fs.armed.Store(true) // past the opening checkpoint: the next one is the fill's
+	for engine.GraphOf(p.eng).BufferedArcs() <= fill {
+		if p.pinned == len(ups) {
+			t.Fatalf("fixture: %d updates never filled a %d-arc buffer", len(ups), fill)
+		}
+		if err := p.eng.Apply(ups[p.pinned]); err != nil {
+			t.Fatal(err)
+		}
+		p.pinned++
+	}
+	select {
+	case <-reached:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the full buffer triggered no checkpoint")
+	}
+	p.release = func() {
+		open()
+		// A checkpoint waits for the parked one, adoption included.
+		if err := p.eng.(engine.Checkpointer).Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// sameTables reports whether the tables at path prefixes a and b are the
+// same files.
+func sameTables(t *testing.T, a, b string) bool {
+	t.Helper()
+	for _, ext := range []string{".nt", ".et"} {
+		fa, err := os.Stat(a + ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fb, err := os.Stat(b + ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !os.SameFile(fa, fb) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCheckpointStreamsUnderWrites parks the checkpoint a full buffer
+// triggers right after its capture, before the first table byte is
+// written, and keeps writing: every update is acked while it is parked,
+// and the tables it is about to stream are replaced under it — the
+// buffer passes its hard bound, twice the fill, and is folded back in
+// place on the writer, on either backend. Released, the checkpoint must
 // describe exactly the state at its manifest LSN — the LSN of the
-// capture, not of the later writes — with matching stored cores, and the
-// later writes must still be in the WAL behind it.
+// capture, not of the later writes — with matching stored cores; it is
+// not adopted, since the tables it was pinned on are gone; and the later
+// writes must still be in the WAL behind it.
 func TestCheckpointStreamsUnderWrites(t *testing.T) {
-	const (
-		n              = 300
-		beforeCapture  = 40
-		duringSnapshot = 60
-	)
+	const n, fill, during = 300, 16, 60
 	for _, backend := range []string{engine.BackendMem, engine.BackendDisk} {
 		t.Run(backend, func(t *testing.T) {
 			seed := testutil.Seed(t, 59)
 			base, edges := testutil.WriteSocial(t, n, seed)
 			stream := testutil.NewMutationStream(n, seed+1, edges)
-			ups := make([]serve.Update, beforeCapture+duringSnapshot)
+			ups := make([]serve.Update, 200)
 			for i := range ups {
 				ups[i] = toServeUpdate(stream.NextValid())
 			}
-			// The oracle first: a compacting mem graph rewrites base in place.
-			oracle := memCoresAfter(t, base, [][]serve.Update{ups[:beforeCapture], ups[beforeCapture:]})
-
-			reached, release := make(chan struct{}), make(chan struct{})
-			var once sync.Once
-			fs := &createHookFS{FS: faultfs.OS}
-			fs.hook = func(name string) {
-				if inCheckpointTmp(name, "graph.nt") {
-					once.Do(func() {
-						close(reached)
-						<-release
-					})
+			p := parkFill(t, backend, base, fill, ups)
+			ups = ups[:p.pinned+during]
+			for _, up := range ups[p.pinned:] {
+				if err := p.eng.Apply(up); err != nil {
+					t.Fatal(err)
 				}
 			}
-			dataDir := t.TempDir()
-			reg := engine.NewRegistry(&engine.Options{
-				Serve: serve.Options{MaxBatch: 1}, // one update per record: LSN == updates applied
-				// Nine edits fill the buffer: it is non-empty at the capture and
-				// is folded into the base six times under the parked checkpoint.
-				Open:       kcore.OpenOptions{BlockSize: 512, BufferArcs: 16},
-				Durability: &engine.DurabilityOptions{Dir: dataDir, Policy: wal.SyncAlways, FS: fs},
-			})
-			defer reg.Close()
-			eng, err := reg.OpenBackend("g", base, engine.BackendConfig{Backend: backend, CacheBlocks: 8})
+			if st := p.eng.Report().Durability; st.InplaceFoldbacks == 0 {
+				t.Fatalf("nothing folded the buffer back in place under the parked checkpoint: %+v", st)
+			}
+			p.release()
+			oracle := memCoresAfter(t, base, [][]serve.Update{ups[:p.pinned], ups[p.pinned:]})
+
+			// The parked checkpoint is the second; the release's, at the
+			// last LSN, the third. Without the third, recovery takes the
+			// second and the WAL behind it.
+			dir := filepath.Join(p.dataDir, "g")
+			second := filepath.Join(dir, "ckpt", "0000000000000002")
+			if sameTables(t, wal.LiveBase(dir), wal.CheckpointBase(second)) {
+				t.Error("the graph adopted a checkpoint pinned on tables it had since rewritten")
+			}
+			img := t.TempDir()
+			copyTree(t, dir, img)
+			if err := os.RemoveAll(filepath.Join(img, "ckpt", "0000000000000003")); err != nil {
+				t.Fatal(err)
+			}
+			sc, err := wal.Scan(nil, img)
 			if err != nil {
 				t.Fatal(err)
 			}
-			apply := func(ups []serve.Update) {
-				t.Helper()
-				for _, up := range ups {
-					if err := eng.Apply(up); err != nil {
-						t.Fatal(err)
-					}
-				}
+			if sc.Manifest.LSN != uint64(p.pinned) || !sc.Manifest.HasCores {
+				t.Fatalf("checkpoint manifest: LSN %d, has_cores %v; want the capture's %d with its cores", sc.Manifest.LSN, sc.Manifest.HasCores, p.pinned)
 			}
-			apply(ups[:beforeCapture])
-			writesAtCapture := eng.Report().IO.Writes
-			fs.armed.Store(true)
-			ckptErr := make(chan error, 1)
-			go func() {
-				ckptErr <- eng.(engine.Checkpointer).Checkpoint()
-			}()
-			<-reached // captured at LSN beforeCapture, nothing streamed yet
-
-			apply(ups[beforeCapture:])
-			// Compactions are the only block writes either backend makes.
-			rewritten := eng.Report().IO.Writes != writesAtCapture
-			close(release)
-			if !rewritten {
-				t.Fatal("nothing rewrote the tables under the parked checkpoint")
-			}
-			if err := <-ckptErr; err != nil {
-				t.Fatalf("checkpoint under writes: %v", err)
-			}
-			fs.armed.Store(false)
-
-			sc, err := wal.Scan(nil, filepath.Join(dataDir, "g"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sc.Manifest.LSN != beforeCapture || !sc.Manifest.HasCores {
-				t.Fatalf("checkpoint manifest: LSN %d, has_cores %v; want the capture's %d with its cores", sc.Manifest.LSN, sc.Manifest.HasCores, beforeCapture)
-			}
-			if len(sc.Records) != duringSnapshot {
-				t.Errorf("%d WAL records behind the checkpoint, want the %d acked while it streamed", len(sc.Records), duringSnapshot)
+			if len(sc.Records) != during {
+				t.Errorf("%d WAL records behind the checkpoint, want the %d acked while it streamed", len(sc.Records), during)
 			}
 			if !slices.Equal(sc.Cores, oracle[0]) {
 				t.Error("the checkpoint's stored cores differ from the oracle at its manifest LSN")
 			}
-			if got := memCoresAfter(t, filepath.Join(sc.Path, "graph"), [][]serve.Update{nil}); !slices.Equal(got[0], oracle[0]) {
+			if got := memCoresAfter(t, wal.CheckpointBase(sc.Path), [][]serve.Update{nil}); !slices.Equal(got[0], oracle[0]) {
 				t.Error("the checkpoint's adjacency does not decompose to the oracle at its manifest LSN")
 			}
-			if !slices.Equal(eng.Snapshot().Cores(), oracle[1]) {
+			if !slices.Equal(p.eng.Snapshot().Cores(), oracle[1]) {
 				t.Error("served cores differ from the oracle after the writes made under the checkpoint")
 			}
+		})
+	}
+}
+
+// TestParkedFoldBackIsAdopted: the fold-back of a durable graph is the
+// checkpoint its full buffer triggers, streamed off the writer. Parked
+// before its first table byte, it holds nothing up: every flush made
+// meanwhile publishes its epoch and acks its Sync, cores bit-identical to
+// IMCore's. Released, it commits and is adopted: live/ is the
+// checkpoint's tables, the graph has folded back exactly once
+// (disk.merges on the disk backend), the buffer holds exactly the edits
+// made since the pin, and nothing was rewritten in place.
+func TestParkedFoldBackIsAdopted(t *testing.T) {
+	const n, seed, fill, during = 120, 43, 64, 10
+	for _, backend := range []string{engine.BackendMem, engine.BackendDisk} {
+		t.Run(backend, func(t *testing.T) {
+			base := writeGraph(t, n, seed)
+			ups := freshEdges(n, seed, 100) // inserts: each buffers two arcs
+			p := parkFill(t, backend, base, fill, ups)
+			g := engine.GraphOf(p.eng)
+			if p.pinned != fill/2+1 || g.FoldBacks() != 0 {
+				t.Fatalf("fixture: pinned after %d inserts with %d fold-backs, want %d and none", p.pinned, g.FoldBacks(), fill/2+1)
+			}
+			edges := gen.Social(n, 3, 8, 8, seed)
+			check := func(applied int) {
+				t.Helper()
+				all := slices.Clone(edges)
+				for _, up := range ups[:applied] {
+					all = append(all, gen.Edge{U: up.U, V: up.V})
+				}
+				if err := verify.CheckAgainst(gen.Build(all), p.eng.Snapshot().Cores()); err != nil {
+					t.Fatalf("after %d inserts: %v", applied, err)
+				}
+			}
+			for i := p.pinned; i < p.pinned+during; i++ {
+				seq := p.eng.Snapshot().Seq
+				if err := p.eng.Apply(ups[i]); err != nil {
+					t.Fatal(err)
+				}
+				if got := p.eng.Snapshot().Seq; got != seq+1 {
+					t.Fatalf("a flush under the parked fold-back moved the epoch %d -> %d", seq, got)
+				}
+				check(i + 1)
+			}
+			p.release()
+			if got := g.FoldBacks(); got != 1 {
+				t.Errorf("%d fold-backs after the release, want the one adoption", got)
+			}
+			if d := p.eng.Report().Disk; d != nil && (d.Merges != 1 || d.OverlayLimit != fill) {
+				t.Errorf("disk block %+v, want one merge and the configured %d-arc fill", d, fill)
+			}
+			if got := g.BufferedArcs(); got != 2*during {
+				t.Errorf("%d arcs buffered after the adoption, want the %d of the inserts made since the pin", got, 2*during)
+			}
+			if st := p.eng.Report().Durability; st.InplaceFoldbacks != 0 {
+				t.Errorf("%d in-place fold-backs under a buffer that never reached its bound", st.InplaceFoldbacks)
+			}
+			dir := filepath.Join(p.dataDir, "g")
+			if !sameTables(t, wal.LiveBase(dir), wal.CheckpointBase(filepath.Join(dir, "ckpt", "0000000000000002"))) {
+				t.Error("live/ is not the adopted checkpoint's tables")
+			}
+			check(p.pinned + during)
 		})
 	}
 }
@@ -325,39 +461,60 @@ func TestCheckpointStreamsUnderWrites(t *testing.T) {
 // checkpoint instead of being copied, the checkpoints already committed
 // stay the newest valid ones, and they plus the WAL tail still recover
 // every acked update. Each committed checkpoint carries its cores.
+//
+// That holds while live/ is a copy (copied, the first open's). Once the
+// graph has adopted a checkpoint (adopted: a one-arc fill, so every
+// update fills the buffer), live/ and the newest checkpoint share their
+// files, and the same damage lands in both: recovery finds the newest
+// checkpoint damaged, falls back to the older one and replays the WAL
+// from there — every acked update still comes back.
 func TestMemCheckpointRejectsCorruptTable(t *testing.T) {
 	for _, backend := range []string{engine.BackendMem, engine.BackendDisk} {
-		t.Run(backend, func(t *testing.T) { testCheckpointRejectsCorruptTable(t, backend) })
+		t.Run(backend, func(t *testing.T) {
+			t.Run("copied", func(t *testing.T) { testCheckpointRejectsCorruptTable(t, backend, 0) })
+			t.Run("adopted", func(t *testing.T) { testCheckpointRejectsCorruptTable(t, backend, 1) })
+		})
 	}
 }
 
-func testCheckpointRejectsCorruptTable(t *testing.T, backend string) {
+func testCheckpointRejectsCorruptTable(t *testing.T, backend string, fill int) {
 	const n = 6
 	base := testutil.WriteEdges(t, n, []memgraph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
 	ups := []serve.Update{{Op: serve.OpInsert, U: 1, V: 3}, {Op: serve.OpDelete, U: 3, V: 4}, {Op: serve.OpInsert, U: 4, V: 5}}
 	want := memCoresAfter(t, base, [][]serve.Update{ups})[0]
 
 	dataDir := t.TempDir()
-	reg := engine.NewRegistry(durableOptions(dataDir))
+	opts := durableOptions(dataDir)
+	opts.Open.BufferArcs = fill
+	reg := engine.NewRegistry(opts)
 	eng, err := reg.OpenBackend("g", base, engine.BackendConfig{Backend: backend, CacheBlocks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp := eng.(engine.Checkpointer)
-	if err := eng.Apply(ups[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for _, up := range ups[1:] {
+	for i, up := range ups {
 		if err := eng.Apply(up); err != nil {
 			t.Fatal(err)
+		}
+		// Copied: one checkpoint, after the first update. Adopted: one
+		// after each, which waits for the one its fill triggered; either
+		// pins past the fill, and is adopted.
+		if i == 0 || fill > 0 {
+			if err := cp.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	live := wal.LiveBase(filepath.Join(dataDir, "g"))
+	if fill > 0 {
+		sc, err := wal.Scan(nil, filepath.Join(dataDir, "g"))
+		if err != nil || sc.Manifest.LSN != 3 || !sameTables(t, live, wal.CheckpointBase(sc.Path)) {
+			t.Fatalf("fixture: %v; want live/ to be the newest checkpoint's tables, at LSN 3", err)
 		}
 	}
 
 	// nbr(0) = [1 2] opens the edge table; make it [1 3], in place.
-	et, err := os.OpenFile(wal.LiveBase(filepath.Join(dataDir, "g"))+".et", os.O_WRONLY, 0)
+	et, err := os.OpenFile(live+".et", os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,8 +522,10 @@ func testCheckpointRejectsCorruptTable(t *testing.T, backend string) {
 		t.Fatal(err)
 	}
 	et.Close()
-	if err := cp.Checkpoint(); err == nil || !strings.Contains(err.Error(), "crc") {
-		t.Fatalf("checkpoint over a corrupted live table: %v, want its checksum mismatch", err)
+	if fill == 0 {
+		if err := cp.Checkpoint(); err == nil || !strings.Contains(err.Error(), "crc") {
+			t.Fatalf("checkpoint over a corrupted live table: %v, want its checksum mismatch", err)
+		}
 	}
 	reg.Close() //nolint:errcheck // the final checkpoint fails the same way
 
@@ -374,9 +533,16 @@ func testCheckpointRejectsCorruptTable(t *testing.T, backend string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Manifest.LSN != 1 || sc.Fallback || !sc.Manifest.HasCores || len(sc.Records) != 2 {
-		t.Fatalf("newest valid checkpoint: LSN %d, fallback %v, has_cores %v, %d records behind it; want the untouched one at 1 with its cores and 2 records",
-			sc.Manifest.LSN, sc.Fallback, sc.Manifest.HasCores, len(sc.Records))
+	if fill == 0 && (sc.Manifest.LSN != 1 || sc.Fallback || len(sc.Records) != 2) {
+		t.Fatalf("newest valid checkpoint: LSN %d, fallback %v, %d records behind it; want the untouched one at 1 and 2 records",
+			sc.Manifest.LSN, sc.Fallback, len(sc.Records))
+	}
+	if fill > 0 && (sc.Manifest.LSN >= 3 || !sc.Fallback || sc.Manifest.LSN+uint64(len(sc.Records)) != 3) {
+		t.Fatalf("newest valid checkpoint: LSN %d, fallback %v, %d records behind it; want the older one and the records up to 3",
+			sc.Manifest.LSN, sc.Fallback, len(sc.Records))
+	}
+	if !sc.Manifest.HasCores {
+		t.Fatal("the checkpoint recovery would take carries no cores")
 	}
 	reg2 := engine.NewRegistry(durableOptions(dataDir))
 	defer reg2.Close()
@@ -387,5 +553,93 @@ func testCheckpointRejectsCorruptTable(t *testing.T, backend string) {
 	eng2, _ := reg2.Get("g")
 	if !slices.Equal(eng2.Snapshot().Cores(), want) {
 		t.Error("recovered cores differ from the oracle over every acked update")
+	}
+}
+
+// TestDamagedLiveAfterRestartsFallsBack: a restart serves live/ as hard
+// links to the checkpoint it recovers from, so damage to the served
+// tables is damage to that checkpoint. The log behind the older retained
+// checkpoint must therefore outlive every recovery, the ones that replay
+// a tail and commit a checkpoint of their own included, and what a crash
+// tore must not end up in the middle of the log. Schedule: a checkpoint
+// at LSN 1, two more acked updates, a crash that tears a third append; a
+// recovery that replays both and checkpoints at 3, one more acked update,
+// a crash; a recovery that replays it and checkpoints at 4; a clean
+// restart with nothing to replay; then a byte of live/graph.et flipped.
+// The last recovery finds its newest checkpoint damaged, falls back to the
+// one at 3 and replays 4 from the log: every acked update is back.
+func TestDamagedLiveAfterRestartsFallsBack(t *testing.T) {
+	for _, backend := range []string{engine.BackendMem, engine.BackendDisk} {
+		t.Run(backend, func(t *testing.T) {
+			const n = 6
+			base := testutil.WriteEdges(t, n, []memgraph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
+			ups := []serve.Update{{Op: serve.OpInsert, U: 1, V: 3}, {Op: serve.OpDelete, U: 3, V: 4}, {Op: serve.OpInsert, U: 4, V: 5}, {Op: serve.OpInsert, U: 0, V: 5}}
+			want := memCoresAfter(t, base, [][]serve.Update{ups})[0]
+
+			// life runs the graph in dir — opened from base, or recovered with
+			// replayed records — applies ups, and crashes into a copy of dir
+			// (a clean close when crash is false).
+			life := func(dir string, replayed int64, ups []serve.Update, crash bool) string {
+				t.Helper()
+				reg := engine.NewRegistry(durableOptions(dir))
+				defer reg.Close()
+				var eng engine.Engine
+				if replayed < 0 {
+					var err error
+					if eng, err = reg.OpenBackend("g", base, engine.BackendConfig{Backend: backend, CacheBlocks: 2}); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					rep, err := reg.Recover()
+					if err != nil || len(rep.Graphs) != 1 || rep.Graphs[0].Err != nil || rep.Graphs[0].Degraded || rep.Graphs[0].Replayed != replayed {
+						t.Fatalf("recovery: %v, %+v; want %d records replayed", err, rep, replayed)
+					}
+					eng, _ = reg.Get("g")
+				}
+				for i, up := range ups {
+					if err := eng.Apply(up); err != nil {
+						t.Fatal(err)
+					}
+					if replayed < 0 && i == 0 {
+						if err := eng.(engine.Checkpointer).Checkpoint(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if !crash {
+					if !slices.Equal(eng.Snapshot().Cores(), want) {
+						t.Fatal("recovered cores differ from the oracle over every acked update")
+					}
+					return dir
+				}
+				img := t.TempDir()
+				copyTree(t, dir, img)
+				return img
+			}
+			img := life(t.TempDir(), -1, ups[:3], true)
+			segs, err := filepath.Glob(filepath.Join(img, "g", "wal", "s0", "*.seg"))
+			if err != nil || len(segs) == 0 {
+				t.Fatalf("segments %v, %v", segs, err)
+			}
+			f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte{9, 0, 0, 0, 1}); err != nil { // the torn append
+				t.Fatal(err)
+			}
+			f.Close()
+			img = life(img, 2, ups[3:], true)
+			life(life(img, 1, nil, false), 0, nil, false)
+			et, err := os.OpenFile(wal.LiveBase(filepath.Join(img, "g"))+".et", os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := et.WriteAt([]byte{3, 0, 0, 0}, 4); err != nil { // nbr(0) = [1 2 5] becomes [1 3 5]
+				t.Fatal(err)
+			}
+			et.Close()
+			life(img, 1, nil, false)
+		})
 	}
 }

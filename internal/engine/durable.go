@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kcore"
+	"kcore/internal/dyngraph"
 	"kcore/internal/faultfs"
 	"kcore/internal/serve"
 	"kcore/internal/stats"
@@ -27,7 +28,7 @@ type DurabilityOptions struct {
 	SyncInterval time.Duration
 	// CheckpointEvery is the background checkpoint period; 0 disables
 	// periodic checkpoints (they still happen on clean Close, after
-	// recovery, and via Checkpointer).
+	// recovery, when the update buffer fills, and via Checkpointer).
 	CheckpointEvery time.Duration
 	// SegmentBytes is the log segment roll threshold; 0 selects the WAL
 	// default.
@@ -90,7 +91,8 @@ type walFailure struct{ err error }
 // linearized redo log of exactly what the writer applied.
 //
 // It keeps no copy of the adjacency on any backend: a checkpoint streams
-// a view pinned on the graph's own files (checkpoint below).
+// a view pinned on the graph's own files, and folds the update buffer
+// back when it is past its fill (checkpoint below).
 type durable struct {
 	name  string
 	inner *Live // the graph under live/, in service; owned
@@ -106,7 +108,13 @@ type durable struct {
 	broken   atomic.Pointer[walFailure]
 	degraded error // non-nil seals the engine read-only; set before serving starts, immutable after
 
+	fill      int           // the configured BufferArcs; the graph's own bound is twice it
+	full      chan struct{} // onApply's signal to the checkpoint loop
+	foldBacks int64         // the graph's FoldBacks counted so far; writer-owned
+	inplace   atomic.Int64  // those the hard bound made in place
+
 	ckptMu    sync.Mutex
+	ckptLSN   int64 // the newest valid checkpoint's LSN, -1 before the first; guarded by ckptMu
 	quit      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -115,10 +123,12 @@ type durable struct {
 
 func newDurable(name string, opts DurabilityOptions) *durable {
 	return &durable{
-		name: name,
-		ctr:  &stats.WalCounters{},
-		opts: opts,
-		quit: make(chan struct{}),
+		name:    name,
+		ctr:     &stats.WalCounters{},
+		opts:    opts,
+		full:    make(chan struct{}, 1),
+		ckptLSN: -1,
+		quit:    make(chan struct{}),
 	}
 }
 
@@ -130,10 +140,16 @@ func newDurable(name string, opts DurabilityOptions) *durable {
 // the record from the log once that append has finished, and never one
 // whose append failed. Recovery's replay never comes through here:
 // OnApply observes user flushes only, and the records replay applies
-// already exist.
+// already exist. A buffer past its fill only signals the checkpoint loop.
 func (d *durable) onApply(deletes, inserts []kcore.Edge) {
 	if len(deletes)+len(inserts) == 0 {
 		return
+	}
+	fb := d.inner.G.FoldBacks() // past foldBacks: the hard bound fired in this flush
+	d.inplace.Add(fb - d.foldBacks)
+	d.foldBacks = fb
+	if d.inner.G.BufferedArcs() > d.fill && len(d.full) == 0 { // the only sender
+		d.full <- struct{}{}
 	}
 	d.mu.Lock()
 	d.lsn++
@@ -164,7 +180,7 @@ func (d *durable) markDegraded(reason string) {
 }
 
 // startLoops launches the background fsync ticker (interval policy) and
-// the periodic checkpointer.
+// the checkpoint loop: periodic, and on every fill onApply signals.
 func (d *durable) startLoops() {
 	if d.opts.Policy == wal.SyncInterval && d.opts.SyncInterval > 0 {
 		d.wg.Add(1)
@@ -184,25 +200,28 @@ func (d *durable) startLoops() {
 			}
 		}()
 	}
-	if d.opts.CheckpointEvery > 0 {
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		var tick <-chan time.Time
+		if d.opts.CheckpointEvery > 0 {
 			t := time.NewTicker(d.opts.CheckpointEvery)
 			defer t.Stop()
-			for {
-				select {
-				case <-d.quit:
-					return
-				case <-t.C:
-					// Periodic checkpoints are best-effort: a failure
-					// leaves the previous checkpoints valid and the next
-					// tick retries.
-					d.checkpoint() //nolint:errcheck
+			tick = t.C
+		}
+		for {
+			select {
+			case <-d.quit:
+				return
+			case <-tick:
+			case <-d.full:
+				if d.inner.G.BufferedArcs() <= d.fill {
+					continue // a checkpoint since the signal folded it back
 				}
 			}
-		}()
-	}
+			d.checkpoint(true) //nolint:errcheck // best-effort: the previous checkpoints stay valid, the next tick or fill retries
+		}
+	}()
 }
 
 // checkpoint persists the graph's adjacency and core numbers as of one
@@ -213,8 +232,12 @@ func (d *durable) startLoops() {
 // take, the epoch published at that flush boundary and the LSN are all
 // read on the writer goroutine, so the stored cores always match the
 // stored adjacency, and the writer goes back to applying updates while
-// the view is streamed to the checkpoint tables from this goroutine.
-func (d *durable) checkpoint() error {
+// the view is streamed to the checkpoint tables from this goroutine. The
+// state the newest valid checkpoint holds is not written again. With
+// adopt, a view pinned past the fill is the fold-back: once committed, the
+// writer adopts it at its next flush boundary (kcore.Graph.Adopt), unless
+// the hard bound folded the buffer back meanwhile (dyngraph.ErrStale).
+func (d *durable) checkpoint(adopt bool) error {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 	t0 := time.Now()
@@ -225,22 +248,38 @@ func (d *durable) checkpoint() error {
 		pinErr error
 	)
 	err := d.inner.Do(func() {
+		if lsn = d.CurrentLSN(); int64(lsn) == d.ckptLSN {
+			return
+		}
 		vw, pinErr = d.inner.G.Pin()
 		ep = d.inner.Snapshot()
-		lsn = d.CurrentLSN()
+		adopt = adopt && d.inner.G.BufferedArcs() > d.fill
 	})
 	if err == nil {
 		err = pinErr
 	}
-	if err != nil {
+	if err != nil || vw == nil {
 		return err
 	}
 	defer vw.Release()
-	if err := d.gd.Checkpoint(lsn, vw, ep.Cores()); err != nil {
+	tables, err := d.gd.Checkpoint(lsn, vw, ep.Cores())
+	if err != nil {
 		return err
 	}
+	d.ckptLSN = int64(lsn)
 	d.ctr.SetCheckpointLast(time.Since(t0))
-	return nil
+	if !adopt {
+		return nil
+	}
+	var aerr error
+	if err := d.inner.Do(func() {
+		if aerr = d.inner.G.Adopt(vw, tables); aerr == nil {
+			d.foldBacks++
+		}
+	}); err != nil || errors.Is(aerr, dyngraph.ErrStale) {
+		return err
+	}
+	return aerr
 }
 
 // replay applies the recovered WAL tail, one record at a time, each its
@@ -323,7 +362,11 @@ func (d *durable) Report() serve.Report {
 	d.ctr.SetLSN(d.CurrentLSN())
 	w := d.ctr.Snapshot()
 	w.CheckpointBlockReads = d.gd.IO().Snapshot().Reads
+	w.InplaceFoldbacks = d.inplace.Load()
 	r := d.inner.Report()
+	if r.Disk != nil {
+		r.Disk.OverlayLimit = d.fill // not the hard bound the graph is opened with
+	}
 	r.Durability = &w
 	return r
 }
@@ -333,7 +376,7 @@ func (d *durable) Checkpoint() error {
 	if d.degraded != nil {
 		return d.degraded
 	}
-	return d.checkpoint()
+	return d.checkpoint(true)
 }
 
 // Changes implements ChangeStreamer.
@@ -375,7 +418,7 @@ func (d *durable) Close() error {
 		if d.degraded == nil {
 			syncErr := d.inner.Sync()
 			if syncErr == nil && d.broken.Load() == nil {
-				firstErr = d.checkpoint()
+				firstErr = d.checkpoint(true)
 			} else if firstErr == nil {
 				firstErr = syncErr
 			}

@@ -225,15 +225,15 @@ func crashImage(t *testing.T, n uint32, seed int64, k int) (img string, ups []se
 	return img, ups
 }
 
-// TestDurableFirstOpenLeavesBaseAlone: a durable graph serves, and
-// compacts into, its own copy of the tables from its first open on — the
+// TestDurableFirstOpenLeavesBaseAlone: a durable graph serves its own
+// copy of the tables from its first open on, and folds back into it — the
 // files the operator passed are only ever read. Here the update buffer
-// overflows several times before the process dies without a Close; the
+// fills several times before the process dies without a Close; the
 // base files must be byte for byte what they were, their modification
 // times must not read as "the operator refreshed the base" (that signal
 // once made kcored drop the correctly recovered graph, WAL and all, after
 // the server's own first in-place compaction), and recovery must serve
-// every acked update.
+// every acked update: the newest checkpoint plus its tail.
 func TestDurableFirstOpenLeavesBaseAlone(t *testing.T) {
 	const n, seed, k = 80, 36, 24
 	readTables := func(base string) string {
@@ -260,17 +260,30 @@ func TestDurableFirstOpenLeavesBaseAlone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A copy, not links: the operator may rewrite the base in place.
+			if sameTables(t, wal.LiveBase(filepath.Join(dataDir, "g")), base) {
+				t.Error("the first open linked the operator's files into live/")
+			}
 			ups := freshEdges(n, seed, k)
 			for _, up := range ups {
 				if err := eng.Apply(up); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if eng.Report().IO.Writes == 0 {
-				t.Fatalf("fixture: %d updates against an 8-arc buffer compacted nothing", k)
+			if engine.GraphOf(eng).FoldBacks() == 0 {
+				t.Fatalf("fixture: %d updates against an 8-arc buffer folded nothing back", k)
+			}
+			// The last fill's checkpoint may still be streaming: one more
+			// waits for it, so the image is of files at rest.
+			if err := eng.(engine.Checkpointer).Checkpoint(); err != nil {
+				t.Fatal(err)
 			}
 			img := t.TempDir()
 			copyTree(t, dataDir, img) // the process dies here: no Close, no final checkpoint
+			sc, err := wal.Scan(nil, filepath.Join(img, "g"))
+			if err != nil || sc.Manifest.LSN+uint64(len(sc.Records)) != k {
+				t.Fatalf("image: %v, checkpoint at %d and %d records behind it, want %d acked records", err, sc.Manifest.LSN, len(sc.Records), k)
+			}
 
 			if readTables(base) != before {
 				t.Error("the durable graph wrote to the base files it was opened from")
@@ -284,8 +297,8 @@ func TestDurableFirstOpenLeavesBaseAlone(t *testing.T) {
 			if engine.BaseNewerThanCheckpoint(base, rep.Graphs[0]) {
 				t.Error("the untouched base reads as newer than the recovered checkpoint")
 			}
-			if rep.Graphs[0].Replayed != k {
-				t.Errorf("replayed %d records, want %d", rep.Graphs[0].Replayed, k)
+			if rep.Graphs[0].Replayed != int64(len(sc.Records)) {
+				t.Errorf("replayed %d records, want the %d behind the checkpoint", rep.Graphs[0].Replayed, len(sc.Records))
 			}
 			eng2, _ := reg2.Get("g")
 			if !slices.Equal(eng2.Snapshot().Cores(), oracleCores(t, n, seed, ups, k)) {
@@ -298,6 +311,10 @@ func TestDurableFirstOpenLeavesBaseAlone(t *testing.T) {
 func TestRecoverReplaysWalTail(t *testing.T) {
 	const n, seed, k = 80, 33, 6
 	img, ups := crashImage(t, n, seed, k)
+	sc, err := wal.Scan(nil, filepath.Join(img, "g"))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Recover with the default batch size: replay is per record whatever
 	// the coalescing window, one epoch each, as when they were logged.
@@ -324,6 +341,11 @@ func TestRecoverReplaysWalTail(t *testing.T) {
 	}
 	if st := durStats(t, eng); st.Appends != 0 || st.LSN != k {
 		t.Fatalf("replay re-logged its records or lost the watermark: %+v", st)
+	}
+	// Recovery copies nothing: live/ is hard links to the checkpoint it
+	// chose.
+	if !sameTables(t, wal.LiveBase(filepath.Join(img, "g")), wal.CheckpointBase(sc.Path)) {
+		t.Error("live/ is not the chosen checkpoint's tables")
 	}
 }
 
@@ -715,7 +737,7 @@ func TestRecoverRemovesLegacyPartsDir(t *testing.T) {
 // (CONFIG naming the retired backend and its topology, one log directory
 // per shard writer with the graph-level LSNs interleaved across them)
 // comes back as one mem writer with nothing lost, and the post-recovery
-// log reset leaves no per-shard directory behind.
+// log trim leaves no per-shard directory behind.
 func TestRecoverLegacyShardedDataDir(t *testing.T) {
 	const n, seed, k = 80, 39, 6
 	dataDir := t.TempDir()

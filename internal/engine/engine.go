@@ -139,6 +139,8 @@ var (
 	ErrNotFound = errors.New("engine: graph not found")
 	// ErrExists reports a registration under an already-taken name.
 	ErrExists = errors.New("engine: graph already registered")
+	// ErrUnrecovered refuses an open over durable state Recover could not bring back.
+	ErrUnrecovered = errors.New("engine: the graph's durable state did not recover")
 	// ErrClosed reports use of a closed registry.
 	ErrClosed = errors.New("engine: registry closed")
 	// ErrBadName reports an invalid graph name.

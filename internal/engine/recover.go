@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"kcore"
+	"kcore/internal/dyngraph"
 	"kcore/internal/stats"
 	"kcore/internal/wal"
 )
@@ -20,19 +21,8 @@ import (
 const configName = "CONFIG"
 
 func writeGraphConfig(o *DurabilityOptions, dir string, c BackendConfig) error {
-	f, err := o.FS.Create(filepath.Join(dir, configName))
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(f, "backend=%s\ncache_blocks=%d\n", c.Backend, c.CacheBlocks); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	config := fmt.Sprintf("backend=%s\ncache_blocks=%d\n", c.Backend, c.CacheBlocks)
+	return wal.WriteFile(o.FS, filepath.Join(dir, configName), []byte(config))
 }
 
 // readGraphConfig parses the configuration file, defaulting to the mem
@@ -123,29 +113,34 @@ func (r *Registry) createDurable(name, base string, c BackendConfig, oo kcore.Op
 }
 
 // startDurable is the one way a durable graph comes into service, first
-// open and recovery alike: copy the tables at src into live/ and bring
-// that copy up behind the durability shell, apply the WAL tail, commit
-// a checkpoint of the result, drop the logs it covers, start the
-// background loops. A first open (sc == nil, src the operator's base) is
-// a recovery with no expected cores, an empty tail and no logs yet; a
-// recovery passes what wal.Scan found, src its chosen checkpoint.
+// open and recovery alike: copy (first open) or link (recovery) the
+// tables at src into live/ and bring them up behind the durability shell,
+// apply the WAL tail, commit a checkpoint of the result (not adopted: live/
+// stays on the files recovery chose), end the log at it, start the
+// background loops. A first open (sc == nil, src the
+// operator's base) is a recovery with no expected cores, an empty tail
+// and no logs yet; a recovery passes what wal.Scan found, src its chosen
+// checkpoint.
 //
-// The graph serves, and compacts into, its own copy from the first open
-// on: the operator's files are only ever read, so their modification
+// The graph serves, and adopts its checkpoints into, live/ from the first
+// open on: the operator's files are only ever read, so their modification
 // times keep meaning "the operator refreshed the base"
-// (BaseNewerThanCheckpoint), and committed checkpoints are never
-// touched.
+// (BaseNewerThanCheckpoint), and committed checkpoints are never written.
 //
 // An error next to a nil shell means nothing came up and nothing stays
 // open. An error next to a shell means the graph is in service on what
 // was recovered but durability could not be re-armed: recovery marks it
 // degraded, a first open closes it.
 func (r *Registry) startDurable(name, dir, src string, oo kcore.OpenOptions, sc *wal.Recovered) (*durable, error) {
-	liveBase, err := wal.CopyLive(dir, src)
+	liveBase, err := wal.CopyLive(dir, src, sc != nil)
 	if err != nil {
 		return nil, err
 	}
 	d := newDurable(name, *r.dur)
+	if d.fill = oo.BufferArcs; d.fill <= 0 {
+		d.fill = dyngraph.DefaultBufferArcs
+	}
+	oo.BufferArcs = 2 * d.fill // the hard bound: the fill folds back by checkpoint
 	d.gd, err = wal.Open(dir, &wal.Options{
 		FS:           r.dur.FS,
 		Policy:       r.dur.Policy,
@@ -181,18 +176,18 @@ func (r *Registry) startDurable(name, dir, src string, oo kcore.OpenOptions, sc 
 	if sc != nil {
 		// The shell's LSN is the published state's: the checkpoint's, plus
 		// each tail record replay applies. Damage skips the replay, and
-		// then the LSN stays the checkpoint's.
-		d.lsn = sc.Manifest.LSN
+		// then the LSN stays the checkpoint's, the newest valid one.
+		d.lsn, d.ckptLSN = sc.Manifest.LSN, int64(sc.Manifest.LSN)
 		if sc.Damaged {
 			err = errors.New(sc.Reason)
 		}
 		step("replay", func() error { return d.replay(sc.Records) })
 	}
-	step("checkpoint", d.checkpoint)
+	step("checkpoint", func() error { return d.checkpoint(false) })
 	if sc != nil {
-		// Old segments, torn tails included, are dead weight once the
-		// checkpoint covering them commits; the log goes on after it.
-		step("resetting logs", func() error { return d.gd.ResetLogs(d.CurrentLSN()) })
+		// The log goes on after the checkpoint, without what a crash left
+		// past it, and keeps what the older checkpoint would replay.
+		step("trimming logs", func() error { return d.gd.TrimLogs(d.CurrentLSN()) })
 	}
 	if err == nil {
 		d.startLoops()
@@ -283,7 +278,8 @@ func (rep *RecoveryReport) Summary() string {
 // then serving. A graph damaged past repair comes up degraded
 // read-only; a graph with nothing reconstructable is reported with Err
 // and not registered. Recover never panics on bad input — corrupt state
-// is classified, reported, and isolated per graph.
+// is classified, reported, and isolated per graph; a name whose state is
+// there but did not come back is not opened over (ErrUnrecovered).
 func (r *Registry) Recover() (*RecoveryReport, error) {
 	if r.dur == nil {
 		return nil, fmt.Errorf("engine: Recover needs a registry with DurabilityOptions")
@@ -301,7 +297,13 @@ func (r *Registry) Recover() (*RecoveryReport, error) {
 		if !e.IsDir() || !validName(e.Name()) {
 			continue
 		}
-		rep.Graphs = append(rep.Graphs, r.recoverGraph(e.Name()))
+		gr := r.recoverGraph(e.Name())
+		if gr.Err != nil && !errors.Is(gr.Err, wal.ErrNoData) {
+			r.mu.Lock()
+			r.unrecovered[gr.Name] = fmt.Errorf("%w: %s (%v); refusing to replace it — move the directory aside to start over from the base", ErrUnrecovered, filepath.Join(r.dur.Dir, gr.Name), gr.Err)
+			r.mu.Unlock()
+		}
+		rep.Graphs = append(rep.Graphs, gr)
 	}
 	rep.Elapsed = time.Since(t0)
 	return rep, nil

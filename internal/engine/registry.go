@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -46,9 +47,10 @@ type Registry struct {
 	opts Options
 	dur  *DurabilityOptions // resolved copy of opts.Durability, nil when off
 
-	mu     sync.RWMutex
-	byName map[string]*entry
-	closed bool
+	mu          sync.RWMutex
+	byName      map[string]*entry
+	unrecovered map[string]error // Recover's failures, as ErrUnrecovered refusals
+	closed      bool
 
 	lockMu   sync.Mutex
 	lockFile *os.File // data-dir flock, held for the registry's lifetime
@@ -61,7 +63,7 @@ func NewRegistry(opts *Options) *Registry {
 	if opts != nil {
 		o = *opts
 	}
-	r := &Registry{opts: o, byName: make(map[string]*entry)}
+	r := &Registry{opts: o, byName: make(map[string]*entry), unrecovered: make(map[string]error)}
 	if o.Durability != nil {
 		d := o.Durability.withDefaults()
 		r.dur = &d
@@ -89,7 +91,8 @@ func validName(name string) bool {
 
 // reserve claims name in the table (with a nil entry) so the expensive
 // open/decompose work can run outside the lock without a racing Open
-// taking the same name.
+// taking the same name. A name Recover could not bring back is refused
+// while its directory is there.
 func (r *Registry) reserve(name string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -101,6 +104,12 @@ func (r *Registry) reserve(name string) error {
 	}
 	if _, ok := r.byName[name]; ok {
 		return fmt.Errorf("%w: %q", ErrExists, name)
+	}
+	if err := r.unrecovered[name]; err != nil {
+		if _, serr := os.Lstat(filepath.Join(r.dur.Dir, name)); !os.IsNotExist(serr) {
+			return err
+		}
+		delete(r.unrecovered, name) // moved aside: the name starts over
 	}
 	r.byName[name] = nil
 	return nil

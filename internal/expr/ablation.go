@@ -98,7 +98,7 @@ func Ablation(cfg *Config) error {
 		// files, and edits still buffered at Close are discarded — so
 		// each configuration gets its own copy of the base.
 		copyBase := fmt.Sprintf("%s-buf%d", base, cap)
-		if err := graphio.CopyGraph(copyBase, base); err != nil {
+		if err := graphio.CopyGraph(copyBase, base, false); err != nil {
 			return err
 		}
 		ctr := stats.NewIOCounter(cfg.BlockSize)
@@ -127,7 +127,7 @@ func Ablation(cfg *Config) error {
 			}
 		}
 		elapsed := time.Since(start)
-		t.row(fmtCount(int64(cap)), g.Compactions, fmtCount(ctr.Writes()), fmtDur(elapsed))
+		t.row(fmtCount(int64(cap)), g.FoldBacks(), fmtCount(ctr.Writes()), fmtDur(elapsed))
 		g.Close()
 	}
 	t.flush()

@@ -311,7 +311,8 @@ func TestArcLessProperty(t *testing.T) {
 	f := func(a, b Arc) bool {
 		return (a.key() < b.key()) == (cmpArc(a, b) < 0) && arcOf(a.key()) == a
 	}
-	if err := quick.Check(f, nil); err != nil {
+	// A fixed source: testutil, which owns -seed, imports this package.
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(108))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -409,7 +410,7 @@ func TestSortProperty(t *testing.T) {
 		sortsLike(t, arcs, int(budget%32)+2)
 		return !t.Failed()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(109))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -256,15 +256,21 @@ func WriteText(path string, g *memgraph.CSR) error {
 // CopyGraph duplicates an on-disk graph (used by experiments that mutate
 // their input via compaction, and for a durable graph's live copy): its
 // three files and, when the source has one, its checksum sidecar, so a
-// verified open of the copy costs what one of the source would.
-func CopyGraph(dstBase, srcBase string) error {
-	for _, ext := range []string{".meta", ".nt", ".et"} {
-		if err := copyFile(dstBase+ext, srcBase+ext); err != nil {
+// verified open of the copy costs what one of the source would. With link
+// (a checkpoint's files, never written again) it hard-links each file,
+// copying only where that fails.
+func CopyGraph(dstBase, srcBase string, link bool) error {
+	for _, ext := range []string{".meta", ".nt", ".et", ".crc"} {
+		err := os.ErrInvalid
+		if link {
+			err = os.Link(srcBase+ext, dstBase+ext)
+		}
+		if err != nil && !os.IsNotExist(err) {
+			err = copyFile(dstBase+ext, srcBase+ext)
+		}
+		if err != nil && (ext != ".crc" || !os.IsNotExist(err)) {
 			return err
 		}
-	}
-	if err := copyFile(dstBase+".crc", srcBase+".crc"); err != nil && !os.IsNotExist(err) {
-		return err
 	}
 	return nil
 }

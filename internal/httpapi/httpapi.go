@@ -218,7 +218,7 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 	})
 	switch {
 	case err == nil:
-	case errors.Is(err, engine.ErrExists):
+	case errors.Is(err, engine.ErrExists), errors.Is(err, engine.ErrUnrecovered):
 		httpError(w, http.StatusConflict, "%v", err)
 		return
 	case errors.Is(err, engine.ErrBadName):

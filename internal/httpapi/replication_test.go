@@ -2,10 +2,15 @@ package httpapi_test
 
 import (
 	"archive/tar"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,6 +112,81 @@ func TestWriteRefusalSemantics(t *testing.T) {
 	}
 }
 
+// TestCreateGraphKeepsUnrecoveredGraph: a durable graph whose recovery
+// failed for any reason but "nothing was ever made durable" — here its
+// ckpt directory is a regular file, so it cannot be listed — is not
+// re-created over: POST /graphs under its name answers 409 naming the
+// directory (engine.ErrUnrecovered), and every file under it, its acked
+// updates included, stays byte for byte. Other names open as usual, and
+// so does this one once the directory is moved aside.
+func TestCreateGraphKeepsUnrecoveredGraph(t *testing.T) {
+	dataDir := t.TempDir()
+	base := writeGraph(t, 120, 11)
+	opts := &engine.Options{Durability: &engine.DurabilityOptions{Dir: dataDir}}
+	reg := engine.NewRegistry(opts)
+	eng, err := reg.Open("g", base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveRecords(t, eng, 3)
+	if err := reg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(dataDir, "g")
+	ckpt := filepath.Join(dir, "ckpt")
+	if err := os.Rename(ckpt, ckpt+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ckpt, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tree := func() map[string]string {
+		files := make(map[string]string)
+		err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+			if err != nil || info.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			files[path] = string(data)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	before := tree()
+
+	reg2 := engine.NewRegistry(opts)
+	t.Cleanup(func() { reg2.Close() })
+	rep, err := reg2.Recover()
+	if err != nil || len(rep.Graphs) != 1 || rep.Graphs[0].Err == nil {
+		t.Fatalf("recovery: %v, %+v; want g reported unrecoverable", err, rep)
+	}
+	if _, err := reg2.Open("g", base); !errors.Is(err, engine.ErrUnrecovered) || !strings.Contains(err.Error(), dir) {
+		t.Fatalf("Open over the unrecovered graph: %v, want ErrUnrecovered naming %s", err, dir)
+	}
+	ts := httptest.NewServer(httpapi.New(reg2, "default"))
+	t.Cleanup(ts.Close)
+	var e struct {
+		Error string `json:"error"`
+	}
+	do(t, "POST", ts.URL+"/graphs", fmt.Sprintf(`{"name":"g","path":%q}`, base), http.StatusConflict, &e)
+	if !strings.Contains(e.Error, "refusing to replace") || !strings.Contains(e.Error, dir) {
+		t.Errorf("409 body %q, want the refusal naming %s", e.Error, dir)
+	}
+	if after := tree(); !maps.Equal(before, after) {
+		t.Fatalf("the graph directory changed: %d files before, %d after", len(before), len(after))
+	}
+	do(t, "POST", ts.URL+"/graphs", fmt.Sprintf(`{"name":"h","path":%q}`, base), http.StatusCreated, nil)
+
+	// Moved aside, as the refusal says, the name starts over in this process.
+	if err := os.Rename(dir, dir+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	do(t, "POST", ts.URL+"/graphs", fmt.Sprintf(`{"name":"g","path":%q}`, base), http.StatusCreated, nil)
+}
+
 // TestChangesRouteStatusCodes pins the non-streaming answers of the
 // change-stream route: 400 without a log, 410 with the oldest servable
 // cursor once checkpoint retention removed the segment the requested one
@@ -121,24 +201,25 @@ func TestChangesRouteStatusCodes(t *testing.T) {
 		do(t, "GET", ts.URL+"/g/default/changes?from=banana", "", http.StatusBadRequest, nil)
 	})
 	t.Run("trimmed cursor answers 410 with oldest", func(t *testing.T) {
-		// One record per segment; the second forced checkpoint makes the
-		// first one at the last LSN the older retained checkpoint, and
-		// every segment but the newest goes.
+		// One record per segment; a second forced checkpoint, records
+		// after the first (one at the same LSN writes nothing), makes the
+		// first the older retained checkpoint, and every segment at or
+		// below its LSN goes.
 		ts, _, eng := newDurableAPI(t, 32)
-		last := driveRecords(t, eng, 12)
-		for i := 0; i < 2; i++ {
-			do(t, "POST", ts.URL+"/g/default/checkpoint", "", http.StatusOK, nil)
-		}
+		older := driveRecords(t, eng, 12)
+		do(t, "POST", ts.URL+"/g/default/checkpoint", "", http.StatusOK, nil)
+		driveRecords(t, eng, older+1)
+		do(t, "POST", ts.URL+"/g/default/checkpoint", "", http.StatusOK, nil)
 		var resp struct {
 			Error     string `json:"error"`
 			OldestLSN uint64 `json:"oldest_lsn"`
 		}
 		do(t, "GET", ts.URL+"/g/default/changes?from=0", "", http.StatusGone, &resp)
-		if resp.OldestLSN != last-1 || resp.Error == "" {
-			t.Fatalf("410 body must carry the oldest servable cursor %d: %+v", last-1, resp)
+		if resp.OldestLSN != older || resp.Error == "" {
+			t.Fatalf("410 body must carry the oldest servable cursor %d: %+v", older, resp)
 		}
 		// That cursor itself streams.
-		resp2, err := http.Get(fmt.Sprintf("%s/g/default/changes?from=%d", ts.URL, last-1))
+		resp2, err := http.Get(fmt.Sprintf("%s/g/default/changes?from=%d", ts.URL, older))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,8 +227,8 @@ func TestChangesRouteStatusCodes(t *testing.T) {
 		if resp2.StatusCode != http.StatusOK {
 			t.Fatalf("the oldest servable cursor answered %d", resp2.StatusCode)
 		}
-		if rec, err := wal.NewFrameReader(resp2.Body).ReadFrame(); err != nil || rec.LSN != last {
-			t.Fatalf("first frame from the oldest cursor = %+v, %v; want record %d", rec, err, last)
+		if rec, err := wal.NewFrameReader(resp2.Body).ReadFrame(); err != nil || rec.LSN != older+1 {
+			t.Fatalf("first frame from the oldest cursor = %+v, %v; want record %d", rec, err, older+1)
 		}
 	})
 }

@@ -344,7 +344,7 @@ func TestMaintenanceWithCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.G.Compactions == 0 {
+	if s.G.FoldBacks() == 0 {
 		t.Fatal("buffer never compacted despite a 16-arc limit")
 	}
 	if err := s.VerifyState(); err != nil {

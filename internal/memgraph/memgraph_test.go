@@ -1,6 +1,7 @@
 package memgraph
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -158,7 +159,8 @@ func TestDegreeSumEqualsArcs(t *testing.T) {
 		}
 		return sum == g.NumArcs() && sum == 2*g.NumEdges()
 	}
-	if err := quick.Check(f, nil); err != nil {
+	// A fixed source: testutil, which owns -seed, imports this package.
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(111))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -433,15 +433,15 @@ func TestCheckpointCatchUp(t *testing.T) {
 			t.Fatal("durable engine does not expose Checkpoint")
 		}
 		// cutOff severs the follower (the live stream dies, reconnects are
-		// refused), writes on across many segments, commits ckpts
-		// checkpoints, and lets the follower back in.
+		// refused), then ckpts times writes on across many segments and
+		// commits a checkpoint, and lets the follower back in.
 		cutOff := func(ckpts int) {
 			refuse.Store(true)
 			proxy.SeverAll()
-			for i := 0; i < 60; i++ {
-				h.step()
-			}
 			for i := 0; i < ckpts; i++ {
+				for j := 0; j < 60; j++ {
+					h.step()
+				}
 				if err := cp.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}

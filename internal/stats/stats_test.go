@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -73,7 +74,8 @@ func TestMemModelPeakNeverBelowCurrent(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	// A fixed source: testutil, which owns -seed, imports this package.
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(110))}); err != nil {
 		t.Fatal(err)
 	}
 }

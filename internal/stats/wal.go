@@ -68,9 +68,8 @@ func (c *WalCounters) Snapshot() WalSnapshot {
 }
 
 // WalSnapshot is an immutable copy of WalCounters, shaped for the
-// per-graph stats JSON. CheckpointBlockReads is not a counter of this
-// struct's: the durable shell fills it in from the checkpoint I/O
-// counter.
+// per-graph stats JSON. CheckpointBlockReads and InplaceFoldbacks are not
+// counters of this struct's: the durable shell fills them in.
 type WalSnapshot struct {
 	Appends     int64 `json:"wal_appends"`
 	Bytes       int64 `json:"wal_bytes"`
@@ -83,8 +82,11 @@ type WalSnapshot struct {
 	CheckpointBlockReads int64 `json:"checkpoint_block_reads"`
 	// CheckpointLastMs is the duration of the newest completed checkpoint.
 	CheckpointLastMs float64 `json:"checkpoint_last_ms"`
-	Replayed         int64   `json:"replayed_records"`
-	RecoveryNs       int64   `json:"recovery_ns"`
-	LSN              uint64  `json:"lsn"`
-	Degraded         bool    `json:"degraded"`
+	// InplaceFoldbacks counts the fold-backs the hard bound (twice
+	// BufferArcs) made on the writer instead of adopting a checkpoint.
+	InplaceFoldbacks int64  `json:"inplace_foldbacks"`
+	Replayed         int64  `json:"replayed_records"`
+	RecoveryNs       int64  `json:"recovery_ns"`
+	LSN              uint64 `json:"lsn"`
+	Degraded         bool   `json:"degraded"`
 }

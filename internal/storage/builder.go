@@ -12,8 +12,8 @@ import (
 // and, last, the meta header. Adjacency lists must be appended in
 // node-id order, one call per node, with each list sorted ascending.
 // Writes are charged to the counter at block granularity, so building is
-// itself an I/O-accounted operation (used by EMCore re-partitioning and by
-// dynamic-graph compaction).
+// itself an I/O-accounted operation (used by EMCore re-partitioning, and
+// by WriteGraph for checkpoints and fold-backs).
 type Builder struct {
 	fs     faultfs.FS
 	base   string
@@ -31,13 +31,10 @@ type Builder struct {
 // NewBuilder starts writing a graph with n nodes at path prefix base on
 // the real filesystem.
 func NewBuilder(base string, n uint32, ctr *stats.IOCounter) (*Builder, error) {
-	return NewBuilderFS(faultfs.OS, base, n, ctr)
+	return newBuilder(faultfs.OS, base, n, ctr)
 }
 
-// NewBuilderFS starts writing a graph through the given filesystem, so
-// checkpoint writers can route every table byte through a fault
-// injector.
-func NewBuilderFS(fsys faultfs.FS, base string, n uint32, ctr *stats.IOCounter) (*Builder, error) {
+func newBuilder(fsys faultfs.FS, base string, n uint32, ctr *stats.IOCounter) (*Builder, error) {
 	nt, err := CreateBlockWriterFS(fsys, nodePath(base), ctr)
 	if err != nil {
 		return nil, err
@@ -105,13 +102,10 @@ func (b *Builder) Arcs() int64 { return b.arcs }
 // (including the whole-table checksums).
 func (b *Builder) Close() error { return b.finish(false) }
 
-// CloseSync is Close with durability: both tables and the sidecar are
-// fsynced before the meta file is written, and the meta file is fsynced
-// too. Callers that commit the graph by renaming its directory
-// (checkpoints) need this ordering so a valid header never points at
-// volatile tables.
-func (b *Builder) CloseSync() error { return b.finish(true) }
-
+// finish is Close, with durability when durable is set: both tables and
+// the sidecar are fsynced before the meta file is written, and the meta
+// file is fsynced too, so a checkpoint committed by renaming its
+// directory never has a valid header pointing at volatile tables.
 func (b *Builder) finish(durable bool) error {
 	if b.closed {
 		return nil
@@ -159,4 +153,32 @@ func (b *Builder) Abort() {
 	b.closed = true
 	b.nt.Close()
 	b.et.Close()
+}
+
+// Source is a graph Scan streams in id order, each list sorted and valid
+// during its call only, charging what it reads to io.
+type Source interface {
+	NumNodes() uint32
+	NumArcs() int64
+	Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error
+}
+
+// WriteGraph is the one way a graph is written from a graph, a
+// checkpoint and a fold-back alike: src streamed into a Builder at base
+// through fsys, reads and writes charged to io, fsynced when sync is set.
+// A scan that fails, or streams other than NumArcs arcs, leaves no header.
+func WriteGraph(fsys faultfs.FS, base string, src Source, io *stats.IOCounter, sync bool) error {
+	b, err := newBuilder(fsys, base, src.NumNodes(), io)
+	if err != nil {
+		return err
+	}
+	if err := src.Scan(io, b.AppendList); err != nil {
+		b.Abort()
+		return err
+	}
+	if b.Arcs() != src.NumArcs() {
+		b.Abort()
+		return fmt.Errorf("storage: %s: the source streamed %d arcs but reports %d", base, b.Arcs(), src.NumArcs())
+	}
+	return b.finish(sync)
 }

@@ -85,7 +85,8 @@ func TestPropertyRoundTrip(t *testing.T) {
 		}
 		return rctr.Reads() == want
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	// A fixed source: testutil, which owns -seed, imports this package.
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(115))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -211,7 +212,7 @@ func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(116))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -268,7 +269,7 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(117))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -440,7 +441,7 @@ func TestPropertyScanVerified(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(118))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -81,7 +81,8 @@ func TestPropertyCRC32CCombine(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	// A fixed source: testutil, which owns -seed, imports this package.
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(112))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -236,7 +237,7 @@ func TestPropertySidecarDamage(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(113))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -291,7 +292,7 @@ func TestPropertyTableDamageWithSidecar(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(114))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,11 +1,13 @@
 package verify
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"kcore/internal/gen"
 	"kcore/internal/memgraph"
+	"kcore/internal/testutil"
 )
 
 func TestOraclesAgreeOnGenerators(t *testing.T) {
@@ -126,7 +128,7 @@ func TestCoreMonotoneUnderSubgraph(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(testutil.Seed(t, 101)))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -146,7 +148,7 @@ func TestCoreBounds(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(testutil.Seed(t, 102)))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -124,26 +124,14 @@ func CheckpointBundleNames() []string {
 	return []string{manifestName, ckptGraphBase + ".meta", ckptGraphBase + ".nt", ckptGraphBase + ".et", coresName}
 }
 
-// Source is the adjacency a checkpoint persists, as of one LSN: a view
-// pinned on the serving graph's own tables plus a copy of its update
-// buffer (dyngraph.View, the same on either backend), streaming the
-// lists so no copy of the edge set is ever resident.
-type Source interface {
-	NumNodes() uint32
-	NumArcs() int64
-	// Scan calls fn once per node, v ascending over [0, NumNodes()), with
-	// v's neighbour list sorted ascending; the slice is only valid during
-	// the call. Whatever blocks the scan reads are charged to io.
-	Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error
-}
-
-// writeCheckpoint persists src (and, when known to match it, the core
-// numbers) as checkpoint seq under root/ckpt. The tables are written
+// writeCheckpoint persists src (a dyngraph.View, streamed: no copy of the
+// edge set is ever resident) and, when known to match it, the core
+// numbers as checkpoint seq under root/ckpt. The tables are written
 // into a hidden tmp directory, fsynced file by file, then committed
 // with a single rename followed by a directory fsync — a crash anywhere
 // in between leaves either the previous checkpoints or a complete new
 // one, never a half-visible directory.
-func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src Source, cores []uint32, ioCtr *stats.IOCounter) error {
+func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src storage.Source, cores []uint32, ioCtr *stats.IOCounter) error {
 	ckptRoot := filepath.Join(root, "ckpt")
 	if err := fs.MkdirAll(ckptRoot, 0o755); err != nil {
 		return err
@@ -155,19 +143,7 @@ func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src Source, co
 	if err := fs.MkdirAll(tmp, 0o755); err != nil {
 		return err
 	}
-	b, err := storage.NewBuilderFS(fs, CheckpointBase(tmp), src.NumNodes(), ioCtr)
-	if err != nil {
-		return err
-	}
-	if err := src.Scan(ioCtr, b.AppendList); err != nil {
-		b.Abort()
-		return err
-	}
-	if b.Arcs() != src.NumArcs() {
-		b.Abort()
-		return fmt.Errorf("wal: checkpoint source streamed %d arcs but reports %d", b.Arcs(), src.NumArcs())
-	}
-	if err := b.CloseSync(); err != nil {
+	if err := storage.WriteGraph(fs, CheckpointBase(tmp), src, ioCtr, true); err != nil {
 		return err
 	}
 	if cores != nil {
@@ -183,19 +159,7 @@ func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src Source, co
 		Arcs:     src.NumArcs(),
 		HasCores: cores != nil,
 	})
-	mf, err := fs.Create(filepath.Join(tmp, manifestName))
-	if err != nil {
-		return err
-	}
-	if _, err := mf.Write(man); err != nil {
-		mf.Close()
-		return err
-	}
-	if err := mf.Sync(); err != nil {
-		mf.Close()
-		return err
-	}
-	if err := mf.Close(); err != nil {
+	if err := WriteFile(fs, filepath.Join(tmp, manifestName), man); err != nil {
 		return err
 	}
 	if err := fs.SyncDir(tmp); err != nil {
@@ -217,11 +181,17 @@ func writeCores(fs faultfs.FS, path string, cores []uint32) error {
 	}
 	crc := crc32.Checksum(buf[:len(buf)-4], castagnoli)
 	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc)
+	return WriteFile(fs, path, buf)
+}
+
+// WriteFile creates path through fs with data in it and fsyncs it before
+// closing: a checkpoint's manifest and cores, a durable graph's CONFIG.
+func WriteFile(fs faultfs.FS, path string, data []byte) error {
 	f, err := fs.Create(path)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return err
 	}

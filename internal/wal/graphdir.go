@@ -12,6 +12,7 @@ import (
 	"kcore/internal/faultfs"
 	"kcore/internal/graphio"
 	"kcore/internal/stats"
+	"kcore/internal/storage"
 )
 
 // ErrNoData reports a graph directory with neither a checkpoint nor WAL
@@ -81,12 +82,9 @@ func logDirs(fsys faultfs.FS, dir string) ([]string, error) {
 	return dirs, nil
 }
 
-// LiveDir is where the engine's mutable working graph lives inside a
-// durable graph directory.
-func LiveDir(dir string) string { return filepath.Join(dir, "live") }
-
-// LiveBase is the storage path prefix of the working graph.
-func LiveBase(dir string) string { return filepath.Join(LiveDir(dir), "graph") }
+// LiveBase is the storage path prefix of the graph a durable graph
+// directory serves, under live/.
+func LiveBase(dir string) string { return filepath.Join(dir, "live", "graph") }
 
 // Open creates (or reopens) the durability directory. Existing
 // checkpoints set the next sequence number; the log always starts a
@@ -144,22 +142,23 @@ func (g *GraphDir) Sync() error { return g.log.Sync() }
 // Checkpoint writes a new committed checkpoint of src at lsn, then
 // applies retention: the newest two checkpoints survive and every log
 // segment whose records all sit at or below the older survivor's LSN is
-// removed.
-func (g *GraphDir) Checkpoint(lsn uint64, src Source, cores []uint32) error {
+// removed. It returns the path prefix of the committed tables.
+func (g *GraphDir) Checkpoint(lsn uint64, src storage.Source, cores []uint32) (tables string, err error) {
 	seq := g.nextSeq
 	if err := writeCheckpoint(g.fs, g.dir, seq, lsn, src, cores, g.io); err != nil {
-		return err
+		return "", err
 	}
 	g.nextSeq = seq + 1
 	g.ctr.NoteCheckpoint()
+	tables = CheckpointBase(filepath.Join(g.dir, "ckpt", ckptDirName(seq)))
 	cks, err := listCheckpoints(g.fs, g.dir)
 	if err != nil {
-		return err
+		return tables, err
 	}
 	for _, ck := range cks {
 		if ck.seq+1 < seq { // keep seq and seq-1 (when present)
 			if err := g.fs.RemoveAll(ck.path); err != nil {
-				return err
+				return tables, err
 			}
 		}
 	}
@@ -175,25 +174,59 @@ func (g *GraphDir) Checkpoint(lsn uint64, src Source, cores []uint32) error {
 	}
 	dirs, err := logDirs(g.fs, g.dir)
 	if err != nil {
-		return err
+		return tables, err
 	}
 	for _, d := range dirs {
 		if err := truncateBelow(g.fs, d, cutoff); err != nil {
-			return err
+			return tables, err
 		}
 	}
-	return nil
+	return tables, nil
 }
 
-// ResetLogs closes the log and deletes the whole WAL tree — every s*
-// directory on disk — so the next append starts a fresh segment, with
-// the records after lsn. Recovery calls this right after writing its
-// post-replay checkpoint at lsn: old segments (including any torn tails)
-// are dead weight once a committed checkpoint covers them.
-func (g *GraphDir) ResetLogs(lsn uint64) error {
-	g.log.Close() //nolint:errcheck // its segments are deleted next
-	if err := g.fs.RemoveAll(walRoot(g.dir)); err != nil {
+// TrimLogs ends the log at lsn, where recovery brought the graph once a
+// committed checkpoint at lsn covers it, so that the next append follows
+// lsn. Records past lsn go: a torn tail, records past a gap. Those at or
+// below it stay, since a later recovery that falls back to the older
+// retained checkpoint replays them — live/ shares the newest checkpoint's
+// files, so damage to the served tables is damage to it — and retention
+// drops them as checkpoints commit. A log that already ends cleanly, in s0
+// alone, is left as it is; anything else, the per-shard directories of the
+// retired sharded writer included, is rewritten as one s0 log of the kept
+// records (a crash midway loses only records the checkpoint at lsn holds).
+func (g *GraphDir) TrimLogs(lsn uint64) error {
+	recs, torn, _, _, err := scanLogs(g.fs, g.dir)
+	if err != nil {
 		return err
+	}
+	dirs, err := logDirs(g.fs, g.dir)
+	if err != nil {
+		return err
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
+	keep := recs
+	for len(keep) > 0 && keep[len(keep)-1].LSN > lsn {
+		keep = keep[:len(keep)-1]
+	}
+	g.log.Close() //nolint:errcheck // it has appended nothing yet
+	if torn || len(keep) < len(recs) || len(dirs) != 1 || dirs[0] != logDir(g.dir) {
+		if err := g.fs.RemoveAll(walRoot(g.dir)); err != nil {
+			return err
+		}
+		// Counted by a private set: /stats counts appends of new records.
+		l, err := newLog(g.fs, logDir(g.dir), g.segBytes, g.policy, &stats.WalCounters{}, 0)
+		if err != nil {
+			return err
+		}
+		for _, rec := range keep {
+			if err := l.Append(AppendRecord(nil, rec.LSN, rec.Deletes, rec.Inserts), rec.LSN); err != nil {
+				l.Close()
+				return err
+			}
+		}
+		if err := l.Close(); err != nil {
+			return err
+		}
 	}
 	l, err := newLog(g.fs, logDir(g.dir), g.segBytes, g.policy, g.ctr, lsn)
 	if err != nil {
@@ -352,21 +385,16 @@ func scanLogs(fsys faultfs.FS, dir string) (recs []Record, torn, damaged bool, r
 	return recs, torn, damaged, strings.Join(reasons, "; "), nil
 }
 
-// CopyLive rebuilds dir/live as a copy of the graph files at path prefix
-// srcBase — a chosen checkpoint's, or the base a graph is first opened
-// from — returning the storage base path of the copy. The engine serves
-// (and compacts) the live copy, so neither the committed checkpoint
-// files nor the operator's are ever touched.
-func CopyLive(dir, srcBase string) (string, error) {
-	live := LiveDir(dir)
-	if err := os.RemoveAll(live); err != nil {
+// CopyLive makes dir/live hold the graph at path prefix srcBase, linked
+// (a checkpoint's tables, never written again) or copied (a base the
+// operator may still rewrite in place), and returns its path prefix.
+func CopyLive(dir, srcBase string, link bool) (string, error) {
+	live := LiveBase(dir)
+	if err := os.RemoveAll(filepath.Dir(live)); err != nil {
 		return "", err
 	}
-	if err := os.MkdirAll(live, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(live), 0o755); err != nil {
 		return "", err
 	}
-	if err := graphio.CopyGraph(LiveBase(dir), srcBase); err != nil {
-		return "", err
-	}
-	return LiveBase(dir), nil
+	return live, graphio.CopyGraph(live, srcBase, link)
 }

@@ -391,14 +391,14 @@ func TestCheckpointRejectsInconsistentSource(t *testing.T) {
 	}
 	defer gd.Close()
 	m := sourceOf(6, edges(0, 1, 1, 2, 2, 3))
-	if err := gd.Checkpoint(1, m, nil); err != nil {
+	if _, err := gd.Checkpoint(1, m, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := gd.Checkpoint(2, lyingSource{m}, nil); err == nil {
+	if _, err := gd.Checkpoint(2, lyingSource{m}, nil); err == nil {
 		t.Fatal("a source streaming fewer arcs than it reports was committed")
 	}
 	unsorted := sliceSource{{3, 1}, {0}, {}, {0}, {}, {}} // list [3 1] violates the scan contract
-	if err := gd.Checkpoint(3, unsorted, nil); err == nil {
+	if _, err := gd.Checkpoint(3, unsorted, nil); err == nil {
 		t.Fatal("a source streaming an unsorted list was committed")
 	}
 	sc, err := Scan(faultfs.OS, dir)
@@ -418,7 +418,7 @@ func TestCheckpointScanReplayTail(t *testing.T) {
 	}
 	m := sourceOf(6, edges(0, 1, 1, 2, 2, 3))
 	cores := []uint32{1, 1, 1, 1, 0, 0}
-	if err := gd.Checkpoint(0, m, cores); err != nil {
+	if _, err := gd.Checkpoint(0, m, cores); err != nil {
 		t.Fatal(err)
 	}
 	// Three records past the checkpoint.
@@ -453,8 +453,9 @@ func TestCheckpointScanReplayTail(t *testing.T) {
 // TestScanMergesLegacyShardLogs: a directory written by the retired
 // sharded engine holds one log per shard writer, with the graph-level
 // LSNs interleaved across them. Scan merges them into one consecutive
-// tail, and once recovery's checkpoint covers it the reset sweeps every
-// s* directory, so a second recovery replays nothing stale.
+// tail, and once recovery's checkpoint covers it the trim rewrites what
+// is left of them as one s0 log, so a second recovery replays nothing
+// stale.
 func TestScanMergesLegacyShardLogs(t *testing.T) {
 	dir := t.TempDir()
 	gd, err := Open(dir, nil)
@@ -462,7 +463,7 @@ func TestScanMergesLegacyShardLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sourceOf(16, nil)
-	if err := gd.Checkpoint(0, m, nil); err != nil {
+	if _, err := gd.Checkpoint(0, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := gd.Close(); err != nil {
@@ -504,28 +505,38 @@ func TestScanMergesLegacyShardLogs(t *testing.T) {
 	}
 
 	// What recovery does next: reopen, checkpoint the replayed state,
-	// reset the logs. A second checkpoint makes LSN 7 the older retained
+	// trim the logs. A second checkpoint makes LSN 7 the older retained
 	// one, so retention truncates below it — in every log directory.
 	gd, err = Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := gd.Checkpoint(lastLSN(sc), m, nil); err != nil {
+		if _, err := gd.Checkpoint(lastLSN(sc), m, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if segs, err := listSegments(faultfs.OS, filepath.Join(walRoot(dir), "s1")); err != nil || len(segs) != 1 {
 		t.Fatalf("s1 holds %d segments after retention (%v), want only its newest", len(segs), err)
 	}
-	if err := gd.ResetLogs(lastLSN(sc)); err != nil {
+	if err := gd.TrimLogs(lastLSN(sc)); err != nil {
 		t.Fatal(err)
 	}
 	if err := gd.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if dirs, err := logDirs(faultfs.OS, dir); err != nil || len(dirs) != 1 || dirs[0] != logDir(dir) {
-		t.Fatalf("log directories after reset = %v (%v), want only s0", dirs, err)
+		t.Fatalf("log directories after the trim = %v (%v), want only s0", dirs, err)
+	}
+	// What retention left of the three logs is kept, merged, in s0.
+	recs, torn, damaged, err := readLogDir(faultfs.OS, logDir(dir))
+	if err != nil || torn || damaged || len(recs) == 0 || recs[len(recs)-1].LSN != 7 {
+		t.Fatalf("s0 after the trim: %d records (torn %v, damaged %v, %v), want the kept ones up to 7", len(recs), torn, damaged, err)
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i].LSN != recs[i-1].LSN+1 {
+			t.Fatalf("s0 after the trim holds LSN %d after %d", recs[i].LSN, recs[i-1].LSN)
+		}
 	}
 	sc, err = Scan(faultfs.OS, dir)
 	if err != nil {
@@ -536,13 +547,99 @@ func TestScanMergesLegacyShardLogs(t *testing.T) {
 	}
 }
 
+// TestTrimLogsKeepsCoveredRecords: recovery's trim ends the log at the
+// recovered LSN and keeps every record at or below it, which a fallback
+// to the older checkpoint replays. A log that ends cleanly is left as it
+// is. One with a torn tail and records past the trim point is rewritten
+// without them, so the next append neither follows torn bytes (mid-log
+// damage to the next scan) nor repeats an LSN.
+func TestTrimLogsKeepsCoveredRecords(t *testing.T) {
+	dir := t.TempDir()
+	opts := &Options{SegmentBytes: 100} // two records per segment
+	gd, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lsn := uint64(1); lsn <= 6; lsn++ {
+		if err := gd.Log().Append(AppendRecord(nil, lsn, nil, edges(uint32(lsn), uint32(lsn)+1)), lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A file no rewrite would keep.
+	marker := filepath.Join(logDir(dir), "marker")
+	if err := os.WriteFile(marker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	trim := func(lsn uint64, next []memgraph.Edge) {
+		t.Helper()
+		gd, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gd.TrimLogs(lsn); err != nil {
+			t.Fatal(err)
+		}
+		if next != nil {
+			if err := gd.Log().Append(AppendRecord(nil, lsn+1, nil, next), lsn+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := gd.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(what string, last uint64) []Record {
+		t.Helper()
+		recs, torn, damaged, err := readLogDir(faultfs.OS, logDir(dir))
+		if err != nil || torn || damaged || len(recs) != int(last) {
+			t.Fatalf("%s: %d records, torn %v, damaged %v, %v; want 1..%d", what, len(recs), torn, damaged, err, last)
+		}
+		for i, rec := range recs {
+			if rec.LSN != uint64(i+1) {
+				t.Fatalf("%s: record %d has LSN %d", what, i, rec.LSN)
+			}
+		}
+		return recs
+	}
+
+	trim(6, nil)
+	check("clean trim", 6)
+	if _, err := os.Stat(marker); err != nil {
+		t.Fatalf("a trim of a clean log rewrote it: %v", err)
+	}
+
+	segs, err := listSegments(faultfs.OS, logDir(dir))
+	if err != nil || len(segs) != 3 {
+		t.Fatalf("segments = %v, %v; want 3", segs, err)
+	}
+	f, err := os.OpenFile(segs[2].path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{9, 0, 0, 0, 1, 2}); err != nil { // a torn frame
+		t.Fatal(err)
+	}
+	f.Close()
+	next := edges(40, 41)
+	trim(4, next)
+	if recs := check("trim of a torn log", 5); !slices.Equal(recs[4].Inserts, next) {
+		t.Fatalf("record 5 = %+v, want the append after the trim", recs[4])
+	}
+	if _, err := os.Stat(marker); !os.IsNotExist(err) {
+		t.Fatalf("a torn log was not rewritten (%v)", err)
+	}
+}
+
 func TestScanGapStopsAtConsecutivePrefix(t *testing.T) {
 	dir := t.TempDir()
 	gd, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gd.Checkpoint(0, sourceOf(4, nil), nil); err != nil {
+	if _, err := gd.Checkpoint(0, sourceOf(4, nil), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, lsn := range []uint64{1, 2, 4, 5} { // 3 missing
@@ -572,10 +669,10 @@ func TestScanFallsBackToOlderCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gd.Checkpoint(3, sourceOf(4, edges(0, 1)), nil); err != nil {
+	if _, err := gd.Checkpoint(3, sourceOf(4, edges(0, 1)), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := gd.Checkpoint(7, sourceOf(4, edges(0, 1, 1, 2)), nil); err != nil {
+	if _, err := gd.Checkpoint(7, sourceOf(4, edges(0, 1, 1, 2)), nil); err != nil {
 		t.Fatal(err)
 	}
 	gd.Close() //nolint:errcheck
@@ -630,7 +727,7 @@ func TestCheckpointRetentionTruncatesLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sourceOf(16, nil)
-	if err := gd.Checkpoint(0, m, nil); err != nil {
+	if _, err := gd.Checkpoint(0, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	for lsn := uint64(1); lsn <= 6; lsn++ {
@@ -641,10 +738,10 @@ func TestCheckpointRetentionTruncatesLogs(t *testing.T) {
 		}
 		m.insert(ins)
 	}
-	if err := gd.Checkpoint(4, m, nil); err != nil {
+	if _, err := gd.Checkpoint(4, m, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := gd.Checkpoint(6, m, nil); err != nil {
+	if _, err := gd.Checkpoint(6, m, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Retention keeps the two newest checkpoints (LSN 4 and 6); segments
@@ -858,7 +955,7 @@ func TestTailProperty(t *testing.T) {
 		// segment but the one holding last — or, when the torn append
 		// opened a segment after it, that one.
 		for i := 0; i < 2; i++ {
-			if err := gd.Checkpoint(last, sourceOf(4, nil), nil); err != nil {
+			if _, err := gd.Checkpoint(last, sourceOf(4, nil), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
