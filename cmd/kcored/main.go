@@ -72,7 +72,7 @@ func main() {
 		flush     = flag.Duration("flush", 2*time.Millisecond, "max delay before pending updates are applied")
 		queueCap  = flag.Int("queue", 4096, "ingest queue capacity (enqueue blocks when full)")
 		blockSize = flag.Int("block", 4096, "I/O accounting block size B")
-		backend   = flag.String("backend", "", "block reader under every opened graph's tables (internal/dyngraph, the paper's Section V scheme: the immutable CSR tables plus an in-memory insert/delete buffer, folded back into them whole when full): mem (the default: 64 cache frames, blocks taken on trust until a checkpoint scans them) or disk (a block cache of -cache-blocks frames that checks every block it loads against a checksum the graph's header vouches for, read from the checksum sidecar the graph was built with, or recorded by one pass over the tables at open when it has none; only the core arrays, the buffer and the cache are resident — with -data-dir too). Without -data-dir either backend folds back into the tables at the graph's path, on the writer; with it, the graph serves its own tables under the data dir (a copy of the base at first open) and folds back by adopting the checkpoint the full buffer triggers, written off the writer")
+		backend   = flag.String("backend", "", "block reader under every opened graph's tables (internal/dyngraph, the paper's Section V scheme: the immutable CSR tables plus an in-memory insert/delete buffer, folded back into them whole when full): mem (the default: 64 cache frames, edge blocks taken on trust until a checkpoint scans them; the node table, read into memory at first use, is checked whole) or disk (a block cache of -cache-blocks frames that checks every block it loads against a checksum the graph's header vouches for, read from the checksum sidecar the graph was built with, or recorded by one pass over the tables at open when it has none; only the core arrays, the buffer and the cache are resident — with -data-dir too). Without -data-dir either backend folds back into the tables at the graph's path, on the writer; with it, the graph serves its own tables under the data dir (a copy of the base at first open) and folds back by adopting the checkpoint the full buffer triggers, written off the writer")
 		cacheBlks = flag.Int("cache-blocks", 0, "disk backend block-cache budget in blocks of -block bytes (0 picks the default, 1024); resident adjacency is capped at cache-blocks*block bytes however large the graph (plus 4 bytes of checksum per table block)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the serving mux (see `make profile`); leave off in production")
 		dataDir   = flag.String("data-dir", "", "durability directory: every graph gets a write-ahead log and checkpoints under <dir>/<name>/, and a restart with the same -data-dir recovers all graphs (checkpoint + WAL replay) before opening any -graph/-load path anew. It adds no resident copy of the adjacency on either backend: a checkpoint streams the graph's own files (checkpoint_block_reads in /stats)")

@@ -60,8 +60,10 @@ type OpenOptions struct {
 	BufferArcs int
 	// CacheBlocks is the frame budget of the block cache the tables are
 	// read through. 0 selects the default: 64 frames — the measured
-	// floor, see docs/ARCHITECTURE.md, "Block readers" — which take the
-	// blocks they load on trust and cost nothing at Open. A positive
+	// ruling, see docs/ARCHITECTURE.md, "Block readers" — which take the
+	// edge blocks they load on trust and cost nothing at Open. Either way
+	// the first use reads the node table into memory and checks it whole
+	// against the header; the frames hold edge blocks only. A positive
 	// budget also verifies every block it loads against a checksum the
 	// header vouches for: Open reads the checksum sidecar Build writes
 	// beside the tables (base.crc), or, when there is none it can hold to

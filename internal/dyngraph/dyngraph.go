@@ -362,8 +362,8 @@ func (g *Graph) merged(v, deg uint32) uint32 {
 	return uint32(int64(deg) + int64(len(g.ins[v])) - int64(len(g.del[v])))
 }
 
-// Degree reports the merged degree of v (one indexed node-record read
-// plus buffer arithmetic).
+// Degree reports the merged degree of v: the base degree from the node
+// table the tables' reader holds in memory, plus buffer arithmetic.
 func (g *Graph) Degree(v uint32) (uint32, error) {
 	d, err := g.disk.Degree(v)
 	if err != nil {

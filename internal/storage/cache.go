@@ -145,40 +145,33 @@ type CachedFile struct {
 }
 
 // OpenVerified opens path for cached, counted, checksummed reading. It
-// first reads the file once, front to back, charging ctr one read per
-// block: the pass records each block's CRC32C for Open and, when want
-// is non-nil, must find the whole file's CRC32C equal to *want. The
-// pass fills no frame.
+// first streams the file once, charging ctr one read per block: the pass
+// records each block's CRC32C for later fills and, when want is non-nil,
+// must find the whole file's CRC32C equal to *want. The pass fills no
+// frame.
 func (c *BlockCache) OpenVerified(path string, want *uint32, ctr *stats.IOCounter) (*CachedFile, error) {
-	f, err := os.Open(path)
+	cf, err := c.Open(path, nil, ctr)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	var (
 		crcs  []uint32
 		whole uint32
-		buf   = make([]byte, c.b)
 	)
-	for {
-		n, err := io.ReadFull(f, buf)
-		if n > 0 {
-			crcs = append(crcs, crc32.Checksum(buf[:n], castagnoli))
-			whole = crc32.Update(whole, castagnoli, buf[:n])
-			ctr.AddReadBlocks(1)
-			ctr.AddReadBytes(int64(n))
-		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	err = cf.stream(func(blk []byte) error {
+		crcs = append(crcs, crc32.Checksum(blk, castagnoli))
+		whole = crc32.Update(whole, castagnoli, blk)
+		return nil
+	})
+	if err == nil && want != nil && whole != *want {
+		err = fmt.Errorf("storage: verify %s: crc %08x, want %08x", path, whole, *want)
 	}
-	if want != nil && whole != *want {
-		return nil, fmt.Errorf("storage: verify %s: crc %08x, want %08x", path, whole, *want)
+	if err != nil {
+		cf.Close()
+		return nil, err
 	}
-	return c.Open(path, crcs, ctr)
+	cf.crcs = crcs
+	return cf, nil
 }
 
 // Open opens path for cached, counted reading. crcs, when non-nil, must
@@ -249,35 +242,60 @@ func (cf *CachedFile) block(id int64) ([]byte, error) {
 	if off >= cf.size {
 		return nil, fmt.Errorf("storage: block %d of %s beyond EOF (size %d)", id, cf.path, cf.size)
 	}
-	want := int64(c.b)
-	if off+want > cf.size {
-		want = cf.size - off
-	}
+	n := min(int64(c.b), cf.size-off)
 	idx = c.grab()
 	fr := &c.frames[idx]
 	if fr.buf == nil {
 		fr.buf = make([]byte, c.b)
 	}
-	n, err := cf.f.ReadAt(fr.buf[:want], off)
-	if err != nil && err != io.EOF {
+	if err := cf.load(fr.buf[:n], id); err != nil {
 		return nil, err
 	}
-	if int64(n) != want {
-		return nil, fmt.Errorf("storage: short block read on %s: got %d want %d at off %d (truncated)", cf.path, n, want, off)
-	}
-	if cf.crcs != nil {
-		if got, wantCRC := crc32.Checksum(fr.buf[:n], castagnoli), cf.crcs[id]; got != wantCRC {
-			return nil, fmt.Errorf("storage: block %d of %s corrupt: crc %08x want %08x", id, cf.path, got, wantCRC)
-		}
-	}
-	cf.io.AddReadBlocks(1)
 	fr.key = key
-	fr.n = n
+	fr.n = int(n)
 	fr.ref = true
 	fr.live = true
 	c.index[key] = idx
 	cf.last = idx
 	return fr.buf[:n], nil
+}
+
+// load reads block id, whose whole length dst must be, from the file,
+// verifies it when the file has checksums, and charges one read.
+func (cf *CachedFile) load(dst []byte, id int64) error {
+	off := id * int64(cf.cache.b)
+	n, err := cf.f.ReadAt(dst, off)
+	if err != nil && err != io.EOF {
+		return err
+	}
+	if n != len(dst) {
+		return fmt.Errorf("storage: short block read on %s: got %d want %d at off %d (truncated)", cf.path, n, len(dst), off)
+	}
+	if cf.crcs != nil {
+		if got, want := crc32.Checksum(dst, castagnoli), cf.crcs[id]; got != want {
+			return fmt.Errorf("storage: block %d of %s corrupt: crc %08x want %08x", id, cf.path, got, want)
+		}
+	}
+	cf.io.AddReadBlocks(1)
+	return nil
+}
+
+// stream reads the whole file front to back through a buffer of its own,
+// not the frames, and calls fn with each block in turn: one read charged
+// per block, each verified as a cache fill is.
+func (cf *CachedFile) stream(fn func(blk []byte) error) error {
+	buf := make([]byte, cf.cache.b)
+	for id := int64(0); id*int64(len(buf)) < cf.size; id++ {
+		blk := buf[:min(int64(len(buf)), cf.size-id*int64(len(buf)))]
+		if err := cf.load(blk, id); err != nil {
+			return err
+		}
+		cf.io.AddReadBytes(int64(len(blk)))
+		if err := fn(blk); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadAt fills p with the bytes at offset off, fetching blocks through

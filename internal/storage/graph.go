@@ -2,13 +2,18 @@
 // prescribes: an edge table that stores nbr(v1), nbr(v2), ... consecutively
 // as adjacency lists, and a node table that stores the offset and degree of
 // every node. Every algorithm's I/O is counted in B-sized block transfers.
-// There is one block reader under the tables: a bounded CLOCK cache of
-// B-sized frames shared by both (CachedFile). Open gives a graph a private
-// cache of defaultCacheBlocks frames and takes the blocks it loads on
-// trust; OpenCached reads through the caller's cache and checks every
-// block it loads against a CRC32C the header vouches for, folded from the
-// checksum sidecar or, failing that, recorded by one pass at open. Either
-// way ScanVerified reads the whole graph against the header's checksums.
+// As the semi-external model has it, node information is held in memory
+// and only adjacency is read from disk: a graph's first use reads the node
+// table once into an index (4n + n/8 bytes), checked whole against the
+// header, and every later record comes from there. There is one block
+// reader under the tables: a bounded CLOCK cache of B-sized frames
+// (CachedFile), which holds edge blocks only once the index is built.
+// Open gives a graph a private cache of defaultCacheBlocks frames and
+// takes the edge blocks it loads on trust; OpenCached reads through the
+// caller's cache and checks every block it loads against a CRC32C the
+// header vouches for, folded from the checksum sidecar or, failing that,
+// recorded by one pass at open. Either way ScanVerified reads the whole
+// graph against the header's checksums.
 //
 // A graph <base> occupies three files, and a fourth, optional one:
 //
@@ -143,31 +148,141 @@ func ReadMeta(base string) (Meta, error) {
 }
 
 // defaultCacheBlocks is the frame count of the private cache Open reads
-// through. It is the measured floor (docs/ARCHITECTURE.md, "Block
-// readers: what a cache buys"): from here up no decomposition or
-// maintenance run reads more than one block over what a one-block buffer
-// per table reads, and below 16 frames the edge stream evicts the
-// node-table block.
+// through. With the node table in memory the frames hold edge blocks
+// only, and a sequential pass reads the same through two frames; what 64
+// buy is the re-reads of hub lists that SemiInsert* and SemiCore*'s
+// partial passes revisit (measured in docs/ARCHITECTURE.md, "Block
+// readers: what a cache buys").
 const defaultCacheBlocks = 64
 
 // Graph is a read handle over an on-disk graph. All reads are charged to
-// the counter passed at Open time. A Graph holds O(1) memory beyond its
-// cache's frames: scratch reused across calls.
+// the counter passed at Open time. Beyond its cache's frames and scratch
+// reused across calls, a Graph holds the node table in memory from its
+// first use on (nodeIndex: 4n + n/8 bytes).
 type Graph struct {
 	base string
 	meta Meta
 	nt   *CachedFile
 	et   *CachedFile
 	io   *stats.IOCounter
+	idx  *nodeIndex // nil until the first read that needs a node record
 
 	recBuf [NodeRecordSize]byte
 	nbrBuf []byte // scratch for neighbour byte decoding
 }
 
+// indexStride is how many consecutive nodes share one stored arc offset.
+const indexStride = 64
+
+// nodeIndex is the node table held in memory: every node's degree, and
+// the arc offset of every indexStride-th node, from which the others'
+// follow by adding the degrees in between.
+type nodeIndex struct {
+	deg []uint32
+	off []int64
+}
+
+// offset reports the arc offset of node v's list.
+func (x *nodeIndex) offset(v uint32) int64 {
+	off := x.off[v/indexStride]
+	for _, d := range x.deg[v/indexStride*indexStride : v] {
+		off += int64(d)
+	}
+	return off
+}
+
+// index returns the node index, building it on first use from one
+// sequential pass over the node table that fills no frame. The pass is
+// charged ⌈nt/B⌉ reads and holds the records to what the header says of
+// the table (nodeCheck), so the default open, which loads blocks on
+// trust, checks its node table whole here. A failed pass keeps no index:
+// the next use makes it again.
+func (g *Graph) index() (*nodeIndex, error) {
+	if g.idx != nil {
+		return g.idx, nil
+	}
+	x := &nodeIndex{deg: make([]uint32, g.meta.N), off: make([]int64, (g.meta.N+indexStride-1)/indexStride)}
+	chk := nodeCheck{g: g}
+	var (
+		v    uint32
+		fill int // bytes of the record g.recBuf holds so far
+	)
+	err := g.nt.stream(func(blk []byte) error {
+		for len(blk) > 0 {
+			k := copy(g.recBuf[fill:], blk)
+			blk, fill = blk[k:], fill+k
+			if fill < NodeRecordSize {
+				return nil
+			}
+			fill = 0
+			off, deg, err := chk.next(v, g.recBuf[:])
+			if err != nil {
+				return err
+			}
+			if v%indexStride == 0 {
+				x.off[v/indexStride] = off
+			}
+			x.deg[v] = deg
+			v++
+		}
+		return nil
+	})
+	if err == nil {
+		err = chk.done()
+	}
+	if err != nil {
+		return nil, err
+	}
+	g.idx = x
+	return x, nil
+}
+
+// nodeCheck holds node records, met in id order, to what the header says
+// of the node table: every list lies inside the edge table and starts
+// where the previous one ended, the last ends the table, and the records'
+// CRC32C is the header's (headers from older builders carry none, and
+// are held to the tiling alone).
+type nodeCheck struct {
+	g   *Graph
+	end int64 // where the lists met so far stop tiling the edge table
+	crc uint32
+}
+
+// next decodes node v's 12-byte record and checks its place in the
+// tiling; a list outside the edge table is an error before anything is
+// sized from it.
+func (c *nodeCheck) next(v uint32, rec []byte) (offset int64, degree uint32, err error) {
+	offset = int64(binary.LittleEndian.Uint64(rec[0:8]))
+	degree = binary.LittleEndian.Uint32(rec[8:12])
+	if offset < 0 || offset > c.g.meta.Arcs-int64(degree) {
+		return 0, 0, fmt.Errorf("storage: %s: node %d's record (offset %d, degree %d) lies outside the %d-arc edge table", nodePath(c.g.base), v, uint64(offset), degree, c.g.meta.Arcs)
+	}
+	if offset != c.end {
+		return 0, 0, fmt.Errorf("storage: %s: node %d's list starts at arc %d, the previous one ended at %d", nodePath(c.g.base), v, offset, c.end)
+	}
+	c.end += int64(degree)
+	c.crc = crc32.Update(c.crc, castagnoli, rec)
+	return offset, degree, nil
+}
+
+// done checks, after the last record, that the lists end the edge table
+// and the node table's checksum.
+func (c *nodeCheck) done() error {
+	m := c.g.meta
+	if c.end != m.Arcs {
+		return fmt.Errorf("storage: %s: the lists end at arc %d of %d", nodePath(c.g.base), c.end, m.Arcs)
+	}
+	if m.HasCRC && c.crc != m.NtCRC {
+		return fmt.Errorf("storage: %s: node table crc %08x, want %08x", nodePath(c.g.base), c.crc, m.NtCRC)
+	}
+	return nil
+}
+
 // Open opens the graph stored at base through a private cache of
 // defaultCacheBlocks frames, charging subsequent reads to ctr. Opening
-// reads no table block and nothing is checksummed at load: whoever must
-// not take the tables on trust runs ScanVerified.
+// reads no table block. The node table is checked whole when the first
+// use reads it into the index; edge blocks are loaded on trust, so
+// whoever must not take the tables on trust runs ScanVerified.
 func Open(base string, ctr *stats.IOCounter) (*Graph, error) {
 	return open(base, ctr, NewBlockCache(defaultCacheBlocks, ctr.BlockSize()), false)
 }
@@ -259,26 +374,22 @@ func (g *Graph) NumEdges() int64 { return g.meta.Arcs / 2 }
 // IOCounter exposes the counter reads are charged to.
 func (g *Graph) IOCounter() *stats.IOCounter { return g.io }
 
-// NodeRecord reads node v's record from the node table: the arc offset of
-// its adjacency list and its degree. The read is charged at block
-// granularity. A record whose list does not lie inside the edge table is
-// an error here, before anything is sized from it.
+// NodeRecord reports node v's record from the node index: the arc offset
+// of its adjacency list and its degree. No block is read once the index
+// is built (the first use builds it: see index); a record whose list
+// does not lie inside the edge table fails that build.
 func (g *Graph) NodeRecord(v uint32) (offset int64, degree uint32, err error) {
 	if v >= g.meta.N {
 		return 0, 0, fmt.Errorf("storage: node %d out of range [0,%d)", v, g.meta.N)
 	}
-	if err := g.nt.ReadAt(g.recBuf[:], int64(v)*NodeRecordSize); err != nil {
+	x, err := g.index()
+	if err != nil {
 		return 0, 0, err
 	}
-	offset = int64(binary.LittleEndian.Uint64(g.recBuf[0:8]))
-	degree = binary.LittleEndian.Uint32(g.recBuf[8:12])
-	if offset < 0 || offset > g.meta.Arcs-int64(degree) {
-		return 0, 0, fmt.Errorf("storage: %s: node %d's record (offset %d, degree %d) lies outside the %d-arc edge table", g.base, v, uint64(offset), degree, g.meta.Arcs)
-	}
-	return offset, degree, nil
+	return x.offset(v), x.deg[v], nil
 }
 
-// Degree reads node v's degree from the node table.
+// Degree reports node v's degree from the node index.
 func (g *Graph) Degree(v uint32) (uint32, error) {
 	_, d, err := g.NodeRecord(v)
 	return d, err
@@ -316,15 +427,15 @@ func (g *Graph) readList(off int64, deg uint32, buf []uint32) ([]uint32, error) 
 	return buf, nil
 }
 
-// ScanDegrees streams (v, deg(v)) for all nodes via a sequential scan of
-// the node table.
+// ScanDegrees streams (v, deg(v)) for all nodes from the node index: the
+// first use's sequential pass over the node table, none after it.
 func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {
-	for v := uint32(0); v < g.meta.N; v++ {
-		_, d, err := g.NodeRecord(v)
-		if err != nil {
-			return err
-		}
-		if err := fn(v, d); err != nil {
+	x, err := g.index()
+	if err != nil {
+		return err
+	}
+	for v, d := range x.deg {
+		if err := fn(uint32(v), d); err != nil {
 			if graph.IsStop(err) {
 				return nil
 			}
@@ -336,10 +447,10 @@ func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {
 
 // Scan performs the paper's partial sequential scan: it walks nodes from
 // vmin to vmax inclusive, consults want(v) (nil means every node), and for
-// wanted nodes loads nbr(v) and invokes fn. Node-table records of skipped
-// nodes are not touched: the scan seeks directly between wanted records,
-// so only the blocks containing wanted data are fetched. The neighbour
-// slice passed to fn is reused across calls; fn must not retain it.
+// wanted nodes loads nbr(v) and invokes fn. Records come from the node
+// index and the scan seeks directly between wanted lists, so only the
+// edge blocks holding wanted lists are fetched. The neighbour slice
+// passed to fn is reused across calls; fn must not retain it.
 //
 // want may mutate state that changes later want results, and fn may cause
 // vmax to grow logically; callers needing a dynamic upper bound use
@@ -383,49 +494,42 @@ func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint3
 // the tables on trust (a checkpoint about to copy them, a recovery about
 // to serve them): reads are charged to io from here on, not to the
 // counter the graph was opened with, and the pass folds the CRC32C of the
-// bytes it decodes — the node records in id order, which are the node
-// table; the raw lists, each of which must start where the previous one
-// ended and the last of which must end the edge table, so they are the
-// edge table — and holds both to the header's. fn sees nothing it could
-// not see from Scan; a checksum mismatch is reported after the last node.
+// bytes it decodes — the node records in id order, read from the node
+// table itself and not the index, which are the node table; the raw
+// lists, each of which must start where the previous one ended and the
+// last of which must end the edge table, so they are the edge table — and
+// holds both to the header's (nodeCheck). fn sees nothing it could not
+// see from Scan; a checksum mismatch is reported after the last node.
 // Headers without checksums (graphs from older builders) are held to the
-// tiling alone.
+// tiling alone. The pass builds no index.
 func (g *Graph) ScanVerified(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
 	g.io, g.nt.io, g.et.io = io, io, io
+	chk := nodeCheck{g: g}
 	var (
-		ntCRC, etCRC uint32
-		end          int64 // where the lists read so far stop tiling the edge table
-		nbrs         []uint32
+		etCRC uint32
+		nbrs  []uint32
 	)
 	for v := uint32(0); v < g.meta.N; v++ {
-		off, deg, err := g.NodeRecord(v)
-		if err != nil {
+		if err := g.nt.ReadAt(g.recBuf[:], int64(v)*NodeRecordSize); err != nil {
 			return err
 		}
-		if off != end {
-			return fmt.Errorf("storage: verify %s: node %d's list starts at arc %d, the previous one ended at %d", g.base, v, off, end)
+		off, deg, err := chk.next(v, g.recBuf[:])
+		if err != nil {
+			return err
 		}
 		if nbrs, err = g.readList(off, deg, nbrs); err != nil {
 			return err
 		}
-		end = off + int64(deg)
-		ntCRC = crc32.Update(ntCRC, castagnoli, g.recBuf[:])
 		etCRC = crc32.Update(etCRC, castagnoli, g.nbrBuf[:len(nbrs)*ArcSize])
 		if err := fn(v, nbrs); err != nil {
 			return err
 		}
 	}
-	if end != g.meta.Arcs {
-		return fmt.Errorf("storage: verify %s: the lists end at arc %d of %d", g.base, end, g.meta.Arcs)
+	if err := chk.done(); err != nil {
+		return err
 	}
-	if !g.meta.HasCRC {
-		return nil
-	}
-	if ntCRC != g.meta.NtCRC {
-		return fmt.Errorf("storage: verify %s: node table crc %08x, want %08x", g.base, ntCRC, g.meta.NtCRC)
-	}
-	if etCRC != g.meta.EtCRC {
-		return fmt.Errorf("storage: verify %s: edge table crc %08x, want %08x", g.base, etCRC, g.meta.EtCRC)
+	if g.meta.HasCRC && etCRC != g.meta.EtCRC {
+		return fmt.Errorf("storage: %s: edge table crc %08x, want %08x", edgePath(g.base), etCRC, g.meta.EtCRC)
 	}
 	return nil
 }

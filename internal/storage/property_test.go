@@ -217,9 +217,10 @@ func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 	}
 }
 
-// TestPropertyRandomAccessCost verifies the random-access cost model:
-// reading one node's neighbours touches at most 2 node-table blocks and
-// ceil(deg*4/B)+1 edge-table blocks.
+// TestPropertyRandomAccessCost verifies the random-access cost model, on
+// cold frames: the first point read pays the node table once, ⌈nt/B⌉
+// blocks for the index, and from then on reading one node's neighbours
+// costs exactly the edge blocks its list spans and no node-table block.
 func TestPropertyRandomAccessCost(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -253,17 +254,26 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 			return false
 		}
 		defer g.Close()
+		B := int64(blockSize)
 		for trial := 0; trial < 20; trial++ {
 			v := uint32(r.Intn(n))
 			invalidateBuffers(g)
 			before := rctr.Reads()
 			nbrs, err := g.Neighbors(v, nil)
-			if err != nil {
+			if err != nil || len(nbrs) == 0 {
 				return false
 			}
 			cost := rctr.Reads() - before
-			maxCost := int64(2) + int64(len(nbrs)*ArcSize+blockSize-1)/int64(blockSize) + 1
-			if cost > maxCost {
+			off, _, err := g.NodeRecord(v)
+			if err != nil || rctr.Reads()-before != cost {
+				return false // a record read after the first use costs nothing
+			}
+			want := ((off+int64(len(nbrs)))*ArcSize-1)/B - off*ArcSize/B + 1
+			if trial == 0 {
+				want += (int64(n)*NodeRecordSize + B - 1) / B
+			}
+			if cost != want {
+				t.Logf("seed %d trial %d: Neighbors(%d) cost %d reads, want %d", seed, trial, v, cost, want)
 				return false
 			}
 		}

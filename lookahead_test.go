@@ -1,6 +1,7 @@
 package kcore_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"kcore"
@@ -155,7 +156,9 @@ func TestLookaheadIgnoresUncountedNeighbours(t *testing.T) {
 // makes any algorithm read more blocks, or SemiCore* compute more nodes,
 // than the pinned figure fails here and has to justify a new pin. The
 // three runs share one handle, so each starts on the frames the one
-// before it left (840 / 1,512 / 1,644 through one-block buffers).
+// before it left, and the first, SemiCore*, also pays the 24 node-table
+// blocks its degree pass reads into memory (838 / 1,502 / 1,630 while
+// every pass read node-table blocks through the frames).
 func TestDecompositionIOGate(t *testing.T) {
 	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
 	g := buildFrom(t, edges, 0)
@@ -164,9 +167,9 @@ func TestDecompositionIOGate(t *testing.T) {
 		maxReads     int64
 		maxNodeComps int64 // 0: not gated
 	}{
-		{kcore.SemiCoreStar, 838, 8040},
-		{kcore.SemiCorePlus, 1502, 0},
-		{kcore.SemiCoreBasic, 1630, 0},
+		{kcore.SemiCoreStar, 734, 8040},
+		{kcore.SemiCorePlus, 1253, 0},
+		{kcore.SemiCoreBasic, 1404, 0},
 	} {
 		res, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: tc.algo})
 		if err != nil {
@@ -180,5 +183,31 @@ func TestDecompositionIOGate(t *testing.T) {
 		if tc.maxNodeComps > 0 && res.Info.NodeComputations > tc.maxNodeComps {
 			t.Errorf("%v computed %d nodes, gate is %d", tc.algo, res.Info.NodeComputations, tc.maxNodeComps)
 		}
+	}
+}
+
+// TestMaintenanceIOGate pins, beside the decomposition gate, the block
+// reads of a fixed 100-edge round on the same graph: SemiDelete* of each
+// edge, then SemiInsert* of each back, on the handle the start-up
+// decomposition left. The counts are exact and gated as upper bounds,
+// like the decompositions' (135 / 15,812 while node-table blocks were
+// read through the frames).
+func TestMaintenanceIOGate(t *testing.T) {
+	const maxDeleteReads, maxInsertReads = 89, 12912
+	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
+	g := buildFrom(t, edges, 0)
+	m, err := kcore.NewMaintainer(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := gen.Build(edges).EdgeList() // u < v, sorted, no duplicates or loops
+	rand.New(rand.NewSource(5)).Shuffle(len(round), func(i, j int) { round[i], round[j] = round[j], round[i] })
+	del, ins := deleteInsertRound(t, m, round[:100])
+	t.Logf("100 deletes read %d blocks, 100 inserts %d", del, ins)
+	if del > maxDeleteReads {
+		t.Errorf("100 deletes read %d blocks, gate is %d", del, maxDeleteReads)
+	}
+	if ins > maxInsertReads {
+		t.Errorf("100 inserts read %d blocks, gate is %d", ins, maxInsertReads)
 	}
 }
