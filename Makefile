@@ -23,12 +23,15 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Documentation gate: go vet plus the package-comment check — every
+# Documentation gate: go vet, the package-comment check — every
 # package (main and test-only packages included) must carry a godoc
-# package comment; see internal/doccheck for the policy.
+# package comment; see internal/doccheck for the policy — and the
+# observability map: the serve counters docs/ARCHITECTURE.md lists must
+# be exactly the keys /stats exports.
 doc:
 	$(GO) vet ./...
 	$(GO) run ./internal/doccheck $$($(GO) list -f '{{.Dir}}' ./...)
+	$(GO) test -count=1 -run TestServeSnapshotKeysAreDocumented ./internal/stats
 
 # One pass over every benchmark, mainly as a does-it-run smoke check.
 bench:
@@ -52,7 +55,7 @@ crash-sweep:
 	$(GO) test -race -count=1 ./internal/engine -run 'TestCrash' -crashseed=$(CRASHSEED) -crashtrials=32
 
 # Interactive CPU profile of a running `kcored -pprof` instance (the
-# publish path, memo repairs, coalescing — whatever is hot). Override
+# publish path, memo builds, coalescing — whatever is hot). Override
 # PROFILE_ADDR to point at a non-default listen address and
 # PROFILE_SECONDS to change the sample window.
 PROFILE_ADDR ?= 127.0.0.1:7171

@@ -4,8 +4,8 @@
 // internal/engine and internal/serve) and requests are routed by
 // internal/httpapi. Queries never block on updates; updates are
 // coalesced into batches maintained incrementally with SemiInsert*/
-// SemiDelete*; repeated k-core/profile queries on an unchanged epoch are
-// served from the per-epoch memo.
+// SemiDelete*; repeated k-core queries on an unchanged epoch are served
+// from the per-epoch memo.
 //
 // Usage:
 //

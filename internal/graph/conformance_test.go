@@ -404,7 +404,8 @@ func TestConcurrentSessionAgreesWithRecompute(t *testing.T) {
 	// consecutive pair, the set of nodes whose core number changed must
 	// be exactly the published Dirty set — no changed node may be
 	// missing (or a shared chunk could hide a stale core number), and
-	// the writer filters net-unchanged nodes out, so no extras either.
+	// the snapshot derivation filters net-unchanged nodes and repeats
+	// out, so no extras or duplicates either.
 	pubMu.Lock()
 	defer pubMu.Unlock()
 	if len(published) < 2 {
@@ -431,8 +432,9 @@ func TestConcurrentSessionAgreesWithRecompute(t *testing.T) {
 					cur.Seq, v, prevCores[v], curCores[v])
 			}
 		}
-		if changed != len(dirty) {
-			t.Fatalf("epoch %d: Dirty has %d nodes, %d actually changed", cur.Seq, len(dirty), changed)
+		if changed != len(dirty) || changed != len(cur.Dirty()) {
+			t.Fatalf("epoch %d: Dirty lists %d nodes (%d distinct), %d actually changed",
+				cur.Seq, len(cur.Dirty()), len(dirty), changed)
 		}
 	}
 }

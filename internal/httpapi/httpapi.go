@@ -23,14 +23,17 @@
 // epoch it was served from, so replicas behind a load balancer can be
 // compared for staleness. Writes to graphs that cannot accept them —
 // replication followers and graphs recovered degraded — answer 409
-// with {"error": ..., "read_only": true}.
+// with {"error": ..., "read_only": true}. A POST /update or POST /graphs
+// body past maxBodyBytes (4 MiB) answers 413.
 //
 // The single-graph routes from before the registry existed (/core,
 // /kcore, /degeneracy, /stats, /update) are kept as aliases for a
 // designated default graph: same paths, parameters, status codes and
 // response shapes. One deliberate behaviour change: /kcore lists nodes
-// core-descending (the memoized bucket order) instead of id-ascending,
-// so a limit keeps the most deeply embedded members.
+// core-descending, ids ascending within one core number (the memoized
+// bucket order) instead of id-ascending, so a limit keeps the most
+// deeply embedded members — the same ones on every server at that
+// epoch, whatever each was queried before.
 package httpapi
 
 import (
@@ -116,6 +119,30 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds the JSON body of POST /update and POST /graphs.
+// The decoder holds what it has read, and an update body is decoded
+// whole before anything is enqueued, so without a bound one request can
+// take any amount of server memory. 4 MiB is about 130k updates at
+// ~32 bytes each, far more than one flush coalesces.
+const maxBodyBytes = 4 << 20
+
+// bodyDecoder returns a JSON decoder over the request's body that reads
+// at most maxBodyBytes of it.
+func bodyDecoder(w http.ResponseWriter, r *http.Request) *json.Decoder {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+}
+
+// badBody answers a request whose body did not decode: 413 when it ran
+// past maxBodyBytes, 400 otherwise.
+func badBody(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, "bad body: %v", err)
+}
+
 // setEpochHeader tags a graph response with the epoch it was served
 // from; replicas behind a load balancer surface their staleness this way.
 func setEpochHeader(w http.ResponseWriter, seq uint64) {
@@ -191,10 +218,10 @@ func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 	var req createGraphRequest
 	// Unknown fields are refused, not dropped: a request that names an
 	// option this server does not have must not look like it was honoured.
-	dec := json.NewDecoder(r.Body)
+	dec := bodyDecoder(w, r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad body: %v", err)
+		badBody(w, err)
 		return
 	}
 	if req.Name == "" || req.Path == "" {
@@ -503,8 +530,8 @@ type updateJSON struct {
 
 func handleUpdate(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad body: %v", err)
+	if err := bodyDecoder(w, r).Decode(&req); err != nil {
+		badBody(w, err)
 		return
 	}
 	if len(req.Updates) == 0 {

@@ -398,3 +398,29 @@ func TestTwoGraphsServeConcurrently(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizedBodyAnswers413: a body past the 4 MiB bound is refused
+// with 413 on both routes that decode one, and nothing of it takes
+// effect.
+func TestOversizedBodyAnswers413(t *testing.T) {
+	ts, reg := newAPI(t)
+	const bound = 4 << 20
+	var e errResp
+
+	t.Run("update", func(t *testing.T) {
+		one := `{"op":"insert","u":0,"v":1},`
+		body := `{"updates":[` + strings.Repeat(one, bound/len(one)+1) + `{"op":"insert","u":0,"v":1}]}`
+		do(t, "POST", ts.URL+"/update?wait=1", body, http.StatusRequestEntityTooLarge, &e)
+		eng, _ := reg.Get("default")
+		if st := eng.Report().Serve; st.Enqueued != 0 {
+			t.Fatalf("oversized update body enqueued %d updates", st.Enqueued)
+		}
+	})
+	t.Run("graphs", func(t *testing.T) {
+		body := `{"name":"big","path":"` + strings.Repeat("x", bound) + `"}`
+		do(t, "POST", ts.URL+"/graphs", body, http.StatusRequestEntityTooLarge, &e)
+		if _, ok := reg.Get("big"); ok {
+			t.Fatal("oversized create body registered a graph")
+		}
+	})
+}

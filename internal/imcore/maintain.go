@@ -42,8 +42,7 @@ func (m *Maintainer) Insert(u, v uint32) (MaintStats, error) {
 // identical to Insert, but it also appends the id of every node whose
 // core number changed to dirty and returns the extended slice. The
 // changed set is exact (each node appears once per call), so composite
-// publishers can drive copy-on-write snapshots and memo repairs straight
-// from it. The repair touches only the affected region around the new
+// publishers can drive copy-on-write snapshots straight from it. The repair touches only the affected region around the new
 // edge (the pure-core subgraph reachable from the lower endpoint), never
 // the whole graph — the paper's locality property, preserved.
 func (m *Maintainer) InsertDirty(u, v uint32, dirty []uint32) ([]uint32, MaintStats, error) {

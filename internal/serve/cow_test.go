@@ -56,7 +56,7 @@ func TestPublishAllocatesOChunkNotON(t *testing.T) {
 	perPublish := float64(ms.TotalAlloc-before) / rounds
 	st := sess.Report().Serve
 	t.Logf("%.0f bytes/publish (epochs=%d, dirty/publish=%.1f, chunks copied %d of %d)",
-		perPublish, st.Epochs, st.DirtyNodesPerPublish(), st.CowChunksCopied, st.CowChunksTotal)
+		perPublish, st.Epochs, float64(st.DirtyNodesSum)/float64(st.Epochs), st.CowChunksCopied, st.CowChunksTotal)
 	// An O(n) publish allocates at least 4n bytes for the core array
 	// copy alone; O(chunk) publishes stay well under n bytes.
 	const limit = largeGraphNodes // 100 KB, vs 400 KB+ for a full copy

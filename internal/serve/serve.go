@@ -9,9 +9,9 @@
 // threshold; opposing pairs annihilate pre-apply), applies the net ops
 // through the maintainer's batch operations, then swaps in a fresh epoch
 // derived copy-on-write from its predecessor: only snapshot chunks
-// holding changed core numbers are copied (O(changed) publication), and
-// the epoch's query memo is likewise repaired from the predecessor's
-// instead of rebuilt (memo.go).
+// holding changed core numbers are copied (O(changed) publication). The
+// epoch's k-core query memo is one counting sort, paid by the first
+// query against the epoch, never by the publish (memo.go).
 //
 // Consistency model: updates are applied in enqueue order, and every
 // published epoch reflects a consistent prefix of the applied updates —
@@ -59,11 +59,12 @@ type Update struct {
 // CoreSnapshot is immutable; an Epoch, once obtained from Snapshot, stays
 // valid and unchanging forever (later epochs are new allocations).
 //
-// Because of that immutability, expensive derived answers are memoized
-// per epoch: the first KCoreAt/Profile call computes them once (guarded
-// by sync.Once, so concurrent first callers are safe) and every later
-// call against the same epoch is served lock-free from the memo. See
-// memo.go. Epochs must not be copied once published.
+// Because of that immutability, the k-core bucket order is memoized per
+// epoch: the first KCoreAt call computes it once (guarded by sync.Once,
+// so concurrent first callers are safe) and every later call against the
+// same epoch is served lock-free from the memo. See memo.go. The
+// embedded snapshot's Dirty is the exact delta against the previous
+// epoch (nil for epoch 0). Epochs must not be copied once published.
 type Epoch struct {
 	*kcore.CoreSnapshot
 	// Seq is the publication sequence number, starting at 0 for the
@@ -73,28 +74,12 @@ type Epoch struct {
 	// including this epoch.
 	Applied uint64
 
-	// dirty is the exact delta against the predecessor epoch: the
-	// deduplicated set of nodes whose core number changed in this
-	// publication. nil for epoch 0.
-	dirty []uint32
-
-	// repair, when non-nil, is the plan for deriving this epoch's memo
-	// from a predecessor's instead of re-sorting; it is attached before
-	// publication and cleared once the memo is built (see memo.go).
-	repair atomic.Pointer[memoRepair]
-
 	// memo lazily caches derived query results; ctr (the owning
 	// session's counters, nil for detached epochs) receives the
 	// hit/miss accounting.
 	memo epochMemo
 	ctr  *stats.ServeCounters
 }
-
-// Dirty returns the nodes whose core number changed relative to the
-// previous published epoch — the exact delta, deduplicated. It is nil
-// for epoch 0. The slice is shared with the epoch and must not be
-// mutated.
-func (e *Epoch) Dirty() []uint32 { return e.dirty }
 
 // Options tunes a ConcurrentSession. The zero value selects defaults.
 type Options struct {
@@ -209,14 +194,6 @@ type ConcurrentSession struct {
 	cur   atomic.Pointer[Epoch]
 	queue chan envelope
 
-	// Writer-owned dirty-set scratch: stamp[v] == stampGen marks v as
-	// already seen in the current publication, so dedupe is O(1) per
-	// node with no per-publish map; dirtyScratch holds the filtered set
-	// before it is copied into the (exact-size, immutable) epoch slice.
-	dirtyStamp   []uint32
-	stampGen     uint32
-	dirtyScratch []uint32
-
 	mu     sync.RWMutex // guards closed against concurrent sends
 	closed bool
 	wg     sync.WaitGroup
@@ -241,14 +218,13 @@ func New(g *kcore.Graph, opts *Options) (*ConcurrentSession, error) {
 		return nil, fmt.Errorf("serve: initial decomposition: %w", err)
 	}
 	s := &ConcurrentSession{
-		g:          g,
-		m:          m,
-		opts:       o,
-		ctr:        o.Counters,
-		queue:      make(chan envelope, o.QueueCapacity),
-		dirtyStamp: make([]uint32, g.NumNodes()),
+		g:     g,
+		m:     m,
+		opts:  o,
+		ctr:   o.Counters,
+		queue: make(chan envelope, o.QueueCapacity),
 	}
-	s.publish(m.Snapshot(), 0, nil, nil)
+	s.publish(m.Snapshot(), 0)
 	s.wg.Add(1)
 	go s.run()
 	return s, nil
@@ -394,73 +370,24 @@ func (s *ConcurrentSession) Close() error {
 
 // publishDelta publishes the state after a flush. rawDirty is the
 // concatenation of the applied runs' RunInfo.Dirty sets (a sound
-// superset of the changed nodes, possibly with duplicates); it is
-// reduced here to the exact delta against the previous epoch, which
-// drives the copy-on-write snapshot, the memo repair plan and the dirty
-// counters — all O(changed). Only epoch 0 is a full copy.
+// superset of the changed nodes, possibly with duplicates); the
+// copy-on-write snapshot reduces it to the exact delta against the
+// previous epoch, which the dirty counters report — all O(changed).
+// Only epoch 0 is a full copy.
 func (s *ConcurrentSession) publishDelta(appliedNow int, rawDirty []uint32) {
-	prev := s.cur.Load()
-	if prev == nil {
-		s.publish(s.m.Snapshot(), appliedNow, nil, nil)
-		return
-	}
-	cores := s.m.Cores()
-	s.stampGen++
-	if s.stampGen == 0 { // wrapped: do the rare O(n) clear
-		clear(s.dirtyStamp)
-		s.stampGen = 1
-	}
-	scratch := s.dirtyScratch[:0]
-	for _, v := range rawDirty {
-		if s.dirtyStamp[v] == s.stampGen {
-			continue
-		}
-		s.dirtyStamp[v] = s.stampGen
-		if prev.CoreAt(v) != cores[v] {
-			scratch = append(scratch, v)
-		}
-	}
-	s.dirtyScratch = scratch
-	dirty := append(make([]uint32, 0, len(scratch)), scratch...)
-	snap, copied := s.m.SnapshotDelta(prev.CoreSnapshot, dirty)
-	s.ctr.NotePublishDelta(len(dirty), copied, snap.NumChunks())
-	s.publish(snap, appliedNow, dirty, repairPlan(prev, dirty, snap.NumNodes()))
-}
-
-// repairPlan decides how the new epoch's memo should be built: repaired
-// from prev (when prev's memo is already built, or prev is itself a
-// clean full-build candidate), repaired from prev's own pending base
-// (chaining this publish's dirty set onto the unconsumed ones), or —
-// when the cumulative dirty count makes a repair no cheaper than a
-// counting sort — rebuilt from scratch (nil plan).
-func repairPlan(prev *Epoch, dirty []uint32, n uint32) *memoRepair {
-	limit := int(n)/memoRepairMaxFrac + 1
-	link := &dirtyChain{nodes: dirty}
-	if !prev.memo.built.Load() {
-		if pr := prev.repair.Load(); pr != nil {
-			total := pr.total + len(dirty)
-			if total > limit {
-				return nil
-			}
-			link.prev = pr.dirty
-			return &memoRepair{base: pr.base, dirty: link, total: total}
-		}
-	}
-	if len(dirty) > limit {
-		return nil
-	}
-	return &memoRepair{base: prev, dirty: link, total: len(dirty)}
+	snap, copied := s.m.SnapshotDelta(s.cur.Load().CoreSnapshot, rawDirty)
+	s.ctr.NotePublishDelta(len(snap.Dirty()), copied, snap.NumChunks())
+	s.publish(snap, appliedNow)
 }
 
 // publish swaps in a fresh epoch built from snap.
-func (s *ConcurrentSession) publish(snap *kcore.CoreSnapshot, appliedNow int, dirty []uint32, rep *memoRepair) {
+func (s *ConcurrentSession) publish(snap *kcore.CoreSnapshot, appliedNow int) {
 	var seq, applied uint64
 	if prev := s.cur.Load(); prev != nil {
 		seq = prev.Seq + 1
 		applied = prev.Applied
 	}
-	e := &Epoch{CoreSnapshot: snap, Seq: seq, Applied: applied + uint64(appliedNow), dirty: dirty, ctr: s.ctr}
-	e.repair.Store(rep)
+	e := &Epoch{CoreSnapshot: snap, Seq: seq, Applied: applied + uint64(appliedNow), ctr: s.ctr}
 	s.cur.Store(e)
 	s.ctr.NotePublish(e.Seq, snap.TakenAt)
 	if s.opts.OnPublish != nil {

@@ -380,8 +380,8 @@ func TestCoalescingBoundsEpochCount(t *testing.T) {
 	if st.Epochs > 10 {
 		t.Fatalf("%d epochs for one 500-update burst; coalescing is broken", st.Epochs)
 	}
-	if st.MeanBatchEdges() < 32 {
-		t.Fatalf("mean batch = %.1f edges, want >= 32", st.MeanBatchEdges())
+	if mean := float64(st.BatchEdgesSum) / float64(st.Batches); mean < 32 {
+		t.Fatalf("mean batch = %.1f edges, want >= 32", mean)
 	}
 }
 

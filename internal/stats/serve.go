@@ -31,7 +31,6 @@ type ServeCounters struct {
 	dirtyNodesSum   atomic.Int64 // total dirty (changed-core) nodes across publishes
 	cowChunksCopied atomic.Int64 // snapshot chunks copied by delta publishes
 	cowChunksTotal  atomic.Int64 // snapshot chunks a full copy would have written
-	memoRepairs     atomic.Int64 // epoch memos repaired from a predecessor instead of rebuilt
 	adaptiveBatch   atomic.Int64 // gauge: the writer's current adaptive MaxBatch
 }
 
@@ -86,10 +85,6 @@ func (c *ServeCounters) NotePublishDelta(dirty, copied, total int) {
 	c.cowChunksTotal.Add(int64(total))
 }
 
-// NoteMemoRepair records an epoch memo derived from a predecessor's by
-// moving only dirty nodes between buckets, instead of a full re-sort.
-func (c *ServeCounters) NoteMemoRepair() { c.memoRepairs.Add(1) }
-
 // SetAdaptiveBatch updates the adaptive coalescing gauge: the batch size
 // the writer currently flushes at.
 func (c *ServeCounters) SetAdaptiveBatch(n int) { c.adaptiveBatch.Store(int64(n)) }
@@ -116,7 +111,6 @@ func (c *ServeCounters) Snapshot(now time.Time) ServeSnapshot {
 		DirtyNodesSum:   c.dirtyNodesSum.Load(),
 		CowChunksCopied: c.cowChunksCopied.Load(),
 		CowChunksTotal:  c.cowChunksTotal.Load(),
-		MemoRepairs:     c.memoRepairs.Load(),
 		AdaptiveBatch:   c.adaptiveBatch.Load(),
 	}
 	if nanos := c.published.Load(); nanos != 0 {
@@ -144,34 +138,5 @@ type ServeSnapshot struct {
 	DirtyNodesSum   int64 `json:"dirty_nodes_sum"`
 	CowChunksCopied int64 `json:"cow_chunks_copied"`
 	CowChunksTotal  int64 `json:"cow_chunks_total"`
-	MemoRepairs     int64 `json:"memo_repairs"`
 	AdaptiveBatch   int64 `json:"adaptive_max_batch"`
-}
-
-// CacheHitRate reports the fraction of memoized epoch queries served
-// without recomputation, in [0,1]; 0 when no such queries ran.
-func (s ServeSnapshot) CacheHitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
-
-// MeanBatchEdges reports the average applied batch size.
-func (s ServeSnapshot) MeanBatchEdges() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.BatchEdgesSum) / float64(s.Batches)
-}
-
-// DirtyNodesPerPublish reports the average number of changed core
-// numbers per published epoch — the "changed" in the O(changed) publish
-// cost model; 0 before the first publication.
-func (s ServeSnapshot) DirtyNodesPerPublish() float64 {
-	if s.Epochs == 0 {
-		return 0
-	}
-	return float64(s.DirtyNodesSum) / float64(s.Epochs)
 }

@@ -1,6 +1,11 @@
 package stats
 
 import (
+	"os"
+	"reflect"
+	"regexp"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,8 +31,8 @@ func TestServeCountersAccumulate(t *testing.T) {
 	if s.BatchEdgesMax != 5 || s.BatchEdgesSum != 8 {
 		t.Fatalf("batch max/sum = %d/%d, want 5/8", s.BatchEdgesMax, s.BatchEdgesSum)
 	}
-	if got := s.MeanBatchEdges(); got != 4 {
-		t.Fatalf("MeanBatchEdges = %v, want 4", got)
+	if got := float64(s.BatchEdgesSum) / float64(s.Batches); got != 4 {
+		t.Fatalf("mean batch = %v, want 4", got)
 	}
 	if s.QueueDepth != 4 {
 		t.Fatalf("queue depth = %d, want 4", s.QueueDepth)
@@ -46,11 +51,8 @@ func TestServeCountersZeroValue(t *testing.T) {
 	if s.EpochAge != 0 {
 		t.Fatalf("epoch age on fresh counters = %v, want 0", s.EpochAge)
 	}
-	if s.MeanBatchEdges() != 0 {
-		t.Fatalf("mean batch on fresh counters = %v, want 0", s.MeanBatchEdges())
-	}
-	if s.CacheHitRate() != 0 {
-		t.Fatalf("hit rate on fresh counters = %v, want 0", s.CacheHitRate())
+	if s.Batches != 0 || s.BatchEdgesSum != 0 || s.CacheHits != 0 || s.CacheMisses != 0 {
+		t.Fatalf("fresh counters = %+v, want zero batches and memo queries", s)
 	}
 }
 
@@ -64,8 +66,8 @@ func TestServeCountersCache(t *testing.T) {
 	if s.CacheHits != 3 || s.CacheMisses != 1 {
 		t.Fatalf("hits/misses = %d/%d, want 3/1", s.CacheHits, s.CacheMisses)
 	}
-	if got := s.CacheHitRate(); got != 0.75 {
-		t.Fatalf("CacheHitRate = %v, want 0.75", got)
+	if got := float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses); got != 0.75 {
+		t.Fatalf("hit rate = %v, want 0.75", got)
 	}
 }
 
@@ -90,5 +92,48 @@ func TestServeCountersConcurrent(t *testing.T) {
 	}
 	if s.BatchEdgesMax != 8 {
 		t.Fatalf("batch max = %d, want 8", s.BatchEdgesMax)
+	}
+}
+
+// TestServeSnapshotKeysAreDocumented holds ARCHITECTURE's observability
+// map to the counters /stats exports: the unprefixed names in its
+// "Counter (in `/stats`)" table must be exactly ServeSnapshot's JSON
+// keys. `make doc` runs it.
+func TestServeSnapshotKeysAreDocumented(t *testing.T) {
+	var exported []string
+	st := reflect.TypeOf(ServeSnapshot{})
+	for i := range st.NumField() {
+		exported = append(exported, strings.Split(st.Field(i).Tag.Get("json"), ",")[0])
+	}
+
+	doc, err := os.ReadFile("../../docs/ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, found := strings.Cut(string(doc), "| Counter (in `/stats`) |")
+	if !found {
+		t.Fatal("docs/ARCHITECTURE.md has no \"Counter (in `/stats`)\" table")
+	}
+	// The table's other unprefixed rows are /stats keys beside the serve
+	// block: Report's backend label and its io block.
+	notServe := []string{"backend", "io"}
+	name := regexp.MustCompile("`([a-z0-9_]+)`")
+	var documented []string
+	for _, row := range strings.Split(table, "\n")[2:] {
+		if !strings.HasPrefix(row, "|") {
+			break
+		}
+		first := strings.Split(row, "|")[1]
+		for _, m := range name.FindAllStringSubmatch(first, -1) {
+			if !slices.Contains(notServe, m[1]) {
+				documented = append(documented, m[1])
+			}
+		}
+	}
+
+	slices.Sort(exported)
+	slices.Sort(documented)
+	if !slices.Equal(exported, documented) {
+		t.Fatalf("ServeSnapshot exports %v,\nthe observability map documents %v", exported, documented)
 	}
 }

@@ -3,6 +3,7 @@ package kcore_test
 import (
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"kcore"
@@ -191,6 +192,48 @@ func TestSnapshotPublicValidation(t *testing.T) {
 	other := buildFrom(t, []kcore.Edge{{U: 0, V: 1}}, 2)
 	if _, err := kcore.LoadResult(path, other); err == nil {
 		t.Fatal("snapshot loaded onto wrong-sized graph")
+	}
+}
+
+// TestSnapshotDeltaDedupesDirty feeds SnapshotDelta a dirty set that
+// lists every node twice, plus an out-of-range id: the derived snapshot
+// must hold the maintained cores and their histogram, and its Dirty must
+// list each changed node exactly once.
+func TestSnapshotDeltaDedupesDirty(t *testing.T) {
+	g := buildSample(t)
+	m, err := kcore.NewMaintainer(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := m.Snapshot()
+	if prev.Dirty() != nil {
+		t.Fatalf("a snapshot taken from scratch has Dirty %v", prev.Dirty())
+	}
+	if _, err := m.DeleteEdge(0, 1); err != nil { // breaks the K4
+		t.Fatal(err)
+	}
+	var changed, dirty []uint32
+	for v, c := range m.Cores() {
+		if c != prev.CoreAt(uint32(v)) {
+			changed = append(changed, uint32(v))
+		}
+	}
+	for range 2 {
+		for v := range g.NumNodes() {
+			dirty = append(dirty, v)
+		}
+	}
+	dirty = append(dirty, g.NumNodes()+7)
+
+	snap, copied := m.SnapshotDelta(prev, dirty)
+	if len(changed) == 0 || !slices.Equal(snap.Dirty(), changed) {
+		t.Fatalf("Dirty = %v, want the changed nodes %v once each", snap.Dirty(), changed)
+	}
+	if !slices.Equal(snap.Cores(), m.Cores()) || !slices.Equal(snap.Histogram(), kcore.CoreHistogram(m.Cores())) {
+		t.Fatalf("delta snapshot cores %v histogram %v, maintained %v", snap.Cores(), snap.Histogram(), m.Cores())
+	}
+	if copied != 1 {
+		t.Fatalf("copied %d chunks, want the one holding the changed nodes", copied)
 	}
 }
 

@@ -116,6 +116,12 @@ func (s *CoreSnapshot) Cores() []uint32 {
 // delta publication's copied-chunk count is measured against.
 func (s *CoreSnapshot) NumChunks() int { return len(s.chunks) }
 
+// Dirty returns the nodes whose core number differs from the snapshot
+// this one was derived from by Maintainer.SnapshotDelta — the exact
+// delta, each node once. It is nil for a snapshot taken from scratch.
+// The slice is shared with the snapshot and must not be mutated.
+func (s *CoreSnapshot) Dirty() []uint32 { return s.dirty }
+
 // KCore returns the nodes of the k-core at snapshot time, in id order.
 func (s *CoreSnapshot) KCore(k uint32) []uint32 {
 	var out []uint32

@@ -44,6 +44,9 @@ type CoreSnapshot struct {
 	// size profile never need an O(n) rescan. Immutable and shared with
 	// query results only by copy.
 	hist []int64
+	// dirty is the exact delta against the snapshot this one was derived
+	// from (see Dirty); nil for a snapshot taken from scratch.
+	dirty []uint32
 
 	// Kmax is the degeneracy at snapshot time.
 	Kmax uint32
@@ -79,8 +82,8 @@ func newCoreSnapshot(core []uint32, numEdges int64) *CoreSnapshot {
 // sharing every chunk the dirty set does not touch. dirty must contain
 // every node whose core number differs between s and core; supersets,
 // duplicates and nodes whose value did not actually change are all
-// handled (they cost a lookup and nothing else). Reports how many chunks
-// were copied.
+// handled (they cost a lookup and nothing else), and the new snapshot's
+// Dirty is the exact delta. Reports how many chunks were copied.
 func (s *CoreSnapshot) withUpdates(core []uint32, dirty []uint32, numEdges int64) (*CoreSnapshot, int) {
 	ns := &CoreSnapshot{
 		chunks:   append([][]uint32(nil), s.chunks...),
@@ -90,18 +93,15 @@ func (s *CoreSnapshot) withUpdates(core []uint32, dirty []uint32, numEdges int64
 	}
 	hist := append([]int64(nil), s.hist...)
 	copied := 0
-	seen := make(map[uint32]struct{}, len(dirty))
 	for _, v := range dirty {
 		if v >= s.n {
 			continue
 		}
-		if _, dup := seen[v]; dup {
-			continue
-		}
-		seen[v] = struct{}{}
-		ci := v >> SnapshotChunkShift
-		old := s.chunks[ci][v&snapshotChunkMask]
-		now := core[v]
+		ci, i := v>>SnapshotChunkShift, v&snapshotChunkMask
+		// Read the new snapshot's own cell: a node already seen in dirty
+		// holds its new value there, so a repeat is skipped like a node
+		// whose value did not change.
+		old, now := ns.chunks[ci][i], core[v]
 		if old == now {
 			continue
 		}
@@ -109,7 +109,8 @@ func (s *CoreSnapshot) withUpdates(core []uint32, dirty []uint32, numEdges int64
 			ns.chunks[ci] = append([]uint32(nil), s.chunks[ci]...)
 			copied++
 		}
-		ns.chunks[ci][v&snapshotChunkMask] = now
+		ns.chunks[ci][i] = now
+		ns.dirty = append(ns.dirty, v)
 		hist[old]--
 		for int64(now) >= int64(len(hist)) {
 			hist = append(hist, 0)
@@ -140,9 +141,10 @@ func (m *Maintainer) Snapshot() *CoreSnapshot {
 // maintenance locality carried through to publication. dirty must include
 // every node whose core number changed since prev was taken (RunInfo.Dirty
 // from the operations applied in between; supersets and duplicates are
-// fine — soundness only needs completeness). A nil prev, or one taken from
-// a different graph size, falls back to a full Snapshot. Reports the
-// number of chunks copied (every chunk, for the fallback).
+// fine — soundness only needs completeness); the new snapshot's Dirty is
+// the exact delta. A nil prev, or one taken from a different graph size,
+// falls back to a full Snapshot. Reports the number of chunks copied
+// (every chunk, for the fallback).
 func (m *Maintainer) SnapshotDelta(prev *CoreSnapshot, dirty []uint32) (*CoreSnapshot, int) {
 	if prev == nil || prev.n != m.g.NumNodes() {
 		s := m.Snapshot()
