@@ -357,6 +357,11 @@ func (g *Graph) Neighbors(v uint32, buf []uint32) ([]uint32, error) {
 	return Merge(disk, g.ins[v], g.del[v], buf), nil
 }
 
+// Resident reports whether Neighbors(v) would read no block: v's base
+// list is cached whole (storage.Graph.Resident), and its buffered edits
+// are in memory anyway.
+func (g *Graph) Resident(v uint32) bool { return g.disk.Resident(v) }
+
 // merged is deg(v) in the base adjusted by v's buffered edits.
 func (g *Graph) merged(v, deg uint32) uint32 {
 	return uint32(int64(deg) + int64(len(g.ins[v])) - int64(len(g.del[v])))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/semicore"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
@@ -90,9 +91,17 @@ func TestBuildIOLaw(t *testing.T) {
 	}
 }
 
+// passSchedule hides a graph's Resident and Neighbors, so SemiCore* runs
+// the printed pass schedule on it, as it does on the in-memory CSR.
+type passSchedule struct{ graph.Source }
+
 // TestDiskParityAllVariants runs each semi-external variant on disk and
-// in memory and requires identical cores, iteration counts and node
-// computation counts — the backends must be observationally equivalent.
+// in memory and requires identical cores (and, for SemiCore*, counters):
+// the backends must be observationally equivalent. Where both run the
+// same schedule — SemiCore, SemiCore+, and SemiCore* on a disk graph
+// whose cache is hidden from it — iteration and node computation counts
+// must be identical too; SemiCore* on the cached disk graph recomputes
+// resident nodes behind its cursor at once and keeps only the results.
 func TestDiskParityAllVariants(t *testing.T) {
 	mem := gen.Build(gen.WebGraph(7, 5, 6, 20, 703))
 	base := filepath.Join(t.TempDir(), "g")
@@ -100,59 +109,40 @@ func TestDiskParityAllVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := verify.CoresByRepeatedRemoval(mem)
-	type runner func() (*semicore.Result, *semicore.Result, error)
-	variants := map[string]runner{
-		"SemiCore": func() (*semicore.Result, *semicore.Result, error) {
+	wantCnt := verify.CntFor(mem, want)
+	for _, tc := range []struct {
+		name     string
+		run      func(graph.Source, *semicore.Options) (*semicore.Result, error)
+		passOnly bool // hide the disk graph's cache
+		schedule bool // iterations and computations must match memory's
+	}{
+		{"SemiCore", semicore.SemiCore, false, true},
+		{"SemiCore+", semicore.SemiCorePlus, false, true},
+		{"SemiCore*", semicore.SemiCoreStar, false, false},
+		{"SemiCore*/pass-schedule", semicore.SemiCoreStar, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			g, err := storage.Open(base, stats.NewIOCounter(0))
-			if err != nil {
-				return nil, nil, err
-			}
-			defer g.Close()
-			d, err := semicore.SemiCore(g, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			m, err := semicore.SemiCore(mem, nil)
-			return d, m, err
-		},
-		"SemiCore+": func() (*semicore.Result, *semicore.Result, error) {
-			g, err := storage.Open(base, stats.NewIOCounter(0))
-			if err != nil {
-				return nil, nil, err
-			}
-			defer g.Close()
-			d, err := semicore.SemiCorePlus(g, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			m, err := semicore.SemiCorePlus(mem, nil)
-			return d, m, err
-		},
-		"SemiCore*": func() (*semicore.Result, *semicore.Result, error) {
-			g, err := storage.Open(base, stats.NewIOCounter(0))
-			if err != nil {
-				return nil, nil, err
-			}
-			defer g.Close()
-			d, err := semicore.SemiCoreStar(g, nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			m, err := semicore.SemiCoreStar(mem, nil)
-			return d, m, err
-		},
-	}
-	for name, run := range variants {
-		name, run := name, run
-		t.Run(name, func(t *testing.T) {
-			disk, inmem, err := run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if disk.Stats.Iterations != inmem.Stats.Iterations {
+			defer g.Close()
+			var src graph.Source = g
+			if tc.passOnly {
+				src = passSchedule{g}
+			}
+			disk, err := tc.run(src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inmem, err := tc.run(mem, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.schedule && disk.Stats.Iterations != inmem.Stats.Iterations {
 				t.Fatalf("iterations: disk %d, memory %d", disk.Stats.Iterations, inmem.Stats.Iterations)
 			}
-			if disk.Stats.NodeComputations != inmem.Stats.NodeComputations {
+			if tc.schedule && disk.Stats.NodeComputations != inmem.Stats.NodeComputations {
 				t.Fatalf("computations: disk %d, memory %d",
 					disk.Stats.NodeComputations, inmem.Stats.NodeComputations)
 			}
@@ -160,6 +150,10 @@ func TestDiskParityAllVariants(t *testing.T) {
 				if disk.Core[v] != want[v] || inmem.Core[v] != want[v] {
 					t.Fatalf("core(%d): disk %d, memory %d, want %d",
 						v, disk.Core[v], inmem.Core[v], want[v])
+				}
+				if disk.Cnt != nil && (disk.Cnt[v] != wantCnt[v] || inmem.Cnt[v] != wantCnt[v]) {
+					t.Fatalf("cnt(%d): disk %d, memory %d, want %d",
+						v, disk.Cnt[v], inmem.Cnt[v], wantCnt[v])
 				}
 			}
 		})

@@ -173,7 +173,9 @@ func corpus(tb testing.TB) map[string]*memgraph.CSR {
 // TestMaintenanceRandomChurn drives both insertion algorithms and the
 // deletion algorithm through long random edit sequences, checking the
 // maintained cores against from-scratch references and the cnt invariant
-// after every operation.
+// after every operation. Every node an iteration recomputes must enter it
+// with an estimate of at most deg+1, the bound that keeps the recompute
+// kernel's histogram clear O(deg) (semicore.localCoreBuf).
 func TestMaintenanceRandomChurn(t *testing.T) {
 	for name, g := range corpus(t) {
 		g := g
@@ -181,9 +183,23 @@ func TestMaintenanceRandomChurn(t *testing.T) {
 			variant := variant
 			t.Run(name+"/"+variant, func(t *testing.T) {
 				s := newSessionFor(t, g, dyngraph.Options{})
+				var prev []uint32 // the estimates an iteration starts from
+				s.Trace = func(iter int, computed, core []uint32) {
+					for _, v := range computed {
+						d, err := s.G.Degree(v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if prev[v] > d+1 {
+							t.Fatalf("iteration %d recomputed node %d from estimate %d at degree %d", iter, v, prev[v], d)
+						}
+					}
+					prev = append(prev[:0], core...)
+				}
 				n := g.NumNodes()
 				stream := testutil.NewMutationStream(n, testutil.Seed(t, 77), g.EdgeList())
 				for i := 0; i < 50; i++ {
+					prev = append(prev[:0], s.Core()...)
 					mut := stream.NextValid()
 					u, v := mut.U, mut.V
 					var err error

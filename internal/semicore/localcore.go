@@ -7,24 +7,21 @@
 // tables or an in-memory CSR.
 package semicore
 
-import "slices"
-
 // localCoreBuf evaluates the paper's LocalCore procedure (Algorithm 3,
 // lines 11-20): given node v's current estimate cold and upper bounds on
 // its neighbours' core numbers, it returns the largest k with
 // |{u in nbr(v): bound(u) >= k}| >= k, i.e. one application of the
-// locality equation (Eq. 1). The num histogram and the gathered bounds
-// are retained between calls, so each evaluation is O(deg(v)) with zero
-// allocation in steady state.
+// locality equation (Eq. 1). The num histogram is retained between calls,
+// so each evaluation is O(deg(v) + cold) with zero allocation in steady
+// state; cold <= deg(v) + 1 wherever it is called (see localCore).
 type localCoreBuf struct {
 	num []uint32 // all zero between calls
-	eff []uint32 // neighbour bounds gathered by localCore
 }
 
-// localCore gathers v's neighbour bounds and applies the locality
-// equation. With cnt == nil the bound is the stored estimate core(u),
-// the paper's rule (SemiCore, SemiCore+). With counters it is the
-// violation lookahead
+// localCore folds v's neighbour bounds, clamped to cold, into the h-index
+// histogram and applies the locality equation. With cnt == nil the bound
+// is the stored estimate core(u), the paper's rule (SemiCore, SemiCore+).
+// With counters it is the violation lookahead
 //
 //	eff(u) = core(u) - [0 <= cnt(u) < core(u)]:
 //
@@ -33,42 +30,32 @@ type localCoreBuf struct {
 // an upper bound that costs no I/O. A negative cnt(u) is SemiCoreStar's
 // "not yet counted" marker, not a count, and earns no discount. See
 // docs/ARCHITECTURE.md, "Deviations from the paper".
+//
+// The histogram is cleared whole, num[:cold+1], which is O(deg(v)):
+// decompositions start from cold = deg(v) and only lower it, and in
+// maintenance an estimate exceeds the degree by at most one (a delete
+// lowers the degree under an exact core number; SemiInsert's flood raises
+// an exact one by one).
 func (b *localCoreBuf) localCore(cold uint32, nbrs []uint32, core []uint32, cnt []int32) uint32 {
-	b.eff = slices.Grow(b.eff[:0], len(nbrs))
-	eff := b.eff[:len(nbrs)]
-	if cnt == nil {
-		for i, u := range nbrs {
-			eff[i] = core[u]
-		}
-	} else {
-		for i, u := range nbrs {
-			c := core[u]
-			if k := cnt[u]; k >= 0 && uint32(k) < c {
-				c--
-			}
-			eff[i] = c
-		}
-	}
-	return b.hindex(cold, eff)
-}
-
-// hindex returns the largest k <= cold with |{i : vals[i] >= k}| >= k.
-// It clamps vals to cold in place, so the histogram is cleared by
-// replaying vals instead of re-reading the arrays they came from.
-func (b *localCoreBuf) hindex(cold uint32, vals []uint32) uint32 {
 	if cold == 0 {
 		return 0
 	}
 	if len(b.num) < int(cold)+1 {
 		b.num = make([]uint32, int(cold)+1)
 	}
-	num := b.num
-	for i, c := range vals {
-		if c > cold {
-			c = cold
-			vals[i] = c
+	num := b.num[:cold+1]
+	if cnt == nil {
+		for _, u := range nbrs {
+			num[min(core[u], cold)]++
 		}
-		num[c]++
+	} else {
+		for _, u := range nbrs {
+			c := core[u]
+			if k := cnt[u]; k >= 0 && uint32(k) < c {
+				c--
+			}
+			num[min(c, cold)]++
+		}
 	}
 	s := uint32(0)
 	k := cold
@@ -78,9 +65,7 @@ func (b *localCoreBuf) hindex(cold uint32, vals []uint32) uint32 {
 			break
 		}
 	}
-	for _, c := range vals {
-		num[c] = 0
-	}
+	clear(num)
 	return k
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/imcore"
 	"kcore/internal/memgraph"
@@ -15,10 +16,15 @@ import (
 	"kcore/internal/verify"
 )
 
+// passSchedule hides a graph's Resident and Neighbors, so SemiCore* runs
+// the printed pass schedule on it (no revisits).
+type passSchedule struct{ graph.Source }
+
 // starOnDisk decomposes the on-disk graph at base with SemiCore* under
-// either recompute rule and returns the result with the block reads it
-// cost (1 KiB blocks, so the small fixtures still span many blocks).
-func starOnDisk(t *testing.T, base string, paperRule bool) (*Result, int64) {
+// either recompute rule, with revisits unless passOnly, and returns the
+// result with the block reads it cost (1 KiB blocks, so the small
+// fixtures still span many blocks, through storage.Open's 64 frames).
+func starOnDisk(t *testing.T, base string, paperRule, passOnly bool) (*Result, int64) {
 	t.Helper()
 	ctr := stats.NewIOCounter(1024)
 	g, err := storage.Open(base, ctr)
@@ -26,32 +32,39 @@ func starOnDisk(t *testing.T, base string, paperRule bool) (*Result, int64) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	res, err := semiCoreStar(g, nil, paperRule)
+	var src graph.Source = g
+	if passOnly {
+		src = passSchedule{g}
+	}
+	res, err := semiCoreStar(src, nil, paperRule)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, ctr.Reads()
 }
 
-// TestLookaheadMatchesOracleAndNeverReadsMore runs SemiCore* with the
-// violation lookahead and with the paper's rule over the block-counted
-// disk tables of every generator family: both must land on the oracle's
-// cores with exact counters, and the lookahead must never pay more block
-// reads than the rule it replaces (strictly fewer on the skewed RMAT).
-func TestLookaheadMatchesOracleAndNeverReadsMore(t *testing.T) {
+// family is one generator family of the disk property tests; strictly
+// marks the skewed one on which the lookahead must read strictly less.
+type family struct {
+	name     string
+	edges    func(seed int64) []memgraph.Edge
+	strictly bool
+}
+
+var families = []family{
+	{"er", func(s int64) []memgraph.Edge { return gen.ErdosRenyi(3000, 15000, s) }, false},
+	{"ba", func(s int64) []memgraph.Edge { return gen.BarabasiAlbert(3000, 4, s) }, false},
+	{"rmat", func(s int64) []memgraph.Edge { return gen.RMAT(11, 12, 0.57, 0.19, 0.19, s) }, true},
+	{"web", func(s int64) []memgraph.Edge { return gen.WebGraph(10, 8, 20, 50, s) }, false},
+	{"social", func(s int64) []memgraph.Edge { return gen.Social(3000, 4, 12, 12, s) }, false},
+	{"smallworld", func(s int64) []memgraph.Edge { return gen.SmallWorld(3000, 6, 0.1, s) }, false},
+}
+
+// forEachFixture builds every family at three seeds from the test's seed
+// as block-counted disk tables and calls check with the path prefix and
+// the oracle (IMCore's cores and their Eq. 2 counters).
+func forEachFixture(t *testing.T, check func(t *testing.T, fam family, base string, core []uint32, cnt []int32)) {
 	seed := testutil.Seed(t, 1)
-	families := []struct {
-		name     string
-		edges    func(seed int64) []memgraph.Edge
-		strictly bool
-	}{
-		{"er", func(s int64) []memgraph.Edge { return gen.ErdosRenyi(3000, 15000, s) }, false},
-		{"ba", func(s int64) []memgraph.Edge { return gen.BarabasiAlbert(3000, 4, s) }, false},
-		{"rmat", func(s int64) []memgraph.Edge { return gen.RMAT(11, 12, 0.57, 0.19, 0.19, s) }, true},
-		{"web", func(s int64) []memgraph.Edge { return gen.WebGraph(10, 8, 20, 50, s) }, false},
-		{"social", func(s int64) []memgraph.Edge { return gen.Social(3000, 4, 12, 12, s) }, false},
-		{"smallworld", func(s int64) []memgraph.Edge { return gen.SmallWorld(3000, 6, 0.1, s) }, false},
-	}
 	for _, fam := range families {
 		for i := int64(0); i < 3; i++ {
 			fam, s := fam, seed+i
@@ -63,32 +76,66 @@ func TestLookaheadMatchesOracleAndNeverReadsMore(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				look, lookReads := starOnDisk(t, base, false)
-				paper, paperReads := starOnDisk(t, base, true)
-
-				want := imcore.Decompose(csr, nil).Core
-				for _, res := range []*Result{look, paper} {
-					if err := verify.CheckAgainst(csr, res.Core); err != nil {
-						t.Fatal(err)
-					}
-					cnt := verify.CntFor(csr, res.Core)
-					for v := range want {
-						if res.Core[v] != want[v] {
-							t.Fatalf("core(%d) = %d, imcore says %d", v, res.Core[v], want[v])
-						}
-						if res.Cnt[v] != cnt[v] {
-							t.Fatalf("cnt(%d) = %d, want %d", v, res.Cnt[v], cnt[v])
-						}
-					}
-				}
-				t.Logf("block reads: lookahead %d, paper's rule %d; node computations %d vs %d",
-					lookReads, paperReads, look.Stats.NodeComputations, paper.Stats.NodeComputations)
-				if lookReads > paperReads || (fam.strictly && lookReads == paperReads) {
-					t.Fatalf("lookahead read %d blocks, the paper's rule %d", lookReads, paperReads)
-				}
+				core := imcore.Decompose(csr, nil).Core
+				check(t, fam, base, core, verify.CntFor(csr, core))
 			})
 		}
 	}
+}
+
+// matchOracle fails unless every result holds the oracle's cores and
+// counters exactly.
+func matchOracle(t *testing.T, core []uint32, cnt []int32, results ...*Result) {
+	t.Helper()
+	for _, res := range results {
+		for v := range core {
+			if res.Core[v] != core[v] {
+				t.Fatalf("core(%d) = %d, imcore says %d", v, res.Core[v], core[v])
+			}
+			if res.Cnt[v] != cnt[v] {
+				t.Fatalf("cnt(%d) = %d, want %d", v, res.Cnt[v], cnt[v])
+			}
+		}
+	}
+}
+
+// TestLookaheadMatchesOracleAndNeverReadsMore runs SemiCore* with the
+// violation lookahead and with the paper's rule, both on the printed pass
+// schedule, over the block-counted disk tables of every generator family:
+// both must land on the oracle's cores with exact counters, and the
+// lookahead must never pay more block reads than the rule it replaces
+// (strictly fewer on the skewed RMAT).
+func TestLookaheadMatchesOracleAndNeverReadsMore(t *testing.T) {
+	forEachFixture(t, func(t *testing.T, fam family, base string, core []uint32, cnt []int32) {
+		look, lookReads := starOnDisk(t, base, false, true)
+		paper, paperReads := starOnDisk(t, base, true, true)
+		matchOracle(t, core, cnt, look, paper)
+		t.Logf("block reads: lookahead %d, paper's rule %d; node computations %d vs %d",
+			lookReads, paperReads, look.Stats.NodeComputations, paper.Stats.NodeComputations)
+		if lookReads > paperReads || (fam.strictly && lookReads == paperReads) {
+			t.Fatalf("lookahead read %d blocks, the paper's rule %d", lookReads, paperReads)
+		}
+	})
+}
+
+// TestRevisitsMatchOracleAndNeverReadMore runs SemiCore* as it runs on a
+// cached graph — a violated node behind the cursor whose list is resident
+// recomputed at once — and on the printed pass schedule, over the same
+// fixtures at B = 1024: both must land on the oracle's cores with exact
+// counters, and the revisits must never pay more block reads than the
+// pass schedule.
+func TestRevisitsMatchOracleAndNeverReadMore(t *testing.T) {
+	forEachFixture(t, func(t *testing.T, _ family, base string, core []uint32, cnt []int32) {
+		rev, revReads := starOnDisk(t, base, false, false)
+		pass, passReads := starOnDisk(t, base, false, true)
+		matchOracle(t, core, cnt, rev, pass)
+		t.Logf("block reads: revisits %d, pass schedule %d; node computations %d vs %d; passes %d vs %d",
+			revReads, passReads, rev.Stats.NodeComputations, pass.Stats.NodeComputations,
+			rev.Stats.Iterations, pass.Stats.Iterations)
+		if revReads > passReads {
+			t.Fatalf("revisits read %d blocks, the pass schedule %d", revReads, passReads)
+		}
+	})
 }
 
 // BenchmarkLocalCore microbenchmarks one locality-equation evaluation

@@ -53,9 +53,12 @@ func (s *State) ComputeCnt(nbrs []uint32, cv uint32) int32 {
 // lookahead bounds (localCoreBuf.localCore), then in a single walk set
 // cnt(v) per Eq. 2 against the stored estimates, take v out of the
 // support set of every neighbour u with cnew < core(u) <= cold
-// (UpdateNbrCnt, lines 21-24), and collect the neighbours left with
-// cnt(u) < core(u). It reports whether core(v) changed and those violated
-// neighbours; the slice is scratch, valid until the next call.
+// (UpdateNbrCnt, lines 21-24), and collect the counted neighbours left
+// with cnt(u) < core(u). It reports whether core(v) changed and those
+// violated neighbours; the slice is scratch, valid until the next call.
+// An uncounted neighbour (cnt -1) is not reported: one exists only ahead
+// of the cursor in SemiCoreStar's first pass, whose window is already
+// [0, n-1].
 //
 // Invariants kept: estimates stay upper bounds, every non-negative cnt
 // stays exact with respect to the stored estimates, and
@@ -84,7 +87,7 @@ func (s *State) recompute(v uint32, nbrs []uint32, rs *stats.RunStats) (bool, []
 				cnt[u]--
 			}
 		}
-		if cnt[u] < int32(cu) {
+		if k := cnt[u]; k >= 0 && k < int32(cu) {
 			viol = append(viol, u)
 		}
 	}
@@ -103,6 +106,52 @@ func (s *State) recompute(v uint32, nbrs []uint32, rs *stats.RunStats) (bool, []
 // rs accumulates iterations, node computations and per-iteration update
 // counts; tr may be nil.
 func (s *State) Converge(g graph.Source, vmin, vmax uint32, rs *stats.RunStats, tr Trace) error {
+	return s.converge(g, nil, vmin, vmax, rs, tr)
+}
+
+// residentSource is a graph that can say, without reading, whether a
+// node's list would come from memory, and read that one list:
+// storage.Graph and dyngraph.Graph, whose block cache answers.
+type residentSource interface {
+	Resident(v uint32) bool
+	Neighbors(v uint32, buf []uint32) ([]uint32, error)
+}
+
+// revisits is SemiCoreStar's cache-resident revisit state: a violated
+// node at or behind the scan cursor is recomputed at once, not deferred
+// to the next pass, when its list is resident and it has not been
+// revisited or checked in this pass. Only the cursor loads blocks, so a
+// list behind it that was not resident when checked cannot become
+// resident again in the same pass: one bit per node (seen) loses nothing.
+// Cascades go through stack. See docs/ARCHITECTURE.md, "Cache-resident
+// revisits".
+type revisits struct {
+	g     residentSource
+	seen  []uint64 // n bits: revisited or checked in this pass
+	stack []uint32
+	nbrs  []uint32
+}
+
+// take reports whether violated node u ≤ the cursor is recomputed now,
+// pushing it if so; a false answer leaves u to the next pass.
+func (r *revisits) take(u uint32) bool {
+	if r == nil {
+		return false
+	}
+	w, bit := u/64, uint64(1)<<(u%64)
+	if r.seen[w]&bit != 0 {
+		return false
+	}
+	r.seen[w] |= bit
+	if !r.g.Resident(u) {
+		return false
+	}
+	r.stack = append(r.stack, u)
+	return true
+}
+
+// converge is Converge, with cache-resident revisits when rv is non-nil.
+func (s *State) converge(g graph.Source, rv *revisits, vmin, vmax uint32, rs *stats.RunStats, tr Trace) error {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil
@@ -117,31 +166,45 @@ func (s *State) Converge(g graph.Source, vmin, vmax uint32, rs *stats.RunStats, 
 		curMax := vmax
 		var iterUpdated int64
 		computed = computed[:0]
+		if rv != nil {
+			clear(rv.seen)
+		}
+		// step recomputes v and routes the neighbours it leaves violated:
+		// ahead of the cursor the window grows to them (UpdateRange, shared
+		// with Algorithm 4); behind it (or at it) they are revisited now or
+		// recorded for the next pass.
+		step := func(cursor, v uint32, nbrs []uint32) {
+			changed, violated := s.recompute(v, nbrs, rs)
+			if tr != nil {
+				computed = append(computed, v)
+			}
+			if changed {
+				iterUpdated++
+			}
+			for _, u := range violated {
+				switch {
+				case u > cursor:
+					curMax = max(curMax, u)
+				case !rv.take(u):
+					update = true
+					nextMin, nextMax = min(nextMin, int64(u)), max(nextMax, int64(u))
+				}
+			}
+		}
 		err := g.ScanDynamic(vmin,
 			func() uint32 { return curMax },
 			func(v uint32) bool { return s.Cnt[v] < int32(s.Core[v]) },
 			func(v uint32, nbrs []uint32) error {
-				changed, violated := s.recompute(v, nbrs, rs)
-				if tr != nil {
-					computed = append(computed, v)
-				}
-				if changed {
-					iterUpdated++
-				}
-				for _, u := range violated {
-					// UpdateRange (shared with Algorithm 4).
-					if u > curMax {
-						curMax = u
+				step(v, v, nbrs)
+				for rv != nil && len(rv.stack) > 0 {
+					u := rv.stack[len(rv.stack)-1]
+					rv.stack = rv.stack[:len(rv.stack)-1]
+					l, err := rv.g.Neighbors(u, rv.nbrs)
+					if err != nil {
+						return err
 					}
-					if u < v {
-						update = true
-						if int64(u) < nextMin {
-							nextMin = int64(u)
-						}
-						if int64(u) > nextMax {
-							nextMax = int64(u)
-						}
-					}
+					rv.nbrs = l[:0]
+					step(v, u, l)
 				}
 				return nil
 			})
@@ -169,6 +232,12 @@ func (s *State) Converge(g graph.Source, vmin, vmax uint32, rs *stats.RunStats, 
 // marker must not pass for a count. A marker is only ever decremented
 // before its node's first computation overwrites it, so it stays
 // negative; isolated nodes get the real count 0.
+//
+// On a graph with a block cache (storage.Graph, dyngraph.Graph) a
+// violated node behind the cursor whose list is cached is recomputed at
+// once instead of in the next pass (revisits; n/8 more model bytes). The
+// in-memory CSR keeps the printed pass schedule. Maintenance (Converge)
+// keeps it everywhere.
 func SemiCoreStar(g graph.Source, opts *Options) (*Result, error) {
 	return semiCoreStar(g, opts, false)
 }
@@ -191,10 +260,16 @@ func semiCoreStar(g graph.Source, opts *Options, paperRule bool) (*Result, error
 	if err != nil {
 		return nil, err
 	}
+	var rv *revisits
+	if rg, ok := g.(residentSource); ok {
+		rv = &revisits{g: rg, seen: make([]uint64, (n+63)/64)}
+		mem.Alloc("semicore*/seen", (int64(n)+7)/8)
+		defer mem.Free("semicore*/seen")
+	}
 	res := &Result{Core: st.Core, Cnt: st.Cnt}
 	res.Stats.Algorithm = "SemiCore*"
 	if n > 0 {
-		if err := st.Converge(g, 0, n-1, &res.Stats, opts.trace()); err != nil {
+		if err := st.converge(g, rv, 0, n-1, &res.Stats, opts.trace()); err != nil {
 			return nil, err
 		}
 	}

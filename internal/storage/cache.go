@@ -217,6 +217,13 @@ func (cf *CachedFile) Close() error {
 	return cf.f.Close()
 }
 
+// resident reports whether block id is in a frame. It is no lookup: it
+// sets no reference bit and counts no hit or miss.
+func (cf *CachedFile) resident(id int64) bool {
+	_, ok := cf.cache.index[blockKey{file: cf.id, block: id}]
+	return ok
+}
+
 // block returns the valid bytes of block id, from the cache on a hit,
 // loading (and verifying) from disk on a miss. The returned slice aliases
 // the cache frame and is only valid until the next cache operation.

@@ -427,6 +427,29 @@ func (g *Graph) readList(off int64, deg uint32, buf []uint32) ([]uint32, error) 
 	return buf, nil
 }
 
+// Resident reports whether Neighbors(v) would be served from the cache
+// without a read: v's list is at most one block of arcs (deg(v) ≤
+// B/ArcSize) and every block it spans is in a frame. It answers from the
+// node index and the cache's key map, reads nothing and leaves the cache
+// as it was (no reference bit, no hit or miss counted); before the first
+// use has built the index it reports false.
+func (g *Graph) Resident(v uint32) bool {
+	x := g.idx
+	if x == nil || v >= g.meta.N {
+		return false
+	}
+	b := int64(g.et.cache.b)
+	n := int64(x.deg[v]) * ArcSize
+	if n > b {
+		return false
+	}
+	if n == 0 {
+		return true
+	}
+	off := x.offset(v) * ArcSize
+	return g.et.resident(off/b) && g.et.resident((off+n-1)/b)
+}
+
 // ScanDegrees streams (v, deg(v)) for all nodes from the node index: the
 // first use's sequential pass over the node table, none after it.
 func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -280,6 +281,85 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(117))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropertyResident holds Resident to what it promises, on random
+// banded graphs with hubs longer than a block, read at B = 512 through a
+// 6-frame verified cache in random order: it is false before the index
+// exists and for every list longer than B/ArcSize arcs; otherwise it is
+// true exactly when Neighbors then reads nothing; and asking changes no
+// frame's reference bit, no counter and no read count.
+func TestPropertyResident(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 300 + r.Intn(300)
+		adj := make([][]uint32, n)
+		hub := func(v int) bool { return v%97 == 0 }
+		for v := 0; v < n; v++ {
+			for u := 0; u < n; u++ {
+				near := u != v && u >= v-3 && u <= v+3
+				if near || (u != v && (hub(u) || hub(v)) && (u+v)%2 == 0) {
+					adj[v] = append(adj[v], uint32(u))
+				}
+			}
+		}
+		base := filepath.Join(t.TempDir(), "g")
+		const blockSize = 512
+		b, err := NewBuilder(base, uint32(n), stats.NewIOCounter(blockSize))
+		if err != nil {
+			return false
+		}
+		for v := 0; v < n; v++ {
+			if err := b.AppendList(uint32(v), adj[v]); err != nil {
+				return false
+			}
+		}
+		if err := b.Close(); err != nil {
+			return false
+		}
+		ctr := stats.NewIOCounter(blockSize)
+		cache := NewBlockCache(6, blockSize)
+		g, err := OpenCached(base, ctr, cache)
+		if err != nil {
+			return false
+		}
+		defer g.Close()
+		if g.Resident(0) {
+			t.Logf("seed %d: resident before the index exists", seed)
+			return false
+		}
+		refs := func() []bool {
+			var out []bool
+			for _, fr := range cache.frames {
+				out = append(out, fr.ref)
+			}
+			return out
+		}
+		for trial := 0; trial < 200; trial++ {
+			v := uint32(r.Intn(n))
+			if trial%3 != 0 {
+				v = uint32(r.Intn(8)) + uint32(n/2) // revisit a few nodes so some are resident
+			}
+			st, reads, ref := cache.Stats(), ctr.Reads(), refs()
+			res := g.Resident(v)
+			if cache.Stats() != st || ctr.Reads() != reads || !slices.Equal(refs(), ref) {
+				t.Logf("seed %d trial %d: Resident(%d) touched the cache", seed, trial, v)
+				return false
+			}
+			if _, err := g.Neighbors(v, nil); err != nil {
+				return false
+			}
+			paid := ctr.Reads() != reads
+			if long := len(adj[v])*ArcSize > blockSize; (long && res) || (!long && res == paid) {
+				t.Logf("seed %d trial %d: Resident(%d) = %v, degree %d, the read paid %v", seed, trial, v, res, len(adj[v]), paid)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(131))}); err != nil {
 		t.Fatal(err)
 	}
 }
