@@ -358,8 +358,8 @@ func (g *Graph) Neighbors(v uint32, buf []uint32) ([]uint32, error) {
 }
 
 // Resident reports whether Neighbors(v) would read no block: v's base
-// list is cached whole (storage.Graph.Resident), and its buffered edits
-// are in memory anyway.
+// list is cached whole (storage.Graph.Resident; always false without
+// Options.CacheBlocks), and its buffered edits are in memory anyway.
 func (g *Graph) Resident(v uint32) bool { return g.disk.Resident(v) }
 
 // merged is deg(v) in the base adjusted by v's buffered edits.

@@ -16,31 +16,30 @@ import (
 	"kcore/internal/verify"
 )
 
-// passSchedule hides a graph's Resident and Neighbors, so SemiCore* runs
-// the printed pass schedule on it (no revisits).
-type passSchedule struct{ graph.Source }
-
 // starOnDisk decomposes the on-disk graph at base with SemiCore* under
-// either recompute rule, with revisits unless passOnly, and returns the
-// result with the block reads it cost (1 KiB blocks, so the small
-// fixtures still span many blocks, through storage.Open's 64 frames).
-func starOnDisk(t *testing.T, base string, paperRule, passOnly bool) (*Result, int64) {
+// either recompute rule through a cache of the given frames
+// (storage.OpenCached, its reads at open left out) and returns the result
+// with the block reads it cost (1 KiB blocks, so the small fixtures still
+// span many blocks). SemiCore* recomputes resident nodes behind its cursor
+// at once unless passOnly hides the cache from it.
+func starOnDisk(t *testing.T, base string, paperRule bool, frames int, passOnly bool) (*Result, int64) {
 	t.Helper()
 	ctr := stats.NewIOCounter(1024)
-	g, err := storage.Open(base, ctr)
+	g, err := storage.OpenCached(base, ctr, storage.NewBlockCache(frames, 1024))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
 	var src graph.Source = g
 	if passOnly {
-		src = passSchedule{g}
+		src = struct{ graph.Source }{g} // no Resident: the printed pass schedule
 	}
+	opened := ctr.Reads()
 	res, err := semiCoreStar(src, nil, paperRule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, ctr.Reads()
+	return res, ctr.Reads() - opened
 }
 
 // family is one generator family of the disk property tests; strictly
@@ -107,8 +106,8 @@ func matchOracle(t *testing.T, core []uint32, cnt []int32, results ...*Result) {
 // (strictly fewer on the skewed RMAT).
 func TestLookaheadMatchesOracleAndNeverReadsMore(t *testing.T) {
 	forEachFixture(t, func(t *testing.T, fam family, base string, core []uint32, cnt []int32) {
-		look, lookReads := starOnDisk(t, base, false, true)
-		paper, paperReads := starOnDisk(t, base, true, true)
+		look, lookReads := starOnDisk(t, base, false, 64, true)
+		paper, paperReads := starOnDisk(t, base, true, 64, true)
 		matchOracle(t, core, cnt, look, paper)
 		t.Logf("block reads: lookahead %d, paper's rule %d; node computations %d vs %d",
 			lookReads, paperReads, look.Stats.NodeComputations, paper.Stats.NodeComputations)
@@ -121,19 +120,24 @@ func TestLookaheadMatchesOracleAndNeverReadsMore(t *testing.T) {
 // TestRevisitsMatchOracleAndNeverReadMore runs SemiCore* as it runs on a
 // cached graph — a violated node behind the cursor whose list is resident
 // recomputed at once — and on the printed pass schedule, over the same
-// fixtures at B = 1024: both must land on the oracle's cores with exact
-// counters, and the revisits must never pay more block reads than the
-// pass schedule.
+// fixtures at B = 1024 through 2, 16 and 64 frames: both must land on the
+// oracle's cores with exact counters, and on these fixtures the revisits
+// must never pay more block reads than the pass schedule through the
+// same frames. That bound is measured here, not proved: on rmat17 through
+// 2 and 16 frames the revisits read 17 and 15 blocks more (12,674 and
+// 12,672 against 12,657; BenchmarkCacheSweepRMAT17).
 func TestRevisitsMatchOracleAndNeverReadMore(t *testing.T) {
 	forEachFixture(t, func(t *testing.T, _ family, base string, core []uint32, cnt []int32) {
-		rev, revReads := starOnDisk(t, base, false, false)
-		pass, passReads := starOnDisk(t, base, false, true)
-		matchOracle(t, core, cnt, rev, pass)
-		t.Logf("block reads: revisits %d, pass schedule %d; node computations %d vs %d; passes %d vs %d",
-			revReads, passReads, rev.Stats.NodeComputations, pass.Stats.NodeComputations,
-			rev.Stats.Iterations, pass.Stats.Iterations)
-		if revReads > passReads {
-			t.Fatalf("revisits read %d blocks, the pass schedule %d", revReads, passReads)
+		for _, frames := range []int{2, 16, 64} {
+			rev, revReads := starOnDisk(t, base, false, frames, false)
+			pass, passReads := starOnDisk(t, base, false, frames, true)
+			matchOracle(t, core, cnt, rev, pass)
+			t.Logf("%d frames: block reads: revisits %d, pass schedule %d; node computations %d vs %d; passes %d vs %d",
+				frames, revReads, passReads, rev.Stats.NodeComputations, pass.Stats.NodeComputations,
+				rev.Stats.Iterations, pass.Stats.Iterations)
+			if revReads > passReads {
+				t.Fatalf("%d frames: revisits read %d blocks, the pass schedule %d", frames, revReads, passReads)
+			}
 		}
 	})
 }

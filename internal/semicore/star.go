@@ -111,7 +111,9 @@ func (s *State) Converge(g graph.Source, vmin, vmax uint32, rs *stats.RunStats, 
 
 // residentSource is a graph that can say, without reading, whether a
 // node's list would come from memory, and read that one list:
-// storage.Graph and dyngraph.Graph, whose block cache answers.
+// storage.Graph and dyngraph.Graph, whose block cache answers when the
+// caller gave them one (on storage.Open's private frames every answer is
+// false).
 type residentSource interface {
 	Resident(v uint32) bool
 	Neighbors(v uint32, buf []uint32) ([]uint32, error)
@@ -233,11 +235,13 @@ func (s *State) converge(g graph.Source, rv *revisits, vmin, vmax uint32, rs *st
 // before its node's first computation overwrites it, so it stays
 // negative; isolated nodes get the real count 0.
 //
-// On a graph with a block cache (storage.Graph, dyngraph.Graph) a
-// violated node behind the cursor whose list is cached is recomputed at
-// once instead of in the next pass (revisits; n/8 more model bytes). The
-// in-memory CSR keeps the printed pass schedule. Maintenance (Converge)
-// keeps it everywhere.
+// On a graph that answers Resident (storage.Graph, dyngraph.Graph) it
+// keeps one bit per node (n/8 more model bytes), and where the caller
+// gave the graph a cache (storage.OpenCached, dyngraph.Options.CacheBlocks)
+// a violated node behind the cursor whose list is cached is recomputed at
+// once instead of in the next pass (revisits). The in-memory CSR and a
+// graph on storage.Open's frames keep the printed pass schedule, and
+// maintenance (Converge) keeps it everywhere.
 func SemiCoreStar(g graph.Source, opts *Options) (*Result, error) {
 	return semiCoreStar(g, opts, false)
 }

@@ -166,6 +166,8 @@ type Graph struct {
 	et   *CachedFile
 	io   *stats.IOCounter
 	idx  *nodeIndex // nil until the first read that needs a node record
+	// private marks Open's frames, which Resident does not answer for.
+	private bool
 
 	recBuf [NodeRecordSize]byte
 	nbrBuf []byte // scratch for neighbour byte decoding
@@ -284,7 +286,12 @@ func (c *nodeCheck) done() error {
 // use reads it into the index; edge blocks are loaded on trust, so
 // whoever must not take the tables on trust runs ScanVerified.
 func Open(base string, ctr *stats.IOCounter) (*Graph, error) {
-	return open(base, ctr, NewBlockCache(defaultCacheBlocks, ctr.BlockSize()), false)
+	g, err := open(base, ctr, NewBlockCache(defaultCacheBlocks, ctr.BlockSize()), false)
+	if err != nil {
+		return nil, err
+	}
+	g.private = true
+	return g, nil
 }
 
 // OpenCached opens the graph stored at base through cache, whose block
@@ -427,15 +434,19 @@ func (g *Graph) readList(off int64, deg uint32, buf []uint32) ([]uint32, error) 
 	return buf, nil
 }
 
-// Resident reports whether Neighbors(v) would be served from the cache
-// without a read: v's list is at most one block of arcs (deg(v) ≤
+// Resident reports whether Neighbors(v) would be served from the caller's
+// cache without a read: v's list is at most one block of arcs (deg(v) ≤
 // B/ArcSize) and every block it spans is in a frame. It answers from the
 // node index and the cache's key map, reads nothing and leaves the cache
 // as it was (no reference bit, no hit or miss counted); before the first
-// use has built the index it reports false.
+// use has built the index it reports false. A graph on Open's private
+// frames reports false for every node: those frames are sized for the
+// hub re-reads of maintenance, and SemiCore* recomputing resident nodes
+// out of turn would change the frames maintenance starts on (see
+// docs/ARCHITECTURE.md, "Cache-resident revisits").
 func (g *Graph) Resident(v uint32) bool {
 	x := g.idx
-	if x == nil || v >= g.meta.N {
+	if x == nil || g.private || v >= g.meta.N {
 		return false
 	}
 	b := int64(g.et.cache.b)

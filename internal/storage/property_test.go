@@ -290,7 +290,8 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 // 6-frame verified cache in random order: it is false before the index
 // exists and for every list longer than B/ArcSize arcs; otherwise it is
 // true exactly when Neighbors then reads nothing; and asking changes no
-// frame's reference bit, no counter and no read count.
+// frame's reference bit, no counter and no read count. Through Open's
+// private frames it is false, even for a list they hold.
 func TestPropertyResident(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -356,6 +357,15 @@ func TestPropertyResident(t *testing.T) {
 				t.Logf("seed %d trial %d: Resident(%d) = %v, degree %d, the read paid %v", seed, trial, v, res, len(adj[v]), paid)
 				return false
 			}
+		}
+		pg, err := Open(base, stats.NewIOCounter(blockSize))
+		if err != nil {
+			return false
+		}
+		defer pg.Close()
+		if _, err := pg.Neighbors(1, nil); err != nil || pg.Resident(1) {
+			t.Logf("seed %d: Open's private frames answered Resident(1) = true (err %v)", seed, err)
+			return false
 		}
 		return true
 	}
