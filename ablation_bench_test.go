@@ -27,7 +27,7 @@ func BenchmarkAblationBlockSize(b *testing.B) {
 			var reads int64
 			for i := 0; i < b.N; i++ {
 				ctr := stats.NewIOCounter(bs)
-				g, err := storage.Open(base, ctr)
+				g, err := storage.Open(base, ctr, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -54,7 +54,7 @@ func BenchmarkAblationEMCoreBudget(b *testing.B) {
 			var peak int64
 			for i := 0; i < b.N; i++ {
 				ctr := stats.NewIOCounter(0)
-				g, err := storage.Open(base, ctr)
+				g, err := storage.Open(base, ctr, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -166,7 +166,7 @@ func BenchmarkFig9DecompSmall(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/EMCore", name), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ctr := stats.NewIOCounter(0)
-				sg, err := storage.Open(base, ctr)
+				sg, err := storage.Open(base, ctr, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -33,17 +33,18 @@ func fileBlocks(t *testing.T, base string, b int64, exts ...string) int64 {
 	return n
 }
 
-// TestCachedOpenIOGate pins what opening a graph through the block cache
-// costs: with the checksum sidecar Build writes, reading the sidecar —
+// TestCachedOpenIOGate pins what opening a graph costs, whatever its
+// frames: with the checksum sidecar Build writes, reading the sidecar —
 // ⌈crc/B⌉ blocks, folded into the per-block checksums every later cache
 // fill is verified against and held to the header's whole-table ones —
 // and not one block more, nor any write, nor any cache lookup. Without
 // the sidecar (a graph from an older builder, a follower's download) the
 // open falls back to one sequential pass over both tables, ⌈nt/B⌉ +
-// ⌈et/B⌉ reads, recording the same checksums. An uncached Open reads
-// nothing.
+// ⌈et/B⌉ reads, recording the same checksums. The default open pays the
+// sidecar too.
 func TestCachedOpenIOGate(t *testing.T) {
 	g := buildFrom(t, gen.RMAT(13, 12, .57, .19, .19, 1), 0)
+	sidecar := fileBlocks(t, g.Base(), 4096, ".crc")
 	for _, leg := range []struct {
 		name string
 		exts []string
@@ -66,8 +67,8 @@ func TestCachedOpenIOGate(t *testing.T) {
 		}
 		cg.Close()
 	}
-	if io := g.IOStats(); io.Reads != 0 {
-		t.Errorf("an uncached Open charged %d reads", io.Reads)
+	if io := g.IOStats(); io.Reads != sidecar {
+		t.Errorf("the default open charged %d reads, want the sidecar's %d", io.Reads, sidecar)
 	}
 }
 
@@ -129,8 +130,8 @@ func TestCachedFoldBackIOGate(t *testing.T) {
 // a checksum can tell — fails the Flush with the checksum error and
 // leaves every file at the graph's base as it was, instead of being
 // copied into new tables whose fresh checksums would vouch for the
-// damage. On both block readers: the default frames take the blocks they
-// load on trust, a cache checks each against the sidecar.
+// damage. On the default frames and through a cache of four alike: the
+// pass fails at the damaged block's fill.
 func TestFlushRefusesDamagedTable(t *testing.T) {
 	edges := gen.RMAT(10, 8, .57, .19, .19, 2)
 	for _, frames := range []int{0, 4} {
@@ -349,126 +350,134 @@ func TestDurableFoldBackIOGate(t *testing.T) {
 	}
 }
 
-// TestCachedGraphRefusesDamagedBlocks: a graph read through the block
-// cache never serves bytes that disagree with its header. A block damaged
-// after Open — here one byte of a neighbour id, in a block the cache does
-// not hold — fails the first operation that fetches it, with the checksum
-// error and no neighbour list, and keeps failing; blocks around it still
-// read. A fresh open finds the same damage at the first fill of that
-// block: the sidecar vouches for the tables as they were written, not as
-// they are. So a damaged graph still never serves: SemiCore*'s first pass
-// reads every block, and an engine's first open, plain or durable, fails.
+// TestCachedGraphRefusesDamagedBlocks: a graph never serves bytes that
+// disagree with its header, on the default frames (CacheBlocks 0, which
+// used to take the edge blocks it loaded on trust and served the damaged
+// list) as through a cache of four. A block damaged after Open — here one
+// byte of a neighbour id, in a block the cache does not hold — fails the
+// first operation that fetches it, with the checksum error and no
+// neighbour list, and keeps failing; blocks around it still read. A fresh
+// open finds the same damage at the first fill of that block: the
+// sidecar vouches for the tables as they were written, not as they are.
+// So a damaged graph still never serves: SemiCore*'s first pass reads
+// every block, and an engine's first open, plain or durable, fails.
 // Without the sidecar the open's pass over the tables finds it at Open.
 func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
-	g := buildFrom(t, gen.RMAT(10, 8, .57, .19, .19, 2), 0)
-	base, n := g.Base(), g.NumNodes()
-	opts := &kcore.OpenOptions{BlockSize: 512, CacheBlocks: 4}
-	flip := func(off int64) {
-		t.Helper()
-		f, err := os.OpenFile(base+".et", os.O_RDWR, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		var b [1]byte
-		if _, err := f.ReadAt(b[:], off); err != nil {
-			t.Fatal(err)
-		}
-		b[0] ^= 0x01
-		if _, err := f.WriteAt(b[:], off); err != nil {
-			t.Fatal(err)
-		}
-	}
-	corrupt := func(what string, err error) {
-		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "corrupt") {
-			t.Fatalf("%s: %v, want the checksum error", what, err)
-		}
-	}
+	for _, frames := range []int{0, 4} {
+		t.Run(fmt.Sprintf("frames=%d", frames), func(t *testing.T) {
+			g := buildFrom(t, gen.RMAT(10, 8, .57, .19, .19, 2), 0)
+			base, n := g.Base(), g.NumNodes()
+			res, err := kcore.Decompose(g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := &kcore.OpenOptions{BlockSize: 512, CacheBlocks: frames}
+			flip := func(off int64) {
+				t.Helper()
+				f, err := os.OpenFile(base+".et", os.O_RDWR, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				var b [1]byte
+				if _, err := f.ReadAt(b[:], off); err != nil {
+					t.Fatal(err)
+				}
+				b[0] ^= 0x01
+				if _, err := f.WriteAt(b[:], off); err != nil {
+					t.Fatal(err)
+				}
+			}
+			corrupt := func(what string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), "corrupt") {
+					t.Fatalf("%s: %v, want the checksum error", what, err)
+				}
+			}
 
-	cg, err := kcore.Open(base, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cg.Close()
-	m, err := kcore.NewMaintainer(cg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill the four frames with the head of the tables, then damage the
-	// last edge-table block: the low byte of its last neighbour id.
-	if _, err := cg.Neighbors(0); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(base + ".et")
-	if err != nil {
-		t.Fatal(err)
-	}
-	flip(fi.Size() - 4)
-	last := n - 1
-	for d, _ := cg.Degree(last); d == 0; d, _ = cg.Degree(last) {
-		last-- // the node whose list ends the table
-	}
-	nbrs, err := cg.Neighbors(last)
-	corrupt(fmt.Sprintf("Neighbors(%d) over a damaged block", last), err)
-	if nbrs != nil {
-		t.Fatalf("Neighbors(%d) over a damaged block returned a list", last)
-	}
-	_, err = m.DeleteEdge(last, 0)
-	corrupt("a maintenance operation that fetches the damaged block", err)
-	if _, err := cg.Neighbors(0); err != nil {
-		t.Errorf("an undamaged block stopped reading: %v", err)
-	}
+			cg, err := kcore.Open(base, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cg.Close()
+			m, err := kcore.NewMaintainer(cg, &kcore.MaintainerOptions{FromResult: res})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Read the head of the tables into the frames, then damage the
+			// last edge-table block: the low byte of its last neighbour id.
+			if _, err := cg.Neighbors(0); err != nil {
+				t.Fatal(err)
+			}
+			fi, err := os.Stat(base + ".et")
+			if err != nil {
+				t.Fatal(err)
+			}
+			flip(fi.Size() - 4)
+			last := n - 1
+			for d, _ := cg.Degree(last); d == 0; d, _ = cg.Degree(last) {
+				last-- // the node whose list ends the table
+			}
+			nbrs, err := cg.Neighbors(last)
+			corrupt(fmt.Sprintf("Neighbors(%d) over a damaged block", last), err)
+			if nbrs != nil {
+				t.Fatalf("Neighbors(%d) over a damaged block returned a list", last)
+			}
+			_, err = m.DeleteEdge(last, 0)
+			corrupt("a maintenance operation that fetches the damaged block", err)
+			if _, err := cg.Neighbors(0); err != nil {
+				t.Errorf("an undamaged block stopped reading: %v", err)
+			}
 
-	// The same damage, after a fresh open: found at the first fill.
-	fresh, err := kcore.Open(base, opts)
-	if err != nil {
-		t.Fatalf("an open through a valid sidecar read the tables: %v", err)
-	}
-	_, err = fresh.Neighbors(last)
-	corrupt("the first fill of the damaged block", err)
-	if _, err := fresh.Neighbors(0); err != nil {
-		t.Errorf("an undamaged block of a fresh open: %v", err)
-	}
-	fresh.Close()
+			// The same damage, after a fresh open: found at the first fill.
+			fresh, err := kcore.Open(base, opts)
+			if err != nil {
+				t.Fatalf("an open through a valid sidecar read the tables: %v", err)
+			}
+			_, err = fresh.Neighbors(last)
+			corrupt("the first fill of the damaged block", err)
+			if _, err := fresh.Neighbors(0); err != nil {
+				t.Errorf("an undamaged block of a fresh open: %v", err)
+			}
+			fresh.Close()
 
-	// Never served: an engine's first open decomposes, and fails.
-	for _, durable := range []bool{false, true} {
-		eo := &engine.Options{Open: kcore.OpenOptions{BlockSize: 512}}
-		if durable {
-			eo.Durability = &engine.DurabilityOptions{Dir: t.TempDir()}
-		}
-		reg := engine.NewRegistry(eo)
-		_, err := reg.OpenBackend("g", base, engine.BackendConfig{Backend: engine.BackendDisk, CacheBlocks: 4})
-		reg.Close()
-		corrupt(fmt.Sprintf("engine first open (durable %v) of a damaged graph", durable), err)
-	}
+			// Never served: an engine's first open decomposes, and fails.
+			for _, durable := range []bool{false, true} {
+				eo := &engine.Options{Open: kcore.OpenOptions{BlockSize: 512}}
+				if durable {
+					eo.Durability = &engine.DurabilityOptions{Dir: t.TempDir()}
+				}
+				reg := engine.NewRegistry(eo)
+				_, err := reg.OpenBackend("g", base, engine.BackendConfig{CacheBlocks: frames})
+				reg.Close()
+				corrupt(fmt.Sprintf("engine first open (durable %v) of a damaged graph", durable), err)
+			}
 
-	// No sidecar: the open's pass checks each table against the header.
-	if err := os.Remove(base + ".crc"); err != nil {
-		t.Fatal(err)
-	}
-	if bad, err := kcore.Open(base, opts); err == nil {
-		bad.Close()
-		t.Fatal("Open without a sidecar accepted an edge table whose checksum does not match the header")
+			// No sidecar: the open's pass checks each table against the header.
+			if err := os.Remove(base + ".crc"); err != nil {
+				t.Fatal(err)
+			}
+			if bad, err := kcore.Open(base, opts); err == nil {
+				bad.Close()
+				t.Fatal("Open without a sidecar accepted an edge table whose checksum does not match the header")
+			}
+		})
 	}
 }
 
 // TestCorruptNodeRecordIsAnError: a node record whose list cannot lie in
 // the edge table — here degree ≥ 0xff000000, which used to size a 16 GiB
 // scratch buffer and end the process with "out of memory" — is an error
-// from the first read that meets it, on the default open (which takes
-// the tables on trust, and so must name the node itself) and through a
-// verifying cache (whose block checksum catches it first).
+// from the first read that meets it and never a list. After an open the
+// sidecar vouched for, the block checksum catches it first, on the
+// default frames as through a cache of four. Under a header without
+// checksums (and no sidecar) the open's pass reads the damaged table,
+// records its checksums and builds the node index from it, so nodeCheck's
+// range check is the only guard: it must fail that open, naming node 5.
 func TestCorruptNodeRecordIsAnError(t *testing.T) {
-	for _, frames := range []int{0, 4} {
-		g := buildFrom(t, gen.RMAT(10, 8, .57, .19, .19, 2), 0)
-		cg, err := kcore.Open(g.Base(), &kcore.OpenOptions{CacheBlocks: frames})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cg.Close()
-		nt, err := os.OpenFile(g.Base()+".nt", os.O_WRONLY, 0)
+	damage := func(base string) {
+		t.Helper()
+		nt, err := os.OpenFile(base+".nt", os.O_WRONLY, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,16 +486,47 @@ func TestCorruptNodeRecordIsAnError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nbrs, err := cg.Neighbors(5)
-		if err == nil || nbrs != nil {
-			t.Fatalf("CacheBlocks %d: Neighbors(5) = %d neighbours, %v; want an error and no list", frames, len(nbrs), err)
+	}
+	for _, frames := range []int{0, 4} {
+		g := buildFrom(t, gen.RMAT(10, 8, .57, .19, .19, 2), 0)
+		cg, err := kcore.Open(g.Base(), &kcore.OpenOptions{CacheBlocks: frames})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if frames == 0 && !strings.Contains(err.Error(), "node 5") {
-			t.Errorf("CacheBlocks 0: %v, want the error to name node 5", err)
+		defer cg.Close()
+		damage(g.Base())
+		nbrs, err := cg.Neighbors(5)
+		if err == nil || nbrs != nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Fatalf("CacheBlocks %d: Neighbors(5) = %d neighbours, %v; want the checksum error and no list", frames, len(nbrs), err)
 		}
 		if _, err := cg.Degree(5); err == nil {
 			t.Errorf("CacheBlocks %d: Degree(5) read the record without complaint", frames)
 		}
+	}
+
+	base := buildFrom(t, gen.RMAT(10, 8, .57, .19, .19, 2), 0).Base()
+	meta, err := os.ReadFile(base + ".meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bare []string
+	for _, line := range strings.Split(string(meta), "\n") {
+		if !strings.HasPrefix(line, "ntcrc=") && !strings.HasPrefix(line, "etcrc=") {
+			bare = append(bare, line)
+		}
+	}
+	if err := os.WriteFile(base+".meta", []byte(strings.Join(bare, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(base + ".crc"); err != nil {
+		t.Fatal(err)
+	}
+	damage(base)
+	if bad, err := kcore.Open(base, nil); err == nil || !strings.Contains(err.Error(), "node 5") {
+		if bad != nil {
+			bad.Close()
+		}
+		t.Fatalf("Open of a node table without checksums: %v, want an error naming node 5", err)
 	}
 }
 
@@ -569,11 +609,10 @@ func deleteInsertRound(tb testing.TB, m *kcore.Maintainer, round []kcore.Edge) (
 // default buys is the re-reads of hub lists that SemiInsert* (and, on
 // the BA graph, SemiCore*'s partial passes) revisit — through two frames
 // the inserts read strictly more on every row, which is why the default
-// is not smaller. The two frames are a cached open, on which SemiCore*
-// also recomputes a violated node behind its cursor at once while the
-// frames hold its list; on the default frames it keeps the printed pass
-// schedule. The two SemiCore* runs follow different schedules, so the
-// two-frame one is pinned exactly (star2) instead of compared.
+// is not smaller. On any frames SemiCore* also recomputes a violated
+// node behind its cursor at once while the frames hold its list, and
+// through two frames that follows another schedule than through 64, so
+// the two-frame run is pinned exactly (star2) instead of compared.
 func TestCacheSizeIOLaw(t *testing.T) {
 	type pins struct{ basic, plus, star, del, ins, star2 int64 }
 	for _, fx := range []struct {
@@ -582,12 +621,12 @@ func TestCacheSizeIOLaw(t *testing.T) {
 		pins  map[int]pins // by block size
 	}{
 		{"rmat13", gen.RMAT(13, 12, .57, .19, .19, 1), map[int]pins{
-			4096: {1428, 1292, 710, 56, 4464, 703},
-			512:  {11361, 9292, 4146, 202, 19469, 4146},
+			4096: {1428, 1292, 441, 64, 4472, 703},
+			512:  {11361, 9292, 4110, 202, 19470, 4146},
 		}},
 		{"ba", gen.BarabasiAlbert(8000, 6, 3), map[int]pins{
-			4096: {3502, 3386, 471, 22, 5450, 811},
-			512:  {27827, 23859, 4769, 73, 137981, 4938},
+			4096: {3502, 3386, 200, 21, 5487, 811},
+			512:  {27827, 23859, 3363, 74, 137980, 4938},
 		}},
 	} {
 		base := filepath.Join(t.TempDir(), fx.name)
@@ -599,7 +638,7 @@ func TestCacheSizeIOLaw(t *testing.T) {
 		round = round[:50]
 		// run opens the graph on the given frames and returns the reads of
 		// SemiCore, SemiCore+, SemiCore*, the deletes and the inserts, the
-		// verified open's pass (CacheBlocks > 0) left out.
+		// open's sidecar read left out.
 		run := func(blockSize, frames int) [5]int64 {
 			g, err := kcore.Open(base, &kcore.OpenOptions{BlockSize: blockSize, CacheBlocks: frames})
 			if err != nil {
@@ -650,8 +689,8 @@ func TestCacheSizeIOLaw(t *testing.T) {
 // (docs/ARCHITECTURE.md, "Block readers: what a cache buys") on the
 // benchmark's fixture: per frame budget — 0 is the default open — the
 // block reads and time of SemiCore*, then the reads per edge of 100
-// SemiDelete* and 100 SemiInsert*. The verified open's pass over the
-// tables (frames > 0) is not in the counts.
+// SemiDelete* and 100 SemiInsert*. The open's sidecar read is not in the
+// counts.
 func BenchmarkCacheSweepRMAT17(b *testing.B) {
 	edges := gen.RMAT(17, 12, .57, .19, .19, 1)
 	base := filepath.Join(b.TempDir(), "rmat17")

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	kcored -graph /data/twitter -addr :8080 [-backend disk] [-load social=/data/social ...]
+//	kcored -graph /data/twitter -addr :8080 [-cache-blocks 1024] [-load social=/data/social ...]
 //	kcored -follow http://leader:7171 -addr :7272
 //
 // The -graph flag names the default graph (served both at /g/default/...
@@ -34,9 +34,8 @@
 // (GET /g/default/changes), and serves the same read routes with
 // epoch-consistent bounded-stale data (internal/replica). Local writes
 // are refused with 409. -follow composes with -data-dir (the follower's
-// checkpoint working directory) and with -backend/-cache-blocks (the
-// block reader its downloaded tables are served through), but not with
-// -graph/-load.
+// checkpoint working directory) and with -cache-blocks (the frames its
+// downloaded tables are read through), but not with -graph/-load.
 package main
 
 import (
@@ -72,13 +71,13 @@ func main() {
 		flush     = flag.Duration("flush", 2*time.Millisecond, "max delay before pending updates are applied")
 		queueCap  = flag.Int("queue", 4096, "ingest queue capacity (enqueue blocks when full)")
 		blockSize = flag.Int("block", 4096, "I/O accounting block size B")
-		backend   = flag.String("backend", "", "block reader under every opened graph's tables (internal/dyngraph, the paper's Section V scheme: the immutable CSR tables plus an in-memory insert/delete buffer, folded back into them whole when full): mem (the default: 64 cache frames, edge blocks taken on trust until a checkpoint scans them; the node table, read into memory at first use, is checked whole) or disk (a block cache of -cache-blocks frames that checks every block it loads against a checksum the graph's header vouches for, read from the checksum sidecar the graph was built with, or recorded by one pass over the tables at open when it has none; only the core arrays, the buffer and the cache are resident — with -data-dir too). Without -data-dir either backend folds back into the tables at the graph's path, on the writer; with it, the graph serves its own tables under the data dir (a copy of the base at first open) and folds back by adopting the checkpoint the full buffer triggers, written off the writer")
-		cacheBlks = flag.Int("cache-blocks", 0, "disk backend block-cache budget in blocks of -block bytes (0 picks the default, 1024); resident adjacency is capped at cache-blocks*block bytes however large the graph (plus 4 bytes of checksum per table block)")
+		backend   = flag.String("backend", "", "alias for -cache-blocks, kept for old command lines: mem is the default frames (any -cache-blocks ignored), disk is -cache-blocks frames (1024 when unset)")
+		cacheBlks = flag.Int("cache-blocks", 0, "frames of the block cache every opened graph's tables are read through, in blocks of -block bytes (0 picks the default, 64): resident adjacency is capped at cache-blocks*block bytes however large the graph, next to the core arrays, the node index and the update buffer. Every block a frame loads is checked against a checksum the graph's header vouches for, read from the checksum sidecar the graph was built with, or recorded by one pass over the tables at open when it has none")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the serving mux (see `make profile`); leave off in production")
-		dataDir   = flag.String("data-dir", "", "durability directory: every graph gets a write-ahead log and checkpoints under <dir>/<name>/, and a restart with the same -data-dir recovers all graphs (checkpoint + WAL replay) before opening any -graph/-load path anew. It adds no resident copy of the adjacency on either backend: a checkpoint streams the graph's own files (checkpoint_block_reads in /stats)")
+		dataDir   = flag.String("data-dir", "", "durability directory: every graph gets a write-ahead log and checkpoints under <dir>/<name>/, and a restart with the same -data-dir recovers all graphs (checkpoint + WAL replay) before opening any -graph/-load path anew. It adds no resident copy of the adjacency: a checkpoint streams the graph's own files (checkpoint_block_reads in /stats). Without it a full update buffer is folded back into the tables at the graph's path, on the writer; with it, the graph serves its own tables under the data dir (a copy of the base at first open) and folds back by adopting the checkpoint the full buffer triggers, written off the writer")
 		fsyncPol  = flag.String("fsync", "interval", "WAL sync policy with -data-dir: always (fsync every batch), interval (background fsync; a crash may lose the last unsynced batches), never (fsync only at checkpoints/shutdown)")
 		ckptEvery = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval with -data-dir (0 disables periodic checkpoints; one is still taken at startup, on clean shutdown and when the update buffer fills)")
-		follow    = flag.String("follow", "", "leader base URL (http://host:port): run as a read replica of the leader's default graph instead of opening any graph locally; -backend/-cache-blocks choose the block reader under the downloaded tables, -data-dir where they are kept; incompatible with -graph/-load")
+		follow    = flag.String("follow", "", "leader base URL (http://host:port): run as a read replica of the leader's default graph instead of opening any graph locally; -cache-blocks sizes the cache its downloaded tables are read through, -data-dir is where they are kept; incompatible with -graph/-load")
 	)
 	extra := make(map[string]string)
 	flag.Func("load", "additional graph as name=path (repeatable)", func(s string) error {

@@ -107,7 +107,7 @@ func Decompose(g *Graph, opts *DecomposeOptions) (*Result, error) {
 		if err := g.rawTablesCurrent("EMCore"); err != nil {
 			return nil, err
 		}
-		sg, err := storage.Open(g.base, g.ctr)
+		sg, err := storage.Open(g.base, g.ctr, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -35,8 +35,8 @@ type BuildOptions struct {
 
 // Build converts an edge stream into the on-disk node-table/edge-table
 // format at path prefix base (three files: base.meta, base.nt, base.et,
-// and the checksum sidecar base.crc a cached Open reads in place of a
-// pass over the tables). Edges are symmetrised, external-sorted and
+// and the checksum sidecar base.crc Open reads in place of a pass over
+// the tables). Edges are symmetrised, external-sorted and
 // deduplicated; self-loops are dropped.
 func Build(base string, src EdgeSource, opts *BuildOptions) error {
 	var o BuildOptions
@@ -59,27 +59,24 @@ type OpenOptions struct {
 	// kcored graph folds back at it by adopting a checkpoint: see Adopt.)
 	BufferArcs int
 	// CacheBlocks is the frame budget of the block cache the tables are
-	// read through. 0 selects the default: 64 frames — the measured
-	// ruling, see docs/ARCHITECTURE.md, "Block readers" — which take the
-	// edge blocks they load on trust and cost nothing at Open. Either way
-	// the first use reads the node table into memory and checks it whole
-	// against the header; the frames hold edge blocks only. A positive
-	// budget also verifies every block it loads against a checksum the
-	// header vouches for: Open reads the checksum sidecar Build writes
-	// beside the tables (base.crc), or, when there is none it can hold to
-	// the header, makes one pass over the tables to record them. The
-	// layout, the update buffer and the fold-back into the tables at
-	// base are the same either way.
+	// read through; 0 selects the default, 64 frames — the measured
+	// ruling, see docs/ARCHITECTURE.md, "Block readers". The first use
+	// reads the node table into memory and checks it whole against the
+	// header, so the frames hold edge blocks only, and every block a frame
+	// loads is verified against a checksum the header vouches for: Open
+	// reads the checksum sidecar Build writes beside the tables
+	// (base.crc), or, when there is none it can hold to the header, makes
+	// one pass over the tables to record them (and reads the node table
+	// into memory on the way).
 	CacheBlocks int
 }
 
 // Graph is a handle to an on-disk graph with a dynamic update overlay.
 // All reads and fold-back writes are counted at block granularity.
 type Graph struct {
-	dyn    *dyngraph.Graph
-	ctr    *stats.IOCounter
-	base   string
-	cached bool // opened with a CacheBlocks budget
+	dyn  *dyngraph.Graph
+	ctr  *stats.IOCounter
+	base string
 }
 
 // Open attaches to the graph stored at path prefix base.
@@ -93,7 +90,7 @@ func Open(base string, opts *OpenOptions) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{dyn: dyn, ctr: ctr, base: base, cached: o.CacheBlocks > 0}, nil
+	return &Graph{dyn: dyn, ctr: ctr, base: base}, nil
 }
 
 // Close releases the underlying files. If no fold-back (see FoldBacks)
@@ -167,19 +164,9 @@ func (g *Graph) Adopt(view *View, tables string) error { return g.dyn.Adopt(view
 // IOStats reports the cumulative block I/O performed through this handle.
 func (g *Graph) IOStats() IOStats { return ioStatsFrom(g.ctr.Snapshot()) }
 
-// Backend names how the tables are read, as kcored's -backend flag
-// spells it: "mem" for the default frames, "disk" for a budgeted,
-// verifying block cache (OpenOptions.CacheBlocks).
-func (g *Graph) Backend() string {
-	if g.cached {
-		return "disk"
-	}
-	return "mem"
-}
-
-// DiskStats snapshots the block cache, update buffer and fold-back gauges
-// of a graph opened with a CacheBlocks budget; nil otherwise. Unlike the rest of
-// the handle it may be called concurrently with a mutation.
+// DiskStats snapshots the block cache, update buffer and fold-back
+// gauges. Unlike the rest of the handle it may be called concurrently
+// with a mutation.
 func (g *Graph) DiskStats() *stats.DiskSnapshot { return g.dyn.DiskStats() }
 
 // ResetIOStats zeroes the handle's I/O counters (experiment hygiene).

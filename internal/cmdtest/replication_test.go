@@ -34,7 +34,7 @@ func followerStats(t *testing.T, base string) replicaStats {
 }
 
 // followerCacheBlocks reports the frame budget in a follower's /stats
-// disk block, -1 when it has none (an uncached follower).
+// disk block, -1 when it has none.
 func followerCacheBlocks(t *testing.T, base string) int {
 	t.Helper()
 	var st struct {
@@ -88,9 +88,9 @@ func coreVec(t *testing.T, base string, n int) []uint32 {
 // processes: a durable leader and a -follow follower. The follower
 // bootstraps from the leader's checkpoint, tails its change stream,
 // converges to every leader write, refuses local writes, and — killed
-// hard mid-stream and restarted on the same directory, this time behind
-// -backend disk — bootstraps again, reconverges, and serves through the
-// block cache it was given.
+// hard mid-stream and restarted on the same directory, this time with
+// -cache-blocks 8 — bootstraps again, reconverges, and serves through the
+// frames it was given.
 func TestKcoredFollowerEndToEnd(t *testing.T) {
 	leaderURL, _, _ := startKcoredProc(t,
 		"-graph", graphBase, "-addr", "127.0.0.1:0", "-flush", "1ms",
@@ -117,8 +117,8 @@ func TestKcoredFollowerEndToEnd(t *testing.T) {
 	if rs.Bootstraps < 1 {
 		t.Fatalf("follower converged without a bootstrap: %+v", rs)
 	}
-	if n := followerCacheBlocks(t, followerURL); n != -1 {
-		t.Fatalf("a follower started without -backend reports a %d-frame block cache", n)
+	if n := followerCacheBlocks(t, followerURL); n != 64 {
+		t.Fatalf("a follower started without -cache-blocks reads through %d frames (-1: none), want the default 64", n)
 	}
 	if got, want := coreVec(t, followerURL, 24), coreVec(t, leaderURL, 24); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("follower cores %v differ from leader %v", got, want)
@@ -164,10 +164,10 @@ func TestKcoredFollowerEndToEnd(t *testing.T) {
 
 	followerURL2, _, _ := startKcoredProc(t,
 		"-follow", leaderURL, "-addr", "127.0.0.1:0", "-flush", "1ms",
-		"-data-dir", followDir, "-backend", "disk", "-cache-blocks", "8")
+		"-data-dir", followDir, "-cache-blocks", "8")
 	waitFollowerLSN(t, followerURL2, 3, 10*time.Second)
 	if n := followerCacheBlocks(t, followerURL2); n != 8 {
-		t.Fatalf("-follow -backend disk -cache-blocks 8 serves through %d cache frames (-1: none)", n)
+		t.Fatalf("-follow -cache-blocks 8 serves through %d cache frames (-1: none)", n)
 	}
 	if got, want := coreVec(t, followerURL2, 24), coreVec(t, leaderURL, 24); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("restarted follower cores %v differ from leader %v", got, want)

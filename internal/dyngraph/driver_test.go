@@ -24,17 +24,12 @@ type fixture struct {
 func (f *fixture) files() []string { return []string{f.base + ".nt", f.base + ".et"} }
 
 // gauges snapshots everything a view must not move: the graph's I/O
-// counter and, where there is one, the block cache's counters.
-func (f *fixture) gauges() any {
-	if ds := f.DiskStats(); ds != nil {
-		return [2]any{f.ctr.Snapshot(), *ds}
-	}
-	return f.ctr.Snapshot()
-}
+// counter and the block cache's counters.
+func (f *fixture) gauges() any { return [2]any{f.ctr.Snapshot(), *f.DiskStats()} }
 
 // drivers is the conformance table: everything dyngraph promises must
-// hold however the tables are opened — the default frames, or a
-// verifying cache of four, far below any fixture's adjacency.
+// hold whatever the frames — the default 64 ("uncached", as it was once
+// named), or a cache of four, far below any fixture's adjacency.
 var drivers = []struct {
 	name        string
 	cacheBlocks int

@@ -10,10 +10,10 @@
 // accepted, how a neighbour list is the base list overlaid with them,
 // when the buffer is folded back, and what a pinned View captures are
 // decided here once. The base under it is one layout, the CSR table pair
-// at a path prefix, read through a block cache — storage.Open's few
-// frames or, with Options.CacheBlocks, a budgeted, checksummed one — and
-// folded back by one writer, storage.WriteGraph of a View: Compact writes
-// the graph's own tables, Adopt takes a checkpoint's.
+// at a path prefix, read through the graph's own checksummed block cache
+// of Options.CacheBlocks frames (storage.Open), and folded back by one
+// writer, storage.WriteGraph of a View: Compact writes the graph's own
+// tables, Adopt takes a checkpoint's.
 package dyngraph
 
 import (
@@ -37,16 +37,16 @@ type Options struct {
 	// BufferArcs is the buffered-arc capacity past which the buffer is
 	// folded back (each logical edge buffers two arcs).
 	BufferArcs int
-	// CacheBlocks, when positive, reads the tables through a CLOCK cache
-	// of that many blocks that verifies each block it loads; otherwise
-	// they are read as storage.Open reads them.
+	// CacheBlocks is the frame count of the CLOCK cache the tables are
+	// read through, which verifies each block it loads; a non-positive
+	// count selects the default, 64.
 	CacheBlocks int
 }
 
 // Graph is an on-disk base graph with a write buffer overlay.
 type Graph struct {
 	disk    *storage.Graph      // the current tables; replaced by every fold-back
-	cache   *storage.BlockCache // the budgeted cache they are read through; nil: storage.Open's frames
+	cache   *storage.BlockCache // the frames they are read through, kept across fold-backs
 	ins     map[uint32][]uint32 // sorted inserted neighbours
 	del     map[uint32][]uint32 // sorted deleted neighbours
 	bufArcs atomic.Int64        // written by the owner, read by stats
@@ -80,29 +80,21 @@ func Open(base string, ctr *stats.IOCounter, opts Options) (*Graph, error) {
 		ctr = stats.NewIOCounter(0)
 	}
 	removeTables(base + ".compact") // a fold-back some killed process never finished
-	g := &Graph{ins: make(map[uint32][]uint32), del: make(map[uint32][]uint32), limit: opts.BufferArcs}
+	g := &Graph{
+		ins:   make(map[uint32][]uint32),
+		del:   make(map[uint32][]uint32),
+		limit: opts.BufferArcs,
+		cache: storage.NewBlockCache(opts.CacheBlocks, ctr.BlockSize()),
+	}
 	if g.limit <= 0 {
 		g.limit = DefaultBufferArcs
 	}
-	if opts.CacheBlocks > 0 {
-		g.cache = storage.NewBlockCache(opts.CacheBlocks, ctr.BlockSize())
-	}
-	if err := g.open(base, ctr); err != nil {
+	var err error
+	if g.disk, err = storage.Open(base, ctr, g.cache); err != nil {
 		return nil, err
 	}
 	g.arcs = g.disk.NumArcs()
 	return g, nil
-}
-
-// open attaches the tables at base; with a budgeted cache it is a
-// verified open (storage.OpenCached), through their sidecar.
-func (g *Graph) open(base string, ctr *stats.IOCounter) (err error) {
-	if g.cache == nil {
-		g.disk, err = storage.Open(base, ctr)
-	} else {
-		g.disk, err = storage.OpenCached(base, ctr, g.cache)
-	}
-	return err
 }
 
 // Close releases the tables. The files are the caller's graph: if no
@@ -140,12 +132,8 @@ func (g *Graph) NumEdges() int64 { return g.arcs / 2 }
 func (g *Graph) BufferedArcs() int { return int(g.bufArcs.Load()) }
 
 // DiskStats snapshots the block cache, the buffer's fill and the
-// fold-backs done so far, from any goroutine; nil on a graph opened
-// without a cache budget.
+// fold-backs done so far, from any goroutine.
 func (g *Graph) DiskStats() *stats.DiskSnapshot {
-	if g.cache == nil {
-		return nil
-	}
 	cs := g.cache.Stats()
 	return &stats.DiskSnapshot{
 		CacheBlocks:    cs.Blocks,
@@ -340,7 +328,7 @@ func (g *Graph) swap(fill func(tmp string) error) (err error) {
 			return fmt.Errorf("dyngraph: swapping %s: %w", ext, err)
 		}
 	}
-	if err := g.open(base, ctr); err != nil {
+	if g.disk, err = storage.Open(base, ctr, g.cache); err != nil {
 		return err
 	}
 	g.merges.Add(1)
@@ -358,8 +346,8 @@ func (g *Graph) Neighbors(v uint32, buf []uint32) ([]uint32, error) {
 }
 
 // Resident reports whether Neighbors(v) would read no block: v's base
-// list is cached whole (storage.Graph.Resident; always false without
-// Options.CacheBlocks), and its buffered edits are in memory anyway.
+// list is cached whole (storage.Graph.Resident), and its buffered edits
+// are in memory anyway.
 func (g *Graph) Resident(v uint32) bool { return g.disk.Resident(v) }
 
 // merged is deg(v) in the base adjusted by v's buffered edits.

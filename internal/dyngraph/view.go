@@ -6,7 +6,7 @@ import (
 )
 
 // View is a pinned, read-only image of the graph as it stood at Pin:
-// private read handles on the tables that were current, a copy of the
+// a second read handle on the tables that were current, a copy of the
 // update buffer, and the arc count. Nothing in it is O(m) — the
 // adjacency stays in the files, which the open handles keep readable
 // however many fold-backs rename newer ones into their place while the
@@ -24,7 +24,7 @@ type View struct {
 // (under internal/serve, the writer: see ConcurrentSession.Do), reads no
 // block of the base and costs O(buffer), independent of the graph's size.
 func (g *Graph) Pin() (*View, error) {
-	disk, err := storage.Open(g.disk.Base(), g.disk.IOCounter()) // frames of its own
+	disk, err := g.disk.Reopen() // frames of its own, the checksums the open vouched for
 	if err != nil {
 		return nil, err
 	}
@@ -51,9 +51,9 @@ func (vw *View) NumArcs() int64 { return vw.arcs }
 // neighbour list, valid during the call only. Both tables are read
 // front to back through the view's own frames: every block once, charged
 // to io — never to the counter or the cache the graph serves from — and
-// checked against the CRC32C their header records (storage.ScanVerified),
-// so a table damaged under the running graph fails the scan instead of
-// being copied.
+// checked against its own CRC32C and the whole tables against the ones
+// their header records (storage.ScanVerified), so a table damaged under
+// the running graph fails the scan instead of being copied.
 func (vw *View) Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
 	return vw.disk.ScanVerified(io, overlaid(vw.ins, vw.del, fn))
 }

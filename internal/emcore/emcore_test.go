@@ -19,7 +19,7 @@ func onDisk(t *testing.T, g *memgraph.CSR) *storage.Graph {
 	if err := graphio.WriteCSR(base, g, nil); err != nil {
 		t.Fatal(err)
 	}
-	dg, err := storage.Open(base, stats.NewIOCounter(0))
+	dg, err := storage.Open(base, stats.NewIOCounter(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,10 @@ const (
 	crashOps   = 6
 )
 
-// crashBackends are the backends the sweeps run over: the same tables
-// on the default frames and behind a verifying block cache — the
-// adjacency is opened differently, the same contract holds at every
-// boundary.
+// crashBackends are the frames the sweeps run over, as BackendConfig
+// spells them: the same tables through the default 64 frames and through
+// a cache of 8 — the reads land on other frames, the same contract holds
+// at every boundary.
 var crashBackends = []string{engine.BackendMem, engine.BackendDisk}
 
 // crashOutcome is what the script observed before the injected fault.

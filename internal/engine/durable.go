@@ -364,9 +364,7 @@ func (d *durable) Report() serve.Report {
 	w.CheckpointBlockReads = d.gd.IO().Snapshot().Reads
 	w.InplaceFoldbacks = d.inplace.Load()
 	r := d.inner.Report()
-	if r.Disk != nil {
-		r.Disk.OverlayLimit = d.fill // not the hard bound the graph is opened with
-	}
+	r.Disk.OverlayLimit = d.fill // not the hard bound the graph is opened with
 	r.Durability = &w
 	return r
 }

@@ -774,7 +774,7 @@ func TestRecoverLegacyShardedDataDir(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	legacy := "backend=sharded\nshards=3\npartitioner=ldg\ncache_blocks=0\n"
+	legacy := "backend=sharded\nshards=3\npartitioner=ldg\ncache_blocks=8\n"
 	if err := os.WriteFile(filepath.Join(img, "g", "CONFIG"), []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -792,8 +792,8 @@ func TestRecoverLegacyShardedDataDir(t *testing.T) {
 		t.Fatalf("replayed %d records, want all %d across the three logs", rep.Graphs[0].Replayed, k)
 	}
 	eng2, _ := reg2.Get("g")
-	if eng2.Report().Backend != engine.BackendMem {
-		t.Fatal("a legacy sharded CONFIG must normalise to the mem backend")
+	if r := eng2.Report(); r.Backend != engine.BackendMem || r.Disk.CacheBlocks != 64 {
+		t.Fatalf("a legacy sharded CONFIG recovered as %s on %d frames, want the default 64", r.Backend, r.Disk.CacheBlocks)
 	}
 	edges := gen.Social(n, 3, 8, 8, seed)
 	for _, up := range ups {

@@ -4,8 +4,8 @@
 // engines so one process can serve many graphs.
 //
 // It also owns the two things every way of getting a graph into service
-// shares: BringUp (tables at a path → kcore.Open behind the configured
-// block reader → serve.New, checked against the core numbers a
+// shares: BringUp (tables at a path → kcore.Open on the configured
+// frames → serve.New, checked against the core numbers a
 // checkpoint stored) and ApplyRecord (one logged record → one isolated
 // flush → one epoch). A first open, crash recovery and a replication
 // follower's bootstrap (internal/replica) are all BringUp; recovery's
@@ -47,13 +47,14 @@ type Engine interface {
 	Close() error
 }
 
-// Live is a graph in service: its tables, open behind the configured
-// block reader, and the session serving them. It is the plain Engine —
-// what a registry without a data dir registers — and what the durable
-// shell and a follower wrap.
+// Live is a graph in service: its tables, open on the configured frames,
+// and the session serving them. It is the plain Engine — what a registry
+// without a data dir registers — and what the durable shell and a
+// follower wrap.
 type Live struct {
 	*serve.ConcurrentSession
-	G *kcore.Graph
+	G       *kcore.Graph
+	backend string // Report's label: the frames as BackendConfig spells them
 }
 
 // ErrCoreMismatch reports tables that did not decompose to the core
@@ -79,11 +80,22 @@ func BringUp(base string, oo kcore.OpenOptions, so serve.Options, want []uint32)
 		g.Close() //nolint:errcheck // serve error wins
 		return nil, err
 	}
-	l := &Live{ConcurrentSession: sess, G: g}
+	l := &Live{ConcurrentSession: sess, G: g, backend: BackendMem}
+	if oo.CacheBlocks > 0 {
+		l.backend = BackendDisk
+	}
 	if want != nil && !slices.Equal(sess.Snapshot().Cores(), want) {
 		return l, ErrCoreMismatch
 	}
 	return l, nil
+}
+
+// Report labels the session's report with the graph's frames:
+// BackendMem for the default, BackendDisk for a count of the caller's.
+func (l *Live) Report() serve.Report {
+	r := l.ConcurrentSession.Report()
+	r.Backend = l.backend
+	return r
 }
 
 // Close drains and stops the session (tolerating one already stopped),

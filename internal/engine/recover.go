@@ -16,8 +16,8 @@ import (
 )
 
 // configName is the per-graph serving-configuration file inside a
-// durable graph directory: recovery reopens the graph behind the backend
-// it was created with.
+// durable graph directory: recovery reopens the graph on the frames it
+// was created with (normalize's spelling of them).
 const configName = "CONFIG"
 
 func writeGraphConfig(o *DurabilityOptions, dir string, c BackendConfig) error {
@@ -25,14 +25,15 @@ func writeGraphConfig(o *DurabilityOptions, dir string, c BackendConfig) error {
 	return wal.WriteFile(o.FS, filepath.Join(dir, configName), []byte(config))
 }
 
-// readGraphConfig parses the configuration file, defaulting to the mem
-// backend when it is missing or damaged (it is serving configuration,
-// not durable state — the graph's data is intact either way). Unknown
-// keys and backend names are skipped, which is how a file written by a
-// sharded kcored (backend=sharded, shards=N, partitioner=) comes back
-// as one mem writer, its per-shard logs merged by LSN (wal.Scan).
+// readGraphConfig parses the configuration file, defaulting to the
+// default frames when it is missing or damaged (it is serving
+// configuration, not durable state — the graph's data is intact either
+// way). Unknown keys and backend names are skipped, which is how a file
+// written by a sharded kcored (backend=sharded, shards=N, partitioner=)
+// comes back as one writer on the default frames, its per-shard logs
+// merged by LSN (wal.Scan).
 func readGraphConfig(dir string) BackendConfig {
-	var c BackendConfig
+	c := BackendConfig{Backend: BackendMem}
 	data, err := os.ReadFile(filepath.Join(dir, configName))
 	if err != nil {
 		return c

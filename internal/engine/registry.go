@@ -163,10 +163,10 @@ func (r *Registry) Open(name, base string) (Engine, error) {
 	return r.OpenBackend(name, base, BackendConfig{})
 }
 
-// OpenBackend opens the on-disk graph at path prefix base behind the
-// configured backend and registers it under name. In data-dir mode the
-// graph is copied into, and served from, its durable directory behind
-// the durability shell, whatever the backend.
+// OpenBackend opens the on-disk graph at path prefix base on the frames
+// c selects and registers it under name. In data-dir mode the graph is
+// copied into, and served from, its durable directory behind the
+// durability shell.
 func (r *Registry) OpenBackend(name, base string, c BackendConfig) (Engine, error) {
 	c, err := c.normalize()
 	if err != nil {
@@ -240,7 +240,8 @@ func (r *Registry) Names() []string {
 type GraphInfo struct {
 	Name string `json:"name"`
 	Path string `json:"path,omitempty"`
-	// Backend labels the serving backend ("mem", "disk", "follower").
+	// Backend labels the graph's frames ("mem" for the default, "disk"
+	// for a -cache-blocks count) or a follower ("follower").
 	Backend  string `json:"backend,omitempty"`
 	Nodes    uint32 `json:"nodes"`
 	Edges    int64  `json:"edges"`

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"kcore"
 	"kcore/internal/engine"
 	"kcore/internal/gen"
 	"kcore/internal/graphio"
@@ -23,6 +24,31 @@ func writeGraph(t testing.TB, n uint32, seed int64) string {
 		t.Fatal(err)
 	}
 	return base
+}
+
+// TestBackendAliasesResolveToFrames: -cache-blocks is the one knob and
+// -backend an alias for it, resolved as old command lines and CONFIG
+// files meant it: mem is the default frames whatever count is given,
+// disk without a count is 1,024, a bare count is that count, and an
+// unknown name is refused.
+func TestBackendAliasesResolveToFrames(t *testing.T) {
+	for _, tc := range []struct {
+		c      engine.BackendConfig
+		frames int
+	}{
+		{engine.BackendConfig{}, 0},
+		{engine.BackendConfig{CacheBlocks: 8}, 8},
+		{engine.BackendConfig{Backend: engine.BackendMem, CacheBlocks: 8}, 0},
+		{engine.BackendConfig{Backend: engine.BackendDisk}, 1024},
+		{engine.BackendConfig{Backend: engine.BackendDisk, CacheBlocks: 8}, 8},
+	} {
+		if oo, err := tc.c.OpenOptions(kcore.OpenOptions{}); err != nil || oo.CacheBlocks != tc.frames {
+			t.Errorf("%+v opens on %d frames (%v), want %d", tc.c, oo.CacheBlocks, err, tc.frames)
+		}
+	}
+	if _, err := (engine.BackendConfig{Backend: "sharded"}).OpenOptions(kcore.OpenOptions{}); err == nil {
+		t.Error("an unknown backend name was accepted")
+	}
 }
 
 func TestRegistryOpenGetDrop(t *testing.T) {

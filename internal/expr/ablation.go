@@ -51,7 +51,7 @@ func Ablation(cfg *Config) error {
 	t.row("B", "read I/O", "read bytes", "time")
 	for _, bs := range []int{1024, 4096, 65536} {
 		ctr := stats.NewIOCounter(bs)
-		g, err := storage.Open(base, ctr)
+		g, err := storage.Open(base, ctr, nil)
 		if err != nil {
 			return err
 		}
@@ -71,7 +71,7 @@ func Ablation(cfg *Config) error {
 	arcs := csr.NumArcs()
 	for _, budget := range []int64{arcs / 16, arcs / 4, arcs, 2 * arcs} {
 		ctr := stats.NewIOCounter(cfg.BlockSize)
-		g, err := storage.Open(base, ctr)
+		g, err := storage.Open(base, ctr, nil)
 		if err != nil {
 			return err
 		}

@@ -49,7 +49,7 @@ func (v semiVariant) String() string {
 // timed runs compare algorithms, not page-cache state (the first
 // algorithm run on a dataset would otherwise pay all the cold misses).
 func warmFiles(base string) error {
-	g, err := storage.Open(base, stats.NewIOCounter(0))
+	g, err := storage.Open(base, stats.NewIOCounter(0), nil)
 	if err != nil {
 		return err
 	}
@@ -67,7 +67,7 @@ func (c *Config) runSemiDisk(variant semiVariant, base string) (record, error) {
 		return record{}, err
 	}
 	ctr := c.newCounter()
-	g, err := storage.Open(base, ctr)
+	g, err := storage.Open(base, ctr, nil)
 	if err != nil {
 		return record{}, err
 	}
@@ -106,7 +106,7 @@ func (c *Config) runEMCore(base, tempDir string) (record, error) {
 		return record{}, err
 	}
 	ctr := c.newCounter()
-	g, err := storage.Open(base, ctr)
+	g, err := storage.Open(base, ctr, nil)
 	if err != nil {
 		return record{}, err
 	}

@@ -36,7 +36,7 @@ func sources(t *testing.T) map[string]graph.Source {
 	if err := graphio.WriteCSR(base, csr, nil); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := storage.Open(base, stats.NewIOCounter(0))
+	disk, err := storage.Open(base, stats.NewIOCounter(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestAlgorithmsAgreeUnderMutation(t *testing.T) {
 		if err := dyn.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		disk, err := storage.Open(base, ctr)
+		disk, err := storage.Open(base, ctr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

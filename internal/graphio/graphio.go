@@ -172,7 +172,7 @@ func WriteCSR(base string, g *memgraph.CSR, ctr *stats.IOCounter) error {
 // helper; defeats the semi-external model by design).
 func ReadToCSR(base string) (*memgraph.CSR, error) {
 	ctr := stats.NewIOCounter(0)
-	g, err := storage.Open(base, ctr)
+	g, err := storage.Open(base, ctr, nil)
 	if err != nil {
 		return nil, err
 	}

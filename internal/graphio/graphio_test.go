@@ -104,7 +104,7 @@ func TestBuildGapNodes(t *testing.T) {
 	if err := Build(base, SliceSource(edges), BuildOptions{N: 6}); err != nil {
 		t.Fatal(err)
 	}
-	g, err := storage.Open(base, stats.NewIOCounter(0))
+	g, err := storage.Open(base, stats.NewIOCounter(0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestDiskBackedDecomposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctr := stats.NewIOCounter(0)
-	g, err := storage.Open(base, ctr)
+	g, err := storage.Open(base, ctr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 //
 //	GET    /healthz                     liveness + per-graph epochs
 //	GET    /graphs                      list registered graphs
-//	POST   /graphs                      open a graph: {"name":..,"path":..,"backend":"disk","cache_blocks":N}
+//	POST   /graphs                      open a graph: {"name":..,"path":..,"cache_blocks":N}
 //	DELETE /graphs/{name}               drain and drop a graph
 //	GET    /g/{name}/core?v=7           core number of node 7
 //	GET    /g/{name}/kcore?k=3&limit=9  k-core members (memoized per epoch)
@@ -203,10 +203,10 @@ func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// createGraphRequest is the body of POST /graphs. Backend selects the
-// serving engine: "mem" (default) or "disk" — the beyond-RAM engine
-// whose adjacency stays on disk behind a block cache of CacheBlocks
-// frames.
+// createGraphRequest is the body of POST /graphs. CacheBlocks is the
+// frame count of the block cache the graph's tables are read through (0:
+// the default, 64); Backend is its alias, as engine.BackendConfig reads
+// it.
 type createGraphRequest struct {
 	Name        string `json:"name"`
 	Path        string `json:"path"`
@@ -352,17 +352,17 @@ func handleStats(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
 		"nodes":   snap.NumNodes(),
 		"edges":   snap.NumEdges,
 	}
-	// The backend label says which engine kind serves this graph; the io
-	// block only appears once the backend has actually measured block
-	// I/O — an all-zero block would read as "measured: zero", which for
-	// purely in-memory serving is not what happened.
+	// The backend label says how the graph was opened (its frames, or a
+	// follower); the io block only appears once the graph has actually
+	// measured block I/O — an all-zero block would read as "measured:
+	// zero", which is not what happened before anything was read.
 	if rep.Backend != "" {
 		resp["backend"] = rep.Backend
 	}
 	if io := rep.IO; io.Total() != 0 || io.ReadBytes != 0 || io.WriteBytes != 0 {
 		resp["io"] = io
 	}
-	// Disk backends expose the cache/overlay/merge economy.
+	// Every graph exposes its cache/overlay/merge economy.
 	if rep.Disk != nil {
 		resp["disk"] = rep.Disk
 	}

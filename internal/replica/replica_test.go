@@ -39,11 +39,11 @@ import (
 //     retention removed the log segment its cursor needs.
 //
 // Every test is seeded and replayable with -seed, and runs once per
-// follower block reader in followerReaders: the leader is always a mem
-// graph, the follower serves its downloaded tables on the default frames
-// or through a verifying block cache far smaller than the adjacency.
+// follower frame count in followerReaders: the leader is always on the
+// default frames, the follower reads its downloaded tables through the
+// default frames or through a cache far smaller than the adjacency.
 
-// followerReaders are the configurations the follower side runs behind.
+// followerReaders are the frames the follower side runs on.
 var followerReaders = []engine.BackendConfig{
 	{Backend: engine.BackendMem},
 	{Backend: engine.BackendDisk, CacheBlocks: 4},
@@ -240,17 +240,16 @@ func (h *leaderHarness) verify(f *replica.Follower, log *ackLog) {
 	}
 }
 
-// checkReader asserts the follower serves through the reader it was
-// configured with: a cached follower reports its block-cache economy, an
-// uncached one has none to report.
+// checkReader asserts the follower serves through the frames it was
+// configured with, and reports their economy.
 func checkReader(t *testing.T, f *replica.Follower, open kcore.OpenOptions) {
 	t.Helper()
-	d := f.Report().Disk
-	if (d != nil) != (open.CacheBlocks > 0) {
-		t.Fatalf("follower opened with CacheBlocks %d reports disk block %+v", open.CacheBlocks, d)
+	frames := open.CacheBlocks
+	if frames == 0 {
+		frames = 64 // the default
 	}
-	if d != nil && (d.CacheBlocks != open.CacheBlocks || d.CacheMisses == 0) {
-		t.Fatalf("cached follower's disk block = %+v, want %d frames and some misses", d, open.CacheBlocks)
+	if d := f.Report().Disk; d == nil || d.CacheBlocks != frames || d.CacheMisses == 0 {
+		t.Fatalf("follower opened with CacheBlocks %d reports disk block %+v, want %d frames and some misses", open.CacheBlocks, d, frames)
 	}
 }
 

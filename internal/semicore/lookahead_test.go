@@ -18,14 +18,14 @@ import (
 
 // starOnDisk decomposes the on-disk graph at base with SemiCore* under
 // either recompute rule through a cache of the given frames
-// (storage.OpenCached, its reads at open left out) and returns the result
+// (storage.Open, its reads at open left out) and returns the result
 // with the block reads it cost (1 KiB blocks, so the small fixtures still
 // span many blocks). SemiCore* recomputes resident nodes behind its cursor
 // at once unless passOnly hides the cache from it.
 func starOnDisk(t *testing.T, base string, paperRule bool, frames int, passOnly bool) (*Result, int64) {
 	t.Helper()
 	ctr := stats.NewIOCounter(1024)
-	g, err := storage.OpenCached(base, ctr, storage.NewBlockCache(frames, 1024))
+	g, err := storage.Open(base, ctr, storage.NewBlockCache(frames, 1024))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLookaheadMatchesOracleAndNeverReadsMore(t *testing.T) {
 }
 
 // TestRevisitsMatchOracleAndNeverReadMore runs SemiCore* as it runs on a
-// cached graph — a violated node behind the cursor whose list is resident
+// disk graph — a violated node behind the cursor whose list is resident
 // recomputed at once — and on the printed pass schedule, over the same
 // fixtures at B = 1024 through 2, 16 and 64 frames: both must land on the
 // oracle's cores with exact counters, and on these fixtures the revisits

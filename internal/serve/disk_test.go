@@ -254,9 +254,6 @@ func TestEngineMatchesMemOracle(t *testing.T) {
 	if ds.Merges == 0 {
 		t.Errorf("no overlay merges at BufferArcs=128: %+v", ds)
 	}
-	if b := eng.Report().Backend; b != "disk" {
-		t.Errorf("Report().Backend = %q", b)
-	}
 	if eng.Report().IO.Total() == 0 {
 		t.Error("IOStats().Total() = 0, disk backend should measure I/O")
 	}

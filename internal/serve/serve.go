@@ -135,11 +135,12 @@ func (o Options) withDefaults() Options {
 // ErrClosed is returned by operations on a closed session.
 var ErrClosed = errors.New("serve: session closed")
 
-// Report is everything an engine says about itself: which backend reads
-// its adjacency, and a snapshot of the counters of each layer it has. A
-// ConcurrentSession fills in the session's and the graph's part; the
-// shells around one (the durable shell in internal/engine, the follower
-// in internal/replica) add their block to the report of what they wrap.
+// Report is everything an engine says about itself: a label, and a
+// snapshot of the counters of each layer it has. A ConcurrentSession
+// fills in the session's and the graph's part; the engine around one
+// (internal/engine) labels it, and the shells around that (the durable
+// shell, the follower in internal/replica) add their block to the report
+// of what they wrap.
 type Report struct {
 	// Backend labels the engine in /stats and listings.
 	Backend string
@@ -148,8 +149,8 @@ type Report struct {
 	Serve stats.ServeSnapshot
 	// IO is the block I/O performed through the graph.
 	IO kcore.IOStats
-	// Disk is the block cache, update buffer and rewrite economy of a
-	// graph read through the block cache; nil otherwise.
+	// Disk is the block cache, update buffer and rewrite economy of the
+	// graph.
 	Disk *stats.DiskSnapshot
 	// Durability is the WAL/checkpoint/recovery block of a graph served
 	// from a data dir; nil otherwise.
@@ -342,10 +343,9 @@ func (s *ConcurrentSession) Apply(ups ...Update) error {
 func (s *ConcurrentSession) Report() Report {
 	s.ctr.SetQueueDepth(len(s.queue))
 	return Report{
-		Backend: s.g.Backend(),
-		Serve:   s.ctr.Snapshot(time.Now()),
-		IO:      s.g.IOStats(),
-		Disk:    s.g.DiskStats(),
+		Serve: s.ctr.Snapshot(time.Now()),
+		IO:    s.g.IOStats(),
+		Disk:  s.g.DiskStats(),
 	}
 }
 

@@ -1,10 +1,10 @@
 package stats
 
-// DiskSnapshot is a point-in-time view of a disk backend's working
+// DiskSnapshot is a point-in-time view of a graph's on-disk working
 // state: the block-cache economy (the whole adjacency memory budget),
 // the overlay fill level, and the cumulative cost of overlay merges.
 // Filled by internal/dyngraph (Graph.DiskStats), surfaced under
-// /g/{name}/stats.
+// /g/{name}/stats as the disk block every graph has.
 type DiskSnapshot struct {
 	// CacheBlocks and CacheBlockSize bound resident adjacency to
 	// CacheBlocks*CacheBlockSize bytes.

@@ -98,12 +98,15 @@ func TestServeCountersConcurrent(t *testing.T) {
 // TestServeSnapshotKeysAreDocumented holds ARCHITECTURE's observability
 // map to the counters /stats exports: the unprefixed names in its
 // "Counter (in `/stats`)" table must be exactly ServeSnapshot's JSON
-// keys. `make doc` runs it.
+// keys, and its disk.* names exactly DiskSnapshot's, the block every
+// graph has. `make doc` runs it.
 func TestServeSnapshotKeysAreDocumented(t *testing.T) {
 	var exported []string
-	st := reflect.TypeOf(ServeSnapshot{})
-	for i := range st.NumField() {
-		exported = append(exported, strings.Split(st.Field(i).Tag.Get("json"), ",")[0])
+	for prefix, block := range map[string]any{"": ServeSnapshot{}, "disk.": DiskSnapshot{}} {
+		st := reflect.TypeOf(block)
+		for i := range st.NumField() {
+			exported = append(exported, prefix+strings.Split(st.Field(i).Tag.Get("json"), ",")[0])
+		}
 	}
 
 	doc, err := os.ReadFile("../../docs/ARCHITECTURE.md")
@@ -117,7 +120,7 @@ func TestServeSnapshotKeysAreDocumented(t *testing.T) {
 	// The table's other unprefixed rows are /stats keys beside the serve
 	// block: Report's backend label and its io block.
 	notServe := []string{"backend", "io"}
-	name := regexp.MustCompile("`([a-z0-9_]+)`")
+	name := regexp.MustCompile("`((?:disk\\.)?[a-z0-9_]+)`")
 	var documented []string
 	for _, row := range strings.Split(table, "\n")[2:] {
 		if !strings.HasPrefix(row, "|") {
@@ -134,6 +137,6 @@ func TestServeSnapshotKeysAreDocumented(t *testing.T) {
 	slices.Sort(exported)
 	slices.Sort(documented)
 	if !slices.Equal(exported, documented) {
-		t.Fatalf("ServeSnapshot exports %v,\nthe observability map documents %v", exported, documented)
+		t.Fatalf("/stats exports %v,\nthe observability map documents %v", exported, documented)
 	}
 }

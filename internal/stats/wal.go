@@ -76,8 +76,8 @@ type WalSnapshot struct {
 	Fsyncs      int64 `json:"wal_fsyncs"`
 	Checkpoints int64 `json:"checkpoints"`
 	// CheckpointBlockReads counts the blocks checkpoints have read to
-	// stream their pinned view (the graph's live tables, through private
-	// handles on either backend); they never appear in the engine's own
+	// stream their pinned view (the graph's live tables, through a
+	// second handle of their own); they never appear in the engine's own
 	// io counters.
 	CheckpointBlockReads int64 `json:"checkpoint_block_reads"`
 	// CheckpointLastMs is the duration of the newest completed checkpoint.

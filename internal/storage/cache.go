@@ -44,12 +44,18 @@ type cacheFrame struct {
 	live bool
 }
 
+// defaultCacheBlocks is the frame count a budget of 0 selects. With the
+// node table in memory the frames hold edge blocks only, and a sequential
+// pass reads the same through two frames; what 64 buy is the re-reads of
+// hub lists that SemiInsert* and SemiCore*'s partial passes revisit
+// (measured in docs/ARCHITECTURE.md, "Block readers: what a cache buys").
+const defaultCacheBlocks = 64
+
 // NewBlockCache builds a cache of the given frame count and block size.
-// Budgets below one frame are clamped to one (the minimum that can make
-// progress).
+// A budget below one frame selects defaultCacheBlocks.
 func NewBlockCache(blocks, blockSize int) *BlockCache {
 	if blocks < 1 {
-		blocks = 1
+		blocks = defaultCacheBlocks
 	}
 	return &BlockCache{
 		b:      blockSize,
@@ -127,57 +133,27 @@ func (c *BlockCache) drop(id uint64) {
 }
 
 // CachedFile reads a file through a shared BlockCache, charging one read
-// I/O per block actually fetched from disk. When opened with per-block
-// checksums (OpenVerified records them) every fetched block is verified
-// before it enters the cache: a bit flip or a torn block
-// surfaces as an error at read time, never as silently wrong bytes, and
-// whole-block truncation is caught at Open by the size/checksum-count
-// cross-check.
+// I/O per block actually fetched from disk. Every fetched block is
+// verified against its CRC32C before it enters the cache: a bit flip or a
+// torn block surfaces as an error at read time, never as silently wrong
+// bytes, and whole-block truncation is caught at Open by the
+// size/checksum-count cross-check.
 type CachedFile struct {
 	f     *os.File
 	path  string
 	size  int64
 	id    uint64
 	cache *BlockCache
-	crcs  []uint32 // per-block CRC32C; nil disables verification
+	crcs  []uint32 // per-block CRC32C; nil until the first stream records them
 	io    *stats.IOCounter
 	last  int // the frame the previous lookup was served from
-}
-
-// OpenVerified opens path for cached, counted, checksummed reading. It
-// first streams the file once, charging ctr one read per block: the pass
-// records each block's CRC32C for later fills and, when want is non-nil,
-// must find the whole file's CRC32C equal to *want. The pass fills no
-// frame.
-func (c *BlockCache) OpenVerified(path string, want *uint32, ctr *stats.IOCounter) (*CachedFile, error) {
-	cf, err := c.Open(path, nil, ctr)
-	if err != nil {
-		return nil, err
-	}
-	var (
-		crcs  []uint32
-		whole uint32
-	)
-	err = cf.stream(func(blk []byte) error {
-		crcs = append(crcs, crc32.Checksum(blk, castagnoli))
-		whole = crc32.Update(whole, castagnoli, blk)
-		return nil
-	})
-	if err == nil && want != nil && whole != *want {
-		err = fmt.Errorf("storage: verify %s: crc %08x, want %08x", path, whole, *want)
-	}
-	if err != nil {
-		cf.Close()
-		return nil, err
-	}
-	cf.crcs = crcs
-	return cf, nil
 }
 
 // Open opens path for cached, counted reading. crcs, when non-nil, must
 // hold one CRC32C per block of the file at the cache's block size; the
 // count is cross-checked against the file size here so a truncated or
-// grown file is rejected immediately.
+// grown file is rejected immediately. A file opened with none must be
+// streamed, which records them, before its first fill.
 func (c *BlockCache) Open(path string, crcs []uint32, ctr *stats.IOCounter) (*CachedFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -267,9 +243,9 @@ func (cf *CachedFile) block(id int64) ([]byte, error) {
 	return fr.buf[:n], nil
 }
 
-// load reads block id, whose whole length dst must be, from the file,
-// verifies it when the file has checksums, and charges one read.
-func (cf *CachedFile) load(dst []byte, id int64) error {
+// read reads block id, whose whole length dst must be, from the file and
+// charges one read.
+func (cf *CachedFile) read(dst []byte, id int64) error {
 	off := id * int64(cf.cache.b)
 	n, err := cf.f.ReadAt(dst, off)
 	if err != nil && err != io.EOF {
@@ -278,29 +254,52 @@ func (cf *CachedFile) load(dst []byte, id int64) error {
 	if n != len(dst) {
 		return fmt.Errorf("storage: short block read on %s: got %d want %d at off %d (truncated)", cf.path, n, len(dst), off)
 	}
-	if cf.crcs != nil {
-		if got, want := crc32.Checksum(dst, castagnoli), cf.crcs[id]; got != want {
-			return fmt.Errorf("storage: block %d of %s corrupt: crc %08x want %08x", id, cf.path, got, want)
-		}
-	}
 	cf.io.AddReadBlocks(1)
+	return nil
+}
+
+// load reads block id and holds it to its recorded checksum.
+func (cf *CachedFile) load(dst []byte, id int64) error {
+	if err := cf.read(dst, id); err != nil {
+		return err
+	}
+	if got, want := crc32.Checksum(dst, castagnoli), cf.crcs[id]; got != want {
+		return fmt.Errorf("storage: block %d of %s corrupt: crc %08x want %08x", id, cf.path, got, want)
+	}
 	return nil
 }
 
 // stream reads the whole file front to back through a buffer of its own,
 // not the frames, and calls fn with each block in turn: one read charged
-// per block, each verified as a cache fill is.
+// per block, each verified as a cache fill is — or, on a file opened
+// without checksums, recorded for the fills to come (the open's pass).
 func (cf *CachedFile) stream(fn func(blk []byte) error) error {
-	buf := make([]byte, cf.cache.b)
-	for id := int64(0); id*int64(len(buf)) < cf.size; id++ {
-		blk := buf[:min(int64(len(buf)), cf.size-id*int64(len(buf)))]
-		if err := cf.load(blk, id); err != nil {
+	b := int64(cf.cache.b)
+	buf := make([]byte, b)
+	var crcs []uint32
+	record := cf.crcs == nil
+	if record {
+		crcs = make([]uint32, 0, (cf.size+b-1)/b)
+	}
+	for id := int64(0); id*b < cf.size; id++ {
+		blk := buf[:min(b, cf.size-id*b)]
+		var err error
+		if record {
+			err = cf.read(blk, id)
+			crcs = append(crcs, crc32.Checksum(blk, castagnoli))
+		} else {
+			err = cf.load(blk, id)
+		}
+		if err != nil {
 			return err
 		}
 		cf.io.AddReadBytes(int64(len(blk)))
 		if err := fn(blk); err != nil {
 			return err
 		}
+	}
+	if record {
+		cf.crcs = crcs
 	}
 	return nil
 }

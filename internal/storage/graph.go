@@ -6,14 +6,13 @@
 // and only adjacency is read from disk: a graph's first use reads the node
 // table once into an index (4n + n/8 bytes), checked whole against the
 // header, and every later record comes from there. There is one block
-// reader under the tables: a bounded CLOCK cache of B-sized frames
-// (CachedFile), which holds edge blocks only once the index is built.
-// Open gives a graph a private cache of defaultCacheBlocks frames and
-// takes the edge blocks it loads on trust; OpenCached reads through the
-// caller's cache and checks every block it loads against a CRC32C the
-// header vouches for, folded from the checksum sidecar or, failing that,
-// recorded by one pass at open. Either way ScanVerified reads the whole
-// graph against the header's checksums.
+// reader under the tables, a bounded CLOCK cache of B-sized frames
+// (CachedFile) that holds edge blocks only once the index is built, and
+// one open: Open reads through a cache of the caller's size and checks
+// every block it loads against a CRC32C the header vouches for, folded
+// from the checksum sidecar or, failing that, recorded by one pass at
+// open. ScanVerified reads the whole graph against the header's
+// checksums.
 //
 // A graph <base> occupies three files, and a fourth, optional one:
 //
@@ -147,14 +146,6 @@ func ReadMeta(base string) (Meta, error) {
 	return m, nil
 }
 
-// defaultCacheBlocks is the frame count of the private cache Open reads
-// through. With the node table in memory the frames hold edge blocks
-// only, and a sequential pass reads the same through two frames; what 64
-// buy is the re-reads of hub lists that SemiInsert* and SemiCore*'s
-// partial passes revisit (measured in docs/ARCHITECTURE.md, "Block
-// readers: what a cache buys").
-const defaultCacheBlocks = 64
-
 // Graph is a read handle over an on-disk graph. All reads are charged to
 // the counter passed at Open time. Beyond its cache's frames and scratch
 // reused across calls, a Graph holds the node table in memory from its
@@ -166,8 +157,6 @@ type Graph struct {
 	et   *CachedFile
 	io   *stats.IOCounter
 	idx  *nodeIndex // nil until the first read that needs a node record
-	// private marks Open's frames, which Resident does not answer for.
-	private bool
 
 	recBuf [NodeRecordSize]byte
 	nbrBuf []byte // scratch for neighbour byte decoding
@@ -195,9 +184,9 @@ func (x *nodeIndex) offset(v uint32) int64 {
 
 // index returns the node index, building it on first use from one
 // sequential pass over the node table that fills no frame. The pass is
-// charged ⌈nt/B⌉ reads and holds the records to what the header says of
-// the table (nodeCheck), so the default open, which loads blocks on
-// trust, checks its node table whole here. A failed pass keeps no index:
+// charged ⌈nt/B⌉ reads, checks every block as a fill does (or, as the
+// open's pass, records its checksum) and holds the records to what the
+// header says of the table (nodeCheck). A failed pass keeps no index:
 // the next use makes it again.
 func (g *Graph) index() (*nodeIndex, error) {
 	if g.idx != nil {
@@ -280,60 +269,44 @@ func (c *nodeCheck) done() error {
 	return nil
 }
 
-// Open opens the graph stored at base through a private cache of
-// defaultCacheBlocks frames, charging subsequent reads to ctr. Opening
-// reads no table block. The node table is checked whole when the first
-// use reads it into the index; edge blocks are loaded on trust, so
-// whoever must not take the tables on trust runs ScanVerified.
-func Open(base string, ctr *stats.IOCounter) (*Graph, error) {
-	g, err := open(base, ctr, NewBlockCache(defaultCacheBlocks, ctr.BlockSize()), false)
-	if err != nil {
-		return nil, err
-	}
-	g.private = true
-	return g, nil
-}
-
-// OpenCached opens the graph stored at base through cache, whose block
-// size must be ctr's, and checks every block a later cache fill loads
-// against a CRC32C the header vouches for — so no block that disagrees
-// with the header is ever served, however long after open it is first
-// fetched. The per-block checksums come from the sidecar when folding
-// its granule checksums reproduces the header's whole-table ones: that
-// costs the sidecar's blocks, charged to ctr. Otherwise (no sidecar, or
-// a stale, damaged or foreign one; a block size that is not a whole
-// number of granules; a graph from an older builder) opening reads both
-// tables once, front to back and charged to ctr, records the CRC32C of
-// every block and must reproduce the header's whole-table checksums
-// (headers from older builders carry none and pass unchecked, as in
-// Verify).
-func OpenCached(base string, ctr *stats.IOCounter, cache *BlockCache) (*Graph, error) {
-	return open(base, ctr, cache, true)
-}
-
-// open reads the header and attaches both tables through cache, with
-// per-block checksums when verify is set.
-func open(base string, ctr *stats.IOCounter, cache *BlockCache, verify bool) (*Graph, error) {
+// Open opens the graph stored at base through cache, whose block size
+// must be ctr's (nil: a cache of its own of defaultCacheBlocks frames),
+// charging every read to ctr, and checks every block a later cache fill
+// loads against a CRC32C the header vouches for — so no block that
+// disagrees with the header is ever served, however long after open it is
+// first fetched. The per-block checksums come from the sidecar when
+// folding its granule checksums reproduces the header's whole-table ones:
+// that costs the sidecar's blocks. Otherwise (no sidecar, or a stale,
+// damaged or foreign one; a block size that is not a whole number of
+// granules; a graph from an older builder) opening is the pass.
+func Open(base string, ctr *stats.IOCounter, cache *BlockCache) (*Graph, error) {
 	meta, err := ReadMeta(base)
 	if err != nil {
 		return nil, err
 	}
-	var ntBlocks, etBlocks []uint32
-	sidecar := false
-	if verify {
-		ntBlocks, etBlocks, sidecar = readSidecar(base, meta, cache.BlockSize(), ctr)
+	if cache == nil {
+		cache = NewBlockCache(0, ctr.BlockSize())
 	}
-	// blocks is nil unless the sidecar vouched for it.
-	table := func(path, name string, size int64, whole uint32, blocks []uint32) (t *CachedFile, err error) {
-		if verify && !sidecar {
-			want := &whole
-			if !meta.HasCRC {
-				want = nil
-			}
-			t, err = cache.OpenVerified(path, want, ctr)
-		} else {
-			t, err = cache.Open(path, blocks, ctr)
+	nt, et, vouched := readSidecar(base, meta, cache.BlockSize(), ctr)
+	g := &Graph{base: base, meta: meta, io: ctr}
+	if err := g.attach(cache, nt, et); err != nil {
+		return nil, err
+	}
+	if !vouched {
+		if err := g.pass(); err != nil {
+			g.Close()
+			return nil, err
 		}
+	}
+	return g, nil
+}
+
+// attach opens both tables through cache with the given per-block
+// checksums (nil: the first stream records them), each at the size the
+// header implies.
+func (g *Graph) attach(cache *BlockCache, ntCRCs, etCRCs []uint32) (err error) {
+	table := func(path, name string, size int64, crcs []uint32) (*CachedFile, error) {
+		t, err := cache.Open(path, crcs, g.io)
 		if err != nil {
 			return nil, err
 		}
@@ -343,16 +316,54 @@ func open(base string, ctr *stats.IOCounter, cache *BlockCache, verify bool) (*G
 		}
 		return t, nil
 	}
-	nt, err := table(nodePath(base), "node", int64(meta.N)*NodeRecordSize, meta.NtCRC, ntBlocks)
-	if err != nil {
+	if g.nt, err = table(nodePath(g.base), "node", int64(g.meta.N)*NodeRecordSize, ntCRCs); err != nil {
+		return err
+	}
+	if g.et, err = table(edgePath(g.base), "edge", g.meta.Arcs*ArcSize, etCRCs); err != nil {
+		g.nt.Close()
+	}
+	return err
+}
+
+// pass is the open of a graph no sidecar vouches for: both tables read
+// once, front to back, recording the CRC32C of every block for the fills
+// to come. The node table's pass builds the index on the way (nodeCheck
+// holds it to the header), and the edge table's CRC32C must be the
+// header's (headers from older builders carry none and pass unchecked,
+// as in Verify).
+func (g *Graph) pass() error {
+	if _, err := g.index(); err != nil {
+		return err
+	}
+	var crc uint32
+	if err := g.et.stream(func(blk []byte) error {
+		crc = crc32.Update(crc, castagnoli, blk)
+		return nil
+	}); err != nil {
+		return err
+	}
+	return g.edgeCRC(crc)
+}
+
+// edgeCRC holds the CRC32C of the whole edge table to the header's.
+func (g *Graph) edgeCRC(crc uint32) error {
+	if g.meta.HasCRC && crc != g.meta.EtCRC {
+		return fmt.Errorf("storage: %s: edge table crc %08x, want %08x", edgePath(g.base), crc, g.meta.EtCRC)
+	}
+	return nil
+}
+
+// Reopen opens a second handle on the tables g reads, through a cache of
+// defaultCacheBlocks frames of its own, charging g's counter and holding
+// every block it loads to the checksums g's open vouched for: it reads
+// nothing, the sidecar included. The handle keeps reading these files
+// after a fold-back renames others over them (a pinned view's tables).
+func (g *Graph) Reopen() (*Graph, error) {
+	h := &Graph{base: g.base, meta: g.meta, io: g.io}
+	if err := h.attach(NewBlockCache(0, g.et.cache.b), g.nt.crcs, g.et.crcs); err != nil {
 		return nil, err
 	}
-	et, err := table(edgePath(base), "edge", meta.Arcs*ArcSize, meta.EtCRC, etBlocks)
-	if err != nil {
-		nt.Close()
-		return nil, err
-	}
-	return &Graph{base: base, meta: meta, nt: nt, et: et, io: ctr}, nil
+	return h, nil
 }
 
 // Close releases the underlying files.
@@ -434,19 +445,15 @@ func (g *Graph) readList(off int64, deg uint32, buf []uint32) ([]uint32, error) 
 	return buf, nil
 }
 
-// Resident reports whether Neighbors(v) would be served from the caller's
-// cache without a read: v's list is at most one block of arcs (deg(v) ≤
+// Resident reports whether Neighbors(v) would be served from the cache
+// without a read: v's list is at most one block of arcs (deg(v) ≤
 // B/ArcSize) and every block it spans is in a frame. It answers from the
 // node index and the cache's key map, reads nothing and leaves the cache
 // as it was (no reference bit, no hit or miss counted); before the first
-// use has built the index it reports false. A graph on Open's private
-// frames reports false for every node: those frames are sized for the
-// hub re-reads of maintenance, and SemiCore* recomputing resident nodes
-// out of turn would change the frames maintenance starts on (see
-// docs/ARCHITECTURE.md, "Cache-resident revisits").
+// use has built the index it reports false.
 func (g *Graph) Resident(v uint32) bool {
 	x := g.idx
-	if x == nil || g.private || v >= g.meta.N {
+	if x == nil || v >= g.meta.N {
 		return false
 	}
 	b := int64(g.et.cache.b)
@@ -562,8 +569,5 @@ func (g *Graph) ScanVerified(io *stats.IOCounter, fn func(v uint32, nbrs []uint3
 	if err := chk.done(); err != nil {
 		return err
 	}
-	if g.meta.HasCRC && etCRC != g.meta.EtCRC {
-		return fmt.Errorf("storage: %s: edge table crc %08x, want %08x", edgePath(g.base), etCRC, g.meta.EtCRC)
-	}
-	return nil
+	return g.edgeCRC(etCRC)
 }

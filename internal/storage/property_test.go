@@ -17,8 +17,12 @@ import (
 )
 
 // TestPropertyRoundTrip builds random adjacency structures under random
-// block sizes and checks byte-exact reads plus the exact sequential-scan
-// I/O formula.
+// block sizes and checks byte-exact reads plus the exact I/O formula of
+// an open and a sequential scan: the open reads the sidecar, or, at a
+// block size that is no whole number of its granules, is the pass over
+// both tables, which builds the node index on the way; the scan then
+// reads the node table for the index unless the pass did, and the edge
+// table once.
 func TestPropertyRoundTrip(t *testing.T) {
 	f := func(seed int64, rawBlock uint16) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -55,12 +59,22 @@ func TestPropertyRoundTrip(t *testing.T) {
 			return false
 		}
 		rctr := stats.NewIOCounter(blockSize)
-		g, err := Open(base, rctr)
+		g, err := Open(base, rctr, nil)
 		if err != nil {
 			return false
 		}
 		defer g.Close()
 		if g.NumArcs() != arcs {
+			return false
+		}
+		B := int64(blockSize)
+		blocks := func(bytes int64) int64 { return (bytes + B - 1) / B }
+		nt, et := blocks(int64(n)*NodeRecordSize), blocks(arcs*ArcSize)
+		opened, scan := blocks(sidecarHeader+4*(granules(int64(n)*NodeRecordSize)+granules(arcs*ArcSize))), nt+et
+		if blockSize%granule != 0 {
+			opened, scan = nt+et, et
+		}
+		if rctr.Reads() != opened {
 			return false
 		}
 		ok := true
@@ -79,12 +93,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 		if err != nil || !ok {
 			return false
 		}
-		B := int64(blockSize)
-		want := (int64(n)*NodeRecordSize+B-1)/B + (arcs*ArcSize+B-1)/B
-		if arcs == 0 {
-			want = (int64(n)*NodeRecordSize + B - 1) / B // edge table never touched
-		}
-		return rctr.Reads() == want
+		return rctr.Reads() == opened+scan
 	}
 	// A fixed source: testutil, which owns -seed, imports this package.
 	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(115))}); err != nil {
@@ -93,12 +102,11 @@ func TestPropertyRoundTrip(t *testing.T) {
 }
 
 // TestPropertyCachedReadDetectsDamage drives the random-access cached
-// read path (BlockCache + per-block CRCs — the disk backend's read
-// route) over randomly damaged copies of a random file: flipping any
-// single bit or truncating to any shorter length must surface as an
-// error at Open or at the read covering the damage, never as silently
-// wrong bytes. Undamaged blocks of the same file must still read back
-// byte-exact.
+// read path (BlockCache + per-block CRCs — every graph's read route)
+// over randomly damaged copies of a random file: flipping any single bit
+// or truncating to any shorter length must surface as an error at Open
+// or at the read covering the damage, never as silently wrong bytes.
+// Undamaged blocks of the same file must still read back byte-exact.
 func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 	f := func(seed int64, rawBlock uint16) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -121,20 +129,22 @@ func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 		}
 
 		// The undamaged file reads back byte-exact through the cache; the
-		// open pass records the per-block checksums the damaged copies
+		// first stream records the per-block checksums the damaged copies
 		// are then held to.
 		cache := NewBlockCache(2, blockSize)
-		whole := bw.CRC()
-		cf, err := cache.OpenVerified(path, &whole, ctr)
+		cf, err := cache.Open(path, nil, ctr)
 		if err != nil {
 			return false
 		}
-		crcs := cf.crcs
-		wrong := whole + 1
-		if bad, err := cache.OpenVerified(path, &wrong, ctr); err == nil {
-			bad.Close()
-			return false // a whole-file checksum mismatch must fail the open
+		var whole uint32
+		if err := cf.stream(func(blk []byte) error {
+			whole = crc32.Update(whole, castagnoli, blk)
+			return nil
+		}); err != nil || whole != bw.CRC() {
+			cf.Close()
+			return false
 		}
+		crcs := cf.crcs
 		got := make([]byte, size)
 		if err := cf.ReadAt(got, 0); err != nil {
 			cf.Close()
@@ -222,6 +232,8 @@ func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 // cold frames: the first point read pays the node table once, ⌈nt/B⌉
 // blocks for the index, and from then on reading one node's neighbours
 // costs exactly the edge blocks its list spans and no node-table block.
+// B = 512 is a whole granule, so the open reads the sidecar and leaves
+// the index to the first use.
 func TestPropertyRandomAccessCost(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -235,7 +247,7 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 			}
 		}
 		base := filepath.Join(t.TempDir(), "g")
-		blockSize := 256
+		blockSize := 512
 		ctr := stats.NewIOCounter(blockSize)
 		b, err := NewBuilder(base, uint32(n), ctr)
 		if err != nil {
@@ -250,7 +262,7 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 			return false
 		}
 		rctr := stats.NewIOCounter(blockSize)
-		g, err := Open(base, rctr)
+		g, err := Open(base, rctr, nil)
 		if err != nil {
 			return false
 		}
@@ -290,8 +302,7 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 // 6-frame verified cache in random order: it is false before the index
 // exists and for every list longer than B/ArcSize arcs; otherwise it is
 // true exactly when Neighbors then reads nothing; and asking changes no
-// frame's reference bit, no counter and no read count. Through Open's
-// private frames it is false, even for a list they hold.
+// frame's reference bit, no counter and no read count.
 func TestPropertyResident(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -322,7 +333,7 @@ func TestPropertyResident(t *testing.T) {
 		}
 		ctr := stats.NewIOCounter(blockSize)
 		cache := NewBlockCache(6, blockSize)
-		g, err := OpenCached(base, ctr, cache)
+		g, err := Open(base, ctr, cache)
 		if err != nil {
 			return false
 		}
@@ -358,15 +369,6 @@ func TestPropertyResident(t *testing.T) {
 				return false
 			}
 		}
-		pg, err := Open(base, stats.NewIOCounter(blockSize))
-		if err != nil {
-			return false
-		}
-		defer pg.Close()
-		if _, err := pg.Neighbors(1, nil); err != nil || pg.Resident(1) {
-			t.Logf("seed %d: Open's private frames answered Resident(1) = true (err %v)", seed, err)
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(131))}); err != nil {
@@ -375,8 +377,8 @@ func TestPropertyResident(t *testing.T) {
 }
 
 // TestPropertyScanVerified holds the one verified pass — a checkpoint's
-// scan of its pinned view (a private handle from Open, as here), Verify
-// at recovery and on a follower — to what it promises, on random graphs
+// scan of its pinned view (a handle from Reopen, as here), Verify at
+// recovery — to what it promises, on random graphs
 // at B in {64, 512, 4096}, every third one with a hub whose list is
 // longer than the 64 frames Open reads through at B = 64:
 //
@@ -440,19 +442,26 @@ func TestPropertyScanVerified(t *testing.T) {
 		nt, _ := os.ReadFile(base + ".nt")
 		et, _ := os.ReadFile(base + ".et")
 
-		// scan opens whatever is at base and runs the verified pass on a
-		// counter of its own.
+		// scan opens whatever is at base, and runs the verified pass on a
+		// second handle, which reads nothing to open, and a counter of its
+		// own.
 		scan := func(fn func(uint32, []uint32) error) (reads int64, err error) {
 			own := stats.NewIOCounter(blockSize)
-			g, err := Open(base, own)
+			g, err := Open(base, own, nil)
 			if err != nil {
 				return 0, err
 			}
 			defer g.Close()
+			opened := own.Reads()
+			h, err := g.Reopen()
+			if err != nil {
+				return 0, err
+			}
+			defer h.Close()
 			ctr := stats.NewIOCounter(blockSize)
-			err = g.ScanVerified(ctr, fn)
-			if own.Reads() != 0 {
-				t.Errorf("seed %d: the pass charged the counter the graph was opened with", seed)
+			err = h.ScanVerified(ctr, fn)
+			if own.Reads() != opened {
+				t.Errorf("seed %d: the second handle or its pass charged the counter the graph was opened with", seed)
 			}
 			return ctr.Reads(), err
 		}

@@ -13,9 +13,8 @@ import (
 // slice of the node table, then of the edge table (a table's last slice
 // may be short), behind an 8-byte header: sidecarMagic and the granule
 // size, little-endian. The Builder computes the slices' checksums in the
-// pass that writes the tables. A verified open (OpenCached) believes the
-// file only when folding its checksums reproduces the header's
-// whole-table CRC32Cs exactly; anything else falls back to the pass over
+// pass that writes the tables. Open believes the file only when folding
+// its checksums reproduces the header's whole-table CRC32Cs exactly; anything else falls back to the pass over
 // the tables, so the file adds no trust root, and a missing, stale or
 // damaged one is as good as none.
 const (

@@ -128,7 +128,7 @@ func writeAdj(t *testing.T, base string, adj [][]uint32) {
 // reports the open's reads.
 func openCounted(base string, bs int) (*Graph, int64, error) {
 	ctr := stats.NewIOCounter(bs)
-	g, err := OpenCached(base, ctr, NewBlockCache(4, bs))
+	g, err := Open(base, ctr, NewBlockCache(4, bs))
 	return g, ctr.Reads(), err
 }
 

@@ -91,7 +91,7 @@ func damageDetected(base string) bool {
 	if err := Verify(base); err != nil {
 		return true
 	}
-	g, err := Open(base, stats.NewIOCounter(4096))
+	g, err := Open(base, stats.NewIOCounter(4096), nil)
 	if err != nil {
 		return true
 	}

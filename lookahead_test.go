@@ -157,7 +157,9 @@ func TestLookaheadIgnoresUncountedNeighbours(t *testing.T) {
 // than the pinned figure fails here and has to justify a new pin. Each
 // algorithm runs on a graph opened for it alone, so no count depends on
 // the frames another algorithm left, and each pays the 24 node-table
-// blocks its degree pass reads into memory.
+// blocks its degree pass reads into memory. SemiCore* makes its revisits
+// on the default frames (734 reads and 8,040 computations on the printed
+// schedule).
 func TestDecompositionIOGate(t *testing.T) {
 	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
 	for _, tc := range []struct {
@@ -165,7 +167,7 @@ func TestDecompositionIOGate(t *testing.T) {
 		maxReads     int64
 		maxNodeComps int64 // 0: not gated
 	}{
-		{kcore.SemiCoreStar, 734, 8040},
+		{kcore.SemiCoreStar, 465, 8451},
 		{kcore.SemiCorePlus, 1316, 0},
 		{kcore.SemiCoreBasic, 1428, 0},
 	} {
@@ -190,9 +192,11 @@ func TestDecompositionIOGate(t *testing.T) {
 // edge, then SemiInsert* of each back, on the handle the start-up
 // decomposition left. The counts are exact and gated as upper bounds,
 // like the decompositions' (135 / 15,812 while node-table blocks were
-// read through the frames).
+// read through the frames; 89 / 12,912 while the start-up kept the
+// printed pass schedule on the default frames, which its revisits leave
+// holding other lists).
 func TestMaintenanceIOGate(t *testing.T) {
-	const maxDeleteReads, maxInsertReads = 89, 12912
+	const maxDeleteReads, maxInsertReads = 95, 12916
 	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
 	g := buildFrom(t, edges, 0)
 	m, err := kcore.NewMaintainer(g, nil)
