@@ -13,7 +13,9 @@
 //
 // Absolute numbers differ from the paper (synthetic analogues, different
 // hardware); the shapes — algorithm orderings and gaps — are the
-// reproduction target and are recorded in EXPERIMENTS.md.
+// reproduction target. `go run ./cmd/experiments` prints every exhibit
+// from internal/expr's runners; the benchmarks here re-implement each
+// figure's set-up through the public API instead of calling them.
 package kcore_test
 
 import (

@@ -3,6 +3,8 @@ package kcore
 import (
 	"fmt"
 	"sort"
+
+	"kcore/internal/graph"
 )
 
 // ApproxMaxClique greedily grows a clique inside the deepest cores, the
@@ -69,7 +71,7 @@ func (g *Graph) growClique(order []uint32, seed int, core []uint32) ([]uint32, e
 		}
 		adjacentToAll := true
 		for _, c := range clique {
-			if !containsSorted(nbrs, c) {
+			if !graph.Contains(nbrs, c) {
 				adjacentToAll = false
 				break
 			}
@@ -79,9 +81,4 @@ func (g *Graph) growClique(order []uint32, seed int, core []uint32) ([]uint32, e
 		}
 	}
 	return clique, nil
-}
-
-func containsSorted(l []uint32, x uint32) bool {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })
-	return i < len(l) && l[i] == x
 }

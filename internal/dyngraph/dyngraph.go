@@ -159,17 +159,17 @@ func (g *Graph) baseList(v uint32) ([]uint32, error) {
 // HasEdge reports whether {u,v} is currently present. It consults the
 // buffer first and falls back to one indexed disk read.
 func (g *Graph) HasEdge(u, v uint32) (bool, error) {
-	if Contains(g.del[u], v) {
+	if graph.Contains(g.del[u], v) {
 		return false, nil
 	}
-	if Contains(g.ins[u], v) {
+	if graph.Contains(g.ins[u], v) {
 		return true, nil
 	}
 	nbrs, err := g.baseList(u)
 	if err != nil {
 		return false, err
 	}
-	return Contains(nbrs, v), nil
+	return graph.Contains(nbrs, v), nil
 }
 
 // InsertEdge buffers the insertion of {u,v}. Inserting an existing edge
@@ -187,7 +187,7 @@ func (g *Graph) InsertEdge(u, v uint32) error {
 		return fmt.Errorf("dyngraph: edge (%d,%d) already present", u, v)
 	}
 	// An insert cancels a buffered delete of the same edge.
-	if Contains(g.del[u], v) {
+	if graph.Contains(g.del[u], v) {
 		g.removeBuffered(g.del, u, v)
 	} else {
 		g.addBuffered(g.ins, u, v)
@@ -209,7 +209,7 @@ func (g *Graph) DeleteEdge(u, v uint32) error {
 	if !present {
 		return fmt.Errorf("dyngraph: edge (%d,%d) not present", u, v)
 	}
-	if Contains(g.ins[u], v) {
+	if graph.Contains(g.ins[u], v) {
 		g.removeBuffered(g.ins, u, v)
 	} else {
 		g.addBuffered(g.del, u, v)
@@ -230,14 +230,14 @@ func (g *Graph) checkPair(u, v uint32) error {
 }
 
 func (g *Graph) addBuffered(m map[uint32][]uint32, u, v uint32) {
-	m[u] = InsertSorted(m[u], v)
-	m[v] = InsertSorted(m[v], u)
+	m[u] = graph.InsertSorted(m[u], v)
+	m[v] = graph.InsertSorted(m[v], u)
 	g.bufArcs.Add(2)
 }
 
 func (g *Graph) removeBuffered(m map[uint32][]uint32, u, v uint32) {
-	m[u] = RemoveSorted(m[u], v)
-	m[v] = RemoveSorted(m[v], u)
+	m[u] = graph.RemoveSorted(m[u], v)
+	m[v] = graph.RemoveSorted(m[v], u)
 	if len(m[u]) == 0 {
 		delete(m, u)
 	}
@@ -295,7 +295,7 @@ func (g *Graph) Adopt(vw *View, tables string) error {
 			for _, v := range l {
 				switch {
 				case u > v:
-				case Contains(same[u], v):
+				case graph.Contains(same[u], v):
 					g.removeBuffered(same, u, v)
 				default:
 					g.addBuffered(opposite, u, v)

@@ -1,35 +1,10 @@
 package dyngraph
 
-import "sort"
+import "kcore/internal/graph"
 
 // The update buffer is a pair of maps from node to a sorted neighbour
-// list: inserted arcs and deleted arcs. The helpers below are the whole
-// of its list arithmetic.
-
-// Contains reports whether the sorted list l holds x.
-func Contains(l []uint32, x uint32) bool {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })
-	return i < len(l) && l[i] == x
-}
-
-// InsertSorted adds x to the sorted list l, which must not hold it.
-func InsertSorted(l []uint32, x uint32) []uint32 {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })
-	l = append(l, 0)
-	copy(l[i+1:], l[i:])
-	l[i] = x
-	return l
-}
-
-// RemoveSorted drops x from the sorted list l if it is there.
-func RemoveSorted(l []uint32, x uint32) []uint32 {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })
-	if i < len(l) && l[i] == x {
-		copy(l[i:], l[i+1:])
-		l = l[:len(l)-1]
-	}
-	return l
-}
+// list: inserted arcs and deleted arcs, edited with graph.InsertSorted
+// and graph.RemoveSorted.
 
 // Merge overlays buffered inserts/deletes onto a disk adjacency list,
 // writing the result into out. disk and ins are sorted and disjoint; del
@@ -42,7 +17,7 @@ func Merge(disk, ins, del, out []uint32) []uint32 {
 		if i < len(disk) && (j >= len(ins) || disk[i] <= ins[j]) {
 			x = disk[i]
 			i++
-			if Contains(del, x) {
+			if graph.Contains(del, x) {
 				continue
 			}
 		} else {

@@ -3,8 +3,9 @@
 // synthetic dataset analogues: Table I, Fig. 3 (convergence decay),
 // Fig. 9 (decomposition time/memory/IO), Fig. 10 (maintenance), Fig. 11
 // and Fig. 12 (scalability), and the worked-example traces of Figs. 2-8.
-// cmd/experiments is a thin CLI over this package; the root bench suite
-// reuses the same runners.
+// cmd/experiments is a thin CLI over this package. The root bench suite
+// (bench_test.go) does not call these runners: it re-implements each
+// figure's set-up through the public API.
 package expr
 
 import (

@@ -2,8 +2,8 @@ package imcore
 
 import (
 	"fmt"
-	"sort"
 
+	"kcore/internal/graph"
 	"kcore/internal/memgraph"
 )
 
@@ -38,11 +38,7 @@ func (d *DynGraph) Neighbors(v uint32) []uint32 { return d.adj[v] }
 func (d *DynGraph) Degree(v uint32) uint32 { return uint32(len(d.adj[v])) }
 
 // HasEdge reports whether {u,v} is present.
-func (d *DynGraph) HasEdge(u, v uint32) bool {
-	l := d.adj[u]
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= v })
-	return i < len(l) && l[i] == v
-}
+func (d *DynGraph) HasEdge(u, v uint32) bool { return graph.Contains(d.adj[u], v) }
 
 // Insert adds {u,v}; it rejects self-loops and duplicates.
 func (d *DynGraph) Insert(u, v uint32) error {
@@ -55,8 +51,8 @@ func (d *DynGraph) Insert(u, v uint32) error {
 	if d.HasEdge(u, v) {
 		return fmt.Errorf("imcore: edge (%d,%d) already present", u, v)
 	}
-	d.adj[u] = insertSorted(d.adj[u], v)
-	d.adj[v] = insertSorted(d.adj[v], u)
+	d.adj[u] = graph.InsertSorted(d.adj[u], v)
+	d.adj[v] = graph.InsertSorted(d.adj[v], u)
 	d.arcs += 2
 	return nil
 }
@@ -69,8 +65,8 @@ func (d *DynGraph) Delete(u, v uint32) error {
 	if !d.HasEdge(u, v) {
 		return fmt.Errorf("imcore: edge (%d,%d) not present", u, v)
 	}
-	d.adj[u] = removeSorted(d.adj[u], v)
-	d.adj[v] = removeSorted(d.adj[v], u)
+	d.adj[u] = graph.RemoveSorted(d.adj[u], v)
+	d.adj[v] = graph.RemoveSorted(d.adj[v], u)
 	d.arcs -= 2
 	return nil
 }
@@ -90,18 +86,4 @@ func (d *DynGraph) CSR() *memgraph.CSR {
 		panic(err) // DynGraph maintains the invariants FromEdges checks
 	}
 	return g
-}
-
-func insertSorted(l []uint32, x uint32) []uint32 {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })
-	l = append(l, 0)
-	copy(l[i+1:], l[i:])
-	l[i] = x
-	return l
-}
-
-func removeSorted(l []uint32, x uint32) []uint32 {
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= x })
-	copy(l[i:], l[i+1:])
-	return l[:len(l)-1]
 }

@@ -6,7 +6,6 @@ import (
 
 	"kcore/internal/gen"
 	"kcore/internal/memgraph"
-	"kcore/internal/testutil"
 	"kcore/internal/verify"
 )
 
@@ -192,53 +191,5 @@ func TestMaintainerDeltaBound(t *testing.T) {
 				t.Fatalf("op %d: core(%d) jumped %d -> %d", i, x, before[x], m.Core[x])
 			}
 		}
-	}
-}
-
-// TestMaintainerDirtyTrackingIsExact pins the contract of the
-// region-bounded repair entry points (InsertDirty/DeleteDirty): the
-// appended node set must be exactly the nodes whose core number the
-// operation changed — no misses (soundness for the COW snapshots built
-// on it) and no spurious extras within one call (each changed node
-// appended exactly once).
-func TestMaintainerDirtyTrackingIsExact(t *testing.T) {
-	for name, g := range corpus(t) {
-		g := g
-		t.Run(name, func(t *testing.T) {
-			m := NewMaintainer(NewDynGraph(g))
-			stream := testutil.NewMutationStream(g.NumNodes(), testutil.Seed(t, 47), g.EdgeList())
-			buf := make([]uint32, 0, 64)
-			for step := 0; step < 80; step++ {
-				before := append([]uint32(nil), m.Core...)
-				mut := stream.NextValid()
-				var err error
-				buf = buf[:0]
-				if mut.Op == testutil.OpDelete {
-					buf, _, err = m.DeleteDirty(mut.U, mut.V, buf)
-				} else {
-					buf, _, err = m.InsertDirty(mut.U, mut.V, buf)
-				}
-				if err != nil {
-					t.Fatalf("step %d (%d,%d): %v", step, mut.U, mut.V, err)
-				}
-				seen := make(map[uint32]int, len(buf))
-				for _, v := range buf {
-					seen[v]++
-				}
-				for v := range m.Core {
-					changed := m.Core[v] != before[v]
-					switch {
-					case changed && seen[uint32(v)] != 1:
-						t.Fatalf("step %d: core(%d) changed %d -> %d but appears %d times in dirty",
-							step, v, before[v], m.Core[v], seen[uint32(v)])
-					case !changed && seen[uint32(v)] != 0:
-						t.Fatalf("step %d: core(%d) unchanged (%d) but reported dirty", step, v, before[v])
-					}
-				}
-			}
-			if err := m.Check(); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }

@@ -32,24 +32,15 @@ type MaintStats struct {
 	Duration time.Duration
 }
 
-// Insert adds edge {u,v} and restores all core numbers (IMInsert).
+// Insert adds edge {u,v} and restores all core numbers (IMInsert). The
+// repair touches only the affected region around the new edge (the
+// pure-core subgraph reachable from the lower endpoint), never the whole
+// graph — the paper's locality property, preserved.
 func (m *Maintainer) Insert(u, v uint32) (MaintStats, error) {
-	_, st, err := m.InsertDirty(u, v, nil)
-	return st, err
-}
-
-// InsertDirty is the region-bounded repair entry point for insertions:
-// identical to Insert, but it also appends the id of every node whose
-// core number changed to dirty and returns the extended slice. The
-// changed set is exact (each node appears once per call), so composite
-// publishers can drive copy-on-write snapshots straight from it. The repair touches only the affected region around the new
-// edge (the pure-core subgraph reachable from the lower endpoint), never
-// the whole graph — the paper's locality property, preserved.
-func (m *Maintainer) InsertDirty(u, v uint32, dirty []uint32) ([]uint32, MaintStats, error) {
 	start := time.Now()
 	var st MaintStats
 	if err := m.G.Insert(u, v); err != nil {
-		return dirty, st, err
+		return st, err
 	}
 	root := u
 	if m.Core[v] < m.Core[u] {
@@ -110,28 +101,18 @@ func (m *Maintainer) InsertDirty(u, v uint32, dirty []uint32) ([]uint32, MaintSt
 		if !evicted[w] {
 			m.Core[w] = k + 1
 			st.Changed++
-			dirty = append(dirty, w)
 		}
 	}
 	st.Duration = time.Since(start)
-	return dirty, st, nil
+	return st, nil
 }
 
 // Delete removes edge {u,v} and restores all core numbers (IMDelete).
 func (m *Maintainer) Delete(u, v uint32) (MaintStats, error) {
-	_, st, err := m.DeleteDirty(u, v, nil)
-	return st, err
-}
-
-// DeleteDirty is the region-bounded repair entry point for deletions:
-// identical to Delete, but it also appends the id of every node whose
-// core number changed to dirty and returns the extended slice. See
-// InsertDirty for the contract.
-func (m *Maintainer) DeleteDirty(u, v uint32, dirty []uint32) ([]uint32, MaintStats, error) {
 	start := time.Now()
 	var st MaintStats
 	if err := m.G.Delete(u, v); err != nil {
-		return dirty, st, err
+		return st, err
 	}
 	k := m.Core[u]
 	if m.Core[v] < k {
@@ -168,7 +149,6 @@ func (m *Maintainer) DeleteDirty(u, v uint32, dirty []uint32) ([]uint32, MaintSt
 		queue = queue[:len(queue)-1]
 		m.Core[w] = k - 1
 		st.Changed++
-		dirty = append(dirty, w)
 		for _, x := range m.G.Neighbors(w) {
 			if m.Core[x] == k && !dropped[x] {
 				// First touch computes cd against the already-updated
@@ -187,7 +167,7 @@ func (m *Maintainer) DeleteDirty(u, v uint32, dirty []uint32) ([]uint32, MaintSt
 		}
 	}
 	st.Duration = time.Since(start)
-	return dirty, st, nil
+	return st, nil
 }
 
 // Check validates the maintained cores against a fresh decomposition,

@@ -18,7 +18,7 @@ import (
 // Edges are validated up front; on error the graph is left unchanged.
 func (s *Session) BatchDelete(edges []memgraph.Edge) (stats.RunStats, error) {
 	start := time.Now()
-	rs := s.beginOp("SemiDeleteBatch*")
+	rs := stats.RunStats{Algorithm: "SemiDeleteBatch*"}
 	if len(edges) == 0 {
 		rs.Duration = time.Since(start)
 		return rs, nil

@@ -5,10 +5,13 @@
 // keeps both exact across arbitrary interleaved edge insertions and
 // deletions on the dynamic graph (internal/dyngraph.Graph: the paper's
 // disk-plus-buffer scheme, whatever layout the disk half is read from).
+// Every operation's passes run on semicore.Passes, the one UpdateRange
+// engine; the per-operation scratch is one status byte per node.
 package maintain
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"kcore/internal/dyngraph"
@@ -21,24 +24,21 @@ type Session struct {
 	G  *dyngraph.Graph
 	St *semicore.State
 
-	// Reusable per-operation scratch, epoch-versioned so each operation
-	// starts from "all φ / all inactive" without an O(n) clear.
-	epoch       uint32
-	activeEpoch []uint32
-	status      []uint8
-	statusEpoch []uint32
-	// dirtyBuf collects speculative core raises during InsertStar; the
-	// survivors are copied into RunStats.Dirty at the end, so the churn
-	// of the (possibly large) candidate flood is amortised across
-	// operations instead of reallocated per call.
-	dirtyBuf []uint32
+	// status is Algorithm 8's per-node status byte, which also holds
+	// Algorithm 7's active flag: n bytes, all φ between operations.
+	// marked lists the nodes the running operation moved off φ; endOp
+	// resets exactly those, so no operation pays an O(n) clear.
+	status []uint8
+	marked []uint32
 	// Trace, when non-nil, observes each iteration of each operation.
 	Trace semicore.Trace
 }
 
-// Node statuses of Algorithm 8.
+// Node statuses: φ, and Algorithm 7's active flag or Algorithm 8's ?, √
+// and ×.
 const (
 	statusNone   uint8 = iota // φ: not expanded
+	statusActive              // Algorithm 7: a candidate of phase 1
 	statusMaybe               // ?: expanded, cnt* not yet calculated
 	statusRaised              // √: cnt* calculated, >= cold+1 so far
 	statusDenied              // ×: cnt* calculated, < cold+1 (terminal)
@@ -55,24 +55,13 @@ func NewSession(g *dyngraph.Graph, mem *stats.MemModel) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSession(g, st), nil
+	return SessionFrom(g, st), nil
 }
 
 // SessionFrom wraps an existing converged state (e.g. loaded from a
 // snapshot). The caller asserts that core/cnt are exact for g.
 func SessionFrom(g *dyngraph.Graph, st *semicore.State) *Session {
-	return newSession(g, st)
-}
-
-func newSession(g *dyngraph.Graph, st *semicore.State) *Session {
-	n := g.NumNodes()
-	return &Session{
-		G:           g,
-		St:          st,
-		activeEpoch: make([]uint32, n),
-		status:      make([]uint8, n),
-		statusEpoch: make([]uint32, n),
-	}
+	return &Session{G: g, St: st, status: make([]uint8, g.NumNodes())}
 }
 
 // Core returns the live core array (valid after every operation).
@@ -81,32 +70,20 @@ func (s *Session) Core() []uint32 { return s.St.Core }
 // Cnt returns the live support counters.
 func (s *Session) Cnt() []int32 { return s.St.Cnt }
 
-func (s *Session) active(v uint32) bool { return s.activeEpoch[v] == s.epoch }
-func (s *Session) setActive(v uint32)   { s.activeEpoch[v] = s.epoch }
-
-func (s *Session) stat(v uint32) uint8 {
-	if s.statusEpoch[v] != s.epoch {
-		return statusNone
+// setStatus moves v to status st, recording it for endOp when it leaves φ.
+func (s *Session) setStatus(v uint32, st uint8) {
+	if s.status[v] == statusNone {
+		s.marked = append(s.marked, v)
 	}
-	return s.status[v]
-}
-
-func (s *Session) setStat(v uint32, st uint8) {
-	s.statusEpoch[v] = s.epoch
 	s.status[v] = st
 }
 
-// beginOp advances the epoch, resetting all per-operation flags.
-func (s *Session) beginOp(algorithm string) stats.RunStats {
-	s.epoch++
-	if s.epoch == 0 { // wrapped: do the rare O(n) clear
-		for i := range s.activeEpoch {
-			s.activeEpoch[i] = 0
-			s.statusEpoch[i] = 0
-		}
-		s.epoch = 1
+// endOp returns every node the operation marked to φ.
+func (s *Session) endOp() {
+	for _, v := range s.marked {
+		s.status[v] = statusNone
 	}
-	return stats.RunStats{Algorithm: algorithm}
+	s.marked = s.marked[:0]
 }
 
 // DeleteStar removes edge {u,v} and repairs core/cnt with Algorithm 6:
@@ -115,7 +92,7 @@ func (s *Session) beginOp(algorithm string) stats.RunStats {
 // SemiCore* converge loop from the endpoint window suffices.
 func (s *Session) DeleteStar(u, v uint32) (stats.RunStats, error) {
 	start := time.Now()
-	rs := s.beginOp("SemiDelete*")
+	rs := stats.RunStats{Algorithm: "SemiDelete*"}
 	if err := s.G.DeleteEdge(u, v); err != nil {
 		return rs, err
 	}
@@ -131,10 +108,7 @@ func (s *Session) DeleteStar(u, v uint32) (stats.RunStats, error) {
 	default:
 		cnt[u]--
 		cnt[v]--
-		vmin, vmax = u, v
-		if vmin > vmax {
-			vmin, vmax = vmax, vmin
-		}
+		vmin, vmax = min(u, v), max(u, v)
 	}
 	if err := s.St.Converge(s.G, vmin, vmax, &rs, s.Trace); err != nil {
 		return rs, err
@@ -167,78 +141,42 @@ func (s *Session) insertPrologue(u, v uint32) (uint32, uint32, uint32, error) {
 // SemiCore* converge loop, which lowers the over-raised nodes back.
 func (s *Session) InsertTwoPhase(u, v uint32) (stats.RunStats, error) {
 	start := time.Now()
-	rs := s.beginOp("SemiInsert")
+	rs := stats.RunStats{Algorithm: "SemiInsert"}
+	defer s.endOp()
 	u, _, cold, err := s.insertPrologue(u, v)
 	if err != nil {
 		return rs, err
 	}
 	core, cnt := s.St.Core, s.St.Cnt
-	s.setActive(u)
-	touchedMin, touchedMax := u, u
-
-	vmin, vmax := u, u
-	var computed []uint32
-	for update := true; update; {
-		update = false
-		nextMin, nextMax := int64(s.G.NumNodes()), int64(-1)
-		curMax := vmax
-		computed = computed[:0]
-		err := s.G.ScanDynamic(vmin,
-			func() uint32 { return curMax },
-			func(w uint32) bool { return s.active(w) && core[w] == cold },
-			func(w uint32, nbrs []uint32) error {
-				core[w] = cold + 1
-				rs.Dirty = append(rs.Dirty, w)
-				rs.NodeComputations++
-				computed = append(computed, w)
-				cnt[w] = s.St.ComputeCnt(nbrs, core[w])
-				for _, x := range nbrs {
-					if core[x] == cold+1 {
-						cnt[x]++
-					}
+	s.setStatus(u, statusActive)
+	p := semicore.Passes{Stats: &rs, Trace: s.Trace, Core: core}
+	err = p.Run(s.G, u, u,
+		func(w uint32) bool { return s.status[w] == statusActive && core[w] == cold },
+		func(w uint32, nbrs []uint32) error {
+			core[w] = cold + 1
+			rs.Dirty = append(rs.Dirty, w)
+			p.Computed(w, true)
+			cnt[w] = s.St.ComputeCnt(nbrs, core[w])
+			for _, x := range nbrs {
+				if core[x] == cold+1 {
+					cnt[x]++
 				}
-				for _, x := range nbrs {
-					if core[x] == cold && !s.active(x) {
-						s.setActive(x)
-						if x < touchedMin {
-							touchedMin = x
-						}
-						if x > touchedMax {
-							touchedMax = x
-						}
-						// UpdateRange
-						if x > curMax {
-							curMax = x
-						}
-						if x < w {
-							update = true
-							if int64(x) < nextMin {
-								nextMin = int64(x)
-							}
-							if int64(x) > nextMax {
-								nextMax = int64(x)
-							}
-						}
-					}
+			}
+			for _, x := range nbrs {
+				if core[x] == cold && s.status[x] == statusNone {
+					s.setStatus(x, statusActive)
+					p.Mark(x)
 				}
-				return nil
-			})
-		if err != nil {
-			return rs, err
-		}
-		rs.Iterations++
-		rs.UpdatedPerIter = append(rs.UpdatedPerIter, int64(len(computed)))
-		if s.Trace != nil {
-			s.Trace(rs.Iterations, computed, core)
-		}
-		if update {
-			vmin, vmax = uint32(nextMin), uint32(nextMax)
-		}
+			}
+			return nil
+		})
+	if err != nil {
+		return rs, err
 	}
 
 	// Phase 2 (lines 22-25): every candidate now carries a valid upper
-	// bound; converge over the touched window.
-	if err := s.St.Converge(s.G, touchedMin, touchedMax, &rs, s.Trace); err != nil {
+	// bound; converge over the window of the nodes phase 1 activated.
+	if err := s.St.Converge(s.G, slices.Min(s.marked), slices.Max(s.marked), &rs, s.Trace); err != nil {
 		return rs, err
 	}
 	rs.Duration = time.Since(start)
@@ -258,114 +196,77 @@ func (s *Session) InsertTwoPhase(u, v uint32) (stats.RunStats, error) {
 // ComputeCnt*.
 func (s *Session) InsertStar(u, v uint32) (stats.RunStats, error) {
 	start := time.Now()
-	rs := s.beginOp("SemiInsert*")
-	s.dirtyBuf = s.dirtyBuf[:0]
+	rs := stats.RunStats{Algorithm: "SemiInsert*"}
+	defer s.endOp()
 	u, _, cold, err := s.insertPrologue(u, v)
 	if err != nil {
 		return rs, err
 	}
 	core, cnt := s.St.Core, s.St.Cnt
-	s.setStat(u, statusMaybe)
-
-	vmin, vmax := u, u
-	var computed []uint32
-	for update := true; update; {
-		update = false
-		nextMin, nextMax := int64(s.G.NumNodes()), int64(-1)
-		curMax := vmax
-		computed = computed[:0]
-		err := s.G.ScanDynamic(vmin,
-			func() uint32 { return curMax },
-			func(w uint32) bool {
-				st := s.stat(w)
-				return st == statusMaybe ||
-					(st == statusRaised && cnt[w] < int32(cold)+1)
-			},
-			func(w uint32, nbrs []uint32) error {
-				rs.NodeComputations++
-				computed = append(computed, w)
-				mark := func(x uint32) {
-					// UpdateRange
-					if x > curMax {
-						curMax = x
+	s.setStatus(u, statusMaybe)
+	p := semicore.Passes{Stats: &rs, Trace: s.Trace, Core: core}
+	err = p.Run(s.G, u, u,
+		func(w uint32) bool {
+			st := s.status[w]
+			return st == statusMaybe ||
+				(st == statusRaised && cnt[w] < int32(cold)+1)
+		},
+		func(w uint32, nbrs []uint32) error {
+			p.Computed(w, true)
+			if s.status[w] == statusMaybe {
+				// ? -> √ (lines 7-12): compute cnt* and raise.
+				cnt[w] = s.computeCntStar(nbrs, cold)
+				s.status[w] = statusRaised
+				core[w] = cold + 1
+				for _, x := range nbrs {
+					if core[x] == cold+1 && s.status[x] != statusRaised {
+						cnt[x]++
 					}
-					if x < w {
-						update = true
-						if int64(x) < nextMin {
-							nextMin = int64(x)
-						}
-						if int64(x) > nextMax {
-							nextMax = int64(x)
+				}
+				if cnt[w] >= int32(cold)+1 {
+					// φ -> ? expansion (lines 13-17), pruned by
+					// Lemma 5.3 (only plausible candidates).
+					for _, x := range nbrs {
+						if core[x] == cold && cnt[x] >= int32(cold)+1 && s.status[x] == statusNone {
+							s.setStatus(x, statusMaybe)
+							p.Mark(x)
 						}
 					}
 				}
-				if s.stat(w) == statusMaybe {
-					// ? -> √ (lines 7-12): compute cnt* and raise.
-					cnt[w] = s.computeCntStar(nbrs, cold)
-					s.setStat(w, statusRaised)
-					core[w] = cold + 1
-					s.dirtyBuf = append(s.dirtyBuf, w)
-					for _, x := range nbrs {
-						if core[x] == cold+1 && s.stat(x) != statusRaised {
-							cnt[x]++
-						}
+			}
+			if s.status[w] == statusRaised && cnt[w] < int32(cold)+1 {
+				// √ -> × (lines 18-27): revert and propagate.
+				cnt[w] = s.St.ComputeCnt(nbrs, cold)
+				s.status[w] = statusDenied
+				core[w] = cold
+				for _, x := range nbrs {
+					if core[x] == cold+1 && s.status[x] != statusRaised {
+						cnt[x]--
 					}
-					if cnt[w] >= int32(cold)+1 {
-						// φ -> ? expansion (lines 13-17), pruned by
-						// Lemma 5.3 (only plausible candidates).
-						for _, x := range nbrs {
-							if core[x] == cold && cnt[x] >= int32(cold)+1 && s.stat(x) == statusNone {
-								s.setStat(x, statusMaybe)
-								mark(x)
-							}
+				}
+				for _, x := range nbrs {
+					if s.status[x] == statusRaised {
+						cnt[x]--
+						if cnt[x] < int32(cold)+1 {
+							p.Mark(x)
 						}
 					}
 				}
-				if s.stat(w) == statusRaised && cnt[w] < int32(cold)+1 {
-					// √ -> × (lines 18-27): revert and propagate.
-					cnt[w] = s.St.ComputeCnt(nbrs, cold)
-					s.setStat(w, statusDenied)
-					core[w] = cold
-					for _, x := range nbrs {
-						if core[x] == cold+1 && s.stat(x) != statusRaised {
-							cnt[x]--
-						}
-					}
-					for _, x := range nbrs {
-						if s.stat(x) == statusRaised {
-							cnt[x]--
-							if cnt[x] < int32(cold)+1 {
-								mark(x)
-							}
-						}
-					}
-				}
-				return nil
-			})
-		if err != nil {
-			return rs, err
-		}
-		rs.Iterations++
-		rs.UpdatedPerIter = append(rs.UpdatedPerIter, int64(len(computed)))
-		if s.Trace != nil {
-			s.Trace(rs.Iterations, computed, core)
-		}
-		if update {
-			vmin, vmax = uint32(nextMin), uint32(nextMax)
-		}
+			}
+			return nil
+		})
+	if err != nil {
+		return rs, err
 	}
-	// dirtyBuf holds every speculative raise; only the survivors (still
-	// at cold+1, i.e. ending √) actually changed — the reverted ones are
-	// back at cold. Reporting the exact set keeps Dirty O(changed) even
-	// when the candidate flood was large.
-	kept := 0
-	for _, w := range s.dirtyBuf {
+	// Every marked node was raised once; only the survivors (still at
+	// cold+1, i.e. ending √) changed — the reverted ones are back at
+	// cold. Reporting the exact set keeps Dirty O(changed) even when the
+	// candidate flood was large.
+	for _, w := range s.marked {
 		if core[w] == cold+1 {
-			s.dirtyBuf[kept] = w
-			kept++
+			rs.Dirty = append(rs.Dirty, w)
 		}
 	}
-	rs.Dirty = append([]uint32(nil), s.dirtyBuf[:kept]...)
 	rs.Duration = time.Since(start)
 	return rs, nil
 }
@@ -379,7 +280,7 @@ func (s *Session) computeCntStar(nbrs []uint32, cold uint32) int32 {
 	for _, x := range nbrs {
 		if core[x] > cold {
 			c++
-		} else if core[x] == cold && cnt[x] >= int32(cold)+1 && s.stat(x) != statusDenied {
+		} else if core[x] == cold && cnt[x] >= int32(cold)+1 && s.status[x] != statusDenied {
 			c++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"kcore/internal/dyngraph"
@@ -175,7 +176,8 @@ func corpus(tb testing.TB) map[string]*memgraph.CSR {
 // maintained cores against from-scratch references and the cnt invariant
 // after every operation. Every node an iteration recomputes must enter it
 // with an estimate of at most deg+1, the bound that keeps the recompute
-// kernel's histogram clear O(deg) (semicore.localCoreBuf).
+// kernel's histogram clear O(deg) (semicore.localCoreBuf), and every
+// operation must leave every status byte at φ.
 func TestMaintenanceRandomChurn(t *testing.T) {
 	for name, g := range corpus(t) {
 		g := g
@@ -215,6 +217,9 @@ func TestMaintenanceRandomChurn(t *testing.T) {
 					}
 					if err := s.VerifyState(); err != nil {
 						t.Fatalf("op %d (%d,%d): %v", i, u, v, err)
+					}
+					if x := slices.IndexFunc(s.status, func(b uint8) bool { return b != statusNone }); x >= 0 {
+						t.Fatalf("op %d (%d,%d) left node %d at status %d", i, u, v, x, s.status[x])
 					}
 					want := referenceCores(t, n, stream.Live())
 					for x := range want {

@@ -92,11 +92,7 @@ func (g *CSR) Neighbors(v uint32) []uint32 {
 }
 
 // HasEdge reports whether {u,v} is present, via binary search.
-func (g *CSR) HasEdge(u, v uint32) bool {
-	l := g.Neighbors(u)
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= v })
-	return i < len(l) && l[i] == v
-}
+func (g *CSR) HasEdge(u, v uint32) bool { return graph.Contains(g.Neighbors(u), v) }
 
 // ModelBytes reports the deterministic memory footprint of the CSR:
 // 8(n+1) offset bytes plus 4 bytes per arc.

@@ -115,33 +115,6 @@ func TestSampleEdgesKeepsIncidentNodes(t *testing.T) {
 	}
 }
 
-func TestWithEdgeWithoutEdge(t *testing.T) {
-	g := mustGraph(t, 4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	g2, err := WithEdge(g, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g2.HasEdge(2, 3) || g2.NumEdges() != 3 {
-		t.Fatal("WithEdge failed")
-	}
-	if _, err := WithEdge(g, 0, 1); err == nil {
-		t.Fatal("duplicate insertion accepted")
-	}
-	if _, err := WithEdge(g, 1, 1); err == nil {
-		t.Fatal("self-loop insertion accepted")
-	}
-	g3, err := WithoutEdge(g2, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g3.HasEdge(2, 3) || g3.NumEdges() != 2 {
-		t.Fatal("WithoutEdge failed")
-	}
-	if _, err := WithoutEdge(g, 0, 3); err == nil {
-		t.Fatal("absent deletion accepted")
-	}
-}
-
 func TestDegreeSumEqualsArcs(t *testing.T) {
 	f := func(raw []uint16) bool {
 		n := uint32(64)

@@ -79,35 +79,3 @@ func SampleEdges(g *CSR, frac float64, seed int64) (*CSR, error) {
 	}
 	return FromEdges(nn, edges)
 }
-
-// WithoutEdge returns a copy of g with edge {u,v} removed; it reports an
-// error if the edge is absent. Used by maintenance tests that need exact
-// before/after pairs.
-func WithoutEdge(g *CSR, u, v uint32) (*CSR, error) {
-	if !g.HasEdge(u, v) {
-		return nil, fmt.Errorf("memgraph: edge (%d,%d) not present", u, v)
-	}
-	edges := make([]Edge, 0, g.NumEdges()-1)
-	g.Edges(func(e Edge) error {
-		if (e.U == u && e.V == v) || (e.U == v && e.V == u) {
-			return nil
-		}
-		edges = append(edges, e)
-		return nil
-	})
-	return FromEdges(g.NumNodes(), edges)
-}
-
-// WithEdge returns a copy of g with edge {u,v} added; it reports an error
-// if the edge already exists or is a self-loop.
-func WithEdge(g *CSR, u, v uint32) (*CSR, error) {
-	if u == v {
-		return nil, fmt.Errorf("memgraph: self-loop (%d,%d)", u, v)
-	}
-	if g.HasEdge(u, v) {
-		return nil, fmt.Errorf("memgraph: edge (%d,%d) already present", u, v)
-	}
-	edges := g.EdgeList()
-	edges = append(edges, Edge{u, v})
-	return FromEdges(g.NumNodes(), edges)
-}

@@ -4,7 +4,9 @@
 // O(n) node state in memory (intermediate core numbers, plus the active
 // bitmap or the cnt counters for the optimised variants) and stream
 // adjacency lists from a graph.Source, which may be the block-counted disk
-// tables or an in-memory CSR.
+// tables or an in-memory CSR. Passes is the one partial-scan pass engine
+// (UpdateRange) under SemiCore+, SemiCore* and internal/maintain's
+// SemiInsert and SemiInsert*.
 package semicore
 
 // localCoreBuf evaluates the paper's LocalCore procedure (Algorithm 3,

@@ -115,9 +115,8 @@ func SemiCore(g graph.Source, opts *Options) (*Result, error) {
 
 // SemiCorePlus runs Algorithm 4: like SemiCore, but a node is recomputed
 // only while its active flag is set, and each iteration scans only the
-// [vmin, vmax] window of nodes that might change. A core-number update
-// reactivates all neighbours; smaller-id neighbours are deferred to the
-// next iteration, larger-id ones extend the current scan (UpdateRange).
+// window of nodes that might change (Passes). A core-number update
+// reactivates and marks all neighbours.
 func SemiCorePlus(g graph.Source, opts *Options) (*Result, error) {
 	start := time.Now()
 	n := g.NumNodes()
@@ -138,65 +137,25 @@ func SemiCorePlus(g graph.Source, opts *Options) (*Result, error) {
 	res := &Result{Core: core}
 	res.Stats.Algorithm = "SemiCore+"
 	var buf localCoreBuf
-	var computed []uint32
-	tr := opts.trace()
-	if n == 0 {
-		res.Stats.Duration = time.Since(start)
-		return res, nil
-	}
-
-	vmin, vmax := uint32(0), n-1
-	for update := true; update; {
-		update = false
-		// v'min <- vn and v'max <- v1 sentinels (Algorithm 4 line 6).
-		nextMin, nextMax := int64(n), int64(-1)
-		curMax := vmax
-		var iterUpdated int64
-		computed = computed[:0]
-		err := g.ScanDynamic(vmin,
-			func() uint32 { return curMax },
+	p := Passes{Stats: &res.Stats, Trace: opts.trace(), Core: core}
+	if n > 0 {
+		err := p.Run(g, 0, n-1,
 			func(v uint32) bool { return active[v] },
 			func(v uint32, nbrs []uint32) error {
 				active[v] = false
 				cold := core[v]
-				nc := buf.localCore(cold, nbrs, core, nil)
-				res.Stats.NodeComputations++
-				if tr != nil {
-					computed = append(computed, v)
-				}
-				if nc == cold {
-					return nil
-				}
-				core[v] = nc
-				iterUpdated++
-				for _, u := range nbrs {
-					active[u] = true
-					// UpdateRange (Algorithm 4 lines 17-21).
-					if u > curMax {
-						curMax = u
-					}
-					if u < v {
-						update = true
-						if int64(u) < nextMin {
-							nextMin = int64(u)
-						}
-						if int64(u) > nextMax {
-							nextMax = int64(u)
-						}
+				core[v] = buf.localCore(cold, nbrs, core, nil)
+				p.Computed(v, core[v] != cold)
+				if core[v] != cold {
+					for _, u := range nbrs {
+						active[u] = true
+						p.Mark(u)
 					}
 				}
 				return nil
 			})
 		if err != nil {
 			return nil, err
-		}
-		res.Stats.Iterations++
-		res.Stats.UpdatedPerIter = append(res.Stats.UpdatedPerIter, iterUpdated)
-		if tr != nil {
-			tr(res.Stats.Iterations, computed, core)
-		}
-		if update {
-			vmin, vmax = uint32(nextMin), uint32(nextMax)
 		}
 	}
 	res.Stats.MemPeakBytes = mem.Peak()

@@ -64,7 +64,7 @@ func (s *State) ComputeCnt(nbrs []uint32, cv uint32) int32 {
 // stays exact with respect to the stored estimates, and
 // cnt(v) >= core(v) on return (at least core(v) neighbours have
 // eff >= core(v), and core >= eff).
-func (s *State) recompute(v uint32, nbrs []uint32, rs *stats.RunStats) (bool, []uint32) {
+func (s *State) recompute(v uint32, nbrs []uint32) (bool, []uint32) {
 	core, cnt := s.Core, s.Cnt
 	cold := core[v]
 	look := cnt
@@ -72,11 +72,7 @@ func (s *State) recompute(v uint32, nbrs []uint32, rs *stats.RunStats) (bool, []
 		look = nil
 	}
 	nc := s.buf.localCore(cold, nbrs, core, look)
-	rs.NodeComputations++
 	core[v] = nc
-	if nc != cold {
-		rs.Dirty = append(rs.Dirty, v)
-	}
 	var support int32
 	viol := s.viol[:0]
 	for _, u := range nbrs {
@@ -99,9 +95,10 @@ func (s *State) recompute(v uint32, nbrs []uint32, rs *stats.RunStats) (bool, []
 // Converge runs Algorithm 5 lines 4-14: starting from the window
 // [vmin, vmax], repeatedly scan nodes whose cnt(v) < core(v) (the exact
 // recomputation condition of Lemma 4.2), recompute their core and cnt,
-// propagate cnt decrements to neighbours, and extend the window per
-// UpdateRange until a full pass triggers no next-iteration work. It is
-// shared verbatim by SemiCoreStar, SemiDelete* and SemiInsert's phase 2.
+// propagate cnt decrements to neighbours, and mark the violated ones on
+// the pass engine (Passes) until a pass marks nothing behind its cursor.
+// It is shared verbatim by SemiCoreStar, SemiDelete* and SemiInsert's
+// phase 2.
 //
 // rs accumulates iterations, node computations and per-iteration update
 // counts; tr may be nil.
@@ -127,16 +124,22 @@ type residentSource interface {
 // revisits".
 type revisits struct {
 	g     residentSource
-	seen  []uint64 // n bits: revisited or checked in this pass
+	seen  []uint64 // n bits: revisited or checked in pass
+	pass  int
 	stack []uint32
 	nbrs  []uint32
 }
 
-// take reports whether violated node u ≤ the cursor is recomputed now,
-// pushing it if so; a false answer leaves u to the next pass.
-func (r *revisits) take(u uint32) bool {
+// take reports whether violated node u ≤ the cursor is recomputed now in
+// the given pass, pushing it if so; a false answer leaves u to the next
+// pass. seen is cleared once per pass, at the pass's first take.
+func (r *revisits) take(u uint32, pass int) bool {
 	if r == nil {
 		return false
+	}
+	if r.pass != pass {
+		clear(r.seen)
+		r.pass = pass
 	}
 	w, bit := u/64, uint64(1)<<(u%64)
 	if r.seen[w]&bit != 0 {
@@ -152,75 +155,38 @@ func (r *revisits) take(u uint32) bool {
 
 // converge is Converge, with cache-resident revisits when rv is non-nil.
 func (s *State) converge(g graph.Source, rv *revisits, vmin, vmax uint32, rs *stats.RunStats, tr Trace) error {
-	n := g.NumNodes()
-	if n == 0 {
-		return nil
-	}
-	if vmax >= n {
-		return fmt.Errorf("semicore: converge window [%d,%d] exceeds n=%d", vmin, vmax, n)
-	}
-	var computed []uint32
-	for update := true; update; {
-		update = false
-		nextMin, nextMax := int64(n), int64(-1)
-		curMax := vmax
-		var iterUpdated int64
-		computed = computed[:0]
-		if rv != nil {
-			clear(rv.seen)
+	p := Passes{Stats: rs, Trace: tr, Core: s.Core}
+	// step recomputes v and routes the neighbours it leaves violated:
+	// ahead of the cursor they extend the pass; at or behind it they are
+	// revisited now or marked for the next pass.
+	step := func(cursor, v uint32, nbrs []uint32) {
+		changed, violated := s.recompute(v, nbrs)
+		p.Computed(v, changed)
+		if changed {
+			rs.Dirty = append(rs.Dirty, v)
 		}
-		// step recomputes v and routes the neighbours it leaves violated:
-		// ahead of the cursor the window grows to them (UpdateRange, shared
-		// with Algorithm 4); behind it (or at it) they are revisited now or
-		// recorded for the next pass.
-		step := func(cursor, v uint32, nbrs []uint32) {
-			changed, violated := s.recompute(v, nbrs, rs)
-			if tr != nil {
-				computed = append(computed, v)
+		for _, u := range violated {
+			if u > cursor || !rv.take(u, p.Pass()) {
+				p.Mark(u)
 			}
-			if changed {
-				iterUpdated++
-			}
-			for _, u := range violated {
-				switch {
-				case u > cursor:
-					curMax = max(curMax, u)
-				case !rv.take(u):
-					update = true
-					nextMin, nextMax = min(nextMin, int64(u)), max(nextMax, int64(u))
+		}
+	}
+	return p.Run(g, vmin, vmax,
+		func(v uint32) bool { return s.Cnt[v] < int32(s.Core[v]) },
+		func(v uint32, nbrs []uint32) error {
+			step(v, v, nbrs)
+			for rv != nil && len(rv.stack) > 0 {
+				u := rv.stack[len(rv.stack)-1]
+				rv.stack = rv.stack[:len(rv.stack)-1]
+				l, err := rv.g.Neighbors(u, rv.nbrs)
+				if err != nil {
+					return err
 				}
+				rv.nbrs = l[:0]
+				step(v, u, l)
 			}
-		}
-		err := g.ScanDynamic(vmin,
-			func() uint32 { return curMax },
-			func(v uint32) bool { return s.Cnt[v] < int32(s.Core[v]) },
-			func(v uint32, nbrs []uint32) error {
-				step(v, v, nbrs)
-				for rv != nil && len(rv.stack) > 0 {
-					u := rv.stack[len(rv.stack)-1]
-					rv.stack = rv.stack[:len(rv.stack)-1]
-					l, err := rv.g.Neighbors(u, rv.nbrs)
-					if err != nil {
-						return err
-					}
-					rv.nbrs = l[:0]
-					step(v, u, l)
-				}
-				return nil
-			})
-		if err != nil {
-			return err
-		}
-		rs.Iterations++
-		rs.UpdatedPerIter = append(rs.UpdatedPerIter, iterUpdated)
-		if tr != nil {
-			tr(rs.Iterations, computed, s.Core)
-		}
-		if update {
-			vmin, vmax = uint32(nextMin), uint32(nextMax)
-		}
-	}
-	return nil
+			return nil
+		})
 }
 
 // SemiCoreStar runs Algorithm 5: initialise core(v) <- deg(v) and mark
