@@ -1,8 +1,10 @@
 package dyngraph_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"kcore/internal/dyngraph"
 	"kcore/internal/memgraph"
@@ -103,5 +105,54 @@ func BenchmarkDiskOverlayMerge(b *testing.B) {
 	b.StopTimer()
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(mergedArcs)/sec, "merged_arcs/s")
+	}
+}
+
+// BenchmarkDiskBufferEdit prices the flat update buffer at a full fill:
+// 65,536 arcs (the default BufferArcs) and 131,072 (a durable graph's
+// hard bound, twice that). One op is one edge edit — an insert of an
+// absent edge or its delete, alternating so the fill holds — which moves
+// the sorted key arrays in proportion to the buffer; pin_us is one Pin
+// of the full buffer, two clones of the arrays. Informational: what
+// holding the buffer at 8 B per arc costs the writer.
+func BenchmarkDiskBufferEdit(b *testing.B) {
+	for _, fill := range []int{1 << 16, 1 << 17} {
+		b.Run(fmt.Sprintf("arcs=%d", fill), func(b *testing.B) {
+			base, edges := testutil.WriteSocial(b, diskBenchNodes, diskBenchSeed)
+			g, _ := openAt(b, base, 4096, dyngraph.Options{BufferArcs: 2 * fill})
+			stream := testutil.NewMutationStream(diskBenchNodes, diskBenchSeed, edges)
+			for g.BufferedArcs() < fill {
+				e := stream.MakeAbsent()
+				if err := g.InsertEdge(e.U, e.V); err != nil {
+					b.Fatal(err)
+				}
+			}
+			toggled := make([]struct{ u, v uint32 }, 1024)
+			for i := range toggled {
+				e := stream.MakeAbsent()
+				toggled[i].u, toggled[i].v = e.U, e.V
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, edit := toggled[i/2%len(toggled)], g.InsertEdge
+				if i%2 == 1 {
+					edit = g.DeleteEdge
+				}
+				if err := edit(e.u, e.v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			const pins = 8
+			start := time.Now()
+			for range pins {
+				vw, err := g.Pin()
+				if err != nil {
+					b.Fatal(err)
+				}
+				vw.Release()
+			}
+			b.ReportMetric(float64(time.Since(start).Microseconds())/pins, "pin_us")
+		})
 	}
 }

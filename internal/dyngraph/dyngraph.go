@@ -13,7 +13,10 @@
 // at a path prefix, read through the graph's own checksummed block cache
 // of Options.CacheBlocks frames (storage.Open), and folded back by one
 // writer, storage.WriteGraph of a View: Compact writes the graph's own
-// tables, Adopt takes a checkpoint's.
+// tables, Adopt takes a checkpoint's. The buffer itself is two sorted,
+// pointer-free arrays of arc keys (sorted.go), 8 B per buffered arc: a
+// pin clones them, an adoption rebases them in one merge, and a fold-back
+// drops them.
 package dyngraph
 
 import (
@@ -47,8 +50,8 @@ type Options struct {
 type Graph struct {
 	disk    *storage.Graph      // the current tables; replaced by every fold-back
 	cache   *storage.BlockCache // the frames they are read through, kept across fold-backs
-	ins     map[uint32][]uint32 // sorted inserted neighbours
-	del     map[uint32][]uint32 // sorted deleted neighbours
+	ins     []uint64            // sorted keys of the inserted arcs (sorted.go)
+	del     []uint64            // sorted keys of the deleted arcs
 	bufArcs atomic.Int64        // written by the owner, read by stats
 	limit   int
 	arcs    int64 // current logical arc count
@@ -81,8 +84,6 @@ func Open(base string, ctr *stats.IOCounter, opts Options) (*Graph, error) {
 	}
 	removeTables(base + ".compact") // a fold-back some killed process never finished
 	g := &Graph{
-		ins:   make(map[uint32][]uint32),
-		del:   make(map[uint32][]uint32),
 		limit: opts.BufferArcs,
 		cache: storage.NewBlockCache(opts.CacheBlocks, ctr.BlockSize()),
 	}
@@ -159,10 +160,10 @@ func (g *Graph) baseList(v uint32) ([]uint32, error) {
 // HasEdge reports whether {u,v} is currently present. It consults the
 // buffer first and falls back to one indexed disk read.
 func (g *Graph) HasEdge(u, v uint32) (bool, error) {
-	if graph.Contains(g.del[u], v) {
+	if graph.Contains(g.del, arc(u, v)) {
 		return false, nil
 	}
-	if graph.Contains(g.ins[u], v) {
+	if graph.Contains(g.ins, arc(u, v)) {
 		return true, nil
 	}
 	nbrs, err := g.baseList(u)
@@ -187,10 +188,10 @@ func (g *Graph) InsertEdge(u, v uint32) error {
 		return fmt.Errorf("dyngraph: edge (%d,%d) already present", u, v)
 	}
 	// An insert cancels a buffered delete of the same edge.
-	if graph.Contains(g.del[u], v) {
-		g.removeBuffered(g.del, u, v)
+	if graph.Contains(g.del, arc(u, v)) {
+		g.removeBuffered(&g.del, u, v)
 	} else {
-		g.addBuffered(g.ins, u, v)
+		g.addBuffered(&g.ins, u, v)
 	}
 	g.arcs += 2
 	return g.maybeCompact()
@@ -209,10 +210,10 @@ func (g *Graph) DeleteEdge(u, v uint32) error {
 	if !present {
 		return fmt.Errorf("dyngraph: edge (%d,%d) not present", u, v)
 	}
-	if graph.Contains(g.ins[u], v) {
-		g.removeBuffered(g.ins, u, v)
+	if graph.Contains(g.ins, arc(u, v)) {
+		g.removeBuffered(&g.ins, u, v)
 	} else {
-		g.addBuffered(g.del, u, v)
+		g.addBuffered(&g.del, u, v)
 	}
 	g.arcs -= 2
 	return g.maybeCompact()
@@ -229,21 +230,15 @@ func (g *Graph) checkPair(u, v uint32) error {
 	return nil
 }
 
-func (g *Graph) addBuffered(m map[uint32][]uint32, u, v uint32) {
-	m[u] = graph.InsertSorted(m[u], v)
-	m[v] = graph.InsertSorted(m[v], u)
+// addBuffered puts both arcs of {u,v} into the key array l.
+func (g *Graph) addBuffered(l *[]uint64, u, v uint32) {
+	*l = graph.InsertSorted(graph.InsertSorted(*l, arc(u, v)), arc(v, u))
 	g.bufArcs.Add(2)
 }
 
-func (g *Graph) removeBuffered(m map[uint32][]uint32, u, v uint32) {
-	m[u] = graph.RemoveSorted(m[u], v)
-	m[v] = graph.RemoveSorted(m[v], u)
-	if len(m[u]) == 0 {
-		delete(m, u)
-	}
-	if len(m[v]) == 0 {
-		delete(m, v)
-	}
+// removeBuffered takes both arcs of {u,v} out of the key array l.
+func (g *Graph) removeBuffered(l *[]uint64, u, v uint32) {
+	*l = graph.RemoveSorted(graph.RemoveSorted(*l, arc(u, v)), arc(v, u))
 	g.bufArcs.Add(-2)
 }
 
@@ -268,7 +263,7 @@ func (g *Graph) Compact() error {
 	}); err != nil {
 		return err
 	}
-	g.ins, g.del = make(map[uint32][]uint32), make(map[uint32][]uint32)
+	g.ins, g.del = nil, nil
 	g.bufArcs.Store(0)
 	return nil
 }
@@ -287,22 +282,9 @@ func (g *Graph) Adopt(vw *View, tables string) error {
 	}
 	g.adopted = true
 	// The pinned edits are in the base now: one still buffered leaves the
-	// buffer, one undone since the pin is buffered as its opposite. Both
-	// sides list each edge twice; u < v takes it once.
-	for _, side := range [...][3]map[uint32][]uint32{{vw.ins, g.ins, g.del}, {vw.del, g.del, g.ins}} {
-		pinned, same, opposite := side[0], side[1], side[2]
-		for u, l := range pinned {
-			for _, v := range l {
-				switch {
-				case u > v:
-				case graph.Contains(same[u], v):
-					g.removeBuffered(same, u, v)
-				default:
-					g.addBuffered(opposite, u, v)
-				}
-			}
-		}
-	}
+	// buffer, one undone since the pin is buffered as its opposite.
+	g.ins, g.del = rebase(g.ins, vw.ins, vw.del, g.del), rebase(g.del, vw.del, vw.ins, g.ins)
+	g.bufArcs.Store(int64(len(g.ins) + len(g.del)))
 	return nil
 }
 
@@ -342,18 +324,14 @@ func (g *Graph) Neighbors(v uint32, buf []uint32) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Merge(disk, g.ins[v], g.del[v], buf), nil
+	ins, del := cursor(g.ins), cursor(g.del)
+	return merge(disk, ins.run(v), del.run(v), buf), nil
 }
 
 // Resident reports whether Neighbors(v) would read no block: v's base
 // list is cached whole (storage.Graph.Resident), and its buffered edits
 // are in memory anyway.
 func (g *Graph) Resident(v uint32) bool { return g.disk.Resident(v) }
-
-// merged is deg(v) in the base adjusted by v's buffered edits.
-func (g *Graph) merged(v, deg uint32) uint32 {
-	return uint32(int64(deg) + int64(len(g.ins[v])) - int64(len(g.del[v])))
-}
 
 // Degree reports the merged degree of v: the base degree from the node
 // table the tables' reader holds in memory, plus buffer arithmetic.
@@ -362,13 +340,15 @@ func (g *Graph) Degree(v uint32) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	return g.merged(v, d), nil
+	ins, del := cursor(g.ins), cursor(g.del)
+	return merged(d, ins.run(v), del.run(v)), nil
 }
 
 // ScanDegrees implements graph.Source over the merged view.
 func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {
+	ins, del := cursor(g.ins), cursor(g.del)
 	return g.disk.ScanDegrees(func(v uint32, d uint32) error {
-		return fn(v, g.merged(v, d))
+		return fn(v, merged(d, ins.run(v), del.run(v)))
 	})
 }
 

@@ -66,12 +66,16 @@ func testPropertyChurnEquivalence(t *testing.T, open driverOpen) {
 }
 
 // agrees compares the graph with the oracle on the edge count and every
-// neighbour list and degree.
+// neighbour list and degree, read both ways: by node (Neighbors, Degree)
+// and by the scans' forward walk over the buffer — one full Scan, one
+// Scan from node 1 that skips two nodes in three, and one ScanDegrees
+// pass.
 func agrees(g *dyngraph.Graph, ref *imcore.DynGraph) error {
 	if g.NumEdges() != ref.NumEdges() {
 		return fmt.Errorf("m = %d, want %d", g.NumEdges(), ref.NumEdges())
 	}
-	for v := uint32(0); v < ref.NumNodes(); v++ {
+	n := ref.NumNodes()
+	for v := uint32(0); v < n; v++ {
 		got, err := g.Neighbors(v, nil)
 		if err != nil {
 			return err
@@ -82,6 +86,62 @@ func agrees(g *dyngraph.Graph, ref *imcore.DynGraph) error {
 		if d, err := g.Degree(v); err != nil || d != ref.Degree(v) {
 			return fmt.Errorf("deg(%d) = %d (%v), want %d", v, d, err, ref.Degree(v))
 		}
+	}
+	for _, sc := range []struct {
+		vmin uint32
+		want func(uint32) bool
+	}{{0, nil}, {1, func(v uint32) bool { return v%3 == 0 }}} {
+		var seen []uint32
+		if err := g.Scan(sc.vmin, n-1, sc.want, func(v uint32, nbrs []uint32) error {
+			seen = append(seen, v)
+			if !slices.Equal(nbrs, ref.Neighbors(v)) {
+				return fmt.Errorf("scan from %d: nbr(%d) = %v, want %v", sc.vmin, v, nbrs, ref.Neighbors(v))
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		var want []uint32
+		for v := sc.vmin; v < n; v++ {
+			if sc.want == nil || sc.want(v) {
+				want = append(want, v)
+			}
+		}
+		if !slices.Equal(seen, want) {
+			return fmt.Errorf("scan from %d visited %v, want %v", sc.vmin, seen, want)
+		}
+	}
+	next := uint32(0)
+	if err := g.ScanDegrees(func(v, d uint32) error {
+		if v != next || d != ref.Degree(v) {
+			return fmt.Errorf("ScanDegrees: (%d, %d) at node %d, want degree %d", v, d, next, ref.Degree(next))
+		}
+		next++
+		return nil
+	}); err != nil {
+		return err
+	}
+	if next != n {
+		return fmt.Errorf("ScanDegrees stopped at node %d of %d", next, n)
+	}
+	return nil
+}
+
+// viewAgrees streams the view once and compares every list with pinned,
+// the oracle's adjacency at the pin.
+func viewAgrees(vw *dyngraph.View, pinned [][]uint32) error {
+	next := 0
+	if err := vw.Scan(stats.NewIOCounter(512), func(v uint32, nbrs []uint32) error {
+		if int(v) != next || !slices.Equal(nbrs, pinned[v]) {
+			return fmt.Errorf("view scan: nbr(%d) = %v at node %d, want %v", v, nbrs, next, pinned[next])
+		}
+		next++
+		return nil
+	}); err != nil {
+		return err
+	}
+	if next != len(pinned) {
+		return fmt.Errorf("view scan stopped at node %d of %d", next, len(pinned))
 	}
 	return nil
 }
@@ -95,7 +155,7 @@ func agrees(g *dyngraph.Graph, ref *imcore.DynGraph) error {
 // in place between some pins and their adoptions make those views stale,
 // and their adoption fails with ErrStale and changes nothing. After every
 // step the graph agrees with imcore.DynGraph on every neighbour list and
-// degree.
+// degree, and a live view's scan with the oracle's lists at its pin.
 func TestPropertyRebase(t *testing.T) { onEachDriver(t, testPropertyRebase) }
 
 func testPropertyRebase(t *testing.T, open driverOpen) {
@@ -115,7 +175,8 @@ func testPropertyRebase(t *testing.T, open driverOpen) {
 	}
 	var (
 		vw                *dyngraph.View
-		stale             bool // a fold-back ran since vw's pin
+		pinned            [][]uint32 // ref's lists at vw's pin
+		stale             bool       // a fold-back ran since vw's pin
 		adopted, rejected int
 	)
 	defer func() {
@@ -128,6 +189,10 @@ func testPropertyRebase(t *testing.T, open driverOpen) {
 		case x == 0 && vw == nil:
 			if vw, err = g.Pin(); err != nil {
 				t.Fatal(err)
+			}
+			pinned = make([][]uint32, n)
+			for v := range pinned {
+				pinned[v] = slices.Clone(ref.Neighbors(uint32(v)))
 			}
 		case x == 1 && vw != nil:
 			tables := filepath.Join(t.TempDir(), "ckpt")
@@ -169,6 +234,11 @@ func testPropertyRebase(t *testing.T, open driverOpen) {
 		}
 		if err := agrees(g.Graph, ref); err != nil {
 			t.Fatalf("step %d: %v", i, err)
+		}
+		if vw != nil {
+			if err := viewAgrees(vw, pinned); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
 		}
 	}
 	if adopted == 0 || rejected == 0 {

@@ -1,44 +1,97 @@
 package dyngraph
 
-import "kcore/internal/graph"
+import "slices"
 
-// The update buffer is a pair of maps from node to a sorted neighbour
-// list: inserted arcs and deleted arcs, edited with graph.InsertSorted
-// and graph.RemoveSorted.
+// The update buffer is two sorted arrays of arc keys, the inserted arcs
+// and the deleted ones. The arc from v to u is the key v<<32|u and both
+// arcs of every buffered edge are kept, so one node's edits are one
+// contiguous run of each array, its neighbours ascending in the low 32
+// bits. The arrays hold no pointer, 8 B per buffered arc: a pin is one
+// clone of each. They are edited with graph.InsertSorted and
+// graph.RemoveSorted, and read through a cursor.
 
-// Merge overlays buffered inserts/deletes onto a disk adjacency list,
-// writing the result into out. disk and ins are sorted and disjoint; del
-// is a subset of disk.
-func Merge(disk, ins, del, out []uint32) []uint32 {
+// arc is the key of the arc from v to u.
+func arc(v, u uint32) uint64 { return uint64(v)<<32 | uint64(u) }
+
+// cursor hands out a key array's runs in id order. A fresh one finds any
+// node's run by one binary search; a scan, which visits ids in ascending
+// order, keeps one per array, so a node whose run is not at the cursor
+// costs O(1) and one binary search passes over the runs of the nodes the
+// scan skipped.
+type cursor []uint64
+
+// run returns v's keys and moves the cursor past them; v must exceed
+// every id asked for before.
+func (c *cursor) run(v uint32) []uint64 {
+	l := *c
+	if len(l) > 0 && l[0] < arc(v, 0) {
+		i, _ := slices.BinarySearch(l, arc(v, 0))
+		l = l[i:]
+	}
+	n := 0
+	for n < len(l) && uint32(l[n]>>32) == v {
+		n++
+	}
+	*c = l[n:]
+	return l[:n]
+}
+
+// merge overlays one node's buffered edits onto its base list, writing
+// the result into out. ins and del are the node's runs; ins is disjoint
+// from disk and del a subset of it, so del is walked beside disk.
+func merge(disk []uint32, ins, del []uint64, out []uint32) []uint32 {
 	out = out[:0]
-	i, j := 0, 0
-	for i < len(disk) || j < len(ins) {
-		var x uint32
-		if i < len(disk) && (j >= len(ins) || disk[i] <= ins[j]) {
-			x = disk[i]
-			i++
-			if graph.Contains(del, x) {
-				continue
-			}
-		} else {
-			x = ins[j]
-			j++
+	for _, x := range disk {
+		for len(ins) > 0 && uint32(ins[0]) < x {
+			out, ins = append(out, uint32(ins[0])), ins[1:]
+		}
+		if len(del) > 0 && uint32(del[0]) == x {
+			del = del[1:]
+			continue
 		}
 		out = append(out, x)
+	}
+	for _, k := range ins {
+		out = append(out, uint32(k))
 	}
 	return out
 }
 
-// CopyOverlay copies one buffer map for a pinned view: the owner edits
-// its lists in place, so the view needs its own. The copied lists are
-// carved out of buf (grown as needed and returned), so one backing array
-// can serve every list of both maps.
-func CopyOverlay(m map[uint32][]uint32, buf []uint32) (map[uint32][]uint32, []uint32) {
-	out := make(map[uint32][]uint32, len(m))
-	for v, l := range m {
-		start := len(buf)
-		buf = append(buf, l...)
-		out[v] = buf[start:len(buf):len(buf)]
+// merged is a base degree adjusted by a node's runs.
+func merged(deg uint32, ins, del []uint64) uint32 {
+	return uint32(int64(deg) + int64(len(ins)) - int64(len(del)))
+}
+
+// rebase is one side of the buffer once a pin's edits are in the base:
+// the side's arcs the pin did not hold on it, and the arcs the pin held on
+// the other side that the buffer no longer does —
+// ins' = (ins \ pinIns) ∪ (pinDel \ del) and
+// del' = (del \ pinDel) ∪ (pinIns \ ins). The two parts are disjoint (one
+// is absent from the old base, the other in it), so one merge orders them.
+func rebase(own, pinOwn, pinOther, other []uint64) []uint64 {
+	a, b := minus(own, pinOwn), minus(pinOther, other)
+	out := make([]uint64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
 	}
-	return out, buf
+	return append(append(out, a...), b...)
+}
+
+// minus returns the keys of the sorted array a that the sorted array b
+// lacks.
+func minus(a, b []uint64) []uint64 {
+	var out []uint64
+	for _, x := range a {
+		for len(b) > 0 && b[0] < x {
+			b = b[1:]
+		}
+		if len(b) == 0 || b[0] != x {
+			out = append(out, x)
+		}
+	}
+	return out
 }

@@ -143,14 +143,15 @@ func testViewDetectsDamage(t *testing.T, open driverOpen) {
 	}
 }
 
-// pinCost opens a random graph of n nodes and m edges, buffers the same
-// number of updates, and reports what one Pin allocates and whether it
-// read a block or looked one up in a cache.
-func pinCost(t *testing.T, open driverOpen, n uint32, m int, seed int64) (allocBytes uint64, ioMoved bool) {
+// pinCost opens a random graph of n nodes and m edges, buffers the given
+// number of updates, and reports what one Pin allocates, how many arcs
+// the buffer held, and whether the pin read a block or looked one up in
+// a cache.
+func pinCost(t *testing.T, open driverOpen, n uint32, m, updates int, seed int64) (allocBytes uint64, arcs int, ioMoved bool) {
 	t.Helper()
 	csr := gen.Build(gen.ErdosRenyi(n, m, seed))
-	g := open(csr, dyngraph.Options{})
-	mutate(t, g.Graph, testutil.NewMutationStream(n, seed+1, csr.EdgeList()), 500)
+	g := open(csr, dyngraph.Options{BufferArcs: 4 * updates})
+	mutate(t, g.Graph, testutil.NewMutationStream(n, seed+1, csr.EdgeList()), updates)
 
 	quiet := g.gauges()
 	var ms0, ms1 runtime.MemStats
@@ -161,7 +162,7 @@ func pinCost(t *testing.T, open driverOpen, n uint32, m int, seed int64) (allocB
 		t.Fatal(err)
 	}
 	vw.Release()
-	return ms1.TotalAlloc - ms0.TotalAlloc, g.gauges() != quiet
+	return ms1.TotalAlloc - ms0.TotalAlloc, g.BufferedArcs(), g.gauges() != quiet
 }
 
 // TestPinCostIndependentOfGraphSize bounds what the writer goroutine
@@ -176,8 +177,8 @@ func TestPinCostIndependentOfGraphSize(t *testing.T) {
 func testPinCostIndependentOfGraphSize(t *testing.T, open driverOpen) {
 	const n, m = 4000, 30000
 	seed := testutil.Seed(t, 29)
-	small, moved1 := pinCost(t, open, n, m, seed)
-	large, moved4 := pinCost(t, open, n, 4*m, seed)
+	small, _, moved1 := pinCost(t, open, n, m, 500, seed)
+	large, _, moved4 := pinCost(t, open, n, 4*m, 500, seed)
 	if moved1 || moved4 {
 		t.Errorf("Pin performed I/O or cache lookups")
 	}
@@ -188,5 +189,25 @@ func testPinCostIndependentOfGraphSize(t *testing.T, open driverOpen) {
 	}
 	if adjacency := uint64(4*m) * 8; large > adjacency/8 {
 		t.Errorf("Pin allocates %d B, over an eighth of the %d B adjacency", large, adjacency)
+	}
+}
+
+// TestPinAllocatesEightBytesPerArc bounds the pin by the buffer's own
+// size: the view takes one clone of each pointer-free key array, 8 B per
+// buffered arc, plus a fixed slack for its two table handles, at any
+// fill.
+func TestPinAllocatesEightBytesPerArc(t *testing.T) {
+	onEachDriver(t, testPinAllocatesEightBytesPerArc)
+}
+
+func testPinAllocatesEightBytesPerArc(t *testing.T, open driverOpen) {
+	const n, m, slack = 4000, 30000, 32 << 10
+	seed := testutil.Seed(t, 31)
+	for _, updates := range []int{500, 8000} {
+		alloc, arcs, _ := pinCost(t, open, n, m, updates, seed)
+		t.Logf("Pin allocates %d B at %d buffered arcs (%.1f B per arc)", alloc, arcs, float64(alloc)/float64(arcs))
+		if limit := 8*uint64(arcs) + slack; alloc > limit {
+			t.Errorf("Pin allocates %d B at %d buffered arcs, over 8 B per arc + %d B", alloc, arcs, slack)
+		}
 	}
 }
