@@ -9,8 +9,8 @@ import (
 
 	"kcore/internal/dyngraph"
 	"kcore/internal/emcore"
+	"kcore/internal/graph"
 	"kcore/internal/maintain"
-	"kcore/internal/memgraph"
 	"kcore/internal/semicore"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
@@ -116,7 +116,7 @@ func BenchmarkAblationBatchDelete(b *testing.B) {
 	})
 }
 
-func restore(b *testing.B, s *maintain.Session, edges []memgraph.Edge) {
+func restore(b *testing.B, s *maintain.Session, edges []graph.Edge) {
 	b.Helper()
 	b.StopTimer()
 	for _, e := range edges {

@@ -16,8 +16,8 @@ import (
 	"os"
 
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/graphio"
-	"kcore/internal/memgraph"
 )
 
 func main() {
@@ -43,7 +43,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var edges []memgraph.Edge
+	var edges []graph.Edge
 	switch {
 	case *dataset != "":
 		d, err := gen.ByName(*dataset)

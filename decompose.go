@@ -142,7 +142,8 @@ func Decompose(g *Graph, opts *DecomposeOptions) (*Result, error) {
 			out.Kmax = c
 		}
 	}
-	out.Info = runInfoFrom(rs, g.IOStats().Sub(before))
+	out.Info = rs
+	out.Info.IO = g.IOStats().Sub(before)
 	out.Info.MemPeakBytes = mem.Peak()
 	return out, nil
 }

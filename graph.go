@@ -162,7 +162,7 @@ func (g *Graph) Pin() (*View, error) { return g.dyn.Pin() }
 func (g *Graph) Adopt(view *View, tables string) error { return g.dyn.Adopt(view, tables) }
 
 // IOStats reports the cumulative block I/O performed through this handle.
-func (g *Graph) IOStats() IOStats { return ioStatsFrom(g.ctr.Snapshot()) }
+func (g *Graph) IOStats() IOStats { return g.ctr.Snapshot() }
 
 // DiskStats snapshots the block cache, update buffer and fold-back
 // gauges. Unlike the rest of the handle it may be called concurrently

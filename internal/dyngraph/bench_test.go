@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"kcore/internal/dyngraph"
-	"kcore/internal/memgraph"
+	"kcore/internal/graph"
 	"kcore/internal/testutil"
 )
 
@@ -19,7 +19,7 @@ const (
 // benchStore opens the standard bench fixture under the given cache
 // budget, returning the fixture's live edges so mutation streams can
 // seed their mirrors with them.
-func benchStore(b *testing.B, cacheBlocks int) (*dyngraph.Graph, []memgraph.Edge) {
+func benchStore(b *testing.B, cacheBlocks int) (*dyngraph.Graph, []graph.Edge) {
 	b.Helper()
 	base, edges := testutil.WriteSocial(b, diskBenchNodes, diskBenchSeed)
 	g, _ := openAt(b, base, 4096, dyngraph.Options{CacheBlocks: cacheBlocks})

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kcore/internal/dyngraph"
+	"kcore/internal/graph"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
 	"kcore/internal/testutil"
@@ -78,7 +79,7 @@ func mutate(t *testing.T, g *dyngraph.Graph, stream *testutil.MutationStream, co
 }
 
 // adjacency turns an edge list into sorted per-node lists.
-func adjacency(n uint32, edges []memgraph.Edge) [][]uint32 {
+func adjacency(n uint32, edges []graph.Edge) [][]uint32 {
 	adj := make([][]uint32, n)
 	for _, e := range edges {
 		adj[e.U] = append(adj[e.U], e.V)

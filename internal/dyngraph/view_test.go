@@ -9,6 +9,7 @@ import (
 
 	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
 	"kcore/internal/testutil"
@@ -119,7 +120,7 @@ func testViewOutlivesCompaction(t *testing.T, open driverOpen) {
 func TestViewDetectsDamage(t *testing.T) { onEachDriver(t, testViewDetectsDamage) }
 
 func testViewDetectsDamage(t *testing.T, open driverOpen) {
-	csr, err := memgraph.FromEdges(6, []memgraph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 3, V: 4}})
+	csr, err := memgraph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 3, V: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

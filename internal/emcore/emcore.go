@@ -13,10 +13,16 @@
 // anyway), and every round performs write I/O to re-partition.
 //
 // Deviation from Cheng et al.: partitions are contiguous node ranges with
-// an arc budget rather than the original clustering heuristic. This keeps
-// the baseline honest (same asymptotics, same failure mode) without
+// an arc budget rather than the original clustering heuristic — a
+// partition takes nodes in id order and closes once it holds
+// PartitionArcs arcs, the last one at n with fewer. This keeps the
+// baseline honest (same asymptotics, same failure mode) without
 // importing a second paper's partitioner; see docs/ARCHITECTURE.md,
 // "Deviations from the paper".
+//
+// Partition files are written through storage.BlockWriter and read back
+// through a one-frame storage.BlockCache held to the CRC32C of every
+// block their writer flushed, so a damaged partition fails the run.
 package emcore
 
 import (
@@ -64,6 +70,7 @@ type partition struct {
 	lo, hi uint32 // node range [lo, hi)
 	arcs   int64  // arcs currently stored in the file
 	path   string
+	crcs   []uint32 // the CRC32C of each block of the file
 }
 
 // Decompose runs EMCore over an on-disk graph.
@@ -251,23 +258,19 @@ func Decompose(src *storage.Graph, opts Options) (*Result, error) {
 }
 
 // buildPartitions streams the source graph into contiguous-range partition
-// files and fills the initial upper bounds (ub(v) = deg(v)). Range
-// boundaries come from the RangePlanner.
+// files and fills the initial upper bounds (ub(v) = deg(v)). A partition
+// closes once it holds partArcs arcs; the last one closes at n.
 func buildPartitions(src *storage.Graph, dir string, partArcs int64, ub []uint32, ctr *stats.IOCounter) ([]partition, error) {
 	var parts []partition
 	var w *storage.BlockWriter
 	var cur partition
 	var buf []byte
-	planner := NewRangePlanner(partArcs)
-
-	flush := func(r NodeRange) error {
-		if w == nil {
-			return nil
-		}
-		cur.lo, cur.hi, cur.arcs = r.Lo, r.Hi, r.Arcs
+	flush := func(hi uint32) error {
+		cur.hi = hi
 		if err := w.Close(); err != nil {
 			return err
 		}
+		cur.crcs = w.BlockCRCs()
 		parts = append(parts, cur)
 		w = nil
 		return nil
@@ -276,39 +279,30 @@ func buildPartitions(src *storage.Graph, dir string, partArcs int64, ub []uint32
 	err := src.Scan(0, n-1, nil, func(v uint32, nbrs []uint32) error {
 		ub[v] = uint32(len(nbrs))
 		if w == nil {
-			cur = partition{path: filepath.Join(dir, fmt.Sprintf("part-%d.bin", len(parts)))}
+			cur = partition{lo: v, path: filepath.Join(dir, fmt.Sprintf("part-%d.bin", len(parts)))}
 			var err error
 			w, err = storage.CreateBlockWriter(cur.path, ctr)
 			if err != nil {
 				return err
 			}
 		}
-		need := 8 + 4*len(nbrs)
-		if cap(buf) < need {
-			buf = make([]byte, need)
-		}
-		b := buf[:need]
-		binary.LittleEndian.PutUint32(b[0:4], v)
-		binary.LittleEndian.PutUint32(b[4:8], uint32(len(nbrs)))
-		for i, x := range nbrs {
-			binary.LittleEndian.PutUint32(b[8+4*i:], x)
-		}
-		if _, err := w.Write(b); err != nil {
+		buf = appendRecord(buf[:0], v, nbrs)
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
-		if r, closed := planner.Add(v, uint32(len(nbrs))); closed {
-			return flush(r)
+		if cur.arcs += int64(len(nbrs)); cur.arcs >= partArcs {
+			return flush(v + 1)
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	if err == nil && w != nil {
+		err = flush(n)
 	}
-	if rs := planner.Finish(n); w != nil {
-		// The final range is still open (under target): close it at n.
-		if err := flush(rs[len(rs)-1]); err != nil {
-			return nil, err
+	if err != nil {
+		if w != nil {
+			w.Close()
 		}
+		return nil, err
 	}
 	return parts, nil
 }
@@ -418,6 +412,17 @@ func (g *gmemGraph) peel(deposit []int32) []uint32 {
 	return core
 }
 
+// appendRecord appends v's partition record to b: v, its degree and its
+// neighbours, each a little-endian uint32.
+func appendRecord(b []byte, v uint32, nbrs []uint32) []byte {
+	b = binary.LittleEndian.AppendUint32(b, v)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(nbrs)))
+	for _, x := range nbrs {
+		b = binary.LittleEndian.AppendUint32(b, x)
+	}
+	return b
+}
+
 // rewrite rebuilds a partition file without the finalised nodes' records.
 func rewrite(p *partition, finalized []bool, ctr *stats.IOCounter) error {
 	tmp := p.path + ".new"
@@ -431,17 +436,8 @@ func rewrite(p *partition, finalized []bool, ctr *stats.IOCounter) error {
 		if finalized[v] {
 			return nil
 		}
-		need := 8 + 4*len(nbrs)
-		if cap(buf) < need {
-			buf = make([]byte, need)
-		}
-		b := buf[:need]
-		binary.LittleEndian.PutUint32(b[0:4], v)
-		binary.LittleEndian.PutUint32(b[4:8], uint32(len(nbrs)))
-		for i, x := range nbrs {
-			binary.LittleEndian.PutUint32(b[8+4*i:], x)
-		}
-		if _, err := w.Write(b); err != nil {
+		buf = appendRecord(buf[:0], v, nbrs)
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 		arcs += int64(len(nbrs))
@@ -457,13 +453,14 @@ func rewrite(p *partition, finalized []bool, ctr *stats.IOCounter) error {
 	if err := os.Rename(tmp, p.path); err != nil {
 		return err
 	}
-	p.arcs = arcs
+	p.arcs, p.crcs = arcs, w.BlockCRCs()
 	return nil
 }
 
-// readPartition streams (node, neighbours) records from a partition file.
+// readPartition streams (node, neighbours) records from a partition file,
+// read through a frame of its own and held to its writer's checksums.
 func readPartition(p partition, ctr *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
-	f, err := storage.OpenBlockFile(p.path, ctr)
+	f, err := storage.NewBlockCache(1, ctr.BlockSize()).Open(p.path, p.crcs, ctr)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
@@ -144,7 +145,7 @@ func TestIsolatedAndEmpty(t *testing.T) {
 		t.Fatal("empty graph produced cores")
 	}
 
-	iso, err := memgraph.FromEdges(10, []memgraph.Edge{{U: 0, V: 1}})
+	iso, err := memgraph.FromEdges(10, []graph.Edge{{U: 0, V: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,5 +155,35 @@ func TestIsolatedAndEmpty(t *testing.T) {
 	}
 	if err := verify.CheckAgainst(iso, res.Core); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEMCoreIOGate pins EMCore's exact partition I/O and round count on
+// RMAT(13,12) with 4 KiB blocks at the default budget and at a tight
+// one: what the partition layout, the range rule and the partition
+// reader cost is fixed, so a change to any of them shows here.
+func TestEMCoreIOGate(t *testing.T) {
+	g := gen.Build(gen.RMAT(13, 12, .57, .19, .19, 1))
+	dg := onDisk(t, g)
+	for _, tc := range []struct {
+		budget                int64
+		reads, writes, rounds int64
+	}{
+		{0, 175114, 87557, 878},
+		{4096, 123030, 61515, 944},
+	} {
+		ctr := stats.NewIOCounter(4096)
+		res, err := Decompose(dg, Options{TempDir: t.TempDir(), IO: ctr, MemoryBudgetArcs: tc.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := verify.CheckAgainst(g, res.Core); err != nil {
+			t.Fatal(err)
+		}
+		got := [3]int64{ctr.Reads(), ctr.Writes(), int64(res.Rounds)}
+		t.Logf("budget %d: %d reads, %d writes, %d rounds", tc.budget, got[0], got[1], got[2])
+		if want := [3]int64{tc.reads, tc.writes, tc.rounds}; got != want {
+			t.Errorf("budget %d: reads/writes/rounds %v, want %v", tc.budget, got, want)
+		}
 	}
 }

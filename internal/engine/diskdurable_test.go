@@ -16,6 +16,7 @@ import (
 	"kcore/internal/engine"
 	"kcore/internal/faultfs"
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/memgraph"
 	"kcore/internal/serve"
 	"kcore/internal/testutil"
@@ -416,7 +417,7 @@ func TestParkedFoldBackIsAdopted(t *testing.T) {
 				t.Helper()
 				all := slices.Clone(edges)
 				for _, up := range ups[:applied] {
-					all = append(all, gen.Edge{U: up.U, V: up.V})
+					all = append(all, graph.Edge{U: up.U, V: up.V})
 				}
 				if err := verify.CheckAgainst(gen.Build(all), p.eng.Snapshot().Cores()); err != nil {
 					t.Fatalf("after %d inserts: %v", applied, err)
@@ -479,7 +480,7 @@ func TestMemCheckpointRejectsCorruptTable(t *testing.T) {
 
 func testCheckpointRejectsCorruptTable(t *testing.T, backend string, fill int) {
 	const n = 6
-	base := testutil.WriteEdges(t, n, []memgraph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
+	base := testutil.WriteEdges(t, n, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
 	ups := []serve.Update{{Op: serve.OpInsert, U: 1, V: 3}, {Op: serve.OpDelete, U: 3, V: 4}, {Op: serve.OpInsert, U: 4, V: 5}}
 	want := memCoresAfter(t, base, [][]serve.Update{ups})[0]
 
@@ -572,7 +573,7 @@ func TestDamagedLiveAfterRestartsFallsBack(t *testing.T) {
 	for _, backend := range []string{engine.BackendMem, engine.BackendDisk} {
 		t.Run(backend, func(t *testing.T) {
 			const n = 6
-			base := testutil.WriteEdges(t, n, []memgraph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
+			base := testutil.WriteEdges(t, n, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}})
 			ups := []serve.Update{{Op: serve.OpInsert, U: 1, V: 3}, {Op: serve.OpDelete, U: 3, V: 4}, {Op: serve.OpInsert, U: 4, V: 5}, {Op: serve.OpInsert, U: 0, V: 5}}
 			want := memCoresAfter(t, base, [][]serve.Update{ups})[0]
 

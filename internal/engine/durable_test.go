@@ -16,6 +16,7 @@ import (
 	"kcore/internal/engine"
 	"kcore/internal/faultfs"
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/serve"
 	"kcore/internal/verify"
 	"kcore/internal/wal"
@@ -797,7 +798,7 @@ func TestRecoverLegacyShardedDataDir(t *testing.T) {
 	}
 	edges := gen.Social(n, 3, 8, 8, seed)
 	for _, up := range ups {
-		edges = append(edges, gen.Edge{U: up.U, V: up.V})
+		edges = append(edges, graph.Edge{U: up.U, V: up.V})
 	}
 	if err := verify.CheckAgainst(gen.Build(edges), eng2.Snapshot().Cores()); err != nil {
 		t.Fatalf("recovered cores differ from the reference: %v", err)
@@ -843,7 +844,7 @@ func TestRecoverParentWrittenDataDir(t *testing.T) {
 	}
 	edges := gen.Social(n, 3, 8, 8, seed)
 	for _, up := range freshEdges(n, seed, k) {
-		edges = append(edges, gen.Edge{U: up.U, V: up.V})
+		edges = append(edges, graph.Edge{U: up.U, V: up.V})
 	}
 	if err := verify.CheckAgainst(gen.Build(edges), eng.Snapshot().Cores()); err != nil {
 		t.Fatalf("recovered cores differ from the reference on the acked prefix: %v", err)

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
@@ -155,13 +156,13 @@ func fmtCount(x int64) string {
 }
 
 // pickEdges selects k distinct random edges of g, deterministically.
-func pickEdges(g *memgraph.CSR, k int, seed int64) []memgraph.Edge {
+func pickEdges(g *memgraph.CSR, k int, seed int64) []graph.Edge {
 	all := g.EdgeList()
 	if k > len(all) {
 		k = len(all)
 	}
 	r := rand.New(rand.NewSource(seed))
-	out := make([]memgraph.Edge, 0, k)
+	out := make([]graph.Edge, 0, k)
 	for _, i := range r.Perm(len(all))[:k] {
 		out = append(out, all[i])
 	}

@@ -6,6 +6,7 @@ import (
 
 	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/imcore"
 	"kcore/internal/maintain"
 	"kcore/internal/memgraph"
@@ -74,7 +75,7 @@ func fig10(cfg *Config, group gen.Group, withInMemory bool) error {
 
 // maintenanceRun executes the delete-then-reinsert protocol for the
 // semi-external algorithms over the disk graph at base.
-func (cfg *Config) maintenanceRun(base string, edges []memgraph.Edge) ([]maintRecord, error) {
+func (cfg *Config) maintenanceRun(base string, edges []graph.Edge) ([]maintRecord, error) {
 	// Session A: SemiDelete* over the deletions, SemiInsert* over the
 	// re-insertions.
 	runStar := func() (maintRecord, maintRecord, error) {
@@ -167,7 +168,7 @@ func (cfg *Config) maintenanceRun(base string, edges []memgraph.Edge) ([]maintRe
 }
 
 // inMemoryMaintenance runs IMDelete/IMInsert over the same edge sequence.
-func inMemoryMaintenance(csr *memgraph.CSR, edges []memgraph.Edge) []maintRecord {
+func inMemoryMaintenance(csr *memgraph.CSR, edges []graph.Edge) []maintRecord {
 	m := imcore.NewMaintainer(imcore.NewDynGraph(csr))
 	del := maintRecord{Algo: "IMDelete"}
 	for _, e := range edges {

@@ -11,7 +11,10 @@
 // binary heap of (key, run) pairs. Runs are encoded, written, read and
 // decoded a block at a time, and all of that traffic is charged to an I/O
 // counter at block granularity, so graph construction costs what its
-// passes cost and is measurable alongside algorithm cost.
+// passes cost and is measurable alongside algorithm cost. Each run keeps
+// the CRC32C of every block its writer flushed, and the merge reads it
+// back through a one-frame storage.BlockCache held to them: a damaged run
+// fails the merge instead of reaching the graph it builds.
 package extsort
 
 import (
@@ -62,7 +65,7 @@ type Sorter struct {
 	buf      []uint64 // packed arcs not yet spilled
 	scratch  []uint64 // radix sort's second buffer, allocated on first use
 	spillDir string   // private run directory, created by the first spill
-	runs     []string
+	runs     []run
 	total    int64
 	iterated bool
 	closed   bool
@@ -127,11 +130,11 @@ func (s *Sorter) spill() error {
 		s.spillDir = d
 	}
 	s.sortBuf()
-	name := filepath.Join(s.spillDir, fmt.Sprintf("run-%d.arcs", len(s.runs)))
-	if err := writeRun(name, s.buf, s.io); err != nil {
+	r, err := writeRun(filepath.Join(s.spillDir, fmt.Sprintf("run-%d.arcs", len(s.runs))), s.buf, s.io)
+	if err != nil {
 		return err
 	}
-	s.runs = append(s.runs, name)
+	s.runs = append(s.runs, r)
 	s.buf = s.buf[:0]
 	return nil
 }
@@ -167,8 +170,8 @@ func (s *Sorter) Iterate(fn func(a Arc) error) error {
 		}
 	}()
 	h := make(mergeHeap, 0, len(s.runs))
-	for _, name := range s.runs {
-		r, err := openRun(name, s.io)
+	for _, run := range s.runs {
+		r, err := openRun(run, s.io)
 		if err != nil {
 			return err
 		}
@@ -261,11 +264,17 @@ func chunkBytes(ctr *stats.IOCounter) int {
 	return max(1, ctr.BlockSize()/arcBytes) * arcBytes
 }
 
+// run is one spilled run file and the CRC32C of each of its blocks.
+type run struct {
+	path string
+	crcs []uint32
+}
+
 // writeRun writes sorted keys as one run file, a block of arcs per Write.
-func writeRun(path string, keys []uint64, ctr *stats.IOCounter) error {
+func writeRun(path string, keys []uint64, ctr *stats.IOCounter) (run, error) {
 	w, err := storage.CreateBlockWriter(path, ctr)
 	if err != nil {
-		return err
+		return run{}, err
 	}
 	chunk := make([]byte, chunkBytes(ctr))
 	for len(keys) > 0 {
@@ -275,29 +284,33 @@ func writeRun(path string, keys []uint64, ctr *stats.IOCounter) error {
 		}
 		if _, err := w.Write(chunk[:n*arcBytes]); err != nil {
 			w.Close()
-			return err
+			return run{}, err
 		}
 		keys = keys[n:]
 	}
-	return w.Close()
+	if err := w.Close(); err != nil {
+		return run{}, err
+	}
+	return run{path: path, crcs: w.BlockCRCs()}, nil
 }
 
-// runReader streams one run file's keys, a block of arcs per ReadAt.
+// runReader streams one run file's keys, a block of arcs per ReadAt,
+// through a frame of its own: the one-block buffer of the model.
 type runReader struct {
-	f   *storage.BlockFile
+	f   *storage.CachedFile
 	off int64  // file offset of the next chunk
 	buf []byte // the chunk last fetched; buf[pos:] is not yet consumed
 	pos int
 }
 
-func openRun(path string, ctr *stats.IOCounter) (*runReader, error) {
-	f, err := storage.OpenBlockFile(path, ctr)
+func openRun(r run, ctr *stats.IOCounter) (*runReader, error) {
+	f, err := storage.NewBlockCache(1, ctr.BlockSize()).Open(r.path, r.crcs, ctr)
 	if err != nil {
 		return nil, err
 	}
 	if f.Size()%arcBytes != 0 {
 		f.Close()
-		return nil, fmt.Errorf("extsort: run %s holds %d bytes, not whole arcs", path, f.Size())
+		return nil, fmt.Errorf("extsort: run %s holds %d bytes, not whole arcs", r.path, f.Size())
 	}
 	return &runReader{f: f, buf: make([]byte, 0, chunkBytes(ctr))}, nil
 }

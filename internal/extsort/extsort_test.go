@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -127,6 +128,37 @@ func TestSpillingPath(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Fatalf("Close left %v behind", entries)
+	}
+}
+
+// TestDamagedRunFailsMerge flips one byte of a spilled run before the
+// merge: the run's reader holds every block to the checksum its writer
+// recorded, so Iterate fails instead of merging the damaged arc.
+func TestDamagedRunFailsMerge(t *testing.T) {
+	s := NewSorter(t.TempDir(), 64, stats.NewIOCounter(256))
+	defer s.Close()
+	arcs := randomArcs(rand.New(rand.NewSource(2)), 5000, 300)
+	for _, a := range arcs {
+		if err := s.Add(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.runs) < 2 {
+		t.Fatalf("%d runs spilled, want several", len(s.runs))
+	}
+	path := s.runs[len(s.runs)/2].path
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	merged := 0
+	err = s.Iterate(func(Arc) error { merged++; return nil })
+	if err == nil || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("merge of a damaged run: err = %v after %d of %d arcs, want a checksum error", err, merged, len(arcs))
 	}
 }
 
@@ -266,7 +298,8 @@ func TestRunFileFormatAndCharges(t *testing.T) {
 	for _, blockSize := range []int{4, 100, 512, 4096, 1 << 16} {
 		ctr := stats.NewIOCounter(blockSize)
 		path := filepath.Join(t.TempDir(), "run")
-		if err := writeRun(path, keys, ctr); err != nil {
+		run, err := writeRun(path, keys, ctr)
+		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(path)
@@ -276,7 +309,7 @@ func TestRunFileFormatAndCharges(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("B=%d: run file bytes differ from little-endian (U,V) pairs", blockSize)
 		}
-		r, err := openRun(path, ctr)
+		r, err := openRun(run, ctr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package gen
 import (
 	"fmt"
 
+	"kcore/internal/graph"
 	"kcore/internal/memgraph"
 )
 
@@ -38,7 +39,7 @@ type Dataset struct {
 	PaperV, PaperE int64
 	PaperKmax      int
 	// Make generates the edge list deterministically.
-	Make func() []Edge
+	Make func() []graph.Edge
 }
 
 // Graph generates and materialises the dataset as a CSR.
@@ -53,62 +54,62 @@ var Datasets = []Dataset{
 	{
 		Name: "dblp-sim", Paper: "DBLP", Group: Small,
 		PaperV: 317_080, PaperE: 1_049_866, PaperKmax: 113,
-		Make: func() []Edge { return Social(4000, 3, 40, 14, 101) },
+		Make: func() []graph.Edge { return Social(4000, 3, 40, 14, 101) },
 	},
 	{
 		Name: "youtube-sim", Paper: "Youtube", Group: Small,
 		PaperV: 1_134_890, PaperE: 2_987_624, PaperKmax: 51,
-		Make: func() []Edge { return RMAT(12, 3, 0.60, 0.19, 0.19, 102) },
+		Make: func() []graph.Edge { return RMAT(12, 3, 0.60, 0.19, 0.19, 102) },
 	},
 	{
 		Name: "wiki-sim", Paper: "WIKI", Group: Small,
 		PaperV: 2_394_385, PaperE: 5_021_410, PaperKmax: 131,
-		Make: func() []Edge { return RMAT(13, 2, 0.62, 0.19, 0.15, 103) },
+		Make: func() []graph.Edge { return RMAT(13, 2, 0.62, 0.19, 0.15, 103) },
 	},
 	{
 		Name: "cpt-sim", Paper: "CPT", Group: Small,
 		PaperV: 3_774_768, PaperE: 16_518_948, PaperKmax: 64,
-		Make: func() []Edge { return RMAT(13, 4, 0.57, 0.19, 0.19, 104) },
+		Make: func() []graph.Edge { return RMAT(13, 4, 0.57, 0.19, 0.19, 104) },
 	},
 	{
 		Name: "lj-sim", Paper: "LJ", Group: Small,
 		PaperV: 3_997_962, PaperE: 34_681_189, PaperKmax: 360,
-		Make: func() []Edge { return RMAT(13, 8, 0.57, 0.19, 0.19, 105) },
+		Make: func() []graph.Edge { return RMAT(13, 8, 0.57, 0.19, 0.19, 105) },
 	},
 	{
 		Name: "orkut-sim", Paper: "Orkut", Group: Small,
 		PaperV: 3_072_441, PaperE: 117_185_083, PaperKmax: 253,
-		Make: func() []Edge { return RMAT(12, 28, 0.57, 0.19, 0.19, 106) },
+		Make: func() []graph.Edge { return RMAT(12, 28, 0.57, 0.19, 0.19, 106) },
 	},
 	{
 		Name: "webbase-sim", Paper: "Webbase", Group: Big,
 		PaperV: 118_142_155, PaperE: 1_019_903_190, PaperKmax: 1506,
-		Make: func() []Edge { return WebGraph(15, 8, 60, 100, 107) },
+		Make: func() []graph.Edge { return WebGraph(15, 8, 60, 100, 107) },
 	},
 	{
 		Name: "it-sim", Paper: "IT", Group: Big,
 		PaperV: 41_291_594, PaperE: 1_150_725_436, PaperKmax: 3224,
-		Make: func() []Edge { return WebGraph(15, 12, 40, 150, 108) },
+		Make: func() []graph.Edge { return WebGraph(15, 12, 40, 150, 108) },
 	},
 	{
 		Name: "twitter-sim", Paper: "Twitter", Group: Big,
 		PaperV: 41_652_230, PaperE: 1_468_365_182, PaperKmax: 2488,
-		Make: func() []Edge { return RMAT(16, 20, 0.57, 0.19, 0.19, 109) },
+		Make: func() []graph.Edge { return RMAT(16, 20, 0.57, 0.19, 0.19, 109) },
 	},
 	{
 		Name: "sk-sim", Paper: "SK", Group: Big,
 		PaperV: 50_636_154, PaperE: 1_949_412_601, PaperKmax: 4510,
-		Make: func() []Edge { return WebGraph(15, 24, 60, 200, 110) },
+		Make: func() []graph.Edge { return WebGraph(15, 24, 60, 200, 110) },
 	},
 	{
 		Name: "uk-sim", Paper: "UK", Group: Big,
 		PaperV: 105_896_555, PaperE: 3_738_733_648, PaperKmax: 5704,
-		Make: func() []Edge { return WebGraph(16, 12, 80, 300, 111) },
+		Make: func() []graph.Edge { return WebGraph(16, 12, 80, 300, 111) },
 	},
 	{
 		Name: "clueweb-sim", Paper: "Clueweb", Group: Big,
 		PaperV: 978_408_098, PaperE: 42_574_107_469, PaperKmax: 4244,
-		Make: func() []Edge { return WebGraph(17, 10, 100, 350, 112) },
+		Make: func() []graph.Edge { return WebGraph(17, 10, 100, 350, 112) },
 	},
 }
 
@@ -142,8 +143,8 @@ func SampleGraph() *memgraph.CSR {
 }
 
 // SampleGraphEdges lists the 15 edges of the Fig. 1 graph.
-func SampleGraphEdges() []Edge {
-	return []Edge{
+func SampleGraphEdges() []graph.Edge {
+	return []graph.Edge{
 		{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3},
 		{U: 1, V: 2}, {U: 1, V: 3},
 		{U: 2, V: 3}, {U: 2, V: 4},

@@ -9,22 +9,20 @@ package gen
 import (
 	"math/rand"
 
+	"kcore/internal/graph"
 	"kcore/internal/memgraph"
 )
-
-// Edge aliases the memgraph edge type for convenience.
-type Edge = memgraph.Edge
 
 // ErdosRenyi generates a G(n, m) multigraph sample; duplicates and loops
 // are removed downstream by CSR construction, so the realised edge count
 // can be slightly below m.
-func ErdosRenyi(n uint32, m int, seed int64) []Edge {
+func ErdosRenyi(n uint32, m int, seed int64) []graph.Edge {
 	r := rand.New(rand.NewSource(seed))
-	edges := make([]Edge, 0, m)
+	edges := make([]graph.Edge, 0, m)
 	for i := 0; i < m; i++ {
 		u := uint32(r.Intn(int(n)))
 		v := uint32(r.Intn(int(n)))
-		edges = append(edges, Edge{U: u, V: v})
+		edges = append(edges, graph.Edge{U: u, V: v})
 	}
 	return edges
 }
@@ -33,12 +31,12 @@ func ErdosRenyi(n uint32, m int, seed int64) []Edge {
 // attaches to k existing nodes chosen proportionally to degree (by the
 // repeated-endpoint trick). Produces power-law degree distributions like
 // the paper's social networks.
-func BarabasiAlbert(n uint32, k int, seed int64) []Edge {
+func BarabasiAlbert(n uint32, k int, seed int64) []graph.Edge {
 	if n == 0 {
 		return nil
 	}
 	r := rand.New(rand.NewSource(seed))
-	edges := make([]Edge, 0, int(n)*k)
+	edges := make([]graph.Edge, 0, int(n)*k)
 	// Repeated-endpoints list: picking a uniform element is degree-biased.
 	targets := make([]uint32, 0, 2*int(n)*k)
 	start := uint32(k) + 1
@@ -48,14 +46,14 @@ func BarabasiAlbert(n uint32, k int, seed int64) []Edge {
 	// Seed clique over the first start nodes.
 	for u := uint32(0); u < start; u++ {
 		for v := u + 1; v < start; v++ {
-			edges = append(edges, Edge{U: u, V: v})
+			edges = append(edges, graph.Edge{U: u, V: v})
 			targets = append(targets, u, v)
 		}
 	}
 	for v := start; v < n; v++ {
 		for i := 0; i < k; i++ {
 			u := targets[r.Intn(len(targets))]
-			edges = append(edges, Edge{U: u, V: v})
+			edges = append(edges, graph.Edge{U: u, V: v})
 			targets = append(targets, u, v)
 		}
 	}
@@ -66,11 +64,11 @@ func BarabasiAlbert(n uint32, k int, seed int64) []Edge {
 // nodes and approximately edgeFactor * 2^scale edges, with partition
 // probabilities a, b, c (d = 1-a-b-c). Skewed parameters produce the
 // heavy-tailed structure of social and web graphs.
-func RMAT(scale int, edgeFactor int, a, b, c float64, seed int64) []Edge {
+func RMAT(scale int, edgeFactor int, a, b, c float64, seed int64) []graph.Edge {
 	r := rand.New(rand.NewSource(seed))
 	n := 1 << scale
 	m := edgeFactor * n
-	edges := make([]Edge, 0, m)
+	edges := make([]graph.Edge, 0, m)
 	for i := 0; i < m; i++ {
 		u, v := 0, 0
 		for bit := n >> 1; bit >= 1; bit >>= 1 {
@@ -87,7 +85,7 @@ func RMAT(scale int, edgeFactor int, a, b, c float64, seed int64) []Edge {
 				v += bit
 			}
 		}
-		edges = append(edges, Edge{U: uint32(u), V: uint32(v)})
+		edges = append(edges, graph.Edge{U: uint32(u), V: uint32(v)})
 	}
 	return edges
 }
@@ -95,16 +93,16 @@ func RMAT(scale int, edgeFactor int, a, b, c float64, seed int64) []Edge {
 // SmallWorld generates a Watts-Strogatz ring lattice over n nodes where
 // each node links to its k nearest successors and each link rewires with
 // probability beta.
-func SmallWorld(n uint32, k int, beta float64, seed int64) []Edge {
+func SmallWorld(n uint32, k int, beta float64, seed int64) []graph.Edge {
 	r := rand.New(rand.NewSource(seed))
-	edges := make([]Edge, 0, int(n)*k)
+	edges := make([]graph.Edge, 0, int(n)*k)
 	for v := uint32(0); v < n; v++ {
 		for i := 1; i <= k; i++ {
 			u := (v + uint32(i)) % n
 			if r.Float64() < beta {
 				u = uint32(r.Intn(int(n)))
 			}
-			edges = append(edges, Edge{U: v, V: u})
+			edges = append(edges, graph.Edge{U: v, V: u})
 		}
 	}
 	return edges
@@ -116,7 +114,7 @@ func SmallWorld(n uint32, k int, beta float64, seed int64) []Edge {
 // the locality fixpoint — the property that gives the paper's UK/Clueweb
 // runs their thousands of SemiCore iterations — while the core supplies a
 // large kmax.
-func WebGraph(coreScale int, edgeFactor int, chains int, chainLen int, seed int64) []Edge {
+func WebGraph(coreScale int, edgeFactor int, chains int, chainLen int, seed int64) []graph.Edge {
 	r := rand.New(rand.NewSource(seed))
 	core := RMAT(coreScale, edgeFactor, 0.57, 0.19, 0.19, seed)
 	coreN := uint32(1 << coreScale)
@@ -134,20 +132,20 @@ func WebGraph(coreScale int, edgeFactor int, chains int, chainLen int, seed int6
 		anchor := uint32(r.Intn(int(coreN)))
 		prev := anchor
 		for i := 0; i < chainLen; i++ {
-			edges = append(edges, Edge{U: prev, V: next})
+			edges = append(edges, graph.Edge{U: prev, V: next})
 			prev = next
 			next++
 		}
 		if c%2 == 0 {
 			back := uint32(r.Intn(int(coreN)))
-			edges = append(edges, Edge{U: prev, V: back})
+			edges = append(edges, graph.Edge{U: prev, V: back})
 		}
 	}
 	return edges
 }
 
 // NumNodes scans an edge list for the implied node count (max id + 1).
-func NumNodes(edges []Edge) uint32 {
+func NumNodes(edges []graph.Edge) uint32 {
 	var maxID uint32
 	for _, e := range edges {
 		if e.U > maxID {
@@ -165,7 +163,7 @@ func NumNodes(edges []Edge) uint32 {
 
 // Build materialises an edge list as a CSR, panicking on malformed input
 // (generators are trusted code paths).
-func Build(edges []Edge) *memgraph.CSR {
+func Build(edges []graph.Edge) *memgraph.CSR {
 	g, err := memgraph.FromEdges(NumNodes(edges), edges)
 	if err != nil {
 		panic(err)

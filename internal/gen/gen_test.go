@@ -3,6 +3,7 @@ package gen
 import (
 	"testing"
 
+	"kcore/internal/graph"
 	"kcore/internal/verify"
 )
 
@@ -29,13 +30,13 @@ func TestSampleGraphMatchesPaper(t *testing.T) {
 }
 
 func TestGeneratorsDeterministic(t *testing.T) {
-	cases := map[string]func() []Edge{
-		"er":     func() []Edge { return ErdosRenyi(100, 300, 1) },
-		"ba":     func() []Edge { return BarabasiAlbert(100, 3, 1) },
-		"rmat":   func() []Edge { return RMAT(7, 4, 0.57, 0.19, 0.19, 1) },
-		"sw":     func() []Edge { return SmallWorld(100, 3, 0.2, 1) },
-		"web":    func() []Edge { return WebGraph(6, 4, 4, 10, 1) },
-		"social": func() []Edge { return Social(100, 3, 5, 8, 1) },
+	cases := map[string]func() []graph.Edge{
+		"er":     func() []graph.Edge { return ErdosRenyi(100, 300, 1) },
+		"ba":     func() []graph.Edge { return BarabasiAlbert(100, 3, 1) },
+		"rmat":   func() []graph.Edge { return RMAT(7, 4, 0.57, 0.19, 0.19, 1) },
+		"sw":     func() []graph.Edge { return SmallWorld(100, 3, 0.2, 1) },
+		"web":    func() []graph.Edge { return WebGraph(6, 4, 4, 10, 1) },
+		"social": func() []graph.Edge { return Social(100, 3, 5, 8, 1) },
 	}
 	for name, mk := range cases {
 		a, b := mk(), mk()

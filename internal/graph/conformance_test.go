@@ -177,7 +177,7 @@ func TestSourcesHonourErrStop(t *testing.T) {
 // edgeSet tracks the live edge set of a mutating workload, supporting
 // O(1) membership, random sampling and removal.
 type edgeSet struct {
-	list []memgraph.Edge
+	list []graph.Edge
 	idx  map[uint64]int
 }
 
@@ -188,7 +188,7 @@ func edgeKey(u, v uint32) uint64 {
 	return uint64(u)<<32 | uint64(v)
 }
 
-func newEdgeSet(edges []memgraph.Edge) *edgeSet {
+func newEdgeSet(edges []graph.Edge) *edgeSet {
 	s := &edgeSet{idx: make(map[uint64]int, len(edges))}
 	for _, e := range edges {
 		s.add(e)
@@ -198,12 +198,12 @@ func newEdgeSet(edges []memgraph.Edge) *edgeSet {
 
 func (s *edgeSet) has(u, v uint32) bool { _, ok := s.idx[edgeKey(u, v)]; return ok }
 
-func (s *edgeSet) add(e memgraph.Edge) {
+func (s *edgeSet) add(e graph.Edge) {
 	s.idx[edgeKey(e.U, e.V)] = len(s.list)
 	s.list = append(s.list, e)
 }
 
-func (s *edgeSet) remove(e memgraph.Edge) {
+func (s *edgeSet) remove(e graph.Edge) {
 	i := s.idx[edgeKey(e.U, e.V)]
 	last := len(s.list) - 1
 	s.list[i] = s.list[last]
@@ -215,7 +215,7 @@ func (s *edgeSet) remove(e memgraph.Edge) {
 // mutationStep produces the next batch of the seeded workload: even steps
 // delete random existing edges, odd steps insert random absent ones. The
 // edge set is updated to reflect the batch.
-func mutationStep(r *rand.Rand, step int, n uint32, set *edgeSet, size int) (batch []memgraph.Edge, isDelete bool) {
+func mutationStep(r *rand.Rand, step int, n uint32, set *edgeSet, size int) (batch []graph.Edge, isDelete bool) {
 	isDelete = step%2 == 0
 	if isDelete {
 		for i := 0; i < size && len(set.list) > 0; i++ {
@@ -230,7 +230,7 @@ func mutationStep(r *rand.Rand, step int, n uint32, set *edgeSet, size int) (bat
 		if u == v || set.has(u, v) {
 			continue
 		}
-		e := memgraph.Edge{U: u, V: v}
+		e := graph.Edge{U: u, V: v}
 		set.add(e)
 		batch = append(batch, e)
 	}

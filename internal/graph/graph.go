@@ -7,6 +7,12 @@
 // disk runs and the fast in-memory tests.
 package graph
 
+// Edge is an undirected edge between two node ids, the one edge type of
+// the repository: edge lists, update batches, log records and streams.
+type Edge struct {
+	U, V uint32
+}
+
 // Source is a read-only, scan-oriented graph. Node ids are dense in
 // [0, NumNodes()). Adjacency lists are sorted ascending and free of
 // self-loops and duplicates; every undirected edge appears in both

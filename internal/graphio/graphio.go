@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"kcore/internal/extsort"
+	"kcore/internal/graph"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
@@ -30,7 +31,7 @@ type EdgeSource interface {
 }
 
 // SliceSource adapts an in-memory edge slice.
-type SliceSource []memgraph.Edge
+type SliceSource []graph.Edge
 
 // Edges implements EdgeSource.
 func (s SliceSource) Edges(fn func(u, v uint32) error) error {
@@ -47,7 +48,7 @@ type CSRSource struct{ G *memgraph.CSR }
 
 // Edges implements EdgeSource.
 func (s CSRSource) Edges(fn func(u, v uint32) error) error {
-	return s.G.Edges(func(e memgraph.Edge) error { return fn(e.U, e.V) })
+	return s.G.Edges(func(e graph.Edge) error { return fn(e.U, e.V) })
 }
 
 // BuildOptions tunes graph construction.
@@ -177,11 +178,11 @@ func ReadToCSR(base string) (*memgraph.CSR, error) {
 		return nil, err
 	}
 	defer g.Close()
-	var edges []memgraph.Edge
+	var edges []graph.Edge
 	err = g.Scan(0, g.NumNodes()-1, nil, func(v uint32, nbrs []uint32) error {
 		for _, u := range nbrs {
 			if u > v {
-				edges = append(edges, memgraph.Edge{U: v, V: u})
+				edges = append(edges, graph.Edge{U: v, V: u})
 			}
 		}
 		return nil
@@ -238,7 +239,7 @@ func WriteText(path string, g *memgraph.CSR) error {
 		return err
 	}
 	w := bufio.NewWriter(f)
-	err = g.Edges(func(e memgraph.Edge) error {
+	err = g.Edges(func(e graph.Edge) error {
 		_, err := fmt.Fprintf(w, "%d %d\n", e.U, e.V)
 		return err
 	})

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/memgraph"
 	"kcore/internal/semicore"
 	"kcore/internal/stats"
@@ -76,7 +77,7 @@ func TestBuildWithSpills(t *testing.T) {
 }
 
 func TestBuildDropsLoopsAndDuplicates(t *testing.T) {
-	edges := []memgraph.Edge{
+	edges := []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 0}, {U: 0, V: 1}, // duplicates both ways
 		{U: 2, V: 2}, // self loop
 		{U: 1, V: 2},
@@ -99,7 +100,7 @@ func TestBuildDropsLoopsAndDuplicates(t *testing.T) {
 
 func TestBuildGapNodes(t *testing.T) {
 	// Node 5 exists only via N; nodes 2..4 appear in no edge.
-	edges := []memgraph.Edge{{U: 0, V: 1}}
+	edges := []graph.Edge{{U: 0, V: 1}}
 	base := filepath.Join(t.TempDir(), "g")
 	if err := Build(base, SliceSource(edges), BuildOptions{N: 6}); err != nil {
 		t.Fatal(err)
@@ -120,7 +121,7 @@ func TestBuildGapNodes(t *testing.T) {
 }
 
 func TestBuildRejectsOverflowingForcedN(t *testing.T) {
-	edges := []memgraph.Edge{{U: 0, V: 9}}
+	edges := []graph.Edge{{U: 0, V: 9}}
 	base := filepath.Join(t.TempDir(), "g")
 	if err := Build(base, SliceSource(edges), BuildOptions{N: 5}); err == nil {
 		t.Fatal("endpoint beyond forced N accepted")
@@ -241,7 +242,7 @@ func dirNames(t *testing.T, dir string) []string {
 func TestConcurrentBuildsShareADirectory(t *testing.T) {
 	dir := t.TempDir()
 	const builds = 4
-	edges := make([][]memgraph.Edge, builds)
+	edges := make([][]graph.Edge, builds)
 	for i := range edges {
 		edges[i] = gen.ErdosRenyi(500, 4000, int64(40+i))
 	}
@@ -274,7 +275,7 @@ func TestConcurrentBuildsShareADirectory(t *testing.T) {
 // failingSource hands out edges[:failAt], then fails; delivered counts
 // what Build consumed.
 type failingSource struct {
-	edges     []memgraph.Edge
+	edges     []graph.Edge
 	failAt    int
 	delivered int
 }
@@ -324,7 +325,7 @@ func TestBuildErrorPathsLeaveNoSpill(t *testing.T) {
 	})
 	run("endpoint beyond forced N", func(t *testing.T, dir string) error {
 		bad := slices.Clone(edges)
-		bad[1500] = memgraph.Edge{U: 3, V: 300}
+		bad[1500] = graph.Edge{U: 3, V: 300}
 		src := &failingSource{edges: bad, failAt: -1}
 		err := Build(filepath.Join(dir, "g"), src, BuildOptions{N: 300, SortBudgetArcs: 64})
 		if src.delivered != 1501 {

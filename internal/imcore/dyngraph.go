@@ -73,11 +73,11 @@ func (d *DynGraph) Delete(u, v uint32) error {
 
 // CSR snapshots the current graph as an immutable CSR.
 func (d *DynGraph) CSR() *memgraph.CSR {
-	var edges []memgraph.Edge
+	var edges []graph.Edge
 	for v := uint32(0); v < d.NumNodes(); v++ {
 		for _, u := range d.adj[v] {
 			if u > v {
-				edges = append(edges, memgraph.Edge{U: v, V: u})
+				edges = append(edges, graph.Edge{U: v, V: u})
 			}
 		}
 	}

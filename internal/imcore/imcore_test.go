@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/memgraph"
 	"kcore/internal/verify"
 )
@@ -47,10 +48,10 @@ func TestDecomposeEdgeCases(t *testing.T) {
 		}
 	}
 	// Complete graph K5: all cores 4.
-	var edges []memgraph.Edge
+	var edges []graph.Edge
 	for i := uint32(0); i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			edges = append(edges, memgraph.Edge{U: i, V: j})
+			edges = append(edges, graph.Edge{U: i, V: j})
 		}
 	}
 	k5, _ := memgraph.FromEdges(5, edges)

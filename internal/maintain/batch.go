@@ -3,7 +3,7 @@ package maintain
 import (
 	"time"
 
-	"kcore/internal/memgraph"
+	"kcore/internal/graph"
 	"kcore/internal/stats"
 )
 
@@ -16,7 +16,7 @@ import (
 // affected region once instead of |batch| times.
 //
 // Edges are validated up front; on error the graph is left unchanged.
-func (s *Session) BatchDelete(edges []memgraph.Edge) (stats.RunStats, error) {
+func (s *Session) BatchDelete(edges []graph.Edge) (stats.RunStats, error) {
 	start := time.Now()
 	rs := stats.RunStats{Algorithm: "SemiDeleteBatch*"}
 	if len(edges) == 0 {
@@ -77,7 +77,7 @@ func (s *Session) BatchDelete(edges []memgraph.Edge) (stats.RunStats, error) {
 // machinery. Edges are validated as they are applied; on error the
 // already-inserted prefix remains applied and consistent, and the
 // returned stats are that prefix's work.
-func (s *Session) BatchInsert(edges []memgraph.Edge, twoPhase bool) (stats.RunStats, error) {
+func (s *Session) BatchInsert(edges []graph.Edge, twoPhase bool) (stats.RunStats, error) {
 	start := time.Now()
 	insert, total := s.InsertStar, stats.RunStats{Algorithm: "SemiInsertBatch*"}
 	if twoPhase {

@@ -6,7 +6,7 @@ import (
 
 	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
-	"kcore/internal/memgraph"
+	"kcore/internal/graph"
 )
 
 // TestBatchDeleteEqualsSequential deletes the same edge set via
@@ -21,7 +21,7 @@ func TestBatchDeleteEqualsSequential(t *testing.T) {
 			}
 			edges := g.EdgeList()
 			r := rand.New(rand.NewSource(301))
-			var batch []memgraph.Edge
+			var batch []graph.Edge
 			for _, i := range r.Perm(len(edges))[:20] {
 				batch = append(batch, edges[i])
 			}
@@ -66,7 +66,7 @@ func TestBatchDeleteAtomicOnError(t *testing.T) {
 	s := newSessionFor(t, g, dyngraph.Options{})
 	coreBefore := append([]uint32(nil), s.Core()...)
 	edgesBefore := s.G.NumEdges()
-	batch := []memgraph.Edge{
+	batch := []graph.Edge{
 		{U: 0, V: 1},
 		{U: 7, V: 8}, // not present -> error
 		{U: 2, V: 3},
@@ -86,7 +86,7 @@ func TestBatchDeleteAtomicOnError(t *testing.T) {
 		}
 	}
 	// A duplicate inside the batch must also fail atomically.
-	if _, err := s.BatchDelete([]memgraph.Edge{{U: 0, V: 1}, {U: 1, V: 0}}); err == nil {
+	if _, err := s.BatchDelete([]graph.Edge{{U: 0, V: 1}, {U: 1, V: 0}}); err == nil {
 		t.Fatal("duplicate-in-batch accepted")
 	}
 	if has, _ := s.G.HasEdge(0, 1); !has {
@@ -110,7 +110,7 @@ func TestBatchDeleteEmpty(t *testing.T) {
 // per-edge InsertStar.
 func TestBatchInsertMatchesSequential(t *testing.T) {
 	g := gen.Build(gen.BarabasiAlbert(150, 3, 303))
-	add := []memgraph.Edge{{U: 0, V: 140}, {U: 5, V: 120}, {U: 7, V: 99}, {U: 3, V: 88}}
+	add := []graph.Edge{{U: 0, V: 140}, {U: 5, V: 120}, {U: 7, V: 99}, {U: 3, V: 88}}
 	for _, e := range add {
 		if g.HasEdge(e.U, e.V) {
 			t.Fatalf("test edge %v already present; pick others", e)

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"kcore/internal/dyngraph"
-	"kcore/internal/memgraph"
+	"kcore/internal/graph"
 	"kcore/internal/stats"
 	"kcore/internal/testutil"
 )
@@ -60,7 +60,7 @@ func TestDirtySetIsSound(t *testing.T) {
 			s := newSessionFor(t, g, dyngraph.Options{})
 			d := newDirtyTracker(t, s)
 			stream := testutil.NewMutationStream(g.NumNodes(), testutil.Seed(t, 811), g.EdgeList())
-			takeLive := func() memgraph.Edge {
+			takeLive := func() graph.Edge {
 				e, ok := stream.TakeLive()
 				if !ok {
 					t.Fatal("mirror ran out of live edges")
@@ -84,11 +84,11 @@ func TestDirtySetIsSound(t *testing.T) {
 					rs, err := s.InsertTwoPhase(e.U, e.V)
 					d.check("InsertTwoPhase", rs, err)
 				case 3:
-					batch := []memgraph.Edge{takeLive(), takeLive(), takeLive()}
+					batch := []graph.Edge{takeLive(), takeLive(), takeLive()}
 					rs, err := s.BatchDelete(batch)
 					d.check("BatchDelete", rs, err)
 				case 4:
-					batch := []memgraph.Edge{makeAbsent(), makeAbsent(), makeAbsent()}
+					batch := []graph.Edge{makeAbsent(), makeAbsent(), makeAbsent()}
 					rs, err := s.BatchInsert(batch, false)
 					d.check("BatchInsert", rs, err)
 				}

@@ -5,6 +5,7 @@ import (
 
 	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/memgraph"
 	"kcore/internal/verify"
 )
@@ -26,7 +27,7 @@ func FuzzMaintenanceSequence(f *testing.F) {
 		base := gen.Build(gen.SmallWorld(16, 2, 0.3, 42))
 		s := newFuzzSession(t, base)
 		shadow := map[[2]uint32]bool{}
-		base.Edges(func(e memgraph.Edge) error {
+		base.Edges(func(e graph.Edge) error {
 			shadow[[2]uint32{e.U, e.V}] = true
 			return nil
 		})
@@ -56,9 +57,9 @@ func FuzzMaintenanceSequence(f *testing.F) {
 		if err := s.VerifyState(); err != nil {
 			t.Fatal(err)
 		}
-		edges := make([]memgraph.Edge, 0, len(shadow))
+		edges := make([]graph.Edge, 0, len(shadow))
 		for k := range shadow {
-			edges = append(edges, memgraph.Edge{U: k[0], V: k[1]})
+			edges = append(edges, graph.Edge{U: k[0], V: k[1]})
 		}
 		ref, err := memgraph.FromEdges(16, edges)
 		if err != nil {

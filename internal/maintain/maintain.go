@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"kcore/internal/dyngraph"
+	"kcore/internal/graph"
 	"kcore/internal/semicore"
 	"kcore/internal/stats"
 )
@@ -89,32 +90,12 @@ func (s *Session) endOp() {
 // DeleteStar removes edge {u,v} and repairs core/cnt with Algorithm 6:
 // after a deletion the old core numbers are still upper bounds (Theorem
 // 3.1), so adjusting the two endpoint counters and re-running the
-// SemiCore* converge loop from the endpoint window suffices.
+// SemiCore* converge loop from the endpoint window suffices. It is
+// BatchDelete of the one edge.
 func (s *Session) DeleteStar(u, v uint32) (stats.RunStats, error) {
-	start := time.Now()
-	rs := stats.RunStats{Algorithm: "SemiDelete*"}
-	if err := s.G.DeleteEdge(u, v); err != nil {
-		return rs, err
-	}
-	core, cnt := s.St.Core, s.St.Cnt
-	var vmin, vmax uint32
-	switch {
-	case core[u] < core[v]:
-		cnt[u]--
-		vmin, vmax = u, u
-	case core[v] < core[u]:
-		cnt[v]--
-		vmin, vmax = v, v
-	default:
-		cnt[u]--
-		cnt[v]--
-		vmin, vmax = min(u, v), max(u, v)
-	}
-	if err := s.St.Converge(s.G, vmin, vmax, &rs, s.Trace); err != nil {
-		return rs, err
-	}
-	rs.Duration = time.Since(start)
-	return rs, nil
+	rs, err := s.BatchDelete([]graph.Edge{{U: u, V: v}})
+	rs.Algorithm = "SemiDelete*"
+	return rs, err
 }
 
 // insertPrologue performs lines 1-5 of Algorithm 7, shared with Algorithm

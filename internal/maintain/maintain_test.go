@@ -9,6 +9,7 @@ import (
 
 	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
@@ -323,7 +324,7 @@ func TestDeleteInsertRoundTrip(t *testing.T) {
 
 	edges := g.EdgeList()
 	r := rand.New(rand.NewSource(86))
-	picked := make([]memgraph.Edge, 0, 100)
+	picked := make([]graph.Edge, 0, 100)
 	for _, i := range r.Perm(len(edges))[:100] {
 		picked = append(picked, edges[i])
 	}
@@ -406,7 +407,7 @@ func TestTheoremDeltaBound(t *testing.T) {
 	}
 }
 
-func referenceCores(t *testing.T, n uint32, edges []memgraph.Edge) []uint32 {
+func referenceCores(t *testing.T, n uint32, edges []graph.Edge) []uint32 {
 	t.Helper()
 	g, err := memgraph.FromEdges(n, edges)
 	if err != nil {

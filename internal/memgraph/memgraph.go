@@ -12,11 +12,6 @@ import (
 	"kcore/internal/graph"
 )
 
-// Edge is an undirected edge between two node ids.
-type Edge struct {
-	U, V uint32
-}
-
 // CSR is a compressed-sparse-row undirected graph. Adjacency lists are
 // sorted ascending; every edge is stored as two arcs.
 type CSR struct {
@@ -27,9 +22,9 @@ type CSR struct {
 // FromEdges builds a CSR over n nodes from an undirected edge list.
 // Self-loops and duplicate edges (in either orientation) are dropped.
 // Endpoints must be < n.
-func FromEdges(n uint32, edges []Edge) (*CSR, error) {
+func FromEdges(n uint32, edges []graph.Edge) (*CSR, error) {
 	deg := make([]int64, n+1)
-	clean := make([]Edge, 0, len(edges))
+	clean := make([]graph.Edge, 0, len(edges))
 	seen := make(map[uint64]struct{}, len(edges))
 	for _, e := range edges {
 		if e.U >= n || e.V >= n {
@@ -47,7 +42,7 @@ func FromEdges(n uint32, edges []Edge) (*CSR, error) {
 			continue
 		}
 		seen[key] = struct{}{}
-		clean = append(clean, Edge{u, v})
+		clean = append(clean, graph.Edge{U: u, V: v})
 		deg[u+1]++
 		deg[v+1]++
 	}
@@ -101,12 +96,12 @@ func (g *CSR) ModelBytes() int64 {
 }
 
 // Edges streams each undirected edge once (u < v).
-func (g *CSR) Edges(fn func(e Edge) error) error {
+func (g *CSR) Edges(fn func(e graph.Edge) error) error {
 	n := g.NumNodes()
 	for v := uint32(0); v < n; v++ {
 		for _, u := range g.Neighbors(v) {
 			if u > v {
-				if err := fn(Edge{v, u}); err != nil {
+				if err := fn(graph.Edge{U: v, V: u}); err != nil {
 					return err
 				}
 			}
@@ -116,9 +111,9 @@ func (g *CSR) Edges(fn func(e Edge) error) error {
 }
 
 // EdgeList materialises Edges.
-func (g *CSR) EdgeList() []Edge {
-	out := make([]Edge, 0, g.NumEdges())
-	g.Edges(func(e Edge) error {
+func (g *CSR) EdgeList() []graph.Edge {
+	out := make([]graph.Edge, 0, g.NumEdges())
+	g.Edges(func(e graph.Edge) error {
 		out = append(out, e)
 		return nil
 	})

@@ -4,9 +4,11 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"kcore/internal/graph"
 )
 
-func mustGraph(t *testing.T, n uint32, edges []Edge) *CSR {
+func mustGraph(t *testing.T, n uint32, edges []graph.Edge) *CSR {
 	t.Helper()
 	g, err := FromEdges(n, edges)
 	if err != nil {
@@ -16,7 +18,7 @@ func mustGraph(t *testing.T, n uint32, edges []Edge) *CSR {
 }
 
 func TestFromEdgesNormalises(t *testing.T) {
-	g := mustGraph(t, 4, []Edge{
+	g := mustGraph(t, 4, []graph.Edge{
 		{U: 1, V: 0}, {U: 0, V: 1}, // duplicate, reversed
 		{U: 2, V: 2}, // self loop
 		{U: 3, V: 1},
@@ -38,13 +40,13 @@ func TestFromEdgesNormalises(t *testing.T) {
 }
 
 func TestFromEdgesRejectsOutOfRange(t *testing.T) {
-	if _, err := FromEdges(2, []Edge{{U: 0, V: 5}}); err == nil {
+	if _, err := FromEdges(2, []graph.Edge{{U: 0, V: 5}}); err == nil {
 		t.Fatal("out-of-range endpoint accepted")
 	}
 }
 
 func TestEdgeListRoundTrip(t *testing.T) {
-	edges := []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 3}}
+	edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 3}}
 	g := mustGraph(t, 4, edges)
 	back := g.EdgeList()
 	if len(back) != 3 {
@@ -57,7 +59,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 }
 
 func TestModelBytes(t *testing.T) {
-	g := mustGraph(t, 3, []Edge{{U: 0, V: 1}})
+	g := mustGraph(t, 3, []graph.Edge{{U: 0, V: 1}})
 	want := int64(4*8 + 2*4)
 	if g.ModelBytes() != want {
 		t.Fatalf("model bytes = %d, want %d", g.ModelBytes(), want)
@@ -118,9 +120,9 @@ func TestSampleEdgesKeepsIncidentNodes(t *testing.T) {
 func TestDegreeSumEqualsArcs(t *testing.T) {
 	f := func(raw []uint16) bool {
 		n := uint32(64)
-		var edges []Edge
+		var edges []graph.Edge
 		for i := 0; i+1 < len(raw); i += 2 {
-			edges = append(edges, Edge{U: uint32(raw[i]) % n, V: uint32(raw[i+1]) % n})
+			edges = append(edges, graph.Edge{U: uint32(raw[i]) % n, V: uint32(raw[i+1]) % n})
 		}
 		g, err := FromEdges(n, edges)
 		if err != nil {
@@ -138,10 +140,10 @@ func TestDegreeSumEqualsArcs(t *testing.T) {
 	}
 }
 
-func ring(n uint32) []Edge {
-	edges := make([]Edge, 0, n)
+func ring(n uint32) []graph.Edge {
+	edges := make([]graph.Edge, 0, n)
 	for i := uint32(0); i < n; i++ {
-		edges = append(edges, Edge{U: i, V: (i + 1) % n})
+		edges = append(edges, graph.Edge{U: i, V: (i + 1) % n})
 	}
 	return edges
 }

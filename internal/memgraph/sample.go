@@ -3,6 +3,8 @@ package memgraph
 import (
 	"fmt"
 	"math/rand"
+
+	"kcore/internal/graph"
 )
 
 // SampleNodes implements the paper's vary-|V| scalability workload
@@ -32,11 +34,11 @@ func SampleNodes(g *CSR, frac float64, seed int64) (*CSR, error) {
 			remap[v] = -1
 		}
 	}
-	var edges []Edge
-	g.Edges(func(e Edge) error {
+	var edges []graph.Edge
+	g.Edges(func(e graph.Edge) error {
 		ru, rv := remap[e.U], remap[e.V]
 		if ru >= 0 && rv >= 0 {
-			edges = append(edges, Edge{uint32(ru), uint32(rv)})
+			edges = append(edges, graph.Edge{U: uint32(ru), V: uint32(rv)})
 		}
 		return nil
 	})
@@ -54,7 +56,7 @@ func SampleEdges(g *CSR, frac float64, seed int64) (*CSR, error) {
 	all := g.EdgeList()
 	perm := rand.New(rand.NewSource(seed)).Perm(len(all))
 	keepCount := int(float64(len(all)) * frac)
-	kept := make([]Edge, 0, keepCount)
+	kept := make([]graph.Edge, 0, keepCount)
 	for pos, idx := range perm {
 		if pos < keepCount {
 			kept = append(kept, all[idx])
@@ -73,9 +75,9 @@ func SampleEdges(g *CSR, frac float64, seed int64) (*CSR, error) {
 		}
 		return uint32(remap[v])
 	}
-	edges := make([]Edge, 0, len(kept))
+	edges := make([]graph.Edge, 0, len(kept))
 	for _, e := range kept {
-		edges = append(edges, Edge{assign(e.U), assign(e.V)})
+		edges = append(edges, graph.Edge{U: assign(e.U), V: assign(e.V)})
 	}
 	return FromEdges(nn, edges)
 }

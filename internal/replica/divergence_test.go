@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"kcore/internal/faultfs"
-	"kcore/internal/memgraph"
+	"kcore/internal/graph"
 	"kcore/internal/replica"
 	"kcore/internal/serve"
 	"kcore/internal/stats"
@@ -67,19 +67,19 @@ func TestStreamDivergenceRebootstraps(t *testing.T) {
 			h := startLeader(t, seed)
 			live := h.ms.Live()
 			present := live[0]
-			has := make(map[memgraph.Edge]bool, len(live))
+			has := make(map[graph.Edge]bool, len(live))
 			for _, e := range live {
 				has[e] = true
 			}
-			var absent []memgraph.Edge
+			var absent []graph.Edge
 			for v := uint32(1); len(absent) < 2; v++ {
-				if e := (memgraph.Edge{U: 0, V: v}); !has[e] {
+				if e := (graph.Edge{U: 0, V: v}); !has[e] {
 					absent = append(absent, e)
 				}
 			}
 			// LSN 1 re-inserts an edge the follower already has (next to a
 			// valid insert, or alone); LSN 2 is valid on its own.
-			bad := []memgraph.Edge{present}
+			bad := []graph.Edge{present}
 			if tc.partial {
 				bad = append(bad, absent[0])
 			}

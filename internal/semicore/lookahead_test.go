@@ -9,7 +9,6 @@ import (
 	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/imcore"
-	"kcore/internal/memgraph"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 	"kcore/internal/testutil"
@@ -46,17 +45,17 @@ func starOnDisk(t *testing.T, base string, paperRule bool, frames int, passOnly 
 // marks the skewed one on which the lookahead must read strictly less.
 type family struct {
 	name     string
-	edges    func(seed int64) []memgraph.Edge
+	edges    func(seed int64) []graph.Edge
 	strictly bool
 }
 
 var families = []family{
-	{"er", func(s int64) []memgraph.Edge { return gen.ErdosRenyi(3000, 15000, s) }, false},
-	{"ba", func(s int64) []memgraph.Edge { return gen.BarabasiAlbert(3000, 4, s) }, false},
-	{"rmat", func(s int64) []memgraph.Edge { return gen.RMAT(11, 12, 0.57, 0.19, 0.19, s) }, true},
-	{"web", func(s int64) []memgraph.Edge { return gen.WebGraph(10, 8, 20, 50, s) }, false},
-	{"social", func(s int64) []memgraph.Edge { return gen.Social(3000, 4, 12, 12, s) }, false},
-	{"smallworld", func(s int64) []memgraph.Edge { return gen.SmallWorld(3000, 6, 0.1, s) }, false},
+	{"er", func(s int64) []graph.Edge { return gen.ErdosRenyi(3000, 15000, s) }, false},
+	{"ba", func(s int64) []graph.Edge { return gen.BarabasiAlbert(3000, 4, s) }, false},
+	{"rmat", func(s int64) []graph.Edge { return gen.RMAT(11, 12, 0.57, 0.19, 0.19, s) }, true},
+	{"web", func(s int64) []graph.Edge { return gen.WebGraph(10, 8, 20, 50, s) }, false},
+	{"social", func(s int64) []graph.Edge { return gen.Social(3000, 4, 12, 12, s) }, false},
+	{"smallworld", func(s int64) []graph.Edge { return gen.SmallWorld(3000, 6, 0.1, s) }, false},
 }
 
 // forEachFixture builds every family at three seeds from the test's seed

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"kcore/internal/graph"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
 )
@@ -16,7 +17,7 @@ import (
 // nothing behind its cursor ends the loop, and every pass adds one
 // UpdatedPerIter entry and one trace row.
 func TestPassesSchedule(t *testing.T) {
-	g, err := memgraph.FromEdges(6, []memgraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}})
+	g, err := memgraph.FromEdges(6, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 4, V: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}

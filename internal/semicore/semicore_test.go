@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/memgraph"
 	"kcore/internal/verify"
 )
@@ -151,33 +152,33 @@ func TestFig5SemiCoreStarTrace(t *testing.T) {
 // generator family plus hand-built edge cases.
 func testGraphs(tb testing.TB) map[string]*memgraph.CSR {
 	tb.Helper()
-	mk := func(edges []gen.Edge, n uint32) *memgraph.CSR {
+	mk := func(edges []graph.Edge, n uint32) *memgraph.CSR {
 		g, err := memgraph.FromEdges(n, edges)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		return g
 	}
-	path := func(n uint32) []gen.Edge {
-		var e []gen.Edge
+	path := func(n uint32) []graph.Edge {
+		var e []graph.Edge
 		for i := uint32(0); i+1 < n; i++ {
-			e = append(e, gen.Edge{U: i, V: i + 1})
+			e = append(e, graph.Edge{U: i, V: i + 1})
 		}
 		return e
 	}
-	complete := func(n uint32) []gen.Edge {
-		var e []gen.Edge
+	complete := func(n uint32) []graph.Edge {
+		var e []graph.Edge
 		for i := uint32(0); i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				e = append(e, gen.Edge{U: i, V: j})
+				e = append(e, graph.Edge{U: i, V: j})
 			}
 		}
 		return e
 	}
-	star := func(n uint32) []gen.Edge {
-		var e []gen.Edge
+	star := func(n uint32) []graph.Edge {
+		var e []graph.Edge
 		for i := uint32(1); i < n; i++ {
-			e = append(e, gen.Edge{U: 0, V: i})
+			e = append(e, graph.Edge{U: 0, V: i})
 		}
 		return e
 	}
@@ -186,7 +187,7 @@ func testGraphs(tb testing.TB) map[string]*memgraph.CSR {
 		"empty":       mk(nil, 0),
 		"singleton":   mk(nil, 1),
 		"isolated":    mk(nil, 7),
-		"one-edge":    mk([]gen.Edge{{U: 0, V: 1}}, 5),
+		"one-edge":    mk([]graph.Edge{{U: 0, V: 1}}, 5),
 		"path-50":     mk(path(50), 50),
 		"k6":          mk(complete(6), 6),
 		"star-40":     mk(star(40), 40),

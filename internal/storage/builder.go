@@ -135,7 +135,7 @@ func (b *Builder) finish(durable bool) error {
 	if err := b.et.Close(); err != nil {
 		return err
 	}
-	ntCRC, etCRC := b.nt.CRC(), b.et.CRC()
+	ntCRC, etCRC := b.nt.crc, b.et.crc
 	granules := append(b.nt.granuleCRCs(), b.et.granuleCRCs()...)
 	if err := writeSidecar(b.fs, b.base, granules, b.ctr, durable); err != nil {
 		return err

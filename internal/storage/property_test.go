@@ -140,7 +140,7 @@ func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 		if err := cf.stream(func(blk []byte) error {
 			whole = crc32.Update(whole, castagnoli, blk)
 			return nil
-		}); err != nil || whole != bw.CRC() {
+		}); err != nil || whole != crc32.Checksum(data, castagnoli) || !slices.Equal(cf.crcs, bw.BlockCRCs()) {
 			cf.Close()
 			return false
 		}

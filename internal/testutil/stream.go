@@ -3,7 +3,7 @@ package testutil
 import (
 	"math/rand"
 
-	"kcore/internal/memgraph"
+	"kcore/internal/graph"
 )
 
 // Op is the kind of one generated mutation.
@@ -43,12 +43,12 @@ type MutationStream struct {
 	r       *rand.Rand
 	n       uint32
 	present map[uint64]bool
-	live    []memgraph.Edge
+	live    []graph.Edge
 }
 
 // NewMutationStream builds a stream over node ids [0, n) whose mirror
 // starts at the given live edge set (the fixture's deduplicated edges).
-func NewMutationStream(n uint32, seed int64, live []memgraph.Edge) *MutationStream {
+func NewMutationStream(n uint32, seed int64, live []graph.Edge) *MutationStream {
 	m := &MutationStream{
 		r:       rand.New(rand.NewSource(seed)),
 		n:       n,
@@ -85,7 +85,7 @@ func (m *MutationStream) Next() Mutation {
 			mut := Mutation{Op: OpInsert, U: u, V: v}
 			if u != v && !m.present[edgeKey(u, v)] {
 				m.present[edgeKey(u, v)] = true
-				m.live = append(m.live, memgraph.Edge{U: min(u, v), V: max(u, v)})
+				m.live = append(m.live, graph.Edge{U: min(u, v), V: max(u, v)})
 				mut.Valid = true
 			}
 			return mut
@@ -119,9 +119,9 @@ func (m *MutationStream) NextValid() Mutation {
 // TakeLive removes and returns a uniformly random live edge from the
 // mirror — the guaranteed-valid delete draw. ok is false when the
 // mirror is empty.
-func (m *MutationStream) TakeLive() (e memgraph.Edge, ok bool) {
+func (m *MutationStream) TakeLive() (e graph.Edge, ok bool) {
 	if len(m.live) == 0 {
-		return memgraph.Edge{}, false
+		return graph.Edge{}, false
 	}
 	j := m.r.Intn(len(m.live))
 	e = m.live[j]
@@ -133,14 +133,14 @@ func (m *MutationStream) TakeLive() (e memgraph.Edge, ok bool) {
 
 // MakeAbsent draws a uniformly random absent pair, adds it to the
 // mirror, and returns it — the guaranteed-valid insert draw.
-func (m *MutationStream) MakeAbsent() memgraph.Edge {
+func (m *MutationStream) MakeAbsent() graph.Edge {
 	for {
 		u, v := m.randNode(), m.randNode()
 		if u == v || m.present[edgeKey(u, v)] {
 			continue
 		}
 		m.present[edgeKey(u, v)] = true
-		e := memgraph.Edge{U: min(u, v), V: max(u, v)}
+		e := graph.Edge{U: min(u, v), V: max(u, v)}
 		m.live = append(m.live, e)
 		return e
 	}
@@ -156,6 +156,6 @@ func (m *MutationStream) Rand() *rand.Rand { return m.r }
 
 // Live returns a copy of the mirror's current edge set, each edge with
 // U < V.
-func (m *MutationStream) Live() []memgraph.Edge {
-	return append([]memgraph.Edge(nil), m.live...)
+func (m *MutationStream) Live() []graph.Edge {
+	return append([]graph.Edge(nil), m.live...)
 }

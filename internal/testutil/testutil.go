@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/memgraph"
 )
@@ -42,7 +43,7 @@ func Seed(tb testing.TB, def int64) int64 {
 // WriteSocial materialises the standard social fixture on disk under the
 // test's temp dir and returns its path prefix (for kcore.Open) plus the
 // deduplicated edge list actually stored.
-func WriteSocial(tb testing.TB, n uint32, seed int64) (base string, edges []memgraph.Edge) {
+func WriteSocial(tb testing.TB, n uint32, seed int64) (base string, edges []graph.Edge) {
 	tb.Helper()
 	csr := gen.Build(gen.Social(n, 3, 8, 8, seed))
 	return WriteCSR(tb, csr), csr.EdgeList()
@@ -50,7 +51,7 @@ func WriteSocial(tb testing.TB, n uint32, seed int64) (base string, edges []memg
 
 // WriteEdges materialises an explicit edge list over n nodes on disk and
 // returns its path prefix.
-func WriteEdges(tb testing.TB, n uint32, edges []memgraph.Edge) string {
+func WriteEdges(tb testing.TB, n uint32, edges []graph.Edge) string {
 	tb.Helper()
 	csr, err := memgraph.FromEdges(n, edges)
 	if err != nil {

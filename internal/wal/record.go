@@ -39,7 +39,7 @@ import (
 	"hash/crc32"
 	"io"
 
-	"kcore/internal/memgraph"
+	"kcore/internal/graph"
 )
 
 // castagnoli is the CRC32C polynomial table used to frame records.
@@ -75,8 +75,8 @@ const (
 type Record struct {
 	LSN       uint64
 	Heartbeat bool
-	Deletes   []memgraph.Edge
-	Inserts   []memgraph.Edge
+	Deletes   []graph.Edge
+	Inserts   []graph.Edge
 }
 
 // payloadSize reports the encoded payload size for a batch record.
@@ -107,12 +107,12 @@ func sealFrame(buf, p []byte) []byte {
 // returns the extended slice. Payload layout:
 //
 //	u8 type | u64 lsn | u32 nDel | u32 nIns | (u32 u, u32 v)*
-func AppendRecord(buf []byte, lsn uint64, deletes, inserts []memgraph.Edge) []byte {
+func AppendRecord(buf []byte, lsn uint64, deletes, inserts []graph.Edge) []byte {
 	buf, p := openFrame(buf, recTypeBatch, lsn, payloadSize(len(deletes), len(inserts)))
 	binary.LittleEndian.PutUint32(p[9:], uint32(len(deletes)))
 	binary.LittleEndian.PutUint32(p[13:], uint32(len(inserts)))
 	off := 17
-	for _, es := range [2][]memgraph.Edge{deletes, inserts} {
+	for _, es := range [2][]graph.Edge{deletes, inserts} {
 		for _, e := range es {
 			binary.LittleEndian.PutUint32(p[off:], e.U)
 			binary.LittleEndian.PutUint32(p[off+4:], e.V)
@@ -142,10 +142,10 @@ func parsePayload(p []byte) (Record, error) {
 		if payloadSize(nDel, nIns) != len(p) {
 			return r, fmt.Errorf("wal: edge counts %d+%d disagree with payload length %d", nDel, nIns, len(p))
 		}
-		edges := make([]memgraph.Edge, nDel+nIns)
+		edges := make([]graph.Edge, nDel+nIns)
 		q := 17
 		for i := range edges {
-			edges[i] = memgraph.Edge{
+			edges[i] = graph.Edge{
 				U: binary.LittleEndian.Uint32(p[q:]),
 				V: binary.LittleEndian.Uint32(p[q+4:]),
 			}

@@ -15,15 +15,15 @@ import (
 	"testing"
 
 	"kcore/internal/faultfs"
-	"kcore/internal/memgraph"
+	"kcore/internal/graph"
 	"kcore/internal/stats"
 	"kcore/internal/testutil"
 )
 
-func edges(pairs ...uint32) []memgraph.Edge {
-	es := make([]memgraph.Edge, 0, len(pairs)/2)
+func edges(pairs ...uint32) []graph.Edge {
+	es := make([]graph.Edge, 0, len(pairs)/2)
 	for i := 0; i+1 < len(pairs); i += 2 {
-		es = append(es, memgraph.Edge{U: pairs[i], V: pairs[i+1]})
+		es = append(es, graph.Edge{U: pairs[i], V: pairs[i+1]})
 	}
 	return es
 }
@@ -123,7 +123,7 @@ func TestParentWrittenSegmentRoundTrips(t *testing.T) {
 	}
 }
 
-func sameEdges(a, b []memgraph.Edge) bool {
+func sameEdges(a, b []graph.Edge) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -340,13 +340,13 @@ func TestTruncateBelowKeepsCoveringSegments(t *testing.T) {
 type sliceSource [][]uint32
 
 // sourceOf builds a sliceSource over n nodes from explicit edges.
-func sourceOf(n uint32, es []memgraph.Edge) sliceSource {
+func sourceOf(n uint32, es []graph.Edge) sliceSource {
 	s := make(sliceSource, n)
 	s.insert(es)
 	return s
 }
 
-func (s sliceSource) insert(es []memgraph.Edge) {
+func (s sliceSource) insert(es []graph.Edge) {
 	for _, e := range es {
 		s[e.U] = append(s[e.U], e.V)
 		s[e.V] = append(s[e.V], e.U)
@@ -573,7 +573,7 @@ func TestTrimLogsKeepsCoveredRecords(t *testing.T) {
 	if err := os.WriteFile(marker, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	trim := func(lsn uint64, next []memgraph.Edge) {
+	trim := func(lsn uint64, next []graph.Edge) {
 		t.Helper()
 		gd, err := Open(dir, opts)
 		if err != nil {
@@ -895,10 +895,10 @@ func TestTailProperty(t *testing.T) {
 		for lsn := uint64(1); lsn <= uint64(n); lsn++ {
 			rec := Record{LSN: lsn, Deletes: edges(), Inserts: edges()}
 			for k := rnd.Intn(4); k > 0; k-- {
-				rec.Inserts = append(rec.Inserts, memgraph.Edge{U: uint32(rnd.Intn(100)), V: uint32(rnd.Intn(100))})
+				rec.Inserts = append(rec.Inserts, graph.Edge{U: uint32(rnd.Intn(100)), V: uint32(rnd.Intn(100))})
 			}
 			for k := rnd.Intn(3); k > 0; k-- {
-				rec.Deletes = append(rec.Deletes, memgraph.Edge{U: uint32(rnd.Intn(100)), V: uint32(rnd.Intn(100))})
+				rec.Deletes = append(rec.Deletes, graph.Edge{U: uint32(rnd.Intn(100)), V: uint32(rnd.Intn(100))})
 			}
 			frame := AppendRecord(nil, lsn, rec.Deletes, rec.Inserts)
 			rolls := cur == 0 || size+uint64(len(frame)) > uint64(segBytes)

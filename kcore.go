@@ -47,86 +47,23 @@
 package kcore
 
 import (
-	"time"
-
-	"kcore/internal/memgraph"
+	"kcore/internal/graph"
 	"kcore/internal/stats"
 )
 
 // Edge is an undirected edge between two node ids. Node ids are dense
 // uint32 indexes in [0, NumNodes).
-type Edge = memgraph.Edge
+type Edge = graph.Edge
 
 // IOStats reports block-level I/O in the external-memory model: Reads and
-// Writes count transfers of BlockSize-byte blocks.
-type IOStats struct {
-	BlockSize  int
-	Reads      int64
-	Writes     int64
-	ReadBytes  int64
-	WriteBytes int64
-}
+// Writes count transfers of BlockSize-byte blocks; Sub takes a delta.
+type IOStats = stats.IOSnapshot
 
-// Total reports reads plus writes.
-func (s IOStats) Total() int64 { return s.Reads + s.Writes }
-
-// Sub returns the component-wise difference s minus prev.
-func (s IOStats) Sub(prev IOStats) IOStats {
-	return IOStats{
-		BlockSize:  s.BlockSize,
-		Reads:      s.Reads - prev.Reads,
-		Writes:     s.Writes - prev.Writes,
-		ReadBytes:  s.ReadBytes - prev.ReadBytes,
-		WriteBytes: s.WriteBytes - prev.WriteBytes,
-	}
-}
-
-func ioStatsFrom(s stats.IOSnapshot) IOStats {
-	return IOStats{
-		BlockSize:  s.BlockSize,
-		Reads:      s.Reads,
-		Writes:     s.Writes,
-		ReadBytes:  s.ReadBytes,
-		WriteBytes: s.WriteBytes,
-	}
-}
-
-// RunInfo summarises one algorithm execution.
-type RunInfo struct {
-	// Algorithm names the variant that ran (e.g. "SemiCore*").
-	Algorithm string
-	// Iterations is the number of node-range passes (the paper's l).
-	Iterations int
-	// NodeComputations counts neighbour-list loads feeding a core
-	// recomputation.
-	NodeComputations int64
-	// UpdatedPerIter is the per-iteration count of changed core numbers.
-	UpdatedPerIter []int64
-	// Dirty lists the nodes whose core number was rewritten during the
-	// run: a sound superset of the exact before/after delta (nodes
-	// raised then lowered back still appear, and a node may appear more
-	// than once). It is what makes O(changed) epoch publication
-	// possible — internal/serve copies only the snapshot chunks these
-	// nodes live in. Full decompositions report nil (everything is
-	// implicitly dirty).
-	Dirty []uint32
-	// IO is the block I/O performed by this run (delta, not cumulative).
-	IO IOStats
-	// MemPeakBytes is the algorithm's deterministic model memory peak.
-	MemPeakBytes int64
-	// Duration is wall-clock time.
-	Duration time.Duration
-}
-
-func runInfoFrom(rs stats.RunStats, io IOStats) RunInfo {
-	return RunInfo{
-		Algorithm:        rs.Algorithm,
-		Iterations:       rs.Iterations,
-		NodeComputations: rs.NodeComputations,
-		UpdatedPerIter:   append([]int64(nil), rs.UpdatedPerIter...),
-		Dirty:            append([]uint32(nil), rs.Dirty...),
-		IO:               io,
-		MemPeakBytes:     rs.MemPeakBytes,
-		Duration:         rs.Duration,
-	}
-}
+// RunInfo summarises one algorithm execution: the variant that ran, its
+// node-range passes (the paper's l), its neighbour-list loads feeding a
+// core recomputation, the per-pass count of changed core numbers, the
+// nodes whose core number was rewritten (a sound superset of the exact
+// delta, which internal/serve's O(changed) publication copies; nil for a
+// full decomposition), the block I/O it performed (a delta), its model
+// memory peak and its wall-clock time.
+type RunInfo = stats.RunStats

@@ -7,6 +7,7 @@ import (
 	"kcore"
 	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/maintain"
 	"kcore/internal/memgraph"
 	"kcore/internal/semicore"
@@ -18,7 +19,7 @@ import (
 // checkCounted asserts that core/cnt are the exact decomposition of the
 // graph with the given edges and that no "not yet counted" marker (a
 // negative cnt) survived.
-func checkCounted(t *testing.T, when string, n uint32, edges []memgraph.Edge, core []uint32, cnt []int32) {
+func checkCounted(t *testing.T, when string, n uint32, edges []graph.Edge, core []uint32, cnt []int32) {
 	t.Helper()
 	csr, err := memgraph.FromEdges(n, edges)
 	if err != nil {
@@ -47,31 +48,31 @@ func checkCounted(t *testing.T, when string, n uint32, edges []memgraph.Edge, co
 // maintain.Session, where every counter must stay a real count —
 // including an isolated node (cnt 0, core 0) gaining its first edge.
 func TestLookaheadIgnoresUncountedNeighbours(t *testing.T) {
-	var k5, ring []memgraph.Edge
+	var k5, ring []graph.Edge
 	for u := uint32(0); u < 5; u++ {
 		for v := u + 1; v < 5; v++ {
-			k5 = append(k5, memgraph.Edge{U: u, V: v})
+			k5 = append(k5, graph.Edge{U: u, V: v})
 		}
 	}
 	const ringN = 12
 	for u := uint32(0); u < ringN; u++ {
 		ring = append(ring,
-			memgraph.Edge{U: u, V: (u + 1) % ringN},
-			memgraph.Edge{U: u, V: (u + 2) % ringN})
+			graph.Edge{U: u, V: (u + 1) % ringN},
+			graph.Edge{U: u, V: (u + 2) % ringN})
 	}
 	// A triangle, a pendant edge, and three isolated nodes (3, 4, 7).
-	islands := []memgraph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 5, V: 6}}
+	islands := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 5, V: 6}}
 
 	for _, tc := range []struct {
 		name  string
 		n     uint32
-		edges []memgraph.Edge
+		edges []graph.Edge
 		kmax  uint32
-		extra []memgraph.Edge // inserted after the round, then deleted again
+		extra []graph.Edge // inserted after the round, then deleted again
 	}{
 		{"K5", 5, k5, 4, nil},
 		{"ring-lattice", ringN, ring, 4, nil},
-		{"isolated", 8, islands, 2, []memgraph.Edge{{U: 3, V: 4}, {U: 3, V: 0}, {U: 7, V: 5}, {U: 7, V: 6}}},
+		{"isolated", 8, islands, 2, []graph.Edge{{U: 3, V: 4}, {U: 3, V: 0}, {U: 7, V: 5}, {U: 7, V: 6}}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,7 +104,7 @@ func TestLookaheadIgnoresUncountedNeighbours(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			live := append([]memgraph.Edge(nil), tc.edges...)
+			live := append([]graph.Edge(nil), tc.edges...)
 			check := func(when string) {
 				t.Helper()
 				checkCounted(t, when, tc.n, live, s.Core(), s.Cnt())
@@ -111,7 +112,7 @@ func TestLookaheadIgnoresUncountedNeighbours(t *testing.T) {
 					t.Fatalf("%s: %v", when, err)
 				}
 			}
-			insert := func(i int, e memgraph.Edge) {
+			insert := func(i int, e graph.Edge) {
 				t.Helper()
 				op := s.InsertStar
 				if i%2 == 1 {
@@ -123,7 +124,7 @@ func TestLookaheadIgnoresUncountedNeighbours(t *testing.T) {
 				live = append(live, e)
 				check("insert")
 			}
-			remove := func(e memgraph.Edge) {
+			remove := func(e graph.Edge) {
 				t.Helper()
 				if _, err := s.DeleteStar(e.U, e.V); err != nil {
 					t.Fatal(err)

@@ -109,7 +109,8 @@ func (m *Maintainer) InsertEdge(u, v uint32) (RunInfo, error) {
 	if err != nil {
 		return RunInfo{}, err
 	}
-	return runInfoFrom(rs, m.g.IOStats().Sub(before)), nil
+	rs.IO = m.g.IOStats().Sub(before)
+	return rs, nil
 }
 
 // DeleteEdge removes {u,v} and incrementally repairs all core numbers
@@ -120,7 +121,8 @@ func (m *Maintainer) DeleteEdge(u, v uint32) (RunInfo, error) {
 	if err != nil {
 		return RunInfo{}, err
 	}
-	return runInfoFrom(rs, m.g.IOStats().Sub(before)), nil
+	rs.IO = m.g.IOStats().Sub(before)
+	return rs, nil
 }
 
 // DeleteEdges removes a batch of edges with a single converge pass —
@@ -138,7 +140,8 @@ func (m *Maintainer) DeleteEdges(edges []Edge) (RunInfo, error) {
 	if err != nil {
 		return RunInfo{}, err
 	}
-	return runInfoFrom(rs, m.g.IOStats().Sub(before)), nil
+	rs.IO = m.g.IOStats().Sub(before)
+	return rs, nil
 }
 
 // InsertEdges adds a batch of edges, applying the configured insertion
@@ -156,5 +159,6 @@ func (m *Maintainer) DeleteEdges(edges []Edge) (RunInfo, error) {
 func (m *Maintainer) InsertEdges(edges []Edge) (RunInfo, error) {
 	before := m.g.IOStats()
 	rs, err := m.session.BatchInsert(edges, m.insert == SemiInsertTwoPhase)
-	return runInfoFrom(rs, m.g.IOStats().Sub(before)), err
+	rs.IO = m.g.IOStats().Sub(before)
+	return rs, err
 }
