@@ -55,7 +55,7 @@ crash-sweep:
 	$(GO) test -race -count=1 ./internal/engine -run 'TestCrash' -crashseed=$(CRASHSEED) -crashtrials=32
 
 # Interactive CPU profile of a running `kcored -pprof` instance (the
-# publish path, memo builds, coalescing — whatever is hot). Override
+# publish path, k-core scans, coalescing — whatever is hot). Override
 # PROFILE_ADDR to point at a non-default listen address and
 # PROFILE_SECONDS to change the sample window.
 PROFILE_ADDR ?= 127.0.0.1:7171

@@ -4,8 +4,8 @@
 // internal/engine and internal/serve) and requests are routed by
 // internal/httpapi. Queries never block on updates; updates are
 // coalesced into batches maintained incrementally with SemiInsert*/
-// SemiDelete*; repeated k-core queries on an unchanged epoch are served
-// from the per-epoch memo.
+// SemiDelete*; a k-core listing is one early-exit scan of the epoch's
+// snapshot.
 //
 // Usage:
 //
@@ -47,6 +47,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -73,7 +74,7 @@ func main() {
 		blockSize = flag.Int("block", 4096, "I/O accounting block size B")
 		backend   = flag.String("backend", "", "alias for -cache-blocks, kept for old command lines: mem is the default frames (any -cache-blocks ignored), disk is -cache-blocks frames (1024 when unset)")
 		cacheBlks = flag.Int("cache-blocks", 0, "frames of the block cache every opened graph's tables are read through, in blocks of -block bytes (0 picks the default, 64): resident adjacency is capped at cache-blocks*block bytes however large the graph, next to the core arrays, the node index and the update buffer. Every block a frame loads is checked against a checksum the graph's header vouches for, read from the checksum sidecar the graph was built with, or recorded by one pass over the tables at open when it has none")
-		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the serving mux (see `make profile`); leave off in production")
+		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the serving mux (see `make profile`); leave off in production. Without it no heap profile is sampled")
 		dataDir   = flag.String("data-dir", "", "durability directory: every graph gets a write-ahead log and checkpoints under <dir>/<name>/, and a restart with the same -data-dir recovers all graphs (checkpoint + WAL replay) before opening any -graph/-load path anew. It adds no resident copy of the adjacency: a checkpoint streams the graph's own files (checkpoint_block_reads in /stats). Without it a full update buffer is folded back into the tables at the graph's path, on the writer; with it, the graph serves its own tables under the data dir (a copy of the base at first open) and folds back by adopting the checkpoint the full buffer triggers, written off the writer")
 		fsyncPol  = flag.String("fsync", "interval", "WAL sync policy with -data-dir: always (fsync every batch), interval (background fsync; a crash may lose the last unsynced batches), never (fsync only at checkpoints/shutdown)")
 		ckptEvery = flag.Duration("checkpoint-every", 5*time.Minute, "periodic checkpoint interval with -data-dir (0 disables periodic checkpoints; one is still taken at startup, on clean shutdown and when the update buffer fills)")
@@ -92,6 +93,11 @@ func main() {
 		return nil
 	})
 	flag.Parse()
+	if !*pprofOn {
+		// Nobody can read a heap profile without -pprof, so keep none:
+		// the sampler's bucket table is resident for the process's life.
+		runtime.MemProfileRate = 0
+	}
 	if *follow != "" && (*graphBase != "" || len(extra) > 0) {
 		fmt.Fprintln(os.Stderr, "kcored: -follow replicates the leader's graph; drop -graph/-load")
 		os.Exit(2)

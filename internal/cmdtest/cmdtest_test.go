@@ -370,9 +370,6 @@ func TestKcoredMultiGraph(t *testing.T) {
 		`{"updates":[{"op":"insert","u":0,"v":1}]}`, &upd)
 	var st struct {
 		Epoch uint64 `json:"epoch"`
-		Serve struct {
-			CacheMisses int64 `json:"cache_misses"`
-		} `json:"serve"`
 	}
 	getJSON(t, http.StatusOK, base+"/g/social/stats", &st)
 	if st.Epoch == 0 {
@@ -383,22 +380,17 @@ func TestKcoredMultiGraph(t *testing.T) {
 		t.Fatalf("default graph epoch = %d, want 0 (isolation broken)", st.Epoch)
 	}
 
-	// Repeated k-core queries hit the per-epoch memo: one miss, rest hits.
+	// A k-core's count is its size in the degeneracy profile.
 	var kc struct {
-		Count int `json:"count"`
+		Count int64 `json:"count"`
 	}
-	for i := 0; i < 5; i++ {
-		getJSON(t, http.StatusOK, base+"/kcore?k=2", &kc)
+	var deg struct {
+		Sizes []int64 `json:"core_sizes"`
 	}
-	var stats struct {
-		Serve struct {
-			CacheHits   int64 `json:"cache_hits"`
-			CacheMisses int64 `json:"cache_misses"`
-		} `json:"serve"`
-	}
-	getJSON(t, http.StatusOK, base+"/stats", &stats)
-	if stats.Serve.CacheMisses != 1 || stats.Serve.CacheHits < 4 {
-		t.Fatalf("cache hits/misses = %d/%d, want >=4/1", stats.Serve.CacheHits, stats.Serve.CacheMisses)
+	getJSON(t, http.StatusOK, base+"/kcore?k=2&limit=1", &kc)
+	getJSON(t, http.StatusOK, base+"/degeneracy", &deg)
+	if len(deg.Sizes) < 3 || kc.Count != deg.Sizes[2] {
+		t.Fatalf("/kcore?k=2 count = %d, core_sizes = %v", kc.Count, deg.Sizes)
 	}
 
 	// Admin round-trip: create a third graph, query it, drop it.

@@ -26,7 +26,7 @@ import (
 // Engine is one servable graph backend: lock-free epoch reads, queued
 // writes, and observability. The serving contract is inherited from
 // internal/serve: Snapshot never blocks and returns an immutable epoch
-// (with per-epoch memoized queries), updates are applied asynchronously
+// (queried lock-free, with no per-epoch state), updates are applied asynchronously
 // in enqueue order, Sync is the read-your-writes barrier, and Close
 // drains then seals the engine (snapshots stay readable after).
 type Engine interface {

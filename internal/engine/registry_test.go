@@ -171,9 +171,6 @@ func TestRegistryServesManyGraphsConcurrently(t *testing.T) {
 		if st.Enqueued != 40 {
 			t.Fatalf("%s: enqueued %d, want 40 (counters not per-graph?)", info.Name, st.Enqueued)
 		}
-		if st.CacheMisses == 0 {
-			t.Fatalf("%s: no cache misses recorded", info.Name)
-		}
 	}
 }
 

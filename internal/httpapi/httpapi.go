@@ -10,7 +10,7 @@
 //	POST   /graphs                      open a graph: {"name":..,"path":..,"cache_blocks":N}
 //	DELETE /graphs/{name}               drain and drop a graph
 //	GET    /g/{name}/core?v=7           core number of node 7
-//	GET    /g/{name}/kcore?k=3&limit=9  k-core members (memoized per epoch)
+//	GET    /g/{name}/kcore?k=3&limit=9  k-core members, deepest first
 //	GET    /g/{name}/degeneracy         kmax and k-core size profile
 //	GET    /g/{name}/stats              serving + I/O counters
 //	POST   /g/{name}/update[?wait=1]    {"updates":[{"op":"insert","u":1,"v":2},..]}
@@ -30,9 +30,9 @@
 // /kcore, /degeneracy, /stats, /update) are kept as aliases for a
 // designated default graph: same paths, parameters, status codes and
 // response shapes. One deliberate behaviour change: /kcore lists nodes
-// core-descending, ids ascending within one core number (the memoized
-// bucket order) instead of id-ascending, so a limit keeps the most
-// deeply embedded members — the same ones on every server at that
+// core-descending, ids ascending within one core number
+// (CoreSnapshot.KCoreTop) instead of id-ascending, so a limit keeps the
+// most deeply embedded members — the same ones on every server at that
 // epoch, whatever each was queried before.
 package httpapi
 
@@ -314,14 +314,9 @@ func handleKCore(eng engine.Engine, w http.ResponseWriter, r *http.Request) {
 	}
 	snap := eng.Snapshot()
 	setEpochHeader(w, snap.Seq)
-	// Memoized path: first query per epoch computes the buckets, later
-	// ones (any k) reuse them. The slice is shared with the epoch, so
-	// only read from it; limiting takes a subslice, never a mutation.
-	nodes := snap.KCoreAt(k)
-	count := len(nodes)
-	if limit > 0 && count > limit {
-		nodes = nodes[:limit]
-	}
+	// The count comes from the epoch's histogram; the scan for the
+	// members stops once limit of them are placed.
+	nodes, count := snap.KCoreTop(k, limit)
 	if nodes == nil {
 		nodes = []uint32{}
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -185,17 +186,20 @@ func TestKCoreLimitAndMemoizedPath(t *testing.T) {
 		t.Fatalf("kcore past kmax = %+v, want empty non-null nodes", kc)
 	}
 
-	// Repeated queries against the unchanged epoch hit the memo.
-	for i := 0; i < 8; i++ {
-		do(t, "GET", ts.URL+fmt.Sprintf("/kcore?k=%d", i%4), "", http.StatusOK, &kc)
-	}
+	// Every limit answers a prefix of the unlimited list, with its count.
 	eng, _ := reg.Get("default")
-	st := eng.Report().Serve
-	if st.CacheMisses != 1 {
-		t.Fatalf("cache misses = %d, want 1 (one per epoch)", st.CacheMisses)
-	}
-	if st.CacheHits < 8 {
-		t.Fatalf("cache hits = %d, want >= 8", st.CacheHits)
+	snap := eng.Snapshot()
+	for k := uint32(0); k <= snap.Kmax; k++ {
+		all := snap.KCoreAt(k)
+		for _, limit := range []int{1, len(all) - 1, len(all), len(all) + 1} {
+			if limit < 1 {
+				continue // limit=0 asks for every member
+			}
+			do(t, "GET", ts.URL+fmt.Sprintf("/kcore?k=%d&limit=%d", k, limit), "", http.StatusOK, &kc)
+			if want := all[:min(limit, len(all))]; kc.Count != len(all) || !slices.Equal(kc.Nodes, want) {
+				t.Fatalf("k=%d limit=%d: count %d nodes %v, want %d and %v", k, limit, kc.Count, kc.Nodes, len(all), want)
+			}
+		}
 	}
 }
 

@@ -182,13 +182,12 @@ func BenchmarkServeMixedWorkload(b *testing.B) {
 	}
 }
 
-// benchKCoreQuery measures one k-core membership query against a fixed
-// epoch: the uncached path is the O(n) filter scan on the embedded
-// CoreSnapshot, the cached path is the per-epoch memo (first call pays
-// one counting sort, the rest are subslices). The ratio between the two
-// is the memoization speedup.
-func benchKCoreQuery(b *testing.B, cached bool) {
-	g, _ := openGraph(b, benchGraphNodes, 27)
+// BenchmarkKCoreQuery measures one /kcore answer against a fixed epoch
+// of the 2^17-node fixture at half its degeneracy: limit=100 (the scan
+// stops once the 100 deepest members are placed; the fixture's top cores
+// sit at low ids) against no limit (the whole k-core, one full scan).
+func BenchmarkKCoreQuery(b *testing.B) {
+	g, _ := openLargeGraph(b)
 	sess, err := serve.New(g, nil)
 	if err != nil {
 		b.Fatal(err)
@@ -196,31 +195,23 @@ func benchKCoreQuery(b *testing.B, cached bool) {
 	defer sess.Close()
 	e := sess.Snapshot()
 	k := e.Kmax / 2
-	var sink int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if cached {
-			sink += len(e.KCoreAt(k))
-		} else {
-			sink += len(e.KCore(k))
+	for _, limit := range []int{100, 0} {
+		name := fmt.Sprintf("limit=%d", limit)
+		if limit == 0 {
+			name = "unlimited"
 		}
-	}
-	b.StopTimer()
-	if sink == 0 {
-		b.Fatal("k-core unexpectedly empty")
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkKCoreQuery compares repeated k-core queries against an
-// unchanged epoch with and without the per-epoch memo.
-func BenchmarkKCoreQuery(b *testing.B) {
-	for _, cached := range []bool{false, true} {
-		name := "uncached"
-		if cached {
-			name = "cached"
-		}
-		b.Run(name, func(b *testing.B) { benchKCoreQuery(b, cached) })
+		b.Run(name, func(b *testing.B) {
+			var sink int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				nodes, _ := e.KCoreTop(k, limit)
+				sink += len(nodes)
+			}
+			if sink == 0 {
+				b.Fatal("k-core unexpectedly empty")
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+		})
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // ExampleConcurrentSession serves lock-free epoch snapshots while edge
 // updates stream through the ingest queue: readers call Snapshot (one
 // atomic load), writers call Apply/Enqueue, and Sync is the
-// read-your-writes barrier. Repeated k-core queries against one epoch
-// are memoized (KCoreAt), so only the first pays a scan.
+// read-your-writes barrier. A k-core query (KCoreAt) reads the epoch
+// it is asked of and nothing else.
 func ExampleConcurrentSession() {
 	// Materialise a small deterministic graph on disk.
 	dir, err := os.MkdirTemp("", "kcore-example")

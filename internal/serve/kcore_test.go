@@ -3,7 +3,6 @@ package serve_test
 import (
 	"cmp"
 	"slices"
-	"sync"
 	"testing"
 
 	"kcore/internal/serve"
@@ -27,8 +26,8 @@ func sameNodeSet(a, b []uint32) bool {
 	return true
 }
 
-// TestKCoreAtMatchesScan checks the memoized path against the uncached
-// O(n) filter for every k, including k past the degeneracy, plus the
+// TestKCoreAtMatchesScan checks KCoreAt against the id-ordered O(n)
+// filter for every k, including k past the degeneracy, plus the
 // documented ordering (core descending, ties by id ascending).
 func TestKCoreAtMatchesScan(t *testing.T) {
 	g, _ := openGraph(t, 400, 17)
@@ -40,7 +39,7 @@ func TestKCoreAtMatchesScan(t *testing.T) {
 
 	e := sess.Snapshot()
 	for k := uint32(0); k <= e.Kmax+2; k++ {
-		want := e.KCore(k) // uncached scan on the embedded snapshot
+		want := e.KCore(k) // the id-ordered filter on the embedded snapshot
 		got := e.KCoreAt(k)
 		if !sameNodeSet(want, got) {
 			t.Fatalf("k=%d: KCoreAt has %d nodes, scan has %d", k, len(got), len(want))
@@ -57,7 +56,7 @@ func TestKCoreAtMatchesScan(t *testing.T) {
 	checkSizes(t, e)
 }
 
-// checkSizes verifies the memo's size profile through KCoreAt against
+// checkSizes verifies the k-core sizes KCoreAt lists against
 // the snapshot's incrementally maintained Sizes: |KCoreAt(k)| is
 // Sizes()[k] for every k through Kmax, and nothing past it.
 func checkSizes(t *testing.T, e *serve.Epoch) {
@@ -76,90 +75,6 @@ func checkSizes(t *testing.T, e *serve.Epoch) {
 	}
 }
 
-// TestMemoCountsHitsAndMisses checks the cache accounting: one miss per
-// epoch (the computation), hits for every query after it, and a fresh
-// miss once a new epoch is published.
-func TestMemoCountsHitsAndMisses(t *testing.T) {
-	g, edges := openGraph(t, 150, 29)
-	sess, err := serve.New(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	e := sess.Snapshot()
-	for i := 0; i < 10; i++ {
-		e.KCoreAt(2)
-		e.KCoreAt(0)
-	}
-	st := sess.Report().Serve
-	if st.CacheMisses != 1 {
-		t.Fatalf("cache misses = %d, want 1", st.CacheMisses)
-	}
-	if st.CacheHits != 19 {
-		t.Fatalf("cache hits = %d, want 19", st.CacheHits)
-	}
-	if r := float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses); r < 0.94 || r > 0.96 {
-		t.Fatalf("hit rate = %.3f, want 19/20", r)
-	}
-
-	// A new epoch starts cold: its first query is a miss again. (A
-	// delete+insert pair of one edge would annihilate in the coalescer
-	// and publish nothing, so delete only.)
-	ed := edges[0]
-	if err := sess.Apply(serve.Update{Op: serve.OpDelete, U: ed.U, V: ed.V}); err != nil {
-		t.Fatal(err)
-	}
-	e2 := sess.Snapshot()
-	if e2.Seq == e.Seq {
-		t.Fatal("epoch did not advance")
-	}
-	e2.KCoreAt(1)
-	if st := sess.Report().Serve; st.CacheMisses != 2 {
-		t.Fatalf("cache misses after new epoch = %d, want 2", st.CacheMisses)
-	}
-	// The old epoch's memo is untouched and still hot.
-	e.KCoreAt(3)
-	if st := sess.Report().Serve; st.CacheMisses != 2 {
-		t.Fatalf("old epoch recomputed: misses = %d, want 2", st.CacheMisses)
-	}
-}
-
-// TestMemoConcurrentFirstAccess hammers a cold epoch from many
-// goroutines; under -race this checks the sync.Once publication, and the
-// counters must record exactly one miss.
-func TestMemoConcurrentFirstAccess(t *testing.T) {
-	g, _ := openGraph(t, 300, 31)
-	sess, err := serve.New(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	e := sess.Snapshot()
-	const goroutines = 16
-	results := make([][]uint32, goroutines)
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = e.KCoreAt(uint32(i % 4))
-			_ = e.KCoreAt(0)
-		}(i)
-	}
-	wg.Wait()
-	for i, r := range results {
-		want := e.KCoreAt(uint32(i % 4))
-		if len(r) != len(want) {
-			t.Fatalf("goroutine %d saw %d nodes, want %d", i, len(r), len(want))
-		}
-	}
-	if st := sess.Report().Serve; st.CacheMisses != 1 {
-		t.Fatalf("concurrent first access: misses = %d, want 1", st.CacheMisses)
-	}
-}
-
 // bucketSorted is the order KCoreAt documents for the k-core of e: the
 // id-ordered scan, stably sorted by core number descending.
 func bucketSorted(e *serve.Epoch, k uint32) []uint32 {
@@ -168,11 +83,11 @@ func bucketSorted(e *serve.Epoch, k uint32) []uint32 {
 	return want
 }
 
-// checkMemoAgainstScan verifies an epoch's memoized answers against the
-// uncached paths: for every k through Kmax+2, KCoreAt must be exactly
+// checkKCoreAtAgainstScan verifies an epoch's KCoreAt answers against the
+// id-ordered filter: for every k through Kmax+2, KCoreAt must be exactly
 // the scan's nodes in the documented order (core descending, ids
 // ascending within one core), and its sizes must be Sizes'.
-func checkMemoAgainstScan(t *testing.T, e *serve.Epoch) {
+func checkKCoreAtAgainstScan(t *testing.T, e *serve.Epoch) {
 	t.Helper()
 	for k := uint32(0); k <= e.Kmax+2; k++ {
 		if got, want := e.KCoreAt(k), bucketSorted(e, k); !slices.Equal(got, want) {
@@ -184,8 +99,7 @@ func checkMemoAgainstScan(t *testing.T, e *serve.Epoch) {
 }
 
 // TestMemoMatchesScanEveryEpoch publishes a run of single-edge epochs,
-// querying each one, so every epoch builds its own memo; each must agree
-// exactly with the uncached scans.
+// querying each one; each must agree exactly with the id-ordered filter.
 func TestMemoMatchesScanEveryEpoch(t *testing.T) {
 	g, edges := openGraph(t, 400, 37)
 	sess, err := serve.New(g, nil)
@@ -195,7 +109,7 @@ func TestMemoMatchesScanEveryEpoch(t *testing.T) {
 	defer sess.Close()
 
 	e := sess.Snapshot()
-	checkMemoAgainstScan(t, e)
+	checkKCoreAtAgainstScan(t, e)
 	const steps = 8
 	for step := 0; step < steps; step++ {
 		ed := edges[step/2]
@@ -210,7 +124,7 @@ func TestMemoMatchesScanEveryEpoch(t *testing.T) {
 		if e2.Seq == e.Seq {
 			t.Fatalf("step %d: epoch did not advance", step)
 		}
-		checkMemoAgainstScan(t, e2)
+		checkKCoreAtAgainstScan(t, e2)
 		e = e2
 	}
 }

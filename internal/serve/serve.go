@@ -9,9 +9,9 @@
 // threshold; opposing pairs annihilate pre-apply), applies the net ops
 // through the maintainer's batch operations, then swaps in a fresh epoch
 // derived copy-on-write from its predecessor: only snapshot chunks
-// holding changed core numbers are copied (O(changed) publication). The
-// epoch's k-core query memo is one counting sort, paid by the first
-// query against the epoch, never by the publish (memo.go).
+// holding changed core numbers are copied (O(changed) publication).
+// Queries keep no per-epoch state: a k-core listing is answered from the
+// epoch's snapshot by one early-exit scan (Epoch.KCoreAt).
 //
 // Consistency model: updates are applied in enqueue order, and every
 // published epoch reflects a consistent prefix of the applied updates —
@@ -59,12 +59,9 @@ type Update struct {
 // CoreSnapshot is immutable; an Epoch, once obtained from Snapshot, stays
 // valid and unchanging forever (later epochs are new allocations).
 //
-// Because of that immutability, the k-core bucket order is memoized per
-// epoch: the first KCoreAt call computes it once (guarded by sync.Once,
-// so concurrent first callers are safe) and every later call against the
-// same epoch is served lock-free from the memo. See memo.go. The
-// embedded snapshot's Dirty is the exact delta against the previous
-// epoch (nil for epoch 0). Epochs must not be copied once published.
+// Every query reads the snapshot alone, so an Epoch carries no query
+// state and its publication costs O(changed). The embedded snapshot's
+// Dirty is the exact delta against the previous epoch (nil for epoch 0).
 type Epoch struct {
 	*kcore.CoreSnapshot
 	// Seq is the publication sequence number, starting at 0 for the
@@ -73,13 +70,12 @@ type Epoch struct {
 	// Applied is the cumulative count of edge updates applied up to and
 	// including this epoch.
 	Applied uint64
-
-	// memo lazily caches derived query results; ctr (the owning
-	// session's counters, nil for detached epochs) receives the
-	// hit/miss accounting.
-	memo epochMemo
-	ctr  *stats.ServeCounters
 }
+
+// KCoreAt returns the nodes of the k-core at this epoch, core number
+// descending and ids ascending within one core number: the snapshot's
+// KCoreTop without a limit, a fresh slice the caller owns.
+func (e *Epoch) KCoreAt(k uint32) []uint32 { nodes, _ := e.KCoreTop(k, 0); return nodes }
 
 // Options tunes a ConcurrentSession. The zero value selects defaults.
 type Options struct {
@@ -145,7 +141,7 @@ type Report struct {
 	// Backend labels the engine in /stats and listings.
 	Backend string
 	// Serve is the serving counters: queue depth, batch shape, epoch
-	// age, memo hits and misses.
+	// age, publish shape.
 	Serve stats.ServeSnapshot
 	// IO is the block I/O performed through the graph.
 	IO kcore.IOStats
@@ -387,7 +383,7 @@ func (s *ConcurrentSession) publish(snap *kcore.CoreSnapshot, appliedNow int) {
 		seq = prev.Seq + 1
 		applied = prev.Applied
 	}
-	e := &Epoch{CoreSnapshot: snap, Seq: seq, Applied: applied + uint64(appliedNow), ctr: s.ctr}
+	e := &Epoch{CoreSnapshot: snap, Seq: seq, Applied: applied + uint64(appliedNow)}
 	s.cur.Store(e)
 	s.ctr.NotePublish(e.Seq, snap.TakenAt)
 	if s.opts.OnPublish != nil {

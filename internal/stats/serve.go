@@ -24,9 +24,6 @@ type ServeCounters struct {
 	epoch      atomic.Uint64
 	published  atomic.Int64 // UnixNano of the last epoch publication
 
-	cacheHits   atomic.Int64 // memoized epoch queries answered from a computed memo
-	cacheMisses atomic.Int64 // memoized epoch queries that had to compute the memo
-
 	annihilated     atomic.Int64 // updates cancelled against an opposing update pre-apply
 	dirtyNodesSum   atomic.Int64 // total dirty (changed-core) nodes across publishes
 	cowChunksCopied atomic.Int64 // snapshot chunks copied by delta publishes
@@ -63,14 +60,6 @@ func (c *ServeCounters) NotePublish(seq uint64, now time.Time) {
 // SetQueueDepth updates the queue-depth gauge.
 func (c *ServeCounters) SetQueueDepth(n int) { c.queueDepth.Store(int64(n)) }
 
-// NoteCacheHit records a memoized epoch query served from an
-// already-computed memo (a pointer load, no scan).
-func (c *ServeCounters) NoteCacheHit() { c.cacheHits.Add(1) }
-
-// NoteCacheMiss records the first memoized query against an epoch: the
-// one that pays the O(n) derivation the later hits reuse.
-func (c *ServeCounters) NoteCacheMiss() { c.cacheMisses.Add(1) }
-
 // NoteAnnihilated records n valid updates that cancelled against an
 // opposing update of the same edge in one coalesced flush, so neither
 // side was applied (the graph state is as if both had been).
@@ -104,8 +93,6 @@ func (c *ServeCounters) Snapshot(now time.Time) ServeSnapshot {
 		BatchEdgesMax: c.batchEdgesMax.Load(),
 		QueueDepth:    c.queueDepth.Load(),
 		Epoch:         c.epoch.Load(),
-		CacheHits:     c.cacheHits.Load(),
-		CacheMisses:   c.cacheMisses.Load(),
 
 		Annihilated:     c.annihilated.Load(),
 		DirtyNodesSum:   c.dirtyNodesSum.Load(),
@@ -131,8 +118,6 @@ type ServeSnapshot struct {
 	QueueDepth    int64         `json:"queue_depth"`
 	Epoch         uint64        `json:"epoch"`
 	EpochAge      time.Duration `json:"epoch_age_ns"`
-	CacheHits     int64         `json:"cache_hits"`
-	CacheMisses   int64         `json:"cache_misses"`
 
 	Annihilated     int64 `json:"annihilated_updates"`
 	DirtyNodesSum   int64 `json:"dirty_nodes_sum"`

@@ -133,6 +133,64 @@ func (s *CoreSnapshot) KCore(k uint32) []uint32 {
 	return out
 }
 
+// KCoreTop returns the size of the k-core at snapshot time and its first
+// limit members (all of them when limit <= 0) in core number descending
+// order, ids ascending within one core number — a prefix is the most
+// deeply embedded part of the k-core, and the order depends on the core
+// numbers alone.
+//
+// The count and the lowest core number t the answer reaches come from
+// the histogram (O(Kmax)); one scan in id order then drops each node of
+// core >= t at its level's cursor — levels above t whole, t up to the
+// limit — and stops once the answer is full. It allocates the answer and
+// one cursor per level in [t, Kmax], and no O(n) state.
+func (s *CoreSnapshot) KCoreTop(k uint32, limit int) (nodes []uint32, count int) {
+	top := len(s.hist) - 1
+	// Compare in uint64: int(k) would wrap negative on 32-bit platforms
+	// for k > MaxInt32 and sneak past the guard.
+	if uint64(k) > uint64(top) {
+		return nil, 0
+	}
+	for c := top; c >= int(k); c-- {
+		count += int(s.hist[c])
+	}
+	want := count
+	if limit > 0 && limit < count {
+		want = limit
+	}
+	if want == 0 {
+		return nil, count
+	}
+	t, above := top, 0
+	for above+int(s.hist[t]) < want {
+		above += int(s.hist[t])
+		t--
+	}
+	// next[c-t] is the write cursor of core number c: level top starts
+	// at 0, each level right after the one above it.
+	next := make([]int, top-t+1)
+	for c := top - 1; c >= t; c-- {
+		next[c-t] = next[c-t+1] + int(s.hist[c+1])
+	}
+	nodes = make([]uint32, want)
+	placed := 0
+	for ci, ch := range s.chunks {
+		for i, c := range ch {
+			if int(c) < t {
+				continue
+			}
+			if p := next[int(c)-t]; p < want {
+				nodes[p] = uint32(ci<<SnapshotChunkShift + i)
+				next[int(c)-t]++
+				if placed++; placed == want {
+					return nodes, count
+				}
+			}
+		}
+	}
+	return nodes, count
+}
+
 // Degeneracy reports kmax at snapshot time.
 func (s *CoreSnapshot) Degeneracy() uint32 { return s.Kmax }
 
