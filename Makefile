@@ -26,8 +26,9 @@ vet:
 # Documentation gate: go vet, the package-comment check — every
 # package (main and test-only packages included) must carry a godoc
 # package comment; see internal/doccheck for the policy — and the
-# observability map: the serve counters docs/ARCHITECTURE.md lists must
-# be exactly the keys /stats exports.
+# observability map: the serve, disk.*, durability.* and replica.*
+# counters docs/ARCHITECTURE.md lists must be exactly the keys /stats
+# exports.
 doc:
 	$(GO) vet ./...
 	$(GO) run ./internal/doccheck $$($(GO) list -f '{{.Dir}}' ./...)

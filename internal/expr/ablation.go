@@ -7,6 +7,7 @@ import (
 	"kcore/internal/dyngraph"
 	"kcore/internal/emcore"
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/maintain"
 	"kcore/internal/semicore"
@@ -41,7 +42,8 @@ func Ablation(cfg *Config) error {
 	if err != nil {
 		return err
 	}
-	base, csr, err := materialise(dir, d)
+	csr := graphOf(d)
+	base, err := materialise(dir, name, csr)
 	if err != nil {
 		return err
 	}
@@ -135,52 +137,42 @@ func Ablation(cfg *Config) error {
 	// 4. Batch deletion vs sequential.
 	t = newTable(out, fmt.Sprintf("Ablation 4: batch vs sequential deletion (%s, %d edges)", name, len(edges)))
 	t.row("strategy", "node comps", "read I/O", "time")
-	{
-		ctr := stats.NewIOCounter(cfg.BlockSize)
-		g, err := dyngraph.Open(base, ctr, dyngraph.Options{BufferArcs: 1 << 30})
+	for _, strategy := range []string{"sequential", "batch"} {
+		comps, reads, elapsed, err := cfg.deleteRun(base, edges, strategy == "batch")
 		if err != nil {
 			return err
 		}
-		s, err := maintain.NewSession(g, nil)
-		if err != nil {
-			g.Close()
-			return err
-		}
-		before := ctr.Snapshot()
-		start := time.Now()
-		var comps int64
-		for _, e := range edges {
-			rs, err := s.DeleteStar(e.U, e.V)
-			if err != nil {
-				g.Close()
-				return err
-			}
-			comps += rs.NodeComputations
-		}
-		t.row("sequential", comps, fmtCount(ctr.Snapshot().Sub(before).Reads), fmtDur(time.Since(start)))
-		g.Close()
-	}
-	{
-		ctr := stats.NewIOCounter(cfg.BlockSize)
-		g, err := dyngraph.Open(base, ctr, dyngraph.Options{BufferArcs: 1 << 30})
-		if err != nil {
-			return err
-		}
-		s, err := maintain.NewSession(g, nil)
-		if err != nil {
-			g.Close()
-			return err
-		}
-		before := ctr.Snapshot()
-		start := time.Now()
-		rs, err := s.BatchDelete(edges)
-		if err != nil {
-			g.Close()
-			return err
-		}
-		t.row("batch", rs.NodeComputations, fmtCount(ctr.Snapshot().Sub(before).Reads), fmtDur(time.Since(start)))
-		g.Close()
+		t.row(strategy, comps, fmtCount(reads), fmtDur(elapsed))
 	}
 	t.flush()
 	return nil
+}
+
+// deleteRun deletes edges from a fresh session over base, one by one
+// (SemiDelete*) or as one batch, and returns the deletions' node
+// computations, block reads and wall time.
+func (cfg *Config) deleteRun(base string, edges []graph.Edge, batch bool) (comps, reads int64, elapsed time.Duration, err error) {
+	ctr := stats.NewIOCounter(cfg.BlockSize)
+	g, err := dyngraph.Open(base, ctr, dyngraph.Options{BufferArcs: 1 << 30})
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer g.Close()
+	s, err := maintain.NewSession(g, nil)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	before, start := ctr.Snapshot(), time.Now()
+	if batch {
+		rs, err := s.BatchDelete(edges)
+		return rs.NodeComputations, ctr.Snapshot().Sub(before).Reads, time.Since(start), err
+	}
+	for _, e := range edges {
+		rs, err := s.DeleteStar(e.U, e.V)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		comps += rs.NodeComputations
+	}
+	return comps, ctr.Snapshot().Sub(before).Reads, time.Since(start), nil
 }

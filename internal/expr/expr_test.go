@@ -1,80 +1,68 @@
 package expr
 
 import (
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
 
-// run executes one experiment in Quick mode and returns its output.
-func run(t *testing.T, name string) string {
+// workDir is shared by every test and benchmark of the package, so each
+// dataset and sample is written once per process.
+var workDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "kcore-expr-test")
+	if err != nil {
+		panic(err)
+	}
+	workDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// quick runs one experiment in Quick mode, its paper-shape checks
+// included, and returns its output.
+func quick(t *testing.T, name string) string {
 	t.Helper()
 	var sb strings.Builder
-	cfg := &Config{Out: &sb, WorkDir: t.TempDir(), Quick: true}
-	if err := Run(name, cfg); err != nil {
-		t.Fatalf("%s: %v", name, err)
+	if err := Run(name, &Config{Out: &sb, WorkDir: workDir, Quick: true}); err != nil {
+		t.Fatalf("%s: %v\n%s", name, err, sb.String())
 	}
 	return sb.String()
 }
 
-func TestTable1Quick(t *testing.T) {
-	out := run(t, "table1")
-	for _, want := range []string{"dblp-sim", "DBLP", "density", "kmax", "webbase-sim"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table1 output missing %q:\n%s", want, out)
-		}
-	}
-}
+// One test per exhibit; each fails when the exhibit's checks do.
+func TestTable1Quick(t *testing.T)     { quick(t, "table1") }
+func TestFig3Quick(t *testing.T)       { quick(t, "fig3") }
+func TestFig9SmallQuick(t *testing.T)  { quick(t, "fig9small") }
+func TestFig9BigQuick(t *testing.T)    { quick(t, "fig9big") }
+func TestFig10SmallQuick(t *testing.T) { quick(t, "fig10small") }
+func TestFig10BigQuick(t *testing.T)   { quick(t, "fig10big") }
+func TestFig11Quick(t *testing.T)      { quick(t, "fig11") }
+func TestFig12Quick(t *testing.T)      { quick(t, "fig12") }
+func TestAblationQuick(t *testing.T)   { quick(t, "ablation") }
 
 func TestTracesQuick(t *testing.T) {
-	out := run(t, "traces")
-	for _, want := range []string{
-		"Fig. 2", "Fig. 4", "Fig. 5", "Fig. 6", "Fig. 7", "Fig. 8",
-		"SemiCore: 36, SemiCore+: 23, SemiCore*: 11",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("traces output missing %q", want)
-		}
+	if out := quick(t, "traces"); !strings.Contains(out, "SemiCore: 36, SemiCore+: 23, SemiCore*: 11") {
+		t.Fatalf("traces output lost the paper's computation counts:\n%s", out)
 	}
 }
 
-func TestFig3Quick(t *testing.T) {
-	out := run(t, "fig3")
-	if !strings.Contains(out, "twitter-sim") || !strings.Contains(out, "changed nodes") {
-		t.Fatalf("fig3 output malformed:\n%s", out)
-	}
-}
-
-func TestFig9SmallQuick(t *testing.T) {
-	out := run(t, "fig9small")
-	for _, want := range []string{"SemiCore*", "EMCore", "IMCore", "read I/O"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fig9small output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFig10SmallQuick(t *testing.T) {
-	out := run(t, "fig10small")
-	for _, want := range []string{"SemiInsert*", "SemiDelete*", "IMInsert", "IMDelete"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fig10small output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFig11Quick(t *testing.T) {
-	out := run(t, "fig11")
-	for _, want := range []string{"vary |V|", "vary |E|", "100%"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fig11 output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFig12Quick(t *testing.T) {
-	out := run(t, "fig12")
-	if !strings.Contains(out, "SemiDelete*") || !strings.Contains(out, "avg update time") {
-		t.Fatalf("fig12 output malformed:\n%s", out)
+// BenchmarkExperiments runs every exhibit once per iteration in Quick
+// mode, checks included; -bench Experiments/fig9big -cpuprofile profiles
+// one exhibit.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			cfg := &Config{Out: io.Discard, WorkDir: workDir, Quick: true}
+			for range b.N {
+				if err := e.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -101,30 +89,5 @@ func TestSampleIterations(t *testing.T) {
 				t.Fatalf("n=%d: not increasing: %v", n, idx)
 			}
 		}
-	}
-}
-
-func TestAblationQuick(t *testing.T) {
-	out := run(t, "ablation")
-	for _, want := range []string{"block size", "EMCore memory budget", "update buffer", "batch vs sequential"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ablation output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFig9BigQuick(t *testing.T) {
-	out := run(t, "fig9big")
-	for _, want := range []string{"webbase-sim", "it-sim", "SemiCore*", "semi-external only"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("fig9big output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFig10BigQuick(t *testing.T) {
-	out := run(t, "fig10big")
-	if !strings.Contains(out, "webbase-sim") || !strings.Contains(out, "SemiInsert*") {
-		t.Fatalf("fig10big output malformed:\n%s", out)
 	}
 }

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"kcore/internal/imcore"
 	"kcore/internal/maintain"
 	"kcore/internal/memgraph"
+	"kcore/internal/stats"
 )
 
 // maintRecord aggregates per-operation averages for one algorithm.
@@ -19,6 +21,22 @@ type maintRecord struct {
 	AvgIO   float64
 	AvgComp float64
 	Ops     int
+}
+
+// add records one operation; average turns the sums into means.
+func (r *maintRecord) add(d time.Duration, io, comps int64) {
+	r.AvgTime += d
+	r.AvgIO += float64(io)
+	r.AvgComp += float64(comps)
+	r.Ops++
+}
+
+func (r *maintRecord) average() {
+	if r.Ops > 0 {
+		r.AvgTime /= time.Duration(r.Ops)
+		r.AvgIO /= float64(r.Ops)
+		r.AvgComp /= float64(r.Ops)
+	}
 }
 
 // Fig10Small regenerates Fig. 10 (a), (c): core maintenance on the small
@@ -51,7 +69,8 @@ func fig10(cfg *Config, group gen.Group, withInMemory bool) error {
 	t.row("dataset", "algorithm", "avg time", "avg I/O", "avg node comps")
 	k := cfg.maintenanceEdges()
 	for _, d := range cfg.datasets(group) {
-		base, csr, err := materialise(dir, d)
+		csr := graphOf(d)
+		base, err := materialise(dir, d.Name, csr)
 		if err != nil {
 			return err
 		}
@@ -61,140 +80,111 @@ func fig10(cfg *Config, group gen.Group, withInMemory bool) error {
 			return fmt.Errorf("%s: %w", d.Name, err)
 		}
 		if withInMemory {
-			recs = append(recs, inMemoryMaintenance(csr, edges)...)
+			im, err := inMemoryMaintenance(csr, edges)
+			if err != nil {
+				return fmt.Errorf("%s: %w", d.Name, err)
+			}
+			recs = append(recs, im...)
 		}
 		for _, r := range recs {
 			t.row(d.Name, r.Algo, fmtDur(r.AvgTime), fmt.Sprintf("%.1f", r.AvgIO),
 				fmt.Sprintf("%.1f", r.AvgComp))
 		}
+		if err := checkMaintenance("Fig. 10 "+d.Name, recs, len(edges)); err != nil {
+			return err
+		}
 	}
 	t.flush()
-	fmt.Fprintln(out, "expected shape: SemiDelete* cheapest; SemiInsert* well below SemiInsert (no candidate flood).")
+	fmt.Fprintln(out, maintenanceShape)
 	return nil
 }
 
-// maintenanceRun executes the delete-then-reinsert protocol for the
-// semi-external algorithms over the disk graph at base.
-func (cfg *Config) maintenanceRun(base string, edges []graph.Edge) ([]maintRecord, error) {
-	// Session A: SemiDelete* over the deletions, SemiInsert* over the
-	// re-insertions.
-	runStar := func() (maintRecord, maintRecord, error) {
-		ctr := cfg.newCounter()
-		g, err := dyngraph.Open(base, ctr, dyngraph.Options{BufferArcs: 1 << 30})
-		if err != nil {
-			return maintRecord{}, maintRecord{}, err
-		}
-		defer g.Close()
-		s, err := maintain.NewSession(g, nil)
-		if err != nil {
-			return maintRecord{}, maintRecord{}, err
-		}
-		del := maintRecord{Algo: "SemiDelete*"}
-		for _, e := range edges {
-			before := ctr.Snapshot()
-			rs, err := s.DeleteStar(e.U, e.V)
-			if err != nil {
-				return del, del, err
-			}
-			del.AvgTime += rs.Duration
-			del.AvgIO += float64(ctr.Snapshot().Sub(before).Total())
-			del.AvgComp += float64(rs.NodeComputations)
-			del.Ops++
-		}
-		ins := maintRecord{Algo: "SemiInsert*"}
-		for _, e := range edges {
-			before := ctr.Snapshot()
-			rs, err := s.InsertStar(e.U, e.V)
-			if err != nil {
-				return del, ins, err
-			}
-			ins.AvgTime += rs.Duration
-			ins.AvgIO += float64(ctr.Snapshot().Sub(before).Total())
-			ins.AvgComp += float64(rs.NodeComputations)
-			ins.Ops++
-		}
-		return del, ins, nil
-	}
-	// Session B: the two-phase SemiInsert over the same re-insertions
-	// (deletions unrecorded, just to reach the same start state).
-	runTwoPhase := func() (maintRecord, error) {
-		ctr := cfg.newCounter()
-		g, err := dyngraph.Open(base, ctr, dyngraph.Options{BufferArcs: 1 << 30})
-		if err != nil {
-			return maintRecord{}, err
-		}
-		defer g.Close()
-		s, err := maintain.NewSession(g, nil)
-		if err != nil {
-			return maintRecord{}, err
-		}
-		for _, e := range edges {
-			if _, err := s.DeleteStar(e.U, e.V); err != nil {
-				return maintRecord{}, err
-			}
-		}
-		ins := maintRecord{Algo: "SemiInsert"}
-		for _, e := range edges {
-			before := ctr.Snapshot()
-			rs, err := s.InsertTwoPhase(e.U, e.V)
-			if err != nil {
-				return ins, err
-			}
-			ins.AvgTime += rs.Duration
-			ins.AvgIO += float64(ctr.Snapshot().Sub(before).Total())
-			ins.AvgComp += float64(rs.NodeComputations)
-			ins.Ops++
-		}
-		return ins, nil
-	}
+// maintenanceShape states what checkMaintenance holds Figs. 10 and 12 to.
+const maintenanceShape = "expected shape (checked): per update, node comps SemiDelete* < SemiInsert* < SemiInsert and I/O <= in the same order; every operation completes."
 
-	del, insStar, err := runStar()
-	if err != nil {
+// checkMaintenance holds one maintenance run to Figs. 10 and 12: recs
+// starts with maintenanceRun's SemiInsert, SemiInsert*, SemiDelete*, and
+// every record averages all ops operations.
+func checkMaintenance(at string, recs []maintRecord, ops int) error {
+	ins, star, del := recs[0], recs[1], recs[2]
+	err := errors.Join(
+		shape(ascending(true, del.AvgComp, star.AvgComp, ins.AvgComp), at, "node comps per update SemiDelete* < SemiInsert* < SemiInsert", del.AvgComp, star.AvgComp, ins.AvgComp),
+		shape(ascending(false, del.AvgIO, star.AvgIO, ins.AvgIO), at, "I/O per update SemiDelete* <= SemiInsert* <= SemiInsert", del.AvgIO, star.AvgIO, ins.AvgIO))
+	for _, r := range recs {
+		err = errors.Join(err, shape(r.Ops == ops, at, r.Algo+" completing every operation", r.Ops, ops))
+	}
+	return err
+}
+
+// maintenanceRun executes the delete-then-reinsert protocol for the
+// semi-external algorithms over the disk graph at base, one session per
+// insertion algorithm: SemiDelete* then SemiInsert*, and SemiDelete*
+// again (unrecorded, to reach the same start state) then SemiInsert.
+func (cfg *Config) maintenanceRun(base string, edges []graph.Edge) ([]maintRecord, error) {
+	recs := []maintRecord{{Algo: "SemiInsert"}, {Algo: "SemiInsert*"}, {Algo: "SemiDelete*"}}
+	if err := cfg.maintenanceSession(base, edges, &recs[2], &recs[1], (*maintain.Session).InsertStar); err != nil {
 		return nil, err
 	}
-	ins2, err := runTwoPhase()
-	if err != nil {
+	if err := cfg.maintenanceSession(base, edges, &maintRecord{}, &recs[0], (*maintain.Session).InsertTwoPhase); err != nil {
 		return nil, err
 	}
-	recs := []maintRecord{ins2, insStar, del}
 	for i := range recs {
-		if recs[i].Ops > 0 {
-			recs[i].AvgTime /= time.Duration(recs[i].Ops)
-			recs[i].AvgIO /= float64(recs[i].Ops)
-			recs[i].AvgComp /= float64(recs[i].Ops)
-		}
+		recs[i].average()
 	}
 	return recs, nil
 }
 
+// maintenanceSession deletes edges one by one with SemiDelete* on a fresh
+// session over base, then re-inserts them with insert, recording each
+// operation's time, block I/O and node computations in del and ins.
+func (cfg *Config) maintenanceSession(base string, edges []graph.Edge, del, ins *maintRecord,
+	insert func(*maintain.Session, uint32, uint32) (stats.RunStats, error)) error {
+	ctr := cfg.newCounter()
+	g, err := dyngraph.Open(base, ctr, dyngraph.Options{BufferArcs: 1 << 30})
+	if err != nil {
+		return err
+	}
+	defer g.Close()
+	s, err := maintain.NewSession(g, nil)
+	if err != nil {
+		return err
+	}
+	run := func(r *maintRecord, op func(*maintain.Session, uint32, uint32) (stats.RunStats, error)) error {
+		for _, e := range edges {
+			before := ctr.Snapshot()
+			rs, err := op(s, e.U, e.V)
+			if err != nil {
+				return err
+			}
+			r.add(rs.Duration, ctr.Snapshot().Sub(before).Total(), rs.NodeComputations)
+		}
+		return nil
+	}
+	if err := run(del, (*maintain.Session).DeleteStar); err != nil {
+		return err
+	}
+	return run(ins, insert)
+}
+
 // inMemoryMaintenance runs IMDelete/IMInsert over the same edge sequence.
-func inMemoryMaintenance(csr *memgraph.CSR, edges []graph.Edge) []maintRecord {
+func inMemoryMaintenance(csr *memgraph.CSR, edges []graph.Edge) ([]maintRecord, error) {
 	m := imcore.NewMaintainer(imcore.NewDynGraph(csr))
-	del := maintRecord{Algo: "IMDelete"}
-	for _, e := range edges {
-		st, err := m.Delete(e.U, e.V)
-		if err != nil {
-			continue
+	run := func(algo string, op func(u, v uint32) (imcore.MaintStats, error)) (maintRecord, error) {
+		r := maintRecord{Algo: algo}
+		for _, e := range edges {
+			st, err := op(e.U, e.V)
+			if err != nil {
+				return r, err
+			}
+			r.add(st.Duration, 0, st.Visited)
 		}
-		del.AvgTime += st.Duration
-		del.AvgComp += float64(st.Visited)
-		del.Ops++
+		r.average()
+		return r, nil
 	}
-	ins := maintRecord{Algo: "IMInsert"}
-	for _, e := range edges {
-		st, err := m.Insert(e.U, e.V)
-		if err != nil {
-			continue
-		}
-		ins.AvgTime += st.Duration
-		ins.AvgComp += float64(st.Visited)
-		ins.Ops++
+	del, err := run("IMDelete", m.Delete)
+	if err != nil {
+		return nil, err
 	}
-	for _, r := range []*maintRecord{&del, &ins} {
-		if r.Ops > 0 {
-			r.AvgTime /= time.Duration(r.Ops)
-			r.AvgComp /= float64(r.Ops)
-		}
-	}
-	return []maintRecord{ins, del}
+	ins, err := run("IMInsert", m.Insert)
+	return []maintRecord{ins, del}, err
 }

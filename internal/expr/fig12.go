@@ -22,7 +22,7 @@ func Fig12(cfg *Config) error {
 		if err != nil {
 			return err
 		}
-		full := d.Graph()
+		full := graphOf(d)
 		for _, mode := range []string{"V", "E"} {
 			t := newTable(out, fmt.Sprintf("Fig. 12: vary |%s| (%s), avg update time", mode, name))
 			t.row("fraction", "SemiInsert", "SemiInsert*", "SemiDelete*")
@@ -31,7 +31,8 @@ func Fig12(cfg *Config) error {
 				if err != nil {
 					return err
 				}
-				base, err := materialiseCSR(dir, fmt.Sprintf("m-%s-%s-%02.0f", name, mode, frac*100), sub)
+				at := fmt.Sprintf("%s-%s-%02.0f", name, mode, frac*100)
+				base, err := materialise(dir, at, sub)
 				if err != nil {
 					return err
 				}
@@ -40,18 +41,15 @@ func Fig12(cfg *Config) error {
 				if err != nil {
 					return err
 				}
-				byAlgo := map[string]maintRecord{}
-				for _, r := range recs {
-					byAlgo[r.Algo] = r
-				}
 				t.row(fmt.Sprintf("%.0f%%", frac*100),
-					fmtDur(byAlgo["SemiInsert"].AvgTime),
-					fmtDur(byAlgo["SemiInsert*"].AvgTime),
-					fmtDur(byAlgo["SemiDelete*"].AvgTime))
+					fmtDur(recs[0].AvgTime), fmtDur(recs[1].AvgTime), fmtDur(recs[2].AvgTime))
+				if err := checkMaintenance("Fig. 12 "+at, recs, len(edges)); err != nil {
+					return err
+				}
 			}
 			t.flush()
 		}
 	}
-	fmt.Fprintln(out, "expected shape: SemiDelete* flattest; SemiInsert unstable as the candidate set grows with |E|.")
+	fmt.Fprintln(out, maintenanceShape)
 	return nil
 }

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 
 	"kcore/internal/gen"
 	"kcore/internal/semicore"
@@ -23,7 +24,7 @@ func Fig3(cfg *Config) error {
 		if err != nil {
 			return err
 		}
-		g := d.Graph()
+		g := graphOf(d)
 		res, err := semicore.SemiCore(g, nil)
 		if err != nil {
 			return err
@@ -36,12 +37,12 @@ func Fig3(cfg *Config) error {
 			t.row(i+1, fmtCount(series[i]))
 		}
 		t.flush()
-		if len(series) > 1 {
-			first, last := series[0], series[len(series)-2] // final iteration changes 0
-			_ = last
-			fmt.Fprintf(out, "iteration-1 updates: %s; decay confirms partial computation pays off\n",
-				fmtCount(first))
+		if err := shape(len(series) > 1 && slices.Max(series[1:]) < series[0] && series[len(series)-1] == 0,
+			"Fig. 3 "+name, "iteration 1 changing more nodes than any later one, the last none", series); err != nil {
+			return err
 		}
+		fmt.Fprintf(out, "iteration-1 updates: %s; decay confirms partial computation pays off\n",
+			fmtCount(series[0]))
 	}
 	return nil
 }

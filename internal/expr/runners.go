@@ -161,3 +161,23 @@ func checkAgreement(recs []record) error {
 	}
 	return nil
 }
+
+// shape is one of the paper's claims checked on an exhibit's counts: nil
+// when ok, else an error quoting the claim and the counts that broke it.
+func shape(ok bool, at, claim string, got ...any) error {
+	if ok {
+		return nil
+	}
+	return fmt.Errorf("expr: %s: want %s, got %v", at, claim, got)
+}
+
+// ascending reports whether vs rises along the paper's order of the
+// algorithms that produced them, strictly if strict.
+func ascending[T int64 | float64](strict bool, vs ...T) bool {
+	for i := 1; i < len(vs); i++ {
+		if vs[i] < vs[i-1] || strict && vs[i] == vs[i-1] {
+			return false
+		}
+	}
+	return true
+}

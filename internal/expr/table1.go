@@ -16,7 +16,7 @@ func Table1(cfg *Config) error {
 	t.row("dataset", "paper graph", "group", "|V|", "|E|", "density", "kmax",
 		"paper |V|", "paper |E|", "paper kmax")
 	for _, d := range append(cfg.datasets(0), cfg.datasets(1)...) {
-		g := d.Graph()
+		g := graphOf(d)
 		res := imcore.Decompose(g, nil)
 		kmax := verify.Kmax(res.Core)
 		density := float64(g.NumEdges()) / float64(g.NumNodes())

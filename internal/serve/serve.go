@@ -10,8 +10,10 @@
 // through the maintainer's batch operations, then swaps in a fresh epoch
 // derived copy-on-write from its predecessor: only snapshot chunks
 // holding changed core numbers are copied (O(changed) publication).
-// Queries keep no per-epoch state: a k-core listing is answered from the
-// epoch's snapshot by one early-exit scan (Epoch.KCoreAt).
+// Queries keep no per-epoch state: /kcore answers a k-core listing from
+// the epoch's embedded snapshot with CoreSnapshot.KCoreTop, one scan that
+// stops once the limit is placed. Epoch.KCoreAt is KCoreTop without a
+// limit, kept for the benchmark harness's cold-listing probe.
 //
 // Consistency model: updates are applied in enqueue order, and every
 // published epoch reflects a consistent prefix of the applied updates —

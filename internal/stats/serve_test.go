@@ -83,11 +83,13 @@ func TestServeCountersConcurrent(t *testing.T) {
 // TestServeSnapshotKeysAreDocumented holds ARCHITECTURE's observability
 // map to the counters /stats exports: the unprefixed names in its
 // "Counter (in `/stats`)" table must be exactly ServeSnapshot's JSON
-// keys, and its disk.* names exactly DiskSnapshot's, the block every
-// graph has. `make doc` runs it.
+// keys, its disk.* names exactly DiskSnapshot's (the block every graph
+// has), its durability.* names WalSnapshot's and its replica.* names
+// ReplicaSnapshot's. `make doc` runs it.
 func TestServeSnapshotKeysAreDocumented(t *testing.T) {
 	var exported []string
-	for prefix, block := range map[string]any{"": ServeSnapshot{}, "disk.": DiskSnapshot{}} {
+	for prefix, block := range map[string]any{"": ServeSnapshot{}, "disk.": DiskSnapshot{},
+		"durability.": WalSnapshot{}, "replica.": ReplicaSnapshot{}} {
 		st := reflect.TypeOf(block)
 		for i := range st.NumField() {
 			exported = append(exported, prefix+strings.Split(st.Field(i).Tag.Get("json"), ",")[0])
@@ -105,7 +107,7 @@ func TestServeSnapshotKeysAreDocumented(t *testing.T) {
 	// The table's other unprefixed rows are /stats keys beside the serve
 	// block: Report's backend label and its io block.
 	notServe := []string{"backend", "io"}
-	name := regexp.MustCompile("`((?:disk\\.)?[a-z0-9_]+)`")
+	name := regexp.MustCompile("`((?:disk\\.|durability\\.|replica\\.)?[a-z0-9_]+)`")
 	var documented []string
 	for _, row := range strings.Split(table, "\n")[2:] {
 		if !strings.HasPrefix(row, "|") {
