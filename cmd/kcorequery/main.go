@@ -94,12 +94,17 @@ func main() {
 }
 
 // obtainResult loads the snapshot if present, otherwise decomposes (and
-// saves the snapshot for next time when a path was given).
+// saves the snapshot for next time when a path was given). Why a file
+// that exists was refused is printed before it is overwritten.
 func obtainResult(g *kcore.Graph, snapshot string) (*kcore.Result, error) {
 	if snapshot != "" {
-		if res, err := kcore.LoadResult(snapshot, g); err == nil {
+		res, err := kcore.LoadResult(snapshot, g)
+		if err == nil {
 			fmt.Fprintf(os.Stderr, "loaded decomposition from %s\n", snapshot)
 			return res, nil
+		}
+		if !os.IsNotExist(err) {
+			fmt.Fprintf(os.Stderr, "not using snapshot %s: %v\n", snapshot, err)
 		}
 	}
 	res, err := kcore.Decompose(g, nil)

@@ -128,10 +128,22 @@ func TestCoremaintRoundTrip(t *testing.T) {
 	}
 }
 
+// TestKcorequeryCore also gives -snapshot a torn KCSNAP01 file (the
+// format Save wrote before): kcorequery names why it refused the file,
+// replaces it, and loads the replacement on the next run.
 func TestKcorequeryCore(t *testing.T) {
 	out := run(t, "kcorequery", "-graph", graphBase, "core", "0")
 	if !strings.Contains(out, "core(0)") {
 		t.Fatalf("kcorequery output %q lacks core(0)", out)
+	}
+	snap := filepath.Join(t.TempDir(), "fixture.snap")
+	if err := os.WriteFile(snap, []byte("KCSNAP01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"not using snapshot " + snap + ": ", "loaded decomposition"} {
+		if out := run(t, "kcorequery", "-graph", graphBase, "-snapshot", snap, "core", "0"); !strings.Contains(out, want) {
+			t.Fatalf("kcorequery -snapshot output lacks %q:\n%s", want, out)
+		}
 	}
 }
 

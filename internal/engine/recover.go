@@ -12,6 +12,7 @@ import (
 	"kcore"
 	"kcore/internal/dyngraph"
 	"kcore/internal/stats"
+	"kcore/internal/storage"
 	"kcore/internal/wal"
 )
 
@@ -22,7 +23,7 @@ const configName = "CONFIG"
 
 func writeGraphConfig(o *DurabilityOptions, dir string, c BackendConfig) error {
 	config := fmt.Sprintf("backend=%s\ncache_blocks=%d\n", c.Backend, c.CacheBlocks)
-	return wal.WriteFile(o.FS, filepath.Join(dir, configName), []byte(config))
+	return storage.WriteFile(o.FS, filepath.Join(dir, configName), []byte(config))
 }
 
 // readGraphConfig parses the configuration file, defaulting to the

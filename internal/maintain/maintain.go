@@ -52,15 +52,11 @@ func NewSession(g *dyngraph.Graph, mem *stats.MemModel) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := semicore.StateFrom(res.Core, res.Cnt)
-	if err != nil {
-		return nil, err
-	}
-	return SessionFrom(g, st), nil
+	return SessionFrom(g, &semicore.State{Core: res.Core, Cnt: res.Cnt}), nil
 }
 
-// SessionFrom wraps an existing converged state (e.g. loaded from a
-// snapshot). The caller asserts that core/cnt are exact for g.
+// SessionFrom wraps an existing converged state (e.g. a SemiCore*
+// result). The caller asserts that core/cnt are exact for g.
 func SessionFrom(g *dyngraph.Graph, st *semicore.State) *Session {
 	return &Session{G: g, St: st, status: make([]uint8, g.NumNodes())}
 }

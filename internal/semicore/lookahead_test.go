@@ -2,13 +2,18 @@ package semicore
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
 	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/imcore"
+	"kcore/internal/memgraph"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 	"kcore/internal/testutil"
@@ -34,7 +39,7 @@ func starOnDisk(t *testing.T, base string, paperRule bool, frames int, passOnly 
 		src = struct{ graph.Source }{g} // no Resident: the printed pass schedule
 	}
 	opened := ctr.Reads()
-	res, err := semiCoreStar(src, nil, paperRule)
+	res, err := semiCoreStar(src, nil, paperRule, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +144,111 @@ func TestRevisitsMatchOracleAndNeverReadMore(t *testing.T) {
 			}
 		}
 	})
+}
+
+// openDyn opens the tables at base as a dyngraph through the given frames.
+func openDyn(t *testing.T, base string, ctr *stats.IOCounter, frames int) *dyngraph.Graph {
+	t.Helper()
+	g, err := dyngraph.Open(base, ctr, dyngraph.Options{CacheBlocks: frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	return g
+}
+
+// TestStarCntInvariant: SemiCore* ends on the exact cores with cnt
+// exact per Eq. 2 — the invariant maintenance (Algorithms 6-8) relies on,
+// and cnt >= core with it — on every corpus graph and from every start:
+// the degrees (SemiCoreStar) and, through SemiCoreStarFrom, four upper
+// bounds: the exact cores, which take one iteration; the cores plus
+// random offsets in {0, 1, 2}; the degrees again; and the cores of the
+// graph with random extra edges. Each runs on the CSR and on a dyngraph
+// over its tables through 64 and through 4 frames of 1 KiB.
+func TestStarCntInvariant(t *testing.T) {
+	seed := testutil.Seed(t, 37)
+	for name, csr := range testGraphs(t) {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			n := csr.NumNodes()
+			core := verify.CoresByRepeatedRemoval(csr)
+			cnt := verify.CntFor(csr, core)
+			offset, degree, extra := make([]uint32, n), make([]uint32, n), csr.EdgeList()
+			for v := range n {
+				offset[v] = core[v] + uint32(rng.Intn(3))
+				degree[v] = csr.Degree(v)
+				extra = append(extra, graph.Edge{U: v, V: uint32(rng.Intn(int(n)))}) // loops and repeats are dropped
+			}
+			sup, err := memgraph.FromEdges(n, extra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bounds := map[string][]uint32{"fresh": nil, "exact": core, "offset": offset, "degree": degree, "supergraph": imcore.Decompose(sup, nil).Core}
+			base := testutil.WriteCSR(t, csr)
+			sources := map[string]graph.Source{
+				"csr":         csr,
+				"dyngraph-64": openDyn(t, base, stats.NewIOCounter(1024), 64),
+				"dyngraph-4":  openDyn(t, base, stats.NewIOCounter(1024), 4),
+			}
+			for sname, g := range sources {
+				for bname, bound := range bounds {
+					var res *Result
+					var err error
+					if bound == nil {
+						res, err = SemiCoreStar(g, nil)
+					} else {
+						res, err = SemiCoreStarFrom(g, bound, nil)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(res.Core, core) || !slices.Equal(res.Cnt, cnt) {
+						t.Fatalf("%s from %s: cores %v cnt %v, want %v %v", sname, bname, res.Core, res.Cnt, core, cnt)
+					}
+					if bname == "exact" && res.Stats.Iterations != min(int(n), 1) {
+						t.Fatalf("%s from the exact cores: %d iterations", sname, res.Stats.Iterations)
+					}
+				}
+			}
+			if _, err := SemiCoreStarFrom(csr, append(core, 0), nil); err == nil {
+				t.Fatal("a bound one node too long was accepted")
+			}
+		})
+	}
+}
+
+// TestSemiCoreStarFromIOGate pins the resume on RMAT(13,12) through the
+// default frames, reads after open: from the exact cores SemiCore* takes
+// one pass and 180 reads, from the degrees (no bound below them) 5 passes
+// and 465, the fresh decomposition TestDecompositionIOGate gates.
+func TestSemiCoreStarFromIOGate(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "g")
+	if err := graphio.Build(base, graphio.SliceSource(gen.RMAT(13, 12, .57, .19, .19, 1)), graphio.BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var prev *Result
+	for _, want := range []struct{ iters, reads int }{{5, 465}, {1, 180}} {
+		ctr := stats.NewIOCounter(0)
+		g := openDyn(t, base, ctr, 0)
+		bound := slices.Repeat([]uint32{math.MaxUint32}, int(g.NumNodes()))
+		if prev != nil {
+			bound = prev.Core
+		}
+		opened := ctr.Reads()
+		res, err := SemiCoreStarFrom(g, bound, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := int(ctr.Reads() - opened)
+		t.Logf("%d iterations, %d reads", res.Stats.Iterations, reads)
+		if res.Stats.Iterations != want.iters || reads != want.reads {
+			t.Errorf("%d iterations and %d reads, want %d and %d", res.Stats.Iterations, reads, want.iters, want.reads)
+		}
+		if prev != nil && (!slices.Equal(res.Core, prev.Core) || !slices.Equal(res.Cnt, prev.Cnt)) {
+			t.Error("the resumed state differs from the fresh decomposition")
+		}
+		prev = res
+	}
 }
 
 // BenchmarkLocalCore microbenchmarks one locality-equation evaluation

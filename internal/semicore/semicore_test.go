@@ -236,30 +236,6 @@ func TestDecompositionAgainstReference(t *testing.T) {
 	}
 }
 
-// TestStarCntInvariant verifies that SemiCore* leaves cnt consistent with
-// Eq. 2 on every corpus graph — the invariant maintenance (Algorithms 6-8)
-// relies on.
-func TestStarCntInvariant(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		g := g
-		t.Run(name, func(t *testing.T) {
-			res, err := SemiCoreStar(g, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := verify.CntFor(g, res.Core)
-			for v := range want {
-				if res.Cnt[v] != want[v] {
-					t.Fatalf("cnt(v%d) = %d, want %d", v, res.Cnt[v], want[v])
-				}
-				if res.Cnt[v] < int32(res.Core[v]) {
-					t.Fatalf("cnt(v%d) = %d < core = %d after convergence", v, res.Cnt[v], res.Core[v])
-				}
-			}
-		})
-	}
-}
-
 // TestComputationOrdering verifies the paper's efficiency ordering on
 // non-trivial graphs: SemiCore* performs no more node computations than
 // SemiCore+, which performs no more than SemiCore.

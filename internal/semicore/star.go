@@ -206,10 +206,26 @@ func (s *State) converge(g graph.Source, rv *revisits, vmin, vmax uint32, rs *st
 // The in-memory CSR keeps the printed pass schedule, and maintenance
 // (Converge) keeps it everywhere.
 func SemiCoreStar(g graph.Source, opts *Options) (*Result, error) {
-	return semiCoreStar(g, opts, false)
+	return semiCoreStar(g, opts, false, nil)
 }
 
-func semiCoreStar(g graph.Source, opts *Options, paperRule bool) (*Result, error) {
+// SemiCoreStarFrom runs SemiCore* from core(v) <- min(deg(v), bound[v])
+// instead of the degrees. From any per-node upper bound on the cores it
+// converges to them (the locality property Algorithm 5 rests on), and
+// from the exact cores in one pass, which counts every list once and
+// finds no violated node. A bound below some node's core is not
+// detected: the result is then not the graph's cores. bound is only
+// read.
+func SemiCoreStarFrom(g graph.Source, bound []uint32, opts *Options) (*Result, error) {
+	if len(bound) != int(g.NumNodes()) {
+		return nil, fmt.Errorf("semicore: bound covers %d nodes, graph has %d", len(bound), g.NumNodes())
+	}
+	return semiCoreStar(g, opts, false, bound)
+}
+
+// semiCoreStar is SemiCoreStar, starting below the degrees where bound
+// (nil: none) says so.
+func semiCoreStar(g graph.Source, opts *Options, paperRule bool, bound []uint32) (*Result, error) {
 	start := time.Now()
 	n := g.NumNodes()
 	mem := opts.mem()
@@ -219,6 +235,9 @@ func semiCoreStar(g graph.Source, opts *Options, paperRule bool) (*Result, error
 	defer mem.Free("semicore*/cnt")
 	err := g.ScanDegrees(func(v uint32, deg uint32) error {
 		st.Core[v] = deg
+		if bound != nil {
+			st.Core[v] = min(deg, bound[v])
+		}
 		if deg > 0 {
 			st.Cnt[v] = -1
 		}
@@ -246,13 +265,4 @@ func semiCoreStar(g graph.Source, opts *Options, paperRule bool) (*Result, error
 	res.Stats.MemPeakBytes = mem.Peak()
 	res.Stats.Duration = time.Since(start)
 	return res, nil
-}
-
-// StateFrom wraps existing core/cnt arrays (e.g. a finished SemiCoreStar
-// result) as a State for maintenance.
-func StateFrom(core []uint32, cnt []int32) (*State, error) {
-	if len(core) != len(cnt) {
-		return nil, fmt.Errorf("semicore: core/cnt length mismatch %d vs %d", len(core), len(cnt))
-	}
-	return &State{Core: core, Cnt: cnt}, nil
 }

@@ -2,7 +2,7 @@ package serve_test
 
 import (
 	"fmt"
-	"hash/fnv"
+	"hash/crc64"
 	"math/rand"
 	"os"
 	"sync"
@@ -29,7 +29,7 @@ func openGraph(t testing.TB, n uint32, seed int64) (*kcore.Graph, []kcore.Edge) 
 }
 
 func coreChecksum(core []uint32) uint64 {
-	h := fnv.New64a()
+	h := crc64.New(crc64.MakeTable(crc64.ECMA))
 	var b [4]byte
 	for _, c := range core {
 		b[0], b[1], b[2], b[3] = byte(c), byte(c>>8), byte(c>>16), byte(c>>24)

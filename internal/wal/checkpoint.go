@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -147,7 +146,7 @@ func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src storage.So
 		return err
 	}
 	if cores != nil {
-		if err := writeCores(fs, filepath.Join(tmp, coresName), cores); err != nil {
+		if err := storage.WriteCores(fs, filepath.Join(tmp, coresName), cores); err != nil {
 			return err
 		}
 	}
@@ -159,7 +158,7 @@ func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src storage.So
 		Arcs:     src.NumArcs(),
 		HasCores: cores != nil,
 	})
-	if err := WriteFile(fs, filepath.Join(tmp, manifestName), man); err != nil {
+	if err := storage.WriteFile(fs, filepath.Join(tmp, manifestName), man); err != nil {
 		return err
 	}
 	if err := fs.SyncDir(tmp); err != nil {
@@ -169,61 +168,6 @@ func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src storage.So
 		return err
 	}
 	return fs.SyncDir(ckptRoot)
-}
-
-// writeCores stores the core-number array: u32 n, n little-endian u32
-// values, u32 CRC32C of everything before it.
-func writeCores(fs faultfs.FS, path string, cores []uint32) error {
-	buf := make([]byte, 4+4*len(cores)+4)
-	binary.LittleEndian.PutUint32(buf, uint32(len(cores)))
-	for i, c := range cores {
-		binary.LittleEndian.PutUint32(buf[4+4*i:], c)
-	}
-	crc := crc32.Checksum(buf[:len(buf)-4], castagnoli)
-	binary.LittleEndian.PutUint32(buf[len(buf)-4:], crc)
-	return WriteFile(fs, path, buf)
-}
-
-// WriteFile creates path through fs with data in it and fsyncs it before
-// closing: a checkpoint's manifest and cores, a durable graph's CONFIG.
-func WriteFile(fs faultfs.FS, path string, data []byte) error {
-	f, err := fs.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// readCores loads and checks a cores file.
-func readCores(fs faultfs.FS, path string) ([]uint32, error) {
-	data, err := fs.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) < 8 {
-		return nil, fmt.Errorf("wal: cores file too short")
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	if len(data) != 4+4*n+4 {
-		return nil, fmt.Errorf("wal: cores file length %d, want %d", len(data), 4+4*n+4)
-	}
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.Checksum(data[:len(data)-4], castagnoli); got != want {
-		return nil, fmt.Errorf("wal: cores file crc %d, want %d", got, want)
-	}
-	cores := make([]uint32, n)
-	for i := range cores {
-		cores[i] = binary.LittleEndian.Uint32(data[4+4*i:])
-	}
-	return cores, nil
 }
 
 // ckptEntry locates one committed checkpoint directory.
@@ -268,14 +212,4 @@ func readManifest(fs faultfs.FS, ckptDir string) (Manifest, error) {
 		return Manifest{}, err
 	}
 	return ParseManifest(data)
-}
-
-// validateCheckpoint reads the manifest and fully verifies the graph
-// tables (sizes and CRC32C), returning the manifest on success.
-func validateCheckpoint(fs faultfs.FS, path string) (Manifest, error) {
-	m, err := readManifest(fs, path)
-	if err != nil {
-		return Manifest{}, err
-	}
-	return m, storage.Verify(CheckpointBase(path))
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 
 	"kcore/internal/faultfs"
+	"kcore/internal/storage"
 )
 
 // This file is the exported checkpoint surface replication rides on: a
@@ -99,21 +100,17 @@ func openCheckpoint(fs faultfs.FS, dir string) (*CheckpointHandle, error) {
 	return h, nil
 }
 
-// ValidateCheckpointDir fully verifies a checkpoint directory a
-// follower downloaded: manifest CRC, graph table sizes and CRCs, and
-// the cores file when the manifest promises one. It returns the
-// manifest and the core numbers (nil when absent).
+// ValidateCheckpointDir reads what a follower's download holds beside
+// the tables: the manifest and, when it promises one, the cores file,
+// each held to its own checksum. It returns the manifest and the core
+// numbers (nil when absent). The tables are left to the open that serves
+// them, whose pass holds every block to the header (the bundle carries
+// no sidecar), so the download is read once.
 func ValidateCheckpointDir(dir string) (Manifest, []uint32, error) {
-	m, err := validateCheckpoint(faultfs.OS, dir)
-	if err != nil {
-		return Manifest{}, nil, err
+	m, err := readManifest(faultfs.OS, dir)
+	if err != nil || !m.HasCores {
+		return m, nil, err
 	}
-	var cores []uint32
-	if m.HasCores {
-		cores, err = readCores(faultfs.OS, filepath.Join(dir, coresName))
-		if err != nil {
-			return Manifest{}, nil, err
-		}
-	}
-	return m, cores, nil
+	cores, err := storage.ReadCores(faultfs.OS, filepath.Join(dir, coresName))
+	return m, cores, err
 }

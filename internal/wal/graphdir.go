@@ -291,7 +291,10 @@ func Scan(fsys faultfs.FS, dir string) (*Recovered, error) {
 	chosen := -1
 	var reasons []string
 	for i, ck := range cks {
-		man, verr := validateCheckpoint(fsys, ck.path)
+		man, verr := readManifest(fsys, ck.path)
+		if verr == nil {
+			verr = storage.Verify(CheckpointBase(ck.path))
+		}
 		if verr != nil {
 			reasons = append(reasons, fmt.Sprintf("checkpoint %d: %v", ck.seq, verr))
 			continue
@@ -327,7 +330,7 @@ func Scan(fsys faultfs.FS, dir string) (*Recovered, error) {
 		res.Reason = strings.Join(reasons, "; ")
 	}
 	if res.Manifest.HasCores {
-		cores, cerr := readCores(fsys, filepath.Join(res.Path, coresName))
+		cores, cerr := storage.ReadCores(fsys, filepath.Join(res.Path, coresName))
 		if cerr != nil {
 			res.Damaged = true
 			res.Reason = strings.TrimPrefix(res.Reason+"; cores: "+cerr.Error(), "; ")

@@ -10,6 +10,9 @@ import (
 
 	"kcore"
 	"kcore/internal/gen"
+	"kcore/internal/imcore"
+	"kcore/internal/memgraph"
+	"kcore/internal/testutil"
 	"kcore/internal/verify"
 )
 
@@ -62,24 +65,51 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestAllAlgorithmsAgree: every algorithm gives the oracle's cores, and
+// its Result, saved, loaded back and handed to a Maintainer (FromResult),
+// gives IMCore's cores through a churn of inserts and deletes.
 func TestAllAlgorithmsAgree(t *testing.T) {
 	edges := gen.Social(400, 3, 12, 9, 201)
 	mem := gen.Build(edges)
 	want := verify.CoresByRepeatedRemoval(mem)
-	g := buildFrom(t, edges, mem.NumNodes())
+	n := mem.NumNodes()
 	for _, algo := range []kcore.Algorithm{
 		kcore.SemiCoreStar, kcore.SemiCorePlus, kcore.SemiCoreBasic,
 		kcore.EMCore, kcore.IMCore,
 	} {
-		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
+			g := buildFrom(t, edges, n)
 			res, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: algo, TempDir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v := range want {
-				if res.Core[v] != want[v] {
-					t.Fatalf("%v: core(%d) = %d, want %d", algo, v, res.Core[v], want[v])
+			if !slices.Equal(res.Core, want) {
+				t.Fatalf("%v: cores differ from the oracle's", algo)
+			}
+			path := filepath.Join(t.TempDir(), "cores")
+			if err := res.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := kcore.LoadResult(path, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := kcore.NewMaintainer(g, &kcore.MaintainerOptions{FromResult: loaded})
+			if err != nil {
+				t.Fatal(err)
+			}
+			update := map[testutil.Op]func(u, v uint32) (kcore.RunInfo, error){testutil.OpInsert: m.InsertEdge, testutil.OpDelete: m.DeleteEdge}
+			stream := testutil.NewMutationStream(n, 202, mem.EdgeList())
+			for i := 0; i <= 200; i++ {
+				if i%50 == 0 {
+					live, _ := memgraph.FromEdges(n, stream.Live()) // every id is < n
+					if !slices.Equal(m.Cores(), imcore.Decompose(live, nil).Core) {
+						t.Fatalf("%v, resumed: cores differ from IMCore's after %d updates", algo, i)
+					}
+				}
+				mut := stream.NextValid()
+				if _, err := update[mut.Op](mut.U, mut.V); err != nil {
+					t.Fatal(err)
 				}
 			}
 		})
@@ -116,29 +146,30 @@ func TestMaintainerFlow(t *testing.T) {
 	}
 }
 
+// TestMaintainerFromResult: a SemiCore* Result hands its counters over,
+// and any other Result, here SemiCore's, seeds SemiCore* with its cores.
+// On two copies of the graph both maintainers start from SemiCore*'s
+// cores, and Example 2.1's insert lifts core(v8) to 2 in both.
 func TestMaintainerFromResult(t *testing.T) {
-	g := buildSample(t)
-	res, err := kcore.Decompose(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := kcore.NewMaintainer(g, &kcore.MaintainerOptions{FromResult: res})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.InsertEdge(7, 8); err != nil {
-		t.Fatal(err)
-	}
-	if c, _ := m.CoreOf(8); c != 2 {
-		t.Fatalf("core(v8) = %d, want 2", c)
-	}
-	// A non-star result must be rejected.
-	res2, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: kcore.SemiCoreBasic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kcore.NewMaintainer(g, &kcore.MaintainerOptions{FromResult: res2}); err == nil {
-		t.Fatal("non-star FromResult accepted")
+	for _, algo := range []kcore.Algorithm{kcore.SemiCoreStar, kcore.SemiCoreBasic} {
+		g := buildSample(t)
+		res, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: algo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := kcore.NewMaintainer(g, &kcore.MaintainerOptions{FromResult: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []uint32{3, 3, 3, 3, 2, 2, 2, 2, 1}; !slices.Equal(m.Cores(), want) {
+			t.Fatalf("%v: maintainer starts from %v, want %v", algo, m.Cores(), want)
+		}
+		if _, err := m.InsertEdge(7, 8); err != nil {
+			t.Fatal(err)
+		}
+		if want := []uint32{3, 3, 3, 3, 2, 2, 2, 2, 2}; !slices.Equal(m.Cores(), want) {
+			t.Fatalf("%v: after the insert %v, want %v", algo, m.Cores(), want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package kcore_test
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -170,28 +171,40 @@ func TestBatchAPIsPublic(t *testing.T) {
 	}
 }
 
-// TestSnapshotPublicValidation covers the error paths of Save/LoadResult.
+// TestSnapshotPublicValidation covers Save/LoadResult: a SemiCore Result
+// saves and reloads like any other, and LoadResult refuses a wrong-sized
+// graph, a file with one byte flipped, and a KCSNAP01 file of the same
+// graph (the cores-plus-counters format Save wrote before the one
+// core-number file).
 func TestSnapshotPublicValidation(t *testing.T) {
 	g := buildSample(t)
 	res, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: kcore.SemiCoreBasic})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Save(filepath.Join(t.TempDir(), "x.snap")); err == nil {
-		t.Fatal("non-star result saved")
-	}
-	star, err := kcore.Decompose(g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), "s.snap")
-	if err := star.Save(path); err != nil {
+	if err := res.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	// Mismatched graph size must be rejected.
+	if back, err := kcore.LoadResult(path, g); err != nil || !slices.Equal(back.Core, res.Core) || back.Kmax != res.Kmax {
+		t.Fatalf("reloaded %+v, %v; saved cores %v", back, err, res.Core)
+	}
 	other := buildFrom(t, []kcore.Edge{{U: 0, V: 1}}, 2)
 	if _, err := kcore.LoadResult(path, other); err == nil {
 		t.Fatal("snapshot loaded onto wrong-sized graph")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[9] ^= 1 // a core number's low byte
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{path, filepath.Join("testdata", "sample.kcsnap01")} {
+		if _, err := kcore.LoadResult(bad, g); err == nil {
+			t.Fatalf("%s loaded", bad)
+		}
 	}
 }
 

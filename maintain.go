@@ -32,9 +32,12 @@ func (a InsertAlgorithm) String() string {
 type MaintainerOptions struct {
 	// Insert selects the insertion algorithm (default SemiInsertStar).
 	Insert InsertAlgorithm
-	// FromResult reuses an existing SemiCore* decomposition of this
-	// exact graph instead of recomputing one; the Result must come from
-	// Decompose with the SemiCoreStar algorithm.
+	// FromResult starts the session from an existing decomposition of
+	// this graph instead of one from the degrees. A SemiCore* Result from
+	// Decompose is taken as it is, counters and all. Any other Result —
+	// another algorithm's, or LoadResult's — seeds SemiCore* with its
+	// cores as upper bounds, which costs one pass over the lists when
+	// they are exact. Cores below the graph's are not detected.
 	FromResult *Result
 }
 
@@ -49,32 +52,30 @@ type Maintainer struct {
 }
 
 // NewMaintainer starts a maintenance session, decomposing the graph with
-// SemiCore* first unless opts.FromResult supplies the state.
+// SemiCore* first unless opts.FromResult is a SemiCore* Result (see
+// MaintainerOptions.FromResult).
 func NewMaintainer(g *Graph, opts *MaintainerOptions) (*Maintainer, error) {
 	var o MaintainerOptions
 	if opts != nil {
 		o = *opts
 	}
 	var session *maintain.Session
-	if o.FromResult != nil {
-		if o.FromResult.cnt == nil {
-			return nil, fmt.Errorf("kcore: FromResult must come from the SemiCoreStar algorithm")
-		}
-		if uint32(len(o.FromResult.Core)) != g.NumNodes() {
-			return nil, fmt.Errorf("kcore: FromResult covers %d nodes, graph has %d",
-				len(o.FromResult.Core), g.NumNodes())
-		}
-		st, err := semicore.StateFrom(o.FromResult.Core, o.FromResult.cnt)
-		if err != nil {
-			return nil, err
-		}
-		session = maintain.SessionFrom(g.dyn, st)
-	} else {
+	switch r := o.FromResult; {
+	case r == nil:
 		var err error
-		session, err = maintain.NewSession(g.dyn, stats.NewMemModel())
+		if session, err = maintain.NewSession(g.dyn, stats.NewMemModel()); err != nil {
+			return nil, err
+		}
+	case uint32(len(r.Core)) != g.NumNodes():
+		return nil, fmt.Errorf("kcore: FromResult covers %d nodes, graph has %d", len(r.Core), g.NumNodes())
+	case r.cnt != nil:
+		session = maintain.SessionFrom(g.dyn, &semicore.State{Core: r.Core, Cnt: r.cnt})
+	default:
+		res, err := semicore.SemiCoreStarFrom(g.dyn, r.Core, nil)
 		if err != nil {
 			return nil, err
 		}
+		session = maintain.SessionFrom(g.dyn, &semicore.State{Core: res.Core, Cnt: res.Cnt})
 	}
 	return &Maintainer{g: g, session: session, insert: o.Insert}, nil
 }

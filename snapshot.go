@@ -2,9 +2,11 @@ package kcore
 
 import (
 	"fmt"
+	"os"
 	"time"
 
-	"kcore/internal/semicore"
+	"kcore/internal/faultfs"
+	"kcore/internal/storage"
 )
 
 // Snapshot chunking constants: a CoreSnapshot stores its core numbers in
@@ -159,39 +161,36 @@ func (r *Result) Snapshot(g *Graph) *CoreSnapshot {
 	return newCoreSnapshot(r.Core, g.NumEdges())
 }
 
-// Save persists a SemiCore* decomposition (core numbers plus support
-// counters) to path, so a later process can resume maintenance with
-// LoadResult instead of re-decomposing. Results from other algorithms
-// lack the counters and cannot be saved.
+// Save writes the core numbers to path in the one core-number file
+// format (storage.WriteCores, a checkpoint's cores file), atomically:
+// a temporary file renamed into place. Results of every algorithm save
+// the same way; LoadResult reads the file back.
 func (r *Result) Save(path string) error {
-	if r.cnt == nil {
-		return fmt.Errorf("kcore: only SemiCoreStar results carry the state needed to save")
-	}
-	st, err := semicore.StateFrom(r.Core, r.cnt)
-	if err != nil {
+	tmp := path + ".tmp"
+	if err := storage.WriteCores(faultfs.OS, tmp, r.Core); err != nil {
 		return err
 	}
-	return semicore.SaveState(path, st)
+	return os.Rename(tmp, path)
 }
 
-// LoadResult restores a saved decomposition for g. The snapshot must
-// describe exactly g's node count; the caller asserts the graph content
-// is the one the snapshot was computed on (or has only seen maintained
-// updates that were themselves saved).
+// LoadResult reads core numbers Save wrote, refusing a file that fails
+// its checksum or does not cover exactly g's nodes. The cores are as
+// stored, not checked against g; a Maintainer started FromResult on them
+// converges to g's cores from them when they are an upper bound (g's
+// own cores, or cores saved before edges were deleted).
 func LoadResult(path string, g *Graph) (*Result, error) {
-	st, err := semicore.LoadState(path)
+	core, err := storage.ReadCores(faultfs.OS, path)
 	if err != nil {
 		return nil, err
 	}
-	if uint32(len(st.Core)) != g.NumNodes() {
-		return nil, fmt.Errorf("kcore: snapshot covers %d nodes, graph has %d", len(st.Core), g.NumNodes())
+	if uint32(len(core)) != g.NumNodes() {
+		return nil, fmt.Errorf("kcore: snapshot covers %d nodes, graph has %d", len(core), g.NumNodes())
 	}
-	res := &Result{Core: st.Core, cnt: st.Cnt}
-	for _, c := range st.Core {
+	res := &Result{Core: core}
+	for _, c := range core {
 		if c > res.Kmax {
 			res.Kmax = c
 		}
 	}
-	res.Info.Algorithm = "SemiCore* (snapshot)"
 	return res, nil
 }
