@@ -17,6 +17,7 @@ import (
 	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/serve"
+	"kcore/internal/testutil"
 )
 
 // fileBlocks sums ⌈size/B⌉ over the files at base + each of exts.
@@ -40,35 +41,38 @@ func fileBlocks(t *testing.T, base string, b int64, exts ...string) int64 {
 // and not one block more, nor any write, nor any cache lookup. Without
 // the sidecar (a graph from an older builder, a follower's download) the
 // open falls back to one sequential pass over both tables, ⌈nt/B⌉ +
-// ⌈et/B⌉ reads, recording the same checksums. The default open pays the
-// sidecar too.
+// ⌈et/B⌉ reads, recording the same checksums. The gate graph's own open
+// pays the sidecar too. On the gate graph that is 1 block, and 24 + 74
+// for the pass (24 + 156 on the 4-byte tables).
 func TestCachedOpenIOGate(t *testing.T) {
-	g := buildFrom(t, gen.RMAT(13, 12, .57, .19, .19, 1), 0)
-	sidecar := fileBlocks(t, g.Base(), 4096, ".crc")
+	g := gateGraph(t)
 	for _, leg := range []struct {
-		name string
-		exts []string
-	}{{"sidecar", []string{".crc"}}, {"fallback", []string{".nt", ".et"}}} {
+		name  string
+		exts  []string
+		reads int64
+	}{{"sidecar", []string{".crc"}, 1}, {"fallback", []string{".nt", ".et"}, 24 + 74}} {
 		if leg.name == "fallback" {
 			if err := os.Remove(g.Base() + ".crc"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		want := fileBlocks(t, g.Base(), 4096, leg.exts...)
+		if blocks := fileBlocks(t, g.Base(), 4096, leg.exts...); blocks != leg.reads {
+			t.Fatalf("%s: the files %v are %d blocks, pinned at %d", leg.name, leg.exts, blocks, leg.reads)
+		}
 		cg, err := kcore.Open(g.Base(), &kcore.OpenOptions{CacheBlocks: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if io := cg.IOStats(); io.Reads != want || io.Writes != 0 {
-			t.Errorf("%s: cached Open charged %d reads and %d writes, want exactly the %d blocks of %v and none", leg.name, io.Reads, io.Writes, want, leg.exts)
+		if io := cg.IOStats(); io.Reads != leg.reads || io.Writes != 0 {
+			t.Errorf("%s: cached Open charged %d reads and %d writes, want exactly the %d blocks of %v and none", leg.name, io.Reads, io.Writes, leg.reads, leg.exts)
 		}
 		if ds := cg.DiskStats(); ds.CacheHits+ds.CacheMisses != 0 {
 			t.Errorf("%s: the open went through the cache: %+v", leg.name, ds)
 		}
 		cg.Close()
 	}
-	if io := g.IOStats(); io.Reads != sidecar {
-		t.Errorf("the default open charged %d reads, want the sidecar's %d", io.Reads, sidecar)
+	if io := g.IOStats(); io.Reads != 1 {
+		t.Errorf("the gate graph's open charged %d reads, want the sidecar's 1", io.Reads)
 	}
 }
 
@@ -79,8 +83,10 @@ func TestCachedOpenIOGate(t *testing.T) {
 // over the tables it has just written. The cache holds the whole graph,
 // so nothing is evicted and every old block is read once between open
 // and the end of the flush: the deletes' misses before it, the rest in
-// it.
+// it. The merged bytes DiskStats counts are the tables the fold-back
+// wrote.
 func TestCachedFoldBackIOGate(t *testing.T) {
+	const mergedBytes = 98136 + 302092 // the node table and the header's etbytes
 	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
 	g := buildFrom(t, edges, 0)
 	base := g.Base()
@@ -121,6 +127,17 @@ func TestCachedFoldBackIOGate(t *testing.T) {
 	}
 	if want := fileBlocks(t, base, 4096, ".nt", ".et", ".crc"); io.Writes != want {
 		t.Errorf("one fold-back wrote %d blocks, want the new tables' and sidecar's %d", io.Writes, want)
+	}
+	var tables int64
+	for _, ext := range []string{".nt", ".et"} {
+		fi, err := os.Stat(base + ext)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables += fi.Size()
+	}
+	if ds.MergedBytes != tables || ds.MergedBytes != mergedBytes {
+		t.Errorf("the fold-back counted %d merged bytes, want the new tables' %d, pinned at %d", ds.MergedBytes, tables, mergedBytes)
 	}
 }
 
@@ -603,35 +620,47 @@ func deleteInsertRound(tb testing.TB, m *kcore.Maintainer, round []kcore.Edge) (
 // default (64), as a law: the exact reads of the three decompositions
 // (SemiCore first, so its degree pass pays the node table for the index)
 // and of a 50-edge SemiDelete* / SemiInsert* round, on a skewed and on a
-// chain-ordered graph at two block sizes, are pinned. The frames hold
-// edge blocks only, so two frames never read less than the default, and
-// the sequential SemiCore and SemiCore+ read exactly as much; what the
-// default buys is the re-reads of hub lists that SemiInsert* (and, on
-// the BA graph, SemiCore*'s partial passes) revisit — through two frames
-// the inserts read strictly more on every row, which is why the default
-// is not smaller. On any frames SemiCore* also recomputes a violated
-// node behind its cursor at once while the frames hold its list, and
-// through two frames that follows another schedule than through 64, so
-// the two-frame run is pinned exactly (star2) instead of compared.
+// chain-ordered graph at two block sizes, are pinned. The law reads
+// through gateFrames frames: the gap-coded tables are about half the
+// 4-byte ones, and 30 frames are at least as much smaller than each
+// graph's encoded table as the default frames were than its 4-byte one
+// (parentBytes; RequireSpill holds every run to it). The frames hold
+// edge blocks only, so two frames never read less than the gate's, and
+// the sequential SemiCore and SemiCore+ read exactly as much; what more
+// frames buy is the re-reads of hub lists that SemiInsert* (and, on the
+// BA graph, SemiCore*'s partial passes) revisit — through two frames the
+// inserts read strictly more on every row, which is why the default is
+// not smaller. On any frames SemiCore* also recomputes a violated node
+// behind its cursor at once while the frames hold its list, and through
+// two frames that follows another schedule, so the two-frame run is
+// pinned exactly (star2) instead of compared. On the 4-byte tables
+// through the default frames the pins were rmat13 B=4096 {1428, 1292,
+// 441, 64, 4472, 703}, B=512 {11361, 9292, 4110, 202, 19470, 4146}; ba
+// B=4096 {3502, 3386, 200, 21, 5487, 811}, B=512 {27827, 23859, 3363,
+// 74, 137980, 4938}.
 func TestCacheSizeIOLaw(t *testing.T) {
 	type pins struct{ basic, plus, star, del, ins, star2 int64 }
 	for _, fx := range []struct {
-		name  string
-		edges []kcore.Edge
-		pins  map[int]pins // by block size
+		name        string
+		edges       []kcore.Edge
+		parentBytes int64        // the 4-byte table, 4 bytes an arc
+		pins        map[int]pins // by block size
 	}{
-		{"rmat13", gen.RMAT(13, 12, .57, .19, .19, 1), map[int]pins{
-			4096: {1428, 1292, 441, 64, 4472, 703},
-			512:  {11361, 9292, 4110, 202, 19470, 4146},
+		{"rmat13", gateEdges(), gateParentBytes, map[int]pins{
+			4096: {690, 636, 227, 57, 3072, 362},
+			512:  {5511, 4530, 2114, 124, 11472, 2129},
 		}},
-		{"ba", gen.BarabasiAlbert(8000, 6, 3), map[int]pins{
-			4096: {3502, 3386, 200, 21, 5487, 811},
-			512:  {27827, 23859, 3363, 74, 137980, 4938},
+		{"ba", gen.BarabasiAlbert(8000, 6, 3), 382344, map[int]pins{
+			4096: {1763, 1693, 92, 23, 4907, 339},
+			512:  {13878, 12882, 1810, 68, 87703, 2917},
 		}},
 	} {
 		base := filepath.Join(t.TempDir(), fx.name)
 		if err := kcore.Build(base, kcore.SliceEdges(fx.edges), nil); err != nil {
 			t.Fatal(err)
+		}
+		for blockSize := range fx.pins {
+			testutil.RequireSpill(t, base, blockSize, gateFrames, float64(fx.parentBytes)/float64(64*blockSize))
 		}
 		round := gen.Build(fx.edges).EdgeList() // u < v, sorted, no duplicates or loops
 		rand.New(rand.NewSource(23)).Shuffle(len(round), func(i, j int) { round[i], round[j] = round[j], round[i] })
@@ -661,12 +690,12 @@ func TestCacheSizeIOLaw(t *testing.T) {
 			return got
 		}
 		for blockSize, p := range fx.pins {
-			def, two := run(blockSize, 0), run(blockSize, 2)
-			t.Logf("%s B=%d: default %v, two frames %v", fx.name, blockSize, def, two)
+			def, two := run(blockSize, gateFrames), run(blockSize, 2)
+			t.Logf("%s B=%d: %d frames %v, two frames %v", fx.name, blockSize, gateFrames, def, two)
 			for i, pin := range [5]int64{p.basic, p.plus, p.star, p.del, p.ins} {
 				what := [5]string{"SemiCore", "SemiCore+", "SemiCore*", "50 deletes", "50 inserts"}[i]
 				if def[i] != pin {
-					t.Errorf("%s B=%d: %s read %d blocks by default, pinned at %d", fx.name, blockSize, what, def[i], pin)
+					t.Errorf("%s B=%d: %s read %d blocks through %d frames, pinned at %d", fx.name, blockSize, what, def[i], gateFrames, pin)
 				}
 				switch {
 				case i == 2:
@@ -674,11 +703,11 @@ func TestCacheSizeIOLaw(t *testing.T) {
 						t.Errorf("%s B=%d: %s read %d blocks through two frames, pinned at %d", fx.name, blockSize, what, two[i], p.star2)
 					}
 				case i < 2 && two[i] != def[i]:
-					t.Errorf("%s B=%d: %s read %d blocks through two frames, %d by default: a sequential pass should tie", fx.name, blockSize, what, two[i], def[i])
+					t.Errorf("%s B=%d: %s read %d blocks through two frames, %d through the gate's: a sequential pass should tie", fx.name, blockSize, what, two[i], def[i])
 				case i == 4 && two[i] <= def[i]:
-					t.Errorf("%s B=%d: %s read %d blocks through two frames, %d by default: want strictly more", fx.name, blockSize, what, two[i], def[i])
+					t.Errorf("%s B=%d: %s read %d blocks through two frames, %d through the gate's: want strictly more", fx.name, blockSize, what, two[i], def[i])
 				case two[i] < def[i]:
-					t.Errorf("%s B=%d: %s read %d blocks through two frames, fewer than the default's %d", fx.name, blockSize, what, two[i], def[i])
+					t.Errorf("%s B=%d: %s read %d blocks through two frames, fewer than the gate's %d", fx.name, blockSize, what, two[i], def[i])
 				}
 			}
 		}

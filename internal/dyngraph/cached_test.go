@@ -90,12 +90,17 @@ func TestStoreServesBaseGraph(t *testing.T) {
 // scratch buffers warm, Neighbors and HasEdge — cache hits, cache
 // misses with eviction, and overlay merges alike — allocate nothing.
 // (A fresh []byte per list read used to be 83% of all bytes the disk
-// backend allocated under a write workload.)
+// backend allocated under a write workload.) Both legs read through
+// frames their graph's encoded edge table overflows at least as many
+// times as its 4-byte table overflowed the frames they had before (four
+// of 512 bytes; the default 64 of 64 bytes), and the misses of the
+// timed sweeps are pinned at the default seed.
 func TestStoreReadsDoNotAllocate(t *testing.T) {
 	const n = 300
 	seed := testutil.Seed(t, 13)
 	base, edges := testutil.WriteSocial(t, n, seed)
-	run := func(t *testing.T, g *dyngraph.Graph, evictions func() int64) {
+	v1Bytes := float64(8 * len(edges)) // two arcs an edge, 4 bytes an arc
+	run := func(t *testing.T, g *dyngraph.Graph, evictions func() int64, pin int64) {
 		mutate(t, g, testutil.NewMutationStream(n, seed, edges), 60) // a populated overlay: merged reads too
 		var buf []uint32
 		sweep := func() {
@@ -118,16 +123,21 @@ func TestStoreReadsDoNotAllocate(t *testing.T) {
 			t.Errorf("the sweep did not exercise misses (%d evictions before, %d after) and overlay merges (%d arcs buffered)",
 				before, evictions(), g.BufferedArcs())
 		}
+		if seed == 13 && evictions()-before != pin {
+			t.Errorf("the sweeps missed %d times, pinned at %d", evictions()-before, pin)
+		}
 	}
 	t.Run("cached", func(t *testing.T) {
-		// Four frames, far below the adjacency: the sweep evicts constantly.
-		g, _ := openAt(t, base, 512, dyngraph.Options{CacheBlocks: 4})
-		run(t, g, func() int64 { return g.DiskStats().CacheEvictions })
+		// One frame, far below the adjacency: the sweep evicts constantly.
+		testutil.RequireSpill(t, base, 512, 1, v1Bytes/(512*4))
+		g, _ := openAt(t, base, 512, dyngraph.Options{CacheBlocks: 1})
+		run(t, g, func() int64 { return g.DiskStats().CacheEvictions }, 273)
 	})
 	t.Run("uncached", func(t *testing.T) {
-		// The default open's frames at B=64 hold 4 KiB, below the node
-		// table alone: every block they drop is a re-read.
-		g, ctr := openAt(t, base, 64, dyngraph.Options{})
-		run(t, g, ctr.Reads)
+		// 16 frames at B=64 hold 1 KiB, below the edge table: every block
+		// they drop is a re-read.
+		testutil.RequireSpill(t, base, 64, 16, v1Bytes/(64*64))
+		g, ctr := openAt(t, base, 64, dyngraph.Options{CacheBlocks: 16})
+		run(t, g, ctr.Reads, 735)
 	})
 }

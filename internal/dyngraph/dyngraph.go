@@ -314,7 +314,7 @@ func (g *Graph) swap(fill func(tmp string) error) (err error) {
 		return err
 	}
 	g.merges.Add(1)
-	g.mergedBytes.Add(int64(g.NumNodes())*storage.NodeRecordSize + g.disk.NumArcs()*storage.ArcSize)
+	g.mergedBytes.Add(g.disk.TableBytes())
 	return nil
 }
 

@@ -27,8 +27,12 @@ var (
 	crashTrials = flag.Int("crashtrials", 8, "randomized crash trials to run")
 )
 
+// crashNodes sizes the script's graph. Every table block a checkpoint
+// writes is a boundary; at 160 nodes the gap-coded tables still span
+// enough 512-byte blocks that the script crosses 100 boundaries (the
+// 4-byte tables of 48 nodes crossed 97).
 const (
-	crashNodes = 48
+	crashNodes = 160
 	crashGSeed = 41
 	crashOps   = 6
 )

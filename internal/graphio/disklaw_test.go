@@ -1,4 +1,4 @@
-package graphio
+package graphio_test
 
 import (
 	"os"
@@ -7,32 +7,48 @@ import (
 
 	"kcore/internal/gen"
 	"kcore/internal/graph"
+	"kcore/internal/graphio"
 	"kcore/internal/semicore"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
+	"kcore/internal/testutil"
 	"kcore/internal/verify"
 )
 
 // TestSemiCoreIOLaw pins Theorem 4.2's I/O complexity as an exact law of
 // the implementation: the node table is read once, into memory, and
 // SemiCore performs l full sequential scans of the edge table, so it
-// reads ceil(nodeTableBytes/B) + l * ceil(edgeTableBytes/B) blocks on an
-// edge table several times the size of the default frames (64 blocks;
-// here about 3x at B=512, 23x at B=64), which therefore carry no block
-// from one scan to the next. At B=512 the open reads the checksum
-// sidecar and leaves the node table to the degree-initialisation pass.
-// At B=64, no whole number of the sidecar's 512-byte granules, the open
-// is the verifying pass over both tables, which reads the node table
-// into memory on the way: the decomposition then reads only its l scans.
+// reads ceil(nodeTableBytes/B) + l * ceil(edgeTableBytes/B) blocks, the
+// edge table's bytes being the encoded lists' (the header's etbytes), on
+// an edge table several times the size of the frames it reads through
+// (30 blocks; about 3x at B=512, 23x at B=64, as the 4-byte table was of
+// the default 64), which therefore carry no block from one scan to the
+// next. At B=512 the open reads the checksum sidecar and leaves the node
+// table to the degree-initialisation pass. At B=64, no whole number of
+// the sidecar's 512-byte granules, the open is the verifying pass over
+// both tables, which reads the node table into memory on the way: the
+// decomposition then reads only its l scans. Pinned (l = 13): 1,484 + 9,542
+// at B=64 and 2 + 1,290 at B=512 (2,264 + 19,682 and 2,564 after the
+// sidecar with 4-byte tables).
 func TestSemiCoreIOLaw(t *testing.T) {
+	const frames = 30
 	mem := gen.Build(gen.Social(4000, 3, 10, 9, 701))
 	base := filepath.Join(t.TempDir(), "g")
-	if err := WriteCSR(base, mem, nil); err != nil {
+	if err := graphio.WriteCSR(base, mem, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, blockSize := range []int{64, 512} {
+	meta, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		blockSize   int
+		open, reads int64
+	}{{64, 1484, 9542}, {512, 2, 1290}} {
+		blockSize := tc.blockSize
+		testutil.RequireSpill(t, base, blockSize, frames, float64(4*mem.NumArcs())/float64(64*blockSize))
 		ctr := stats.NewIOCounter(blockSize)
-		g, err := storage.Open(base, ctr, nil)
+		g, err := storage.Open(base, ctr, storage.NewBlockCache(frames, blockSize))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +61,7 @@ func TestSemiCoreIOLaw(t *testing.T) {
 		B := int64(blockSize)
 		blocks := func(bytes int64) int64 { return (bytes + B - 1) / B }
 		nt := blocks(int64(mem.NumNodes()) * storage.NodeRecordSize)
-		et := blocks(mem.NumArcs() * storage.ArcSize)
+		et := blocks(meta.EtBytes)
 		sidecar, err := os.Stat(base + ".crc")
 		if err != nil {
 			t.Fatal(err)
@@ -55,9 +71,13 @@ func TestSemiCoreIOLaw(t *testing.T) {
 			wantOpen, wantNt = nt+et, 0
 		}
 		want := wantNt + int64(res.Stats.Iterations)*et
-		if got := ctr.Reads() - opened; opened != wantOpen || got != want {
+		got := ctr.Reads() - opened
+		if opened != wantOpen || got != want {
 			t.Fatalf("B=%d: the open read %d, want %d; SemiCore read %d, want %d (l=%d iterations)",
 				blockSize, opened, wantOpen, got, want, res.Stats.Iterations)
+		}
+		if opened != tc.open || got != tc.reads {
+			t.Fatalf("B=%d: the open read %d and SemiCore %d, pinned at %d and %d", blockSize, opened, got, tc.open, tc.reads)
 		}
 	}
 }
@@ -68,8 +88,10 @@ func TestSemiCoreIOLaw(t *testing.T) {
 // and a remainder; each run is written once and read once, ceil(8*a_i/B)
 // blocks either way, and the only other counted I/O is writing the two
 // tables front to back and then their checksum sidecar: an 8-byte header
-// and 4 bytes per 512-byte granule of each table. Moving runs a block per
-// call changed none of it.
+// and 4 bytes per 512-byte granule of each table, the edge table's bytes
+// being the header's etbytes. Moving runs a block per call changed none
+// of it. The tables and sidecar are pinned: 24 blocks at B = 512, 5 at
+// B = 4096 (57 and 9 with 4-byte tables).
 func TestBuildIOLaw(t *testing.T) {
 	edges := gen.ErdosRenyi(400, 3000, 705)
 	mem := gen.Build(edges)
@@ -79,11 +101,12 @@ func TestBuildIOLaw(t *testing.T) {
 			arcs += 2
 		}
 	}
+	tablePins := map[int]int64{512: 24, 4096: 5}
 	for _, blockSize := range []int{512, 4096} {
 		for _, budget := range []int{200, 1026, 2 * int(arcs), 0} {
 			ctr := stats.NewIOCounter(blockSize)
 			base := filepath.Join(t.TempDir(), "g")
-			err := Build(base, SliceSource(edges), BuildOptions{N: mem.NumNodes(), SortBudgetArcs: budget, IO: ctr})
+			err := graphio.Build(base, graphio.SliceSource(edges), graphio.BuildOptions{N: mem.NumNodes(), SortBudgetArcs: budget, IO: ctr})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,12 +117,19 @@ func TestBuildIOLaw(t *testing.T) {
 				runBlocks = arcs / run * blocks(8*run)
 				runBlocks += blocks(8 * (arcs % run))
 			}
-			nt, et := int64(mem.NumNodes())*storage.NodeRecordSize, mem.NumArcs()*storage.ArcSize
+			meta, err := storage.ReadMeta(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nt, et := int64(mem.NumNodes())*storage.NodeRecordSize, meta.EtBytes
 			tables := blocks(nt) + blocks(et)
 			sidecar := blocks(8 + 4*((nt+511)/512+(et+511)/512))
 			if got := ctr.Snapshot(); got.Reads != runBlocks || got.Writes != runBlocks+tables+sidecar {
 				t.Fatalf("B=%d budget=%d: reads %d writes %d, want %d run blocks each way + %d table and %d sidecar blocks written",
 					blockSize, budget, got.Reads, got.Writes, runBlocks, tables, sidecar)
+			}
+			if pin := tablePins[blockSize]; tables+sidecar != pin {
+				t.Fatalf("B=%d: the tables and sidecar took %d blocks, pinned at %d", blockSize, tables+sidecar, pin)
 			}
 		}
 	}
@@ -116,7 +146,7 @@ func TestBuildIOLaw(t *testing.T) {
 func TestDiskParityAllVariants(t *testing.T) {
 	mem := gen.Build(gen.WebGraph(7, 5, 6, 20, 703))
 	base := filepath.Join(t.TempDir(), "g")
-	if err := WriteCSR(base, mem, nil); err != nil {
+	if err := graphio.WriteCSR(base, mem, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := verify.CoresByRepeatedRemoval(mem)

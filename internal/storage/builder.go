@@ -15,17 +15,19 @@ import (
 // itself an I/O-accounted operation (used by EMCore re-partitioning, and
 // by WriteGraph for checkpoints and fold-backs).
 type Builder struct {
-	fs     faultfs.FS
-	base   string
-	ctr    *stats.IOCounter
-	n      uint32
-	next   uint32
-	arcs   int64
-	nt     *BlockWriter
-	et     *BlockWriter
-	recBuf [NodeRecordSize]byte
-	arcBuf []byte
-	closed bool
+	fs      faultfs.FS
+	base    string
+	ctr     *stats.IOCounter
+	codec   listCodec
+	n       uint32
+	next    uint32
+	arcs    int64
+	etBytes int64
+	nt      *BlockWriter
+	et      *BlockWriter
+	recBuf  [NodeRecordSize]byte
+	listBuf []byte
+	closed  bool
 }
 
 // NewBuilder starts writing a graph with n nodes at path prefix base on
@@ -45,7 +47,8 @@ func newBuilder(fsys faultfs.FS, base string, n uint32, ctr *stats.IOCounter) (*
 		return nil, err
 	}
 	nt.keepGranules, et.keepGranules = true, true
-	return &Builder{fs: fsys, base: base, ctr: ctr, n: n, nt: nt, et: et}, nil
+	codec := codecOf(Meta{Version: FormatVersion, N: n})
+	return &Builder{fs: fsys, base: base, ctr: ctr, codec: codec, n: n, nt: nt, et: et}, nil
 }
 
 // AppendList writes nbr(v) for the next node. Lists must arrive for
@@ -62,16 +65,6 @@ func (b *Builder) AppendList(v uint32, nbrs []uint32) error {
 	if v >= b.n {
 		return fmt.Errorf("storage: node %d out of range [0,%d)", v, b.n)
 	}
-	binary.LittleEndian.PutUint64(b.recBuf[0:8], uint64(b.arcs))
-	binary.LittleEndian.PutUint32(b.recBuf[8:12], uint32(len(nbrs)))
-	if _, err := b.nt.Write(b.recBuf[:]); err != nil {
-		return err
-	}
-	need := len(nbrs) * ArcSize
-	if cap(b.arcBuf) < need {
-		b.arcBuf = make([]byte, need)
-	}
-	raw := b.arcBuf[:need]
 	prev := int64(-1)
 	for i, u := range nbrs {
 		if u == v {
@@ -84,11 +77,17 @@ func (b *Builder) AppendList(v uint32, nbrs []uint32) error {
 			return fmt.Errorf("storage: neighbour %d of node %d out of range [0,%d)", u, v, b.n)
 		}
 		prev = int64(u)
-		binary.LittleEndian.PutUint32(raw[i*ArcSize:], u)
 	}
-	if _, err := b.et.Write(raw); err != nil {
+	binary.LittleEndian.PutUint64(b.recBuf[0:8], uint64(b.etBytes))
+	binary.LittleEndian.PutUint32(b.recBuf[8:12], uint32(len(nbrs)))
+	if _, err := b.nt.Write(b.recBuf[:]); err != nil {
 		return err
 	}
+	b.listBuf = b.codec.encode(b.listBuf[:0], nbrs)
+	if _, err := b.et.Write(b.listBuf); err != nil {
+		return err
+	}
+	b.etBytes += int64(len(b.listBuf))
 	b.arcs += int64(len(nbrs))
 	b.next++
 	return nil
@@ -140,7 +139,7 @@ func (b *Builder) finish(durable bool) error {
 	if err := writeSidecar(b.fs, b.base, granules, b.ctr, durable); err != nil {
 		return err
 	}
-	m := Meta{Version: FormatVersion, N: b.n, Arcs: b.arcs, HasCRC: true, NtCRC: ntCRC, EtCRC: etCRC}
+	m := Meta{Version: FormatVersion, N: b.n, Arcs: b.arcs, EtBytes: b.etBytes, HasCRC: true, NtCRC: ntCRC, EtCRC: etCRC}
 	return WriteMetaFS(b.fs, b.base, m, durable)
 }
 

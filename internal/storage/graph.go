@@ -4,7 +4,7 @@
 // every node. Every algorithm's I/O is counted in B-sized block transfers.
 // As the semi-external model has it, node information is held in memory
 // and only adjacency is read from disk: a graph's first use reads the node
-// table once into an index (4n + n/8 bytes), checked whole against the
+// table once into an index (4n + n/8 + n bytes), checked whole against the
 // header, and every later record comes from there. There is one block
 // reader under the tables, a bounded CLOCK cache of B-sized frames
 // (CachedFile) that holds edge blocks only once the index is built, and
@@ -16,16 +16,20 @@
 //
 // A graph <base> occupies three files, and a fourth, optional one:
 //
-//	<base>.meta  text header (version, node count, arc count, table CRC32Cs)
+//	<base>.meta  text header (version, node count, arc count, edge-table
+//	             bytes, table CRC32Cs)
 //	<base>.nt    node table: n records of {offset uint64, degree uint32}
-//	<base>.et    edge table: arcs uint32 neighbour ids, lists concatenated
+//	<base>.et    edge table: the gap-coded lists, concatenated (codec.go)
 //	<base>.crc   checksum sidecar: a CRC32C per 512-byte granule of .nt,
 //	             then of .et (sidecar.go); the Builder writes it, readers
 //	             that lack it or cannot hold it to the header do without
 //
-// Offsets are arc indexes (not bytes) into the edge table. Graphs are
-// undirected: every edge {u,v} is stored as the two arcs u→v and v→u, and
-// each adjacency list is sorted ascending.
+// Offsets are byte offsets into the edge table. Graphs are undirected:
+// every edge {u,v} is stored as the two arcs u→v and v→u, and each
+// adjacency list is sorted ascending. The Builder writes format version
+// 2; version-1 tables (4-byte absolute ids, arc offsets) stay readable in
+// place, and the first rewrite of such a graph (WriteGraph: a fold-back
+// or a checkpoint) writes it as version 2.
 package storage
 
 import (
@@ -44,21 +48,22 @@ import (
 )
 
 const (
-	// FormatVersion identifies the on-disk layout.
-	FormatVersion = 1
+	// FormatVersion identifies the on-disk layout the Builder writes.
+	FormatVersion = 2
 	// NodeRecordSize is the byte size of one node-table record.
 	NodeRecordSize = 12
-	// ArcSize is the byte size of one edge-table entry.
-	ArcSize = 4
 )
 
-// Meta is the parsed contents of a <base>.meta file. HasCRC reports
-// whether the header carried table checksums (graphs written by older
-// builders have none; everything the Builder writes today does).
+// Meta is the parsed contents of a <base>.meta file. EtBytes is the edge
+// table's size (a version-1 header carries none: 4 bytes per arc).
+// HasCRC reports whether the header carried table checksums (graphs
+// written by older builders have none; everything the Builder writes
+// today does).
 type Meta struct {
 	Version int
 	N       uint32
 	Arcs    int64
+	EtBytes int64
 	HasCRC  bool
 	NtCRC   uint32
 	EtCRC   uint32
@@ -81,6 +86,9 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 	fmt.Fprintf(w, "version=%d\n", m.Version)
 	fmt.Fprintf(w, "nodes=%d\n", m.N)
 	fmt.Fprintf(w, "arcs=%d\n", m.Arcs)
+	if m.Version >= 2 {
+		fmt.Fprintf(w, "etbytes=%d\n", m.EtBytes)
+	}
 	if m.HasCRC {
 		fmt.Fprintf(w, "ntcrc=%d\n", m.NtCRC)
 		fmt.Fprintf(w, "etcrc=%d\n", m.EtCRC)
@@ -98,9 +106,11 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 	return f.Close()
 }
 
-// ReadMeta parses the header file for a graph.
+// ReadMeta parses the header file for a graph: version 2, whose header
+// must give the edge table's size, or version 1, whose must not.
 func ReadMeta(base string) (Meta, error) {
 	var m Meta
+	hasEtBytes := false
 	data, err := os.ReadFile(metaPath(base))
 	if err != nil {
 		return m, err
@@ -120,7 +130,7 @@ func ReadMeta(base string) (Meta, error) {
 		}
 		// The header also arrives over the network (a follower's
 		// checkpoint download): nothing in it is taken modulo 2^32.
-		if x < 0 || (key != "arcs" && x > math.MaxUint32) {
+		if x < 0 || (key != "arcs" && key != "etbytes" && x > math.MaxUint32) {
 			return m, fmt.Errorf("storage: meta value %q out of range", line)
 		}
 		switch key {
@@ -130,6 +140,8 @@ func ReadMeta(base string) (Meta, error) {
 			m.N = uint32(x)
 		case "arcs":
 			m.Arcs = x
+		case "etbytes":
+			m.EtBytes, hasEtBytes = x, true
 		case "ntcrc":
 			m.NtCRC = uint32(x)
 			m.HasCRC = true
@@ -140,7 +152,17 @@ func ReadMeta(base string) (Meta, error) {
 			return m, fmt.Errorf("storage: unknown meta key %q", key)
 		}
 	}
-	if m.Version != FormatVersion {
+	switch m.Version {
+	case 1:
+		if hasEtBytes || m.Arcs > math.MaxInt64/4 {
+			return m, fmt.Errorf("storage: version-1 meta with etbytes or %d arcs", m.Arcs)
+		}
+		m.EtBytes = 4 * m.Arcs
+	case FormatVersion:
+		if !hasEtBytes {
+			return m, fmt.Errorf("storage: version-%d meta without etbytes", m.Version)
+		}
+	default:
 		return m, fmt.Errorf("storage: unsupported format version %d", m.Version)
 	}
 	return m, nil
@@ -149,37 +171,49 @@ func ReadMeta(base string) (Meta, error) {
 // Graph is a read handle over an on-disk graph. All reads are charged to
 // the counter passed at Open time. Beyond its cache's frames and scratch
 // reused across calls, a Graph holds the node table in memory from its
-// first use on (nodeIndex: 4n + n/8 bytes).
+// first use on (nodeIndex: 4n + n/8 + n bytes).
 type Graph struct {
-	base string
-	meta Meta
-	nt   *CachedFile
-	et   *CachedFile
-	io   *stats.IOCounter
-	idx  *nodeIndex // nil until the first read that needs a node record
+	base  string
+	meta  Meta
+	codec listCodec
+	nt    *CachedFile
+	et    *CachedFile
+	io    *stats.IOCounter
+	idx   *nodeIndex // nil until the first read that needs a node record
 
 	recBuf [NodeRecordSize]byte
-	nbrBuf []byte // scratch for neighbour byte decoding
+	nbrBuf []byte // scratch for one encoded list
 }
 
-// indexStride is how many consecutive nodes share one stored arc offset.
+// indexStride is how many consecutive nodes share one stored byte offset.
 const indexStride = 64
 
-// nodeIndex is the node table held in memory: every node's degree, and
-// the arc offset of every indexStride-th node, from which the others'
-// follow by adding the degrees in between.
-type nodeIndex struct {
-	deg []uint32
-	off []int64
+// list is where one node's list lies in the edge table: its byte offset,
+// its degree and its gap width.
+type list struct {
+	off int64
+	deg uint32
+	w   uint8
 }
 
-// offset reports the arc offset of node v's list.
-func (x *nodeIndex) offset(v uint32) int64 {
+// nodeIndex is the node table held in memory: every node's degree and
+// gap width, and the byte offset of every indexStride-th node's list,
+// from which the others' follow by adding the lengths in between.
+type nodeIndex struct {
+	codec listCodec
+	deg   []uint32
+	w     []uint8
+	off   []int64
+}
+
+// list reports where node v's list lies.
+func (x *nodeIndex) list(v uint32) list {
+	lo := v / indexStride * indexStride
 	off := x.off[v/indexStride]
-	for _, d := range x.deg[v/indexStride*indexStride : v] {
-		off += int64(d)
+	for u := lo; u < v; u++ {
+		off += x.codec.length(x.deg[u], x.w[u])
 	}
-	return off
+	return list{off: off, deg: x.deg[v], w: x.w[v]}
 }
 
 // index returns the node index, building it on first use from one
@@ -192,7 +226,8 @@ func (g *Graph) index() (*nodeIndex, error) {
 	if g.idx != nil {
 		return g.idx, nil
 	}
-	x := &nodeIndex{deg: make([]uint32, g.meta.N), off: make([]int64, (g.meta.N+indexStride-1)/indexStride)}
+	n := g.meta.N
+	x := &nodeIndex{codec: g.codec, deg: make([]uint32, n), w: make([]uint8, n), off: make([]int64, (n+indexStride-1)/indexStride)}
 	chk := nodeCheck{g: g}
 	var (
 		v    uint32
@@ -206,67 +241,107 @@ func (g *Graph) index() (*nodeIndex, error) {
 				return nil
 			}
 			fill = 0
-			off, deg, err := chk.next(v, g.recBuf[:])
+			prev, err := chk.next(v, g.recBuf[:])
 			if err != nil {
 				return err
 			}
-			if v%indexStride == 0 {
-				x.off[v/indexStride] = off
+			if v > 0 {
+				x.w[v-1] = prev.w
 			}
-			x.deg[v] = deg
+			if v%indexStride == 0 {
+				x.off[v/indexStride] = chk.cur.off
+			}
+			x.deg[v] = chk.cur.deg
 			v++
 		}
 		return nil
 	})
-	if err == nil {
-		err = chk.done()
-	}
 	if err != nil {
 		return nil, err
+	}
+	last, err := chk.done()
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 {
+		x.w[n-1] = last.w
 	}
 	g.idx = x
 	return x, nil
 }
 
 // nodeCheck holds node records, met in id order, to what the header says
-// of the node table: every list lies inside the edge table and starts
-// where the previous one ended, the last ends the table, and the records'
-// CRC32C is the header's (headers from older builders carry none, and
-// are held to the tiling alone).
+// of the node table: the lists tile the edge table from byte 0 to its
+// end, each spanning the bytes its degree takes at some gap width (which
+// is how the width is known), their degrees add up to the header's arc
+// count, and the records' CRC32C is the header's (headers from older
+// builders carry none, and are held to the tiling alone).
 type nodeCheck struct {
-	g   *Graph
-	end int64 // where the lists met so far stop tiling the edge table
-	crc uint32
+	g    *Graph
+	cur  list  // the last record met; its width waits for the next one
+	arcs int64 // degrees met so far
+	crc  uint32
 }
 
-// next decodes node v's 12-byte record and checks its place in the
-// tiling; a list outside the edge table is an error before anything is
-// sized from it.
-func (c *nodeCheck) next(v uint32, rec []byte) (offset int64, degree uint32, err error) {
-	offset = int64(binary.LittleEndian.Uint64(rec[0:8]))
-	degree = binary.LittleEndian.Uint32(rec[8:12])
-	if offset < 0 || offset > c.g.meta.Arcs-int64(degree) {
-		return 0, 0, fmt.Errorf("storage: %s: node %d's record (offset %d, degree %d) lies outside the %d-arc edge table", nodePath(c.g.base), v, uint64(offset), degree, c.g.meta.Arcs)
-	}
-	if offset != c.end {
-		return 0, 0, fmt.Errorf("storage: %s: node %d's list starts at arc %d, the previous one ended at %d", nodePath(c.g.base), v, offset, c.end)
-	}
-	c.end += int64(degree)
-	c.crc = crc32.Update(c.crc, castagnoli, rec)
-	return offset, degree, nil
-}
-
-// done checks, after the last record, that the lists end the edge table
-// and the node table's checksum.
-func (c *nodeCheck) done() error {
+// next decodes node v's 12-byte record, which ends node v−1's list, and
+// returns that list (for v > 0) with the width its length gives. A record
+// outside the edge table, or a list no width fills, is an error before
+// anything is sized from it.
+func (c *nodeCheck) next(v uint32, rec []byte) (prev list, err error) {
 	m := c.g.meta
-	if c.end != m.Arcs {
-		return fmt.Errorf("storage: %s: the lists end at arc %d of %d", nodePath(c.g.base), c.end, m.Arcs)
+	off := binary.LittleEndian.Uint64(rec[0:8])
+	deg := binary.LittleEndian.Uint32(rec[8:12])
+	end, unit := uint64(m.EtBytes), uint64(1)
+	if c.g.codec.abs {
+		unit = 4 // version 1 stores arc offsets
+	}
+	if off > end/unit || (v == 0 && off != 0) {
+		return prev, fmt.Errorf("storage: %s: node %d's record gives offset %d, where no list of the %d-byte edge table starts", nodePath(c.g.base), v, off, end)
+	}
+	off *= unit
+	if v > 0 {
+		if prev, err = c.close(v-1, int64(off)); err != nil {
+			return prev, err
+		}
+	}
+	c.cur = list{off: int64(off), deg: deg}
+	c.arcs += int64(deg)
+	c.crc = crc32.Update(c.crc, castagnoli, rec)
+	return prev, nil
+}
+
+// close ends node v's list, c.cur, at byte end and gives it the width its
+// length implies.
+func (c *nodeCheck) close(v uint32, end int64) (list, error) {
+	l := c.cur
+	w, ok := c.g.codec.width(end-l.off, l.deg)
+	if !ok {
+		return l, fmt.Errorf("storage: %s: node %d's list of %d ids spans bytes [%d,%d) of the edge table, a length no gap width gives", nodePath(c.g.base), v, l.deg, l.off, end)
+	}
+	l.w = w
+	return l, nil
+}
+
+// done checks, after the last record, the last list, which must end the
+// edge table, the arc count and the node table's checksum, and returns
+// the last list.
+func (c *nodeCheck) done() (last list, err error) {
+	m := c.g.meta
+	switch {
+	case m.N > 0:
+		if last, err = c.close(m.N-1, m.EtBytes); err != nil {
+			return last, err
+		}
+	case m.EtBytes != 0:
+		return last, fmt.Errorf("storage: %s: no node holds the %d-byte edge table", nodePath(c.g.base), m.EtBytes)
+	}
+	if c.arcs != m.Arcs {
+		return last, fmt.Errorf("storage: %s: the lists end after %d arcs, the header says %d", nodePath(c.g.base), c.arcs, m.Arcs)
 	}
 	if m.HasCRC && c.crc != m.NtCRC {
-		return fmt.Errorf("storage: %s: node table crc %08x, want %08x", nodePath(c.g.base), c.crc, m.NtCRC)
+		return last, fmt.Errorf("storage: %s: node table crc %08x, want %08x", nodePath(c.g.base), c.crc, m.NtCRC)
 	}
-	return nil
+	return last, nil
 }
 
 // Open opens the graph stored at base through cache, whose block size
@@ -288,7 +363,7 @@ func Open(base string, ctr *stats.IOCounter, cache *BlockCache) (*Graph, error) 
 		cache = NewBlockCache(0, ctr.BlockSize())
 	}
 	nt, et, vouched := readSidecar(base, meta, cache.BlockSize(), ctr)
-	g := &Graph{base: base, meta: meta, io: ctr}
+	g := &Graph{base: base, meta: meta, codec: codecOf(meta), io: ctr}
 	if err := g.attach(cache, nt, et); err != nil {
 		return nil, err
 	}
@@ -319,7 +394,7 @@ func (g *Graph) attach(cache *BlockCache, ntCRCs, etCRCs []uint32) (err error) {
 	if g.nt, err = table(nodePath(g.base), "node", int64(g.meta.N)*NodeRecordSize, ntCRCs); err != nil {
 		return err
 	}
-	if g.et, err = table(edgePath(g.base), "edge", g.meta.Arcs*ArcSize, etCRCs); err != nil {
+	if g.et, err = table(edgePath(g.base), "edge", g.meta.EtBytes, etCRCs); err != nil {
 		g.nt.Close()
 	}
 	return err
@@ -359,7 +434,7 @@ func (g *Graph) edgeCRC(crc uint32) error {
 // nothing, the sidecar included. The handle keeps reading these files
 // after a fold-back renames others over them (a pinned view's tables).
 func (g *Graph) Reopen() (*Graph, error) {
-	h := &Graph{base: g.base, meta: g.meta, io: g.io}
+	h := &Graph{base: g.base, meta: g.meta, codec: g.codec, io: g.io}
 	if err := h.attach(NewBlockCache(0, g.et.cache.b), g.nt.crcs, g.et.crcs); err != nil {
 		return nil, err
 	}
@@ -389,83 +464,91 @@ func (g *Graph) NumArcs() int64 { return g.meta.Arcs }
 // NumEdges reports the number of undirected edges.
 func (g *Graph) NumEdges() int64 { return g.meta.Arcs / 2 }
 
+// TableBytes reports the size of the node and the edge table, the bytes
+// a rewrite of the graph writes besides its header and sidecar.
+func (g *Graph) TableBytes() int64 { return int64(g.meta.N)*NodeRecordSize + g.meta.EtBytes }
+
 // IOCounter exposes the counter reads are charged to.
 func (g *Graph) IOCounter() *stats.IOCounter { return g.io }
 
-// NodeRecord reports node v's record from the node index: the arc offset
-// of its adjacency list and its degree. No block is read once the index
-// is built (the first use builds it: see index); a record whose list
-// does not lie inside the edge table fails that build.
-func (g *Graph) NodeRecord(v uint32) (offset int64, degree uint32, err error) {
+// record reports where node v's list lies, from the node index. No block
+// is read once the index is built (the first use builds it: see index); a
+// record whose list does not tile the edge table fails that build.
+func (g *Graph) record(v uint32) (list, error) {
 	if v >= g.meta.N {
-		return 0, 0, fmt.Errorf("storage: node %d out of range [0,%d)", v, g.meta.N)
+		return list{}, fmt.Errorf("storage: node %d out of range [0,%d)", v, g.meta.N)
 	}
 	x, err := g.index()
 	if err != nil {
-		return 0, 0, err
+		return list{}, err
 	}
-	return x.offset(v), x.deg[v], nil
+	return x.list(v), nil
+}
+
+// NodeRecord reports node v's record from the node index: the byte offset
+// of its adjacency list in the edge table and its degree.
+func (g *Graph) NodeRecord(v uint32) (offset int64, degree uint32, err error) {
+	l, err := g.record(v)
+	return l.off, l.deg, err
 }
 
 // Degree reports node v's degree from the node index.
 func (g *Graph) Degree(v uint32) (uint32, error) {
-	_, d, err := g.NodeRecord(v)
-	return d, err
+	l, err := g.record(v)
+	return l.deg, err
 }
 
 // Neighbors loads nbr(v) from the edge table, appending into buf (which
 // may be nil) and returning the filled slice. The returned slice is sorted
 // ascending, as stored.
 func (g *Graph) Neighbors(v uint32, buf []uint32) ([]uint32, error) {
-	off, deg, err := g.NodeRecord(v)
+	l, err := g.record(v)
 	if err != nil {
 		return nil, err
 	}
-	return g.readList(off, deg, buf)
+	return g.readList(v, l, buf)
 }
 
-// readList fetches deg arcs starting at arc offset off, a range NodeRecord
-// vouched for.
-func (g *Graph) readList(off int64, deg uint32, buf []uint32) ([]uint32, error) {
-	need := int(deg) * ArcSize
-	if cap(g.nbrBuf) < need {
+// readList fetches and decodes node v's list l, whose place in the edge
+// table the node table vouched for; its bytes stay in g.nbrBuf until the
+// next call.
+func (g *Graph) readList(v uint32, l list, buf []uint32) ([]uint32, error) {
+	need := g.codec.length(l.deg, l.w)
+	if int64(cap(g.nbrBuf)) < need {
 		g.nbrBuf = make([]byte, need)
 	}
 	raw := g.nbrBuf[:need]
-	if err := g.et.ReadAt(raw, off*ArcSize); err != nil {
+	if err := g.et.ReadAt(raw, l.off); err != nil {
 		return nil, err
 	}
-	if cap(buf) < int(deg) {
-		buf = make([]uint32, deg)
+	nbrs, err := g.codec.decode(raw, l.deg, buf)
+	if err != nil {
+		return nil, fmt.Errorf("storage: %s: node %d: %w", edgePath(g.base), v, err)
 	}
-	buf = buf[:deg]
-	for i := range buf {
-		buf[i] = binary.LittleEndian.Uint32(raw[i*ArcSize:])
-	}
-	return buf, nil
+	return nbrs, nil
 }
 
 // Resident reports whether Neighbors(v) would be served from the cache
-// without a read: v's list is at most one block of arcs (deg(v) ≤
-// B/ArcSize) and every block it spans is in a frame. It answers from the
-// node index and the cache's key map, reads nothing and leaves the cache
-// as it was (no reference bit, no hit or miss counted); before the first
-// use has built the index it reports false.
+// without a read: v's encoded list is at most one block long and every
+// block it spans is in a frame. It answers from the node index and the
+// cache's key map, reads nothing and leaves the cache as it was (no
+// reference bit, no hit or miss counted); before the first use has built
+// the index it reports false.
 func (g *Graph) Resident(v uint32) bool {
 	x := g.idx
 	if x == nil || v >= g.meta.N {
 		return false
 	}
 	b := int64(g.et.cache.b)
-	n := int64(x.deg[v]) * ArcSize
+	l := x.list(v)
+	n := g.codec.length(l.deg, l.w)
 	if n > b {
 		return false
 	}
 	if n == 0 {
 		return true
 	}
-	off := x.offset(v) * ArcSize
-	return g.et.resident(off/b) && g.et.resident((off+n-1)/b)
+	return g.et.resident(l.off/b) && g.et.resident((l.off+n-1)/b)
 }
 
 // ScanDegrees streams (v, deg(v)) for all nodes from the node index: the
@@ -513,11 +596,11 @@ func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint3
 		if want != nil && !want(v) {
 			continue
 		}
-		off, deg, err := g.NodeRecord(v)
+		l, err := g.record(v)
 		if err != nil {
 			return err
 		}
-		nbrs, err = g.readList(off, deg, nbrs)
+		nbrs, err = g.readList(v, l, nbrs)
 		if err != nil {
 			return err
 		}
@@ -535,39 +618,48 @@ func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint3
 // the tables on trust (a checkpoint about to copy them, a recovery about
 // to serve them): reads are charged to io from here on, not to the
 // counter the graph was opened with, and the pass folds the CRC32C of the
-// bytes it decodes — the node records in id order, read from the node
-// table itself and not the index, which are the node table; the raw
-// lists, each of which must start where the previous one ended and the
-// last of which must end the edge table, so they are the edge table — and
-// holds both to the header's (nodeCheck). fn sees nothing it could not
-// see from Scan; a checksum mismatch is reported after the last node.
-// Headers without checksums (graphs from older builders) are held to the
-// tiling alone. The pass builds no index.
+// bytes it reads — the node records in id order, read from the node
+// table itself and not the index, which are the node table; the encoded
+// lists, which nodeCheck holds to tiling the edge table, so they are the
+// edge table — and holds both to the header's. Each list is decoded once
+// the next record has bounded it. fn sees nothing it could not see from
+// Scan; the node table's checksum is checked before the last node's fn,
+// the edge table's after it. Headers without checksums (graphs from older
+// builders) are held to the tiling alone. The pass builds no index.
 func (g *Graph) ScanVerified(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
 	g.io, g.nt.io, g.et.io = io, io, io
 	chk := nodeCheck{g: g}
+	n := g.meta.N
+	// bound reads node v's record, which ends node v−1's list, or, past
+	// the last node, ends the last list with the table.
+	bound := func(v uint32) (list, error) {
+		if v == n {
+			return chk.done()
+		}
+		if err := g.nt.ReadAt(g.recBuf[:], int64(v)*NodeRecordSize); err != nil {
+			return list{}, err
+		}
+		return chk.next(v, g.recBuf[:])
+	}
+	if _, err := bound(0); err != nil {
+		return err
+	}
 	var (
 		etCRC uint32
 		nbrs  []uint32
 	)
-	for v := uint32(0); v < g.meta.N; v++ {
-		if err := g.nt.ReadAt(g.recBuf[:], int64(v)*NodeRecordSize); err != nil {
-			return err
-		}
-		off, deg, err := chk.next(v, g.recBuf[:])
+	for v := uint32(0); v < n; v++ {
+		l, err := bound(v + 1)
 		if err != nil {
 			return err
 		}
-		if nbrs, err = g.readList(off, deg, nbrs); err != nil {
+		if nbrs, err = g.readList(v, l, nbrs); err != nil {
 			return err
 		}
-		etCRC = crc32.Update(etCRC, castagnoli, g.nbrBuf[:len(nbrs)*ArcSize])
+		etCRC = crc32.Update(etCRC, castagnoli, g.nbrBuf[:g.codec.length(l.deg, l.w)])
 		if err := fn(v, nbrs); err != nil {
 			return err
 		}
-	}
-	if err := chk.done(); err != nil {
-		return err
 	}
 	return g.edgeCRC(etCRC)
 }

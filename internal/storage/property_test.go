@@ -16,13 +16,45 @@ import (
 	"kcore/internal/stats"
 )
 
+// bytesPerID is the fewest bytes, 1 to 4, that hold x.
+func bytesPerID(x uint32) int64 {
+	w := int64(1)
+	for x >= 1<<(8*w) && w < 4 {
+		w++
+	}
+	return w
+}
+
+// listBytes is what a list of a graph on n nodes takes in a version-2
+// edge table, worked out from the format alone: the first id in the
+// width of n−1, then the gaps in the width of the largest.
+func listBytes(n int, l []uint32) int64 {
+	if len(l) == 0 {
+		return 0
+	}
+	var gap uint32
+	for i := 1; i < len(l); i++ {
+		gap = max(gap, l[i]-l[i-1])
+	}
+	return bytesPerID(uint32(n-1)) + bytesPerID(gap)*int64(len(l)-1)
+}
+
+// etBytes is the version-2 edge table's size for adj.
+func etBytes(adj [][]uint32) int64 {
+	var sum int64
+	for _, l := range adj {
+		sum += listBytes(len(adj), l)
+	}
+	return sum
+}
+
 // TestPropertyRoundTrip builds random adjacency structures under random
 // block sizes and checks byte-exact reads plus the exact I/O formula of
 // an open and a sequential scan: the open reads the sidecar, or, at a
 // block size that is no whole number of its granules, is the pass over
 // both tables, which builds the node index on the way; the scan then
-// reads the node table for the index unless the pass did, and the edge
-// table once.
+// reads the node table for the index unless the pass did, and the
+// encoded edge table once.
 func TestPropertyRoundTrip(t *testing.T) {
 	f := func(seed int64, rawBlock uint16) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -69,8 +101,8 @@ func TestPropertyRoundTrip(t *testing.T) {
 		}
 		B := int64(blockSize)
 		blocks := func(bytes int64) int64 { return (bytes + B - 1) / B }
-		nt, et := blocks(int64(n)*NodeRecordSize), blocks(arcs*ArcSize)
-		opened, scan := blocks(sidecarHeader+4*(granules(int64(n)*NodeRecordSize)+granules(arcs*ArcSize))), nt+et
+		nt, et := blocks(int64(n)*NodeRecordSize), blocks(etBytes(adj))
+		opened, scan := blocks(sidecarHeader+4*(granules(int64(n)*NodeRecordSize)+granules(etBytes(adj)))), nt+et
 		if blockSize%granule != 0 {
 			opened, scan = nt+et, et
 		}
@@ -231,7 +263,8 @@ func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 // TestPropertyRandomAccessCost verifies the random-access cost model, on
 // cold frames: the first point read pays the node table once, ⌈nt/B⌉
 // blocks for the index, and from then on reading one node's neighbours
-// costs exactly the edge blocks its list spans and no node-table block.
+// costs exactly the edge blocks its encoded list spans — at most
+// ⌈len/B⌉ + 1 — and no node-table block.
 // B = 512 is a whole granule, so the open reads the sidecar and leaves
 // the index to the first use.
 func TestPropertyRandomAccessCost(t *testing.T) {
@@ -281,7 +314,10 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 			if err != nil || rctr.Reads()-before != cost {
 				return false // a record read after the first use costs nothing
 			}
-			want := ((off+int64(len(nbrs)))*ArcSize-1)/B - off*ArcSize/B + 1
+			want := (off+listBytes(n, adj[v])-1)/B - off/B + 1
+			if want > (listBytes(n, adj[v])+B-1)/B+1 {
+				return false
+			}
 			if trial == 0 {
 				want += (int64(n)*NodeRecordSize + B - 1) / B
 			}
@@ -300,7 +336,7 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 // TestPropertyResident holds Resident to what it promises, on random
 // banded graphs with hubs longer than a block, read at B = 512 through a
 // 6-frame verified cache in random order: it is false before the index
-// exists and for every list longer than B/ArcSize arcs; otherwise it is
+// exists and for every list that takes more than B bytes; otherwise it is
 // true exactly when Neighbors then reads nothing; and asking changes no
 // frame's reference bit, no counter and no read count.
 func TestPropertyResident(t *testing.T) {
@@ -364,7 +400,7 @@ func TestPropertyResident(t *testing.T) {
 				return false
 			}
 			paid := ctr.Reads() != reads
-			if long := len(adj[v])*ArcSize > blockSize; (long && res) || (!long && res == paid) {
+			if long := listBytes(n, adj[v]) > blockSize; (long && res) || (!long && res == paid) {
 				t.Logf("seed %d trial %d: Resident(%d) = %v, degree %d, the read paid %v", seed, trial, v, res, len(adj[v]), paid)
 				return false
 			}
@@ -388,9 +424,10 @@ func TestPropertyResident(t *testing.T) {
 //     which the next record re-reads);
 //   - a flipped byte anywhere in either table, and either table
 //     truncated, fails Open or the scan;
-//   - a node record whose offset breaks the tiling of the edge table is
-//     reported as that — in range and under a header that vouches for
-//     the damaged node table, so nothing else can catch it first — with
+//   - a node record whose offset breaks the tiling of the edge table — the
+//     list before it no longer spans idw + w·(deg−1) bytes for any width
+//     w — is reported as that, in range and under a header that vouches
+//     for the damaged node table, so nothing else can catch it first, with
 //     and without header checksums;
 //   - a header without checksums passes clean tables, as in Verify.
 func TestPropertyScanVerified(t *testing.T) {
@@ -401,13 +438,13 @@ func TestPropertyScanVerified(t *testing.T) {
 		n := 2 + r.Intn(300)
 		hub := -1
 		if r.Intn(3) == 0 {
-			n, hub = 1500, r.Intn(1500)
+			n, hub = 6000, r.Intn(6000)
 		}
 		adj := make([][]uint32, n)
 		for v := range adj {
 			deg := min(r.Intn(8), n-1)
 			if v == hub {
-				deg = 1100 + r.Intn(300)
+				deg = 4400 + r.Intn(1200) // gaps of one byte: over 4,096 bytes
 			}
 			seen := map[uint32]bool{uint32(v): true}
 			for len(adj[v]) < deg {
@@ -476,7 +513,7 @@ func TestPropertyScanVerified(t *testing.T) {
 		blocks := (int64(len(nt))+B-1)/B + (int64(len(et))+B-1)/B
 		var long int64
 		for _, l := range adj {
-			if int64(len(l))*ArcSize > defaultCacheBlocks*B {
+			if listBytes(n, l) > defaultCacheBlocks*B {
 				long++
 			}
 		}
@@ -516,24 +553,29 @@ func TestPropertyScanVerified(t *testing.T) {
 			restore()
 		}
 
-		// A broken tiling the header vouches for: the first node with a
-		// list gives it up to its successor, whose own list now starts
-		// one arc early (or, for the last node, the table ends one arc
-		// late) — every record still in range, the node-table checksum
-		// recomputed to match.
-		v := 0
-		for len(adj[v]) == 0 {
-			v++
+		// A broken tiling the header vouches for: node 1's list starts
+		// the fewest bytes early or late that leave node 0's list a length
+		// no gap width gives — every record still in range, the node-table
+		// checksum recomputed to match.
+		codec, off1 := codecOf(meta), int64(binary.LittleEndian.Uint64(nt[NodeRecordSize:]))
+		moved := off1
+	search:
+		for d := int64(1); ; d++ {
+			for _, o := range []int64{off1 + d, off1 - d} {
+				if _, ok := codec.width(o, uint32(len(adj[0]))); !ok && o >= 0 && o <= meta.EtBytes {
+					moved = o
+					break search
+				}
+			}
 		}
 		bad := append([]byte(nil), nt...)
-		rec := bad[v*NodeRecordSize:]
-		binary.LittleEndian.PutUint32(rec[8:], uint32(len(adj[v])-1))
+		binary.LittleEndian.PutUint64(bad[NodeRecordSize:], uint64(moved))
 		os.WriteFile(base+".nt", bad, 0o644)
 		for _, hasCRC := range []bool{true, false} {
 			m := meta
 			m.HasCRC, m.NtCRC = hasCRC, crc32.Checksum(bad, castagnoli)
 			WriteMetaFS(faultfs.OS, base, m, false)
-			if _, err := scan(nop); err == nil || !(strings.Contains(err.Error(), "previous one ended") || strings.Contains(err.Error(), "lists end")) {
+			if _, err := scan(nop); err == nil || !strings.Contains(err.Error(), "no gap width") {
 				t.Logf("seed %d: broken tiling (header checksums %v): %v", seed, hasCRC, err)
 				return false
 			}

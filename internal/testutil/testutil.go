@@ -20,6 +20,7 @@ import (
 	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/memgraph"
+	"kcore/internal/storage"
 )
 
 // seedFlag lets a failing randomized test be replayed exactly:
@@ -69,4 +70,22 @@ func WriteCSR(tb testing.TB, csr *memgraph.CSR) string {
 		tb.Fatal(err)
 	}
 	return base
+}
+
+// RequireSpill fails tb unless the edge table of the graph at base is at
+// least ratio times a cache of frames blocks of blockSize bytes. An I/O
+// gate passes the ratio its fixture held on the 4-byte-per-arc tables of
+// format version 1: the encoded tables are about half that size, and a
+// gate whose graph shrank into its frames would count no misses and pass
+// on nothing.
+func RequireSpill(tb testing.TB, base string, blockSize, frames int, ratio float64) {
+	tb.Helper()
+	m, err := storage.ReadMeta(base)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	got := float64(m.EtBytes) / float64(blockSize*frames)
+	if got < ratio {
+		tb.Fatalf("fixture %s: its %d-byte edge table is %.2f times %d frames of %d bytes, below the %.2f its gate needs", base, m.EtBytes, got, frames, blockSize, ratio)
+	}
 }

@@ -204,17 +204,24 @@ func TestMaintainerTwoPhaseVariant(t *testing.T) {
 // TestInsertEdgesErrorKeepsPrefixStats: InsertEdges is not atomic — the
 // edges before a failing one stay applied — and the RunInfo it returns
 // with the error is that applied prefix's work, on both insertion
-// algorithms: the graph is larger than the default frames, so inserting
-// two edges reads blocks.
+// algorithms, its reads pinned exactly. The graph's edge table is 3.5
+// times the 16 frames of 512 bytes it is read through (its 4-byte table,
+// 63,192 bytes, was 1.9 times the default frames), so inserting two
+// edges reads blocks.
 func TestInsertEdgesErrorKeepsPrefixStats(t *testing.T) {
 	edges := gen.BarabasiAlbert(2000, 4, 205)
 	base := filepath.Join(t.TempDir(), "g")
 	if err := kcore.Build(base, kcore.SliceEdges(edges), nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []kcore.InsertAlgorithm{kcore.SemiInsertStar, kcore.SemiInsertTwoPhase} {
+	testutil.RequireSpill(t, base, 512, 16, 63192/(512*64.0))
+	for _, tc := range []struct {
+		algo  kcore.InsertAlgorithm
+		reads int64
+	}{{kcore.SemiInsertStar, 591}, {kcore.SemiInsertTwoPhase, 751}} {
+		algo := tc.algo
 		t.Run(algo.String(), func(t *testing.T) {
-			g, err := kcore.Open(base, &kcore.OpenOptions{BlockSize: 512})
+			g, err := kcore.Open(base, &kcore.OpenOptions{BlockSize: 512, CacheBlocks: 16})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,8 +240,8 @@ func TestInsertEdgesErrorKeepsPrefixStats(t *testing.T) {
 			if err == nil {
 				t.Fatal("a batch re-inserting its own first edge was accepted")
 			}
-			if info.IO.Reads == 0 || info.NodeComputations == 0 {
-				t.Fatalf("the applied prefix's work is missing from the error's RunInfo: %+v", info)
+			if info.IO.Reads != tc.reads || info.NodeComputations == 0 {
+				t.Fatalf("the applied prefix's work is missing from the error's RunInfo (%d reads, pinned at %d): %+v", info.IO.Reads, tc.reads, info)
 			}
 			for _, e := range []kcore.Edge{a, b} {
 				if has, _ := g.HasEdge(e.U, e.V); !has {

@@ -2,6 +2,7 @@ package kcore_test
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"kcore"
@@ -151,39 +152,69 @@ func TestLookaheadIgnoresUncountedNeighbours(t *testing.T) {
 	}
 }
 
+// The root I/O gates run on RMAT(13, 12), seed 1, through gateFrames
+// frames of 4 KiB. Its 4-byte-per-arc edge table of format version 1,
+// gateParentBytes, was 2.42 times the default 64 frames the gates read
+// through; the gap-coded table (302,147 bytes, 74 blocks) would nearly
+// fit them, so the gates read through 30 frames instead, 2.46 times
+// smaller than the table, and gateGraph fails if that ever falls below
+// the old ratio.
+const (
+	gateParentBytes = 635304
+	gateFrames      = 30
+)
+
+func gateEdges() []kcore.Edge { return gen.RMAT(13, 12, .57, .19, .19, 1) }
+
+// gateGraph builds gateEdges and opens it on gateFrames frames.
+func gateGraph(t *testing.T) *kcore.Graph {
+	t.Helper()
+	base := filepath.Join(t.TempDir(), "g")
+	if err := kcore.Build(base, kcore.SliceEdges(gateEdges()), nil); err != nil {
+		t.Fatal(err)
+	}
+	g, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: gateFrames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	testutil.RequireSpill(t, base, 4096, gateFrames, gateParentBytes/(4096*64.0))
+	return g
+}
+
 // TestDecompositionIOGate pins the decomposition I/O of the three
 // semi-external algorithms on a fixed skewed graph. The counts are exact
 // and repeat on every run, so the gate needs no tolerance: a change that
-// makes any algorithm read more blocks, or SemiCore* compute more nodes,
-// than the pinned figure fails here and has to justify a new pin. Each
-// algorithm runs on a graph opened for it alone, so no count depends on
-// the frames another algorithm left, and each pays the 24 node-table
-// blocks its degree pass reads into memory. SemiCore* makes its revisits
-// on the default frames (734 reads and 8,040 computations on the printed
-// schedule).
+// makes any algorithm read another number of blocks, or SemiCore*
+// compute another number of nodes, than the pinned figure fails here and
+// has to justify a new pin. Each algorithm runs on a graph opened for it
+// alone, so no count depends on the frames another algorithm left, and
+// each pays the 24 node-table blocks its degree pass reads into memory.
+// SemiCore* makes its revisits on the gate's frames. The 4-byte tables
+// read 465 (8,451 computations), 1,316 and 1,428 blocks through the
+// default frames.
 func TestDecompositionIOGate(t *testing.T) {
-	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
 	for _, tc := range []struct {
-		algo         kcore.Algorithm
-		maxReads     int64
-		maxNodeComps int64 // 0: not gated
+		algo      kcore.Algorithm
+		reads     int64
+		nodeComps int64 // 0: not gated
 	}{
-		{kcore.SemiCoreStar, 465, 8451},
-		{kcore.SemiCorePlus, 1316, 0},
-		{kcore.SemiCoreBasic, 1428, 0},
+		{kcore.SemiCoreStar, 250, 8456},
+		{kcore.SemiCorePlus, 660, 0},
+		{kcore.SemiCoreBasic, 690, 0},
 	} {
-		g := buildFrom(t, edges, 0)
+		g := gateGraph(t)
 		res, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: tc.algo})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("%v: %d block reads, %d node computations, %d iterations",
 			tc.algo, res.Info.IO.Reads, res.Info.NodeComputations, res.Info.Iterations)
-		if res.Info.IO.Reads > tc.maxReads {
-			t.Errorf("%v read %d blocks, gate is %d", tc.algo, res.Info.IO.Reads, tc.maxReads)
+		if res.Info.IO.Reads != tc.reads {
+			t.Errorf("%v read %d blocks, pinned at %d", tc.algo, res.Info.IO.Reads, tc.reads)
 		}
-		if tc.maxNodeComps > 0 && res.Info.NodeComputations > tc.maxNodeComps {
-			t.Errorf("%v computed %d nodes, gate is %d", tc.algo, res.Info.NodeComputations, tc.maxNodeComps)
+		if tc.nodeComps > 0 && res.Info.NodeComputations != tc.nodeComps {
+			t.Errorf("%v computed %d nodes, pinned at %d", tc.algo, res.Info.NodeComputations, tc.nodeComps)
 		}
 	}
 }
@@ -191,15 +222,13 @@ func TestDecompositionIOGate(t *testing.T) {
 // TestMaintenanceIOGate pins, beside the decomposition gate, the block
 // reads of a fixed 100-edge round on the same graph: SemiDelete* of each
 // edge, then SemiInsert* of each back, on the handle the start-up
-// decomposition left. The counts are exact and gated as upper bounds,
-// like the decompositions' (135 / 15,812 while node-table blocks were
-// read through the frames; 89 / 12,912 while the start-up kept the
-// printed pass schedule on the default frames, which its revisits leave
-// holding other lists).
+// decomposition left. The counts are exact, like the decompositions'
+// (95 / 12,916 on the 4-byte tables through the default frames; 135 /
+// 15,812 while node-table blocks were read through the frames).
 func TestMaintenanceIOGate(t *testing.T) {
-	const maxDeleteReads, maxInsertReads = 95, 12916
-	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
-	g := buildFrom(t, edges, 0)
+	const deleteReads, insertReads = 88, 8622
+	edges := gateEdges()
+	g := gateGraph(t)
 	m, err := kcore.NewMaintainer(g, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -208,10 +237,10 @@ func TestMaintenanceIOGate(t *testing.T) {
 	rand.New(rand.NewSource(5)).Shuffle(len(round), func(i, j int) { round[i], round[j] = round[j], round[i] })
 	del, ins := deleteInsertRound(t, m, round[:100])
 	t.Logf("100 deletes read %d blocks, 100 inserts %d", del, ins)
-	if del > maxDeleteReads {
-		t.Errorf("100 deletes read %d blocks, gate is %d", del, maxDeleteReads)
+	if del != deleteReads {
+		t.Errorf("100 deletes read %d blocks, pinned at %d", del, deleteReads)
 	}
-	if ins > maxInsertReads {
-		t.Errorf("100 inserts read %d blocks, gate is %d", ins, maxInsertReads)
+	if ins != insertReads {
+		t.Errorf("100 inserts read %d blocks, pinned at %d", ins, insertReads)
 	}
 }
