@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDiskEngineAgreesWithMem -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
 	$(GO) test -fuzz=FuzzSortArcs -fuzztime=$(FUZZTIME) -run '^$$' ./internal/extsort
 	$(GO) test -fuzz=FuzzEdgeListDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/storage
+	$(GO) test -fuzz=FuzzNodeTableDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/storage
 
 # The crash-point fault-injection suite: the exhaustive boundary sweep
 # plus a longer randomized torn-write run. CRASHSEED pins a failing seed

@@ -12,17 +12,13 @@ import (
 	"kcore/internal/storage"
 )
 
-// TestVersion1TablesStayReadable opens the format-version-1 tables (4-byte
-// absolute ids, arc offsets, no checksum sidecar) of a checkpoint an
-// older tree wrote, in place: they verify, decompose to IMCore's cores and
-// to the cores that tree saved beside them, and one fold-back rewrites
-// them as version 2, smaller and still verified. A version-2 header must
-// give the edge table's size, and a version-1 header must not.
-func TestVersion1TablesStayReadable(t *testing.T) {
-	src := filepath.Join("internal", "engine", "testdata", "parent-datadir", "g", "ckpt", "0000000000000002")
+// copyTables copies the files src+ext into a fresh directory and returns
+// the path prefix of the copies.
+func copyTables(t *testing.T, src string, exts ...string) string {
+	t.Helper()
 	base := filepath.Join(t.TempDir(), "g")
-	for _, ext := range []string{".meta", ".nt", ".et"} {
-		data, err := os.ReadFile(filepath.Join(src, "graph"+ext))
+	for _, ext := range exts {
+		data, err := os.ReadFile(src + ext)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,21 +26,23 @@ func TestVersion1TablesStayReadable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	saved, err := storage.ReadCores(faultfs.OS, filepath.Join(src, "cores"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	return base
+}
+
+// upgradesOnFoldBack opens the tables an older tree wrote at base, in
+// place: they verify and SemiCore* decomposes them to IMCore's cores,
+// which it returns; then one DeleteEdge and Flush rewrites them in the
+// current format, its tables smaller than 12 bytes a node and 4 an arc,
+// verified, and decomposed to the cores the maintainer holds.
+func upgradesOnFoldBack(t *testing.T, base string) *kcore.Result {
+	t.Helper()
 	meta, err := storage.ReadMeta(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Version != 1 || meta.EtBytes != 4*meta.Arcs {
-		t.Fatalf("fixture header %+v: want version 1 and 4 bytes an arc", meta)
-	}
 	if err := storage.Verify(base); err != nil {
-		t.Fatalf("Verify of version-1 tables: %v", err)
+		t.Fatalf("Verify of version-%d tables: %v", meta.Version, err)
 	}
-
 	g, err := kcore.Open(base, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +65,7 @@ func TestVersion1TablesStayReadable(t *testing.T) {
 		}
 		return star
 	}
-	res := decomposeAgrees("version 1")
-	if !slices.Equal(res.Core, saved) {
-		t.Fatalf("cores %v, the older tree saved %v", res.Core, saved)
-	}
+	res := decomposeAgrees("as written")
 
 	m, err := kcore.NewMaintainer(g, &kcore.MaintainerOptions{FromResult: res})
 	if err != nil {
@@ -90,25 +85,81 @@ func TestVersion1TablesStayReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Version != 2 || after.Arcs != meta.Arcs-2 || after.EtBytes >= 4*after.Arcs {
-		t.Fatalf("after one fold-back the header is %+v, want version 2 with %d arcs in fewer than 4 bytes each", after, meta.Arcs-2)
+	if after.Version != storage.FormatVersion || after.Arcs != meta.Arcs-2 || after.NtBytes >= 12*int64(after.N) || after.EtBytes >= 4*after.Arcs {
+		t.Fatalf("after one fold-back the header is %+v, want version %d with %d arcs, fewer than 12 bytes a node and 4 an arc", after, storage.FormatVersion, meta.Arcs-2)
 	}
 	if err := storage.Verify(base); err != nil {
 		t.Fatalf("Verify after the fold-back: %v", err)
 	}
-	if got := decomposeAgrees("version 2"); !slices.Equal(got.Core, m.Cores()) {
+	if got := decomposeAgrees("rewritten"); !slices.Equal(got.Core, m.Cores()) {
 		t.Fatalf("after the fold-back: cores %v, the maintainer holds %v", got.Core, m.Cores())
 	}
+	return res
+}
 
-	for _, header := range []string{
-		"version=2\nnodes=48\narcs=470\n",
-		"version=1\nnodes=48\narcs=470\netbytes=1880\n",
-	} {
+// refusesHeaders wants ReadMeta to refuse each header, naming key.
+func refusesHeaders(t *testing.T, base, key string, headers ...string) {
+	t.Helper()
+	for _, header := range headers {
 		if err := os.WriteFile(base+".meta", []byte(header), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := storage.ReadMeta(base); err == nil || !strings.Contains(err.Error(), "etbytes") {
-			t.Errorf("header %q: err = %v, want a refusal naming etbytes", header, err)
+		if _, err := storage.ReadMeta(base); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("header %q: err = %v, want a refusal naming %s", header, err, key)
 		}
 	}
+}
+
+// TestVersion1TablesStayReadable opens the format-version-1 tables (4-byte
+// absolute ids, arc offsets, no checksum sidecar) of a checkpoint an
+// older tree wrote, in place: they verify, decompose to IMCore's cores and
+// to the cores that tree saved beside them, and one fold-back rewrites
+// them in the current format, smaller and still verified. A version-2
+// header must give the edge table's size, and a version-1 header must
+// not.
+func TestVersion1TablesStayReadable(t *testing.T) {
+	src := filepath.Join("internal", "engine", "testdata", "parent-datadir", "g", "ckpt", "0000000000000002")
+	base := copyTables(t, filepath.Join(src, "graph"), ".meta", ".nt", ".et")
+	saved, err := storage.ReadCores(faultfs.OS, filepath.Join(src, "cores"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Version != 1 || meta.EtBytes != 4*meta.Arcs || meta.NtBytes != 12*int64(meta.N) {
+		t.Fatalf("fixture header %+v: want version 1, 4 bytes an arc and 12 a node", meta)
+	}
+	if res := upgradesOnFoldBack(t, base); !slices.Equal(res.Core, saved) {
+		t.Fatalf("cores %v, the older tree saved %v", res.Core, saved)
+	}
+	refusesHeaders(t, base, "etbytes",
+		"version=2\nnodes=48\narcs=470\n",
+		"version=1\nnodes=48\narcs=470\netbytes=1880\n",
+	)
+}
+
+// TestVersion2TablesStayReadable opens the format-version-2 tables
+// (gap-coded lists, 12-byte node records with byte offsets, a checksum
+// sidecar) that an older tree built for RMAT(9, 4) seed 3, in place: they
+// verify, SemiCore* decomposes them to IMCore's cores, and one fold-back
+// rewrites them as version 3, whose node table is a varint a node. A
+// version-3 header must give the node table's size, and a version-1 or
+// version-2 header must not.
+func TestVersion2TablesStayReadable(t *testing.T) {
+	base := copyTables(t, filepath.Join("testdata", "v2", "g"), ".meta", ".nt", ".et", ".crc")
+	meta, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Version != 2 || meta.NtBytes != 12*int64(meta.N) || !meta.HasCRC {
+		t.Fatalf("fixture header %+v: want version 2 with checksums and 12 bytes a node", meta)
+	}
+	upgradesOnFoldBack(t, base)
+	refusesHeaders(t, base, "ntbytes",
+		"version=3\nnodes=506\narcs=3200\netbytes=3639\n",
+		"version=2\nnodes=506\narcs=3200\nntbytes=6072\netbytes=3639\n",
+		"version=1\nnodes=506\narcs=3200\nntbytes=6072\n",
+	)
 }

@@ -28,11 +28,12 @@ var (
 )
 
 // crashNodes sizes the script's graph. Every table block a checkpoint
-// writes is a boundary; at 160 nodes the gap-coded tables still span
-// enough 512-byte blocks that the script crosses 100 boundaries (the
-// 4-byte tables of 48 nodes crossed 97).
+// writes is a boundary; at 400 nodes the tables, a varint a node and
+// gap-coded lists, span enough 512-byte blocks that the script crosses
+// 103 boundaries (160 nodes crossed 100 on 12 bytes a node and 91 on a
+// varint; the 4-byte tables of 48 nodes crossed 97).
 const (
-	crashNodes = 160
+	crashNodes = 400
 	crashGSeed = 41
 	crashOps   = 6
 )

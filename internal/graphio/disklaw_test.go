@@ -19,7 +19,8 @@ import (
 // the implementation: the node table is read once, into memory, and
 // SemiCore performs l full sequential scans of the edge table, so it
 // reads ceil(nodeTableBytes/B) + l * ceil(edgeTableBytes/B) blocks, the
-// edge table's bytes being the encoded lists' (the header's etbytes), on
+// tables' bytes being the encoded records' and lists' (the header's
+// ntbytes and etbytes), on
 // an edge table several times the size of the frames it reads through
 // (30 blocks; about 3x at B=512, 23x at B=64, as the 4-byte table was of
 // the default 64), which therefore carry no block from one scan to the
@@ -27,9 +28,10 @@ import (
 // table to the degree-initialisation pass. At B=64, no whole number of
 // the sidecar's 512-byte granules, the open is the verifying pass over
 // both tables, which reads the node table into memory on the way: the
-// decomposition then reads only its l scans. Pinned (l = 13): 1,484 + 9,542
-// at B=64 and 2 + 1,290 at B=512 (2,264 + 19,682 and 2,564 after the
-// sidecar with 4-byte tables).
+// decomposition then reads only its l scans. Pinned (l = 13): 798 + 9,542
+// at B=64 and 1 + 1,204 at B=512, the node table a varint a node (1,484
+// + 9,542 and 2 + 1,290 on 12 bytes a node; 2,264 + 19,682 and 2 + 2,564
+// with 4-byte ids as well).
 func TestSemiCoreIOLaw(t *testing.T) {
 	const frames = 30
 	mem := gen.Build(gen.Social(4000, 3, 10, 9, 701))
@@ -44,7 +46,7 @@ func TestSemiCoreIOLaw(t *testing.T) {
 	for _, tc := range []struct {
 		blockSize   int
 		open, reads int64
-	}{{64, 1484, 9542}, {512, 2, 1290}} {
+	}{{64, 798, 9542}, {512, 1, 1204}} {
 		blockSize := tc.blockSize
 		testutil.RequireSpill(t, base, blockSize, frames, float64(4*mem.NumArcs())/float64(64*blockSize))
 		ctr := stats.NewIOCounter(blockSize)
@@ -60,7 +62,7 @@ func TestSemiCoreIOLaw(t *testing.T) {
 		}
 		B := int64(blockSize)
 		blocks := func(bytes int64) int64 { return (bytes + B - 1) / B }
-		nt := blocks(int64(mem.NumNodes()) * storage.NodeRecordSize)
+		nt := blocks(meta.NtBytes)
 		et := blocks(meta.EtBytes)
 		sidecar, err := os.Stat(base + ".crc")
 		if err != nil {
@@ -88,10 +90,11 @@ func TestSemiCoreIOLaw(t *testing.T) {
 // and a remainder; each run is written once and read once, ceil(8*a_i/B)
 // blocks either way, and the only other counted I/O is writing the two
 // tables front to back and then their checksum sidecar: an 8-byte header
-// and 4 bytes per 512-byte granule of each table, the edge table's bytes
-// being the header's etbytes. Moving runs a block per call changed none
-// of it. The tables and sidecar are pinned: 24 blocks at B = 512, 5 at
-// B = 4096 (57 and 9 with 4-byte tables).
+// and 4 bytes per 512-byte granule of each table, the tables' bytes
+// being the header's ntbytes and etbytes. Moving runs a block per call changed none
+// of it. The tables and sidecar are pinned: 15 blocks at B = 512, 4 at
+// B = 4096 (24 and 5 on 12 bytes a node, 57 and 9 with 4-byte ids as
+// well).
 func TestBuildIOLaw(t *testing.T) {
 	edges := gen.ErdosRenyi(400, 3000, 705)
 	mem := gen.Build(edges)
@@ -101,7 +104,7 @@ func TestBuildIOLaw(t *testing.T) {
 			arcs += 2
 		}
 	}
-	tablePins := map[int]int64{512: 24, 4096: 5}
+	tablePins := map[int]int64{512: 15, 4096: 4}
 	for _, blockSize := range []int{512, 4096} {
 		for _, budget := range []int{200, 1026, 2 * int(arcs), 0} {
 			ctr := stats.NewIOCounter(blockSize)
@@ -121,7 +124,7 @@ func TestBuildIOLaw(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nt, et := int64(mem.NumNodes())*storage.NodeRecordSize, meta.EtBytes
+			nt, et := meta.NtBytes, meta.EtBytes
 			tables := blocks(nt) + blocks(et)
 			sidecar := blocks(8 + 4*((nt+511)/512+(et+511)/512))
 			if got := ctr.Snapshot(); got.Reads != runBlocks || got.Writes != runBlocks+tables+sidecar {

@@ -207,11 +207,15 @@ func TestCacheBudgetMetamorphic(t *testing.T) {
 // TestEngineMatchesMemOracle drives the disk engine and the in-memory
 // maintainer through the same valid mutation stream, comparing core
 // arrays at every sync point. Cache and overlay are sized small enough
-// that block eviction and merges both happen mid-test.
+// that block eviction and merges both happen mid-test: the encoded edge
+// table is at least twice the cache (on 300 nodes it fit once the node
+// table, whose fold-back reads had evicted its blocks, took a varint a
+// node).
 func TestEngineMatchesMemOracle(t *testing.T) {
-	const n = 300
+	const n = 900
 	seed := testutil.Seed(t, 11)
 	base, edges := testutil.WriteSocial(t, n, seed)
+	testutil.RequireSpill(t, base, 512, 8, 2)
 
 	oracleBase, _ := testutil.WriteSocial(t, n, seed)
 	og, err := kcore.Open(oracleBase, nil)

@@ -95,8 +95,8 @@ func (bw *BlockWriter) Write(p []byte) (int, error) {
 }
 
 // flush writes the buffered bytes and checksums them: a block at a time,
-// because the tables arrive as 12-byte records and short lists, and a
-// CRC call per Write costs more than the CRC itself.
+// because the tables arrive as records of a byte or two and short lists,
+// and a CRC call per Write costs more than the CRC itself.
 func (bw *BlockWriter) flush() error {
 	if bw.fill == 0 {
 		return nil

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"kcore/internal/faultfs"
@@ -22,10 +21,11 @@ type Builder struct {
 	n       uint32
 	next    uint32
 	arcs    int64
+	ntBytes int64
 	etBytes int64
 	nt      *BlockWriter
 	et      *BlockWriter
-	recBuf  [NodeRecordSize]byte
+	recBuf  []byte
 	listBuf []byte
 	closed  bool
 }
@@ -78,15 +78,16 @@ func (b *Builder) AppendList(v uint32, nbrs []uint32) error {
 		}
 		prev = int64(u)
 	}
-	binary.LittleEndian.PutUint64(b.recBuf[0:8], uint64(b.etBytes))
-	binary.LittleEndian.PutUint32(b.recBuf[8:12], uint32(len(nbrs)))
-	if _, err := b.nt.Write(b.recBuf[:]); err != nil {
+	var w uint8
+	b.listBuf, w = b.codec.encode(b.listBuf[:0], nbrs)
+	b.recBuf = appendRecord(b.recBuf[:0], uint32(len(nbrs)), w)
+	if _, err := b.nt.Write(b.recBuf); err != nil {
 		return err
 	}
-	b.listBuf = b.codec.encode(b.listBuf[:0], nbrs)
 	if _, err := b.et.Write(b.listBuf); err != nil {
 		return err
 	}
+	b.ntBytes += int64(len(b.recBuf))
 	b.etBytes += int64(len(b.listBuf))
 	b.arcs += int64(len(nbrs))
 	b.next++
@@ -139,7 +140,7 @@ func (b *Builder) finish(durable bool) error {
 	if err := writeSidecar(b.fs, b.base, granules, b.ctr, durable); err != nil {
 		return err
 	}
-	m := Meta{Version: FormatVersion, N: b.n, Arcs: b.arcs, EtBytes: b.etBytes, HasCRC: true, NtCRC: ntCRC, EtCRC: etCRC}
+	m := Meta{Version: FormatVersion, N: b.n, Arcs: b.arcs, NtBytes: b.ntBytes, EtBytes: b.etBytes, HasCRC: true, NtCRC: ntCRC, EtCRC: etCRC}
 	return WriteMetaFS(b.fs, b.base, m, durable)
 }
 

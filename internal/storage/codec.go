@@ -6,16 +6,17 @@ import (
 	"slices"
 )
 
-// The list codec of format version 2. A node's sorted list u1 < u2 < …
-// < ud is stored as u1 in idw bytes, idw the byte width of n−1 for the
-// whole graph, then the d−1 gaps u(i+1) − u(i), each at least 1, as
+// The list codec of format versions 2 and 3. A node's sorted list u1 <
+// u2 < … < ud is stored as u1 in idw bytes, idw the byte width of n−1 for
+// the whole graph, then the d−1 gaps u(i+1) − u(i), each at least 1, as
 // little-endian integers of w bytes, w ∈ {1,2,3,4} the smallest width
-// that holds the list's largest gap. An empty list takes no bytes. w is
-// stored nowhere: a list of degree d spans idw + w·(d−1) bytes, so the
-// byte offsets of the node table, which tile the edge table, give it
-// back (listCodec.width), and a length of no such form is refused.
-// Version-1 tables read through the same codec with idw = w = 4 and
-// absolute ids in place of gaps.
+// that holds the list's largest gap. An empty list takes no bytes. A
+// list of degree d spans idw + w·(d−1) bytes: a version-3 node record
+// gives d and w, so the lengths place every list; a version-2 table
+// stores w nowhere, and the byte offsets of its node records, which tile
+// the edge table, give it back (listCodec.width), a length of no such
+// form refused. Version-1 tables read through the same codec with idw =
+// w = 4 and absolute ids in place of gaps.
 //
 // Gap coding is WebGraph's (Boldi and Vigna, WWW'04); the fixed width
 // per list is this tree's. A prototype with a uvarint per gap read fewer
@@ -72,16 +73,20 @@ func (c listCodec) width(n int64, deg uint32) (uint8, bool) {
 	return uint8(rest / gaps), true
 }
 
-// encode appends the list nbrs, sorted ascending, to dst.
-func (c listCodec) encode(dst []byte, nbrs []uint32) []byte {
+// encode appends the list nbrs, sorted ascending, to dst, and reports
+// its gap width (idw for a list of at most one id).
+func (c listCodec) encode(dst []byte, nbrs []uint32) ([]byte, uint8) {
 	if len(nbrs) == 0 {
-		return dst
+		return dst, uint8(c.idw)
 	}
 	var maxGap uint32
 	for i := 1; i < len(nbrs); i++ {
 		maxGap = max(maxGap, nbrs[i]-nbrs[i-1])
 	}
 	idw, w := int(c.idw), int(byteWidth(maxGap))
+	if len(nbrs) == 1 {
+		w = idw // no gap is stored; the width is the canonical one
+	}
 	n := len(dst)
 	end := n + idw + w*(len(nbrs)-1)
 	// Every id is stored as 4 bytes and the next one overwrites what the
@@ -93,7 +98,7 @@ func (c listCodec) encode(dst []byte, nbrs []uint32) []byte {
 		binary.LittleEndian.PutUint32(dst[n:], nbrs[i]-nbrs[i-1])
 		n += w
 	}
-	return dst[:end]
+	return dst[:end], uint8(w)
 }
 
 // decode reads the deg ids of the list stored as raw — the whole list

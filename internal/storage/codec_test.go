@@ -43,9 +43,12 @@ func FuzzEdgeListDecode(f *testing.F) {
 		if v1 {
 			return
 		}
-		enc := c.encode(nil, ids)
+		enc, w := c.encode(nil, ids)
 		if again, err := c.decode(enc, deg, nil); err != nil || !slices.Equal(again, ids) {
 			t.Fatalf("encode(%v) decodes to %v (%v)", ids, again, err)
+		}
+		if got, ok := c.width(int64(len(enc)), deg); !ok || got != w {
+			t.Fatalf("encode(%v) reports gap width %d, its length gives %d (%v)", ids, w, got, ok)
 		}
 	})
 }

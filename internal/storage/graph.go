@@ -1,7 +1,8 @@
 // Package storage implements the on-disk graph representation the paper
 // prescribes: an edge table that stores nbr(v1), nbr(v2), ... consecutively
-// as adjacency lists, and a node table that stores the offset and degree of
-// every node. Every algorithm's I/O is counted in B-sized block transfers.
+// as adjacency lists, and a node table that stores the degree of every
+// node, from which every list's offset follows. Every algorithm's I/O is
+// counted in B-sized block transfers.
 // As the semi-external model has it, node information is held in memory
 // and only adjacency is read from disk: a graph's first use reads the node
 // table once into an index (4n + n/8 + n bytes), checked whole against the
@@ -16,25 +17,27 @@
 //
 // A graph <base> occupies three files, and a fourth, optional one:
 //
-//	<base>.meta  text header (version, node count, arc count, edge-table
-//	             bytes, table CRC32Cs)
-//	<base>.nt    node table: n records of {offset uint64, degree uint32}
+//	<base>.meta  text header (version, node count, arc count, node- and
+//	             edge-table bytes, table CRC32Cs)
+//	<base>.nt    node table: n records of uvarint(deg<<2 | (w−1)), w the
+//	             list's gap width (nodetable.go)
 //	<base>.et    edge table: the gap-coded lists, concatenated (codec.go)
 //	<base>.crc   checksum sidecar: a CRC32C per 512-byte granule of .nt,
 //	             then of .et (sidecar.go); the Builder writes it, readers
 //	             that lack it or cannot hold it to the header do without
 //
-// Offsets are byte offsets into the edge table. Graphs are undirected:
-// every edge {u,v} is stored as the two arcs u→v and v→u, and each
-// adjacency list is sorted ascending. The Builder writes format version
-// 2; version-1 tables (4-byte absolute ids, arc offsets) stay readable in
-// place, and the first rewrite of such a graph (WriteGraph: a fold-back
-// or a checkpoint) writes it as version 2.
+// No offset is stored: each list starts where the one before it ends.
+// Graphs are undirected: every edge {u,v} is stored as the two arcs u→v
+// and v→u, and each adjacency list is sorted ascending. The Builder
+// writes format version 3. Version-2 tables (12-byte node records of a
+// byte offset and a degree) and version-1 tables (the same records with
+// arc offsets, 4-byte absolute ids) stay readable in place, and the first
+// rewrite of such a graph (WriteGraph: a fold-back or a checkpoint)
+// writes it as version 3.
 package storage
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -47,22 +50,20 @@ import (
 	"kcore/internal/stats"
 )
 
-const (
-	// FormatVersion identifies the on-disk layout the Builder writes.
-	FormatVersion = 2
-	// NodeRecordSize is the byte size of one node-table record.
-	NodeRecordSize = 12
-)
+// FormatVersion identifies the on-disk layout the Builder writes.
+const FormatVersion = 3
 
-// Meta is the parsed contents of a <base>.meta file. EtBytes is the edge
-// table's size (a version-1 header carries none: 4 bytes per arc).
-// HasCRC reports whether the header carried table checksums (graphs
-// written by older builders have none; everything the Builder writes
-// today does).
+// Meta is the parsed contents of a <base>.meta file. NtBytes and EtBytes
+// are the two tables' sizes (a version-1 or -2 header carries no
+// ntbytes: 12 bytes a node; a version-1 header no etbytes: 4 bytes an
+// arc). HasCRC reports whether the header carried table checksums
+// (graphs written by older builders have none; everything the Builder
+// writes today does).
 type Meta struct {
 	Version int
 	N       uint32
 	Arcs    int64
+	NtBytes int64
 	EtBytes int64
 	HasCRC  bool
 	NtCRC   uint32
@@ -86,6 +87,9 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 	fmt.Fprintf(w, "version=%d\n", m.Version)
 	fmt.Fprintf(w, "nodes=%d\n", m.N)
 	fmt.Fprintf(w, "arcs=%d\n", m.Arcs)
+	if m.Version >= 3 {
+		fmt.Fprintf(w, "ntbytes=%d\n", m.NtBytes)
+	}
 	if m.Version >= 2 {
 		fmt.Fprintf(w, "etbytes=%d\n", m.EtBytes)
 	}
@@ -106,11 +110,13 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 	return f.Close()
 }
 
-// ReadMeta parses the header file for a graph: version 2, whose header
-// must give the edge table's size, or version 1, whose must not.
+// ReadMeta parses the header file for a graph: version 3, whose header
+// must give both tables' sizes; version 2, whose must give the edge
+// table's and not the node table's; or version 1, whose must give
+// neither.
 func ReadMeta(base string) (Meta, error) {
 	var m Meta
-	hasEtBytes := false
+	hasNtBytes, hasEtBytes := false, false
 	data, err := os.ReadFile(metaPath(base))
 	if err != nil {
 		return m, err
@@ -130,7 +136,7 @@ func ReadMeta(base string) (Meta, error) {
 		}
 		// The header also arrives over the network (a follower's
 		// checkpoint download): nothing in it is taken modulo 2^32.
-		if x < 0 || (key != "arcs" && key != "etbytes" && x > math.MaxUint32) {
+		if x < 0 || (key != "arcs" && key != "ntbytes" && key != "etbytes" && x > math.MaxUint32) {
 			return m, fmt.Errorf("storage: meta value %q out of range", line)
 		}
 		switch key {
@@ -140,6 +146,8 @@ func ReadMeta(base string) (Meta, error) {
 			m.N = uint32(x)
 		case "arcs":
 			m.Arcs = x
+		case "ntbytes":
+			m.NtBytes, hasNtBytes = x, true
 		case "etbytes":
 			m.EtBytes, hasEtBytes = x, true
 		case "ntcrc":
@@ -152,18 +160,31 @@ func ReadMeta(base string) (Meta, error) {
 			return m, fmt.Errorf("storage: unknown meta key %q", key)
 		}
 	}
-	switch m.Version {
-	case 1:
-		if hasEtBytes || m.Arcs > math.MaxInt64/4 {
-			return m, fmt.Errorf("storage: version-1 meta with etbytes or %d arcs", m.Arcs)
+	if m.Version < 1 || m.Version > FormatVersion {
+		return m, fmt.Errorf("storage: unsupported format version %d", m.Version)
+	}
+	for _, size := range []struct {
+		key       string
+		has, want bool
+	}{{"etbytes", hasEtBytes, m.Version >= 2}, {"ntbytes", hasNtBytes, m.Version >= 3}} {
+		if size.has != size.want {
+			word := map[bool]string{true: "with", false: "without"}[size.has]
+			return m, fmt.Errorf("storage: version-%d meta %s %s", m.Version, word, size.key)
+		}
+	}
+	if m.Version == 1 {
+		if m.Arcs > math.MaxInt64/4 {
+			return m, fmt.Errorf("storage: version-1 meta with %d arcs", m.Arcs)
 		}
 		m.EtBytes = 4 * m.Arcs
-	case FormatVersion:
-		if !hasEtBytes {
-			return m, fmt.Errorf("storage: version-%d meta without etbytes", m.Version)
-		}
-	default:
-		return m, fmt.Errorf("storage: unsupported format version %d", m.Version)
+	}
+	if m.Version <= 2 {
+		m.NtBytes = legacyRecordSize * int64(m.N)
+	} else if m.NtBytes < int64(m.N) || m.NtBytes > maxRecordLen*int64(m.N) {
+		// A record takes one to maxRecordLen bytes, so the table's size,
+		// which the open holds the file to, bounds the node count the
+		// index is sized from.
+		return m, fmt.Errorf("storage: a %d-byte node table cannot hold %d records", m.NtBytes, m.N)
 	}
 	return m, nil
 }
@@ -181,7 +202,6 @@ type Graph struct {
 	io    *stats.IOCounter
 	idx   *nodeIndex // nil until the first read that needs a node record
 
-	recBuf [NodeRecordSize]byte
 	nbrBuf []byte // scratch for one encoded list
 }
 
@@ -220,7 +240,7 @@ func (x *nodeIndex) list(v uint32) list {
 // sequential pass over the node table that fills no frame. The pass is
 // charged ⌈nt/B⌉ reads, checks every block as a fill does (or, as the
 // open's pass, records its checksum) and holds the records to what the
-// header says of the table (nodeCheck). A failed pass keeps no index:
+// header says of the table (nodeDecoder). A failed pass keeps no index:
 // the next use makes it again.
 func (g *Graph) index() (*nodeIndex, error) {
 	if g.idx != nil {
@@ -228,120 +248,22 @@ func (g *Graph) index() (*nodeIndex, error) {
 	}
 	n := g.meta.N
 	x := &nodeIndex{codec: g.codec, deg: make([]uint32, n), w: make([]uint8, n), off: make([]int64, (n+indexStride-1)/indexStride)}
-	chk := nodeCheck{g: g}
-	var (
-		v    uint32
-		fill int // bytes of the record g.recBuf holds so far
-	)
-	err := g.nt.stream(func(blk []byte) error {
-		for len(blk) > 0 {
-			k := copy(g.recBuf[fill:], blk)
-			blk, fill = blk[k:], fill+k
-			if fill < NodeRecordSize {
-				return nil
-			}
-			fill = 0
-			prev, err := chk.next(v, g.recBuf[:])
-			if err != nil {
-				return err
-			}
-			if v > 0 {
-				x.w[v-1] = prev.w
-			}
-			if v%indexStride == 0 {
-				x.off[v/indexStride] = chk.cur.off
-			}
-			x.deg[v] = chk.cur.deg
-			v++
+	keep := func(v uint32, l list) error {
+		if v%indexStride == 0 {
+			x.off[v/indexStride] = l.off
 		}
+		x.deg[v], x.w[v] = l.deg, l.w
 		return nil
-	})
-	if err != nil {
+	}
+	dec := g.decoder()
+	if err := g.nt.stream(func(blk []byte) error { return dec.feed(blk, keep) }); err != nil {
 		return nil, err
 	}
-	last, err := chk.done()
-	if err != nil {
+	if err := dec.done(keep); err != nil {
 		return nil, err
-	}
-	if n > 0 {
-		x.w[n-1] = last.w
 	}
 	g.idx = x
 	return x, nil
-}
-
-// nodeCheck holds node records, met in id order, to what the header says
-// of the node table: the lists tile the edge table from byte 0 to its
-// end, each spanning the bytes its degree takes at some gap width (which
-// is how the width is known), their degrees add up to the header's arc
-// count, and the records' CRC32C is the header's (headers from older
-// builders carry none, and are held to the tiling alone).
-type nodeCheck struct {
-	g    *Graph
-	cur  list  // the last record met; its width waits for the next one
-	arcs int64 // degrees met so far
-	crc  uint32
-}
-
-// next decodes node v's 12-byte record, which ends node v−1's list, and
-// returns that list (for v > 0) with the width its length gives. A record
-// outside the edge table, or a list no width fills, is an error before
-// anything is sized from it.
-func (c *nodeCheck) next(v uint32, rec []byte) (prev list, err error) {
-	m := c.g.meta
-	off := binary.LittleEndian.Uint64(rec[0:8])
-	deg := binary.LittleEndian.Uint32(rec[8:12])
-	end, unit := uint64(m.EtBytes), uint64(1)
-	if c.g.codec.abs {
-		unit = 4 // version 1 stores arc offsets
-	}
-	if off > end/unit || (v == 0 && off != 0) {
-		return prev, fmt.Errorf("storage: %s: node %d's record gives offset %d, where no list of the %d-byte edge table starts", nodePath(c.g.base), v, off, end)
-	}
-	off *= unit
-	if v > 0 {
-		if prev, err = c.close(v-1, int64(off)); err != nil {
-			return prev, err
-		}
-	}
-	c.cur = list{off: int64(off), deg: deg}
-	c.arcs += int64(deg)
-	c.crc = crc32.Update(c.crc, castagnoli, rec)
-	return prev, nil
-}
-
-// close ends node v's list, c.cur, at byte end and gives it the width its
-// length implies.
-func (c *nodeCheck) close(v uint32, end int64) (list, error) {
-	l := c.cur
-	w, ok := c.g.codec.width(end-l.off, l.deg)
-	if !ok {
-		return l, fmt.Errorf("storage: %s: node %d's list of %d ids spans bytes [%d,%d) of the edge table, a length no gap width gives", nodePath(c.g.base), v, l.deg, l.off, end)
-	}
-	l.w = w
-	return l, nil
-}
-
-// done checks, after the last record, the last list, which must end the
-// edge table, the arc count and the node table's checksum, and returns
-// the last list.
-func (c *nodeCheck) done() (last list, err error) {
-	m := c.g.meta
-	switch {
-	case m.N > 0:
-		if last, err = c.close(m.N-1, m.EtBytes); err != nil {
-			return last, err
-		}
-	case m.EtBytes != 0:
-		return last, fmt.Errorf("storage: %s: no node holds the %d-byte edge table", nodePath(c.g.base), m.EtBytes)
-	}
-	if c.arcs != m.Arcs {
-		return last, fmt.Errorf("storage: %s: the lists end after %d arcs, the header says %d", nodePath(c.g.base), c.arcs, m.Arcs)
-	}
-	if m.HasCRC && c.crc != m.NtCRC {
-		return last, fmt.Errorf("storage: %s: node table crc %08x, want %08x", nodePath(c.g.base), c.crc, m.NtCRC)
-	}
-	return last, nil
 }
 
 // Open opens the graph stored at base through cache, whose block size
@@ -391,7 +313,7 @@ func (g *Graph) attach(cache *BlockCache, ntCRCs, etCRCs []uint32) (err error) {
 		}
 		return t, nil
 	}
-	if g.nt, err = table(nodePath(g.base), "node", int64(g.meta.N)*NodeRecordSize, ntCRCs); err != nil {
+	if g.nt, err = table(nodePath(g.base), "node", g.meta.NtBytes, ntCRCs); err != nil {
 		return err
 	}
 	if g.et, err = table(edgePath(g.base), "edge", g.meta.EtBytes, etCRCs); err != nil {
@@ -402,8 +324,8 @@ func (g *Graph) attach(cache *BlockCache, ntCRCs, etCRCs []uint32) (err error) {
 
 // pass is the open of a graph no sidecar vouches for: both tables read
 // once, front to back, recording the CRC32C of every block for the fills
-// to come. The node table's pass builds the index on the way (nodeCheck
-// holds it to the header), and the edge table's CRC32C must be the
+// to come. The node table's pass builds the index on the way (its
+// nodeDecoder holds it to the header), and the edge table's CRC32C must be the
 // header's (headers from older builders carry none and pass unchecked,
 // as in Verify).
 func (g *Graph) pass() error {
@@ -466,7 +388,7 @@ func (g *Graph) NumEdges() int64 { return g.meta.Arcs / 2 }
 
 // TableBytes reports the size of the node and the edge table, the bytes
 // a rewrite of the graph writes besides its header and sidecar.
-func (g *Graph) TableBytes() int64 { return int64(g.meta.N)*NodeRecordSize + g.meta.EtBytes }
+func (g *Graph) TableBytes() int64 { return g.meta.NtBytes + g.meta.EtBytes }
 
 // IOCounter exposes the counter reads are charged to.
 func (g *Graph) IOCounter() *stats.IOCounter { return g.io }
@@ -618,48 +540,44 @@ func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint3
 // the tables on trust (a checkpoint about to copy them, a recovery about
 // to serve them): reads are charged to io from here on, not to the
 // counter the graph was opened with, and the pass folds the CRC32C of the
-// bytes it reads — the node records in id order, read from the node
-// table itself and not the index, which are the node table; the encoded
-// lists, which nodeCheck holds to tiling the edge table, so they are the
-// edge table — and holds both to the header's. Each list is decoded once
-// the next record has bounded it. fn sees nothing it could not see from
-// Scan; the node table's checksum is checked before the last node's fn,
-// the edge table's after it. Headers without checksums (graphs from older
-// builders) are held to the tiling alone. The pass builds no index.
+// bytes it reads — the node table, decoded front to back from the file
+// itself and not the index, a block at a time through the frames; the
+// encoded lists, which the node decoder holds to tiling the edge table,
+// so they are the edge table — and holds both to the header's. Each list
+// is read as soon as the records have placed it. fn sees nothing it could
+// not see from Scan; the node table is checked whole at its end, the
+// edge table after the last fn. Headers without checksums (graphs from
+// older builders) are held to the tiling alone. The pass builds no
+// index.
 func (g *Graph) ScanVerified(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
 	g.io, g.nt.io, g.et.io = io, io, io
-	chk := nodeCheck{g: g}
-	n := g.meta.N
-	// bound reads node v's record, which ends node v−1's list, or, past
-	// the last node, ends the last list with the table.
-	bound := func(v uint32) (list, error) {
-		if v == n {
-			return chk.done()
-		}
-		if err := g.nt.ReadAt(g.recBuf[:], int64(v)*NodeRecordSize); err != nil {
-			return list{}, err
-		}
-		return chk.next(v, g.recBuf[:])
-	}
-	if _, err := bound(0); err != nil {
-		return err
-	}
 	var (
 		etCRC uint32
 		nbrs  []uint32
 	)
-	for v := uint32(0); v < n; v++ {
-		l, err := bound(v + 1)
-		if err != nil {
-			return err
-		}
+	visit := func(v uint32, l list) (err error) {
 		if nbrs, err = g.readList(v, l, nbrs); err != nil {
 			return err
 		}
 		etCRC = crc32.Update(etCRC, castagnoli, g.nbrBuf[:g.codec.length(l.deg, l.w)])
-		if err := fn(v, nbrs); err != nil {
+		return fn(v, nbrs)
+	}
+	dec := g.decoder()
+	// Each node-table block is copied out of its frame before the lists
+	// it places are read, which may evict it.
+	b := int64(g.nt.cache.b)
+	buf := make([]byte, b)
+	for off := int64(0); off < g.nt.size; off += b {
+		blk := buf[:min(b, g.nt.size-off)]
+		if err := g.nt.ReadAt(blk, off); err != nil {
 			return err
 		}
+		if err := dec.feed(blk, visit); err != nil {
+			return err
+		}
+	}
+	if err := dec.done(visit); err != nil {
+		return err
 	}
 	return g.edgeCRC(etCRC)
 }

@@ -25,25 +25,49 @@ func bytesPerID(x uint32) int64 {
 	return w
 }
 
-// listBytes is what a list of a graph on n nodes takes in a version-2
-// edge table, worked out from the format alone: the first id in the
-// width of n−1, then the gaps in the width of the largest.
-func listBytes(n int, l []uint32) int64 {
-	if len(l) == 0 {
-		return 0
+// gapWidth is a list's gap width in a graph on n nodes, worked out from
+// the format alone: the width of n−1 for a list of at most one id, else
+// the width of its largest gap.
+func gapWidth(n int, l []uint32) int64 {
+	if len(l) <= 1 {
+		return bytesPerID(uint32(n - 1))
 	}
 	var gap uint32
 	for i := 1; i < len(l); i++ {
 		gap = max(gap, l[i]-l[i-1])
 	}
-	return bytesPerID(uint32(n-1)) + bytesPerID(gap)*int64(len(l)-1)
+	return bytesPerID(gap)
 }
 
-// etBytes is the version-2 edge table's size for adj.
+// listBytes is what a list of a graph on n nodes takes in the edge
+// table: the first id in the width of n−1, then the gaps.
+func listBytes(n int, l []uint32) int64 {
+	if len(l) == 0 {
+		return 0
+	}
+	return bytesPerID(uint32(n-1)) + gapWidth(n, l)*int64(len(l)-1)
+}
+
+// etBytes is the edge table's size for adj.
 func etBytes(adj [][]uint32) int64 {
 	var sum int64
 	for _, l := range adj {
 		sum += listBytes(len(adj), l)
+	}
+	return sum
+}
+
+// recordBytes is what a list's record takes in a version-3 node table:
+// a uvarint of deg<<2 | (w−1).
+func recordBytes(n int, l []uint32) int64 {
+	return int64(len(binary.AppendUvarint(nil, uint64(len(l))<<2|uint64(gapWidth(n, l)-1))))
+}
+
+// ntBytes is the version-3 node table's size for adj.
+func ntBytes(adj [][]uint32) int64 {
+	var sum int64
+	for _, l := range adj {
+		sum += recordBytes(len(adj), l)
 	}
 	return sum
 }
@@ -101,8 +125,8 @@ func TestPropertyRoundTrip(t *testing.T) {
 		}
 		B := int64(blockSize)
 		blocks := func(bytes int64) int64 { return (bytes + B - 1) / B }
-		nt, et := blocks(int64(n)*NodeRecordSize), blocks(etBytes(adj))
-		opened, scan := blocks(sidecarHeader+4*(granules(int64(n)*NodeRecordSize)+granules(etBytes(adj)))), nt+et
+		nt, et := blocks(ntBytes(adj)), blocks(etBytes(adj))
+		opened, scan := blocks(sidecarHeader+4*(granules(ntBytes(adj))+granules(etBytes(adj)))), nt+et
 		if blockSize%granule != 0 {
 			opened, scan = nt+et, et
 		}
@@ -319,7 +343,7 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 				return false
 			}
 			if trial == 0 {
-				want += (int64(n)*NodeRecordSize + B - 1) / B
+				want += (ntBytes(adj) + B - 1) / B
 			}
 			if cost != want {
 				t.Logf("seed %d trial %d: Neighbors(%d) cost %d reads, want %d", seed, trial, v, cost, want)
@@ -418,17 +442,17 @@ func TestPropertyResident(t *testing.T) {
 // at B in {64, 512, 4096}, every third one with a hub whose list is
 // longer than the 64 frames Open reads through at B = 64:
 //
-//   - an undamaged graph passes, every list as written, for
-//     ceil(nt/B) + ceil(et/B) block reads, plus at most one per list
-//     longer than the frames (such a list evicts the node-table block,
-//     which the next record re-reads);
+//   - an undamaged graph passes, every list as written, for exactly
+//     ceil(nt/B) + ceil(et/B) block reads (each node-table block is
+//     copied out of its frame before a list longer than the frames can
+//     evict it);
 //   - a flipped byte anywhere in either table, and either table
 //     truncated, fails Open or the scan;
-//   - a node record whose offset breaks the tiling of the edge table — the
-//     list before it no longer spans idw + w·(deg−1) bytes for any width
-//     w — is reported as that, in range and under a header that vouches
-//     for the damaged node table, so nothing else can catch it first, with
-//     and without header checksums;
+//   - a node record whose gap width is changed, which moves every later
+//     list, breaks the tiling of the edge table and is reported as that
+//     — a shortest varint still, under a header that vouches for the
+//     damaged node table, so nothing else can catch it first, with and
+//     without header checksums;
 //   - a header without checksums passes clean tables, as in Verify.
 func TestPropertyScanVerified(t *testing.T) {
 	nop := func(uint32, []uint32) error { return nil }
@@ -511,12 +535,6 @@ func TestPropertyScanVerified(t *testing.T) {
 		// Clean: the lists as written, at the sequential price.
 		B := int64(blockSize)
 		blocks := (int64(len(nt))+B-1)/B + (int64(len(et))+B-1)/B
-		var long int64
-		for _, l := range adj {
-			if listBytes(n, l) > defaultCacheBlocks*B {
-				long++
-			}
-		}
 		ok := true
 		reads, err := scan(func(v uint32, nbrs []uint32) error {
 			if len(nbrs) != len(adj[v]) {
@@ -528,8 +546,8 @@ func TestPropertyScanVerified(t *testing.T) {
 			}
 			return nil
 		})
-		if err != nil || !ok || reads < blocks || reads > blocks+long {
-			t.Logf("seed %d B=%d: clean scan: err %v, lists ok %v, %d reads for %d blocks and %d long lists", seed, blockSize, err, ok, reads, blocks, long)
+		if err != nil || !ok || reads != blocks {
+			t.Logf("seed %d B=%d: clean scan: err %v, lists ok %v, %d reads for %d blocks", seed, blockSize, err, ok, reads, blocks)
 			return false
 		}
 		if Verify(base) != nil {
@@ -553,34 +571,31 @@ func TestPropertyScanVerified(t *testing.T) {
 			restore()
 		}
 
-		// A broken tiling the header vouches for: node 1's list starts
-		// the fewest bytes early or late that leave node 0's list a length
-		// no gap width gives — every record still in range, the node-table
-		// checksum recomputed to match.
-		codec, off1 := codecOf(meta), int64(binary.LittleEndian.Uint64(nt[NodeRecordSize:]))
-		moved := off1
-	search:
-		for d := int64(1); ; d++ {
-			for _, o := range []int64{off1 + d, off1 - d} {
-				if _, ok := codec.width(o, uint32(len(adj[0]))); !ok && o >= 0 && o <= meta.EtBytes {
-					moved = o
-					break search
+		// A broken tiling the header vouches for: the first list of two
+		// or more ids gets another gap width in the two low bits of its
+		// record's first byte, which moves every later list — the record
+		// still a shortest varint, the node-table checksum recomputed to
+		// match.
+		var at int64
+		for _, l := range adj {
+			if len(l) >= 2 {
+				bad := append([]byte(nil), nt...)
+				bad[at] ^= 1 + byte(r.Intn(3))
+				os.WriteFile(base+".nt", bad, 0o644)
+				for _, hasCRC := range []bool{true, false} {
+					m := meta
+					m.HasCRC, m.NtCRC = hasCRC, crc32.Checksum(bad, castagnoli)
+					WriteMetaFS(faultfs.OS, base, m, false)
+					if _, err := scan(nop); err == nil || !strings.Contains(err.Error(), "-byte edge table") {
+						t.Logf("seed %d: broken tiling (header checksums %v): %v", seed, hasCRC, err)
+						return false
+					}
 				}
+				restore()
+				break
 			}
+			at += recordBytes(n, l)
 		}
-		bad := append([]byte(nil), nt...)
-		binary.LittleEndian.PutUint64(bad[NodeRecordSize:], uint64(moved))
-		os.WriteFile(base+".nt", bad, 0o644)
-		for _, hasCRC := range []bool{true, false} {
-			m := meta
-			m.HasCRC, m.NtCRC = hasCRC, crc32.Checksum(bad, castagnoli)
-			WriteMetaFS(faultfs.OS, base, m, false)
-			if _, err := scan(nop); err == nil || !strings.Contains(err.Error(), "no gap width") {
-				t.Logf("seed %d: broken tiling (header checksums %v): %v", seed, hasCRC, err)
-				return false
-			}
-		}
-		restore()
 
 		// No checksums in the header: clean tables pass.
 		m := meta

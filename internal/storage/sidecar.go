@@ -69,7 +69,7 @@ func readSidecar(base string, meta Meta, b int, ctr *stats.IOCounter) (nt, et []
 	if !meta.HasCRC || b%granule != 0 {
 		return nil, nil, false
 	}
-	ntSize, etSize := int64(meta.N)*NodeRecordSize, meta.EtBytes
+	ntSize, etSize := meta.NtBytes, meta.EtBytes
 	ntG := granules(ntSize)
 	size := sidecarHeader + 4*(ntG+granules(etSize))
 	if fi, err := os.Stat(crcPath(base)); err != nil || fi.Size() != size {

@@ -156,7 +156,7 @@ func TestPropertySidecarDamage(t *testing.T) {
 			t.Fatal(err)
 		}
 		blocks := func(size int64) int64 { return (size + int64(bs) - 1) / int64(bs) }
-		pass := blocks(int64(n)*NodeRecordSize) + blocks(etBytes(adj))
+		pass := blocks(ntBytes(adj)) + blocks(etBytes(adj))
 
 		// The pass's checksums, with no sidecar to read.
 		os.Remove(base + ".crc")

@@ -83,15 +83,16 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestSequentialScanIOCount(t *testing.T) {
-	// With B = 16 the node table is 9*12 = 108 bytes = 7 blocks and the
-	// edge table 30 bytes = 2 blocks (n = 9: every first id and every gap
-	// takes one byte, so each list one byte per arc). 16 is no whole
-	// number of sidecar granules, so the open is the pass: exactly 9 read
-	// I/Os, which build the node index on the way, and a full scan then
-	// costs the edge table's 2.
+	// With B = 16 the node table is 9 bytes = 1 block (every record
+	// deg<<2 | 0 is below 128, one varint byte) and the edge table 30
+	// bytes = 2 blocks (n = 9: every first id and every gap takes one
+	// byte, so each list one byte per arc). 16 is no whole number of
+	// sidecar granules, so the open is the pass: exactly 3 read I/Os,
+	// which build the node index on the way, and a full scan then costs
+	// the edge table's 2.
 	g, ctr := buildGraph(t, sampleAdj, 16)
-	if got := ctr.Reads(); got != 9 {
-		t.Fatalf("the open cost %d read I/Os, want 9", got)
+	if got := ctr.Reads(); got != 3 {
+		t.Fatalf("the open cost %d read I/Os, want 3", got)
 	}
 	ctr.Reset()
 	visited := 0
@@ -119,8 +120,9 @@ func TestSequentialScanIOCount(t *testing.T) {
 }
 
 func TestPartialScanSkipsBlocks(t *testing.T) {
-	// A 600-node path at B = 512: the node table is 600*12 = 7200 bytes,
-	// 15 blocks, the edge table 598*3 + 2*2 = 1798 bytes, 4 blocks (each
+	// A 600-node path at B = 512: the node table is 600 bytes, 2 blocks
+	// (every record one varint byte: 2<<2 | 0 inside, 1<<2 | 1 at the
+	// ends), the edge table 598*3 + 2*2 = 1798 bytes, 4 blocks (each
 	// inner list a 2-byte first id and a 1-byte gap of 2). The node
 	// table is paid once, by the first use, for the index; after it a
 	// want-predicate selecting only node 0 touches exactly the one edge
@@ -136,7 +138,7 @@ func TestPartialScanSkipsBlocks(t *testing.T) {
 		}
 	}
 	g, ctr := buildGraph(t, adj, 512)
-	for i, want := range []int64{15 + 1, 1} {
+	for i, want := range []int64{2 + 1, 1} {
 		ctr.Reset()
 		invalidateBuffers(g)
 		err := g.Scan(0, g.NumNodes()-1, func(v uint32) bool { return v == 0 }, func(v uint32, nbrs []uint32) error {
@@ -307,6 +309,20 @@ func TestOpenValidation(t *testing.T) {
 		}
 		if _, err := ReadMeta(base); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("meta %q: err = %v, want an out-of-range rejection", meta, err)
+		}
+	}
+	// A version-3 node table holds one to five bytes a record: its size,
+	// which the open holds the file to, must bound the node count before
+	// anything is sized from it.
+	for _, meta := range []string{
+		"version=3\nnodes=4294967295\narcs=0\nntbytes=10\netbytes=0\n",
+		"version=3\nnodes=3\narcs=2\nntbytes=16\netbytes=2\n",
+	} {
+		if err := os.WriteFile(base+".meta", []byte(meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadMeta(base); err == nil || !strings.Contains(err.Error(), "cannot hold") {
+			t.Errorf("meta %q: err = %v, want a node table too small or too large for its records", meta, err)
 		}
 	}
 }

@@ -189,19 +189,19 @@ func gateGraph(t *testing.T) *kcore.Graph {
 // compute another number of nodes, than the pinned figure fails here and
 // has to justify a new pin. Each algorithm runs on a graph opened for it
 // alone, so no count depends on the frames another algorithm left, and
-// each pays the 24 node-table blocks its degree pass reads into memory.
-// SemiCore* makes its revisits on the gate's frames. The 4-byte tables
-// read 465 (8,451 computations), 1,316 and 1,428 blocks through the
-// default frames.
+// each pays the 3 node-table blocks its degree pass reads into memory
+// (24 on 12 bytes a node: 250, 660 and 690). SemiCore* makes its revisits
+// on the gate's frames. The 4-byte tables read 465 (8,451 computations),
+// 1,316 and 1,428 blocks through the default frames.
 func TestDecompositionIOGate(t *testing.T) {
 	for _, tc := range []struct {
 		algo      kcore.Algorithm
 		reads     int64
 		nodeComps int64 // 0: not gated
 	}{
-		{kcore.SemiCoreStar, 250, 8456},
-		{kcore.SemiCorePlus, 660, 0},
-		{kcore.SemiCoreBasic, 690, 0},
+		{kcore.SemiCoreStar, 229, 8456},
+		{kcore.SemiCorePlus, 639, 0},
+		{kcore.SemiCoreBasic, 669, 0},
 	} {
 		g := gateGraph(t)
 		res, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: tc.algo})
