@@ -370,7 +370,7 @@ func TestCheckpointStreamsUnderWrites(t *testing.T) {
 			if err := os.RemoveAll(filepath.Join(img, "ckpt", "0000000000000003")); err != nil {
 				t.Fatal(err)
 			}
-			sc, err := wal.Scan(nil, img)
+			sc, err := wal.Scan(nil, img, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -508,7 +508,7 @@ func testCheckpointRejectsCorruptTable(t *testing.T, backend string, fill int) {
 	}
 	live := wal.LiveBase(filepath.Join(dataDir, "g"))
 	if fill > 0 {
-		sc, err := wal.Scan(nil, filepath.Join(dataDir, "g"))
+		sc, err := wal.Scan(nil, filepath.Join(dataDir, "g"), nil)
 		if err != nil || sc.Manifest.LSN != 3 || !sameTables(t, live, wal.CheckpointBase(sc.Path)) {
 			t.Fatalf("fixture: %v; want live/ to be the newest checkpoint's tables, at LSN 3", err)
 		}
@@ -530,20 +530,18 @@ func testCheckpointRejectsCorruptTable(t *testing.T, backend string, fill int) {
 	}
 	reg.Close() //nolint:errcheck // the final checkpoint fails the same way
 
-	sc, err := wal.Scan(nil, filepath.Join(dataDir, "g"))
-	if err != nil {
-		t.Fatal(err)
+	mans, err := filepath.Glob(filepath.Join(dataDir, "g", "ckpt", "*", "MANIFEST"))
+	if err != nil || len(mans) != 2 {
+		t.Fatalf("manifests %v, %v; want the two retained checkpoints'", mans, err)
 	}
-	if fill == 0 && (sc.Manifest.LSN != 1 || sc.Fallback || len(sc.Records) != 2) {
-		t.Fatalf("newest valid checkpoint: LSN %d, fallback %v, %d records behind it; want the untouched one at 1 and 2 records",
-			sc.Manifest.LSN, sc.Fallback, len(sc.Records))
-	}
-	if fill > 0 && (sc.Manifest.LSN >= 3 || !sc.Fallback || sc.Manifest.LSN+uint64(len(sc.Records)) != 3) {
-		t.Fatalf("newest valid checkpoint: LSN %d, fallback %v, %d records behind it; want the older one and the records up to 3",
-			sc.Manifest.LSN, sc.Fallback, len(sc.Records))
-	}
-	if !sc.Manifest.HasCores {
-		t.Fatal("the checkpoint recovery would take carries no cores")
+	for _, path := range mans {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if man, err := wal.ParseManifest(data); err != nil || !man.HasCores {
+			t.Fatalf("%s: %+v, %v; want a checkpoint that carries its cores", path, man, err)
+		}
 	}
 	reg2 := engine.NewRegistry(durableOptions(dataDir))
 	defer reg2.Close()
@@ -551,9 +549,19 @@ func testCheckpointRejectsCorruptTable(t *testing.T, backend string, fill int) {
 	if err != nil || len(rep.Graphs) != 1 || rep.Graphs[0].Err != nil || rep.Graphs[0].Degraded {
 		t.Fatalf("recovery: %v, %+v", err, rep)
 	}
+	// Copied: the newest checkpoint, at 1, is untouched and 2 records
+	// follow it. Adopted: the bring-up refuses the newest, at 3, and
+	// recovery falls back to the older one and replays up to 3.
+	gr := rep.Graphs[0]
+	if fill == 0 && (gr.Fallback || gr.Replayed != 2) {
+		t.Fatalf("recovery: fallback %v, %d records replayed; want the untouched checkpoint at 1 and 2 records", gr.Fallback, gr.Replayed)
+	}
+	if fill > 0 && (!gr.Fallback || gr.Replayed < 1 || !strings.Contains(gr.Reason, "checkpoint ")) {
+		t.Fatalf("recovery: fallback %v (%q), %d records replayed; want the older checkpoint and the records up to 3", gr.Fallback, gr.Reason, gr.Replayed)
+	}
 	eng2, _ := reg2.Get("g")
-	if !slices.Equal(eng2.Snapshot().Cores(), want) {
-		t.Error("recovered cores differ from the oracle over every acked update")
+	if !slices.Equal(eng2.Snapshot().Cores(), want) || durStats(t, eng2).LSN != 3 {
+		t.Errorf("recovered at LSN %d; want the oracle's cores over every acked update, at 3", durStats(t, eng2).LSN)
 	}
 }
 

@@ -281,7 +281,7 @@ func TestDurableFirstOpenLeavesBaseAlone(t *testing.T) {
 			}
 			img := t.TempDir()
 			copyTree(t, dataDir, img) // the process dies here: no Close, no final checkpoint
-			sc, err := wal.Scan(nil, filepath.Join(img, "g"))
+			sc, err := wal.Scan(nil, filepath.Join(img, "g"), nil)
 			if err != nil || sc.Manifest.LSN+uint64(len(sc.Records)) != k {
 				t.Fatalf("image: %v, checkpoint at %d and %d records behind it, want %d acked records", err, sc.Manifest.LSN, len(sc.Records), k)
 			}
@@ -312,7 +312,7 @@ func TestDurableFirstOpenLeavesBaseAlone(t *testing.T) {
 func TestRecoverReplaysWalTail(t *testing.T) {
 	const n, seed, k = 80, 33, 6
 	img, ups := crashImage(t, n, seed, k)
-	sc, err := wal.Scan(nil, filepath.Join(img, "g"))
+	sc, err := wal.Scan(nil, filepath.Join(img, "g"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

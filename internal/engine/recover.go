@@ -121,8 +121,8 @@ func (r *Registry) createDurable(name, base string, c BackendConfig, oo kcore.Op
 // stays on the files recovery chose), end the log at it, start the
 // background loops. A first open (sc == nil, src the
 // operator's base) is a recovery with no expected cores, an empty tail
-// and no logs yet; a recovery passes what wal.Scan found, src its chosen
-// checkpoint.
+// and no logs yet; a recovery passes a checkpoint wal.Scan offers, src
+// its tables.
 //
 // The graph serves, and adopts its checkpoints into, live/ from the first
 // open on: the operator's files are only ever read, so their modification
@@ -275,9 +275,10 @@ func (rep *RecoveryReport) Summary() string {
 }
 
 // Recover discovers graph directories under the data dir and brings
-// each back: newest valid checkpoint (falling back on CRC failure),
-// WAL tail replayed through the normal update path, fresh checkpoint,
-// then serving. A graph damaged past repair comes up degraded
+// each back: newest checkpoint whose bring-up returns a graph (falling
+// back past a bad manifest or tables the bring-up refuses), WAL tail
+// replayed through the normal update path, fresh checkpoint, then
+// serving. A graph damaged past repair comes up degraded
 // read-only; a graph with nothing reconstructable is reported with Err
 // and not registered. Recover never panics on bad input — corrupt state
 // is classified, reported, and isolated per graph; a name whose state is
@@ -311,17 +312,13 @@ func (r *Registry) Recover() (*RecoveryReport, error) {
 	return rep, nil
 }
 
-// recoverGraph brings one graph directory back into the registry.
+// recoverGraph brings one graph directory back into the registry. A
+// checkpoint it refuses leaves no log open and no live/ links behind.
 func (r *Registry) recoverGraph(name string) (gr GraphRecovery) {
 	t0 := time.Now()
 	gr.Name = name
 	_, gr.Err = r.install(name, func() (*entry, error) {
 		dir := filepath.Join(r.dur.Dir, name)
-		sc, err := wal.Scan(r.dur.FS, dir)
-		if err != nil {
-			return nil, err
-		}
-		gr.CheckpointTime, gr.Fallback, gr.Reason = sc.Time, sc.Fallback, sc.Reason
 		oo, err := readGraphConfig(dir).OpenOptions(r.opts.Open)
 		if err != nil {
 			return nil, err
@@ -332,12 +329,21 @@ func (r *Registry) recoverGraph(name string) (gr GraphRecovery) {
 		if err := os.RemoveAll(filepath.Join(dir, "parts")); err != nil {
 			return nil, err
 		}
-		d, err := r.startDurable(name, dir, wal.CheckpointBase(sc.Path), oo, sc)
-		if d == nil {
+		var d *durable
+		var derr error
+		sc, err := wal.Scan(r.dur.FS, dir, func(sc *wal.Recovered) error {
+			if d, derr = r.startDurable(name, dir, wal.CheckpointBase(sc.Path), oo, sc); d == nil {
+				os.RemoveAll(filepath.Dir(wal.LiveBase(dir))) //nolint:errcheck // the bring-up error wins
+				return derr
+			}
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
-		if err != nil {
-			reason := err.Error()
+		gr.CheckpointTime, gr.Fallback, gr.Reason = sc.Time, sc.Fallback, sc.Reason
+		if derr != nil {
+			reason := derr.Error()
 			d.markDegraded(reason)
 			gr.Degraded = true
 			if gr.Reason == "" {

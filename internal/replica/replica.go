@@ -42,6 +42,7 @@ import (
 
 	"kcore"
 	"kcore/internal/engine"
+	"kcore/internal/faultfs"
 	"kcore/internal/serve"
 	"kcore/internal/stats"
 	"kcore/internal/wal"
@@ -234,7 +235,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		os.RemoveAll(subdir) //nolint:errcheck // extract error wins
 		return err
 	}
-	man, cores, err := wal.ValidateCheckpointDir(subdir)
+	man, cores, err := wal.ValidateCheckpointDir(faultfs.OS, subdir)
 	if err != nil {
 		os.RemoveAll(subdir) //nolint:errcheck // validation error wins
 		return fmt.Errorf("replica: downloaded checkpoint: %w", err)

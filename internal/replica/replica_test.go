@@ -532,7 +532,7 @@ func TestDegradedLeaderIsNotAStreamSource(t *testing.T) {
 	if err := os.WriteFile(segs[2], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := wal.Scan(nil, filepath.Join(img, "default"))
+	sc, err := wal.Scan(nil, filepath.Join(img, "default"), nil)
 	if err != nil || !sc.Damaged || len(sc.Records) != 2 {
 		t.Fatalf("fixture: scan = %v, %+v; want damage behind 2 readable records", err, sc)
 	}

@@ -15,7 +15,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // write I/O per flushed block. Close flushes the final partial block.
 // Every flushed block is checksummed one of two ways. A graph table's
 // writer (keepGranules) keeps the CRC32C of the whole stream, which the
-// header stores (see Verify), and of every granule of it, the checksum
+// header stores (ntcrc, etcrc), and of every granule of it, the checksum
 // sidecar's contents. Every other writer — sort runs, EMCore partitions
 // — keeps the CRC32C of each block, for a BlockCache to read the file
 // back against (BlockCRCs); it flushes whole blocks only until Close, so

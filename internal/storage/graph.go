@@ -13,7 +13,8 @@
 // every block it loads against a CRC32C the header vouches for, folded
 // from the checksum sidecar or, failing that, recorded by one pass at
 // open. ScanVerified reads the whole graph against the header's
-// checksums.
+// checksums. There is no other check: the open that serves tables and the
+// first pass over their lists (SemiCore*'s, or a ScanVerified) are it.
 //
 // A graph <base> occupies three files, and a fourth, optional one:
 //
@@ -327,7 +328,7 @@ func (g *Graph) attach(cache *BlockCache, ntCRCs, etCRCs []uint32) (err error) {
 // to come. The node table's pass builds the index on the way (its
 // nodeDecoder holds it to the header), and the edge table's CRC32C must be the
 // header's (headers from older builders carry none and pass unchecked,
-// as in Verify).
+// as in ScanVerified).
 func (g *Graph) pass() error {
 	if _, err := g.index(); err != nil {
 		return err

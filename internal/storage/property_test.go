@@ -437,8 +437,8 @@ func TestPropertyResident(t *testing.T) {
 }
 
 // TestPropertyScanVerified holds the one verified pass — a checkpoint's
-// scan of its pinned view (a handle from Reopen, as here), Verify at
-// recovery — to what it promises, on random graphs
+// or a fold-back's scan of its pinned view (a handle from Reopen, as
+// here) — to what it promises, on random graphs
 // at B in {64, 512, 4096}, every third one with a hub whose list is
 // longer than the 64 frames Open reads through at B = 64:
 //
@@ -453,7 +453,7 @@ func TestPropertyResident(t *testing.T) {
 //     — a shortest varint still, under a header that vouches for the
 //     damaged node table, so nothing else can catch it first, with and
 //     without header checksums;
-//   - a header without checksums passes clean tables, as in Verify.
+//   - a header without checksums passes clean tables.
 func TestPropertyScanVerified(t *testing.T) {
 	nop := func(uint32, []uint32) error { return nil }
 	f := func(seed int64) bool {
@@ -550,9 +550,6 @@ func TestPropertyScanVerified(t *testing.T) {
 			t.Logf("seed %d B=%d: clean scan: err %v, lists ok %v, %d reads for %d blocks", seed, blockSize, err, ok, reads, blocks)
 			return false
 		}
-		if Verify(base) != nil {
-			return false
-		}
 
 		// A flipped byte anywhere, a truncation of either table.
 		for _, ext := range []string{".nt", ".et"} {
@@ -601,7 +598,7 @@ func TestPropertyScanVerified(t *testing.T) {
 		m := meta
 		m.HasCRC = false
 		WriteMetaFS(faultfs.OS, base, m, false)
-		if _, err := scan(nop); err != nil || Verify(base) != nil {
+		if _, err := scan(nop); err != nil {
 			t.Logf("seed %d: a header without checksums: %v", seed, err)
 			return false
 		}

@@ -1,19 +1,23 @@
-package storage
+package storage_test
 
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"kcore"
 	"kcore/internal/stats"
+	"kcore/internal/storage"
 )
 
 // buildVerified writes a small graph through the Builder (which stamps
-// table CRCs into the meta) and returns its base path.
+// table CRCs into the meta and writes the checksum sidecar) and returns
+// its base path: a triangle 0-1-2 and the edge 1-3.
 func buildVerified(t *testing.T) string {
 	t.Helper()
 	base := filepath.Join(t.TempDir(), "g")
-	b, err := NewBuilder(base, 4, stats.NewIOCounter(4096))
+	b, err := storage.NewBuilder(base, 4, stats.NewIOCounter(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,23 +33,47 @@ func buildVerified(t *testing.T) string {
 	return base
 }
 
+// openAndDecompose is the check a stored graph gets before it serves:
+// kcore.Open holds the tables to their header (through the sidecar or
+// one pass over both), and SemiCore*'s first pass reads every list
+// through blocks held to their checksums.
+func openAndDecompose(base string) ([]uint32, error) {
+	g, err := kcore.Open(base, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer g.Close()
+	res, err := kcore.Decompose(g, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res.Core, nil
+}
+
 func TestVerifyAcceptsCleanGraph(t *testing.T) {
 	base := buildVerified(t)
-	m, err := ReadMeta(base)
+	m, err := storage.ReadMeta(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !m.HasCRC {
 		t.Fatal("builder did not stamp table CRCs into the meta")
 	}
-	if err := Verify(base); err != nil {
-		t.Fatalf("Verify on a clean graph: %v", err)
+	for _, sidecar := range []bool{true, false} {
+		if !sidecar {
+			if err := os.Remove(base + ".crc"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cores, err := openAndDecompose(base); err != nil || !slices.Equal(cores, []uint32{2, 2, 2, 1}) {
+			t.Fatalf("clean graph (sidecar %v): cores %v, %v; want [2 2 2 1]", sidecar, cores, err)
+		}
 	}
 }
 
 // TestVerifyDetectsDamage is the property check for the blockfile audit:
 // for every file of the format, truncation and single-bit corruption
-// must be detected — either by Verify or when the graph is opened.
+// must be detected by the open or the decomposition that follows it.
 func TestVerifyDetectsDamage(t *testing.T) {
 	for _, ext := range []string{".meta", ".nt", ".et"} {
 		t.Run("truncate"+ext, func(t *testing.T) {
@@ -60,7 +88,7 @@ func TestVerifyDetectsDamage(t *testing.T) {
 			if err := os.Truncate(path, fi.Size()-2); err != nil {
 				t.Fatal(err)
 			}
-			if !damageDetected(base) {
+			if _, err := openAndDecompose(base); err == nil {
 				t.Fatalf("truncated %s not detected", ext)
 			}
 		})
@@ -77,24 +105,10 @@ func TestVerifyDetectsDamage(t *testing.T) {
 				if err := os.WriteFile(path, bad, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				if !damageDetected(base) {
+				if _, err := openAndDecompose(base); err == nil {
 					t.Fatalf("bit flip %d in %s not detected", bit, ext)
 				}
 			}
 		})
 	}
-}
-
-// damageDetected reports whether either Verify or Open notices that the
-// graph at base is corrupt.
-func damageDetected(base string) bool {
-	if err := Verify(base); err != nil {
-		return true
-	}
-	g, err := Open(base, stats.NewIOCounter(4096), nil)
-	if err != nil {
-		return true
-	}
-	g.Close() //nolint:errcheck
-	return false
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -84,6 +85,11 @@ func ParseManifest(data []byte) (Manifest, error) {
 		x, err := strconv.ParseUint(val, 10, 64)
 		if err != nil {
 			return m, fmt.Errorf("wal: manifest value %q: %w", line, err)
+		}
+		// A follower receives the manifest over the network: nothing in it
+		// is taken modulo 2^32 or turned negative.
+		if (key == "nodes" && x > math.MaxUint32) || (key == "arcs" && x > math.MaxInt64) {
+			return m, fmt.Errorf("wal: manifest value %q out of range", line)
 		}
 		switch key {
 		case "version":

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -100,17 +101,31 @@ func openCheckpoint(fs faultfs.FS, dir string) (*CheckpointHandle, error) {
 	return h, nil
 }
 
-// ValidateCheckpointDir reads what a follower's download holds beside
-// the tables: the manifest and, when it promises one, the cores file,
-// each held to its own checksum. It returns the manifest and the core
-// numbers (nil when absent). The tables are left to the open that serves
-// them, whose pass holds every block to the header (the bundle carries
-// no sidecar), so the download is read once.
-func ValidateCheckpointDir(dir string) (Manifest, []uint32, error) {
-	m, err := readManifest(faultfs.OS, dir)
+// ErrCores reports a checkpoint's cores file that failed its checksum
+// beside a manifest that validated.
+var ErrCores = errors.New("wal: checkpoint cores")
+
+// ValidateCheckpointDir reads what a checkpoint (a follower's download, or
+// one at recovery) holds beside its tables: the manifest, held to its
+// checksum and its counts to the tables' header, and any cores file, held
+// to its checksum (failing: ErrCores, next to the manifest). It returns
+// the manifest and the core numbers (nil when absent). The tables are left
+// to the bring-up that serves them, so a checkpoint is read once.
+func ValidateCheckpointDir(fsys faultfs.FS, dir string) (Manifest, []uint32, error) {
+	m, err := readManifest(fsys, dir)
+	var meta storage.Meta
+	if err == nil {
+		meta, err = storage.ReadMeta(CheckpointBase(dir))
+	}
+	if err == nil && (meta.N != m.Nodes || meta.Arcs != m.Arcs) {
+		err = fmt.Errorf("wal: manifest of %d nodes and %d arcs, tables of %d and %d", m.Nodes, m.Arcs, meta.N, meta.Arcs)
+	}
 	if err != nil || !m.HasCores {
 		return m, nil, err
 	}
-	cores, err := storage.ReadCores(faultfs.OS, filepath.Join(dir, coresName))
+	cores, err := storage.ReadCores(fsys, filepath.Join(dir, coresName))
+	if err != nil {
+		err = fmt.Errorf("%w: %v", ErrCores, err)
+	}
 	return m, cores, err
 }

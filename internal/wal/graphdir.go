@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -239,13 +240,12 @@ func (g *GraphDir) TrimLogs(lsn uint64) error {
 // Close fsyncs (policy permitting) and closes the log.
 func (g *GraphDir) Close() error { return g.log.Close() }
 
-// Recovered is the outcome of scanning a graph directory: the chosen
-// checkpoint, the consecutive replay tail beyond it, and damage
-// classification.
+// Recovered is one checkpoint Scan offers a bring-up: the checkpoint,
+// the consecutive replay tail beyond it, and damage classification.
 type Recovered struct {
-	// Manifest describes the chosen checkpoint, Path is its directory and
-	// Time the manifest file's modification time: when the state was
-	// last made durable (zero if the file could not be examined).
+	// Manifest describes the checkpoint, Path is its directory and Time
+	// the manifest file's modification time: when the state was last made
+	// durable (zero if the file could not be examined).
 	Manifest Manifest
 	Path     string
 	Time     time.Time
@@ -253,8 +253,8 @@ type Recovered struct {
 	// and it verified; nil otherwise (kcored stores one with every
 	// checkpoint, but older data dirs hold checkpoints without).
 	Cores []uint32
-	// Fallback reports that the newest checkpoint did not validate and
-	// an older one was used.
+	// Fallback reports that a newer checkpoint was refused — its manifest
+	// or cores did not validate, or the bring-up refused its tables.
 	Fallback bool
 	// Records is the replay tail: records with consecutive LSNs starting
 	// at Manifest.LSN+1, in order.
@@ -268,18 +268,21 @@ type Recovered struct {
 	// signature of a crash mid-append.
 	Torn bool
 	// Damaged reports corruption past repair: mid-log damage, duplicate
-	// LSNs, or an unreadable cores cross-check. The caller should serve
-	// the recovered state read-only.
+	// LSNs, or a cores file that failed its checksum. The caller should
+	// serve the recovered state read-only.
 	Damaged bool
-	// Reason explains Damaged (and Fallback) for logs and stats.
+	// Reason explains Damaged and Fallback for logs and stats, naming
+	// each refused checkpoint by its sequence number.
 	Reason string
 }
 
-// Scan inspects a graph directory and computes what can be recovered.
-// It never modifies the directory. With no usable checkpoint it returns
-// ErrNoData (nothing durable at all) or ErrNoCheckpoint (log records
-// whose base image is gone).
-func Scan(fsys faultfs.FS, dir string) (*Recovered, error) {
+// Scan offers each checkpoint whose manifest validates
+// (ValidateCheckpointDir), newest first, with the replay tail past it, to
+// bringUp, and returns the first one it accepts (nil: the first offered).
+// It reads no table and never modifies the directory. With none accepted
+// it returns ErrNoData (nothing durable at all) or ErrNoCheckpoint (log
+// records whose base image is gone).
+func Scan(fsys faultfs.FS, dir string, bringUp func(*Recovered) error) (*Recovered, error) {
 	if fsys == nil {
 		fsys = faultfs.OS
 	}
@@ -287,72 +290,58 @@ func Scan(fsys faultfs.FS, dir string) (*Recovered, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Recovered{}
-	chosen := -1
-	var reasons []string
-	for i, ck := range cks {
-		man, verr := readManifest(fsys, ck.path)
-		if verr == nil {
-			verr = storage.Verify(CheckpointBase(ck.path))
-		}
-		if verr != nil {
-			reasons = append(reasons, fmt.Sprintf("checkpoint %d: %v", ck.seq, verr))
-			continue
-		}
-		res.Manifest = man
-		res.Path = ck.path
-		if fi, serr := fsys.Stat(filepath.Join(ck.path, manifestName)); serr == nil {
-			res.Time = fi.ModTime()
-		}
-		res.Fallback = i > 0
-		chosen = i
-		break
-	}
-	// Gather the log tails regardless, so the no-checkpoint cases can
-	// tell "empty" from "orphaned log".
-	recs, torn, damaged, reason, err := scanLogs(fsys, dir)
+	recs, torn, damaged, logReason, err := scanLogs(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
-	if chosen < 0 {
-		if len(cks) == 0 && len(recs) == 0 && !torn {
-			return nil, ErrNoData
-		}
-		if len(reasons) > 0 {
-			return nil, fmt.Errorf("%w (%s)", ErrNoCheckpoint, strings.Join(reasons, "; "))
-		}
-		return nil, ErrNoCheckpoint
-	}
-	res.Torn = torn
-	res.Damaged = damaged
-	if res.Fallback || damaged {
-		reasons = append(reasons, reason)
-		res.Reason = strings.Join(reasons, "; ")
-	}
-	if res.Manifest.HasCores {
-		cores, cerr := storage.ReadCores(fsys, filepath.Join(res.Path, coresName))
-		if cerr != nil {
-			res.Damaged = true
-			res.Reason = strings.TrimPrefix(res.Reason+"; cores: "+cerr.Error(), "; ")
-		} else {
-			res.Cores = cores
-		}
-	}
-	// Merge to the consecutive prefix past the checkpoint.
 	sort.Slice(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
-	next := res.Manifest.LSN + 1
-	for _, rec := range recs {
-		if rec.LSN < next {
+	var refused []string
+	for i, ck := range cks {
+		man, cores, err := ValidateCheckpointDir(fsys, ck.path)
+		if err != nil && !errors.Is(err, ErrCores) {
+			refused = append(refused, fmt.Sprintf("checkpoint %d: %v", ck.seq, err))
 			continue
 		}
-		if rec.LSN > next {
-			res.Gap = true
-			break
+		res := &Recovered{Manifest: man, Path: ck.path, Cores: cores, Fallback: i > 0, Torn: torn, Damaged: damaged || err != nil}
+		if fi, serr := fsys.Stat(filepath.Join(ck.path, manifestName)); serr == nil {
+			res.Time = fi.ModTime()
 		}
-		res.Records = append(res.Records, rec)
-		next++
+		reasons := slices.Clone(refused)
+		if damaged {
+			reasons = append(reasons, logReason)
+		}
+		if err != nil {
+			reasons = append(reasons, err.Error())
+		}
+		res.Reason = strings.Join(reasons, "; ")
+		// The consecutive prefix past the checkpoint.
+		next := man.LSN + 1
+		for _, rec := range recs {
+			if rec.LSN < next {
+				continue
+			}
+			if rec.LSN > next {
+				res.Gap = true
+				break
+			}
+			res.Records = append(res.Records, rec)
+			next++
+		}
+		if bringUp != nil {
+			if err := bringUp(res); err != nil {
+				refused = append(refused, fmt.Sprintf("checkpoint %d: %v", ck.seq, err))
+				continue
+			}
+		}
+		return res, nil
 	}
-	return res, nil
+	if len(cks) == 0 && len(recs) == 0 && !torn {
+		return nil, ErrNoData
+	}
+	if len(refused) > 0 {
+		return nil, fmt.Errorf("%w (%s)", ErrNoCheckpoint, strings.Join(refused, "; "))
+	}
+	return nil, ErrNoCheckpoint
 }
 
 // scanLogs reads every log directory under dir and classifies damage.

@@ -20,11 +20,11 @@
 // and CRC32C-checksummed frames (one codec, below, for log files and for
 // the change stream a leader sends its followers), so a torn tail is
 // recognized (and logically truncated) rather than replayed as garbage.
-// Recovery loads the newest checkpoint whose manifest and table
-// checksums verify — falling back to the previous one otherwise — then
-// replays the consecutive LSN prefix of the surviving log records. Because every acked Sync has
-// fsynced all logs (under the always/interval policies), that prefix
-// covers at least the last acked Sync.
+// Recovery serves the newest checkpoint whose manifest validates and
+// whose tables its bring-up accepts, falling back to the previous one
+// otherwise, then replays the consecutive LSN prefix of the surviving log
+// records. Because every acked Sync has fsynced all logs (under the
+// always/interval policies), that prefix covers at least the last acked Sync.
 //
 // The log is also the change stream a replication leader serves: a Tail
 // is a cursor over the segments, never past the last finished append,

@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -401,7 +403,7 @@ func TestCheckpointRejectsInconsistentSource(t *testing.T) {
 	if _, err := gd.Checkpoint(3, unsorted, nil); err == nil {
 		t.Fatal("a source streaming an unsorted list was committed")
 	}
-	sc, err := Scan(faultfs.OS, dir)
+	sc, err := Scan(faultfs.OS, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +437,7 @@ func TestCheckpointScanReplayTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc, err := Scan(faultfs.OS, dir)
+	sc, err := Scan(faultfs.OS, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +493,7 @@ func TestScanMergesLegacyShardLogs(t *testing.T) {
 		}
 	}
 
-	sc, err := Scan(faultfs.OS, dir)
+	sc, err := Scan(faultfs.OS, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +540,7 @@ func TestScanMergesLegacyShardLogs(t *testing.T) {
 			t.Fatalf("s0 after the trim holds LSN %d after %d", recs[i].LSN, recs[i-1].LSN)
 		}
 	}
-	sc, err = Scan(faultfs.OS, dir)
+	sc, err = Scan(faultfs.OS, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +652,7 @@ func TestScanGapStopsAtConsecutivePrefix(t *testing.T) {
 	}
 	gd.Sync()  //nolint:errcheck
 	gd.Close() //nolint:errcheck
-	sc, err := Scan(faultfs.OS, dir)
+	sc, err := Scan(faultfs.OS, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,6 +665,11 @@ func TestScanGapStopsAtConsecutivePrefix(t *testing.T) {
 	}
 }
 
+// TestScanFallsBackToOlderCheckpoint: Scan offers the checkpoints newest
+// first, and each one the bring-up refuses — as recovery's refuses tables
+// that fail their checksums — is a fallback to the next, with a reason
+// naming it. A checkpoint whose tables' header does not parse is never
+// offered, and with nothing accepted the directory is unrecoverable.
 func TestScanFallsBackToOlderCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	gd, err := Open(dir, nil)
@@ -676,46 +683,90 @@ func TestScanFallsBackToOlderCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	gd.Close() //nolint:errcheck
-
-	// Corrupt the newest checkpoint's graph table; Scan must fall back to
-	// the older one and say why.
 	cks, err := listCheckpoints(faultfs.OS, dir)
 	if err != nil || len(cks) != 2 {
 		t.Fatalf("checkpoints = %v, %v; want 2", cks, err)
 	}
-	nt := filepath.Join(cks[0].path, ckptGraphBase+".nt")
-	data, err := os.ReadFile(nt)
+
+	var offered []uint64
+	refuseNewest := func(sc *Recovered) error {
+		offered = append(offered, sc.Manifest.LSN)
+		if sc.Manifest.LSN == 7 {
+			return errors.New("edge table crc mismatch")
+		}
+		return nil
+	}
+	sc, err := Scan(faultfs.OS, dir, refuseNewest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[0] ^= 0x01
-	if err := os.WriteFile(nt, data, 0o644); err != nil {
-		t.Fatal(err)
+	if !sc.Fallback || sc.Manifest.LSN != 3 || !slices.Equal(offered, []uint64{7, 3}) {
+		t.Fatalf("scan = fallback=%v lsn=%d after offering %v, want a fallback to LSN 3 after 7", sc.Fallback, sc.Manifest.LSN, offered)
+	}
+	if want := fmt.Sprintf("checkpoint %d: edge table crc mismatch", cks[0].seq); sc.Reason != want {
+		t.Fatalf("fallback reason %q, want %q", sc.Reason, want)
 	}
 
-	sc, err := Scan(faultfs.OS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sc.Fallback || sc.Manifest.LSN != 3 {
-		t.Fatalf("scan = fallback=%v lsn=%d, want fallback to LSN 3", sc.Fallback, sc.Manifest.LSN)
-	}
-	if sc.Reason == "" {
-		t.Fatal("fallback scan has no reason")
-	}
-
-	// With both checkpoints damaged the directory is unrecoverable.
+	// With the older checkpoint's header damaged as well, nothing is left.
 	meta := filepath.Join(cks[1].path, ckptGraphBase+".meta")
 	if err := os.Truncate(meta, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Scan(faultfs.OS, dir); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("scan with all checkpoints damaged = %v, want ErrNoCheckpoint", err)
+	offered = nil
+	if _, err := Scan(faultfs.OS, dir, refuseNewest); !errors.Is(err, ErrNoCheckpoint) || !slices.Equal(offered, []uint64{7}) {
+		t.Fatalf("scan with all checkpoints damaged = %v after offering %v, want ErrNoCheckpoint after 7", err, offered)
+	}
+}
+
+// TestScanReadsNoTable: the tables are the bring-up's to check, so Scan
+// offers a checkpoint whose node table, edge table and sidecar are gone —
+// it reads the manifest, the tables' header and the cores file only.
+func TestScanReadsNoTable(t *testing.T) {
+	dir := t.TempDir()
+	gd, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores := []uint32{1, 1, 0, 0}
+	if _, err := gd.Checkpoint(5, sourceOf(4, edges(0, 1)), cores); err != nil {
+		t.Fatal(err)
+	}
+	gd.Close() //nolint:errcheck
+	cks, err := listCheckpoints(faultfs.OS, dir)
+	if err != nil || len(cks) != 1 {
+		t.Fatalf("checkpoints = %v, %v; want 1", cks, err)
+	}
+	for _, ext := range []string{".nt", ".et", ".crc"} {
+		if err := os.Remove(CheckpointBase(cks[0].path) + ext); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc, err := Scan(faultfs.OS, dir, nil)
+	if err != nil || sc.Manifest.LSN != 5 || sc.Fallback || sc.Damaged || !slices.Equal(sc.Cores, cores) {
+		t.Fatalf("scan = %+v, %v; want the checkpoint at 5 with its cores", sc, err)
+	}
+}
+
+// TestManifestRefusesOutOfRangeCounts: a manifest also arrives over the
+// network, so a node count past 2^32 − 1 or an arc count past 2^63 − 1 is
+// refused, not taken modulo 2^32 or turned negative.
+func TestManifestRefusesOutOfRangeCounts(t *testing.T) {
+	manifest := func(nodes, arcs string) []byte {
+		body := "version=1\nseq=1\nlsn=0\nnodes=" + nodes + "\narcs=" + arcs + "\ncores=0\n"
+		return fmt.Appendf(nil, "%scrc=%d\n", body, crc32.Checksum([]byte(body), castagnoli))
+	}
+	if m, err := ParseManifest(manifest("4294967295", "9223372036854775807")); err != nil || m.Nodes != 1<<32-1 || m.Arcs != 1<<63-1 {
+		t.Fatalf("largest counts: %+v, %v", m, err)
+	}
+	for _, bad := range [][2]string{{"4294967296", "0"}, {"0", "9223372036854775808"}, {"8589934593", "2"}, {"1", "18446744073709551615"}} {
+		if m, err := ParseManifest(manifest(bad[0], bad[1])); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("nodes=%s arcs=%s: %+v, %v; want a refusal", bad[0], bad[1], m, err)
+		}
 	}
 }
 
 func TestScanEmptyDirIsNoData(t *testing.T) {
-	if _, err := Scan(faultfs.OS, t.TempDir()); !errors.Is(err, ErrNoData) {
+	if _, err := Scan(faultfs.OS, t.TempDir(), nil); !errors.Is(err, ErrNoData) {
 		t.Fatalf("scan of empty dir = %v, want ErrNoData", err)
 	}
 }
@@ -760,7 +811,7 @@ func TestCheckpointRetentionTruncatesLogs(t *testing.T) {
 		}
 	}
 	// Scanning still recovers: newest checkpoint + tail 5..6.
-	sc, err := Scan(faultfs.OS, dir)
+	sc, err := Scan(faultfs.OS, dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
