@@ -18,6 +18,7 @@ import (
 	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/serve"
+	"kcore/internal/stats"
 	"kcore/internal/storage"
 	"kcore/internal/testutil"
 )
@@ -44,16 +45,16 @@ func fileBlocks(t *testing.T, base string, b int64, exts ...string) int64 {
 // the sidecar (a graph from an older builder, a follower's download) the
 // open falls back to one sequential pass over both tables, ⌈nt/B⌉ +
 // ⌈et/B⌉ reads, recording the same checksums. The gate graph's own open
-// pays the sidecar too. On the gate graph that is 1 block, and 3 + 74
-// for the pass (24 + 74 on 12 bytes a node, 24 + 156 on the 4-byte
-// tables).
+// pays the sidecar too. On the gate graph that is 1 block, and 5 + 74
+// for the pass (3 + 74 in id order, 24 + 74 on 12 bytes a node, 24 + 156
+// on the 4-byte tables).
 func TestCachedOpenIOGate(t *testing.T) {
 	g := gateGraph(t)
 	for _, leg := range []struct {
 		name  string
 		exts  []string
 		reads int64
-	}{{"sidecar", []string{".crc"}, 1}, {"fallback", []string{".nt", ".et"}, 3 + 74}} {
+	}{{"sidecar", []string{".crc"}, 1}, {"fallback", []string{".nt", ".et"}, 5 + 74}} {
 		if leg.name == "fallback" {
 			if err := os.Remove(g.Base() + ".crc"); err != nil {
 				t.Fatal(err)
@@ -87,9 +88,9 @@ func TestCachedOpenIOGate(t *testing.T) {
 // so nothing is evicted and every old block is read once between open
 // and the end of the flush: the deletes' misses before it, the rest in
 // it. The merged bytes DiskStats counts are the tables the fold-back
-// wrote.
+// wrote: the fold-back keeps the degree layout Build gave the tables.
 func TestCachedFoldBackIOGate(t *testing.T) {
-	const mergedBytes = 9272 + 302092 // the header's ntbytes and etbytes (98,136 + 302,092 on 12 bytes a node)
+	const mergedBytes = 19108 + 302092 // the header's ntbytes and etbytes (9,272 + 302,092 in id order, 98,136 + 302,092 on 12 bytes a node)
 	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
 	g := buildFrom(t, edges, 0)
 	base := g.Base()
@@ -145,9 +146,10 @@ func TestCachedFoldBackIOGate(t *testing.T) {
 }
 
 // TestFlushRefusesDamagedTable: the fold-back reads the tables it
-// replaces through storage.ScanVerified, so an in-range neighbour id
-// flipped under the graph — still sorted, the tiling intact: nothing but
-// a checksum can tell — fails the Flush with the checksum error and
+// replaces through storage.ScanVerified, so a list's ids moved by one
+// under the graph (the low bit of its first id flipped) — still sorted,
+// the tiling intact: nothing but a checksum can tell — fails the Flush
+// with the checksum error and
 // leaves every file at the graph's base as it was, instead of being
 // copied into new tables whose fresh checksums would vouch for the
 // damage. On the default frames and through a cache of four alike: the
@@ -175,30 +177,19 @@ func TestFlushRefusesDamagedTable(t *testing.T) {
 			if _, err := m.DeleteEdge(e.U, e.V); err != nil {
 				t.Fatal(err)
 			}
-			// The last arc of the edge table is the highest neighbour x of
-			// the node w whose list ends it, and x < w: x+1 keeps the list
-			// sorted, in range and free of w.
-			w := g.NumNodes() - 1
-			for d, _ := g.Degree(w); d == 0; d, _ = g.Degree(w) {
-				w--
-			}
-			nbrs, err := g.Neighbors(w)
+			// The edge table starts with the lists of the lowest degrees,
+			// which the delete did not fetch: flip the low bit of the
+			// first list's first id.
+			f, err := os.OpenFile(base+".et", os.O_RDWR, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			x := nbrs[len(nbrs)-1]
-			if x+1 >= w {
-				t.Fatalf("fixture: node %d's highest neighbour is %d", w, x)
-			}
-			fi, err := os.Stat(base + ".et")
-			if err != nil {
+			var b [1]byte
+			if _, err := f.ReadAt(b[:], 0); err != nil {
 				t.Fatal(err)
 			}
-			f, err := os.OpenFile(base+".et", os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.WriteAt(binary.LittleEndian.AppendUint32(nil, x+1), fi.Size()-4); err != nil {
+			b[0] ^= 0x01
+			if _, err := f.WriteAt(b[:], 0); err != nil {
 				t.Fatal(err)
 			}
 			f.Close()
@@ -386,7 +377,7 @@ func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
 	for _, frames := range []int{0, 4} {
 		t.Run(fmt.Sprintf("frames=%d", frames), func(t *testing.T) {
 			g := buildFrom(t, gen.RMAT(10, 8, .57, .19, .19, 2), 0)
-			base, n := g.Base(), g.NumNodes()
+			base := g.Base()
 			res, err := kcore.Decompose(g, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -424,28 +415,23 @@ func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Read the head of the tables into the frames, then damage the
-			// last edge-table block: the low byte of its last neighbour id.
-			if _, err := cg.Neighbors(0); err != nil {
+			// Read the tail of the tables into the frames, then damage the
+			// first edge-table block: the low byte of its first id. The
+			// tables lay the nodes out by degree, so the tail holds the
+			// hubs' lists and the head the lowest degrees'.
+			first, last := layoutEnds(t, base)
+			if _, err := cg.Neighbors(last); err != nil {
 				t.Fatal(err)
 			}
-			fi, err := os.Stat(base + ".et")
-			if err != nil {
-				t.Fatal(err)
-			}
-			flip(fi.Size() - 4)
-			last := n - 1
-			for d, _ := cg.Degree(last); d == 0; d, _ = cg.Degree(last) {
-				last-- // the node whose list ends the table
-			}
-			nbrs, err := cg.Neighbors(last)
-			corrupt(fmt.Sprintf("Neighbors(%d) over a damaged block", last), err)
+			flip(0)
+			nbrs, err := cg.Neighbors(first)
+			corrupt(fmt.Sprintf("Neighbors(%d) over a damaged block", first), err)
 			if nbrs != nil {
-				t.Fatalf("Neighbors(%d) over a damaged block returned a list", last)
+				t.Fatalf("Neighbors(%d) over a damaged block returned a list", first)
 			}
-			_, err = m.DeleteEdge(last, 0)
+			_, err = m.DeleteEdge(first, last)
 			corrupt("a maintenance operation that fetches the damaged block", err)
-			if _, err := cg.Neighbors(0); err != nil {
+			if _, err := cg.Neighbors(last); err != nil {
 				t.Errorf("an undamaged block stopped reading: %v", err)
 			}
 
@@ -454,9 +440,9 @@ func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("an open through a valid sidecar read the tables: %v", err)
 			}
-			_, err = fresh.Neighbors(last)
+			_, err = fresh.Neighbors(first)
 			corrupt("the first fill of the damaged block", err)
-			if _, err := fresh.Neighbors(0); err != nil {
+			if _, err := fresh.Neighbors(last); err != nil {
 				t.Errorf("an undamaged block of a fresh open: %v", err)
 			}
 			fresh.Close()
@@ -485,27 +471,83 @@ func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
 	}
 }
 
-// record is one version-3 node record: where it starts in the node
-// table, its length, and the degree and gap width it gives.
+// record is one version-3 or -4 node record: its node, where it starts
+// in the node table, where its degree and width start and their length,
+// and the degree and gap width they give.
 type record struct {
+	id      uint32
+	start   int
 	at, len int
 	deg     uint32
 	w       uint8
 }
 
-// records decodes a version-3 node table.
-func records(t *testing.T, nt []byte) []record {
+// records decodes base's node table nt, of version 3 or 4, in layout
+// order.
+func records(t *testing.T, base string, nt []byte) []record {
 	t.Helper()
+	m, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []record
+	id := int64(-1)
 	for at := 0; at < len(nt); {
+		start := at
+		if m.Version >= 4 {
+			d, k := binary.Varint(nt[at:])
+			if k <= 0 {
+				t.Fatalf("node table: no id varint at byte %d", at)
+			}
+			id, at = id+d, at+k
+		} else {
+			id++
+		}
 		x, k := binary.Uvarint(nt[at:])
 		if k <= 0 {
 			t.Fatalf("node table: no varint at byte %d", at)
 		}
-		out = append(out, record{at: at, len: k, deg: uint32(x >> 2), w: uint8(x&3) + 1})
+		out = append(out, record{id: uint32(id), start: start, at: at, len: k, deg: uint32(x >> 2), w: uint8(x&3) + 1})
 		at += k
 	}
 	return out
+}
+
+// recordOf returns node v's record.
+func recordOf(t *testing.T, recs []record, v uint32) record {
+	t.Helper()
+	for _, r := range recs {
+		if r.id == v {
+			return r
+		}
+	}
+	t.Fatalf("node table: no record of node %d", v)
+	return record{}
+}
+
+// layoutEnds reports the nodes whose lists start and end base's edge
+// table: the first and the last node of the layout with a list.
+func layoutEnds(t *testing.T, base string) (first, last uint32) {
+	t.Helper()
+	g, err := storage.Open(base, stats.NewIOCounter(0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	seen := false
+	err = g.ScanDegrees(func(v, d uint32) error {
+		if d > 0 {
+			if !seen {
+				first, seen = v, true
+			}
+			last = v
+		}
+		return nil
+	})
+	if err != nil || !seen {
+		t.Fatalf("fixture: no list in %s: %v", base, err)
+	}
+	return first, last
 }
 
 // rewriteNodeTable writes nt as base's node table and, when vouch is set,
@@ -566,9 +608,12 @@ func stripChecksums(t *testing.T, base string) {
 // index from the damaged records and only their own checks are left: the
 // corrupt degree must fail that open naming node 5 (a list must end
 // inside the edge table), the moved width naming the edge table (the
-// lists must end where it does). The version-2 leg flips the top byte of
-// node 5's 12-byte degree in the checked-in table set, under a header
-// without checksums: the pass must fail naming node 5.
+// lists must end where it does). The fixture is laid out by degree
+// (version 4), whose records also name their nodes: a third damage
+// repeats the id of the record before one, and must fail naming the
+// repeat. The version-2 leg flips the top byte of node 5's 12-byte
+// degree in the checked-in table set, under a header without checksums:
+// the pass must fail naming node 5.
 func TestCorruptNodeRecordIsAnError(t *testing.T) {
 	edges := gen.RMAT(10, 8, .57, .19, .19, 2)
 	for _, tc := range []struct {
@@ -576,7 +621,16 @@ func TestCorruptNodeRecordIsAnError(t *testing.T) {
 		damage     func(nt []byte, recs []record)
 	}{
 		{"degree", "node 5", func(nt []byte, recs []record) {
-			copy(nt[recs[5].at:], binary.AppendUvarint(nil, 0xff000000<<2))
+			copy(nt[recordOf(t, recs, 5).at:], binary.AppendUvarint(nil, 0xff000000<<2))
+		}},
+		{"duplicate", "a second time", func(nt []byte, recs []record) {
+			for _, r := range recs[1:] {
+				if r.at-r.start == 1 {
+					nt[r.start] = 0 // an id delta of 0
+					return
+				}
+			}
+			t.Fatal("fixture: no record with a one-byte id delta")
 		}},
 		{"width", "-byte edge table", func(nt []byte, recs []record) {
 			for _, r := range recs {
@@ -601,7 +655,7 @@ func TestCorruptNodeRecordIsAnError(t *testing.T) {
 				if nt, err = os.ReadFile(base + ".nt"); err != nil {
 					t.Fatal(err)
 				}
-				tc.damage(nt, records(t, nt))
+				tc.damage(nt, records(t, base, nt))
 				return base, g, nt
 			}
 			for _, frames := range []int{0, 4} {
@@ -650,9 +704,9 @@ func TestCorruptNodeRecordIsAnError(t *testing.T) {
 }
 
 // TestNodeTableDamageIsCaughtByTheIndex: node-table damage that leaves
-// every record plausible — one list boundary moved by an arc: node v's
-// degree one up and node v+1's one down, both lists of the same gap
-// width, so every list stays in the edge table, the lists still tile it
+// every record plausible — one list boundary moved by an arc: one
+// record's degree one up and the next record's one down, both lists of
+// the same gap width, so every list stays in the edge table, the lists still tile it
 // and the degrees still add up — fails the graph's first use with an
 // error naming the table: through the block checksums after an open the
 // sidecar vouched for (on the default frames and on four), and through
@@ -700,7 +754,7 @@ func TestNodeTableDamageIsCaughtByTheIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			recs := records(t, nt)
+			recs := records(t, base, nt)
 			// Rewrite records v and v+1 in place: each keeps its varint's
 			// length and its width, so the damage moves nothing else.
 			moved := func(r record, by int32) []byte {
@@ -719,7 +773,7 @@ func TestNodeTableDamageIsCaughtByTheIndex(t *testing.T) {
 			copy(nt[recs[v].at:], moved(recs[v], 1))
 			copy(nt[recs[v+1].at:], moved(recs[v+1], -1))
 			rewriteNodeTable(t, base, nt, false)
-			caught(t, base, leg.frames, leg.sidecar, uint32(v))
+			caught(t, base, leg.frames, leg.sidecar, recs[v].id)
 		})
 	}
 	for _, leg := range legs {
@@ -794,6 +848,12 @@ func deleteInsertRound(tb testing.TB, m *kcore.Maintainer, round []kcore.Edge) (
 // pinned exactly (star2) instead of compared. Only SemiCore pays the
 // node table, so only its pins moved when the table went from 12 bytes a
 // node to a varint (rmat13 690 and 5,511, ba 1,763 and 13,878 before).
+// Build lays the tables out by degree; in id order the pins were rmat13
+// B=4096 {669, 636, 227, 57, 3072, 362}, B=512 {5338, 4530, 2114, 124,
+// 11472, 2129}; ba B=4096 {1742, 1693, 92, 23, 4907, 339}, B=512 {13707,
+// 12882, 1810, 68, 87703, 2917}. Every pin fell but rmat13's SemiCore,
+// whose 9 passes read the edge table whole either way and pay the ids
+// the node table gained (2 blocks at B=4096, 19 at B=512).
 // On the 4-byte tables through the default frames the pins were rmat13
 // B=4096 {1428, 1292,
 // 441, 64, 4472, 703}, B=512 {11361, 9292, 4110, 202, 19470, 4146}; ba
@@ -808,12 +868,12 @@ func TestCacheSizeIOLaw(t *testing.T) {
 		pins        map[int]pins // by block size
 	}{
 		{"rmat13", gateEdges(), gateParentBytes, map[int]pins{
-			4096: {669, 636, 227, 57, 3072, 362},
-			512:  {5338, 4530, 2114, 124, 11472, 2129},
+			4096: {671, 559, 129, 39, 669, 205},
+			512:  {5357, 3802, 1176, 117, 7762, 1506},
 		}},
 		{"ba", gen.BarabasiAlbert(8000, 6, 3), 382344, map[int]pins{
-			4096: {1742, 1693, 92, 23, 4907, 339},
-			512:  {13707, 12882, 1810, 68, 87703, 2917},
+			4096: {945, 939, 86, 13, 3547, 323},
+			512:  {7433, 7226, 1323, 65, 67910, 1831},
 		}},
 	} {
 		base := filepath.Join(t.TempDir(), fx.name)

@@ -32,9 +32,10 @@ func copyTables(t *testing.T, src string, exts ...string) string {
 // upgradesOnFoldBack opens the tables an older tree wrote at base, in
 // place: they open and SemiCore* decomposes them to IMCore's cores,
 // which it returns; then one DeleteEdge and Flush rewrites them in the
-// current format, its tables smaller than 12 bytes a node and 4 an arc,
-// which a fresh open and SemiCore* decompose to the cores the maintainer
-// holds.
+// current format for tables in id order, version 3 (a fold-back keeps its
+// source's layout, and every older tree wrote id order), its tables
+// smaller than 12 bytes a node and 4 an arc, which a fresh open and
+// SemiCore* decompose to the cores the maintainer holds.
 func upgradesOnFoldBack(t *testing.T, base string) *kcore.Result {
 	t.Helper()
 	meta, err := storage.ReadMeta(base)
@@ -85,8 +86,8 @@ func upgradesOnFoldBack(t *testing.T, base string) *kcore.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Version != storage.FormatVersion || after.Arcs != meta.Arcs-2 || after.NtBytes >= 12*int64(after.N) || after.EtBytes >= 4*after.Arcs {
-		t.Fatalf("after one fold-back the header is %+v, want version %d with %d arcs, fewer than 12 bytes a node and 4 an arc", after, storage.FormatVersion, meta.Arcs-2)
+	if after.Version != 3 || after.Arcs != meta.Arcs-2 || after.NtBytes >= 12*int64(after.N) || after.EtBytes >= 4*after.Arcs {
+		t.Fatalf("after one fold-back the header is %+v, want version 3 with %d arcs, fewer than 12 bytes a node and 4 an arc", after, meta.Arcs-2)
 	}
 	fresh, err := kcore.Open(base, nil)
 	if err != nil {
@@ -166,5 +167,30 @@ func TestVersion2TablesStayReadable(t *testing.T) {
 		"version=3\nnodes=506\narcs=3200\netbytes=3639\n",
 		"version=2\nnodes=506\narcs=3200\nntbytes=6072\netbytes=3639\n",
 		"version=1\nnodes=506\narcs=3200\nntbytes=6072\n",
+	)
+}
+
+// TestVersion3TablesStayReadable opens the format-version-3 tables (one
+// varint a node, in id order, and a checksum sidecar) that an older tree
+// built for RMAT(9, 4) seed 3, in place: through the sidecar the index
+// reads them into memory, SemiCore* decomposes them to IMCore's cores, and
+// one fold-back rewrites them as version 3 again, since it keeps their id
+// order. A version-4 header must give the node table's size too, and one
+// must give at least two bytes a record.
+func TestVersion3TablesStayReadable(t *testing.T) {
+	base := copyTables(t, filepath.Join("testdata", "v3", "g"), ".meta", ".nt", ".et", ".crc")
+	meta, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Version != 3 || meta.NtBytes >= 2*int64(meta.N) || !meta.HasCRC {
+		t.Fatalf("fixture header %+v: want version 3 with checksums and under 2 bytes a node", meta)
+	}
+	upgradesOnFoldBack(t, base)
+	refusesHeaders(t, base, "ntbytes",
+		"version=4\nnodes=506\narcs=3200\netbytes=3639\n",
+	)
+	refusesHeaders(t, base, "cannot hold",
+		"version=4\nnodes=506\narcs=3200\nntbytes=526\netbytes=3639\n",
 	)
 }

@@ -37,7 +37,11 @@ type BuildOptions struct {
 // format at path prefix base (three files: base.meta, base.nt, base.et,
 // and the checksum sidecar base.crc Open reads in place of a pass over
 // the tables). Edges are symmetrised, external-sorted and
-// deduplicated; self-loops are dropped.
+// deduplicated; self-loops are dropped. The tables lay the nodes out by
+// degree ascending, ties by id, which is the order every scan visits
+// them; a graph whose ids already place neighbours near each other (a
+// geometric mean id gap under √n) keeps id order. Node ids are
+// unchanged.
 func Build(base string, src EdgeSource, opts *BuildOptions) error {
 	var o BuildOptions
 	if opts != nil {
@@ -173,7 +177,8 @@ func (g *Graph) DiskStats() *stats.DiskSnapshot { return g.dyn.DiskStats() }
 func (g *Graph) ResetIOStats() { g.ctr.Reset() }
 
 // VisitEdges streams every current undirected edge once (u < v) via one
-// sequential scan.
+// sequential scan, in the order the tables lay the nodes out (Build: by
+// degree ascending), each node's edges by ascending v.
 func (g *Graph) VisitEdges(fn func(u, v uint32) error) error {
 	n := g.NumNodes()
 	if n == 0 {

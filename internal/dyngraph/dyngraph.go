@@ -324,7 +324,7 @@ func (g *Graph) Neighbors(v uint32, buf []uint32) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	ins, del := cursor(g.ins), cursor(g.del)
+	ins, del := newCursor(g.ins), newCursor(g.del)
 	return merge(disk, ins.run(v), del.run(v), buf), nil
 }
 
@@ -340,26 +340,30 @@ func (g *Graph) Degree(v uint32) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	ins, del := cursor(g.ins), cursor(g.del)
+	ins, del := newCursor(g.ins), newCursor(g.del)
 	return merged(d, ins.run(v), del.run(v)), nil
 }
 
+// Positions implements graph.Source: the tables' layout, which edits do
+// not change (storage.Graph.Positions).
+func (g *Graph) Positions() []uint32 { return g.disk.Positions() }
+
 // ScanDegrees implements graph.Source over the merged view.
 func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {
-	ins, del := cursor(g.ins), cursor(g.del)
+	ins, del := newCursor(g.ins), newCursor(g.del)
 	return g.disk.ScanDegrees(func(v uint32, d uint32) error {
 		return fn(v, merged(d, ins.run(v), del.run(v)))
 	})
 }
 
 // Scan implements graph.Source over the merged view.
-func (g *Graph) Scan(vmin, vmax uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
-	return g.ScanDynamic(vmin, func() uint32 { return vmax }, want, fn)
+func (g *Graph) Scan(pmin, pmax uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
+	return g.ScanDynamic(pmin, func() uint32 { return pmax }, want, fn)
 }
 
 // ScanDynamic implements graph.Source over the merged view.
-func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
-	return g.disk.ScanDynamic(vmin, vmaxFn, want, overlaid(g.ins, g.del, fn))
+func (g *Graph) ScanDynamic(pmin uint32, pmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
+	return g.disk.ScanDynamic(pmin, pmaxFn, want, overlaid(g.ins, g.del, fn))
 }
 
 var _ graph.Source = (*Graph)(nil)

@@ -13,27 +13,34 @@ import "slices"
 // arc is the key of the arc from v to u.
 func arc(v, u uint32) uint64 { return uint64(v)<<32 | uint64(u) }
 
-// cursor hands out a key array's runs in id order. A fresh one finds any
-// node's run by one binary search; a scan, which visits ids in ascending
-// order, keeps one per array, so a node whose run is not at the cursor
-// costs O(1) and one binary search passes over the runs of the nodes the
-// scan skipped.
-type cursor []uint64
+// cursor hands out a key array's runs. A scan in id order keeps one per
+// array and moves it forward: a node whose run is at the cursor costs
+// O(1), and one binary search passes over the runs of the nodes the scan
+// skipped. A node before the cursor, which a scan of a table laid out in
+// another order asks for, costs one binary search of the keys behind it.
+type cursor struct {
+	keys []uint64
+	i    int // keys[:i] belong to nodes before the last one asked for
+}
 
-// run returns v's keys and moves the cursor past them; v must exceed
-// every id asked for before.
+func newCursor(keys []uint64) cursor { return cursor{keys: keys} }
+
+// run returns v's keys and moves the cursor past them.
 func (c *cursor) run(v uint32) []uint64 {
-	l := *c
-	if len(l) > 0 && l[0] < arc(v, 0) {
-		i, _ := slices.BinarySearch(l, arc(v, 0))
-		l = l[i:]
+	lo, i := arc(v, 0), c.i
+	switch {
+	case i > 0 && c.keys[i-1] >= lo:
+		i, _ = slices.BinarySearch(c.keys[:i], lo)
+	case i < len(c.keys) && c.keys[i] < lo:
+		j, _ := slices.BinarySearch(c.keys[i:], lo)
+		i += j
 	}
-	n := 0
-	for n < len(l) && uint32(l[n]>>32) == v {
-		n++
+	j := i
+	for j < len(c.keys) && uint32(c.keys[j]>>32) == v {
+		j++
 	}
-	*c = l[n:]
-	return l[:n]
+	c.i = j
+	return c.keys[i:j]
 }
 
 // merge overlays one node's buffered edits onto its base list, writing

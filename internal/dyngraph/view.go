@@ -46,8 +46,8 @@ func (vw *View) NumNodes() uint32 { return vw.n }
 // NumArcs reports the arc count of the pinned adjacency.
 func (vw *View) NumArcs() int64 { return vw.arcs }
 
-// Scan calls fn once per node in id order with its merged (base + buffer)
-// neighbour list, valid during the call only. Both tables are read
+// Scan calls fn once per node in layout order with its merged (base +
+// buffer) neighbour list, valid during the call only. Both tables are read
 // front to back through the view's own frames: every block once, charged
 // to io — never to the counter or the cache the graph serves from — and
 // checked against its own CRC32C and the whole tables against the ones
@@ -59,9 +59,9 @@ func (vw *View) Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error
 
 // overlaid wraps a scan callback so that it sees each base list merged
 // with the buffered edits of its node, taken from the key arrays by one
-// forward cursor each.
+// cursor each.
 func overlaid(ins, del []uint64, fn func(v uint32, nbrs []uint32) error) func(uint32, []uint32) error {
-	ci, cd := cursor(ins), cursor(del)
+	ci, cd := newCursor(ins), newCursor(del)
 	var out []uint32
 	return func(v uint32, disk []uint32) error {
 		i, d := ci.run(v), cd.run(v)

@@ -12,10 +12,11 @@
 // graph; if even the minimal load set exceeds the budget it is loaded
 // anyway), and every round performs write I/O to re-partition.
 //
-// Deviation from Cheng et al.: partitions are contiguous node ranges with
-// an arc budget rather than the original clustering heuristic — a
-// partition takes nodes in id order and closes once it holds
-// PartitionArcs arcs, the last one at n with fewer. This keeps the
+// Deviation from Cheng et al.: partitions are contiguous ranges of the
+// graph's layout with an arc budget rather than the original clustering
+// heuristic — a partition takes nodes in the order a scan visits them
+// (graph.Source.Positions) and closes once it holds PartitionArcs arcs, the last
+// one at n with fewer. This keeps the
 // baseline honest (same asymptotics, same failure mode) without
 // importing a second paper's partitioner; see docs/ARCHITECTURE.md,
 // "Deviations from the paper".
@@ -65,12 +66,14 @@ type Result struct {
 	PeakLoadedArcs int64
 }
 
-// partition is one disk-resident node range.
+// partition is one disk-resident range of the layout. Its file is
+// rewritten every round it is loaded in, alternately under two names.
 type partition struct {
-	lo, hi uint32 // node range [lo, hi)
-	arcs   int64  // arcs currently stored in the file
-	path   string
-	crcs   []uint32 // the CRC32C of each block of the file
+	hi    uint32 // positions [previous partition's hi, hi)
+	arcs  int64  // arcs currently stored in the file
+	paths [2]string
+	cur   int      // which of paths holds the records
+	crcs  []uint32 // the CRC32C of each block of the file
 }
 
 // Decompose runs EMCore over an on-disk graph.
@@ -145,16 +148,24 @@ func Decompose(src *storage.Graph, opts Options) (*Result, error) {
 	}
 
 	remaining := int64(n)
+	pmax := make([]int64, len(parts))
 	for remaining > 0 {
-		// Per-partition candidate bound: max ub over unfinalised nodes.
-		pmax := make([]int64, len(parts))
-		for i, p := range parts {
-			pmax[i] = -1
-			for v := p.lo; v < p.hi; v++ {
-				if !finalized[v] && int64(ub[v]) > pmax[i] {
-					pmax[i] = int64(ub[v])
-				}
+		// Per-partition candidate bound: max ub over unfinalised nodes,
+		// met in layout order from the node index, which reads nothing.
+		i, p := 0, uint32(0)
+		pmax[0] = -1
+		err := src.ScanDegrees(func(v uint32, _ uint32) error {
+			for ; p == parts[i].hi; i++ {
+				pmax[i+1] = -1
 			}
+			p++
+			if !finalized[v] && int64(ub[v]) > pmax[i] {
+				pmax[i] = int64(ub[v])
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		// Estimate kl (Algorithm 2 line 6): lower it while the selected
 		// partitions still fit the budget. kl = ku is always accepted
@@ -249,7 +260,8 @@ func Decompose(src *storage.Graph, opts Options) (*Result, error) {
 	}
 
 	for _, p := range parts {
-		os.Remove(p.path)
+		os.Remove(p.paths[0])
+		os.Remove(p.paths[1])
 	}
 	res.Stats.IO = ctr.Snapshot()
 	res.Stats.MemPeakBytes = mem.Peak()
@@ -257,9 +269,10 @@ func Decompose(src *storage.Graph, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// buildPartitions streams the source graph into contiguous-range partition
-// files and fills the initial upper bounds (ub(v) = deg(v)). A partition
-// closes once it holds partArcs arcs; the last one closes at n.
+// buildPartitions streams the source graph, in layout order, into
+// partition files of contiguous positions and fills the initial upper
+// bounds (ub(v) = deg(v)). A partition closes once it holds partArcs arcs;
+// the last one closes at n.
 func buildPartitions(src *storage.Graph, dir string, partArcs int64, ub []uint32, ctr *stats.IOCounter) ([]partition, error) {
 	var parts []partition
 	var w *storage.BlockWriter
@@ -276,12 +289,15 @@ func buildPartitions(src *storage.Graph, dir string, partArcs int64, ub []uint32
 		return nil
 	}
 	n := src.NumNodes()
+	pos := uint32(0)
 	err := src.Scan(0, n-1, nil, func(v uint32, nbrs []uint32) error {
 		ub[v] = uint32(len(nbrs))
+		pos++
 		if w == nil {
-			cur = partition{lo: v, path: filepath.Join(dir, fmt.Sprintf("part-%d.bin", len(parts)))}
+			name := filepath.Join(dir, fmt.Sprintf("part-%d", len(parts)))
+			cur = partition{paths: [2]string{name + ".a", name + ".b"}}
 			var err error
-			w, err = storage.CreateBlockWriter(cur.path, ctr)
+			w, err = storage.CreateBlockWriter(cur.paths[0], ctr)
 			if err != nil {
 				return err
 			}
@@ -291,7 +307,7 @@ func buildPartitions(src *storage.Graph, dir string, partArcs int64, ub []uint32
 			return err
 		}
 		if cur.arcs += int64(len(nbrs)); cur.arcs >= partArcs {
-			return flush(v + 1)
+			return flush(pos)
 		}
 		return nil
 	})
@@ -423,10 +439,13 @@ func appendRecord(b []byte, v uint32, nbrs []uint32) []byte {
 	return b
 }
 
-// rewrite rebuilds a partition file without the finalised nodes' records.
+// rewrite rebuilds a partition file without the finalised nodes'
+// records, under its other name: from the partition's second rewrite on,
+// that truncates the file the round before read, so no round creates a
+// file or renames one.
 func rewrite(p *partition, finalized []bool, ctr *stats.IOCounter) error {
-	tmp := p.path + ".new"
-	w, err := storage.CreateBlockWriter(tmp, ctr)
+	next := 1 - p.cur
+	w, err := storage.CreateBlockWriter(p.paths[next], ctr)
 	if err != nil {
 		return err
 	}
@@ -450,17 +469,14 @@ func rewrite(p *partition, finalized []bool, ctr *stats.IOCounter) error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, p.path); err != nil {
-		return err
-	}
-	p.arcs, p.crcs = arcs, w.BlockCRCs()
+	p.cur, p.arcs, p.crcs = next, arcs, w.BlockCRCs()
 	return nil
 }
 
 // readPartition streams (node, neighbours) records from a partition file,
 // read through a frame of its own and held to its writer's checksums.
 func readPartition(p partition, ctr *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
-	f, err := storage.NewBlockCache(1, ctr.BlockSize()).Open(p.path, p.crcs, ctr)
+	f, err := storage.NewBlockCache(1, ctr.BlockSize()).Open(p.paths[p.cur], p.crcs, ctr)
 	if err != nil {
 		return err
 	}

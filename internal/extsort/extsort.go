@@ -5,13 +5,17 @@
 // the graphs themselves (node state fits, edge state does not).
 //
 // The sorter packs each arc into one 64-bit key (source in the high half),
-// buffers keys up to half its budget, sorts each full buffer with an LSD
-// radix sort whose scratch is the other half, and spills it as one run
-// into a directory of its own. Iterate merges the runs with a typed
-// binary heap of (key, run) pairs. Runs are encoded, written, read and
-// decoded a block at a time, and all of that traffic is charged to an I/O
-// counter at block granularity, so graph construction costs what its
-// passes cost and is measurable alongside algorithm cost. Each run keeps
+// buffers keys up to half its budget and spills each full buffer, as it
+// is, as one run into a directory of its own. The order arcs come out in
+// is a rank of their sources, (rank(U), V), that may be known only once
+// every arc is in (Build ranks nodes by degree), so each run is sorted
+// once, at Iterate: read back, keyed by rank, sorted with an LSD radix
+// sort whose scratch is the other half of the budget and written again.
+// Iterate then merges the runs with a typed binary heap of (key, run)
+// pairs. Runs are encoded, written, read and decoded a block at a time,
+// and all of that traffic is charged to an I/O counter at block
+// granularity, so graph construction costs what its passes cost and is
+// measurable alongside algorithm cost. Each run keeps
 // the CRC32C of every block its writer flushed, and the merge reads it
 // back through a one-frame storage.BlockCache held to them: a damaged run
 // fails the merge instead of reaching the graph it builds.
@@ -57,7 +61,8 @@ const defaultBudgetArcs = 1 << 20
 
 // Sorter accumulates arcs and yields them in sorted order. The arc-sized
 // memory it holds — the key buffer plus the radix scratch — never exceeds
-// its budget; the merge adds two blocks per run.
+// its budget; the merge adds two blocks per run. A spilled run is written
+// twice and read twice: unsorted, then sorted, then merged.
 type Sorter struct {
 	dir      string
 	io       *stats.IOCounter
@@ -84,7 +89,7 @@ func NewSorter(dir string, budgetArcs int, ctr *stats.IOCounter) *Sorter {
 	return &Sorter{dir: dir, io: ctr, bufCap: max(1, budgetArcs/2)}
 }
 
-// Add appends one arc, spilling a sorted run if the buffer is full.
+// Add appends one arc, spilling the buffer as a run if it is full.
 func (s *Sorter) Add(a Arc) error {
 	if len(s.buf) == cap(s.buf) {
 		// append's own growth would overshoot the budget.
@@ -103,18 +108,29 @@ func (s *Sorter) Add(a Arc) error {
 // Total reports the number of arcs added.
 func (s *Sorter) Total() int64 { return s.total }
 
-// sortBuf sorts the buffered keys. When the radix sort's last pass lands
-// in the scratch, the two slices trade roles instead of copying back.
-func (s *Sorter) sortBuf() {
+// sortBuf keys the buffered arcs by rank and sorts them. When the radix
+// sort's last pass lands in the scratch, the two slices trade roles
+// instead of copying back.
+func (s *Sorter) sortBuf(rank []uint32) error {
+	if rank != nil {
+		for i, k := range s.buf {
+			u := k >> 32
+			if u >= uint64(len(rank)) {
+				return fmt.Errorf("extsort: arc source %d has no rank (%d ranked)", u, len(rank))
+			}
+			s.buf[i] = uint64(rank[u])<<32 | k&0xffffffff
+		}
+	}
 	if len(s.buf) >= radixCutoff && cap(s.scratch) < len(s.buf) {
 		s.scratch = make([]uint64, len(s.buf), cap(s.buf))
 	}
 	if sortKeys(s.buf, s.scratch) {
 		s.buf, s.scratch = s.scratch[:len(s.buf)], s.buf
 	}
+	return nil
 }
 
-// spill sorts the buffer and writes it as one run file.
+// spill writes the buffer as it is, unsorted, as one run file.
 func (s *Sorter) spill() error {
 	if len(s.buf) == 0 {
 		return nil
@@ -129,7 +145,6 @@ func (s *Sorter) spill() error {
 		}
 		s.spillDir = d
 	}
-	s.sortBuf()
 	r, err := writeRun(filepath.Join(s.spillDir, fmt.Sprintf("run-%d.arcs", len(s.runs))), s.buf, s.io)
 	if err != nil {
 		return err
@@ -139,16 +154,49 @@ func (s *Sorter) spill() error {
 	return nil
 }
 
-// Iterate sorts any remaining buffered arcs and streams every arc in
-// global sorted order. It may be called once.
-func (s *Sorter) Iterate(fn func(a Arc) error) error {
+// sortRun reads the unsorted run r back into the buffer, keys and sorts
+// it, and writes it over itself.
+func (s *Sorter) sortRun(r *run, rank []uint32) error {
+	rd, err := openRun(*r, s.io)
+	if err != nil {
+		return err
+	}
+	s.buf = s.buf[:0]
+	for {
+		key, ok, err := rd.next()
+		if err != nil || !ok {
+			rd.f.Close()
+			if err != nil {
+				return err
+			}
+			break
+		}
+		s.buf = append(s.buf, key)
+	}
+	if err := s.sortBuf(rank); err != nil {
+		return err
+	}
+	*r, err = writeRun(r.path, s.buf, s.io)
+	return err
+}
+
+// Iterate streams every arc once, its source replaced by rank[source],
+// in ascending (rank, target) order; a source rank does not cover is an
+// error. A nil rank, for the tests only, keeps every source as it is: they
+// sort full 32-bit ids, which no rank array could cover. The
+// buffered arcs are sorted in memory and spilled as a sorted run if any
+// run was spilled before them; each of those is then sorted (sortRun)
+// and the runs merged. It may be called once.
+func (s *Sorter) Iterate(rank []uint32, fn func(a Arc) error) error {
 	if s.iterated || s.closed {
 		return errors.New("extsort: Iterate on a used or closed sorter")
 	}
 	s.iterated = true
+	if err := s.sortBuf(rank); err != nil {
+		return err
+	}
 	if len(s.runs) == 0 {
 		// Pure in-memory path.
-		s.sortBuf()
 		for _, k := range s.buf {
 			if err := fn(arcOf(k)); err != nil {
 				return err
@@ -156,8 +204,14 @@ func (s *Sorter) Iterate(fn func(a Arc) error) error {
 		}
 		return nil
 	}
+	unsorted := len(s.runs)
 	if err := s.spill(); err != nil {
 		return err
+	}
+	for i := range unsorted {
+		if err := s.sortRun(&s.runs[i], rank); err != nil {
+			return err
+		}
 	}
 	// Every run is sorted and in its file: the merge needs no arc-sized
 	// memory.

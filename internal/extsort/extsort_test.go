@@ -54,7 +54,7 @@ func sortThrough(t testing.TB, arcs []Arc, budget, blockSize int) []Arc {
 		t.Fatalf("total = %d, want %d", s.Total(), len(arcs))
 	}
 	out := make([]Arc, 0, len(arcs))
-	if err := s.Iterate(func(a Arc) error {
+	if err := s.Iterate(nil, func(a Arc) error {
 		out = append(out, a)
 		return nil
 	}); err != nil {
@@ -82,7 +82,7 @@ func TestInMemoryPath(t *testing.T) {
 		}
 	}
 	var got []Arc
-	if err := s.Iterate(func(a Arc) error { got = append(got, a); return nil }); err != nil {
+	if err := s.Iterate(nil, func(a Arc) error { got = append(got, a); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(got, sortedCopy(arcs)) {
@@ -104,7 +104,7 @@ func TestSpillingPath(t *testing.T) {
 		}
 	}
 	var got []Arc
-	if err := s.Iterate(func(a Arc) error { got = append(got, a); return nil }); err != nil {
+	if err := s.Iterate(nil, func(a Arc) error { got = append(got, a); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(got, sortedCopy(arcs)) {
@@ -128,6 +128,47 @@ func TestSpillingPath(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Fatalf("Close left %v behind", entries)
+	}
+}
+
+// TestIterateByRank: Iterate with a rank streams every arc with its
+// source replaced by the source's rank, in (rank, target) order, on the
+// in-memory path and through spilled runs, which are sorted only then. A
+// source the rank does not cover is an error.
+func TestIterateByRank(t *testing.T) {
+	const ids = 300
+	rank := rand.New(rand.NewSource(4)).Perm(ids)
+	ranks := make([]uint32, ids)
+	for i, r := range rank {
+		ranks[i] = uint32(r)
+	}
+	arcs := randomArcs(rand.New(rand.NewSource(3)), 5000, ids)
+	want := make([]Arc, len(arcs))
+	for i, a := range arcs {
+		want[i] = Arc{U: ranks[a.U], V: a.V}
+	}
+	want = sortedCopy(want)
+	for _, budget := range []int{64, 1 << 20} {
+		s := NewSorter(t.TempDir(), budget, stats.NewIOCounter(256))
+		for _, a := range arcs {
+			if err := s.Add(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []Arc
+		if err := s.Iterate(ranks, func(a Arc) error { got = append(got, a); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if !slices.Equal(got, want) {
+			t.Fatalf("budget %d: the arcs did not come out in rank order", budget)
+		}
+		short := NewSorter(t.TempDir(), budget, nil)
+		short.Add(Arc{U: ids, V: 0})
+		if err := short.Iterate(ranks, func(Arc) error { return nil }); err == nil {
+			t.Fatalf("budget %d: an arc from an unranked source was accepted", budget)
+		}
+		short.Close()
 	}
 }
 
@@ -156,7 +197,7 @@ func TestDamagedRunFailsMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged := 0
-	err = s.Iterate(func(Arc) error { merged++; return nil })
+	err = s.Iterate(nil, func(Arc) error { merged++; return nil })
 	if err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("merge of a damaged run: err = %v after %d of %d arcs, want a checksum error", err, merged, len(arcs))
 	}
@@ -192,7 +233,7 @@ func TestCloseWithoutIterate(t *testing.T) {
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Fatalf("Close left %v behind", entries)
 	}
-	if err := s.Iterate(func(Arc) error { return nil }); err == nil {
+	if err := s.Iterate(nil, func(Arc) error { return nil }); err == nil {
 		t.Fatal("Iterate after Close succeeded")
 	}
 }
@@ -205,10 +246,10 @@ func TestIterateTwiceIsAnError(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := s.Iterate(func(Arc) error { return nil }); err != nil {
+		if err := s.Iterate(nil, func(Arc) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Iterate(func(Arc) error { return nil }); err == nil {
+		if err := s.Iterate(nil, func(Arc) error { return nil }); err == nil {
 			t.Fatalf("budget %d: second Iterate succeeded", budget)
 		}
 		s.Close()
@@ -234,12 +275,12 @@ func TestSortersShareADirectory(t *testing.T) {
 		}
 	}
 	var gotB []Arc
-	if err := sb.Iterate(func(x Arc) error { gotB = append(gotB, x); return nil }); err != nil {
+	if err := sb.Iterate(nil, func(x Arc) error { gotB = append(gotB, x); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	sb.Close() // must not take sa's runs with it
 	var gotA []Arc
-	if err := sa.Iterate(func(x Arc) error { gotA = append(gotA, x); return nil }); err != nil {
+	if err := sa.Iterate(nil, func(x Arc) error { gotA = append(gotA, x); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(gotA, sortedCopy(a)) || !slices.Equal(gotB, sortedCopy(b)) {
@@ -268,7 +309,7 @@ func TestBudgetBoundsArcMemory(t *testing.T) {
 				check("after Add")
 			}
 			first := true
-			if err := s.Iterate(func(Arc) error {
+			if err := s.Iterate(nil, func(Arc) error {
 				if first {
 					check("in Iterate")
 					first = false

@@ -17,21 +17,43 @@ type Edge struct {
 // [0, NumNodes()). Adjacency lists are sorted ascending and free of
 // self-loops and duplicates; every undirected edge appears in both
 // endpoint lists.
+//
+// Scans visit nodes in the source's layout order, the order its lists are
+// stored in: a permutation of the ids that Positions lends, nil (the
+// identity) for the in-memory CSR and for tables in id order. Scan
+// windows are positions in that order, and a pass engine compares
+// positions, never ids, to tell a node ahead of its cursor from one
+// behind it. Ids stay what they are
+// everywhere else: lists, state arrays and callers see ids only.
 type Source interface {
 	// NumNodes reports n.
 	NumNodes() uint32
 
-	// ScanDegrees streams (v, deg(v)) for v = 0..n-1.
+	// Positions lends every id's position in the layout, a permutation of
+	// [0, n), or nil when the layout is id order. Callers must not write
+	// to it; Pos reads it.
+	Positions() []uint32
+
+	// ScanDegrees streams (v, deg(v)) for every node, in layout order.
 	ScanDegrees(fn func(v uint32, deg uint32) error) error
 
-	// Scan walks v from vmin to vmax inclusive; for nodes where want
-	// returns true (nil want selects all) it loads nbr(v) and calls fn.
-	// The slice passed to fn is only valid during the call.
-	Scan(vmin, vmax uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error
+	// Scan walks the positions pmin to pmax inclusive; for the node v at
+	// each where want returns true (nil want selects all) it loads nbr(v)
+	// and calls fn. The slice passed to fn is only valid during the call.
+	Scan(pmin, pmax uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error
 
 	// ScanDynamic is Scan with an upper bound re-evaluated after every
-	// node, so callbacks may extend the scan window while it runs.
-	ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error
+	// position, so callbacks may extend the scan window while it runs.
+	ScanDynamic(pmin uint32, pmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error
+}
+
+// Pos reports node v's position under layout, a Source's Positions: v
+// itself when layout is nil.
+func Pos(layout []uint32, v uint32) uint32 {
+	if layout != nil {
+		return layout[v]
+	}
+	return v
 }
 
 // Stop is a sentinel callbacks may return to end a scan early without

@@ -10,8 +10,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -71,8 +73,15 @@ type BuildOptions struct {
 // Build writes the graph at path prefix base from src. Every edge is
 // symmetrised into two arcs, external-sorted, deduplicated (parallel
 // edges and self-loops dropped), and streamed into the storage builder.
-// Whether it succeeds or fails, no spill file outlives it, and builds
-// sharing a directory do not see each other's.
+// The tables lay the nodes out by raw degree ascending, ties by id: the
+// degrees are counted on the one pass over src, and the sort orders arcs
+// by their source's rank in that order, so no second sort is needed. A
+// graph whose ids already place neighbours near each other keeps id
+// order instead (see idLocal), as does one whose degree order is its id
+// order; both are written in format version 3, any other graph in degree
+// order (version 4). Whether it
+// succeeds or fails, no spill file outlives it, and builds sharing a
+// directory do not see each other's.
 func Build(base string, src EdgeSource, opts BuildOptions) error {
 	ctr := opts.IO
 	if ctr == nil {
@@ -85,6 +94,8 @@ func Build(base string, src EdgeSource, opts BuildOptions) error {
 	sorter := extsort.NewSorter(dir, opts.SortBudgetArcs, ctr)
 	defer sorter.Close()
 	n := opts.N
+	deg := make([]uint32, n)  // raw degrees: the arcs added, duplicates too
+	var edges, gapBits uint64 // the edges added and their id gaps' bits
 	err := src.Edges(func(u, v uint32) error {
 		if u == v {
 			return nil
@@ -94,7 +105,12 @@ func Build(base string, src EdgeSource, opts BuildOptions) error {
 				return fmt.Errorf("graphio: edge (%d,%d) endpoint exceeds forced node count %d", u, v, opts.N)
 			}
 			n = top + 1
+			deg = slices.Grow(deg, int(n)-len(deg))[:n]
 		}
+		deg[u]++
+		deg[v]++
+		edges++
+		gapBits += uint64(bits.Len32(max(u, v) - min(u, v)))
 		if err := sorter.Add(extsort.Arc{U: u, V: v}); err != nil {
 			return err
 		}
@@ -103,31 +119,40 @@ func Build(base string, src EdgeSource, opts BuildOptions) error {
 	if err != nil {
 		return err
 	}
+	var order, rank []uint32
+	if idLocal(edges, gapBits, n) {
+		order, rank = idOrder(deg)
+	} else {
+		order, rank = degreeOrder(deg)
+	}
 
 	b, err := storage.NewBuilder(base, n, ctr)
 	if err != nil {
 		return err
 	}
 	var (
-		cur     int64 = -1
+		cur     int64 = -1 // the position whose list is being gathered
 		nbrs    []uint32
 		prevNbr int64 = -1
 	)
-	flush := func() error {
-		if cur < 0 {
-			return nil
-		}
-		return b.AppendList(uint32(cur), nbrs)
-	}
-	err = sorter.Iterate(func(a extsort.Arc) error {
-		if int64(a.U) != cur {
-			if err := flush(); err != nil {
+	// upTo appends the list gathered at cur and empty ones up to p.
+	upTo := func(p int64) error {
+		if cur >= 0 {
+			if err := b.AppendList(order[cur], nbrs); err != nil {
 				return err
 			}
-			for next := cur + 1; next < int64(a.U); next++ {
-				if err := b.AppendList(uint32(next), nil); err != nil {
-					return err
-				}
+		}
+		for next := cur + 1; next < p; next++ {
+			if err := b.AppendList(order[next], nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err = sorter.Iterate(rank, func(a extsort.Arc) error {
+		if int64(a.U) != cur {
+			if err := upTo(int64(a.U)); err != nil {
+				return err
 			}
 			cur = int64(a.U)
 			nbrs = nbrs[:0]
@@ -140,15 +165,64 @@ func Build(base string, src EdgeSource, opts BuildOptions) error {
 		nbrs = append(nbrs, a.V)
 		return nil
 	})
+	if err == nil {
+		err = upTo(int64(n))
+	}
 	if err != nil {
 		b.Abort()
 		return err
 	}
-	if err := flush(); err != nil {
-		b.Abort()
-		return err
-	}
 	return b.Close()
+}
+
+// idLocal reports whether a graph's ids already place neighbours near
+// each other: whether the geometric mean of its edges' id gaps |u−v|,
+// taken as their bit lengths, is below √n. A scan in id order then finds
+// a node's neighbours in the blocks around it, which the degree order
+// would scatter: on a ring lattice with 10% of its edges rewired
+// (gen.SmallWorld), SemiCore* read about three times the blocks in degree
+// order that it reads in id order. Generated social, web and R-MAT
+// graphs, also relabelled in BFS order, sit far above the bound (their
+// mean gap has at least 0.6 of n's bits, the lattice 0.26) and read a
+// quarter to a half fewer blocks in degree order.
+func idLocal(edges, gapBits uint64, n uint32) bool {
+	return 2*gapBits < edges*uint64(bits.Len32(n-1))
+}
+
+// idOrder is the identity layout, order and rank both, in deg's memory.
+func idOrder(deg []uint32) (order, rank []uint32) {
+	for v := range deg {
+		deg[v] = uint32(v)
+	}
+	return deg, deg
+}
+
+// degreeOrder orders the nodes by degree ascending, ties by id, with one
+// counting sort: order[p] is the node at position p and rank[v] node v's
+// position. A raw degree past n−1, which only duplicate edges reach,
+// counts as n. rank reuses deg's memory.
+func degreeOrder(deg []uint32) (order, rank []uint32) {
+	n := len(deg)
+	start := make([]uint32, n+1)
+	for _, d := range deg {
+		start[min(int(d), n)]++
+	}
+	sum := uint32(0)
+	for d, c := range start {
+		start[d] = sum
+		sum += c
+	}
+	order = make([]uint32, n)
+	for v, d := range deg {
+		b := min(int(d), n)
+		order[start[b]] = uint32(v)
+		start[b]++
+	}
+	rank = deg
+	for p, v := range order {
+		rank[v] = uint32(p)
+	}
+	return order, rank
 }
 
 // WriteCSR materialises an in-memory graph on disk.

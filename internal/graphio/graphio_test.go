@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -53,6 +54,38 @@ func TestBuildMatchesCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	csrEqual(t, got, want)
+}
+
+// TestBuildKeepsLocalIDOrder builds a ring lattice, whose ids place
+// neighbours next to each other, and the same lattice under shuffled
+// ids: Build keeps the first in id order (format version 3) and lays the
+// second out by degree (version 4), and both hold the CSR's lists.
+func TestBuildKeepsLocalIDOrder(t *testing.T) {
+	lattice := gen.SmallWorld(3000, 6, 0.1, 1)
+	perm := rand.New(rand.NewSource(2)).Perm(3000)
+	shuffled := make([]graph.Edge, len(lattice))
+	for i, e := range lattice {
+		shuffled[i] = graph.Edge{U: uint32(perm[e.U]), V: uint32(perm[e.V])}
+	}
+	for _, c := range []struct {
+		name    string
+		edges   []graph.Edge
+		version int
+	}{{"lattice", lattice, 3}, {"shuffled", shuffled, 4}} {
+		want := gen.Build(c.edges)
+		base := filepath.Join(t.TempDir(), "g")
+		if err := Build(base, SliceSource(c.edges), BuildOptions{N: want.NumNodes()}); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := storage.ReadMeta(base); err != nil || m.Version != c.version {
+			t.Fatalf("%s: header %+v (%v), want format version %d", c.name, m, err, c.version)
+		}
+		got, err := ReadToCSR(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csrEqual(t, got, want)
+	}
 }
 
 func TestBuildWithSpills(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"kcore/internal/graph"
+	"kcore/internal/semicore"
 	"kcore/internal/stats"
 )
 
@@ -35,33 +36,24 @@ func (s *Session) BatchDelete(edges []graph.Edge) (stats.RunStats, error) {
 		}
 	}
 	core, cnt := s.St.Core, s.St.Cnt
-	n := s.G.NumNodes()
-	vmin, vmax := n-1, uint32(0)
-	touch := func(v uint32) {
-		if v < vmin {
-			vmin = v
-		}
-		if v > vmax {
-			vmax = v
-		}
-	}
+	touched := make([]uint32, 0, 2*len(edges))
 	for _, e := range edges {
 		u, v := e.U, e.V
 		switch {
 		case core[u] < core[v]:
 			cnt[u]--
-			touch(u)
+			touched = append(touched, u)
 		case core[v] < core[u]:
 			cnt[v]--
-			touch(v)
+			touched = append(touched, v)
 		default:
 			cnt[u]--
 			cnt[v]--
-			touch(u)
-			touch(v)
+			touched = append(touched, u, v)
 		}
 	}
-	if err := s.St.Converge(s.G, vmin, vmax, &rs, s.Trace); err != nil {
+	pmin, pmax := semicore.Window(s.G, touched)
+	if err := s.St.Converge(s.G, pmin, pmax, &rs, s.Trace); err != nil {
 		return rs, err
 	}
 	rs.Duration = time.Since(start)

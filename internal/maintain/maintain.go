@@ -11,7 +11,6 @@ package maintain
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"kcore/internal/dyngraph"
@@ -127,7 +126,8 @@ func (s *Session) InsertTwoPhase(u, v uint32) (stats.RunStats, error) {
 	core, cnt := s.St.Core, s.St.Cnt
 	s.setStatus(u, statusActive)
 	p := semicore.Passes{Stats: &rs, Trace: s.Trace, Core: core}
-	err = p.Run(s.G, u, u,
+	pu := graph.Pos(s.G.Positions(), u)
+	err = p.Run(s.G, pu, pu,
 		func(w uint32) bool { return s.status[w] == statusActive && core[w] == cold },
 		func(w uint32, nbrs []uint32) error {
 			core[w] = cold + 1
@@ -152,8 +152,10 @@ func (s *Session) InsertTwoPhase(u, v uint32) (stats.RunStats, error) {
 	}
 
 	// Phase 2 (lines 22-25): every candidate now carries a valid upper
-	// bound; converge over the window of the nodes phase 1 activated.
-	if err := s.St.Converge(s.G, slices.Min(s.marked), slices.Max(s.marked), &rs, s.Trace); err != nil {
+	// bound; converge over the window of the nodes phase 1 activated, the
+	// lowest and highest of their positions.
+	pmin, pmax := semicore.Window(s.G, s.marked)
+	if err := s.St.Converge(s.G, pmin, pmax, &rs, s.Trace); err != nil {
 		return rs, err
 	}
 	rs.Duration = time.Since(start)
@@ -182,7 +184,8 @@ func (s *Session) InsertStar(u, v uint32) (stats.RunStats, error) {
 	core, cnt := s.St.Core, s.St.Cnt
 	s.setStatus(u, statusMaybe)
 	p := semicore.Passes{Stats: &rs, Trace: s.Trace, Core: core}
-	err = p.Run(s.G, u, u,
+	pu := graph.Pos(s.G.Positions(), u)
+	err = p.Run(s.G, pu, pu,
 		func(w uint32) bool {
 			st := s.status[w]
 			return st == statusMaybe ||

@@ -120,6 +120,10 @@ func (g *CSR) EdgeList() []graph.Edge {
 	return out
 }
 
+// Positions implements graph.Source: nil, the CSR is laid out in id
+// order.
+func (g *CSR) Positions() []uint32 { return nil }
+
 // ScanDegrees implements graph.Source.
 func (g *CSR) ScanDegrees(fn func(v uint32, deg uint32) error) error {
 	n := g.NumNodes()

@@ -92,18 +92,19 @@ func (s *State) recompute(v uint32, nbrs []uint32) (bool, []uint32) {
 	return nc != cold, viol
 }
 
-// Converge runs Algorithm 5 lines 4-14: starting from the window
-// [vmin, vmax], repeatedly scan nodes whose cnt(v) < core(v) (the exact
-// recomputation condition of Lemma 4.2), recompute their core and cnt,
-// propagate cnt decrements to neighbours, and mark the violated ones on
-// the pass engine (Passes) until a pass marks nothing behind its cursor.
+// Converge runs Algorithm 5 lines 4-14: starting from the window of
+// positions [pmin, pmax] (graph.Source.Positions), repeatedly scan nodes whose
+// cnt(v) < core(v) (the exact recomputation condition of Lemma 4.2),
+// recompute their core and cnt, propagate cnt decrements to neighbours,
+// and mark the violated ones on the pass engine (Passes) until a pass
+// marks nothing behind its cursor.
 // It is shared verbatim by SemiCoreStar, SemiDelete* and SemiInsert's
 // phase 2.
 //
 // rs accumulates iterations, node computations and per-iteration update
 // counts; tr may be nil.
-func (s *State) Converge(g graph.Source, vmin, vmax uint32, rs *stats.RunStats, tr Trace) error {
-	return s.converge(g, nil, vmin, vmax, rs, tr)
+func (s *State) Converge(g graph.Source, pmin, pmax uint32, rs *stats.RunStats, tr Trace) error {
+	return s.converge(g, nil, pmin, pmax, rs, tr)
 }
 
 // residentSource is a graph that can say, without reading, whether a
@@ -130,9 +131,9 @@ type revisits struct {
 	nbrs  []uint32
 }
 
-// take reports whether violated node u ≤ the cursor is recomputed now in
-// the given pass, pushing it if so; a false answer leaves u to the next
-// pass. seen is cleared once per pass, at the pass's first take.
+// take reports whether violated node u, at or behind the cursor, is
+// recomputed now in the given pass, pushing it if so; a false answer
+// leaves u to the next pass. seen is cleared once per pass, at the pass's first take.
 func (r *revisits) take(u uint32, pass int) bool {
 	if r == nil {
 		return false
@@ -154,27 +155,27 @@ func (r *revisits) take(u uint32, pass int) bool {
 }
 
 // converge is Converge, with cache-resident revisits when rv is non-nil.
-func (s *State) converge(g graph.Source, rv *revisits, vmin, vmax uint32, rs *stats.RunStats, tr Trace) error {
+func (s *State) converge(g graph.Source, rv *revisits, pmin, pmax uint32, rs *stats.RunStats, tr Trace) error {
 	p := Passes{Stats: rs, Trace: tr, Core: s.Core}
 	// step recomputes v and routes the neighbours it leaves violated:
 	// ahead of the cursor they extend the pass; at or behind it they are
 	// revisited now or marked for the next pass.
-	step := func(cursor, v uint32, nbrs []uint32) {
+	step := func(v uint32, nbrs []uint32) {
 		changed, violated := s.recompute(v, nbrs)
 		p.Computed(v, changed)
 		if changed {
 			rs.Dirty = append(rs.Dirty, v)
 		}
 		for _, u := range violated {
-			if u > cursor || !rv.take(u, p.Pass()) {
-				p.Mark(u)
+			if pu := p.at(u); pu > p.cursor || !rv.take(u, p.Pass()) {
+				p.markAt(pu)
 			}
 		}
 	}
-	return p.Run(g, vmin, vmax,
+	return p.Run(g, pmin, pmax,
 		func(v uint32) bool { return s.Cnt[v] < int32(s.Core[v]) },
 		func(v uint32, nbrs []uint32) error {
-			step(v, v, nbrs)
+			step(v, nbrs)
 			for rv != nil && len(rv.stack) > 0 {
 				u := rv.stack[len(rv.stack)-1]
 				rv.stack = rv.stack[:len(rv.stack)-1]
@@ -183,7 +184,7 @@ func (s *State) converge(g graph.Source, rv *revisits, vmin, vmax uint32, rs *st
 					return err
 				}
 				rv.nbrs = l[:0]
-				step(v, u, l)
+				step(u, l)
 			}
 			return nil
 		})

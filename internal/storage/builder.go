@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"kcore/internal/faultfs"
@@ -8,24 +9,28 @@ import (
 )
 
 // Builder writes a graph to disk: the two tables, the checksum sidecar
-// and, last, the meta header. Adjacency lists must be appended in
-// node-id order, one call per node, with each list sorted ascending.
-// Writes are charged to the counter at block granularity, so building is
-// itself an I/O-accounted operation (used by EMCore re-partitioning, and
-// by WriteGraph for checkpoints and fold-backs).
+// and, last, the meta header. Adjacency lists are appended one call per
+// node, each sorted ascending, in the order the tables are to lay them
+// out: in id order the Builder writes format version 3, in any other
+// order version 4, whose node records carry the ids (nodetable.go). The
+// node table is held in memory until Close, since which of the two it is
+// is known only once a list arrives out of id order. Writes are charged to
+// the counter at block granularity, so building is itself an I/O-accounted
+// operation (WriteGraph's checkpoints and fold-backs, and Build).
 type Builder struct {
 	fs      faultfs.FS
 	base    string
 	ctr     *stats.IOCounter
 	codec   listCodec
 	n       uint32
-	next    uint32
+	count   uint32   // lists appended
+	prev    int64    // the id of the last list appended, −1 before the first
+	seen    []uint64 // out of id order: the ids appended, a bit each; nil in id order
 	arcs    int64
-	ntBytes int64
 	etBytes int64
 	nt      *BlockWriter
 	et      *BlockWriter
-	recBuf  []byte
+	recs    []byte // the node table
 	listBuf []byte
 	closed  bool
 }
@@ -48,19 +53,16 @@ func newBuilder(fsys faultfs.FS, base string, n uint32, ctr *stats.IOCounter) (*
 	}
 	nt.keepGranules, et.keepGranules = true, true
 	codec := codecOf(Meta{Version: FormatVersion, N: n})
-	return &Builder{fs: fsys, base: base, ctr: ctr, codec: codec, n: n, nt: nt, et: et}, nil
+	return &Builder{fs: fsys, base: base, ctr: ctr, codec: codec, n: n, prev: -1, nt: nt, et: et}, nil
 }
 
-// AppendList writes nbr(v) for the next node. Lists must arrive for
-// v = 0, 1, ..., n-1 in order; missing nodes can be appended with an empty
-// list. The list must be sorted ascending and free of duplicates and
+// AppendList writes nbr(v) as the next list of the layout. Each node may
+// be appended once, in any order; nodes never appended get an empty list
+// at Close. The list must be sorted ascending and free of duplicates and
 // self-loops; Builder verifies ordering cheaply and rejects violations.
 func (b *Builder) AppendList(v uint32, nbrs []uint32) error {
 	if b.closed {
 		return fmt.Errorf("storage: AppendList on closed builder")
-	}
-	if v != b.next {
-		return fmt.Errorf("storage: AppendList out of order: got node %d, want %d", v, b.next)
 	}
 	if v >= b.n {
 		return fmt.Errorf("storage: node %d out of range [0,%d)", v, b.n)
@@ -78,20 +80,49 @@ func (b *Builder) AppendList(v uint32, nbrs []uint32) error {
 		}
 		prev = int64(u)
 	}
+	if b.seen == nil && int64(v) != b.prev+1 {
+		if int64(v) <= b.prev {
+			return fmt.Errorf("storage: node %d appended twice", v)
+		}
+		b.reorder()
+	}
+	if b.seen != nil {
+		w, bit := v/64, uint64(1)<<(v%64)
+		if b.seen[w]&bit != 0 {
+			return fmt.Errorf("storage: node %d appended twice", v)
+		}
+		b.seen[w] |= bit
+	}
 	var w uint8
 	b.listBuf, w = b.codec.encode(b.listBuf[:0], nbrs)
-	b.recBuf = appendRecord(b.recBuf[:0], uint32(len(nbrs)), w)
-	if _, err := b.nt.Write(b.recBuf); err != nil {
-		return err
+	if b.seen != nil {
+		b.recs = binary.AppendVarint(b.recs, int64(v)-b.prev)
 	}
+	b.recs = appendRecord(b.recs, uint32(len(nbrs)), w)
 	if _, err := b.et.Write(b.listBuf); err != nil {
 		return err
 	}
-	b.ntBytes += int64(len(b.recBuf))
 	b.etBytes += int64(len(b.listBuf))
 	b.arcs += int64(len(nbrs))
-	b.next++
+	b.prev = int64(v)
+	b.count++
 	return nil
+}
+
+// reorder turns the lists appended so far, nodes 0 to count−1 in id
+// order, into version-4 records, each led by its id's delta, 1.
+func (b *Builder) reorder() {
+	b.seen = make([]uint64, (int64(b.n)+63)/64)
+	recs := make([]byte, 0, len(b.recs)+int(b.count))
+	for r := b.recs; len(r) > 0; {
+		_, k := binary.Uvarint(r)
+		recs = binary.AppendVarint(recs, 1)
+		recs, r = append(recs, r[:k]...), r[k:]
+	}
+	for v := range b.count {
+		b.seen[v/64] |= 1 << (v % 64)
+	}
+	b.recs = recs
 }
 
 // Arcs reports the number of arcs appended so far.
@@ -110,23 +141,27 @@ func (b *Builder) finish(durable bool) error {
 	if b.closed {
 		return nil
 	}
-	for b.next < b.n {
-		if err := b.AppendList(b.next, nil); err != nil {
+	for v := uint32(0); b.count < b.n; v++ {
+		if b.seen == nil {
+			v = b.count
+		} else if b.seen[v/64]&(1<<(v%64)) != 0 {
+			continue
+		}
+		if err := b.AppendList(v, nil); err != nil {
 			return err
 		}
 	}
 	b.closed = true
-	if durable {
-		if err := b.nt.Sync(); err != nil {
-			b.nt.Close()
-			b.et.Close()
-			return err
+	_, err := b.nt.Write(b.recs)
+	if err == nil && durable {
+		if err = b.nt.Sync(); err == nil {
+			err = b.et.Sync()
 		}
-		if err := b.et.Sync(); err != nil {
-			b.nt.Close()
-			b.et.Close()
-			return err
-		}
+	}
+	if err != nil {
+		b.nt.Close()
+		b.et.Close()
+		return err
 	}
 	if err := b.nt.Close(); err != nil {
 		b.et.Close()
@@ -140,7 +175,11 @@ func (b *Builder) finish(durable bool) error {
 	if err := writeSidecar(b.fs, b.base, granules, b.ctr, durable); err != nil {
 		return err
 	}
-	m := Meta{Version: FormatVersion, N: b.n, Arcs: b.arcs, NtBytes: b.ntBytes, EtBytes: b.etBytes, HasCRC: true, NtCRC: ntCRC, EtCRC: etCRC}
+	version := idOrderVersion
+	if b.seen != nil {
+		version = FormatVersion
+	}
+	m := Meta{Version: version, N: b.n, Arcs: b.arcs, NtBytes: int64(len(b.recs)), EtBytes: b.etBytes, HasCRC: true, NtCRC: ntCRC, EtCRC: etCRC}
 	return WriteMetaFS(b.fs, b.base, m, durable)
 }
 
@@ -155,8 +194,8 @@ func (b *Builder) Abort() {
 	b.et.Close()
 }
 
-// Source is a graph Scan streams in id order, each list sorted and valid
-// during its call only, charging what it reads to io.
+// Source is a graph Scan streams in its layout order, each list sorted
+// and valid during its call only, charging what it reads to io.
 type Source interface {
 	NumNodes() uint32
 	NumArcs() int64
@@ -165,7 +204,8 @@ type Source interface {
 
 // WriteGraph is the one way a graph is written from a graph, a
 // checkpoint and a fold-back alike: src streamed into a Builder at base
-// through fsys, reads and writes charged to io, fsynced when sync is set.
+// through fsys, so the tables keep its layout, reads and writes charged
+// to io, fsynced when sync is set.
 // A scan that fails, or streams other than NumArcs arcs, leaves no header.
 func WriteGraph(fsys faultfs.FS, base string, src Source, io *stats.IOCounter, sync bool) error {
 	b, err := newBuilder(fsys, base, src.NumNodes(), io)

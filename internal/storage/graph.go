@@ -1,40 +1,50 @@
 // Package storage implements the on-disk graph representation the paper
-// prescribes: an edge table that stores nbr(v1), nbr(v2), ... consecutively
-// as adjacency lists, and a node table that stores the degree of every
-// node, from which every list's offset follows. Every algorithm's I/O is
-// counted in B-sized block transfers.
+// prescribes: an edge table that stores the adjacency lists consecutively,
+// and a node table that stores the degree of every node, from which every
+// list's offset follows. Every algorithm's I/O is counted in B-sized block
+// transfers.
 // As the semi-external model has it, node information is held in memory
 // and only adjacency is read from disk: a graph's first use reads the node
-// table once into an index (4n + n/8 + n bytes), checked whole against the
-// header, and every later record comes from there. There is one block
-// reader under the tables, a bounded CLOCK cache of B-sized frames
-// (CachedFile) that holds edge blocks only once the index is built, and
-// one open: Open reads through a cache of the caller's size and checks
-// every block it loads against a CRC32C the header vouches for, folded
-// from the checksum sidecar or, failing that, recorded by one pass at
-// open. ScanVerified reads the whole graph against the header's
-// checksums. There is no other check: the open that serves tables and the
-// first pass over their lists (SemiCore*'s, or a ScanVerified) are it.
+// table once into an index (nt + n/4 bytes, and 4n + n/16 more for a
+// table laid out in another order than ids), checked whole against the header, and
+// every later record comes from there. There is one block reader under
+// the tables, a bounded CLOCK cache of B-sized frames (CachedFile) that
+// holds edge blocks only once the index is built, and one open: Open
+// reads through a cache of the caller's size and checks every block it
+// loads against a CRC32C the header vouches for, folded from the checksum
+// sidecar or, failing that, recorded by one pass at open. ScanVerified
+// reads the whole graph against the header's checksums. There is no other
+// check: the open that serves tables and the first pass over their lists
+// (SemiCore*'s, or a ScanVerified) are it.
 //
 // A graph <base> occupies three files, and a fourth, optional one:
 //
 //	<base>.meta  text header (version, node count, arc count, node- and
 //	             edge-table bytes, table CRC32Cs)
 //	<base>.nt    node table: n records of uvarint(deg<<2 | (w−1)), w the
-//	             list's gap width (nodetable.go)
-//	<base>.et    edge table: the gap-coded lists, concatenated (codec.go)
+//	             list's gap width, in layout order, each led in version 4
+//	             by its id's delta from the id before it (nodetable.go)
+//	<base>.et    edge table: the gap-coded lists, concatenated in layout
+//	             order (codec.go)
 //	<base>.crc   checksum sidecar: a CRC32C per 512-byte granule of .nt,
 //	             then of .et (sidecar.go); the Builder writes it, readers
 //	             that lack it or cannot hold it to the header do without
 //
-// No offset is stored: each list starts where the one before it ends.
-// Graphs are undirected: every edge {u,v} is stored as the two arcs u→v
-// and v→u, and each adjacency list is sorted ascending. The Builder
-// writes format version 3. Version-2 tables (12-byte node records of a
+// The layout is the order the tables store the lists in, and the order
+// every scan visits them: a scan's window is a range of positions (Pos),
+// never of ids, and ids stay what they are in the lists and everywhere
+// else. No offset is stored: each list starts where the one before it
+// ends. Graphs are undirected: every edge {u,v} is stored as the two arcs
+// u→v and v→u, and each adjacency list is sorted ascending. The Builder
+// writes format version 3, the layout in id order, when the lists arrive
+// in id order, and version 4, any layout, when they do not: Build lays
+// the nodes out by degree unless their ids are already local, and a
+// rewrite (WriteGraph: a fold-back or a checkpoint) keeps the layout of
+// the graph it rewrites. Version-2 tables (12-byte node records of a
 // byte offset and a degree) and version-1 tables (the same records with
-// arc offsets, 4-byte absolute ids) stay readable in place, and the first
-// rewrite of such a graph (WriteGraph: a fold-back or a checkpoint)
-// writes it as version 3.
+// arc offsets, 4-byte absolute ids) stay readable in place, and the
+// first rewrite of such a graph writes it as
+// version 3.
 package storage
 
 import (
@@ -43,6 +53,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -51,8 +62,12 @@ import (
 	"kcore/internal/stats"
 )
 
-// FormatVersion identifies the on-disk layout the Builder writes.
-const FormatVersion = 3
+// FormatVersion is the newest on-disk layout: the Builder writes it for
+// lists that arrive out of id order, and version 3 for lists in id order.
+const FormatVersion = 4
+
+// idOrderVersion is the layout the Builder writes for lists in id order.
+const idOrderVersion = 3
 
 // Meta is the parsed contents of a <base>.meta file. NtBytes and EtBytes
 // are the two tables' sizes (a version-1 or -2 header carries no
@@ -111,8 +126,8 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 	return f.Close()
 }
 
-// ReadMeta parses the header file for a graph: version 3, whose header
-// must give both tables' sizes; version 2, whose must give the edge
+// ReadMeta parses the header file for a graph: version 4 or 3, whose
+// header must give both tables' sizes; version 2, whose must give the edge
 // table's and not the node table's; or version 1, whose must give
 // neither.
 func ReadMeta(base string) (Meta, error) {
@@ -179,10 +194,14 @@ func ReadMeta(base string) (Meta, error) {
 		}
 		m.EtBytes = 4 * m.Arcs
 	}
+	varints := int64(1) // a record's: its degree and width, led in version 4 by its id
+	if m.Version >= 4 {
+		varints = 2
+	}
 	if m.Version <= 2 {
 		m.NtBytes = legacyRecordSize * int64(m.N)
-	} else if m.NtBytes < int64(m.N) || m.NtBytes > maxRecordLen*int64(m.N) {
-		// A record takes one to maxRecordLen bytes, so the table's size,
+	} else if m.NtBytes < varints*int64(m.N) || m.NtBytes > varints*maxRecordLen*int64(m.N) {
+		// A varint takes one to maxRecordLen bytes, so the table's size,
 		// which the open holds the file to, bounds the node count the
 		// index is sized from.
 		return m, fmt.Errorf("storage: a %d-byte node table cannot hold %d records", m.NtBytes, m.N)
@@ -193,7 +212,8 @@ func ReadMeta(base string) (Meta, error) {
 // Graph is a read handle over an on-disk graph. All reads are charged to
 // the counter passed at Open time. Beyond its cache's frames and scratch
 // reused across calls, a Graph holds the node table in memory from its
-// first use on (nodeIndex: 4n + n/8 + n bytes).
+// first use on (nodeIndex: nt + n/4 bytes in id order, nt + 4n + n/4 +
+// n/16 in any other).
 type Graph struct {
 	base  string
 	meta  Meta
@@ -206,35 +226,12 @@ type Graph struct {
 	nbrBuf []byte // scratch for one encoded list
 }
 
-// indexStride is how many consecutive nodes share one stored byte offset.
-const indexStride = 64
-
 // list is where one node's list lies in the edge table: its byte offset,
 // its degree and its gap width.
 type list struct {
 	off int64
 	deg uint32
 	w   uint8
-}
-
-// nodeIndex is the node table held in memory: every node's degree and
-// gap width, and the byte offset of every indexStride-th node's list,
-// from which the others' follow by adding the lengths in between.
-type nodeIndex struct {
-	codec listCodec
-	deg   []uint32
-	w     []uint8
-	off   []int64
-}
-
-// list reports where node v's list lies.
-func (x *nodeIndex) list(v uint32) list {
-	lo := v / indexStride * indexStride
-	off := x.off[v/indexStride]
-	for u := lo; u < v; u++ {
-		off += x.codec.length(x.deg[u], x.w[u])
-	}
-	return list{off: off, deg: x.deg[v], w: x.w[v]}
 }
 
 // index returns the node index, building it on first use from one
@@ -247,13 +244,15 @@ func (g *Graph) index() (*nodeIndex, error) {
 	if g.idx != nil {
 		return g.idx, nil
 	}
-	n := g.meta.N
-	x := &nodeIndex{codec: g.codec, deg: make([]uint32, n), w: make([]uint8, n), off: make([]int64, (n+indexStride-1)/indexStride)}
+	nt := g.meta.NtBytes
+	if g.meta.Version <= 2 {
+		nt = 0 // 12-byte records, re-encoded into fewer bytes
+	}
+	x := newIndex(g.codec, g.meta.N, nt, g.meta.Version >= 4)
+	p, prev := uint32(0), int64(-1)
 	keep := func(v uint32, l list) error {
-		if v%indexStride == 0 {
-			x.off[v/indexStride] = l.off
-		}
-		x.deg[v], x.w[v] = l.deg, l.w
+		x.add(p, prev, v, l)
+		p, prev = p+1, int64(v)
 		return nil
 	}
 	dec := g.decoder()
@@ -262,6 +261,9 @@ func (g *Graph) index() (*nodeIndex, error) {
 	}
 	if err := dec.done(keep); err != nil {
 		return nil, err
+	}
+	if nt == 0 {
+		x.recs = slices.Clone(x.recs) // drop append's slack
 	}
 	g.idx = x
 	return x, nil
@@ -474,15 +476,35 @@ func (g *Graph) Resident(v uint32) bool {
 	return g.et.resident(l.off/b) && g.et.resident((l.off+n-1)/b)
 }
 
-// ScanDegrees streams (v, deg(v)) for all nodes from the node index: the
-// first use's sequential pass over the node table, none after it.
-func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {
+// Positions implements graph.Source: every id's position in the layout,
+// the order the tables store the lists in and every scan visits them. It
+// is nil for a table in id order (versions 1 to 3), and for version 4 the
+// node index's own array, which the first call builds. A table whose
+// index fails to build reports nil, and the scan that would use the
+// positions fails on the same error.
+func (g *Graph) Positions() []uint32 {
+	if g.meta.Version < 4 {
+		return nil
+	}
 	x, err := g.index()
 	if err != nil {
+		return nil
+	}
+	return x.pos
+}
+
+// ScanDegrees streams (v, deg(v)) for all nodes, in layout order, from
+// the node index: the first use's sequential pass over the node table,
+// none after it.
+func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {
+	x, err := g.index()
+	if err != nil || g.meta.N == 0 {
 		return err
 	}
-	for v, d := range x.deg {
-		if err := fn(uint32(v), d); err != nil {
+	w := x.at(0)
+	for range g.meta.N {
+		v, l := w.next()
+		if err := fn(v, l.deg); err != nil {
 			if graph.IsStop(err) {
 				return nil
 			}
@@ -492,36 +514,49 @@ func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {
 	return nil
 }
 
-// Scan performs the paper's partial sequential scan: it walks nodes from
-// vmin to vmax inclusive, consults want(v) (nil means every node), and for
-// wanted nodes loads nbr(v) and invokes fn. Records come from the node
-// index and the scan seeks directly between wanted lists, so only the
-// edge blocks holding wanted lists are fetched. The neighbour slice
-// passed to fn is reused across calls; fn must not retain it.
+// Scan performs the paper's partial sequential scan: it walks the
+// positions pmin to pmax inclusive in layout order (Pos), consults want(v)
+// (nil means every node) for the node v at each, and for wanted nodes
+// loads nbr(v) and invokes fn. Records come from the node index, decoded
+// one after another, and the scan seeks directly between wanted lists,
+// so only the edge blocks holding wanted lists are fetched. The
+// neighbour slice passed to fn is reused across calls; fn must not
+// retain it.
 //
 // want may mutate state that changes later want results, and fn may cause
-// vmax to grow logically; callers needing a dynamic upper bound use
+// pmax to grow logically; callers needing a dynamic upper bound use
 // ScanDynamic.
-func (g *Graph) Scan(vmin, vmax uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
-	cur := vmax
-	return g.ScanDynamic(vmin, func() uint32 { return cur }, want, fn)
+func (g *Graph) Scan(pmin, pmax uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
+	cur := pmax
+	return g.ScanDynamic(pmin, func() uint32 { return cur }, want, fn)
 }
 
 // ScanDynamic is Scan with a callable upper bound, re-evaluated after each
-// node, supporting algorithms (SemiCore+/SemiCore*) that extend vmax while
-// the scan is in flight.
-func (g *Graph) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
-	if g.meta.N == 0 {
+// position, supporting algorithms (SemiCore+/SemiCore*) that extend pmax
+// while the scan is in flight.
+func (g *Graph) ScanDynamic(pmin uint32, pmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
+	n := g.meta.N
+	if pmin >= n {
 		return nil
 	}
+	x, err := g.index()
+	if err != nil {
+		return err
+	}
 	var nbrs []uint32
-	for v := vmin; v <= vmaxFn() && v < g.meta.N; v++ {
-		if want != nil && !want(v) {
-			continue
+	w := x.at(pmin)
+	for p := pmin; p <= pmaxFn() && p < n; p++ {
+		if x.pos == nil {
+			// In id order the node at p is p: only wanted records are
+			// decoded, the walker sought to them.
+			if want != nil && !want(p) {
+				continue
+			}
+			w.seek(p)
 		}
-		l, err := g.record(v)
-		if err != nil {
-			return err
+		v, l := w.next()
+		if x.pos != nil && want != nil && !want(v) {
+			continue
 		}
 		nbrs, err = g.readList(v, l, nbrs)
 		if err != nil {

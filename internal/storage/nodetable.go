@@ -6,14 +6,21 @@ import (
 	"hash/crc32"
 )
 
-// The node table of format version 3 holds one record per node, in id
-// order: uvarint(deg<<2 | (w−1)), deg the node's degree and w its list's
-// gap width (idw for a list of at most one id, and no other value). No
-// offset is stored: list v starts where list v−1 ends, so a pass over
-// the records places every list as a running sum of their lengths. A
-// record is the shortest varint of at most 34 bits, five bytes. Versions
-// 1 and 2 stored 12 bytes a node, {offset uint64, degree uint32}, and
-// stay readable in place (legacyRecords).
+// The node table holds one record per node, in layout order: the order
+// the edge table stores the lists in, which is the order every scan
+// visits them. Format version 3 lays the nodes out in id order, and each
+// record is uvarint(deg<<2 | (w−1)), deg the node's degree and w its
+// list's gap width (idw for a list of at most one id, and no other
+// value). Version 4 lays them out in any order, and each record leads
+// with varint(v − u), zigzag-coded, v the record's id and u the id of the
+// record before it (−1 before the first); the ids are a permutation of
+// [0, n). No offset is stored: the list at position p starts where the
+// one at p−1 ends, so a pass over the records places every list as a
+// running sum of their lengths. A version-3 record is the shortest varint
+// of at most 34 bits, five bytes; a version-4 record adds a shortest
+// varint of at most five bytes. Versions 1 and 2 stored 12 bytes a node,
+// {offset uint64, degree uint32}, in id order, and stay readable in place
+// (legacyRecords).
 const (
 	maxRecordLen     = 5
 	legacyRecordSize = 12
@@ -26,13 +33,15 @@ func appendRecord(dst []byte, deg uint32, w uint8) []byte {
 }
 
 // A nodeDecoder turns a node table's bytes, met front to back in pieces
-// of any size, into the lists they place in the edge table, in id order,
-// and holds the whole to what the header says of it: the lists tile the
-// edge table from byte 0 to its end, their degrees add up to the
-// header's arc count, and the bytes' CRC32C is the header's (headers from
-// older builders carry none, and are held to the rest alone). A list is
-// emitted only once it is known to lie inside the edge table, so nothing
-// is sized from a record before that; an error leaves the table unused.
+// of any size, into the lists they place in the edge table, in layout
+// order, each with its node's id, and holds the whole to what the header
+// says of it: the lists tile the edge table from byte 0 to its end, their
+// degrees add up to the header's arc count, a version-4 table's ids are a
+// permutation of [0, n), and the bytes' CRC32C is the header's (headers
+// from older builders carry none, and are held to the rest alone). A list
+// is emitted only once it is known to lie inside the edge table, so
+// nothing is sized from a record before that; an error leaves the table
+// unused.
 type nodeDecoder interface {
 	// feed decodes p, emitting each list it places.
 	feed(p []byte, emit func(v uint32, l list) error) error
@@ -46,7 +55,7 @@ func (g *Graph) decoder() nodeDecoder {
 	if g.meta.Version <= 2 {
 		return &legacyRecords{tally: t}
 	}
-	return &varintRecords{tally: t}
+	return newVarintRecords(t)
 }
 
 // tally is what either decoder holds to the header.
@@ -70,12 +79,24 @@ func (t *tally) check() error {
 	return nil
 }
 
-// varintRecords decodes a version-3 node table.
+// varintRecords decodes a version-3 or version-4 node table.
 type varintRecords struct {
 	tally
-	off int64  // where list v starts: the lengths of the lists before it
-	x   uint64 // the record being decoded, its first k bytes
-	k   int
+	off  int64  // where the next list starts: the lengths of the lists before it
+	x    uint64 // the varint being decoded, its first k bytes
+	k    int
+	ids  bool     // version 4: each record leads with its id
+	half bool     // the id of the record being decoded is read
+	id   int64    // the id of the last record decoded, or being decoded once half
+	seen []uint64 // version 4: the ids met, a bit each
+}
+
+func newVarintRecords(t tally) *varintRecords {
+	d := &varintRecords{tally: t, id: -1}
+	if t.meta.Version >= 4 {
+		d.ids, d.seen = true, make([]uint64, (int64(t.meta.N)+63)/64)
+	}
+	return d
 }
 
 func (d *varintRecords) feed(p []byte, emit func(uint32, list) error) error {
@@ -91,23 +112,55 @@ func (d *varintRecords) feed(p []byte, emit func(uint32, list) error) error {
 		}
 		x, k := d.x, d.k
 		d.x, d.k = 0, 0
-		if c >= 0x80 || (c == 0 && k > 1) || x >= 1<<34 {
-			return fmt.Errorf("storage: %s: node %d's record is no shortest varint of at most 34 bits", d.path, d.v)
+		if c >= 0x80 || (c == 0 && k > 1) {
+			return fmt.Errorf("storage: %s: record %d holds no shortest varint of at most %d bytes", d.path, d.v, maxRecordLen)
+		}
+		if d.ids && !d.half {
+			if err := d.place(x); err != nil {
+				return err
+			}
+			d.half = true
+			continue
+		}
+		d.half = false
+		if x >= 1<<34 {
+			return fmt.Errorf("storage: %s: record %d's degree and width take more than 34 bits", d.path, d.v)
+		}
+		v := d.v
+		if d.ids {
+			v = uint32(d.id)
 		}
 		l := list{off: d.off, deg: uint32(x >> 2), w: uint8(x&3) + 1}
 		if l.deg <= 1 && int64(l.w) != d.codec.idw {
-			return fmt.Errorf("storage: %s: node %d's list of %d ids gives gap width %d, not %d", d.path, d.v, l.deg, l.w, d.codec.idw)
+			return fmt.Errorf("storage: %s: node %d's list of %d ids gives gap width %d, not %d", d.path, v, l.deg, l.w, d.codec.idw)
 		}
 		d.off += d.codec.length(l.deg, l.w)
 		if d.off > d.meta.EtBytes {
-			return fmt.Errorf("storage: %s: node %d's list ends at byte %d, past the %d-byte edge table", d.path, d.v, d.off, d.meta.EtBytes)
+			return fmt.Errorf("storage: %s: node %d's list ends at byte %d, past the %d-byte edge table", d.path, v, d.off, d.meta.EtBytes)
 		}
 		d.arcs += int64(l.deg)
-		if err := emit(d.v, l); err != nil {
+		if err := emit(v, l); err != nil {
 			return err
 		}
 		d.v++
 	}
+	return nil
+}
+
+// place takes the zigzag-coded id delta z of record d.v: the id it gives
+// must lie in [0, n) and be met for the first time, so n records that
+// pass are a permutation of [0, n).
+func (d *varintRecords) place(z uint64) error {
+	id := d.id + (int64(z>>1) ^ -int64(z&1))
+	if id < 0 || id >= int64(d.meta.N) {
+		return fmt.Errorf("storage: %s: record %d gives node %d, outside [0,%d)", d.path, d.v, id, d.meta.N)
+	}
+	w, bit := id/64, uint64(1)<<(id%64)
+	if d.seen[w]&bit != 0 {
+		return fmt.Errorf("storage: %s: record %d gives node %d a second time", d.path, d.v, id)
+	}
+	d.seen[w] |= bit
+	d.id = id
 	return nil
 }
 
@@ -212,4 +265,133 @@ func (d *legacyRecords) done(emit func(uint32, list) error) error {
 		return emit(n-1, last)
 	}
 	return nil
+}
+
+// indexStride is how many consecutive positions share one sample.
+const indexStride = 64
+
+// nodeIndex is the node table held in memory: the records as version 3
+// or 4 encodes them (re-encoded from a version-1 or -2 table), one sample
+// every indexStride positions that says where its record and its list
+// start, and, for a table laid out in another order than ids, every id's
+// position. A scan decodes the records from a sample on; a lookup of one
+// node decodes at most indexStride−1 records before its own. A sample's
+// record leads with its id's delta from −1, not from the id before it, so
+// decoding can start there. The index takes nt + n/4 bytes in id order
+// and nt + 4n + n/4 + n/16 otherwise, nt the version-3 or -4 table's size
+// and n/16 the room reserved for the sampled records' longer deltas.
+type nodeIndex struct {
+	codec   listCodec
+	recs    []byte
+	samples []sample
+	pos     []uint32 // each id's position; nil when positions are ids
+}
+
+// sample is where the record and the list of one position start.
+type sample struct {
+	rec, et int64
+}
+
+// newIndex is the empty index of a table of n records, about nt bytes of
+// them as version 3 or 4 encodes them (0 if unknown), laid out in id
+// order unless reordered.
+func newIndex(codec listCodec, n uint32, nt int64, reordered bool) *nodeIndex {
+	samples := (int64(n) + indexStride - 1) / indexStride
+	if reordered {
+		nt += (maxRecordLen - 1) * samples // a sampled id's delta from −1 may be longer
+	}
+	x := &nodeIndex{codec: codec, recs: make([]byte, 0, nt), samples: make([]sample, 0, samples)}
+	if reordered {
+		x.pos = make([]uint32, n)
+	}
+	return x
+}
+
+// add appends id v's list l as the record at position p, the next one;
+// prev is the id at position p−1 (−1 for p = 0).
+func (x *nodeIndex) add(p uint32, prev int64, v uint32, l list) {
+	if p%indexStride == 0 {
+		x.samples = append(x.samples, sample{rec: int64(len(x.recs)), et: l.off})
+		prev = -1
+	}
+	if x.pos != nil {
+		x.recs = binary.AppendVarint(x.recs, int64(v)-prev)
+		x.pos[v] = p
+	}
+	x.recs = appendRecord(x.recs, l.deg, l.w)
+}
+
+// walker decodes an index's records in layout order from one position on.
+type walker struct {
+	x   *nodeIndex
+	rec int64  // where the next record starts in x.recs
+	id  int64  // the id of the record before it
+	off int64  // where its list starts in the edge table
+	p   uint32 // its position
+}
+
+// at returns a walker whose next record is position p's.
+func (x *nodeIndex) at(p uint32) walker {
+	s := p / indexStride
+	w := walker{x: x, rec: x.samples[s].rec, off: x.samples[s].et, p: s * indexStride}
+	w.id = int64(w.p) - 1 // in id order; next resets it at a reordered table's sample
+	for w.p < p {
+		w.next()
+	}
+	return w
+}
+
+// seek moves the walker forward to position p: from the sample before p
+// when that is past the walker's, else record by record.
+func (w *walker) seek(p uint32) {
+	if p/indexStride > w.p/indexStride {
+		*w = w.x.at(p)
+	}
+	for w.p < p {
+		w.next()
+	}
+}
+
+// next decodes the walker's record and moves past it.
+func (w *walker) next() (uint32, list) {
+	x := w.x
+	if x.pos != nil {
+		if w.p%indexStride == 0 {
+			w.id = -1 // a sampled record's delta is from −1
+		}
+		z := w.uvarint()
+		w.id += int64(z>>1) ^ -int64(z&1)
+	} else {
+		w.id++
+	}
+	r := w.uvarint()
+	l := list{off: w.off, deg: uint32(r >> 2), w: uint8(r&3) + 1}
+	w.off += x.codec.length(l.deg, l.w)
+	w.p++
+	return uint32(w.id), l
+}
+
+// uvarint decodes the varint at w.rec, which the index's build checked.
+func (w *walker) uvarint() uint64 {
+	b := w.x.recs
+	var x uint64
+	for s := uint(0); ; s += 7 {
+		c := b[w.rec]
+		w.rec++
+		x |= uint64(c&0x7f) << s
+		if c < 0x80 {
+			return x
+		}
+	}
+}
+
+// list reports where node v's list lies.
+func (x *nodeIndex) list(v uint32) list {
+	p := v
+	if x.pos != nil {
+		p = x.pos[v]
+	}
+	w := x.at(p)
+	_, l := w.next()
+	return l
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,8 +210,11 @@ func TestBuilderRejectsMalformedLists(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Abort()
+	if err := b.AppendList(1, nil); err != nil {
+		t.Fatalf("an append out of id order: %v", err)
+	}
 	if err := b.AppendList(1, nil); err == nil {
-		t.Fatal("out-of-order append accepted")
+		t.Fatal("a second append of one node accepted")
 	}
 	if err := b.AppendList(0, []uint32{0}); err == nil {
 		t.Fatal("self-loop accepted")
@@ -249,6 +253,67 @@ func TestBuilderPadsMissingNodes(t *testing.T) {
 	defer g.Close()
 	if d, _ := g.Degree(3); d != 0 {
 		t.Fatalf("padded node degree = %d, want 0", d)
+	}
+}
+
+// TestBuilderLayout: lists appended in id order give format version 3,
+// whose node table is one varint a node; the same lists in another order
+// give version 4, whose records carry their ids, and a graph that
+// scans, positions and looks up every node as laid out. Nodes never
+// appended are padded after the rest, in id order, with empty lists.
+func TestBuilderLayout(t *testing.T) {
+	lists := map[uint32][]uint32{0: {1, 2}, 1: {0, 2, 4}, 2: {0, 1}, 4: {1}}
+	build := func(order ...uint32) (Meta, *Graph) {
+		t.Helper()
+		base := filepath.Join(t.TempDir(), "g")
+		b, err := NewBuilder(base, 6, stats.NewIOCounter(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range order {
+			if err := b.AppendList(v, lists[v]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadMeta(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Open(base, stats.NewIOCounter(0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { g.Close() })
+		return m, g
+	}
+	if m, g := build(0, 1, 2); m.Version != 3 || m.NtBytes != 6 || g.Positions() != nil {
+		t.Fatalf("in id order: header %+v, Positions %v; want version 3, a byte a node, nil (the identity)", m, g.Positions())
+	}
+	m, g := build(4, 1, 0, 2)
+	if m.Version != 4 || m.NtBytes != 12 {
+		t.Fatalf("out of id order: header %+v, want version 4 and two bytes a node", m)
+	}
+	layout := []uint32{4, 1, 0, 2, 3, 5}
+	pos := g.Positions()
+	for p, v := range layout {
+		if got := pos[v]; got != uint32(p) {
+			t.Errorf("position of %d = %d, want %d", v, got, p)
+		}
+		nbrs, err := g.Neighbors(v, nil)
+		if err != nil || !slices.Equal(nbrs, lists[v]) {
+			t.Errorf("Neighbors(%d) = %v, %v; want %v", v, nbrs, err, lists[v])
+		}
+	}
+	var scanned []uint32
+	err := g.Scan(1, 4, func(v uint32) bool { return v != 0 }, func(v uint32, nbrs []uint32) error {
+		scanned = append(scanned, v)
+		return nil
+	})
+	if err != nil || !slices.Equal(scanned, []uint32{1, 2, 3}) {
+		t.Fatalf("Scan of positions [1,4] without node 0 visited %v (%v), want [1 2 3]", scanned, err)
 	}
 }
 
