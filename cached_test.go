@@ -21,6 +21,7 @@ import (
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 	"kcore/internal/testutil"
+	"kcore/internal/testutil/pins"
 )
 
 // fileBlocks sums ⌈size/B⌉ over the files at base + each of exts.
@@ -45,38 +46,36 @@ func fileBlocks(t *testing.T, base string, b int64, exts ...string) int64 {
 // the sidecar (a graph from an older builder, a follower's download) the
 // open falls back to one sequential pass over both tables, ⌈nt/B⌉ +
 // ⌈et/B⌉ reads, recording the same checksums. The gate graph's own open
-// pays the sidecar too. On the gate graph that is 1 block, and 5 + 74
-// for the pass (3 + 74 in id order, 24 + 74 on 12 bytes a node, 24 + 156
-// on the 4-byte tables).
+// pays the sidecar too.
 func TestCachedOpenIOGate(t *testing.T) {
-	g := gateGraph(t)
+	g, _ := gateGraph(t)
 	for _, leg := range []struct {
-		name  string
-		exts  []string
-		reads int64
-	}{{"sidecar", []string{".crc"}, 1}, {"fallback", []string{".nt", ".et"}, 5 + 74}} {
+		name string
+		exts []string
+	}{{"sidecar", []string{".crc"}}, {"fallback", []string{".nt", ".et"}}} {
 		if leg.name == "fallback" {
 			if err := os.Remove(g.Base() + ".crc"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if blocks := fileBlocks(t, g.Base(), 4096, leg.exts...); blocks != leg.reads {
-			t.Fatalf("%s: the files %v are %d blocks, pinned at %d", leg.name, leg.exts, blocks, leg.reads)
-		}
+		blocks := fileBlocks(t, g.Base(), 4096, leg.exts...)
+		pins.Check(t, leg.name+".reads", blocks)
 		cg, err := kcore.Open(g.Base(), &kcore.OpenOptions{CacheBlocks: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if io := cg.IOStats(); io.Reads != leg.reads || io.Writes != 0 {
-			t.Errorf("%s: cached Open charged %d reads and %d writes, want exactly the %d blocks of %v and none", leg.name, io.Reads, io.Writes, leg.reads, leg.exts)
+		if io := cg.IOStats(); io.Reads != blocks || io.Writes != 0 {
+			t.Errorf("%s: cached Open charged %d reads and %d writes, want exactly the %d blocks of %v and none", leg.name, io.Reads, io.Writes, blocks, leg.exts)
 		}
 		if ds := cg.DiskStats(); ds.CacheHits+ds.CacheMisses != 0 {
 			t.Errorf("%s: the open went through the cache: %+v", leg.name, ds)
 		}
 		cg.Close()
-	}
-	if io := g.IOStats(); io.Reads != 1 {
-		t.Errorf("the gate graph's open charged %d reads, want the sidecar's 1", io.Reads)
+		if leg.name == "sidecar" {
+			if io := g.IOStats(); io.Reads != blocks {
+				t.Errorf("the gate graph's open charged %d reads, want the sidecar's %d", io.Reads, blocks)
+			}
+		}
 	}
 }
 
@@ -90,10 +89,12 @@ func TestCachedOpenIOGate(t *testing.T) {
 // it. The merged bytes DiskStats counts are the tables the fold-back
 // wrote: the fold-back keeps the degree layout Build gave the tables.
 func TestCachedFoldBackIOGate(t *testing.T) {
-	const mergedBytes = 19108 + 302092 // the header's ntbytes and etbytes (9,272 + 302,092 in id order, 98,136 + 302,092 on 12 bytes a node)
-	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
-	g := buildFrom(t, edges, 0)
-	base := g.Base()
+	base, edges := testutil.GateGraph(t)
+	g, err := kcore.Open(base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
 	res, err := kcore.Decompose(g, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -140,9 +141,10 @@ func TestCachedFoldBackIOGate(t *testing.T) {
 		}
 		tables += fi.Size()
 	}
-	if ds.MergedBytes != tables || ds.MergedBytes != mergedBytes {
-		t.Errorf("the fold-back counted %d merged bytes, want the new tables' %d, pinned at %d", ds.MergedBytes, tables, mergedBytes)
+	if ds.MergedBytes != tables {
+		t.Errorf("the fold-back counted %d merged bytes, want the new tables' %d", ds.MergedBytes, tables)
 	}
+	pins.Check(t, "merged_bytes", ds.MergedBytes)
 }
 
 // TestFlushRefusesDamagedTable: the fold-back reads the tables it
@@ -267,8 +269,7 @@ func (c countedFile) Write(p []byte) (int, error) {
 // graph's buffer is in the log and that checkpoint, not folded back.
 func TestDurableFoldBackIOGate(t *testing.T) {
 	const fill = 512
-	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
-	base := buildFrom(t, edges, 0).Base()
+	base, edges := testutil.GateGraph(t)
 	have := make(map[kcore.Edge]bool)
 	for _, e := range gen.Build(edges).EdgeList() {
 		have[e] = true
@@ -833,10 +834,10 @@ func deleteInsertRound(tb testing.TB, m *kcore.Maintainer, round []kcore.Edge) (
 // (SemiCore first, so its degree pass pays the node table for the index)
 // and of a 50-edge SemiDelete* / SemiInsert* round, on a skewed and on a
 // chain-ordered graph at two block sizes, are pinned. The law reads
-// through gateFrames frames: the gap-coded tables are about half the
-// 4-byte ones, and 30 frames are at least as much smaller than each
-// graph's encoded table as the default frames were than its 4-byte one
-// (parentBytes; RequireSpill holds every run to it). The frames hold
+// through testutil.GateFrames frames: the gap-coded tables are about
+// half the 4-byte ones, and 30 frames are at least as much smaller than
+// each graph's encoded table as the default frames were than its 4-byte
+// one (parentBytes; RequireSpill holds every run to it). The frames hold
 // edge blocks only, so two frames never read less than the gate's, and
 // the sequential SemiCore and SemiCore+ read exactly as much; what more
 // frames buy is the re-reads of hub lists that SemiInsert* (and, on the
@@ -845,93 +846,73 @@ func deleteInsertRound(tb testing.TB, m *kcore.Maintainer, round []kcore.Edge) (
 // not smaller. On any frames SemiCore* also recomputes a violated node
 // behind its cursor at once while the frames hold its list, and through
 // two frames that follows another schedule, so the two-frame run is
-// pinned exactly (star2) instead of compared. Only SemiCore pays the
-// node table, so only its pins moved when the table went from 12 bytes a
-// node to a varint (rmat13 690 and 5,511, ba 1,763 and 13,878 before).
-// Build lays the tables out by degree; in id order the pins were rmat13
-// B=4096 {669, 636, 227, 57, 3072, 362}, B=512 {5338, 4530, 2114, 124,
-// 11472, 2129}; ba B=4096 {1742, 1693, 92, 23, 4907, 339}, B=512 {13707,
-// 12882, 1810, 68, 87703, 2917}. Every pin fell but rmat13's SemiCore,
-// whose 9 passes read the edge table whole either way and pay the ids
-// the node table gained (2 blocks at B=4096, 19 at B=512).
-// On the 4-byte tables through the default frames the pins were rmat13
-// B=4096 {1428, 1292,
-// 441, 64, 4472, 703}, B=512 {11361, 9292, 4110, 202, 19470, 4146}; ba
-// B=4096 {3502, 3386, 200, 21, 5487, 811}, B=512 {27827, 23859, 3363,
-// 74, 137980, 4938}.
+// pinned exactly instead of compared.
 func TestCacheSizeIOLaw(t *testing.T) {
-	type pins struct{ basic, plus, star, del, ins, star2 int64 }
 	for _, fx := range []struct {
 		name        string
-		edges       []kcore.Edge
-		parentBytes int64        // the 4-byte table, 4 bytes an arc
-		pins        map[int]pins // by block size
+		build       func(testing.TB) (string, []kcore.Edge)
+		parentBytes int64 // the 4-byte table, 4 bytes an arc
 	}{
-		{"rmat13", gateEdges(), gateParentBytes, map[int]pins{
-			4096: {671, 559, 129, 39, 669, 205},
-			512:  {5357, 3802, 1176, 117, 7762, 1506},
-		}},
-		{"ba", gen.BarabasiAlbert(8000, 6, 3), 382344, map[int]pins{
-			4096: {945, 939, 86, 13, 3547, 323},
-			512:  {7433, 7226, 1323, 65, 67910, 1831},
-		}},
-	} {
-		base := filepath.Join(t.TempDir(), fx.name)
-		if err := kcore.Build(base, kcore.SliceEdges(fx.edges), nil); err != nil {
-			t.Fatal(err)
-		}
-		for blockSize := range fx.pins {
-			testutil.RequireSpill(t, base, blockSize, gateFrames, float64(fx.parentBytes)/float64(64*blockSize))
-		}
-		round := gen.Build(fx.edges).EdgeList() // u < v, sorted, no duplicates or loops
-		rand.New(rand.NewSource(23)).Shuffle(len(round), func(i, j int) { round[i], round[j] = round[j], round[i] })
-		round = round[:50]
-		// run opens the graph on the given frames and returns the reads of
-		// SemiCore, SemiCore+, SemiCore*, the deletes and the inserts, the
-		// open's sidecar read left out.
-		run := func(blockSize, frames int) [5]int64 {
-			g, err := kcore.Open(base, &kcore.OpenOptions{BlockSize: blockSize, CacheBlocks: frames})
-			if err != nil {
+		{"rmat13", testutil.GateGraph, testutil.GateV1Bytes},
+		{"ba", func(t testing.TB) (string, []kcore.Edge) {
+			edges := gen.BarabasiAlbert(8000, 6, 3)
+			base := filepath.Join(t.TempDir(), "ba")
+			if err := kcore.Build(base, kcore.SliceEdges(edges), nil); err != nil {
 				t.Fatal(err)
 			}
-			defer g.Close()
-			var got [5]int64
-			var star *kcore.Result
-			for i, algo := range []kcore.Algorithm{kcore.SemiCoreBasic, kcore.SemiCorePlus, kcore.SemiCoreStar} {
-				if star, err = kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: algo}); err != nil {
+			return base, edges
+		}, 382344},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			base, edges := fx.build(t)
+			round := gen.Build(edges).EdgeList() // u < v, sorted, no duplicates or loops
+			rand.New(rand.NewSource(23)).Shuffle(len(round), func(i, j int) { round[i], round[j] = round[j], round[i] })
+			round = round[:50]
+			// run opens the graph on the given frames and returns the reads
+			// of SemiCore, SemiCore+, SemiCore*, the deletes and the
+			// inserts, the open's sidecar read left out.
+			run := func(t *testing.T, blockSize, frames int) [5]int64 {
+				g, err := kcore.Open(base, &kcore.OpenOptions{BlockSize: blockSize, CacheBlocks: frames})
+				if err != nil {
 					t.Fatal(err)
 				}
-				got[i] = star.Info.IO.Reads
-			}
-			m, err := kcore.NewMaintainer(g, &kcore.MaintainerOptions{FromResult: star})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[3], got[4] = deleteInsertRound(t, m, round)
-			return got
-		}
-		for blockSize, p := range fx.pins {
-			def, two := run(blockSize, gateFrames), run(blockSize, 2)
-			t.Logf("%s B=%d: %d frames %v, two frames %v", fx.name, blockSize, gateFrames, def, two)
-			for i, pin := range [5]int64{p.basic, p.plus, p.star, p.del, p.ins} {
-				what := [5]string{"SemiCore", "SemiCore+", "SemiCore*", "50 deletes", "50 inserts"}[i]
-				if def[i] != pin {
-					t.Errorf("%s B=%d: %s read %d blocks through %d frames, pinned at %d", fx.name, blockSize, what, def[i], gateFrames, pin)
-				}
-				switch {
-				case i == 2:
-					if two[i] != p.star2 {
-						t.Errorf("%s B=%d: %s read %d blocks through two frames, pinned at %d", fx.name, blockSize, what, two[i], p.star2)
+				defer g.Close()
+				var got [5]int64
+				var star *kcore.Result
+				for i, algo := range []kcore.Algorithm{kcore.SemiCoreBasic, kcore.SemiCorePlus, kcore.SemiCoreStar} {
+					if star, err = kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: algo}); err != nil {
+						t.Fatal(err)
 					}
-				case i < 2 && two[i] != def[i]:
-					t.Errorf("%s B=%d: %s read %d blocks through two frames, %d through the gate's: a sequential pass should tie", fx.name, blockSize, what, two[i], def[i])
-				case i == 4 && two[i] <= def[i]:
-					t.Errorf("%s B=%d: %s read %d blocks through two frames, %d through the gate's: want strictly more", fx.name, blockSize, what, two[i], def[i])
-				case two[i] < def[i]:
-					t.Errorf("%s B=%d: %s read %d blocks through two frames, fewer than the gate's %d", fx.name, blockSize, what, two[i], def[i])
+					got[i] = star.Info.IO.Reads
 				}
+				m, err := kcore.NewMaintainer(g, &kcore.MaintainerOptions{FromResult: star})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[3], got[4] = deleteInsertRound(t, m, round)
+				return got
 			}
-		}
+			for _, blockSize := range []int{4096, 512} {
+				t.Run(fmt.Sprintf("B=%d", blockSize), func(t *testing.T) {
+					testutil.RequireSpill(t, base, blockSize, testutil.GateFrames, float64(fx.parentBytes)/float64(64*blockSize))
+					def, two := run(t, blockSize, testutil.GateFrames), run(t, blockSize, 2)
+					t.Logf("%d frames %v, two frames %v", testutil.GateFrames, def, two)
+					for i, what := range [5]string{"SemiCore", "SemiCore+", "SemiCore*", "delete", "insert"} {
+						pins.Check(t, what+".reads", def[i])
+						switch {
+						case i == 2:
+							pins.Check(t, "2frames."+what+".reads", two[i])
+						case i < 2 && two[i] != def[i]:
+							t.Errorf("%s read %d blocks through two frames, %d through the gate's: a sequential pass should tie", what, two[i], def[i])
+						case i == 4 && two[i] <= def[i]:
+							t.Errorf("%s read %d blocks through two frames, %d through the gate's: want strictly more", what, two[i], def[i])
+						case two[i] < def[i]:
+							t.Errorf("%s read %d blocks through two frames, fewer than the gate's %d", what, two[i], def[i])
+						}
+					}
+				})
+			}
+		})
 	}
 }
 

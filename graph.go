@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"kcore/internal/dyngraph"
+	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/stats"
 )
@@ -180,11 +181,7 @@ func (g *Graph) ResetIOStats() { g.ctr.Reset() }
 // sequential scan, in the order the tables lay the nodes out (Build: by
 // degree ascending), each node's edges by ascending v.
 func (g *Graph) VisitEdges(fn func(u, v uint32) error) error {
-	n := g.NumNodes()
-	if n == 0 {
-		return nil
-	}
-	return g.dyn.Scan(0, n-1, nil, func(v uint32, nbrs []uint32) error {
+	return graph.ScanAll(g.dyn, func(v uint32, nbrs []uint32) error {
 		for _, u := range nbrs {
 			if u > v {
 				if err := fn(v, u); err != nil {

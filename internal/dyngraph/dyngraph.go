@@ -356,11 +356,6 @@ func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {
 	})
 }
 
-// Scan implements graph.Source over the merged view.
-func (g *Graph) Scan(pmin, pmax uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
-	return g.ScanDynamic(pmin, func() uint32 { return pmax }, want, fn)
-}
-
 // ScanDynamic implements graph.Source over the merged view.
 func (g *Graph) ScanDynamic(pmin uint32, pmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
 	return g.disk.ScanDynamic(pmin, pmaxFn, want, overlaid(g.ins, g.del, fn))

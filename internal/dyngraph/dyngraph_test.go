@@ -9,6 +9,7 @@ import (
 
 	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/imcore"
 	"kcore/internal/stats"
@@ -102,7 +103,7 @@ func testScanMergedView(t *testing.T, open driverOpen) {
 		t.Fatal(err)
 	}
 	sum := 0
-	err := g.Scan(0, 8, nil, func(v uint32, nbrs []uint32) error {
+	err := graph.ScanAll(g, func(v uint32, nbrs []uint32) error {
 		sum += len(nbrs)
 		return nil
 	})

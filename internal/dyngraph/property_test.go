@@ -92,7 +92,7 @@ func agrees(g *dyngraph.Graph, ref *imcore.DynGraph) error {
 		want func(uint32) bool
 	}{{0, nil}, {1, func(v uint32) bool { return v%3 == 0 }}} {
 		var seen []uint32
-		if err := g.Scan(sc.vmin, n-1, sc.want, func(v uint32, nbrs []uint32) error {
+		if err := g.ScanDynamic(sc.vmin, func() uint32 { return n - 1 }, sc.want, func(v uint32, nbrs []uint32) error {
 			seen = append(seen, v)
 			if !slices.Equal(nbrs, ref.Neighbors(v)) {
 				return fmt.Errorf("scan from %d: nbr(%d) = %v, want %v", sc.vmin, v, nbrs, ref.Neighbors(v))

@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"kcore/internal/graph"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 )
@@ -290,7 +291,7 @@ func buildPartitions(src *storage.Graph, dir string, partArcs int64, ub []uint32
 	}
 	n := src.NumNodes()
 	pos := uint32(0)
-	err := src.Scan(0, n-1, nil, func(v uint32, nbrs []uint32) error {
+	err := graph.ScanAll(src, func(v uint32, nbrs []uint32) error {
 		ub[v] = uint32(len(nbrs))
 		pos++
 		if w == nil {

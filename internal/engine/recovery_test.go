@@ -14,11 +14,14 @@ import (
 	"kcore/internal/engine"
 	"kcore/internal/faultfs"
 	"kcore/internal/gen"
-	"kcore/internal/graphio"
 	"kcore/internal/serve"
 	"kcore/internal/storage"
+	"kcore/internal/testutil"
+	"kcore/internal/testutil/pins"
 	"kcore/internal/wal"
 )
+
+func TestMain(m *testing.M) { pins.Main(m) }
 
 // recoveryImage runs a durable graph over a 400-node social graph on
 // the frames cfg gives: a checkpoint at LSN 3, one at 6 (the two
@@ -239,22 +242,17 @@ func TestRecoverBadCoresComesUpDegraded(t *testing.T) {
 	}
 }
 
-// TestRecoveryIOGate pins the block reads of a recovery on RMAT(13,12)
-// at B = 4096 on the default frames, all of them on the recovered
-// graph's counter: the sidecar, the node table into the index and
-// SemiCore*'s reads (80), the same plus the maintenance reads of a
+// TestRecoveryIOGate pins the block reads of a recovery on testutil's
+// gate graph at B = 4096 on the default frames, all of them on the
+// recovered graph's counter: the sidecar, the node table into the index
+// and SemiCore*'s reads, the same plus the maintenance reads of a
 // replayed 20-record tail, and the bring-up of the same checkpoint
 // without its sidecar — a follower's download — whose open is one pass
-// over both tables (153). Build lays the tables out by degree, and the
-// checkpoints keep that layout: SemiCore* reads each of the 1 + 5 + 74
-// blocks once, and the tail's edits, at the hubs, read none the frames
-// do not hold. In id order the three read 181, 422 and 254.
+// over both tables. The checkpoints keep the degree layout Build wrote:
+// SemiCore* reads each block once, and the tail's edits, at the hubs,
+// read none the frames do not hold.
 func TestRecoveryIOGate(t *testing.T) {
-	edges := gen.RMAT(13, 12, .57, .19, .19, 1)
-	base := filepath.Join(t.TempDir(), "g")
-	if err := graphio.Build(base, graphio.SliceSource(edges), graphio.BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
+	base, edges := testutil.GateGraph(t)
 	var ups []serve.Update // ten deletes of present edges, ten inserts of absent ones
 	have := make(map[kcore.Edge]bool)
 	for _, e := range gen.Build(edges).EdgeList() {
@@ -308,10 +306,9 @@ func TestRecoveryIOGate(t *testing.T) {
 		name     string
 		dir      string
 		replayed int64
-		reads    int64
 	}{
-		{"clean", filepath.Join(dataDir, "g"), 0, 80},
-		{"tail", filepath.Join(tail, "g"), 20, 80},
+		{"clean", filepath.Join(dataDir, "g"), 0},
+		{"tail", filepath.Join(tail, "g"), 20},
 	} {
 		gr, eng := recoverImage(t, tc.dir)
 		if gr.Err != nil || gr.Degraded || gr.Fallback || gr.Replayed != tc.replayed {
@@ -319,9 +316,7 @@ func TestRecoveryIOGate(t *testing.T) {
 		}
 		reads := eng.Report().IO.Reads
 		t.Logf("%s: %d block reads", tc.name, reads)
-		if reads != tc.reads {
-			t.Errorf("%s recovery read %d blocks, want %d", tc.name, reads, tc.reads)
-		}
+		pins.Check(t, tc.name+".reads", reads)
 	}
 	l, err := engine.BringUp(download, kcore.OpenOptions{}, serve.Options{}, cores)
 	if err != nil {
@@ -330,7 +325,5 @@ func TestRecoveryIOGate(t *testing.T) {
 	defer l.Close()
 	reads := l.G.IOStats().Reads
 	t.Logf("download: %d block reads", reads)
-	if reads != 153 {
-		t.Errorf("bring-up of the download read %d blocks, want 153", reads)
-	}
+	pins.Check(t, "download.reads", reads)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"kcore/internal/emcore"
+	"kcore/internal/graph"
 	"kcore/internal/imcore"
 	"kcore/internal/memgraph"
 	"kcore/internal/semicore"
@@ -54,10 +55,7 @@ func warmFiles(base string) error {
 		return err
 	}
 	defer g.Close()
-	if g.NumNodes() == 0 {
-		return nil
-	}
-	return g.Scan(0, g.NumNodes()-1, nil, func(uint32, []uint32) error { return nil })
+	return graph.ScanAll(g, func(uint32, []uint32) error { return nil })
 }
 
 // runSemiDisk runs one semi-external variant over the on-disk graph at

@@ -57,7 +57,7 @@ type visit struct {
 func collectScan(t *testing.T, s graph.Source, vmin, vmax uint32, want func(uint32) bool) []visit {
 	t.Helper()
 	var out []visit
-	err := s.Scan(vmin, vmax, want, func(v uint32, nbrs []uint32) error {
+	err := s.ScanDynamic(vmin, func() uint32 { return vmax }, want, func(v uint32, nbrs []uint32) error {
 		out = append(out, visit{v, fmt.Sprint(nbrs)})
 		return nil
 	})
@@ -150,7 +150,7 @@ func TestSourcesAgreeOnDegrees(t *testing.T) {
 func TestSourcesHonourErrStop(t *testing.T) {
 	for name, s := range sources(t) {
 		count := 0
-		err := s.Scan(0, s.NumNodes()-1, nil, func(v uint32, nbrs []uint32) error {
+		err := graph.ScanAll(s, func(v uint32, nbrs []uint32) error {
 			count++
 			if count == 5 {
 				return graph.ErrStop

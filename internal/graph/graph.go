@@ -37,14 +37,18 @@ type Source interface {
 	// ScanDegrees streams (v, deg(v)) for every node, in layout order.
 	ScanDegrees(fn func(v uint32, deg uint32) error) error
 
-	// Scan walks the positions pmin to pmax inclusive; for the node v at
-	// each where want returns true (nil want selects all) it loads nbr(v)
-	// and calls fn. The slice passed to fn is only valid during the call.
-	Scan(pmin, pmax uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error
-
-	// ScanDynamic is Scan with an upper bound re-evaluated after every
-	// position, so callbacks may extend the scan window while it runs.
+	// ScanDynamic walks the positions from pmin up to pmaxFn(), which it
+	// re-evaluates after every position, so callbacks may extend the scan
+	// window while it runs. For the node v at each position where want
+	// returns true (nil want selects all) it loads nbr(v) and calls fn.
+	// The slice passed to fn is only valid during the call.
 	ScanDynamic(pmin uint32, pmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error
+}
+
+// ScanAll calls fn with every node of src and its list, in layout order.
+func ScanAll(src Source, fn func(v uint32, nbrs []uint32) error) error {
+	last := src.NumNodes() - 1 // on no nodes, pmin 0 is past the end
+	return src.ScanDynamic(0, func() uint32 { return last }, nil, fn)
 }
 
 // Pos reports node v's position under layout, a Source's Positions: v

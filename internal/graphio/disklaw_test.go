@@ -1,6 +1,7 @@
 package graphio_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,8 +13,11 @@ import (
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 	"kcore/internal/testutil"
+	"kcore/internal/testutil/pins"
 	"kcore/internal/verify"
 )
+
+func TestMain(m *testing.M) { pins.Main(m) }
 
 // TestSemiCoreIOLaw pins Theorem 4.2's I/O complexity as an exact law of
 // the implementation: the node table is read once, into memory, and
@@ -28,10 +32,8 @@ import (
 // table to the degree-initialisation pass. At B=64, no whole number of
 // the sidecar's 512-byte granules, the open is the verifying pass over
 // both tables, which reads the node table into memory on the way: the
-// decomposition then reads only its l scans. Pinned (l = 13): 798 + 9,542
-// at B=64 and 1 + 1,204 at B=512, the node table a varint a node (1,484
-// + 9,542 and 2 + 1,290 on 12 bytes a node; 2,264 + 19,682 and 2 + 2,564
-// with 4-byte ids as well).
+// decomposition then reads only its l scans. The open's and the
+// decomposition's reads are pinned.
 func TestSemiCoreIOLaw(t *testing.T) {
 	const frames = 30
 	mem := gen.Build(gen.Social(4000, 3, 10, 9, 701))
@@ -43,11 +45,7 @@ func TestSemiCoreIOLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		blockSize   int
-		open, reads int64
-	}{{64, 798, 9542}, {512, 1, 1204}} {
-		blockSize := tc.blockSize
+	for _, blockSize := range []int{64, 512} {
 		testutil.RequireSpill(t, base, blockSize, frames, float64(4*mem.NumArcs())/float64(64*blockSize))
 		ctr := stats.NewIOCounter(blockSize)
 		g, err := storage.Open(base, ctr, storage.NewBlockCache(frames, blockSize))
@@ -78,9 +76,9 @@ func TestSemiCoreIOLaw(t *testing.T) {
 			t.Fatalf("B=%d: the open read %d, want %d; SemiCore read %d, want %d (l=%d iterations)",
 				blockSize, opened, wantOpen, got, want, res.Stats.Iterations)
 		}
-		if opened != tc.open || got != tc.reads {
-			t.Fatalf("B=%d: the open read %d and SemiCore %d, pinned at %d and %d", blockSize, opened, got, tc.open, tc.reads)
-		}
+		leg := fmt.Sprintf("B=%d.", blockSize)
+		pins.Check(t, leg+"open.reads", opened)
+		pins.Check(t, leg+"SemiCore.reads", got)
 	}
 }
 
@@ -94,10 +92,8 @@ func TestSemiCoreIOLaw(t *testing.T) {
 // only other counted I/O is writing the two tables front to back and
 // then their checksum sidecar: an 8-byte header and 4 bytes per 512-byte
 // granule of each table, the tables' bytes being the header's ntbytes and
-// etbytes. Moving runs a block per call changed none of it. The tables
-// and sidecar are pinned: 16 blocks at B = 512, 4 at B = 4096 (15 and 4
-// in id order, 24 and 5 on 12 bytes a node, 57 and 9 with 4-byte ids as
-// well).
+// etbytes. Moving runs a block per call changed none of it. The blocks
+// of the tables and sidecar are pinned.
 func TestBuildIOLaw(t *testing.T) {
 	edges := gen.ErdosRenyi(400, 3000, 705)
 	mem := gen.Build(edges)
@@ -107,7 +103,6 @@ func TestBuildIOLaw(t *testing.T) {
 			arcs += 2
 		}
 	}
-	tablePins := map[int]int64{512: 16, 4096: 4}
 	for _, blockSize := range []int{512, 4096} {
 		for _, budget := range []int{200, 1026, 2 * int(arcs), 0} {
 			ctr := stats.NewIOCounter(blockSize)
@@ -137,9 +132,7 @@ func TestBuildIOLaw(t *testing.T) {
 				t.Fatalf("B=%d budget=%d: reads %d writes %d, want %d run blocks and %d more of spilled runs each way + %d table and %d sidecar blocks written",
 					blockSize, budget, got.Reads, got.Writes, runBlocks, spilled, tables, sidecar)
 			}
-			if pin := tablePins[blockSize]; tables+sidecar != pin {
-				t.Fatalf("B=%d: the tables and sidecar took %d blocks, pinned at %d", blockSize, tables+sidecar, pin)
-			}
+			pins.Check(t, fmt.Sprintf("B=%d.table_blocks", blockSize), tables+sidecar)
 		}
 	}
 }

@@ -253,7 +253,7 @@ func ReadToCSR(base string) (*memgraph.CSR, error) {
 	}
 	defer g.Close()
 	var edges []graph.Edge
-	err = g.Scan(0, g.NumNodes()-1, nil, func(v uint32, nbrs []uint32) error {
+	err = graph.ScanAll(g, func(v uint32, nbrs []uint32) error {
 		for _, u := range nbrs {
 			if u > v {
 				edges = append(edges, graph.Edge{U: v, V: u})

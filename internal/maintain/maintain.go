@@ -271,11 +271,7 @@ func (s *Session) computeCntStar(nbrs []uint32, cold uint32) int32 {
 // maintained counters; tests call it after operations.
 func (s *Session) VerifyState() error {
 	core, cnt := s.St.Core, s.St.Cnt
-	n := s.G.NumNodes()
-	if n == 0 {
-		return nil
-	}
-	return s.G.Scan(0, n-1, nil, func(v uint32, nbrs []uint32) error {
+	return graph.ScanAll(s.G, func(v uint32, nbrs []uint32) error {
 		var want int32
 		for _, x := range nbrs {
 			if core[x] >= core[v] {

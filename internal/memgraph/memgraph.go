@@ -138,12 +138,6 @@ func (g *CSR) ScanDegrees(fn func(v uint32, deg uint32) error) error {
 	return nil
 }
 
-// Scan implements graph.Source.
-func (g *CSR) Scan(vmin, vmax uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
-	cur := vmax
-	return g.ScanDynamic(vmin, func() uint32 { return cur }, want, fn)
-}
-
 // ScanDynamic implements graph.Source.
 func (g *CSR) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
 	n := g.NumNodes()

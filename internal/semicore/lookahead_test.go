@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	"kcore/internal/dyngraph"
@@ -18,8 +17,11 @@ import (
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 	"kcore/internal/testutil"
+	"kcore/internal/testutil/pins"
 	"kcore/internal/verify"
 )
+
+func TestMain(m *testing.M) { pins.Main(m) }
 
 // starOnDisk decomposes the on-disk graph at base with SemiCore* under
 // either recompute rule through a cache of the given frames
@@ -65,9 +67,10 @@ var families = []family{
 }
 
 // forEachFixture builds every family at three seeds from the test's seed
-// as block-counted disk tables and calls check with the path prefix and
-// the oracle (IMCore's cores and their Eq. 2 counters).
-func forEachFixture(t *testing.T, check func(t *testing.T, fam family, base string, core []uint32, cnt []int32)) {
+// as block-counted disk tables and calls check with the path prefix, the
+// oracle (IMCore's cores and their Eq. 2 counters) and whether the seeds
+// are the default ones, which pins are taken at.
+func forEachFixture(t *testing.T, check func(t *testing.T, fam family, base string, core []uint32, cnt []int32, pinned bool)) {
 	seed := testutil.Seed(t, 1)
 	for _, fam := range families {
 		for i := int64(0); i < 3; i++ {
@@ -81,7 +84,7 @@ func forEachFixture(t *testing.T, check func(t *testing.T, fam family, base stri
 					t.Fatal(err)
 				}
 				core := imcore.Decompose(csr, nil).Core
-				check(t, fam, base, core, verify.CntFor(csr, core))
+				check(t, fam, base, core, verify.CntFor(csr, core), seed == 1)
 			})
 		}
 	}
@@ -112,10 +115,12 @@ func matchOracle(t *testing.T, core []uint32, cnt []int32, results ...*Result) {
 // fixture's encoded edge table is at least as many times that as its
 // 4-byte table was the 64 frames the test read through before (through
 // 64 the RMAT tables, a third of their old size, nearly fit, and both
-// rules read each block once).
+// rules read each block once). At the default seeds both counts are
+// pinned, each with the first use's pass over the node table; Build
+// keeps the smallworld ring lattices in id order, their locality order.
 func TestLookaheadMatchesOracleAndNeverReadsMore(t *testing.T) {
 	const frames = 16
-	forEachFixture(t, func(t *testing.T, fam family, base string, core []uint32, cnt []int32) {
+	forEachFixture(t, func(t *testing.T, fam family, base string, core []uint32, cnt []int32, pinned bool) {
 		meta, err := storage.ReadMeta(base)
 		if err != nil {
 			t.Fatal(err)
@@ -129,42 +134,11 @@ func TestLookaheadMatchesOracleAndNeverReadsMore(t *testing.T) {
 		if lookReads > paperReads || (fam.strictly && lookReads == paperReads) {
 			t.Fatalf("lookahead read %d blocks, the paper's rule %d", lookReads, paperReads)
 		}
-		if pin, ok := lookaheadPins[t.Name()[strings.Index(t.Name(), "/")+1:]]; ok && pin != [2]int64{lookReads, paperReads} {
-			t.Fatalf("lookahead and paper's rule read %d and %d blocks, pinned at %v", lookReads, paperReads, pin)
+		if pinned {
+			pins.Check(t, "lookahead.reads", lookReads)
+			pins.Check(t, "paper.reads", paperReads)
 		}
 	})
-}
-
-// lookaheadPins are the exact reads, lookahead then the paper's rule, of
-// TestLookaheadMatchesOracleAndNeverReadsMore at the default seed. Each
-// includes the first use's pass over the node table. Build lays the
-// tables out by degree, and every pin fell against id order (er {205,
-// 238}, {156, 183}, {190, 226}; ba {287, 297}, {272, 282}, {296, 310};
-// rmat {231, 271}, {231, 249}, {237, 268}; web {65, 75}, {51, 66}, {75,
-// 85}; social {246, 261}, {254, 260}, {267, 279}), but for smallworld,
-// which Build keeps in id order: a ring lattice's ids are already its
-// locality order, which the degree order scatters ({424, 452}, {385,
-// 449}, {392, 429} in degree order). ARCHITECTURE, "Deviations from the
-// paper", has the scan order.
-var lookaheadPins = map[string][2]int64{
-	"er/seed=1":         {138, 174},
-	"er/seed=2":         {122, 144},
-	"er/seed=3":         {146, 165},
-	"ba/seed=1":         {213, 220},
-	"ba/seed=2":         {202, 223},
-	"ba/seed=3":         {221, 227},
-	"rmat/seed=1":       {109, 127},
-	"rmat/seed=2":       {106, 137},
-	"rmat/seed=3":       {114, 148},
-	"web/seed=1":        {26, 26},
-	"web/seed=2":        {36, 44},
-	"web/seed=3":        {44, 47},
-	"social/seed=1":     {146, 171},
-	"social/seed=2":     {162, 184},
-	"social/seed=3":     {171, 189},
-	"smallworld/seed=1": {71, 71},
-	"smallworld/seed=2": {66, 66},
-	"smallworld/seed=3": {66, 66},
 }
 
 // TestRevisitsMatchOracleAndNeverReadMore runs SemiCore* as it runs on a
@@ -183,7 +157,7 @@ var lookaheadPins = map[string][2]int64{
 // BenchmarkCacheSweepRMAT17).
 func TestRevisitsMatchOracleAndNeverReadMore(t *testing.T) {
 	frameLegs := []int{2, 4, 8}
-	forEachFixture(t, func(t *testing.T, _ family, base string, core []uint32, cnt []int32) {
+	forEachFixture(t, func(t *testing.T, _ family, base string, core []uint32, cnt []int32, _ bool) {
 		testutil.RequireSpill(t, base, 1024, frameLegs[len(frameLegs)-1], 2)
 		for _, frames := range frameLegs {
 			rev, revReads := starOnDisk(t, base, false, frames, false)
@@ -270,27 +244,17 @@ func TestStarCntInvariant(t *testing.T) {
 	}
 }
 
-// TestSemiCoreStarFromIOGate pins the resume on RMAT(13,12) through 30
-// frames, reads after open: from the exact cores SemiCore* takes one
-// pass and 79 reads, from the degrees (no bound below them) 3 passes and
-// 139, the fresh decomposition the root package's
-// TestDecompositionIOGate pins. Both include the first use's 5 blocks of
-// node table: Build lays the tables out by degree, whose node records
-// carry the ids (in id order, 3 blocks: 1 pass and 77 reads, 5 and 229;
-// 24 when it took 12 bytes a node: 98 and 250). The encoded
-// edge table is 2.46 times the 30 frames, no less than the 4-byte table
-// (635,304 bytes; 5 passes and 465 reads, 1 and 180) was the default 64.
+// TestSemiCoreStarFromIOGate pins the resume on testutil's gate graph
+// through its frames, reads after open: from the degrees (no bound below
+// them), the fresh decomposition the root package's
+// TestDecompositionIOGate pins, then from the exact cores, in one pass.
+// Both include the first use's node-table blocks.
 func TestSemiCoreStarFromIOGate(t *testing.T) {
-	const frames = 30
-	base := filepath.Join(t.TempDir(), "g")
-	if err := graphio.Build(base, graphio.SliceSource(gen.RMAT(13, 12, .57, .19, .19, 1)), graphio.BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	testutil.RequireSpill(t, base, 4096, frames, 635304/(4096*64.0))
+	base, _ := testutil.GateGraph(t)
 	var prev *Result
-	for _, want := range []struct{ iters, reads int }{{3, 139}, {1, 79}} {
+	for _, leg := range []string{"fresh", "resumed"} {
 		ctr := stats.NewIOCounter(0)
-		g := openDyn(t, base, ctr, frames)
+		g := openDyn(t, base, ctr, testutil.GateFrames)
 		bound := slices.Repeat([]uint32{math.MaxUint32}, int(g.NumNodes()))
 		if prev != nil {
 			bound = prev.Core
@@ -300,11 +264,10 @@ func TestSemiCoreStarFromIOGate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reads := int(ctr.Reads() - opened)
-		t.Logf("%d iterations, %d reads", res.Stats.Iterations, reads)
-		if res.Stats.Iterations != want.iters || reads != want.reads {
-			t.Errorf("%d iterations and %d reads, want %d and %d", res.Stats.Iterations, reads, want.iters, want.reads)
-		}
+		reads := ctr.Reads() - opened
+		t.Logf("%s: %d iterations, %d reads", leg, res.Stats.Iterations, reads)
+		pins.Check(t, leg+".iterations", int64(res.Stats.Iterations))
+		pins.Check(t, leg+".reads", reads)
 		if prev != nil && (!slices.Equal(res.Core, prev.Core) || !slices.Equal(res.Cnt, prev.Cnt)) {
 			t.Error("the resumed state differs from the fresh decomposition")
 		}

@@ -85,7 +85,7 @@ func SemiCore(g graph.Source, opts *Options) (*Result, error) {
 		update = false
 		var iterUpdated int64
 		computed = computed[:0]
-		err := g.Scan(0, n-1, nil, func(v uint32, nbrs []uint32) error {
+		err := graph.ScanAll(g, func(v uint32, nbrs []uint32) error {
 			cold := core[v]
 			nc := buf.localCore(cold, nbrs, core, nil)
 			res.Stats.NodeComputations++

@@ -514,26 +514,16 @@ func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {
 	return nil
 }
 
-// Scan performs the paper's partial sequential scan: it walks the
-// positions pmin to pmax inclusive in layout order (Pos), consults want(v)
-// (nil means every node) for the node v at each, and for wanted nodes
-// loads nbr(v) and invokes fn. Records come from the node index, decoded
-// one after another, and the scan seeks directly between wanted lists,
-// so only the edge blocks holding wanted lists are fetched. The
-// neighbour slice passed to fn is reused across calls; fn must not
-// retain it.
-//
-// want may mutate state that changes later want results, and fn may cause
-// pmax to grow logically; callers needing a dynamic upper bound use
-// ScanDynamic.
-func (g *Graph) Scan(pmin, pmax uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
-	cur := pmax
-	return g.ScanDynamic(pmin, func() uint32 { return cur }, want, fn)
-}
-
-// ScanDynamic is Scan with a callable upper bound, re-evaluated after each
-// position, supporting algorithms (SemiCore+/SemiCore*) that extend pmax
-// while the scan is in flight.
+// ScanDynamic performs the paper's partial sequential scan: it walks the
+// positions from pmin to pmaxFn() inclusive in layout order (Pos),
+// re-evaluating the bound after each position so that algorithms
+// (SemiCore+/SemiCore*) can extend it while the scan is in flight,
+// consults want(v) (nil means every node) for the node v at each, and
+// for wanted nodes loads nbr(v) and invokes fn. Records come from the
+// node index, decoded one after another, and the scan seeks directly
+// between wanted lists, so only the edge blocks holding wanted lists are
+// fetched. The neighbour slice passed to fn is reused across calls; fn
+// must not retain it.
 func (g *Graph) ScanDynamic(pmin uint32, pmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
 	n := g.meta.N
 	if pmin >= n {

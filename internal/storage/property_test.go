@@ -13,6 +13,7 @@ import (
 	"testing/quick"
 
 	"kcore/internal/faultfs"
+	"kcore/internal/graph"
 	"kcore/internal/stats"
 )
 
@@ -134,7 +135,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 			return false
 		}
 		ok := true
-		err = g.Scan(0, uint32(n-1), nil, func(v uint32, nbrs []uint32) error {
+		err = graph.ScanAll(g, func(v uint32, nbrs []uint32) error {
 			if len(nbrs) != len(adj[v]) {
 				ok = false
 				return nil

@@ -9,7 +9,10 @@ import (
 
 	"kcore/internal/graph"
 	"kcore/internal/stats"
+	"kcore/internal/testutil/pins"
 )
+
+func TestMain(m *testing.M) { pins.Main(m) }
 
 // buildGraph writes a small graph and reopens it with a fresh counter.
 func buildGraph(t *testing.T, adj [][]uint32, blockSize int) (*Graph, *stats.IOCounter) {
@@ -92,12 +95,10 @@ func TestSequentialScanIOCount(t *testing.T) {
 	// which build the node index on the way, and a full scan then costs
 	// the edge table's 2.
 	g, ctr := buildGraph(t, sampleAdj, 16)
-	if got := ctr.Reads(); got != 3 {
-		t.Fatalf("the open cost %d read I/Os, want 3", got)
-	}
+	pins.Check(t, "open.reads", ctr.Reads())
 	ctr.Reset()
 	visited := 0
-	err := g.Scan(0, g.NumNodes()-1, nil, func(v uint32, nbrs []uint32) error {
+	err := graph.ScanAll(g, func(v uint32, nbrs []uint32) error {
 		visited++
 		return nil
 	})
@@ -107,12 +108,10 @@ func TestSequentialScanIOCount(t *testing.T) {
 	if visited != 9 {
 		t.Fatalf("visited %d nodes, want 9", visited)
 	}
-	if got := ctr.Reads(); got != 2 {
-		t.Fatalf("full scan cost %d read I/Os, want 2", got)
-	}
+	pins.Check(t, "scan.reads", ctr.Reads())
 	// A second full scan is free: two blocks fit the graph's frames.
 	before := ctr.Reads()
-	if err := g.Scan(0, g.NumNodes()-1, nil, func(uint32, []uint32) error { return nil }); err != nil {
+	if err := graph.ScanAll(g, func(uint32, []uint32) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctr.Reads() - before; got != 0 {
@@ -139,10 +138,11 @@ func TestPartialScanSkipsBlocks(t *testing.T) {
 		}
 	}
 	g, ctr := buildGraph(t, adj, 512)
-	for i, want := range []int64{2 + 1, 1} {
+	last := g.NumNodes() - 1
+	for _, scan := range []string{"first", "second"} {
 		ctr.Reset()
 		invalidateBuffers(g)
-		err := g.Scan(0, g.NumNodes()-1, func(v uint32) bool { return v == 0 }, func(v uint32, nbrs []uint32) error {
+		err := g.ScanDynamic(0, func() uint32 { return last }, func(v uint32) bool { return v == 0 }, func(v uint32, nbrs []uint32) error {
 			if v != 0 || len(nbrs) != 1 || nbrs[0] != 1 {
 				t.Fatalf("unexpected visit v=%d nbrs=%v", v, nbrs)
 			}
@@ -151,18 +151,14 @@ func TestPartialScanSkipsBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ctr.Reads(); got != want {
-			t.Fatalf("single-node scan %d cost %d read I/Os, want %d", i, got, want)
-		}
+		pins.Check(t, "node0."+scan+".reads", ctr.Reads())
 	}
 	ctr.Reset()
 	invalidateBuffers(g)
-	if err := g.Scan(0, g.NumNodes()-1, nil, func(uint32, []uint32) error { return nil }); err != nil {
+	if err := graph.ScanAll(g, func(uint32, []uint32) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctr.Reads(); got != 4 {
-		t.Fatalf("full scan cost %d read I/Os, want the edge table's 4", got)
-	}
+	pins.Check(t, "scan.reads", ctr.Reads())
 }
 
 func TestScanDynamicExtendsWindow(t *testing.T) {
@@ -187,7 +183,7 @@ func TestScanDynamicExtendsWindow(t *testing.T) {
 func TestScanEarlyStop(t *testing.T) {
 	g, _ := buildGraph(t, sampleAdj, 0)
 	count := 0
-	err := g.Scan(0, g.NumNodes()-1, nil, func(v uint32, nbrs []uint32) error {
+	err := graph.ScanAll(g, func(v uint32, nbrs []uint32) error {
 		count++
 		if v == 3 {
 			return graph.ErrStop
@@ -308,7 +304,7 @@ func TestBuilderLayout(t *testing.T) {
 		}
 	}
 	var scanned []uint32
-	err := g.Scan(1, 4, func(v uint32) bool { return v != 0 }, func(v uint32, nbrs []uint32) error {
+	err := g.ScanDynamic(1, func() uint32 { return 4 }, func(v uint32) bool { return v != 0 }, func(v uint32, nbrs []uint32) error {
 		scanned = append(scanned, v)
 		return nil
 	})

@@ -72,6 +72,34 @@ func WriteCSR(tb testing.TB, csr *memgraph.CSR) string {
 	return base
 }
 
+// The I/O gates' graph is RMAT(13, 12) at seed 1. Its 4-byte-per-arc
+// edge table of format version 1, GateV1Bytes, was 2.42 times the
+// default 64 frames of 4 KiB the gates read through; the gap-coded table
+// (302,092 bytes, 74 blocks) would nearly fit them, so the gates read
+// through GateFrames, which it overflows by at least as much.
+const (
+	GateV1Bytes = 635304
+	GateFrames  = 30
+)
+
+// GateEdges generates the gates' graph.
+func GateEdges() []graph.Edge { return gen.RMAT(13, 12, .57, .19, .19, 1) }
+
+// GateGraph builds the gates' graph with graphio.Build, in the degree
+// layout Build writes, under the test's temp dir, and returns its path
+// prefix and the generated edges. It fails tb if the edge table no
+// longer overflows GateFrames frames of 4 KiB by the old ratio.
+func GateGraph(tb testing.TB) (base string, edges []graph.Edge) {
+	tb.Helper()
+	edges = GateEdges()
+	base = filepath.Join(tb.TempDir(), "g")
+	if err := graphio.Build(base, graphio.SliceSource(edges), graphio.BuildOptions{}); err != nil {
+		tb.Fatal(err)
+	}
+	RequireSpill(tb, base, 4096, GateFrames, GateV1Bytes/(4096*64.0))
+	return base, edges
+}
+
 // RequireSpill fails tb unless the edge table of the graph at base is at
 // least ratio times a cache of frames blocks of blockSize bytes. An I/O
 // gate passes the ratio its fixture held on the 4-byte-per-arc tables of

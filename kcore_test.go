@@ -13,6 +13,7 @@ import (
 	"kcore/internal/imcore"
 	"kcore/internal/memgraph"
 	"kcore/internal/testutil"
+	"kcore/internal/testutil/pins"
 	"kcore/internal/verify"
 )
 
@@ -207,8 +208,7 @@ func TestMaintainerTwoPhaseVariant(t *testing.T) {
 // algorithms, its reads pinned exactly. The graph's edge table is 3.5
 // times the 16 frames of 512 bytes it is read through (its 4-byte table,
 // 63,192 bytes, was 1.9 times the default frames), so inserting two
-// edges reads blocks: 503 and 628 under the degree layout Build writes,
-// 591 and 751 in id order.
+// edges reads blocks.
 func TestInsertEdgesErrorKeepsPrefixStats(t *testing.T) {
 	edges := gen.BarabasiAlbert(2000, 4, 205)
 	base := filepath.Join(t.TempDir(), "g")
@@ -216,11 +216,7 @@ func TestInsertEdgesErrorKeepsPrefixStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	testutil.RequireSpill(t, base, 512, 16, 63192/(512*64.0))
-	for _, tc := range []struct {
-		algo  kcore.InsertAlgorithm
-		reads int64
-	}{{kcore.SemiInsertStar, 503}, {kcore.SemiInsertTwoPhase, 628}} {
-		algo := tc.algo
+	for _, algo := range []kcore.InsertAlgorithm{kcore.SemiInsertStar, kcore.SemiInsertTwoPhase} {
 		t.Run(algo.String(), func(t *testing.T) {
 			g, err := kcore.Open(base, &kcore.OpenOptions{BlockSize: 512, CacheBlocks: 16})
 			if err != nil {
@@ -241,9 +237,10 @@ func TestInsertEdgesErrorKeepsPrefixStats(t *testing.T) {
 			if err == nil {
 				t.Fatal("a batch re-inserting its own first edge was accepted")
 			}
-			if info.IO.Reads != tc.reads || info.NodeComputations == 0 {
-				t.Fatalf("the applied prefix's work is missing from the error's RunInfo (%d reads, pinned at %d): %+v", info.IO.Reads, tc.reads, info)
+			if info.NodeComputations == 0 {
+				t.Fatalf("the applied prefix's work is missing from the error's RunInfo: %+v", info)
 			}
+			pins.Check(t, "reads", info.IO.Reads)
 			for _, e := range []kcore.Edge{a, b} {
 				if has, _ := g.HasEdge(e.U, e.V); !has {
 					t.Fatalf("prefix edge %v not applied", e)

@@ -2,7 +2,6 @@ package kcore_test
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"kcore"
@@ -14,6 +13,7 @@ import (
 	"kcore/internal/semicore"
 	"kcore/internal/stats"
 	"kcore/internal/testutil"
+	"kcore/internal/testutil/pins"
 	"kcore/internal/verify"
 )
 
@@ -152,34 +152,19 @@ func TestLookaheadIgnoresUncountedNeighbours(t *testing.T) {
 	}
 }
 
-// The root I/O gates run on RMAT(13, 12), seed 1, through gateFrames
-// frames of 4 KiB. Its 4-byte-per-arc edge table of format version 1,
-// gateParentBytes, was 2.42 times the default 64 frames the gates read
-// through; the gap-coded table (302,147 bytes, 74 blocks) would nearly
-// fit them, so the gates read through 30 frames instead, 2.46 times
-// smaller than the table, and gateGraph fails if that ever falls below
-// the old ratio.
-const (
-	gateParentBytes = 635304
-	gateFrames      = 30
-)
+func TestMain(m *testing.M) { pins.Main(m) }
 
-func gateEdges() []kcore.Edge { return gen.RMAT(13, 12, .57, .19, .19, 1) }
-
-// gateGraph builds gateEdges and opens it on gateFrames frames.
-func gateGraph(t *testing.T) *kcore.Graph {
+// gateGraph opens testutil's gate graph on its frames and returns it
+// with the edges it was built from.
+func gateGraph(t *testing.T) (*kcore.Graph, []kcore.Edge) {
 	t.Helper()
-	base := filepath.Join(t.TempDir(), "g")
-	if err := kcore.Build(base, kcore.SliceEdges(gateEdges()), nil); err != nil {
-		t.Fatal(err)
-	}
-	g, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: gateFrames})
+	base, edges := testutil.GateGraph(t)
+	g, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: testutil.GateFrames})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { g.Close() })
-	testutil.RequireSpill(t, base, 4096, gateFrames, gateParentBytes/(4096*64.0))
-	return g
+	return g, edges
 }
 
 // TestDecompositionIOGate pins the decomposition I/O of the three
@@ -189,36 +174,20 @@ func gateGraph(t *testing.T) *kcore.Graph {
 // compute another number of nodes, than the pinned figure fails here and
 // has to justify a new pin. Each algorithm runs on a graph opened for it
 // alone, so no count depends on the frames another algorithm left, and
-// each pays the 5 node-table blocks its degree pass reads into memory.
-// SemiCore* makes its revisits on the gate's frames. Build lays the
-// tables out by degree: in id order (3 node-table blocks) they read 229
-// (8,456 computations, 5 passes), 639 and 669; SemiCore's 9 full passes
-// read the same edge blocks in either order and pay the 2 blocks the ids
-// add to the node table. On 12 bytes a node they read 250, 660 and 690;
-// the 4-byte tables read 465 (8,451 computations), 1,316 and 1,428
-// blocks through the default frames.
+// each pays the node-table blocks its degree pass reads into memory.
+// SemiCore* makes its revisits on the gate's frames.
 func TestDecompositionIOGate(t *testing.T) {
-	for _, tc := range []struct {
-		algo      kcore.Algorithm
-		reads     int64
-		nodeComps int64 // 0: not gated
-	}{
-		{kcore.SemiCoreStar, 139, 7503},
-		{kcore.SemiCorePlus, 564, 0},
-		{kcore.SemiCoreBasic, 671, 0},
-	} {
-		g := gateGraph(t)
-		res, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: tc.algo})
+	for _, algo := range []kcore.Algorithm{kcore.SemiCoreStar, kcore.SemiCorePlus, kcore.SemiCoreBasic} {
+		g, _ := gateGraph(t)
+		res, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("%v: %d block reads, %d node computations, %d iterations",
-			tc.algo, res.Info.IO.Reads, res.Info.NodeComputations, res.Info.Iterations)
-		if res.Info.IO.Reads != tc.reads {
-			t.Errorf("%v read %d blocks, pinned at %d", tc.algo, res.Info.IO.Reads, tc.reads)
-		}
-		if tc.nodeComps > 0 && res.Info.NodeComputations != tc.nodeComps {
-			t.Errorf("%v computed %d nodes, pinned at %d", tc.algo, res.Info.NodeComputations, tc.nodeComps)
+			algo, res.Info.IO.Reads, res.Info.NodeComputations, res.Info.Iterations)
+		pins.Check(t, algo.String()+".reads", res.Info.IO.Reads)
+		if algo == kcore.SemiCoreStar {
+			pins.Check(t, algo.String()+".computations", res.Info.NodeComputations)
 		}
 	}
 }
@@ -226,18 +195,12 @@ func TestDecompositionIOGate(t *testing.T) {
 // TestMaintenanceIOGate pins, beside the decomposition gate, the block
 // reads of a fixed 100-edge round on the same graph: SemiDelete* of each
 // edge, then SemiInsert* of each back, on the handle the start-up
-// decomposition left. The counts are exact, like the decompositions'
-// (88 / 8,622 on tables in id order; 95 / 12,916 on the 4-byte tables
-// through the default frames; 135 / 15,812 while node-table blocks were
-// read through the frames). Under the degree layout the inserts read 4.2
-// times fewer blocks: SemiInsert*'s expansion, which follows one core
-// level, scans a window of nodes of similar degree that lie close
-// together. The deletes' windows span other lists than in id order, and
-// read 2 blocks more.
+// decomposition left. The counts are exact, like the decompositions'.
+// Under the degree layout SemiInsert*'s expansion, which follows one
+// core level, scans a window of nodes of similar degree that lie close
+// together.
 func TestMaintenanceIOGate(t *testing.T) {
-	const deleteReads, insertReads = 90, 2051
-	edges := gateEdges()
-	g := gateGraph(t)
+	g, edges := gateGraph(t)
 	m, err := kcore.NewMaintainer(g, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -246,10 +209,6 @@ func TestMaintenanceIOGate(t *testing.T) {
 	rand.New(rand.NewSource(5)).Shuffle(len(round), func(i, j int) { round[i], round[j] = round[j], round[i] })
 	del, ins := deleteInsertRound(t, m, round[:100])
 	t.Logf("100 deletes read %d blocks, 100 inserts %d", del, ins)
-	if del != deleteReads {
-		t.Errorf("100 deletes read %d blocks, pinned at %d", del, deleteReads)
-	}
-	if ins != insertReads {
-		t.Errorf("100 inserts read %d blocks, pinned at %d", ins, insertReads)
-	}
+	pins.Check(t, "delete.reads", del)
+	pins.Check(t, "insert.reads", ins)
 }
