@@ -21,11 +21,9 @@ import (
 type DurabilityOptions struct {
 	// Dir is the data directory root; one subdirectory per graph.
 	Dir string
-	// Policy is the WAL sync policy (always / interval / never).
+	// Policy is the WAL sync policy (always / interval / never); under
+	// the interval policy the log is also fsynced every 100ms.
 	Policy wal.SyncPolicy
-	// SyncInterval is the background fsync cadence under the interval
-	// policy; 0 selects 100ms.
-	SyncInterval time.Duration
 	// CheckpointEvery is the background checkpoint period; 0 disables
 	// periodic checkpoints (they still happen on clean Close, after
 	// recovery, when the update buffer fills, and via Checkpointer).
@@ -38,12 +36,13 @@ type DurabilityOptions struct {
 	FS faultfs.FS
 }
 
+// syncInterval is the background fsync cadence under the interval
+// policy.
+const syncInterval = 100 * time.Millisecond
+
 func (o DurabilityOptions) withDefaults() DurabilityOptions {
 	if o.FS == nil {
 		o.FS = faultfs.OS
-	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 100 * time.Millisecond
 	}
 	return o
 }
@@ -97,7 +96,7 @@ type durable struct {
 	name  string
 	inner *Live // the graph under live/, in service; owned
 	gd    *wal.GraphDir
-	ctr   *stats.WalCounters
+	ctr   stats.Counters[stats.WalSnapshot] // the counters; Report reads the gauges
 	opts  DurabilityOptions
 
 	mu  sync.Mutex // the commit point: guards lsn
@@ -111,7 +110,6 @@ type durable struct {
 	fill      int           // the configured BufferArcs; the graph's own bound is twice it
 	full      chan struct{} // onApply's signal to the checkpoint loop
 	foldBacks int64         // the graph's FoldBacks counted so far; writer-owned
-	inplace   atomic.Int64  // those the hard bound made in place
 
 	ckptMu    sync.Mutex
 	ckptLSN   int64 // the newest valid checkpoint's LSN, -1 before the first; guarded by ckptMu
@@ -124,7 +122,6 @@ type durable struct {
 func newDurable(name string, opts DurabilityOptions) *durable {
 	return &durable{
 		name:    name,
-		ctr:     &stats.WalCounters{},
 		opts:    opts,
 		full:    make(chan struct{}, 1),
 		ckptLSN: -1,
@@ -145,9 +142,10 @@ func (d *durable) onApply(deletes, inserts []kcore.Edge) {
 	if len(deletes)+len(inserts) == 0 {
 		return
 	}
-	fb := d.inner.G.FoldBacks() // past foldBacks: the hard bound fired in this flush
-	d.inplace.Add(fb - d.foldBacks)
-	d.foldBacks = fb
+	if fb := d.inner.G.FoldBacks(); fb > d.foldBacks { // the hard bound fired in this flush
+		d.ctr.Update(func(s *stats.WalSnapshot) { s.InplaceFoldbacks += fb - d.foldBacks })
+		d.foldBacks = fb
+	}
 	if d.inner.G.BufferedArcs() > d.fill && len(d.full) == 0 { // the only sender
 		d.full <- struct{}{}
 	}
@@ -168,25 +166,22 @@ func (d *durable) onApply(deletes, inserts []kcore.Edge) {
 }
 
 func (d *durable) noteBroken(err error) {
-	if d.broken.CompareAndSwap(nil, &walFailure{err: err}) {
-		d.ctr.SetDegraded(true)
-	}
+	d.broken.CompareAndSwap(nil, &walFailure{err: err})
 }
 
 // markDegraded seals the engine read-only before it is published.
 func (d *durable) markDegraded(reason string) {
 	d.degraded = fmt.Errorf("%w: %s", ErrDegraded, reason)
-	d.ctr.SetDegraded(true)
 }
 
 // startLoops launches the background fsync ticker (interval policy) and
 // the checkpoint loop: periodic, and on every fill onApply signals.
 func (d *durable) startLoops() {
-	if d.opts.Policy == wal.SyncInterval && d.opts.SyncInterval > 0 {
+	if d.opts.Policy == wal.SyncInterval {
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
-			t := time.NewTicker(d.opts.SyncInterval)
+			t := time.NewTicker(syncInterval)
 			defer t.Stop()
 			for {
 				select {
@@ -267,7 +262,7 @@ func (d *durable) checkpoint(adopt bool) error {
 		return err
 	}
 	d.ckptLSN = int64(lsn)
-	d.ctr.SetCheckpointLast(time.Since(t0))
+	d.ctr.Update(func(s *stats.WalSnapshot) { s.CheckpointLastMs = float64(time.Since(t0)) / 1e6 })
 	if !adopt {
 		return nil
 	}
@@ -310,7 +305,7 @@ func (d *durable) replay(recs []wal.Record) error {
 	if bad != nil {
 		return bad
 	}
-	d.ctr.AddReplayed(int64(len(recs)))
+	d.ctr.Update(func(s *stats.WalSnapshot) { s.Replayed += int64(len(recs)) })
 	return nil
 }
 
@@ -357,12 +352,14 @@ func (d *durable) Sync() error {
 	return nil
 }
 
-// Report adds the WAL/checkpoint/recovery block to the session's report.
+// Report adds the WAL/checkpoint/recovery block to the session's report:
+// the counters, and the gauges read from the checkpoint reader, the
+// commit point and the failure state.
 func (d *durable) Report() serve.Report {
-	d.ctr.SetLSN(d.CurrentLSN())
 	w := d.ctr.Snapshot()
 	w.CheckpointBlockReads = d.gd.IO().Snapshot().Reads
-	w.InplaceFoldbacks = d.inplace.Load()
+	w.LSN = d.CurrentLSN()
+	w.Degraded = d.degraded != nil || d.broken.Load() != nil
 	r := d.inner.Report()
 	r.Disk.OverlayLimit = d.fill // not the hard bound the graph is opened with
 	r.Durability = &w

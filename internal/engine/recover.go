@@ -147,13 +147,13 @@ func (r *Registry) startDurable(name, dir, src string, oo kcore.OpenOptions, sc 
 		FS:           r.dur.FS,
 		Policy:       r.dur.Policy,
 		SegmentBytes: r.dur.SegmentBytes,
-		Counters:     d.ctr,
+		Counters:     &d.ctr,
 		IO:           stats.NewIOCounter(r.opts.Open.BlockSize),
 	})
 	if err != nil {
 		return nil, err
 	}
-	so := r.serveOptions()
+	so := r.opts.Serve
 	so.OnApply = d.onApply
 	var want []uint32
 	if sc != nil {
@@ -352,8 +352,8 @@ func (r *Registry) recoverGraph(name string) (gr GraphRecovery) {
 				gr.Reason += "; " + reason
 			}
 		}
-		gr.Replayed = d.ctr.Replayed()
-		d.ctr.SetRecoveryNs(time.Since(t0).Nanoseconds())
+		gr.Replayed = d.ctr.Snapshot().Replayed
+		d.ctr.Update(func(s *stats.WalSnapshot) { s.RecoveryNs = time.Since(t0).Nanoseconds() })
 		return &entry{base: wal.LiveBase(dir), eng: d, dir: dir}, nil
 	})
 	gr.Elapsed = time.Since(t0)

@@ -243,14 +243,16 @@ func TestRecoverBadCoresComesUpDegraded(t *testing.T) {
 }
 
 // TestRecoveryIOGate pins the block reads of a recovery on testutil's
-// gate graph at B = 4096 on the default frames, all of them on the
-// recovered graph's counter: the sidecar, the node table into the index
-// and SemiCore*'s reads, the same plus the maintenance reads of a
-// replayed 20-record tail, and the bring-up of the same checkpoint
-// without its sidecar — a follower's download — whose open is one pass
-// over both tables. The checkpoints keep the degree layout Build wrote:
-// SemiCore* reads each block once, and the tail's edits, at the hubs,
-// read none the frames do not hold.
+// gate graph at B = 4096, all of them on the recovered graph's counter:
+// the sidecar, the node table into the index and SemiCore*'s reads, the
+// same plus the maintenance reads of a replayed 20-record tail, and the
+// bring-up of the same checkpoint without its sidecar — a follower's
+// download — whose open is one pass over both tables. The checkpoints
+// keep the degree layout Build wrote. On the default frames, which hold
+// the gate graph, SemiCore* reads each block once and the tail's edits
+// read none the frames do not hold, so clean and tail read alike; the
+// spill legs recover the same two images through testutil.GateFrames,
+// where the tail's maintenance pays for its misses.
 func TestRecoveryIOGate(t *testing.T) {
 	base, edges := testutil.GateGraph(t)
 	var ups []serve.Update // ten deletes of present edges, ten inserts of absent ones
@@ -266,23 +268,33 @@ func TestRecoveryIOGate(t *testing.T) {
 			ups = append(ups, serve.Update{Op: serve.OpInsert, U: e.U, V: e.V})
 		}
 	}
-	dataDir := t.TempDir()
-	reg := engine.NewRegistry(durableOptions(dataDir))
-	eng, err := reg.Open("g", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, up := range ups {
-		if err := eng.Apply(up); err != nil {
+	// images serves the graph on cfg's frames from a fresh data dir and
+	// applies ups; it returns the graph directory closed clean (its final
+	// checkpoint holds everything) and a copy taken before the close,
+	// whose newest checkpoint is the opening one and whose log holds the
+	// 20 records.
+	images := func(cfg engine.BackendConfig) (clean, tail string) {
+		dataDir, tailDir := t.TempDir(), t.TempDir()
+		reg := engine.NewRegistry(durableOptions(dataDir))
+		eng, err := reg.OpenBackend("g", base, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, up := range ups {
+			if err := eng.Apply(up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		copyTree(t, dataDir, tailDir)
+		if err := reg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return filepath.Join(dataDir, "g"), filepath.Join(tailDir, "g")
 	}
-	tail := t.TempDir()
-	copyTree(t, dataDir, tail)
-	if err := reg.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ckpts, err := filepath.Glob(filepath.Join(dataDir, "g", "ckpt", "*"))
+	clean, tail := images(engine.BackendConfig{})
+	spillClean, spillTail := images(engine.BackendConfig{CacheBlocks: testutil.GateFrames})
+
+	ckpts, err := filepath.Glob(filepath.Join(clean, "ckpt", "*"))
 	if err != nil || len(ckpts) != 2 {
 		t.Fatalf("checkpoints %v, %v", ckpts, err)
 	}
@@ -302,13 +314,16 @@ func TestRecoveryIOGate(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	got := make(map[string]int64)
 	for _, tc := range []struct {
 		name     string
 		dir      string
 		replayed int64
 	}{
-		{"clean", filepath.Join(dataDir, "g"), 0},
-		{"tail", filepath.Join(tail, "g"), 20},
+		{"clean", clean, 0},
+		{"tail", tail, 20},
+		{"spill.clean", spillClean, 0},
+		{"spill.tail", spillTail, 20},
 	} {
 		gr, eng := recoverImage(t, tc.dir)
 		if gr.Err != nil || gr.Degraded || gr.Fallback || gr.Replayed != tc.replayed {
@@ -317,7 +332,12 @@ func TestRecoveryIOGate(t *testing.T) {
 		reads := eng.Report().IO.Reads
 		t.Logf("%s: %d block reads", tc.name, reads)
 		pins.Check(t, tc.name+".reads", reads)
+		got[tc.name] = reads
 	}
+	if got["spill.tail"] <= got["spill.clean"] {
+		t.Fatalf("through %d frames the 20-record tail read %d blocks, the clean recovery %d; want more", testutil.GateFrames, got["spill.tail"], got["spill.clean"])
+	}
+
 	l, err := engine.BringUp(download, kcore.OpenOptions{}, serve.Options{}, cores)
 	if err != nil {
 		t.Fatal(err)

@@ -15,10 +15,9 @@ import (
 // Options carries the shared defaults a Registry applies to every engine
 // it creates. The zero value selects the serve and open defaults.
 type Options struct {
-	// Serve tunes every session the registry starts. Counters is
-	// ignored: the registry allocates a private ServeCounters per
-	// engine so counters are always per-graph. In data-dir mode OnApply
-	// is the durability shell's: it writes the log from it.
+	// Serve tunes every session the registry starts; each session
+	// counts for its own graph. In data-dir mode OnApply is the
+	// durability shell's: it writes the log from it.
 	Serve serve.Options
 	// Open tunes every graph the registry opens from disk.
 	Open kcore.OpenOptions
@@ -185,7 +184,7 @@ func (r *Registry) OpenBackend(name, base string, c BackendConfig) (Engine, erro
 		if r.dur != nil {
 			return r.createDurable(name, base, c, oo)
 		}
-		l, err := BringUp(base, oo, r.serveOptions(), nil)
+		l, err := BringUp(base, oo, r.opts.Serve, nil)
 		if err != nil {
 			return nil, fmt.Errorf("engine: open %s %q: %w", c.Backend, name, err)
 		}
@@ -201,14 +200,6 @@ func (r *Registry) OpenBackend(name, base string, c BackendConfig) (Engine, erro
 func (r *Registry) Register(name string, eng Engine) error {
 	_, err := r.install(name, func() (*entry, error) { return &entry{eng: eng}, nil })
 	return err
-}
-
-// serveOptions is the shared session tuning with private per-graph
-// counters.
-func (r *Registry) serveOptions() serve.Options {
-	o := r.opts.Serve
-	o.Counters = new(stats.ServeCounters)
-	return o
 }
 
 // Get returns the engine registered under name.

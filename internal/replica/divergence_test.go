@@ -14,7 +14,6 @@ import (
 	"kcore/internal/graph"
 	"kcore/internal/replica"
 	"kcore/internal/serve"
-	"kcore/internal/stats"
 	"kcore/internal/testutil"
 	"kcore/internal/wal"
 )
@@ -88,10 +87,8 @@ func TestStreamDivergenceRebootstraps(t *testing.T) {
 			srv := poisonedLeader(t, h, frames)
 
 			log := &ackLog{}
-			ctr := new(stats.ReplicaCounters)
 			f, err := replica.New(replica.Options{
 				Leader:       srv.URL,
-				Counters:     ctr,
 				OnApplied:    log.hook,
 				ReconnectMin: 5 * time.Millisecond,
 			})
@@ -101,10 +98,10 @@ func TestStreamDivergenceRebootstraps(t *testing.T) {
 			defer f.Close()
 
 			deadline := time.Now().Add(10 * time.Second)
-			for ctr.Bootstraps() < 2 {
+			for f.Report().Replica.Bootstraps < 2 {
 				if time.Now().After(deadline) {
 					t.Fatalf("follower never rebuilt from a checkpoint: bootstraps %d, applied_lsn %d",
-						ctr.Bootstraps(), ctr.AppliedLSN())
+						f.Report().Replica.Bootstraps, f.Report().Replica.AppliedLSN)
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
@@ -116,7 +113,7 @@ func TestStreamDivergenceRebootstraps(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				h.step()
 			}
-			waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
+			waitConverged(t, f, h.cs.CurrentLSN(), 10*time.Second)
 			h.verify(f, log)
 		})
 	}
@@ -132,13 +129,13 @@ func (h *leaderHarness) stepUntil(n uint64) {
 
 // waitSame polls until the follower serves exactly the leader's cores at
 // the leader's LSN.
-func waitSame(t *testing.T, h *leaderHarness, f *replica.Follower, ctr *stats.ReplicaCounters) {
+func waitSame(t *testing.T, h *leaderHarness, f *replica.Follower) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for ctr.AppliedLSN() != h.cs.CurrentLSN() || !slices.Equal(f.Snapshot().Cores(), h.eng.Snapshot().Cores()) {
+	for f.Report().Replica.AppliedLSN != h.cs.CurrentLSN() || !slices.Equal(f.Snapshot().Cores(), h.eng.Snapshot().Cores()) {
 		if time.Now().After(deadline) {
 			t.Fatalf("follower at LSN %d never served the leader's cores at LSN %d (%d bootstraps)",
-				ctr.AppliedLSN(), h.cs.CurrentLSN(), ctr.Bootstraps())
+				f.Report().Replica.AppliedLSN, h.cs.CurrentLSN(), f.Report().Replica.Bootstraps)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -152,15 +149,14 @@ func waitSame(t *testing.T, h *leaderHarness, f *replica.Follower, ctr *stats.Re
 func TestFollowerNeverSeesUnloggedRecord(t *testing.T) {
 	seed := testutil.Seed(t, 908)
 	h := startLeader(t, seed)
-	ctr := new(stats.ReplicaCounters)
-	f, err := replica.New(replica.Options{Leader: h.srv.URL, Counters: ctr, ReconnectMin: 5 * time.Millisecond})
+	f, err := replica.New(replica.Options{Leader: h.srv.URL, ReconnectMin: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	h.stepUntil(10)
 	k := h.cs.CurrentLSN() + 1
-	waitConverged(t, ctr, k-1, 10*time.Second)
+	waitConverged(t, f, k-1, 10*time.Second)
 
 	// Record k deletes every edge of one node, so a follower holding it
 	// serves that node at core 0 and the leader, which never logged it,
@@ -180,7 +176,7 @@ func TestFollowerNeverSeesUnloggedRecord(t *testing.T) {
 		t.Fatalf("fixture: the failed flush allocated no LSN (leader at %d)", h.cs.CurrentLSN())
 	}
 	time.Sleep(300 * time.Millisecond)
-	if got := ctr.AppliedLSN(); got != k-1 {
+	if got := f.Report().Replica.AppliedLSN; got != k-1 {
 		t.Fatalf("follower applied up to LSN %d; the leader's log holds %d", got, k-1)
 	}
 
@@ -189,8 +185,8 @@ func TestFollowerNeverSeesUnloggedRecord(t *testing.T) {
 		t.Fatalf("restarted leader at LSN %d, want %d", got, k-1)
 	}
 	h.stepUntil(3) // LSN k is now a different record
-	waitSame(t, h, f, ctr)
-	if n := ctr.Bootstraps(); n != 1 {
+	waitSame(t, h, f)
+	if n := f.Report().Replica.Bootstraps; n != 1 {
 		t.Fatalf("%d bootstraps: the follower should have streamed on", n)
 	}
 }
@@ -205,8 +201,7 @@ func TestFollowerNeverSeesUnloggedRecord(t *testing.T) {
 func TestFollowerRebootstrapsOnLeaderFork(t *testing.T) {
 	seed := testutil.Seed(t, 909)
 	h := startLeader(t, seed)
-	ctr := new(stats.ReplicaCounters)
-	f, err := replica.New(replica.Options{Leader: h.srv.URL, Counters: ctr, ReconnectMin: 5 * time.Millisecond})
+	f, err := replica.New(replica.Options{Leader: h.srv.URL, ReconnectMin: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,15 +213,15 @@ func TestFollowerRebootstrapsOnLeaderFork(t *testing.T) {
 	}
 	k := h.cs.CurrentLSN()
 	h.stepUntil(10)
-	waitConverged(t, ctr, k+10, 10*time.Second)
+	waitConverged(t, f, k+10, 10*time.Second)
 
 	h.restart(img)
 	if got := h.cs.CurrentLSN(); got != k {
 		t.Fatalf("leader restored at LSN %d, want %d", got, k)
 	}
 	h.stepUntil(3) // LSNs k+1.. are new history
-	waitSame(t, h, f, ctr)
-	if n := ctr.Bootstraps(); n != 2 {
+	waitSame(t, h, f)
+	if n := f.Report().Replica.Bootstraps; n != 2 {
 		t.Fatalf("%d bootstraps, want exactly one rebuild after the fork", n)
 	}
 	if rs := f.Report().Replica; rs.LeaderLSN != h.cs.CurrentLSN() {

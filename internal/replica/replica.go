@@ -72,16 +72,13 @@ type Options struct {
 	// 0 selects 5. Later catch-ups retry forever under the run loop's
 	// reconnect backoff.
 	BootstrapRetries int
-	// ReconnectMin/ReconnectMax bound the exponential reconnect backoff;
-	// 0 selects 50ms / 2s.
+	// ReconnectMin is the first reconnect backoff, doubled per failed
+	// attempt up to 2s; 0 selects 50ms.
 	ReconnectMin time.Duration
-	ReconnectMax time.Duration
 	// HeartbeatTimeout declares the stream dead when no frame (batch or
 	// heartbeat) arrives for this long; 0 selects 5s. The leader
 	// heartbeats idle streams every 500ms.
 	HeartbeatTimeout time.Duration
-	// Counters receives replication metrics; nil allocates a private set.
-	Counters *stats.ReplicaCounters
 	// OnApplied, when non-nil, observes every applied stream record from
 	// the apply session's writer goroutine, immediately after the epoch
 	// covering it is published. Intended for tests (conformance checks
@@ -102,17 +99,14 @@ func (o Options) withDefaults() Options {
 	if o.ReconnectMin <= 0 {
 		o.ReconnectMin = 50 * time.Millisecond
 	}
-	if o.ReconnectMax <= 0 {
-		o.ReconnectMax = 2 * time.Second
-	}
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 5 * time.Second
 	}
-	if o.Counters == nil {
-		o.Counters = new(stats.ReplicaCounters)
-	}
 	return o
 }
+
+// reconnectMax caps the exponential reconnect backoff.
+const reconnectMax = 2 * time.Second
 
 var (
 	// errTrimmed reports a cursor the leader's log no longer reaches back
@@ -141,7 +135,7 @@ type state struct {
 // with New; register it under a Registry with Registry.Register.
 type Follower struct {
 	opts   Options
-	ctr    *stats.ReplicaCounters
+	ctr    stats.Counters[stats.ReplicaSnapshot] // the counters; Report derives the lag
 	dir    string
 	ownDir bool
 
@@ -167,7 +161,7 @@ func New(opts Options) (*Follower, error) {
 		return nil, fmt.Errorf("replica: Options.Leader is required")
 	}
 	o := opts.withDefaults()
-	f := &Follower{opts: o, ctr: o.Counters, dir: o.Dir}
+	f := &Follower{opts: o, dir: o.Dir}
 	if f.dir == "" {
 		dir, err := os.MkdirTemp("", "kcore-replica-*")
 		if err != nil {
@@ -247,9 +241,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	if old != nil {
 		old.ConcurrentSession.Close() //nolint:errcheck // replaced either way
 	}
-	so := f.opts.Serve
-	so.Counters = nil // each session gets private counters
-	live, err := engine.BringUp(wal.CheckpointBase(subdir), f.opts.Open, so, cores)
+	live, err := engine.BringUp(wal.CheckpointBase(subdir), f.opts.Open, f.opts.Serve, cores)
 	if err != nil {
 		if live != nil {
 			live.Close() //nolint:errcheck // mismatch error wins
@@ -257,7 +249,14 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		os.RemoveAll(subdir) //nolint:errcheck // bring-up error wins
 		return fmt.Errorf("replica: downloaded checkpoint: %w", err)
 	}
-	f.ctr.NoteBootstrap(n, man.LSN)
+	// The cursor and the observed leader LSN both restart at the
+	// checkpoint's: after a fork, the abandoned history's LSN would
+	// otherwise read as lag until the leader passed it.
+	f.ctr.Update(func(s *stats.ReplicaSnapshot) {
+		s.Bootstraps++
+		s.CatchupBytes += n
+		s.AppliedLSN, s.LeaderLSN = man.LSN, man.LSN
+	})
 	f.state.Store(&state{Live: live, dir: subdir})
 	if old != nil {
 		old.Close()           //nolint:errcheck // replaced state
@@ -323,15 +322,13 @@ func (f *Follower) run() {
 		if progressed {
 			delay = f.opts.ReconnectMin
 		}
-		f.ctr.NoteReconnect()
+		f.ctr.Update(func(s *stats.ReplicaSnapshot) { s.Reconnects++ })
 		select {
 		case <-f.ctx.Done():
 			return
 		case <-time.After(delay):
 		}
-		if delay *= 2; delay > f.opts.ReconnectMax {
-			delay = f.opts.ReconnectMax
-		}
+		delay = min(2*delay, reconnectMax)
 	}
 }
 
@@ -348,7 +345,7 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 	if st.diverged.Load() {
 		return false, errDiverged
 	}
-	cursor := f.ctr.AppliedLSN()
+	cursor := f.ctr.Snapshot().AppliedLSN
 
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -385,7 +382,7 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 		if lsn < cursor {
 			return false, fmt.Errorf("%w: leader at LSN %d, behind the cursor %d", errDiverged, lsn, cursor)
 		}
-		f.ctr.ObserveLeaderLSN(lsn)
+		f.observeLeaderLSN(lsn)
 	}
 
 	fr := wal.NewFrameReader(resp.Body)
@@ -393,7 +390,7 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 	next := cursor + 1
 	for {
 		rec, ferr := fr.ReadFrame()
-		f.ctr.AddStreamBytes(fr.BytesRead() - read)
+		f.ctr.Update(func(s *stats.ReplicaSnapshot) { s.StreamBytes += fr.BytesRead() - read })
 		read = fr.BytesRead()
 		if ferr != nil {
 			return progressed, ferr
@@ -402,18 +399,18 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 			return progressed, errDiverged
 		}
 		watchdog.Reset(f.opts.HeartbeatTimeout)
-		f.ctr.ObserveLeaderLSN(rec.LSN)
+		f.observeLeaderLSN(rec.LSN)
 		if rec.Heartbeat {
 			if rec.LSN+1 < next {
 				return progressed, fmt.Errorf("%w: leader heartbeat at LSN %d, behind the cursor %d", errDiverged, rec.LSN, next-1)
 			}
-			f.ctr.NoteHeartbeat()
+			f.ctr.Update(func(s *stats.ReplicaSnapshot) { s.Heartbeats++ })
 			continue
 		}
 		if rec.LSN < next {
 			// At or below the cursor: already applied before a reconnect —
 			// skipped, so every record is applied exactly once.
-			f.ctr.NoteDuplicate()
+			f.ctr.Update(func(s *stats.ReplicaSnapshot) { s.Duplicates++ })
 			continue
 		}
 		if rec.LSN > next {
@@ -431,8 +428,8 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 				st.diverged.Store(true)
 				return
 			}
-			f.ctr.SetAppliedLSN(rec.LSN)
-			f.ctr.NoteLag(time.Since(t0).Nanoseconds())
+			lag := time.Since(t0).Nanoseconds()
+			f.ctr.Update(func(s *stats.ReplicaSnapshot) { s.AppliedLSN, s.LagNs = rec.LSN, lag })
 			if f.opts.OnApplied != nil {
 				f.opts.OnApplied(rec.LSN, ep)
 			}
@@ -440,10 +437,15 @@ func (f *Follower) streamOnce(ctx context.Context) (progressed bool, err error) 
 		if err != nil {
 			return progressed, fmt.Errorf("%w: enqueue: %v", errDiverged, err)
 		}
-		f.ctr.NoteRecord()
+		f.ctr.Update(func(s *stats.ReplicaSnapshot) { s.Records++ })
 		next = rec.LSN + 1
 		progressed = true
 	}
+}
+
+// observeLeaderLSN ratchets the highest leader LSN seen on the stream.
+func (f *Follower) observeLeaderLSN(lsn uint64) {
+	f.ctr.Update(func(s *stats.ReplicaSnapshot) { s.LeaderLSN = max(s.LeaderLSN, lsn) })
 }
 
 // Snapshot returns the current epoch (engine.Engine).
@@ -467,6 +469,9 @@ func (f *Follower) Sync() error { return f.state.Load().Sync() }
 func (f *Follower) Report() serve.Report {
 	r := f.state.Load().Report()
 	rs := f.ctr.Snapshot()
+	if rs.LeaderLSN > rs.AppliedLSN {
+		rs.LagEpochs = rs.LeaderLSN - rs.AppliedLSN
+	}
 	r.Backend, r.Replica = "follower", &rs
 	return r
 }

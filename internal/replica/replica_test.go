@@ -19,7 +19,6 @@ import (
 	"kcore/internal/netfault"
 	"kcore/internal/replica"
 	"kcore/internal/serve"
-	"kcore/internal/stats"
 	"kcore/internal/testutil"
 	"kcore/internal/wal"
 )
@@ -197,16 +196,16 @@ func oneConnPerRequest() *http.Client {
 }
 
 // waitConverged polls until the follower's cursor reaches lsn.
-func waitConverged(t *testing.T, ctr *stats.ReplicaCounters, lsn uint64, within time.Duration) {
+func waitConverged(t *testing.T, f *replica.Follower, lsn uint64, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {
-		if ctr.AppliedLSN() >= lsn {
+		if f.Report().Replica.AppliedLSN >= lsn {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("follower stuck at LSN %d, want %d within %v", ctr.AppliedLSN(), lsn, within)
+	t.Fatalf("follower stuck at LSN %d, want %d within %v", f.Report().Replica.AppliedLSN, lsn, within)
 }
 
 // verify asserts the conformance contract against the leader history:
@@ -258,11 +257,9 @@ func TestConformanceSingleWriter(t *testing.T) {
 		seed := testutil.Seed(t, 901)
 		h := startLeader(t, seed)
 		log := &ackLog{}
-		ctr := new(stats.ReplicaCounters)
 		f, err := replica.New(replica.Options{
 			Leader:    h.srv.URL,
 			Open:      open,
-			Counters:  ctr,
 			OnApplied: log.hook,
 		})
 		if err != nil {
@@ -273,7 +270,7 @@ func TestConformanceSingleWriter(t *testing.T) {
 		for i := 0; i < 120; i++ {
 			h.step()
 		}
-		waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
+		waitConverged(t, f, h.cs.CurrentLSN(), 10*time.Second)
 		h.verify(f, log)
 		checkReader(t, f, open)
 		if rs := f.Report().Replica; rs.Records == 0 || rs.Bootstraps != 1 {
@@ -314,11 +311,9 @@ func TestConformanceNetworkFaults(t *testing.T) {
 		defer proxy.Close()
 
 		log := &ackLog{}
-		ctr := new(stats.ReplicaCounters)
 		f, err := replica.New(replica.Options{
 			Leader:       "http://" + proxy.Addr(),
 			Open:         open,
-			Counters:     ctr,
 			OnApplied:    log.hook,
 			ReconnectMin: 5 * time.Millisecond,
 			Client:       oneConnPerRequest(),
@@ -331,10 +326,10 @@ func TestConformanceNetworkFaults(t *testing.T) {
 		for i := 0; i < 150; i++ {
 			h.step()
 		}
-		waitConverged(t, ctr, h.cs.CurrentLSN(), 20*time.Second)
+		waitConverged(t, f, h.cs.CurrentLSN(), 20*time.Second)
 		h.verify(f, log)
 		checkReader(t, f, open)
-		if ctr.Reconnects() == 0 {
+		if f.Report().Replica.Reconnects == 0 {
 			t.Fatal("fault plan injected no reconnects — the proxy never triggered")
 		}
 	})
@@ -360,11 +355,9 @@ func TestConformanceStall(t *testing.T) {
 		defer proxy.Close()
 
 		log := &ackLog{}
-		ctr := new(stats.ReplicaCounters)
 		f, err := replica.New(replica.Options{
 			Leader:           "http://" + proxy.Addr(),
 			Open:             open,
-			Counters:         ctr,
 			OnApplied:        log.hook,
 			ReconnectMin:     5 * time.Millisecond,
 			HeartbeatTimeout: time.Second,
@@ -378,10 +371,10 @@ func TestConformanceStall(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			h.step()
 		}
-		waitConverged(t, ctr, h.cs.CurrentLSN(), 20*time.Second)
+		waitConverged(t, f, h.cs.CurrentLSN(), 20*time.Second)
 		h.verify(f, log)
 		checkReader(t, f, open)
-		if ctr.Reconnects() == 0 {
+		if f.Report().Replica.Reconnects == 0 {
 			t.Fatal("stalled stream was never declared dead")
 		}
 	})
@@ -410,11 +403,9 @@ func TestCheckpointCatchUp(t *testing.T) {
 		defer proxy.Close()
 
 		log := &ackLog{}
-		ctr := new(stats.ReplicaCounters)
 		f, err := replica.New(replica.Options{
 			Leader:       "http://" + proxy.Addr(),
 			Open:         open,
-			Counters:     ctr,
 			OnApplied:    log.hook,
 			ReconnectMin: 5 * time.Millisecond,
 		})
@@ -426,7 +417,7 @@ func TestCheckpointCatchUp(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			h.step()
 		}
-		waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
+		waitConverged(t, f, h.cs.CurrentLSN(), 10*time.Second)
 		cp, ok := h.eng.(engine.Checkpointer)
 		if !ok {
 			t.Fatal("durable engine does not expose Checkpoint")
@@ -446,15 +437,15 @@ func TestCheckpointCatchUp(t *testing.T) {
 				}
 			}
 			refuse.Store(false)
-			waitConverged(t, ctr, h.cs.CurrentLSN(), 20*time.Second)
+			waitConverged(t, f, h.cs.CurrentLSN(), 20*time.Second)
 		}
 
 		cutOff(1) // the older retained checkpoint is the opening one
-		if n := ctr.Bootstraps(); n != 1 {
+		if n := f.Report().Replica.Bootstraps; n != 1 {
 			t.Fatalf("a follower the log still reaches back to bootstrapped again: %d bootstraps", n)
 		}
 		cutOff(2) // now the older retained checkpoint is past the cursor
-		if n := ctr.Bootstraps(); n != 2 {
+		if n := f.Report().Replica.Bootstraps; n != 2 {
 			t.Fatalf("want exactly one checkpoint catch-up after retention passed the cursor, got %d bootstraps", n-1)
 		}
 		// The follower is streaming again after catch-up: a few more records
@@ -462,7 +453,7 @@ func TestCheckpointCatchUp(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			h.step()
 		}
-		waitConverged(t, ctr, h.cs.CurrentLSN(), 10*time.Second)
+		waitConverged(t, f, h.cs.CurrentLSN(), 10*time.Second)
 		h.verify(f, log)
 		checkReader(t, f, open)
 		if rs := f.Report().Replica; rs.Bootstraps != 2 || rs.CatchupBytes == 0 {
@@ -558,14 +549,13 @@ func TestDegradedLeaderIsNotAStreamSource(t *testing.T) {
 		t.Fatalf("degraded leader's change stream answered %d, want 503", resp.StatusCode)
 	}
 
-	ctr := new(stats.ReplicaCounters)
-	f, err := replica.New(replica.Options{Leader: srv.URL, Counters: ctr})
+	f, err := replica.New(replica.Options{Leader: srv.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	time.Sleep(time.Second)
-	if n := ctr.Bootstraps(); n != 1 {
+	if n := f.Report().Replica.Bootstraps; n != 1 {
 		t.Fatalf("%d bootstraps in 1s off a degraded leader, want 1", n)
 	}
 	if !slices.Equal(f.Snapshot().Cores(), eng.Snapshot().Cores()) {

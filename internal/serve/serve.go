@@ -5,8 +5,8 @@
 // it lock-free, never blocking and never observing a torn state. A single
 // writer goroutine owns the underlying kcore.Maintainer; it drains an
 // ingest queue, coalesces pending edge insert/delete events to their net
-// effect per edge (flushed on an adaptive size threshold or a time
-// threshold; opposing pairs annihilate pre-apply), applies the net ops
+// effect per edge (flushed on a size threshold or a time threshold;
+// opposing pairs annihilate pre-apply), applies the net ops
 // through the maintainer's batch operations, then swaps in a fresh epoch
 // derived copy-on-write from its predecessor: only snapshot chunks
 // holding changed core numbers are copied (O(changed) publication).
@@ -91,8 +91,6 @@ type Options struct {
 	// QueueCapacity bounds the ingest queue; enqueueing blocks when it is
 	// full (backpressure). 0 selects 4096.
 	QueueCapacity int
-	// Counters receives serving metrics; nil allocates a private set.
-	Counters *stats.ServeCounters
 	// OnPublish, when non-nil, observes every published epoch from the
 	// writer goroutine (after the swap). Intended for tests.
 	OnPublish func(*Epoch)
@@ -124,9 +122,6 @@ func (o Options) withDefaults() Options {
 	if o.QueueCapacity <= 0 {
 		o.QueueCapacity = 4096
 	}
-	if o.Counters == nil {
-		o.Counters = new(stats.ServeCounters)
-	}
 	return o
 }
 
@@ -142,8 +137,8 @@ var ErrClosed = errors.New("serve: session closed")
 type Report struct {
 	// Backend labels the engine in /stats and listings.
 	Backend string
-	// Serve is the serving counters: queue depth, batch shape, epoch
-	// age, publish shape.
+	// Serve is the serving block: ingest accounting, batch and publish
+	// shape, queue depth and epoch age.
 	Serve stats.ServeSnapshot
 	// IO is the block I/O performed through the graph.
 	IO kcore.IOStats
@@ -188,7 +183,7 @@ type ConcurrentSession struct {
 	g    *kcore.Graph      // the edge store, and
 	m    *kcore.Maintainer // the maintained cores over it, being served
 	opts Options
-	ctr  *stats.ServeCounters
+	ctr  stats.Counters[stats.ServeSnapshot] // the counters; Report reads the gauges
 
 	cur   atomic.Pointer[Epoch]
 	queue chan envelope
@@ -220,7 +215,6 @@ func New(g *kcore.Graph, opts *Options) (*ConcurrentSession, error) {
 		g:     g,
 		m:     m,
 		opts:  o,
-		ctr:   o.Counters,
 		queue: make(chan envelope, o.QueueCapacity),
 	}
 	s.publish(m.Snapshot(), 0)
@@ -255,11 +249,10 @@ func (s *ConcurrentSession) Enqueue(ups ...Update) error {
 	if s.closed {
 		return ErrClosed
 	}
+	s.noteEnqueued(len(ups))
 	for _, u := range ups {
 		s.queue <- envelope{up: u}
 	}
-	s.ctr.NoteEnqueued(len(ups))
-	s.ctr.SetQueueDepth(len(s.queue))
 	return nil
 }
 
@@ -284,10 +277,15 @@ func (s *ConcurrentSession) EnqueueInternal(ups []Update, done func(BatchResult)
 	if s.closed {
 		return ErrClosed
 	}
+	s.noteEnqueued(len(ups))
 	s.queue <- envelope{internal: ups, done: done}
-	s.ctr.NoteEnqueued(len(ups))
-	s.ctr.SetQueueDepth(len(s.queue))
 	return nil
+}
+
+// noteEnqueued counts n updates in before the writer can see them, so
+// no snapshot shows more updates accounted for than enqueued.
+func (s *ConcurrentSession) noteEnqueued(n int) {
+	s.ctr.Update(func(c *stats.ServeSnapshot) { c.Enqueued += int64(n) })
 }
 
 // Sync blocks until every update enqueued before the call has been
@@ -335,13 +333,16 @@ func (s *ConcurrentSession) Apply(ups ...Update) error {
 	return s.Sync()
 }
 
-// Report snapshots the serving counters (including the live queue depth
-// and the age of the current epoch) and describes the graph being
+// Report snapshots the serving counters, reads the gauges (the queue
+// depth, the current epoch and its age) and describes the graph being
 // served; safe to call concurrently with the writer.
 func (s *ConcurrentSession) Report() Report {
-	s.ctr.SetQueueDepth(len(s.queue))
+	sv := s.ctr.Snapshot()
+	e := s.cur.Load()
+	sv.QueueDepth = int64(len(s.queue))
+	sv.Epoch, sv.Epochs, sv.EpochAge = e.Seq, int64(e.Seq)+1, time.Since(e.TakenAt)
 	return Report{
-		Serve: s.ctr.Snapshot(time.Now()),
+		Serve: sv,
 		IO:    s.g.IOStats(),
 		Disk:  s.g.DiskStats(),
 	}
@@ -374,7 +375,11 @@ func (s *ConcurrentSession) Close() error {
 // Only epoch 0 is a full copy.
 func (s *ConcurrentSession) publishDelta(appliedNow int, rawDirty []uint32) {
 	snap, copied := s.m.SnapshotDelta(s.cur.Load().CoreSnapshot, rawDirty)
-	s.ctr.NotePublishDelta(len(snap.Dirty()), copied, snap.NumChunks())
+	s.ctr.Update(func(c *stats.ServeSnapshot) {
+		c.DirtyNodesSum += int64(len(snap.Dirty()))
+		c.CowChunksCopied += int64(copied)
+		c.CowChunksTotal += int64(snap.NumChunks())
+	})
 	s.publish(snap, appliedNow)
 }
 
@@ -387,7 +392,6 @@ func (s *ConcurrentSession) publish(snap *kcore.CoreSnapshot, appliedNow int) {
 	}
 	e := &Epoch{CoreSnapshot: snap, Seq: seq, Applied: applied + uint64(appliedNow)}
 	s.cur.Store(e)
-	s.ctr.NotePublish(e.Seq, snap.TakenAt)
 	if s.opts.OnPublish != nil {
 		s.opts.OnPublish(e)
 	}

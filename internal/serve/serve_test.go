@@ -385,6 +385,64 @@ func TestCoalescingBoundsEpochCount(t *testing.T) {
 	}
 }
 
+// TestReportReadsGaugesFromLiveState: at quiescence one snapshot
+// partitions every enqueued update, and the gauges are what the queue
+// and the current epoch hold when Report runs — a held writer leaves
+// the queue's updates in queue_depth.
+func TestReportReadsGaugesFromLiveState(t *testing.T) {
+	g, edges := openGraph(t, 200, 17)
+	sess, err := serve.New(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	u, v, err := absentEdge(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := edges[0]
+	if err := sess.Apply(
+		serve.Update{Op: serve.OpDelete, U: e.U, V: e.V},
+		serve.Update{Op: serve.OpInsert, U: e.U, V: e.V},
+		serve.Update{Op: serve.OpInsert, U: u, V: v},
+		serve.Update{Op: serve.OpInsert, U: u, V: u},
+		serve.Update{Op: serve.OpDelete, U: u, V: g.NumNodes()},
+	); err != nil {
+		t.Fatal(err)
+	}
+	ep := sess.Snapshot()
+	st := sess.Report().Serve
+	if st.Enqueued != 5 || st.Applied+st.Rejected+st.Annihilated != st.Enqueued {
+		t.Fatalf("enqueued %d, applied %d + rejected %d + annihilated %d; want 5 = the sum",
+			st.Enqueued, st.Applied, st.Rejected, st.Annihilated)
+	}
+	if st.QueueDepth != 0 || st.Epoch != ep.Seq || st.Epochs != int64(ep.Seq)+1 {
+		t.Fatalf("queue depth %d, epoch %d, epochs %d; want 0, %d, %d", st.QueueDepth, st.Epoch, st.Epochs, ep.Seq, ep.Seq+1)
+	}
+	if age := time.Since(ep.TakenAt); st.EpochAge < 0 || st.EpochAge > age {
+		t.Fatalf("epoch age %v, want within [0, %v]", st.EpochAge, age)
+	}
+
+	// Nothing fails the test while the writer is held: the deferred
+	// Close would wait for it forever.
+	entered, release := make(chan struct{}), make(chan struct{})
+	held := make(chan error)
+	go func() { held <- sess.Do(func() { close(entered); <-release }) }()
+	<-entered
+	err = sess.Enqueue(serve.Update{Op: serve.OpDelete, U: u, V: v}, serve.Update{Op: serve.OpInsert, U: u, V: v}, serve.Update{Op: serve.OpDelete, U: u, V: v})
+	st = sess.Report().Serve
+	close(release)
+	if herr := <-held; err == nil {
+		err = herr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.QueueDepth != 3 || st.Epoch != ep.Seq {
+		t.Fatalf("held writer: queue depth %d at epoch %d, want 3 at %d", st.QueueDepth, st.Epoch, ep.Seq)
+	}
+}
+
 func TestCloseDrainsAndSealsSession(t *testing.T) {
 	g, edges := openGraph(t, 100, 13)
 	sess, err := serve.New(g, &serve.Options{FlushInterval: time.Second})
@@ -454,70 +512,6 @@ func TestOddToggleRunNetsSingleOp(t *testing.T) {
 	}
 	if present, err := g.HasEdge(e.U, e.V); err != nil || present {
 		t.Fatalf("edge present=%v err=%v, want deleted", present, err)
-	}
-}
-
-// TestAdaptiveBatchGrowsUnderPressure floods a tiny queue through a tiny
-// configured MaxBatch: the writer must grow its flush threshold (visible
-// as applied batches larger than MaxBatch) and decay back to the
-// configured size once the queue runs empty.
-func TestAdaptiveBatchGrowsUnderPressure(t *testing.T) {
-	g, _ := openGraph(t, 400, 19)
-	sess, err := serve.New(g, &serve.Options{
-		MaxBatch:      4,
-		QueueCapacity: 64,
-		FlushInterval: time.Hour, // size-driven flushes only
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	var ups []serve.Update
-	err = g.VisitEdges(func(u, v uint32) error {
-		if len(ups) < 600 {
-			ups = append(ups, serve.Update{Op: serve.OpDelete, U: u, V: v})
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ups) < 600 {
-		t.Fatalf("graph too small: %d edges", len(ups))
-	}
-	if err := sess.Apply(ups...); err != nil {
-		t.Fatal(err)
-	}
-	st := sess.Report().Serve
-	if st.Applied != 600 {
-		t.Fatalf("applied = %d, want 600", st.Applied)
-	}
-	if st.BatchEdgesMax <= 4 {
-		t.Fatalf("largest batch = %d edges; adaptive growth never exceeded MaxBatch", st.BatchEdgesMax)
-	}
-	if st.AdaptiveBatch < 4 {
-		t.Fatalf("adaptive batch gauge = %d, want >= MaxBatch", st.AdaptiveBatch)
-	}
-
-	// With the queue idle every flush sees an empty queue, so the
-	// threshold decays one halving per flush until it is back at the
-	// configured size.
-	u, v, err := absentEdge(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		op := serve.OpInsert
-		if i%2 == 1 {
-			op = serve.OpDelete
-		}
-		if err := sess.Apply(serve.Update{Op: op, U: u, V: v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := sess.Report().Serve; st.AdaptiveBatch != 4 {
-		t.Fatalf("adaptive batch gauge = %d after drain, want decay back to 4", st.AdaptiveBatch)
 	}
 }
 

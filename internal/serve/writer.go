@@ -5,28 +5,16 @@ import (
 	"time"
 
 	"kcore"
+	"kcore/internal/stats"
 )
-
-// adaptiveBatchMaxFactor caps how far the adaptive coalescer may grow the
-// flush threshold above Options.MaxBatch under queue pressure.
-const adaptiveBatchMaxFactor = 16
 
 // run is the writer goroutine: the sole mutator of the graph and the
 // maintainer. It drains the ingest queue, coalescing updates until either
-// the adaptive batch threshold is reached or FlushInterval has elapsed
-// since the first pending update, then applies and publishes them as one
-// epoch.
-//
-// The batch threshold adapts to queue pressure: when a flush leaves the
-// ingest queue more than half full the threshold doubles (up to
-// adaptiveBatchMaxFactor times Options.MaxBatch), so a backlog drains in
-// fewer, larger publishes; once the queue runs near empty it decays back
-// to the configured size, restoring low-latency small epochs.
+// MaxBatch are pending or FlushInterval has elapsed since the first
+// pending update, then applies and publishes them as one epoch.
 func (s *ConcurrentSession) run() {
 	defer s.wg.Done()
-	maxBatch := s.opts.MaxBatch
-	s.ctr.SetAdaptiveBatch(maxBatch)
-	pending := make([]Update, 0, maxBatch)
+	pending := make([]Update, 0, s.opts.MaxBatch)
 	// Go 1.23+ timer semantics: Stop/Reset discard any pending fire, so
 	// the channel must never be drained manually (a receive after Stop
 	// returns false would block forever).
@@ -37,16 +25,6 @@ func (s *ConcurrentSession) run() {
 	flush := func() {
 		s.flush(pending, false)
 		pending = pending[:0]
-		switch depth := len(s.queue); {
-		case depth > s.opts.QueueCapacity/2 && maxBatch < s.opts.MaxBatch*adaptiveBatchMaxFactor:
-			maxBatch *= 2
-			s.ctr.SetAdaptiveBatch(maxBatch)
-		// The empty-queue check keeps decay reachable when the
-		// configured capacity is tiny (capacity/8 rounds to 0).
-		case (depth == 0 || depth < s.opts.QueueCapacity/8) && maxBatch > s.opts.MaxBatch:
-			maxBatch /= 2
-			s.ctr.SetAdaptiveBatch(maxBatch)
-		}
 	}
 	for {
 		var env envelope
@@ -75,7 +53,6 @@ func (s *ConcurrentSession) run() {
 				continue
 			}
 		}
-		s.ctr.SetQueueDepth(len(s.queue))
 		if env.barrier != nil {
 			// Barrier: apply everything before it, then run it.
 			flush()
@@ -101,7 +78,7 @@ func (s *ConcurrentSession) run() {
 			timer.Reset(s.opts.FlushInterval)
 		}
 		pending = append(pending, env.up)
-		if len(pending) >= maxBatch {
+		if len(pending) >= s.opts.MaxBatch {
 			flush()
 		}
 	}
@@ -145,7 +122,7 @@ func (s *ConcurrentSession) flush(pending []Update, internal bool) BatchResult {
 	// published state: every update of it counts as rejected, so that
 	// enqueued = applied + rejected + annihilated holds across a failure.
 	failed := func() BatchResult {
-		s.ctr.NoteRejected(len(pending))
+		s.ctr.Update(func(c *stats.ServeSnapshot) { c.Rejected += int64(len(pending)) })
 		return BatchResult{Epoch: s.cur.Load(), Rejected: len(pending), Err: s.failure.Load().err}
 	}
 	if len(pending) == 0 {
@@ -204,8 +181,10 @@ func (s *ConcurrentSession) flush(pending []Update, internal bool) BatchResult {
 			deletes = append(deletes, e)
 		}
 	}
-	s.ctr.NoteRejected(rejected)
-	s.ctr.NoteAnnihilated(annihilated)
+	s.ctr.Update(func(c *stats.ServeSnapshot) {
+		c.Rejected += int64(rejected)
+		c.Annihilated += int64(annihilated)
+	})
 
 	// Deletes first: each edge carries at most one net op, so the two
 	// same-kind batches touch disjoint edges and commute.
@@ -216,7 +195,7 @@ func (s *ConcurrentSession) flush(pending []Update, internal bool) BatchResult {
 		// for them so enqueued = applied + rejected + annihilated stays
 		// an invariant across the failure.
 		lost := len(deletes) + len(inserts) - applied
-		s.ctr.NoteRejected(lost)
+		s.ctr.Update(func(c *stats.ServeSnapshot) { c.Rejected += int64(lost) })
 		return BatchResult{Epoch: s.cur.Load(), Applied: applied, Rejected: rejected + lost, Annihilated: annihilated, Err: err}
 	}
 	if applied > 0 {
@@ -247,7 +226,7 @@ func (s *ConcurrentSession) applyBatches(deletes, inserts []kcore.Edge) (applied
 		if err != nil {
 			return fmt.Errorf("serve: apply %s batch of %d: %w", op, len(edges), err)
 		}
-		s.ctr.NoteBatch(len(edges))
+		s.ctr.Update(func(c *stats.ServeSnapshot) { c.NoteBatch(len(edges)) })
 		applied += len(edges)
 		dirty = append(dirty, info.Dirty...)
 		return nil

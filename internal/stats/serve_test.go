@@ -8,20 +8,16 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestServeCountersAccumulate(t *testing.T) {
-	var c ServeCounters
-	c.NoteEnqueued(10)
-	c.NoteRejected(2)
-	c.NoteBatch(3)
-	c.NoteBatch(5)
-	c.SetQueueDepth(4)
-	pub := time.Unix(100, 0)
-	c.NotePublish(7, pub)
+	var c Counters[ServeSnapshot]
+	c.Update(func(s *ServeSnapshot) { s.Enqueued += 10 })
+	c.Update(func(s *ServeSnapshot) { s.Rejected += 2 })
+	c.Update(func(s *ServeSnapshot) { s.NoteBatch(3) })
+	c.Update(func(s *ServeSnapshot) { s.NoteBatch(5) })
 
-	s := c.Snapshot(pub.Add(2 * time.Second))
+	s := c.Snapshot()
 	if s.Enqueued != 10 || s.Rejected != 2 {
 		t.Fatalf("enqueued/rejected = %d/%d, want 10/2", s.Enqueued, s.Rejected)
 	}
@@ -34,49 +30,42 @@ func TestServeCountersAccumulate(t *testing.T) {
 	if got := float64(s.BatchEdgesSum) / float64(s.Batches); got != 4 {
 		t.Fatalf("mean batch = %v, want 4", got)
 	}
-	if s.QueueDepth != 4 {
-		t.Fatalf("queue depth = %d, want 4", s.QueueDepth)
-	}
-	if s.Epoch != 7 || c.Epoch() != 7 || s.Epochs != 1 {
-		t.Fatalf("epoch = %d/%d (count %d), want 7", s.Epoch, c.Epoch(), s.Epochs)
-	}
-	if s.EpochAge != 2*time.Second {
-		t.Fatalf("epoch age = %v, want 2s", s.EpochAge)
+	if s.QueueDepth != 0 || s.Epoch != 0 || s.EpochAge != 0 {
+		t.Fatalf("gauges = %d/%d/%v, want zero: the counters never store them", s.QueueDepth, s.Epoch, s.EpochAge)
 	}
 }
 
 func TestServeCountersZeroValue(t *testing.T) {
-	var c ServeCounters
-	s := c.Snapshot(time.Now())
-	if s.EpochAge != 0 {
-		t.Fatalf("epoch age on fresh counters = %v, want 0", s.EpochAge)
-	}
-	if s.Batches != 0 || s.BatchEdgesSum != 0 {
-		t.Fatalf("fresh counters = %+v, want zero batches", s)
+	var c Counters[ServeSnapshot]
+	if s := c.Snapshot(); s != (ServeSnapshot{}) {
+		t.Fatalf("fresh counters = %+v, want zero", s)
 	}
 }
 
 func TestServeCountersConcurrent(t *testing.T) {
-	var c ServeCounters
+	var c Counters[ServeSnapshot]
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.NoteEnqueued(1)
-				c.NoteBatch(w + 1)
-				c.Snapshot(time.Now())
+				c.Update(func(s *ServeSnapshot) { s.Enqueued++ })
+				c.Update(func(s *ServeSnapshot) { s.NoteBatch(w + 1) })
+				if s := c.Snapshot(); s.Applied > s.Enqueued*8 {
+					t.Errorf("snapshot applied %d past 8 x enqueued %d", s.Applied, s.Enqueued)
+					return
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	s := c.Snapshot(time.Now())
+	s := c.Snapshot()
 	if s.Enqueued != 8000 || s.Batches != 8000 {
 		t.Fatalf("enqueued/batches = %d/%d, want 8000/8000", s.Enqueued, s.Batches)
 	}
-	if s.BatchEdgesMax != 8 {
-		t.Fatalf("batch max = %d, want 8", s.BatchEdgesMax)
+	if s.BatchEdgesMax != 8 || s.BatchEdgesSum != 36000 {
+		t.Fatalf("batch max/sum = %d/%d, want 8/36000", s.BatchEdgesMax, s.BatchEdgesSum)
 	}
 }
 

@@ -3,6 +3,13 @@
 // Aggarwal and Vitter [CACM'88], a deterministic model-memory ledger used
 // to report algorithm memory footprints (the paper's Figs. 9c/9d currency),
 // and a RunStats record shared by every algorithm in the repository.
+//
+// It also declares the serving, WAL and replica blocks of /stats, each
+// value once: a field of ServeSnapshot, WalSnapshot or ReplicaSnapshot.
+// Counters are changed in place under their set's lock (Counters);
+// gauges are not stored anywhere but read from live state when a layer
+// takes its report. Only the block I/O counter, charged on every block
+// read, stays an atomic of its own.
 package stats
 
 import (

@@ -35,7 +35,7 @@ type Options struct {
 	// DefaultSegmentBytes.
 	SegmentBytes int64
 	// Counters receives WAL instrumentation; nil allocates a private set.
-	Counters *stats.WalCounters
+	Counters *stats.Counters[stats.WalSnapshot]
 	// IO is charged, at block granularity, for checkpoint table writes
 	// and for whatever a streamed checkpoint Source reads; nil allocates a
 	// default-block-size counter.
@@ -51,7 +51,7 @@ type GraphDir struct {
 	dir      string
 	policy   SyncPolicy
 	segBytes int64
-	ctr      *stats.WalCounters
+	ctr      *stats.Counters[stats.WalSnapshot]
 	io       *stats.IOCounter
 	log      *Log
 	nextSeq  uint64
@@ -99,7 +99,7 @@ func Open(dir string, opts *Options) (*GraphDir, error) {
 		o.FS = faultfs.OS
 	}
 	if o.Counters == nil {
-		o.Counters = &stats.WalCounters{}
+		o.Counters = new(stats.Counters[stats.WalSnapshot])
 	}
 	if o.IO == nil {
 		o.IO = stats.NewIOCounter(0)
@@ -150,7 +150,7 @@ func (g *GraphDir) Checkpoint(lsn uint64, src storage.Source, cores []uint32) (t
 		return "", err
 	}
 	g.nextSeq = seq + 1
-	g.ctr.NoteCheckpoint()
+	g.ctr.Update(func(s *stats.WalSnapshot) { s.Checkpoints++ })
 	tables = CheckpointBase(filepath.Join(g.dir, "ckpt", ckptDirName(seq)))
 	cks, err := listCheckpoints(g.fs, g.dir)
 	if err != nil {
@@ -215,7 +215,7 @@ func (g *GraphDir) TrimLogs(lsn uint64) error {
 			return err
 		}
 		// Counted by a private set: /stats counts appends of new records.
-		l, err := newLog(g.fs, logDir(g.dir), g.segBytes, g.policy, &stats.WalCounters{}, 0)
+		l, err := newLog(g.fs, logDir(g.dir), g.segBytes, g.policy, new(stats.Counters[stats.WalSnapshot]), 0)
 		if err != nil {
 			return err
 		}

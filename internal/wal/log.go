@@ -83,7 +83,7 @@ type Log struct {
 	dir      string
 	segBytes int64
 	policy   SyncPolicy
-	ctr      *stats.WalCounters
+	ctr      *stats.Counters[stats.WalSnapshot]
 	base     uint64 // the LSN the log's first record follows
 
 	mu     sync.Mutex
@@ -103,7 +103,7 @@ type Log struct {
 // newLog creates (or reuses) the log directory and returns a log that
 // will start a fresh segment at the first append, whose records follow
 // LSN base.
-func newLog(fs faultfs.FS, dir string, segBytes int64, policy SyncPolicy, ctr *stats.WalCounters, base uint64) (*Log, error) {
+func newLog(fs faultfs.FS, dir string, segBytes int64, policy SyncPolicy, ctr *stats.Counters[stats.WalSnapshot], base uint64) (*Log, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
@@ -148,7 +148,7 @@ func (l *Log) appendLocked(frame []byte, firstLSN uint64) error {
 		return err
 	}
 	l.synced = false
-	l.ctr.NoteAppend(int64(len(frame)))
+	l.ctr.Update(func(s *stats.WalSnapshot) { s.Appends++; s.Bytes += int64(len(frame)) })
 	if l.policy == SyncAlways {
 		return l.syncLocked()
 	}
@@ -200,7 +200,7 @@ func (l *Log) syncLocked() error {
 		return err
 	}
 	l.synced = true
-	l.ctr.NoteFsync()
+	l.ctr.Update(func(s *stats.WalSnapshot) { s.Fsyncs++ })
 	return nil
 }
 

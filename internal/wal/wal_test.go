@@ -151,7 +151,7 @@ func appendN(t *testing.T, l *Log, start uint64, n int) {
 
 func TestLogAppendReadAndTornTail(t *testing.T) {
 	dir := t.TempDir()
-	ctr := &stats.WalCounters{}
+	ctr := new(stats.Counters[stats.WalSnapshot])
 	l, err := newLog(faultfs.OS, dir, 0, SyncAlways, ctr, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestLogAppendReadAndTornTail(t *testing.T) {
 func TestLogRollAndMidLogDamage(t *testing.T) {
 	dir := t.TempDir()
 	// A tiny roll threshold forces one record per segment.
-	l, err := newLog(faultfs.OS, dir, 32, SyncInterval, &stats.WalCounters{}, 0)
+	l, err := newLog(faultfs.OS, dir, 32, SyncInterval, new(stats.Counters[stats.WalSnapshot]), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestReadLogDirDamageProperty(t *testing.T) {
 	recLen := len(AppendRecord(nil, 1, nil, edges(1, 2)))
 	master := t.TempDir()
 	// Exactly perSeg records fit a segment.
-	l, err := newLog(faultfs.OS, master, int64(segHeaderSize+perSeg*recLen), SyncNever, &stats.WalCounters{}, 0)
+	l, err := newLog(faultfs.OS, master, int64(segHeaderSize+perSeg*recLen), SyncNever, new(stats.Counters[stats.WalSnapshot]), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestReadLogDirDamageProperty(t *testing.T) {
 
 func TestTruncateBelowKeepsCoveringSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, err := newLog(faultfs.OS, dir, 32, SyncInterval, &stats.WalCounters{}, 0)
+	l, err := newLog(faultfs.OS, dir, 32, SyncInterval, new(stats.Counters[stats.WalSnapshot]), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestScanMergesLegacyShardLogs(t *testing.T) {
 	logs := make([]*Log, 3)
 	for i := range logs {
 		// One record per segment, so retention has something to drop.
-		l, err := newLog(faultfs.OS, filepath.Join(walRoot(dir), fmt.Sprintf("s%d", i)), 32, SyncAlways, &stats.WalCounters{}, 0)
+		l, err := newLog(faultfs.OS, filepath.Join(walRoot(dir), fmt.Sprintf("s%d", i)), 32, SyncAlways, new(stats.Counters[stats.WalSnapshot]), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
