@@ -418,8 +418,8 @@ func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
 			}
 			// Read the tail of the tables into the frames, then damage the
 			// first edge-table block: the low byte of its first id. The
-			// tables lay the nodes out by degree, so the tail holds the
-			// hubs' lists and the head the lowest degrees'.
+			// tables lay the nodes out by core estimate, so the tail holds
+			// the densest core's lists and the head the lowest estimates'.
 			first, last := layoutEnds(t, base)
 			if _, err := cg.Neighbors(last); err != nil {
 				t.Fatal(err)
@@ -609,8 +609,8 @@ func stripChecksums(t *testing.T, base string) {
 // index from the damaged records and only their own checks are left: the
 // corrupt degree must fail that open naming node 5 (a list must end
 // inside the edge table), the moved width naming the edge table (the
-// lists must end where it does). The fixture is laid out by degree
-// (version 4), whose records also name their nodes: a third damage
+// lists must end where it does). The fixture is laid out by core
+// estimate (version 4), whose records also name their nodes: a third damage
 // repeats the id of the record before one, and must fail naming the
 // repeat. The version-2 leg flips the top byte of node 5's 12-byte
 // degree in the checked-in table set, under a header without checksums:

@@ -39,9 +39,10 @@ type BuildOptions struct {
 // and the checksum sidecar base.crc Open reads in place of a pass over
 // the tables). Edges are symmetrised, external-sorted and
 // deduplicated; self-loops are dropped. The tables lay the nodes out by
-// degree ascending, ties by id, which is the order every scan visits
-// them; a graph whose ids already place neighbours near each other (a
-// geometric mean id gap under √n) keeps id order. Node ids are
+// a core estimate ascending (one sweep of the locality equation over the
+// lists as they are written, by degree), which is the order every scan
+// visits them; a graph whose ids already place neighbours near each
+// other (a geometric mean id gap under √n) keeps id order. Node ids are
 // unchanged.
 func Build(base string, src EdgeSource, opts *BuildOptions) error {
 	var o BuildOptions
@@ -179,7 +180,7 @@ func (g *Graph) ResetIOStats() { g.ctr.Reset() }
 
 // VisitEdges streams every current undirected edge once (u < v) via one
 // sequential scan, in the order the tables lay the nodes out (Build: by
-// degree ascending), each node's edges by ascending v.
+// core estimate ascending), each node's edges by ascending v.
 func (g *Graph) VisitEdges(fn func(u, v uint32) error) error {
 	return graph.ScanAll(g.dyn, func(v uint32, nbrs []uint32) error {
 		for _, u := range nbrs {

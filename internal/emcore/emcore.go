@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"kcore/internal/graph"
@@ -121,19 +122,23 @@ func Decompose(src *storage.Graph, opts Options) (*Result, error) {
 	}
 
 	// Global node state (EMCore, like the original, keeps O(n) arrays:
-	// upper bounds, deposited degrees, finalised flags).
+	// upper bounds, deposited degrees, finalised flags; and, in place of
+	// a map per load, each node's index in the loaded subgraph).
 	ub := make([]uint32, n)
 	deposit := make([]int32, n)
 	finalized := make([]bool, n)
+	local := slices.Repeat([]int32{-1}, int(n)) // load's index of Gmem
 	mem.Alloc("emcore/ub", int64(n)*4)
 	mem.Alloc("emcore/deposit", int64(n)*4)
 	mem.Alloc("emcore/core", int64(n)*4)
 	mem.Alloc("emcore/finalized", int64(n))
+	mem.Alloc("emcore/local", int64(n)*4)
 	defer func() {
 		mem.Free("emcore/ub")
 		mem.Free("emcore/deposit")
 		mem.Free("emcore/core")
 		mem.Free("emcore/finalized")
+		mem.Free("emcore/local")
 	}()
 
 	parts, err := buildPartitions(src, dir, partArcs, ub, ctr)
@@ -201,7 +206,7 @@ func Decompose(src *storage.Graph, opts Options) (*Result, error) {
 			continue
 		}
 
-		gmem, err := load(parts, selected, finalized, ctr)
+		gmem, err := load(parts, selected, finalized, local, ctr)
 		if err != nil {
 			return nil, err
 		}
@@ -326,26 +331,32 @@ func buildPartitions(src *storage.Graph, dir string, partArcs int64, ub []uint32
 
 // gmemGraph is the loaded in-memory union of selected partitions.
 type gmemGraph struct {
-	nodes   []uint32         // loaded, unfinalised node ids
-	local   map[uint32]int32 // node id -> index in nodes
-	adj     [][]int32        // local adjacency (indices into nodes)
-	fullAdj [][]uint32       // full neighbour lists (global ids)
-	arcs    int64            // arcs stored in fullAdj
+	nodes   []uint32   // loaded, unfinalised node ids
+	adj     [][]int32  // local adjacency (indices into nodes)
+	fullAdj [][]uint32 // full neighbour lists (global ids)
+	arcs    int64      // arcs stored in fullAdj
 }
 
 func (g *gmemGraph) modelBytes() int64 {
 	return g.arcs*8 + int64(len(g.nodes))*24
 }
 
-// load reads the selected partition files and assembles Gmem.
-func load(parts []partition, selected []int, finalized []bool, ctr *stats.IOCounter) (*gmemGraph, error) {
-	g := &gmemGraph{local: make(map[uint32]int32)}
+// load reads the selected partition files and assembles Gmem. local maps
+// a node id to its index in Gmem's nodes, −1 for one not loaded: all −1
+// on entry, and again on return.
+func load(parts []partition, selected []int, finalized []bool, local []int32, ctr *stats.IOCounter) (*gmemGraph, error) {
+	g := &gmemGraph{}
+	defer func() {
+		for _, v := range g.nodes {
+			local[v] = -1
+		}
+	}()
 	for _, pi := range selected {
 		err := readPartition(parts[pi], ctr, func(v uint32, nbrs []uint32) error {
 			if finalized[v] {
 				return nil // stale record; rewrite lags finalisation
 			}
-			g.local[v] = int32(len(g.nodes))
+			local[v] = int32(len(g.nodes))
 			g.nodes = append(g.nodes, v)
 			g.fullAdj = append(g.fullAdj, append([]uint32(nil), nbrs...))
 			g.arcs += int64(len(nbrs))
@@ -363,7 +374,7 @@ func load(parts []partition, selected []int, finalized []bool, ctr *stats.IOCoun
 			if finalized[x] {
 				continue
 			}
-			if j, ok := g.local[x]; ok {
+			if j := local[x]; j >= 0 {
 				g.adj[i] = append(g.adj[i], j)
 			}
 		}

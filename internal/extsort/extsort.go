@@ -135,17 +135,11 @@ func (s *Sorter) spill() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	if s.closed {
-		return errors.New("extsort: sorter is closed")
+	dir, err := s.TempDir()
+	if err != nil {
+		return err
 	}
-	if s.spillDir == "" {
-		d, err := os.MkdirTemp(s.dir, "extsort-*")
-		if err != nil {
-			return err
-		}
-		s.spillDir = d
-	}
-	r, err := writeRun(filepath.Join(s.spillDir, fmt.Sprintf("run-%d.arcs", len(s.runs))), s.buf, s.io)
+	r, err := writeRun(filepath.Join(dir, fmt.Sprintf("run-%d.arcs", len(s.runs))), s.buf, s.io)
 	if err != nil {
 		return err
 	}
@@ -153,6 +147,28 @@ func (s *Sorter) spill() error {
 	s.buf = s.buf[:0]
 	return nil
 }
+
+// TempDir returns the sorter's private spill directory, creating it on
+// first use: a caller's scratch files there are removed with the
+// directory by Close.
+func (s *Sorter) TempDir() (string, error) {
+	if s.closed {
+		return "", errors.New("extsort: sorter is closed")
+	}
+	if s.spillDir == "" {
+		d, err := os.MkdirTemp(s.dir, "extsort-*")
+		if err != nil {
+			return "", err
+		}
+		s.spillDir = d
+	}
+	return s.spillDir, nil
+}
+
+// BudgetBytes reports the memory the budget bounds, the key buffer and
+// the sort scratch together: once Iterate has returned the sorter holds
+// none of it, and a caller may spend it.
+func (s *Sorter) BudgetBytes() int { return 2 * 8 * s.bufCap }
 
 // sortRun reads the unsorted run r back into the buffer, keys and sorts
 // it, and writes it over itself.
@@ -186,7 +202,8 @@ func (s *Sorter) sortRun(r *run, rank []uint32) error {
 // sort full 32-bit ids, which no rank array could cover. The
 // buffered arcs are sorted in memory and spilled as a sorted run if any
 // run was spilled before them; each of those is then sorted (sortRun)
-// and the runs merged. It may be called once.
+// and the runs merged. It may be called once; on return it has released
+// the budget's memory and removed the run files.
 func (s *Sorter) Iterate(rank []uint32, fn func(a Arc) error) error {
 	if s.iterated || s.closed {
 		return errors.New("extsort: Iterate on a used or closed sorter")
@@ -197,6 +214,7 @@ func (s *Sorter) Iterate(rank []uint32, fn func(a Arc) error) error {
 	}
 	if len(s.runs) == 0 {
 		// Pure in-memory path.
+		defer func() { s.buf, s.scratch = nil, nil }()
 		for _, k := range s.buf {
 			if err := fn(arcOf(k)); err != nil {
 				return err
@@ -204,6 +222,15 @@ func (s *Sorter) Iterate(rank []uint32, fn func(a Arc) error) error {
 		}
 		return nil
 	}
+	// The runs are spent once Iterate returns, finished or not: they go
+	// now, not at Close, so that they never share the disk with what a
+	// caller writes into TempDir after the merge.
+	defer func() {
+		for _, r := range s.runs {
+			os.Remove(r.path)
+		}
+		s.runs = nil
+	}()
 	unsorted := len(s.runs)
 	if err := s.spill(); err != nil {
 		return err

@@ -120,6 +120,9 @@ func TestSpillingPath(t *testing.T) {
 	if len(entries) != 1 || !entries[0].IsDir() {
 		t.Fatalf("want exactly the private spill directory before Close, got %v", entries)
 	}
+	if runs, _ := os.ReadDir(filepath.Join(dir, entries[0].Name())); len(runs) != 0 {
+		t.Fatalf("Iterate left its runs %v behind", runs)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ import (
 )
 
 // layoutSources builds one generated graph with Build, which lays it out
-// by degree (format version 4), and opens it as the counted disk tables
-// and as a dynamic graph over a copy of them, beside the in-memory CSR of
-// the same edges.
+// by core estimate (format version 4), and opens it as the counted disk
+// tables and as a dynamic graph over a copy of them, beside the
+// in-memory CSR of the same edges.
 func layoutSources(t *testing.T) (csr *memgraph.CSR, disk *storage.Graph, dyn *dyngraph.Graph, dynBase string) {
 	t.Helper()
 	edges := gen.RMAT(9, 6, .57, .19, .19, 41)
@@ -76,13 +76,13 @@ func positions(t *testing.T, s graph.Source) []uint32 {
 }
 
 // TestBuildLayoutConformance holds the disk tables and the dynamic graph
-// over a Build-written table, laid out by degree, to the CSR's adjacency
-// and to their own positions: a full scan visits every node once with its
-// CSR list, in ascending position; a window of positions visits exactly
-// the nodes Positions puts in it, in that order, want and a widened bound
-// included; ScanDegrees gives each id its degree, in layout order; every
-// decomposition algorithm, EMCore included, finds IMCore's cores; and a
-// fold-back and a checkpoint keep the layout. The dynamic graph carries
+// over a Build-written table, laid out by core estimate, to the CSR's
+// adjacency and to their own positions: a full scan visits every node
+// once with its CSR list, in ascending position; a window of positions
+// visits exactly the nodes Positions puts in it, in that order, want and
+// a widened bound included; ScanDegrees gives each id its degree, in
+// layout order; every decomposition algorithm, EMCore included, finds
+// IMCore's cores; and a fold-back and a checkpoint keep the layout. The dynamic graph carries
 // buffered edits throughout, which the CSR mirrors.
 func TestBuildLayoutConformance(t *testing.T) {
 	csr, disk, dyn, dynBase := layoutSources(t)

@@ -1,9 +1,12 @@
 package graphio_test
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"kcore/internal/gen"
@@ -83,26 +86,41 @@ func TestSemiCoreIOLaw(t *testing.T) {
 }
 
 // TestBuildIOLaw pins construction's cost in the same model: Build is one
-// sort plus sequential scans. The sorter's buffer is half of
+// sort, sequential passes and one copy. The sorter's buffer is half of
 // SortBudgetArcs, so A arcs spill as runs of a_i = SortBudgetArcs/2 arcs
 // and a remainder; each run is written once and read once, ceil(8*a_i/B)
 // blocks either way, and a run spilled before the last arc came in is
 // written and read once more: spilled unsorted, since the degree order
 // it is sorted under is known only then, and read back to be sorted. The
-// only other counted I/O is writing the two tables front to back and
-// then their checksum sidecar: an 8-byte header and 4 bytes per 512-byte
-// granule of each table, the tables' bytes being the header's ntbytes and
-// etbytes. Moving runs a block per call changed none of it. The blocks
-// of the tables and sidecar are pinned.
+// merged stream is written as a scratch table in that order, and copied
+// into the target in the estimate's order: the scratch's two tables and
+// checksum sidecar are written, its sidecar and node table read once and
+// every block of its edge table at least once, exactly once when the
+// copy's frames, the sort budget's bytes in blocks, hold the table; then
+// the target's two tables and sidecar are written. A sidecar is an 8-byte
+// header and 4 bytes per 512-byte granule of each table, the tables'
+// bytes being the header's ntbytes and etbytes. The scratch's edge table
+// is the target's bytes (the lists are the same); its node table differs
+// from the target's only in the ids' deltas its records lead with. The
+// blocks of the target's tables and sidecar are pinned, and so are the
+// copy's reads of the scratch edge table where the frames do not hold it.
 func TestBuildIOLaw(t *testing.T) {
 	edges := gen.ErdosRenyi(400, 3000, 705)
 	mem := gen.Build(edges)
 	var arcs int64 // sorted before duplicates go: two per edge that is no loop
+	rawDeg := make([]uint32, mem.NumNodes())
 	for _, e := range edges {
 		if e.U != e.V {
 			arcs += 2
+			rawDeg[e.U]++
+			rawDeg[e.V]++
 		}
 	}
+	stream := make([]uint32, mem.NumNodes()) // raw degree ascending, ties by id
+	for v := range stream {
+		stream[v] = uint32(v)
+	}
+	slices.SortStableFunc(stream, func(u, v uint32) int { return cmp.Compare(rawDeg[u], rawDeg[v]) })
 	for _, blockSize := range []int{512, 4096} {
 		for _, budget := range []int{200, 1026, 2 * int(arcs), 0} {
 			ctr := stats.NewIOCounter(blockSize)
@@ -126,15 +144,54 @@ func TestBuildIOLaw(t *testing.T) {
 				t.Fatal(err)
 			}
 			nt, et := meta.NtBytes, meta.EtBytes
-			tables := blocks(nt) + blocks(et)
-			sidecar := blocks(8 + 4*((nt+511)/512+(et+511)/512))
-			if got := ctr.Snapshot(); got.Reads != runBlocks+spilled || got.Writes != runBlocks+spilled+tables+sidecar {
-				t.Fatalf("B=%d budget=%d: reads %d writes %d, want %d run blocks and %d more of spilled runs each way + %d table and %d sidecar blocks written",
-					blockSize, budget, got.Reads, got.Writes, runBlocks, spilled, tables, sidecar)
+			sidecar := func(nt int64) int64 { return blocks(8 + 4*((nt+511)/512+(et+511)/512)) }
+			tables := blocks(nt) + blocks(et) + sidecar(nt)
+			scratchNt := nt - idDeltaBytes(layout(t, base)) + idDeltaBytes(stream)
+			scratch := blocks(scratchNt) + blocks(et) + sidecar(scratchNt)
+			got := ctr.Snapshot()
+			etReads := got.Reads - runBlocks - spilled - sidecar(scratchNt) - blocks(scratchNt)
+			frames := max(1, 8*int64(cmp.Or(budget, 1<<20))/B) // the default budget is 1<<20 arcs
+			if got.Writes != runBlocks+spilled+scratch+tables || etReads < blocks(et) || (frames >= blocks(et) && etReads != blocks(et)) {
+				t.Fatalf("B=%d budget=%d: reads %d writes %d, want %d run blocks and %d more of spilled runs each way, the scratch's %d blocks written and its sidecar and node table read, %d edge-table blocks read (%d frames) and %d target blocks written",
+					blockSize, budget, got.Reads, got.Writes, runBlocks, spilled, scratch, blocks(et), frames, tables)
 			}
-			pins.Check(t, fmt.Sprintf("B=%d.table_blocks", blockSize), tables+sidecar)
+			pins.Check(t, fmt.Sprintf("B=%d.table_blocks", blockSize), tables)
+			if frames < blocks(et) {
+				pins.Check(t, fmt.Sprintf("B=%d.budget=%d.copy_reads", blockSize, budget), etReads)
+			}
 		}
 	}
+}
+
+// layout returns the order the tables at base store the lists in.
+func layout(t *testing.T, base string) []uint32 {
+	t.Helper()
+	g, err := storage.Open(base, stats.NewIOCounter(0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	order := make([]uint32, g.NumNodes())
+	for v := range order {
+		order[graph.Pos(g.Positions(), uint32(v))] = uint32(v)
+	}
+	return order
+}
+
+// idDeltaBytes is what a node table in order spends on leading each
+// record with its id's delta: none in id order (format version 3), and a
+// zigzag varint a record in any other (version 4).
+func idDeltaBytes(order []uint32) int64 {
+	var sum int64
+	prev, identity := int64(-1), true
+	for p, v := range order {
+		sum += int64(len(binary.AppendVarint(nil, int64(v)-prev)))
+		prev, identity = int64(v), identity && v == uint32(p)
+	}
+	if identity {
+		return 0
+	}
+	return sum
 }
 
 // TestDiskParityAllVariants runs each semi-external variant on disk and

@@ -19,6 +19,7 @@ import (
 
 	"kcore/internal/extsort"
 	"kcore/internal/graph"
+	"kcore/internal/localcore"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
@@ -73,15 +74,21 @@ type BuildOptions struct {
 // Build writes the graph at path prefix base from src. Every edge is
 // symmetrised into two arcs, external-sorted, deduplicated (parallel
 // edges and self-loops dropped), and streamed into the storage builder.
-// The tables lay the nodes out by raw degree ascending, ties by id: the
-// degrees are counted on the one pass over src, and the sort orders arcs
-// by their source's rank in that order, so no second sort is needed. A
-// graph whose ids already place neighbours near each other keeps id
-// order instead (see idLocal), as does one whose degree order is its id
-// order; both are written in format version 3, any other graph in degree
-// order (version 4). Whether it
-// succeeds or fails, no spill file outlives it, and builds sharing a
-// directory do not see each other's.
+// A graph whose ids already place neighbours near each other keeps id
+// order (see idLocal) and is written in format version 3 on that one
+// stream. Any other graph is laid out by a core estimate. The degrees
+// are counted on the one pass over src, and the sort streams the lists
+// by raw degree ascending, ties by id, into a scratch table in the
+// sorter's directory: it orders arcs by their source's rank in that
+// order, so no second sort is needed. On the way each node's estimate,
+// its raw degree until its list arrives, becomes the h-index of its
+// neighbours' estimates, capped at its list's length (one sweep of the
+// paper's LocalCore, an upper bound on its core). The lists are then
+// copied into base by estimate ascending, ties in stream order
+// (storage.CopyLists, through frames of the sort budget the merge has
+// released), in format version 4 unless that order is the id order.
+// Whether it succeeds or fails, no spill file or scratch table outlives
+// it, and builds sharing a directory do not see each other's.
 func Build(base string, src EdgeSource, opts BuildOptions) error {
 	ctr := opts.IO
 	if ctr == nil {
@@ -119,13 +126,33 @@ func Build(base string, src EdgeSource, opts BuildOptions) error {
 	if err != nil {
 		return err
 	}
-	var order, rank []uint32
 	if idLocal(edges, gapBits, n) {
-		order, rank = idOrder(deg)
-	} else {
-		order, rank = degreeOrder(deg)
+		return writeTables(base, sorter, idOrder(deg), nil, ctr)
 	}
+	order := sortByKey(deg, nil)
+	est := deg // each node's core estimate: its raw degree until its list passes
+	spill, err := sorter.TempDir()
+	if err != nil {
+		return err
+	}
+	scratch := filepath.Join(spill, "stream")
+	if err := writeTables(scratch, sorter, order, est, ctr); err != nil {
+		return err
+	}
+	frames := max(1, sorter.BudgetBytes()/ctr.BlockSize())
+	return storage.CopyLists(base, scratch, sortByKey(est, order), frames, ctr)
+}
 
+// writeTables streams the sorter's arcs into the tables at base, the
+// lists in order (order[p] the node at position p), deduplicated. With
+// est non-nil each node's estimate becomes, as its list passes, the
+// h-index of its neighbours' estimates, at most its list's length.
+func writeTables(base string, sorter *extsort.Sorter, order, est []uint32, ctr *stats.IOCounter) error {
+	n := uint32(len(order))
+	rank := make([]uint32, n)
+	for p, v := range order {
+		rank[v] = uint32(p)
+	}
 	b, err := storage.NewBuilder(base, n, ctr)
 	if err != nil {
 		return err
@@ -134,11 +161,16 @@ func Build(base string, src EdgeSource, opts BuildOptions) error {
 		cur     int64 = -1 // the position whose list is being gathered
 		nbrs    []uint32
 		prevNbr int64 = -1
+		lc      localcore.Buf
 	)
 	// upTo appends the list gathered at cur and empty ones up to p.
 	upTo := func(p int64) error {
 		if cur >= 0 {
-			if err := b.AppendList(order[cur], nbrs); err != nil {
+			v := order[cur]
+			if est != nil {
+				est[v] = lc.LocalCore(min(est[v], uint32(len(nbrs))), nbrs, est, nil)
+			}
+			if err := b.AppendList(v, nbrs); err != nil {
 				return err
 			}
 		}
@@ -189,40 +221,38 @@ func idLocal(edges, gapBits uint64, n uint32) bool {
 	return 2*gapBits < edges*uint64(bits.Len32(n-1))
 }
 
-// idOrder is the identity layout, order and rank both, in deg's memory.
-func idOrder(deg []uint32) (order, rank []uint32) {
+// idOrder is the identity layout, in deg's memory.
+func idOrder(deg []uint32) []uint32 {
 	for v := range deg {
 		deg[v] = uint32(v)
 	}
-	return deg, deg
+	return deg
 }
 
-// degreeOrder orders the nodes by degree ascending, ties by id, with one
-// counting sort: order[p] is the node at position p and rank[v] node v's
-// position. A raw degree past n−1, which only duplicate edges reach,
-// counts as n. rank reuses deg's memory.
-func degreeOrder(deg []uint32) (order, rank []uint32) {
-	n := len(deg)
-	start := make([]uint32, n+1)
-	for _, d := range deg {
-		start[min(int(d), n)]++
+// sortByKey orders the nodes by key ascending, ties kept in the order
+// seq lists them (nil: by id), with one counting sort: the result's p-th
+// entry is the node at position p. A key past n−1, which only a raw
+// degree counting duplicate edges reaches, counts as n.
+func sortByKey(key, seq []uint32) []uint32 {
+	n := len(key)
+	start := make([]uint32, n+2)
+	for _, k := range key {
+		start[min(int(k), n)+1]++
 	}
-	sum := uint32(0)
-	for d, c := range start {
-		start[d] = sum
-		sum += c
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
 	}
-	order = make([]uint32, n)
-	for v, d := range deg {
-		b := min(int(d), n)
-		order[start[b]] = uint32(v)
-		start[b]++
+	order := make([]uint32, n)
+	for i := range n {
+		v := uint32(i)
+		if seq != nil {
+			v = seq[i]
+		}
+		k := min(int(key[v]), n)
+		order[start[k]] = v
+		start[k]++
 	}
-	rank = deg
-	for p, v := range order {
-		rank[v] = uint32(p)
-	}
-	return order, rank
+	return order
 }
 
 // WriteCSR materialises an in-memory graph on disk.

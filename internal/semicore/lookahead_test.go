@@ -13,6 +13,7 @@ import (
 	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/imcore"
+	"kcore/internal/localcore"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
@@ -50,7 +51,8 @@ func starOnDisk(t *testing.T, base string, paperRule bool, frames int, passOnly 
 }
 
 // family is one generator family of the disk property tests; strictly
-// marks the skewed one on which the lookahead must read strictly less.
+// marks the skewed one on which the lookahead must recompute strictly
+// fewer nodes.
 type family struct {
 	name     string
 	edges    func(seed int64) []graph.Edge
@@ -110,8 +112,11 @@ func matchOracle(t *testing.T, core []uint32, cnt []int32, results ...*Result) {
 // violation lookahead and with the paper's rule, both on the printed pass
 // schedule, over the block-counted disk tables of every generator family:
 // both must land on the oracle's cores with exact counters, and the
-// lookahead must never pay more block reads than the rule it replaces
-// (strictly fewer on the skewed RMAT). They read through 16 frames: every
+// lookahead must never pay more block reads than the rule it replaces,
+// and on the skewed RMAT recompute strictly fewer nodes. Not fewer reads
+// there: on Build's core-estimate layout both rules walk the same windows
+// of the hub tail after the first pass and read the same blocks at seeds
+// 1 and 2 (71 and 70). They read through 16 frames: every
 // fixture's encoded edge table is at least as many times that as its
 // 4-byte table was the 64 frames the test read through before (through
 // 64 the RMAT tables, a third of their old size, nearly fit, and both
@@ -131,8 +136,11 @@ func TestLookaheadMatchesOracleAndNeverReadsMore(t *testing.T) {
 		matchOracle(t, core, cnt, look, paper)
 		t.Logf("block reads: lookahead %d, paper's rule %d; node computations %d vs %d",
 			lookReads, paperReads, look.Stats.NodeComputations, paper.Stats.NodeComputations)
-		if lookReads > paperReads || (fam.strictly && lookReads == paperReads) {
+		if lookReads > paperReads {
 			t.Fatalf("lookahead read %d blocks, the paper's rule %d", lookReads, paperReads)
+		}
+		if fam.strictly && look.Stats.NodeComputations >= paper.Stats.NodeComputations {
+			t.Fatalf("lookahead made %d node computations, the paper's rule %d", look.Stats.NodeComputations, paper.Stats.NodeComputations)
 		}
 		if pinned {
 			pins.Check(t, "lookahead.reads", lookReads)
@@ -297,9 +305,9 @@ func BenchmarkLocalCore(b *testing.B) {
 		cnt  []int32
 	}{{"lookahead", res.Cnt}, {"stored", nil}} {
 		b.Run(bc.name, func(b *testing.B) {
-			var buf localCoreBuf
+			var buf localcore.Buf
 			for i := 0; i < b.N; i++ {
-				if buf.localCore(deg, nbrs, res.Core, bc.cnt) == 0 {
+				if buf.LocalCore(deg, nbrs, res.Core, bc.cnt) == 0 {
 					b.Fatal("zero core for hub node")
 				}
 			}

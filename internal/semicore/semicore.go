@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"kcore/internal/graph"
+	"kcore/internal/localcore"
 	"kcore/internal/stats"
 )
 
@@ -77,7 +78,7 @@ func SemiCore(g graph.Source, opts *Options) (*Result, error) {
 
 	res := &Result{Core: core}
 	res.Stats.Algorithm = "SemiCore"
-	var buf localCoreBuf
+	var buf localcore.Buf
 	var computed []uint32
 	tr := opts.trace()
 
@@ -87,7 +88,7 @@ func SemiCore(g graph.Source, opts *Options) (*Result, error) {
 		computed = computed[:0]
 		err := graph.ScanAll(g, func(v uint32, nbrs []uint32) error {
 			cold := core[v]
-			nc := buf.localCore(cold, nbrs, core, nil)
+			nc := buf.LocalCore(cold, nbrs, core, nil)
 			res.Stats.NodeComputations++
 			if tr != nil {
 				computed = append(computed, v)
@@ -136,7 +137,7 @@ func SemiCorePlus(g graph.Source, opts *Options) (*Result, error) {
 	}
 	res := &Result{Core: core}
 	res.Stats.Algorithm = "SemiCore+"
-	var buf localCoreBuf
+	var buf localcore.Buf
 	p := Passes{Stats: &res.Stats, Trace: opts.trace(), Core: core}
 	if n > 0 {
 		err := p.Run(g, 0, n-1,
@@ -144,7 +145,7 @@ func SemiCorePlus(g graph.Source, opts *Options) (*Result, error) {
 			func(v uint32, nbrs []uint32) error {
 				active[v] = false
 				cold := core[v]
-				core[v] = buf.localCore(cold, nbrs, core, nil)
+				core[v] = buf.LocalCore(cold, nbrs, core, nil)
 				p.Computed(v, core[v] != cold)
 				if core[v] != cold {
 					for _, u := range nbrs {

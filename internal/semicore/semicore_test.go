@@ -6,6 +6,7 @@ import (
 
 	"kcore/internal/gen"
 	"kcore/internal/graph"
+	"kcore/internal/localcore"
 	"kcore/internal/memgraph"
 	"kcore/internal/verify"
 )
@@ -270,34 +271,34 @@ func TestComputationOrdering(t *testing.T) {
 // TestLocalCoreUnit pins LocalCore behaviour on crafted inputs, including
 // the walkthrough in Example 4.1 (v3's first recomputation).
 func TestLocalCoreUnit(t *testing.T) {
-	var b localCoreBuf
+	var b localcore.Buf
 	core := []uint32{3, 3, 3, 6, 3, 5, 3, 2, 1}
 	// Example 4.1: processing v3 with neighbour cores {3,3,3,3,5,3} -> 3.
 	nbrs := []uint32{0, 1, 2, 4, 5, 6}
-	if got := b.localCore(6, nbrs, core, nil); got != 3 {
+	if got := b.LocalCore(6, nbrs, core, nil); got != 3 {
 		t.Fatalf("LocalCore(v3) = %d, want 3", got)
 	}
 	// Reuse must see a clean histogram.
-	if got := b.localCore(6, nbrs, core, nil); got != 3 {
+	if got := b.LocalCore(6, nbrs, core, nil); got != 3 {
 		t.Fatalf("LocalCore(v3) second call = %d, want 3", got)
 	}
-	if got := b.localCore(0, nil, core, nil); got != 0 {
+	if got := b.LocalCore(0, nil, core, nil); got != 0 {
 		t.Fatalf("LocalCore(isolated) = %d, want 0", got)
 	}
 	// A node whose neighbours all have core 0 must land on 0.
 	zeros := []uint32{0, 0, 0}
-	if got := b.localCore(2, []uint32{0, 1, 2}, zeros, nil); got != 0 {
+	if got := b.LocalCore(2, []uint32{0, 1, 2}, zeros, nil); got != 0 {
 		t.Fatalf("LocalCore(all-zero nbrs) = %d, want 0", got)
 	}
 	// Lookahead: a neighbour whose exact cnt is below its estimate counts
 	// one level lower; a negative cnt is a marker and earns no discount.
 	// With v0, v1, v2 and v4 violated only v5 and v6 still support level 3.
 	cnt := []int32{2, 0, 2, -1, 1, 5, 3, -7, -1}
-	if got := b.localCore(6, nbrs, core, cnt); got != 2 {
+	if got := b.LocalCore(6, nbrs, core, cnt); got != 2 {
 		t.Fatalf("LocalCore(v3) with four violated neighbours = %d, want 2", got)
 	}
 	cnt[4] = -1
-	if got := b.localCore(6, nbrs, core, cnt); got != 3 {
+	if got := b.LocalCore(6, nbrs, core, cnt); got != 3 {
 		t.Fatalf("LocalCore(v3) with an uncounted neighbour = %d, want 3", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"kcore/internal/graph"
+	"kcore/internal/localcore"
 	"kcore/internal/stats"
 )
 
@@ -15,7 +16,7 @@ import (
 type State struct {
 	Core []uint32
 	Cnt  []int32
-	buf  localCoreBuf
+	buf  localcore.Buf
 	viol []uint32 // scratch: the violated neighbours recompute returns
 	// paperRule makes recompute read neighbours' stored estimates only
 	// (Algorithm 5 as printed). Nothing outside the tests sets it: they
@@ -50,7 +51,7 @@ func (s *State) ComputeCnt(nbrs []uint32, cv uint32) int32 {
 
 // recompute is the one recompute step of SemiCore* (Algorithm 5 lines
 // 8-12 fused): apply the locality equation to v over its neighbours'
-// lookahead bounds (localCoreBuf.localCore), then in a single walk set
+// lookahead bounds (localcore.Buf.LocalCore), then in a single walk set
 // cnt(v) per Eq. 2 against the stored estimates, take v out of the
 // support set of every neighbour u with cnew < core(u) <= cold
 // (UpdateNbrCnt, lines 21-24), and collect the counted neighbours left
@@ -71,7 +72,7 @@ func (s *State) recompute(v uint32, nbrs []uint32) (bool, []uint32) {
 	if s.paperRule {
 		look = nil
 	}
-	nc := s.buf.localCore(cold, nbrs, core, look)
+	nc := s.buf.LocalCore(cold, nbrs, core, look)
 	core[v] = nc
 	var support int32
 	viol := s.viol[:0]
@@ -104,7 +105,7 @@ func (s *State) recompute(v uint32, nbrs []uint32) (bool, []uint32) {
 // rs accumulates iterations, node computations and per-iteration update
 // counts; tr may be nil.
 func (s *State) Converge(g graph.Source, pmin, pmax uint32, rs *stats.RunStats, tr Trace) error {
-	return s.converge(g, nil, pmin, pmax, rs, tr)
+	return s.converge(g, nil, true, pmin, pmax, rs, tr)
 }
 
 // residentSource is a graph that can say, without reading, whether a
@@ -154,8 +155,11 @@ func (r *revisits) take(u uint32, pass int) bool {
 	return true
 }
 
-// converge is Converge, with cache-resident revisits when rv is non-nil.
-func (s *State) converge(g graph.Source, rv *revisits, pmin, pmax uint32, rs *stats.RunStats, tr Trace) error {
+// converge is Converge, with cache-resident revisits when rv is non-nil,
+// listing the changed nodes in rs.Dirty only when dirty is set: a full
+// decomposition dirties every node by definition, and a list of them
+// would cost it O(n) for nothing.
+func (s *State) converge(g graph.Source, rv *revisits, dirty bool, pmin, pmax uint32, rs *stats.RunStats, tr Trace) error {
 	p := Passes{Stats: rs, Trace: tr, Core: s.Core}
 	// step recomputes v and routes the neighbours it leaves violated:
 	// ahead of the cursor they extend the pass; at or behind it they are
@@ -163,7 +167,7 @@ func (s *State) converge(g graph.Source, rv *revisits, pmin, pmax uint32, rs *st
 	step := func(v uint32, nbrs []uint32) {
 		changed, violated := s.recompute(v, nbrs)
 		p.Computed(v, changed)
-		if changed {
+		if changed && dirty {
 			rs.Dirty = append(rs.Dirty, v)
 		}
 		for _, u := range violated {
@@ -195,7 +199,7 @@ func (s *State) converge(g graph.Source, rv *revisits, pmin, pmax uint32, rs *st
 // exactly once in the first pass, establishing real counters, then
 // converge over the full node range. The paper writes the marker as
 // cnt(v) <- 0; here it is -1, because the lookahead of
-// localCoreBuf.localCore reads a neighbour's cnt as evidence and a
+// localcore.Buf.LocalCore reads a neighbour's cnt as evidence and a
 // marker must not pass for a count. A marker is only ever decremented
 // before its node's first computation overwrites it, so it stays
 // negative; isolated nodes get the real count 0.
@@ -256,13 +260,10 @@ func semiCoreStar(g graph.Source, opts *Options, paperRule bool, bound []uint32)
 	res := &Result{Core: st.Core, Cnt: st.Cnt}
 	res.Stats.Algorithm = "SemiCore*"
 	if n > 0 {
-		if err := st.converge(g, rv, 0, n-1, &res.Stats, opts.trace()); err != nil {
+		if err := st.converge(g, rv, false, 0, n-1, &res.Stats, opts.trace()); err != nil {
 			return nil, err
 		}
 	}
-	// A full decomposition dirties everything by definition; drop the
-	// per-node list rather than hand callers an O(n) slice.
-	res.Stats.Dirty = nil
 	res.Stats.MemPeakBytes = mem.Peak()
 	res.Stats.Duration = time.Since(start)
 	return res, nil

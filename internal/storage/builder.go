@@ -80,6 +80,15 @@ func (b *Builder) AppendList(v uint32, nbrs []uint32) error {
 		}
 		prev = int64(u)
 	}
+	var w uint8
+	b.listBuf, w = b.codec.encode(b.listBuf[:0], nbrs)
+	return b.appendEncoded(v, uint32(len(nbrs)), w, b.listBuf)
+}
+
+// appendEncoded writes the list of deg ids and gap width w that enc
+// encodes as the next list of the layout: AppendList's tail, and
+// CopyLists' whole append, whose bytes the checksums vouched for.
+func (b *Builder) appendEncoded(v, deg uint32, w uint8, enc []byte) error {
 	if b.seen == nil && int64(v) != b.prev+1 {
 		if int64(v) <= b.prev {
 			return fmt.Errorf("storage: node %d appended twice", v)
@@ -87,23 +96,19 @@ func (b *Builder) AppendList(v uint32, nbrs []uint32) error {
 		b.reorder()
 	}
 	if b.seen != nil {
-		w, bit := v/64, uint64(1)<<(v%64)
-		if b.seen[w]&bit != 0 {
+		word, bit := v/64, uint64(1)<<(v%64)
+		if b.seen[word]&bit != 0 {
 			return fmt.Errorf("storage: node %d appended twice", v)
 		}
-		b.seen[w] |= bit
-	}
-	var w uint8
-	b.listBuf, w = b.codec.encode(b.listBuf[:0], nbrs)
-	if b.seen != nil {
+		b.seen[word] |= bit
 		b.recs = binary.AppendVarint(b.recs, int64(v)-b.prev)
 	}
-	b.recs = appendRecord(b.recs, uint32(len(nbrs)), w)
-	if _, err := b.et.Write(b.listBuf); err != nil {
+	b.recs = appendRecord(b.recs, deg, w)
+	if _, err := b.et.Write(enc); err != nil {
 		return err
 	}
-	b.etBytes += int64(len(b.listBuf))
-	b.arcs += int64(len(nbrs))
+	b.etBytes += int64(len(enc))
+	b.arcs += int64(deg)
 	b.prev = int64(v)
 	b.count++
 	return nil
@@ -221,4 +226,64 @@ func WriteGraph(fsys faultfs.FS, base string, src Source, io *stats.IOCounter, s
 		return fmt.Errorf("storage: %s: the source streamed %d arcs but reports %d", base, b.Arcs(), src.NumArcs())
 	}
 	return b.finish(sync)
+}
+
+// CopyLists writes the graph at src again at base, its lists in order
+// (each id once) and its other ids' lists, which can only be empty,
+// after them, as the Builder pads. Each list's encoded bytes are copied
+// as they are: lists hold ids, not positions, so only the node records
+// are written anew. src is read through a cache of at most frames frames
+// (no more than its edge table has blocks), every block held to the
+// checksums its open vouched for; its reads and the writes are charged
+// to io. A copy that fails, or leaves a list out, leaves no header.
+func CopyLists(base, src string, order []uint32, frames int, io *stats.IOCounter) error {
+	m, err := ReadMeta(src)
+	if err != nil {
+		return err
+	}
+	bs := int64(io.BlockSize())
+	g, err := Open(src, io, NewBlockCache(int(min(int64(frames), (m.EtBytes+bs-1)/bs)), int(bs)))
+	if err != nil {
+		return err
+	}
+	defer g.Close()
+	// Where each list lies, from one walk of the index: a lookup per node
+	// would decode up to 63 records before its own.
+	x, err := g.index()
+	if err != nil {
+		return err
+	}
+	n := g.NumNodes()
+	lists := make([]list, n)
+	if n > 0 {
+		w := x.at(0)
+		for range n {
+			v, l := w.next()
+			lists[v] = l
+		}
+	}
+	b, err := NewBuilder(base, n, io)
+	if err != nil {
+		return err
+	}
+	for _, v := range order {
+		if v >= n {
+			b.Abort()
+			return fmt.Errorf("storage: node %d out of range [0,%d)", v, n)
+		}
+		l := lists[v]
+		raw, err := g.rawList(l)
+		if err == nil {
+			err = b.appendEncoded(v, l.deg, l.w, raw)
+		}
+		if err != nil {
+			b.Abort()
+			return err
+		}
+	}
+	if b.Arcs() != g.NumArcs() {
+		b.Abort()
+		return fmt.Errorf("storage: %s: the order copied %d of %s's %d arcs", base, b.Arcs(), src, g.NumArcs())
+	}
+	return b.Close()
 }

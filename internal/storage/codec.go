@@ -103,18 +103,15 @@ func (c listCodec) encode(dst []byte, nbrs []uint32) ([]byte, uint8) {
 
 // decode reads the deg ids of the list stored as raw — the whole list
 // and nothing more, its gap width given by its length — into buf (grown
-// if short) and returns them. A list that is not strictly ascending or
-// holds an id ≥ n is an error: headers from older builders carry no
-// checksums, so the bytes may be anything.
+// geometrically if short) and returns them. A list that is not strictly
+// ascending or holds an id ≥ n is an error: headers from older builders
+// carry no checksums, so the bytes may be anything.
 func (c listCodec) decode(raw []byte, deg uint32, buf []uint32) ([]uint32, error) {
 	w, ok := c.width(int64(len(raw)), deg)
 	if !ok {
 		return nil, fmt.Errorf("%d bytes are no list of %d ids", len(raw), deg)
 	}
-	if cap(buf) < int(deg) {
-		buf = make([]uint32, deg)
-	}
-	buf = buf[:deg]
+	buf = slices.Grow(buf[:0], int(deg))[:deg]
 	if deg == 0 {
 		return buf, nil
 	}

@@ -38,7 +38,9 @@
 // u→v and v→u, and each adjacency list is sorted ascending. The Builder
 // writes format version 3, the layout in id order, when the lists arrive
 // in id order, and version 4, any layout, when they do not: Build lays
-// the nodes out by degree unless their ids are already local, and a
+// the nodes out by a core estimate unless their ids are already local
+// (its lists reach the Builder by degree, and CopyLists moves them into
+// the estimate's order as they are encoded), and a
 // rewrite (WriteGraph: a fold-back or a checkpoint) keeps the layout of
 // the graph it rewrites. Version-2 tables (12-byte node records of a
 // byte offset and a degree) and version-1 tables (the same records with
@@ -438,12 +440,8 @@ func (g *Graph) Neighbors(v uint32, buf []uint32) ([]uint32, error) {
 // table the node table vouched for; its bytes stay in g.nbrBuf until the
 // next call.
 func (g *Graph) readList(v uint32, l list, buf []uint32) ([]uint32, error) {
-	need := g.codec.length(l.deg, l.w)
-	if int64(cap(g.nbrBuf)) < need {
-		g.nbrBuf = make([]byte, need)
-	}
-	raw := g.nbrBuf[:need]
-	if err := g.et.ReadAt(raw, l.off); err != nil {
+	raw, err := g.rawList(l)
+	if err != nil {
 		return nil, err
 	}
 	nbrs, err := g.codec.decode(raw, l.deg, buf)
@@ -451,6 +449,20 @@ func (g *Graph) readList(v uint32, l list, buf []uint32) ([]uint32, error) {
 		return nil, fmt.Errorf("storage: %s: node %d: %w", edgePath(g.base), v, err)
 	}
 	return nbrs, nil
+}
+
+// rawList reads the encoded list l into g.nbrBuf, grown geometrically,
+// and returns its bytes, valid until the next call.
+func (g *Graph) rawList(l list) ([]byte, error) {
+	need := int(g.codec.length(l.deg, l.w))
+	if cap(g.nbrBuf) < need {
+		g.nbrBuf = slices.Grow(g.nbrBuf, need)
+	}
+	raw := g.nbrBuf[:need]
+	if err := g.et.ReadAt(raw, l.off); err != nil {
+		return nil, err
+	}
+	return raw, nil
 }
 
 // Resident reports whether Neighbors(v) would be served from the cache
