@@ -87,7 +87,7 @@ func TestCachedOpenIOGate(t *testing.T) {
 // so nothing is evicted and every old block is read once between open
 // and the end of the flush: the deletes' misses before it, the rest in
 // it. The merged bytes DiskStats counts are the tables the fold-back
-// wrote: the fold-back keeps the degree layout Build gave the tables.
+// wrote: the fold-back keeps the layout Build gave the tables.
 func TestCachedFoldBackIOGate(t *testing.T) {
 	base, edges := testutil.GateGraph(t)
 	g, err := kcore.Open(base, nil)
@@ -418,8 +418,8 @@ func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
 			}
 			// Read the tail of the tables into the frames, then damage the
 			// first edge-table block: the low byte of its first id. The
-			// tables lay the nodes out by core estimate, so the tail holds
-			// the densest core's lists and the head the lowest estimates'.
+			// tables lay the nodes out in a peeling order, so the tail holds
+			// the densest core's lists and the head the lowest cores'.
 			first, last := layoutEnds(t, base)
 			if _, err := cg.Neighbors(last); err != nil {
 				t.Fatal(err)
@@ -609,8 +609,8 @@ func stripChecksums(t *testing.T, base string) {
 // index from the damaged records and only their own checks are left: the
 // corrupt degree must fail that open naming node 5 (a list must end
 // inside the edge table), the moved width naming the edge table (the
-// lists must end where it does). The fixture is laid out by core
-// estimate (version 4), whose records also name their nodes: a third damage
+// lists must end where it does). The fixture is laid out in a peeling
+// order (version 4), whose records also name their nodes: a third damage
 // repeats the id of the record before one, and must fail naming the
 // repeat. The version-2 leg flips the top byte of node 5's 12-byte
 // degree in the checked-in table set, under a header without checksums:

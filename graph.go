@@ -38,12 +38,13 @@ type BuildOptions struct {
 // format at path prefix base (three files: base.meta, base.nt, base.et,
 // and the checksum sidecar base.crc Open reads in place of a pass over
 // the tables). Edges are symmetrised, external-sorted and
-// deduplicated; self-loops are dropped. The tables lay the nodes out by
-// a core estimate ascending (one sweep of the locality equation over the
-// lists as they are written, by degree), which is the order every scan
-// visits them; a graph whose ids already place neighbours near each
-// other (a geometric mean id gap under √n) keeps id order. Node ids are
-// unchanged.
+// deduplicated; self-loops are dropped. The tables lay the nodes out in
+// a peeling order (cores ascending, each node with at most its core
+// number of neighbours after it; SemiCore* over a scratch copy of the
+// lists gives the cores), which is the order every scan visits them, so
+// a decomposition of the result converges in one pass; a graph whose ids
+// already place neighbours near each other (a geometric mean id gap
+// under √n) keeps id order. Node ids are unchanged.
 func Build(base string, src EdgeSource, opts *BuildOptions) error {
 	var o BuildOptions
 	if opts != nil {
@@ -179,8 +180,8 @@ func (g *Graph) DiskStats() *stats.DiskSnapshot { return g.dyn.DiskStats() }
 func (g *Graph) ResetIOStats() { g.ctr.Reset() }
 
 // VisitEdges streams every current undirected edge once (u < v) via one
-// sequential scan, in the order the tables lay the nodes out (Build: by
-// core estimate ascending), each node's edges by ascending v.
+// sequential scan, in the order the tables lay the nodes out (Build: a
+// peeling order), each node's edges by ascending v.
 func (g *Graph) VisitEdges(fn func(u, v uint32) error) error {
 	return graph.ScanAll(g.dyn, func(v uint32, nbrs []uint32) error {
 		for _, u := range nbrs {

@@ -248,7 +248,7 @@ func TestRecoverBadCoresComesUpDegraded(t *testing.T) {
 // same plus the maintenance reads of a replayed 20-record tail, and the
 // bring-up of the same checkpoint without its sidecar — a follower's
 // download — whose open is one pass over both tables. The checkpoints
-// keep the degree layout Build wrote. On the default frames, which hold
+// keep the layout Build wrote. On the default frames, which hold
 // the gate graph, SemiCore* reads each block once and the tail's edits
 // read none the frames do not hold, so clean and tail read alike; the
 // spill legs recover the same two images through testutil.GateFrames,

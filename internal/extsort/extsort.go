@@ -12,7 +12,9 @@
 // once, at Iterate: read back, keyed by rank, sorted with an LSD radix
 // sort whose scratch is the other half of the budget and written again.
 // Iterate then merges the runs with a typed binary heap of (key, run)
-// pairs. Runs are encoded, written, read and decoded a block at a time,
+// pairs, on a goroutine of its own that hands the merged keys to the
+// caller's in 64 KiB batches, so that reading the runs overlaps what the
+// caller does with the arcs. Runs are encoded, written, read and decoded a block at a time,
 // and all of that traffic is charged to an I/O counter at block
 // granularity, so graph construction costs what its passes cost and is
 // measurable alongside algorithm cost. Each run keeps
@@ -42,10 +44,15 @@ type Arc struct {
 // key packs the arc so that integer order is (source, target) order.
 func (a Arc) key() uint64 { return uint64(a.U)<<32 | uint64(a.V) }
 
-func arcOf(key uint64) Arc { return Arc{U: uint32(key >> 32), V: uint32(key)} }
+func arcOf(key uint64) Arc { return arcAt(key, 32) }
 
-// A run file stores each arc as U then V, both little-endian: as one
-// little-endian word that is the key with its halves exchanged.
+// arcAt unpacks a key whose target takes the low idBits bits.
+func arcAt(key uint64, idBits uint) Arc {
+	return Arc{U: uint32(key >> idBits), V: uint32(key & (1<<idBits - 1))}
+}
+
+// A run file stores each key as one little-endian word with its halves
+// exchanged: an arc of an unsorted run as U then V, both little-endian.
 const arcBytes = 8
 
 func putKey(b []byte, key uint64) {
@@ -70,6 +77,7 @@ type Sorter struct {
 	buf      []uint64 // packed arcs not yet spilled
 	scratch  []uint64 // radix sort's second buffer, allocated on first use
 	spillDir string   // private run directory, created by the first spill
+	idBits   uint     // the bits a sorted key gives its target: 32 until Iterate ranks
 	runs     []run
 	total    int64
 	iterated bool
@@ -86,7 +94,7 @@ func NewSorter(dir string, budgetArcs int, ctr *stats.IOCounter) *Sorter {
 	if ctr == nil {
 		ctr = stats.NewIOCounter(0)
 	}
-	return &Sorter{dir: dir, io: ctr, bufCap: max(1, budgetArcs/2)}
+	return &Sorter{dir: dir, io: ctr, bufCap: max(1, budgetArcs/2), idBits: 32}
 }
 
 // Add appends one arc, spilling the buffer as a run if it is full.
@@ -108,23 +116,26 @@ func (s *Sorter) Add(a Arc) error {
 // Total reports the number of arcs added.
 func (s *Sorter) Total() int64 { return s.total }
 
-// sortBuf keys the buffered arcs by rank and sorts them. When the radix
-// sort's last pass lands in the scratch, the two slices trade roles
-// instead of copying back.
+// sortBuf keys the buffered arcs by rank and sorts them. A ranked key is
+// rank(U)<<idBits | V, idBits the bits of the last rank, so the sort
+// moves only the bits a key has. When the radix sort's last pass lands
+// in the scratch, the two slices trade roles instead of copying back.
 func (s *Sorter) sortBuf(rank []uint32) error {
 	if rank != nil {
+		n := uint64(len(rank))
+		s.idBits = uint(bits.Len64(max(n, 1) - 1))
 		for i, k := range s.buf {
-			u := k >> 32
-			if u >= uint64(len(rank)) {
-				return fmt.Errorf("extsort: arc source %d has no rank (%d ranked)", u, len(rank))
+			u, v := k>>32, k&0xffffffff
+			if max(u, v) >= n {
+				return fmt.Errorf("extsort: arc (%d,%d) has an endpoint past the %d ranked", u, v, n)
 			}
-			s.buf[i] = uint64(rank[u])<<32 | k&0xffffffff
+			s.buf[i] = uint64(rank[u])<<s.idBits | v
 		}
 	}
 	if len(s.buf) >= radixCutoff && cap(s.scratch) < len(s.buf) {
 		s.scratch = make([]uint64, len(s.buf), cap(s.buf))
 	}
-	if sortKeys(s.buf, s.scratch) {
+	if sortKeys(s.buf, s.scratch, 2*s.idBits) {
 		s.buf, s.scratch = s.scratch[:len(s.buf)], s.buf
 	}
 	return nil
@@ -197,12 +208,12 @@ func (s *Sorter) sortRun(r *run, rank []uint32) error {
 }
 
 // Iterate streams every arc once, its source replaced by rank[source],
-// in ascending (rank, target) order; a source rank does not cover is an
-// error. A nil rank, for the tests only, keeps every source as it is: they
-// sort full 32-bit ids, which no rank array could cover. The
-// buffered arcs are sorted in memory and spilled as a sorted run if any
-// run was spilled before them; each of those is then sorted (sortRun)
-// and the runs merged. It may be called once; on return it has released
+// in ascending (rank, target) order; an endpoint rank does not cover,
+// source or target, is an error. A nil rank, for the tests only, keeps
+// every source as it is: they sort full 32-bit ids, which no rank array
+// could cover. The buffered arcs are sorted in memory and spilled as a
+// sorted run if any run was spilled before them; each of those is then
+// sorted (sortRun) and the runs merged. It may be called once; on return it has released
 // the budget's memory and removed the run files.
 func (s *Sorter) Iterate(rank []uint32, fn func(a Arc) error) error {
 	if s.iterated || s.closed {
@@ -216,7 +227,7 @@ func (s *Sorter) Iterate(rank []uint32, fn func(a Arc) error) error {
 		// Pure in-memory path.
 		defer func() { s.buf, s.scratch = nil, nil }()
 		for _, k := range s.buf {
-			if err := fn(arcOf(k)); err != nil {
+			if err := fn(arcAt(k, s.idBits)); err != nil {
 				return err
 			}
 		}
@@ -266,11 +277,56 @@ func (s *Sorter) Iterate(rank []uint32, fn func(a Arc) error) error {
 		}
 	}
 	h.init()
+	// The heap runs on a goroutine of its own and hands the merged keys
+	// over in batches, so the merge's reads overlap fn's work. done stops
+	// it when fn fails, and Iterate waits for it before the deferred
+	// close of the readers.
+	full, free := make(chan []uint64, mergeBatches), make(chan []uint64, mergeBatches)
+	for range mergeBatches {
+		free <- make([]uint64, 0, mergeBatchKeys)
+	}
+	done := make(chan struct{})
+	var mergeErr error
+	go func() {
+		defer close(full)
+		mergeErr = h.merge(free, full, done)
+	}()
+	defer func() {
+		close(done)
+		for range full {
+		}
+	}()
+	for batch := range full {
+		for _, k := range batch {
+			if err := fn(arcAt(k, s.idBits)); err != nil {
+				return err
+			}
+		}
+		free <- batch[:0]
+	}
+	return mergeErr
+}
+
+// mergeBatches batches of mergeBatchKeys keys (64 KiB each) carry the
+// merged keys from the merge's goroutine to Iterate's.
+const (
+	mergeBatches   = 3
+	mergeBatchKeys = 1 << 13
+)
+
+// merge pops the heap empty, sending its keys in order in batches taken
+// from free to full, until done is closed. It reports a run that failed
+// to read.
+func (h mergeHeap) merge(free <-chan []uint64, full chan<- []uint64, done <-chan struct{}) error {
+	var batch []uint64
+	select {
+	case batch = <-free:
+	case <-done:
+		return nil
+	}
 	for len(h) > 0 {
 		top := &h[0]
-		if err := fn(arcOf(top.key)); err != nil {
-			return err
-		}
+		batch = append(batch, top.key)
 		key, ok, err := top.run.next()
 		if err != nil {
 			return err
@@ -282,6 +338,20 @@ func (s *Sorter) Iterate(rank []uint32, fn func(a Arc) error) error {
 			h = h[:len(h)-1]
 		}
 		h.down(0)
+		if len(batch) == cap(batch) || len(h) == 0 {
+			select {
+			case full <- batch:
+			case <-done:
+				return nil
+			}
+			if len(h) > 0 {
+				select {
+				case batch = <-free:
+				case <-done:
+					return nil
+				}
+			}
+		}
 	}
 	return nil
 }

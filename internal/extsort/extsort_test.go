@@ -3,15 +3,18 @@ package extsort
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"kcore/internal/stats"
 )
@@ -136,42 +139,46 @@ func TestSpillingPath(t *testing.T) {
 
 // TestIterateByRank: Iterate with a rank streams every arc with its
 // source replaced by the source's rank, in (rank, target) order, on the
-// in-memory path and through spilled runs, which are sorted only then. A
-// source the rank does not cover is an error.
+// in-memory path and through spilled runs, which are sorted only then,
+// at id counts on both sides of powers of two (a ranked key is 0 to 34
+// bits). An endpoint the rank does not cover is an error.
 func TestIterateByRank(t *testing.T) {
-	const ids = 300
-	rank := rand.New(rand.NewSource(4)).Perm(ids)
-	ranks := make([]uint32, ids)
-	for i, r := range rank {
-		ranks[i] = uint32(r)
-	}
-	arcs := randomArcs(rand.New(rand.NewSource(3)), 5000, ids)
-	want := make([]Arc, len(arcs))
-	for i, a := range arcs {
-		want[i] = Arc{U: ranks[a.U], V: a.V}
-	}
-	want = sortedCopy(want)
-	for _, budget := range []int{64, 1 << 20} {
-		s := NewSorter(t.TempDir(), budget, stats.NewIOCounter(256))
-		for _, a := range arcs {
-			if err := s.Add(a); err != nil {
+	for _, ids := range []int{1, 300, 512, 513, 70000} {
+		rank := rand.New(rand.NewSource(4)).Perm(ids)
+		ranks := make([]uint32, ids)
+		for i, r := range rank {
+			ranks[i] = uint32(r)
+		}
+		arcs := randomArcs(rand.New(rand.NewSource(3)), 5000, ids)
+		want := make([]Arc, len(arcs))
+		for i, a := range arcs {
+			want[i] = Arc{U: ranks[a.U], V: a.V}
+		}
+		want = sortedCopy(want)
+		for _, budget := range []int{64, 1 << 20} {
+			s := NewSorter(t.TempDir(), budget, stats.NewIOCounter(256))
+			for _, a := range arcs {
+				if err := s.Add(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var got []Arc
+			if err := s.Iterate(ranks, func(a Arc) error { got = append(got, a); return nil }); err != nil {
 				t.Fatal(err)
 			}
+			s.Close()
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d ids, budget %d: the arcs did not come out in rank order", ids, budget)
+			}
+			for _, a := range []Arc{{U: uint32(ids), V: 0}, {U: 0, V: uint32(ids)}} {
+				short := NewSorter(t.TempDir(), budget, nil)
+				short.Add(a)
+				if err := short.Iterate(ranks, func(Arc) error { return nil }); err == nil {
+					t.Fatalf("%d ids, budget %d: arc %v, past the ranked ids, was accepted", ids, budget, a)
+				}
+				short.Close()
+			}
 		}
-		var got []Arc
-		if err := s.Iterate(ranks, func(a Arc) error { got = append(got, a); return nil }); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-		if !slices.Equal(got, want) {
-			t.Fatalf("budget %d: the arcs did not come out in rank order", budget)
-		}
-		short := NewSorter(t.TempDir(), budget, nil)
-		short.Add(Arc{U: ids, V: 0})
-		if err := short.Iterate(ranks, func(Arc) error { return nil }); err == nil {
-			t.Fatalf("budget %d: an arc from an unranked source was accepted", budget)
-		}
-		short.Close()
 	}
 }
 
@@ -203,6 +210,51 @@ func TestDamagedRunFailsMerge(t *testing.T) {
 	err = s.Iterate(nil, func(Arc) error { merged++; return nil })
 	if err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("merge of a damaged run: err = %v after %d of %d arcs, want a checksum error", err, merged, len(arcs))
+	}
+}
+
+// TestIterateStopsWhenTheCallbackFails fails fn partway through the merge
+// of spilled runs, at the first arc, inside the first batch the merge's
+// goroutine hands over and past it: Iterate returns fn's error, calls fn
+// no more, removes the runs and leaves no goroutine behind.
+func TestIterateStopsWhenTheCallbackFails(t *testing.T) {
+	arcs := randomArcs(rand.New(rand.NewSource(2)), 40000, 3000)
+	stop := errors.New("stop")
+	before := runtime.NumGoroutine()
+	for _, failAt := range []int{1, 100, mergeBatchKeys + 7, 3*mergeBatchKeys + 1} {
+		dir := t.TempDir()
+		s := NewSorter(dir, 4096, nil)
+		for _, a := range arcs {
+			if err := s.Add(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		calls := 0
+		err := s.Iterate(nil, func(Arc) error {
+			calls++
+			if calls == failAt {
+				return stop
+			}
+			return nil
+		})
+		if !errors.Is(err, stop) || calls != failAt {
+			t.Fatalf("fail at %d: err = %v after %d calls, want fn's error at once", failAt, err, calls)
+		}
+		entries, _ := os.ReadDir(dir)
+		if runs, _ := os.ReadDir(filepath.Join(dir, entries[0].Name())); len(runs) != 0 {
+			t.Fatalf("fail at %d: Iterate left its runs %v behind", failAt, runs)
+		}
+		s.Close()
+	}
+	// A merge goroutine that was told to stop exits at once; one left
+	// blocked on its next batch never does.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Fatalf("%d goroutines before and %d after the failed merges", before, after)
 	}
 }
 
@@ -449,13 +501,13 @@ func sortsLike(t testing.TB, arcs []Arc, budget int) {
 	t.Helper()
 	want := sortedCopy(arcs)
 	keys := make([]uint64, len(arcs))
-	for _, sorter := range []func(keys, scratch []uint64) bool{sortKeys, radixSort} {
+	for _, sorter := range []func(keys, scratch []uint64, width uint) bool{sortKeys, radixSort} {
 		for i, a := range arcs {
 			keys[i] = a.key()
 		}
 		scratch := make([]uint64, len(keys))
 		got := keys
-		if sorter(keys, scratch) {
+		if sorter(keys, scratch, 64) {
 			got = scratch
 		}
 		for i, k := range got {

@@ -21,7 +21,7 @@ import (
 )
 
 // layoutSources builds one generated graph with Build, which lays it out
-// by core estimate (format version 4), and opens it as the counted disk
+// in a peeling order (format version 4), and opens it as the counted disk
 // tables and as a dynamic graph over a copy of them, beside the
 // in-memory CSR of the same edges.
 func layoutSources(t *testing.T) (csr *memgraph.CSR, disk *storage.Graph, dyn *dyngraph.Graph, dynBase string) {
@@ -76,7 +76,7 @@ func positions(t *testing.T, s graph.Source) []uint32 {
 }
 
 // TestBuildLayoutConformance holds the disk tables and the dynamic graph
-// over a Build-written table, laid out by core estimate, to the CSR's
+// over a Build-written table, laid out in a peeling order, to the CSR's
 // adjacency and to their own positions: a full scan visits every node
 // once with its CSR list, in ascending position; a window of positions
 // visits exactly the nodes Positions puts in it, in that order, want and

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,6 +13,7 @@ import (
 	"kcore/internal/gen"
 	"kcore/internal/graph"
 	"kcore/internal/graphio"
+	"kcore/internal/imcore"
 	"kcore/internal/semicore"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
@@ -86,24 +88,26 @@ func TestSemiCoreIOLaw(t *testing.T) {
 }
 
 // TestBuildIOLaw pins construction's cost in the same model: Build is one
-// sort, sequential passes and one copy. The sorter's buffer is half of
-// SortBudgetArcs, so A arcs spill as runs of a_i = SortBudgetArcs/2 arcs
-// and a remainder; each run is written once and read once, ceil(8*a_i/B)
-// blocks either way, and a run spilled before the last arc came in is
-// written and read once more: spilled unsorted, since the degree order
-// it is sorted under is known only then, and read back to be sorted. The
-// merged stream is written as a scratch table in that order, and copied
-// into the target in the estimate's order: the scratch's two tables and
-// checksum sidecar are written, its sidecar and node table read once and
-// every block of its edge table at least once, exactly once when the
-// copy's frames, the sort budget's bytes in blocks, hold the table; then
-// the target's two tables and sidecar are written. A sidecar is an 8-byte
-// header and 4 bytes per 512-byte granule of each table, the tables'
-// bytes being the header's ntbytes and etbytes. The scratch's edge table
-// is the target's bytes (the lists are the same); its node table differs
-// from the target's only in the ids' deltas its records lead with. The
-// blocks of the target's tables and sidecar are pinned, and so are the
-// copy's reads of the scratch edge table where the frames do not hold it.
+// sort, sequential passes over one scratch table and one copy. The
+// sorter's buffer is half of SortBudgetArcs, so A arcs spill as runs of
+// a_i = SortBudgetArcs/2 arcs and a remainder; each run is written once
+// and read once, ceil(8*a_i/B) blocks either way, and a run spilled
+// before the last arc came in is written and read once more: spilled
+// unsorted, since the degree order it is sorted under is known only then,
+// and read back to be sorted. The merged stream is written as a scratch
+// table in that order, which is opened once, through frames of the sort
+// budget's bytes: its sidecar read at the open, its node table by the
+// decomposition's first use, and its edge table by the decomposition,
+// the peel and the copy, every block at least once and exactly once when
+// the frames hold the table. Then the target's two tables and sidecar
+// are written in the peeling order. A sidecar is an 8-byte header and 4
+// bytes per 512-byte granule of each table, the tables' bytes being the
+// header's ntbytes and etbytes. The scratch's edge table is the target's
+// bytes (the lists are the same); its node table differs from the
+// target's only in the ids' deltas its records lead with. Every count is
+// exact: the law's where the frames hold the scratch edge table, and
+// where they do not, the edge-table reads of the three passes over it are
+// pinned, with the blocks of the target's tables and sidecar.
 func TestBuildIOLaw(t *testing.T) {
 	edges := gen.ErdosRenyi(400, 3000, 705)
 	mem := gen.Build(edges)
@@ -157,10 +161,97 @@ func TestBuildIOLaw(t *testing.T) {
 			}
 			pins.Check(t, fmt.Sprintf("B=%d.table_blocks", blockSize), tables)
 			if frames < blocks(et) {
-				pins.Check(t, fmt.Sprintf("B=%d.budget=%d.copy_reads", blockSize, budget), etReads)
+				pins.Check(t, fmt.Sprintf("B=%d.budget=%d.scratch_reads", blockSize, budget), etReads)
 			}
 		}
 	}
+}
+
+// TestBuildLaysOutInPeelingOrder holds Build's layout to what makes it a
+// peeling order, against IMCore's cores: along the positions the cores
+// do not decrease, and each node has at most core(v) neighbours after
+// it. Then SemiCore* from the degrees converges in one pass (ARCHITECTURE,
+// "One pass along a peeling order"), which reads each table once:
+// ceil(nt/B) + ceil(et/B) blocks after the open, through 16 frames of
+// 1 KiB. The fixtures are every family of testutil.Families at three
+// seeds, whose tables Build writes, and the gates' graph. Build keeps the
+// ring lattices in id order (idLocal), so they are checked for that, and
+// in a peeling order under shuffled ids. A Build that copies the lists by
+// its core estimate, as it did before, fails on every fixture but the
+// lattices.
+func TestBuildLaysOutInPeelingOrder(t *testing.T) {
+	check := func(t *testing.T, edges []graph.Edge, idLocal bool) {
+		csr := gen.Build(edges)
+		base := filepath.Join(t.TempDir(), "g")
+		if err := graphio.Build(base, graphio.SliceSource(edges), graphio.BuildOptions{N: csr.NumNodes()}); err != nil {
+			t.Fatal(err)
+		}
+		meta, err := storage.ReadMeta(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idLocal != (meta.Version == 3) {
+			t.Fatalf("format version %d; want 3 (id order) exactly for the lattice", meta.Version)
+		}
+		if idLocal {
+			return
+		}
+		core := imcore.Decompose(csr, nil).Core
+		order := layout(t, base)
+		pos := make([]uint32, len(order))
+		for p, v := range order {
+			pos[v] = uint32(p)
+		}
+		for p, v := range order {
+			if p > 0 && core[v] < core[order[p-1]] {
+				t.Fatalf("position %d: core(%d) = %d after core(%d) = %d", p, v, core[v], order[p-1], core[order[p-1]])
+			}
+			later := uint32(0)
+			for _, u := range csr.Neighbors(v) {
+				if pos[u] > uint32(p) {
+					later++
+				}
+			}
+			if later > core[v] {
+				t.Fatalf("node %d (core %d) has %d neighbours after it", v, core[v], later)
+			}
+		}
+		const B, frames = 1024, 16
+		ctr := stats.NewIOCounter(B)
+		g, err := storage.Open(base, ctr, storage.NewBlockCache(frames, B))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		opened := ctr.Reads()
+		res, err := semicore.SemiCoreStar(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.Core, core) {
+			t.Fatal("SemiCore* disagrees with IMCore")
+		}
+		want := (meta.NtBytes+B-1)/B + (meta.EtBytes+B-1)/B
+		if got := ctr.Reads() - opened; res.Stats.Iterations != 1 || got != want {
+			t.Fatalf("SemiCore* took %d passes and %d reads; want 1 pass and %d reads", res.Stats.Iterations, got, want)
+		}
+	}
+	for _, fam := range testutil.Families {
+		for seed := int64(1); seed <= 3; seed++ {
+			edges := fam.Edges(seed)
+			lattice := fam.Name == "smallworld"
+			t.Run(fmt.Sprintf("%s/seed=%d", fam.Name, seed), func(t *testing.T) { check(t, edges, lattice) })
+			if lattice {
+				perm := rand.New(rand.NewSource(seed)).Perm(int(gen.Build(edges).NumNodes()))
+				shuffled := make([]graph.Edge, len(edges))
+				for i, e := range edges {
+					shuffled[i] = graph.Edge{U: uint32(perm[e.U]), V: uint32(perm[e.V])}
+				}
+				t.Run(fmt.Sprintf("%s-shuffled/seed=%d", fam.Name, seed), func(t *testing.T) { check(t, shuffled, false) })
+			}
+		}
+	}
+	t.Run("gate", func(t *testing.T) { check(t, testutil.GateEdges(), false) })
 }
 
 // layout returns the order the tables at base store the lists in.

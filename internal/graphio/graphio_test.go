@@ -59,7 +59,7 @@ func TestBuildMatchesCSR(t *testing.T) {
 // TestBuildKeepsLocalIDOrder builds a ring lattice, whose ids place
 // neighbours next to each other, and the same lattice under shuffled
 // ids: Build keeps the first in id order (format version 3) and lays the
-// second out by core estimate (version 4), and both hold the CSR's lists.
+// second out in a peeling order (version 4), and both hold the CSR's lists.
 func TestBuildKeepsLocalIDOrder(t *testing.T) {
 	lattice := gen.SmallWorld(3000, 6, 0.1, 1)
 	perm := rand.New(rand.NewSource(2)).Perm(3000)
@@ -86,53 +86,6 @@ func TestBuildKeepsLocalIDOrder(t *testing.T) {
 		}
 		csrEqual(t, got, want)
 	}
-}
-
-// TestBuildLaysOutByEstimate builds a star of ten leaves around a hub
-// beside a 5-clique, under ids that are not local. By degree the hub
-// (10) comes after the clique (4 each); its core estimate, the h-index of
-// its leaves' (1 each), is 1, so Build lays it out right after the leaves
-// and before the clique, whose estimate is its core, 4. A Build that lays
-// the tables out by degree fails this test.
-func TestBuildLaysOutByEstimate(t *testing.T) {
-	const hub = 7
-	leaves := []uint32{0, 1, 2, 4, 6, 9, 11, 13, 14, 15}
-	clique := []uint32{3, 5, 8, 10, 12}
-	var edges []graph.Edge
-	for _, l := range leaves {
-		edges = append(edges, graph.Edge{U: hub, V: l})
-	}
-	for i, u := range clique {
-		for _, v := range clique[i+1:] {
-			edges = append(edges, graph.Edge{U: u, V: v})
-		}
-	}
-	base := filepath.Join(t.TempDir(), "g")
-	if err := Build(base, SliceSource(edges), BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	g, err := storage.Open(base, stats.NewIOCounter(0), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	pos := g.Positions()
-	if pos == nil {
-		t.Fatal("the tables are in id order")
-	}
-	var got []uint32
-	for p := range g.NumNodes() {
-		got = append(got, uint32(slices.Index(pos, p)))
-	}
-	want := append(append(slices.Clone(leaves), hub), clique...)
-	if !slices.Equal(got, want) {
-		t.Fatalf("layout %v, want the leaves, the hub, then the clique: %v", got, want)
-	}
-	csr, err := ReadToCSR(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csrEqual(t, csr, gen.Build(edges))
 }
 
 func TestBuildWithSpills(t *testing.T) {

@@ -2,7 +2,7 @@
 // lines 11-20), the repository's one h-index. internal/semicore runs it
 // at every recompute of its decompositions and of maintenance;
 // internal/graphio's Build runs it once per list for the core estimate
-// it lays the tables out by. It imports nothing of the repository, so
+// its scratch decomposition starts from. It imports nothing of the repository, so
 // both can.
 package localcore
 

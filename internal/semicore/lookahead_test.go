@@ -1,4 +1,4 @@
-package semicore
+package semicore_test
 
 import (
 	"fmt"
@@ -15,6 +15,7 @@ import (
 	"kcore/internal/imcore"
 	"kcore/internal/localcore"
 	"kcore/internal/memgraph"
+	"kcore/internal/semicore"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 	"kcore/internal/testutil"
@@ -30,7 +31,7 @@ func TestMain(m *testing.M) { pins.Main(m) }
 // with the block reads it cost (1 KiB blocks, so the small fixtures still
 // span many blocks). SemiCore* recomputes resident nodes behind its cursor
 // at once unless passOnly hides the cache from it.
-func starOnDisk(t *testing.T, base string, paperRule bool, frames int, passOnly bool) (*Result, int64) {
+func starOnDisk(t *testing.T, base string, paperRule bool, frames int, passOnly bool) (*semicore.Result, int64) {
 	t.Helper()
 	ctr := stats.NewIOCounter(1024)
 	g, err := storage.Open(base, ctr, storage.NewBlockCache(frames, 1024))
@@ -43,50 +44,52 @@ func starOnDisk(t *testing.T, base string, paperRule bool, frames int, passOnly 
 		src = struct{ graph.Source }{g} // no Resident: the printed pass schedule
 	}
 	opened := ctr.Reads()
-	res, err := semiCoreStar(src, nil, paperRule, nil)
+	run := semicore.SemiCoreStar
+	if paperRule {
+		run = semicore.SemiCoreStarPaperRule
+	}
+	res, err := run(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, ctr.Reads() - opened
 }
 
-// family is one generator family of the disk property tests; strictly
-// marks the skewed one on which the lookahead must recompute strictly
-// fewer nodes.
-type family struct {
-	name     string
-	edges    func(seed int64) []graph.Edge
-	strictly bool
+// fixture is one generator family's graph at one seed, on disk twice:
+// in id order (graphio.WriteCSR) and as graphio.Build writes it, with
+// the oracle's cores and Eq. 2 counters. Build lays every family out in
+// a peeling order but the ring lattices, whose ids are local: it keeps
+// those in id order, and then peel is empty.
+type fixture struct {
+	fam       string
+	ids, peel string // the two tables' path prefixes
+	core      []uint32
+	cnt       []int32
+	pinned    bool // the default seeds, which pins are taken at
 }
 
-var families = []family{
-	{"er", func(s int64) []graph.Edge { return gen.ErdosRenyi(3000, 15000, s) }, false},
-	{"ba", func(s int64) []graph.Edge { return gen.BarabasiAlbert(3000, 4, s) }, false},
-	{"rmat", func(s int64) []graph.Edge { return gen.RMAT(11, 12, 0.57, 0.19, 0.19, s) }, true},
-	{"web", func(s int64) []graph.Edge { return gen.WebGraph(10, 8, 20, 50, s) }, false},
-	{"social", func(s int64) []graph.Edge { return gen.Social(3000, 4, 12, 12, s) }, false},
-	{"smallworld", func(s int64) []graph.Edge { return gen.SmallWorld(3000, 6, 0.1, s) }, false},
-}
-
-// forEachFixture builds every family at three seeds from the test's seed
-// as block-counted disk tables and calls check with the path prefix, the
-// oracle (IMCore's cores and their Eq. 2 counters) and whether the seeds
-// are the default ones, which pins are taken at.
-func forEachFixture(t *testing.T, check func(t *testing.T, fam family, base string, core []uint32, cnt []int32, pinned bool)) {
+// forEachFixture builds every family of testutil.Families at three seeds
+// from the test's seed and calls check with each fixture.
+func forEachFixture(t *testing.T, check func(t *testing.T, fx fixture)) {
 	seed := testutil.Seed(t, 1)
-	for _, fam := range families {
+	for _, fam := range testutil.Families {
 		for i := int64(0); i < 3; i++ {
 			fam, s := fam, seed+i
-			t.Run(fmt.Sprintf("%s/seed=%d", fam.name, s), func(t *testing.T) {
-				edges := fam.edges(s)
+			t.Run(fmt.Sprintf("%s/seed=%d", fam.Name, s), func(t *testing.T) {
+				edges := fam.Edges(s)
 				csr := gen.Build(edges)
-				base := filepath.Join(t.TempDir(), "g")
-				err := graphio.Build(base, graphio.SliceSource(edges), graphio.BuildOptions{N: csr.NumNodes()})
+				peel := filepath.Join(t.TempDir(), "g")
+				err := graphio.Build(peel, graphio.SliceSource(edges), graphio.BuildOptions{N: csr.NumNodes()})
 				if err != nil {
 					t.Fatal(err)
 				}
+				if m, err := storage.ReadMeta(peel); err != nil {
+					t.Fatal(err)
+				} else if m.Version != 4 {
+					peel = ""
+				}
 				core := imcore.Decompose(csr, nil).Core
-				check(t, fam, base, core, verify.CntFor(csr, core), seed == 1)
+				check(t, fixture{fam.Name, testutil.WriteCSR(t, csr), peel, core, verify.CntFor(csr, core), seed == 1})
 			})
 		}
 	}
@@ -94,7 +97,7 @@ func forEachFixture(t *testing.T, check func(t *testing.T, fam family, base stri
 
 // matchOracle fails unless every result holds the oracle's cores and
 // counters exactly.
-func matchOracle(t *testing.T, core []uint32, cnt []int32, results ...*Result) {
+func matchOracle(t *testing.T, core []uint32, cnt []int32, results ...*semicore.Result) {
 	t.Helper()
 	for _, res := range results {
 		for v := range core {
@@ -110,41 +113,59 @@ func matchOracle(t *testing.T, core []uint32, cnt []int32, results ...*Result) {
 
 // TestLookaheadMatchesOracleAndNeverReadsMore runs SemiCore* with the
 // violation lookahead and with the paper's rule, both on the printed pass
-// schedule, over the block-counted disk tables of every generator family:
-// both must land on the oracle's cores with exact counters, and the
-// lookahead must never pay more block reads than the rule it replaces,
-// and on the skewed RMAT recompute strictly fewer nodes. Not fewer reads
-// there: on Build's core-estimate layout both rules walk the same windows
-// of the hub tail after the first pass and read the same blocks at seeds
-// 1 and 2 (71 and 70). They read through 16 frames: every
-// fixture's encoded edge table is at least as many times that as its
-// 4-byte table was the 64 frames the test read through before (through
-// 64 the RMAT tables, a third of their old size, nearly fit, and both
-// rules read each block once). At the default seeds both counts are
-// pinned, each with the first use's pass over the node table; Build
-// keeps the smallworld ring lattices in id order, their locality order.
+// schedule, over the block-counted disk tables of every generator family
+// in both layouts, through 16 frames: every fixture's encoded edge table
+// is at least as many times that as its 4-byte table was the 64 frames
+// the test read through before (through 64 the RMAT tables, a third of
+// their old size, nearly fit, and both rules read each block once). Both
+// rules must land on the oracle's cores with exact counters.
+//
+// In id order (WriteCSR) the lookahead must never pay more block reads
+// than the rule it replaces, and on the skewed RMAT strictly fewer reads
+// and node computations. On Build's peeling order both rules converge in
+// one pass (ARCHITECTURE, "One pass along a peeling order"): each
+// computes every node once and reads every block once, so there they
+// must both take one pass and read the same (Build keeps the ring
+// lattices in id order, so they have no such leg). At the default seeds
+// the counts are pinned, each with the first use's pass over the node
+// table.
 func TestLookaheadMatchesOracleAndNeverReadsMore(t *testing.T) {
 	const frames = 16
-	forEachFixture(t, func(t *testing.T, fam family, base string, core []uint32, cnt []int32, pinned bool) {
-		meta, err := storage.ReadMeta(base)
+	forEachFixture(t, func(t *testing.T, fx fixture) {
+		meta, err := storage.ReadMeta(fx.ids)
 		if err != nil {
 			t.Fatal(err)
 		}
-		testutil.RequireSpill(t, base, 1024, frames, float64(4*meta.Arcs)/(1024*64))
-		look, lookReads := starOnDisk(t, base, false, frames, true)
-		paper, paperReads := starOnDisk(t, base, true, frames, true)
-		matchOracle(t, core, cnt, look, paper)
-		t.Logf("block reads: lookahead %d, paper's rule %d; node computations %d vs %d",
+		testutil.RequireSpill(t, fx.ids, 1024, frames, float64(4*meta.Arcs)/(1024*64))
+		look, lookReads := starOnDisk(t, fx.ids, false, frames, true)
+		paper, paperReads := starOnDisk(t, fx.ids, true, frames, true)
+		matchOracle(t, fx.core, fx.cnt, look, paper)
+		t.Logf("id order: block reads: lookahead %d, paper's rule %d; node computations %d vs %d",
 			lookReads, paperReads, look.Stats.NodeComputations, paper.Stats.NodeComputations)
-		if lookReads > paperReads {
-			t.Fatalf("lookahead read %d blocks, the paper's rule %d", lookReads, paperReads)
+		strictly := fx.fam == "rmat"
+		if lookReads > paperReads || (strictly && lookReads == paperReads) {
+			t.Fatalf("id order: lookahead read %d blocks, the paper's rule %d", lookReads, paperReads)
 		}
-		if fam.strictly && look.Stats.NodeComputations >= paper.Stats.NodeComputations {
-			t.Fatalf("lookahead made %d node computations, the paper's rule %d", look.Stats.NodeComputations, paper.Stats.NodeComputations)
+		if strictly && look.Stats.NodeComputations >= paper.Stats.NodeComputations {
+			t.Fatalf("id order: lookahead made %d node computations, the paper's rule %d", look.Stats.NodeComputations, paper.Stats.NodeComputations)
 		}
-		if pinned {
-			pins.Check(t, "lookahead.reads", lookReads)
-			pins.Check(t, "paper.reads", paperReads)
+		if fx.pinned {
+			pins.Check(t, "id.lookahead.reads", lookReads)
+			pins.Check(t, "id.paper.reads", paperReads)
+		}
+		if fx.peel == "" {
+			return
+		}
+		testutil.RequireSpill(t, fx.peel, 1024, frames, float64(4*meta.Arcs)/(1024*64))
+		look, lookReads = starOnDisk(t, fx.peel, false, frames, true)
+		paper, paperReads = starOnDisk(t, fx.peel, true, frames, true)
+		matchOracle(t, fx.core, fx.cnt, look, paper)
+		if look.Stats.Iterations != 1 || paper.Stats.Iterations != 1 || lookReads != paperReads {
+			t.Fatalf("peeling order: lookahead %d passes and %d reads, the paper's rule %d and %d; want one pass each and the same reads",
+				look.Stats.Iterations, lookReads, paper.Stats.Iterations, paperReads)
+		}
+		if fx.pinned {
+			pins.Check(t, "peel.reads", lookReads)
 		}
 	})
 }
@@ -152,30 +173,37 @@ func TestLookaheadMatchesOracleAndNeverReadsMore(t *testing.T) {
 // TestRevisitsMatchOracleAndNeverReadMore runs SemiCore* as it runs on a
 // disk graph — a violated node behind the cursor whose list is resident
 // recomputed at once — and on the printed pass schedule, over the same
-// fixtures at B = 1024 through 2, 4 and 8 frames: both must land on the
-// oracle's cores with exact counters, and on these fixtures the revisits
-// must never pay more block reads than the pass schedule through the
-// same frames. Every fixture's edge table is at least twice the largest
-// cache (RequireSpill; the smallest, web, is 17,223 bytes at seed 1,
-// 2.10 times 8 KiB): through 64 frames, the leg this test had before the
-// tables were gap-coded, every fixture fits, and through 16 the web
-// tables barely spill. That bound is measured here, not proved: on
-// rmat17 through 2 and 16 frames the revisits read 17 and 15 blocks
-// more (12,674 and 12,672 against 12,657 on the 4-byte tables;
-// BenchmarkCacheSweepRMAT17).
+// fixtures in both layouts at B = 1024 through 2, 4 and 8 frames: both
+// must land on the oracle's cores with exact counters, and on these
+// fixtures the revisits must never pay more block reads than the pass
+// schedule through the same frames. In Build's peeling order no node is
+// violated behind the cursor, so the two schedules are one pass each;
+// the id order is where revisits happen. Every fixture's edge table is
+// at least twice the largest cache (RequireSpill; the smallest, web, is
+// 17,223 bytes at seed 1, 2.10 times 8 KiB): through 64 frames, the leg
+// this test had before the tables were gap-coded, every fixture fits,
+// and through 16 the web tables barely spill. That bound is measured
+// here, not proved: on rmat17 through 2 and 16 frames the revisits read
+// 17 and 15 blocks more (12,674 and 12,672 against 12,657 on the 4-byte
+// tables; BenchmarkCacheSweepRMAT17).
 func TestRevisitsMatchOracleAndNeverReadMore(t *testing.T) {
 	frameLegs := []int{2, 4, 8}
-	forEachFixture(t, func(t *testing.T, _ family, base string, core []uint32, cnt []int32, _ bool) {
-		testutil.RequireSpill(t, base, 1024, frameLegs[len(frameLegs)-1], 2)
-		for _, frames := range frameLegs {
-			rev, revReads := starOnDisk(t, base, false, frames, false)
-			pass, passReads := starOnDisk(t, base, false, frames, true)
-			matchOracle(t, core, cnt, rev, pass)
-			t.Logf("%d frames: block reads: revisits %d, pass schedule %d; node computations %d vs %d; passes %d vs %d",
-				frames, revReads, passReads, rev.Stats.NodeComputations, pass.Stats.NodeComputations,
-				rev.Stats.Iterations, pass.Stats.Iterations)
-			if revReads > passReads {
-				t.Fatalf("%d frames: revisits read %d blocks, the pass schedule %d", frames, revReads, passReads)
+	forEachFixture(t, func(t *testing.T, fx fixture) {
+		for _, base := range []string{fx.ids, fx.peel} {
+			if base == "" {
+				continue
+			}
+			testutil.RequireSpill(t, base, 1024, frameLegs[len(frameLegs)-1], 2)
+			for _, frames := range frameLegs {
+				rev, revReads := starOnDisk(t, base, false, frames, false)
+				pass, passReads := starOnDisk(t, base, false, frames, true)
+				matchOracle(t, fx.core, fx.cnt, rev, pass)
+				t.Logf("%s, %d frames: block reads: revisits %d, pass schedule %d; node computations %d vs %d; passes %d vs %d",
+					base, frames, revReads, passReads, rev.Stats.NodeComputations, pass.Stats.NodeComputations,
+					rev.Stats.Iterations, pass.Stats.Iterations)
+				if revReads > passReads {
+					t.Fatalf("%s, %d frames: revisits read %d blocks, the pass schedule %d", base, frames, revReads, passReads)
+				}
 			}
 		}
 	})
@@ -202,7 +230,7 @@ func openDyn(t *testing.T, base string, ctr *stats.IOCounter, frames int) *dyngr
 // over its tables through 64 and through 4 frames of 1 KiB.
 func TestStarCntInvariant(t *testing.T) {
 	seed := testutil.Seed(t, 37)
-	for name, csr := range testGraphs(t) {
+	for name, csr := range semicore.TestGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			n := csr.NumNodes()
@@ -227,12 +255,12 @@ func TestStarCntInvariant(t *testing.T) {
 			}
 			for sname, g := range sources {
 				for bname, bound := range bounds {
-					var res *Result
+					var res *semicore.Result
 					var err error
 					if bound == nil {
-						res, err = SemiCoreStar(g, nil)
+						res, err = semicore.SemiCoreStar(g, nil)
 					} else {
-						res, err = SemiCoreStarFrom(g, bound, nil)
+						res, err = semicore.SemiCoreStarFrom(g, bound, nil)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -245,7 +273,7 @@ func TestStarCntInvariant(t *testing.T) {
 					}
 				}
 			}
-			if _, err := SemiCoreStarFrom(csr, append(core, 0), nil); err == nil {
+			if _, err := semicore.SemiCoreStarFrom(csr, append(core, 0), nil); err == nil {
 				t.Fatal("a bound one node too long was accepted")
 			}
 		})
@@ -259,7 +287,7 @@ func TestStarCntInvariant(t *testing.T) {
 // Both include the first use's node-table blocks.
 func TestSemiCoreStarFromIOGate(t *testing.T) {
 	base, _ := testutil.GateGraph(t)
-	var prev *Result
+	var prev *semicore.Result
 	for _, leg := range []string{"fresh", "resumed"} {
 		ctr := stats.NewIOCounter(0)
 		g := openDyn(t, base, ctr, testutil.GateFrames)
@@ -268,7 +296,7 @@ func TestSemiCoreStarFromIOGate(t *testing.T) {
 			bound = prev.Core
 		}
 		opened := ctr.Reads()
-		res, err := SemiCoreStarFrom(g, bound, nil)
+		res, err := semicore.SemiCoreStarFrom(g, bound, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +322,7 @@ func BenchmarkLocalCore(b *testing.B) {
 			v = u
 		}
 	}
-	res, err := SemiCoreStar(csr, nil)
+	res, err := semicore.SemiCoreStar(csr, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package semicore
+package semicore_test
 
 import (
 	"math/rand"
@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"kcore/internal/gen"
+	"kcore/internal/semicore"
 	"kcore/internal/testutil"
 	"kcore/internal/verify"
 )
@@ -20,15 +21,15 @@ func TestPropertyRandomGraphsAllVariants(t *testing.T) {
 			g = gen.Build(gen.RMAT(7, 8, 0.57, 0.19, 0.19, seed))
 		}
 		want := verify.CoresByRepeatedRemoval(g)
-		basic, err := SemiCore(g, nil)
+		basic, err := semicore.SemiCore(g, nil)
 		if err != nil {
 			return false
 		}
-		plus, err := SemiCorePlus(g, nil)
+		plus, err := semicore.SemiCorePlus(g, nil)
 		if err != nil {
 			return false
 		}
-		star, err := SemiCoreStar(g, nil)
+		star, err := semicore.SemiCoreStar(g, nil)
 		if err != nil {
 			return false
 		}
@@ -64,7 +65,7 @@ func TestPropertyEstimatesMonotone(t *testing.T) {
 				prev[v] = core[v]
 			}
 		}
-		if _, err := SemiCoreStar(g, &Options{Trace: trace}); err != nil {
+		if _, err := semicore.SemiCoreStar(g, &semicore.Options{Trace: trace}); err != nil {
 			return false
 		}
 		return ok
@@ -80,11 +81,11 @@ func TestPropertyEstimatesMonotone(t *testing.T) {
 func TestPropertyIterationCountsOrdered(t *testing.T) {
 	f := func(seed int64) bool {
 		g := gen.Build(gen.WebGraph(6, 4, 4, 12, seed))
-		basic, err := SemiCore(g, nil)
+		basic, err := semicore.SemiCore(g, nil)
 		if err != nil {
 			return false
 		}
-		star, err := SemiCoreStar(g, nil)
+		star, err := semicore.SemiCoreStar(g, nil)
 		if err != nil {
 			return false
 		}

@@ -228,25 +228,15 @@ func WriteGraph(fsys faultfs.FS, base string, src Source, io *stats.IOCounter, s
 	return b.finish(sync)
 }
 
-// CopyLists writes the graph at src again at base, its lists in order
-// (each id once) and its other ids' lists, which can only be empty,
-// after them, as the Builder pads. Each list's encoded bytes are copied
-// as they are: lists hold ids, not positions, so only the node records
-// are written anew. src is read through a cache of at most frames frames
-// (no more than its edge table has blocks), every block held to the
-// checksums its open vouched for; its reads and the writes are charged
-// to io. A copy that fails, or leaves a list out, leaves no header.
-func CopyLists(base, src string, order []uint32, frames int, io *stats.IOCounter) error {
-	m, err := ReadMeta(src)
-	if err != nil {
-		return err
-	}
-	bs := int64(io.BlockSize())
-	g, err := Open(src, io, NewBlockCache(int(min(int64(frames), (m.EtBytes+bs-1)/bs)), int(bs)))
-	if err != nil {
-		return err
-	}
-	defer g.Close()
+// CopyLists writes the graph g again at base, its lists in order (each
+// id once) and its other ids' lists, which can only be empty, after
+// them, as the Builder pads. Each list's encoded bytes are copied as
+// they are: lists hold ids, not positions, so only the node records are
+// written anew. g's lists are read through its frames, every block held
+// to the checksums its open vouched for; the reads and the writes are
+// charged to g's counter. A copy that fails, or leaves a list out,
+// leaves no header.
+func CopyLists(base string, g *Graph, order []uint32) error {
 	// Where each list lies, from one walk of the index: a lookup per node
 	// would decode up to 63 records before its own.
 	x, err := g.index()
@@ -262,7 +252,7 @@ func CopyLists(base, src string, order []uint32, frames int, io *stats.IOCounter
 			lists[v] = l
 		}
 	}
-	b, err := NewBuilder(base, n, io)
+	b, err := NewBuilder(base, n, g.io)
 	if err != nil {
 		return err
 	}
@@ -283,7 +273,7 @@ func CopyLists(base, src string, order []uint32, frames int, io *stats.IOCounter
 	}
 	if b.Arcs() != g.NumArcs() {
 		b.Abort()
-		return fmt.Errorf("storage: %s: the order copied %d of %s's %d arcs", base, b.Arcs(), src, g.NumArcs())
+		return fmt.Errorf("storage: %s: the order copied %d of %s's %d arcs", base, b.Arcs(), g.base, g.NumArcs())
 	}
 	return b.Close()
 }

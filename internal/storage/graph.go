@@ -38,9 +38,9 @@
 // u→v and v→u, and each adjacency list is sorted ascending. The Builder
 // writes format version 3, the layout in id order, when the lists arrive
 // in id order, and version 4, any layout, when they do not: Build lays
-// the nodes out by a core estimate unless their ids are already local
+// the nodes out in a peeling order unless their ids are already local
 // (its lists reach the Builder by degree, and CopyLists moves them into
-// the estimate's order as they are encoded), and a
+// that order as they are encoded), and a
 // rewrite (WriteGraph: a fold-back or a checkpoint) keeps the layout of
 // the graph it rewrites. Version-2 tables (12-byte node records of a
 // byte offset and a degree) and version-1 tables (the same records with

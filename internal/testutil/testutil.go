@@ -72,6 +72,26 @@ func WriteCSR(tb testing.TB, csr *memgraph.CSR) string {
 	return base
 }
 
+// Family is one generator family of the disk property tests: its name
+// and its edges at a seed.
+type Family struct {
+	Name  string
+	Edges func(seed int64) []graph.Edge
+}
+
+// Families are the generator families the disk property tests build
+// their fixtures from, 2,000 to 3,000 nodes each: uniform, preferential
+// attachment, skewed R-MAT, web, social and a ring lattice whose ids
+// already place neighbours together.
+var Families = []Family{
+	{"er", func(s int64) []graph.Edge { return gen.ErdosRenyi(3000, 15000, s) }},
+	{"ba", func(s int64) []graph.Edge { return gen.BarabasiAlbert(3000, 4, s) }},
+	{"rmat", func(s int64) []graph.Edge { return gen.RMAT(11, 12, 0.57, 0.19, 0.19, s) }},
+	{"web", func(s int64) []graph.Edge { return gen.WebGraph(10, 8, 20, 50, s) }},
+	{"social", func(s int64) []graph.Edge { return gen.Social(3000, 4, 12, 12, s) }},
+	{"smallworld", func(s int64) []graph.Edge { return gen.SmallWorld(3000, 6, 0.1, s) }},
+}
+
 // The I/O gates' graph is RMAT(13, 12) at seed 1. Its 4-byte-per-arc
 // edge table of format version 1, GateV1Bytes, was 2.42 times the
 // default 64 frames of 4 KiB the gates read through; the gap-coded table
@@ -85,8 +105,8 @@ const (
 // GateEdges generates the gates' graph.
 func GateEdges() []graph.Edge { return gen.RMAT(13, 12, .57, .19, .19, 1) }
 
-// GateGraph builds the gates' graph with graphio.Build, in the degree
-// layout Build writes, under the test's temp dir, and returns its path
+// GateGraph builds the gates' graph with graphio.Build, in the peeling
+// order Build writes, under the test's temp dir, and returns its path
 // prefix and the generated edges. It fails tb if the edge table no
 // longer overflows GateFrames frames of 4 KiB by the old ratio.
 func GateGraph(tb testing.TB) (base string, edges []graph.Edge) {

@@ -196,9 +196,8 @@ func TestDecompositionIOGate(t *testing.T) {
 // reads of a fixed 100-edge round on the same graph: SemiDelete* of each
 // edge, then SemiInsert* of each back, on the handle the start-up
 // decomposition left. The counts are exact, like the decompositions'.
-// Under the degree layout SemiInsert*'s expansion, which follows one
-// core level, scans a window of nodes of similar degree that lie close
-// together.
+// In Build's peeling order SemiInsert*'s expansion, which follows one
+// core level, scans a window of nodes of that core, which lie together.
 func TestMaintenanceIOGate(t *testing.T) {
 	g, edges := gateGraph(t)
 	m, err := kcore.NewMaintainer(g, nil)
