@@ -28,11 +28,12 @@ vet:
 # package comment; see internal/doccheck for the policy — and the
 # observability map: the serve, disk.*, durability.* and replica.*
 # counters docs/ARCHITECTURE.md lists must be exactly the keys /stats
-# exports.
+# exports — and gofmt: any file it would change (listed) fails the gate.
 doc:
 	$(GO) vet ./...
 	$(GO) run ./internal/doccheck $$($(GO) list -f '{{.Dir}}' ./...)
 	$(GO) test -count=1 -run TestServeSnapshotKeysAreDocumented ./internal/stats
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 # One pass over every benchmark, mainly as a does-it-run smoke check.
 bench:

@@ -112,6 +112,7 @@ func Decompose(g *Graph, opts *DecomposeOptions) (*Result, error) {
 			return nil, err
 		}
 		defer sg.Close()
+		before = g.IOStats() // EMCore's own reads, not its open's, as for the others
 		res, err := emcore.Decompose(sg, emcore.Options{
 			MemoryBudgetArcs: o.EMCoreMemoryArcs,
 			TempDir:          o.TempDir,

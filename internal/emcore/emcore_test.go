@@ -168,8 +168,8 @@ func TestIsolatedAndEmpty(t *testing.T) {
 // tight one: what the partition layout, the range rule and the partition
 // reader cost is fixed, so a change to any of them shows here. The
 // tables are in id order, as the paper's evaluation writes them: EMCore
-// cuts its partitions from the layout, and under the degree layout
-// Build wrote in PR 41 it cost a quarter of the I/O.
+// cuts its partitions from the layout, and in Build's peeling order it
+// costs a quarter of the I/O.
 func TestEMCoreIOGate(t *testing.T) {
 	g := gen.Build(testutil.GateEdges())
 	dg := onDisk(t, g)

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"kcore/internal/dyngraph"
+	"kcore"
 	"kcore/internal/emcore"
 	"kcore/internal/gen"
-	"kcore/internal/graph"
 	"kcore/internal/graphio"
-	"kcore/internal/maintain"
-	"kcore/internal/semicore"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 )
@@ -52,18 +49,13 @@ func Ablation(cfg *Config) error {
 	t := newTable(out, fmt.Sprintf("Ablation 1: block size B (%s, SemiCore*)", name))
 	t.row("B", "read I/O", "read bytes", "time")
 	for _, bs := range []int{1024, 4096, 65536} {
-		ctr := stats.NewIOCounter(bs)
-		g, err := storage.Open(base, ctr, nil)
+		c := *cfg
+		c.BlockSize = bs
+		r, err := c.decompose(kcore.SemiCoreStar, base, dir)
 		if err != nil {
 			return err
 		}
-		res, err := semicore.SemiCoreStar(g, nil)
-		g.Close()
-		if err != nil {
-			return err
-		}
-		s := ctr.Snapshot()
-		t.row(bs, fmtCount(s.Reads), fmtCount(s.ReadBytes), fmtDur(res.Stats.Duration))
+		t.row(bs, fmtCount(r.Info.IO.Reads), fmtCount(r.Info.IO.ReadBytes), fmtDur(r.Info.Duration))
 	}
 	t.flush()
 
@@ -103,12 +95,11 @@ func Ablation(cfg *Config) error {
 		if err := graphio.CopyGraph(copyBase, base, false); err != nil {
 			return err
 		}
-		ctr := stats.NewIOCounter(cfg.BlockSize)
-		g, err := dyngraph.Open(copyBase, ctr, dyngraph.Options{BufferArcs: cap})
+		g, err := cfg.open(copyBase, cap)
 		if err != nil {
 			return err
 		}
-		s, err := maintain.NewSession(g, nil)
+		m, err := kcore.NewMaintainer(g, nil)
 		if err != nil {
 			g.Close()
 			return err
@@ -116,20 +107,20 @@ func Ablation(cfg *Config) error {
 		start := time.Now()
 		for round := 0; round < 3; round++ {
 			for _, e := range edges {
-				if _, err := s.DeleteStar(e.U, e.V); err != nil {
+				if _, err := m.DeleteEdge(e.U, e.V); err != nil {
 					g.Close()
 					return err
 				}
 			}
 			for _, e := range edges {
-				if _, err := s.InsertStar(e.U, e.V); err != nil {
+				if _, err := m.InsertEdge(e.U, e.V); err != nil {
 					g.Close()
 					return err
 				}
 			}
 		}
 		elapsed := time.Since(start)
-		t.row(fmtCount(int64(cap)), g.FoldBacks(), fmtCount(ctr.Writes()), fmtDur(elapsed))
+		t.row(fmtCount(int64(cap)), g.FoldBacks(), fmtCount(g.IOStats().Writes), fmtDur(elapsed))
 		g.Close()
 	}
 	t.flush()
@@ -148,31 +139,30 @@ func Ablation(cfg *Config) error {
 	return nil
 }
 
-// deleteRun deletes edges from a fresh session over base, one by one
+// deleteRun deletes edges from a fresh Maintainer over base, one by one
 // (SemiDelete*) or as one batch, and returns the deletions' node
 // computations, block reads and wall time.
-func (cfg *Config) deleteRun(base string, edges []graph.Edge, batch bool) (comps, reads int64, elapsed time.Duration, err error) {
-	ctr := stats.NewIOCounter(cfg.BlockSize)
-	g, err := dyngraph.Open(base, ctr, dyngraph.Options{BufferArcs: 1 << 30})
+func (cfg *Config) deleteRun(base string, edges []kcore.Edge, batch bool) (comps, reads int64, elapsed time.Duration, err error) {
+	g, err := cfg.open(base, 1<<30)
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	defer g.Close()
-	s, err := maintain.NewSession(g, nil)
+	m, err := kcore.NewMaintainer(g, nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	before, start := ctr.Snapshot(), time.Now()
+	before, start := g.IOStats(), time.Now()
 	if batch {
-		rs, err := s.BatchDelete(edges)
-		return rs.NodeComputations, ctr.Snapshot().Sub(before).Reads, time.Since(start), err
+		ri, err := m.DeleteEdges(edges)
+		return ri.NodeComputations, g.IOStats().Sub(before).Reads, time.Since(start), err
 	}
 	for _, e := range edges {
-		rs, err := s.DeleteStar(e.U, e.V)
+		ri, err := m.DeleteEdge(e.U, e.V)
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		comps += rs.NodeComputations
+		comps += ri.NodeComputations
 	}
-	return comps, ctr.Snapshot().Sub(before).Reads, time.Since(start), nil
+	return comps, g.IOStats().Sub(before).Reads, time.Since(start), nil
 }

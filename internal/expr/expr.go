@@ -23,7 +23,6 @@ import (
 	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/memgraph"
-	"kcore/internal/stats"
 )
 
 // Config parameterises an experiment run.
@@ -170,9 +169,4 @@ func pickEdges(g *memgraph.CSR, k int, seed int64) []graph.Edge {
 		out = append(out, all[i])
 	}
 	return out
-}
-
-// newCounter builds an I/O counter with the configured block size.
-func (c *Config) newCounter() *stats.IOCounter {
-	return stats.NewIOCounter(c.BlockSize)
 }

@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"time"
 
-	"kcore/internal/dyngraph"
+	"kcore"
 	"kcore/internal/gen"
-	"kcore/internal/graph"
 	"kcore/internal/imcore"
-	"kcore/internal/maintain"
 	"kcore/internal/memgraph"
-	"kcore/internal/stats"
 )
 
 // maintRecord aggregates per-operation averages for one algorithm.
@@ -120,12 +117,12 @@ func checkMaintenance(at string, recs []maintRecord, ops int) error {
 // semi-external algorithms over the disk graph at base, one session per
 // insertion algorithm: SemiDelete* then SemiInsert*, and SemiDelete*
 // again (unrecorded, to reach the same start state) then SemiInsert.
-func (cfg *Config) maintenanceRun(base string, edges []graph.Edge) ([]maintRecord, error) {
+func (cfg *Config) maintenanceRun(base string, edges []kcore.Edge) ([]maintRecord, error) {
 	recs := []maintRecord{{Algo: "SemiInsert"}, {Algo: "SemiInsert*"}, {Algo: "SemiDelete*"}}
-	if err := cfg.maintenanceSession(base, edges, &recs[2], &recs[1], (*maintain.Session).InsertStar); err != nil {
+	if err := cfg.maintenanceSession(base, edges, &recs[2], &recs[1], kcore.SemiInsertStar); err != nil {
 		return nil, err
 	}
-	if err := cfg.maintenanceSession(base, edges, &maintRecord{}, &recs[0], (*maintain.Session).InsertTwoPhase); err != nil {
+	if err := cfg.maintenanceSession(base, edges, &maintRecord{}, &recs[0], kcore.SemiInsertTwoPhase); err != nil {
 		return nil, err
 	}
 	for i := range recs {
@@ -135,39 +132,36 @@ func (cfg *Config) maintenanceRun(base string, edges []graph.Edge) ([]maintRecor
 }
 
 // maintenanceSession deletes edges one by one with SemiDelete* on a fresh
-// session over base, then re-inserts them with insert, recording each
+// Maintainer over base, then re-inserts them with insert, recording each
 // operation's time, block I/O and node computations in del and ins.
-func (cfg *Config) maintenanceSession(base string, edges []graph.Edge, del, ins *maintRecord,
-	insert func(*maintain.Session, uint32, uint32) (stats.RunStats, error)) error {
-	ctr := cfg.newCounter()
-	g, err := dyngraph.Open(base, ctr, dyngraph.Options{BufferArcs: 1 << 30})
+func (cfg *Config) maintenanceSession(base string, edges []kcore.Edge, del, ins *maintRecord, insert kcore.InsertAlgorithm) error {
+	g, err := cfg.open(base, 1<<30)
 	if err != nil {
 		return err
 	}
 	defer g.Close()
-	s, err := maintain.NewSession(g, nil)
+	m, err := kcore.NewMaintainer(g, &kcore.MaintainerOptions{Insert: insert})
 	if err != nil {
 		return err
 	}
-	run := func(r *maintRecord, op func(*maintain.Session, uint32, uint32) (stats.RunStats, error)) error {
+	run := func(r *maintRecord, op func(u, v uint32) (kcore.RunInfo, error)) error {
 		for _, e := range edges {
-			before := ctr.Snapshot()
-			rs, err := op(s, e.U, e.V)
+			ri, err := op(e.U, e.V)
 			if err != nil {
 				return err
 			}
-			r.add(rs.Duration, ctr.Snapshot().Sub(before).Total(), rs.NodeComputations)
+			r.add(ri.Duration, ri.IO.Total(), ri.NodeComputations)
 		}
 		return nil
 	}
-	if err := run(del, (*maintain.Session).DeleteStar); err != nil {
+	if err := run(del, m.DeleteEdge); err != nil {
 		return err
 	}
-	return run(ins, insert)
+	return run(ins, m.InsertEdge)
 }
 
 // inMemoryMaintenance runs IMDelete/IMInsert over the same edge sequence.
-func inMemoryMaintenance(csr *memgraph.CSR, edges []graph.Edge) ([]maintRecord, error) {
+func inMemoryMaintenance(csr *memgraph.CSR, edges []kcore.Edge) ([]maintRecord, error) {
 	m := imcore.NewMaintainer(imcore.NewDynGraph(csr))
 	run := func(algo string, op func(u, v uint32) (imcore.MaintStats, error)) (maintRecord, error) {
 		r := maintRecord{Algo: algo}

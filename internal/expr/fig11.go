@@ -54,25 +54,15 @@ func Fig11(cfg *Config) error {
 				if err != nil {
 					return err
 				}
-				var cells []interface{}
-				cells = append(cells, fmt.Sprintf("%.0f%%", frac*100),
-					fmtCount(int64(sub.NumNodes())), fmtCount(sub.NumEdges()))
-				var recs []record
-				for _, v := range []semiVariant{variantStar, variantPlus, variantBasic} {
-					r, err := cfg.runSemiDisk(v, base)
-					if err != nil {
-						return err
-					}
-					recs = append(recs, r)
-					cells = append(cells, fmtDur(r.Time))
-				}
-				if err := checkAgreement(recs); err != nil {
+				recs, err := cfg.decomposeAll(base, dir, semiAlgos...)
+				if err != nil {
 					return err
 				}
-				t.row(cells...)
+				t.row(fmt.Sprintf("%.0f%%", frac*100), fmtCount(int64(sub.NumNodes())), fmtCount(sub.NumEdges()),
+					fmtDur(recs[0].Info.Duration), fmtDur(recs[1].Info.Duration), fmtDur(recs[2].Info.Duration))
 				// The gap is SemiCore's reads minus SemiCore*'s; a sample
 				// that fits the frames reads each block once under all three.
-				s, p, b, prev := recs[0].Reads, recs[1].Reads, recs[2].Reads, gap
+				s, p, b, prev := recs[0].Info.IO.Reads, recs[1].Info.IO.Reads, recs[2].Info.IO.Reads, gap
 				gap, widest = b-s, max(widest, b-s)
 				if err := shape((gap > 0 || s == p && p == b) && (mode == "V" || gap >= prev), "Fig. 11 "+at,
 					"SemiCore* reading fewer blocks than SemiCore unless all three tie, and over |E| a gap no narrower than the last", s, p, b, prev); err != nil {

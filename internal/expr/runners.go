@@ -1,163 +1,71 @@
 package expr
 
 import (
+	"errors"
 	"fmt"
-	"time"
 
-	"kcore/internal/emcore"
-	"kcore/internal/graph"
-	"kcore/internal/imcore"
-	"kcore/internal/memgraph"
-	"kcore/internal/semicore"
-	"kcore/internal/stats"
-	"kcore/internal/storage"
+	"kcore"
 )
 
-// record is one (dataset, algorithm) measurement row.
+// record is one (dataset, algorithm) decomposition.
 type record struct {
-	Algo       string
-	Time       time.Duration
-	MemPeak    int64
-	Reads      int64
-	Writes     int64
-	Iterations int
-	Comps      int64
-	Core       []uint32
-	PerIter    []int64
+	Algo kcore.Algorithm
+	*kcore.Result
 }
 
-// semiVariant names one of the three decomposition algorithms.
-type semiVariant int
+// semiAlgos are the paper's three semi-external algorithms, in its order.
+var semiAlgos = []kcore.Algorithm{kcore.SemiCoreStar, kcore.SemiCorePlus, kcore.SemiCoreBasic}
 
-const (
-	variantStar semiVariant = iota
-	variantPlus
-	variantBasic
-)
-
-func (v semiVariant) String() string {
-	switch v {
-	case variantStar:
-		return "SemiCore*"
-	case variantPlus:
-		return "SemiCore+"
-	default:
-		return "SemiCore"
-	}
+// open opens the on-disk graph at base at the configured block size, its
+// update buffer holding bufferArcs arcs (0: the default).
+func (c *Config) open(base string, bufferArcs int) (*kcore.Graph, error) {
+	return kcore.Open(base, &kcore.OpenOptions{BlockSize: c.BlockSize, BufferArcs: bufferArcs})
 }
 
-// warmFiles pre-reads the graph files through a throwaway counter so
-// timed runs compare algorithms, not page-cache state (the first
-// algorithm run on a dataset would otherwise pay all the cold misses).
-func warmFiles(base string) error {
-	g, err := storage.Open(base, stats.NewIOCounter(0), nil)
+// decompose runs algo over the on-disk graph at base on a handle of its
+// own, EMCore spilling its partitions under tempDir. The files are read
+// once first through a throwaway handle so timed runs compare algorithms,
+// not page-cache state (the first algorithm run on a dataset would
+// otherwise pay all the cold misses).
+func (c *Config) decompose(algo kcore.Algorithm, base, tempDir string) (record, error) {
+	w, err := kcore.Open(base, nil)
 	if err != nil {
-		return err
-	}
-	defer g.Close()
-	return graph.ScanAll(g, func(uint32, []uint32) error { return nil })
-}
-
-// runSemiDisk runs one semi-external variant over the on-disk graph at
-// base with fresh counters.
-func (c *Config) runSemiDisk(variant semiVariant, base string) (record, error) {
-	if err := warmFiles(base); err != nil {
 		return record{}, err
 	}
-	ctr := c.newCounter()
-	g, err := storage.Open(base, ctr, nil)
+	err = errors.Join(w.VisitEdges(func(uint32, uint32) error { return nil }), w.Close())
+	if err != nil {
+		return record{}, err
+	}
+	g, err := c.open(base, 0)
 	if err != nil {
 		return record{}, err
 	}
 	defer g.Close()
-	mem := stats.NewMemModel()
-	opts := &semicore.Options{Mem: mem}
-	var res *semicore.Result
-	switch variant {
-	case variantStar:
-		res, err = semicore.SemiCoreStar(g, opts)
-	case variantPlus:
-		res, err = semicore.SemiCorePlus(g, opts)
-	default:
-		res, err = semicore.SemiCore(g, opts)
-	}
-	if err != nil {
-		return record{}, err
-	}
-	io := ctr.Snapshot()
-	return record{
-		Algo:       variant.String(),
-		Time:       res.Stats.Duration,
-		MemPeak:    res.Stats.MemPeakBytes,
-		Reads:      io.Reads,
-		Writes:     io.Writes,
-		Iterations: res.Stats.Iterations,
-		Comps:      res.Stats.NodeComputations,
-		Core:       res.Core,
-		PerIter:    res.Stats.UpdatedPerIter,
-	}, nil
+	res, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: algo, TempDir: tempDir})
+	return record{algo, res}, err
 }
 
-// runEMCore runs the partition baseline over the on-disk graph at base.
-func (c *Config) runEMCore(base, tempDir string) (record, error) {
-	if err := warmFiles(base); err != nil {
-		return record{}, err
-	}
-	ctr := c.newCounter()
-	g, err := storage.Open(base, ctr, nil)
-	if err != nil {
-		return record{}, err
-	}
-	defer g.Close()
-	mem := stats.NewMemModel()
-	res, err := emcore.Decompose(g, emcore.Options{TempDir: tempDir, IO: ctr, Mem: mem})
-	if err != nil {
-		return record{}, err
-	}
-	io := ctr.Snapshot()
-	return record{
-		Algo:       "EMCore",
-		Time:       res.Stats.Duration,
-		MemPeak:    res.Stats.MemPeakBytes,
-		Reads:      io.Reads,
-		Writes:     io.Writes,
-		Iterations: res.Rounds,
-		Comps:      res.Stats.NodeComputations,
-		Core:       res.Core,
-	}, nil
-}
-
-// runIMCore runs the in-memory baseline on an already-loaded CSR. Its
-// model memory includes the whole graph; it performs no counted I/O
-// (matching the paper, whose Fig. 9e/9f omit IMCore).
-func runIMCore(csr *memgraph.CSR) record {
-	mem := stats.NewMemModel()
-	res := imcore.Decompose(csr, mem)
-	return record{
-		Algo:       "IMCore",
-		Time:       res.Stats.Duration,
-		MemPeak:    res.Stats.MemPeakBytes,
-		Iterations: res.Stats.Iterations,
-		Comps:      res.Stats.NodeComputations,
-		Core:       res.Core,
-	}
-}
-
-// checkAgreement cross-checks that all records computed identical cores.
-func checkAgreement(recs []record) error {
-	for i := 1; i < len(recs); i++ {
-		a, b := recs[0], recs[i]
-		if len(a.Core) != len(b.Core) {
-			return fmt.Errorf("expr: %s and %s disagree on n", a.Algo, b.Algo)
+// decomposeAll runs each of algos as decompose does and checks that they
+// computed identical cores.
+func (c *Config) decomposeAll(base, tempDir string, algos ...kcore.Algorithm) ([]record, error) {
+	recs := make([]record, len(algos))
+	for i, algo := range algos {
+		r, err := c.decompose(algo, base, tempDir)
+		if err != nil {
+			return nil, err
 		}
+		recs[i] = r
+	}
+	a := recs[0]
+	for _, b := range recs[1:] {
 		for v := range a.Core {
 			if a.Core[v] != b.Core[v] {
-				return fmt.Errorf("expr: %s and %s disagree at node %d (%d vs %d)",
+				return nil, fmt.Errorf("expr: %s and %s disagree at node %d (%d vs %d)",
 					a.Algo, b.Algo, v, a.Core[v], b.Core[v])
 			}
 		}
 	}
-	return nil
+	return recs, nil
 }
 
 // shape is one of the paper's claims checked on an exhibit's counts: nil

@@ -9,9 +9,12 @@ import (
 	"testing"
 
 	"kcore"
+	"kcore/internal/emcore"
 	"kcore/internal/gen"
 	"kcore/internal/imcore"
 	"kcore/internal/memgraph"
+	"kcore/internal/stats"
+	"kcore/internal/storage"
 	"kcore/internal/testutil"
 	"kcore/internal/testutil/pins"
 	"kcore/internal/verify"
@@ -393,6 +396,25 @@ func TestEMCoreRequiresFlush(t *testing.T) {
 		}
 		if !slices.Equal(res.Core, cm.Cores()) {
 			t.Fatalf("%v = %v, maintained cores %v", algo, res.Core, cm.Cores())
+		}
+		if algo == kcore.EMCore {
+			// Decompose charges EMCore its own I/O, as it does every
+			// algorithm, not the open of the tables it re-partitions: what
+			// emcore.Decompose performs after an open of its own.
+			ctr := stats.NewIOCounter(0)
+			sg, err := storage.Open(cg.Base(), ctr, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := ctr.Snapshot()
+			_, err = emcore.Decompose(sg, emcore.Options{TempDir: t.TempDir(), IO: ctr})
+			sg.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ctr.Snapshot().Sub(before); res.Info.IO != want {
+				t.Errorf("Decompose(EMCore) charged %+v, a direct run after its open %+v", res.Info.IO, want)
+			}
 		}
 	}
 }

@@ -1,13 +1,16 @@
 package kcore_test
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kcore"
 	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
 	"kcore/internal/graph"
+	"kcore/internal/imcore"
 	"kcore/internal/maintain"
 	"kcore/internal/memgraph"
 	"kcore/internal/semicore"
@@ -210,4 +213,65 @@ func TestMaintenanceIOGate(t *testing.T) {
 	t.Logf("100 deletes read %d blocks, 100 inserts %d", del, ins)
 	pins.Check(t, "delete.reads", del)
 	pins.Check(t, "insert.reads", ins)
+}
+
+// TestFoldBackStartIOGate pins a cold SemiCore* on the layout a fold-back
+// leaves: the gate graph, 1,000 of its edges deleted and 1,000 fresh RMAT
+// edges inserted, flushed into tables that keep Build's peeling order for
+// the nodes while their lists no longer match it, and reopened on the
+// gate's frames. On the fresh tables the pass is one; here both the
+// violation lookahead and the cache-resident revisits save passes and
+// reads, so deleting either fails this gate.
+func TestFoldBackStartIOGate(t *testing.T) {
+	g, edges := gateGraph(t)
+	m, err := kcore.NewMaintainer(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del := gen.Build(edges).EdgeList() // u < v, sorted, no duplicates or loops
+	live := make(map[kcore.Edge]bool, len(del))
+	for _, e := range del {
+		live[e] = true
+	}
+	rand.New(rand.NewSource(7)).Shuffle(len(del), func(i, j int) { del[i], del[j] = del[j], del[i] })
+	del = del[:1000]
+	if _, err := m.DeleteEdges(del); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range del {
+		delete(live, e)
+	}
+	var ins []kcore.Edge
+	for _, e := range gen.RMAT(13, 12, .57, .19, .19, 2) {
+		e = kcore.Edge{U: min(e.U, e.V), V: max(e.U, e.V)}
+		if e.U != e.V && !live[e] && len(ins) < 1000 {
+			live[e] = true
+			ins = append(ins, e)
+		}
+	}
+	if _, err := m.InsertEdges(ins); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := kcore.Open(g.Base(), &kcore.OpenOptions{CacheBlocks: testutil.GateFrames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	res, err := kcore.Decompose(cold, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, err := memgraph.FromEdges(g.NumNodes(), slices.Collect(maps.Keys(live)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := imcore.Decompose(csr, nil).Core; !slices.Equal(res.Core, want) || !slices.Equal(m.Cores(), want) {
+		t.Fatal("cores after the fold-back differ from IMCore's")
+	}
+	t.Logf("cold SemiCore* after the fold-back: %d passes, %d block reads", res.Info.Iterations, res.Info.IO.Reads)
+	pins.Check(t, "reads", res.Info.IO.Reads)
+	pins.Check(t, "iterations", int64(res.Info.Iterations))
 }
