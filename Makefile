@@ -7,7 +7,7 @@
 # cross-goroutine state accessed only via sync/atomic, mutexes or channels.
 GO ?= go
 
-.PHONY: all test race vet doc bench crash-sweep fuzz profile clean
+.PHONY: all test race vet doc loc bench crash-sweep fuzz profile clean
 
 all: test vet
 
@@ -34,6 +34,15 @@ doc:
 	$(GO) run ./internal/doccheck $$($(GO) list -f '{{.Dir}}' ./...)
 	$(GO) test -count=1 -run TestServeSnapshotKeysAreDocumented ./internal/stats
 	test -z "$$(gofmt -l . | tee /dev/stderr)"
+
+# Tree size in lines, as ROADMAP counts it: non-test Go outside bench/,
+# every _test.go (bench/'s included), and all of bench/'s Go. Hidden
+# directories (.git, build scratch) are skipped.
+GOFILES = find . -path './.*' -prune -o -name '*.go'
+loc:
+	@printf 'non-test Go outside bench/: '; $(GOFILES) -not -path './bench/*' -not -name '*_test.go' -print | xargs cat | wc -l
+	@printf 'test Go (every _test.go):   '; $(GOFILES) -name '*_test.go' -print | xargs cat | wc -l
+	@printf 'bench/ Go:                  '; $(GOFILES) -path './bench/*' -print | xargs cat | wc -l
 
 # One pass over every benchmark, mainly as a does-it-run smoke check.
 bench:

@@ -80,14 +80,15 @@ func TestCachedOpenIOGate(t *testing.T) {
 }
 
 // TestCachedFoldBackIOGate pins what folding the update buffer back into
-// a cached graph's tables costs: one sequential read of the old tables
-// through the cache, one sequential write of the new tables and their
-// sidecar, and a reopen that reads only the new sidecar — no second pass
-// over the tables it has just written. The cache holds the whole graph,
-// so nothing is evicted and every old block is read once between open
-// and the end of the flush: the deletes' misses before it, the rest in
-// it. The merged bytes DiskStats counts are the tables the fold-back
-// wrote: the fold-back keeps the layout Build gave the tables.
+// a cached graph's tables costs: one sequential read of the old tables —
+// the node table streamed beside the frames, the edge table through
+// them — one sequential write of the new tables and their sidecar, and a
+// reopen that reads only the new sidecar — no second pass over the tables
+// it has just written. The cache holds the whole graph, so nothing is
+// evicted and every old edge block is read once between open and the end
+// of the flush: the deletes' misses before it, the rest in it. The merged
+// bytes DiskStats counts are the tables the fold-back wrote: the
+// fold-back keeps the layout Build gave the tables.
 func TestCachedFoldBackIOGate(t *testing.T) {
 	base, edges := testutil.GateGraph(t)
 	g, err := kcore.Open(base, nil)
@@ -99,8 +100,8 @@ func TestCachedFoldBackIOGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := fileBlocks(t, base, 4096, ".nt", ".et")
-	cg, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: int(old) + 8})
+	nt, et := fileBlocks(t, base, 4096, ".nt"), fileBlocks(t, base, 4096, ".et")
+	cg, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: int(nt+et) + 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +124,12 @@ func TestCachedFoldBackIOGate(t *testing.T) {
 	if ds.Merges != 1 || ds.CacheEvictions != 0 {
 		t.Fatalf("%d merges and %d evictions, want one merge on a cache that holds the graph", ds.Merges, ds.CacheEvictions)
 	}
-	scan := old - ds0.CacheMisses // the old blocks the deletes left unread
+	scan := et - ds0.CacheMisses // the old edge blocks the deletes left unread
 	if misses := ds.CacheMisses - ds0.CacheMisses; misses != scan {
-		t.Errorf("the rewrite missed %d blocks of the old tables, want the %d not yet cached", misses, scan)
+		t.Errorf("the rewrite missed %d blocks of the old edge table, want the %d not yet cached", misses, scan)
 	}
-	if io.Reads != scan+sidecar {
-		t.Errorf("one fold-back read %d blocks, want the old tables' %d plus the new sidecar's %d", io.Reads, scan, sidecar)
+	if io.Reads != nt+scan+sidecar {
+		t.Errorf("one fold-back read %d blocks, want the old node table's %d, its edge table's %d and the new sidecar's %d", io.Reads, nt, scan, sidecar)
 	}
 	if want := fileBlocks(t, base, 4096, ".nt", ".et", ".crc"); io.Writes != want {
 		t.Errorf("one fold-back wrote %d blocks, want the new tables' and sidecar's %d", io.Writes, want)

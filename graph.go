@@ -176,9 +176,6 @@ func (g *Graph) IOStats() IOStats { return g.ctr.Snapshot() }
 // with a mutation.
 func (g *Graph) DiskStats() *stats.DiskSnapshot { return g.dyn.DiskStats() }
 
-// ResetIOStats zeroes the handle's I/O counters (experiment hygiene).
-func (g *Graph) ResetIOStats() { g.ctr.Reset() }
-
 // VisitEdges streams every current undirected edge once (u < v) via one
 // sequential scan, in the order the tables lay the nodes out (Build: a
 // peeling order), each node's edges by ascending v.

@@ -12,8 +12,10 @@
 // decided here once. The base under it is one layout, the CSR table pair
 // at a path prefix, read through the graph's own checksummed block cache
 // of Options.CacheBlocks frames (storage.Open), and folded back by one
-// writer, storage.WriteGraph of a View: Compact writes the graph's own
-// tables, Adopt takes a checkpoint's. The buffer itself is two sorted,
+// writer, storage.WriteGraph of a View: Compact writes a view of the
+// graph's own reader, Adopt takes a checkpoint's tables. A graph and its
+// views read through one reader, the base and the buffer over it. The
+// buffer itself is two sorted,
 // pointer-free arrays of arc keys (sorted.go), 8 B per buffered arc: a
 // pin clones them, an adoption rebases them in one merge, and a fold-back
 // drops them.
@@ -46,15 +48,56 @@ type Options struct {
 	CacheBlocks int
 }
 
-// Graph is an on-disk base graph with a write buffer overlay.
+// reader is the merged adjacency, a graph.Source, that a Graph serves and
+// a View pins: a handle on the base tables and the buffer over it.
+type reader struct {
+	disk *storage.Graph
+	ins  []uint64 // sorted keys of the inserted arcs (sorted.go)
+	del  []uint64 // sorted keys of the deleted arcs
+	arcs int64    // base plus buffer
+}
+
+// NumNodes reports n, fixed at open time: the semi-external model keeps
+// per-node state in memory, so a node arrival is a re-build.
+func (r *reader) NumNodes() uint32 { return r.disk.NumNodes() }
+
+// NumArcs reports the current logical arc count (disk plus buffer).
+func (r *reader) NumArcs() int64 { return r.arcs }
+
+// Positions implements graph.Source: the tables' layout, which edits do
+// not change (storage.Graph.Positions).
+func (r *reader) Positions() []uint32 { return r.disk.Positions() }
+
+// ScanDegrees implements graph.Source over the merged view.
+func (r *reader) ScanDegrees(fn func(v uint32, deg uint32) error) error {
+	ins, del := newCursor(r.ins), newCursor(r.del)
+	return r.disk.ScanDegrees(func(v uint32, d uint32) error {
+		return fn(v, merged(d, ins.run(v), del.run(v)))
+	})
+}
+
+// ScanDynamic implements graph.Source over the merged view, taking each
+// node's buffered edits from the key arrays by one cursor each.
+func (r *reader) ScanDynamic(pmin uint32, pmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
+	ci, cd := newCursor(r.ins), newCursor(r.del)
+	var out []uint32
+	return r.disk.ScanDynamic(pmin, pmaxFn, want, func(v uint32, disk []uint32) error {
+		i, d := ci.run(v), cd.run(v)
+		if len(i) == 0 && len(d) == 0 {
+			return fn(v, disk)
+		}
+		out = merge(disk, i, d, out)
+		return fn(v, out)
+	})
+}
+
+// Graph is an on-disk base graph with a write buffer overlay. Its reader's
+// disk is the current tables, replaced by every fold-back.
 type Graph struct {
-	disk    *storage.Graph      // the current tables; replaced by every fold-back
-	cache   *storage.BlockCache // the frames they are read through, kept across fold-backs
-	ins     []uint64            // sorted keys of the inserted arcs (sorted.go)
-	del     []uint64            // sorted keys of the deleted arcs
+	reader
+	cache   *storage.BlockCache // the frames the tables are read through, kept across fold-backs
 	bufArcs atomic.Int64        // written by the owner, read by stats
 	limit   int
-	arcs    int64 // current logical arc count
 	scratch []uint32
 	// Fold-backs done and the table bytes they put in place; atomic so
 	// that they may be read off the owning goroutine.
@@ -116,14 +159,6 @@ func (g *Graph) Close() error {
 // FoldBacks counts the times the buffer was folded into the tables, by
 // Compact or by Adopt; it may be read from any goroutine.
 func (g *Graph) FoldBacks() int64 { return g.merges.Load() }
-
-// NumNodes reports n. The node set is fixed at open time (the
-// semi-external model keeps per-node state in memory, so node arrivals
-// are a re-build, not a buffered update).
-func (g *Graph) NumNodes() uint32 { return g.disk.NumNodes() }
-
-// NumArcs reports the current logical arc count (disk plus buffer).
-func (g *Graph) NumArcs() int64 { return g.arcs }
 
 // NumEdges reports the current logical undirected edge count.
 func (g *Graph) NumEdges() int64 { return g.arcs / 2 }
@@ -257,7 +292,7 @@ func (g *Graph) Compact() error {
 	if g.BufferedArcs() == 0 {
 		return nil
 	}
-	vw := &View{disk: g.disk, ins: g.ins, del: g.del, n: g.NumNodes(), arcs: g.arcs}
+	vw := &View{r: g.reader}
 	if err := g.swap(func(tmp string) error {
 		return storage.WriteGraph(faultfs.OS, tmp, vw, g.disk.IOCounter(), false)
 	}); err != nil {
@@ -283,7 +318,7 @@ func (g *Graph) Adopt(vw *View, tables string) error {
 	g.adopted = true
 	// The pinned edits are in the base now: one still buffered leaves the
 	// buffer, one undone since the pin is buffered as its opposite.
-	g.ins, g.del = rebase(g.ins, vw.ins, vw.del, g.del), rebase(g.del, vw.del, vw.ins, g.ins)
+	g.ins, g.del = rebase(g.ins, vw.r.ins, vw.r.del, g.del), rebase(g.del, vw.r.del, vw.r.ins, g.ins)
 	g.bufArcs.Store(int64(len(g.ins) + len(g.del)))
 	return nil
 }
@@ -342,23 +377,6 @@ func (g *Graph) Degree(v uint32) (uint32, error) {
 	}
 	ins, del := newCursor(g.ins), newCursor(g.del)
 	return merged(d, ins.run(v), del.run(v)), nil
-}
-
-// Positions implements graph.Source: the tables' layout, which edits do
-// not change (storage.Graph.Positions).
-func (g *Graph) Positions() []uint32 { return g.disk.Positions() }
-
-// ScanDegrees implements graph.Source over the merged view.
-func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {
-	ins, del := newCursor(g.ins), newCursor(g.del)
-	return g.disk.ScanDegrees(func(v uint32, d uint32) error {
-		return fn(v, merged(d, ins.run(v), del.run(v)))
-	})
-}
-
-// ScanDynamic implements graph.Source over the merged view.
-func (g *Graph) ScanDynamic(pmin uint32, pmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
-	return g.disk.ScanDynamic(pmin, pmaxFn, want, overlaid(g.ins, g.del, fn))
 }
 
 var _ graph.Source = (*Graph)(nil)

@@ -1,7 +1,10 @@
 package expr
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"kcore"
@@ -83,11 +86,15 @@ func Ablation(cfg *Config) error {
 	t.flush()
 	fmt.Fprintln(out, "the peak load refuses to track the budget — EMCore cannot bound memory (paper Section IV-A).")
 
-	// 3. Update-buffer capacity vs compaction.
-	t = newTable(out, fmt.Sprintf("Ablation 3: update buffer capacity (%s, %d-op churn)", name, 3*cfg.maintenanceEdges()))
-	t.row("buffer (arcs)", "compactions", "write I/O", "total time")
+	// 3. Update-buffer capacity vs compaction. A round's deletes fill the
+	// buffer to two arcs each and its re-inserts cancel them: capacities
+	// below that peak fold back mid-churn, and one that holds it never.
 	edges := pickEdges(csr, cfg.maintenanceEdges(), 1500)
-	for _, cap := range []int{64, 1024, 1 << 30} {
+	t = newTable(out, fmt.Sprintf("Ablation 3: update buffer capacity (%s, 3 rounds of %d deletes and %d re-inserts)", name, len(edges), len(edges)))
+	t.row("buffer (arcs)", "compactions", "write I/O", "total time")
+	peak := 2 * len(edges)
+	var folds, writes []int64
+	for _, cap := range []int{peak / 4, peak / 2, peak, 1 << 30} {
 		// Small-capacity runs compact mid-churn, rewriting the graph
 		// files, and edits still buffered at Close are discarded — so
 		// each configuration gets its own copy of the base.
@@ -120,10 +127,19 @@ func Ablation(cfg *Config) error {
 			}
 		}
 		elapsed := time.Since(start)
+		folds, writes = append(folds, g.FoldBacks()), append(writes, g.IOStats().Writes)
 		t.row(fmtCount(int64(cap)), g.FoldBacks(), fmtCount(g.IOStats().Writes), fmtDur(elapsed))
 		g.Close()
 	}
 	t.flush()
+	fmt.Fprintln(out, "expected shape (checked): the smallest buffer folds back, the unbounded one never does, and write I/O does not rise with the capacity.")
+	if err := errors.Join(
+		shape(folds[0] > 0, "Ablation 3", "the smallest buffer folding back", folds[0]),
+		shape(folds[len(folds)-1] == 0, "Ablation 3", "the unbounded buffer never folding back", folds[len(folds)-1]),
+		shape(slices.IsSortedFunc(writes, func(a, b int64) int { return cmp.Compare(b, a) }), "Ablation 3", "write I/O not rising with the capacity", writes),
+	); err != nil {
+		return err
+	}
 
 	// 4. Batch deletion vs sequential.
 	t = newTable(out, fmt.Sprintf("Ablation 4: batch vs sequential deletion (%s, %d edges)", name, len(edges)))

@@ -24,9 +24,9 @@ type State struct {
 	paperRule bool
 }
 
-// NewState allocates zeroed state for n nodes, registering the 8n model
+// newState allocates zeroed state for n nodes, registering the 8n model
 // bytes with mem (which may be nil).
-func NewState(n uint32, mem *stats.MemModel) *State {
+func newState(n uint32, mem *stats.MemModel) *State {
 	if mem != nil {
 		mem.Alloc("semicore*/core", int64(n)*4)
 		mem.Alloc("semicore*/cnt", int64(n)*4)
@@ -234,7 +234,7 @@ func semiCoreStar(g graph.Source, opts *Options, paperRule bool, bound []uint32)
 	start := time.Now()
 	n := g.NumNodes()
 	mem := opts.mem()
-	st := NewState(n, mem)
+	st := newState(n, mem)
 	st.paperRule = paperRule
 	defer mem.Free("semicore*/core")
 	defer mem.Free("semicore*/cnt")

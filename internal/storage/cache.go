@@ -206,8 +206,8 @@ func (cf *CachedFile) resident(id int64) bool {
 func (cf *CachedFile) block(id int64) ([]byte, error) {
 	c := cf.cache
 	key := blockKey{file: cf.id, block: id}
-	// Most lookups want the block the previous one did (consecutive node
-	// records, a list that starts where the last one ended): look there
+	// Most lookups want the block the previous one did (short reads in a
+	// row, a list that starts where the last one ended): look there
 	// before hashing.
 	idx, ok := cf.last, c.frames[cf.last].live && c.frames[cf.last].key == key
 	if !ok {

@@ -12,10 +12,11 @@
 // holds edge blocks only once the index is built, and one open: Open
 // reads through a cache of the caller's size and checks every block it
 // loads against a CRC32C the header vouches for, folded from the checksum
-// sidecar or, failing that, recorded by one pass at open. ScanVerified
-// reads the whole graph against the header's checksums. There is no other
-// check: the open that serves tables and the first pass over their lists
-// (SemiCore*'s, or a ScanVerified) are it.
+// sidecar or, failing that, recorded by one pass at open. There is no
+// other check: the open that serves tables, the index's build and the
+// first pass over their lists (SemiCore*'s, or a checkpoint's) are it; a
+// pinned handle (Reopen) shares the index, and ScanVerified streams its
+// node table again.
 //
 // A graph <base> occupies three files, and a fourth, optional one:
 //
@@ -331,8 +332,7 @@ func (g *Graph) attach(cache *BlockCache, ntCRCs, etCRCs []uint32) (err error) {
 // once, front to back, recording the CRC32C of every block for the fills
 // to come. The node table's pass builds the index on the way (its
 // nodeDecoder holds it to the header), and the edge table's CRC32C must be the
-// header's (headers from older builders carry none and pass unchecked,
-// as in ScanVerified).
+// header's (headers from older builders carry none and pass unchecked).
 func (g *Graph) pass() error {
 	if _, err := g.index(); err != nil {
 		return err
@@ -344,11 +344,6 @@ func (g *Graph) pass() error {
 	}); err != nil {
 		return err
 	}
-	return g.edgeCRC(crc)
-}
-
-// edgeCRC holds the CRC32C of the whole edge table to the header's.
-func (g *Graph) edgeCRC(crc uint32) error {
 	if g.meta.HasCRC && crc != g.meta.EtCRC {
 		return fmt.Errorf("storage: %s: edge table crc %08x, want %08x", edgePath(g.base), crc, g.meta.EtCRC)
 	}
@@ -356,12 +351,14 @@ func (g *Graph) edgeCRC(crc uint32) error {
 }
 
 // Reopen opens a second handle on the tables g reads, through a cache of
-// defaultCacheBlocks frames of its own, charging g's counter and holding
-// every block it loads to the checksums g's open vouched for: it reads
-// nothing, the sidecar included. The handle keeps reading these files
-// after a fold-back renames others over them (a pinned view's tables).
+// defaultCacheBlocks frames of its own, charging g's counter, holding
+// every block it loads to the checksums g's open vouched for and sharing
+// g's node index once g has built it (an index is never written after
+// its build): it reads nothing, the sidecar included. The handle keeps
+// reading these files after a fold-back renames others over them (a
+// pinned view's tables).
 func (g *Graph) Reopen() (*Graph, error) {
-	h := &Graph{base: g.base, meta: g.meta, codec: g.codec, io: g.io}
+	h := &Graph{base: g.base, meta: g.meta, codec: g.codec, io: g.io, idx: g.idx}
 	if err := h.attach(NewBlockCache(0, g.et.cache.b), g.nt.crcs, g.et.crcs); err != nil {
 		return nil, err
 	}
@@ -410,13 +407,6 @@ func (g *Graph) record(v uint32) (list, error) {
 		return list{}, err
 	}
 	return x.list(v), nil
-}
-
-// NodeRecord reports node v's record from the node index: the byte offset
-// of its adjacency list in the edge table and its degree.
-func (g *Graph) NodeRecord(v uint32) (offset int64, degree uint32, err error) {
-	l, err := g.record(v)
-	return l.off, l.deg, err
 }
 
 // Degree reports node v's degree from the node index.
@@ -574,48 +564,19 @@ func (g *Graph) ScanDynamic(pmin uint32, pmaxFn func() uint32, want func(v uint3
 	return nil
 }
 
-// ScanVerified is a Scan of every node for a reader that must not take
-// the tables on trust (a checkpoint about to copy them, a recovery about
-// to serve them): reads are charged to io from here on, not to the
-// counter the graph was opened with, and the pass folds the CRC32C of the
-// bytes it reads — the node table, decoded front to back from the file
-// itself and not the index, a block at a time through the frames; the
-// encoded lists, which the node decoder holds to tiling the edge table,
-// so they are the edge table — and holds both to the header's. Each list
-// is read as soon as the records have placed it. fn sees nothing it could
-// not see from Scan; the node table is checked whole at its end, the
-// edge table after the last fn. Headers without checksums (graphs from
-// older builders) are held to the tiling alone. The pass builds no
-// index.
-func (g *Graph) ScanVerified(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
+// ScanVerified begins a scan of every list for a reader that must not
+// take the tables on trust (a checkpoint about to copy them, a fold-back
+// about to replace them): reads are charged to io from here on, not to
+// the counter the graph was opened with, and the node table is read once
+// front to back, every block held to its checksum — here, when the
+// handle shares an index already built (Reopen), or else by the index's
+// build at the scan's first record. A graph.ScanAll over the handle, or
+// over an overlay of it, is the rest: it loads every edge block through
+// the frames, each held to its checksum as any fill is.
+func (g *Graph) ScanVerified(io *stats.IOCounter) error {
 	g.io, g.nt.io, g.et.io = io, io, io
-	var (
-		etCRC uint32
-		nbrs  []uint32
-	)
-	visit := func(v uint32, l list) (err error) {
-		if nbrs, err = g.readList(v, l, nbrs); err != nil {
-			return err
-		}
-		etCRC = crc32.Update(etCRC, castagnoli, g.nbrBuf[:g.codec.length(l.deg, l.w)])
-		return fn(v, nbrs)
+	if g.idx == nil {
+		return nil
 	}
-	dec := g.decoder()
-	// Each node-table block is copied out of its frame before the lists
-	// it places are read, which may evict it.
-	b := int64(g.nt.cache.b)
-	buf := make([]byte, b)
-	for off := int64(0); off < g.nt.size; off += b {
-		blk := buf[:min(b, g.nt.size-off)]
-		if err := g.nt.ReadAt(blk, off); err != nil {
-			return err
-		}
-		if err := dec.feed(blk, visit); err != nil {
-			return err
-		}
-	}
-	if err := dec.done(visit); err != nil {
-		return err
-	}
-	return g.edgeCRC(etCRC)
+	return g.nt.stream(func([]byte) error { return nil })
 }

@@ -335,11 +335,11 @@ func TestPropertyRandomAccessCost(t *testing.T) {
 				return false
 			}
 			cost := rctr.Reads() - before
-			off, _, err := g.NodeRecord(v)
+			l, err := g.record(v)
 			if err != nil || rctr.Reads()-before != cost {
 				return false // a record read after the first use costs nothing
 			}
-			want := (off+listBytes(n, adj[v])-1)/B - off/B + 1
+			want := (l.off+listBytes(n, adj[v])-1)/B - l.off/B + 1
 			if want > (listBytes(n, adj[v])+B-1)/B+1 {
 				return false
 			}
@@ -439,16 +439,19 @@ func TestPropertyResident(t *testing.T) {
 
 // TestPropertyScanVerified holds the one verified pass — a checkpoint's
 // or a fold-back's scan of its pinned view (a handle from Reopen, as
-// here) — to what it promises, on random graphs
-// at B in {64, 512, 4096}, every third one with a hub whose list is
-// longer than the 64 frames Open reads through at B = 64:
+// here): ScanVerified, then graph.ScanAll over the handle — to what it
+// promises, on random graphs at B in {64, 512, 4096}, every third one
+// with a hub whose list is longer than the 64 frames Open reads through
+// at B = 64:
 //
 //   - an undamaged graph passes, every list as written, for exactly
-//     ceil(nt/B) + ceil(et/B) block reads (each node-table block is
-//     copied out of its frame before a list longer than the frames can
-//     evict it);
+//     ceil(nt/B) + ceil(et/B) block reads, whether the handle builds its
+//     own index or shares the one the graph built;
 //   - a flipped byte anywhere in either table, and either table
 //     truncated, fails Open or the scan;
+//   - a flipped byte in the node table after the graph has built the
+//     index the pinned handle shares fails the scan: the node table's
+//     stream is the only read of it;
 //   - a node record whose gap width is changed, which moves every later
 //     list, breaks the tiling of the edge table and is reported as that
 //     — a shortest varint still, under a header that vouches for the
@@ -504,53 +507,82 @@ func TestPropertyScanVerified(t *testing.T) {
 		nt, _ := os.ReadFile(base + ".nt")
 		et, _ := os.ReadFile(base + ".et")
 
-		// scan opens whatever is at base, and runs the verified pass on a
-		// second handle, which reads nothing to open, and a counter of its
-		// own.
-		scan := func(fn func(uint32, []uint32) error) (reads int64, err error) {
+		// scanAfter opens whatever is at base and runs the verified pass on
+		// a second handle, which reads nothing to open, and a counter of
+		// its own. With afterIndex set the graph builds its index first,
+		// which the second handle shares, and then runs afterIndex.
+		scanAfter := func(afterIndex func(), fn func(uint32, []uint32) error) (reads int64, err error) {
 			own := stats.NewIOCounter(blockSize)
 			g, err := Open(base, own, nil)
 			if err != nil {
 				return 0, err
 			}
 			defer g.Close()
+			if afterIndex != nil {
+				if _, err := g.Degree(0); err != nil {
+					return 0, err
+				}
+				afterIndex()
+			}
 			opened := own.Reads()
 			h, err := g.Reopen()
 			if err != nil {
 				return 0, err
 			}
 			defer h.Close()
+			if afterIndex != nil && h.idx != g.idx {
+				t.Errorf("seed %d: the second handle does not share the index the graph built", seed)
+			}
 			ctr := stats.NewIOCounter(blockSize)
-			err = h.ScanVerified(ctr, fn)
+			if err = h.ScanVerified(ctr); err == nil {
+				err = graph.ScanAll(h, fn)
+			}
 			if own.Reads() != opened {
 				t.Errorf("seed %d: the second handle or its pass charged the counter the graph was opened with", seed)
 			}
 			return ctr.Reads(), err
 		}
+		scan := func(fn func(uint32, []uint32) error) (int64, error) { return scanAfter(nil, fn) }
 		restore := func() {
 			os.WriteFile(base+".nt", nt, 0o644)
 			os.WriteFile(base+".et", et, 0o644)
 			WriteMetaFS(faultfs.OS, base, meta, false)
 		}
 
-		// Clean: the lists as written, at the sequential price.
+		// Clean: the lists as written, at the sequential price, on a
+		// handle of its own index and on one sharing the graph's.
 		B := int64(blockSize)
 		blocks := (int64(len(nt))+B-1)/B + (int64(len(et))+B-1)/B
-		ok := true
-		reads, err := scan(func(v uint32, nbrs []uint32) error {
-			if len(nbrs) != len(adj[v]) {
-				ok = false
+		for _, afterIndex := range []func(){nil, func() {}} {
+			ok := true
+			reads, err := scanAfter(afterIndex, func(v uint32, nbrs []uint32) error {
+				if len(nbrs) != len(adj[v]) {
+					ok = false
+					return nil
+				}
+				for i := range nbrs {
+					ok = ok && nbrs[i] == adj[v][i]
+				}
 				return nil
+			})
+			if err != nil || !ok || reads != blocks {
+				t.Logf("seed %d B=%d index shared %v: clean scan: err %v, lists ok %v, %d reads for %d blocks", seed, blockSize, afterIndex != nil, err, ok, reads, blocks)
+				return false
 			}
-			for i := range nbrs {
-				ok = ok && nbrs[i] == adj[v][i]
-			}
-			return nil
-		})
-		if err != nil || !ok || reads != blocks {
-			t.Logf("seed %d B=%d: clean scan: err %v, lists ok %v, %d reads for %d blocks", seed, blockSize, err, ok, reads, blocks)
+		}
+
+		// The node table damaged under a graph that has read it into its
+		// index: the pinned handle reads the table only in its stream.
+		flip := func() {
+			data := append([]byte(nil), nt...)
+			data[r.Intn(len(data))] ^= 1 << uint(r.Intn(8))
+			os.WriteFile(base+".nt", data, 0o644)
+		}
+		if _, err := scanAfter(flip, nop); err == nil {
+			t.Logf("seed %d: node table damaged after the index was built not detected", seed)
 			return false
 		}
+		restore()
 
 		// A flipped byte anywhere, a truncation of either table.
 		for _, ext := range []string{".nt", ".et"} {

@@ -390,7 +390,7 @@ func TestOpenValidation(t *testing.T) {
 
 func TestNodeRecordOutOfRange(t *testing.T) {
 	g, _ := buildGraph(t, sampleAdj, 0)
-	if _, _, err := g.NodeRecord(99); err == nil {
+	if _, err := g.record(99); err == nil {
 		t.Fatal("out-of-range node accepted")
 	}
 }

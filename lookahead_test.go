@@ -3,6 +3,7 @@ package kcore_test
 import (
 	"maps"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -274,4 +275,68 @@ func TestFoldBackStartIOGate(t *testing.T) {
 	t.Logf("cold SemiCore* after the fold-back: %d passes, %d block reads", res.Info.Iterations, res.Info.IO.Reads)
 	pins.Check(t, "reads", res.Info.IO.Reads)
 	pins.Check(t, "iterations", int64(res.Info.Iterations))
+}
+
+// TestExtractKCoreIOGate pins what materialising a k-core reads, on a
+// fresh handle: the node table into the index, then one scan in layout
+// order that reads the members' lists only — along Build's peeling order
+// a suffix of the table, all of it at k = 1 and its tail at Kmax. The
+// extracted graph is the k-core: its ids the members ascending, each list
+// a member's neighbours of core ≥ k, relabelled.
+func TestExtractKCoreIOGate(t *testing.T) {
+	base, edges := testutil.GateGraph(t)
+	csr := gen.Build(edges)
+	core := imcore.Decompose(csr, nil).Core
+	for _, leg := range []struct {
+		name string
+		k    uint32
+	}{{"k=1", 1}, {"k=kmax", slices.Max(core)}} {
+		g, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: testutil.GateFrames})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened := g.IOStats().Reads
+		out := filepath.Join(t.TempDir(), "core")
+		members, err := g.ExtractKCore(core, leg.k, out)
+		reads := g.IOStats().Reads - opened
+		g.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d members, %d block reads", leg.name, len(members), reads)
+		pins.Check(t, leg.name+".reads", reads)
+
+		var want []uint32
+		for v, c := range core {
+			if c >= leg.k {
+				want = append(want, uint32(v))
+			}
+		}
+		if !slices.Equal(members, want) {
+			t.Fatalf("%s: %d members, want the %d nodes of core ≥ %d ascending", leg.name, len(members), len(want), leg.k)
+		}
+		sub, err := kcore.Open(out, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range members {
+			nbrs, err := sub.Neighbors(uint32(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got, inCore []uint32
+			for _, u := range nbrs {
+				got = append(got, members[u])
+			}
+			for _, u := range csr.Neighbors(v) {
+				if core[u] >= leg.k {
+					inCore = append(inCore, u)
+				}
+			}
+			if !slices.Equal(got, inCore) {
+				t.Fatalf("%s: node %d's list in the k-core is %v, want %v", leg.name, v, got, inCore)
+			}
+		}
+		sub.Close()
+	}
 }
