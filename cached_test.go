@@ -473,9 +473,10 @@ func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
 	}
 }
 
-// record is one version-3 or -4 node record: its node, where it starts
-// in the node table, where its degree and width start and their length,
-// and the degree and gap width they give.
+// record is one node record of version 3 to 5: its node, where it
+// starts in the node table, where its degree and form start and their
+// length, and the degree and gap width they give (0 for a group-varint
+// list, whose record goes on with its excess).
 type record struct {
 	id      uint32
 	start   int
@@ -484,7 +485,21 @@ type record struct {
 	w       uint8
 }
 
-// records decodes base's node table nt, of version 3 or 4, in layout
+// formShift is how far a record's degree is shifted past its form: 2
+// bits of gap width before version 5, 3 bits of form from it.
+func formShift(t *testing.T, base string) uint {
+	t.Helper()
+	m, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Version >= 5 {
+		return 3
+	}
+	return 2
+}
+
+// records decodes base's node table nt, of version 3 to 5, in layout
 // order.
 func records(t *testing.T, base string, nt []byte) []record {
 	t.Helper()
@@ -492,11 +507,12 @@ func records(t *testing.T, base string, nt []byte) []record {
 	if err != nil {
 		t.Fatal(err)
 	}
+	shift := formShift(t, base)
 	var out []record
 	id := int64(-1)
 	for at := 0; at < len(nt); {
 		start := at
-		if m.Version >= 4 {
+		if !m.IDOrder {
 			d, k := binary.Varint(nt[at:])
 			if k <= 0 {
 				t.Fatalf("node table: no id varint at byte %d", at)
@@ -509,8 +525,16 @@ func records(t *testing.T, base string, nt []byte) []record {
 		if k <= 0 {
 			t.Fatalf("node table: no varint at byte %d", at)
 		}
-		out = append(out, record{id: uint32(id), start: start, at: at, len: k, deg: uint32(x >> 2), w: uint8(x&3) + 1})
+		r := record{id: uint32(id), start: start, at: at, len: k, deg: uint32(x >> shift), w: uint8(x&(1<<shift-1)) + 1}
 		at += k
+		if r.w == 5 { // group varint: the excess follows
+			_, k := binary.Uvarint(nt[at:])
+			if k <= 0 {
+				t.Fatalf("node table: no excess varint at byte %d", at)
+			}
+			r.w, at = 0, at+k
+		}
+		out = append(out, r)
 	}
 	return out
 }
@@ -599,9 +623,9 @@ func stripChecksums(t *testing.T, base string) {
 //   - a corrupt degree: node 5's record overwritten by one of degree
 //     0xff000000 (which sized a 16 GiB scratch buffer, and ended the
 //     process with "out of memory", while records were read on trust);
-//   - a width that moves every later offset: the first list of gap width
-//     2 or more recorded at width 1, so every list after it is placed too
-//     early and the last ends short of the edge table.
+//   - a width that moves every later offset: the first fixed-width list
+//     of gap width 2 or more recorded at width 1, so every list after it
+//     is placed too early and the last ends short of the edge table.
 //
 // After an open the sidecar vouched for, the block checksum catches
 // either first, on the default frames as through a cache of four. Under
@@ -611,7 +635,7 @@ func stripChecksums(t *testing.T, base string) {
 // corrupt degree must fail that open naming node 5 (a list must end
 // inside the edge table), the moved width naming the edge table (the
 // lists must end where it does). The fixture is laid out in a peeling
-// order (version 4), whose records also name their nodes: a third damage
+// order, whose records also name their nodes: a third damage
 // repeats the id of the record before one, and must fail naming the
 // repeat. The version-2 leg flips the top byte of node 5's 12-byte
 // degree in the checked-in table set, under a header without checksums:
@@ -623,7 +647,7 @@ func TestCorruptNodeRecordIsAnError(t *testing.T) {
 		damage     func(nt []byte, recs []record)
 	}{
 		{"degree", "node 5", func(nt []byte, recs []record) {
-			copy(nt[recordOf(t, recs, 5).at:], binary.AppendUvarint(nil, 0xff000000<<2))
+			copy(nt[recordOf(t, recs, 5).at:], binary.AppendUvarint(nil, 0xff000000<<3))
 		}},
 		{"duplicate", "a second time", func(nt []byte, recs []record) {
 			for _, r := range recs[1:] {
@@ -759,13 +783,14 @@ func TestNodeTableDamageIsCaughtByTheIndex(t *testing.T) {
 			recs := records(t, base, nt)
 			// Rewrite records v and v+1 in place: each keeps its varint's
 			// length and its width, so the damage moves nothing else.
+			shift := formShift(t, base)
 			moved := func(r record, by int32) []byte {
-				return binary.AppendUvarint(nil, uint64(int64(r.deg)+int64(by))<<2|uint64(r.w-1))
+				return binary.AppendUvarint(nil, uint64(int64(r.deg)+int64(by))<<shift|uint64(r.w-1))
 			}
 			v := 0
 			for ; v+1 < len(recs); v++ {
 				a, b := recs[v], recs[v+1]
-				if a.deg >= 2 && b.deg >= 3 && a.w == b.w && len(moved(a, 1)) == a.len && len(moved(b, -1)) == b.len {
+				if a.deg >= 2 && b.deg >= 3 && a.w > 0 && a.w == b.w && len(moved(a, 1)) == a.len && len(moved(b, -1)) == b.len {
 					break
 				}
 			}

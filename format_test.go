@@ -9,6 +9,7 @@ import (
 
 	"kcore"
 	"kcore/internal/faultfs"
+	"kcore/internal/stats"
 	"kcore/internal/storage"
 )
 
@@ -32,10 +33,9 @@ func copyTables(t *testing.T, src string, exts ...string) string {
 // upgradesOnFoldBack opens the tables an older tree wrote at base, in
 // place: they open and SemiCore* decomposes them to IMCore's cores,
 // which it returns; then one DeleteEdge and Flush rewrites them in the
-// current format for tables in id order, version 3 (a fold-back keeps its
-// source's layout, and every older tree wrote id order), its tables
-// smaller than 12 bytes a node and 4 an arc, which a fresh open and
-// SemiCore* decompose to the cores the maintainer holds.
+// current format, keeping their layout (a fold-back keeps its source's),
+// its tables smaller than 12 bytes a node and 4 an arc, which a fresh
+// open and SemiCore* decompose to the cores the maintainer holds.
 func upgradesOnFoldBack(t *testing.T, base string) *kcore.Result {
 	t.Helper()
 	meta, err := storage.ReadMeta(base)
@@ -86,8 +86,8 @@ func upgradesOnFoldBack(t *testing.T, base string) *kcore.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Version != 3 || after.Arcs != meta.Arcs-2 || after.NtBytes >= 12*int64(after.N) || after.EtBytes >= 4*after.Arcs {
-		t.Fatalf("after one fold-back the header is %+v, want version 3 with %d arcs, fewer than 12 bytes a node and 4 an arc", after, meta.Arcs-2)
+	if after.Version != storage.FormatVersion || after.IDOrder != meta.IDOrder || after.Arcs != meta.Arcs-2 || after.NtBytes >= 12*int64(after.N) || after.EtBytes >= 4*after.Arcs {
+		t.Fatalf("after one fold-back the header is %+v, want version %d, id order %v, %d arcs, fewer than 12 bytes a node and 4 an arc", after, storage.FormatVersion, meta.IDOrder, meta.Arcs-2)
 	}
 	fresh, err := kcore.Open(base, nil)
 	if err != nil {
@@ -150,9 +150,9 @@ func TestVersion1TablesStayReadable(t *testing.T) {
 // (gap-coded lists, 12-byte node records with byte offsets, a checksum
 // sidecar) that an older tree built for RMAT(9, 4) seed 3, in place: they
 // verify, SemiCore* decomposes them to IMCore's cores, and one fold-back
-// rewrites them as version 3, whose node table is a varint a node. A
-// version-3 header must give the node table's size, and a version-1 or
-// version-2 header must not.
+// rewrites them in the current format, whose node table is a varint or
+// two a node. A version-3 header must give the node table's size, and a
+// version-1 or version-2 header must not.
 func TestVersion2TablesStayReadable(t *testing.T) {
 	base := copyTables(t, filepath.Join("testdata", "v2", "g"), ".meta", ".nt", ".et", ".crc")
 	meta, err := storage.ReadMeta(base)
@@ -192,5 +192,50 @@ func TestVersion3TablesStayReadable(t *testing.T) {
 	)
 	refusesHeaders(t, base, "cannot hold",
 		"version=4\nnodes=506\narcs=3200\nntbytes=526\netbytes=3639\n",
+	)
+}
+
+// TestVersion4TablesStayReadable opens the format-version-4 tables
+// (fixed-width lists laid out in a peeling order, each node record led by
+// its id's delta, and a checksum sidecar) that an older tree's Build wrote
+// for RMAT(9, 4) seed 3, in place: through the sidecar the index reads
+// them into memory, SemiCore* decomposes them to IMCore's cores, and one
+// fold-back rewrites them in the current format, in the same layout and
+// in fewer edge-table bytes. A version-5 header must say whether its
+// layout is id order, and an older one must not.
+func TestVersion4TablesStayReadable(t *testing.T) {
+	base := copyTables(t, filepath.Join("testdata", "v4", "g"), ".meta", ".nt", ".et", ".crc")
+	meta, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Version != 4 || meta.IDOrder || !meta.HasCRC {
+		t.Fatalf("fixture header %+v: want version 4 out of id order, with checksums", meta)
+	}
+	positions := func() []uint32 {
+		t.Helper()
+		g, err := storage.Open(base, stats.NewIOCounter(0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		return slices.Clone(g.Positions())
+	}
+	layout := positions()
+	upgradesOnFoldBack(t, base)
+	after, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.EtBytes >= meta.EtBytes {
+		t.Errorf("the fold-back's edge table takes %d bytes, the version-4 table %d", after.EtBytes, meta.EtBytes)
+	}
+	if layout == nil || !slices.Equal(positions(), layout) {
+		t.Errorf("the fold-back changed the layout")
+	}
+	refusesHeaders(t, base, "idorder",
+		"version=5\nnodes=506\narcs=3200\nntbytes=1135\netbytes=3639\n",
+		"version=4\nnodes=506\narcs=3200\nntbytes=1135\netbytes=3639\nidorder=0\n",
+		"version=5\nnodes=506\narcs=3200\nntbytes=1135\netbytes=3639\nidorder=2\n",
 	)
 }

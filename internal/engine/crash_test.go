@@ -28,12 +28,14 @@ var (
 )
 
 // crashNodes sizes the script's graph. Every table block a checkpoint
-// writes is a boundary; at 400 nodes the tables, a varint a node and
-// gap-coded lists, span enough 512-byte blocks that the script crosses
-// 103 boundaries (160 nodes crossed 100 on 12 bytes a node and 91 on a
-// varint; the 4-byte tables of 48 nodes crossed 97).
+// writes is a boundary; at 420 nodes the tables, a varint or two a node
+// and lists in the shorter of a fixed width and group varint, span
+// enough 512-byte blocks that the script crosses 103 boundaries (400
+// nodes crossed 103 while every list took a fixed width and 100 after;
+// 160 nodes crossed 100 on 12 bytes a node and 91 on a varint; the
+// 4-byte tables of 48 nodes crossed 97).
 const (
-	crashNodes = 400
+	crashNodes = 420
 	crashGSeed = 41
 	crashOps   = 6
 )

@@ -409,25 +409,21 @@ func (h mergeHeap) down(i int) {
 	h[i] = it
 }
 
-// chunkBytes is how much of a run one Write or ReadAt moves: the whole
-// arcs that fit in a block (at least one).
-func chunkBytes(ctr *stats.IOCounter) int {
-	return max(1, ctr.BlockSize()/arcBytes) * arcBytes
-}
-
 // run is one spilled run file and the CRC32C of each of its blocks.
 type run struct {
 	path string
 	crcs []uint32
 }
 
-// writeRun writes sorted keys as one run file, a block of arcs per Write.
+// writeRun writes sorted keys as one run file, encoding a block's worth
+// of whole arcs (at least one) per Write; the writer flushes
+// storage.FlushBlocks blocks per system call.
 func writeRun(path string, keys []uint64, ctr *stats.IOCounter) (run, error) {
 	w, err := storage.CreateBlockWriter(path, ctr)
 	if err != nil {
 		return run{}, err
 	}
-	chunk := make([]byte, chunkBytes(ctr))
+	chunk := make([]byte, max(1, ctr.BlockSize()/arcBytes)*arcBytes)
 	for len(keys) > 0 {
 		n := min(len(keys), len(chunk)/arcBytes)
 		for i, k := range keys[:n] {
@@ -445,13 +441,14 @@ func writeRun(path string, keys []uint64, ctr *stats.IOCounter) (run, error) {
 	return run{path: path, crcs: w.BlockCRCs()}, nil
 }
 
-// runReader streams one run file's keys, a block of arcs per ReadAt,
-// through a frame of its own: the one-block buffer of the model.
+// runReader streams one run file's keys, storage.FlushBlocks blocks per
+// system call, each block held to its checksum and charged as one read.
 type runReader struct {
 	f   *storage.CachedFile
-	off int64  // file offset of the next chunk
-	buf []byte // the chunk last fetched; buf[pos:] is not yet consumed
+	blk int64  // the next block to read
+	buf []byte // the blocks last read, after the bytes of a key they split; buf[pos:] is not yet consumed
 	pos int
+	b   int
 }
 
 func openRun(r run, ctr *stats.IOCounter) (*runReader, error) {
@@ -463,21 +460,25 @@ func openRun(r run, ctr *stats.IOCounter) (*runReader, error) {
 		f.Close()
 		return nil, fmt.Errorf("extsort: run %s holds %d bytes, not whole arcs", r.path, f.Size())
 	}
-	return &runReader{f: f, buf: make([]byte, 0, chunkBytes(ctr))}, nil
+	b := ctr.BlockSize()
+	return &runReader{f: f, buf: make([]byte, 0, storage.FlushBlocks*b+arcBytes), b: b}, nil
 }
 
 // next returns the run's next key, or ok == false at its end.
 func (r *runReader) next() (key uint64, ok bool, err error) {
-	if r.pos == len(r.buf) {
-		n := min(int64(cap(r.buf)), r.f.Size()-r.off)
-		if n == 0 {
-			return 0, false, nil
-		}
-		r.buf, r.pos = r.buf[:n], 0
-		if err := r.f.ReadAt(r.buf, r.off); err != nil {
+	if len(r.buf)-r.pos < arcBytes {
+		// Keep the bytes of a key the last blocks split (a block size
+		// that is no multiple of the arcs'), then read the next blocks.
+		left := copy(r.buf[:cap(r.buf)], r.buf[r.pos:])
+		n, err := r.f.ReadBlocks(r.buf[left:cap(r.buf)-arcBytes+left], r.blk)
+		if err != nil {
 			return 0, false, err
 		}
-		r.off += n
+		r.buf, r.pos = r.buf[:left+n], 0
+		r.blk += int64((n + r.b - 1) / r.b)
+		if len(r.buf) < arcBytes {
+			return 0, false, nil
+		}
 	}
 	key = getKey(r.buf[r.pos:])
 	r.pos += arcBytes

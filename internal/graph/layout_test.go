@@ -21,7 +21,7 @@ import (
 )
 
 // layoutSources builds one generated graph with Build, which lays it out
-// in a peeling order (format version 4), and opens it as the counted disk
+// in a peeling order, and opens it as the counted disk
 // tables and as a dynamic graph over a copy of them, beside the
 // in-memory CSR of the same edges.
 func layoutSources(t *testing.T) (csr *memgraph.CSR, disk *storage.Graph, dyn *dyngraph.Graph, dynBase string) {
@@ -33,8 +33,8 @@ func layoutSources(t *testing.T) (csr *memgraph.CSR, disk *storage.Graph, dyn *d
 	if err := graphio.Build(base, graphio.SliceSource(edges), graphio.BuildOptions{N: csr.NumNodes()}); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := storage.ReadMeta(base); err != nil || m.Version != storage.FormatVersion {
-		t.Fatalf("Build wrote %+v (%v), want format version %d", m, err, storage.FormatVersion)
+	if m, err := storage.ReadMeta(base); err != nil || m.Version != storage.FormatVersion || m.IDOrder {
+		t.Fatalf("Build wrote %+v (%v), want format version %d out of id order", m, err, storage.FormatVersion)
 	}
 	disk, err := storage.Open(base, stats.NewIOCounter(0), nil)
 	if err != nil {
@@ -214,7 +214,7 @@ func TestBuildLayoutConformance(t *testing.T) {
 	}
 
 	// A checkpoint (WriteGraph of a pinned view) and a fold-back keep the
-	// layout, and with it format version 4.
+	// layout, and with it a node table that names the ids.
 	before := positions(t, dyn)
 	layoutKept := func(what, base string) {
 		t.Helper()
@@ -223,8 +223,8 @@ func TestBuildLayoutConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer g.Close()
-		if m, err := storage.ReadMeta(base); err != nil || m.Version != storage.FormatVersion {
-			t.Fatalf("%s: header %+v (%v), want version %d", what, m, err, storage.FormatVersion)
+		if m, err := storage.ReadMeta(base); err != nil || m.Version != storage.FormatVersion || m.IDOrder {
+			t.Fatalf("%s: header %+v (%v), want version %d out of id order", what, m, err, storage.FormatVersion)
 		}
 		if got := positions(t, g); !slices.Equal(got, before) {
 			t.Fatalf("%s changed the layout", what)

@@ -31,7 +31,7 @@ func TestMain(m *testing.M) { pins.Main(m) }
 // tables' bytes being the encoded records' and lists' (the header's
 // ntbytes and etbytes), on
 // an edge table several times the size of the frames it reads through
-// (30 blocks; about 3x at B=512, 23x at B=64, as the 4-byte table was of
+// (27 blocks; about 3x at B=512, 23x at B=64, as the 4-byte table was of
 // the default 64), which therefore carry no block from one scan to the
 // next. At B=512 the open reads the checksum sidecar and leaves the node
 // table to the degree-initialisation pass. At B=64, no whole number of
@@ -40,7 +40,7 @@ func TestMain(m *testing.M) { pins.Main(m) }
 // decomposition then reads only its l scans. The open's and the
 // decomposition's reads are pinned.
 func TestSemiCoreIOLaw(t *testing.T) {
-	const frames = 30
+	const frames = 27
 	mem := gen.Build(gen.Social(4000, 3, 10, 9, 701))
 	base := filepath.Join(t.TempDir(), "g")
 	if err := graphio.WriteCSR(base, mem, nil); err != nil {
@@ -190,8 +190,8 @@ func TestBuildLaysOutInPeelingOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if idLocal != (meta.Version == 3) {
-			t.Fatalf("format version %d; want 3 (id order) exactly for the lattice", meta.Version)
+		if idLocal != meta.IDOrder {
+			t.Fatalf("header %+v; want id order exactly for the lattice", meta)
 		}
 		if idLocal {
 			return
@@ -270,8 +270,8 @@ func layout(t *testing.T, base string) []uint32 {
 }
 
 // idDeltaBytes is what a node table in order spends on leading each
-// record with its id's delta: none in id order (format version 3), and a
-// zigzag varint a record in any other (version 4).
+// record with its id's delta: none in id order (idorder=1), and a zigzag
+// varint a record in any other.
 func idDeltaBytes(order []uint32) int64 {
 	var sum int64
 	prev, identity := int64(-1), true

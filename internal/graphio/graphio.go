@@ -76,23 +76,23 @@ type BuildOptions struct {
 // symmetrised into two arcs, external-sorted, deduplicated (parallel
 // edges and self-loops dropped), and streamed into the storage builder.
 // A graph whose ids already place neighbours near each other keeps id
-// order (see idLocal) and is written in format version 3 on that one
-// stream. Any other graph is laid out in a peeling order, along which
-// SemiCore* converges in one pass. The degrees are counted on the one
-// pass over src, and the sort streams the lists by raw degree ascending,
-// ties by id, into a scratch table in the sorter's directory: it orders
-// arcs by their source's rank in that order, so no second sort is
-// needed. On the way each node's estimate, its raw degree until its list
-// arrives, becomes the h-index of its neighbours' estimates, capped at
-// its list's length (one sweep of the paper's LocalCore, an upper bound
-// on its core). The scratch is then opened once, through frames of the
+// order (see idLocal) and is written in id order on that one stream.
+// Any other graph is laid out in a peeling order, along which SemiCore*
+// converges in one pass. The degrees are counted on the one pass over
+// src, and the sort streams the lists by raw degree ascending, ties by
+// id, into a scratch table in the sorter's directory: it orders arcs by
+// their source's rank in that order, so no second sort is needed. On
+// the way each node's estimate, its raw degree until its list arrives,
+// becomes the h-index of its neighbours' estimates, capped at its
+// list's length (one sweep of the paper's LocalCore, an upper bound on
+// its core). The scratch is then opened once, through frames of the
 // sort budget the merge has released: SemiCore* from the estimates
 // gives the exact cores and counters, semicore.PeelOrder the order, and
-// storage.CopyLists copies the lists into base in it, in format version
-// 4 unless that order is the id order. The order depends on the graph
-// only, not on the budget. Whether it succeeds or fails, no spill file
-// or scratch table outlives it, and builds sharing a directory do not
-// see each other's.
+// storage.CopyLists copies the lists into base in it, their records
+// naming the ids unless that order is the id order. The order depends
+// on the graph only, not on the budget. Whether it succeeds or fails,
+// no spill file or scratch table outlives it, and builds sharing a
+// directory do not see each other's.
 func Build(base string, src EdgeSource, opts BuildOptions) error {
 	ctr := opts.IO
 	if ctr == nil {

@@ -58,8 +58,8 @@ func TestBuildMatchesCSR(t *testing.T) {
 
 // TestBuildKeepsLocalIDOrder builds a ring lattice, whose ids place
 // neighbours next to each other, and the same lattice under shuffled
-// ids: Build keeps the first in id order (format version 3) and lays the
-// second out in a peeling order (version 4), and both hold the CSR's lists.
+// ids: Build keeps the first in id order (idorder=1) and lays the second
+// out in a peeling order, and both hold the CSR's lists.
 func TestBuildKeepsLocalIDOrder(t *testing.T) {
 	lattice := gen.SmallWorld(3000, 6, 0.1, 1)
 	perm := rand.New(rand.NewSource(2)).Perm(3000)
@@ -70,15 +70,15 @@ func TestBuildKeepsLocalIDOrder(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		edges   []graph.Edge
-		version int
-	}{{"lattice", lattice, 3}, {"shuffled", shuffled, 4}} {
+		idOrder bool
+	}{{"lattice", lattice, true}, {"shuffled", shuffled, false}} {
 		want := gen.Build(c.edges)
 		base := filepath.Join(t.TempDir(), "g")
 		if err := Build(base, SliceSource(c.edges), BuildOptions{N: want.NumNodes()}); err != nil {
 			t.Fatal(err)
 		}
-		if m, err := storage.ReadMeta(base); err != nil || m.Version != c.version {
-			t.Fatalf("%s: header %+v (%v), want format version %d", c.name, m, err, c.version)
+		if m, err := storage.ReadMeta(base); err != nil || m.Version != storage.FormatVersion || m.IDOrder != c.idOrder {
+			t.Fatalf("%s: header %+v (%v), want format version %d, id order %v", c.name, m, err, storage.FormatVersion, c.idOrder)
 		}
 		got, err := ReadToCSR(base)
 		if err != nil {

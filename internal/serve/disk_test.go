@@ -210,9 +210,9 @@ func TestCacheBudgetMetamorphic(t *testing.T) {
 // that block eviction and merges both happen mid-test: the encoded edge
 // table is at least twice the cache (on 300 nodes it fit once the node
 // table, whose fold-back reads had evicted its blocks, took a varint a
-// node).
+// node; on 900, once the lists took group varint where it is shorter).
 func TestEngineMatchesMemOracle(t *testing.T) {
-	const n = 900
+	const n = 1100
 	seed := testutil.Seed(t, 11)
 	base, edges := testutil.WriteSocial(t, n, seed)
 	testutil.RequireSpill(t, base, 512, 8, 2)

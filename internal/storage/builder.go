@@ -8,13 +8,14 @@ import (
 	"kcore/internal/stats"
 )
 
-// Builder writes a graph to disk: the two tables, the checksum sidecar
-// and, last, the meta header. Adjacency lists are appended one call per
-// node, each sorted ascending, in the order the tables are to lay them
-// out: in id order the Builder writes format version 3, in any other
-// order version 4, whose node records carry the ids (nodetable.go). The
-// node table is held in memory until Close, since which of the two it is
-// is known only once a list arrives out of id order. Writes are charged to
+// Builder writes a graph to disk in format version 5: the two tables, the
+// checksum sidecar and, last, the meta header. Adjacency lists are
+// appended one call per node, each sorted ascending, in the order the
+// tables are to lay them out, and each is stored in the shorter of its
+// two forms (codec.go). In id order the header says idorder=1; in any
+// other order the node records carry the ids (nodetable.go). The node
+// table is held in memory until Close, since which of the two it is is
+// known only once a list arrives out of id order. Writes are charged to
 // the counter at block granularity, so building is itself an I/O-accounted
 // operation (WriteGraph's checkpoints and fold-backs, and Build).
 type Builder struct {
@@ -82,13 +83,13 @@ func (b *Builder) AppendList(v uint32, nbrs []uint32) error {
 	}
 	var w uint8
 	b.listBuf, w = b.codec.encode(b.listBuf[:0], nbrs)
-	return b.appendEncoded(v, uint32(len(nbrs)), w, b.listBuf)
+	return b.appendEncoded(v, list{size: int64(len(b.listBuf)), deg: uint32(len(nbrs)), w: w}, b.listBuf)
 }
 
-// appendEncoded writes the list of deg ids and gap width w that enc
-// encodes as the next list of the layout: AppendList's tail, and
-// CopyLists' whole append, whose bytes the checksums vouched for.
-func (b *Builder) appendEncoded(v, deg uint32, w uint8, enc []byte) error {
+// appendEncoded writes the list l that enc encodes as the next list of
+// the layout: AppendList's tail, and CopyLists' whole append, whose
+// bytes the checksums vouched for.
+func (b *Builder) appendEncoded(v uint32, l list, enc []byte) error {
 	if b.seen == nil && int64(v) != b.prev+1 {
 		if int64(v) <= b.prev {
 			return fmt.Errorf("storage: node %d appended twice", v)
@@ -103,24 +104,28 @@ func (b *Builder) appendEncoded(v, deg uint32, w uint8, enc []byte) error {
 		b.seen[word] |= bit
 		b.recs = binary.AppendVarint(b.recs, int64(v)-b.prev)
 	}
-	b.recs = appendRecord(b.recs, deg, w)
+	b.recs = appendRecord(b.recs, l)
 	if _, err := b.et.Write(enc); err != nil {
 		return err
 	}
 	b.etBytes += int64(len(enc))
-	b.arcs += int64(deg)
+	b.arcs += int64(l.deg)
 	b.prev = int64(v)
 	b.count++
 	return nil
 }
 
-// reorder turns the lists appended so far, nodes 0 to count−1 in id
-// order, into version-4 records, each led by its id's delta, 1.
+// reorder turns the records of the lists appended so far, nodes 0 to
+// count−1 in id order, into records each led by its id's delta, 1.
 func (b *Builder) reorder() {
 	b.seen = make([]uint64, (int64(b.n)+63)/64)
 	recs := make([]byte, 0, len(b.recs)+int(b.count))
 	for r := b.recs; len(r) > 0; {
-		_, k := binary.Uvarint(r)
+		x, k := binary.Uvarint(r)
+		if x&7 == gvTag {
+			_, excess := binary.Uvarint(r[k:])
+			k += excess
+		}
 		recs = binary.AppendVarint(recs, 1)
 		recs, r = append(recs, r[:k]...), r[k:]
 	}
@@ -180,11 +185,7 @@ func (b *Builder) finish(durable bool) error {
 	if err := writeSidecar(b.fs, b.base, granules, b.ctr, durable); err != nil {
 		return err
 	}
-	version := idOrderVersion
-	if b.seen != nil {
-		version = FormatVersion
-	}
-	m := Meta{Version: version, N: b.n, Arcs: b.arcs, NtBytes: int64(len(b.recs)), EtBytes: b.etBytes, HasCRC: true, NtCRC: ntCRC, EtCRC: etCRC}
+	m := Meta{Version: FormatVersion, N: b.n, Arcs: b.arcs, NtBytes: int64(len(b.recs)), EtBytes: b.etBytes, IDOrder: b.seen == nil, HasCRC: true, NtCRC: ntCRC, EtCRC: etCRC}
 	return WriteMetaFS(b.fs, b.base, m, durable)
 }
 
@@ -232,11 +233,15 @@ func WriteGraph(fsys faultfs.FS, base string, src Source, io *stats.IOCounter, s
 // id once) and its other ids' lists, which can only be empty, after
 // them, as the Builder pads. Each list's encoded bytes are copied as
 // they are: lists hold ids, not positions, so only the node records are
-// written anew. g's lists are read through its frames, every block held
-// to the checksums its open vouched for; the reads and the writes are
-// charged to g's counter. A copy that fails, or leaves a list out,
-// leaves no header.
+// written anew, and g must be of the version the Builder writes, whose
+// lists are in the forms the Builder picks (Build's scratch table is).
+// g's lists are read through its frames, every block held to the
+// checksums its open vouched for; the reads and the writes are charged to
+// g's counter. A copy that fails, or leaves a list out, leaves no header.
 func CopyLists(base string, g *Graph, order []uint32) error {
+	if g.meta.Version != FormatVersion {
+		return fmt.Errorf("storage: %s is a version-%d table, not the version %d CopyLists copies", g.base, g.meta.Version, FormatVersion)
+	}
 	// Where each list lies, from one walk of the index: a lookup per node
 	// would decode up to 63 records before its own.
 	x, err := g.index()
@@ -264,7 +269,7 @@ func CopyLists(base string, g *Graph, order []uint32) error {
 		l := lists[v]
 		raw, err := g.rawList(l)
 		if err == nil {
-			err = b.appendEncoded(v, l.deg, l.w, raw)
+			err = b.appendEncoded(v, l, raw)
 		}
 		if err != nil {
 			b.Abort()

@@ -304,6 +304,36 @@ func (cf *CachedFile) stream(fn func(blk []byte) error) error {
 	return nil
 }
 
+// ReadBlocks reads whole blocks into p from block first on, as many as
+// p holds and the file has (its last block may be short), with one system
+// call and past the frames: each block is held to its checksum and
+// charged as one read. It reports the bytes read, 0 at the file's end.
+func (cf *CachedFile) ReadBlocks(p []byte, first int64) (int, error) {
+	b := int64(cf.cache.b)
+	off := first * b
+	if off >= cf.size {
+		return 0, nil
+	}
+	p = p[:min(int64(len(p)), cf.size-off)]
+	n, err := cf.f.ReadAt(p, off)
+	if err != nil && err != io.EOF {
+		return 0, err
+	}
+	if n != len(p) {
+		return 0, fmt.Errorf("storage: short block read on %s: got %d want %d at off %d (truncated)", cf.path, n, len(p), off)
+	}
+	for id, q := first, p; len(q) > 0; id++ {
+		blk := q[:min(b, int64(len(q)))]
+		if got, want := crc32.Checksum(blk, castagnoli), cf.crcs[id]; got != want {
+			return 0, fmt.Errorf("storage: block %d of %s corrupt: crc %08x want %08x", id, cf.path, got, want)
+		}
+		cf.io.AddReadBlocks(1)
+		q = q[len(blk):]
+	}
+	cf.io.AddReadBytes(int64(n))
+	return n, nil
+}
+
 // ReadAt fills p with the bytes at offset off, fetching blocks through
 // the cache as needed.
 func (cf *CachedFile) ReadAt(p []byte, off int64) error {

@@ -21,12 +21,15 @@
 // A graph <base> occupies three files, and a fourth, optional one:
 //
 //	<base>.meta  text header (version, node count, arc count, node- and
-//	             edge-table bytes, table CRC32Cs)
-//	<base>.nt    node table: n records of uvarint(deg<<2 | (w−1)), w the
-//	             list's gap width, in layout order, each led in version 4
-//	             by its id's delta from the id before it (nodetable.go)
-//	<base>.et    edge table: the gap-coded lists, concatenated in layout
-//	             order (codec.go)
+//	             edge-table bytes, whether the layout is id order, table
+//	             CRC32Cs)
+//	<base>.nt    node table: n records of a list's degree and form (its
+//	             gap width, or group varint and its byte length), in
+//	             layout order, each led by its id's delta from the id
+//	             before it unless the layout is id order (nodetable.go)
+//	<base>.et    edge table: the lists, each in the shorter of a
+//	             fixed-width gap coding and group varint, concatenated in
+//	             layout order (codec.go)
 //	<base>.crc   checksum sidecar: a CRC32C per 512-byte granule of .nt,
 //	             then of .et (sidecar.go); the Builder writes it, readers
 //	             that lack it or cannot hold it to the header do without
@@ -37,17 +40,17 @@
 // else. No offset is stored: each list starts where the one before it
 // ends. Graphs are undirected: every edge {u,v} is stored as the two arcs
 // u→v and v→u, and each adjacency list is sorted ascending. The Builder
-// writes format version 3, the layout in id order, when the lists arrive
-// in id order, and version 4, any layout, when they do not: Build lays
-// the nodes out in a peeling order unless their ids are already local
-// (its lists reach the Builder by degree, and CopyLists moves them into
-// that order as they are encoded), and a
-// rewrite (WriteGraph: a fold-back or a checkpoint) keeps the layout of
-// the graph it rewrites. Version-2 tables (12-byte node records of a
-// byte offset and a degree) and version-1 tables (the same records with
-// arc offsets, 4-byte absolute ids) stay readable in place, and the
-// first rewrite of such a graph writes it as
-// version 3.
+// writes format version 5, in id order (idorder=1) when the lists arrive
+// in id order and in any layout when they do not: Build lays the nodes
+// out in a peeling order unless their ids are already local (its lists
+// reach the Builder by degree, and CopyLists moves them into that order
+// as they are encoded), and a rewrite (WriteGraph: a fold-back or a
+// checkpoint) keeps the layout of the graph it rewrites. Tables of
+// versions 1 to 4 stay readable in place — version 4 (fixed-width lists
+// in any layout), 3 (the same in id order), 2 (12-byte node records of a
+// byte offset and a degree) and 1 (the same records with arc offsets,
+// 4-byte absolute ids) — and the first rewrite of such a graph writes it
+// as version 5.
 package storage
 
 import (
@@ -65,25 +68,25 @@ import (
 	"kcore/internal/stats"
 )
 
-// FormatVersion is the newest on-disk layout: the Builder writes it for
-// lists that arrive out of id order, and version 3 for lists in id order.
-const FormatVersion = 4
-
-// idOrderVersion is the layout the Builder writes for lists in id order.
-const idOrderVersion = 3
+// FormatVersion is the on-disk layout the Builder writes, whatever the
+// order its lists arrive in.
+const FormatVersion = 5
 
 // Meta is the parsed contents of a <base>.meta file. NtBytes and EtBytes
 // are the two tables' sizes (a version-1 or -2 header carries no
 // ntbytes: 12 bytes a node; a version-1 header no etbytes: 4 bytes an
-// arc). HasCRC reports whether the header carried table checksums
-// (graphs written by older builders have none; everything the Builder
-// writes today does).
+// arc). IDOrder reports whether the tables lay the lists out in id order,
+// so that node records carry no ids: always for versions 1 to 3, never for
+// version 4, and as a version-5 header's idorder key says. HasCRC reports
+// whether the header carried table checksums (graphs written by older
+// builders have none; everything the Builder writes today does).
 type Meta struct {
 	Version int
 	N       uint32
 	Arcs    int64
 	NtBytes int64
 	EtBytes int64
+	IDOrder bool
 	HasCRC  bool
 	NtCRC   uint32
 	EtCRC   uint32
@@ -112,6 +115,13 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 	if m.Version >= 2 {
 		fmt.Fprintf(w, "etbytes=%d\n", m.EtBytes)
 	}
+	if m.Version >= 5 {
+		idorder := 0
+		if m.IDOrder {
+			idorder = 1
+		}
+		fmt.Fprintf(w, "idorder=%d\n", idorder)
+	}
 	if m.HasCRC {
 		fmt.Fprintf(w, "ntcrc=%d\n", m.NtCRC)
 		fmt.Fprintf(w, "etcrc=%d\n", m.EtCRC)
@@ -129,13 +139,14 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 	return f.Close()
 }
 
-// ReadMeta parses the header file for a graph: version 4 or 3, whose
-// header must give both tables' sizes; version 2, whose must give the edge
-// table's and not the node table's; or version 1, whose must give
-// neither.
+// ReadMeta parses the header file for a graph: version 5, whose header
+// must give both tables' sizes and whether the layout is id order; version
+// 4 or 3, whose must give both sizes and not the order; version 2, whose
+// must give the edge table's and not the node table's; or version 1, whose
+// must give neither.
 func ReadMeta(base string) (Meta, error) {
 	var m Meta
-	hasNtBytes, hasEtBytes := false, false
+	hasNtBytes, hasEtBytes, hasIDOrder := false, false, false
 	data, err := os.ReadFile(metaPath(base))
 	if err != nil {
 		return m, err
@@ -169,6 +180,11 @@ func ReadMeta(base string) (Meta, error) {
 			m.NtBytes, hasNtBytes = x, true
 		case "etbytes":
 			m.EtBytes, hasEtBytes = x, true
+		case "idorder":
+			if x > 1 {
+				return m, fmt.Errorf("storage: meta value %q is not 0 or 1", line)
+			}
+			m.IDOrder, hasIDOrder = x == 1, true
 		case "ntcrc":
 			m.NtCRC = uint32(x)
 			m.HasCRC = true
@@ -185,7 +201,7 @@ func ReadMeta(base string) (Meta, error) {
 	for _, size := range []struct {
 		key       string
 		has, want bool
-	}{{"etbytes", hasEtBytes, m.Version >= 2}, {"ntbytes", hasNtBytes, m.Version >= 3}} {
+	}{{"etbytes", hasEtBytes, m.Version >= 2}, {"ntbytes", hasNtBytes, m.Version >= 3}, {"idorder", hasIDOrder, m.Version >= 5}} {
 		if size.has != size.want {
 			word := map[bool]string{true: "with", false: "without"}[size.has]
 			return m, fmt.Errorf("storage: version-%d meta %s %s", m.Version, word, size.key)
@@ -197,13 +213,23 @@ func ReadMeta(base string) (Meta, error) {
 		}
 		m.EtBytes = 4 * m.Arcs
 	}
-	varints := int64(1) // a record's: its degree and width, led in version 4 by its id
-	if m.Version >= 4 {
-		varints = 2
+	if m.Version <= 3 {
+		m.IDOrder = true
+	}
+	// A record is one varint (its degree and form), led by its id's when
+	// the layout is not id order and followed in version 5 by a
+	// group-varint list's excess.
+	least := int64(1)
+	if !m.IDOrder {
+		least++
+	}
+	most := least
+	if m.Version >= 5 {
+		most++
 	}
 	if m.Version <= 2 {
 		m.NtBytes = legacyRecordSize * int64(m.N)
-	} else if m.NtBytes < varints*int64(m.N) || m.NtBytes > varints*maxRecordLen*int64(m.N) {
+	} else if m.NtBytes < least*int64(m.N) || m.NtBytes > most*maxRecordLen*int64(m.N) {
 		// A varint takes one to maxRecordLen bytes, so the table's size,
 		// which the open holds the file to, bounds the node count the
 		// index is sized from.
@@ -229,12 +255,13 @@ type Graph struct {
 	nbrBuf []byte // scratch for one encoded list
 }
 
-// list is where one node's list lies in the edge table: its byte offset,
-// its degree and its gap width.
+// list is where one node's list lies in the edge table and how it is
+// stored: its byte offset and length, its degree, and its gap width, or
+// groupVarint.
 type list struct {
-	off int64
-	deg uint32
-	w   uint8
+	off, size int64
+	deg       uint32
+	w         uint8
 }
 
 // index returns the node index, building it on first use from one
@@ -248,10 +275,10 @@ func (g *Graph) index() (*nodeIndex, error) {
 		return g.idx, nil
 	}
 	nt := g.meta.NtBytes
-	if g.meta.Version <= 2 {
-		nt = 0 // 12-byte records, re-encoded into fewer bytes
+	if g.meta.Version < FormatVersion {
+		nt = 0 // older records, re-encoded
 	}
-	x := newIndex(g.codec, g.meta.N, nt, g.meta.Version >= 4)
+	x := newIndex(g.codec, g.meta.N, nt, !g.meta.IDOrder)
 	p, prev := uint32(0), int64(-1)
 	keep := func(v uint32, l list) error {
 		x.add(p, prev, v, l)
@@ -434,7 +461,7 @@ func (g *Graph) readList(v uint32, l list, buf []uint32) ([]uint32, error) {
 	if err != nil {
 		return nil, err
 	}
-	nbrs, err := g.codec.decode(raw, l.deg, buf)
+	nbrs, err := g.codec.decode(raw, l.deg, l.w, buf)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %s: node %d: %w", edgePath(g.base), v, err)
 	}
@@ -444,11 +471,10 @@ func (g *Graph) readList(v uint32, l list, buf []uint32) ([]uint32, error) {
 // rawList reads the encoded list l into g.nbrBuf, grown geometrically,
 // and returns its bytes, valid until the next call.
 func (g *Graph) rawList(l list) ([]byte, error) {
-	need := int(g.codec.length(l.deg, l.w))
-	if cap(g.nbrBuf) < need {
-		g.nbrBuf = slices.Grow(g.nbrBuf, need)
+	if cap(g.nbrBuf) < int(l.size) {
+		g.nbrBuf = slices.Grow(g.nbrBuf, int(l.size))
 	}
-	raw := g.nbrBuf[:need]
+	raw := g.nbrBuf[:l.size]
 	if err := g.et.ReadAt(raw, l.off); err != nil {
 		return nil, err
 	}
@@ -468,7 +494,7 @@ func (g *Graph) Resident(v uint32) bool {
 	}
 	b := int64(g.et.cache.b)
 	l := x.list(v)
-	n := g.codec.length(l.deg, l.w)
+	n := l.size
 	if n > b {
 		return false
 	}
@@ -480,12 +506,12 @@ func (g *Graph) Resident(v uint32) bool {
 
 // Positions implements graph.Source: every id's position in the layout,
 // the order the tables store the lists in and every scan visits them. It
-// is nil for a table in id order (versions 1 to 3), and for version 4 the
-// node index's own array, which the first call builds. A table whose
-// index fails to build reports nil, and the scan that would use the
-// positions fails on the same error.
+// is nil for a table in id order (versions 1 to 3, and 5 with idorder=1),
+// and for any other the node index's own array, which the first call
+// builds. A table whose index fails to build reports nil, and the scan
+// that would use the positions fails on the same error.
 func (g *Graph) Positions() []uint32 {
-	if g.meta.Version < 4 {
+	if g.meta.IDOrder {
 		return nil
 	}
 	x, err := g.index()

@@ -14,22 +14,32 @@ import (
 // value). Version 4 lays them out in any order, and each record leads
 // with varint(v − u), zigzag-coded, v the record's id and u the id of the
 // record before it (−1 before the first); the ids are a permutation of
-// [0, n). No offset is stored: the list at position p starts where the
-// one at p−1 ends, so a pass over the records places every list as a
-// running sum of their lengths. A version-3 record is the shortest varint
-// of at most 34 bits, five bytes; a version-4 record adds a shortest
-// varint of at most five bytes. Versions 1 and 2 stored 12 bytes a node,
-// {offset uint64, degree uint32}, in id order, and stay readable in place
-// (legacyRecords).
+// [0, n). Version 5 lays them out in either, as its header's idorder key
+// says, and a record is led by the id's delta exactly when the layout is
+// not id order; the rest of its record gives the list's form (codec.go):
+// uvarint(deg<<3 | (w−1)) for a fixed-width list, and uvarint(deg<<3 |
+// 4) then uvarint(x) for a group-varint one, x the bytes its values take
+// beyond one each. No offset is stored: the list at position p starts
+// where the one at p−1 ends, so a pass over the records places every
+// list as a running sum of their lengths. Each varint is the shortest
+// encoding of its value, at most five bytes: a degree and form of 34 bits
+// (35 in version 5), an id's delta or an excess of 3·deg at most. Versions
+// 1 and 2 stored 12 bytes a node, {offset uint64, degree uint32}, in id
+// order, and stay readable in place (legacyRecords).
 const (
 	maxRecordLen     = 5
 	legacyRecordSize = 12
+	gvTag            = 4 // a version-5 record's form: group varint
 )
 
-// appendRecord appends the version-3 record of a list of deg ids at gap
-// width w to dst.
-func appendRecord(dst []byte, deg uint32, w uint8) []byte {
-	return binary.AppendUvarint(dst, uint64(deg)<<2|uint64(w-1))
+// appendRecord appends the version-5 record of list l, without its id,
+// to dst.
+func appendRecord(dst []byte, l list) []byte {
+	if l.w == groupVarint {
+		dst = binary.AppendUvarint(dst, uint64(l.deg)<<3|gvTag)
+		return binary.AppendUvarint(dst, uint64(l.size-gvMin(l.deg)))
+	}
+	return binary.AppendUvarint(dst, uint64(l.deg)<<3|uint64(l.w-1))
 }
 
 // A nodeDecoder turns a node table's bytes, met front to back in pieces
@@ -79,22 +89,35 @@ func (t *tally) check() error {
 	return nil
 }
 
-// varintRecords decodes a version-3 or version-4 node table.
+// varintRecords decodes a node table of version 3, 4 or 5.
 type varintRecords struct {
 	tally
-	off  int64  // where the next list starts: the lengths of the lists before it
-	x    uint64 // the varint being decoded, its first k bytes
-	k    int
-	ids  bool     // version 4: each record leads with its id
-	half bool     // the id of the record being decoded is read
-	id   int64    // the id of the last record decoded, or being decoded once half
-	seen []uint64 // version 4: the ids met, a bit each
+	off   int64  // where the next list starts: the lengths of the lists before it
+	x     uint64 // the varint being decoded, its first k bytes
+	k     int
+	ids   bool     // each record leads with its id
+	shift uint     // a record's degree is its form varint >> shift
+	stage int      // which varint of the record is being decoded
+	id    int64    // the id of the last record decoded, or being decoded past stageID
+	cur   list     // the record's list, in stageExcess
+	seen  []uint64 // with ids: the ids met, a bit each
 }
 
+// The varints of a record, in order: an id's delta (when records carry
+// ids), the degree and form, and a group-varint list's excess.
+const (
+	stageID = iota
+	stageForm
+	stageExcess
+)
+
 func newVarintRecords(t tally) *varintRecords {
-	d := &varintRecords{tally: t, id: -1}
-	if t.meta.Version >= 4 {
-		d.ids, d.seen = true, make([]uint64, (int64(t.meta.N)+63)/64)
+	d := &varintRecords{tally: t, id: -1, shift: 2, stage: stageForm}
+	if !t.meta.IDOrder {
+		d.ids, d.seen, d.stage = true, make([]uint64, (int64(t.meta.N)+63)/64), stageID
+	}
+	if t.meta.Version >= 5 {
+		d.shift = 3
 	}
 	return d
 }
@@ -115,31 +138,55 @@ func (d *varintRecords) feed(p []byte, emit func(uint32, list) error) error {
 		if c >= 0x80 || (c == 0 && k > 1) {
 			return fmt.Errorf("storage: %s: record %d holds no shortest varint of at most %d bytes", d.path, d.v, maxRecordLen)
 		}
-		if d.ids && !d.half {
-			if err := d.place(x); err != nil {
-				return err
-			}
-			d.half = true
-			continue
-		}
-		d.half = false
-		if x >= 1<<34 {
-			return fmt.Errorf("storage: %s: record %d's degree and width take more than 34 bits", d.path, d.v)
-		}
 		v := d.v
 		if d.ids {
 			v = uint32(d.id)
 		}
-		l := list{off: d.off, deg: uint32(x >> 2), w: uint8(x&3) + 1}
-		if l.deg <= 1 && int64(l.w) != d.codec.idw {
-			return fmt.Errorf("storage: %s: node %d's list of %d ids gives gap width %d, not %d", d.path, v, l.deg, l.w, d.codec.idw)
+		switch d.stage {
+		case stageID:
+			if err := d.place(x); err != nil {
+				return err
+			}
+			d.stage = stageForm
+			continue
+		case stageForm:
+			if x >= 1<<(32+d.shift) {
+				return fmt.Errorf("storage: %s: record %d's degree and form take more than %d bits", d.path, d.v, 32+d.shift)
+			}
+			tag := x & (1<<d.shift - 1)
+			l := list{off: d.off, deg: uint32(x >> d.shift), w: uint8(tag) + 1}
+			if tag == gvTag {
+				if l.deg == 0 {
+					return fmt.Errorf("storage: %s: node %d's empty list is in the group-varint form", d.path, v)
+				}
+				l.w = groupVarint
+				d.cur, d.stage = l, stageExcess
+				continue
+			}
+			if tag > gvTag {
+				return fmt.Errorf("storage: %s: node %d's record gives list form %d", d.path, v, tag)
+			}
+			if l.deg <= 1 && int64(l.w) != d.codec.idw {
+				return fmt.Errorf("storage: %s: node %d's list of %d ids gives gap width %d, not %d", d.path, v, l.deg, l.w, d.codec.idw)
+			}
+			l.size = d.codec.length(l.deg, l.w)
+			d.cur = l
+		case stageExcess:
+			if x > 3*uint64(d.cur.deg) {
+				return fmt.Errorf("storage: %s: node %d's %d group-varint values take %d bytes beyond one each, more than 3 each", d.path, v, d.cur.deg, x)
+			}
+			d.cur.size = gvMin(d.cur.deg) + int64(x)
 		}
-		d.off += d.codec.length(l.deg, l.w)
+		d.stage = stageForm
+		if d.ids {
+			d.stage = stageID
+		}
+		d.off += d.cur.size
 		if d.off > d.meta.EtBytes {
 			return fmt.Errorf("storage: %s: node %d's list ends at byte %d, past the %d-byte edge table", d.path, v, d.off, d.meta.EtBytes)
 		}
-		d.arcs += int64(l.deg)
-		if err := emit(v, l); err != nil {
+		d.arcs += int64(d.cur.deg)
+		if err := emit(v, d.cur); err != nil {
 			return err
 		}
 		d.v++
@@ -240,7 +287,7 @@ func (d *legacyRecords) close(v uint32, end int64) (list, error) {
 	if !ok {
 		return l, fmt.Errorf("storage: %s: node %d's list of %d ids spans bytes [%d,%d) of the edge table, a length no gap width gives", d.path, v, l.deg, l.off, end)
 	}
-	l.w = w
+	l.w, l.size = w, end-l.off
 	return l, nil
 }
 
@@ -270,16 +317,16 @@ func (d *legacyRecords) done(emit func(uint32, list) error) error {
 // indexStride is how many consecutive positions share one sample.
 const indexStride = 64
 
-// nodeIndex is the node table held in memory: the records as version 3
-// or 4 encodes them (re-encoded from a version-1 or -2 table), one sample
-// every indexStride positions that says where its record and its list
-// start, and, for a table laid out in another order than ids, every id's
+// nodeIndex is the node table held in memory: the records as version 5
+// encodes them (re-encoded from an older table), one sample every
+// indexStride positions that says where its record and its list start,
+// and, for a table laid out in another order than ids, every id's
 // position. A scan decodes the records from a sample on; a lookup of one
 // node decodes at most indexStride−1 records before its own. A sample's
 // record leads with its id's delta from −1, not from the id before it, so
 // decoding can start there. The index takes nt + n/4 bytes in id order
-// and nt + 4n + n/4 + n/16 otherwise, nt the version-3 or -4 table's size
-// and n/16 the room reserved for the sampled records' longer deltas.
+// and nt + 4n + n/4 + n/16 otherwise, nt the version-5 table's size and
+// n/16 the room reserved for the sampled records' longer deltas.
 type nodeIndex struct {
 	codec   listCodec
 	recs    []byte
@@ -293,8 +340,8 @@ type sample struct {
 }
 
 // newIndex is the empty index of a table of n records, about nt bytes of
-// them as version 3 or 4 encodes them (0 if unknown), laid out in id
-// order unless reordered.
+// them as version 5 encodes them (0 if unknown), laid out in id order
+// unless reordered.
 func newIndex(codec listCodec, n uint32, nt int64, reordered bool) *nodeIndex {
 	samples := (int64(n) + indexStride - 1) / indexStride
 	if reordered {
@@ -318,7 +365,7 @@ func (x *nodeIndex) add(p uint32, prev int64, v uint32, l list) {
 		x.recs = binary.AppendVarint(x.recs, int64(v)-prev)
 		x.pos[v] = p
 	}
-	x.recs = appendRecord(x.recs, l.deg, l.w)
+	x.recs = appendRecord(x.recs, l)
 }
 
 // walker decodes an index's records in layout order from one position on.
@@ -365,8 +412,13 @@ func (w *walker) next() (uint32, list) {
 		w.id++
 	}
 	r := w.uvarint()
-	l := list{off: w.off, deg: uint32(r >> 2), w: uint8(r&3) + 1}
-	w.off += x.codec.length(l.deg, l.w)
+	l := list{off: w.off, deg: uint32(r >> 3), w: uint8(r&7) + 1}
+	if r&7 == gvTag {
+		l.w, l.size = groupVarint, gvMin(l.deg)+int64(w.uvarint())
+	} else {
+		l.size = x.codec.length(l.deg, l.w)
+	}
+	w.off += l.size
 	w.p++
 	return uint32(w.id), l
 }

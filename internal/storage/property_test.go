@@ -40,13 +40,37 @@ func gapWidth(n int, l []uint32) int64 {
 	return bytesPerID(gap)
 }
 
-// listBytes is what a list of a graph on n nodes takes in the edge
-// table: the first id in the width of n−1, then the gaps.
-func listBytes(n int, l []uint32) int64 {
+// fixedBytes is what a list of a graph on n nodes takes in the
+// fixed-width form: the first id in the width of n−1, then the gaps.
+func fixedBytes(n int, l []uint32) int64 {
 	if len(l) == 0 {
 		return 0
 	}
 	return bytesPerID(uint32(n-1)) + gapWidth(n, l)*int64(len(l)-1)
+}
+
+// gvBytes is what a list takes in the group-varint form: a control byte
+// per four values, and each value, the first id then the gaps, in the
+// fewest bytes that hold it.
+func gvBytes(l []uint32) int64 {
+	sum, prev := int64(len(l)+3)/4, uint32(0)
+	for _, u := range l {
+		sum += bytesPerID(u - prev)
+		prev = u
+	}
+	return sum
+}
+
+// grouped reports whether a list is stored in the group-varint form: when
+// that is strictly shorter.
+func grouped(n int, l []uint32) bool {
+	return gvBytes(l) < fixedBytes(n, l)
+}
+
+// listBytes is what a list of a graph on n nodes takes in the edge
+// table: the shorter of its two forms.
+func listBytes(n int, l []uint32) int64 {
+	return min(fixedBytes(n, l), gvBytes(l))
 }
 
 // etBytes is the edge table's size for adj.
@@ -58,13 +82,20 @@ func etBytes(adj [][]uint32) int64 {
 	return sum
 }
 
-// recordBytes is what a list's record takes in a version-3 node table:
-// a uvarint of deg<<2 | (w−1).
+// recordBytes is what a list's record takes in an id-order node table: a
+// uvarint of deg<<3 | (w−1) for the fixed-width form, of deg<<3 | 4 for
+// the group-varint form, followed then by a uvarint of the bytes its
+// values take beyond one each.
 func recordBytes(n int, l []uint32) int64 {
-	return int64(len(binary.AppendUvarint(nil, uint64(len(l))<<2|uint64(gapWidth(n, l)-1))))
+	if grouped(n, l) {
+		rec := binary.AppendUvarint(nil, uint64(len(l))<<3|4)
+		rec = binary.AppendUvarint(rec, uint64(gvBytes(l)-int64(len(l))-int64(len(l)+3)/4))
+		return int64(len(rec))
+	}
+	return int64(len(binary.AppendUvarint(nil, uint64(len(l))<<3|uint64(gapWidth(n, l)-1))))
 }
 
-// ntBytes is the version-3 node table's size for adj.
+// ntBytes is the id-order node table's size for adj.
 func ntBytes(adj [][]uint32) int64 {
 	var sum int64
 	for _, l := range adj {
@@ -601,14 +632,14 @@ func TestPropertyScanVerified(t *testing.T) {
 			restore()
 		}
 
-		// A broken tiling the header vouches for: the first list of two
-		// or more ids gets another gap width in the two low bits of its
-		// record's first byte, which moves every later list — the record
-		// still a shortest varint, the node-table checksum recomputed to
-		// match.
+		// A broken tiling the header vouches for: the first fixed-width
+		// list of two or more ids gets another gap width in the two low
+		// bits of its record's first byte, which moves every later list —
+		// the record still a shortest varint, the node-table checksum
+		// recomputed to match.
 		var at int64
 		for _, l := range adj {
-			if len(l) >= 2 {
+			if len(l) >= 2 && !grouped(n, l) {
 				bad := append([]byte(nil), nt...)
 				bad[at] ^= 1 + byte(r.Intn(3))
 				os.WriteFile(base+".nt", bad, 0o644)

@@ -252,9 +252,59 @@ func TestBuilderPadsMissingNodes(t *testing.T) {
 	}
 }
 
-// TestBuilderLayout: lists appended in id order give format version 3,
-// whose node table is one varint a node; the same lists in another order
-// give version 4, whose records carry their ids, and a graph that
+// TestBuilderGroupVarint builds a graph on 2^17 nodes, whose ids take 3
+// bytes, from lists that the group-varint form stores in fewer bytes and
+// lists it does not, first in id order and then out of it, so that the
+// records already written, two varints each for a group-varint list, are
+// led by ids afterwards. Every list reads back as appended, from its
+// shorter form.
+func TestBuilderGroupVarint(t *testing.T) {
+	const n = 1 << 17
+	lists := [][]uint32{
+		{5, 7},                  // group varint: 3 bytes, fixed width 4
+		{3, 300, 70000, 130000}, // group varint: 9 bytes, fixed width 12
+		{9},                     // group varint: 2 bytes, fixed width 3
+		{1000, 2000, 3000},      // fixed width: 7 bytes, group varint 7
+		{70000},                 // fixed width: 3 bytes, group varint 4
+		{},
+	}
+	order := []uint32{0, 1, 2, 9, 3, 4, 8, 5}
+	base := filepath.Join(t.TempDir(), "g")
+	b, err := NewBuilder(base, n, stats.NewIOCounter(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for i, v := range order {
+		l := lists[i%len(lists)]
+		if err := b.AppendList(v, l); err != nil {
+			t.Fatal(err)
+		}
+		want += listBytes(n, l)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadMeta(base)
+	if err != nil || m.IDOrder || m.EtBytes != want {
+		t.Fatalf("header %+v (%v): want the lists out of id order in %d bytes", m, err, want)
+	}
+	g, err := Open(base, stats.NewIOCounter(0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for i, v := range order {
+		got, err := g.Neighbors(v, nil)
+		if l := lists[i%len(lists)]; err != nil || !slices.Equal(got, l) {
+			t.Errorf("node %d: %v (%v), want %v", v, got, err, l)
+		}
+	}
+}
+
+// TestBuilderLayout: lists appended in id order give a header that says
+// idorder=1 and a node table of one varint a node; the same lists in
+// another order give records that carry their ids, and a graph that
 // scans, positions and looks up every node as laid out. Nodes never
 // appended are padded after the rest, in id order, with empty lists.
 func TestBuilderLayout(t *testing.T) {
@@ -285,12 +335,12 @@ func TestBuilderLayout(t *testing.T) {
 		t.Cleanup(func() { g.Close() })
 		return m, g
 	}
-	if m, g := build(0, 1, 2); m.Version != 3 || m.NtBytes != 6 || g.Positions() != nil {
-		t.Fatalf("in id order: header %+v, Positions %v; want version 3, a byte a node, nil (the identity)", m, g.Positions())
+	if m, g := build(0, 1, 2); m.Version != FormatVersion || !m.IDOrder || m.NtBytes != 6 || g.Positions() != nil {
+		t.Fatalf("in id order: header %+v, Positions %v; want version %d in id order, a byte a node, nil (the identity)", m, g.Positions(), FormatVersion)
 	}
 	m, g := build(4, 1, 0, 2)
-	if m.Version != 4 || m.NtBytes != 12 {
-		t.Fatalf("out of id order: header %+v, want version 4 and two bytes a node", m)
+	if m.Version != FormatVersion || m.IDOrder || m.NtBytes != 12 {
+		t.Fatalf("out of id order: header %+v, want version %d out of id order and two bytes a node", m, FormatVersion)
 	}
 	layout := []uint32{4, 1, 0, 2, 3, 5}
 	pos := g.Positions()

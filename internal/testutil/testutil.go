@@ -94,12 +94,14 @@ var Families = []Family{
 
 // The I/O gates' graph is RMAT(13, 12) at seed 1. Its 4-byte-per-arc
 // edge table of format version 1, GateV1Bytes, was 2.42 times the
-// default 64 frames of 4 KiB the gates read through; the gap-coded table
-// (302,092 bytes, 74 blocks) would nearly fit them, so the gates read
-// through GateFrames, which it overflows by at least as much.
+// default 64 frames of 4 KiB the gates read through; the encoded table
+// would nearly fit them, so the gates read through GateFrames, which it
+// overflows by at least as much: Build's version-5 table is 219,633 bytes
+// (54 blocks), 2.44 times 22 frames (the fixed-width lists of version 4
+// took 302,092, 2.46 times the 30 frames the gates read through then).
 const (
 	GateV1Bytes = 635304
-	GateFrames  = 30
+	GateFrames  = 22
 )
 
 // GateEdges generates the gates' graph.

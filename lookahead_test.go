@@ -340,3 +340,44 @@ func TestExtractKCoreIOGate(t *testing.T) {
 		sub.Close()
 	}
 }
+
+// TestKCoreSubgraphIOGate pins what KCoreSubgraph reads on a fresh
+// handle: the node table into the index, then the members' lists only,
+// as ExtractKCore reads them — at k = 1 the whole table, at Kmax its
+// tail. The edges are the ones VisitEdges streams with both ends of core
+// ≥ k, in the same order.
+func TestKCoreSubgraphIOGate(t *testing.T) {
+	base, edges := testutil.GateGraph(t)
+	core := imcore.Decompose(gen.Build(edges), nil).Core
+	for _, leg := range []struct {
+		name string
+		k    uint32
+	}{{"k=1", 1}, {"k=kmax", slices.Max(core)}} {
+		g, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: testutil.GateFrames})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		opened := g.IOStats().Reads
+		got, err := g.KCoreSubgraph(core, leg.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := g.IOStats().Reads - opened
+		t.Logf("%s: %d edges, %d block reads", leg.name, len(got), reads)
+		pins.Check(t, leg.name+".reads", reads)
+
+		var want []kcore.Edge
+		if err := g.VisitEdges(func(u, v uint32) error {
+			if core[u] >= leg.k && core[v] >= leg.k {
+				want = append(want, kcore.Edge{U: u, V: v})
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: %d edges, want the %d VisitEdges streams with both ends in the core, in its order", leg.name, len(got), len(want))
+		}
+	}
+}

@@ -211,16 +211,23 @@ func (s *CoreSnapshot) Sizes() []int64 {
 	return sizes
 }
 
-// KCoreSubgraph extracts the edges of the k-core via one sequential scan
-// of the graph.
+// KCoreSubgraph extracts the edges of the k-core: every edge {u, v} with
+// both ends of core ≥ k once, as VisitEdges streams them (u < v, in
+// layout order, each node's by ascending v). Like ExtractKCore it is one
+// scan in layout order that reads only the members' lists — along
+// Build's peeling order a suffix of the table.
 func (g *Graph) KCoreSubgraph(core []uint32, k uint32) ([]Edge, error) {
-	if uint32(len(core)) != g.NumNodes() {
-		return nil, fmt.Errorf("kcore: core array covers %d nodes, graph has %d", len(core), g.NumNodes())
+	n := g.NumNodes()
+	if uint32(len(core)) != n {
+		return nil, fmt.Errorf("kcore: core array covers %d nodes, graph has %d", len(core), n)
 	}
 	var edges []Edge
-	err := g.VisitEdges(func(u, v uint32) error {
-		if core[u] >= k && core[v] >= k {
-			edges = append(edges, Edge{U: u, V: v})
+	member := func(v uint32) bool { return core[v] >= k }
+	err := g.dyn.ScanDynamic(0, func() uint32 { return n - 1 }, member, func(v uint32, nbrs []uint32) error {
+		for _, u := range nbrs {
+			if u > v && core[u] >= k {
+				edges = append(edges, Edge{U: v, V: u})
+			}
 		}
 		return nil
 	})
