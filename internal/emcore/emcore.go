@@ -22,13 +22,14 @@
 // "Deviations from the paper".
 //
 // Partition files are written through storage.BlockWriter and read back
-// through a one-frame storage.BlockCache held to the CRC32C of every
-// block their writer flushed, so a damaged partition fails the run.
+// through a storage.Reader held to the CRC32C of every block their
+// writer flushed, so a damaged partition fails the run.
 package emcore
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -485,44 +486,33 @@ func rewrite(p *partition, finalized []bool, ctr *stats.IOCounter) error {
 	return nil
 }
 
-// readPartition streams (node, neighbours) records from a partition file,
-// read through a frame of its own and held to its writer's checksums.
+// readPartition streams (node, neighbours) records from a partition file
+// through a storage.Reader held to its writer's checksums.
 func readPartition(p partition, ctr *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
-	f, err := storage.NewBlockCache(1, ctr.BlockSize()).Open(p.paths[p.cur], p.crcs, ctr)
+	rd, err := storage.OpenReader(p.paths[p.cur], p.crcs, ctr)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	var hdr [8]byte
+	defer rd.Close()
 	var nbrs []uint32
-	var raw []byte
-	off := int64(0)
-	for off < f.Size() {
-		if err := f.ReadAt(hdr[:], off); err != nil {
+	for {
+		hdr, err := rd.Next(8)
+		if err == io.EOF {
+			return nil
+		} else if err != nil {
 			return err
 		}
-		off += 8
-		v := binary.LittleEndian.Uint32(hdr[0:4])
-		deg := binary.LittleEndian.Uint32(hdr[4:8])
-		need := int(deg) * 4
-		if cap(raw) < need {
-			raw = make([]byte, need)
-		}
-		r := raw[:need]
-		if err := f.ReadAt(r, off); err != nil {
+		v, deg := binary.LittleEndian.Uint32(hdr[0:4]), binary.LittleEndian.Uint32(hdr[4:8])
+		raw, err := rd.Next(4 * int(deg))
+		if err != nil {
 			return err
 		}
-		off += int64(need)
-		if cap(nbrs) < int(deg) {
-			nbrs = make([]uint32, deg)
-		}
-		nbrs = nbrs[:deg]
-		for i := range nbrs {
-			nbrs[i] = binary.LittleEndian.Uint32(r[4*i:])
+		nbrs = nbrs[:0]
+		for i := range deg {
+			nbrs = append(nbrs, binary.LittleEndian.Uint32(raw[4*i:]))
 		}
 		if err := fn(v, nbrs); err != nil {
 			return err
 		}
 	}
-	return nil
 }

@@ -2,7 +2,10 @@ package emcore
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"kcore/internal/gen"
@@ -187,5 +190,54 @@ func TestEMCoreIOGate(t *testing.T) {
 		pins.Check(t, leg+"reads", ctr.Reads())
 		pins.Check(t, leg+"writes", ctr.Writes())
 		pins.Check(t, leg+"rounds", int64(res.Rounds))
+	}
+}
+
+// TestPartitionsReadBack writes a graph's lists as one partition and
+// reads them back through readPartition: at B = 6, where every 8-byte
+// record header straddles a block boundary, and at 4,096, each record as
+// written. Then a byte flipped in the middle of the second
+// FlushBlocks-block read fails the read at that block.
+func TestPartitionsReadBack(t *testing.T) {
+	g := gen.Build(gen.ErdosRenyi(2000, 14000, 57))
+	dg := onDisk(t, g)
+	for _, B := range []int{6, 4096} {
+		ctr := stats.NewIOCounter(B)
+		parts, err := buildPartitions(dg, t.TempDir(), dg.NumArcs(), make([]uint32, g.NumNodes()), ctr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(parts) != 1 {
+			t.Fatalf("B=%d: %d partitions, want one", B, len(parts))
+		}
+		v := uint32(0)
+		err = readPartition(parts[0], ctr, func(u uint32, nbrs []uint32) error {
+			if want := g.Neighbors(v); u != v || !slices.Equal(nbrs, want) {
+				return fmt.Errorf("record %d: node %d with %d neighbours, want %d with %d", v, u, len(nbrs), v, len(want))
+			}
+			v++
+			return nil
+		})
+		if err != nil || v != g.NumNodes() {
+			t.Fatalf("B=%d: %d of %d records read back: %v", B, v, g.NumNodes(), err)
+		}
+
+		path := parts[0].paths[parts[0].cur]
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := storage.FlushBlocks * 3 / 2
+		if len(data) < (blk+1)*B {
+			t.Fatalf("B=%d: a %d-byte partition has no block %d", B, len(data), blk)
+		}
+		data[blk*B+B/2] ^= 0x10
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err = readPartition(parts[0], ctr, func(uint32, []uint32) error { return nil })
+		if want := fmt.Sprintf("block %d of %s corrupt", blk, path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("B=%d: a partition damaged in block %d: err = %v, want %q", B, blk, err, want)
+		}
 	}
 }

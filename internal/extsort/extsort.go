@@ -14,19 +14,20 @@
 // Iterate then merges the runs with a typed binary heap of (key, run)
 // pairs, on a goroutine of its own that hands the merged keys to the
 // caller's in 64 KiB batches, so that reading the runs overlaps what the
-// caller does with the arcs. Runs are encoded, written, read and decoded a block at a time,
-// and all of that traffic is charged to an I/O counter at block
-// granularity, so graph construction costs what its passes cost and is
-// measurable alongside algorithm cost. Each run keeps
-// the CRC32C of every block its writer flushed, and the merge reads it
-// back through a one-frame storage.BlockCache held to them: a damaged run
-// fails the merge instead of reaching the graph it builds.
+// caller does with the arcs. Runs are written and read
+// storage.FlushBlocks blocks per system call, and all of that traffic is
+// charged to an I/O counter at block granularity, so graph construction
+// costs what its passes cost and is measurable alongside algorithm cost.
+// Each run keeps the CRC32C of every block its writer flushed, and the
+// merge reads it back through a storage.Reader held to them: a damaged
+// run fails the merge instead of reaching the graph it builds.
 package extsort
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -68,8 +69,8 @@ const defaultBudgetArcs = 1 << 20
 
 // Sorter accumulates arcs and yields them in sorted order. The arc-sized
 // memory it holds — the key buffer plus the radix scratch — never exceeds
-// its budget; the merge adds two blocks per run. A spilled run is written
-// twice and read twice: unsorted, then sorted, then merged.
+// its budget; the merge adds storage.FlushBlocks blocks a run. A spilled
+// run is written twice and read twice: unsorted, then sorted, then merged.
 type Sorter struct {
 	dir      string
 	io       *stats.IOCounter
@@ -184,16 +185,16 @@ func (s *Sorter) BudgetBytes() int { return 2 * 8 * s.bufCap }
 // sortRun reads the unsorted run r back into the buffer, keys and sorts
 // it, and writes it over itself.
 func (s *Sorter) sortRun(r *run, rank []uint32) error {
-	rd, err := openRun(*r, s.io)
+	rd, err := storage.OpenReader(r.path, r.crcs, s.io)
 	if err != nil {
 		return err
 	}
 	s.buf = s.buf[:0]
 	for {
-		key, ok, err := rd.next()
-		if err != nil || !ok {
-			rd.f.Close()
-			if err != nil {
+		key, err := nextKey(rd)
+		if err != nil {
+			rd.Close()
+			if err != io.EOF {
 				return err
 			}
 			break
@@ -255,25 +256,24 @@ func (s *Sorter) Iterate(rank []uint32, fn func(a Arc) error) error {
 	// memory.
 	s.buf, s.scratch = nil, nil
 
-	readers := make([]*runReader, 0, len(s.runs))
+	readers := make([]*storage.Reader, 0, len(s.runs))
 	defer func() {
 		for _, r := range readers {
-			r.f.Close()
+			r.Close()
 		}
 	}()
 	h := make(mergeHeap, 0, len(s.runs))
 	for _, run := range s.runs {
-		r, err := openRun(run, s.io)
+		r, err := storage.OpenReader(run.path, run.crcs, s.io)
 		if err != nil {
 			return err
 		}
 		readers = append(readers, r)
-		key, ok, err := r.next()
-		if err != nil {
-			return err
-		}
-		if ok {
+		key, err := nextKey(r)
+		if err == nil {
 			h = append(h, mergeItem{key: key, run: r})
+		} else if err != io.EOF {
+			return err
 		}
 	}
 	h.init()
@@ -327,15 +327,14 @@ func (h mergeHeap) merge(free <-chan []uint64, full chan<- []uint64, done <-chan
 	for len(h) > 0 {
 		top := &h[0]
 		batch = append(batch, top.key)
-		key, ok, err := top.run.next()
-		if err != nil {
-			return err
-		}
-		if ok {
+		key, err := nextKey(top.run)
+		if err == nil {
 			top.key = key
-		} else {
+		} else if err == io.EOF {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
+		} else {
+			return err
 		}
 		h.down(0)
 		if len(batch) == cap(batch) || len(h) == 0 {
@@ -374,7 +373,7 @@ func (s *Sorter) Close() error {
 // them by key. Equal keys are equal arcs, so ties need no order.
 type mergeItem struct {
 	key uint64
-	run *runReader
+	run *storage.Reader
 }
 
 type mergeHeap []mergeItem
@@ -441,46 +440,11 @@ func writeRun(path string, keys []uint64, ctr *stats.IOCounter) (run, error) {
 	return run{path: path, crcs: w.BlockCRCs()}, nil
 }
 
-// runReader streams one run file's keys, storage.FlushBlocks blocks per
-// system call, each block held to its checksum and charged as one read.
-type runReader struct {
-	f   *storage.CachedFile
-	blk int64  // the next block to read
-	buf []byte // the blocks last read, after the bytes of a key they split; buf[pos:] is not yet consumed
-	pos int
-	b   int
-}
-
-func openRun(r run, ctr *stats.IOCounter) (*runReader, error) {
-	f, err := storage.NewBlockCache(1, ctr.BlockSize()).Open(r.path, r.crcs, ctr)
+// nextKey returns the run's next key, io.EOF at its end.
+func nextKey(r *storage.Reader) (uint64, error) {
+	p, err := r.Next(arcBytes)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	if f.Size()%arcBytes != 0 {
-		f.Close()
-		return nil, fmt.Errorf("extsort: run %s holds %d bytes, not whole arcs", r.path, f.Size())
-	}
-	b := ctr.BlockSize()
-	return &runReader{f: f, buf: make([]byte, 0, storage.FlushBlocks*b+arcBytes), b: b}, nil
-}
-
-// next returns the run's next key, or ok == false at its end.
-func (r *runReader) next() (key uint64, ok bool, err error) {
-	if len(r.buf)-r.pos < arcBytes {
-		// Keep the bytes of a key the last blocks split (a block size
-		// that is no multiple of the arcs'), then read the next blocks.
-		left := copy(r.buf[:cap(r.buf)], r.buf[r.pos:])
-		n, err := r.f.ReadBlocks(r.buf[left:cap(r.buf)-arcBytes+left], r.blk)
-		if err != nil {
-			return 0, false, err
-		}
-		r.buf, r.pos = r.buf[:left+n], 0
-		r.blk += int64((n + r.b - 1) / r.b)
-		if len(r.buf) < arcBytes {
-			return 0, false, nil
-		}
-	}
-	key = getKey(r.buf[r.pos:])
-	r.pos += arcBytes
-	return key, true, nil
+	return getKey(p), nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"kcore/internal/stats"
+	"kcore/internal/storage"
 )
 
 // cmpArc is the reference order, written without the packed key.
@@ -184,7 +186,10 @@ func TestIterateByRank(t *testing.T) {
 
 // TestDamagedRunFailsMerge flips one byte of a spilled run before the
 // merge: the run's reader holds every block to the checksum its writer
-// recorded, so Iterate fails instead of merging the damaged arc.
+// recorded, so Iterate fails instead of merging the damaged arc. The
+// runs of the first sorter are a block each; those of the second are 32,
+// and the flipped byte lies in the middle of the second FlushBlocks-block
+// read, which fails at that block.
 func TestDamagedRunFailsMerge(t *testing.T) {
 	s := NewSorter(t.TempDir(), 64, stats.NewIOCounter(256))
 	defer s.Close()
@@ -210,6 +215,27 @@ func TestDamagedRunFailsMerge(t *testing.T) {
 	err = s.Iterate(nil, func(Arc) error { merged++; return nil })
 	if err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("merge of a damaged run: err = %v after %d of %d arcs, want a checksum error", err, merged, len(arcs))
+	}
+
+	const B, blk = 256, storage.FlushBlocks * 3 / 2
+	s = NewSorter(t.TempDir(), 2*32*B/arcBytes, stats.NewIOCounter(B))
+	defer s.Close()
+	for _, a := range arcs {
+		if err := s.Add(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path = s.runs[1].path
+	if data, err = os.ReadFile(path); err != nil || len(data) != 32*B {
+		t.Fatalf("run %s: %d bytes (%v), want 32 blocks", path, len(data), err)
+	}
+	data[blk*B+B/2] ^= 0x10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Iterate(nil, func(Arc) error { return nil })
+	if want := fmt.Sprintf("block %d of %s corrupt", blk, path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("merge of a run damaged in block %d: err = %v, want %q", blk, err, want)
 	}
 }
 
@@ -405,16 +431,16 @@ func TestRunFileFormatAndCharges(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("B=%d: run file bytes differ from little-endian (U,V) pairs", blockSize)
 		}
-		r, err := openRun(run, ctr)
+		r, err := storage.OpenReader(run.path, run.crcs, ctr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; ; i++ {
-			key, ok, err := r.next()
-			if err != nil {
+			key, err := nextKey(r)
+			if err != nil && err != io.EOF {
 				t.Fatal(err)
 			}
-			if !ok {
+			if err == io.EOF {
 				if i != len(keys) {
 					t.Fatalf("B=%d: run ended after %d of %d arcs", blockSize, i, len(keys))
 				}
@@ -424,7 +450,7 @@ func TestRunFileFormatAndCharges(t *testing.T) {
 				t.Fatalf("B=%d: arc %d = %v, want %v", blockSize, i, arcOf(key), arcs[i])
 			}
 		}
-		r.f.Close()
+		r.Close()
 		blocks := (int64(len(want)) + int64(blockSize) - 1) / int64(blockSize)
 		snap := ctr.Snapshot()
 		if snap.Writes != blocks || snap.Reads != blocks ||

@@ -19,7 +19,6 @@ import (
 
 	"kcore/internal/extsort"
 	"kcore/internal/graph"
-	"kcore/internal/localcore"
 	"kcore/internal/memgraph"
 	"kcore/internal/semicore"
 	"kcore/internal/stats"
@@ -190,7 +189,7 @@ func writeTables(base string, sorter *extsort.Sorter, order, est []uint32, ctr *
 		cur     int64 = -1 // the position whose list is being gathered
 		nbrs    []uint32
 		prevNbr int64 = -1
-		lc      localcore.Buf
+		lc      semicore.Buf
 	)
 	// upTo appends the list gathered at cur and empty ones up to p.
 	upTo := func(p int64) error {

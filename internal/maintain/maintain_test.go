@@ -177,7 +177,7 @@ func corpus(tb testing.TB) map[string]*memgraph.CSR {
 // maintained cores against from-scratch references and the cnt invariant
 // after every operation. Every node an iteration recomputes must enter it
 // with an estimate of at most deg+1, the bound that keeps the recompute
-// kernel's histogram clear O(deg) (localcore.Buf), and every
+// kernel's histogram clear O(deg) (semicore.Buf), and every
 // operation must leave every status byte at φ.
 func TestMaintenanceRandomChurn(t *testing.T) {
 	for name, g := range corpus(t) {

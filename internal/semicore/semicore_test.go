@@ -6,7 +6,6 @@ import (
 
 	"kcore/internal/gen"
 	"kcore/internal/graph"
-	"kcore/internal/localcore"
 	"kcore/internal/memgraph"
 	"kcore/internal/verify"
 )
@@ -271,7 +270,7 @@ func TestComputationOrdering(t *testing.T) {
 // TestLocalCoreUnit pins LocalCore behaviour on crafted inputs, including
 // the walkthrough in Example 4.1 (v3's first recomputation).
 func TestLocalCoreUnit(t *testing.T) {
-	var b localcore.Buf
+	var b Buf
 	core := []uint32{3, 3, 3, 6, 3, 5, 3, 2, 1}
 	// Example 4.1: processing v3 with neighbour cores {3,3,3,3,5,3} -> 3.
 	nbrs := []uint32{0, 1, 2, 4, 5, 6}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"kcore/internal/graph"
-	"kcore/internal/localcore"
 	"kcore/internal/stats"
 )
 
@@ -16,7 +15,7 @@ import (
 type State struct {
 	Core []uint32
 	Cnt  []int32
-	buf  localcore.Buf
+	buf  Buf
 	viol []uint32 // scratch: the violated neighbours recompute returns
 	// paperRule makes recompute read neighbours' stored estimates only
 	// (Algorithm 5 as printed). Nothing outside the tests sets it: they
@@ -51,7 +50,7 @@ func (s *State) ComputeCnt(nbrs []uint32, cv uint32) int32 {
 
 // recompute is the one recompute step of SemiCore* (Algorithm 5 lines
 // 8-12 fused): apply the locality equation to v over its neighbours'
-// lookahead bounds (localcore.Buf.LocalCore), then in a single walk set
+// lookahead bounds (Buf.LocalCore), then in a single walk set
 // cnt(v) per Eq. 2 against the stored estimates, take v out of the
 // support set of every neighbour u with cnew < core(u) <= cold
 // (UpdateNbrCnt, lines 21-24), and collect the counted neighbours left
@@ -199,7 +198,7 @@ func (s *State) converge(g graph.Source, rv *revisits, dirty bool, pmin, pmax ui
 // exactly once in the first pass, establishing real counters, then
 // converge over the full node range. The paper writes the marker as
 // cnt(v) <- 0; here it is -1, because the lookahead of
-// localcore.Buf.LocalCore reads a neighbour's cnt as evidence and a
+// Buf.LocalCore reads a neighbour's cnt as evidence and a
 // marker must not pass for a count. A marker is only ever decremented
 // before its node's first computation overwrites it, so it stays
 // negative; isolated nodes get the real count 0.

@@ -7,7 +7,9 @@
 // tables or an in-memory CSR. Passes is the one partial-scan pass engine
 // (UpdateRange) under SemiCore+, SemiCore* and internal/maintain's
 // SemiInsert and SemiInsert*. Every recompute applies the locality
-// equation through internal/localcore.
+// equation through Buf.LocalCore, the repository's one h-index, which
+// internal/graphio's Build also runs once per list for its core
+// estimate.
 package semicore
 
 // Trace observes one finished iteration of a decomposition or maintenance

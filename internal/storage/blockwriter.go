@@ -18,9 +18,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // writer (keepGranules) keeps the CRC32C of the whole stream, which the
 // header stores (ntcrc, etcrc), and of every granule of it, the checksum
 // sidecar's contents. Every other writer — sort runs, EMCore partitions
-// — keeps the CRC32C of each block, for a BlockCache to read the file
-// back against (BlockCRCs); it flushes whole blocks only until Close, so
-// its blocks are the file's.
+// — keeps the CRC32C of each block, for a Reader to read the file back
+// against (BlockCRCs); it flushes whole blocks only until Close, so its
+// blocks are the file's.
 type BlockWriter struct {
 	f    faultfs.File
 	b    int
@@ -36,8 +36,8 @@ type BlockWriter struct {
 	blocks       []uint32 // flushed blocks' CRC32Cs, without granules
 }
 
-// FlushBlocks is how many blocks a sort run's or a partition's writer
-// buffers, and a run reader (extsort) reads, per system call.
+// FlushBlocks is how many blocks a Reader reads per system call, whatever
+// file it reads, and a sort run's or a partition's writer buffers.
 const FlushBlocks = 16
 
 // CreateBlockWriter creates (truncates) path for counted writing on the
@@ -70,9 +70,9 @@ func createBlockWriter(fsys faultfs.FS, path string, ctr *stats.IOCounter, block
 }
 
 // BlockCRCs reports the CRC32C of every block flushed so far: after
-// Close, one per block of the file, what BlockCache.Open holds a reader
-// of it to. An empty file's is empty, not nil: Open still holds the
-// file to a count of zero blocks.
+// Close, one per block of the file, what OpenReader holds a read of it
+// to. An empty file's is empty, not nil: OpenReader still holds the file
+// to a count of zero blocks.
 func (bw *BlockWriter) BlockCRCs() []uint32 {
 	if bw.blocks == nil {
 		return []uint32{}

@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync/atomic"
 
 	"kcore/internal/stats"
@@ -136,56 +137,27 @@ func (c *BlockCache) drop(id uint64) {
 // I/O per block actually fetched from disk. Every fetched block is
 // verified against its CRC32C before it enters the cache: a bit flip or a
 // torn block surfaces as an error at read time, never as silently wrong
-// bytes, and whole-block truncation is caught at Open by the
-// size/checksum-count cross-check.
+// bytes.
 type CachedFile struct {
-	f     *os.File
-	path  string
-	size  int64
+	*blockFile
 	id    uint64
 	cache *BlockCache
-	crcs  []uint32 // per-block CRC32C; nil until the first stream records them
-	io    *stats.IOCounter
 	last  int // the frame the previous lookup was served from
 }
 
-// Open opens path for cached, counted reading. crcs, when non-nil, must
-// hold one CRC32C per block of the file at the cache's block size; the
-// count is cross-checked against the file size here so a truncated or
-// grown file is rejected immediately. A file opened with none must be
-// streamed, which records them, before its first fill.
+// Open opens path for cached reading held to crcs (openBlockFile); a file
+// opened with none must be read whole by its reader before its first fill.
 func (c *BlockCache) Open(path string, crcs []uint32, ctr *stats.IOCounter) (*CachedFile, error) {
-	f, err := os.Open(path)
+	bf, err := openBlockFile(path, c.b, crcs, ctr)
 	if err != nil {
 		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	size := fi.Size()
-	if crcs != nil {
-		want := int((size + int64(c.b) - 1) / int64(c.b))
-		if len(crcs) != want {
-			f.Close()
-			return nil, fmt.Errorf("storage: %s: %d blocks on disk but %d checksums recorded (truncated or resized)", path, want, len(crcs))
-		}
 	}
 	c.nextID++
-	return &CachedFile{
-		f:     f,
-		path:  path,
-		size:  size,
-		id:    c.nextID,
-		cache: c,
-		crcs:  crcs,
-		io:    ctr,
-	}, nil
+	return &CachedFile{blockFile: bf, id: c.nextID, cache: c}, nil
 }
 
-// Size reports the file size in bytes.
-func (cf *CachedFile) Size() int64 { return cf.size }
+// reader returns a Reader of the whole file, outside the frames.
+func (cf *CachedFile) reader() *Reader { return &Reader{blockFile: cf.blockFile} }
 
 // Close invalidates the file's cached blocks and closes it.
 func (cf *CachedFile) Close() error {
@@ -200,9 +172,10 @@ func (cf *CachedFile) resident(id int64) bool {
 	return ok
 }
 
-// block returns the valid bytes of block id, from the cache on a hit,
-// loading (and verifying) from disk on a miss. The returned slice aliases
-// the cache frame and is only valid until the next cache operation.
+// block returns the valid bytes of block id, a block of the file, from
+// the cache on a hit, loading (and verifying) from disk on a miss. The
+// returned slice aliases the cache frame and is only valid until the
+// next cache operation.
 func (cf *CachedFile) block(id int64) ([]byte, error) {
 	c := cf.cache
 	key := blockKey{file: cf.id, block: id}
@@ -222,16 +195,13 @@ func (cf *CachedFile) block(id int64) ([]byte, error) {
 	}
 	c.misses.Add(1)
 	off := id * int64(c.b)
-	if off >= cf.size {
-		return nil, fmt.Errorf("storage: block %d of %s beyond EOF (size %d)", id, cf.path, cf.size)
-	}
 	n := min(int64(c.b), cf.size-off)
 	idx = c.grab()
 	fr := &c.frames[idx]
 	if fr.buf == nil {
 		fr.buf = make([]byte, c.b)
 	}
-	if err := cf.load(fr.buf[:n], id); err != nil {
+	if err := cf.read(fr.buf[:n], off, nil); err != nil {
 		return nil, err
 	}
 	fr.key = key
@@ -241,97 +211,6 @@ func (cf *CachedFile) block(id int64) ([]byte, error) {
 	c.index[key] = idx
 	cf.last = idx
 	return fr.buf[:n], nil
-}
-
-// read reads block id, whose whole length dst must be, from the file and
-// charges one read.
-func (cf *CachedFile) read(dst []byte, id int64) error {
-	off := id * int64(cf.cache.b)
-	n, err := cf.f.ReadAt(dst, off)
-	if err != nil && err != io.EOF {
-		return err
-	}
-	if n != len(dst) {
-		return fmt.Errorf("storage: short block read on %s: got %d want %d at off %d (truncated)", cf.path, n, len(dst), off)
-	}
-	cf.io.AddReadBlocks(1)
-	return nil
-}
-
-// load reads block id and holds it to its recorded checksum.
-func (cf *CachedFile) load(dst []byte, id int64) error {
-	if err := cf.read(dst, id); err != nil {
-		return err
-	}
-	if got, want := crc32.Checksum(dst, castagnoli), cf.crcs[id]; got != want {
-		return fmt.Errorf("storage: block %d of %s corrupt: crc %08x want %08x", id, cf.path, got, want)
-	}
-	return nil
-}
-
-// stream reads the whole file front to back through a buffer of its own,
-// not the frames, and calls fn with each block in turn: one read charged
-// per block, each verified as a cache fill is — or, on a file opened
-// without checksums, recorded for the fills to come (the open's pass).
-func (cf *CachedFile) stream(fn func(blk []byte) error) error {
-	b := int64(cf.cache.b)
-	buf := make([]byte, b)
-	var crcs []uint32
-	record := cf.crcs == nil
-	if record {
-		crcs = make([]uint32, 0, (cf.size+b-1)/b)
-	}
-	for id := int64(0); id*b < cf.size; id++ {
-		blk := buf[:min(b, cf.size-id*b)]
-		var err error
-		if record {
-			err = cf.read(blk, id)
-			crcs = append(crcs, crc32.Checksum(blk, castagnoli))
-		} else {
-			err = cf.load(blk, id)
-		}
-		if err != nil {
-			return err
-		}
-		cf.io.AddReadBytes(int64(len(blk)))
-		if err := fn(blk); err != nil {
-			return err
-		}
-	}
-	if record {
-		cf.crcs = crcs
-	}
-	return nil
-}
-
-// ReadBlocks reads whole blocks into p from block first on, as many as
-// p holds and the file has (its last block may be short), with one system
-// call and past the frames: each block is held to its checksum and
-// charged as one read. It reports the bytes read, 0 at the file's end.
-func (cf *CachedFile) ReadBlocks(p []byte, first int64) (int, error) {
-	b := int64(cf.cache.b)
-	off := first * b
-	if off >= cf.size {
-		return 0, nil
-	}
-	p = p[:min(int64(len(p)), cf.size-off)]
-	n, err := cf.f.ReadAt(p, off)
-	if err != nil && err != io.EOF {
-		return 0, err
-	}
-	if n != len(p) {
-		return 0, fmt.Errorf("storage: short block read on %s: got %d want %d at off %d (truncated)", cf.path, n, len(p), off)
-	}
-	for id, q := first, p; len(q) > 0; id++ {
-		blk := q[:min(b, int64(len(q)))]
-		if got, want := crc32.Checksum(blk, castagnoli), cf.crcs[id]; got != want {
-			return 0, fmt.Errorf("storage: block %d of %s corrupt: crc %08x want %08x", id, cf.path, got, want)
-		}
-		cf.io.AddReadBlocks(1)
-		q = q[len(blk):]
-	}
-	cf.io.AddReadBytes(int64(n))
-	return n, nil
 }
 
 // ReadAt fills p with the bytes at offset off, fetching blocks through
@@ -348,13 +227,140 @@ func (cf *CachedFile) ReadAt(p []byte, off int64) error {
 		if err != nil {
 			return err
 		}
-		start := off - id*b
-		n := copy(p, blk[start:])
-		if n == 0 {
-			return fmt.Errorf("storage: zero-length copy at off %d of %s", off, cf.path)
-		}
+		n := copy(p, blk[off-id*b:])
 		p = p[n:]
 		off += int64(n)
+	}
+	return nil
+}
+
+// blockFile is a file read in b-byte blocks, each held to its CRC32C in
+// crcs (nil until a Reader records them), every read charged to io.
+type blockFile struct {
+	f    *os.File
+	path string
+	size int64
+	b    int
+	crcs []uint32
+	io   *stats.IOCounter
+}
+
+// openBlockFile opens path for counted reading in b-byte blocks. crcs,
+// when non-nil, must hold one CRC32C per block: a truncated or grown
+// file fails here.
+func openBlockFile(path string, b int, crcs []uint32, ctr *stats.IOCounter) (*blockFile, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	if err == nil && crcs != nil && int64(len(crcs)) != (fi.Size()+int64(b)-1)/int64(b) {
+		err = fmt.Errorf("storage: %s: %d bytes on disk but %d block checksums recorded (truncated or resized)", path, fi.Size(), len(crcs))
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &blockFile{f: f, path: path, size: fi.Size(), b: b, crcs: crcs, io: ctr}, nil
+}
+
+// read fills p, whole blocks from offset off on, with one system call,
+// charges each block as one read and holds it to its checksum, or, on a
+// file without checksums, appends it to rec.
+func (bf *blockFile) read(p []byte, off int64, rec *[]uint32) error {
+	if n, err := bf.f.ReadAt(p, off); n != len(p) {
+		if err == nil || err == io.EOF {
+			err = fmt.Errorf("storage: short block read on %s: got %d want %d at off %d (truncated)", bf.path, n, len(p), off)
+		}
+		return err
+	}
+	b := int64(bf.b)
+	bf.io.AddReadBlocks((int64(len(p)) + b - 1) / b)
+	for id := off / b; len(p) > 0; id++ {
+		blk := p[:min(bf.b, len(p))]
+		p = p[len(blk):]
+		if got := crc32.Checksum(blk, castagnoli); bf.crcs == nil {
+			*rec = append(*rec, got)
+		} else if got != bf.crcs[id] {
+			return fmt.Errorf("storage: block %d of %s corrupt: crc %08x want %08x", id, bf.path, got, bf.crcs[id])
+		}
+	}
+	return nil
+}
+
+// A Reader reads a block file front to back, the one sequential reader
+// of tables, sort runs and EMCore partitions: FlushBlocks blocks per
+// system call, outside any frames, each charged as one read and held to
+// its checksum, or, on a file that came with none (the open's pass),
+// recorded for the file to keep once the last block is read.
+type Reader struct {
+	*blockFile
+	rec []uint32 // the checksums recorded so far
+	buf []byte   // buf[pos:] is read and not yet returned
+	pos int
+	off int64 // where the next read starts, on a block boundary
+}
+
+// OpenReader opens path, a file of ctr's blocks, for one front-to-back
+// read held to crcs, its writer's BlockCRCs.
+func OpenReader(path string, crcs []uint32, ctr *stats.IOCounter) (*Reader, error) {
+	bf, err := openBlockFile(path, ctr.BlockSize(), crcs, ctr)
+	if err != nil {
+		return nil, err
+	}
+	return &Reader{blockFile: bf}, nil
+}
+
+// Close closes the file.
+func (r *Reader) Close() error { return r.f.Close() }
+
+// Next returns the next n bytes, valid until the next call, wherever
+// blocks split them: io.EOF once every byte has been returned, an error
+// if fewer than n are left.
+func (r *Reader) Next(n int) ([]byte, error) {
+	if len(r.buf)-r.pos < n {
+		if err := r.fill(n); err != nil {
+			return nil, err
+		}
+	}
+	r.pos += n
+	return r.buf[r.pos-n : r.pos], nil
+}
+
+// Each calls fn with the file's bytes, front to back, one read at a time,
+// from a Reader that has returned none.
+func (r *Reader) Each(fn func(p []byte) error) error {
+	for r.off < r.size {
+		err := r.fill(1)
+		if r.pos = len(r.buf); err == nil {
+			err = fn(r.buf)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fill keeps the bytes not yet returned and reads the blocks after them:
+// FlushBlocks, or as many more as n bytes need, up to the file's end.
+func (r *Reader) fill(n int) error {
+	left, rest := len(r.buf)-r.pos, r.size-r.off
+	if left == 0 && rest == 0 {
+		return io.EOF
+	} else if int64(n-left) > rest {
+		return fmt.Errorf("storage: %s ends %d bytes into a %d-byte read", r.path, int64(left)+rest, n)
+	}
+	b := int64(r.b)
+	m := min(max(FlushBlocks, (int64(n-left)+b-1)/b)*b, rest)
+	copy(r.buf, r.buf[r.pos:])
+	r.buf, r.pos = slices.Grow(r.buf[:left], int(m))[:left+int(m)], 0
+	if err := r.read(r.buf[left:], r.off, &r.rec); err != nil {
+		return err
+	}
+	r.io.AddReadBytes(m)
+	if r.off += m; r.off == r.size && r.crcs == nil {
+		r.crcs = r.rec
 	}
 	return nil
 }

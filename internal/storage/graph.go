@@ -7,16 +7,16 @@
 // and only adjacency is read from disk: a graph's first use reads the node
 // table once into an index (nt + n/4 bytes, and 4n + n/16 more for a
 // table laid out in another order than ids), checked whole against the header, and
-// every later record comes from there. There is one block reader under
-// the tables, a bounded CLOCK cache of B-sized frames (CachedFile) that
-// holds edge blocks only once the index is built, and one open: Open
-// reads through a cache of the caller's size and checks every block it
-// loads against a CRC32C the header vouches for, folded from the checksum
-// sidecar or, failing that, recorded by one pass at open. There is no
-// other check: the open that serves tables, the index's build and the
-// first pass over their lists (SemiCore*'s, or a checkpoint's) are it; a
-// pinned handle (Reopen) shares the index, and ScanVerified streams its
-// node table again.
+// every later record comes from there. A table is read front to back by
+// the one sequential Reader (the index's build, the open's pass), and its
+// lists through a bounded CLOCK cache of B-sized frames (CachedFile), and
+// there is one open: Open reads through a cache of the caller's size, and
+// either reader holds every block to a CRC32C the header vouches for,
+// folded from the checksum sidecar or, failing that, recorded by one pass
+// at open. There is no other check: the open that serves tables, the
+// index's build and the first pass over their lists (SemiCore*'s, or a
+// checkpoint's) are it; a pinned handle (Reopen) shares the index, and
+// ScanVerified reads its node table again.
 //
 // A graph <base> occupies three files, and a fourth, optional one:
 //
@@ -268,7 +268,7 @@ type list struct {
 // sequential pass over the node table that fills no frame. The pass is
 // charged ⌈nt/B⌉ reads, checks every block as a fill does (or, as the
 // open's pass, records its checksum) and holds the records to what the
-// header says of the table (nodeDecoder). A failed pass keeps no index:
+// header says of the table (decodeNodes). A failed pass keeps no index:
 // the next use makes it again.
 func (g *Graph) index() (*nodeIndex, error) {
 	if g.idx != nil {
@@ -285,11 +285,7 @@ func (g *Graph) index() (*nodeIndex, error) {
 		p, prev = p+1, int64(v)
 		return nil
 	}
-	dec := g.decoder()
-	if err := g.nt.stream(func(blk []byte) error { return dec.feed(blk, keep) }); err != nil {
-		return nil, err
-	}
-	if err := dec.done(keep); err != nil {
+	if err := g.decodeNodes(g.nt.reader(), keep); err != nil {
 		return nil, err
 	}
 	if nt == 0 {
@@ -332,17 +328,17 @@ func Open(base string, ctr *stats.IOCounter, cache *BlockCache) (*Graph, error) 
 }
 
 // attach opens both tables through cache with the given per-block
-// checksums (nil: the first stream records them), each at the size the
-// header implies.
+// checksums (nil: the first Reader over the table records them), each at
+// the size the header implies.
 func (g *Graph) attach(cache *BlockCache, ntCRCs, etCRCs []uint32) (err error) {
 	table := func(path, name string, size int64, crcs []uint32) (*CachedFile, error) {
 		t, err := cache.Open(path, crcs, g.io)
 		if err != nil {
 			return nil, err
 		}
-		if t.Size() != size {
+		if t.size != size {
 			t.Close()
-			return nil, fmt.Errorf("storage: %s table size %d, want %d", name, t.Size(), size)
+			return nil, fmt.Errorf("storage: %s table size %d, want %d", name, t.size, size)
 		}
 		return t, nil
 	}
@@ -357,16 +353,17 @@ func (g *Graph) attach(cache *BlockCache, ntCRCs, etCRCs []uint32) (err error) {
 
 // pass is the open of a graph no sidecar vouches for: both tables read
 // once, front to back, recording the CRC32C of every block for the fills
-// to come. The node table's pass builds the index on the way (its
-// nodeDecoder holds it to the header), and the edge table's CRC32C must be the
-// header's (headers from older builders carry none and pass unchecked).
+// to come. The node table's pass builds the index on the way
+// (decodeNodes holds it to the header), and the edge table's CRC32C must
+// be the header's (headers from older builders carry none and pass
+// unchecked).
 func (g *Graph) pass() error {
 	if _, err := g.index(); err != nil {
 		return err
 	}
 	var crc uint32
-	if err := g.et.stream(func(blk []byte) error {
-		crc = crc32.Update(crc, castagnoli, blk)
+	if err := g.et.reader().Each(func(p []byte) error {
+		crc = crc32.Update(crc, castagnoli, p)
 		return nil
 	}); err != nil {
 		return err
@@ -604,5 +601,5 @@ func (g *Graph) ScanVerified(io *stats.IOCounter) error {
 	if g.idx == nil {
 		return nil
 	}
-	return g.nt.stream(func([]byte) error { return nil })
+	return g.nt.reader().Each(func([]byte) error { return nil })
 }

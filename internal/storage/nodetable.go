@@ -42,30 +42,36 @@ func appendRecord(dst []byte, l list) []byte {
 	return binary.AppendUvarint(dst, uint64(l.deg)<<3|uint64(l.w-1))
 }
 
-// A nodeDecoder turns a node table's bytes, met front to back in pieces
-// of any size, into the lists they place in the edge table, in layout
-// order, each with its node's id, and holds the whole to what the header
-// says of it: the lists tile the edge table from byte 0 to its end, their
+// decodeNodes reads g's node table front to back from r and turns its
+// bytes into the lists they place in the edge table, in layout order,
+// each with its node's id, and holds the whole to what the header says
+// of it: the lists tile the edge table from byte 0 to its end, their
 // degrees add up to the header's arc count, a version-4 table's ids are a
 // permutation of [0, n), and the bytes' CRC32C is the header's (headers
 // from older builders carry none, and are held to the rest alone). A list
 // is emitted only once it is known to lie inside the edge table, so
 // nothing is sized from a record before that; an error leaves the table
 // unused.
-type nodeDecoder interface {
-	// feed decodes p, emitting each list it places.
-	feed(p []byte, emit func(v uint32, l list) error) error
-	// done ends the table, emitting the list still pending if any.
-	done(emit func(v uint32, l list) error) error
-}
-
-// decoder returns a decoder of g's node table.
-func (g *Graph) decoder() nodeDecoder {
+func (g *Graph) decodeNodes(r *Reader, emit func(v uint32, l list) error) error {
 	t := tally{path: nodePath(g.base), meta: g.meta, codec: g.codec}
 	if g.meta.Version <= 2 {
-		return &legacyRecords{tally: t}
+		d := &legacyRecords{tally: t}
+		for d.v < d.meta.N {
+			rec, err := r.Next(legacyRecordSize)
+			if err == nil {
+				err = d.next(rec, emit)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return d.done(emit)
 	}
-	return newVarintRecords(t)
+	d := newVarintRecords(t)
+	if err := r.Each(func(p []byte) error { return d.feed(p, emit) }); err != nil {
+		return err
+	}
+	return d.done(emit)
 }
 
 // tally is what either decoder holds to the header.
@@ -122,6 +128,7 @@ func newVarintRecords(t tally) *varintRecords {
 	return d
 }
 
+// feed decodes p, the table's next bytes, emitting each list it places.
 func (d *varintRecords) feed(p []byte, emit func(uint32, list) error) error {
 	d.crc = crc32.Update(d.crc, castagnoli, p)
 	for _, c := range p {
@@ -211,6 +218,7 @@ func (d *varintRecords) place(z uint64) error {
 	return nil
 }
 
+// done ends the table.
 func (d *varintRecords) done(func(uint32, list) error) error {
 	if d.v < d.meta.N {
 		return fmt.Errorf("storage: %s: the node table ends inside record %d of %d", d.path, d.v, d.meta.N)
@@ -228,33 +236,16 @@ func (d *varintRecords) done(func(uint32, list) error) error {
 // length no width gives is refused.
 type legacyRecords struct {
 	tally
-	rec  [legacyRecordSize]byte
-	fill int  // bytes of the record rec holds so far
-	cur  list // the last record met; its width waits for the next one
+	cur list // the last record met; its width waits for the next one
 }
 
-func (d *legacyRecords) feed(p []byte, emit func(uint32, list) error) error {
-	for len(p) > 0 {
-		k := copy(d.rec[d.fill:], p)
-		p, d.fill = p[k:], d.fill+k
-		if d.fill < legacyRecordSize {
-			return nil
-		}
-		d.fill = 0
-		if err := d.next(emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// next decodes node v's record, which ends node v−1's list, and emits
+// next decodes node v's record rec, which ends node v−1's list, and emits
 // that list. A record outside the edge table is an error before anything
 // is sized from it.
-func (d *legacyRecords) next(emit func(uint32, list) error) error {
+func (d *legacyRecords) next(rec []byte, emit func(uint32, list) error) error {
 	v := d.v
-	off := binary.LittleEndian.Uint64(d.rec[0:8])
-	deg := binary.LittleEndian.Uint32(d.rec[8:12])
+	off := binary.LittleEndian.Uint64(rec[0:8])
+	deg := binary.LittleEndian.Uint32(rec[8:12])
 	end, unit := uint64(d.meta.EtBytes), uint64(1)
 	if d.codec.abs {
 		unit = 4 // version 1 stores arc offsets
@@ -274,7 +265,7 @@ func (d *legacyRecords) next(emit func(uint32, list) error) error {
 	}
 	d.cur = list{off: int64(off), deg: deg}
 	d.arcs += int64(deg)
-	d.crc = crc32.Update(d.crc, castagnoli, d.rec[:])
+	d.crc = crc32.Update(d.crc, castagnoli, rec)
 	d.v++
 	return nil
 }

@@ -2,7 +2,9 @@ package storage
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -189,17 +191,25 @@ func TestPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPropertyCachedReadDetectsDamage drives the random-access cached
-// read path (BlockCache + per-block CRCs — every graph's read route)
-// over randomly damaged copies of a random file: flipping any single bit
-// or truncating to any shorter length must surface as an error at Open
-// or at the read covering the damage, never as silently wrong bytes.
-// Undamaged blocks of the same file must still read back byte-exact.
+// TestPropertyCachedReadDetectsDamage drives both read paths over a
+// random file of up to 40 blocks and randomly damaged copies of it: the
+// sequential Reader (every front-to-back read: the index's build, the
+// open's pass, sort runs, EMCore partitions) and the random-access cached
+// read (BlockCache + per-block CRCs — every graph's list reads). The
+// undamaged file reads back byte-exact through both, the Reader in
+// pieces of random length that straddle block boundaries, and the
+// checksums the Reader records on a file that came with none are its
+// writer's. Flipping any single bit fails the Reader at the damaged
+// block, wherever it falls in a FlushBlocks-block read, after every byte
+// before that read; it fails the cached read covering the block, while
+// reads of other blocks stay correct. Truncating to any shorter length
+// fails Open or the read covering the damage in both: never silently
+// wrong bytes.
 func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 	f := func(seed int64, rawBlock uint16) bool {
 		r := rand.New(rand.NewSource(seed))
 		blockSize := 64 + int(rawBlock)%960 // 64..1023
-		size := 1 + r.Intn(8*blockSize)
+		size := 1 + r.Intn(40*blockSize)
 		data := make([]byte, size)
 		r.Read(data)
 		dir := t.TempDir()
@@ -216,33 +226,44 @@ func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 			return false
 		}
 
-		// The undamaged file reads back byte-exact through the cache; the
-		// first stream records the per-block checksums the damaged copies
-		// are then held to.
-		cache := NewBlockCache(2, blockSize)
-		cf, err := cache.Open(path, nil, ctr)
+		// The undamaged file reads back byte-exact through a Reader that
+		// records the per-block checksums the damaged copies are then held
+		// to, charged one read a block.
+		rd, err := OpenReader(path, nil, ctr)
 		if err != nil {
 			return false
 		}
-		var whole uint32
-		if err := cf.stream(func(blk []byte) error {
-			whole = crc32.Update(whole, castagnoli, blk)
-			return nil
-		}); err != nil || whole != crc32.Checksum(data, castagnoli) || !slices.Equal(cf.crcs, bw.BlockCRCs()) {
-			cf.Close()
+		var back []byte
+		for len(back) < size {
+			p, err := rd.Next(1 + r.Intn(min(size-len(back), 3*blockSize)))
+			if err != nil {
+				rd.Close()
+				return false
+			}
+			back = append(back, p...)
+		}
+		_, eof := rd.Next(1)
+		rd.Close()
+		blocks := int64((size + blockSize - 1) / blockSize)
+		if eof != io.EOF || !slices.Equal(back, data) || !slices.Equal(rd.crcs, bw.BlockCRCs()) || ctr.Reads() != blocks {
+			t.Logf("seed %d B=%d: clean read: end %v, bytes equal %v, checksums the writer's %v, %d reads for %d blocks",
+				seed, blockSize, eof, slices.Equal(back, data), slices.Equal(rd.crcs, bw.BlockCRCs()), ctr.Reads(), blocks)
 			return false
 		}
-		crcs := cf.crcs
+		crcs := rd.crcs
+		cache := NewBlockCache(2, blockSize)
+		cf, err := cache.Open(path, crcs, ctr)
+		if err != nil {
+			return false
+		}
 		got := make([]byte, size)
 		if err := cf.ReadAt(got, 0); err != nil {
 			cf.Close()
 			return false
 		}
 		cf.Close()
-		for i := range got {
-			if got[i] != data[i] {
-				return false
-			}
+		if !slices.Equal(got, data) {
+			return false
 		}
 
 		// Bit flip: any single damaged bit must fail the read covering its
@@ -254,6 +275,19 @@ func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 		if err := os.WriteFile(fpath, flipped, 0o644); err != nil {
 			return false
 		}
+		blk := flipOff / blockSize
+		rd, err = OpenReader(fpath, crcs, ctr)
+		if err != nil {
+			return false // same size: damage must be caught at read, not open
+		}
+		back = back[:0]
+		err = rd.Each(func(p []byte) error { back = append(back, p...); return nil })
+		rd.Close()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d of %s corrupt", blk, fpath)) ||
+			len(back) != blk/FlushBlocks*FlushBlocks*blockSize {
+			t.Logf("seed %d B=%d: a flip in block %d: %v after %d bytes", seed, blockSize, blk, err, len(back))
+			return false
+		}
 		cf, err = cache.Open(fpath, crcs, ctr)
 		if err != nil {
 			return false // same size: damage must be caught at read, not open
@@ -262,7 +296,6 @@ func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 			cf.Close()
 			return false // full read covers the flipped block: must error
 		}
-		blk := flipOff / blockSize
 		for b := 0; b*blockSize < size; b++ {
 			if b == blk {
 				continue
@@ -290,6 +323,13 @@ func TestPropertyCachedReadDetectsDamage(t *testing.T) {
 		tpath := filepath.Join(dir, "truncated")
 		if err := os.WriteFile(tpath, data[:size-cut], 0o644); err != nil {
 			return false
+		}
+		if rd, err := OpenReader(tpath, crcs, ctr); err == nil {
+			err = rd.Each(func([]byte) error { return nil })
+			rd.Close()
+			if err == nil {
+				return false // the Reader must fail at open or at the short block
+			}
 		}
 		tf, err := cache.Open(tpath, crcs, ctr)
 		if err != nil {
@@ -479,10 +519,13 @@ func TestPropertyResident(t *testing.T) {
 //     ceil(nt/B) + ceil(et/B) block reads, whether the handle builds its
 //     own index or shares the one the graph built;
 //   - a flipped byte anywhere in either table, and either table
-//     truncated, fails Open or the scan;
+//     truncated, fails Open or the scan; where a sidecar vouched for the
+//     tables (B = 512 and 4096), at the damaged block, the node table's
+//     in the Reader of the index's build wherever the block falls in one
+//     of its FlushBlocks-block reads;
 //   - a flipped byte in the node table after the graph has built the
-//     index the pinned handle shares fails the scan: the node table's
-//     stream is the only read of it;
+//     index the pinned handle shares fails the scan at the damaged
+//     block: ScanVerified's Reader is the only read of it;
 //   - a node record whose gap width is changed, which moves every later
 //     list, breaks the tiling of the edge table and is reported as that
 //     — a shortest varint still, under a header that vouches for the
@@ -604,13 +647,18 @@ func TestPropertyScanVerified(t *testing.T) {
 
 		// The node table damaged under a graph that has read it into its
 		// index: the pinned handle reads the table only in its stream.
+		flipped := 0
 		flip := func() {
 			data := append([]byte(nil), nt...)
-			data[r.Intn(len(data))] ^= 1 << uint(r.Intn(8))
+			flipped = r.Intn(len(data))
+			data[flipped] ^= 1 << uint(r.Intn(8))
 			os.WriteFile(base+".nt", data, 0o644)
 		}
-		if _, err := scanAfter(flip, nop); err == nil {
-			t.Logf("seed %d: node table damaged after the index was built not detected", seed)
+		atBlock := func(err error, ext string) bool {
+			return err != nil && strings.Contains(err.Error(), fmt.Sprintf("block %d of %s corrupt", flipped/blockSize, base+ext))
+		}
+		if _, err := scanAfter(flip, nop); !atBlock(err, ".nt") {
+			t.Logf("seed %d: node table damaged at byte %d after the index was built: %v", seed, flipped, err)
 			return false
 		}
 		restore()
@@ -618,10 +666,11 @@ func TestPropertyScanVerified(t *testing.T) {
 		// A flipped byte anywhere, a truncation of either table.
 		for _, ext := range []string{".nt", ".et"} {
 			data := append([]byte(nil), map[string][]byte{".nt": nt, ".et": et}[ext]...)
-			data[r.Intn(len(data))] ^= 1 << uint(r.Intn(8))
+			flipped = r.Intn(len(data))
+			data[flipped] ^= 1 << uint(r.Intn(8))
 			os.WriteFile(base+ext, data, 0o644)
-			if _, err := scan(nop); err == nil {
-				t.Logf("seed %d: flipped byte in %s not detected", seed, ext)
+			if _, err := scan(nop); err == nil || (blockSize != 64 && !atBlock(err, ext)) {
+				t.Logf("seed %d B=%d: flipped byte %d in %s: %v", seed, blockSize, flipped, ext, err)
 				return false
 			}
 			os.Truncate(base+ext, int64(r.Intn(len(data))))

@@ -276,8 +276,8 @@ func TestPropertyTableDamageWithSidecar(t *testing.T) {
 		defer g.Close()
 		for _, cf := range []*CachedFile{g.nt, g.et} {
 			buf := make([]byte, bs)
-			for id := int64(0); id*int64(bs) < cf.Size(); id++ {
-				n := min(int64(bs), cf.Size()-id*int64(bs))
+			for id := int64(0); id*int64(bs) < cf.size; id++ {
+				n := min(int64(bs), cf.size-id*int64(bs))
 				err := cf.ReadAt(buf[:n], id*int64(bs))
 				damaged := cf.path == base+ext && id == int64(off/bs)
 				if (err != nil) != damaged {
