@@ -80,11 +80,11 @@ func TestCachedOpenIOGate(t *testing.T) {
 }
 
 // TestCachedFoldBackIOGate pins what folding the update buffer back into
-// a cached graph's tables costs: one sequential read of the old tables —
-// the node table streamed beside the frames, the edge table through
-// them — one sequential write of the new tables and their sidecar, and a
-// reopen that reads only the new sidecar — no second pass over the tables
-// it has just written. The cache holds the whole graph, so nothing is
+// a cached graph's tables costs: one sequential read of the old edge
+// table through the frames — the node records come from the index, so the
+// node table is not read again — one sequential write of the new tables
+// and their sidecar, and a reopen that reads only the new sidecar — no
+// second pass over the tables it has just written. The cache holds the whole graph, so nothing is
 // evicted and every old edge block is read once between open and the end
 // of the flush: the deletes' misses before it, the rest in it. The merged
 // bytes DiskStats counts are the tables the fold-back wrote: the
@@ -128,8 +128,8 @@ func TestCachedFoldBackIOGate(t *testing.T) {
 	if misses := ds.CacheMisses - ds0.CacheMisses; misses != scan {
 		t.Errorf("the rewrite missed %d blocks of the old edge table, want the %d not yet cached", misses, scan)
 	}
-	if io.Reads != nt+scan+sidecar {
-		t.Errorf("one fold-back read %d blocks, want the old node table's %d, its edge table's %d and the new sidecar's %d", io.Reads, nt, scan, sidecar)
+	if io.Reads != scan+sidecar {
+		t.Errorf("one fold-back read %d blocks, want the old edge table's %d and the new sidecar's %d", io.Reads, scan, sidecar)
 	}
 	if want := fileBlocks(t, base, 4096, ".nt", ".et", ".crc"); io.Writes != want {
 		t.Errorf("one fold-back wrote %d blocks, want the new tables' and sidecar's %d", io.Writes, want)
@@ -148,8 +148,8 @@ func TestCachedFoldBackIOGate(t *testing.T) {
 	pins.Check(t, "merged_bytes", ds.MergedBytes)
 }
 
-// TestFlushRefusesDamagedTable: the fold-back reads the tables it
-// replaces through storage.ScanVerified, so a list's ids moved by one
+// TestFlushRefusesDamagedTable: the fold-back reads every edge block of
+// the tables it replaces held to its checksum, so a list's ids moved by one
 // under the graph (the low bit of its first id flipped) — still sorted,
 // the tiling intact: nothing but a checksum can tell — fails the Flush
 // with the checksum error and
@@ -261,8 +261,8 @@ func (c countedFile) Write(p []byte) (int, error) {
 // the writer, and no table set but the checkpoints'. The schedule fills
 // a 512-arc buffer once, syncs, forces a checkpoint and closes. Exactly
 // two table sets are written, the opening checkpoint's and the fill's,
-// each streaming live/ once (⌈nt/B⌉ + ⌈et/B⌉ reads) and writing its
-// tables and sidecar; the forced and the final checkpoint are at the
+// each streaming live/'s edge table once (⌈et/B⌉ reads: the node records
+// come from the index) and writing its tables and sidecar; the forced and the final checkpoint are at the
 // fill's LSN and write nothing. The graph's own counter writes no block,
 // and live/ ends up as the fill checkpoint's tables. A second leg applies
 // one more update before the close: the final checkpoint then writes a
@@ -281,7 +281,7 @@ func TestDurableFoldBackIOGate(t *testing.T) {
 			ups = append(ups, serve.Update{Op: serve.OpInsert, U: e.U, V: e.V})
 		}
 	}
-	scan := fileBlocks(t, base, 4096, ".nt", ".et")
+	scan := fileBlocks(t, base, 4096, ".et")
 	for _, leg := range []struct {
 		backend string
 		more    bool // one update after the forced checkpoint

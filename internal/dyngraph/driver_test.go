@@ -21,8 +21,9 @@ type fixture struct {
 	ctr *stats.IOCounter
 }
 
-// files lists the files holding adjacency: what a view pinned now reads.
-func (f *fixture) files() []string { return []string{f.base + ".nt", f.base + ".et"} }
+// files lists what a view pinned now reads: the edge table (the node
+// records come from the index the view shares with the graph).
+func (f *fixture) files() []string { return []string{f.base + ".et"} }
 
 // gauges snapshots everything a view must not move: the graph's I/O
 // counter and the block cache's counters.

@@ -29,7 +29,6 @@ import (
 
 	"kcore/internal/faultfs"
 	"kcore/internal/graph"
-	"kcore/internal/graphio"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 )
@@ -108,13 +107,9 @@ type Graph struct {
 // ErrStale reports an Adopt of a view pinned before the last fold-back.
 var ErrStale = errors.New("dyngraph: the tables were folded back since the pin")
 
-// tableExts are the files of a graph at a path prefix, the checksum
-// sidecar included.
-var tableExts = [...]string{".meta", ".nt", ".et", ".crc"}
-
 // removeTables unlinks whatever exists of the files at base.
 func removeTables(base string) {
-	for _, ext := range tableExts {
+	for _, ext := range storage.Files {
 		os.Remove(base + ext)
 	}
 }
@@ -312,7 +307,7 @@ func (g *Graph) Adopt(vw *View, tables string) error {
 	if vw.merges != g.FoldBacks() {
 		return ErrStale
 	}
-	if err := g.swap(func(tmp string) error { return graphio.CopyGraph(tmp, tables, true) }); err != nil {
+	if err := g.swap(func(tmp string) error { return storage.CopyGraph(tmp, tables, true) }); err != nil {
 		return err
 	}
 	g.adopted = true
@@ -340,7 +335,7 @@ func (g *Graph) swap(fill func(tmp string) error) (err error) {
 	if err := g.disk.Close(); err != nil {
 		return err
 	}
-	for _, ext := range tableExts {
+	for _, ext := range storage.Files {
 		if err := os.Rename(tmp+ext, base+ext); err != nil {
 			return fmt.Errorf("dyngraph: swapping %s: %w", ext, err)
 		}

@@ -44,15 +44,14 @@ func (vw *View) NumNodes() uint32 { return vw.r.NumNodes() }
 func (vw *View) NumArcs() int64 { return vw.r.arcs }
 
 // Scan calls fn once per node in layout order with its merged (base +
-// buffer) neighbour list, valid during the call only. Both tables are read
-// front to back, every block once, charged to io — never to the counter
-// the graph serves from — and held to its checksum: the node table in one
-// stream (storage.Graph.ScanVerified), the lists by graph.ScanAll over
-// the view's reader, through the frames of the view's handle. A table
-// damaged under the running graph fails the scan instead of being copied.
+// buffer) neighbour list, valid during the call only. Every edge block is
+// read once, charged to io — never to the counter the graph serves from
+// (storage.Graph.ChargeTo) — and held to its checksum, by graph.ScanAll
+// over the view's reader through the frames of the view's handle. The
+// records come from the node index the handle shares with the graph, so
+// the node table is not read again. A damaged edge table fails the scan
+// instead of being copied.
 func (vw *View) Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
-	if err := vw.r.disk.ScanVerified(io); err != nil {
-		return err
-	}
+	vw.r.disk.ChargeTo(io)
 	return graph.ScanAll(&vw.r, fn)
 }

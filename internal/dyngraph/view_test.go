@@ -28,7 +28,7 @@ func openFDs() int {
 // keeps describing the adjacency of its pin while the graph is mutated
 // past its buffer limit until every file the view reads has been
 // replaced — new tables renamed over the old, twice — then streams
-// exactly the pin-time lists, every block of the pinned files once,
+// exactly the pin-time lists, every block of the pinned edge table once,
 // charged to the scan's counter and never to the graph's (or through
 // its block cache), and gives its descriptors back at Release.
 func TestViewOutlivesCompaction(t *testing.T) { onEachDriver(t, testViewOutlivesCompaction) }

@@ -565,6 +565,107 @@ func testCheckpointRejectsCorruptTable(t *testing.T, backend string, fill int) {
 	}
 }
 
+// TestNodeTableIsReadOnce: a graph reads its node table once, into the
+// node index its first use builds, held to its checksums; a fold-back or
+// a checkpoint writes every node record from that index and every list
+// from edge blocks held to theirs, and reads the node table never. So a
+// byte of it damaged after the index is built is never read, and never
+// copied either: a plain graph's Flush succeeds and renames clean tables
+// over the damaged ones; a durable graph (a fill of 8 arcs, so the
+// updates pass its hard bound of 16 several times) takes every update,
+// commits the checkpoints its fills trigger and serves the oracle's
+// cores, and a restart recovers from its newest checkpoint with no
+// fallback, as does a reopen of the plain graph. Damage to a node table a
+// checkpoint shares is caught by that checkpoint's bring-up instead
+// (TestMemCheckpointRejectsCorruptTable's adopted legs).
+func TestNodeTableIsReadOnce(t *testing.T) {
+	const n = 300
+	t.Run("plain", func(t *testing.T) {
+		base := writeGraph(t, n, 5)
+		ups := freshEdges(n, 5, 40)
+		want := memCoresAfter(t, base, [][]serve.Update{ups})[0]
+		g, err := kcore.Open(base, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		res, err := kcore.Decompose(g, nil) // builds the index
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := kcore.NewMaintainer(g, &kcore.MaintainerOptions{FromResult: res})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flipByte(t, base+".nt")
+		for _, up := range ups {
+			if _, err := m.InsertEdge(up.U, up.V); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.Flush(); err != nil {
+			t.Fatalf("Flush over a node table damaged after the index was built: %v", err)
+		}
+		if !slices.Equal(m.Cores(), want) {
+			t.Error("the maintained cores differ from the oracle's")
+		}
+		again, err := kcore.Open(base, nil)
+		if err != nil {
+			t.Fatalf("reopening the flushed tables: %v", err)
+		}
+		defer again.Close()
+		if res, err := kcore.Decompose(again, nil); err != nil || !slices.Equal(res.Core, want) {
+			t.Fatalf("the flushed tables decompose to the oracle's cores: %v", err)
+		}
+	})
+	for _, backend := range []string{engine.BackendMem, engine.BackendDisk} {
+		t.Run("durable/"+backend, func(t *testing.T) {
+			base := writeGraph(t, n, 6)
+			ups := freshEdges(n, 6, 40)
+			want := memCoresAfter(t, base, [][]serve.Update{ups})[0]
+			dataDir := t.TempDir()
+			opts := durableOptions(dataDir)
+			opts.Open.BufferArcs = 8
+			reg := engine.NewRegistry(opts)
+			eng, err := reg.OpenBackend("g", base, engine.BackendConfig{Backend: backend, CacheBlocks: 2})
+			if err != nil {
+				reg.Close()
+				t.Fatal(err)
+			}
+			flipByte(t, wal.LiveBase(filepath.Join(dataDir, "g"))+".nt") // a copy of base's: no checkpoint shares it
+			for _, up := range ups {
+				if err := eng.Apply(up); err != nil {
+					reg.Close()
+					t.Fatalf("update %+v over a node table damaged after the index was built: %v", up, err)
+				}
+			}
+			if err := eng.Sync(); err != nil {
+				reg.Close()
+				t.Fatal(err)
+			}
+			if d := durStats(t, eng); d.Checkpoints < 2 || d.Degraded {
+				t.Errorf("%d checkpoints (degraded %v), want the opening one and the fills'", d.Checkpoints, d.Degraded)
+			}
+			if !slices.Equal(eng.Snapshot().Cores(), want) {
+				t.Error("the served cores differ from the oracle's")
+			}
+			if err := reg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reg2 := engine.NewRegistry(durableOptions(dataDir))
+			defer reg2.Close()
+			rep, err := reg2.Recover()
+			if err != nil || len(rep.Graphs) != 1 || rep.Graphs[0].Err != nil || rep.Graphs[0].Degraded || rep.Graphs[0].Fallback {
+				t.Fatalf("recovery: %v, %+v; want the newest checkpoint, no fallback", err, rep)
+			}
+			eng2, _ := reg2.Get("g")
+			if !slices.Equal(eng2.Snapshot().Cores(), want) {
+				t.Error("the recovered cores differ from the oracle's")
+			}
+		})
+	}
+}
+
 // TestDamagedLiveAfterRestartsFallsBack: a restart serves live/ as hard
 // links to the checkpoint it recovers from, so damage to the served
 // tables is damage to that checkpoint. The log behind the older retained

@@ -225,7 +225,7 @@ func BaseNewerThanCheckpoint(base string, gr GraphRecovery) bool {
 		return false
 	}
 	newest := time.Time{}
-	for _, ext := range []string{".meta", ".nt", ".et"} {
+	for _, ext := range storage.Files[:len(storage.Files)-1] { // not the optional sidecar
 		fi, err := os.Stat(base + ext)
 		if err != nil {
 			return false

@@ -10,7 +10,6 @@ import (
 	"kcore"
 	"kcore/internal/emcore"
 	"kcore/internal/gen"
-	"kcore/internal/graphio"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 )
@@ -99,7 +98,7 @@ func Ablation(cfg *Config) error {
 		// files, and edits still buffered at Close are discarded — so
 		// each configuration gets its own copy of the base.
 		copyBase := fmt.Sprintf("%s-buf%d", base, cap)
-		if err := graphio.CopyGraph(copyBase, base, false); err != nil {
+		if err := storage.CopyGraph(copyBase, base, false); err != nil {
 			return err
 		}
 		g, err := cfg.open(copyBase, cap)

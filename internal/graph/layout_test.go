@@ -42,7 +42,7 @@ func layoutSources(t *testing.T) (csr *memgraph.CSR, disk *storage.Graph, dyn *d
 	}
 	t.Cleanup(func() { disk.Close() })
 	dynBase = filepath.Join(dir, "dyn")
-	if err := graphio.CopyGraph(dynBase, base, false); err != nil {
+	if err := storage.CopyGraph(dynBase, base, false); err != nil {
 		t.Fatal(err)
 	}
 	if dyn, err = dyngraph.Open(dynBase, stats.NewIOCounter(512), dyngraph.Options{CacheBlocks: 4}); err != nil {

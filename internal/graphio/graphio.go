@@ -9,7 +9,6 @@ package graphio
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -383,43 +382,4 @@ func WriteText(path string, g *memgraph.CSR) error {
 		return err
 	}
 	return f.Close()
-}
-
-// CopyGraph duplicates an on-disk graph (used by experiments that mutate
-// their input via compaction, and for a durable graph's live copy): its
-// three files and, when the source has one, its checksum sidecar, so a
-// verified open of the copy costs what one of the source would. With link
-// (a checkpoint's files, never written again) it hard-links each file,
-// copying only where that fails.
-func CopyGraph(dstBase, srcBase string, link bool) error {
-	for _, ext := range []string{".meta", ".nt", ".et", ".crc"} {
-		err := os.ErrInvalid
-		if link {
-			err = os.Link(srcBase+ext, dstBase+ext)
-		}
-		if err != nil && !os.IsNotExist(err) {
-			err = copyFile(dstBase+ext, srcBase+ext)
-		}
-		if err != nil && (ext != ".crc" || !os.IsNotExist(err)) {
-			return err
-		}
-	}
-	return nil
-}
-
-func copyFile(dst, src string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }

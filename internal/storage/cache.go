@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -298,7 +299,8 @@ type Reader struct {
 	rec []uint32 // the checksums recorded so far
 	buf []byte   // buf[pos:] is read and not yet returned
 	pos int
-	off int64 // where the next read starts, on a block boundary
+	off int64  // where the next read starts, on a block boundary
+	sum uint32 // the CRC32C of the bytes before off
 }
 
 // OpenReader opens path, a file of ctr's blocks, for one front-to-back
@@ -325,6 +327,34 @@ func (r *Reader) Next(n int) ([]byte, error) {
 	}
 	r.pos += n
 	return r.buf[r.pos-n : r.pos], nil
+}
+
+// errVarint reports bytes that are no shortest uvarint of at most
+// maxRecordLen bytes.
+var errVarint = errors.New("storage: no shortest varint")
+
+// uvarint returns the next uvarint, wherever blocks split it: errVarint
+// unless it is the shortest encoding of its value in at most maxRecordLen
+// bytes, io.EOF if the file ends before its first byte or inside it.
+func (r *Reader) uvarint() (uint64, error) {
+	var x uint64
+	for k := range maxRecordLen {
+		if r.pos == len(r.buf) {
+			if err := r.fill(1); err != nil {
+				return 0, err
+			}
+		}
+		c := r.buf[r.pos]
+		r.pos++
+		x |= uint64(c&0x7f) << (7 * k)
+		if c < 0x80 {
+			if c == 0 && k > 0 {
+				return 0, errVarint
+			}
+			return x, nil
+		}
+	}
+	return 0, errVarint
 }
 
 // Each calls fn with the file's bytes, front to back, one read at a time,
@@ -358,6 +388,7 @@ func (r *Reader) fill(n int) error {
 	if err := r.read(r.buf[left:], r.off, &r.rec); err != nil {
 		return err
 	}
+	r.sum = crc32.Update(r.sum, castagnoli, r.buf[left:])
 	r.io.AddReadBytes(m)
 	if r.off += m; r.off == r.size && r.crcs == nil {
 		r.crcs = r.rec

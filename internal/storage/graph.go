@@ -6,17 +6,18 @@
 // As the semi-external model has it, node information is held in memory
 // and only adjacency is read from disk: a graph's first use reads the node
 // table once into an index (nt + n/4 bytes, and 4n + n/16 more for a
-// table laid out in another order than ids), checked whole against the header, and
-// every later record comes from there. A table is read front to back by
-// the one sequential Reader (the index's build, the open's pass), and its
-// lists through a bounded CLOCK cache of B-sized frames (CachedFile), and
-// there is one open: Open reads through a cache of the caller's size, and
-// either reader holds every block to a CRC32C the header vouches for,
-// folded from the checksum sidecar or, failing that, recorded by one pass
-// at open. There is no other check: the open that serves tables, the
-// index's build and the first pass over their lists (SemiCore*'s, or a
-// checkpoint's) are it; a pinned handle (Reopen) shares the index, and
-// ScanVerified reads its node table again.
+// table laid out in another order than ids), checked whole against the
+// header, and every later record comes from there — a pinned handle's
+// (Reopen) too, which shares the index, so a checkpoint or a fold-back
+// never reads the node table. A table is read front to back by the one
+// sequential Reader (the index's build, the open's pass), and its lists
+// through a bounded CLOCK cache of B-sized frames (CachedFile), and there
+// is one open: Open reads through a cache of the caller's size, and either
+// reader holds every block to a CRC32C the header vouches for, folded from
+// the checksum sidecar or, failing that, recorded by one pass at open.
+// There is no other check: the open that serves tables, the index's build
+// and the first pass over their lists (SemiCore*'s, or a checkpoint's)
+// are it.
 //
 // A graph <base> occupies three files, and a fourth, optional one:
 //
@@ -56,7 +57,7 @@ package storage
 import (
 	"bufio"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"slices"
@@ -96,6 +97,50 @@ type Meta struct {
 func metaPath(base string) string { return base + ".meta" }
 func nodePath(base string) string { return base + ".nt" }
 func edgePath(base string) string { return base + ".et" }
+
+// Files are the suffixes of the files a graph occupies at a path prefix:
+// the header and the two tables, which every graph has, then the checksum
+// sidecar, the one a graph may lack.
+var Files = []string{metaPath(""), nodePath(""), edgePath(""), crcPath("")}
+
+// CopyGraph duplicates the graph at srcBase at dstBase (experiments that
+// mutate their input by fold-backs, a durable graph's live copy, an
+// adopted checkpoint): each of its Files, the sidecar only where the
+// source has one, so a verified open of the copy costs what one of the
+// source would. With link (a checkpoint's files, never written again) it
+// hard-links each file, copying only where that fails.
+func CopyGraph(dstBase, srcBase string, link bool) error {
+	for _, ext := range Files {
+		err := os.ErrInvalid
+		if link {
+			err = os.Link(srcBase+ext, dstBase+ext)
+		}
+		if err != nil && !os.IsNotExist(err) {
+			err = copyFile(dstBase+ext, srcBase+ext)
+		}
+		if err != nil && (ext != crcPath("") || !os.IsNotExist(err)) {
+			return err
+		}
+	}
+	return nil
+}
+
+func copyFile(dst, src string) error {
+	in, err := os.Open(src)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	out, err := os.Create(dst)
+	if err != nil {
+		return err
+	}
+	if _, err := io.Copy(out, in); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
+}
 
 // WriteMetaFS writes the header file through the given filesystem,
 // optionally fsyncing it before close (checkpoint writers need the
@@ -361,15 +406,12 @@ func (g *Graph) pass() error {
 	if _, err := g.index(); err != nil {
 		return err
 	}
-	var crc uint32
-	if err := g.et.reader().Each(func(p []byte) error {
-		crc = crc32.Update(crc, castagnoli, p)
-		return nil
-	}); err != nil {
+	r := g.et.reader()
+	if err := r.Each(func([]byte) error { return nil }); err != nil {
 		return err
 	}
-	if g.meta.HasCRC && crc != g.meta.EtCRC {
-		return fmt.Errorf("storage: %s: edge table crc %08x, want %08x", edgePath(g.base), crc, g.meta.EtCRC)
+	if g.meta.HasCRC && r.sum != g.meta.EtCRC {
+		return fmt.Errorf("storage: %s: edge table crc %08x, want %08x", r.path, r.sum, g.meta.EtCRC)
 	}
 	return nil
 }
@@ -587,19 +629,12 @@ func (g *Graph) ScanDynamic(pmin uint32, pmaxFn func() uint32, want func(v uint3
 	return nil
 }
 
-// ScanVerified begins a scan of every list for a reader that must not
-// take the tables on trust (a checkpoint about to copy them, a fold-back
-// about to replace them): reads are charged to io from here on, not to
-// the counter the graph was opened with, and the node table is read once
-// front to back, every block held to its checksum — here, when the
-// handle shares an index already built (Reopen), or else by the index's
-// build at the scan's first record. A graph.ScanAll over the handle, or
-// over an overlay of it, is the rest: it loads every edge block through
-// the frames, each held to its checksum as any fill is.
-func (g *Graph) ScanVerified(io *stats.IOCounter) error {
-	g.io, g.nt.io, g.et.io = io, io, io
-	if g.idx == nil {
-		return nil
-	}
-	return g.nt.reader().Each(func([]byte) error { return nil })
-}
+// ChargeTo charges every later read of the handle to io, not to the
+// counter it was opened with: a checkpoint's or a fold-back's scan of a
+// pinned view (graph.ScanAll over the handle, or over an overlay of it),
+// which loads every edge block through the frames, each held to its
+// checksum as any fill is. The node table is not read again: its records
+// come from the index, built once from the table held to its checksums
+// (shared with the graph, or built by the scan's first record and charged
+// to io).
+func (g *Graph) ChargeTo(io *stats.IOCounter) { g.io, g.nt.io, g.et.io = io, io, io }

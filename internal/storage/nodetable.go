@@ -3,7 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"io"
 )
 
 // The node table holds one record per node, in layout order: the order
@@ -25,7 +25,8 @@ import (
 // encoding of its value, at most five bytes: a degree and form of 34 bits
 // (35 in version 5), an id's delta or an excess of 3·deg at most. Versions
 // 1 and 2 stored 12 bytes a node, {offset uint64, degree uint32}, in id
-// order, and stay readable in place (legacyRecords).
+// order, and stay readable in place (decodeLegacy). A table is decoded
+// once, by the node index's build (decodeNodes), record after record.
 const (
 	maxRecordLen     = 5
 	legacyRecordSize = 12
@@ -42,267 +43,159 @@ func appendRecord(dst []byte, l list) []byte {
 	return binary.AppendUvarint(dst, uint64(l.deg)<<3|uint64(l.w-1))
 }
 
-// decodeNodes reads g's node table front to back from r and turns its
-// bytes into the lists they place in the edge table, in layout order,
-// each with its node's id, and holds the whole to what the header says
-// of it: the lists tile the edge table from byte 0 to its end, their
-// degrees add up to the header's arc count, a version-4 table's ids are a
-// permutation of [0, n), and the bytes' CRC32C is the header's (headers
-// from older builders carry none, and are held to the rest alone). A list
-// is emitted only once it is known to lie inside the edge table, so
-// nothing is sized from a record before that; an error leaves the table
-// unused.
+// decodeNodes reads g's node table front to back from r, one record after
+// another, and turns it into the lists it places in the edge table, in
+// layout order, each with its node's id. It holds the whole to what the
+// header says of the table: the lists tile the edge table from byte 0 to
+// its end, their degrees add up to the header's arc count, the ids of a
+// table led by them are a permutation of [0, n), and the bytes' CRC32C is
+// the header's (headers from older builders carry none, and are held to
+// the rest alone). A list is emitted only once it is known to lie inside
+// the edge table, so nothing is sized from a record before that; an error
+// leaves the table unused.
 func (g *Graph) decodeNodes(r *Reader, emit func(v uint32, l list) error) error {
-	t := tally{path: nodePath(g.base), meta: g.meta, codec: g.codec}
-	if g.meta.Version <= 2 {
-		d := &legacyRecords{tally: t}
-		for d.v < d.meta.N {
-			rec, err := r.Next(legacyRecordSize)
-			if err == nil {
-				err = d.next(rec, emit)
+	m := g.meta
+	if m.Version <= 2 {
+		return g.decodeLegacy(r, emit)
+	}
+	shift := uint(2) // a record's degree is its form varint >> shift
+	if m.Version >= 5 {
+		shift = 3
+	}
+	var seen []uint64 // with ids: the ids met, a bit each
+	if !m.IDOrder {
+		seen = make([]uint64, (int64(m.N)+63)/64)
+	}
+	var off, arcs int64 // where the next list starts; the degrees' sum
+	id := int64(-1)
+	for p := range m.N {
+		x, err := r.uvarint()
+		if seen == nil {
+			id++
+		} else if err == nil {
+			if id += int64(x>>1) ^ -int64(x&1); id < 0 || id >= int64(m.N) {
+				return fmt.Errorf("storage: %s: record %d gives node %d, outside [0,%d)", r.path, p, id, m.N)
 			}
+			if seen[id/64]&(1<<(id%64)) != 0 {
+				return fmt.Errorf("storage: %s: record %d gives node %d a second time", r.path, p, id)
+			}
+			seen[id/64] |= 1 << (id % 64)
+			x, err = r.uvarint()
+		}
+		if err != nil {
+			return recordErr(r, p, m.N, err)
+		}
+		v := uint32(id)
+		if x >= 1<<(32+shift) {
+			return fmt.Errorf("storage: %s: record %d's degree and form take more than %d bits", r.path, p, 32+shift)
+		}
+		tag := x & (1<<shift - 1)
+		l := list{off: off, deg: uint32(x >> shift), w: uint8(tag) + 1}
+		switch {
+		case tag == gvTag:
+			if l.deg == 0 {
+				return fmt.Errorf("storage: %s: node %d's empty list is in the group-varint form", r.path, v)
+			}
+			if x, err = r.uvarint(); err != nil {
+				return recordErr(r, p, m.N, err)
+			}
+			if x > 3*uint64(l.deg) {
+				return fmt.Errorf("storage: %s: node %d's %d group-varint values take %d bytes beyond one each, more than 3 each", r.path, v, l.deg, x)
+			}
+			l.w, l.size = groupVarint, gvMin(l.deg)+int64(x)
+		case tag > gvTag:
+			return fmt.Errorf("storage: %s: node %d's record gives list form %d", r.path, v, tag)
+		case l.deg <= 1 && int64(l.w) != g.codec.idw:
+			return fmt.Errorf("storage: %s: node %d's list of %d ids gives gap width %d, not %d", r.path, v, l.deg, l.w, g.codec.idw)
+		default:
+			l.size = g.codec.length(l.deg, l.w)
+		}
+		if off += l.size; off > m.EtBytes {
+			return fmt.Errorf("storage: %s: node %d's list ends at byte %d, past the %d-byte edge table", r.path, v, off, m.EtBytes)
+		}
+		arcs += int64(l.deg)
+		if err := emit(v, l); err != nil {
+			return err
+		}
+	}
+	if r.pos < len(r.buf) || r.off < r.size {
+		return fmt.Errorf("storage: %s: bytes follow the last of %d records", r.path, m.N)
+	}
+	if off != m.EtBytes {
+		return fmt.Errorf("storage: %s: the lists end at byte %d of the %d-byte edge table", r.path, off, m.EtBytes)
+	}
+	return g.checkTotals(r, arcs)
+}
+
+// recordErr is err, met reading record p of n's varints, as the table's:
+// it ended inside the record, or a varint is no shortest one of at most
+// maxRecordLen bytes.
+func recordErr(r *Reader, p, n uint32, err error) error {
+	switch err {
+	case io.EOF:
+		return fmt.Errorf("storage: %s: the node table ends inside record %d of %d", r.path, p, n)
+	case errVarint:
+		return fmt.Errorf("storage: %s: record %d holds no shortest varint of at most %d bytes", r.path, p, maxRecordLen)
+	}
+	return err
+}
+
+// checkTotals holds the degrees' sum and the CRC32C of the table, which r
+// has read whole, to the header.
+func (g *Graph) checkTotals(r *Reader, arcs int64) error {
+	if arcs != g.meta.Arcs {
+		return fmt.Errorf("storage: %s: the lists end after %d arcs, the header says %d", r.path, arcs, g.meta.Arcs)
+	}
+	if g.meta.HasCRC && r.sum != g.meta.NtCRC {
+		return fmt.Errorf("storage: %s: node table crc %08x, want %08x", r.path, r.sum, g.meta.NtCRC)
+	}
+	return nil
+}
+
+// decodeLegacy decodes the 12-byte records of versions 1 and 2, each a
+// list's offset (in arcs for version 1, bytes for 2) and degree. A list's
+// gap width is not stored: the next record's offset, or the edge table's
+// end after the last, bounds the list, and its length gives the width
+// back (listCodec.width); a length no width gives is refused. A record
+// outside the edge table is an error before anything is sized from it.
+func (g *Graph) decodeLegacy(r *Reader, emit func(uint32, list) error) error {
+	m := g.meta
+	unit := uint64(1)
+	if g.codec.abs {
+		unit = 4 // version 1 stores arc offsets
+	}
+	if m.N == 0 && m.EtBytes != 0 {
+		return fmt.Errorf("storage: %s: no node holds the %d-byte edge table", r.path, m.EtBytes)
+	}
+	var arcs int64
+	var prev list // node v−1's list, which node v's record ends
+	for v := range int64(m.N) + 1 {
+		next := list{off: m.EtBytes}
+		if v < int64(m.N) {
+			rec, err := r.Next(legacyRecordSize)
 			if err != nil {
 				return err
 			}
+			off := binary.LittleEndian.Uint64(rec[0:8])
+			if off > uint64(m.EtBytes)/unit || (v == 0 && off != 0) {
+				return fmt.Errorf("storage: %s: node %d's record gives offset %d, where no list of the %d-byte edge table starts", r.path, v, off, m.EtBytes)
+			}
+			next = list{off: int64(off * unit), deg: binary.LittleEndian.Uint32(rec[8:12])}
+			arcs += int64(next.deg)
 		}
-		return d.done(emit)
-	}
-	d := newVarintRecords(t)
-	if err := r.Each(func(p []byte) error { return d.feed(p, emit) }); err != nil {
-		return err
-	}
-	return d.done(emit)
-}
-
-// tally is what either decoder holds to the header.
-type tally struct {
-	path  string
-	meta  Meta
-	codec listCodec
-	v     uint32 // records decoded
-	arcs  int64  // their degrees' sum
-	crc   uint32 // their bytes' CRC32C
-}
-
-// check holds the degrees and the checksum to the header.
-func (t *tally) check() error {
-	if t.arcs != t.meta.Arcs {
-		return fmt.Errorf("storage: %s: the lists end after %d arcs, the header says %d", t.path, t.arcs, t.meta.Arcs)
-	}
-	if t.meta.HasCRC && t.crc != t.meta.NtCRC {
-		return fmt.Errorf("storage: %s: node table crc %08x, want %08x", t.path, t.crc, t.meta.NtCRC)
-	}
-	return nil
-}
-
-// varintRecords decodes a node table of version 3, 4 or 5.
-type varintRecords struct {
-	tally
-	off   int64  // where the next list starts: the lengths of the lists before it
-	x     uint64 // the varint being decoded, its first k bytes
-	k     int
-	ids   bool     // each record leads with its id
-	shift uint     // a record's degree is its form varint >> shift
-	stage int      // which varint of the record is being decoded
-	id    int64    // the id of the last record decoded, or being decoded past stageID
-	cur   list     // the record's list, in stageExcess
-	seen  []uint64 // with ids: the ids met, a bit each
-}
-
-// The varints of a record, in order: an id's delta (when records carry
-// ids), the degree and form, and a group-varint list's excess.
-const (
-	stageID = iota
-	stageForm
-	stageExcess
-)
-
-func newVarintRecords(t tally) *varintRecords {
-	d := &varintRecords{tally: t, id: -1, shift: 2, stage: stageForm}
-	if !t.meta.IDOrder {
-		d.ids, d.seen, d.stage = true, make([]uint64, (int64(t.meta.N)+63)/64), stageID
-	}
-	if t.meta.Version >= 5 {
-		d.shift = 3
-	}
-	return d
-}
-
-// feed decodes p, the table's next bytes, emitting each list it places.
-func (d *varintRecords) feed(p []byte, emit func(uint32, list) error) error {
-	d.crc = crc32.Update(d.crc, castagnoli, p)
-	for _, c := range p {
-		if d.v == d.meta.N {
-			return fmt.Errorf("storage: %s: bytes follow the last of %d records", d.path, d.meta.N)
-		}
-		d.x |= uint64(c&0x7f) << (7 * d.k)
-		d.k++
-		if c >= 0x80 && d.k < maxRecordLen {
-			continue
-		}
-		x, k := d.x, d.k
-		d.x, d.k = 0, 0
-		if c >= 0x80 || (c == 0 && k > 1) {
-			return fmt.Errorf("storage: %s: record %d holds no shortest varint of at most %d bytes", d.path, d.v, maxRecordLen)
-		}
-		v := d.v
-		if d.ids {
-			v = uint32(d.id)
-		}
-		switch d.stage {
-		case stageID:
-			if err := d.place(x); err != nil {
+		if v > 0 {
+			w, ok := g.codec.width(next.off-prev.off, prev.deg)
+			if !ok {
+				return fmt.Errorf("storage: %s: node %d's list of %d ids spans bytes [%d,%d) of the edge table, a length no gap width gives", r.path, v-1, prev.deg, prev.off, next.off)
+			}
+			prev.w, prev.size = w, next.off-prev.off
+			if err := emit(uint32(v-1), prev); err != nil {
 				return err
 			}
-			d.stage = stageForm
-			continue
-		case stageForm:
-			if x >= 1<<(32+d.shift) {
-				return fmt.Errorf("storage: %s: record %d's degree and form take more than %d bits", d.path, d.v, 32+d.shift)
-			}
-			tag := x & (1<<d.shift - 1)
-			l := list{off: d.off, deg: uint32(x >> d.shift), w: uint8(tag) + 1}
-			if tag == gvTag {
-				if l.deg == 0 {
-					return fmt.Errorf("storage: %s: node %d's empty list is in the group-varint form", d.path, v)
-				}
-				l.w = groupVarint
-				d.cur, d.stage = l, stageExcess
-				continue
-			}
-			if tag > gvTag {
-				return fmt.Errorf("storage: %s: node %d's record gives list form %d", d.path, v, tag)
-			}
-			if l.deg <= 1 && int64(l.w) != d.codec.idw {
-				return fmt.Errorf("storage: %s: node %d's list of %d ids gives gap width %d, not %d", d.path, v, l.deg, l.w, d.codec.idw)
-			}
-			l.size = d.codec.length(l.deg, l.w)
-			d.cur = l
-		case stageExcess:
-			if x > 3*uint64(d.cur.deg) {
-				return fmt.Errorf("storage: %s: node %d's %d group-varint values take %d bytes beyond one each, more than 3 each", d.path, v, d.cur.deg, x)
-			}
-			d.cur.size = gvMin(d.cur.deg) + int64(x)
 		}
-		d.stage = stageForm
-		if d.ids {
-			d.stage = stageID
-		}
-		d.off += d.cur.size
-		if d.off > d.meta.EtBytes {
-			return fmt.Errorf("storage: %s: node %d's list ends at byte %d, past the %d-byte edge table", d.path, v, d.off, d.meta.EtBytes)
-		}
-		d.arcs += int64(d.cur.deg)
-		if err := emit(v, d.cur); err != nil {
-			return err
-		}
-		d.v++
+		prev = next
 	}
-	return nil
-}
-
-// place takes the zigzag-coded id delta z of record d.v: the id it gives
-// must lie in [0, n) and be met for the first time, so n records that
-// pass are a permutation of [0, n).
-func (d *varintRecords) place(z uint64) error {
-	id := d.id + (int64(z>>1) ^ -int64(z&1))
-	if id < 0 || id >= int64(d.meta.N) {
-		return fmt.Errorf("storage: %s: record %d gives node %d, outside [0,%d)", d.path, d.v, id, d.meta.N)
-	}
-	w, bit := id/64, uint64(1)<<(id%64)
-	if d.seen[w]&bit != 0 {
-		return fmt.Errorf("storage: %s: record %d gives node %d a second time", d.path, d.v, id)
-	}
-	d.seen[w] |= bit
-	d.id = id
-	return nil
-}
-
-// done ends the table.
-func (d *varintRecords) done(func(uint32, list) error) error {
-	if d.v < d.meta.N {
-		return fmt.Errorf("storage: %s: the node table ends inside record %d of %d", d.path, d.v, d.meta.N)
-	}
-	if d.off != d.meta.EtBytes {
-		return fmt.Errorf("storage: %s: the lists end at byte %d of the %d-byte edge table", d.path, d.off, d.meta.EtBytes)
-	}
-	return d.check()
-}
-
-// legacyRecords decodes the 12-byte records of versions 1 and 2, each a
-// list's offset (in arcs for version 1, bytes for 2) and degree. A list's
-// gap width is not stored: once the next record, or the table's end,
-// bounds the list, its length gives it back (listCodec.width), and a
-// length no width gives is refused.
-type legacyRecords struct {
-	tally
-	cur list // the last record met; its width waits for the next one
-}
-
-// next decodes node v's record rec, which ends node v−1's list, and emits
-// that list. A record outside the edge table is an error before anything
-// is sized from it.
-func (d *legacyRecords) next(rec []byte, emit func(uint32, list) error) error {
-	v := d.v
-	off := binary.LittleEndian.Uint64(rec[0:8])
-	deg := binary.LittleEndian.Uint32(rec[8:12])
-	end, unit := uint64(d.meta.EtBytes), uint64(1)
-	if d.codec.abs {
-		unit = 4 // version 1 stores arc offsets
-	}
-	if off > end/unit || (v == 0 && off != 0) {
-		return fmt.Errorf("storage: %s: node %d's record gives offset %d, where no list of the %d-byte edge table starts", d.path, v, off, end)
-	}
-	off *= unit
-	if v > 0 {
-		prev, err := d.close(v-1, int64(off))
-		if err != nil {
-			return err
-		}
-		if err := emit(v-1, prev); err != nil {
-			return err
-		}
-	}
-	d.cur = list{off: int64(off), deg: deg}
-	d.arcs += int64(deg)
-	d.crc = crc32.Update(d.crc, castagnoli, rec)
-	d.v++
-	return nil
-}
-
-// close ends node v's list, d.cur, at byte end and gives it the width its
-// length implies.
-func (d *legacyRecords) close(v uint32, end int64) (list, error) {
-	l := d.cur
-	w, ok := d.codec.width(end-l.off, l.deg)
-	if !ok {
-		return l, fmt.Errorf("storage: %s: node %d's list of %d ids spans bytes [%d,%d) of the edge table, a length no gap width gives", d.path, v, l.deg, l.off, end)
-	}
-	l.w, l.size = w, end-l.off
-	return l, nil
-}
-
-// done ends the last list with the edge table, checks the totals and
-// then emits it.
-func (d *legacyRecords) done(emit func(uint32, list) error) error {
-	n := d.meta.N
-	var last list
-	switch {
-	case n > 0:
-		var err error
-		if last, err = d.close(n-1, d.meta.EtBytes); err != nil {
-			return err
-		}
-	case d.meta.EtBytes != 0:
-		return fmt.Errorf("storage: %s: no node holds the %d-byte edge table", d.path, d.meta.EtBytes)
-	}
-	if err := d.check(); err != nil {
-		return err
-	}
-	if n > 0 {
-		return emit(n-1, last)
-	}
-	return nil
+	return g.checkTotals(r, arcs)
 }
 
 // indexStride is how many consecutive positions share one sample.

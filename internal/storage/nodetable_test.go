@@ -2,17 +2,21 @@ package storage
 
 import (
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"kcore/internal/stats"
 )
 
 // FuzzNodeTableDecode hands the node-table decoder of version 3, 4 or 5
 // arbitrary bytes as a whole table, with a node count, a first-id width
-// and the header's edge-table size and arc count, fed in pieces of three
-// bytes so records straddle them: version 3 unless ids or v5 is set, 4
-// when only ids is, and 5 when v5 is, its records led by ids when ids is.
-// Whatever it is given it never panics, never reads past the table (the
-// slice has no capacity beyond it) and places every list inside the edge
-// table. It accepts exactly what a reference decoder built on
+// and the header's edge-table size and arc count, read from a file of
+// one-byte blocks, FlushBlocks of them at a time, so records straddle the
+// reads: version 3 unless ids or v5 is set, 4 when only ids is, and 5
+// when v5 is, its records led by ids when ids is. Whatever it is given it
+// never panics, never reads past the table and places every list inside
+// the edge table. It accepts exactly what a reference decoder built on
 // encoding/binary accepts: n records and nothing after them, each a
 // shortest uvarint of at most 34 bits (35 in version 5), led when ids is
 // set by a shortest varint of at most five bytes whose sum with the id
@@ -49,7 +53,7 @@ func FuzzNodeTableDecode(f *testing.F) {
 			version, shift = 5, 3
 		}
 		meta := Meta{Version: version, N: n, Arcs: arcs, NtBytes: int64(len(data)), EtBytes: etBytes, IDOrder: !ids}
-		d := newVarintRecords(tally{path: "fuzz.nt", meta: meta, codec: codec})
+		g := &Graph{meta: meta, codec: codec}
 		var (
 			got    []list
 			gotIDs []uint32
@@ -62,13 +66,16 @@ func FuzzNodeTableDecode(f *testing.F) {
 			return nil
 		}
 		table := data[:len(data):len(data)]
-		var err error
-		for p := table; err == nil && len(p) > 0; p = p[min(3, len(p)):] {
-			err = d.feed(p[:min(3, len(p))], keep)
+		path := filepath.Join(t.TempDir(), "fuzz.nt")
+		if err := os.WriteFile(path, table, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if err == nil {
-			err = d.done(keep)
+		r, err := OpenReader(path, nil, stats.NewIOCounter(1))
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer r.Close()
+		err = g.decodeNodes(r, keep)
 
 		// The reference: each varint refused unless it is the shortest
 		// encoding of its value, a record's below 2^34 (2^35), an id's in

@@ -124,9 +124,15 @@ func CheckpointBase(ckptDir string) string { return filepath.Join(ckptDir, ckptG
 // CheckpointBundleNames reports the files of a checkpoint directory in
 // canonical order — what a download carries, and the whitelist a
 // follower extracts. The cores file comes last: it is the one a
-// checkpoint may lack (Manifest.HasCores).
+// checkpoint may lack (Manifest.HasCores). The tables' checksum sidecar,
+// last of storage.Files, stays out: followers of older trees refuse a tar
+// entry they do not know, and a follower's open does without it.
 func CheckpointBundleNames() []string {
-	return []string{manifestName, ckptGraphBase + ".meta", ckptGraphBase + ".nt", ckptGraphBase + ".et", coresName}
+	names := []string{manifestName}
+	for _, ext := range storage.Files[:len(storage.Files)-1] {
+		names = append(names, ckptGraphBase+ext)
+	}
+	return append(names, coresName)
 }
 
 // writeCheckpoint persists src (a dyngraph.View, streamed: no copy of the

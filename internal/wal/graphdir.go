@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"kcore/internal/faultfs"
-	"kcore/internal/graphio"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 )
@@ -388,5 +387,5 @@ func CopyLive(dir, srcBase string, link bool) (string, error) {
 	if err := os.MkdirAll(filepath.Dir(live), 0o755); err != nil {
 		return "", err
 	}
-	return live, graphio.CopyGraph(live, srcBase, link)
+	return live, storage.CopyGraph(live, srcBase, link)
 }
