@@ -7,7 +7,7 @@
 # cross-goroutine state accessed only via sync/atomic, mutexes or channels.
 GO ?= go
 
-.PHONY: all test race vet doc loc bench crash-sweep fuzz profile clean
+.PHONY: all test race vet doc loc bench pair crash-sweep fuzz profile clean
 
 all: test vet
 
@@ -47,6 +47,18 @@ loc:
 # One pass over every benchmark, mainly as a does-it-run smoke check.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Parent/change timing pairs: a `go test -c` binary of package PKG at
+# revision PARENT (exported with git archive into a temporary directory)
+# and one of the working tree, run alternately N times each on the
+# benchmarks BENCH matches, then the medians, quartiles and pairs won
+# (cmd/benchpair). Example:
+#   make pair PARENT=HEAD~1 PKG=./internal/storage BENCH=ListDecode N=10
+PARENT ?= HEAD
+N ?= 10
+BENCHTIME ?= 1x
+pair:
+	$(GO) run ./cmd/benchpair -parent '$(PARENT)' -pkg '$(PKG)' -bench '$(BENCH)' -n $(N) -benchtime '$(BENCHTIME)'
 
 # Short exploratory burst on every native fuzz target (the checked-in
 # corpora already run under `make test`). Override FUZZTIME for longer

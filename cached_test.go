@@ -473,9 +473,9 @@ func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
 	}
 }
 
-// record is one node record of version 3 to 5: its node, where it
+// record is one node record of version 3 to 6: its node, where it
 // starts in the node table, where its degree and form start and their
-// length, and the degree and gap width they give (0 for a group-varint
+// length, and the degree and gap width they give (0 for a variable-form
 // list, whose record goes on with its excess).
 type record struct {
 	id      uint32
@@ -486,7 +486,7 @@ type record struct {
 }
 
 // formShift is how far a record's degree is shifted past its form: 2
-// bits of gap width before version 5, 3 bits of form from it.
+// bits of gap width before version 5, 3 bits of form from it on.
 func formShift(t *testing.T, base string) uint {
 	t.Helper()
 	m, err := storage.ReadMeta(base)
@@ -499,7 +499,7 @@ func formShift(t *testing.T, base string) uint {
 	return 2
 }
 
-// records decodes base's node table nt, of version 3 to 5, in layout
+// records decodes base's node table nt, of version 3 to 6, in layout
 // order.
 func records(t *testing.T, base string, nt []byte) []record {
 	t.Helper()
@@ -527,7 +527,7 @@ func records(t *testing.T, base string, nt []byte) []record {
 		}
 		r := record{id: uint32(id), start: start, at: at, len: k, deg: uint32(x >> shift), w: uint8(x&(1<<shift-1)) + 1}
 		at += k
-		if r.w == 5 { // group varint: the excess follows
+		if r.w == 5 { // the variable form: the excess follows
 			_, k := binary.Uvarint(nt[at:])
 			if k <= 0 {
 				t.Fatalf("node table: no excess varint at byte %d", at)

@@ -1,0 +1,170 @@
+// Command benchpair times one package's benchmarks at a parent revision
+// against the working tree, in pairs: it exports the revision with git
+// archive into a temporary directory, builds a `go test -c` binary of the
+// package in each tree, runs the two alternately, n times each (the
+// first of a pair alternating too), and prints for every benchmark and
+// unit the medians and quartiles of both and how many pairs the working
+// tree won. Lower wins, except for a unit per second (MB/s), where
+// higher does. It is `make pair`'s engine.
+//
+// Usage:
+//
+//	benchpair -parent HEAD~1 -pkg ./internal/storage -bench 'ListDecode' [-n 10] [-benchtime 1x]
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+)
+
+func main() {
+	var (
+		parent    = flag.String("parent", "HEAD", "the revision to time the working tree against")
+		pkg       = flag.String("pkg", "", "the package whose benchmarks run, as a path from the module root (required)")
+		bench     = flag.String("bench", "", "the -test.bench regexp (required)")
+		n         = flag.Int("n", 10, "pairs of runs")
+		benchtime = flag.String("benchtime", "1x", "the -test.benchtime of each run")
+	)
+	flag.Parse()
+	if *pkg == "" || *bench == "" || *n < 1 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := run(*parent, *pkg, *bench, *benchtime, *n); err != nil {
+		fmt.Fprintln(os.Stderr, "benchpair:", err)
+		os.Exit(1)
+	}
+}
+
+// tree is one side of the comparison: a test binary and the package
+// directory it runs in, as go test runs it.
+type tree struct {
+	name, bin, dir string
+	runs           []map[string]float64 // per run, "benchmark unit" → value
+}
+
+func run(parent, pkg, bench, benchtime string, n int) error {
+	tmp, err := os.MkdirTemp("", "benchpair-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp)
+	src := filepath.Join(tmp, "parent")
+	if err := os.Mkdir(src, 0o755); err != nil {
+		return err
+	}
+	archive := exec.Command("git", "archive", parent)
+	untar := exec.Command("tar", "-x", "-C", src)
+	if untar.Stdin, err = archive.StdoutPipe(); err != nil {
+		return err
+	}
+	archive.Stderr, untar.Stderr = os.Stderr, os.Stderr
+	if err := untar.Start(); err != nil {
+		return err
+	}
+	if err := archive.Run(); err != nil {
+		return fmt.Errorf("git archive %s: %w", parent, err)
+	}
+	if err := untar.Wait(); err != nil {
+		return err
+	}
+	sides := []*tree{
+		{name: parent, bin: filepath.Join(tmp, "parent.test"), dir: filepath.Join(src, pkg)},
+		{name: "working tree", bin: filepath.Join(tmp, "change.test"), dir: pkg},
+	}
+	for i, root := range []string{src, "."} {
+		build := exec.Command("go", "test", "-c", "-o", sides[i].bin, "./"+filepath.Clean(pkg))
+		build.Dir, build.Stdout, build.Stderr = root, os.Stderr, os.Stderr
+		if err := build.Run(); err != nil {
+			return fmt.Errorf("building %s: %w", sides[i].name, err)
+		}
+	}
+	for i := range n {
+		for j := range sides {
+			s := sides[(i+j)%2] // the first of a pair alternates
+			out, err := s.run(bench, benchtime)
+			if err != nil {
+				return err
+			}
+			s.runs = append(s.runs, out)
+		}
+	}
+	report(os.Stdout, sides[0], sides[1], n)
+	return nil
+}
+
+// run runs the binary once and parses its benchmark lines.
+func (t *tree) run(bench, benchtime string) (map[string]float64, error) {
+	cmd := exec.Command(t.bin, "-test.run", "^$", "-test.bench", bench, "-test.benchtime", benchtime, "-test.benchmem", "-test.timeout", "30m")
+	cmd.Dir, cmd.Stderr = t.dir, os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		os.Stderr.Write(out)
+		return nil, fmt.Errorf("%s: %w", t.name, err)
+	}
+	got := map[string]float64{}
+	sc := bufio.NewScanner(bytes.NewReader(out))
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		for k := 2; k+1 < len(f); k += 2 {
+			if v, err := strconv.ParseFloat(f[k], 64); err == nil {
+				got[f[0]+" "+f[k+1]] = v
+			}
+		}
+	}
+	if len(got) == 0 {
+		return nil, fmt.Errorf("%s: no benchmark matched %q", t.name, bench)
+	}
+	return got, nil
+}
+
+// report prints one line per benchmark and unit both sides measured.
+func report(w *os.File, parent, change *tree, n int) {
+	var keys []string
+	for k := range parent.runs[0] {
+		if _, ok := change.runs[0][k]; ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	fmt.Fprintf(w, "%d pairs; median [q1, q3] of %s, then of the working tree\n", n, parent.name)
+	for _, k := range keys {
+		higher := strings.HasSuffix(k, "/s")
+		var p, c []float64
+		wins := 0
+		for i := range n {
+			pv, cv := parent.runs[i][k], change.runs[i][k]
+			p, c = append(p, pv), append(c, cv)
+			if (higher && cv > pv) || (!higher && cv < pv) {
+				wins++
+			}
+		}
+		pm, cm := quantile(p, .5), quantile(c, .5)
+		fmt.Fprintf(w, "%-60s %12.4g [%.4g, %.4g]  %12.4g [%.4g, %.4g]  %+6.1f%%  won %d/%d\n",
+			k, pm, quantile(p, .25), quantile(p, .75), cm, quantile(c, .25), quantile(c, .75), 100*(cm-pm)/pm, wins, n)
+	}
+}
+
+// quantile is the q-quantile of xs, linearly interpolated.
+func quantile(xs []float64, q float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	if lo+1 >= len(s) {
+		return s[lo]
+	}
+	return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+}

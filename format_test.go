@@ -103,6 +103,38 @@ func upgradesOnFoldBack(t *testing.T, base string) *kcore.Result {
 	return res
 }
 
+// shrinksInLayout wants one fold-back (upgradesOnFoldBack) to rewrite
+// the tables at base, laid out in another order than ids, in the same
+// layout and in fewer edge-table bytes.
+func shrinksInLayout(t *testing.T, base string) {
+	t.Helper()
+	positions := func() []uint32 {
+		t.Helper()
+		g, err := storage.Open(base, stats.NewIOCounter(0), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		return slices.Clone(g.Positions())
+	}
+	before, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := positions()
+	upgradesOnFoldBack(t, base)
+	after, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.EtBytes >= before.EtBytes {
+		t.Errorf("the fold-back's edge table takes %d bytes, the version-%d table %d", after.EtBytes, before.Version, before.EtBytes)
+	}
+	if layout == nil || !slices.Equal(positions(), layout) {
+		t.Errorf("the fold-back changed the layout")
+	}
+}
+
 // refusesHeaders wants ReadMeta to refuse each header, naming key.
 func refusesHeaders(t *testing.T, base, key string, headers ...string) {
 	t.Helper()
@@ -212,30 +244,48 @@ func TestVersion4TablesStayReadable(t *testing.T) {
 	if meta.Version != 4 || meta.IDOrder || !meta.HasCRC {
 		t.Fatalf("fixture header %+v: want version 4 out of id order, with checksums", meta)
 	}
-	positions := func() []uint32 {
-		t.Helper()
-		g, err := storage.Open(base, stats.NewIOCounter(0), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer g.Close()
-		return slices.Clone(g.Positions())
-	}
-	layout := positions()
-	upgradesOnFoldBack(t, base)
-	after, err := storage.ReadMeta(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.EtBytes >= meta.EtBytes {
-		t.Errorf("the fold-back's edge table takes %d bytes, the version-4 table %d", after.EtBytes, meta.EtBytes)
-	}
-	if layout == nil || !slices.Equal(positions(), layout) {
-		t.Errorf("the fold-back changed the layout")
-	}
+	shrinksInLayout(t, base)
 	refusesHeaders(t, base, "idorder",
 		"version=5\nnodes=506\narcs=3200\nntbytes=1135\netbytes=3639\n",
 		"version=4\nnodes=506\narcs=3200\nntbytes=1135\netbytes=3639\nidorder=0\n",
 		"version=5\nnodes=506\narcs=3200\nntbytes=1135\netbytes=3639\nidorder=2\n",
+	)
+}
+
+// TestVersion5TablesStayReadable opens the format-version-5 tables (each
+// list in the shorter of its fixed-width and its group-varint form, laid
+// out in a peeling order, and a checksum sidecar) that the version-5
+// tree's Build wrote for RMAT(9, 4) seed 3, in place: they hold lists of
+// both forms, through the sidecar the index reads them into memory,
+// SemiCore* decomposes them to IMCore's cores, and one fold-back rewrites
+// them as version 6, in the same layout and in fewer edge-table bytes. A
+// version-6 header must say whether its layout is id order too.
+func TestVersion5TablesStayReadable(t *testing.T) {
+	base := copyTables(t, filepath.Join("testdata", "v5", "g"), ".meta", ".nt", ".et", ".crc")
+	meta, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Version != 5 || meta.IDOrder || !meta.HasCRC {
+		t.Fatalf("fixture header %+v: want version 5 out of id order, with checksums", meta)
+	}
+	nt, err := os.ReadFile(base + ".nt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixed, grouped int
+	for _, r := range records(t, base, nt) {
+		if r.w == 0 {
+			grouped++
+		} else if r.deg >= 2 {
+			fixed++
+		}
+	}
+	if fixed == 0 || grouped == 0 {
+		t.Fatalf("fixture: %d fixed-width lists of two or more ids and %d group-varint lists; want both", fixed, grouped)
+	}
+	shrinksInLayout(t, base)
+	refusesHeaders(t, base, "idorder",
+		"version=6\nnodes=506\narcs=3200\nntbytes=1180\netbytes=3599\n",
 	)
 }

@@ -8,7 +8,7 @@ import (
 	"kcore/internal/stats"
 )
 
-// Builder writes a graph to disk in format version 5: the two tables, the
+// Builder writes a graph to disk in format version 6: the two tables, the
 // checksum sidecar and, last, the meta header. Adjacency lists are
 // appended one call per node, each sorted ascending, in the order the
 // tables are to lay them out, and each is stored in the shorter of its
@@ -104,7 +104,7 @@ func (b *Builder) appendEncoded(v uint32, l list, enc []byte) error {
 		b.seen[word] |= bit
 		b.recs = binary.AppendVarint(b.recs, int64(v)-b.prev)
 	}
-	b.recs = appendRecord(b.recs, l)
+	b.recs = b.codec.appendRecord(b.recs, l)
 	if _, err := b.et.Write(enc); err != nil {
 		return err
 	}
@@ -122,7 +122,7 @@ func (b *Builder) reorder() {
 	recs := make([]byte, 0, len(b.recs)+int(b.count))
 	for r := b.recs; len(r) > 0; {
 		x, k := binary.Uvarint(r)
-		if x&7 == gvTag {
+		if x&7 == varTag {
 			_, excess := binary.Uvarint(r[k:])
 			k += excess
 		}

@@ -10,7 +10,7 @@ import (
 // The list codec. A node's sorted list u1 < u2 < … < ud is stored in one
 // of two forms.
 //
-// The fixed-width form (format versions 2 to 5) is u1 in idw bytes, idw
+// The fixed-width form (format versions 2 to 6) is u1 in idw bytes, idw
 // the byte width of n−1 for the whole graph, then the d−1 gaps u(i+1) −
 // u(i), each at least 1, as little-endian integers of w bytes, w ∈
 // {1,2,3,4} the smallest width that holds the list's largest gap. An
@@ -22,47 +22,58 @@ import (
 // read through the same codec with idw = w = 4 and absolute ids in place
 // of gaps.
 //
-// The group-varint form (version 5) stores the d values u1, u2 − u1, …,
-// ud − u(d−1) in groups of four: a control byte whose bits 2j and 2j+1
-// hold the byte length of the group's value j, minus one, then the
-// values, little-endian, each in the fewest bytes that hold it. The last
-// group holds d mod 4 values when that is not 0, the control bits of its
-// missing values zero. A list of degree d spans d + ⌈d/4⌉ bytes and as
-// many more as its values take beyond one byte each; a version-5 node
-// record gives d and that excess. Version 5 stores each list in the
-// group-varint form when that is strictly shorter than its fixed-width
-// form, and in the fixed-width form otherwise, so every list has exactly
-// one encoding, which the decoder holds it to.
+// The variable form stores the d values u1, u2 − u1, …, ud − u(d−1) each
+// in the fewest bytes its code allows. Version 6's is a uvarint per
+// value: seven bits a byte, low groups first, the high bit of every byte
+// but the value's last set; at most five bytes, since a value is below
+// 2^32. A list spans d bytes and as many more as its values take beyond
+// one each, which its node record gives. Version 5's is group varint:
+// groups of four values behind a control byte whose bits 2j and 2j+1 hold
+// the byte length of the group's value j, minus one, each value
+// little-endian in the fewest whole bytes that hold it, the last group's
+// missing values' control bits zero; a list spans d + ⌈d/4⌉ bytes and its
+// values' bytes beyond one each. Versions 5 and 6 store each list in the
+// variable form when that is strictly shorter than its fixed-width form,
+// and in the fixed-width form otherwise, so every list has exactly one
+// encoding, which the decoder holds it to. The Builder writes version 6;
+// version-5 tables are read in place (decodeGroups) until their first
+// rewrite.
 //
 // Gap coding is WebGraph's (Boldi and Vigna, WWW'04); the fixed width
-// per list is this tree's, group varint Dean's (WSDM'09). A uvarint per
-// value would take fewer bytes still (rmat17: 1,050 edge-table blocks,
-// against 1,147 for version 5 and 1,416 for fixed widths), but a
-// prototype of it spent about 25% more time per decomposition on its
-// per-byte branch. Group varint has none: decoding every rmat17 list
-// takes 9.3 ms against 6.7 ms at fixed widths (BenchmarkListDecode, the
-// fastest of twelve alternating runs on a 2-core x86-64 VM). So each
-// fixed-width list takes one width and each width one branch-free loop,
-// and a group-varint group is decoded through offset and mask tables
-// indexed by its control byte, with no branch on its values.
+// per list is this tree's, group varint Dean's (WSDM'09), and the
+// uvarint decoder follows masked VByte (Plaisance, Kurz and Lemire,
+// Vectorized VByte Decoding, 2015), with 8-byte words for vectors. A
+// uvarint per value is the shortest of the three codes (rmat17 in
+// Build's order: 1,047 edge-table blocks against 1,147 for version 5 and
+// 1,416 for fixed widths), but decoded a byte at a time it branches on
+// every byte's continuation bit, which cost a prototype about 25% of a
+// decomposition. decodeUvarints does not look at single bytes: it reads
+// 8 bytes as one word, gathers their 8 continuation bits with one
+// multiply, and indexes a table by them that gives where each of up to
+// four values starts and ends; one compaction of the word's 7-bit groups
+// then yields all of them, each cut out by two shifts, and no branch
+// depends on a value. So each fixed-width list takes one width and each
+// width one branch-free loop, and a variable-form list is decoded through
+// tables indexed by its control bytes or continuation bits.
 
 // listCodec is how one graph's lists are laid out.
 type listCodec struct {
 	n   uint32 // every id is below n
 	idw int64  // bytes of a list's first id
 	abs bool   // version 1: every id absolute, idw = w = 4
-	gv  bool   // version 5: a list is in the shorter of the two forms
+	gv  bool   // version 5: the variable form is group varint
+	uv  bool   // version 6: the variable form is a uvarint per value
 }
 
-// groupVarint is list.w of a list in the group-varint form.
-const groupVarint = 0
+// varForm is list.w of a list in the variable form.
+const varForm = 0
 
 // codecOf reports the codec of the tables a header describes.
 func codecOf(m Meta) listCodec {
 	if m.Version == 1 {
 		return listCodec{n: m.N, idw: 4, abs: true}
 	}
-	return listCodec{n: m.N, idw: int64(byteWidth(max(m.N, 1) - 1)), gv: m.Version >= 5}
+	return listCodec{n: m.N, idw: int64(byteWidth(max(m.N, 1) - 1)), gv: m.Version == 5, uv: m.Version >= 6}
 }
 
 // byteWidth reports the fewest bytes, 1 to 4, that hold x.
@@ -77,10 +88,45 @@ func (c listCodec) length(deg uint32, w uint8) int64 {
 	return c.idw + int64(w)*(int64(deg)-1)
 }
 
+// uvLen reports the bytes of the shortest uvarint of x: 1 to 5.
+func uvLen(x uint32) int64 {
+	return int64(bits.Len32(x|1)+6) / 7
+}
+
 // gvMin is the byte length of a group-varint list of deg values each
 // stored in one byte: the least a list of deg ids can take in that form.
 func gvMin(deg uint32) int64 {
 	return int64(deg) + (int64(deg)+3)/4
+}
+
+// varMin is the least byte length of a list of deg ids in the codec's
+// variable form, each value in one byte; a node record gives the bytes a
+// list takes beyond it, at most varExcess a value.
+func (c listCodec) varMin(deg uint32) int64 {
+	if c.gv {
+		return gvMin(deg)
+	}
+	return int64(deg)
+}
+
+// varExcess is the most bytes a value takes in the codec's variable form
+// beyond its first: 3 in group varint, 4 in a uvarint.
+func (c listCodec) varExcess() uint64 {
+	if c.gv {
+		return 3
+	}
+	return 4
+}
+
+// gvLen reports the byte length of the list nbrs, at least one id, in
+// version 5's group-varint form.
+func gvLen(nbrs []uint32) int64 {
+	size, prev := (int64(len(nbrs))+3)/4, uint32(0)
+	for _, u := range nbrs {
+		size += int64(byteWidth(u - prev))
+		prev = u
+	}
+	return size
 }
 
 // width recovers the gap width of a fixed-width list of deg ids that
@@ -99,37 +145,51 @@ func (c listCodec) width(n int64, deg uint32) (uint8, bool) {
 
 // form reports how the codec stores the list nbrs, sorted ascending: in
 // the fixed-width form at gap width w (idw for a list of at most one
-// id), or in the group-varint form, w = groupVarint; and its byte length.
+// id), or in the variable form, w = varForm; and its byte length.
 func (c listCodec) form(nbrs []uint32) (w uint8, size int64) {
 	d := uint32(len(nbrs))
 	if d == 0 {
 		return uint8(c.idw), 0
 	}
-	// The group-varint length: each value's bytes past its first, the
-	// first value being u1 itself.
-	gv := gvMin(d) + int64(byteWidth(nbrs[0])) - 1
+	// The gaps' largest, and the uvarint form's length on the way
+	// (version 5's group varint is measured on its own).
 	var maxGap uint32
+	vlen := uvLen(nbrs[0])
 	for i := 1; i < len(nbrs); i++ {
 		g := nbrs[i] - nbrs[i-1]
-		gv += int64(byteWidth(g)) - 1
 		maxGap = max(maxGap, g)
+		vlen += uvLen(g)
 	}
 	w = uint8(c.idw) // no gap is stored; the width is the canonical one
 	if d > 1 {
 		w = byteWidth(maxGap)
 	}
-	if fixed := c.length(d, w); !c.gv || gv >= fixed {
-		return w, fixed
+	fixed := c.length(d, w)
+	if c.gv {
+		vlen = gvLen(nbrs)
 	}
-	return groupVarint, gv
+	if (c.gv || c.uv) && vlen < fixed {
+		return varForm, vlen
+	}
+	return w, fixed
 }
 
-// encode appends the list nbrs, sorted ascending, to dst, and reports
-// its form: its gap width (idw for a list of at most one id), or
-// groupVarint.
+// encode appends the list nbrs, sorted ascending, to dst in the form the
+// codec gives it, and reports that form: its gap width (idw for a list
+// of at most one id), or varForm. It writes the variable form of version
+// 6, the one the Builder writes; version 5's group varint has a decoder
+// and no encoder.
 func (c listCodec) encode(dst []byte, nbrs []uint32) ([]byte, uint8) {
 	w, size := c.form(nbrs)
 	if len(nbrs) == 0 {
+		return dst, w
+	}
+	if w == varForm {
+		prev := uint32(0)
+		for _, u := range nbrs {
+			dst = binary.AppendUvarint(dst, uint64(u-prev))
+			prev = u
+		}
 		return dst, w
 	}
 	n := len(dst)
@@ -138,22 +198,6 @@ func (c listCodec) encode(dst []byte, nbrs []uint32) ([]byte, uint8) {
 	// its length drops, so the slice runs 4 bytes past the list until the
 	// end.
 	dst = slices.Grow(dst, end+4-n)[:end+4]
-	if w == groupVarint {
-		prev := uint32(0)
-		for i := 0; i < len(nbrs); i += 4 {
-			ctl := n
-			dst[ctl] = 0
-			n++
-			for j, u := range nbrs[i:min(i+4, len(nbrs))] {
-				k := byteWidth(u - prev)
-				dst[ctl] |= (k - 1) << (2 * j)
-				binary.LittleEndian.PutUint32(dst[n:], u-prev)
-				n += int(k)
-				prev = u
-			}
-		}
-		return dst[:end], w
-	}
 	idw := int(c.idw)
 	binary.LittleEndian.PutUint32(dst[n:], nbrs[0])
 	n += idw
@@ -169,10 +213,17 @@ func (c listCodec) encode(dst []byte, nbrs []uint32) ([]byte, uint8) {
 // and returns them. A list that is not strictly ascending, holds an id ≥
 // n, or is not in the one form and of the one length the codec gives it
 // is an error: headers from older builders carry no checksums, so the
-// bytes may be anything.
+// bytes may be anything. The uvarint decoder may read past the list into
+// raw's capacity, never beyond it; nothing it reads there decides what
+// it returns.
 func (c listCodec) decode(raw []byte, deg uint32, w uint8, buf []uint32) ([]uint32, error) {
-	if w == groupVarint && c.gv && deg > 0 {
-		return c.decodeGroups(raw, deg, buf)
+	if w == varForm && deg > 0 {
+		switch {
+		case c.uv:
+			return c.decodeUvarints(raw, deg, buf)
+		case c.gv:
+			return c.decodeGroups(raw, deg, buf)
+		}
 	}
 	if lw, ok := c.width(int64(len(raw)), deg); !ok || lw != w {
 		return nil, fmt.Errorf("%d bytes are no list of %d ids at gap width %d", len(raw), deg, w)
@@ -241,7 +292,7 @@ func (c listCodec) decode(raw []byte, deg uint32, w uint8, buf []uint32) ([]uint
 	if err := c.check(deg, last, minGap); err != nil {
 		return nil, err
 	}
-	if c.gv && !c.fixedCanonical(raw, buf, w) {
+	if (c.gv || c.uv) && !c.fixedCanonical(raw, buf, w) {
 		return nil, fmt.Errorf("list of %d ids stored at gap width %d, not in its one form", deg, w)
 	}
 	return buf, nil
@@ -249,26 +300,48 @@ func (c listCodec) decode(raw []byte, deg uint32, w uint8, buf []uint32) ([]uint
 
 // fixedCanonical reports whether the fixed-width list raw of the ids
 // nbrs, at gap width w, is in its one form: at the least width that holds
-// its gaps, and no longer than its group-varint form. That form's length
-// is gvMin plus the bytes past one that the first id and each gap take:
-// none a gap at width 1 (and for a list of one id), one a gap whose high
-// byte is set at width 2, which the stored bytes give without a pass over
-// the ids; wider lists, rare, are measured from the ids.
+// its gaps, and no shorter than its variable form. The stored bytes give
+// that form's length without a pass over the ids for lists of at most one
+// id and at widths 1 and 2: a uvarint takes a byte for a gap below 128,
+// two below 2^14 and three below 2^16; a group-varint value a byte below
+// 256 and two below 2^16, plus the control bytes. Wider lists, rare, are
+// measured from the ids.
 func (c listCodec) fixedCanonical(raw []byte, nbrs []uint32, w uint8) bool {
-	deg := uint32(len(nbrs))
-	gv := gvMin(deg) + int64(byteWidth(nbrs[0])) - 1
+	deg, size := int64(len(nbrs)), int64(len(raw))
+	gaps := raw[c.idw:]
+	// least is the variable form's length were every gap one byte.
+	least := uvLen(nbrs[0]) + deg - 1
+	if c.gv {
+		least = gvMin(uint32(deg)) + int64(byteWidth(nbrs[0])) - 1
+	}
 	switch {
 	case deg <= 1 || w == 1:
-		return gv >= int64(len(raw))
-	case w == 2:
-		var high int64
-		for i := c.idw + 1; i < int64(len(raw)); i += 2 {
-			high += (int64(raw[i]) + 255) >> 8
+		if c.gv || least >= size {
+			return least >= size
 		}
-		return high > 0 && gv+high >= int64(len(raw))
+		var high int64 // the gaps of 128 or more
+		for _, b := range gaps {
+			high += int64(b >> 7)
+		}
+		return least+high >= size
+	case w == 2:
+		// wide is set once a gap needs its high byte; more counts the
+		// bytes the gaps take in the variable form beyond one each: one
+		// from t1 on and another from t2 on.
+		t1, t2 := int64(1)<<7, int64(1)<<14
+		if c.gv {
+			t1, t2 = 1<<8, 1<<16
+		}
+		var wide, more int64
+		for i := 1; i < len(gaps); i += 2 {
+			g := int64(gaps[i-1]) | int64(gaps[i])<<8
+			wide |= g >> 8
+			more += (g+1<<16-t1)>>16 + (g+1<<16-t2)>>16
+		}
+		return wide != 0 && least+more >= size
 	}
-	fw, size := c.form(nbrs)
-	return fw == w && size == int64(len(raw))
+	fw, fsize := c.form(nbrs)
+	return fw == w && fsize == size
 }
 
 // check refuses a decoded list whose smallest gap is 0 or whose last id
@@ -421,4 +494,188 @@ func (c listCodec) decodeGroups(raw []byte, deg uint32, buf []uint32) ([]uint32,
 		return nil, fmt.Errorf("group-varint list of %d ids takes %d bytes, its fixed-width form %d", deg, len(raw), fixed)
 	}
 	return buf[:deg], nil
+}
+
+// uvStep is what the continuation bits of 8 bytes say of the uvarints
+// that start at the first of them: how many end within the 8 (n, 1 to 4:
+// a step takes no more), the bytes those take (size) and the bytes the
+// first takes (size1); and, for each, the two shifts that cut its 7-bit
+// groups out of the compaction of the 8 bytes' groups (left by hi, right
+// by lo) and the least value of its length — 1 for one byte, a gap being
+// at least 1, and 2^(7(L−1)) for L bytes, so that a value is in its
+// shortest encoding. A missing value is cut out as 0, of least value 0.
+// When the first 5 bytes all carry a continuation bit, the first value is
+// longer than five: it is cut out as 0 with a least value of 2, which
+// refuses it.
+type uvStep struct {
+	n, size, size1 uint8
+	hi, lo         [4]uint8
+	floor          [4]uint32
+}
+
+var uvSteps [256]uvStep
+
+func init() {
+	for i := range uvOnes {
+		uvOnes[i] = 1
+	}
+	for m := range uvSteps {
+		s := &uvSteps[m]
+		s.lo = [4]uint8{63, 63, 63, 63} // the compaction's top bit is 0
+		for at := 0; s.n < 4 && at < 8; {
+			k := 0 // the value's bytes before its last
+			for at+k < 8 && m>>(at+k)&1 == 1 {
+				k++
+			}
+			if s.n == 0 && k >= 5 {
+				s.n, s.size, s.size1, s.floor[0] = 1, 5, 5, 2
+				break
+			}
+			if at+k == 8 || k >= 5 {
+				break // it ends past the 8 bytes, or is longer than five
+			}
+			j, l := s.n, k+1
+			s.hi[j], s.lo[j] = uint8(64-7*(at+l)), uint8(64-7*l)
+			s.floor[j] = 1 << (7 * k)
+			if at += l; j == 0 {
+				s.size1 = uint8(l)
+			}
+			s.n, s.size = j+1, uint8(at)
+		}
+	}
+}
+
+// uvOnes is what a list's last bytes are copied over to be decoded:
+// bytes of 1, each a whole uvarint, so the 16 bytes each step reads
+// exist.
+var uvOnes [32]byte
+
+// continuation gathers the high bits of w's 8 bytes, byte i's to bit i:
+// the multiply moves each to the top byte, and no two of its partial
+// products meet.
+func continuation(w uint64) uint8 {
+	return uint8((w & 0x8080808080808080) * 0x0002040810204081 >> 56)
+}
+
+// compact packs the low 7 bits of w's 8 bytes, byte i's to bits 7i to
+// 7i+6: pairs, then quads, then the two halves.
+func compact(w uint64) uint64 {
+	w &= 0x7f7f7f7f7f7f7f7f
+	w = w&0x007f007f007f007f | w>>1&0x3f803f803f803f80
+	w = w&0x00003fff00003fff | w>>2&0x0fffc0000fffc000
+	return w&0x000000000fffffff | w>>4&0x00fffffff0000000
+}
+
+// decodeUvarints decodes the uvarint list raw of deg > 0 ids into buf,
+// grown geometrically if short, and returns buf[:deg]. Each step reads 16
+// bytes: 8 whose continuation bits index uvSteps, the rest so that a
+// value starting among them may end. It reads in place while 16 bytes are
+// left in raw's capacity, and after that from a copy of raw's rest, fewer
+// than 16 bytes, padded with uvOnes, so nothing past the capacity is read.
+// The first id, which may be 0, is one step, then up to four values a
+// step while four or more are wanted, then one a step; so no step reads a
+// value past the deg-th, and what lies past the list decides nothing. A
+// list is refused unless its values account for its length exactly, each
+// in its shortest encoding of at most five bytes, every gap at least 1 and
+// below 2^32, its last id is below n, and the form is strictly shorter
+// than the fixed-width one: every check on a value is an accumulation
+// without a branch, tested once the list is done.
+func (c listCodec) decodeUvarints(raw []byte, deg uint32, buf []uint32) ([]uint32, error) {
+	if int64(len(raw)) < int64(deg) {
+		return nil, fmt.Errorf("%d bytes are no uvarint list of %d ids, which takes at least %d", len(raw), deg, deg)
+	}
+	var (
+		// under has its top bit set once some value is below the least of
+		// its length: a zero gap, a value stored longer than it needs, or
+		// one of more than five bytes.
+		under uint64
+		gaps  uint64 // the gaps ORed: their largest's bit length, and none ≥ 2^32
+		id    uint64
+		pad   [32]byte
+	)
+	buf = slices.Grow(buf[:0], int(deg))[:deg]
+	// src is where the values are read: raw with its capacity, or pad from
+	// raw[tail:] on; at is where the next value starts in it, i how many
+	// ids are decoded.
+	src, at, tail, i := raw[:cap(raw)], 0, -1, 0
+	for i < len(buf) {
+		if at+16 > len(src) {
+			if tail >= 0 || at > len(raw) {
+				break
+			}
+			tail = at
+			pad = uvOnes
+			copy(pad[:], raw[at:])
+			src, at = pad[:], 0
+			continue
+		}
+		if i == 0 {
+			w := binary.LittleEndian.Uint64(src[at:])
+			s := &uvSteps[continuation(w)]
+			v := compact(w) << (s.hi[0] & 63) >> (s.lo[0] & 63)
+			under |= v - uint64(s.floor[0]&^1) // the first id may be 0
+			if v >= uint64(c.n) {
+				return nil, fmt.Errorf("list of %d ids holds id %d, outside [0,%d)", deg, v, c.n)
+			}
+			id, buf[0] = v, uint32(v)
+			at, i = at+int(s.size1), 1
+		}
+		for len(buf)-i >= 4 && at+16 <= len(src) {
+			w := binary.LittleEndian.Uint64(src[at:])
+			s := &uvSteps[continuation(w)]
+			x, o := compact(w), (*[4]uint32)(buf[i:])
+			v := x << (s.hi[0] & 63) >> (s.lo[0] & 63)
+			under |= v - uint64(s.floor[0])
+			gaps |= v
+			id += v
+			o[0] = uint32(id)
+			v = x << (s.hi[1] & 63) >> (s.lo[1] & 63)
+			under |= v - uint64(s.floor[1])
+			gaps |= v
+			id += v
+			o[1] = uint32(id)
+			v = x << (s.hi[2] & 63) >> (s.lo[2] & 63)
+			under |= v - uint64(s.floor[2])
+			gaps |= v
+			id += v
+			o[2] = uint32(id)
+			v = x << (s.hi[3] & 63) >> (s.lo[3] & 63)
+			under |= v - uint64(s.floor[3])
+			gaps |= v
+			id += v
+			o[3] = uint32(id)
+			at, i = at+int(s.size), i+int(s.n)
+		}
+		for i < len(buf) && at+16 <= len(src) {
+			w := binary.LittleEndian.Uint64(src[at:])
+			s := &uvSteps[continuation(w)]
+			v := compact(w) << (s.hi[0] & 63) >> (s.lo[0] & 63)
+			under |= v - uint64(s.floor[0])
+			gaps |= v
+			id += v
+			buf[i] = uint32(id)
+			at, i = at+int(s.size1), i+1
+		}
+	}
+	used := at
+	if tail >= 0 {
+		used += tail
+	}
+	if i < len(buf) || used != len(raw) {
+		return nil, fmt.Errorf("%d bytes are no uvarint list of %d ids", len(raw), deg)
+	}
+	if under>>63 != 0 {
+		return nil, fmt.Errorf("uvarint list of %d ids holds a zero gap, or a value longer than its shortest encoding or than five bytes", deg)
+	}
+	if gaps>>32 != 0 || id >= uint64(c.n) {
+		return nil, fmt.Errorf("list of %d ids holds an id outside [0,%d)", deg, c.n)
+	}
+	w := uint8(c.idw)
+	if deg > 1 {
+		w = byteWidth(uint32(gaps))
+	}
+	if fixed := c.length(deg, w); int64(len(raw)) >= fixed {
+		return nil, fmt.Errorf("uvarint list of %d ids takes %d bytes, its fixed-width form %d", deg, len(raw), fixed)
+	}
+	return buf, nil
 }

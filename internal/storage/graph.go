@@ -25,12 +25,12 @@
 //	             edge-table bytes, whether the layout is id order, table
 //	             CRC32Cs)
 //	<base>.nt    node table: n records of a list's degree and form (its
-//	             gap width, or group varint and its byte length), in
+//	             gap width, or uvarints and their byte length), in
 //	             layout order, each led by its id's delta from the id
 //	             before it unless the layout is id order (nodetable.go)
 //	<base>.et    edge table: the lists, each in the shorter of a
-//	             fixed-width gap coding and group varint, concatenated in
-//	             layout order (codec.go)
+//	             fixed-width gap coding and a uvarint a gap, concatenated
+//	             in layout order (codec.go)
 //	<base>.crc   checksum sidecar: a CRC32C per 512-byte granule of .nt,
 //	             then of .et (sidecar.go); the Builder writes it, readers
 //	             that lack it or cannot hold it to the header do without
@@ -41,17 +41,17 @@
 // else. No offset is stored: each list starts where the one before it
 // ends. Graphs are undirected: every edge {u,v} is stored as the two arcs
 // u→v and v→u, and each adjacency list is sorted ascending. The Builder
-// writes format version 5, in id order (idorder=1) when the lists arrive
+// writes format version 6, in id order (idorder=1) when the lists arrive
 // in id order and in any layout when they do not: Build lays the nodes
 // out in a peeling order unless their ids are already local (its lists
 // reach the Builder by degree, and CopyLists moves them into that order
 // as they are encoded), and a rewrite (WriteGraph: a fold-back or a
 // checkpoint) keeps the layout of the graph it rewrites. Tables of
-// versions 1 to 4 stay readable in place — version 4 (fixed-width lists
-// in any layout), 3 (the same in id order), 2 (12-byte node records of a
-// byte offset and a degree) and 1 (the same records with arc offsets,
-// 4-byte absolute ids) — and the first rewrite of such a graph writes it
-// as version 5.
+// versions 1 to 5 stay readable in place — version 5 (group varint where
+// it is shorter than fixed widths), 4 (fixed-width lists in any layout),
+// 3 (the same in id order), 2 (12-byte node records of a byte offset and
+// a degree) and 1 (the same records with arc offsets, 4-byte absolute
+// ids) — and the first rewrite of such a graph writes it as version 6.
 package storage
 
 import (
@@ -71,16 +71,16 @@ import (
 
 // FormatVersion is the on-disk layout the Builder writes, whatever the
 // order its lists arrive in.
-const FormatVersion = 5
+const FormatVersion = 6
 
 // Meta is the parsed contents of a <base>.meta file. NtBytes and EtBytes
 // are the two tables' sizes (a version-1 or -2 header carries no
 // ntbytes: 12 bytes a node; a version-1 header no etbytes: 4 bytes an
 // arc). IDOrder reports whether the tables lay the lists out in id order,
 // so that node records carry no ids: always for versions 1 to 3, never for
-// version 4, and as a version-5 header's idorder key says. HasCRC reports
-// whether the header carried table checksums (graphs written by older
-// builders have none; everything the Builder writes today does).
+// version 4, and as a version-5 or -6 header's idorder key says. HasCRC
+// reports whether the header carried table checksums (graphs written by
+// older builders have none; everything the Builder writes today does).
 type Meta struct {
 	Version int
 	N       uint32
@@ -184,11 +184,11 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 	return f.Close()
 }
 
-// ReadMeta parses the header file for a graph: version 5, whose header
-// must give both tables' sizes and whether the layout is id order; version
-// 4 or 3, whose must give both sizes and not the order; version 2, whose
-// must give the edge table's and not the node table's; or version 1, whose
-// must give neither.
+// ReadMeta parses the header file for a graph: version 6 or 5, whose
+// header must give both tables' sizes and whether the layout is id order;
+// version 4 or 3, whose must give both sizes and not the order; version
+// 2, whose must give the edge table's and not the node table's; or
+// version 1, whose must give neither.
 func ReadMeta(base string) (Meta, error) {
 	var m Meta
 	hasNtBytes, hasEtBytes, hasIDOrder := false, false, false
@@ -262,8 +262,8 @@ func ReadMeta(base string) (Meta, error) {
 		m.IDOrder = true
 	}
 	// A record is one varint (its degree and form), led by its id's when
-	// the layout is not id order and followed in version 5 by a
-	// group-varint list's excess.
+	// the layout is not id order and followed from version 5 on by a
+	// variable-form list's excess.
 	least := int64(1)
 	if !m.IDOrder {
 		least++
@@ -302,7 +302,7 @@ type Graph struct {
 
 // list is where one node's list lies in the edge table and how it is
 // stored: its byte offset and length, its degree, and its gap width, or
-// groupVarint.
+// varForm.
 type list struct {
 	off, size int64
 	deg       uint32
@@ -320,7 +320,7 @@ func (g *Graph) index() (*nodeIndex, error) {
 		return g.idx, nil
 	}
 	nt := g.meta.NtBytes
-	if g.meta.Version < FormatVersion {
+	if g.meta.Version < 5 {
 		nt = 0 // older records, re-encoded
 	}
 	x := newIndex(g.codec, g.meta.N, nt, !g.meta.IDOrder)
@@ -508,10 +508,12 @@ func (g *Graph) readList(v uint32, l list, buf []uint32) ([]uint32, error) {
 }
 
 // rawList reads the encoded list l into g.nbrBuf, grown geometrically,
-// and returns its bytes, valid until the next call.
+// and returns its bytes, valid until the next call. Their slice has 16
+// bytes of capacity past the list, so that the uvarint decoder reads the
+// whole list in place.
 func (g *Graph) rawList(l list) ([]byte, error) {
-	if cap(g.nbrBuf) < int(l.size) {
-		g.nbrBuf = slices.Grow(g.nbrBuf, int(l.size))
+	if cap(g.nbrBuf) < int(l.size)+16 {
+		g.nbrBuf = slices.Grow(g.nbrBuf, int(l.size)+16)
 	}
 	raw := g.nbrBuf[:l.size]
 	if err := g.et.ReadAt(raw, l.off); err != nil {
@@ -545,9 +547,9 @@ func (g *Graph) Resident(v uint32) bool {
 
 // Positions implements graph.Source: every id's position in the layout,
 // the order the tables store the lists in and every scan visits them. It
-// is nil for a table in id order (versions 1 to 3, and 5 with idorder=1),
-// and for any other the node index's own array, which the first call
-// builds. A table whose index fails to build reports nil, and the scan
+// is nil for a table in id order (versions 1 to 3, and 5 and 6 with
+// idorder=1), and for any other the node index's own array, which the
+// first call builds. A table whose index fails to build reports nil, and the scan
 // that would use the positions fails on the same error.
 func (g *Graph) Positions() []uint32 {
 	if g.meta.IDOrder {

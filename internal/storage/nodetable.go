@@ -14,31 +14,33 @@ import (
 // value). Version 4 lays them out in any order, and each record leads
 // with varint(v − u), zigzag-coded, v the record's id and u the id of the
 // record before it (−1 before the first); the ids are a permutation of
-// [0, n). Version 5 lays them out in either, as its header's idorder key
-// says, and a record is led by the id's delta exactly when the layout is
-// not id order; the rest of its record gives the list's form (codec.go):
-// uvarint(deg<<3 | (w−1)) for a fixed-width list, and uvarint(deg<<3 |
-// 4) then uvarint(x) for a group-varint one, x the bytes its values take
-// beyond one each. No offset is stored: the list at position p starts
-// where the one at p−1 ends, so a pass over the records places every
-// list as a running sum of their lengths. Each varint is the shortest
-// encoding of its value, at most five bytes: a degree and form of 34 bits
-// (35 in version 5), an id's delta or an excess of 3·deg at most. Versions
+// [0, n). Versions 5 and 6 lay them out in either, as the header's
+// idorder key says, and a record is led by the id's delta exactly when
+// the layout is not id order; the rest of its record gives the list's
+// form (codec.go): uvarint(deg<<3 | (w−1)) for a fixed-width list, and
+// uvarint(deg<<3 | 4) then uvarint(x) for one in the variable form —
+// uvarints in version 6, group varint in 5 —, x the bytes its values
+// take beyond one each (listCodec.varMin), at most 4·deg in version 6 and
+// 3·deg in 5. No offset is stored: the list at position p starts where
+// the one at p−1 ends, so a pass over the records places every list as a
+// running sum of their lengths. Each varint is the shortest encoding of
+// its value, at most five bytes: a degree and form of 34 bits (35 from
+// version 5 on), an id's delta or an excess of 4·deg at most. Versions
 // 1 and 2 stored 12 bytes a node, {offset uint64, degree uint32}, in id
 // order, and stay readable in place (decodeLegacy). A table is decoded
 // once, by the node index's build (decodeNodes), record after record.
 const (
 	maxRecordLen     = 5
 	legacyRecordSize = 12
-	gvTag            = 4 // a version-5 record's form: group varint
+	varTag           = 4 // a record's form from version 5 on: the variable form
 )
 
-// appendRecord appends the version-5 record of list l, without its id,
-// to dst.
-func appendRecord(dst []byte, l list) []byte {
-	if l.w == groupVarint {
-		dst = binary.AppendUvarint(dst, uint64(l.deg)<<3|gvTag)
-		return binary.AppendUvarint(dst, uint64(l.size-gvMin(l.deg)))
+// appendRecord appends the record of list l, in the form of versions 5
+// and 6 and without its id, to dst.
+func (c listCodec) appendRecord(dst []byte, l list) []byte {
+	if l.w == varForm {
+		dst = binary.AppendUvarint(dst, uint64(l.deg)<<3|varTag)
+		return binary.AppendUvarint(dst, uint64(l.size-c.varMin(l.deg)))
 	}
 	return binary.AppendUvarint(dst, uint64(l.deg)<<3|uint64(l.w-1))
 }
@@ -92,18 +94,18 @@ func (g *Graph) decodeNodes(r *Reader, emit func(v uint32, l list) error) error 
 		tag := x & (1<<shift - 1)
 		l := list{off: off, deg: uint32(x >> shift), w: uint8(tag) + 1}
 		switch {
-		case tag == gvTag:
+		case tag == varTag:
 			if l.deg == 0 {
-				return fmt.Errorf("storage: %s: node %d's empty list is in the group-varint form", r.path, v)
+				return fmt.Errorf("storage: %s: node %d's empty list is in the variable form", r.path, v)
 			}
 			if x, err = r.uvarint(); err != nil {
 				return recordErr(r, p, m.N, err)
 			}
-			if x > 3*uint64(l.deg) {
-				return fmt.Errorf("storage: %s: node %d's %d group-varint values take %d bytes beyond one each, more than 3 each", r.path, v, l.deg, x)
+			if most := g.codec.varExcess(); x > most*uint64(l.deg) {
+				return fmt.Errorf("storage: %s: node %d's %d values take %d bytes beyond one each, more than %d each", r.path, v, l.deg, x, most)
 			}
-			l.w, l.size = groupVarint, gvMin(l.deg)+int64(x)
-		case tag > gvTag:
+			l.w, l.size = varForm, g.codec.varMin(l.deg)+int64(x)
+		case tag > varTag:
 			return fmt.Errorf("storage: %s: node %d's record gives list form %d", r.path, v, tag)
 		case l.deg <= 1 && int64(l.w) != g.codec.idw:
 			return fmt.Errorf("storage: %s: node %d's list of %d ids gives gap width %d, not %d", r.path, v, l.deg, l.w, g.codec.idw)
@@ -201,16 +203,18 @@ func (g *Graph) decodeLegacy(r *Reader, emit func(uint32, list) error) error {
 // indexStride is how many consecutive positions share one sample.
 const indexStride = 64
 
-// nodeIndex is the node table held in memory: the records as version 5
-// encodes them (re-encoded from an older table), one sample every
+// nodeIndex is the node table held in memory: the records as versions 5
+// and 6 encode them (re-encoded from an older table), one sample every
 // indexStride positions that says where its record and its list start,
 // and, for a table laid out in another order than ids, every id's
 // position. A scan decodes the records from a sample on; a lookup of one
 // node decodes at most indexStride−1 records before its own. A sample's
 // record leads with its id's delta from −1, not from the id before it, so
 // decoding can start there. The index takes nt + n/4 bytes in id order
-// and nt + 4n + n/4 + n/16 otherwise, nt the version-5 table's size and
-// n/16 the room reserved for the sampled records' longer deltas.
+// and nt + 4n + n/4 + n/16 otherwise, nt the table's size as versions 5
+// and 6 encode it and n/16 the room reserved for the sampled records'
+// longer deltas. A variable-form record's excess is read through the
+// table's codec.
 type nodeIndex struct {
 	codec   listCodec
 	recs    []byte
@@ -224,7 +228,7 @@ type sample struct {
 }
 
 // newIndex is the empty index of a table of n records, about nt bytes of
-// them as version 5 encodes them (0 if unknown), laid out in id order
+// them as version 6 encodes them (0 if unknown), laid out in id order
 // unless reordered.
 func newIndex(codec listCodec, n uint32, nt int64, reordered bool) *nodeIndex {
 	samples := (int64(n) + indexStride - 1) / indexStride
@@ -249,7 +253,7 @@ func (x *nodeIndex) add(p uint32, prev int64, v uint32, l list) {
 		x.recs = binary.AppendVarint(x.recs, int64(v)-prev)
 		x.pos[v] = p
 	}
-	x.recs = appendRecord(x.recs, l)
+	x.recs = x.codec.appendRecord(x.recs, l)
 }
 
 // walker decodes an index's records in layout order from one position on.
@@ -297,8 +301,8 @@ func (w *walker) next() (uint32, list) {
 	}
 	r := w.uvarint()
 	l := list{off: w.off, deg: uint32(r >> 3), w: uint8(r&7) + 1}
-	if r&7 == gvTag {
-		l.w, l.size = groupVarint, gvMin(l.deg)+int64(w.uvarint())
+	if r&7 == varTag {
+		l.w, l.size = varForm, x.codec.varMin(l.deg)+int64(w.uvarint())
 	} else {
 		l.size = x.codec.length(l.deg, l.w)
 	}

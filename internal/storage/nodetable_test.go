@@ -9,26 +9,28 @@ import (
 	"kcore/internal/stats"
 )
 
-// FuzzNodeTableDecode hands the node-table decoder of version 3, 4 or 5
-// arbitrary bytes as a whole table, with a node count, a first-id width
-// and the header's edge-table size and arc count, read from a file of
-// one-byte blocks, FlushBlocks of them at a time, so records straddle the
-// reads: version 3 unless ids or v5 is set, 4 when only ids is, and 5
-// when v5 is, its records led by ids when ids is. Whatever it is given it
-// never panics, never reads past the table and places every list inside
-// the edge table. It accepts exactly what a reference decoder built on
+// FuzzNodeTableDecode hands the node-table decoder of version 3, 4, 5 or
+// 6 arbitrary bytes as a whole table, with a node count, a first-id width
+// (idw%4 + 1) and the header's edge-table size and arc count, read from a
+// file of one-byte blocks, FlushBlocks of them at a time, so records
+// straddle the reads: version 3 unless ids or variable is set, 4 when only
+// ids is, and 5 when variable is — 6 if idw's bit 2 is set too —, its
+// records led by ids when ids is. Whatever it is given it never panics,
+// never reads past the table and places every list inside the edge
+// table. It accepts exactly what a reference decoder built on
 // encoding/binary accepts: n records and nothing after them, each a
-// shortest uvarint of at most 34 bits (35 in version 5), led when ids is
-// set by a shortest varint of at most five bytes whose sum with the id
-// before it (−1 before the first) is an id below n met for the first
-// time; in version 5 a form of 0 to 3 (a gap width) or 4 (group varint,
-// for a list of at least one id, followed by a shortest uvarint of at
-// most 3·deg); each fixed-width list of at most one id at width idw; the
-// lengths adding up to the edge table and the degrees to the arc count.
-// An overlong or truncated varint, a width other than idw for a list of
-// at most one id, a form past 4, an empty group-varint list or an excess
-// past 3·deg, an id out of range or repeated, either sum off or trailing
-// bytes are refused. The lists it accepts are the reference's, with the
+// shortest uvarint of at most 34 bits (35 from version 5 on), led when
+// ids is set by a shortest varint of at most five bytes whose sum with
+// the id before it (−1 before the first) is an id below n met for the
+// first time; from version 5 on a form of 0 to 3 (a gap width) or 4 (the
+// variable form, for a list of at least one id, followed by a shortest
+// uvarint of at most 3·deg in version 5 and 4·deg in 6); each
+// fixed-width list of at most one id at width idw; the lengths adding up
+// to the edge table and the degrees to the arc count. An overlong or
+// truncated varint, a width other than idw for a list of at most one id,
+// a form past 4, an empty variable-form list or an excess past its
+// bound, an id out of range or repeated, either sum off or trailing bytes
+// are refused. The lists it accepts are the reference's, with the
 // reference's ids, one after another, and re-encode to identical bytes.
 func FuzzNodeTableDecode(f *testing.F) {
 	f.Add([]byte{0x09, 0x08, 0x04}, uint32(3), uint8(0), int64(6), int64(5), false, false)
@@ -37,8 +39,9 @@ func FuzzNodeTableDecode(f *testing.F) {
 	f.Add([]byte{0x08, 0x04}, uint32(1), uint8(0), int64(2), int64(2), false, false)
 	f.Add([]byte{0x04, 0x09, 0x03, 0x08, 0x01, 0x04}, uint32(3), uint8(0), int64(6), int64(5), true, false)
 	f.Add([]byte{0x2c, 0x03, 0x08, 0x00}, uint32(3), uint8(2), int64(12), int64(6), false, true)
-	f.Fuzz(func(t *testing.T, data []byte, n uint32, idw uint8, etBytes, arcs int64, ids, v5 bool) {
-		codec := listCodec{n: n, idw: int64(idw%4 + 1), gv: v5}
+	f.Add([]byte{0x2c, 0x03, 0x08, 0x00}, uint32(3), uint8(6), int64(11), int64(6), false, true)
+	f.Fuzz(func(t *testing.T, data []byte, n uint32, idw uint8, etBytes, arcs int64, ids, variable bool) {
+		codec := listCodec{n: n, idw: int64(idw%4 + 1), gv: variable && idw&4 == 0, uv: variable && idw&4 != 0}
 		version, shift := 3, 2
 		if ids {
 			// ReadMeta refuses a header that gives fewer than two bytes a
@@ -49,8 +52,10 @@ func FuzzNodeTableDecode(f *testing.F) {
 			}
 			version = 4
 		}
-		if v5 {
+		if codec.gv {
 			version, shift = 5, 3
+		} else if codec.uv {
+			version, shift = 6, 3
 		}
 		meta := Meta{Version: version, N: n, Arcs: arcs, NtBytes: int64(len(data)), EtBytes: etBytes, IDOrder: !ids}
 		g := &Graph{meta: meta, codec: codec}
@@ -79,7 +84,8 @@ func FuzzNodeTableDecode(f *testing.F) {
 
 		// The reference: each varint refused unless it is the shortest
 		// encoding of its value, a record's below 2^34 (2^35), an id's in
-		// five bytes at most.
+		// five bytes at most; a variable-form list's excess at most 3 bytes
+		// a value in version 5, 4 in version 6.
 		var (
 			want       []list
 			wantIDs    []uint32
@@ -124,8 +130,12 @@ func FuzzNodeTableDecode(f *testing.F) {
 			case tag == 4:
 				var excess uint64
 				excess, ok = shortest()
-				ok = ok && l.deg > 0 && excess <= 3*uint64(l.deg)
-				l.w, l.size = groupVarint, int64(l.deg)+(int64(l.deg)+3)/4+int64(excess)
+				most, least := uint64(4), int64(l.deg)
+				if codec.gv {
+					most, least = 3, int64(l.deg)+(int64(l.deg)+3)/4
+				}
+				ok = ok && l.deg > 0 && excess <= most*uint64(l.deg)
+				l.w, l.size = varForm, least+int64(excess)
 			case tag > 4:
 				ok = false
 			default:
@@ -157,8 +167,8 @@ func FuzzNodeTableDecode(f *testing.F) {
 				enc = binary.AppendVarint(enc, int64(gotIDs[i])-prev)
 				prev = int64(gotIDs[i])
 			}
-			if v5 {
-				enc = appendRecord(enc, l)
+			if version >= 5 {
+				enc = codec.appendRecord(enc, l)
 			} else {
 				enc = binary.AppendUvarint(enc, uint64(l.deg)<<2|uint64(l.w-1))
 			}

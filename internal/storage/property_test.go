@@ -51,28 +51,28 @@ func fixedBytes(n int, l []uint32) int64 {
 	return bytesPerID(uint32(n-1)) + gapWidth(n, l)*int64(len(l)-1)
 }
 
-// gvBytes is what a list takes in the group-varint form: a control byte
-// per four values, and each value, the first id then the gaps, in the
-// fewest bytes that hold it.
-func gvBytes(l []uint32) int64 {
-	sum, prev := int64(len(l)+3)/4, uint32(0)
+// uvBytes is what a list takes in the uvarint form: each value, the
+// first id and then the gaps, in seven bits a byte.
+func uvBytes(l []uint32) int64 {
+	var sum int64
+	prev := uint32(0)
 	for _, u := range l {
-		sum += bytesPerID(u - prev)
+		sum += int64(len(binary.AppendUvarint(nil, uint64(u-prev))))
 		prev = u
 	}
 	return sum
 }
 
-// grouped reports whether a list is stored in the group-varint form: when
-// that is strictly shorter.
-func grouped(n int, l []uint32) bool {
-	return gvBytes(l) < fixedBytes(n, l)
+// variable reports whether a list is stored in the variable form, a
+// uvarint a value: when that is strictly shorter.
+func variable(n int, l []uint32) bool {
+	return uvBytes(l) < fixedBytes(n, l)
 }
 
 // listBytes is what a list of a graph on n nodes takes in the edge
 // table: the shorter of its two forms.
 func listBytes(n int, l []uint32) int64 {
-	return min(fixedBytes(n, l), gvBytes(l))
+	return min(fixedBytes(n, l), uvBytes(l))
 }
 
 // etBytes is the edge table's size for adj.
@@ -86,12 +86,12 @@ func etBytes(adj [][]uint32) int64 {
 
 // recordBytes is what a list's record takes in an id-order node table: a
 // uvarint of deg<<3 | (w−1) for the fixed-width form, of deg<<3 | 4 for
-// the group-varint form, followed then by a uvarint of the bytes its
-// values take beyond one each.
+// the variable form, followed then by a uvarint of the bytes its values
+// take beyond one each.
 func recordBytes(n int, l []uint32) int64 {
-	if grouped(n, l) {
+	if variable(n, l) {
 		rec := binary.AppendUvarint(nil, uint64(len(l))<<3|4)
-		rec = binary.AppendUvarint(rec, uint64(gvBytes(l)-int64(len(l))-int64(len(l)+3)/4))
+		rec = binary.AppendUvarint(rec, uint64(uvBytes(l)-int64(len(l))))
 		return int64(len(rec))
 	}
 	return int64(len(binary.AppendUvarint(nil, uint64(len(l))<<3|uint64(gapWidth(n, l)-1))))
@@ -677,7 +677,7 @@ func TestPropertyScanVerified(t *testing.T) {
 		// recomputed to match.
 		var at int64
 		for _, l := range adj {
-			if len(l) >= 2 && !grouped(n, l) {
+			if len(l) >= 2 && !variable(n, l) {
 				bad := append([]byte(nil), nt...)
 				bad[at] ^= 1 + byte(r.Intn(3))
 				os.WriteFile(base+".nt", bad, 0o644)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
@@ -252,20 +253,19 @@ func TestBuilderPadsMissingNodes(t *testing.T) {
 	}
 }
 
-// TestBuilderGroupVarint builds a graph on 2^17 nodes, whose ids take 3
-// bytes, from lists that the group-varint form stores in fewer bytes and
-// lists it does not, first in id order and then out of it, so that the
-// records already written, two varints each for a group-varint list, are
-// led by ids afterwards. Every list reads back as appended, from its
-// shorter form.
-func TestBuilderGroupVarint(t *testing.T) {
+// TestBuilderUvarint builds a graph on 2^17 nodes, whose ids take 3
+// bytes, from lists that the uvarint form stores in fewer bytes and lists
+// it does not, first in id order and then out of it, so that the records
+// already written, two varints each for a uvarint list, are led by ids
+// afterwards. Every list reads back as appended, from its shorter form.
+func TestBuilderUvarint(t *testing.T) {
 	const n = 1 << 17
 	lists := [][]uint32{
-		{5, 7},                  // group varint: 3 bytes, fixed width 4
-		{3, 300, 70000, 130000}, // group varint: 9 bytes, fixed width 12
-		{9},                     // group varint: 2 bytes, fixed width 3
-		{1000, 2000, 3000},      // fixed width: 7 bytes, group varint 7
-		{70000},                 // fixed width: 3 bytes, group varint 4
+		{5, 7},                  // uvarint: 2 bytes, fixed width 4
+		{3, 300, 70000, 130000}, // uvarint: 9 bytes, fixed width 12
+		{9},                     // uvarint: 1 byte, fixed width 3
+		{20000, 20200, 20400},   // fixed width 1: 5 bytes, uvarint 7
+		{70000},                 // fixed width: 3 bytes, uvarint 3
 		{},
 	}
 	order := []uint32{0, 1, 2, 9, 3, 4, 8, 5}
@@ -434,6 +434,39 @@ func TestOpenValidation(t *testing.T) {
 		}
 		if _, err := ReadMeta(base); err == nil || !strings.Contains(err.Error(), "cannot hold") {
 			t.Errorf("meta %q: err = %v, want a node table too small or too large for its records", meta, err)
+		}
+	}
+	// The 12-byte records of versions 1 and 2 are held to the edge table
+	// before anything is sized from them, each refusal the only one such
+	// tables would meet: an arc offset that 4 times wraps past 2^64 into
+	// the table, a first list that does not start at byte 0, and a table
+	// of no nodes beside a non-empty edge table.
+	rec := func(off uint64, deg uint32) []byte {
+		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, off), deg)
+	}
+	if err := os.Remove(base + ".crc"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, meta string
+		nt, et     []byte
+		want       string
+	}{
+		{"wrapping offset", "version=1\nnodes=2\narcs=2\n", append(rec(0, 1), rec(1<<62+1, 1)...), []byte{1, 0, 0, 0, 0, 0, 0, 0}, "gives offset"},
+		{"first list past byte 0", "version=2\nnodes=2\narcs=2\netbytes=3\n", append(rec(1, 1), rec(2, 1)...), []byte{9, 1, 0}, "gives offset"},
+		{"no node", "version=2\nnodes=0\narcs=0\netbytes=4\n", nil, []byte{1, 2, 3, 4}, "no node holds"},
+	} {
+		for ext, data := range map[string][]byte{".meta": []byte(c.meta), ".nt": c.nt, ".et": c.et} {
+			if err := os.WriteFile(base+ext, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := Open(base, ctr, nil)
+		if err == nil {
+			g.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want a refusal naming %q", c.name, err, c.want)
 		}
 	}
 }

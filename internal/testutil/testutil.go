@@ -96,12 +96,13 @@ var Families = []Family{
 // edge table of format version 1, GateV1Bytes, was 2.42 times the
 // default 64 frames of 4 KiB the gates read through; the encoded table
 // would nearly fit them, so the gates read through GateFrames, which it
-// overflows by at least as much: Build's version-5 table is 219,633 bytes
-// (54 blocks), 2.44 times 22 frames (the fixed-width lists of version 4
-// took 302,092, 2.46 times the 30 frames the gates read through then).
+// overflows by at least as much: Build's version-6 table is 195,062 bytes
+// (48 blocks), 2.51 times 19 frames (version 5's took 219,633, 2.44 times
+// the 22 frames the gates read through then, and the fixed-width lists of
+// version 4 302,092, 2.46 times 30 frames).
 const (
 	GateV1Bytes = 635304
-	GateFrames  = 22
+	GateFrames  = 19
 )
 
 // GateEdges generates the gates' graph.
