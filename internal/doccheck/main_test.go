@@ -14,8 +14,9 @@ import (
 )
 
 var (
-	// runPattern matches a -run argument in the workflow, quoted either way.
-	runPattern = regexp.MustCompile(`-run[ =]('[^']*'|"[^"]*")`)
+	// flagPattern matches a -run or -fuzz argument, quoted either way or
+	// bare.
+	flagPattern = regexp.MustCompile(`-(run|fuzz)[ =]('[^']*'|"[^"]*"|[^\s'"]+)`)
 	// testName matches the name of a function go test runs.
 	testName = regexp.MustCompile(`^(Test|Fuzz|Benchmark)`)
 )
@@ -52,23 +53,31 @@ func alternatives(pattern string) []string {
 	return out
 }
 
-// unmatched reports every alternative of a -run pattern in workflow that
-// names no function of names: its regular expression matches none of
-// them. An alternative that matches the empty name ("^$", which selects
-// no test on purpose) or is a shell variable ("$tests") is skipped.
-func unmatched(t *testing.T, workflow string, names []string) []string {
+// unmatched reports every alternative of a -run or -fuzz pattern in
+// script that names no function of names (of its Fuzz functions, for
+// -fuzz): its regular expression matches none of them. An alternative
+// that matches the empty name ("^$", which selects no test on purpose)
+// or is a shell or make variable ("$tests") is skipped, and so are
+// comment lines.
+func unmatched(t *testing.T, script string, names []string) []string {
 	var bad []string
-	for _, m := range runPattern.FindAllStringSubmatch(workflow, -1) {
-		for _, alt := range alternatives(m[1][1 : len(m[1])-1]) {
+	lines := strings.Split(script, "\n")
+	lines = slices.DeleteFunc(lines, func(l string) bool { return strings.HasPrefix(strings.TrimSpace(l), "#") })
+	for _, m := range flagPattern.FindAllStringSubmatch(strings.Join(lines, "\n"), -1) {
+		pattern, want := strings.Trim(m[2], `'"`), names
+		if m[1] == "fuzz" {
+			want = slices.DeleteFunc(slices.Clone(names), func(n string) bool { return !strings.HasPrefix(n, "Fuzz") })
+		}
+		for _, alt := range alternatives(pattern) {
 			re, err := regexp.Compile(alt)
 			if err != nil {
-				t.Errorf("-run %s: alternative %q: %v", m[1], alt, err)
+				t.Errorf("-%s %s: alternative %q: %v", m[1], m[2], alt, err)
 				continue
 			}
 			if strings.HasPrefix(alt, "$") || re.MatchString("") {
 				continue
 			}
-			if !slices.ContainsFunc(names, re.MatchString) {
+			if !slices.ContainsFunc(want, re.MatchString) {
 				bad = append(bad, alt)
 			}
 		}
@@ -108,25 +117,33 @@ func testFunctions(t *testing.T, root string) []string {
 	return names
 }
 
-// TestWorkflowRunsExistingTests reads the CI workflow and fails on a -run
-// alternative that matches no Test, Fuzz or Benchmark function in the
-// tree: a renamed or misspelled test that CI would otherwise skip in
-// silence. A misspelled name, and one behind a subtest, are reported.
+// TestWorkflowRunsExistingTests reads the CI workflow and the Makefile
+// and fails on a -run alternative that matches no Test, Fuzz or
+// Benchmark function in the tree, or a -fuzz one that matches no Fuzz
+// function: a renamed or misspelled test that CI would otherwise skip in
+// silence (go test -fuzz with a pattern that matches no target prints
+// "no fuzz tests to fuzz" and passes). A misspelled name, one behind a
+// subtest, and a -fuzz name of no fuzz target are reported.
 func TestWorkflowRunsExistingTests(t *testing.T) {
 	root := filepath.Join("..", "..")
-	workflow, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	names := testFunctions(t, root)
 	if !slices.Contains(names, "TestWorkflowRunsExistingTests") {
 		t.Fatalf("the walk of %s found %d test functions, not this one", root, len(names))
 	}
-	if bad := unmatched(t, string(workflow), names); len(bad) > 0 {
-		t.Errorf("ci.yml runs %q, which match no test function in the tree", bad)
+	for _, file := range []string{filepath.Join(".github", "workflows", "ci.yml"), "Makefile"} {
+		script, err := os.ReadFile(filepath.Join(root, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad := unmatched(t, string(script), names); len(bad) > 0 {
+			t.Errorf("%s runs %q, which match no test function in the tree", file, bad)
+		}
 	}
-	misspelled := `go test -run 'TestWorkflowRunsExistingTests|TestWorkflowRunsExistingTest$|TestWorkflowRunsExistngTests/x|(TestA|TestWorkflow).*/y|^$' ./...`
-	if bad := unmatched(t, misspelled, names); !slices.Equal(bad, []string{"TestWorkflowRunsExistingTest$", "TestWorkflowRunsExistngTests"}) {
-		t.Errorf("a workflow with two misspelled names: reported %q", bad)
+	misspelled := `go test -run 'TestWorkflowRunsExistingTests|TestWorkflowRunsExistingTest$|TestWorkflowRunsExistngTests/x|(TestA|TestWorkflow).*/y|^$' ./...
+	go test -fuzz=FuzzEdgeListDecodes -fuzztime=$(FUZZTIME) -run '^$$' ./internal/storage
+	go test -fuzz 'TestWorkflowRunsExistingTests' ./internal/doccheck`
+	want := []string{"TestWorkflowRunsExistingTest$", "TestWorkflowRunsExistngTests", "FuzzEdgeListDecodes", "TestWorkflowRunsExistingTests"}
+	if bad := unmatched(t, misspelled, names); !slices.Equal(bad, want) {
+		t.Errorf("a workflow with four misspelled names: reported %q", bad)
 	}
 }

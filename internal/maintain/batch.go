@@ -61,14 +61,15 @@ func (s *Session) BatchDelete(edges []graph.Edge) (stats.RunStats, error) {
 }
 
 // BatchInsert adds a set of edges, applying SemiInsert* per edge — or,
-// with twoPhase, SemiInsert (Algorithm 7). Unlike deletion, insertion
-// raises core numbers, so old values are not upper bounds after batching
-// and no single-pass shortcut is sound (a new edge between two of v's
-// neighbours can raise core(v) without touching v); this helper exists
-// for API symmetry and amortises only the shared buffer and scan
-// machinery. Edges are validated as they are applied; on error the
-// already-inserted prefix remains applied and consistent, and the
-// returned stats are that prefix's work.
+// with twoPhase, SemiInsert (Algorithm 7). Insertion raises core
+// numbers, so the old ones are no upper bounds after a batch; but one
+// inserted edge raises any core number by at most 1, so after I inserts
+// min(deg'(v), core(v) + I) is one, and SemiCore* converges from it
+// (semicore.SemiCoreStarFrom; TestInsertBoundConverges checks both).
+// This helper does not take that single pass: it amortises only the
+// shared buffer and scan machinery. Edges are validated as they are
+// applied; on error the already-inserted prefix remains applied and
+// consistent, and the returned stats are that prefix's work.
 func (s *Session) BatchInsert(edges []graph.Edge, twoPhase bool) (stats.RunStats, error) {
 	start := time.Now()
 	insert, total := s.InsertStar, stats.RunStats{Algorithm: "SemiInsertBatch*"}

@@ -1,12 +1,17 @@
 package maintain
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kcore/internal/dyngraph"
 	"kcore/internal/gen"
 	"kcore/internal/graph"
+	"kcore/internal/imcore"
+	"kcore/internal/memgraph"
+	"kcore/internal/semicore"
 )
 
 // TestBatchDeleteEqualsSequential deletes the same edge set via
@@ -133,5 +138,67 @@ func TestBatchInsertMatchesSequential(t *testing.T) {
 	}
 	if err := a.VerifyState(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInsertBoundConverges checks the bound a bulk insert could start
+// from (ROADMAP item 19): one inserted edge raises any core number by at
+// most 1, so after I fresh inserts every core rises by at most I and stays
+// at most the node's new degree, and SemiCore* from min(deg', core + I)
+// converges to IMCore's cores of the new graph — the end state
+// BatchInsert reaches one edge at a time.
+func TestInsertBoundConverges(t *testing.T) {
+	families := map[string]func(seed int64) []graph.Edge{
+		"er":     func(seed int64) []graph.Edge { return gen.ErdosRenyi(250, 700, seed) },
+		"ba":     func(seed int64) []graph.Edge { return gen.BarabasiAlbert(300, 4, seed) },
+		"rmat":   func(seed int64) []graph.Edge { return gen.RMAT(8, 6, 0.57, 0.19, 0.19, seed) },
+		"social": func(seed int64) []graph.Edge { return gen.Social(250, 3, 10, 9, seed) },
+	}
+	for name, edges := range families {
+		for seed := int64(1); seed <= 3; seed++ {
+			for _, inserts := range []int{1, 10, 100} {
+				t.Run(fmt.Sprintf("%s/seed=%d/I=%d", name, seed, inserts), func(t *testing.T) {
+					g := gen.Build(edges(seed))
+					n := g.NumNodes()
+					core := imcore.Decompose(g, nil).Core
+					r := rand.New(rand.NewSource(seed))
+					var fresh []graph.Edge
+					for len(fresh) < inserts {
+						e := graph.Edge{U: uint32(r.Intn(int(n))), V: uint32(r.Intn(int(n)))}
+						if e.U != e.V && !g.HasEdge(e.U, e.V) && !slices.ContainsFunc(fresh, func(f graph.Edge) bool {
+							return f == e || f == graph.Edge{U: e.V, V: e.U}
+						}) {
+							fresh = append(fresh, e)
+						}
+					}
+					after, err := memgraph.FromEdges(n, append(g.EdgeList(), fresh...))
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := imcore.Decompose(after, nil).Core
+					bound := make([]uint32, n)
+					for v := range n {
+						if want[v] > core[v]+uint32(inserts) || want[v] > after.Degree(v) {
+							t.Fatalf("node %d: core %d → %d after %d inserts, degree %d", v, core[v], want[v], inserts, after.Degree(v))
+						}
+						bound[v] = min(after.Degree(v), core[v]+uint32(inserts))
+					}
+					res, err := semicore.SemiCoreStarFrom(after, bound, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(res.Core, want) {
+						t.Fatalf("SemiCore* from min(deg', core + %d) gives %v, IMCore %v", inserts, res.Core, want)
+					}
+					s := newSessionFor(t, g, dyngraph.Options{})
+					if _, err := s.BatchInsert(fresh, false); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(s.Core(), want) {
+						t.Fatalf("BatchInsert gives %v, IMCore %v", s.Core(), want)
+					}
+				})
+			}
+		}
 	}
 }

@@ -53,8 +53,11 @@ import (
 // four values starts and ends; one compaction of the word's 7-bit groups
 // then yields all of them, each cut out by two shifts, and no branch
 // depends on a value. So each fixed-width list takes one width and each
-// width one branch-free loop, and a variable-form list is decoded through
-// tables indexed by its control bytes or continuation bits.
+// width one branch-free loop, and a version-6 variable-form list is
+// decoded through a table indexed by its continuation bits. Version 5's
+// group varint, which no Builder path writes, is read one value at a time
+// (decodeGroups); a list of either version is held to its one form by
+// comparing it with what form gives its ids (canonical).
 
 // listCodec is how one graph's lists are laid out.
 type listCodec struct {
@@ -292,56 +295,10 @@ func (c listCodec) decode(raw []byte, deg uint32, w uint8, buf []uint32) ([]uint
 	if err := c.check(deg, last, minGap); err != nil {
 		return nil, err
 	}
-	if (c.gv || c.uv) && !c.fixedCanonical(raw, buf, w) {
-		return nil, fmt.Errorf("list of %d ids stored at gap width %d, not in its one form", deg, w)
+	if err := c.canonical(buf, w, len(raw)); err != nil {
+		return nil, err
 	}
 	return buf, nil
-}
-
-// fixedCanonical reports whether the fixed-width list raw of the ids
-// nbrs, at gap width w, is in its one form: at the least width that holds
-// its gaps, and no shorter than its variable form. The stored bytes give
-// that form's length without a pass over the ids for lists of at most one
-// id and at widths 1 and 2: a uvarint takes a byte for a gap below 128,
-// two below 2^14 and three below 2^16; a group-varint value a byte below
-// 256 and two below 2^16, plus the control bytes. Wider lists, rare, are
-// measured from the ids.
-func (c listCodec) fixedCanonical(raw []byte, nbrs []uint32, w uint8) bool {
-	deg, size := int64(len(nbrs)), int64(len(raw))
-	gaps := raw[c.idw:]
-	// least is the variable form's length were every gap one byte.
-	least := uvLen(nbrs[0]) + deg - 1
-	if c.gv {
-		least = gvMin(uint32(deg)) + int64(byteWidth(nbrs[0])) - 1
-	}
-	switch {
-	case deg <= 1 || w == 1:
-		if c.gv || least >= size {
-			return least >= size
-		}
-		var high int64 // the gaps of 128 or more
-		for _, b := range gaps {
-			high += int64(b >> 7)
-		}
-		return least+high >= size
-	case w == 2:
-		// wide is set once a gap needs its high byte; more counts the
-		// bytes the gaps take in the variable form beyond one each: one
-		// from t1 on and another from t2 on.
-		t1, t2 := int64(1)<<7, int64(1)<<14
-		if c.gv {
-			t1, t2 = 1<<8, 1<<16
-		}
-		var wide, more int64
-		for i := 1; i < len(gaps); i += 2 {
-			g := int64(gaps[i-1]) | int64(gaps[i])<<8
-			wide |= g >> 8
-			more += (g+1<<16-t1)>>16 + (g+1<<16-t2)>>16
-		}
-		return wide != 0 && least+more >= size
-	}
-	fw, fsize := c.form(nbrs)
-	return fw == w && fsize == size
 }
 
 // check refuses a decoded list whose smallest gap is 0 or whose last id
@@ -356,144 +313,65 @@ func (c listCodec) check(deg uint32, last, minGap uint64) error {
 	return nil
 }
 
-// gvGroup is what a control byte says of its group of four values:
-// where each starts, counting the control byte as byte 0; the group's
-// length; the 4-byte load mask of each value's length and the least value
-// of that length, 1 for one byte (a gap is at least 1); and the set of
-// its values' length codes, as bits 1<<code, of all four and of the last
-// three.
-type gvGroup struct {
-	at    [4]uint8
-	size  uint8
-	codes [2]uint8
-	mask  [4]uint32
-	floor [4]uint32
+// canonical refuses the ids nbrs of a list stored in form w as size
+// bytes unless form gives them exactly that form and length: their one
+// encoding. Only versions 5 and 6 have two forms to choose between.
+func (c listCodec) canonical(nbrs []uint32, w uint8, size int) error {
+	if !c.gv && !c.uv {
+		return nil
+	}
+	if fw, fsize := c.form(nbrs); fw != w || fsize != int64(size) {
+		return fmt.Errorf("list of %d ids stored as %d bytes in form %d, not in its one form: %d bytes in form %d", len(nbrs), size, w, fsize, fw)
+	}
+	return nil
 }
 
-var gvGroups [256]gvGroup
-
-func init() {
-	for i := range gvOnes {
-		gvOnes[i] = 1
-	}
-	for c := range gvGroups {
-		g := &gvGroups[c]
-		g.size = 1
-		for j := range 4 {
-			k := c >> (2 * j) & 3
-			g.at[j] = g.size
-			g.size += uint8(k) + 1
-			g.mask[j] = 1<<(8*(k+1)) - 1
-			g.floor[j] = 1 << (8 * k) // 1 for one byte: a gap is at least 1
-			g.codes[0] |= 1 << k
-			if j > 0 {
-				g.codes[1] |= 1 << k
-			}
-		}
-	}
-}
-
-// gvOnes is what a list's last bytes are copied over to be decoded:
-// ones, which the loads of a short last group's missing values read as
-// gaps of 1.
-var gvOnes [40]byte
-
-// decodeGroups decodes the group-varint list raw of deg > 0 ids into
-// buf[:deg], whose capacity holds 3 more, and returns buf[:deg]. Each
-// group is read as 20 bytes: in place while 20 are left in raw, and after
-// that from a copy of the rest, fewer than 20 bytes, padded with ones, so
-// nothing past the list is read. A short last group's missing values
-// load as gaps of 1 into buf's spare capacity, and their lengths, whose
-// control bits must be 0, count a byte each, taken off at the end. A list
-// is refused unless its control bytes account for its length exactly,
-// every gap is at least 1, every value is stored in the fewest bytes that
-// hold it, its last id is below n, and the form is strictly shorter than
-// the fixed-width one: every check is an accumulation without a branch,
-// tested once the groups are done.
+// decodeGroups decodes the group-varint list raw of deg > 0 ids into buf,
+// grown geometrically if short, and returns buf[:deg]. It reads one value
+// at a time, each as long as its control bits say. A list is refused
+// unless raw holds every value, a short last group's spare control bits
+// are 0, the ids pass check, and their one form is group varint of
+// exactly len(raw) bytes: that one comparison holds the control bytes to
+// account for every byte, each value to its fewest bytes and the list to
+// be shorter than its fixed-width form.
 func (c listCodec) decodeGroups(raw []byte, deg uint32, buf []uint32) ([]uint32, error) {
 	if int64(len(raw)) < gvMin(deg) {
 		return nil, fmt.Errorf("%d bytes are no group-varint list of %d ids, which takes at least %d", len(raw), deg, gvMin(deg))
 	}
-	var (
-		// under has its top bit set once some value is below the floor of
-		// its length: a zero gap, or a value stored wider than it needs.
-		under uint64
-		codes uint8 // the gaps' length codes, a bit each
-		id    uint64
-		ctl   byte // the last group's control byte
-		pad   [40]byte
-	)
-	buf = slices.Grow(buf[:0], int(deg)+3)[:deg+3]
-	// out is where the next group's ids go, rest where its bytes start:
-	// in raw, or in the padded copy of raw's last bytes from raw[tail:] on.
-	out, rest, tail := buf, raw, -1
-	for {
-		for len(out) > 3 && len(rest) >= 20 {
-			q, o := (*[20]byte)(rest), (*[4]uint32)(out)
-			ctl = q[0]
-			g := &gvGroups[ctl]
-			// The list's first value is its first id, which may be 0 and is
-			// no gap: the first group takes floor 0 for it and leaves its
-			// length out of codes.
-			first := uint32(0)
-			if len(out) == len(buf) {
-				first = 1
-			}
-			v := binary.LittleEndian.Uint32(q[1:]) & g.mask[0]
-			under |= uint64(v) - uint64(g.floor[0]&^first)
-			id += uint64(v)
-			o[0] = uint32(id)
-			v = binary.LittleEndian.Uint32(q[g.at[1]&15:]) & g.mask[1]
-			under |= uint64(v) - uint64(g.floor[1])
-			id += uint64(v)
-			o[1] = uint32(id)
-			v = binary.LittleEndian.Uint32(q[g.at[2]&15:]) & g.mask[2]
-			under |= uint64(v) - uint64(g.floor[2])
-			id += uint64(v)
-			o[2] = uint32(id)
-			v = binary.LittleEndian.Uint32(q[g.at[3]&15:]) & g.mask[3]
-			under |= uint64(v) - uint64(g.floor[3])
-			id += uint64(v)
-			o[3] = uint32(id)
-			codes |= g.codes[first]
-			rest, out = rest[g.size:], out[4:]
+	buf = slices.Grow(buf[:0], int(deg))[:deg]
+	var id, minGap uint64 = 0, 1
+	at, ctl := 0, uint(0)
+	for i := range buf {
+		// At raw's end a group reads no control byte: ctl, the last group's
+		// shifted out, gives a 1-byte value that does not fit.
+		if i%4 == 0 && at < len(raw) {
+			ctl, at = uint(raw[at]), at+1
 		}
-		if tail >= 0 || len(out) <= 3 {
-			break
+		k := int(ctl&3) + 1
+		ctl >>= 2
+		if at+k > len(raw) {
+			return nil, fmt.Errorf("%d bytes are no group-varint list of %d ids: its control bytes account for more", len(raw), deg)
 		}
-		// Fewer than 20 bytes are left: the rest of the groups are read
-		// from a copy padded with ones.
-		tail = len(raw) - len(rest)
-		pad = gvOnes
-		copy(pad[:], rest)
-		rest = pad[:]
+		var v uint64
+		for j := k - 1; j >= 0; j-- {
+			v = v<<8 | uint64(raw[at+j])
+		}
+		if i > 0 { // the first value is the first id, which may be 0
+			minGap = min(minGap, v)
+		}
+		id += v
+		buf[i], at = uint32(id), at+k
 	}
-	used := len(raw) - len(rest)
-	if tail >= 0 {
-		used = tail + len(pad) - len(rest)
+	if ctl != 0 {
+		return nil, fmt.Errorf("group-varint list of %d ids: its last group's control byte gives lengths past its values", deg)
 	}
-	missing := 3 - min(uint32(len(out)), 3) // a short last group's values
-	if used -= int(missing); len(out) > 3 || used != len(raw) {
-		return nil, fmt.Errorf("%d bytes are no group-varint list of %d ids: its control bytes account for %d", len(raw), deg, used)
+	if err := c.check(deg, id, minGap); err != nil {
+		return nil, err
 	}
-	if ctl>>(2*(4-missing)) != 0 {
-		return nil, fmt.Errorf("group-varint list of %d ids: its last group's control byte %#02x gives lengths past its %d values", deg, ctl, 4-missing)
+	if err := c.canonical(buf, varForm, len(raw)); err != nil {
+		return nil, err
 	}
-	if under>>63 != 0 {
-		return nil, fmt.Errorf("group-varint list of %d ids holds a zero gap or a value stored wider than it needs", deg)
-	}
-	last := id - uint64(missing)
-	if last >= uint64(c.n) {
-		return nil, fmt.Errorf("list of %d ids holds id %d, outside [0,%d)", deg, last, c.n)
-	}
-	w := uint8(c.idw)
-	if deg > 1 {
-		w = uint8(bits.Len8(codes))
-	}
-	if fixed := c.length(deg, w); int64(len(raw)) >= fixed {
-		return nil, fmt.Errorf("group-varint list of %d ids takes %d bytes, its fixed-width form %d", deg, len(raw), fixed)
-	}
-	return buf[:deg], nil
+	return buf, nil
 }
 
 // uvStep is what the continuation bits of 8 bytes say of the uvarints

@@ -146,17 +146,18 @@ func (m *Maintainer) DeleteEdges(edges []Edge) (RunInfo, error) {
 }
 
 // InsertEdges adds a batch of edges, applying the configured insertion
-// algorithm per edge (no sound single-pass shortcut exists for
-// insertions; see internal/maintain.BatchInsert). The batch is NOT
-// atomic: edges are validated as they are applied, so when a mid-batch
-// edge errors (duplicate, self-loop, out-of-range id) the
-// already-inserted prefix stays applied — with exact core numbers — and
-// the failing edge and everything after it are not. The RunInfo returned
-// with the error is that prefix's work: its I/O, node computations and
-// dirty nodes. This holds on both the SemiInsert* and the two-phase
-// SemiInsert path. Callers needing all-or-nothing behaviour must
-// pre-validate the batch against the graph (see internal/serve's
-// applyRun) or delete the prefix on error.
+// algorithm per edge. A single SemiCore* pass from min(deg', core + I),
+// I the batch's size, would also reach the new cores (one insert raises
+// any core by at most 1; see internal/maintain.BatchInsert), but is not
+// taken here. The batch is NOT atomic: edges are validated as they are
+// applied, so when a mid-batch edge errors (duplicate, self-loop,
+// out-of-range id) the already-inserted prefix stays applied — with
+// exact core numbers — and the failing edge and everything after it are
+// not. The RunInfo returned with the error is that prefix's work: its
+// I/O, node computations and dirty nodes. This holds on both the
+// SemiInsert* and the two-phase SemiInsert path. Callers needing
+// all-or-nothing behaviour must pre-validate the batch against the graph
+// (see internal/serve's applyRun) or delete the prefix on error.
 func (m *Maintainer) InsertEdges(edges []Edge) (RunInfo, error) {
 	before := m.g.IOStats()
 	rs, err := m.session.BatchInsert(edges, m.insert == SemiInsertTwoPhase)
