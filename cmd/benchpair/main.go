@@ -3,9 +3,13 @@
 // archive into a temporary directory, builds a `go test -c` binary of the
 // package in each tree, runs the two alternately, n times each (the
 // first of a pair alternating too), and prints for every benchmark and
-// unit the medians and quartiles of both and how many pairs the working
-// tree won. Lower wins, except for a unit per second (MB/s), where
-// higher does. It is `make pair`'s engine.
+// unit the medians and quartiles of both, how many pairs the working
+// tree won, and a verdict: better or worse only when the working tree
+// wins, or loses, at least nine pairs and nine in ten, and the medians
+// differ by more than the parent's interquartile spread; unresolved
+// otherwise, as every row of fewer than nine pairs is.
+// Lower wins, except for a unit per second (MB/s), where higher does. It
+// is `make pair`'s engine.
 //
 // Usage:
 //
@@ -17,6 +21,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/exec"
@@ -131,7 +136,7 @@ func (t *tree) run(bench, benchtime string) (map[string]float64, error) {
 }
 
 // report prints one line per benchmark and unit both sides measured.
-func report(w *os.File, parent, change *tree, n int) {
+func report(w io.Writer, parent, change *tree, n int) {
 	var keys []string
 	for k := range parent.runs[0] {
 		if _, ok := change.runs[0][k]; ok {
@@ -143,18 +148,46 @@ func report(w *os.File, parent, change *tree, n int) {
 	for _, k := range keys {
 		higher := strings.HasSuffix(k, "/s")
 		var p, c []float64
-		wins := 0
+		wins, losses := 0, 0
 		for i := range n {
 			pv, cv := parent.runs[i][k], change.runs[i][k]
 			p, c = append(p, pv), append(c, cv)
-			if (higher && cv > pv) || (!higher && cv < pv) {
+			switch {
+			case cv == pv:
+			case (cv > pv) == higher:
 				wins++
+			default:
+				losses++
 			}
 		}
 		pm, cm := quantile(p, .5), quantile(c, .5)
-		fmt.Fprintf(w, "%-60s %12.4g [%.4g, %.4g]  %12.4g [%.4g, %.4g]  %+6.1f%%  won %d/%d\n",
-			k, pm, quantile(p, .25), quantile(p, .75), cm, quantile(c, .25), quantile(c, .75), 100*(cm-pm)/pm, wins, n)
+		p1, p3 := quantile(p, .25), quantile(p, .75)
+		gain := pm - cm
+		if higher {
+			gain = -gain
+		}
+		verdict, lead := "better", wins
+		if gain < 0 {
+			verdict, lead = "worse", losses
+		}
+		if lead < 9 || 10*lead < 9*n || math.Abs(gain) <= p3-p1 {
+			verdict = "unresolved"
+		}
+		fmt.Fprintf(w, "%-60s %12.4g [%.4g, %.4g]  %12.4g [%.4g, %.4g]  %7s  won %d/%d  %s\n",
+			k, pm, p1, p3, cm, quantile(c, .25), quantile(c, .75), relative(pm, cm), wins, n, verdict)
 	}
+}
+
+// relative is the change from the parent's median pm to cm: none
+// when both are 0, n/a when only pm is.
+func relative(pm, cm float64) string {
+	switch {
+	case pm == 0 && cm == 0:
+		return "+0.0%"
+	case pm == 0:
+		return "n/a"
+	}
+	return fmt.Sprintf("%+.1f%%", 100*(cm-pm)/pm)
 }
 
 // quantile is the q-quantile of xs, linearly interpolated.

@@ -15,9 +15,12 @@ import (
 	"fmt"
 	"os"
 
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/graph"
 	"kcore/internal/graphio"
+	"kcore/internal/stats"
+	"kcore/internal/storage"
 )
 
 func main() {
@@ -76,7 +79,7 @@ func main() {
 	}
 
 	g := gen.Build(edges)
-	if err := graphio.WriteCSR(*out, g, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, *out, g, stats.NewIOCounter(0), false); err != nil {
 		fmt.Fprintf(os.Stderr, "gengraph: %v\n", err)
 		os.Exit(1)
 	}

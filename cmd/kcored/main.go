@@ -24,9 +24,9 @@
 // gracefully (drain HTTP, final sync + checkpoint per graph), and a
 // restart with the same -data-dir recovers every graph from its latest
 // checkpoint + WAL tail before -graph/-load open anything anew (a
-// recovered name wins over its flag — unless the base file on disk is
-// newer than the recovered checkpoint, in which case the stale recovered
-// graph is dropped and the base is re-decomposed).
+// recovered name wins over its flag — unless the base's header is not
+// the one the graph was created from, in which case the recovered graph
+// is dropped and the base is re-decomposed).
 //
 // -follow turns the process into a read replica: instead of opening
 // graphs it bootstraps from the leader's checkpoint download
@@ -152,19 +152,21 @@ func main() {
 	}
 
 	// open decomposes a base path under name unless recovery already
-	// brought that name up from a checkpoint at least as fresh as the
-	// base file. A base modified after the recovered checkpoint means the
-	// operator refreshed the data: the stale recovered graph (and its
-	// durable dir) is dropped and the base re-decomposed. A name whose
-	// durable state exists but failed to recover is never opened over: the
-	// registry refuses it (engine.ErrUnrecovered, naming the directory).
+	// brought that name up from the same base: tables whose header
+	// (counts, sizes, checksums) is the one the name was created from.
+	// Other tables mean the operator replaced the base: the recovered
+	// graph (and its durable dir) is dropped and the base re-decomposed.
+	// A base that cannot be read, or a data dir that recorded no base,
+	// keeps the recovered graph. A name whose durable state exists but
+	// failed to recover is never opened over: the registry refuses it
+	// (engine.ErrUnrecovered, naming the directory).
 	open := func(name, path string) {
-		if gr, ok := recovered[name]; ok {
-			if !engine.BaseNewerThanCheckpoint(path, gr) {
+		if _, ok := recovered[name]; ok {
+			if !reg.BaseChanged(name, path) {
 				fmt.Printf("kcored: graph %q already recovered from %s, skipping base %s\n", name, *dataDir, path)
 				return
 			}
-			fmt.Printf("kcored: graph %q base %s is newer than its recovered checkpoint, re-decomposing\n", name, path)
+			fmt.Printf("kcored: graph %q base %s is not the graph it was created from, re-decomposing\n", name, path)
 			if err := reg.Drop(name); err != nil {
 				fatal(err)
 			}

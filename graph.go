@@ -151,10 +151,10 @@ func (g *Graph) BufferedArcs() int { return g.dyn.BufferedArcs() }
 // automatic one, Adopt); it may be read during a mutation.
 func (g *Graph) FoldBacks() int64 { return g.dyn.FoldBacks() }
 
-// View is a pinned, read-only image of a Graph: Scan streams the
-// adjacency as it stood at Pin, from any goroutine, while the graph keeps
-// taking edits and fold-backs; Release frees it. The durable serving
-// shell (internal/engine) writes its checkpoints from one.
+// View is a pinned, read-only image of a Graph: a graph.Source of the
+// adjacency as it stood at Pin, scanned from any goroutine while the
+// graph keeps taking edits and fold-backs; Release frees it. The durable
+// serving shell (internal/engine) writes its checkpoints from one.
 type View = dyngraph.View
 
 // Pin captures a View of the graph as it stands, in O(update buffer)
@@ -180,14 +180,5 @@ func (g *Graph) DiskStats() *stats.DiskSnapshot { return g.dyn.DiskStats() }
 // sequential scan, in the order the tables lay the nodes out (Build: a
 // peeling order), each node's edges by ascending v.
 func (g *Graph) VisitEdges(fn func(u, v uint32) error) error {
-	return graph.ScanAll(g.dyn, func(v uint32, nbrs []uint32) error {
-		for _, u := range nbrs {
-			if u > v {
-				if err := fn(v, u); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
+	return graph.Edges(g.dyn, func(e graph.Edge) error { return fn(e.U, e.V) })
 }

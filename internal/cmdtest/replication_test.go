@@ -187,74 +187,64 @@ func TestKcoredFollowerFlagConflicts(t *testing.T) {
 	}
 }
 
-// TestKcoredStaleBaseRedecomposed is the checkpoint-aware -load/-graph
-// regression test: a recovered graph normally wins over its base flag,
-// but when the base files on disk are newer than the recovered
-// checkpoint the daemon must drop the stale recovered state and
-// re-decompose the refreshed base.
+// TestKcoredStaleBaseRedecomposed is the -load/-graph regression test
+// for a recovered graph and its base: recovery wins while the base holds
+// the tables the graph was created from, whatever its file times say, and
+// once the base holds other tables the daemon drops the recovered state
+// and decomposes the new base.
 func TestKcoredStaleBaseRedecomposed(t *testing.T) {
 	base := genFixture(t, 100, 21)
 	dataDir := t.TempDir()
 	args := []string{"-graph", base, "-addr", "127.0.0.1:0", "-flush", "1ms",
 		"-data-dir", dataDir, "-fsync", "always"}
-
-	url1, cmd1, _ := startKcoredProc(t, args...)
-	var upd struct {
-		Enqueued int `json:"enqueued"`
-	}
-	postJSON(t, http.StatusOK, url1+"/update?wait=1",
-		`{"updates":[{"op":"delete","u":0,"v":1}]}`, &upd)
-	if err := cmd1.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd1.Wait(); err != nil {
-		t.Fatalf("kcored did not exit cleanly: %v", err)
-	}
-
-	// Unchanged base: recovery wins, no decomposition.
-	url2, cmd2, startup := startKcoredProc(t, args...)
-	if joined := strings.Join(startup, "\n"); !strings.Contains(joined, "skipping base") {
-		t.Fatalf("restart with stale-free base did not skip decomposition: %q", startup)
+	stop := func(cmd *exec.Cmd) {
+		t.Helper()
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("kcored did not exit cleanly: %v", err)
+		}
 	}
 	var st struct {
+		Nodes      uint32 `json:"nodes"`
 		Durability *struct {
 			LSN uint64 `json:"lsn"`
 		} `json:"durability"`
 	}
-	getJSON(t, http.StatusOK, url2+"/stats", &st)
-	if st.Durability == nil || st.Durability.LSN != 1 {
-		t.Fatalf("recovered graph durability = %+v, want lsn 1", st.Durability)
-	}
-	if err := cmd2.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd2.Wait(); err != nil {
-		t.Fatalf("kcored did not exit cleanly: %v", err)
-	}
 
-	// "Refresh" the base: bump its file times past the final checkpoint.
+	url1, cmd1, _ := startKcoredProc(t, args...)
+	postJSON(t, http.StatusOK, url1+"/update?wait=1",
+		`{"updates":[{"op":"delete","u":0,"v":1}]}`, new(struct{}))
+	stop(cmd1)
+
+	// The same tables with file times past every checkpoint (a touch, a
+	// copy without -p): recovery wins and keeps the acked delete.
 	future := time.Now().Add(time.Hour)
 	for _, ext := range []string{".meta", ".nt", ".et"} {
 		if err := os.Chtimes(base+ext, future, future); err != nil {
 			t.Fatal(err)
 		}
 	}
-	url3, _, startup := startKcoredProc(t, args...)
-	joined := strings.Join(startup, "\n")
-	if !strings.Contains(joined, "re-decomposing") {
-		t.Fatalf("restart with refreshed base did not re-decompose: %q", startup)
+	url2, cmd2, startup := startKcoredProc(t, args...)
+	if joined := strings.Join(startup, "\n"); !strings.Contains(joined, "skipping base") {
+		t.Fatalf("restart on a touched base did not skip decomposition: %q", startup)
 	}
-	getJSON(t, http.StatusOK, url3+"/stats", &st)
-	if st.Durability == nil || st.Durability.LSN != 0 {
-		t.Fatalf("re-decomposed graph durability = %+v, want a fresh WAL at lsn 0", st.Durability)
-	}
-	// The re-decomposition restored the base state: the edge deleted in
-	// the first run is back, so deleting it again succeeds (an absent
-	// edge would be rejected and leave the LSN at 0).
-	postJSON(t, http.StatusOK, url3+"/update?wait=1",
-		`{"updates":[{"op":"delete","u":0,"v":1}]}`, &upd)
-	getJSON(t, http.StatusOK, url3+"/stats", &st)
+	getJSON(t, http.StatusOK, url2+"/stats", &st)
 	if st.Durability == nil || st.Durability.LSN != 1 {
-		t.Fatalf("post-redecompose delete not applied: durability = %+v", st.Durability)
+		t.Fatalf("recovered graph durability = %+v, want lsn 1", st.Durability)
+	}
+	stop(cmd2)
+
+	// The base rebuilt from other edges: the recovered graph goes, and a
+	// fresh log starts over the new base's 120 nodes.
+	run(t, "gengraph", "-family", "social", "-n", "120", "-k", "3", "-seed", "22", "-out", base)
+	url3, _, startup := startKcoredProc(t, args...)
+	if joined := strings.Join(startup, "\n"); !strings.Contains(joined, "re-decomposing") {
+		t.Fatalf("restart on a rebuilt base did not re-decompose: %q", startup)
+	}
+	getJSON(t, http.StatusOK, url3+"/stats", &st)
+	if st.Durability == nil || st.Durability.LSN != 0 || st.Nodes != 120 {
+		t.Fatalf("re-decomposed graph: %d nodes, durability %+v; want the new base's 120 nodes at lsn 0", st.Nodes, st.Durability)
 	}
 }

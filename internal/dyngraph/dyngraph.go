@@ -287,9 +287,8 @@ func (g *Graph) Compact() error {
 	if g.BufferedArcs() == 0 {
 		return nil
 	}
-	vw := &View{r: g.reader}
 	if err := g.swap(func(tmp string) error {
-		return storage.WriteGraph(faultfs.OS, tmp, vw, g.disk.IOCounter(), false)
+		return storage.WriteGraph(faultfs.OS, tmp, &g.reader, g.disk.IOCounter(), false)
 	}); err != nil {
 		return err
 	}
@@ -313,7 +312,7 @@ func (g *Graph) Adopt(vw *View, tables string) error {
 	g.adopted = true
 	// The pinned edits are in the base now: one still buffered leaves the
 	// buffer, one undone since the pin is buffered as its opposite.
-	g.ins, g.del = rebase(g.ins, vw.r.ins, vw.r.del, g.del), rebase(g.del, vw.r.del, vw.r.ins, g.ins)
+	g.ins, g.del = rebase(g.ins, vw.ins, vw.del, g.del), rebase(g.del, vw.del, vw.ins, g.ins)
 	g.bufArcs.Store(int64(len(g.ins) + len(g.del)))
 	return nil
 }

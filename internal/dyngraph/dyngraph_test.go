@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"kcore/internal/dyngraph"
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/graph"
-	"kcore/internal/graphio"
 	"kcore/internal/imcore"
 	"kcore/internal/stats"
+	"kcore/internal/storage"
 )
 
 func TestOverlayBasics(t *testing.T) { onEachDriver(t, testOverlayBasics) }
@@ -283,7 +284,7 @@ func testFailedRewriteLeavesNothingBehind(t *testing.T, open driverOpen) {
 func TestCloseNeverTearsState(t *testing.T) {
 	src := gen.SampleGraph()
 	base := filepath.Join(t.TempDir(), "g")
-	if err := graphio.WriteCSR(base, src, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, src, stats.NewIOCounter(0), false); err != nil {
 		t.Fatal(err)
 	}
 	g, err := dyngraph.Open(base, stats.NewIOCounter(0), dyngraph.Options{BufferArcs: 4})
@@ -322,7 +323,7 @@ func TestCloseNeverTearsState(t *testing.T) {
 func TestClosePreservesDiskWhenNoCompaction(t *testing.T) {
 	src := gen.SampleGraph()
 	base := filepath.Join(t.TempDir(), "g")
-	if err := graphio.WriteCSR(base, src, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, src, stats.NewIOCounter(0), false); err != nil {
 		t.Fatal(err)
 	}
 	g, err := dyngraph.Open(base, stats.NewIOCounter(0), dyngraph.Options{BufferArcs: 1 << 20})

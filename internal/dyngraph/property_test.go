@@ -12,6 +12,7 @@ import (
 	"kcore/internal/dyngraph"
 	"kcore/internal/faultfs"
 	"kcore/internal/gen"
+	"kcore/internal/graph"
 	"kcore/internal/imcore"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
@@ -131,7 +132,7 @@ func agrees(g *dyngraph.Graph, ref *imcore.DynGraph) error {
 // the oracle's adjacency at the pin.
 func viewAgrees(vw *dyngraph.View, pinned [][]uint32) error {
 	next := 0
-	if err := vw.Scan(stats.NewIOCounter(512), func(v uint32, nbrs []uint32) error {
+	if err := graph.ScanAll(vw, func(v uint32, nbrs []uint32) error {
 		if int(v) != next || !slices.Equal(nbrs, pinned[v]) {
 			return fmt.Errorf("view scan: nbr(%d) = %v at node %d, want %v", v, nbrs, next, pinned[next])
 		}

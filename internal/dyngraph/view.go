@@ -3,19 +3,18 @@ package dyngraph
 import (
 	"slices"
 
-	"kcore/internal/graph"
 	"kcore/internal/stats"
 )
 
 // View is a pinned, read-only image of the graph as it stood at Pin: a
-// reader over a second handle on the tables that were current and a copy
-// of the update buffer. Nothing in it is O(m) — the adjacency stays in
-// the files, which the open handles keep readable however many fold-backs
-// rename newer ones into their place while the view lives. Scan streams
-// it from any goroutine, concurrently with the graph's owner; Release
-// must follow.
+// reader, so a graph.Source, over a second handle on the tables that were
+// current and a copy of the update buffer. Nothing in it is O(m) — the
+// adjacency stays in the files, which the open handles keep readable
+// however many fold-backs rename newer ones into their place while the
+// view lives. It may be scanned from any goroutine, concurrently with the
+// graph's owner; Release must follow.
 type View struct {
-	r      reader
+	reader
 	merges int64 // the graph's FoldBacks at the pin, for Adopt
 }
 
@@ -30,28 +29,17 @@ func (g *Graph) Pin() (*View, error) {
 	// The owner edits its key arrays in place, so the view takes its own:
 	// two pointer-free clones, 8 B per buffered arc.
 	r := reader{disk: disk, ins: slices.Clone(g.ins), del: slices.Clone(g.del), arcs: g.arcs}
-	return &View{r: r, merges: g.FoldBacks()}, nil
+	return &View{reader: r, merges: g.FoldBacks()}, nil
 }
 
 // Release closes the view's handles; tables a fold-back replaced in the
 // meantime leave the disk here.
-func (vw *View) Release() { vw.r.disk.Close() }
+func (vw *View) Release() { vw.disk.Close() }
 
-// NumNodes reports n.
-func (vw *View) NumNodes() uint32 { return vw.r.NumNodes() }
-
-// NumArcs reports the arc count of the pinned adjacency.
-func (vw *View) NumArcs() int64 { return vw.r.arcs }
-
-// Scan calls fn once per node in layout order with its merged (base +
-// buffer) neighbour list, valid during the call only. Every edge block is
-// read once, charged to io — never to the counter the graph serves from
-// (storage.Graph.ChargeTo) — and held to its checksum, by graph.ScanAll
-// over the view's reader through the frames of the view's handle. The
-// records come from the node index the handle shares with the graph, so
-// the node table is not read again. A damaged edge table fails the scan
-// instead of being copied.
-func (vw *View) Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
-	vw.r.disk.ChargeTo(io)
-	return graph.ScanAll(&vw.r, fn)
-}
+// ChargeTo charges the view's later reads to io, never to the counter the
+// graph serves from (storage.Graph.ChargeTo): a checkpoint's scan reads
+// every edge block once, held to its checksum, through the frames of the
+// view's handle, and the records come from the node index the handle
+// shares with the graph, so the node table is not read again. A damaged
+// edge table fails the scan instead of being copied.
+func (vw *View) ChargeTo(io *stats.IOCounter) { vw.disk.ChargeTo(io) }

@@ -73,7 +73,8 @@ func testViewOutlivesCompaction(t *testing.T, open driverOpen) {
 	quiet := g.gauges()
 	walIO := stats.NewIOCounter(4096) // any block size: the view reads at the graph's
 	got := make([][]uint32, 0, n)
-	if err := vw.Scan(walIO, func(v uint32, nbrs []uint32) error {
+	vw.ChargeTo(walIO)
+	if err := graph.ScanAll(vw, func(v uint32, nbrs []uint32) error {
 		if int(v) != len(got) {
 			t.Fatalf("Scan visited node %d, want %d (id order, every node)", v, len(got))
 		}
@@ -139,7 +140,7 @@ func testViewDetectsDamage(t *testing.T, open driverOpen) {
 		t.Fatal(err)
 	}
 	defer vw.Release()
-	if err := vw.Scan(stats.NewIOCounter(512), func(uint32, []uint32) error { return nil }); err == nil {
+	if err := graph.ScanAll(vw, func(uint32, []uint32) error { return nil }); err == nil {
 		t.Fatal("the scan streamed corrupted edge data without noticing")
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/graph"
-	"kcore/internal/graphio"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
@@ -25,7 +25,7 @@ func TestMain(m *testing.M) { pins.Main(m) }
 func onDisk(t *testing.T, g *memgraph.CSR) *storage.Graph {
 	t.Helper()
 	base := filepath.Join(t.TempDir(), "g")
-	if err := graphio.WriteCSR(base, g, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, g, stats.NewIOCounter(0), false); err != nil {
 		t.Fatal(err)
 	}
 	dg, err := storage.Open(base, stats.NewIOCounter(0), nil)

@@ -257,6 +257,7 @@ func (d *durable) checkpoint(adopt bool) error {
 		return err
 	}
 	defer vw.Release()
+	vw.ChargeTo(d.gd.IO())
 	tables, err := d.gd.Checkpoint(lsn, vw, ep.Cores())
 	if err != nil {
 		return err

@@ -295,8 +295,8 @@ func TestDurableFirstOpenLeavesBaseAlone(t *testing.T) {
 			if err != nil || len(rep.Graphs) != 1 || rep.Graphs[0].Err != nil || rep.Graphs[0].Degraded {
 				t.Fatalf("recovery: %v, %+v", err, rep)
 			}
-			if engine.BaseNewerThanCheckpoint(base, rep.Graphs[0]) {
-				t.Error("the untouched base reads as newer than the recovered checkpoint")
+			if reg2.BaseChanged("g", base) {
+				t.Error("the untouched base reads as another graph than the one recovered")
 			}
 			if rep.Graphs[0].Replayed != int64(len(sc.Records)) {
 				t.Errorf("replayed %d records, want the %d behind the checkpoint", rep.Graphs[0].Replayed, len(sc.Records))

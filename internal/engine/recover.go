@@ -18,26 +18,44 @@ import (
 
 // configName is the per-graph serving-configuration file inside a
 // durable graph directory: recovery reopens the graph on the frames it
-// was created with (normalize's spelling of them).
+// was created with (normalize's spelling of them), and kcored keeps it
+// only while its base is the one it was created from (BaseChanged).
 const configName = "CONFIG"
 
-func writeGraphConfig(o *DurabilityOptions, dir string, c BackendConfig) error {
+// writeGraphConfig records c and the identity of the tables at base, the
+// graph's first open (baseIdentity), when they can be read.
+func writeGraphConfig(o *DurabilityOptions, dir string, c BackendConfig, base string) error {
 	config := fmt.Sprintf("backend=%s\ncache_blocks=%d\n", c.Backend, c.CacheBlocks)
+	if id, err := baseIdentity(base); err == nil {
+		config += "base=" + id + "\n"
+	}
 	return storage.WriteFile(o.FS, filepath.Join(dir, configName), []byte(config))
 }
 
-// readGraphConfig parses the configuration file, defaulting to the
-// default frames when it is missing or damaged (it is serving
-// configuration, not durable state — the graph's data is intact either
-// way). Unknown keys and backend names are skipped, which is how a file
+// baseIdentity is what tells the tables at base from other tables: their
+// header's node and arc counts, table sizes and the tables' CRC32Cs. It
+// reads the header only, so file times, copies and links do not change it.
+func baseIdentity(base string) (string, error) {
+	m, err := storage.ReadMeta(base)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%d/%d/%d/%d/%08x/%08x", m.N, m.Arcs, m.NtBytes, m.EtBytes, m.NtCRC, m.EtCRC), nil
+}
+
+// readGraphConfig parses the configuration file into the frames,
+// defaulting to the default frames when it is missing or damaged (it is
+// serving configuration, not durable state — the graph's data is intact
+// either way), and the base identity it records, empty if none. Unknown
+// keys and backend names are skipped, which is how a file
 // written by a sharded kcored (backend=sharded, shards=N, partitioner=)
 // comes back as one writer on the default frames, its per-shard logs
 // merged by LSN (wal.Scan).
-func readGraphConfig(dir string) BackendConfig {
-	c := BackendConfig{Backend: BackendMem}
+func readGraphConfig(dir string) (c BackendConfig, base string) {
+	c = BackendConfig{Backend: BackendMem}
 	data, err := os.ReadFile(filepath.Join(dir, configName))
 	if err != nil {
-		return c
+		return c, ""
 	}
 	for _, line := range strings.Split(string(data), "\n") {
 		key, val, ok := strings.Cut(strings.TrimSpace(line), "=")
@@ -53,9 +71,23 @@ func readGraphConfig(dir string) BackendConfig {
 			if n, err := strconv.Atoi(val); err == nil && n >= 0 {
 				c.CacheBlocks = n
 			}
+		case "base":
+			base = val
 		}
 	}
-	return c
+	return c, base
+}
+
+// BaseChanged reports whether the tables at path prefix base are not the
+// ones the durable graph name was created from: their identity
+// (baseIdentity) differs from the one its CONFIG recorded. It reports
+// false when CONFIG records none (data dirs of older trees) or base
+// cannot be read, so the recovered graph is kept. The registry must have
+// DurabilityOptions.
+func (r *Registry) BaseChanged(name, base string) bool {
+	_, want := readGraphConfig(filepath.Join(r.dur.Dir, name))
+	got, err := baseIdentity(base)
+	return want != "" && err == nil && got != want
 }
 
 // ensureDataDir creates the data directory and takes the process-level
@@ -99,7 +131,7 @@ func (r *Registry) createDurable(name, base string, c BackendConfig, oo kcore.Op
 		err = r.dur.FS.MkdirAll(dir, 0o755)
 	}
 	if err == nil {
-		err = writeGraphConfig(r.dur, dir, c)
+		err = writeGraphConfig(r.dur, dir, c, base)
 	}
 	var d *durable
 	if err == nil {
@@ -125,9 +157,10 @@ func (r *Registry) createDurable(name, base string, c BackendConfig, oo kcore.Op
 // its tables.
 //
 // The graph serves, and adopts its checkpoints into, live/ from the first
-// open on: the operator's files are only ever read, so their modification
-// times keep meaning "the operator refreshed the base"
-// (BaseNewerThanCheckpoint), and committed checkpoints are never written.
+// open on: the operator's files are only ever read, so a base whose
+// identity differs from the one CONFIG recorded means "the operator
+// replaced the base" (BaseChanged), and committed checkpoints are never
+// written.
 //
 // An error next to a nil shell means nothing came up and nothing stays
 // open. An error next to a shell means the graph is in service on what
@@ -206,35 +239,6 @@ type GraphRecovery struct {
 	Reason   string        `json:"reason,omitempty"`
 	Err      error         `json:"-"`
 	Elapsed  time.Duration `json:"elapsed_ns"`
-	// CheckpointTime is the modification time of the chosen checkpoint's
-	// manifest — when the recovered state was last made durable. Zero
-	// when recovery failed before choosing a checkpoint. kcored compares
-	// it against -graph/-load base files to decide whether a recovered
-	// graph is staler than its base (see BaseNewerThanCheckpoint).
-	CheckpointTime time.Time `json:"checkpoint_time,omitzero"`
-}
-
-// BaseNewerThanCheckpoint reports whether the on-disk base graph at
-// path prefix base was modified after the recovered checkpoint was
-// written — the signal that the operator refreshed the base file and a
-// -load/-graph should re-decompose it instead of keeping the recovered
-// state. Unknown times (missing files, failed recovery) report false,
-// preserving the recovered-name-wins default.
-func BaseNewerThanCheckpoint(base string, gr GraphRecovery) bool {
-	if gr.CheckpointTime.IsZero() {
-		return false
-	}
-	newest := time.Time{}
-	for _, ext := range storage.Files[:len(storage.Files)-1] { // not the optional sidecar
-		fi, err := os.Stat(base + ext)
-		if err != nil {
-			return false
-		}
-		if fi.ModTime().After(newest) {
-			newest = fi.ModTime()
-		}
-	}
-	return newest.After(gr.CheckpointTime)
 }
 
 // RecoveryReport aggregates a Recover pass.
@@ -319,7 +323,8 @@ func (r *Registry) recoverGraph(name string) (gr GraphRecovery) {
 	gr.Name = name
 	_, gr.Err = r.install(name, func() (*entry, error) {
 		dir := filepath.Join(r.dur.Dir, name)
-		oo, err := readGraphConfig(dir).OpenOptions(r.opts.Open)
+		c, _ := readGraphConfig(dir)
+		oo, err := c.OpenOptions(r.opts.Open)
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +346,7 @@ func (r *Registry) recoverGraph(name string) (gr GraphRecovery) {
 		if err != nil {
 			return nil, err
 		}
-		gr.CheckpointTime, gr.Fallback, gr.Reason = sc.Time, sc.Fallback, sc.Reason
+		gr.Fallback, gr.Reason = sc.Fallback, sc.Reason
 		if derr != nil {
 			reason := derr.Error()
 			d.markDegraded(reason)

@@ -9,9 +9,11 @@ import (
 
 	"kcore"
 	"kcore/internal/engine"
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
-	"kcore/internal/graphio"
 	"kcore/internal/serve"
+	"kcore/internal/stats"
+	"kcore/internal/storage"
 )
 
 // writeGraph materialises a deterministic social graph on disk and
@@ -20,7 +22,7 @@ func writeGraph(t testing.TB, n uint32, seed int64) string {
 	t.Helper()
 	csr := gen.Build(gen.Social(n, 3, 8, 8, seed))
 	base := filepath.Join(t.TempDir(), fmt.Sprintf("g%d", seed))
-	if err := graphio.WriteCSR(base, csr, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, csr, stats.NewIOCounter(0), false); err != nil {
 		t.Fatal(err)
 	}
 	return base

@@ -19,10 +19,12 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/graph"
-	"kcore/internal/graphio"
 	"kcore/internal/memgraph"
+	"kcore/internal/stats"
+	"kcore/internal/storage"
 )
 
 // Config parameterises an experiment run.
@@ -106,7 +108,7 @@ func materialise(dir, name string, g *memgraph.CSR) (string, error) {
 	if _, err := os.Stat(base + ".meta"); err == nil {
 		return base, nil
 	}
-	return base, graphio.WriteCSR(base, g, nil)
+	return base, storage.WriteGraph(faultfs.OS, base, g, stats.NewIOCounter(0), false)
 }
 
 // table is a tiny fixed-width renderer.

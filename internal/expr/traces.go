@@ -5,11 +5,12 @@ import (
 	"path/filepath"
 
 	"kcore/internal/dyngraph"
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
-	"kcore/internal/graphio"
 	"kcore/internal/maintain"
 	"kcore/internal/semicore"
 	"kcore/internal/stats"
+	"kcore/internal/storage"
 )
 
 // Traces replays the paper's worked examples on the Fig. 1 sample graph,
@@ -89,7 +90,7 @@ func Traces(cfg *Config) error {
 	defer cleanup()
 	session := func() (*maintain.Session, error) {
 		base := filepath.Join(dir, "sample-trace")
-		if err := graphio.WriteCSR(base, g, nil); err != nil {
+		if err := storage.WriteGraph(faultfs.OS, base, g, stats.NewIOCounter(0), false); err != nil {
 			return nil, err
 		}
 		dg, err := dyngraph.Open(base, stats.NewIOCounter(cfg.BlockSize), dyngraph.Options{})

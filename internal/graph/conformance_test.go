@@ -1,12 +1,15 @@
-// Conformance tests: the three graph.Source implementations (in-memory
-// CSR, counted disk tables, buffered dynamic view) must be externally
-// indistinguishable, because the semi-external algorithms are written
-// against the interface and validated mostly on the fast backend.
+// Conformance tests: the graph.Source implementations (in-memory CSR,
+// counted disk tables, buffered dynamic graph and its pinned views) must
+// be externally indistinguishable, because the semi-external algorithms
+// are written against the interface and validated mostly on the fast
+// backend, and storage.WriteGraph writes tables from any of them.
 package graph_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -16,9 +19,9 @@ import (
 	"kcore"
 	"kcore/internal/dyngraph"
 	"kcore/internal/emcore"
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/graph"
-	"kcore/internal/graphio"
 	"kcore/internal/imcore"
 	"kcore/internal/maintain"
 	"kcore/internal/memgraph"
@@ -33,7 +36,7 @@ func sources(t *testing.T) map[string]graph.Source {
 	t.Helper()
 	csr := gen.Build(gen.Social(200, 3, 8, 8, 601))
 	base := filepath.Join(t.TempDir(), "g")
-	if err := graphio.WriteCSR(base, csr, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, csr, stats.NewIOCounter(0), false); err != nil {
 		t.Fatal(err)
 	}
 	disk, err := storage.Open(base, stats.NewIOCounter(0), nil)
@@ -147,29 +150,85 @@ func TestSourcesAgreeOnDegrees(t *testing.T) {
 	}
 }
 
-func TestSourcesHonourErrStop(t *testing.T) {
-	for name, s := range sources(t) {
-		count := 0
-		err := graph.ScanAll(s, func(v uint32, nbrs []uint32) error {
-			count++
-			if count == 5 {
-				return graph.ErrStop
-			}
-			return nil
-		})
+// TestWriteGraphFromEverySource writes one id-order adjacency through
+// storage.WriteGraph from each kind of graph.Source — the CSR, the disk
+// tables, a dynamic graph with and without buffered edits, a pinned view
+// — and requires the tables to be byte-identical.
+func TestWriteGraphFromEverySource(t *testing.T) {
+	edges := gen.Social(200, 3, 8, 8, 601)
+	csr := gen.Build(edges)
+	dir := t.TempDir()
+	write := func(name string, src graph.Source) string {
+		t.Helper()
+		base := filepath.Join(dir, name)
+		if err := storage.WriteGraph(faultfs.OS, base, src, stats.NewIOCounter(0), false); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return base
+	}
+	open := func(base string) *dyngraph.Graph {
+		t.Helper()
+		g, err := dyngraph.Open(base, stats.NewIOCounter(0), dyngraph.Options{BufferArcs: 1 << 20})
 		if err != nil {
-			t.Fatalf("%s: ErrStop leaked: %v", name, err)
+			t.Fatal(err)
 		}
-		if count != 5 {
-			t.Fatalf("%s: visited %d, want 5", name, count)
+		t.Cleanup(func() { g.Close() })
+		return g
+	}
+	tables := map[string]string{"csr": write("csr", csr)}
+
+	disk, err := storage.Open(tables["csr"], stats.NewIOCounter(0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	tables["disk"] = write("disk", disk)
+	tables["dyn"] = write("dyn", open(write("dyn-base", csr)))
+
+	// The same adjacency as a base that lacks the first 20 edges and holds
+	// 20 others, with the buffer undoing both.
+	held, extra := csr.EdgeList()[:20], []graph.Edge{}
+	for u := uint32(0); len(extra) < 20; u++ {
+		if !csr.HasEdge(u, u+100) {
+			extra = append(extra, graph.Edge{U: u, V: u + 100})
 		}
-		count = 0
-		err = s.ScanDegrees(func(v uint32, d uint32) error {
-			count++
-			return graph.ErrStop
-		})
-		if err != nil || count != 1 {
-			t.Fatalf("%s: ScanDegrees stop: err=%v count=%d", name, err, count)
+	}
+	other, err := memgraph.FromEdges(csr.NumNodes(), append(csr.EdgeList()[20:], extra...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn := open(write("edited-base", other))
+	for i := range held {
+		if err := dyn.InsertEdge(held[i].U, held[i].V); err != nil {
+			t.Fatal(err)
+		}
+		if err := dyn.DeleteEdge(extra[i].U, extra[i].V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dyn.BufferedArcs() != 80 {
+		t.Fatalf("fixture: %d buffered arcs, want 80", dyn.BufferedArcs())
+	}
+	tables["dyn-edited"] = write("dyn-edited", dyn)
+	vw, err := dyn.Pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vw.Release()
+	if err := dyn.DeleteEdge(held[0].U, held[0].V); err != nil { // after the pin: not in the view
+		t.Fatal(err)
+	}
+	tables["view"] = write("view", vw)
+
+	for name, base := range tables {
+		for _, ext := range storage.Files {
+			want, err := os.ReadFile(tables["csr"] + ext)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(base + ext); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s: %s differs from the CSR's (%v)", name, ext, err)
+			}
 		}
 	}
 }
@@ -248,7 +307,7 @@ func TestAlgorithmsAgreeUnderMutation(t *testing.T) {
 	csr := gen.Build(edges)
 	n := csr.NumNodes()
 	base := filepath.Join(t.TempDir(), "g")
-	if err := graphio.WriteCSR(base, csr, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, csr, stats.NewIOCounter(0), false); err != nil {
 		t.Fatal(err)
 	}
 	ctr := stats.NewIOCounter(0)
@@ -323,7 +382,7 @@ func TestConcurrentSessionAgreesWithRecompute(t *testing.T) {
 	csr := gen.Build(edges)
 	n := csr.NumNodes()
 	base := filepath.Join(t.TempDir(), "g")
-	if err := graphio.WriteCSR(base, csr, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, csr, stats.NewIOCounter(0), false); err != nil {
 		t.Fatal(err)
 	}
 	g, err := kcore.Open(base, nil)
@@ -436,14 +495,5 @@ func TestConcurrentSessionAgreesWithRecompute(t *testing.T) {
 			t.Fatalf("epoch %d: Dirty lists %d nodes (%d distinct), %d actually changed",
 				cur.Seq, len(cur.Dirty()), len(dirty), changed)
 		}
-	}
-}
-
-func TestIsStop(t *testing.T) {
-	if !graph.IsStop(graph.ErrStop) {
-		t.Fatal("IsStop(ErrStop) = false")
-	}
-	if graph.IsStop(fmt.Errorf("other")) {
-		t.Fatal("IsStop(other) = true")
 	}
 }

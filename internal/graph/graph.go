@@ -1,10 +1,12 @@
-// Package graph defines the neighbour-access contract shared by every
-// graph backend in the repository: the on-disk table pair
-// (internal/storage), the one buffered dynamic graph over it
-// (internal/dyngraph) and the in-memory CSR (internal/memgraph). The
-// semi-external algorithms of the paper are written against this
-// interface only, so one implementation serves both the I/O-accounted
-// disk runs and the fast in-memory tests.
+// Package graph defines the one contract every graph in the repository
+// is read and written through: the on-disk table pair
+// (internal/storage), the one buffered dynamic graph over it and its
+// pinned views (internal/dyngraph) and the in-memory CSR
+// (internal/memgraph). The semi-external algorithms of the paper are
+// written against this interface only, so one implementation serves both
+// the I/O-accounted disk runs and the fast in-memory tests, and the one
+// writer, storage.WriteGraph, writes tables from any Source in its
+// layout: a generated CSR, a checkpoint of a view, a fold-back.
 package graph
 
 // Edge is an undirected edge between two node ids, the one edge type of
@@ -29,6 +31,9 @@ type Source interface {
 	// NumNodes reports n.
 	NumNodes() uint32
 
+	// NumArcs reports the stored arcs, twice the undirected edges.
+	NumArcs() int64
+
 	// Positions lends every id's position in the layout, a permutation of
 	// [0, n), or nil when the layout is id order. Callers must not write
 	// to it; Pos reads it.
@@ -51,6 +56,21 @@ func ScanAll(src Source, fn func(v uint32, nbrs []uint32) error) error {
 	return src.ScanDynamic(0, func() uint32 { return last }, nil, fn)
 }
 
+// Edges calls fn with every undirected edge of src once, {v, u} with
+// u > v, in layout order and each node's edges by ascending u.
+func Edges(src Source, fn func(e Edge) error) error {
+	return ScanAll(src, func(v uint32, nbrs []uint32) error {
+		for _, u := range nbrs {
+			if u > v {
+				if err := fn(Edge{U: v, V: u}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+}
+
 // Pos reports node v's position under layout, a Source's Positions: v
 // itself when layout is nil.
 func Pos(layout []uint32, v uint32) uint32 {
@@ -58,19 +78,4 @@ func Pos(layout []uint32, v uint32) uint32 {
 		return layout[v]
 	}
 	return v
-}
-
-// Stop is a sentinel callbacks may return to end a scan early without
-// reporting an error to the caller.
-type stopError struct{}
-
-func (stopError) Error() string { return "graph: scan stopped" }
-
-// ErrStop ends a Scan early; Source implementations translate it to nil.
-var ErrStop error = stopError{}
-
-// IsStop reports whether err is the early-termination sentinel.
-func IsStop(err error) bool {
-	_, ok := err.(stopError)
-	return ok
 }

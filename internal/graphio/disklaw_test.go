@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/graph"
 	"kcore/internal/graphio"
@@ -43,7 +44,7 @@ func TestSemiCoreIOLaw(t *testing.T) {
 	const frames = 25
 	mem := gen.Build(gen.Social(4000, 3, 10, 9, 701))
 	base := filepath.Join(t.TempDir(), "g")
-	if err := graphio.WriteCSR(base, mem, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, mem, stats.NewIOCounter(0), false); err != nil {
 		t.Fatal(err)
 	}
 	meta, err := storage.ReadMeta(base)
@@ -296,7 +297,7 @@ func idDeltaBytes(order []uint32) int64 {
 func TestDiskParityAllVariants(t *testing.T) {
 	mem := gen.Build(gen.WebGraph(7, 5, 6, 20, 703))
 	base := filepath.Join(t.TempDir(), "g")
-	if err := graphio.WriteCSR(base, mem, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, mem, stats.NewIOCounter(0), false); err != nil {
 		t.Fatal(err)
 	}
 	want := verify.CoresByRepeatedRemoval(mem)

@@ -50,7 +50,7 @@ type CSRSource struct{ G *memgraph.CSR }
 
 // Edges implements EdgeSource.
 func (s CSRSource) Edges(fn func(u, v uint32) error) error {
-	return s.G.Edges(func(e graph.Edge) error { return fn(e.U, e.V) })
+	return graph.Edges(s.G, func(e graph.Edge) error { return fn(e.U, e.V) })
 }
 
 // BuildOptions tunes graph construction.
@@ -281,24 +281,6 @@ func sortByKey(key []uint32) []uint32 {
 	return order
 }
 
-// WriteCSR materialises an in-memory graph on disk.
-func WriteCSR(base string, g *memgraph.CSR, ctr *stats.IOCounter) error {
-	if ctr == nil {
-		ctr = stats.NewIOCounter(0)
-	}
-	b, err := storage.NewBuilder(base, g.NumNodes(), ctr)
-	if err != nil {
-		return err
-	}
-	for v := uint32(0); v < g.NumNodes(); v++ {
-		if err := b.AppendList(v, g.Neighbors(v)); err != nil {
-			b.Abort()
-			return err
-		}
-	}
-	return b.Close()
-}
-
 // ReadToCSR loads an on-disk graph fully into memory (test and example
 // helper; defeats the semi-external model by design).
 func ReadToCSR(base string) (*memgraph.CSR, error) {
@@ -309,15 +291,10 @@ func ReadToCSR(base string) (*memgraph.CSR, error) {
 	}
 	defer g.Close()
 	var edges []graph.Edge
-	err = graph.ScanAll(g, func(v uint32, nbrs []uint32) error {
-		for _, u := range nbrs {
-			if u > v {
-				edges = append(edges, graph.Edge{U: v, V: u})
-			}
-		}
+	if err := graph.Edges(g, func(e graph.Edge) error {
+		edges = append(edges, e)
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	return memgraph.FromEdges(g.NumNodes(), edges)
@@ -369,7 +346,7 @@ func WriteText(path string, g *memgraph.CSR) error {
 		return err
 	}
 	w := bufio.NewWriter(f)
-	err = g.Edges(func(e graph.Edge) error {
+	err = graph.Edges(g, func(e graph.Edge) error {
 		_, err := fmt.Fprintf(w, "%d %d\n", e.U, e.V)
 		return err
 	})

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/graph"
 	"kcore/internal/memgraph"
@@ -164,7 +165,7 @@ func TestBuildRejectsOverflowingForcedN(t *testing.T) {
 func TestWriteCSRRoundTrip(t *testing.T) {
 	want := gen.SampleGraph()
 	base := filepath.Join(t.TempDir(), "g")
-	if err := WriteCSR(base, want, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, want, stats.NewIOCounter(0), false); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadToCSR(base)
@@ -225,7 +226,7 @@ func TestTextSourceSkipsCommentsAndRejectsGarbage(t *testing.T) {
 func TestDiskBackedDecomposition(t *testing.T) {
 	mem := gen.Build(gen.Social(300, 3, 10, 8, 21))
 	base := filepath.Join(t.TempDir(), "g")
-	if err := WriteCSR(base, mem, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, mem, stats.NewIOCounter(0), false); err != nil {
 		t.Fatal(err)
 	}
 	ctr := stats.NewIOCounter(0)

@@ -27,7 +27,7 @@ func FuzzMaintenanceSequence(f *testing.F) {
 		base := gen.Build(gen.SmallWorld(16, 2, 0.3, 42))
 		s := newFuzzSession(t, base)
 		shadow := map[[2]uint32]bool{}
-		base.Edges(func(e graph.Edge) error {
+		graph.Edges(base, func(e graph.Edge) error {
 			shadow[[2]uint32{e.U, e.V}] = true
 			return nil
 		})

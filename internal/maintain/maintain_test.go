@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"kcore/internal/dyngraph"
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/graph"
-	"kcore/internal/graphio"
 	"kcore/internal/memgraph"
 	"kcore/internal/stats"
+	"kcore/internal/storage"
 	"kcore/internal/testutil"
 	"kcore/internal/verify"
 )
@@ -21,7 +22,7 @@ import (
 func newSessionFor(t *testing.T, g *memgraph.CSR, opts dyngraph.Options) *Session {
 	t.Helper()
 	base := filepath.Join(t.TempDir(), "g")
-	if err := graphio.WriteCSR(base, g, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, g, stats.NewIOCounter(0), false); err != nil {
 		t.Fatal(err)
 	}
 	dg, err := dyngraph.Open(base, stats.NewIOCounter(0), opts)

@@ -95,25 +95,11 @@ func (g *CSR) ModelBytes() int64 {
 	return int64(len(g.offsets))*8 + int64(len(g.adj))*4
 }
 
-// Edges streams each undirected edge once (u < v).
-func (g *CSR) Edges(fn func(e graph.Edge) error) error {
-	n := g.NumNodes()
-	for v := uint32(0); v < n; v++ {
-		for _, u := range g.Neighbors(v) {
-			if u > v {
-				if err := fn(graph.Edge{U: v, V: u}); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// EdgeList materialises Edges.
+// EdgeList materialises graph.Edges: each undirected edge once (u < v),
+// in id order.
 func (g *CSR) EdgeList() []graph.Edge {
 	out := make([]graph.Edge, 0, g.NumEdges())
-	g.Edges(func(e graph.Edge) error {
+	graph.Edges(g, func(e graph.Edge) error {
 		out = append(out, e)
 		return nil
 	})
@@ -129,9 +115,6 @@ func (g *CSR) ScanDegrees(fn func(v uint32, deg uint32) error) error {
 	n := g.NumNodes()
 	for v := uint32(0); v < n; v++ {
 		if err := fn(v, g.Degree(v)); err != nil {
-			if graph.IsStop(err) {
-				return nil
-			}
 			return err
 		}
 	}
@@ -149,9 +132,6 @@ func (g *CSR) ScanDynamic(vmin uint32, vmaxFn func() uint32, want func(v uint32)
 			continue
 		}
 		if err := fn(v, g.Neighbors(v)); err != nil {
-			if graph.IsStop(err) {
-				return nil
-			}
 			return err
 		}
 	}

@@ -35,7 +35,7 @@ func SampleNodes(g *CSR, frac float64, seed int64) (*CSR, error) {
 		}
 	}
 	var edges []graph.Edge
-	g.Edges(func(e graph.Edge) error {
+	graph.Edges(g, func(e graph.Edge) error {
 		ru, rv := remap[e.U], remap[e.V]
 		if ru >= 0 && rv >= 0 {
 			edges = append(edges, graph.Edge{U: uint32(ru), V: uint32(rv)})

@@ -55,10 +55,10 @@ func starOnDisk(t *testing.T, base string, paperRule bool, frames int, passOnly 
 }
 
 // fixture is one generator family's graph at one seed, on disk twice:
-// in id order (graphio.WriteCSR) and as graphio.Build writes it, with
-// the oracle's cores and Eq. 2 counters. Build lays every family out in
-// a peeling order but the ring lattices, whose ids are local: it keeps
-// those in id order, and then peel is empty.
+// in id order (a CSR through storage.WriteGraph) and as graphio.Build
+// writes it, with the oracle's cores and Eq. 2 counters. Build lays every
+// family out in a peeling order but the ring lattices, whose ids are
+// local: it keeps those in id order, and then peel is empty.
 type fixture struct {
 	fam       string
 	ids, peel string // the two tables' path prefixes

@@ -9,10 +9,12 @@ import (
 
 	"kcore"
 	"kcore/internal/engine"
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
-	"kcore/internal/graphio"
 	"kcore/internal/memgraph"
 	"kcore/internal/serve"
+	"kcore/internal/stats"
+	"kcore/internal/storage"
 	"kcore/internal/testutil"
 )
 
@@ -235,7 +237,7 @@ func openLargeGraph(tb testing.TB) (*kcore.Graph, []kcore.Edge) {
 	})
 	csr := largeBenchFixture.csr
 	base := filepath.Join(tb.TempDir(), "large")
-	if err := graphio.WriteCSR(base, csr, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, csr, stats.NewIOCounter(0), false); err != nil {
 		tb.Fatal(err)
 	}
 	g, err := kcore.Open(base, nil)

@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 
 	"kcore"
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
-	"kcore/internal/graphio"
 	"kcore/internal/serve"
+	"kcore/internal/stats"
+	"kcore/internal/storage"
 )
 
 // ExampleConcurrentSession serves lock-free epoch snapshots while edge
@@ -25,7 +27,7 @@ func ExampleConcurrentSession() {
 	}
 	defer os.RemoveAll(dir)
 	base := filepath.Join(dir, "g")
-	if err := graphio.WriteCSR(base, gen.Build(gen.Social(100, 3, 8, 8, 1)), nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, gen.Build(gen.Social(100, 3, 8, 8, 1)), stats.NewIOCounter(0), false); err != nil {
 		log.Fatal(err)
 	}
 	g, err := kcore.Open(base, nil)

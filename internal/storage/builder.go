@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"kcore/internal/faultfs"
+	"kcore/internal/graph"
 	"kcore/internal/stats"
 )
 
@@ -200,25 +201,18 @@ func (b *Builder) Abort() {
 	b.et.Close()
 }
 
-// Source is a graph Scan streams in its layout order, each list sorted
-// and valid during its call only, charging what it reads to io.
-type Source interface {
-	NumNodes() uint32
-	NumArcs() int64
-	Scan(io *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error
-}
-
 // WriteGraph is the one way a graph is written from a graph, a
-// checkpoint and a fold-back alike: src streamed into a Builder at base
-// through fsys, so the tables keep its layout, reads and writes charged
-// to io, fsynced when sync is set.
+// generated CSR, a checkpoint and a fold-back alike: src streamed by
+// graph.ScanAll into a Builder at base through fsys, so the tables keep
+// its layout, writes charged to io, fsynced when sync is set. src's
+// reads go to whatever counter src charges (storage.Graph.ChargeTo).
 // A scan that fails, or streams other than NumArcs arcs, leaves no header.
-func WriteGraph(fsys faultfs.FS, base string, src Source, io *stats.IOCounter, sync bool) error {
+func WriteGraph(fsys faultfs.FS, base string, src graph.Source, io *stats.IOCounter, sync bool) error {
 	b, err := newBuilder(fsys, base, src.NumNodes(), io)
 	if err != nil {
 		return err
 	}
-	if err := src.Scan(io, b.AppendList); err != nil {
+	if err := graph.ScanAll(src, b.AppendList); err != nil {
 		b.Abort()
 		return err
 	}

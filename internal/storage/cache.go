@@ -69,9 +69,6 @@ func NewBlockCache(blocks, blockSize int) *BlockCache {
 // BlockSize reports the cache's block size in bytes.
 func (c *BlockCache) BlockSize() int { return c.b }
 
-// Blocks reports the frame budget.
-func (c *BlockCache) Blocks() int { return len(c.frames) }
-
 // CacheStats is a point-in-time snapshot of the cache counters.
 type CacheStats struct {
 	Blocks    int   `json:"blocks"`

@@ -65,7 +65,6 @@ import (
 	"strings"
 
 	"kcore/internal/faultfs"
-	"kcore/internal/graph"
 	"kcore/internal/stats"
 )
 
@@ -574,9 +573,6 @@ func (g *Graph) ScanDegrees(fn func(v uint32, deg uint32) error) error {
 	for range g.meta.N {
 		v, l := w.next()
 		if err := fn(v, l.deg); err != nil {
-			if graph.IsStop(err) {
-				return nil
-			}
 			return err
 		}
 	}
@@ -622,9 +618,6 @@ func (g *Graph) ScanDynamic(pmin uint32, pmaxFn func() uint32, want func(v uint3
 			return err
 		}
 		if err := fn(v, nbrs); err != nil {
-			if graph.IsStop(err) {
-				return nil
-			}
 			return err
 		}
 	}

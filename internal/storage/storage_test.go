@@ -181,24 +181,6 @@ func TestScanDynamicExtendsWindow(t *testing.T) {
 	}
 }
 
-func TestScanEarlyStop(t *testing.T) {
-	g, _ := buildGraph(t, sampleAdj, 0)
-	count := 0
-	err := graph.ScanAll(g, func(v uint32, nbrs []uint32) error {
-		count++
-		if v == 3 {
-			return graph.ErrStop
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ErrStop leaked: %v", err)
-	}
-	if count != 4 {
-		t.Fatalf("visited %d nodes before stop, want 4", count)
-	}
-}
-
 func TestBuilderRejectsMalformedLists(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "g")
 	ctr := stats.NewIOCounter(0)

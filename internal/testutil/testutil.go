@@ -16,10 +16,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"kcore/internal/faultfs"
 	"kcore/internal/gen"
 	"kcore/internal/graph"
 	"kcore/internal/graphio"
 	"kcore/internal/memgraph"
+	"kcore/internal/stats"
 	"kcore/internal/storage"
 )
 
@@ -66,7 +68,7 @@ func WriteEdges(tb testing.TB, n uint32, edges []graph.Edge) string {
 func WriteCSR(tb testing.TB, csr *memgraph.CSR) string {
 	tb.Helper()
 	base := filepath.Join(tb.TempDir(), "g")
-	if err := graphio.WriteCSR(base, csr, nil); err != nil {
+	if err := storage.WriteGraph(faultfs.OS, base, csr, stats.NewIOCounter(0), false); err != nil {
 		tb.Fatal(err)
 	}
 	return base

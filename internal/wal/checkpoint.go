@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"kcore/internal/faultfs"
+	"kcore/internal/graph"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 )
@@ -135,14 +136,14 @@ func CheckpointBundleNames() []string {
 	return append(names, coresName)
 }
 
-// writeCheckpoint persists src (a dyngraph.View, streamed: no copy of the
-// edge set is ever resident) and, when known to match it, the core
+// writeCheckpoint persists src (a dyngraph.View, streamed by
+// storage.WriteGraph: no copy of the edge set is ever resident) and, when known to match it, the core
 // numbers as checkpoint seq under root/ckpt. The tables are written
 // into a hidden tmp directory, fsynced file by file, then committed
 // with a single rename followed by a directory fsync — a crash anywhere
 // in between leaves either the previous checkpoints or a complete new
 // one, never a half-visible directory.
-func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src storage.Source, cores []uint32, ioCtr *stats.IOCounter) error {
+func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src graph.Source, cores []uint32, ioCtr *stats.IOCounter) error {
 	ckptRoot := filepath.Join(root, "ckpt")
 	if err := fs.MkdirAll(ckptRoot, 0o755); err != nil {
 		return err

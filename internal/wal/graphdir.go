@@ -8,9 +8,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"kcore/internal/faultfs"
+	"kcore/internal/graph"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 )
@@ -129,7 +129,9 @@ func Open(dir string, opts *Options) (*GraphDir, error) {
 	return g, nil
 }
 
-// IO exposes the counter checkpoints charge their block I/O to.
+// IO exposes the counter checkpoints charge their block writes to; the
+// caller charges a checkpointed view's reads there too
+// (dyngraph.View.ChargeTo).
 func (g *GraphDir) IO() *stats.IOCounter { return g.io }
 
 // Log returns the append log.
@@ -143,7 +145,7 @@ func (g *GraphDir) Sync() error { return g.log.Sync() }
 // applies retention: the newest two checkpoints survive and every log
 // segment whose records all sit at or below the older survivor's LSN is
 // removed. It returns the path prefix of the committed tables.
-func (g *GraphDir) Checkpoint(lsn uint64, src storage.Source, cores []uint32) (tables string, err error) {
+func (g *GraphDir) Checkpoint(lsn uint64, src graph.Source, cores []uint32) (tables string, err error) {
 	seq := g.nextSeq
 	if err := writeCheckpoint(g.fs, g.dir, seq, lsn, src, cores, g.io); err != nil {
 		return "", err
@@ -242,12 +244,9 @@ func (g *GraphDir) Close() error { return g.log.Close() }
 // Recovered is one checkpoint Scan offers a bring-up: the checkpoint,
 // the consecutive replay tail beyond it, and damage classification.
 type Recovered struct {
-	// Manifest describes the checkpoint, Path is its directory and Time
-	// the manifest file's modification time: when the state was last made
-	// durable (zero if the file could not be examined).
+	// Manifest describes the checkpoint and Path is its directory.
 	Manifest Manifest
 	Path     string
-	Time     time.Time
 	// Cores is the checkpoint's core-number array when one was stored
 	// and it verified; nil otherwise (kcored stores one with every
 	// checkpoint, but older data dirs hold checkpoints without).
@@ -302,9 +301,6 @@ func Scan(fsys faultfs.FS, dir string, bringUp func(*Recovered) error) (*Recover
 			continue
 		}
 		res := &Recovered{Manifest: man, Path: ck.path, Cores: cores, Fallback: i > 0, Torn: torn, Damaged: damaged || err != nil}
-		if fi, serr := fsys.Stat(filepath.Join(ck.path, manifestName)); serr == nil {
-			res.Time = fi.ModTime()
-		}
 		reasons := slices.Clone(refused)
 		if damaged {
 			reasons = append(reasons, logReason)

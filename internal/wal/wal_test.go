@@ -338,7 +338,8 @@ func TestTruncateBelowKeepsCoveringSegments(t *testing.T) {
 	}
 }
 
-// sliceSource is the tests' checkpoint Source: resident sorted lists.
+// sliceSource is the tests' checkpoint graph.Source: resident lists in
+// id order, sorted unless a test says otherwise.
 type sliceSource [][]uint32
 
 // sourceOf builds a sliceSource over n nodes from explicit edges.
@@ -367,10 +368,23 @@ func (s sliceSource) NumArcs() int64 {
 	return arcs
 }
 
-func (s sliceSource) Scan(_ *stats.IOCounter, fn func(v uint32, nbrs []uint32) error) error {
+func (s sliceSource) Positions() []uint32 { return nil }
+
+func (s sliceSource) ScanDegrees(fn func(v, deg uint32) error) error {
 	for v, l := range s {
-		if err := fn(uint32(v), l); err != nil {
+		if err := fn(uint32(v), uint32(len(l))); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+func (s sliceSource) ScanDynamic(pmin uint32, pmaxFn func() uint32, want func(v uint32) bool, fn func(v uint32, nbrs []uint32) error) error {
+	for v := pmin; v < s.NumNodes() && v <= pmaxFn(); v++ {
+		if want == nil || want(v) {
+			if err := fn(v, s[v]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
