@@ -499,8 +499,9 @@ func formShift(t *testing.T, base string) uint {
 	return 2
 }
 
-// records decodes base's node table nt, of version 3 to 6, in layout
-// order.
+// records decodes base's node table nt, of version 3 to 7, in layout
+// order; a record's w is its gap width, or 0 for a list in the variable
+// or the Rice form.
 func records(t *testing.T, base string, nt []byte) []record {
 	t.Helper()
 	m, err := storage.ReadMeta(base)
@@ -527,7 +528,7 @@ func records(t *testing.T, base string, nt []byte) []record {
 		}
 		r := record{id: uint32(id), start: start, at: at, len: k, deg: uint32(x >> shift), w: uint8(x&(1<<shift-1)) + 1}
 		at += k
-		if r.w == 5 { // the variable form: the excess follows
+		if r.w == 5 || r.w == 6 { // the variable or the Rice form: the excess follows
 			_, k := binary.Uvarint(nt[at:])
 			if k <= 0 {
 				t.Fatalf("node table: no excess varint at byte %d", at)
@@ -624,8 +625,9 @@ func stripChecksums(t *testing.T, base string) {
 //     0xff000000 (which sized a 16 GiB scratch buffer, and ended the
 //     process with "out of memory", while records were read on trust);
 //   - a width that moves every later offset: the first fixed-width list
-//     of gap width 2 or more recorded at width 1, so every list after it
-//     is placed too early and the last ends short of the edge table.
+//     of two or more ids at gap width 1 recorded at width 2, so every
+//     list after it is placed too late and the last ends past the edge
+//     table (the fixture's lists of wider gaps all take the Rice form).
 //
 // After an open the sidecar vouched for, the block checksum catches
 // either first, on the default frames as through a cache of four. Under
@@ -660,12 +662,12 @@ func TestCorruptNodeRecordIsAnError(t *testing.T) {
 		}},
 		{"width", "-byte edge table", func(nt []byte, recs []record) {
 			for _, r := range recs {
-				if r.deg >= 2 && r.w >= 2 {
-					nt[r.at] &^= 3
+				if r.deg >= 2 && r.w == 1 {
+					nt[r.at] |= 1
 					return
 				}
 			}
-			t.Fatal("fixture: no list of gap width 2 or more")
+			t.Fatal("fixture: no list of two or more ids at gap width 1")
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

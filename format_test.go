@@ -1,6 +1,7 @@
 package kcore_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -127,6 +128,7 @@ func shrinksInLayout(t *testing.T, base string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("the fold-back's edge table takes %d bytes, the version-%d table %d", after.EtBytes, before.Version, before.EtBytes)
 	if after.EtBytes >= before.EtBytes {
 		t.Errorf("the fold-back's edge table takes %d bytes, the version-%d table %d", after.EtBytes, before.Version, before.EtBytes)
 	}
@@ -288,4 +290,72 @@ func TestVersion5TablesStayReadable(t *testing.T) {
 	refusesHeaders(t, base, "idorder",
 		"version=6\nnodes=506\narcs=3200\nntbytes=1180\netbytes=3599\n",
 	)
+}
+
+// TestVersion6TablesStayReadable opens the format-version-6 tables (each
+// list in the shorter of its fixed-width and its uvarint form, laid out
+// in a peeling order, and a checksum sidecar) that the version-6 tree's
+// Build wrote for RMAT(9, 4) seed 3, in place: they hold lists of both
+// forms, through the sidecar the index reads them into memory, SemiCore*
+// decomposes them to IMCore's cores, and one fold-back rewrites them as
+// version 7, in the same layout and in fewer edge-table bytes. A
+// version-7 header must say whether its layout is id order too.
+func TestVersion6TablesStayReadable(t *testing.T) {
+	base := copyTables(t, filepath.Join("testdata", "v6", "g"), ".meta", ".nt", ".et", ".crc")
+	meta, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta.Version != 6 || meta.IDOrder || !meta.HasCRC {
+		t.Fatalf("fixture header %+v: want version 6 out of id order, with checksums", meta)
+	}
+	nt, err := os.ReadFile(base + ".nt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixed, uvarints int
+	for _, r := range records(t, base, nt) {
+		if r.w == 0 {
+			uvarints++
+		} else if r.deg >= 2 {
+			fixed++
+		}
+	}
+	if fixed == 0 || uvarints == 0 {
+		t.Fatalf("fixture: %d fixed-width lists of two or more ids and %d uvarint lists; want both", fixed, uvarints)
+	}
+	shrinksInLayout(t, base)
+	refusesHeaders(t, base, "idorder",
+		"version=7\nnodes=506\narcs=3200\nntbytes=1390\netbytes=3364\n",
+	)
+}
+
+// TestEveryOlderFormatHasAReadabilityFixture holds each format version v
+// from 2 to the one before FormatVersion to a table set in testdata/v<v>,
+// whose header is of that version, and to a TestVersion<v>TablesStay-
+// Readable in this package's tests, so that a format bump cannot leave
+// the version it replaces without a fixture. Version 1's tables are a
+// checkpoint's, under internal/engine's testdata (TestVersion1Tables-
+// StayReadable).
+func TestEveryOlderFormatHasAReadabilityFixture(t *testing.T) {
+	var src strings.Builder
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range tests {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.Write(data)
+	}
+	for v := 2; v < storage.FormatVersion; v++ {
+		if m, err := storage.ReadMeta(filepath.Join("testdata", fmt.Sprintf("v%d", v), "g")); err != nil || m.Version != v {
+			t.Errorf("format version %d: testdata/v%d/g holds %+v (%v), want a version-%d table set", v, v, m, err, v)
+		}
+		if fn := fmt.Sprintf("func TestVersion%dTablesStayReadable(", v); !strings.Contains(src.String(), fn) {
+			t.Errorf("format version %d: no %s...) among the root package's tests", v, fn)
+		}
+	}
 }

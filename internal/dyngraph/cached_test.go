@@ -49,12 +49,13 @@ func TestStoreServesBaseGraph(t *testing.T) {
 	seed := testutil.Seed(t, 7)
 	base, edges := testutil.WriteSocial(t, n, seed)
 
-	// 4 frames of 512 bytes = 2 KiB resident adjacency, well below the
+	// 3 frames of 512 bytes = 1.5 KiB resident adjacency, well below the
 	// fixture's encoded edge table. (On 200 nodes the table fit once the
 	// node table, whose fold-back reads had evicted its blocks, took a
-	// varint a node.)
-	testutil.RequireSpill(t, base, 512, 4, 2)
-	st, _ := openAt(t, base, 512, dyngraph.Options{BufferArcs: 96, CacheBlocks: 4})
+	// varint a node; 4 frames held half of it once lists took the Rice
+	// form where it is shorter.)
+	testutil.RequireSpill(t, base, 512, 3, 2)
+	st, _ := openAt(t, base, 512, dyngraph.Options{BufferArcs: 96, CacheBlocks: 3})
 	if st.NumEdges() != int64(len(edges)) {
 		t.Fatalf("NumEdges() = %d, want %d", st.NumEdges(), len(edges))
 	}
@@ -72,7 +73,7 @@ func TestStoreServesBaseGraph(t *testing.T) {
 
 	ds := st.DiskStats()
 	if ds.Merges == 0 || ds.MergedBytes == 0 || ds.CacheEvictions == 0 {
-		t.Fatalf("no overlay merges or no evictions at BufferArcs=96, 4 frames, over 400 mutations: %+v", ds)
+		t.Fatalf("no overlay merges or no evictions at BufferArcs=96, 3 frames, over 400 mutations: %+v", ds)
 	}
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
@@ -100,7 +101,9 @@ func TestStoreServesBaseGraph(t *testing.T) {
 // frames their graph's encoded edge table overflows at least as many
 // times as its 4-byte table overflowed the frames they had before (four
 // of 512 bytes; the default 64 of 64 bytes), and the misses of the
-// timed sweeps are pinned at the default seed.
+// timed sweeps are pinned at the default seed. The cached leg's one
+// frame is of 256 bytes: a table of Rice-coded lists, under a byte an
+// arc, overflows one frame of 512 bytes by less than that ratio.
 func TestStoreReadsDoNotAllocate(t *testing.T) {
 	const n = 300
 	seed := testutil.Seed(t, 13)
@@ -135,15 +138,15 @@ func TestStoreReadsDoNotAllocate(t *testing.T) {
 	}
 	t.Run("cached", func(t *testing.T) {
 		// One frame, far below the adjacency: the sweep evicts constantly.
-		testutil.RequireSpill(t, base, 512, 1, v1Bytes/(512*4))
-		g, _ := openAt(t, base, 512, dyngraph.Options{CacheBlocks: 1})
+		testutil.RequireSpill(t, base, 256, 1, v1Bytes/(512*4))
+		g, _ := openAt(t, base, 256, dyngraph.Options{CacheBlocks: 1})
 		run(t, g, func() int64 { return g.DiskStats().CacheEvictions })
 	})
 	t.Run("uncached", func(t *testing.T) {
-		// 16 frames at B=64 hold 1 KiB, below the edge table: every block
-		// they drop is a re-read.
-		testutil.RequireSpill(t, base, 64, 16, v1Bytes/(64*64))
-		g, ctr := openAt(t, base, 64, dyngraph.Options{CacheBlocks: 16})
+		// 13 frames at B=64 hold 832 bytes, below the edge table: every
+		// block they drop is a re-read.
+		testutil.RequireSpill(t, base, 64, 13, v1Bytes/(64*64))
+		g, ctr := openAt(t, base, 64, dyngraph.Options{CacheBlocks: 13})
 		run(t, g, ctr.Reads)
 	})
 }

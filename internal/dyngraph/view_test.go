@@ -126,15 +126,12 @@ func testViewDetectsDamage(t *testing.T, open driverOpen) {
 		t.Fatal(err)
 	}
 	g := open(csr, dyngraph.Options{})
-	et, err := os.OpenFile(g.base+".et", os.O_WRONLY, 0)
+	et, err := os.OpenFile(g.base+".et", os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer et.Close()
-	// nbr(0) = [1 2] opens the edge data; make it [1 3].
-	if _, err := et.WriteAt([]byte{3, 0, 0, 0}, 4); err != nil {
-		t.Fatal(err)
-	}
+	damageFirstList(t, et)
 	vw, err := g.Pin()
 	if err != nil {
 		t.Fatal(err)
@@ -142,6 +139,20 @@ func testViewDetectsDamage(t *testing.T, open driverOpen) {
 	defer vw.Release()
 	if err := graph.ScanAll(vw, func(uint32, []uint32) error { return nil }); err == nil {
 		t.Fatal("the scan streamed corrupted edge data without noticing")
+	}
+}
+
+// damageFirstList turns nbr(0) = [1 2], which opens the edge table as
+// one Rice byte (k = 0: bits 0, 1 then 1, 0b110), into [0 1] (1 then 1,
+// 0b011), in place: sorted, in range, of the same length and form.
+func damageFirstList(t *testing.T, et *os.File) {
+	t.Helper()
+	b := []byte{0}
+	if _, err := et.ReadAt(b, 0); err != nil || b[0] != 0b110 {
+		t.Fatalf("fixture: the edge table opens with %#b (%v), want nbr(0) = [1 2] as 0b110", b[0], err)
+	}
+	if _, err := et.WriteAt([]byte{0b011}, 0); err != nil {
+		t.Fatal(err)
 	}
 }
 

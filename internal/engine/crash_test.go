@@ -28,14 +28,15 @@ var (
 )
 
 // crashNodes sizes the script's graph. Every table block a checkpoint
-// writes is a boundary; at 420 nodes the tables, a varint or two a node
-// and lists in the shorter of a fixed width and group varint, span
-// enough 512-byte blocks that the script crosses 103 boundaries (400
-// nodes crossed 103 while every list took a fixed width and 100 after;
+// writes is a boundary; at 480 nodes the tables, a varint or two a node
+// and lists in the shortest of a fixed width, uvarints and Rice, span
+// enough 512-byte blocks that the script crosses 103 boundaries (460 to
+// 500 nodes all do; 420 nodes crossed 103 until lists took the Rice form
+// and 100 after; 400 crossed 103 while every list took a fixed width;
 // 160 nodes crossed 100 on 12 bytes a node and 91 on a varint; the
 // 4-byte tables of 48 nodes crossed 97).
 const (
-	crashNodes = 420
+	crashNodes = 480
 	crashGSeed = 41
 	crashOps   = 6
 )

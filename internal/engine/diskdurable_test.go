@@ -514,12 +514,17 @@ func testCheckpointRejectsCorruptTable(t *testing.T, backend string, fill int) {
 		}
 	}
 
-	// nbr(0) = [1 2] opens the edge table; make it [1 3], in place.
-	et, err := os.OpenFile(live+".et", os.O_WRONLY, 0)
+	// nbr(0) = [1 2] opens the edge table as one Rice byte (k = 0: bits
+	// 0, 1 then 1, 0b110); make it [0 1] (1 then 1, 0b011), in place.
+	et, err := os.OpenFile(live+".et", os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := et.WriteAt([]byte{3, 0, 0, 0}, 4); err != nil {
+	b := []byte{0}
+	if _, err := et.ReadAt(b, 0); err != nil || b[0] != 0b110 {
+		t.Fatalf("fixture: the edge table opens with %#b (%v), want nbr(0) = [1 2] as 0b110", b[0], err)
+	}
+	if _, err := et.WriteAt([]byte{0b011}, 0); err != nil {
 		t.Fatal(err)
 	}
 	et.Close()

@@ -32,7 +32,7 @@ func TestMain(m *testing.M) { pins.Main(m) }
 // tables' bytes being the encoded records' and lists' (the header's
 // ntbytes and etbytes), on
 // an edge table several times the size of the frames it reads through
-// (25 blocks; about 3x at B=512, 24x at B=64, as the 4-byte table was of
+// (20 blocks; about 3x at B=512, 24x at B=64, as the 4-byte table was of
 // the default 64), which therefore carry no block from one scan to the
 // next. At B=512 the open reads the checksum sidecar and leaves the node
 // table to the degree-initialisation pass. At B=64, no whole number of
@@ -41,7 +41,7 @@ func TestMain(m *testing.M) { pins.Main(m) }
 // decomposition then reads only its l scans. The open's and the
 // decomposition's reads are pinned.
 func TestSemiCoreIOLaw(t *testing.T) {
-	const frames = 25
+	const frames = 20
 	mem := gen.Build(gen.Social(4000, 3, 10, 9, 701))
 	base := filepath.Join(t.TempDir(), "g")
 	if err := storage.WriteGraph(faultfs.OS, base, mem, stats.NewIOCounter(0), false); err != nil {

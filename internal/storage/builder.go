@@ -9,11 +9,11 @@ import (
 	"kcore/internal/stats"
 )
 
-// Builder writes a graph to disk in format version 6: the two tables, the
+// Builder writes a graph to disk in format version 7: the two tables, the
 // checksum sidecar and, last, the meta header. Adjacency lists are
 // appended one call per node, each sorted ascending, in the order the
-// tables are to lay them out, and each is stored in the shorter of its
-// two forms (codec.go). In id order the header says idorder=1; in any
+// tables are to lay them out, and each is stored in the shortest of its
+// three forms (codec.go). In id order the header says idorder=1; in any
 // other order the node records carry the ids (nodetable.go). The node
 // table is held in memory until Close, since which of the two it is is
 // known only once a list arrives out of id order. Writes are charged to
@@ -123,7 +123,7 @@ func (b *Builder) reorder() {
 	recs := make([]byte, 0, len(b.recs)+int(b.count))
 	for r := b.recs; len(r) > 0; {
 		x, k := binary.Uvarint(r)
-		if x&7 == varTag {
+		if x&7 >= varTag { // an excess follows
 			_, excess := binary.Uvarint(r[k:])
 			k += excess
 		}

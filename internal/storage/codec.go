@@ -8,9 +8,9 @@ import (
 )
 
 // The list codec. A node's sorted list u1 < u2 < … < ud is stored in one
-// of two forms.
+// of three forms.
 //
-// The fixed-width form (format versions 2 to 6) is u1 in idw bytes, idw
+// The fixed-width form (format versions 2 to 7) is u1 in idw bytes, idw
 // the byte width of n−1 for the whole graph, then the d−1 gaps u(i+1) −
 // u(i), each at least 1, as little-endian integers of w bytes, w ∈
 // {1,2,3,4} the smallest width that holds the list's largest gap. An
@@ -23,7 +23,7 @@ import (
 // of gaps.
 //
 // The variable form stores the d values u1, u2 − u1, …, ud − u(d−1) each
-// in the fewest bytes its code allows. Version 6's is a uvarint per
+// in the fewest bytes its code allows. Versions 6 and 7 use a uvarint per
 // value: seven bits a byte, low groups first, the high bit of every byte
 // but the value's last set; at most five bytes, since a value is below
 // 2^32. A list spans d bytes and as many more as its values take beyond
@@ -32,32 +32,55 @@ import (
 // the byte length of the group's value j, minus one, each value
 // little-endian in the fewest whole bytes that hold it, the last group's
 // missing values' control bits zero; a list spans d + ⌈d/4⌉ bytes and its
-// values' bytes beyond one each. Versions 5 and 6 store each list in the
-// variable form when that is strictly shorter than its fixed-width form,
-// and in the fixed-width form otherwise, so every list has exactly one
-// encoding, which the decoder holds it to. The Builder writes version 6;
-// version-5 tables are read in place (decodeGroups) until their first
-// rewrite.
+// values' bytes beyond one each.
+//
+// The Rice form (version 7) stores the d values x1 = u1 and x(i+1) =
+// u(i+1) − u(i) − 1 as a bit string, packed from each byte's lowest bit
+// up: each value's quotient x >> k in unary (that many 0 bits, then a 1),
+// then its k low bits, lowest first, the last byte's unused bits 0. The
+// list fixes k itself, k = ⌊log₂((ud + 1)/d)⌋, at most 31 as every id is
+// below 2^32 − 1: Golomb's code (IEEE Trans. IT, 1966) in Rice's
+// power-of-two form (JPL, 1979), which spends about 2 + log₂ of the mean
+// gap bits a value where a uvarint spends whole bytes. A list spans
+// ⌈(d·(1+k) + Σ x >> k)/8⌉ bytes; its node record gives k and the bytes
+// beyond ⌈d·(1+k)/8⌉, at most ⌈d/4⌉ since the quotients add up to less
+// than 2d under that k.
+//
+// Versions 5 to 7 store each list in the shortest of their forms, a tie
+// going to the earlier of fixed width, the variable form and Rice, so
+// every list has exactly one encoding, which the decoder holds it to, and
+// no list is longer than in the version before. Each form wins somewhere,
+// so none replaces another: uvarints where gaps are a byte or two and
+// uneven, Rice where they are wider (rmat17 in Build's order: 942
+// edge-table blocks against 1,047 for version 6), and fixed width where
+// gaps are all alike, as on a small-world lattice, whose tables Rice
+// shortens by 0.3% (TestVersion7NeverLongerThanVersion6) and would
+// lengthen on its own. The Builder writes version 7;
+// versions 5 and 6 are read in place (decodeGroups, decodeUvarints) until
+// their first rewrite.
 //
 // Gap coding is WebGraph's (Boldi and Vigna, WWW'04); the fixed width
 // per list is this tree's, group varint Dean's (WSDM'09), and the
 // uvarint decoder follows masked VByte (Plaisance, Kurz and Lemire,
-// Vectorized VByte Decoding, 2015), with 8-byte words for vectors. A
-// uvarint per value is the shortest of the three codes (rmat17 in
-// Build's order: 1,047 edge-table blocks against 1,147 for version 5 and
-// 1,416 for fixed widths), but decoded a byte at a time it branches on
-// every byte's continuation bit, which cost a prototype about 25% of a
-// decomposition. decodeUvarints does not look at single bytes: it reads
-// 8 bytes as one word, gathers their 8 continuation bits with one
-// multiply, and indexes a table by them that gives where each of up to
-// four values starts and ends; one compaction of the word's 7-bit groups
-// then yields all of them, each cut out by two shifts, and no branch
-// depends on a value. So each fixed-width list takes one width and each
-// width one branch-free loop, and a version-6 variable-form list is
-// decoded through a table indexed by its continuation bits. Version 5's
-// group varint, which no Builder path writes, is read one value at a time
-// (decodeGroups); a list of either version is held to its one form by
-// comparing it with what form gives its ids (canonical).
+// Vectorized VByte Decoding, 2015), with 8-byte words for vectors.
+// Decoded a byte at a time, uvarints branch on every byte's continuation
+// bit, which cost a prototype about 25% of a decomposition.
+// decodeUvarints does not look at single bytes: it reads 8 bytes as one
+// word, gathers their 8 continuation bits with one multiply, and indexes
+// a table by them that gives where each of up to four values starts and
+// ends; one compaction of the word's 7-bit groups then yields all of
+// them, each cut out by two shifts, and no branch depends on a value.
+// decodeRice reads 64 bits as one word and takes up to two values from
+// it, each by a count of trailing zeros, before it reads the next; it
+// takes them as gaps and adds them up after, in a loop that also measures
+// the list's other two forms. So each fixed-width list takes one width
+// and each width one branch-free loop, and a variable-form or Rice list is
+// decoded a word at a time. Version 5's group varint, which no Builder
+// path writes, is read one value at a time (decodeGroups); a fixed-width
+// or group-varint list is held to its one form by comparing it with what
+// form gives its ids (canonical), a uvarint or Rice list by its decoder's
+// own checks, and a version-7 uvarint list that Rice might shorten by
+// canonical as well.
 
 // listCodec is how one graph's lists are laid out.
 type listCodec struct {
@@ -65,18 +88,42 @@ type listCodec struct {
 	idw int64  // bytes of a list's first id
 	abs bool   // version 1: every id absolute, idw = w = 4
 	gv  bool   // version 5: the variable form is group varint
-	uv  bool   // version 6: the variable form is a uvarint per value
+	uv  bool   // versions 6 and 7: the variable form is a uvarint per value
+	rc  bool   // version 7: a list may be in the Rice form
 }
 
-// varForm is list.w of a list in the variable form.
-const varForm = 0
+// varForm is list.w of a list in the variable form, and riceForm + k that
+// of a list in the Rice form at parameter k.
+const (
+	varForm  = 0
+	riceForm = 32
+)
 
 // codecOf reports the codec of the tables a header describes.
 func codecOf(m Meta) listCodec {
 	if m.Version == 1 {
 		return listCodec{n: m.N, idw: 4, abs: true}
 	}
-	return listCodec{n: m.N, idw: int64(byteWidth(max(m.N, 1) - 1)), gv: m.Version == 5, uv: m.Version >= 6}
+	return listCodec{n: m.N, idw: int64(byteWidth(max(m.N, 1) - 1)), gv: m.Version == 5, uv: m.Version >= 6, rc: m.Version >= 7}
+}
+
+// riceK is the Rice parameter of a list of deg > 0 ids whose last is last,
+// at least deg − 1: ⌊log₂((last + 1)/deg)⌋, without a division: the
+// difference of the two bit lengths, or one less.
+func riceK(last uint64, deg uint32) uint8 {
+	a := last + 1
+	k := bits.Len64(a) - bits.Len32(deg)
+	if k > 0 && uint64(deg)<<k > a {
+		k--
+	}
+	return uint8(k)
+}
+
+// riceMin is the least byte length of a Rice list of deg ids at parameter
+// k, each quotient 0: ⌈deg·(1+k)/8⌉. A node record gives the bytes a list
+// takes beyond it, at most ⌈deg/4⌉.
+func riceMin(deg uint32, k uint8) int64 {
+	return int64((uint64(deg)*(1+uint64(k)) + 7) >> 3)
 }
 
 // byteWidth reports the fewest bytes, 1 to 4, that hold x.
@@ -91,10 +138,15 @@ func (c listCodec) length(deg uint32, w uint8) int64 {
 	return c.idw + int64(w)*(int64(deg)-1)
 }
 
-// uvLen reports the bytes of the shortest uvarint of x: 1 to 5.
+// uvLen reports the bytes of the shortest uvarint of x: 1 to 5, looked up
+// by x's bit length, which a division by 7 costs more than (it runs once
+// an arc in form and in decodeRice).
 func uvLen(x uint32) int64 {
-	return int64(bits.Len32(x|1)+6) / 7
+	return int64(uvLens[bits.Len32(x)])
 }
+
+// uvLens is uvLen by bit length.
+var uvLens = [33]uint8{1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5}
 
 // gvMin is the byte length of a group-varint list of deg values each
 // stored in one byte: the least a list of deg ids can take in that form.
@@ -148,44 +200,54 @@ func (c listCodec) width(n int64, deg uint32) (uint8, bool) {
 
 // form reports how the codec stores the list nbrs, sorted ascending: in
 // the fixed-width form at gap width w (idw for a list of at most one
-// id), or in the variable form, w = varForm; and its byte length.
+// id), in the variable form, w = varForm, or in the Rice form, w =
+// riceForm + k; and its byte length.
 func (c listCodec) form(nbrs []uint32) (w uint8, size int64) {
 	d := uint32(len(nbrs))
 	if d == 0 {
 		return uint8(c.idw), 0
 	}
-	// The gaps' largest, and the uvarint form's length on the way
-	// (version 5's group varint is measured on its own).
+	// The gaps' largest, the uvarint form's length and the Rice form's
+	// quotients on the way (version 5's group varint is measured on its
+	// own).
+	k := riceK(uint64(nbrs[d-1]), d)
 	var maxGap uint32
-	vlen := uvLen(nbrs[0])
+	vlen, quot := uvLen(nbrs[0]), uint64(nbrs[0])>>k
 	for i := 1; i < len(nbrs); i++ {
 		g := nbrs[i] - nbrs[i-1]
 		maxGap = max(maxGap, g)
 		vlen += uvLen(g)
+		quot += uint64(g-1) >> k
 	}
 	w = uint8(c.idw) // no gap is stored; the width is the canonical one
 	if d > 1 {
 		w = byteWidth(maxGap)
 	}
-	fixed := c.length(d, w)
+	size = c.length(d, w)
 	if c.gv {
 		vlen = gvLen(nbrs)
 	}
-	if (c.gv || c.uv) && vlen < fixed {
-		return varForm, vlen
+	if (c.gv || c.uv) && vlen < size {
+		w, size = varForm, vlen
 	}
-	return w, fixed
+	if rlen := (int64(d)*(1+int64(k)) + int64(quot) + 7) / 8; c.rc && rlen < size {
+		w, size = riceForm+k, rlen
+	}
+	return w, size
 }
 
 // encode appends the list nbrs, sorted ascending, to dst in the form the
 // codec gives it, and reports that form: its gap width (idw for a list
-// of at most one id), or varForm. It writes the variable form of version
-// 6, the one the Builder writes; version 5's group varint has a decoder
-// and no encoder.
+// of at most one id), varForm or riceForm + k. Its variable form is
+// versions 6's and 7's, the one the Builder writes; version 5's group
+// varint has a decoder and no encoder.
 func (c listCodec) encode(dst []byte, nbrs []uint32) ([]byte, uint8) {
 	w, size := c.form(nbrs)
 	if len(nbrs) == 0 {
 		return dst, w
+	}
+	if w >= riceForm {
+		return appendRice(dst, nbrs, w-riceForm, size), w
 	}
 	if w == varForm {
 		prev := uint32(0)
@@ -211,6 +273,70 @@ func (c listCodec) encode(dst []byte, nbrs []uint32) ([]byte, uint8) {
 	return dst[:end], w
 }
 
+// appendRice appends the list nbrs, at least one id, to dst in the Rice
+// form at parameter k, size bytes long. riceStore writes the values whose
+// run is at most 24 zeros; the zeros of a longer run are written here, 24
+// a store, until 24 or fewer are left for riceStore.
+func appendRice(dst []byte, nbrs []uint32, k uint8, size int64) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, int(size)+8)[:n+int(size)+8]
+	out := dst[n:]
+	kk := uint64(k & 31)
+	// The pending bits, fewer than 8, and how many; the zeros of the i-th
+	// value written; the byte the pending bits start in.
+	var acc, nb, done uint64
+	at, i := 0, 0
+	for {
+		i, at, acc, nb = riceStore(out, nbrs, i, kk, done, at, acc, nb)
+		if i == len(nbrs) {
+			return dst[:n+int(size)]
+		}
+		prev := ^uint64(0) // the id before the i-th: −1 before the first
+		if i > 0 {
+			prev = uint64(nbrs[i-1])
+		}
+		q := (uint64(nbrs[i]) - prev - 1) >> kk
+		for done = 0; q-done > 24; done += 24 {
+			binary.LittleEndian.PutUint64(out[at:], acc)
+			nb += 24
+			at, acc, nb = at+int(nb>>3), acc>>(nb&56), nb&7
+		}
+	}
+}
+
+// riceStore writes the values of nbrs from the i-th on in the Rice form
+// at parameter k into out from byte at on, after the pending bits acc, nb
+// of them, while a value's run, less the done zeros of the i-th already
+// written, is at most 24 zeros. Bits gather in acc, the first lowest, and
+// each value stores acc's 8 bytes at the byte its bits reached, so no
+// byte is appended one at a time: the store's bytes past the pending bits
+// are 0, and the next store overwrites them, into the 8 bytes of room
+// past the list. It reports the next value and the pending bits. It is a
+// leaf, so its variables stay in registers, and every shift count is
+// below 64 and masked so, which spares each shift a test of its count.
+func riceStore(out []byte, nbrs []uint32, i int, k, done uint64, at int, acc, nb uint64) (int, int, uint64, uint64) {
+	mask := uint64(1)<<(k&63) - 1
+	prev := ^uint64(0)
+	if i > 0 {
+		prev = uint64(nbrs[i-1])
+	}
+	for ; i < len(nbrs); i++ {
+		x := uint64(nbrs[i]) - prev - 1
+		q := x>>(k&63) - done
+		if q > 24 {
+			break
+		}
+		// The run's rest, its 1 and the low bits: at most 24 + 1 + 31
+		// bits onto fewer than 8.
+		acc |= (x&mask<<1 | 1) << ((q + nb) & 63)
+		nb += q + 1 + k
+		binary.LittleEndian.PutUint64(out[at:], acc)
+		at, acc, nb = at+int(nb>>3), acc>>(nb&56), nb&7
+		prev, done = uint64(nbrs[i]), 0
+	}
+	return i, at, acc, nb
+}
+
 // decode reads the deg ids of the list stored as raw in form w — the
 // whole list and nothing more — into buf (grown geometrically if short)
 // and returns them. A list that is not strictly ascending, holds an id ≥
@@ -220,6 +346,9 @@ func (c listCodec) encode(dst []byte, nbrs []uint32) ([]byte, uint8) {
 // raw's capacity, never beyond it; nothing it reads there decides what
 // it returns.
 func (c listCodec) decode(raw []byte, deg uint32, w uint8, buf []uint32) ([]uint32, error) {
+	if w >= riceForm && c.rc {
+		return c.decodeRice(raw, deg, w-riceForm, buf)
+	}
 	if w == varForm && deg > 0 {
 		switch {
 		case c.uv:
@@ -315,7 +444,7 @@ func (c listCodec) check(deg uint32, last, minGap uint64) error {
 
 // canonical refuses the ids nbrs of a list stored in form w as size
 // bytes unless form gives them exactly that form and length: their one
-// encoding. Only versions 5 and 6 have two forms to choose between.
+// encoding. Only versions 5 to 7 have forms to choose between.
 func (c listCodec) canonical(nbrs []uint32, w uint8, size int) error {
 	if !c.gv && !c.uv {
 		return nil
@@ -456,8 +585,9 @@ func compact(w uint64) uint64 {
 // list is refused unless its values account for its length exactly, each
 // in its shortest encoding of at most five bytes, every gap at least 1 and
 // below 2^32, its last id is below n, and the form is strictly shorter
-// than the fixed-width one: every check on a value is an accumulation
-// without a branch, tested once the list is done.
+// than the fixed-width one and no longer than the Rice form where the
+// codec has it: every check on a value is an accumulation without a
+// branch, tested once the list is done.
 func (c listCodec) decodeUvarints(raw []byte, deg uint32, buf []uint32) ([]uint32, error) {
 	if int64(len(raw)) < int64(deg) {
 		return nil, fmt.Errorf("%d bytes are no uvarint list of %d ids, which takes at least %d", len(raw), deg, deg)
@@ -555,5 +685,174 @@ func (c listCodec) decodeUvarints(raw []byte, deg uint32, buf []uint32) ([]uint3
 	if fixed := c.length(deg, w); int64(len(raw)) >= fixed {
 		return nil, fmt.Errorf("uvarint list of %d ids takes %d bytes, its fixed-width form %d", deg, len(raw), fixed)
 	}
+	// Rice takes at least riceMin bytes, so only a list longer than that
+	// needs the measure: every one whose k is below 7, as a list of
+	// uvarints takes at least deg bytes.
+	if c.rc && riceMin(deg, riceK(id, deg)) < int64(len(raw)) {
+		if err := c.canonical(buf, varForm, len(raw)); err != nil {
+			return nil, err
+		}
+	}
 	return buf, nil
+}
+
+// decodeRice decodes the Rice list raw of deg ids at parameter k into buf,
+// grown geometrically if short, and returns buf[:deg]. It decodes the
+// values as gaps first, x + 1 each (the first id plus 1 for the first),
+// then adds them up. riceRun takes the values whose bits one load holds;
+// any it leaves (its run too long for a word, or in the last 8 bytes of
+// raw's capacity) is read a word of zeros at a time through tailWord, so
+// nothing past the capacity is read. No step reads past the deg-th
+// value's bits, so what lies past the list decides nothing once those end
+// inside it. A list is refused unless its bits hold deg values of at
+// least 1 + k bits each (checked before buf is sized), no value runs past
+// them, every id is below n (the gaps and every long run ORed, so no sum
+// passes 2^64 unseen; an empty list's last id stays −1, outside every
+// range), no byte is left over and the last one's spare bits are 0, k is
+// the one its ids give (riceK, so never past 31), and the list is
+// strictly shorter than its fixed-width and its uvarint form, which the
+// adding up measures: the gaps ORed give the fixed width, and each
+// value's uvLen the uvarints' bytes.
+func (c listCodec) decodeRice(raw []byte, deg uint32, k uint8, buf []uint32) ([]uint32, error) {
+	total := 8 * uint64(len(raw)) // the list's bits
+	if least := riceMin(deg, k); int64(len(raw)) < least {
+		return nil, fmt.Errorf("%d bytes are no Rice list of %d ids at parameter %d, which takes at least %d", len(raw), deg, k, least)
+	}
+	buf = slices.Grow(buf[:0], int(deg))[:deg]
+	src, kk := raw[:cap(raw)], uint64(k)
+	var (
+		pos uint64 // where the next value starts, in bits
+		ors uint64 // the gaps and the long runs ORed: none ≥ 2^32
+		i   int
+	)
+	for i < len(buf) {
+		j, p, o := riceRun(src, buf[i:], kk, pos)
+		i, pos, ors = i+j, p, ors|o
+		if i == len(buf) {
+			break
+		}
+		// A word of zeros at a time, until the value's 1 or past the
+		// list's end, then the low bits.
+		q := uint64(0)
+		for pos <= total {
+			sh := pos & 7
+			word := tailWord(src, pos>>3) >> sh
+			if z := uint64(bits.TrailingZeros64(word)); z < 64-sh {
+				q, pos = q+z, pos+z+1
+				break
+			}
+			q, pos = q+64-sh, pos+64-sh
+		}
+		if pos > total {
+			break
+		}
+		g := q<<kk | tailWord(src, pos>>3)>>(pos&7)&(1<<kk-1) + 1
+		pos += kk
+		ors |= g | q
+		buf[i] = uint32(g)
+		i++
+	}
+	if i < len(buf) || pos > total {
+		return nil, fmt.Errorf("%d bytes are no Rice list of %d ids: a value runs past them", len(raw), deg)
+	}
+	if ors>>32 != 0 {
+		return nil, fmt.Errorf("list of %d ids holds an id outside [0,%d)", deg, c.n)
+	}
+	// The ids, and the other forms' measures on the way.
+	id := ^uint64(0)
+	var gaps, vlen uint64
+	if deg > 0 {
+		id = uint64(buf[0]) - 1
+		buf[0] = uint32(id)
+		vlen = uint64(uvLen(buf[0]))
+	}
+	for j := 1; j < len(buf); j++ {
+		g := buf[j]
+		gaps |= uint64(g)
+		vlen += uint64(uvLen(g))
+		id += uint64(g)
+		buf[j] = uint32(id)
+	}
+	if id >= uint64(c.n) {
+		return nil, fmt.Errorf("list of %d ids holds an id outside [0,%d)", deg, c.n)
+	}
+	if pos+8 <= total {
+		return nil, fmt.Errorf("%d bytes are no Rice list of %d ids: its values end in byte %d", len(raw), deg, (pos+7)/8)
+	}
+	if pos < total && raw[len(raw)-1]>>(pos&7) != 0 {
+		return nil, fmt.Errorf("Rice list of %d ids: a bit past its values is set", deg)
+	}
+	if want := riceK(id, deg); k != want {
+		return nil, fmt.Errorf("Rice list of %d ids at parameter %d, its ids give %d", deg, k, want)
+	}
+	w := uint8(c.idw)
+	if deg > 1 {
+		w = byteWidth(uint32(gaps))
+	}
+	if other := min(c.length(deg, w), int64(vlen)); int64(len(raw)) >= other {
+		return nil, fmt.Errorf("Rice list of %d ids takes %d bytes, another form %d", deg, len(raw), other)
+	}
+	return buf, nil
+}
+
+// riceRun decodes the Rice values of parameter k from bit pos of src on
+// into buf as gaps, x + 1 each: while 8 bytes are left from pos's byte
+// and the 57 bits or more they hold from pos on hold the value's run, 1
+// and low bits. It reports the values' count, where the next starts and
+// the gaps ORed. It is a leaf of few variables, held in registers: every
+// load depends on the value before it, which a spill would lengthen. Two
+// values are taken from one load while both fit, then one a load. A
+// shift count is taken mod 64, so none costs a test of its count: a count
+// of 64 or more comes only of a value that does not fit, whose decoding
+// is discarded.
+func riceRun(src []byte, buf []uint32, k, pos uint64) (int, uint64, uint64) {
+	mask := uint64(1)<<(k&63) - 1
+	var ors uint64
+	i := 0
+	for ; i+1 < len(buf); i += 2 {
+		at := pos >> 3
+		if at+8 > uint64(len(src)) {
+			break
+		}
+		word := binary.LittleEndian.Uint64(src[at:at+8:at+8]) >> (pos & 7)
+		q := uint64(bits.TrailingZeros64(word | 1<<63))
+		n := q + 1 + k
+		next := word >> (n & 63)
+		r := uint64(bits.TrailingZeros64(next | 1<<63))
+		m := r + 1 + k
+		if n+m > 57 {
+			break
+		}
+		g := q<<(k&63) | word>>((q+1)&63)&mask + 1
+		h := r<<(k&63) | next>>((r+1)&63)&mask + 1
+		ors |= g | h
+		buf[i], buf[i+1] = uint32(g), uint32(h)
+		pos += n + m
+	}
+	for ; i < len(buf); i++ {
+		at := pos >> 3
+		if at+8 > uint64(len(src)) {
+			break
+		}
+		word := binary.LittleEndian.Uint64(src[at:at+8:at+8]) >> (pos & 7)
+		q := uint64(bits.TrailingZeros64(word | 1<<63))
+		if q+k >= 57 {
+			break
+		}
+		g := q<<(k&63) | word>>((q+1)&63)&mask + 1
+		ors |= g
+		buf[i] = uint32(g)
+		pos += q + 1 + k
+	}
+	return i, pos, ors
+}
+
+// tailWord returns the 8 bytes of src from byte at on, little-endian,
+// those past src's end 0.
+func tailWord(src []byte, at uint64) uint64 {
+	var pad [8]byte
+	if at < uint64(len(src)) {
+		copy(pad[:], src[at:])
+	}
+	return binary.LittleEndian.Uint64(pad[:])
 }

@@ -25,12 +25,13 @@
 //	             edge-table bytes, whether the layout is id order, table
 //	             CRC32Cs)
 //	<base>.nt    node table: n records of a list's degree and form (its
-//	             gap width, or uvarints and their byte length), in
+//	             gap width, uvarints and their byte length, or Rice's
+//	             parameter and byte length), in
 //	             layout order, each led by its id's delta from the id
 //	             before it unless the layout is id order (nodetable.go)
-//	<base>.et    edge table: the lists, each in the shorter of a
-//	             fixed-width gap coding and a uvarint a gap, concatenated
-//	             in layout order (codec.go)
+//	<base>.et    edge table: the lists, each in the shortest of a
+//	             fixed-width gap coding, a uvarint a gap and a Rice code
+//	             of the gaps, concatenated in layout order (codec.go)
 //	<base>.crc   checksum sidecar: a CRC32C per 512-byte granule of .nt,
 //	             then of .et (sidecar.go); the Builder writes it, readers
 //	             that lack it or cannot hold it to the header do without
@@ -41,17 +42,18 @@
 // else. No offset is stored: each list starts where the one before it
 // ends. Graphs are undirected: every edge {u,v} is stored as the two arcs
 // u→v and v→u, and each adjacency list is sorted ascending. The Builder
-// writes format version 6, in id order (idorder=1) when the lists arrive
+// writes format version 7, in id order (idorder=1) when the lists arrive
 // in id order and in any layout when they do not: Build lays the nodes
 // out in a peeling order unless their ids are already local (its lists
 // reach the Builder by degree, and CopyLists moves them into that order
 // as they are encoded), and a rewrite (WriteGraph: a fold-back or a
 // checkpoint) keeps the layout of the graph it rewrites. Tables of
-// versions 1 to 5 stay readable in place — version 5 (group varint where
-// it is shorter than fixed widths), 4 (fixed-width lists in any layout),
+// versions 1 to 6 stay readable in place — version 6 (a uvarint a value
+// where that is shorter than fixed widths), 5 (group varint where it is
+// shorter), 4 (fixed-width lists in any layout),
 // 3 (the same in id order), 2 (12-byte node records of a byte offset and
 // a degree) and 1 (the same records with arc offsets, 4-byte absolute
-// ids) — and the first rewrite of such a graph writes it as version 6.
+// ids) — and the first rewrite of such a graph writes it as version 7.
 package storage
 
 import (
@@ -70,14 +72,14 @@ import (
 
 // FormatVersion is the on-disk layout the Builder writes, whatever the
 // order its lists arrive in.
-const FormatVersion = 6
+const FormatVersion = 7
 
 // Meta is the parsed contents of a <base>.meta file. NtBytes and EtBytes
 // are the two tables' sizes (a version-1 or -2 header carries no
 // ntbytes: 12 bytes a node; a version-1 header no etbytes: 4 bytes an
 // arc). IDOrder reports whether the tables lay the lists out in id order,
 // so that node records carry no ids: always for versions 1 to 3, never for
-// version 4, and as a version-5 or -6 header's idorder key says. HasCRC
+// version 4, and as a version-5, -6 or -7 header's idorder key says. HasCRC
 // reports whether the header carried table checksums (graphs written by
 // older builders have none; everything the Builder writes today does).
 type Meta struct {
@@ -183,7 +185,7 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 	return f.Close()
 }
 
-// ReadMeta parses the header file for a graph: version 6 or 5, whose
+// ReadMeta parses the header file for a graph: version 7, 6 or 5, whose
 // header must give both tables' sizes and whether the layout is id order;
 // version 4 or 3, whose must give both sizes and not the order; version
 // 2, whose must give the edge table's and not the node table's; or
@@ -262,7 +264,7 @@ func ReadMeta(base string) (Meta, error) {
 	}
 	// A record is one varint (its degree and form), led by its id's when
 	// the layout is not id order and followed from version 5 on by a
-	// variable-form list's excess.
+	// variable-form or Rice list's excess.
 	least := int64(1)
 	if !m.IDOrder {
 		least++
@@ -300,8 +302,8 @@ type Graph struct {
 }
 
 // list is where one node's list lies in the edge table and how it is
-// stored: its byte offset and length, its degree, and its gap width, or
-// varForm.
+// stored: its byte offset and length, its degree, and its gap width,
+// varForm, or riceForm + k.
 type list struct {
 	off, size int64
 	deg       uint32
@@ -546,7 +548,7 @@ func (g *Graph) Resident(v uint32) bool {
 
 // Positions implements graph.Source: every id's position in the layout,
 // the order the tables store the lists in and every scan visits them. It
-// is nil for a table in id order (versions 1 to 3, and 5 and 6 with
+// is nil for a table in id order (versions 1 to 3, and 5 to 7 with
 // idorder=1), and for any other the node index's own array, which the
 // first call builds. A table whose index fails to build reports nil, and the scan
 // that would use the positions fails on the same error.

@@ -14,35 +14,60 @@ import (
 // value). Version 4 lays them out in any order, and each record leads
 // with varint(v − u), zigzag-coded, v the record's id and u the id of the
 // record before it (−1 before the first); the ids are a permutation of
-// [0, n). Versions 5 and 6 lay them out in either, as the header's
-// idorder key says, and a record is led by the id's delta exactly when
-// the layout is not id order; the rest of its record gives the list's
-// form (codec.go): uvarint(deg<<3 | (w−1)) for a fixed-width list, and
-// uvarint(deg<<3 | 4) then uvarint(x) for one in the variable form —
-// uvarints in version 6, group varint in 5 —, x the bytes its values
-// take beyond one each (listCodec.varMin), at most 4·deg in version 6 and
-// 3·deg in 5. No offset is stored: the list at position p starts where
-// the one at p−1 ends, so a pass over the records places every list as a
-// running sum of their lengths. Each varint is the shortest encoding of
-// its value, at most five bytes: a degree and form of 34 bits (35 from
-// version 5 on), an id's delta or an excess of 4·deg at most. Versions
-// 1 and 2 stored 12 bytes a node, {offset uint64, degree uint32}, in id
+// [0, n). Versions 5 to 7 lay them out in either, as the header's idorder
+// key says, and a record is led by the id's delta exactly when the layout
+// is not id order; the rest of its record gives the list's form
+// (codec.go) in a tag of three bits: uvarint(deg<<3 | (w−1)) for a
+// fixed-width list; uvarint(deg<<3 | 4) then uvarint(x) for one in the
+// variable form — uvarints from version 6 on, group varint in 5 —, x the
+// bytes its values take beyond one each (listCodec.varMin), at most 4·deg
+// from version 6 on and 3·deg in 5; and in version 7 uvarint(deg<<3 | 5)
+// then uvarint(x<<5 | k) for a Rice list at parameter k, x the bytes it
+// takes beyond ⌈deg·(1+k)/8⌉ (riceMin), at most ⌈deg/4⌉. Tags 6 and 7
+// are refused, as is tag 5 before version 7. No offset is stored: the
+// list at position p starts where the one at p−1 ends, so a pass over the
+// records places every list as a running sum of their lengths. Each
+// varint is the shortest encoding of its value, at most five bytes: a
+// degree and form of 34 bits (35 from version 5 on), an id's delta, an
+// excess of 4·deg at most or a Rice excess and k of 35 bits. Versions 1
+// and 2 stored 12 bytes a node, {offset uint64, degree uint32}, in id
 // order, and stay readable in place (decodeLegacy). A table is decoded
 // once, by the node index's build (decodeNodes), record after record.
 const (
 	maxRecordLen     = 5
 	legacyRecordSize = 12
 	varTag           = 4 // a record's form from version 5 on: the variable form
+	riceTag          = 5 // and from version 7 on: the Rice form
 )
 
 // appendRecord appends the record of list l, in the form of versions 5
-// and 6 and without its id, to dst.
+// to 7 and without its id, to dst.
 func (c listCodec) appendRecord(dst []byte, l list) []byte {
-	if l.w == varForm {
+	switch {
+	case l.w >= riceForm:
+		k := l.w - riceForm
+		dst = binary.AppendUvarint(dst, uint64(l.deg)<<3|riceTag)
+		return binary.AppendUvarint(dst, uint64(l.size-riceMin(l.deg, k))<<5|uint64(k))
+	case l.w == varForm:
 		dst = binary.AppendUvarint(dst, uint64(l.deg)<<3|varTag)
 		return binary.AppendUvarint(dst, uint64(l.size-c.varMin(l.deg)))
 	}
 	return binary.AppendUvarint(dst, uint64(l.deg)<<3|uint64(l.w-1))
+}
+
+// place reports the form and size of a list of deg ids whose record has
+// the given tag, a gap width's or varTag or riceTag followed by the
+// varint x. The record is one decodeNodes has checked, or the index's,
+// which it checked when it built the index.
+func (c listCodec) place(deg uint32, tag, x uint64) (uint8, int64) {
+	switch tag {
+	case varTag:
+		return varForm, c.varMin(deg) + int64(x)
+	case riceTag:
+		k := uint8(x & 31)
+		return riceForm + k, riceMin(deg, k) + int64(x>>5)
+	}
+	return uint8(tag) + 1, c.length(deg, uint8(tag)+1)
 }
 
 // decodeNodes reads g's node table front to back from r, one record after
@@ -92,26 +117,27 @@ func (g *Graph) decodeNodes(r *Reader, emit func(v uint32, l list) error) error 
 			return fmt.Errorf("storage: %s: record %d's degree and form take more than %d bits", r.path, p, 32+shift)
 		}
 		tag := x & (1<<shift - 1)
-		l := list{off: off, deg: uint32(x >> shift), w: uint8(tag) + 1}
+		l := list{off: off, deg: uint32(x >> shift)}
 		switch {
-		case tag == varTag:
+		case tag == varTag || tag == riceTag && g.codec.rc:
 			if l.deg == 0 {
-				return fmt.Errorf("storage: %s: node %d's empty list is in the variable form", r.path, v)
+				return fmt.Errorf("storage: %s: node %d's empty list is in list form %d", r.path, v, tag)
 			}
 			if x, err = r.uvarint(); err != nil {
 				return recordErr(r, p, m.N, err)
 			}
-			if most := g.codec.varExcess(); x > most*uint64(l.deg) {
+			if most := g.codec.varExcess(); tag == varTag && x > most*uint64(l.deg) {
 				return fmt.Errorf("storage: %s: node %d's %d values take %d bytes beyond one each, more than %d each", r.path, v, l.deg, x, most)
 			}
-			l.w, l.size = varForm, g.codec.varMin(l.deg)+int64(x)
-		case tag > varTag:
+			if most := (uint64(l.deg) + 3) / 4; tag == riceTag && x>>5 > most {
+				return fmt.Errorf("storage: %s: node %d's Rice list of %d ids takes %d bytes beyond its least, more than %d", r.path, v, l.deg, x>>5, most)
+			}
+		case tag >= varTag:
 			return fmt.Errorf("storage: %s: node %d's record gives list form %d", r.path, v, tag)
-		case l.deg <= 1 && int64(l.w) != g.codec.idw:
-			return fmt.Errorf("storage: %s: node %d's list of %d ids gives gap width %d, not %d", r.path, v, l.deg, l.w, g.codec.idw)
-		default:
-			l.size = g.codec.length(l.deg, l.w)
+		case l.deg <= 1 && tag+1 != uint64(g.codec.idw):
+			return fmt.Errorf("storage: %s: node %d's list of %d ids gives gap width %d, not %d", r.path, v, l.deg, tag+1, g.codec.idw)
 		}
+		l.w, l.size = g.codec.place(l.deg, tag, x)
 		if off += l.size; off > m.EtBytes {
 			return fmt.Errorf("storage: %s: node %d's list ends at byte %d, past the %d-byte edge table", r.path, v, off, m.EtBytes)
 		}
@@ -204,7 +230,7 @@ func (g *Graph) decodeLegacy(r *Reader, emit func(uint32, list) error) error {
 const indexStride = 64
 
 // nodeIndex is the node table held in memory: the records as versions 5
-// and 6 encode them (re-encoded from an older table), one sample every
+// to 7 encode them (re-encoded from an older table), one sample every
 // indexStride positions that says where its record and its list start,
 // and, for a table laid out in another order than ids, every id's
 // position. A scan decodes the records from a sample on; a lookup of one
@@ -212,9 +238,9 @@ const indexStride = 64
 // record leads with its id's delta from −1, not from the id before it, so
 // decoding can start there. The index takes nt + n/4 bytes in id order
 // and nt + 4n + n/4 + n/16 otherwise, nt the table's size as versions 5
-// and 6 encode it and n/16 the room reserved for the sampled records'
-// longer deltas. A variable-form record's excess is read through the
-// table's codec.
+// to 7 encode it and n/16 the room reserved for the sampled records'
+// longer deltas. A record's form is read through the table's codec
+// (place).
 type nodeIndex struct {
 	codec   listCodec
 	recs    []byte
@@ -228,7 +254,7 @@ type sample struct {
 }
 
 // newIndex is the empty index of a table of n records, about nt bytes of
-// them as version 6 encodes them (0 if unknown), laid out in id order
+// them as versions 5 to 7 encode them (0 if unknown), laid out in id order
 // unless reordered.
 func newIndex(codec listCodec, n uint32, nt int64, reordered bool) *nodeIndex {
 	samples := (int64(n) + indexStride - 1) / indexStride
@@ -300,12 +326,12 @@ func (w *walker) next() (uint32, list) {
 		w.id++
 	}
 	r := w.uvarint()
-	l := list{off: w.off, deg: uint32(r >> 3), w: uint8(r&7) + 1}
-	if r&7 == varTag {
-		l.w, l.size = varForm, x.codec.varMin(l.deg)+int64(w.uvarint())
-	} else {
-		l.size = x.codec.length(l.deg, l.w)
+	l := list{off: w.off, deg: uint32(r >> 3)}
+	var y uint64
+	if r&7 >= varTag {
+		y = w.uvarint()
 	}
+	l.w, l.size = x.codec.place(l.deg, r&7, y)
 	w.off += l.size
 	w.p++
 	return uint32(w.id), l

@@ -9,13 +9,13 @@ import (
 	"kcore/internal/stats"
 )
 
-// FuzzNodeTableDecode hands the node-table decoder of version 3, 4, 5 or
-// 6 arbitrary bytes as a whole table, with a node count, a first-id width
+// FuzzNodeTableDecode hands the node-table decoder of version 3 to 7
+// arbitrary bytes as a whole table, with a node count, a first-id width
 // (idw%4 + 1) and the header's edge-table size and arc count, read from a
 // file of one-byte blocks, FlushBlocks of them at a time, so records
 // straddle the reads: version 3 unless ids or variable is set, 4 when only
-// ids is, and 5 when variable is — 6 if idw's bit 2 is set too —, its
-// records led by ids when ids is. Whatever it is given it never panics,
+// ids is, and 5 when variable is — 7 if idw's bit 3 is set too, else 6 if
+// its bit 2 is —, its records led by ids when ids is. Whatever it is given it never panics,
 // never reads past the table and places every list inside the edge
 // table. It accepts exactly what a reference decoder built on
 // encoding/binary accepts: n records and nothing after them, each a
@@ -24,13 +24,15 @@ import (
 // the id before it (−1 before the first) is an id below n met for the
 // first time; from version 5 on a form of 0 to 3 (a gap width) or 4 (the
 // variable form, for a list of at least one id, followed by a shortest
-// uvarint of at most 3·deg in version 5 and 4·deg in 6); each
+// uvarint of at most 3·deg in version 5 and 4·deg from 6 on), and in
+// version 7 a form of 5 (the Rice form, for a list of at least one id,
+// followed by a shortest uvarint x<<5 | k, x at most ⌈deg/4⌉); each
 // fixed-width list of at most one id at width idw; the lengths adding up
 // to the edge table and the degrees to the arc count. An overlong or
 // truncated varint, a width other than idw for a list of at most one id,
-// a form past 4, an empty variable-form list or an excess past its
-// bound, an id out of range or repeated, either sum off or trailing bytes
-// are refused. The lists it accepts are the reference's, with the
+// a form past 4 (past 5 in version 7), an empty variable-form or Rice
+// list or an excess past its bound, an id out of range or repeated,
+// either sum off or trailing bytes are refused. The lists it accepts are the reference's, with the
 // reference's ids, one after another, and re-encode to identical bytes.
 func FuzzNodeTableDecode(f *testing.F) {
 	f.Add([]byte{0x09, 0x08, 0x04}, uint32(3), uint8(0), int64(6), int64(5), false, false)
@@ -41,7 +43,7 @@ func FuzzNodeTableDecode(f *testing.F) {
 	f.Add([]byte{0x2c, 0x03, 0x08, 0x00}, uint32(3), uint8(2), int64(12), int64(6), false, true)
 	f.Add([]byte{0x2c, 0x03, 0x08, 0x00}, uint32(3), uint8(6), int64(11), int64(6), false, true)
 	f.Fuzz(func(t *testing.T, data []byte, n uint32, idw uint8, etBytes, arcs int64, ids, variable bool) {
-		codec := listCodec{n: n, idw: int64(idw%4 + 1), gv: variable && idw&4 == 0, uv: variable && idw&4 != 0}
+		codec := listCodec{n: n, idw: int64(idw%4 + 1), gv: variable && idw&12 == 0, uv: variable && idw&12 != 0, rc: variable && idw&8 != 0}
 		version, shift := 3, 2
 		if ids {
 			// ReadMeta refuses a header that gives fewer than two bytes a
@@ -52,9 +54,12 @@ func FuzzNodeTableDecode(f *testing.F) {
 			}
 			version = 4
 		}
-		if codec.gv {
+		switch {
+		case codec.gv:
 			version, shift = 5, 3
-		} else if codec.uv {
+		case codec.rc:
+			version, shift = 7, 3
+		case codec.uv:
 			version, shift = 6, 3
 		}
 		meta := Meta{Version: version, N: n, Arcs: arcs, NtBytes: int64(len(data)), EtBytes: etBytes, IDOrder: !ids}
@@ -85,7 +90,8 @@ func FuzzNodeTableDecode(f *testing.F) {
 		// The reference: each varint refused unless it is the shortest
 		// encoding of its value, a record's below 2^34 (2^35), an id's in
 		// five bytes at most; a variable-form list's excess at most 3 bytes
-		// a value in version 5, 4 in version 6.
+		// a value in version 5, 4 from version 6 on; a Rice list's at most
+		// ⌈deg/4⌉ bytes past ⌈deg·(1+k)/8⌉.
 		var (
 			want       []list
 			wantIDs    []uint32
@@ -136,6 +142,12 @@ func FuzzNodeTableDecode(f *testing.F) {
 				}
 				ok = ok && l.deg > 0 && excess <= most*uint64(l.deg)
 				l.w, l.size = varForm, least+int64(excess)
+			case tag == 5 && version == 7:
+				var x uint64
+				x, ok = shortest()
+				k := int64(x & 31)
+				ok = ok && l.deg > 0 && x>>5 <= (uint64(l.deg)+3)/4
+				l.w, l.size = uint8(32+k), (int64(l.deg)*(1+k)+7)/8+int64(x>>5)
 			case tag > 4:
 				ok = false
 			default:

@@ -63,16 +63,50 @@ func uvBytes(l []uint32) int64 {
 	return sum
 }
 
-// variable reports whether a list is stored in the variable form, a
-// uvarint a value: when that is strictly shorter.
-func variable(n int, l []uint32) bool {
-	return uvBytes(l) < fixedBytes(n, l)
+// riceParam is a list's Rice parameter, worked out from the format
+// alone: the largest k with 2^k·d ≤ u_d + 1.
+func riceParam(l []uint32) int64 {
+	k := int64(0)
+	for int64(len(l))<<(k+1) <= int64(l[len(l)-1])+1 {
+		k++
+	}
+	return k
+}
+
+// riceBytes is what a list of at least one id takes in the Rice form:
+// each value, the first id and then each gap less 1, as its quotient by
+// 2^k in unary and its k low bits, in whole bytes.
+func riceBytes(l []uint32) int64 {
+	k := riceParam(l)
+	bits, prev := int64(0), int64(-1)
+	for _, u := range l {
+		bits += (int64(u)-prev-1)>>k + 1 + k
+		prev = int64(u)
+	}
+	return (bits + 7) / 8
+}
+
+// form is the form a list of a graph on n nodes is stored in: 'f' for
+// fixed width, 'v' for uvarints and 'r' for Rice, the shortest, a tie
+// going to the earlier.
+func form(n int, l []uint32) byte {
+	f, v := fixedBytes(n, l), uvBytes(l)
+	switch {
+	case len(l) > 0 && riceBytes(l) < min(f, v):
+		return 'r'
+	case v < f:
+		return 'v'
+	}
+	return 'f'
 }
 
 // listBytes is what a list of a graph on n nodes takes in the edge
-// table: the shorter of its two forms.
+// table: the shortest of its three forms.
 func listBytes(n int, l []uint32) int64 {
-	return min(fixedBytes(n, l), uvBytes(l))
+	if len(l) == 0 {
+		return 0
+	}
+	return min(fixedBytes(n, l), uvBytes(l), riceBytes(l))
 }
 
 // etBytes is the edge table's size for adj.
@@ -85,16 +119,25 @@ func etBytes(adj [][]uint32) int64 {
 }
 
 // recordBytes is what a list's record takes in an id-order node table: a
-// uvarint of deg<<3 | (w−1) for the fixed-width form, of deg<<3 | 4 for
-// the variable form, followed then by a uvarint of the bytes its values
-// take beyond one each.
+// uvarint of deg<<3 | (w−1) for the fixed-width form; of deg<<3 | 4 for
+// the uvarint form, followed by a uvarint of the bytes its values take
+// beyond one each; and of deg<<3 | 5 for the Rice form, followed by a
+// uvarint of its bytes beyond ⌈deg·(1+k)/8⌉, shifted past the 5 bits of
+// k.
 func recordBytes(n int, l []uint32) int64 {
-	if variable(n, l) {
-		rec := binary.AppendUvarint(nil, uint64(len(l))<<3|4)
-		rec = binary.AppendUvarint(rec, uint64(uvBytes(l)-int64(len(l))))
+	d := int64(len(l))
+	switch form(n, l) {
+	case 'v':
+		rec := binary.AppendUvarint(nil, uint64(d)<<3|4)
+		rec = binary.AppendUvarint(rec, uint64(uvBytes(l)-d))
+		return int64(len(rec))
+	case 'r':
+		k := riceParam(l)
+		rec := binary.AppendUvarint(nil, uint64(d)<<3|5)
+		rec = binary.AppendUvarint(rec, uint64(riceBytes(l)-(d*(1+k)+7)/8)<<5|uint64(k))
 		return int64(len(rec))
 	}
-	return int64(len(binary.AppendUvarint(nil, uint64(len(l))<<3|uint64(gapWidth(n, l)-1))))
+	return int64(len(binary.AppendUvarint(nil, uint64(d)<<3|uint64(gapWidth(n, l)-1))))
 }
 
 // ntBytes is the id-order node table's size for adj.
@@ -677,7 +720,7 @@ func TestPropertyScanVerified(t *testing.T) {
 		// recomputed to match.
 		var at int64
 		for _, l := range adj {
-			if len(l) >= 2 && !variable(n, l) {
+			if len(l) >= 2 && form(n, l) == 'f' {
 				bad := append([]byte(nil), nt...)
 				bad[at] ^= 1 + byte(r.Intn(3))
 				os.WriteFile(base+".nt", bad, 0o644)

@@ -88,13 +88,14 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestSequentialScanIOCount(t *testing.T) {
-	// With B = 16 the node table is 9 bytes = 1 block (every record
-	// deg<<2 | 0 is below 128, one varint byte) and the edge table 30
-	// bytes = 2 blocks (n = 9: every first id and every gap takes one
-	// byte, so each list one byte per arc). 16 is no whole number of
+	// With B = 16 the node table is 17 bytes = 2 blocks (eight lists take
+	// the Rice form, a record of two one-byte varints, and {5} one byte of
+	// fixed width, a record of one) and the edge table 10 bytes = 1 block
+	// (n = 9: each Rice list's values take 1 to 4 bits, so {3 4 6 7 8}
+	// two bytes and every other list one). 16 is no whole number of
 	// sidecar granules, so the open is the pass: exactly 3 read I/Os,
 	// which build the node index on the way, and a full scan then costs
-	// the edge table's 2.
+	// the edge table's 1.
 	g, ctr := buildGraph(t, sampleAdj, 16)
 	pins.Check(t, "open.reads", ctr.Reads())
 	ctr.Reset()
@@ -236,18 +237,19 @@ func TestBuilderPadsMissingNodes(t *testing.T) {
 }
 
 // TestBuilderUvarint builds a graph on 2^17 nodes, whose ids take 3
-// bytes, from lists that the uvarint form stores in fewer bytes and lists
-// it does not, first in id order and then out of it, so that the records
-// already written, two varints each for a uvarint list, are led by ids
-// afterwards. Every list reads back as appended, from its shorter form.
+// bytes, from lists that the uvarint or the Rice form stores in fewer
+// bytes and lists they do not, first in id order and then out of it, so
+// that the records already written, two varints each for a uvarint or a
+// Rice list, are led by ids afterwards. Every list reads back as
+// appended, from its shortest form.
 func TestBuilderUvarint(t *testing.T) {
 	const n = 1 << 17
 	lists := [][]uint32{
-		{5, 7},                  // uvarint: 2 bytes, fixed width 4
-		{3, 300, 70000, 130000}, // uvarint: 9 bytes, fixed width 12
-		{9},                     // uvarint: 1 byte, fixed width 3
-		{20000, 20200, 20400},   // fixed width 1: 5 bytes, uvarint 7
-		{70000},                 // fixed width: 3 bytes, uvarint 3
+		{5, 7},                  // Rice (k = 2): 1 byte, uvarint 2, fixed width 4
+		{3, 300, 70000, 130000}, // uvarint: 9 bytes, Rice (k = 14) 9, fixed width 12
+		{9},                     // uvarint: 1 byte, Rice (k = 3) 1, fixed width 3
+		{20000, 20200, 20400},   // fixed width 1: 5 bytes, Rice (k = 12) 6, uvarint 7
+		{70000},                 // fixed width: 3 bytes, uvarint 3, Rice (k = 16) 3
 		{},
 	}
 	order := []uint32{0, 1, 2, 9, 3, 4, 8, 5}
@@ -291,6 +293,10 @@ func TestBuilderUvarint(t *testing.T) {
 // appended are padded after the rest, in id order, with empty lists.
 func TestBuilderLayout(t *testing.T) {
 	lists := map[uint32][]uint32{0: {1, 2}, 1: {0, 2, 4}, 2: {0, 1}, 4: {1}}
+	adj := make([][]uint32, 6)
+	for v, l := range lists {
+		adj[v] = l
+	}
 	build := func(order ...uint32) (Meta, *Graph) {
 		t.Helper()
 		base := filepath.Join(t.TempDir(), "g")
@@ -317,12 +323,12 @@ func TestBuilderLayout(t *testing.T) {
 		t.Cleanup(func() { g.Close() })
 		return m, g
 	}
-	if m, g := build(0, 1, 2); m.Version != FormatVersion || !m.IDOrder || m.NtBytes != 6 || g.Positions() != nil {
-		t.Fatalf("in id order: header %+v, Positions %v; want version %d in id order, a byte a node, nil (the identity)", m, g.Positions(), FormatVersion)
+	if m, g := build(0, 1, 2); m.Version != FormatVersion || !m.IDOrder || m.NtBytes != ntBytes(adj) || g.Positions() != nil {
+		t.Fatalf("in id order: header %+v, Positions %v; want version %d in id order, %d bytes of records, nil (the identity)", m, g.Positions(), FormatVersion, ntBytes(adj))
 	}
 	m, g := build(4, 1, 0, 2)
-	if m.Version != FormatVersion || m.IDOrder || m.NtBytes != 12 {
-		t.Fatalf("out of id order: header %+v, want version %d out of id order and two bytes a node", m, FormatVersion)
+	if m.Version != FormatVersion || m.IDOrder || m.NtBytes != ntBytes(adj)+6 {
+		t.Fatalf("out of id order: header %+v, want version %d out of id order and %d bytes, a byte of id a node more", m, FormatVersion, ntBytes(adj)+6)
 	}
 	layout := []uint32{4, 1, 0, 2, 3, 5}
 	pos := g.Positions()
@@ -353,8 +359,11 @@ func TestOpenValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AppendList(0, []uint32{1, 2}); err != nil {
-		t.Fatal(err)
+	// Three bytes of lists: one Rice byte, then one id each in its byte.
+	for v, l := range [][]uint32{{1, 2}, {0}, {0}} {
+		if err := b.AppendList(uint32(v), l); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)

@@ -98,13 +98,13 @@ var Families = []Family{
 // edge table of format version 1, GateV1Bytes, was 2.42 times the
 // default 64 frames of 4 KiB the gates read through; the encoded table
 // would nearly fit them, so the gates read through GateFrames, which it
-// overflows by at least as much: Build's version-6 table is 195,062 bytes
-// (48 blocks), 2.51 times 19 frames (version 5's took 219,633, 2.44 times
-// the 22 frames the gates read through then, and the fixed-width lists of
-// version 4 302,092, 2.46 times 30 frames).
+// overflows by at least as much: Build's version-7 table is 156,822 bytes
+// (39 blocks), 2.55 times 15 frames (version 6's took 195,062, 2.51 times
+// the 19 frames the gates read through then; CHANGES.md has the older
+// tables).
 const (
 	GateV1Bytes = 635304
-	GateFrames  = 19
+	GateFrames  = 15
 )
 
 // GateEdges generates the gates' graph.
