@@ -473,10 +473,10 @@ func TestCachedGraphRefusesDamagedBlocks(t *testing.T) {
 	}
 }
 
-// record is one node record of version 3 to 6: its node, where it
-// starts in the node table, where its degree and form start and their
-// length, and the degree and gap width they give (0 for a variable-form
-// list, whose record goes on with its excess).
+// record is one node record: its node, where it starts in the node
+// table, where its degree and form start and their length, and the
+// degree and gap width they give (0 for a list in the variable or the
+// Rice form, whose record goes on with its excess).
 type record struct {
 	id      uint32
 	start   int
@@ -485,30 +485,13 @@ type record struct {
 	w       uint8
 }
 
-// formShift is how far a record's degree is shifted past its form: 2
-// bits of gap width before version 5, 3 bits of form from it on.
-func formShift(t *testing.T, base string) uint {
-	t.Helper()
-	m, err := storage.ReadMeta(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Version >= 5 {
-		return 3
-	}
-	return 2
-}
-
-// records decodes base's node table nt, of version 3 to 7, in layout
-// order; a record's w is its gap width, or 0 for a list in the variable
-// or the Rice form.
+// records decodes base's node table nt in layout order.
 func records(t *testing.T, base string, nt []byte) []record {
 	t.Helper()
 	m, err := storage.ReadMeta(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shift := formShift(t, base)
 	var out []record
 	id := int64(-1)
 	for at := 0; at < len(nt); {
@@ -526,7 +509,7 @@ func records(t *testing.T, base string, nt []byte) []record {
 		if k <= 0 {
 			t.Fatalf("node table: no varint at byte %d", at)
 		}
-		r := record{id: uint32(id), start: start, at: at, len: k, deg: uint32(x >> shift), w: uint8(x&(1<<shift-1)) + 1}
+		r := record{id: uint32(id), start: start, at: at, len: k, deg: uint32(x >> 3), w: uint8(x&7) + 1}
 		at += k
 		if r.w == 5 || r.w == 6 { // the variable or the Rice form: the excess follows
 			_, k := binary.Uvarint(nt[at:])
@@ -619,7 +602,7 @@ func stripChecksums(t *testing.T, base string) {
 // TestCorruptNodeRecordIsAnError: a node record whose list cannot lie in
 // the edge table where the other records leave room for it is an error
 // from the first read that meets it, and never a list. Two damages of a
-// version-3 node table, each as long as the bytes it overwrites:
+// node table Build writes, each as long as the bytes it overwrites:
 //
 //   - a corrupt degree: node 5's record overwritten by one of degree
 //     0xff000000 (which sized a 16 GiB scratch buffer, and ended the
@@ -639,9 +622,7 @@ func stripChecksums(t *testing.T, base string) {
 // lists must end where it does). The fixture is laid out in a peeling
 // order, whose records also name their nodes: a third damage
 // repeats the id of the record before one, and must fail naming the
-// repeat. The version-2 leg flips the top byte of node 5's 12-byte
-// degree in the checked-in table set, under a header without checksums:
-// the pass must fail naming node 5.
+// repeat.
 func TestCorruptNodeRecordIsAnError(t *testing.T) {
 	edges := gen.RMAT(10, 8, .57, .19, .19, 2)
 	for _, tc := range []struct {
@@ -712,23 +693,6 @@ func TestCorruptNodeRecordIsAnError(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("v2", func(t *testing.T) {
-		base := copyTables(t, filepath.Join("testdata", "v2", "g"), ".meta", ".nt", ".et")
-		stripChecksums(t, base)
-		nt, err := os.ReadFile(base + ".nt")
-		if err != nil {
-			t.Fatal(err)
-		}
-		nt[5*12+11] = 0xff // the top byte of node 5's degree
-		rewriteNodeTable(t, base, nt, false)
-		if bad, err := kcore.Open(base, nil); err == nil || !strings.Contains(err.Error(), "node 5") {
-			if bad != nil {
-				bad.Close()
-			}
-			t.Fatalf("Open of a version-2 node table without checksums: %v, want an error naming node 5", err)
-		}
-	})
 }
 
 // TestNodeTableDamageIsCaughtByTheIndex: node-table damage that leaves
@@ -741,9 +705,7 @@ func TestCorruptNodeRecordIsAnError(t *testing.T) {
 // the whole table's CRC32C, which the pass that reads the node table into
 // memory holds to the header's, when there is no sidecar. (The default
 // open used to read records on trust and served v's list with v+1's
-// first neighbour in it.) The version-2 leg moves a boundary between
-// two width-1 lists of the checked-in table set by one byte in the
-// 12-byte records, on the same three opens.
+// first neighbour in it.)
 func TestNodeTableDamageIsCaughtByTheIndex(t *testing.T) {
 	// caught opens base as the leg says and wants the first use of node
 	// v, or the open itself, to fail naming the node table.
@@ -785,9 +747,8 @@ func TestNodeTableDamageIsCaughtByTheIndex(t *testing.T) {
 			recs := records(t, base, nt)
 			// Rewrite records v and v+1 in place: each keeps its varint's
 			// length and its width, so the damage moves nothing else.
-			shift := formShift(t, base)
 			moved := func(r record, by int32) []byte {
-				return binary.AppendUvarint(nil, uint64(int64(r.deg)+int64(by))<<shift|uint64(r.w-1))
+				return binary.AppendUvarint(nil, uint64(int64(r.deg)+int64(by))<<3|uint64(r.w-1))
 			}
 			v := 0
 			for ; v+1 < len(recs); v++ {
@@ -803,35 +764,6 @@ func TestNodeTableDamageIsCaughtByTheIndex(t *testing.T) {
 			copy(nt[recs[v+1].at:], moved(recs[v+1], -1))
 			rewriteNodeTable(t, base, nt, false)
 			caught(t, base, leg.frames, leg.sidecar, recs[v].id)
-		})
-	}
-	for _, leg := range legs {
-		t.Run("v2/"+leg.name, func(t *testing.T) {
-			base := copyTables(t, filepath.Join("testdata", "v2", "g"), ".meta", ".nt", ".et", ".crc")
-			nt, err := os.ReadFile(base + ".nt")
-			if err != nil {
-				t.Fatal(err)
-			}
-			off := func(v int) uint64 { return binary.LittleEndian.Uint64(nt[v*12:]) }
-			deg := func(v int) uint64 { return uint64(binary.LittleEndian.Uint32(nt[v*12+8:])) }
-			// width1 reports whether node v's list, not the last, stores
-			// its gaps in one byte each (its first id takes the two of
-			// n−1 = 505).
-			width1 := func(v int) bool { return deg(v) >= 2 && off(v+1)-off(v) == 2+deg(v)-1 }
-			v := 0
-			for ; !(width1(v) && width1(v+1) && deg(v+1) >= 3); v++ {
-				if (v+3)*12 >= len(nt) {
-					t.Fatal("fixture: no two neighbouring lists of width 1 to move a boundary between")
-				}
-			}
-			bump := func(at int, by int32) {
-				binary.LittleEndian.PutUint32(nt[at:], binary.LittleEndian.Uint32(nt[at:])+uint32(by))
-			}
-			bump(v*12+8, 1)      // deg(v)
-			bump((v+1)*12, 1)    // the low word of v+1's offset
-			bump((v+1)*12+8, -1) // deg(v+1)
-			rewriteNodeTable(t, base, nt, false)
-			caught(t, base, leg.frames, leg.sidecar, uint32(v))
 		})
 	}
 }

@@ -135,26 +135,32 @@ func (t *tree) run(bench, benchtime string) (map[string]float64, error) {
 	return got, nil
 }
 
-// report prints one line per benchmark and unit both sides measured.
+// report prints one line per benchmark and unit either side measured. A
+// row only one side measured gives that side's median and quartiles and
+// the verdict n/a.
 func report(w io.Writer, parent, change *tree, n int) {
 	var keys []string
-	for k := range parent.runs[0] {
-		if _, ok := change.runs[0][k]; ok {
-			keys = append(keys, k)
+	for _, t := range []*tree{parent, change} {
+		for k := range t.runs[0] {
+			if !slices.Contains(keys, k) {
+				keys = append(keys, k)
+			}
 		}
 	}
 	slices.Sort(keys)
 	fmt.Fprintf(w, "%d pairs; median [q1, q3] of %s, then of the working tree\n", n, parent.name)
 	for _, k := range keys {
+		p, c := parent.values(k, n), change.values(k, n)
+		if p == nil || c == nil {
+			fmt.Fprintf(w, "%-60s %s  %s  %7s  %9s  n/a\n", k, summary(p), summary(c), "n/a", "")
+			continue
+		}
 		higher := strings.HasSuffix(k, "/s")
-		var p, c []float64
 		wins, losses := 0, 0
 		for i := range n {
-			pv, cv := parent.runs[i][k], change.runs[i][k]
-			p, c = append(p, pv), append(c, cv)
 			switch {
-			case cv == pv:
-			case (cv > pv) == higher:
+			case c[i] == p[i]:
+			case (c[i] > p[i]) == higher:
 				wins++
 			default:
 				losses++
@@ -173,9 +179,30 @@ func report(w io.Writer, parent, change *tree, n int) {
 		if lead < 9 || 10*lead < 9*n || math.Abs(gain) <= p3-p1 {
 			verdict = "unresolved"
 		}
-		fmt.Fprintf(w, "%-60s %12.4g [%.4g, %.4g]  %12.4g [%.4g, %.4g]  %7s  won %d/%d  %s\n",
-			k, pm, p1, p3, cm, quantile(c, .25), quantile(c, .75), relative(pm, cm), wins, n, verdict)
+		fmt.Fprintf(w, "%-60s %s  %s  %7s  won %d/%d  %s\n",
+			k, summary(p), summary(c), relative(pm, cm), wins, n, verdict)
 	}
+}
+
+// values is the first n runs' values of key k, nil if the tree's binary
+// does not report it.
+func (t *tree) values(k string, n int) []float64 {
+	if _, ok := t.runs[0][k]; !ok {
+		return nil
+	}
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = t.runs[i][k]
+	}
+	return xs
+}
+
+// summary formats the median and quartiles of xs, or a dash for none.
+func summary(xs []float64) string {
+	if xs == nil {
+		return fmt.Sprintf("%12s %22s", "-", "")
+	}
+	return fmt.Sprintf("%12.4g %-22s", quantile(xs, .5), fmt.Sprintf("[%.4g, %.4g]", quantile(xs, .25), quantile(xs, .75)))
 }
 
 // relative is the change from the parent's median pm to cm: none

@@ -7,7 +7,8 @@ import (
 )
 
 // TestReport feeds report synthetic runs and reads back each row's change
-// and verdict.
+// and verdict, a leg only the parent ran and one only the working tree
+// ran among them.
 func TestReport(t *testing.T) {
 	// The parent's ns/op: median 8.9, quartiles [8.45, 9.5].
 	base := []float64{8, 8.2, 8.4, 8.6, 8.8, 9, 9.2, 9.6, 10, 10.4}
@@ -24,6 +25,7 @@ func TestReport(t *testing.T) {
 			"BenchmarkScan MB/s":      pv,
 			"BenchmarkZero allocs/op": 0,
 			"BenchmarkNew allocs/op":  0,
+			"BenchmarkGone ns/op":     pv,
 		})
 		change.runs = append(change.runs, map[string]float64{
 			"BenchmarkNear ns/op":     near,
@@ -32,6 +34,7 @@ func TestReport(t *testing.T) {
 			"BenchmarkScan MB/s":      pv + 3,
 			"BenchmarkZero allocs/op": 0,
 			"BenchmarkNew allocs/op":  2,
+			"BenchmarkAdded ns/op":    pv + 1,
 		})
 	}
 	var out bytes.Buffer
@@ -48,6 +51,10 @@ func TestReport(t *testing.T) {
 		"BenchmarkScan MB/s":      {"+33.7%", "won 10/10", "better"},
 		"BenchmarkZero allocs/op": {"+0.0%", "won 0/10", "unresolved"},
 		"BenchmarkNew allocs/op":  {"n/a", "won 0/10", "worse"},
+		// Only one side ran these: that side's median and quartiles, no
+		// pairs and no verdict.
+		"BenchmarkGone ns/op":  {"8.9 [8.45, 9.5]", " - ", "n/a"},
+		"BenchmarkAdded ns/op": {" - ", "9.9 [9.45, 10.5]", "n/a"},
 	} {
 		row, ok := rows[key]
 		if !ok {
@@ -66,7 +73,7 @@ func TestReport(t *testing.T) {
 	out.Reset()
 	report(&out, parent, change, 2)
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
-		if !strings.HasSuffix(line, "unresolved") {
+		if !strings.HasSuffix(line, "unresolved") && !strings.HasSuffix(line, "n/a") {
 			t.Errorf("two pairs: %q", line)
 		}
 	}

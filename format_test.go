@@ -5,11 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"kcore"
-	"kcore/internal/faultfs"
 	"kcore/internal/stats"
 	"kcore/internal/storage"
 )
@@ -150,148 +150,6 @@ func refusesHeaders(t *testing.T, base, key string, headers ...string) {
 	}
 }
 
-// TestVersion1TablesStayReadable opens the format-version-1 tables (4-byte
-// absolute ids, arc offsets, no checksum sidecar) of a checkpoint an
-// older tree wrote, in place: they verify, decompose to IMCore's cores and
-// to the cores that tree saved beside them, and one fold-back rewrites
-// them in the current format, smaller and still verified. A version-2
-// header must give the edge table's size, and a version-1 header must
-// not.
-func TestVersion1TablesStayReadable(t *testing.T) {
-	src := filepath.Join("internal", "engine", "testdata", "parent-datadir", "g", "ckpt", "0000000000000002")
-	base := copyTables(t, filepath.Join(src, "graph"), ".meta", ".nt", ".et")
-	saved, err := storage.ReadCores(faultfs.OS, filepath.Join(src, "cores"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := storage.ReadMeta(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Version != 1 || meta.EtBytes != 4*meta.Arcs || meta.NtBytes != 12*int64(meta.N) {
-		t.Fatalf("fixture header %+v: want version 1, 4 bytes an arc and 12 a node", meta)
-	}
-	if res := upgradesOnFoldBack(t, base); !slices.Equal(res.Core, saved) {
-		t.Fatalf("cores %v, the older tree saved %v", res.Core, saved)
-	}
-	refusesHeaders(t, base, "etbytes",
-		"version=2\nnodes=48\narcs=470\n",
-		"version=1\nnodes=48\narcs=470\netbytes=1880\n",
-	)
-}
-
-// TestVersion2TablesStayReadable opens the format-version-2 tables
-// (gap-coded lists, 12-byte node records with byte offsets, a checksum
-// sidecar) that an older tree built for RMAT(9, 4) seed 3, in place: they
-// verify, SemiCore* decomposes them to IMCore's cores, and one fold-back
-// rewrites them in the current format, whose node table is a varint or
-// two a node. A version-3 header must give the node table's size, and a
-// version-1 or version-2 header must not.
-func TestVersion2TablesStayReadable(t *testing.T) {
-	base := copyTables(t, filepath.Join("testdata", "v2", "g"), ".meta", ".nt", ".et", ".crc")
-	meta, err := storage.ReadMeta(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Version != 2 || meta.NtBytes != 12*int64(meta.N) || !meta.HasCRC {
-		t.Fatalf("fixture header %+v: want version 2 with checksums and 12 bytes a node", meta)
-	}
-	upgradesOnFoldBack(t, base)
-	refusesHeaders(t, base, "ntbytes",
-		"version=3\nnodes=506\narcs=3200\netbytes=3639\n",
-		"version=2\nnodes=506\narcs=3200\nntbytes=6072\netbytes=3639\n",
-		"version=1\nnodes=506\narcs=3200\nntbytes=6072\n",
-	)
-}
-
-// TestVersion3TablesStayReadable opens the format-version-3 tables (one
-// varint a node, in id order, and a checksum sidecar) that an older tree
-// built for RMAT(9, 4) seed 3, in place: through the sidecar the index
-// reads them into memory, SemiCore* decomposes them to IMCore's cores, and
-// one fold-back rewrites them as version 3 again, since it keeps their id
-// order. A version-4 header must give the node table's size too, and one
-// must give at least two bytes a record.
-func TestVersion3TablesStayReadable(t *testing.T) {
-	base := copyTables(t, filepath.Join("testdata", "v3", "g"), ".meta", ".nt", ".et", ".crc")
-	meta, err := storage.ReadMeta(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Version != 3 || meta.NtBytes >= 2*int64(meta.N) || !meta.HasCRC {
-		t.Fatalf("fixture header %+v: want version 3 with checksums and under 2 bytes a node", meta)
-	}
-	upgradesOnFoldBack(t, base)
-	refusesHeaders(t, base, "ntbytes",
-		"version=4\nnodes=506\narcs=3200\netbytes=3639\n",
-	)
-	refusesHeaders(t, base, "cannot hold",
-		"version=4\nnodes=506\narcs=3200\nntbytes=526\netbytes=3639\n",
-	)
-}
-
-// TestVersion4TablesStayReadable opens the format-version-4 tables
-// (fixed-width lists laid out in a peeling order, each node record led by
-// its id's delta, and a checksum sidecar) that an older tree's Build wrote
-// for RMAT(9, 4) seed 3, in place: through the sidecar the index reads
-// them into memory, SemiCore* decomposes them to IMCore's cores, and one
-// fold-back rewrites them in the current format, in the same layout and
-// in fewer edge-table bytes. A version-5 header must say whether its
-// layout is id order, and an older one must not.
-func TestVersion4TablesStayReadable(t *testing.T) {
-	base := copyTables(t, filepath.Join("testdata", "v4", "g"), ".meta", ".nt", ".et", ".crc")
-	meta, err := storage.ReadMeta(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Version != 4 || meta.IDOrder || !meta.HasCRC {
-		t.Fatalf("fixture header %+v: want version 4 out of id order, with checksums", meta)
-	}
-	shrinksInLayout(t, base)
-	refusesHeaders(t, base, "idorder",
-		"version=5\nnodes=506\narcs=3200\nntbytes=1135\netbytes=3639\n",
-		"version=4\nnodes=506\narcs=3200\nntbytes=1135\netbytes=3639\nidorder=0\n",
-		"version=5\nnodes=506\narcs=3200\nntbytes=1135\netbytes=3639\nidorder=2\n",
-	)
-}
-
-// TestVersion5TablesStayReadable opens the format-version-5 tables (each
-// list in the shorter of its fixed-width and its group-varint form, laid
-// out in a peeling order, and a checksum sidecar) that the version-5
-// tree's Build wrote for RMAT(9, 4) seed 3, in place: they hold lists of
-// both forms, through the sidecar the index reads them into memory,
-// SemiCore* decomposes them to IMCore's cores, and one fold-back rewrites
-// them as version 6, in the same layout and in fewer edge-table bytes. A
-// version-6 header must say whether its layout is id order too.
-func TestVersion5TablesStayReadable(t *testing.T) {
-	base := copyTables(t, filepath.Join("testdata", "v5", "g"), ".meta", ".nt", ".et", ".crc")
-	meta, err := storage.ReadMeta(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Version != 5 || meta.IDOrder || !meta.HasCRC {
-		t.Fatalf("fixture header %+v: want version 5 out of id order, with checksums", meta)
-	}
-	nt, err := os.ReadFile(base + ".nt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fixed, grouped int
-	for _, r := range records(t, base, nt) {
-		if r.w == 0 {
-			grouped++
-		} else if r.deg >= 2 {
-			fixed++
-		}
-	}
-	if fixed == 0 || grouped == 0 {
-		t.Fatalf("fixture: %d fixed-width lists of two or more ids and %d group-varint lists; want both", fixed, grouped)
-	}
-	shrinksInLayout(t, base)
-	refusesHeaders(t, base, "idorder",
-		"version=6\nnodes=506\narcs=3200\nntbytes=1180\netbytes=3599\n",
-	)
-}
-
 // TestVersion6TablesStayReadable opens the format-version-6 tables (each
 // list in the shorter of its fixed-width and its uvarint form, laid out
 // in a peeling order, and a checksum sidecar) that the version-6 tree's
@@ -331,12 +189,12 @@ func TestVersion6TablesStayReadable(t *testing.T) {
 }
 
 // TestEveryOlderFormatHasAReadabilityFixture holds each format version v
-// from 2 to the one before FormatVersion to a table set in testdata/v<v>,
-// whose header is of that version, and to a TestVersion<v>TablesStay-
-// Readable in this package's tests, so that a format bump cannot leave
-// the version it replaces without a fixture. Version 1's tables are a
-// checkpoint's, under internal/engine's testdata (TestVersion1Tables-
-// StayReadable).
+// the tree reads below FormatVersion (from storage.OldestFormatVersion on)
+// to a table set in testdata/v<v>, whose header is of that version, and
+// to a TestVersion<v>TablesStayReadable in this package's tests, so that
+// a format bump cannot leave the version it replaces without a fixture;
+// and it wants no testdata/v<k> of a version outside that window, whose
+// tables nothing reads any more.
 func TestEveryOlderFormatHasAReadabilityFixture(t *testing.T) {
 	var src strings.Builder
 	tests, err := filepath.Glob("*_test.go")
@@ -350,12 +208,69 @@ func TestEveryOlderFormatHasAReadabilityFixture(t *testing.T) {
 		}
 		src.Write(data)
 	}
-	for v := 2; v < storage.FormatVersion; v++ {
+	for v := storage.OldestFormatVersion; v < storage.FormatVersion; v++ {
 		if m, err := storage.ReadMeta(filepath.Join("testdata", fmt.Sprintf("v%d", v), "g")); err != nil || m.Version != v {
 			t.Errorf("format version %d: testdata/v%d/g holds %+v (%v), want a version-%d table set", v, v, m, err, v)
 		}
 		if fn := fmt.Sprintf("func TestVersion%dTablesStayReadable(", v); !strings.Contains(src.String(), fn) {
 			t.Errorf("format version %d: no %s...) among the root package's tests", v, fn)
 		}
+	}
+	dirs, err := filepath.Glob(filepath.Join("testdata", "v*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		v, err := strconv.Atoi(strings.TrimPrefix(filepath.Base(dir), "v"))
+		if err == nil && (v < storage.OldestFormatVersion || v >= storage.FormatVersion) {
+			t.Errorf("%s: a fixture of format version %d; only versions %d ≤ v < %d keep one", dir, v, storage.OldestFormatVersion, storage.FormatVersion)
+		}
+	}
+}
+
+// TestRetiredFormatsAreRefused writes, over the version-7 tables Build
+// leaves, a header of each retired format version (1 to 5), with the keys
+// that version's header carried: ReadMeta, storage.Open and kcore.Open
+// each refuse it, naming the commit whose kcored upgrades such tables.
+func TestRetiredFormatsAreRefused(t *testing.T) {
+	base := buildFrom(t, []kcore.Edge{{U: 0, V: 1}, {U: 1, V: 2}}, 0).Base()
+	m, err := storage.ReadMeta(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v < storage.OldestFormatVersion; v++ {
+		header := fmt.Sprintf("version=%d\nnodes=%d\narcs=%d\n", v, m.N, m.Arcs)
+		if v >= 3 {
+			header += fmt.Sprintf("ntbytes=%d\n", m.NtBytes)
+		}
+		if v >= 2 {
+			header += fmt.Sprintf("etbytes=%d\n", m.EtBytes)
+		}
+		if v >= 5 {
+			header += "idorder=1\n"
+		}
+		header += fmt.Sprintf("ntcrc=%d\netcrc=%d\n", m.NtCRC, m.EtCRC)
+		if err := os.WriteFile(base+".meta", []byte(header), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("format version %d is retired", v)
+		refused := func(what string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "kcored built at commit "+storage.UpgradeCommit) {
+				t.Errorf("version %d: %s: %v; want the refusal naming the upgrade at %s", v, what, err, storage.UpgradeCommit)
+			}
+		}
+		_, err := storage.ReadMeta(base)
+		refused("ReadMeta", err)
+		sg, err := storage.Open(base, stats.NewIOCounter(0), nil)
+		if err == nil {
+			sg.Close()
+		}
+		refused("storage.Open", err)
+		g, err := kcore.Open(base, nil)
+		if err == nil {
+			g.Close()
+		}
+		refused("kcore.Open", err)
 	}
 }

@@ -144,14 +144,24 @@ func verifyCrashRecovery(t *testing.T, label, backend, dataDir string, out crash
 	}
 }
 
+// minCrashBoundaries is the fewest injector boundaries one clean run of
+// the script may cross on either backend: the 103 it crosses on both, so
+// a change that drops durability work from the script fails the sweeps
+// instead of shrinking them.
+const minCrashBoundaries = 103
+
 // countCrashBoundaries runs the script unarmed and reports how many
-// injector boundaries one clean run (including clean shutdown) crosses.
+// injector boundaries one clean run (including clean shutdown) crosses,
+// at least minCrashBoundaries.
 func countCrashBoundaries(t *testing.T, backend string) int64 {
 	t.Helper()
 	inj := faultfs.NewInjector(faultfs.OS)
 	out := runCrashScript(t, backend, t.TempDir(), writeGraph(t, crashNodes, crashGSeed), inj)
 	if !out.openOK || out.acked != crashOps {
 		t.Fatalf("unarmed script did not run clean: %+v", out)
+	}
+	if inj.Ops() < minCrashBoundaries {
+		t.Fatalf("%s: only %d boundaries, fewer than %d — the script no longer exercises the durability path", backend, inj.Ops(), minCrashBoundaries)
 	}
 	return inj.Ops()
 }
@@ -162,9 +172,6 @@ func countCrashBoundaries(t *testing.T, backend string) int64 {
 func TestCrashSweepEveryBoundary(t *testing.T) {
 	for _, backend := range crashBackends {
 		total := countCrashBoundaries(t, backend)
-		if total < 20 {
-			t.Fatalf("%s: only %d boundaries — the script no longer exercises the durability path", backend, total)
-		}
 		for k := int64(1); k <= total; k++ {
 			t.Run(fmt.Sprintf("%s/op%03d", backend, k), func(t *testing.T) {
 				dataDir := t.TempDir()

@@ -18,6 +18,7 @@ import (
 	"kcore/internal/gen"
 	"kcore/internal/graph"
 	"kcore/internal/serve"
+	"kcore/internal/storage"
 	"kcore/internal/verify"
 	"kcore/internal/wal"
 )
@@ -813,12 +814,16 @@ func TestRecoverLegacyShardedDataDir(t *testing.T) {
 // merged (20a2554; n=48 social graph at seed 41 behind -backend disk
 // -cache-blocks 8, block size 512, three acked inserts, a forced
 // checkpoint, four more acked inserts, then a crash that tore an eighth
-// record mid-write; live/ and LOCK left out). Formats are unchanged, so
-// it must recover as it would have there: newest checkpoint (LSN 3), four
-// records replayed, the torn one dropped, cores equal to a from-scratch
-// decomposition of the acked prefix. Its checkpoints predate checksum
-// sidecars, so the live copy has none and the cached open takes the pass
-// over the tables; the checkpoint recovery commits has one.
+// record mid-write; live/ and LOCK left out). Its log, manifests, CONFIG
+// and cores are byte for byte that tree's; its checkpoints' tables, which
+// it wrote in format version 1, were rewritten as version 7 through the
+// upgrade path storage's refusal of version 1 names (the opening
+// checkpoint of kcored built at storage.UpgradeCommit), without checksum
+// sidecars. It must recover as it would have there: newest checkpoint
+// (LSN 3), four records replayed, the torn one dropped, cores equal to a
+// from-scratch decomposition of the acked prefix. With no sidecar, the
+// live copy has none and the cached open takes the pass over the tables;
+// the checkpoint recovery commits has one.
 func TestRecoverParentWrittenDataDir(t *testing.T) {
 	const n, seed, k = 48, 41, 7
 	img := t.TempDir()
@@ -856,4 +861,68 @@ func TestRecoverParentWrittenDataDir(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "ckpt", "0000000000000003", "graph.crc")); err != nil {
 		t.Errorf("the checkpoint recovery committed: %v", err)
 	}
+}
+
+// TestRecoverRetiredCheckpointFormat puts back into a copy of
+// testdata/parent-datadir the format-version-1 headers its checkpoints
+// were written with. With both checkpoints retired nothing can be brought
+// up: the graph is unrecoverable, not degraded, and the report names the
+// upgrade path storage's refusal gives. With only the newest retired,
+// recovery falls back past it to the older checkpoint (LSN 0), which is
+// version 7: it replays all seven acked records from there, the report
+// naming the refused checkpoint and the upgrade, and the cores are the
+// acked prefix's.
+func TestRecoverRetiredCheckpointFormat(t *testing.T) {
+	const n, seed, k = 48, 41, 7
+	v1 := map[string]string{
+		"0000000000000001": "version=1\nnodes=48\narcs=464\nntcrc=334134218\netcrc=179774348\n",
+		"0000000000000002": "version=1\nnodes=48\narcs=470\nntcrc=1077006568\netcrc=2631063164\n",
+	}
+	recoverWith := func(t *testing.T, retired ...string) (*engine.Registry, engine.GraphRecovery) {
+		t.Helper()
+		img := t.TempDir()
+		copyTree(t, filepath.Join("testdata", "parent-datadir"), img)
+		for _, seq := range retired {
+			if err := os.WriteFile(filepath.Join(img, "g", "ckpt", seq, "graph.meta"), []byte(v1[seq]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		opts := durableOptions(img)
+		opts.Open.BlockSize = 512
+		reg := engine.NewRegistry(opts)
+		t.Cleanup(func() { reg.Close() })
+		rep, err := reg.Recover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Graphs) != 1 {
+			t.Fatalf("recovery report = %+v", rep.Graphs)
+		}
+		return reg, rep.Graphs[0]
+	}
+	upgrade := "kcored built at commit " + storage.UpgradeCommit
+
+	t.Run("both", func(t *testing.T) {
+		reg, gr := recoverWith(t, "0000000000000001", "0000000000000002")
+		if gr.Err == nil || gr.Degraded || !strings.Contains(gr.Err.Error(), "format version 1 is retired") || !strings.Contains(gr.Err.Error(), upgrade) {
+			t.Fatalf("recovery = %+v (%v), want the graph unrecoverable, naming the upgrade at %s", gr, gr.Err, storage.UpgradeCommit)
+		}
+		if _, ok := reg.Get("g"); ok {
+			t.Fatal("an unrecoverable graph was registered")
+		}
+	})
+	t.Run("newest", func(t *testing.T) {
+		reg, gr := recoverWith(t, "0000000000000002")
+		if gr.Err != nil || gr.Degraded || !gr.Fallback || gr.Replayed != k || !strings.Contains(gr.Reason, "checkpoint 2") || !strings.Contains(gr.Reason, upgrade) {
+			t.Fatalf("recovery = %+v (%v), want a fallback to checkpoint 1 replaying %d records, naming the upgrade", gr, gr.Err, k)
+		}
+		eng, _ := reg.Get("g")
+		edges := gen.Social(n, 3, 8, 8, seed)
+		for _, up := range freshEdges(n, seed, k) {
+			edges = append(edges, graph.Edge{U: up.U, V: up.V})
+		}
+		if err := verify.CheckAgainst(gen.Build(edges), eng.Snapshot().Cores()); err != nil {
+			t.Fatalf("recovered cores differ from the reference on the acked prefix: %v", err)
+		}
+	})
 }

@@ -8,31 +8,21 @@ import (
 )
 
 // The list codec. A node's sorted list u1 < u2 < … < ud is stored in one
-// of three forms.
+// of three forms; format versions 6 and 7, the two this tree reads,
+// differ only in that version 6 has no Rice form.
 //
-// The fixed-width form (format versions 2 to 7) is u1 in idw bytes, idw
-// the byte width of n−1 for the whole graph, then the d−1 gaps u(i+1) −
-// u(i), each at least 1, as little-endian integers of w bytes, w ∈
-// {1,2,3,4} the smallest width that holds the list's largest gap. An
-// empty list takes no bytes. A list of degree d spans idw + w·(d−1)
-// bytes: a node record from version 3 on gives d and w, so the lengths
-// place every list; a version-2 table stores w nowhere, and the byte
-// offsets of its node records, which tile the edge table, give it back
-// (listCodec.width), a length of no such form refused. Version-1 tables
-// read through the same codec with idw = w = 4 and absolute ids in place
-// of gaps.
+// The fixed-width form is u1 in idw bytes, idw the byte width of n−1 for
+// the whole graph, then the d−1 gaps u(i+1) − u(i), each at least 1, as
+// little-endian integers of w bytes, w ∈ {1,2,3,4} the smallest width
+// that holds the list's largest gap. An empty list takes no bytes. A list
+// of degree d spans idw + w·(d−1) bytes, and its node record gives d and
+// w, so the lengths place every list.
 //
 // The variable form stores the d values u1, u2 − u1, …, ud − u(d−1) each
-// in the fewest bytes its code allows. Versions 6 and 7 use a uvarint per
-// value: seven bits a byte, low groups first, the high bit of every byte
-// but the value's last set; at most five bytes, since a value is below
-// 2^32. A list spans d bytes and as many more as its values take beyond
-// one each, which its node record gives. Version 5's is group varint:
-// groups of four values behind a control byte whose bits 2j and 2j+1 hold
-// the byte length of the group's value j, minus one, each value
-// little-endian in the fewest whole bytes that hold it, the last group's
-// missing values' control bits zero; a list spans d + ⌈d/4⌉ bytes and its
-// values' bytes beyond one each.
+// as a uvarint: seven bits a byte, low groups first, the high bit of
+// every byte but the value's last set; at most five bytes, since a value
+// is below 2^32. A list spans d bytes and as many more as its values take
+// beyond one each, which its node record gives.
 //
 // The Rice form (version 7) stores the d values x1 = u1 and x(i+1) =
 // u(i+1) − u(i) − 1 as a bit string, packed from each byte's lowest bit
@@ -46,49 +36,42 @@ import (
 // beyond ⌈d·(1+k)/8⌉, at most ⌈d/4⌉ since the quotients add up to less
 // than 2d under that k.
 //
-// Versions 5 to 7 store each list in the shortest of their forms, a tie
-// going to the earlier of fixed width, the variable form and Rice, so
-// every list has exactly one encoding, which the decoder holds it to, and
-// no list is longer than in the version before. Each form wins somewhere,
-// so none replaces another: uvarints where gaps are a byte or two and
-// uneven, Rice where they are wider (rmat17 in Build's order: 942
-// edge-table blocks against 1,047 for version 6), and fixed width where
-// gaps are all alike, as on a small-world lattice, whose tables Rice
-// shortens by 0.3% (TestVersion7NeverLongerThanVersion6) and would
-// lengthen on its own. The Builder writes version 7;
-// versions 5 and 6 are read in place (decodeGroups, decodeUvarints) until
-// their first rewrite.
+// Each list is stored in the shortest of its version's forms, a tie going
+// to the earlier of fixed width, the variable form and Rice, so every list
+// has exactly one encoding, which the decoder holds it to, and no list is
+// longer in version 7 than in version 6. Each form wins somewhere, so none
+// replaces another: uvarints where gaps are a byte or two and uneven, Rice
+// where they are wider (rmat17 in Build's order: 942 edge-table blocks
+// against 1,047 for version 6), and fixed width where gaps are all alike,
+// as on a small-world lattice, whose tables Rice shortens by 0.3%
+// (TestVersion7NeverLongerThanVersion6) and would lengthen on its own.
+// The Builder writes version 7; version 6 is read in place until its
+// first rewrite.
 //
 // Gap coding is WebGraph's (Boldi and Vigna, WWW'04); the fixed width
-// per list is this tree's, group varint Dean's (WSDM'09), and the
-// uvarint decoder follows masked VByte (Plaisance, Kurz and Lemire,
-// Vectorized VByte Decoding, 2015), with 8-byte words for vectors.
-// Decoded a byte at a time, uvarints branch on every byte's continuation
-// bit, which cost a prototype about 25% of a decomposition.
-// decodeUvarints does not look at single bytes: it reads 8 bytes as one
-// word, gathers their 8 continuation bits with one multiply, and indexes
-// a table by them that gives where each of up to four values starts and
-// ends; one compaction of the word's 7-bit groups then yields all of
-// them, each cut out by two shifts, and no branch depends on a value.
-// decodeRice reads 64 bits as one word and takes up to two values from
-// it, each by a count of trailing zeros, before it reads the next; it
+// per list is this tree's, and the uvarint decoder follows masked VByte
+// (Plaisance, Kurz and Lemire, Vectorized VByte Decoding, 2015), with
+// 8-byte words for vectors. Decoded a byte at a time, uvarints branch on
+// every byte's continuation bit, which cost a prototype about 25% of a
+// decomposition. decodeUvarints does not look at single bytes: it reads 8
+// bytes as one word, gathers their 8 continuation bits with one multiply,
+// and indexes a table by them that gives where each of up to four values
+// starts and ends; one compaction of the word's 7-bit groups then yields
+// all of them, each cut out by two shifts, and no branch depends on a
+// value. decodeRice reads 64 bits as one word and takes up to two values
+// from it, each by a count of trailing zeros, before it reads the next; it
 // takes them as gaps and adds them up after, in a loop that also measures
-// the list's other two forms. So each fixed-width list takes one width
-// and each width one branch-free loop, and a variable-form or Rice list is
-// decoded a word at a time. Version 5's group varint, which no Builder
-// path writes, is read one value at a time (decodeGroups); a fixed-width
-// or group-varint list is held to its one form by comparing it with what
-// form gives its ids (canonical), a uvarint or Rice list by its decoder's
-// own checks, and a version-7 uvarint list that Rice might shorten by
-// canonical as well.
+// the list's other two forms. So each fixed-width list takes one width and
+// each width one branch-free loop, and a variable-form or Rice list is
+// decoded a word at a time. A fixed-width list is held to its one form by
+// comparing it with what form gives its ids (canonical), a uvarint or Rice
+// list by its decoder's own checks, and a version-7 uvarint list that
+// Rice might shorten by canonical as well.
 
 // listCodec is how one graph's lists are laid out.
 type listCodec struct {
 	n   uint32 // every id is below n
 	idw int64  // bytes of a list's first id
-	abs bool   // version 1: every id absolute, idw = w = 4
-	gv  bool   // version 5: the variable form is group varint
-	uv  bool   // versions 6 and 7: the variable form is a uvarint per value
 	rc  bool   // version 7: a list may be in the Rice form
 }
 
@@ -101,10 +84,7 @@ const (
 
 // codecOf reports the codec of the tables a header describes.
 func codecOf(m Meta) listCodec {
-	if m.Version == 1 {
-		return listCodec{n: m.N, idw: 4, abs: true}
-	}
-	return listCodec{n: m.N, idw: int64(byteWidth(max(m.N, 1) - 1)), gv: m.Version == 5, uv: m.Version >= 6, rc: m.Version >= 7}
+	return listCodec{n: m.N, idw: int64(byteWidth(max(m.N, 1) - 1)), rc: m.Version >= 7}
 }
 
 // riceK is the Rice parameter of a list of deg > 0 ids whose last is last,
@@ -148,54 +128,14 @@ func uvLen(x uint32) int64 {
 // uvLens is uvLen by bit length.
 var uvLens = [33]uint8{1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5}
 
-// gvMin is the byte length of a group-varint list of deg values each
-// stored in one byte: the least a list of deg ids can take in that form.
-func gvMin(deg uint32) int64 {
-	return int64(deg) + (int64(deg)+3)/4
-}
-
-// varMin is the least byte length of a list of deg ids in the codec's
-// variable form, each value in one byte; a node record gives the bytes a
-// list takes beyond it, at most varExcess a value.
-func (c listCodec) varMin(deg uint32) int64 {
-	if c.gv {
-		return gvMin(deg)
-	}
-	return int64(deg)
-}
-
-// varExcess is the most bytes a value takes in the codec's variable form
-// beyond its first: 3 in group varint, 4 in a uvarint.
-func (c listCodec) varExcess() uint64 {
-	if c.gv {
-		return 3
-	}
-	return 4
-}
-
-// gvLen reports the byte length of the list nbrs, at least one id, in
-// version 5's group-varint form.
-func gvLen(nbrs []uint32) int64 {
-	size, prev := (int64(len(nbrs))+3)/4, uint32(0)
-	for _, u := range nbrs {
-		size += int64(byteWidth(u - prev))
-		prev = u
-	}
-	return size
-}
-
-// width recovers the gap width of a fixed-width list of deg ids that
-// spans n bytes (idw for lists of at most one id), and whether n is of
-// the form idw + w·(deg−1) for a width the codec writes.
-func (c listCodec) width(n int64, deg uint32) (uint8, bool) {
+// fixed reports whether n bytes are a fixed-width list of deg ids at
+// gap width w: w is idw for a list of at most one id and 1 to 4 for a
+// longer one, and n is idw + w·(deg−1).
+func (c listCodec) fixed(n int64, deg uint32, w uint8) bool {
 	if deg <= 1 {
-		return uint8(c.idw), n == c.length(deg, uint8(c.idw))
+		return w == uint8(c.idw) && n == c.length(deg, w)
 	}
-	rest, gaps := n-c.idw, int64(deg)-1
-	if rest < gaps || rest > 4*gaps || rest%gaps != 0 || (c.abs && rest != 4*gaps) {
-		return 0, false
-	}
-	return uint8(rest / gaps), true
+	return w >= 1 && w <= 4 && n == c.length(deg, w)
 }
 
 // form reports how the codec stores the list nbrs, sorted ascending: in
@@ -208,8 +148,7 @@ func (c listCodec) form(nbrs []uint32) (w uint8, size int64) {
 		return uint8(c.idw), 0
 	}
 	// The gaps' largest, the uvarint form's length and the Rice form's
-	// quotients on the way (version 5's group varint is measured on its
-	// own).
+	// quotients on the way.
 	k := riceK(uint64(nbrs[d-1]), d)
 	var maxGap uint32
 	vlen, quot := uvLen(nbrs[0]), uint64(nbrs[0])>>k
@@ -224,10 +163,7 @@ func (c listCodec) form(nbrs []uint32) (w uint8, size int64) {
 		w = byteWidth(maxGap)
 	}
 	size = c.length(d, w)
-	if c.gv {
-		vlen = gvLen(nbrs)
-	}
-	if (c.gv || c.uv) && vlen < size {
+	if vlen < size {
 		w, size = varForm, vlen
 	}
 	if rlen := (int64(d)*(1+int64(k)) + int64(quot) + 7) / 8; c.rc && rlen < size {
@@ -238,9 +174,7 @@ func (c listCodec) form(nbrs []uint32) (w uint8, size int64) {
 
 // encode appends the list nbrs, sorted ascending, to dst in the form the
 // codec gives it, and reports that form: its gap width (idw for a list
-// of at most one id), varForm or riceForm + k. Its variable form is
-// versions 6's and 7's, the one the Builder writes; version 5's group
-// varint has a decoder and no encoder.
+// of at most one id), varForm or riceForm + k.
 func (c listCodec) encode(dst []byte, nbrs []uint32) ([]byte, uint8) {
 	w, size := c.form(nbrs)
 	if len(nbrs) == 0 {
@@ -257,20 +191,29 @@ func (c listCodec) encode(dst []byte, nbrs []uint32) ([]byte, uint8) {
 		}
 		return dst, w
 	}
+	return c.appendFixed(dst, nbrs, w), w
+}
+
+// appendFixed appends the list nbrs to dst in the fixed-width form at
+// gap width w (idw for a list of at most one id), which holds its every
+// gap.
+func (c listCodec) appendFixed(dst []byte, nbrs []uint32, w uint8) []byte {
+	if len(nbrs) == 0 {
+		return dst
+	}
 	n := len(dst)
-	end := n + int(size)
+	end := n + int(c.length(uint32(len(nbrs)), w))
 	// Every value is stored as 4 bytes and the next one overwrites what
 	// its length drops, so the slice runs 4 bytes past the list until the
 	// end.
 	dst = slices.Grow(dst, end+4-n)[:end+4]
-	idw := int(c.idw)
 	binary.LittleEndian.PutUint32(dst[n:], nbrs[0])
-	n += idw
+	n += int(c.idw)
 	for i := 1; i < len(nbrs); i++ {
 		binary.LittleEndian.PutUint32(dst[n:], nbrs[i]-nbrs[i-1])
 		n += int(w)
 	}
-	return dst[:end], w
+	return dst[:end]
 }
 
 // appendRice appends the list nbrs, at least one id, to dst in the Rice
@@ -341,23 +284,34 @@ func riceStore(out []byte, nbrs []uint32, i int, k, done uint64, at int, acc, nb
 // whole list and nothing more — into buf (grown geometrically if short)
 // and returns them. A list that is not strictly ascending, holds an id ≥
 // n, or is not in the one form and of the one length the codec gives it
-// is an error: headers from older builders carry no checksums, so the
-// bytes may be anything. The uvarint decoder may read past the list into
-// raw's capacity, never beyond it; nothing it reads there decides what
-// it returns.
+// is an error: the bytes may be anything (a table whose header carries
+// no checksums, or a fuzzer's). The uvarint decoder may read past the
+// list into raw's capacity, never beyond it; nothing it reads there
+// decides what it returns.
 func (c listCodec) decode(raw []byte, deg uint32, w uint8, buf []uint32) ([]uint32, error) {
 	if w >= riceForm && c.rc {
 		return c.decodeRice(raw, deg, w-riceForm, buf)
 	}
 	if w == varForm && deg > 0 {
-		switch {
-		case c.uv:
-			return c.decodeUvarints(raw, deg, buf)
-		case c.gv:
-			return c.decodeGroups(raw, deg, buf)
-		}
+		return c.decodeUvarints(raw, deg, buf)
 	}
-	if lw, ok := c.width(int64(len(raw)), deg); !ok || lw != w {
+	buf, err := c.decodeFixed(raw, deg, w, buf)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.canonical(buf, w, len(raw)); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// decodeFixed decodes the fixed-width list raw of deg ids at gap width w
+// into buf, grown geometrically if short, and returns buf[:deg]. A list
+// is refused unless its length is the one the form gives, its ids are
+// strictly ascending and the last is below n; decode holds it to its one
+// form as well.
+func (c listCodec) decodeFixed(raw []byte, deg uint32, w uint8, buf []uint32) ([]uint32, error) {
+	if !c.fixed(int64(len(raw)), deg, w) {
 		return nil, fmt.Errorf("%d bytes are no list of %d ids at gap width %d", len(raw), deg, w)
 	}
 	buf = slices.Grow(buf[:0], int(deg))[:deg]
@@ -367,64 +321,49 @@ func (c listCodec) decode(raw []byte, deg uint32, w uint8, buf []uint32) ([]uint
 	// minGap stays 1 unless some id fails to exceed the one before it;
 	// min is a conditional move, so no loop below branches per arc on
 	// the data.
-	var last, minGap uint64 = 0, 1
-	if c.abs {
-		prev, step := int64(-1), int64(1)
-		for i := range buf {
-			id := int64(binary.LittleEndian.Uint32(raw[4*i:]))
-			buf[i] = uint32(id)
-			step = min(step, id-prev)
-			prev = id
-		}
-		last, minGap = uint64(prev), uint64(max(step, 0))
-	} else {
-		id := uint64(raw[0])
-		for i := int64(1); i < c.idw; i++ {
-			id |= uint64(raw[i]) << (8 * i)
-		}
-		buf[0] = uint32(id)
-		gaps, out := raw[c.idw:], buf[1:]
-		switch w {
-		case 1:
-			gaps = gaps[:len(out)]
-			for i, g := range gaps {
-				id += uint64(g)
-				minGap = min(minGap, uint64(g))
-				out[i] = uint32(id)
-			}
-		case 2:
-			gaps = gaps[:2*len(out)]
-			for i := range out {
-				p := gaps[2*i : 2*i+2 : 2*i+2]
-				g := uint64(p[0]) | uint64(p[1])<<8
-				id += g
-				minGap = min(minGap, g)
-				out[i] = uint32(id)
-			}
-		case 3:
-			gaps = gaps[:3*len(out)]
-			for i := range out {
-				p := gaps[3*i : 3*i+3 : 3*i+3]
-				g := uint64(p[0]) | uint64(p[1])<<8 | uint64(p[2])<<16
-				id += g
-				minGap = min(minGap, g)
-				out[i] = uint32(id)
-			}
-		case 4:
-			gaps = gaps[:4*len(out)]
-			for i := range out {
-				g := uint64(binary.LittleEndian.Uint32(gaps[4*i : 4*i+4 : 4*i+4]))
-				id += g
-				minGap = min(minGap, g)
-				out[i] = uint32(id)
-			}
-		}
-		last = id
+	var minGap uint64 = 1
+	id := uint64(raw[0])
+	for i := int64(1); i < c.idw; i++ {
+		id |= uint64(raw[i]) << (8 * i)
 	}
-	if err := c.check(deg, last, minGap); err != nil {
-		return nil, err
+	buf[0] = uint32(id)
+	gaps, out := raw[c.idw:], buf[1:]
+	switch w {
+	case 1:
+		gaps = gaps[:len(out)]
+		for i, g := range gaps {
+			id += uint64(g)
+			minGap = min(minGap, uint64(g))
+			out[i] = uint32(id)
+		}
+	case 2:
+		gaps = gaps[:2*len(out)]
+		for i := range out {
+			p := gaps[2*i : 2*i+2 : 2*i+2]
+			g := uint64(p[0]) | uint64(p[1])<<8
+			id += g
+			minGap = min(minGap, g)
+			out[i] = uint32(id)
+		}
+	case 3:
+		gaps = gaps[:3*len(out)]
+		for i := range out {
+			p := gaps[3*i : 3*i+3 : 3*i+3]
+			g := uint64(p[0]) | uint64(p[1])<<8 | uint64(p[2])<<16
+			id += g
+			minGap = min(minGap, g)
+			out[i] = uint32(id)
+		}
+	case 4:
+		gaps = gaps[:4*len(out)]
+		for i := range out {
+			g := uint64(binary.LittleEndian.Uint32(gaps[4*i : 4*i+4 : 4*i+4]))
+			id += g
+			minGap = min(minGap, g)
+			out[i] = uint32(id)
+		}
 	}
-	if err := c.canonical(buf, w, len(raw)); err != nil {
+	if err := c.check(deg, id, minGap); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -444,63 +383,12 @@ func (c listCodec) check(deg uint32, last, minGap uint64) error {
 
 // canonical refuses the ids nbrs of a list stored in form w as size
 // bytes unless form gives them exactly that form and length: their one
-// encoding. Only versions 5 to 7 have forms to choose between.
+// encoding.
 func (c listCodec) canonical(nbrs []uint32, w uint8, size int) error {
-	if !c.gv && !c.uv {
-		return nil
-	}
 	if fw, fsize := c.form(nbrs); fw != w || fsize != int64(size) {
 		return fmt.Errorf("list of %d ids stored as %d bytes in form %d, not in its one form: %d bytes in form %d", len(nbrs), size, w, fsize, fw)
 	}
 	return nil
-}
-
-// decodeGroups decodes the group-varint list raw of deg > 0 ids into buf,
-// grown geometrically if short, and returns buf[:deg]. It reads one value
-// at a time, each as long as its control bits say. A list is refused
-// unless raw holds every value, a short last group's spare control bits
-// are 0, the ids pass check, and their one form is group varint of
-// exactly len(raw) bytes: that one comparison holds the control bytes to
-// account for every byte, each value to its fewest bytes and the list to
-// be shorter than its fixed-width form.
-func (c listCodec) decodeGroups(raw []byte, deg uint32, buf []uint32) ([]uint32, error) {
-	if int64(len(raw)) < gvMin(deg) {
-		return nil, fmt.Errorf("%d bytes are no group-varint list of %d ids, which takes at least %d", len(raw), deg, gvMin(deg))
-	}
-	buf = slices.Grow(buf[:0], int(deg))[:deg]
-	var id, minGap uint64 = 0, 1
-	at, ctl := 0, uint(0)
-	for i := range buf {
-		// At raw's end a group reads no control byte: ctl, the last group's
-		// shifted out, gives a 1-byte value that does not fit.
-		if i%4 == 0 && at < len(raw) {
-			ctl, at = uint(raw[at]), at+1
-		}
-		k := int(ctl&3) + 1
-		ctl >>= 2
-		if at+k > len(raw) {
-			return nil, fmt.Errorf("%d bytes are no group-varint list of %d ids: its control bytes account for more", len(raw), deg)
-		}
-		var v uint64
-		for j := k - 1; j >= 0; j-- {
-			v = v<<8 | uint64(raw[at+j])
-		}
-		if i > 0 { // the first value is the first id, which may be 0
-			minGap = min(minGap, v)
-		}
-		id += v
-		buf[i], at = uint32(id), at+k
-	}
-	if ctl != 0 {
-		return nil, fmt.Errorf("group-varint list of %d ids: its last group's control byte gives lengths past its values", deg)
-	}
-	if err := c.check(deg, id, minGap); err != nil {
-		return nil, err
-	}
-	if err := c.canonical(buf, varForm, len(raw)); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }
 
 // uvStep is what the continuation bits of 8 bytes say of the uvarints
@@ -622,9 +510,6 @@ func (c listCodec) decodeUvarints(raw []byte, deg uint32, buf []uint32) ([]uint3
 			s := &uvSteps[continuation(w)]
 			v := compact(w) << (s.hi[0] & 63) >> (s.lo[0] & 63)
 			under |= v - uint64(s.floor[0]&^1) // the first id may be 0
-			if v >= uint64(c.n) {
-				return nil, fmt.Errorf("list of %d ids holds id %d, outside [0,%d)", deg, v, c.n)
-			}
 			id, buf[0] = v, uint32(v)
 			at, i = at+int(s.size1), 1
 		}
@@ -758,21 +643,7 @@ func (c listCodec) decodeRice(raw []byte, deg uint32, k uint8, buf []uint32) ([]
 	if ors>>32 != 0 {
 		return nil, fmt.Errorf("list of %d ids holds an id outside [0,%d)", deg, c.n)
 	}
-	// The ids, and the other forms' measures on the way.
-	id := ^uint64(0)
-	var gaps, vlen uint64
-	if deg > 0 {
-		id = uint64(buf[0]) - 1
-		buf[0] = uint32(id)
-		vlen = uint64(uvLen(buf[0]))
-	}
-	for j := 1; j < len(buf); j++ {
-		g := buf[j]
-		gaps |= uint64(g)
-		vlen += uint64(uvLen(g))
-		id += uint64(g)
-		buf[j] = uint32(id)
-	}
+	id, gaps, vlen := riceSum(buf)
 	if id >= uint64(c.n) {
 		return nil, fmt.Errorf("list of %d ids holds an id outside [0,%d)", deg, c.n)
 	}
@@ -793,6 +664,28 @@ func (c listCodec) decodeRice(raw []byte, deg uint32, k uint8, buf []uint32) ([]
 		return nil, fmt.Errorf("Rice list of %d ids takes %d bytes, another form %d", deg, len(raw), other)
 	}
 	return buf, nil
+}
+
+// riceSum turns the Rice values in buf, decoded as gaps (the first id
+// plus 1 first), into ids in place, and reports the last id (−1 for an
+// empty list) and the other two forms' measures: the later gaps ORed and
+// the uvarint bytes of the first id and the gaps. It is a leaf, so its
+// loop's variables stay in registers, which decodeRice's did not.
+func riceSum(buf []uint32) (id, gaps, vlen uint64) {
+	id = ^uint64(0)
+	if len(buf) > 0 {
+		id = uint64(buf[0]) - 1
+		buf[0] = uint32(id)
+		vlen = uint64(uvLen(buf[0]))
+	}
+	for j := 1; j < len(buf); j++ {
+		g := buf[j]
+		gaps |= uint64(g)
+		vlen += uint64(uvLen(g))
+		id += uint64(g)
+		buf[j] = uint32(id)
+	}
+	return id, gaps, vlen
 }
 
 // riceRun decodes the Rice values of parameter k from bit pos of src on

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -9,63 +8,30 @@ import (
 	"kcore/internal/graph"
 )
 
-// encodeGroups appends nbrs to dst in the group-varint form of format
-// version 5, which the codec reads and no longer writes: groups of four
-// values, the first id and then the gaps, behind a control byte of their
-// byte lengths minus one, each value in the fewest bytes that hold it.
-func encodeGroups(dst []byte, nbrs []uint32) []byte {
-	prev := uint32(0)
-	for i := 0; i < len(nbrs); i += 4 {
-		ctl := len(dst)
-		dst = append(dst, 0)
-		for j, u := range nbrs[i:min(i+4, len(nbrs))] {
-			k := byteWidth(u - prev)
-			dst[ctl] |= (k - 1) << (2 * j)
-			n := len(dst)
-			dst = binary.LittleEndian.AppendUint32(dst, u-prev)[:n+int(k)]
-			prev = u
-		}
-	}
-	return dst
-}
-
-// encodeAs appends nbrs to dst as the codec c stores it and reports the
-// form: c.encode's, or for a version-5 list in the variable form
-// encodeGroups'.
-func encodeAs(c listCodec, dst []byte, nbrs []uint32) ([]byte, uint8) {
-	if w, _ := c.form(nbrs); c.gv && w == varForm {
-		return encodeGroups(dst, nbrs), w
-	}
-	return c.encode(dst, nbrs)
-}
-
 // FuzzEdgeListDecode hands the list decoder arbitrary bytes as one whole
 // list, with a degree, a node count, the form a node record would give
 // (a gap width, 0 for the variable form, or 32 + k for the Rice form at
-// parameter k) and a format version: 1, 4 (the fixed-width lists of
-// versions 2 to 4), 5 (group varint beside them), 6 (uvarints beside
-// them) or, for any other value, 7 (uvarints and Rice beside them).
-// Whatever it is given it never panics and never reads past the list's
-// capacity; a fixed-width list whose length the form does not give is
-// refused; and a list it accepts holds exactly deg ids, strictly
-// ascending, each below n. The bytes decode alike with no capacity past
-// them and with 16 bytes of capacity holding 0x80s, every one a
-// continuation byte and a Rice run's end: what lies past a list decides
-// nothing. A version-5, -6 or -7 list it accepts encodes back to
-// identical bytes in the same form: its one encoding, the shortest of
-// the version's forms. A version-4 list encodes back to bytes that
-// decode to the same ids.
+// parameter k) and a format version: 6 (fixed widths and uvarints) or,
+// for any other value, 7 (Rice beside them). Whatever it is given it
+// never panics and never reads past the list's capacity; a fixed-width
+// list whose length the form does not give is refused; and a list it
+// accepts holds exactly deg ids, strictly ascending, each below n. The
+// bytes decode alike with no capacity past them and with 16 bytes of
+// capacity holding 0x80s, every one a continuation byte and a Rice run's
+// end: what lies past a list decides nothing. A list it accepts encodes
+// back to identical bytes in the same form: its one encoding, the
+// shortest of the version's forms.
 func FuzzEdgeListDecode(f *testing.F) {
-	f.Add([]byte{1, 1, 1}, uint32(3), uint32(9), uint8(1), uint8(4))
-	f.Add([]byte{0, 0, 0, 1, 0, 2, 0}, uint32(3), uint32(70000), uint8(2), uint8(4))
-	f.Add([]byte{5, 0, 0, 0, 9, 0, 0, 0}, uint32(2), uint32(10), uint8(4), uint8(1))
-	f.Add([]byte{3, 0, 0}, uint32(3), uint32(9), uint8(1), uint8(4))
-	f.Add([]byte{0x00, 5, 2}, uint32(2), uint32(70000), uint8(varForm), uint8(5))
-	f.Add([]byte{0x40, 1, 1, 1, 1, 0x00, 1}, uint32(5), uint32(70000), uint8(varForm), uint8(5))
+	f.Add([]byte{1, 1, 1}, uint32(3), uint32(9), uint8(1), uint8(6))
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0}, uint32(3), uint32(70000), uint8(2), uint8(6))
+	f.Add([]byte{0, 0, 0, 0x10, 0, 0, 0, 0x10}, uint32(2), uint32(1<<30), uint8(4), uint8(7))
+	f.Add([]byte{3, 0, 0}, uint32(3), uint32(9), uint8(1), uint8(7))
+	f.Add([]byte{0x36}, uint32(2), uint32(300), uint8(riceForm+2), uint8(7))
+	f.Add([]byte{0x00, 0xc8, 0x01}, uint32(2), uint32(70000), uint8(varForm), uint8(7))
 	f.Add([]byte{5, 2}, uint32(2), uint32(70000), uint8(varForm), uint8(6))
 	f.Add([]byte{0x80, 0x04, 1, 1, 1, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, uint32(18), uint32(70000), uint8(varForm), uint8(6))
 	f.Fuzz(func(t *testing.T, data []byte, deg, n uint32, w, version uint8) {
-		if version != 1 && version != 4 && version != 5 && version != 6 {
+		if version != 6 {
 			version = FormatVersion
 		}
 		c := codecOf(Meta{Version: int(version), N: n})
@@ -90,43 +56,48 @@ func FuzzEdgeListDecode(f *testing.F) {
 				t.Fatalf("decoded %v: id %d at %d is out of range [0,%d) or not ascending", ids, id, i, n)
 			}
 		}
-		if version == 1 {
-			return
-		}
-		enc, fw := encodeAs(c, nil, ids)
-		if version >= 5 && (fw != w || string(enc) != string(raw)) {
+		if enc, fw := c.encode(nil, ids); fw != w || string(enc) != string(raw) {
 			t.Fatalf("%x (form %d) decodes to %v, which encodes to %x (form %d)", raw, w, ids, enc, fw)
-		}
-		if again, err := c.decode(enc, deg, fw, nil); err != nil || !slices.Equal(again, ids) {
-			t.Fatalf("encode(%v) decodes to %v (%v)", ids, again, err)
 		}
 	})
 }
 
 // BenchmarkListDecode decodes every list of rmat17 (RMAT(17, 12) at seed
 // 1, as gengraph and the benchmark generate it) once per iteration:
-// "fixed-width" in the fixed-width form of format version 4, the form
-// every list took before version 5, "version-5" in the shorter of that
-// and group varint, "version-6" in the shorter of that and uvarints, and
-// "version-7" in the shortest of fixed width, uvarints and Rice, the form
-// the Builder writes. Each list is read as a graph reads it,
-// with capacity past its bytes (the table's). It reports the encoded
+// "fixed-width" with every list at its fixed width, the form every list
+// took before uvarints and Rice, "version-6" in the shorter of that and
+// uvarints, and "version-7" in the shortest of fixed width, uvarints and
+// Rice, the form the Builder writes. Each list is read as a graph reads
+// it, with capacity past its bytes (the table's). It reports the encoded
 // size as MB/s against the time, and the table's bytes per arc.
 func BenchmarkListDecode(b *testing.B) {
 	csr := gen.Build(gen.RMAT(17, 12, .57, .19, .19, 1))
 	n := csr.NumNodes()
+	v6, v7 := codecOf(Meta{Version: 6, N: n}), codecOf(Meta{Version: 7, N: n})
 	for _, c := range []struct {
-		name    string
-		version int
-	}{{"fixed-width", 4}, {"version-5", 5}, {"version-6", 6}, {"version-7", 7}} {
-		codec := codecOf(Meta{Version: c.version, N: n})
+		name  string
+		codec listCodec
+		fixed bool // every list at its fixed width, decoded as such
+	}{{"fixed-width", v7, true}, {"version-6", v6, false}, {"version-7", v7, false}} {
 		var table []byte
 		lists := make([]list, n)
 		for v := range n {
-			off := int64(len(table))
-			var w uint8
-			table, w = encodeAs(codec, table, csr.Neighbors(v))
-			lists[v] = list{off: off, size: int64(len(table)) - off, deg: uint32(len(csr.Neighbors(v))), w: w}
+			nbrs := csr.Neighbors(v)
+			l := list{off: int64(len(table)), deg: uint32(len(nbrs))}
+			if c.fixed {
+				l.w = uint8(c.codec.idw) // a list of at most one id's
+				if len(nbrs) > 1 {
+					l.w = 1
+				}
+				for i := 1; i < len(nbrs); i++ {
+					l.w = max(l.w, byteWidth(nbrs[i]-nbrs[i-1]))
+				}
+				table = c.codec.appendFixed(table, nbrs, l.w)
+			} else {
+				table, l.w = c.codec.encode(table, nbrs)
+			}
+			l.size = int64(len(table)) - l.off
+			lists[v] = l
 		}
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(table)))
@@ -134,8 +105,14 @@ func BenchmarkListDecode(b *testing.B) {
 			var buf []uint32
 			for range b.N {
 				for v, l := range lists {
+					raw := table[l.off : l.off+l.size]
 					var err error
-					if buf, err = codec.decode(table[l.off:l.off+l.size], l.deg, l.w, buf); err != nil {
+					if c.fixed {
+						buf, err = c.codec.decodeFixed(raw, l.deg, l.w, buf)
+					} else {
+						buf, err = c.codec.decode(raw, l.deg, l.w, buf)
+					}
+					if err != nil {
 						b.Fatalf("node %d: %v", v, err)
 					}
 				}

@@ -26,9 +26,9 @@
 //	             CRC32Cs)
 //	<base>.nt    node table: n records of a list's degree and form (its
 //	             gap width, uvarints and their byte length, or Rice's
-//	             parameter and byte length), in
-//	             layout order, each led by its id's delta from the id
-//	             before it unless the layout is id order (nodetable.go)
+//	             parameter and byte length), in layout order, each led
+//	             by its id's delta from the id before it unless the
+//	             layout is id order (nodetable.go)
 //	<base>.et    edge table: the lists, each in the shortest of a
 //	             fixed-width gap coding, a uvarint a gap and a Rice code
 //	             of the gaps, concatenated in layout order (codec.go)
@@ -47,13 +47,10 @@
 // out in a peeling order unless their ids are already local (its lists
 // reach the Builder by degree, and CopyLists moves them into that order
 // as they are encoded), and a rewrite (WriteGraph: a fold-back or a
-// checkpoint) keeps the layout of the graph it rewrites. Tables of
-// versions 1 to 6 stay readable in place — version 6 (a uvarint a value
-// where that is shorter than fixed widths), 5 (group varint where it is
-// shorter), 4 (fixed-width lists in any layout),
-// 3 (the same in id order), 2 (12-byte node records of a byte offset and
-// a degree) and 1 (the same records with arc offsets, 4-byte absolute
-// ids) — and the first rewrite of such a graph writes it as version 7.
+// checkpoint) keeps the layout of the graph it rewrites. Version-6 tables
+// (the same without the Rice form) stay readable in place, and the first
+// rewrite of such a graph writes it as version 7. ReadMeta refuses
+// versions 1 to 5 with their upgrade path (retiredFormat).
 package storage
 
 import (
@@ -71,17 +68,22 @@ import (
 )
 
 // FormatVersion is the on-disk layout the Builder writes, whatever the
-// order its lists arrive in.
-const FormatVersion = 7
+// order its lists arrive in, and OldestFormatVersion the oldest one
+// ReadMeta reads.
+const (
+	FormatVersion       = 7
+	OldestFormatVersion = 6
+)
+
+// UpgradeCommit is the last commit whose tree reads format versions 1 to
+// 5: its kcored rewrites such tables as version 7 (retiredFormat).
+const UpgradeCommit = "9b04b3b"
 
 // Meta is the parsed contents of a <base>.meta file. NtBytes and EtBytes
-// are the two tables' sizes (a version-1 or -2 header carries no
-// ntbytes: 12 bytes a node; a version-1 header no etbytes: 4 bytes an
-// arc). IDOrder reports whether the tables lay the lists out in id order,
-// so that node records carry no ids: always for versions 1 to 3, never for
-// version 4, and as a version-5, -6 or -7 header's idorder key says. HasCRC
-// reports whether the header carried table checksums (graphs written by
-// older builders have none; everything the Builder writes today does).
+// are the two tables' sizes. IDOrder reports whether the tables lay the
+// lists out in id order, so that node records carry no ids. HasCRC
+// reports whether the header carried table checksums (everything the
+// Builder writes does).
 type Meta struct {
 	Version int
 	N       uint32
@@ -155,19 +157,13 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 	fmt.Fprintf(w, "version=%d\n", m.Version)
 	fmt.Fprintf(w, "nodes=%d\n", m.N)
 	fmt.Fprintf(w, "arcs=%d\n", m.Arcs)
-	if m.Version >= 3 {
-		fmt.Fprintf(w, "ntbytes=%d\n", m.NtBytes)
+	fmt.Fprintf(w, "ntbytes=%d\n", m.NtBytes)
+	fmt.Fprintf(w, "etbytes=%d\n", m.EtBytes)
+	idorder := 0
+	if m.IDOrder {
+		idorder = 1
 	}
-	if m.Version >= 2 {
-		fmt.Fprintf(w, "etbytes=%d\n", m.EtBytes)
-	}
-	if m.Version >= 5 {
-		idorder := 0
-		if m.IDOrder {
-			idorder = 1
-		}
-		fmt.Fprintf(w, "idorder=%d\n", idorder)
-	}
+	fmt.Fprintf(w, "idorder=%d\n", idorder)
 	if m.HasCRC {
 		fmt.Fprintf(w, "ntcrc=%d\n", m.NtCRC)
 		fmt.Fprintf(w, "etcrc=%d\n", m.EtCRC)
@@ -185,14 +181,13 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 	return f.Close()
 }
 
-// ReadMeta parses the header file for a graph: version 7, 6 or 5, whose
-// header must give both tables' sizes and whether the layout is id order;
-// version 4 or 3, whose must give both sizes and not the order; version
-// 2, whose must give the edge table's and not the node table's; or
-// version 1, whose must give neither.
+// ReadMeta parses the header file for a graph of version 6 or 7, which
+// must give both tables' sizes and whether the layout is id order. A
+// header of versions 1 to 5 is refused with its upgrade path
+// (retiredFormat).
 func ReadMeta(base string) (Meta, error) {
 	var m Meta
-	hasNtBytes, hasEtBytes, hasIDOrder := false, false, false
+	has := map[string]bool{}
 	data, err := os.ReadFile(metaPath(base))
 	if err != nil {
 		return m, err
@@ -215,6 +210,7 @@ func ReadMeta(base string) (Meta, error) {
 		if x < 0 || (key != "arcs" && key != "ntbytes" && key != "etbytes" && x > math.MaxUint32) {
 			return m, fmt.Errorf("storage: meta value %q out of range", line)
 		}
+		has[key] = true
 		switch key {
 		case "version":
 			m.Version = int(x)
@@ -223,14 +219,14 @@ func ReadMeta(base string) (Meta, error) {
 		case "arcs":
 			m.Arcs = x
 		case "ntbytes":
-			m.NtBytes, hasNtBytes = x, true
+			m.NtBytes = x
 		case "etbytes":
-			m.EtBytes, hasEtBytes = x, true
+			m.EtBytes = x
 		case "idorder":
 			if x > 1 {
 				return m, fmt.Errorf("storage: meta value %q is not 0 or 1", line)
 			}
-			m.IDOrder, hasIDOrder = x == 1, true
+			m.IDOrder = x == 1
 		case "ntcrc":
 			m.NtCRC = uint32(x)
 			m.HasCRC = true
@@ -241,47 +237,41 @@ func ReadMeta(base string) (Meta, error) {
 			return m, fmt.Errorf("storage: unknown meta key %q", key)
 		}
 	}
-	if m.Version < 1 || m.Version > FormatVersion {
+	if m.Version >= 1 && m.Version < OldestFormatVersion {
+		return m, retiredFormat(base, m.Version)
+	}
+	if m.Version < OldestFormatVersion || m.Version > FormatVersion {
 		return m, fmt.Errorf("storage: unsupported format version %d", m.Version)
 	}
-	for _, size := range []struct {
-		key       string
-		has, want bool
-	}{{"etbytes", hasEtBytes, m.Version >= 2}, {"ntbytes", hasNtBytes, m.Version >= 3}, {"idorder", hasIDOrder, m.Version >= 5}} {
-		if size.has != size.want {
-			word := map[bool]string{true: "with", false: "without"}[size.has]
-			return m, fmt.Errorf("storage: version-%d meta %s %s", m.Version, word, size.key)
+	for _, key := range []string{"ntbytes", "etbytes", "idorder"} {
+		if !has[key] {
+			return m, fmt.Errorf("storage: version-%d meta without %s", m.Version, key)
 		}
 	}
-	if m.Version == 1 {
-		if m.Arcs > math.MaxInt64/4 {
-			return m, fmt.Errorf("storage: version-1 meta with %d arcs", m.Arcs)
-		}
-		m.EtBytes = 4 * m.Arcs
-	}
-	if m.Version <= 3 {
-		m.IDOrder = true
-	}
-	// A record is one varint (its degree and form), led by its id's when
-	// the layout is not id order and followed from version 5 on by a
-	// variable-form or Rice list's excess.
+	// A record is one or two varints (its degree and form, then a
+	// variable-form or Rice list's excess), led by its id's when the
+	// layout is not id order. A varint takes one to maxRecordLen bytes, so
+	// the table's size, which the open holds the file to, bounds the node
+	// count the index is sized from.
 	least := int64(1)
 	if !m.IDOrder {
 		least++
 	}
-	most := least
-	if m.Version >= 5 {
-		most++
-	}
-	if m.Version <= 2 {
-		m.NtBytes = legacyRecordSize * int64(m.N)
-	} else if m.NtBytes < least*int64(m.N) || m.NtBytes > most*maxRecordLen*int64(m.N) {
-		// A varint takes one to maxRecordLen bytes, so the table's size,
-		// which the open holds the file to, bounds the node count the
-		// index is sized from.
+	if m.NtBytes < least*int64(m.N) || m.NtBytes > (least+1)*maxRecordLen*int64(m.N) {
 		return m, fmt.Errorf("storage: a %d-byte node table cannot hold %d records", m.NtBytes, m.N)
 	}
 	return m, nil
+}
+
+// retiredFormat is ReadMeta's refusal of the tables at base, of format
+// version v below OldestFormatVersion, which names their upgrade path:
+// kcored built at UpgradeCommit opens them and writes an opening
+// checkpoint of version 7.
+func retiredFormat(base string, v int) error {
+	return fmt.Errorf("storage: %s: format version %d is retired (this tree reads versions %d and later); "+
+		"upgrade the tables with kcored built at commit %s (git worktree add <dir> %s): run it with -graph %s and a fresh -data-dir, "+
+		"stop it once it listens, and take <data-dir>/default/ckpt/*/graph.* as the version-%d tables",
+		metaPath(base), v, OldestFormatVersion, UpgradeCommit, UpgradeCommit, base, FormatVersion)
 }
 
 // Graph is a read handle over an on-disk graph. All reads are charged to
@@ -320,11 +310,7 @@ func (g *Graph) index() (*nodeIndex, error) {
 	if g.idx != nil {
 		return g.idx, nil
 	}
-	nt := g.meta.NtBytes
-	if g.meta.Version < 5 {
-		nt = 0 // older records, re-encoded
-	}
-	x := newIndex(g.codec, g.meta.N, nt, !g.meta.IDOrder)
+	x := newIndex(g.codec, g.meta.N, g.meta.NtBytes, !g.meta.IDOrder)
 	p, prev := uint32(0), int64(-1)
 	keep := func(v uint32, l list) error {
 		x.add(p, prev, v, l)
@@ -333,9 +319,6 @@ func (g *Graph) index() (*nodeIndex, error) {
 	}
 	if err := g.decodeNodes(g.nt.reader(), keep); err != nil {
 		return nil, err
-	}
-	if nt == 0 {
-		x.recs = slices.Clone(x.recs) // drop append's slack
 	}
 	g.idx = x
 	return x, nil
@@ -350,7 +333,7 @@ func (g *Graph) index() (*nodeIndex, error) {
 // folding its granule checksums reproduces the header's whole-table ones:
 // that costs the sidecar's blocks. Otherwise (no sidecar, or a stale,
 // damaged or foreign one; a block size that is not a whole number of
-// granules; a graph from an older builder) opening is the pass.
+// granules; a header without checksums) opening is the pass.
 func Open(base string, ctr *stats.IOCounter, cache *BlockCache) (*Graph, error) {
 	meta, err := ReadMeta(base)
 	if err != nil {
@@ -401,8 +384,7 @@ func (g *Graph) attach(cache *BlockCache, ntCRCs, etCRCs []uint32) (err error) {
 // once, front to back, recording the CRC32C of every block for the fills
 // to come. The node table's pass builds the index on the way
 // (decodeNodes holds it to the header), and the edge table's CRC32C must
-// be the header's (headers from older builders carry none and pass
-// unchecked).
+// be the header's (a header without checksums passes unchecked).
 func (g *Graph) pass() error {
 	if _, err := g.index(); err != nil {
 		return err
@@ -548,8 +530,7 @@ func (g *Graph) Resident(v uint32) bool {
 
 // Positions implements graph.Source: every id's position in the layout,
 // the order the tables store the lists in and every scan visits them. It
-// is nil for a table in id order (versions 1 to 3, and 5 to 7 with
-// idorder=1), and for any other the node index's own array, which the
+// is nil for a table in id order (idorder=1), and for any other the node index's own array, which the
 // first call builds. A table whose index fails to build reports nil, and the scan
 // that would use the positions fails on the same error.
 func (g *Graph) Positions() []uint32 {

@@ -8,40 +8,32 @@ import (
 
 // The node table holds one record per node, in layout order: the order
 // the edge table stores the lists in, which is the order every scan
-// visits them. Format version 3 lays the nodes out in id order, and each
-// record is uvarint(deg<<2 | (w−1)), deg the node's degree and w its
-// list's gap width (idw for a list of at most one id, and no other
-// value). Version 4 lays them out in any order, and each record leads
-// with varint(v − u), zigzag-coded, v the record's id and u the id of the
-// record before it (−1 before the first); the ids are a permutation of
-// [0, n). Versions 5 to 7 lay them out in either, as the header's idorder
-// key says, and a record is led by the id's delta exactly when the layout
-// is not id order; the rest of its record gives the list's form
-// (codec.go) in a tag of three bits: uvarint(deg<<3 | (w−1)) for a
-// fixed-width list; uvarint(deg<<3 | 4) then uvarint(x) for one in the
-// variable form — uvarints from version 6 on, group varint in 5 —, x the
-// bytes its values take beyond one each (listCodec.varMin), at most 4·deg
-// from version 6 on and 3·deg in 5; and in version 7 uvarint(deg<<3 | 5)
-// then uvarint(x<<5 | k) for a Rice list at parameter k, x the bytes it
-// takes beyond ⌈deg·(1+k)/8⌉ (riceMin), at most ⌈deg/4⌉. Tags 6 and 7
-// are refused, as is tag 5 before version 7. No offset is stored: the
-// list at position p starts where the one at p−1 ends, so a pass over the
-// records places every list as a running sum of their lengths. Each
-// varint is the shortest encoding of its value, at most five bytes: a
-// degree and form of 34 bits (35 from version 5 on), an id's delta, an
-// excess of 4·deg at most or a Rice excess and k of 35 bits. Versions 1
-// and 2 stored 12 bytes a node, {offset uint64, degree uint32}, in id
-// order, and stay readable in place (decodeLegacy). A table is decoded
-// once, by the node index's build (decodeNodes), record after record.
+// visits them. The nodes are laid out in id order or in any other, as
+// the header's idorder key says, and a record is led by varint(v − u),
+// zigzag-coded, v the record's id and u the id of the record before it
+// (−1 before the first), exactly when the layout is not id order; the
+// ids are then a permutation of [0, n). The rest of a record gives the
+// list's form (codec.go) in a tag of three bits: uvarint(deg<<3 | (w−1))
+// for a fixed-width list of gap width w (idw for a list of at most one
+// id, and no other value); uvarint(deg<<3 | 4) then uvarint(x) for one in
+// the variable form, x the bytes its values take beyond one each, at
+// most 4·deg; and in version 7 uvarint(deg<<3 | 5) then uvarint(x<<5 |
+// k) for a Rice list at parameter k, x the bytes it takes beyond
+// ⌈deg·(1+k)/8⌉ (riceMin), at most ⌈deg/4⌉. Tags 6 and 7 are refused, as
+// is tag 5 in version 6. No offset is stored: the list at position p
+// starts where the one at p−1 ends, so a pass over the records places
+// every list as a running sum of their lengths. Each varint is the
+// shortest encoding of its value, at most five bytes: a degree and form
+// of 35 bits, an id's delta, an excess of 4·deg at most or a Rice excess
+// and k of 35 bits. A table is decoded once, by the node index's build
+// (decodeNodes), record after record.
 const (
-	maxRecordLen     = 5
-	legacyRecordSize = 12
-	varTag           = 4 // a record's form from version 5 on: the variable form
-	riceTag          = 5 // and from version 7 on: the Rice form
+	maxRecordLen = 5
+	varTag       = 4 // a record's form: the variable form
+	riceTag      = 5 // and in version 7 the Rice form
 )
 
-// appendRecord appends the record of list l, in the form of versions 5
-// to 7 and without its id, to dst.
+// appendRecord appends the record of list l, without its id, to dst.
 func (c listCodec) appendRecord(dst []byte, l list) []byte {
 	switch {
 	case l.w >= riceForm:
@@ -50,7 +42,7 @@ func (c listCodec) appendRecord(dst []byte, l list) []byte {
 		return binary.AppendUvarint(dst, uint64(l.size-riceMin(l.deg, k))<<5|uint64(k))
 	case l.w == varForm:
 		dst = binary.AppendUvarint(dst, uint64(l.deg)<<3|varTag)
-		return binary.AppendUvarint(dst, uint64(l.size-c.varMin(l.deg)))
+		return binary.AppendUvarint(dst, uint64(l.size-int64(l.deg)))
 	}
 	return binary.AppendUvarint(dst, uint64(l.deg)<<3|uint64(l.w-1))
 }
@@ -62,7 +54,7 @@ func (c listCodec) appendRecord(dst []byte, l list) []byte {
 func (c listCodec) place(deg uint32, tag, x uint64) (uint8, int64) {
 	switch tag {
 	case varTag:
-		return varForm, c.varMin(deg) + int64(x)
+		return varForm, int64(deg) + int64(x)
 	case riceTag:
 		k := uint8(x & 31)
 		return riceForm + k, riceMin(deg, k) + int64(x>>5)
@@ -76,19 +68,11 @@ func (c listCodec) place(deg uint32, tag, x uint64) (uint8, int64) {
 // header says of the table: the lists tile the edge table from byte 0 to
 // its end, their degrees add up to the header's arc count, the ids of a
 // table led by them are a permutation of [0, n), and the bytes' CRC32C is
-// the header's (headers from older builders carry none, and are held to
-// the rest alone). A list is emitted only once it is known to lie inside
+// the header's (a header without checksums is held to the rest alone). A list is emitted only once it is known to lie inside
 // the edge table, so nothing is sized from a record before that; an error
 // leaves the table unused.
 func (g *Graph) decodeNodes(r *Reader, emit func(v uint32, l list) error) error {
 	m := g.meta
-	if m.Version <= 2 {
-		return g.decodeLegacy(r, emit)
-	}
-	shift := uint(2) // a record's degree is its form varint >> shift
-	if m.Version >= 5 {
-		shift = 3
-	}
 	var seen []uint64 // with ids: the ids met, a bit each
 	if !m.IDOrder {
 		seen = make([]uint64, (int64(m.N)+63)/64)
@@ -113,11 +97,8 @@ func (g *Graph) decodeNodes(r *Reader, emit func(v uint32, l list) error) error 
 			return recordErr(r, p, m.N, err)
 		}
 		v := uint32(id)
-		if x >= 1<<(32+shift) {
-			return fmt.Errorf("storage: %s: record %d's degree and form take more than %d bits", r.path, p, 32+shift)
-		}
-		tag := x & (1<<shift - 1)
-		l := list{off: off, deg: uint32(x >> shift)}
+		tag := x & 7 // at most five bytes: the degree fits 32 bits
+		l := list{off: off, deg: uint32(x >> 3)}
 		switch {
 		case tag == varTag || tag == riceTag && g.codec.rc:
 			if l.deg == 0 {
@@ -126,8 +107,8 @@ func (g *Graph) decodeNodes(r *Reader, emit func(v uint32, l list) error) error 
 			if x, err = r.uvarint(); err != nil {
 				return recordErr(r, p, m.N, err)
 			}
-			if most := g.codec.varExcess(); tag == varTag && x > most*uint64(l.deg) {
-				return fmt.Errorf("storage: %s: node %d's %d values take %d bytes beyond one each, more than %d each", r.path, v, l.deg, x, most)
+			if tag == varTag && x > 4*uint64(l.deg) {
+				return fmt.Errorf("storage: %s: node %d's %d values take %d bytes beyond one each, more than 4 each", r.path, v, l.deg, x)
 			}
 			if most := (uint64(l.deg) + 3) / 4; tag == riceTag && x>>5 > most {
 				return fmt.Errorf("storage: %s: node %d's Rice list of %d ids takes %d bytes beyond its least, more than %d", r.path, v, l.deg, x>>5, most)
@@ -180,66 +161,19 @@ func (g *Graph) checkTotals(r *Reader, arcs int64) error {
 	return nil
 }
 
-// decodeLegacy decodes the 12-byte records of versions 1 and 2, each a
-// list's offset (in arcs for version 1, bytes for 2) and degree. A list's
-// gap width is not stored: the next record's offset, or the edge table's
-// end after the last, bounds the list, and its length gives the width
-// back (listCodec.width); a length no width gives is refused. A record
-// outside the edge table is an error before anything is sized from it.
-func (g *Graph) decodeLegacy(r *Reader, emit func(uint32, list) error) error {
-	m := g.meta
-	unit := uint64(1)
-	if g.codec.abs {
-		unit = 4 // version 1 stores arc offsets
-	}
-	if m.N == 0 && m.EtBytes != 0 {
-		return fmt.Errorf("storage: %s: no node holds the %d-byte edge table", r.path, m.EtBytes)
-	}
-	var arcs int64
-	var prev list // node v−1's list, which node v's record ends
-	for v := range int64(m.N) + 1 {
-		next := list{off: m.EtBytes}
-		if v < int64(m.N) {
-			rec, err := r.Next(legacyRecordSize)
-			if err != nil {
-				return err
-			}
-			off := binary.LittleEndian.Uint64(rec[0:8])
-			if off > uint64(m.EtBytes)/unit || (v == 0 && off != 0) {
-				return fmt.Errorf("storage: %s: node %d's record gives offset %d, where no list of the %d-byte edge table starts", r.path, v, off, m.EtBytes)
-			}
-			next = list{off: int64(off * unit), deg: binary.LittleEndian.Uint32(rec[8:12])}
-			arcs += int64(next.deg)
-		}
-		if v > 0 {
-			w, ok := g.codec.width(next.off-prev.off, prev.deg)
-			if !ok {
-				return fmt.Errorf("storage: %s: node %d's list of %d ids spans bytes [%d,%d) of the edge table, a length no gap width gives", r.path, v-1, prev.deg, prev.off, next.off)
-			}
-			prev.w, prev.size = w, next.off-prev.off
-			if err := emit(uint32(v-1), prev); err != nil {
-				return err
-			}
-		}
-		prev = next
-	}
-	return g.checkTotals(r, arcs)
-}
-
 // indexStride is how many consecutive positions share one sample.
 const indexStride = 64
 
-// nodeIndex is the node table held in memory: the records as versions 5
-// to 7 encode them (re-encoded from an older table), one sample every
+// nodeIndex is the node table held in memory: the table's records, one
+// sample every
 // indexStride positions that says where its record and its list start,
 // and, for a table laid out in another order than ids, every id's
 // position. A scan decodes the records from a sample on; a lookup of one
 // node decodes at most indexStride−1 records before its own. A sample's
 // record leads with its id's delta from −1, not from the id before it, so
 // decoding can start there. The index takes nt + n/4 bytes in id order
-// and nt + 4n + n/4 + n/16 otherwise, nt the table's size as versions 5
-// to 7 encode it and n/16 the room reserved for the sampled records'
-// longer deltas. A record's form is read through the table's codec
+// and nt + 4n + n/4 + n/16 otherwise, nt the table's size and n/16 the
+// room reserved for the sampled records' longer deltas. A record's form is read through the table's codec
 // (place).
 type nodeIndex struct {
 	codec   listCodec
@@ -253,9 +187,8 @@ type sample struct {
 	rec, et int64
 }
 
-// newIndex is the empty index of a table of n records, about nt bytes of
-// them as versions 5 to 7 encode them (0 if unknown), laid out in id order
-// unless reordered.
+// newIndex is the empty index of a table of n records, nt bytes of them,
+// laid out in id order unless reordered.
 func newIndex(codec listCodec, n uint32, nt int64, reordered bool) *nodeIndex {
 	samples := (int64(n) + indexStride - 1) / indexStride
 	if reordered {

@@ -9,58 +9,51 @@ import (
 	"kcore/internal/stats"
 )
 
-// FuzzNodeTableDecode hands the node-table decoder of version 3 to 7
-// arbitrary bytes as a whole table, with a node count, a first-id width
-// (idw%4 + 1) and the header's edge-table size and arc count, read from a
-// file of one-byte blocks, FlushBlocks of them at a time, so records
-// straddle the reads: version 3 unless ids or variable is set, 4 when only
-// ids is, and 5 when variable is — 7 if idw's bit 3 is set too, else 6 if
-// its bit 2 is —, its records led by ids when ids is. Whatever it is given it never panics,
-// never reads past the table and places every list inside the edge
-// table. It accepts exactly what a reference decoder built on
-// encoding/binary accepts: n records and nothing after them, each a
-// shortest uvarint of at most 34 bits (35 from version 5 on), led when
-// ids is set by a shortest varint of at most five bytes whose sum with
-// the id before it (−1 before the first) is an id below n met for the
-// first time; from version 5 on a form of 0 to 3 (a gap width) or 4 (the
+// FuzzNodeTableDecode hands the node-table decoder arbitrary bytes as a
+// whole table, with a node count, a first-id width (idw%4 + 1) and the
+// header's edge-table size and arc count, read from a file of one-byte
+// blocks, FlushBlocks of them at a time, so records straddle the reads:
+// format version 7 when rice is set and 6 when it is not, its records led
+// by ids when ids is. Whatever it is given it never panics, never reads
+// past the table and places every list inside the edge table. It accepts
+// exactly what a reference decoder built on encoding/binary accepts: n
+// records and nothing after them, each a shortest uvarint of at most five
+// bytes, led when ids is set by a shortest varint of at most five bytes
+// whose sum with the id before it (−1 before the first) is an id below n
+// met for the first time; a form of 0 to 3 (a gap width) or 4 (the
 // variable form, for a list of at least one id, followed by a shortest
-// uvarint of at most 3·deg in version 5 and 4·deg from 6 on), and in
-// version 7 a form of 5 (the Rice form, for a list of at least one id,
-// followed by a shortest uvarint x<<5 | k, x at most ⌈deg/4⌉); each
-// fixed-width list of at most one id at width idw; the lengths adding up
-// to the edge table and the degrees to the arc count. An overlong or
-// truncated varint, a width other than idw for a list of at most one id,
-// a form past 4 (past 5 in version 7), an empty variable-form or Rice
-// list or an excess past its bound, an id out of range or repeated,
-// either sum off or trailing bytes are refused. The lists it accepts are the reference's, with the
-// reference's ids, one after another, and re-encode to identical bytes.
+// uvarint of at most 4·deg), and in version 7 a form of 5 (the Rice form,
+// for a list of at least one id, followed by a shortest uvarint x<<5 | k,
+// x at most ⌈deg/4⌉); each fixed-width list of at most one id at width
+// idw; the lengths adding up to the edge table and the degrees to the arc
+// count. An overlong or truncated varint, a width other than idw for a
+// list of at most one id, a form past 4 (past 5 in version 7), an empty
+// variable-form or Rice list or an excess past its bound, an id out of
+// range or repeated, either sum off or trailing bytes are refused. The
+// lists it accepts are the reference's, with the reference's ids, one
+// after another, and re-encode to identical bytes. A named seed's v4-,
+// v5-, v6- or v7- prefix is the version that brought in what it tests
+// (ids in records; the three-bit form and the variable form's excess;
+// uvarints; Rice); every seed is a version-6 or -7 table.
 func FuzzNodeTableDecode(f *testing.F) {
-	f.Add([]byte{0x09, 0x08, 0x04}, uint32(3), uint8(0), int64(6), int64(5), false, false)
-	f.Add([]byte{0x82, 0x01, 0x02}, uint32(2), uint8(2), int64(96), int64(32), false, false)
+	f.Add([]byte{0x11, 0x10, 0x08}, uint32(3), uint8(0), int64(6), int64(5), false, false)
+	f.Add([]byte{0x82, 0x02, 0x02}, uint32(2), uint8(2), int64(96), int64(32), false, false)
 	f.Add([]byte{0x80, 0x00}, uint32(1), uint8(0), int64(0), int64(0), false, false)
-	f.Add([]byte{0x08, 0x04}, uint32(1), uint8(0), int64(2), int64(2), false, false)
-	f.Add([]byte{0x04, 0x09, 0x03, 0x08, 0x01, 0x04}, uint32(3), uint8(0), int64(6), int64(5), true, false)
-	f.Add([]byte{0x2c, 0x03, 0x08, 0x00}, uint32(3), uint8(2), int64(12), int64(6), false, true)
-	f.Add([]byte{0x2c, 0x03, 0x08, 0x00}, uint32(3), uint8(6), int64(11), int64(6), false, true)
-	f.Fuzz(func(t *testing.T, data []byte, n uint32, idw uint8, etBytes, arcs int64, ids, variable bool) {
-		codec := listCodec{n: n, idw: int64(idw%4 + 1), gv: variable && idw&12 == 0, uv: variable && idw&12 != 0, rc: variable && idw&8 != 0}
-		version, shift := 3, 2
-		if ids {
-			// ReadMeta refuses a header that gives fewer than two bytes a
-			// record carrying an id, so no decoder sizes its id bitset past
-			// the table it reads.
-			if int64(n) > int64(len(data))/2 {
-				return
-			}
-			version = 4
+	f.Add([]byte{0x10, 0x04}, uint32(1), uint8(0), int64(2), int64(2), false, false)
+	f.Add([]byte{0x04, 0x11, 0x03, 0x10, 0x01, 0x08}, uint32(3), uint8(0), int64(6), int64(5), true, false)
+	f.Add([]byte{0x2c, 0x03, 0x08, 0x00}, uint32(3), uint8(2), int64(11), int64(6), false, false)
+	f.Add([]byte{0x2c, 0x03, 0x08, 0x00}, uint32(3), uint8(2), int64(11), int64(6), false, true)
+	f.Fuzz(func(t *testing.T, data []byte, n uint32, idw uint8, etBytes, arcs int64, ids, rice bool) {
+		codec := listCodec{n: n, idw: int64(idw%4 + 1), rc: rice}
+		version := 6
+		if rice {
+			version = 7
 		}
-		switch {
-		case codec.gv:
-			version, shift = 5, 3
-		case codec.rc:
-			version, shift = 7, 3
-		case codec.uv:
-			version, shift = 6, 3
+		// ReadMeta refuses a header that gives fewer than two bytes a
+		// record carrying an id, so no decoder sizes its id bitset past
+		// the table it reads.
+		if ids && int64(n) > int64(len(data))/2 {
+			return
 		}
 		meta := Meta{Version: version, N: n, Arcs: arcs, NtBytes: int64(len(data)), EtBytes: etBytes, IDOrder: !ids}
 		g := &Graph{meta: meta, codec: codec}
@@ -88,9 +81,8 @@ func FuzzNodeTableDecode(f *testing.F) {
 		err = g.decodeNodes(r, keep)
 
 		// The reference: each varint refused unless it is the shortest
-		// encoding of its value, a record's below 2^34 (2^35), an id's in
-		// five bytes at most; a variable-form list's excess at most 3 bytes
-		// a value in version 5, 4 from version 6 on; a Rice list's at most
+		// encoding of its value in five bytes at most; a variable-form
+		// list's excess at most 4 bytes a value; a Rice list's at most
 		// ⌈deg/4⌉ bytes past ⌈deg·(1+k)/8⌉.
 		var (
 			want       []list
@@ -119,29 +111,24 @@ func FuzzNodeTableDecode(f *testing.F) {
 			}
 			shortest := func() (uint64, bool) {
 				x, k := binary.Uvarint(rest)
-				if k <= 0 || k != len(binary.AppendUvarint(nil, x)) {
+				if k <= 0 || k > maxRecordLen || k != len(binary.AppendUvarint(nil, x)) {
 					return 0, false
 				}
 				rest = rest[k:]
 				return x, true
 			}
-			x, shortOK := shortest()
-			ok = shortOK && x < 1<<(32+shift)
-			if !ok {
+			var x uint64
+			if x, ok = shortest(); !ok {
 				break
 			}
-			tag := x & (1<<shift - 1)
-			l := list{off: off, deg: uint32(x >> shift), w: uint8(tag) + 1}
+			tag := x & 7
+			l := list{off: off, deg: uint32(x >> 3), w: uint8(tag) + 1}
 			switch {
 			case tag == 4:
 				var excess uint64
 				excess, ok = shortest()
-				most, least := uint64(4), int64(l.deg)
-				if codec.gv {
-					most, least = 3, int64(l.deg)+(int64(l.deg)+3)/4
-				}
-				ok = ok && l.deg > 0 && excess <= most*uint64(l.deg)
-				l.w, l.size = varForm, least+int64(excess)
+				ok = ok && l.deg > 0 && excess <= 4*uint64(l.deg)
+				l.w, l.size = varForm, int64(l.deg)+int64(excess)
 			case tag == 5 && version == 7:
 				var x uint64
 				x, ok = shortest()
@@ -179,11 +166,7 @@ func FuzzNodeTableDecode(f *testing.F) {
 				enc = binary.AppendVarint(enc, int64(gotIDs[i])-prev)
 				prev = int64(gotIDs[i])
 			}
-			if version >= 5 {
-				enc = codec.appendRecord(enc, l)
-			} else {
-				enc = binary.AppendUvarint(enc, uint64(l.deg)<<2|uint64(l.w-1))
-			}
+			enc = codec.appendRecord(enc, l)
 		}
 		if string(enc) != string(table) {
 			t.Fatalf("the lists re-encode to %x, not %x", enc, table)

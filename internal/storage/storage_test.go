@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
@@ -400,11 +399,11 @@ func TestOpenValidation(t *testing.T) {
 	}
 	// Values outside their field's range must be rejected, not wrapped.
 	for _, meta := range []string{
-		"version=1\nnodes=4294967297\narcs=2\n",  // would open as N = 1
-		"version=1\nnodes=-4294967293\narcs=2\n", // would open as N = 3
-		"version=1\nnodes=3\narcs=-2\n",
-		"version=1\nnodes=3\narcs=2\nntcrc=-1\netcrc=0\n",
-		"version=1\nnodes=3\narcs=2\nntcrc=0\netcrc=4294967296\n",
+		"version=7\nnodes=4294967297\narcs=2\nntbytes=3\netbytes=2\nidorder=1\n",  // would open as N = 1
+		"version=7\nnodes=-4294967293\narcs=2\nntbytes=3\netbytes=2\nidorder=1\n", // would open as N = 3
+		"version=7\nnodes=3\narcs=-2\nntbytes=3\netbytes=2\nidorder=1\n",
+		"version=7\nnodes=3\narcs=2\nntbytes=3\netbytes=2\nidorder=1\nntcrc=-1\netcrc=0\n",
+		"version=7\nnodes=3\narcs=2\nntbytes=3\netbytes=2\nidorder=1\nntcrc=0\netcrc=4294967296\n",
 	} {
 		if err := os.WriteFile(base+".meta", []byte(meta), 0o644); err != nil {
 			t.Fatal(err)
@@ -413,51 +412,33 @@ func TestOpenValidation(t *testing.T) {
 			t.Errorf("meta %q: err = %v, want an out-of-range rejection", meta, err)
 		}
 	}
-	// A version-3 node table holds one to five bytes a record: its size,
-	// which the open holds the file to, must bound the node count before
-	// anything is sized from it.
+	// A header of a retired version is refused with its upgrade path,
+	// whatever keys it carries.
 	for _, meta := range []string{
-		"version=3\nnodes=4294967295\narcs=0\nntbytes=10\netbytes=0\n",
-		"version=3\nnodes=3\narcs=2\nntbytes=16\netbytes=2\n",
+		"version=1\nnodes=3\narcs=2\n",
+		"version=5\nnodes=3\narcs=2\nntbytes=3\netbytes=2\nidorder=1\n",
+	} {
+		if err := os.WriteFile(base+".meta", []byte(meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadMeta(base); err == nil || !strings.Contains(err.Error(), "is retired") || !strings.Contains(err.Error(), UpgradeCommit) {
+			t.Errorf("meta %q: err = %v, want the retired version's upgrade path", meta, err)
+		}
+	}
+	// A node table holds one to ten bytes a record, two to fifteen when
+	// records carry ids: its size, which the open holds the file to, must
+	// bound the node count before anything is sized from it.
+	for _, meta := range []string{
+		"version=6\nnodes=4294967295\narcs=0\nntbytes=10\netbytes=0\nidorder=1\n",
+		"version=6\nnodes=3\narcs=2\nntbytes=31\netbytes=2\nidorder=1\n",
+		"version=7\nnodes=3\narcs=2\nntbytes=5\netbytes=2\nidorder=0\n",
+		"version=7\nnodes=3\narcs=2\nntbytes=46\netbytes=2\nidorder=0\n",
 	} {
 		if err := os.WriteFile(base+".meta", []byte(meta), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ReadMeta(base); err == nil || !strings.Contains(err.Error(), "cannot hold") {
 			t.Errorf("meta %q: err = %v, want a node table too small or too large for its records", meta, err)
-		}
-	}
-	// The 12-byte records of versions 1 and 2 are held to the edge table
-	// before anything is sized from them, each refusal the only one such
-	// tables would meet: an arc offset that 4 times wraps past 2^64 into
-	// the table, a first list that does not start at byte 0, and a table
-	// of no nodes beside a non-empty edge table.
-	rec := func(off uint64, deg uint32) []byte {
-		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, off), deg)
-	}
-	if err := os.Remove(base + ".crc"); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name, meta string
-		nt, et     []byte
-		want       string
-	}{
-		{"wrapping offset", "version=1\nnodes=2\narcs=2\n", append(rec(0, 1), rec(1<<62+1, 1)...), []byte{1, 0, 0, 0, 0, 0, 0, 0}, "gives offset"},
-		{"first list past byte 0", "version=2\nnodes=2\narcs=2\netbytes=3\n", append(rec(1, 1), rec(2, 1)...), []byte{9, 1, 0}, "gives offset"},
-		{"no node", "version=2\nnodes=0\narcs=0\netbytes=4\n", nil, []byte{1, 2, 3, 4}, "no node holds"},
-	} {
-		for ext, data := range map[string][]byte{".meta": []byte(c.meta), ".nt": c.nt, ".et": c.et} {
-			if err := os.WriteFile(base+ext, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		g, err := Open(base, ctr, nil)
-		if err == nil {
-			g.Close()
-		}
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want a refusal naming %q", c.name, err, c.want)
 		}
 	}
 }
