@@ -52,11 +52,12 @@ bench:
 # revision PARENT (exported with git archive into a temporary directory)
 # and one of the working tree, run alternately N times each on the
 # benchmarks BENCH matches, then the medians, quartiles and pairs won
-# (cmd/benchpair). Example:
+# (cmd/benchpair). Each run times every benchmark for BENCHTIME (1s: a
+# ~20 ms benchmark is timed over dozens of iterations, not one). Example:
 #   make pair PARENT=HEAD~1 PKG=./internal/storage BENCH=ListDecode N=10
 PARENT ?= HEAD
 N ?= 10
-BENCHTIME ?= 1x
+BENCHTIME ?= 1s
 pair:
 	$(GO) run ./cmd/benchpair -parent '$(PARENT)' -pkg '$(PKG)' -bench '$(BENCH)' -n $(N) -benchtime '$(BENCHTIME)'
 

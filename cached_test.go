@@ -582,23 +582,6 @@ func rewriteNodeTable(t *testing.T, base string, nt []byte, vouch bool) {
 	}
 }
 
-// stripChecksums rewrites base's header without table checksums and
-// removes its sidecar, as an older builder left a graph.
-func stripChecksums(t *testing.T, base string) {
-	t.Helper()
-	m, err := storage.ReadMeta(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.HasCRC = false
-	if err := storage.WriteMetaFS(faultfs.OS, base, m, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(base + ".crc"); err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
-}
-
 // TestCorruptNodeRecordIsAnError: a node record whose list cannot lie in
 // the edge table where the other records leave room for it is an error
 // from the first read that meets it, and never a list. Two damages of a
@@ -614,15 +597,14 @@ func stripChecksums(t *testing.T, base string) {
 //
 // After an open the sidecar vouched for, the block checksum catches
 // either first, on the default frames as through a cache of four. Under
-// a header whose checksum vouches for the damaged node table, and under
-// one without checksums and no sidecar, the open's pass builds the node
-// index from the damaged records and only their own checks are left: the
-// corrupt degree must fail that open naming node 5 (a list must end
-// inside the edge table), the moved width naming the edge table (the
-// lists must end where it does). The fixture is laid out in a peeling
-// order, whose records also name their nodes: a third damage
-// repeats the id of the record before one, and must fail naming the
-// repeat.
+// a header whose checksum vouches for the damaged node table, the open's
+// pass builds the node index from the damaged records and only their own
+// checks are left: the corrupt degree must fail that open naming node 5
+// (a list must end inside the edge table), the moved width naming the
+// edge table (the lists must end where it does). The fixture is laid out
+// in a peeling order, whose records also name their nodes: a third
+// damage repeats the id of the record before one, and must fail naming
+// the repeat.
 func TestCorruptNodeRecordIsAnError(t *testing.T) {
 	edges := gen.RMAT(10, 8, .57, .19, .19, 2)
 	for _, tc := range []struct {
@@ -678,18 +660,13 @@ func TestCorruptNodeRecordIsAnError(t *testing.T) {
 					t.Errorf("CacheBlocks %d: Degree(5) read the record without complaint", frames)
 				}
 			}
-			for _, vouched := range []bool{true, false} {
-				base, _, nt := damaged(0)
-				rewriteNodeTable(t, base, nt, vouched)
-				if !vouched {
-					stripChecksums(t, base)
+			base, _, nt := damaged(0)
+			rewriteNodeTable(t, base, nt, true)
+			if bad, err := kcore.Open(base, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				if bad != nil {
+					bad.Close()
 				}
-				if bad, err := kcore.Open(base, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
-					if bad != nil {
-						bad.Close()
-					}
-					t.Fatalf("Open of the damaged node table (header checksums %v): %v, want an error naming %s", vouched, err, tc.want)
-				}
+				t.Fatalf("Open of the damaged node table: %v, want an error naming %s", err, tc.want)
 			}
 		})
 	}

@@ -164,8 +164,8 @@ func TestVersion6TablesStayReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Version != 6 || meta.IDOrder || !meta.HasCRC {
-		t.Fatalf("fixture header %+v: want version 6 out of id order, with checksums", meta)
+	if meta.Version != 6 || meta.IDOrder {
+		t.Fatalf("fixture header %+v: want version 6 out of id order", meta)
 	}
 	nt, err := os.ReadFile(base + ".nt")
 	if err != nil {
@@ -272,5 +272,28 @@ func TestRetiredFormatsAreRefused(t *testing.T) {
 			g.Close()
 		}
 		refused("kcore.Open", err)
+	}
+	// Nor does it read a version-7 header without a table checksum: no
+	// version-6 or -7 writer left one.
+	for _, key := range []string{"ntcrc", "etcrc"} {
+		header := fmt.Sprintf("version=7\nnodes=%d\narcs=%d\nntbytes=%d\netbytes=%d\nidorder=1\n", m.N, m.Arcs, m.NtBytes, m.EtBytes)
+		if key == "ntcrc" {
+			header += fmt.Sprintf("etcrc=%d\n", m.EtCRC)
+		} else {
+			header += fmt.Sprintf("ntcrc=%d\n", m.NtCRC)
+		}
+		if err := os.WriteFile(base+".meta", []byte(header), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, rerr := storage.ReadMeta(base)
+		g, oerr := kcore.Open(base, nil)
+		if oerr == nil {
+			g.Close()
+		}
+		for what, err := range map[string]error{"ReadMeta": rerr, "kcore.Open": oerr} {
+			if err == nil || !strings.Contains(err.Error(), "without "+key) || !strings.Contains(err.Error(), "kcored built at commit "+storage.UpgradeCommit) {
+				t.Errorf("a header without %s: %s: %v; want the refusal naming the upgrade at %s", key, what, err, storage.UpgradeCommit)
+			}
+		}
 	}
 }

@@ -706,106 +706,29 @@ func TestDurableDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecoverRemovesLegacyPartsDir: a data dir written while the disk
-// backend kept partition files under <name>/parts/ recovers as before
-// (checkpoint + WAL are all recovery ever read) and loses the directory
-// nothing reads any more.
-func TestRecoverRemovesLegacyPartsDir(t *testing.T) {
-	const n, seed, k = 80, 40, 3
+// TestRecoverSkipsUnknownConfigKeys: CONFIG is serving configuration,
+// and recovery skips the keys and backend names it does not know — here
+// those of a sharded kcored's CONFIG — bringing the graph back as mem on
+// the default frames with every acked update.
+func TestRecoverSkipsUnknownConfigKeys(t *testing.T) {
+	const n, seed, k = 80, 39, 6
 	img, ups := crashImage(t, n, seed, k)
-	parts := filepath.Join(img, "g", "parts")
-	if err := os.MkdirAll(parts, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(parts, "part-0.g3"), []byte("an old partition generation"), 0o644); err != nil {
+	config := "backend=sharded\nshards=3\npartitioner=ldg\ncache_blocks=8\n"
+	if err := os.WriteFile(filepath.Join(img, "g", "CONFIG"), []byte(config), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reg := engine.NewRegistry(durableOptions(img))
 	defer reg.Close()
 	rep, err := reg.Recover()
-	if err != nil || len(rep.Graphs) != 1 || rep.Graphs[0].Err != nil || rep.Graphs[0].Degraded {
-		t.Fatalf("recovery: %v, %+v", err, rep)
-	}
-	if _, err := os.Stat(parts); !os.IsNotExist(err) {
-		t.Errorf("the legacy partition directory survived recovery: %v", err)
+	if err != nil || len(rep.Graphs) != 1 || rep.Graphs[0].Err != nil || rep.Graphs[0].Degraded || rep.Graphs[0].Replayed != k {
+		t.Fatalf("recovery: %v, %+v; want %d records replayed", err, rep, k)
 	}
 	eng, _ := reg.Get("g")
+	if r := eng.Report(); r.Backend != engine.BackendMem || r.Disk.CacheBlocks != 64 {
+		t.Fatalf("recovered as %s on %d frames, want mem on the default 64", r.Backend, r.Disk.CacheBlocks)
+	}
 	if !slices.Equal(eng.Snapshot().Cores(), oracleCores(t, n, seed, ups, k)) {
 		t.Error("recovered cores differ from the oracle")
-	}
-}
-
-// TestRecoverLegacyShardedDataDir: a data dir left by a sharded kcored
-// (CONFIG naming the retired backend and its topology, one log directory
-// per shard writer with the graph-level LSNs interleaved across them)
-// comes back as one mem writer with nothing lost, and the post-recovery
-// log trim leaves no per-shard directory behind.
-func TestRecoverLegacyShardedDataDir(t *testing.T) {
-	const n, seed, k = 80, 39, 6
-	dataDir := t.TempDir()
-	opts := durableOptions(dataDir)
-	opts.Durability.SegmentBytes = 32 // one record per segment file
-	ups := freshEdges(n, seed, k)
-	reg := engine.NewRegistry(opts)
-	eng, err := reg.Open("g", writeGraph(t, n, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, up := range ups {
-		if err := eng.Apply(up); err != nil {
-			t.Fatal(err)
-		}
-	}
-	img := t.TempDir()
-	copyTree(t, dataDir, img)
-	reg.Close() //nolint:errcheck // the image is what the test recovers
-
-	// Re-dress the image: segment i (named by its first LSN, so sorted
-	// by LSN) moves to log directory s(i mod 3).
-	walDir := filepath.Join(img, "g", "wal")
-	segs, err := filepath.Glob(filepath.Join(walDir, "s0", "*.seg"))
-	if err != nil || len(segs) != k {
-		t.Fatalf("segments = %v, %v; want %d", segs, err, k)
-	}
-	for i, seg := range segs {
-		sdir := filepath.Join(walDir, fmt.Sprintf("s%d", i%3))
-		if err := os.MkdirAll(sdir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Rename(seg, filepath.Join(sdir, filepath.Base(seg))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	legacy := "backend=sharded\nshards=3\npartitioner=ldg\ncache_blocks=8\n"
-	if err := os.WriteFile(filepath.Join(img, "g", "CONFIG"), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	reg2 := engine.NewRegistry(durableOptions(img))
-	defer reg2.Close()
-	rep, err := reg2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Graphs) != 1 || rep.Graphs[0].Err != nil || rep.Graphs[0].Degraded {
-		t.Fatalf("recovery report = %+v", rep.Graphs)
-	}
-	if rep.Graphs[0].Replayed != k {
-		t.Fatalf("replayed %d records, want all %d across the three logs", rep.Graphs[0].Replayed, k)
-	}
-	eng2, _ := reg2.Get("g")
-	if r := eng2.Report(); r.Backend != engine.BackendMem || r.Disk.CacheBlocks != 64 {
-		t.Fatalf("a legacy sharded CONFIG recovered as %s on %d frames, want the default 64", r.Backend, r.Disk.CacheBlocks)
-	}
-	edges := gen.Social(n, 3, 8, 8, seed)
-	for _, up := range ups {
-		edges = append(edges, graph.Edge{U: up.U, V: up.V})
-	}
-	if err := verify.CheckAgainst(gen.Build(edges), eng2.Snapshot().Cores()); err != nil {
-		t.Fatalf("recovered cores differ from the reference: %v", err)
-	}
-	if dirs, err := filepath.Glob(filepath.Join(walDir, "s*")); err != nil || len(dirs) != 1 || filepath.Base(dirs[0]) != "s0" {
-		t.Fatalf("log directories after recovery = %v (%v), want only s0", dirs, err)
 	}
 }
 

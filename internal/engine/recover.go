@@ -47,10 +47,8 @@ func baseIdentity(base string) (string, error) {
 // defaulting to the default frames when it is missing or damaged (it is
 // serving configuration, not durable state — the graph's data is intact
 // either way), and the base identity it records, empty if none. Unknown
-// keys and backend names are skipped, which is how a file
-// written by a sharded kcored (backend=sharded, shards=N, partitioner=)
-// comes back as one writer on the default frames, its per-shard logs
-// merged by LSN (wal.Scan).
+// keys and backend names are skipped: a graph whose CONFIG names neither
+// backend comes back on the default frames.
 func readGraphConfig(dir string) (c BackendConfig, base string) {
 	c = BackendConfig{Backend: BackendMem}
 	data, err := os.ReadFile(filepath.Join(dir, configName))
@@ -326,12 +324,6 @@ func (r *Registry) recoverGraph(name string) (gr GraphRecovery) {
 		c, _ := readGraphConfig(dir)
 		oo, err := c.OpenOptions(r.opts.Open)
 		if err != nil {
-			return nil, err
-		}
-		// Data dirs written before the disk backend read the tables in
-		// place hold a directory of partition files; nothing reads it any
-		// more.
-		if err := os.RemoveAll(filepath.Join(dir, "parts")); err != nil {
 			return nil, err
 		}
 		var d *durable

@@ -74,8 +74,8 @@ func recoverImage(t *testing.T, dir string) (engine.GraphRecovery, engine.Engine
 	return rep.Graphs[0], eng
 }
 
-// rewriteManifest sets key to val in the manifest of checkpoint ckpt,
-// with a checksum that holds.
+// rewriteManifest sets key to val (empty: drops its line) in the
+// manifest of checkpoint ckpt, with a checksum that holds.
 func rewriteManifest(t *testing.T, ckpt, key, val string) {
 	t.Helper()
 	path := filepath.Join(ckpt, "MANIFEST")
@@ -89,7 +89,9 @@ func rewriteManifest(t *testing.T, ckpt, key, val string) {
 		switch k {
 		case "crc":
 		case key:
-			fmt.Fprintf(&body, "%s=%s\n", key, val)
+			if val != "" {
+				fmt.Fprintf(&body, "%s=%s\n", key, val)
+			}
 		default:
 			body.WriteString(line + "\n")
 		}
@@ -110,6 +112,37 @@ func flipByte(t *testing.T, path string) {
 	data[len(data)/2] ^= 0x10
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverFallsBackPastCheckpointWithoutCores: every checkpoint holds
+// its core numbers, so a newest checkpoint whose manifest says it holds
+// none (cores=0) or says nothing of them (no cores line), its cores file
+// gone, is refused as a manifest that does not parse is: recovery falls
+// back to the older checkpoint, replays the longer tail past it and
+// serves the oracle's cores, with a reason that names the refused
+// checkpoint and the upgrade path.
+func TestRecoverFallsBackPastCheckpointWithoutCores(t *testing.T) {
+	for name, val := range map[string]string{"zero": "0", "missing": ""} {
+		t.Run(name, func(t *testing.T) {
+			dir, ckpts, want := recoveryImage(t, engine.BackendConfig{Backend: engine.BackendMem})
+			rewriteManifest(t, ckpts[1], "cores", val)
+			if err := os.Remove(filepath.Join(ckpts[1], "cores")); err != nil {
+				t.Fatal(err)
+			}
+			seq, err := strconv.ParseUint(filepath.Base(ckpts[1]), 16, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gr, eng := recoverImage(t, dir)
+			newest := fmt.Sprintf("checkpoint %d:", seq)
+			if gr.Err != nil || gr.Degraded || !gr.Fallback || gr.Replayed != 5 || !strings.Contains(gr.Reason, newest) || !strings.Contains(gr.Reason, "kcored built at commit "+storage.UpgradeCommit) {
+				t.Fatalf("recovery %+v; want a fallback past %q replaying 5 records, naming the upgrade", gr, newest)
+			}
+			if !slices.Equal(eng.Snapshot().Cores(), want) || durStats(t, eng).LSN != 8 {
+				t.Fatalf("recovered at LSN %d; want the oracle's cores at 8", durStats(t, eng).LSN)
+			}
+		})
 	}
 }
 

@@ -186,7 +186,7 @@ func (b *Builder) finish(durable bool) error {
 	if err := writeSidecar(b.fs, b.base, granules, b.ctr, durable); err != nil {
 		return err
 	}
-	m := Meta{Version: FormatVersion, N: b.n, Arcs: b.arcs, NtBytes: int64(len(b.recs)), EtBytes: b.etBytes, IDOrder: b.seen == nil, HasCRC: true, NtCRC: ntCRC, EtCRC: etCRC}
+	m := Meta{Version: FormatVersion, N: b.n, Arcs: b.arcs, NtBytes: int64(len(b.recs)), EtBytes: b.etBytes, IDOrder: b.seen == nil, NtCRC: ntCRC, EtCRC: etCRC}
 	return WriteMetaFS(b.fs, b.base, m, durable)
 }
 

@@ -284,10 +284,10 @@ func riceStore(out []byte, nbrs []uint32, i int, k, done uint64, at int, acc, nb
 // whole list and nothing more — into buf (grown geometrically if short)
 // and returns them. A list that is not strictly ascending, holds an id ≥
 // n, or is not in the one form and of the one length the codec gives it
-// is an error: the bytes may be anything (a table whose header carries
-// no checksums, or a fuzzer's). The uvarint decoder may read past the
-// list into raw's capacity, never beyond it; nothing it reads there
-// decides what it returns.
+// is an error: the bytes may be anything (the open's pass decodes a
+// table before checking its checksum; a fuzzer's are). The uvarint
+// decoder may read past the list into raw's capacity, never beyond it;
+// nothing it reads there decides what it returns.
 func (c listCodec) decode(raw []byte, deg uint32, w uint8, buf []uint32) ([]uint32, error) {
 	if w >= riceForm && c.rc {
 		return c.decodeRice(raw, deg, w-riceForm, buf)

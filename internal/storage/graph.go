@@ -50,7 +50,8 @@
 // checkpoint) keeps the layout of the graph it rewrites. Version-6 tables
 // (the same without the Rice form) stay readable in place, and the first
 // rewrite of such a graph writes it as version 7. ReadMeta refuses
-// versions 1 to 5 with their upgrade path (retiredFormat).
+// versions 1 to 5, and a header without table checksums, with their
+// upgrade path (Upgrade).
 package storage
 
 import (
@@ -76,14 +77,21 @@ const (
 )
 
 // UpgradeCommit is the last commit whose tree reads format versions 1 to
-// 5: its kcored rewrites such tables as version 7 (retiredFormat).
+// 5, headers without table checksums and the data-dir shapes of older
+// trees: its kcored rewrites them as this tree reads them (Upgrade).
 const UpgradeCommit = "9b04b3b"
 
+// Upgrade is the upgrade path every refusal of a retired shape names
+// (README, On-disk format versions).
+const Upgrade = "upgrade it with kcored built at commit " + UpgradeCommit + " (git worktree add <dir> " + UpgradeCommit + "): " +
+	"for tables at <base>, run it with -graph <base> and a fresh -data-dir, stop it once it listens, and take " +
+	"<data-dir>/default/ckpt/*/graph.* as the version-7 tables; for a data dir, run it once with -data-dir <data-dir> " +
+	"(a graph whose log holds nothing past its newest checkpoint also needs one update: README, On-disk format versions)"
+
 // Meta is the parsed contents of a <base>.meta file. NtBytes and EtBytes
-// are the two tables' sizes. IDOrder reports whether the tables lay the
-// lists out in id order, so that node records carry no ids. HasCRC
-// reports whether the header carried table checksums (everything the
-// Builder writes does).
+// are the two tables' sizes, and NtCRC and EtCRC their CRC32Cs. IDOrder
+// reports whether the tables lay the lists out in id order, so that node
+// records carry no ids.
 type Meta struct {
 	Version int
 	N       uint32
@@ -91,7 +99,6 @@ type Meta struct {
 	NtBytes int64
 	EtBytes int64
 	IDOrder bool
-	HasCRC  bool
 	NtCRC   uint32
 	EtCRC   uint32
 }
@@ -164,10 +171,8 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 		idorder = 1
 	}
 	fmt.Fprintf(w, "idorder=%d\n", idorder)
-	if m.HasCRC {
-		fmt.Fprintf(w, "ntcrc=%d\n", m.NtCRC)
-		fmt.Fprintf(w, "etcrc=%d\n", m.EtCRC)
-	}
+	fmt.Fprintf(w, "ntcrc=%d\n", m.NtCRC)
+	fmt.Fprintf(w, "etcrc=%d\n", m.EtCRC)
 	if err := w.Flush(); err != nil {
 		f.Close()
 		return err
@@ -182,9 +187,9 @@ func WriteMetaFS(fsys faultfs.FS, base string, m Meta, durable bool) error {
 }
 
 // ReadMeta parses the header file for a graph of version 6 or 7, which
-// must give both tables' sizes and whether the layout is id order. A
-// header of versions 1 to 5 is refused with its upgrade path
-// (retiredFormat).
+// must give both tables' sizes and CRC32Cs and whether the layout is id
+// order. A header of versions 1 to 5, or without one of those keys, is
+// refused with its upgrade path (Upgrade).
 func ReadMeta(base string) (Meta, error) {
 	var m Meta
 	has := map[string]bool{}
@@ -229,23 +234,22 @@ func ReadMeta(base string) (Meta, error) {
 			m.IDOrder = x == 1
 		case "ntcrc":
 			m.NtCRC = uint32(x)
-			m.HasCRC = true
 		case "etcrc":
 			m.EtCRC = uint32(x)
-			m.HasCRC = true
 		default:
 			return m, fmt.Errorf("storage: unknown meta key %q", key)
 		}
 	}
 	if m.Version >= 1 && m.Version < OldestFormatVersion {
-		return m, retiredFormat(base, m.Version)
+		return m, fmt.Errorf("storage: %s: format version %d is retired (this tree reads versions %d and later); %s",
+			metaPath(base), m.Version, OldestFormatVersion, Upgrade)
 	}
 	if m.Version < OldestFormatVersion || m.Version > FormatVersion {
 		return m, fmt.Errorf("storage: unsupported format version %d", m.Version)
 	}
-	for _, key := range []string{"ntbytes", "etbytes", "idorder"} {
+	for _, key := range []string{"ntbytes", "etbytes", "idorder", "ntcrc", "etcrc"} {
 		if !has[key] {
-			return m, fmt.Errorf("storage: version-%d meta without %s", m.Version, key)
+			return m, fmt.Errorf("storage: %s: a version-%d header without %s is retired; %s", metaPath(base), m.Version, key, Upgrade)
 		}
 	}
 	// A record is one or two varints (its degree and form, then a
@@ -261,17 +265,6 @@ func ReadMeta(base string) (Meta, error) {
 		return m, fmt.Errorf("storage: a %d-byte node table cannot hold %d records", m.NtBytes, m.N)
 	}
 	return m, nil
-}
-
-// retiredFormat is ReadMeta's refusal of the tables at base, of format
-// version v below OldestFormatVersion, which names their upgrade path:
-// kcored built at UpgradeCommit opens them and writes an opening
-// checkpoint of version 7.
-func retiredFormat(base string, v int) error {
-	return fmt.Errorf("storage: %s: format version %d is retired (this tree reads versions %d and later); "+
-		"upgrade the tables with kcored built at commit %s (git worktree add <dir> %s): run it with -graph %s and a fresh -data-dir, "+
-		"stop it once it listens, and take <data-dir>/default/ckpt/*/graph.* as the version-%d tables",
-		metaPath(base), v, OldestFormatVersion, UpgradeCommit, UpgradeCommit, base, FormatVersion)
 }
 
 // Graph is a read handle over an on-disk graph. All reads are charged to
@@ -333,7 +326,7 @@ func (g *Graph) index() (*nodeIndex, error) {
 // folding its granule checksums reproduces the header's whole-table ones:
 // that costs the sidecar's blocks. Otherwise (no sidecar, or a stale,
 // damaged or foreign one; a block size that is not a whole number of
-// granules; a header without checksums) opening is the pass.
+// granules) opening is the pass.
 func Open(base string, ctr *stats.IOCounter, cache *BlockCache) (*Graph, error) {
 	meta, err := ReadMeta(base)
 	if err != nil {
@@ -384,7 +377,7 @@ func (g *Graph) attach(cache *BlockCache, ntCRCs, etCRCs []uint32) (err error) {
 // once, front to back, recording the CRC32C of every block for the fills
 // to come. The node table's pass builds the index on the way
 // (decodeNodes holds it to the header), and the edge table's CRC32C must
-// be the header's (a header without checksums passes unchecked).
+// be the header's.
 func (g *Graph) pass() error {
 	if _, err := g.index(); err != nil {
 		return err
@@ -393,7 +386,7 @@ func (g *Graph) pass() error {
 	if err := r.Each(func([]byte) error { return nil }); err != nil {
 		return err
 	}
-	if g.meta.HasCRC && r.sum != g.meta.EtCRC {
+	if r.sum != g.meta.EtCRC {
 		return fmt.Errorf("storage: %s: edge table crc %08x, want %08x", r.path, r.sum, g.meta.EtCRC)
 	}
 	return nil

@@ -68,8 +68,8 @@ func (c listCodec) place(deg uint32, tag, x uint64) (uint8, int64) {
 // header says of the table: the lists tile the edge table from byte 0 to
 // its end, their degrees add up to the header's arc count, the ids of a
 // table led by them are a permutation of [0, n), and the bytes' CRC32C is
-// the header's (a header without checksums is held to the rest alone). A list is emitted only once it is known to lie inside
-// the edge table, so nothing is sized from a record before that; an error
+// the header's. A list is emitted only once it is known to lie inside the
+// edge table, so nothing is sized from a record before that; an error
 // leaves the table unused.
 func (g *Graph) decodeNodes(r *Reader, emit func(v uint32, l list) error) error {
 	m := g.meta
@@ -155,7 +155,7 @@ func (g *Graph) checkTotals(r *Reader, arcs int64) error {
 	if arcs != g.meta.Arcs {
 		return fmt.Errorf("storage: %s: the lists end after %d arcs, the header says %d", r.path, arcs, g.meta.Arcs)
 	}
-	if g.meta.HasCRC && r.sum != g.meta.NtCRC {
+	if r.sum != g.meta.NtCRC {
 		return fmt.Errorf("storage: %s: node table crc %08x, want %08x", r.path, r.sum, g.meta.NtCRC)
 	}
 	return nil

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +12,8 @@ import (
 
 // FuzzNodeTableDecode hands the node-table decoder arbitrary bytes as a
 // whole table, with a node count, a first-id width (idw%4 + 1) and the
-// header's edge-table size and arc count, read from a file of one-byte
+// header's edge-table size and arc count (its node-table checksum the
+// bytes'), read from a file of one-byte
 // blocks, FlushBlocks of them at a time, so records straddle the reads:
 // format version 7 when rice is set and 6 when it is not, its records led
 // by ids when ids is. Whatever it is given it never panics, never reads
@@ -55,7 +57,7 @@ func FuzzNodeTableDecode(f *testing.F) {
 		if ids && int64(n) > int64(len(data))/2 {
 			return
 		}
-		meta := Meta{Version: version, N: n, Arcs: arcs, NtBytes: int64(len(data)), EtBytes: etBytes, IDOrder: !ids}
+		meta := Meta{Version: version, N: n, Arcs: arcs, NtBytes: int64(len(data)), EtBytes: etBytes, IDOrder: !ids, NtCRC: crc32.Checksum(data, castagnoli)}
 		g := &Graph{meta: meta, codec: codec}
 		var (
 			got    []list

@@ -571,9 +571,7 @@ func TestPropertyResident(t *testing.T) {
 //   - a node record whose gap width is changed, which moves every later
 //     list, breaks the tiling of the edge table and is reported as that
 //     — a shortest varint still, under a header that vouches for the
-//     damaged node table, so nothing else can catch it first, with and
-//     without header checksums;
-//   - a header without checksums passes clean tables.
+//     damaged node table, so nothing else can catch it first.
 func TestPropertyScanVerified(t *testing.T) {
 	nop := func(uint32, []uint32) error { return nil }
 	f := func(seed int64) bool {
@@ -724,28 +722,17 @@ func TestPropertyScanVerified(t *testing.T) {
 				bad := append([]byte(nil), nt...)
 				bad[at] ^= 1 + byte(r.Intn(3))
 				os.WriteFile(base+".nt", bad, 0o644)
-				for _, hasCRC := range []bool{true, false} {
-					m := meta
-					m.HasCRC, m.NtCRC = hasCRC, crc32.Checksum(bad, castagnoli)
-					WriteMetaFS(faultfs.OS, base, m, false)
-					if _, err := scan(nop); err == nil || !strings.Contains(err.Error(), "-byte edge table") {
-						t.Logf("seed %d: broken tiling (header checksums %v): %v", seed, hasCRC, err)
-						return false
-					}
+				m := meta
+				m.NtCRC = crc32.Checksum(bad, castagnoli)
+				WriteMetaFS(faultfs.OS, base, m, false)
+				if _, err := scan(nop); err == nil || !strings.Contains(err.Error(), "-byte edge table") {
+					t.Logf("seed %d: broken tiling: %v", seed, err)
+					return false
 				}
 				restore()
 				break
 			}
 			at += recordBytes(n, l)
-		}
-
-		// No checksums in the header: clean tables pass.
-		m := meta
-		m.HasCRC = false
-		WriteMetaFS(faultfs.OS, base, m, false)
-		if _, err := scan(nop); err != nil {
-			t.Logf("seed %d: a header without checksums: %v", seed, err)
-			return false
 		}
 		return true
 	}

@@ -59,14 +59,13 @@ func writeSidecar(fsys faultfs.FS, base string, crcs []uint32, ctr *stats.IOCoun
 
 // readSidecar returns the CRC32C of every b-byte block of the node and
 // the edge table, folded from the sidecar at base, and whether the
-// header vouches for them: it must carry checksums, b must be a whole
-// number of granules, the file must hold exactly one checksum per
-// granule of the tables the header describes, and the fold must give the
-// header's whole-table checksums. A file of the wrong size is not read;
-// one of the right size is charged to ctr, ⌈size/b⌉ blocks, whatever
-// its contents.
+// header vouches for them: b must be a whole number of granules, the
+// file must hold exactly one checksum per granule of the tables the
+// header describes, and the fold must give the header's whole-table
+// checksums. A file of the wrong size is not read; one of the right
+// size is charged to ctr, ⌈size/b⌉ blocks, whatever its contents.
 func readSidecar(base string, meta Meta, b int, ctr *stats.IOCounter) (nt, et []uint32, ok bool) {
-	if !meta.HasCRC || b%granule != 0 {
+	if b%granule != 0 {
 		return nil, nil, false
 	}
 	ntSize, etSize := meta.NtBytes, meta.EtBytes

@@ -384,6 +384,31 @@ func TestOpenValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A header without either table checksum is refused with the
+	// upgrade path: no version-6 or -7 writer left one.
+	header, err := os.ReadFile(base + ".meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"ntcrc", "etcrc"} {
+		var kept []string
+		for _, line := range strings.SplitAfter(string(header), "\n") {
+			if !strings.HasPrefix(line, key+"=") {
+				kept = append(kept, line)
+			}
+		}
+		if err := os.WriteFile(base+".meta", []byte(strings.Join(kept, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, rerr := ReadMeta(base)
+		_, oerr := Open(base, ctr, nil)
+		for _, err := range []error{rerr, oerr} {
+			if err == nil || !strings.Contains(err.Error(), "without "+key) || !strings.Contains(err.Error(), "kcored built at commit "+UpgradeCommit) {
+				t.Errorf("a header without %s: %v; want a refusal naming the upgrade", key, err)
+			}
+		}
+	}
+
 	// Corrupt meta must be rejected.
 	if err := os.WriteFile(base+".meta", []byte("version=99\nnodes=3\narcs=2\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -429,10 +454,10 @@ func TestOpenValidation(t *testing.T) {
 	// records carry ids: its size, which the open holds the file to, must
 	// bound the node count before anything is sized from it.
 	for _, meta := range []string{
-		"version=6\nnodes=4294967295\narcs=0\nntbytes=10\netbytes=0\nidorder=1\n",
-		"version=6\nnodes=3\narcs=2\nntbytes=31\netbytes=2\nidorder=1\n",
-		"version=7\nnodes=3\narcs=2\nntbytes=5\netbytes=2\nidorder=0\n",
-		"version=7\nnodes=3\narcs=2\nntbytes=46\netbytes=2\nidorder=0\n",
+		"version=6\nnodes=4294967295\narcs=0\nntbytes=10\netbytes=0\nidorder=1\nntcrc=0\netcrc=0\n",
+		"version=6\nnodes=3\narcs=2\nntbytes=31\netbytes=2\nidorder=1\nntcrc=0\netcrc=0\n",
+		"version=7\nnodes=3\narcs=2\nntbytes=5\netbytes=2\nidorder=0\nntcrc=0\netcrc=0\n",
+		"version=7\nnodes=3\narcs=2\nntbytes=46\netbytes=2\nidorder=0\nntcrc=0\netcrc=0\n",
 	} {
 		if err := os.WriteFile(base+".meta", []byte(meta), 0o644); err != nil {
 			t.Fatal(err)

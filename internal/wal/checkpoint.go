@@ -24,19 +24,19 @@ const (
 )
 
 // Manifest is the committed description of one checkpoint: which LSN
-// the adjacency tables capture, their shape, and whether a core-number
-// file rides along.
+// the adjacency tables capture and their shape. Every checkpoint holds
+// the core numbers of its tables beside them.
 type Manifest struct {
-	Version  int
-	Seq      uint64
-	LSN      uint64
-	Nodes    uint32
-	Arcs     int64
-	HasCores bool
+	Version int
+	Seq     uint64
+	LSN     uint64
+	Nodes   uint32
+	Arcs    int64
 }
 
 // encodeManifest renders the text manifest with a trailing CRC line
-// covering everything above it.
+// covering everything above it. Its cores=1 line says the cores file
+// rides along, as followers of older trees expect.
 func encodeManifest(m Manifest) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "version=%d\n", m.Version)
@@ -44,19 +44,17 @@ func encodeManifest(m Manifest) []byte {
 	fmt.Fprintf(&b, "lsn=%d\n", m.LSN)
 	fmt.Fprintf(&b, "nodes=%d\n", m.Nodes)
 	fmt.Fprintf(&b, "arcs=%d\n", m.Arcs)
-	cores := 0
-	if m.HasCores {
-		cores = 1
-	}
-	fmt.Fprintf(&b, "cores=%d\n", cores)
+	b.WriteString("cores=1\n")
 	body := b.String()
 	crc := crc32.Checksum([]byte(body), castagnoli)
 	return []byte(fmt.Sprintf("%scrc=%d\n", body, crc))
 }
 
-// ParseManifest validates the CRC line and parses the fields.
+// ParseManifest validates the CRC line and parses the fields, refusing a
+// checkpoint stored without its core numbers (no cores=1).
 func ParseManifest(data []byte) (Manifest, error) {
 	var m Manifest
+	cores := false
 	text := string(data)
 	i := strings.LastIndex(strings.TrimRight(text, "\n"), "\n")
 	if i < 0 {
@@ -104,13 +102,16 @@ func ParseManifest(data []byte) (Manifest, error) {
 		case "arcs":
 			m.Arcs = int64(x)
 		case "cores":
-			m.HasCores = x != 0
+			cores = x == 1
 		default:
 			return m, fmt.Errorf("wal: unknown manifest key %q", key)
 		}
 	}
 	if m.Version != manifestVersion {
 		return m, fmt.Errorf("wal: unsupported manifest version %d", m.Version)
+	}
+	if !cores {
+		return m, fmt.Errorf("wal: a checkpoint without core numbers is retired; %s", storage.Upgrade)
 	}
 	return m, nil
 }
@@ -124,8 +125,7 @@ func CheckpointBase(ckptDir string) string { return filepath.Join(ckptDir, ckptG
 
 // CheckpointBundleNames reports the files of a checkpoint directory in
 // canonical order — what a download carries, and the whitelist a
-// follower extracts. The cores file comes last: it is the one a
-// checkpoint may lack (Manifest.HasCores). The tables' checksum sidecar,
+// follower extracts. The tables' checksum sidecar,
 // last of storage.Files, stays out: followers of older trees refuse a tar
 // entry they do not know, and a follower's open does without it.
 func CheckpointBundleNames() []string {
@@ -137,8 +137,8 @@ func CheckpointBundleNames() []string {
 }
 
 // writeCheckpoint persists src (a dyngraph.View, streamed by
-// storage.WriteGraph: no copy of the edge set is ever resident) and, when known to match it, the core
-// numbers as checkpoint seq under root/ckpt. The tables are written
+// storage.WriteGraph: no copy of the edge set is ever resident) and its
+// core numbers as checkpoint seq under root/ckpt. The tables are written
 // into a hidden tmp directory, fsynced file by file, then committed
 // with a single rename followed by a directory fsync — a crash anywhere
 // in between leaves either the previous checkpoints or a complete new
@@ -158,18 +158,15 @@ func writeCheckpoint(fs faultfs.FS, root string, seq, lsn uint64, src graph.Sour
 	if err := storage.WriteGraph(fs, CheckpointBase(tmp), src, ioCtr, true); err != nil {
 		return err
 	}
-	if cores != nil {
-		if err := storage.WriteCores(fs, filepath.Join(tmp, coresName), cores); err != nil {
-			return err
-		}
+	if err := storage.WriteCores(fs, filepath.Join(tmp, coresName), cores); err != nil {
+		return err
 	}
 	man := encodeManifest(Manifest{
-		Version:  manifestVersion,
-		Seq:      seq,
-		LSN:      lsn,
-		Nodes:    src.NumNodes(),
-		Arcs:     src.NumArcs(),
-		HasCores: cores != nil,
+		Version: manifestVersion,
+		Seq:     seq,
+		LSN:     lsn,
+		Nodes:   src.NumNodes(),
+		Arcs:    src.NumArcs(),
 	})
 	if err := storage.WriteFile(fs, filepath.Join(tmp, manifestName), man); err != nil {
 		return err

@@ -79,12 +79,8 @@ func openCheckpoint(fs faultfs.FS, dir string) (*CheckpointHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := CheckpointBundleNames()
-	if !man.HasCores {
-		names = names[:len(names)-1]
-	}
 	h := &CheckpointHandle{Manifest: man}
-	for _, name := range names {
+	for _, name := range CheckpointBundleNames() {
 		path := filepath.Join(dir, name)
 		fi, err := fs.Stat(path)
 		if err != nil {
@@ -107,9 +103,9 @@ var ErrCores = errors.New("wal: checkpoint cores")
 
 // ValidateCheckpointDir reads what a checkpoint (a follower's download, or
 // one at recovery) holds beside its tables: the manifest, held to its
-// checksum and its counts to the tables' header, and any cores file, held
+// checksum and its counts to the tables' header, and the cores file, held
 // to its checksum (failing: ErrCores, next to the manifest). It returns
-// the manifest and the core numbers (nil when absent). The tables are left
+// the manifest and the core numbers. The tables are left
 // to the bring-up that serves them, so a checkpoint is read once.
 func ValidateCheckpointDir(fsys faultfs.FS, dir string) (Manifest, []uint32, error) {
 	m, err := readManifest(fsys, dir)
@@ -120,7 +116,7 @@ func ValidateCheckpointDir(fsys faultfs.FS, dir string) (Manifest, []uint32, err
 	if err == nil && (meta.N != m.Nodes || meta.Arcs != m.Arcs) {
 		err = fmt.Errorf("wal: manifest of %d nodes and %d arcs, tables of %d and %d", m.Nodes, m.Arcs, meta.N, meta.Arcs)
 	}
-	if err != nil || !m.HasCores {
+	if err != nil {
 		return m, nil, err
 	}
 	cores, err := storage.ReadCores(fsys, filepath.Join(dir, coresName))

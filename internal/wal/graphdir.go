@@ -1,12 +1,12 @@
 package wal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 
 	"kcore/internal/faultfs"
@@ -58,29 +58,9 @@ type GraphDir struct {
 
 func walRoot(dir string) string { return filepath.Join(dir, "wal") }
 
-// logDir is where the writer's log lives. Data directories written by
-// the retired sharded engine hold sibling s1, s2, … directories too;
-// logDirs finds them all.
+// logDir is where the writer's log lives: the one log a graph directory
+// has.
 func logDir(dir string) string { return filepath.Join(walRoot(dir), "s0") }
-
-// logDirs lists every s* log directory on disk under dir (none when the
-// WAL tree does not exist).
-func logDirs(fsys faultfs.FS, dir string) ([]string, error) {
-	ents, err := fsys.ReadDir(walRoot(dir))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var dirs []string
-	for _, e := range ents {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "s") {
-			dirs = append(dirs, filepath.Join(walRoot(dir), e.Name()))
-		}
-	}
-	return dirs, nil
-}
 
 // LiveBase is the storage path prefix of the graph a durable graph
 // directory serves, under live/.
@@ -141,11 +121,15 @@ func (g *GraphDir) Log() *Log { return g.log }
 // acknowledging a Sync.
 func (g *GraphDir) Sync() error { return g.log.Sync() }
 
-// Checkpoint writes a new committed checkpoint of src at lsn, then
-// applies retention: the newest two checkpoints survive and every log
-// segment whose records all sit at or below the older survivor's LSN is
-// removed. It returns the path prefix of the committed tables.
+// Checkpoint writes a new committed checkpoint of src at lsn, with
+// cores, the core number of each of src's nodes, then applies retention:
+// the newest two checkpoints survive and every log segment whose records
+// all sit at or below the older survivor's LSN is removed. It returns the
+// path prefix of the committed tables.
 func (g *GraphDir) Checkpoint(lsn uint64, src graph.Source, cores []uint32) (tables string, err error) {
+	if len(cores) != int(src.NumNodes()) {
+		return "", fmt.Errorf("wal: a checkpoint of %d nodes with %d core numbers", src.NumNodes(), len(cores))
+	}
 	seq := g.nextSeq
 	if err := writeCheckpoint(g.fs, g.dir, seq, lsn, src, cores, g.io); err != nil {
 		return "", err
@@ -174,16 +158,7 @@ func (g *GraphDir) Checkpoint(lsn uint64, src graph.Source, cores []uint32) (tab
 			}
 		}
 	}
-	dirs, err := logDirs(g.fs, g.dir)
-	if err != nil {
-		return tables, err
-	}
-	for _, d := range dirs {
-		if err := truncateBelow(g.fs, d, cutoff); err != nil {
-			return tables, err
-		}
-	}
-	return tables, nil
+	return tables, truncateBelow(g.fs, logDir(g.dir), cutoff)
 }
 
 // TrimLogs ends the log at lsn, where recovery brought the graph once a
@@ -192,27 +167,21 @@ func (g *GraphDir) Checkpoint(lsn uint64, src graph.Source, cores []uint32) (tab
 // below it stay, since a later recovery that falls back to the older
 // retained checkpoint replays them — live/ shares the newest checkpoint's
 // files, so damage to the served tables is damage to it — and retention
-// drops them as checkpoints commit. A log that already ends cleanly, in s0
-// alone, is left as it is; anything else, the per-shard directories of the
-// retired sharded writer included, is rewritten as one s0 log of the kept
-// records (a crash midway loses only records the checkpoint at lsn holds).
+// drops them as checkpoints commit. A log that already ends cleanly is
+// left as it is; anything else is rewritten with the kept records (a
+// crash midway loses only records the checkpoint at lsn holds).
 func (g *GraphDir) TrimLogs(lsn uint64) error {
 	recs, torn, _, _, err := scanLogs(g.fs, g.dir)
 	if err != nil {
 		return err
 	}
-	dirs, err := logDirs(g.fs, g.dir)
-	if err != nil {
-		return err
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
 	keep := recs
 	for len(keep) > 0 && keep[len(keep)-1].LSN > lsn {
 		keep = keep[:len(keep)-1]
 	}
 	g.log.Close() //nolint:errcheck // it has appended nothing yet
-	if torn || len(keep) < len(recs) || len(dirs) != 1 || dirs[0] != logDir(g.dir) {
-		if err := g.fs.RemoveAll(walRoot(g.dir)); err != nil {
+	if torn || len(keep) < len(recs) {
+		if err := g.fs.RemoveAll(logDir(g.dir)); err != nil {
 			return err
 		}
 		// Counted by a private set: /stats counts appends of new records.
@@ -247,9 +216,8 @@ type Recovered struct {
 	// Manifest describes the checkpoint and Path is its directory.
 	Manifest Manifest
 	Path     string
-	// Cores is the checkpoint's core-number array when one was stored
-	// and it verified; nil otherwise (kcored stores one with every
-	// checkpoint, but older data dirs hold checkpoints without).
+	// Cores is the checkpoint's core-number array, nil when its file
+	// failed its checksum (Damaged).
 	Cores []uint32
 	// Fallback reports that a newer checkpoint was refused — its manifest
 	// or cores did not validate, or the bring-up refused its tables.
@@ -259,11 +227,11 @@ type Recovered struct {
 	Records []Record
 	// Gap reports that readable records beyond the consecutive prefix
 	// were discarded. A gap can only cover unacknowledged writes (an
-	// acked Sync fsyncs every log), so this is data loss within the
+	// acked Sync fsyncs the log), so this is data loss within the
 	// durability contract, not damage.
 	Gap bool
-	// Torn reports a torn final record in at least one log — the normal
-	// signature of a crash mid-append.
+	// Torn reports a torn final record in the log — the normal signature
+	// of a crash mid-append.
 	Torn bool
 	// Damaged reports corruption past repair: mid-log damage, duplicate
 	// LSNs, or a cores file that failed its checksum. The caller should
@@ -292,7 +260,6 @@ func Scan(fsys faultfs.FS, dir string, bringUp func(*Recovered) error) (*Recover
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
 	var refused []string
 	for i, ck := range cks {
 		man, cores, err := ValidateCheckpointDir(fsys, ck.path)
@@ -339,35 +306,28 @@ func Scan(fsys faultfs.FS, dir string, bringUp func(*Recovered) error) (*Recover
 	return nil, ErrNoCheckpoint
 }
 
-// scanLogs reads every log directory under dir and classifies damage.
+// scanLogs reads the log under dir (none when it does not exist), sorted
+// by LSN, and classifies damage: mid-log corruption, or an LSN read twice.
 func scanLogs(fsys faultfs.FS, dir string) (recs []Record, torn, damaged bool, reason string, err error) {
-	dirs, derr := logDirs(fsys, dir)
-	if derr != nil {
-		return nil, false, false, "", derr
+	all, torn, damaged, err := readLogDir(fsys, logDir(dir))
+	if os.IsNotExist(err) {
+		return nil, false, false, "", nil
 	}
-	seen := make(map[uint64]bool)
+	if err != nil {
+		return nil, false, false, "", err
+	}
 	var reasons []string
-	for _, sdir := range dirs {
-		lrecs, ltorn, ldmg, lerr := readLogDir(fsys, sdir)
-		if lerr != nil {
-			return nil, false, false, "", lerr
-		}
-		if ltorn {
-			torn = true
-		}
-		if ldmg {
+	if damaged {
+		reasons = append(reasons, "mid-log corruption")
+	}
+	slices.SortStableFunc(all, func(a, b Record) int { return cmp.Compare(a.LSN, b.LSN) })
+	for i, r := range all {
+		if i > 0 && r.LSN == all[i-1].LSN {
 			damaged = true
-			reasons = append(reasons, fmt.Sprintf("log %s: mid-log corruption", filepath.Base(sdir)))
+			reasons = append(reasons, fmt.Sprintf("duplicate lsn %d", r.LSN))
+			continue
 		}
-		for _, r := range lrecs {
-			if seen[r.LSN] {
-				damaged = true
-				reasons = append(reasons, fmt.Sprintf("duplicate lsn %d", r.LSN))
-				continue
-			}
-			seen[r.LSN] = true
-			recs = append(recs, r)
-		}
+		recs = append(recs, r)
 	}
 	return recs, torn, damaged, strings.Join(reasons, "; "), nil
 }

@@ -5,15 +5,15 @@
 //
 // A durable graph lives in one directory:
 //
-//	<dir>/ckpt/<seq>/        committed checkpoints (graph.meta/.nt/.et,
-//	                         optional cores file, MANIFEST) — newest two
-//	                         are retained
+//	<dir>/ckpt/<seq>/        committed checkpoints (graph.meta/.nt/.et/.crc,
+//	                         cores, MANIFEST) — newest two are retained
 //	<dir>/wal/s0/            the writer's log, segment files named by the
-//	                         LSN of their first record (s1, s2, … exist
-//	                         only in directories a sharded kcored wrote;
-//	                         recovery merges them by LSN, then sweeps them)
+//	                         LSN of their first record
 //	<dir>/live/              the mutable working copy the engine serves
 //	                         from (rebuilt from a checkpoint on open)
+//
+// Nothing else is read: older trees' per-shard logs and parts/ take the
+// upgrade path storage.Upgrade names, as checkpoints without cores do.
 //
 // Every applied batch gets a record stamped with a global LSN allocated
 // under the graph's single commit point; records are length-prefixed
@@ -23,7 +23,7 @@
 // Recovery serves the newest checkpoint whose manifest validates and
 // whose tables its bring-up accepts, falling back to the previous one
 // otherwise, then replays the consecutive LSN prefix of the surviving log
-// records. Because every acked Sync has fsynced all logs (under the
+// records. Because every acked Sync has fsynced the log (under the
 // always/interval policies), that prefix covers at least the last acked Sync.
 //
 // The log is also the change stream a replication leader serves: a Tail

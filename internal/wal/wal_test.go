@@ -18,7 +18,10 @@ import (
 
 	"kcore/internal/faultfs"
 	"kcore/internal/graph"
+	"kcore/internal/imcore"
+	"kcore/internal/memgraph"
 	"kcore/internal/stats"
+	"kcore/internal/storage"
 	"kcore/internal/testutil"
 )
 
@@ -342,6 +345,23 @@ func TestTruncateBelowKeepsCoveringSegments(t *testing.T) {
 // id order, sorted unless a test says otherwise.
 type sliceSource [][]uint32
 
+// cores is the core number of each of s's nodes, by IMCore.
+func (s sliceSource) cores() []uint32 {
+	var es []graph.Edge
+	for u, l := range s {
+		for _, v := range l {
+			if uint32(u) < v {
+				es = append(es, graph.Edge{U: uint32(u), V: v})
+			}
+		}
+	}
+	g, err := memgraph.FromEdges(s.NumNodes(), es)
+	if err != nil {
+		panic(err)
+	}
+	return imcore.Decompose(g, nil).Core
+}
+
 // sourceOf builds a sliceSource over n nodes from explicit edges.
 func sourceOf(n uint32, es []graph.Edge) sliceSource {
 	s := make(sliceSource, n)
@@ -397,8 +417,9 @@ type lyingSource struct{ sliceSource }
 func (s lyingSource) NumArcs() int64 { return s.sliceSource.NumArcs() + 1 }
 
 // TestCheckpointRejectsInconsistentSource: a source whose scan fails, or
-// whose streamed arcs disagree with what it reports, commits nothing —
-// the previous checkpoint stays the newest one.
+// whose streamed arcs disagree with what it reports, or core numbers that
+// are not one per node, commit nothing — the previous checkpoint stays
+// the newest one.
 func TestCheckpointRejectsInconsistentSource(t *testing.T) {
 	dir := t.TempDir()
 	gd, err := Open(dir, nil)
@@ -407,15 +428,21 @@ func TestCheckpointRejectsInconsistentSource(t *testing.T) {
 	}
 	defer gd.Close()
 	m := sourceOf(6, edges(0, 1, 1, 2, 2, 3))
-	if _, err := gd.Checkpoint(1, m, nil); err != nil {
+	if _, err := gd.Checkpoint(1, m, m.cores()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gd.Checkpoint(2, lyingSource{m}, nil); err == nil {
+	if _, err := gd.Checkpoint(2, lyingSource{m}, m.cores()); err == nil {
 		t.Fatal("a source streaming fewer arcs than it reports was committed")
 	}
 	unsorted := sliceSource{{3, 1}, {0}, {}, {0}, {}, {}} // list [3 1] violates the scan contract
-	if _, err := gd.Checkpoint(3, unsorted, nil); err == nil {
+	if _, err := gd.Checkpoint(3, unsorted, m.cores()); err == nil {
 		t.Fatal("a source streaming an unsorted list was committed")
+	}
+	if _, err := gd.Checkpoint(4, m, nil); err == nil {
+		t.Fatal("a checkpoint without core numbers was committed")
+	}
+	if _, err := gd.Checkpoint(5, m, m.cores()[1:]); err == nil {
+		t.Fatal("a checkpoint with fewer core numbers than nodes was committed")
 	}
 	sc, err := Scan(faultfs.OS, dir, nil)
 	if err != nil {
@@ -463,103 +490,6 @@ func TestCheckpointScanReplayTail(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sc.Cores, cores) {
 		t.Fatalf("cores = %v, want %v", sc.Cores, cores)
-	}
-}
-
-// TestScanMergesLegacyShardLogs: a directory written by the retired
-// sharded engine holds one log per shard writer, with the graph-level
-// LSNs interleaved across them. Scan merges them into one consecutive
-// tail, and once recovery's checkpoint covers it the trim rewrites what
-// is left of them as one s0 log, so a second recovery replays nothing
-// stale.
-func TestScanMergesLegacyShardLogs(t *testing.T) {
-	dir := t.TempDir()
-	gd, err := Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := sourceOf(16, nil)
-	if _, err := gd.Checkpoint(0, m, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := gd.Close(); err != nil {
-		t.Fatal(err)
-	}
-	logs := make([]*Log, 3)
-	for i := range logs {
-		// One record per segment, so retention has something to drop.
-		l, err := newLog(faultfs.OS, filepath.Join(walRoot(dir), fmt.Sprintf("s%d", i)), 32, SyncAlways, new(stats.Counters[stats.WalSnapshot]), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		logs[i] = l
-	}
-	for lsn := uint64(1); lsn <= 7; lsn++ {
-		ins := edges(uint32(lsn), uint32(lsn)+1)
-		if err := logs[(lsn*2)%3].Append(AppendRecord(nil, lsn, nil, ins), lsn); err != nil {
-			t.Fatal(err)
-		}
-		m.insert(ins)
-	}
-	for _, l := range logs {
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	sc, err := Scan(faultfs.OS, dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Gap || sc.Damaged || sc.Torn || len(sc.Records) != 7 {
-		t.Fatalf("merged scan = %d records gap=%v damaged=%v torn=%v, want 7 clean", len(sc.Records), sc.Gap, sc.Damaged, sc.Torn)
-	}
-	for i, rec := range sc.Records {
-		if rec.LSN != uint64(i+1) {
-			t.Fatalf("record %d has LSN %d, want the consecutive tail 1..7", i, rec.LSN)
-		}
-	}
-
-	// What recovery does next: reopen, checkpoint the replayed state,
-	// trim the logs. A second checkpoint makes LSN 7 the older retained
-	// one, so retention truncates below it — in every log directory.
-	gd, err = Open(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := gd.Checkpoint(lastLSN(sc), m, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if segs, err := listSegments(faultfs.OS, filepath.Join(walRoot(dir), "s1")); err != nil || len(segs) != 1 {
-		t.Fatalf("s1 holds %d segments after retention (%v), want only its newest", len(segs), err)
-	}
-	if err := gd.TrimLogs(lastLSN(sc)); err != nil {
-		t.Fatal(err)
-	}
-	if err := gd.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if dirs, err := logDirs(faultfs.OS, dir); err != nil || len(dirs) != 1 || dirs[0] != logDir(dir) {
-		t.Fatalf("log directories after the trim = %v (%v), want only s0", dirs, err)
-	}
-	// What retention left of the three logs is kept, merged, in s0.
-	recs, torn, damaged, err := readLogDir(faultfs.OS, logDir(dir))
-	if err != nil || torn || damaged || len(recs) == 0 || recs[len(recs)-1].LSN != 7 {
-		t.Fatalf("s0 after the trim: %d records (torn %v, damaged %v, %v), want the kept ones up to 7", len(recs), torn, damaged, err)
-	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].LSN != recs[i-1].LSN+1 {
-			t.Fatalf("s0 after the trim holds LSN %d after %d", recs[i].LSN, recs[i-1].LSN)
-		}
-	}
-	sc, err = Scan(faultfs.OS, dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Manifest.LSN != 7 || len(sc.Records) != 0 {
-		t.Fatalf("second scan = checkpoint LSN %d + %d records, want 7 + 0", sc.Manifest.LSN, len(sc.Records))
 	}
 }
 
@@ -655,7 +585,7 @@ func TestScanGapStopsAtConsecutivePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gd.Checkpoint(0, sourceOf(4, nil), nil); err != nil {
+	if _, err := gd.Checkpoint(0, sourceOf(4, nil), make([]uint32, 4)); err != nil {
 		t.Fatal(err)
 	}
 	for _, lsn := range []uint64{1, 2, 4, 5} { // 3 missing
@@ -690,10 +620,12 @@ func TestScanFallsBackToOlderCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gd.Checkpoint(3, sourceOf(4, edges(0, 1)), nil); err != nil {
+	src := sourceOf(4, edges(0, 1))
+	if _, err := gd.Checkpoint(3, src, src.cores()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gd.Checkpoint(7, sourceOf(4, edges(0, 1, 1, 2)), nil); err != nil {
+	src.insert(edges(1, 2))
+	if _, err := gd.Checkpoint(7, src, src.cores()); err != nil {
 		t.Fatal(err)
 	}
 	gd.Close() //nolint:errcheck
@@ -766,7 +698,7 @@ func TestScanReadsNoTable(t *testing.T) {
 // refused, not taken modulo 2^32 or turned negative.
 func TestManifestRefusesOutOfRangeCounts(t *testing.T) {
 	manifest := func(nodes, arcs string) []byte {
-		body := "version=1\nseq=1\nlsn=0\nnodes=" + nodes + "\narcs=" + arcs + "\ncores=0\n"
+		body := "version=1\nseq=1\nlsn=0\nnodes=" + nodes + "\narcs=" + arcs + "\ncores=1\n"
 		return fmt.Appendf(nil, "%scrc=%d\n", body, crc32.Checksum([]byte(body), castagnoli))
 	}
 	if m, err := ParseManifest(manifest("4294967295", "9223372036854775807")); err != nil || m.Nodes != 1<<32-1 || m.Arcs != 1<<63-1 {
@@ -775,6 +707,20 @@ func TestManifestRefusesOutOfRangeCounts(t *testing.T) {
 	for _, bad := range [][2]string{{"4294967296", "0"}, {"0", "9223372036854775808"}, {"8589934593", "2"}, {"1", "18446744073709551615"}} {
 		if m, err := ParseManifest(manifest(bad[0], bad[1])); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("nodes=%s arcs=%s: %+v, %v; want a refusal", bad[0], bad[1], m, err)
+		}
+	}
+}
+
+// TestManifestRefusesCheckpointWithoutCores: every checkpoint holds its
+// core numbers, so a manifest saying it does not (cores=0), or saying
+// nothing (no cores line, as before core numbers were stored), is
+// refused, naming the data dir's upgrade path.
+func TestManifestRefusesCheckpointWithoutCores(t *testing.T) {
+	for _, cores := range []string{"cores=0\n", ""} {
+		body := "version=1\nseq=1\nlsn=0\nnodes=2\narcs=2\n" + cores
+		data := fmt.Appendf(nil, "%scrc=%d\n", body, crc32.Checksum([]byte(body), castagnoli))
+		if m, err := ParseManifest(data); err == nil || !strings.Contains(err.Error(), "kcored built at commit "+storage.UpgradeCommit) {
+			t.Errorf("manifest %q: %+v, %v; want a refusal naming the upgrade", body, m, err)
 		}
 	}
 }
@@ -792,7 +738,7 @@ func TestCheckpointRetentionTruncatesLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sourceOf(16, nil)
-	if _, err := gd.Checkpoint(0, m, nil); err != nil {
+	if _, err := gd.Checkpoint(0, m, m.cores()); err != nil {
 		t.Fatal(err)
 	}
 	for lsn := uint64(1); lsn <= 6; lsn++ {
@@ -803,10 +749,10 @@ func TestCheckpointRetentionTruncatesLogs(t *testing.T) {
 		}
 		m.insert(ins)
 	}
-	if _, err := gd.Checkpoint(4, m, nil); err != nil {
+	if _, err := gd.Checkpoint(4, m, m.cores()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gd.Checkpoint(6, m, nil); err != nil {
+	if _, err := gd.Checkpoint(6, m, m.cores()); err != nil {
 		t.Fatal(err)
 	}
 	// Retention keeps the two newest checkpoints (LSN 4 and 6); segments
@@ -1020,7 +966,7 @@ func TestTailProperty(t *testing.T) {
 		// segment but the one holding last — or, when the torn append
 		// opened a segment after it, that one.
 		for i := 0; i < 2; i++ {
-			if _, err := gd.Checkpoint(last, sourceOf(4, nil), nil); err != nil {
+			if _, err := gd.Checkpoint(last, sourceOf(4, nil), make([]uint32, 4)); err != nil {
 				t.Fatal(err)
 			}
 		}
