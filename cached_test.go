@@ -771,10 +771,10 @@ func deleteInsertRound(tb testing.TB, m *kcore.Maintainer, round []kcore.Edge) (
 // (SemiCore first, so its degree pass pays the node table for the index)
 // and of a 50-edge SemiDelete* / SemiInsert* round, on a skewed and on a
 // chain-ordered graph at two block sizes, are pinned. The law reads
-// through testutil.GateFrames frames: the gap-coded tables are about
-// half the 4-byte ones, and 30 frames are at least as much smaller than
-// each graph's encoded table as the default frames were than its 4-byte
-// one (parentBytes; RequireSpill holds every run to it). The frames hold
+// through the gate graph's frames (testutil.GateFrames): the gap-coded
+// tables are about half the 4-byte ones, and those frames are at least as
+// much smaller than each graph's encoded table as the default frames were
+// than its 4-byte one (parentBytes; RequireSpill holds every run to it). The frames hold
 // edge blocks only, so two frames never read less than the gate's, and
 // the sequential SemiCore and SemiCore+ read exactly as much; what more
 // frames buy is the re-reads of hub lists that SemiInsert* (and, on the
@@ -785,12 +785,14 @@ func deleteInsertRound(tb testing.TB, m *kcore.Maintainer, round []kcore.Edge) (
 // two frames that follows another schedule, so the two-frame run is
 // pinned exactly instead of compared.
 func TestCacheSizeIOLaw(t *testing.T) {
+	gate, gateEdges := testutil.GateGraph(t)
+	frames := testutil.GateFrames(t, gate)
 	for _, fx := range []struct {
 		name        string
 		build       func(testing.TB) (string, []kcore.Edge)
 		parentBytes int64 // the 4-byte table, 4 bytes an arc
 	}{
-		{"rmat13", testutil.GateGraph, testutil.GateV1Bytes},
+		{"rmat13", func(testing.TB) (string, []kcore.Edge) { return gate, gateEdges }, testutil.GateV1Bytes},
 		{"ba", func(t testing.TB) (string, []kcore.Edge) {
 			edges := gen.BarabasiAlbert(8000, 6, 3)
 			base := filepath.Join(t.TempDir(), "ba")
@@ -831,9 +833,9 @@ func TestCacheSizeIOLaw(t *testing.T) {
 			}
 			for _, blockSize := range []int{4096, 512} {
 				t.Run(fmt.Sprintf("B=%d", blockSize), func(t *testing.T) {
-					testutil.RequireSpill(t, base, blockSize, testutil.GateFrames, float64(fx.parentBytes)/float64(64*blockSize))
-					def, two := run(t, blockSize, testutil.GateFrames), run(t, blockSize, 2)
-					t.Logf("%d frames %v, two frames %v", testutil.GateFrames, def, two)
+					testutil.RequireSpill(t, base, blockSize, frames, float64(fx.parentBytes)/float64(64*blockSize))
+					def, two := run(t, blockSize, frames), run(t, blockSize, 2)
+					t.Logf("%d frames %v, two frames %v", frames, def, two)
 					for i, what := range [5]string{"SemiCore", "SemiCore+", "SemiCore*", "delete", "insert"} {
 						pins.Check(t, what+".reads", def[i])
 						switch {

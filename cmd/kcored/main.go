@@ -26,7 +26,9 @@
 // checkpoint + WAL tail before -graph/-load open anything anew (a
 // recovered name wins over its flag — unless the base's header is not
 // the one the graph was created from, in which case the recovered graph
-// is dropped and the base is re-decomposed).
+// is dropped and the base is re-decomposed). Without -graph, every
+// recovered graph is served, whatever its name; the single-graph routes
+// answer 404 until a graph named default exists.
 //
 // -follow turns the process into a read replica: instead of opening
 // graphs it bootstraps from the leader's checkpoint download
@@ -209,11 +211,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	eng, ok := reg.Get(DefaultGraph)
-	if !ok {
-		fatal(fmt.Errorf("no default graph: pass -graph, or a -data-dir containing a recovered %q graph", DefaultGraph))
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -243,8 +240,11 @@ func main() {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	// The resolved address is printed (and flushed) before serving so
 	// harnesses using port 0 can discover the endpoint.
-	fmt.Printf("kcored: listening on http://%s (%d graphs, kmax %d, epoch %d)\n",
-		ln.Addr(), len(reg.Names()), eng.Snapshot().Kmax, eng.Snapshot().Seq)
+	banner := fmt.Sprintf("kcored: listening on http://%s (%d graphs", ln.Addr(), len(reg.Names()))
+	if eng, ok := reg.Get(DefaultGraph); ok {
+		banner += fmt.Sprintf(", kmax %d, epoch %d", eng.Snapshot().Kmax, eng.Snapshot().Seq)
+	}
+	fmt.Println(banner + ")")
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

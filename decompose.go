@@ -4,11 +4,10 @@ import (
 	"fmt"
 
 	"kcore/internal/emcore"
-	"kcore/internal/graphio"
 	"kcore/internal/imcore"
+	"kcore/internal/memgraph"
 	"kcore/internal/semicore"
 	"kcore/internal/stats"
-	"kcore/internal/storage"
 )
 
 // Algorithm selects a core decomposition algorithm.
@@ -103,17 +102,7 @@ func Decompose(g *Graph, opts *DecomposeOptions) (*Result, error) {
 		}
 		core, cnt, rs = res.Core, res.Cnt, res.Stats
 	case EMCore:
-		// EMCore reads the raw tables (it re-partitions them itself).
-		if err := g.rawTablesCurrent("EMCore"); err != nil {
-			return nil, err
-		}
-		sg, err := storage.Open(g.base, g.ctr, nil)
-		if err != nil {
-			return nil, err
-		}
-		defer sg.Close()
-		before = g.IOStats() // EMCore's own reads, not its open's, as for the others
-		res, err := emcore.Decompose(sg, emcore.Options{
+		res, err := emcore.Decompose(g.dyn, emcore.Options{
 			MemoryBudgetArcs: o.EMCoreMemoryArcs,
 			TempDir:          o.TempDir,
 			IO:               g.ctr,
@@ -124,10 +113,7 @@ func Decompose(g *Graph, opts *DecomposeOptions) (*Result, error) {
 		}
 		core, rs = res.Core, res.Stats
 	case IMCore:
-		if err := g.rawTablesCurrent("IMCore"); err != nil {
-			return nil, err
-		}
-		csr, err := graphio.ReadToCSR(g.base)
+		csr, err := memgraph.FromSource(g.dyn)
 		if err != nil {
 			return nil, err
 		}
@@ -147,14 +133,4 @@ func Decompose(g *Graph, opts *DecomposeOptions) (*Result, error) {
 	out.Info.IO = g.IOStats().Sub(before)
 	out.Info.MemPeakBytes = mem.Peak()
 	return out, nil
-}
-
-// rawTablesCurrent reports whether the tables at g.base hold the graph as
-// it stands, which the baselines that read them directly need: nothing
-// buffered.
-func (g *Graph) rawTablesCurrent(algo string) error {
-	if g.dyn.BufferedArcs() > 0 {
-		return fmt.Errorf("kcore: %s requires a flushed graph; call Flush first", algo)
-	}
-	return nil
 }

@@ -152,43 +152,20 @@ func TestKcorequeryCore(t *testing.T) {
 // appended to the command line.
 func startKcored(t *testing.T, extraArgs ...string) string {
 	t.Helper()
-	args := append([]string{
-		"-graph", graphBase, "-addr", "127.0.0.1:0", "-flush", "1ms"}, extraArgs...)
-	cmd := exec.Command(filepath.Join(binDir, "kcored"), args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
+	url, _, _ := startKcoredProc(t, append([]string{"-graph", graphBase, "-addr", "127.0.0.1:0", "-flush", "1ms"}, extraArgs...)...)
+	return url
+}
+
+// stopKcored sends the daemon SIGTERM and fails t unless it exits
+// cleanly.
+func stopKcored(t *testing.T, cmd *exec.Cmd) {
+	t.Helper()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("kcored did not exit cleanly on SIGTERM: %v", err)
 	}
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
-	listenRe := regexp.MustCompile(`listening on (http://[^ ]+)`)
-	addr := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			if m := listenRe.FindStringSubmatch(sc.Text()); m != nil {
-				addr <- m[1]
-				return
-			}
-		}
-		addr <- ""
-	}()
-	select {
-	case url := <-addr:
-		if url == "" {
-			t.Fatal("kcored exited without announcing its address")
-		}
-		return url
-	case <-time.After(30 * time.Second):
-		t.Fatal("kcored did not start within 30s")
-	}
-	return ""
 }
 
 // getJSON decodes a JSON response, asserting the HTTP status.
@@ -578,12 +555,7 @@ func TestKcoredDataDirRoundTrip(t *testing.T) {
 		before[v] = core.Core
 	}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("kcored did not exit cleanly on SIGTERM: %v", err)
-	}
+	stopKcored(t, cmd)
 
 	// Restart with the same -data-dir; -graph is also passed and must
 	// lose to the recovered graph (no fresh decomposition of the base).
@@ -629,12 +601,35 @@ func TestKcoredDataDirRoundTrip(t *testing.T) {
 	if upd.Enqueued != 1 {
 		t.Fatalf("re-insert after recovery = %+v", upd)
 	}
-	if err := cmd2.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	stopKcored(t, cmd2)
+}
+
+// TestKcoredServesRecoveredGraphsWithoutDefault: a data dir whose only
+// graph was created through POST /graphs (the default graph dropped, its
+// directory with it) restarts without -graph. The recovered graph is
+// served under its name with its acked write, and the single-graph
+// routes answer 404, as they do while no graph is named default.
+func TestKcoredServesRecoveredGraphsWithoutDefault(t *testing.T) {
+	dataDir := t.TempDir()
+	args := []string{"-addr", "127.0.0.1:0", "-flush", "1ms", "-data-dir", dataDir, "-fsync", "always"}
+	base, cmd, _ := startKcoredProc(t, append([]string{"-graph", graphBase}, args...)...)
+	var resp struct {
+		Error      string `json:"error"`
+		Durability struct {
+			LSN uint64 `json:"lsn"`
+		} `json:"durability"`
 	}
-	if err := cmd2.Wait(); err != nil {
-		t.Fatalf("second kcored did not exit cleanly on SIGTERM: %v", err)
+	postJSON(t, http.StatusCreated, base+"/graphs", fmt.Sprintf(`{"name":"social","path":%q}`, genFixture(t, 90, 11)), &resp)
+	deleteJSON(t, http.StatusOK, base+"/graphs/default", &resp)
+	postJSON(t, http.StatusOK, base+"/g/social/update?wait=1", `{"updates":[{"op":"delete","u":0,"v":1}]}`, &resp)
+	stopKcored(t, cmd)
+
+	base, _, _ = startKcoredProc(t, args...)
+	getJSON(t, http.StatusOK, base+"/g/social/stats", &resp)
+	if resp.Durability.LSN != 1 {
+		t.Fatalf("recovered graph at lsn %d, want 1", resp.Durability.LSN)
 	}
+	getJSON(t, http.StatusNotFound, base+"/core?v=0", &resp)
 }
 
 // TestKcoredKeepsUnrecoveredGraph: a restart that cannot list a graph's
@@ -828,12 +823,7 @@ func TestKcoredSignalAtBanner(t *testing.T) {
 	base, cmd, _ := startKcoredProc(t, args...)
 	postJSON(t, http.StatusOK, base+"/update?wait=1",
 		`{"updates":[{"op":"delete","u":0,"v":1}]}`, new(struct{}))
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("kcored did not exit cleanly on SIGTERM: %v", err)
-	}
+	stopKcored(t, cmd)
 
 	sigterm := func(cmd *exec.Cmd) { cmd.Process.Signal(syscall.SIGTERM) } //nolint:errcheck // a failed send shows as a hung Wait
 	for round := 0; round < 8; round++ {

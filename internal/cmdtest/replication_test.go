@@ -6,7 +6,6 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 )
@@ -199,12 +198,7 @@ func TestKcoredStaleBaseRedecomposed(t *testing.T) {
 		"-data-dir", dataDir, "-fsync", "always"}
 	stop := func(cmd *exec.Cmd) {
 		t.Helper()
-		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			t.Fatal(err)
-		}
-		if err := cmd.Wait(); err != nil {
-			t.Fatalf("kcored did not exit cleanly: %v", err)
-		}
+		stopKcored(t, cmd)
 	}
 	var st struct {
 		Nodes      uint32 `json:"nodes"`

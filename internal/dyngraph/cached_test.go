@@ -49,13 +49,10 @@ func TestStoreServesBaseGraph(t *testing.T) {
 	seed := testutil.Seed(t, 7)
 	base, edges := testutil.WriteSocial(t, n, seed)
 
-	// 3 frames of 512 bytes = 1.5 KiB resident adjacency, well below the
-	// fixture's encoded edge table. (On 200 nodes the table fit once the
-	// node table, whose fold-back reads had evicted its blocks, took a
-	// varint a node; 4 frames held half of it once lists took the Rice
-	// form where it is shorter.)
-	testutil.RequireSpill(t, base, 512, 3, 2)
-	st, _ := openAt(t, base, 512, dyngraph.Options{BufferArcs: 96, CacheBlocks: 3})
+	// Frames of 512 bytes holding at most half the fixture's encoded edge
+	// table.
+	frames := testutil.SpillFrames(t, base, 512, 2)
+	st, _ := openAt(t, base, 512, dyngraph.Options{BufferArcs: 96, CacheBlocks: frames})
 	if st.NumEdges() != int64(len(edges)) {
 		t.Fatalf("NumEdges() = %d, want %d", st.NumEdges(), len(edges))
 	}
@@ -73,7 +70,7 @@ func TestStoreServesBaseGraph(t *testing.T) {
 
 	ds := st.DiskStats()
 	if ds.Merges == 0 || ds.MergedBytes == 0 || ds.CacheEvictions == 0 {
-		t.Fatalf("no overlay merges or no evictions at BufferArcs=96, 3 frames, over 400 mutations: %+v", ds)
+		t.Fatalf("no overlay merges or no evictions at BufferArcs=96, %d frames, over 400 mutations: %+v", frames, ds)
 	}
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
@@ -143,10 +140,10 @@ func TestStoreReadsDoNotAllocate(t *testing.T) {
 		run(t, g, func() int64 { return g.DiskStats().CacheEvictions })
 	})
 	t.Run("uncached", func(t *testing.T) {
-		// 13 frames at B=64 hold 832 bytes, below the edge table: every
-		// block they drop is a re-read.
-		testutil.RequireSpill(t, base, 64, 13, v1Bytes/(64*64))
-		g, ctr := openAt(t, base, 64, dyngraph.Options{CacheBlocks: 13})
+		// Frames of 64 bytes below the edge table: every block they drop
+		// is a re-read.
+		frames := testutil.SpillFrames(t, base, 64, v1Bytes/(64*64))
+		g, ctr := openAt(t, base, 64, dyngraph.Options{CacheBlocks: frames})
 		run(t, g, ctr.Reads)
 	})
 }

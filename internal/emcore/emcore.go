@@ -79,8 +79,9 @@ type partition struct {
 	crcs  []uint32 // the CRC32C of each block of the file
 }
 
-// Decompose runs EMCore over an on-disk graph.
-func Decompose(src *storage.Graph, opts Options) (*Result, error) {
+// Decompose runs EMCore over src, whose lists it reads once, in one scan
+// into the partitions; every later list read is of those.
+func Decompose(src graph.Source, opts Options) (*Result, error) {
 	start := time.Now()
 	n := src.NumNodes()
 	ctr := opts.IO
@@ -280,7 +281,7 @@ func Decompose(src *storage.Graph, opts Options) (*Result, error) {
 // partition files of contiguous positions and fills the initial upper
 // bounds (ub(v) = deg(v)). A partition closes once it holds partArcs arcs;
 // the last one closes at n.
-func buildPartitions(src *storage.Graph, dir string, partArcs int64, ub []uint32, ctr *stats.IOCounter) ([]partition, error) {
+func buildPartitions(src graph.Source, dir string, partArcs int64, ub []uint32, ctr *stats.IOCounter) ([]partition, error) {
 	var parts []partition
 	var w *storage.BlockWriter
 	var cur partition

@@ -3,6 +3,8 @@ package engine_test
 import (
 	"flag"
 	"fmt"
+	"path/filepath"
+	"regexp"
 	"slices"
 	"testing"
 
@@ -27,14 +29,10 @@ var (
 	crashTrials = flag.Int("crashtrials", 8, "randomized crash trials to run")
 )
 
-// crashNodes sizes the script's graph. Every table block a checkpoint
-// writes is a boundary; at 480 nodes the tables, a varint or two a node
-// and lists in the shortest of a fixed width, uvarints and Rice, span
-// enough 512-byte blocks that the script crosses 103 boundaries (460 to
-// 500 nodes all do; 420 nodes crossed 103 until lists took the Rice form
-// and 100 after; 400 crossed 103 while every list took a fixed width;
-// 160 nodes crossed 100 on 12 bytes a node and 91 on a varint; the
-// 4-byte tables of 48 nodes crossed 97).
+// crashNodes sizes the script's graph: its tables span several blocks
+// of 512 bytes, so a checkpoint writes each table in more than one write.
+// The sweeps do not depend on the count: they crash at every boundary a
+// clean run crosses, whatever the tables' sizes make it.
 const (
 	crashNodes = 480
 	crashGSeed = 41
@@ -100,16 +98,16 @@ func runCrashScript(t *testing.T, backend, dataDir, base string, inj *faultfs.In
 // anywhere, and any recovered graph serves base + the first R script
 // updates for some R with acked <= R <= attempted (an acked Sync is
 // never lost; an unacked in-flight record may legally survive).
-func verifyCrashRecovery(t *testing.T, label, backend, dataDir string, out crashOutcome, inj *faultfs.Injector) {
+func verifyCrashRecovery(t *testing.T, backend, dataDir string, out crashOutcome, inj *faultfs.Injector) {
 	t.Helper()
 	if err := inj.Finalize(); err != nil {
-		t.Fatalf("%s: finalize: %v", label, err)
+		t.Fatalf("finalize: %v", err)
 	}
 	reg := engine.NewRegistry(durableOptions(dataDir))
 	defer reg.Close()
 	rep, err := reg.Recover()
 	if err != nil {
-		t.Fatalf("%s: recover: %v", label, err)
+		t.Fatalf("recover: %v", err)
 	}
 	if !out.openOK {
 		// The graph was never handed to the caller; anything goes except a
@@ -117,74 +115,131 @@ func verifyCrashRecovery(t *testing.T, label, backend, dataDir string, out crash
 		return
 	}
 	if len(rep.Graphs) != 1 {
-		t.Fatalf("%s: recovered %d graphs, want 1", label, len(rep.Graphs))
+		t.Fatalf("recovered %d graphs, want 1", len(rep.Graphs))
 	}
 	g := rep.Graphs[0]
 	if g.Err != nil {
-		t.Fatalf("%s: graph unrecoverable after crash: %v", label, g.Err)
+		t.Fatalf("graph unrecoverable after crash: %v", g.Err)
 	}
 	if g.Degraded {
-		t.Fatalf("%s: crash damage classified as corruption: %s", label, g.Reason)
+		t.Fatalf("crash damage classified as corruption: %s", g.Reason)
 	}
 	eng, ok := reg.Get("g")
 	if !ok {
-		t.Fatalf("%s: recovered graph not registered", label)
+		t.Fatalf("recovered graph not registered")
 	}
 	if got := eng.Report().Backend; got != backend {
-		t.Fatalf("%s: recovered behind the %s backend, want %s", label, got, backend)
+		t.Fatalf("recovered behind the %s backend, want %s", got, backend)
 	}
 	r := int(durStats(t, eng).LSN)
 	if r < out.acked || r > out.attempted {
-		t.Fatalf("%s: recovered LSN %d outside [acked %d, attempted %d]",
-			label, r, out.acked, out.attempted)
+		t.Fatalf("recovered LSN %d outside [acked %d, attempted %d]", r, out.acked, out.attempted)
 	}
 	ups := freshEdges(crashNodes, crashGSeed, crashOps)
 	if !slices.Equal(eng.Snapshot().Cores(), oracleCores(t, crashNodes, crashGSeed, ups, r)) {
-		t.Fatalf("%s: recovered cores differ from the oracle at prefix %d", label, r)
+		t.Fatalf("recovered cores differ from the oracle at prefix %d", r)
 	}
 }
 
-// minCrashBoundaries is the fewest injector boundaries one clean run of
-// the script may cross on either backend: the 103 it crosses on both, so
-// a change that drops durability work from the script fails the sweeps
-// instead of shrinking them.
-const minCrashBoundaries = 103
+// requiredCrashKinds are the boundary kinds, operation/file, one clean
+// run of the script must cross on every backend: the durable directory's
+// set-up (g is the graph's directory), a checkpoint's commit (its
+// temporary directory .tmp-N, every file it writes, the rename that
+// publishes it, ckpt/ synced), retention's removal of an older checkpoint
+// N, and the log segment. A change that drops one of them from the script
+// fails the sweeps by its name instead of shrinking them.
+var requiredCrashKinds = []string{
+	"removeall/g", "create/CONFIG", "write/CONFIG", "sync/CONFIG",
+	"removeall/.tmp-N",
+	"create/graph.nt", "write/graph.nt", "sync/graph.nt",
+	"create/graph.et", "write/graph.et", "sync/graph.et",
+	"create/graph.crc", "write/graph.crc", "sync/graph.crc",
+	"create/graph.meta", "write/graph.meta", "sync/graph.meta",
+	"create/cores", "write/cores", "sync/cores",
+	"create/MANIFEST", "write/MANIFEST", "sync/MANIFEST",
+	"syncdir/.tmp-N", "rename/.tmp-N", "syncdir/ckpt",
+	"removeall/N", "create/N.seg", "write/N.seg", "sync/N.seg",
+}
 
-// countCrashBoundaries runs the script unarmed and reports how many
-// injector boundaries one clean run (including clean shutdown) crosses,
-// at least minCrashBoundaries.
-func countCrashBoundaries(t *testing.T, backend string) int64 {
+// seqDigits matches a checkpoint's or a log segment's sequence number.
+var seqDigits = regexp.MustCompile(`[0-9]{16}`)
+
+// crashBoundary is one boundary of a clean run: its kind, operation/file
+// (the file's base name, sequence numbers written N), how many
+// boundaries of that kind came before it, and how many the run crossed.
+type crashBoundary struct {
+	kind  string
+	n, of int
+}
+
+// crashBoundaries runs the script unarmed and returns every injector
+// boundary one clean run (including clean shutdown) crosses, in order,
+// so that Arm(k) hits the k-th. It fails if the run missed a required
+// kind, naming it.
+func crashBoundaries(t *testing.T, backend, base string) []crashBoundary {
 	t.Helper()
 	inj := faultfs.NewInjector(faultfs.OS)
-	out := runCrashScript(t, backend, t.TempDir(), writeGraph(t, crashNodes, crashGSeed), inj)
+	out := runCrashScript(t, backend, t.TempDir(), base, inj)
 	if !out.openOK || out.acked != crashOps {
 		t.Fatalf("unarmed script did not run clean: %+v", out)
 	}
-	if inj.Ops() < minCrashBoundaries {
-		t.Fatalf("%s: only %d boundaries, fewer than %d — the script no longer exercises the durability path", backend, inj.Ops(), minCrashBoundaries)
+	seen := make(map[string]int)
+	var bs []crashBoundary
+	for _, b := range inj.Boundaries() {
+		kind := b.Op + "/" + seqDigits.ReplaceAllString(filepath.Base(b.Path), "N")
+		bs = append(bs, crashBoundary{kind: kind, n: seen[kind]})
+		seen[kind]++
 	}
-	return inj.Ops()
+	for i := range bs {
+		bs[i].of = seen[bs[i].kind]
+	}
+	for _, kind := range requiredCrashKinds {
+		if seen[kind] == 0 {
+			t.Fatalf("%s: a clean run never crossed %s — the script no longer exercises that part of the durability path", backend, kind)
+		}
+	}
+	t.Logf("%s: %d boundaries of %d kinds", backend, len(bs), len(seen))
+	return bs
+}
+
+// sweepBoundaries arms a fresh run of the script on each backend at
+// every boundary k (1-based) keep selects, in mode, and checks recovery
+// after it. Each subtest is <backend>/op<k>, and inside it the leg is
+// named by what it interrupts, <op>/<file>/<n>: disk/op016/write/graph.et/05
+// is the sixth write of a checkpoint's edge table. The op<k> level
+// keeps the names earlier runs of the suite know; the leaf keeps its
+// name when the tables' sizes change the count of block writes before
+// it, unless it is one of them. Every leg opens the same base tables:
+// the script only reads them, and writes under its own data dir.
+func sweepBoundaries(t *testing.T, mode faultfs.Mode, keep func(k int, b crashBoundary) bool) {
+	base := writeGraph(t, crashNodes, crashGSeed)
+	for _, backend := range crashBackends {
+		for i, b := range crashBoundaries(t, backend, base) {
+			k := i + 1
+			if !keep(k, b) {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/op%03d", backend, k), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%02d", b.kind, b.n), func(t *testing.T) {
+					dataDir := t.TempDir()
+					inj := faultfs.NewInjector(faultfs.OS)
+					inj.Arm(int64(k), mode)
+					out := runCrashScript(t, backend, dataDir, base, inj)
+					if inj.Crashed() != (mode == faultfs.Crash) {
+						t.Fatalf("crashed %v in mode %v", inj.Crashed(), mode)
+					}
+					verifyCrashRecovery(t, backend, dataDir, out, inj)
+				})
+			})
+		}
+	}
 }
 
 // TestCrashSweepEveryBoundary is the exhaustive deterministic sweep:
 // crash (worst-case damage: all unsynced bytes lost, all un-fsynced
 // renames reverted) at every single boundary of the script.
 func TestCrashSweepEveryBoundary(t *testing.T) {
-	for _, backend := range crashBackends {
-		total := countCrashBoundaries(t, backend)
-		for k := int64(1); k <= total; k++ {
-			t.Run(fmt.Sprintf("%s/op%03d", backend, k), func(t *testing.T) {
-				dataDir := t.TempDir()
-				inj := faultfs.NewInjector(faultfs.OS)
-				inj.Arm(k, faultfs.Crash)
-				out := runCrashScript(t, backend, dataDir, writeGraph(t, crashNodes, crashGSeed), inj)
-				if !inj.Crashed() {
-					t.Fatalf("boundary %d never fired (script crossed %d ops)", k, inj.Ops())
-				}
-				verifyCrashRecovery(t, inj.Trigger(), backend, dataDir, out, inj)
-			})
-		}
-	}
+	sweepBoundaries(t, faultfs.Crash, func(int, crashBoundary) bool { return true })
 }
 
 // TestCrashRandomizedTornWrites repeats the sweep at randomized
@@ -193,48 +248,40 @@ func TestCrashSweepEveryBoundary(t *testing.T) {
 // kept with probability 1/2. Failures print the seed to re-run with
 // -crashseed.
 func TestCrashRandomizedTornWrites(t *testing.T) {
+	base := writeGraph(t, crashNodes, crashGSeed)
 	for _, backend := range crashBackends {
-		total := countCrashBoundaries(t, backend)
+		bs := crashBoundaries(t, backend, base)
 		for i := 0; i < *crashTrials; i++ {
 			seed := *crashSeed + int64(i)
 			t.Run(fmt.Sprintf("%s/seed%d", backend, seed), func(t *testing.T) {
 				dataDir := t.TempDir()
 				inj := faultfs.NewInjector(faultfs.OS).WithRand(seed)
-				k := 1 + (seed*2654435761)%total
+				k := (seed * 2654435761) % int64(len(bs))
 				if k < 0 {
-					k += total
+					k += int64(len(bs))
 				}
-				inj.Arm(k, faultfs.Crash)
-				out := runCrashScript(t, backend, dataDir, writeGraph(t, crashNodes, crashGSeed), inj)
+				t.Logf("seed %d: crash at %s/%02d", seed, bs[k].kind, bs[k].n)
+				inj.Arm(k+1, faultfs.Crash)
+				out := runCrashScript(t, backend, dataDir, base, inj)
 				if !inj.Crashed() {
-					t.Fatalf("seed %d: boundary %d never fired", seed, k)
+					t.Fatalf("seed %d: boundary %d never fired", seed, k+1)
 				}
-				verifyCrashRecovery(t, fmt.Sprintf("seed %d, %s", seed, inj.Trigger()), backend, dataDir, out, inj)
+				verifyCrashRecovery(t, backend, dataDir, out, inj)
 			})
 		}
 	}
 }
 
-// TestCrashFailModeSurfacesErrors injects transient failures (the op
-// errors once, the filesystem survives) at a spread of boundaries: the
-// engine must surface an error — never panic, never ack a write it did
-// not log — and the directory must stay recoverable.
+// TestCrashFailModeSurfacesErrors injects a transient failure (the op
+// errors once, the filesystem survives) at every fifth boundary and once
+// at every kind: at its second boundary where it has one — mostly the
+// mid-script checkpoint's or a log record's, past which the process
+// keeps running — else at its only one. The engine must surface an
+// error — never panic, never ack a write it did not log — and the
+// directory (intact: no crash, no damage to finalize) must stay
+// recoverable.
 func TestCrashFailModeSurfacesErrors(t *testing.T) {
-	for _, backend := range crashBackends {
-		total := countCrashBoundaries(t, backend)
-		for k := int64(1); k <= total; k += 5 {
-			t.Run(fmt.Sprintf("%s/op%03d", backend, k), func(t *testing.T) {
-				dataDir := t.TempDir()
-				inj := faultfs.NewInjector(faultfs.OS)
-				inj.Arm(k, faultfs.Fail)
-				out := runCrashScript(t, backend, dataDir, writeGraph(t, crashNodes, crashGSeed), inj)
-				if inj.Crashed() {
-					t.Fatalf("Fail mode crashed the filesystem")
-				}
-				// The tree is intact (no crash, no damage to finalize), so if
-				// the graph was created at all it must recover consistently.
-				verifyCrashRecovery(t, fmt.Sprintf("fail at %d", k), backend, dataDir, out, inj)
-			})
-		}
-	}
+	sweepBoundaries(t, faultfs.Fail, func(k int, b crashBoundary) bool {
+		return k%5 == 1 || b.n == min(1, b.of-1)
+	})
 }

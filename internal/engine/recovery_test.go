@@ -325,7 +325,8 @@ func TestRecoveryIOGate(t *testing.T) {
 		return filepath.Join(dataDir, "g"), filepath.Join(tailDir, "g")
 	}
 	clean, tail := images(engine.BackendConfig{})
-	spillClean, spillTail := images(engine.BackendConfig{CacheBlocks: testutil.GateFrames})
+	frames := testutil.GateFrames(t, base)
+	spillClean, spillTail := images(engine.BackendConfig{CacheBlocks: frames})
 
 	ckpts, err := filepath.Glob(filepath.Join(clean, "ckpt", "*"))
 	if err != nil || len(ckpts) != 2 {
@@ -368,7 +369,7 @@ func TestRecoveryIOGate(t *testing.T) {
 		got[tc.name] = reads
 	}
 	if got["spill.tail"] <= got["spill.clean"] {
-		t.Fatalf("through %d frames the 20-record tail read %d blocks, the clean recovery %d; want more", testutil.GateFrames, got["spill.tail"], got["spill.clean"])
+		t.Fatalf("through %d frames the 20-record tail read %d blocks, the clean recovery %d; want more", frames, got["spill.tail"], got["spill.clean"])
 	}
 
 	l, err := engine.BringUp(download, kcore.OpenOptions{}, serve.Options{}, cores)

@@ -2,10 +2,10 @@ package faultfs
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -44,10 +44,18 @@ type renameOp struct {
 	durable  bool // a later SyncDir on dir(dst) succeeded
 }
 
-// Injector wraps an FS and counts operation boundaries (Create, Write,
-// Sync, Rename, Remove, SyncDir). Arm it at boundary k to fail or crash
-// there; Ops reports how many boundaries a clean run crosses, so a
-// sweep can iterate k = 1..Ops(). After a crash, Finalize mutates the
+// Boundary is one operation boundary an Injector recorded: the operation
+// and the file it hit (for a rename, the old path).
+type Boundary struct {
+	Op   string // create, write, sync, rename, remove, removeall or syncdir
+	Path string
+}
+
+// Injector wraps an FS and records its operation boundaries (Create,
+// Write, Sync, Rename, Remove, RemoveAll, SyncDir). Arm it at boundary k
+// to fail or crash there; Boundaries lists what a clean run crosses, so
+// a sweep can arm each k = 1..len(Boundaries()) and name it by its
+// operation and file. After a crash, Finalize mutates the
 // real directory tree into a legal post-crash state: each file written
 // through the injector is truncated to its last synced length (plus an
 // optional random suffix of the unsynced tail when seeded via WithRand),
@@ -56,12 +64,11 @@ type Injector struct {
 	inner FS
 
 	mu      sync.Mutex
-	count   int64
+	log     []Boundary // every boundary crossed, in order
 	armAt   int64
 	mode    Mode
 	crashed bool
 	fired   bool
-	trigger string
 	rng     *rand.Rand
 
 	files   map[string]*fileState
@@ -70,7 +77,7 @@ type Injector struct {
 }
 
 // NewInjector wraps inner (usually OS). With no Arm call it is a pure
-// passthrough that still counts boundaries.
+// passthrough that still records boundaries.
 func NewInjector(inner FS) *Injector {
 	return &Injector{inner: inner, files: make(map[string]*fileState)}
 }
@@ -93,11 +100,12 @@ func (in *Injector) Arm(op int64, mode Mode) {
 	in.fired = false
 }
 
-// Ops reports the number of boundaries crossed so far.
-func (in *Injector) Ops() int64 {
+// Boundaries lists the boundaries crossed so far, in order: Arm(k) hits
+// the k-th.
+func (in *Injector) Boundaries() []Boundary {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return in.count
+	return slices.Clone(in.log)
 }
 
 // Crashed reports whether the simulated crash has happened.
@@ -107,26 +115,18 @@ func (in *Injector) Crashed() bool {
 	return in.crashed
 }
 
-// Trigger describes the boundary that fired, for test failure messages.
-func (in *Injector) Trigger() string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.trigger
-}
-
-// boundary counts one op and decides its fate. It returns ErrCrashed
+// boundary records one op and decides its fate. It returns ErrCrashed
 // when the process is already dead, ErrInjected exactly once in Fail
 // mode, and (nil, true) when this op is the crash point.
-func (in *Injector) boundary(desc string) (err error, crashNow bool) {
+func (in *Injector) boundary(op, path string) (err error, crashNow bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.crashed {
 		return ErrCrashed, false
 	}
-	in.count++
-	if in.armAt != 0 && in.count == in.armAt && !in.fired {
+	in.log = append(in.log, Boundary{op, path})
+	if in.armAt != 0 && int64(len(in.log)) == in.armAt && !in.fired {
 		in.fired = true
-		in.trigger = fmt.Sprintf("op %d: %s", in.count, desc)
 		if in.mode == Fail {
 			return ErrInjected, false
 		}
@@ -147,7 +147,7 @@ func (in *Injector) dead() error {
 
 // Create counts a boundary. A crash at it leaves the file uncreated.
 func (in *Injector) Create(name string) (File, error) {
-	if err, crash := in.boundary("create " + name); err != nil || crash {
+	if err, crash := in.boundary("create", name); err != nil || crash {
 		if crash {
 			return nil, ErrCrashed
 		}
@@ -178,7 +178,7 @@ func (in *Injector) Open(name string) (File, error) {
 // Rename counts a boundary; the rename is volatile until a SyncDir on
 // the destination's parent directory.
 func (in *Injector) Rename(oldpath, newpath string) error {
-	if err, crash := in.boundary(fmt.Sprintf("rename %s -> %s", oldpath, newpath)); err != nil || crash {
+	if err, crash := in.boundary("rename", oldpath); err != nil || crash {
 		if crash {
 			return ErrCrashed
 		}
@@ -212,7 +212,7 @@ func (in *Injector) moveTrackedLocked(oldpath, newpath string) {
 
 // Remove counts a boundary. Removal is modeled as immediately durable.
 func (in *Injector) Remove(name string) error {
-	if err, crash := in.boundary("remove " + name); err != nil || crash {
+	if err, crash := in.boundary("remove", name); err != nil || crash {
 		if crash {
 			return ErrCrashed
 		}
@@ -229,7 +229,7 @@ func (in *Injector) Remove(name string) error {
 
 // RemoveAll counts a boundary. Removal is modeled as immediately durable.
 func (in *Injector) RemoveAll(path string) error {
-	if err, crash := in.boundary("removeall " + path); err != nil || crash {
+	if err, crash := in.boundary("removeall", path); err != nil || crash {
 		if crash {
 			return ErrCrashed
 		}
@@ -284,7 +284,7 @@ func (in *Injector) Stat(name string) (os.FileInfo, error) {
 // SyncDir counts a boundary; on success every earlier rename whose
 // destination sits in this directory becomes durable.
 func (in *Injector) SyncDir(name string) error {
-	if err, crash := in.boundary("syncdir " + name); err != nil || crash {
+	if err, crash := in.boundary("syncdir", name); err != nil || crash {
 		if crash {
 			return ErrCrashed
 		}
@@ -371,7 +371,7 @@ type injFile struct {
 }
 
 func (f *injFile) Write(p []byte) (int, error) {
-	err, crash := f.inj.boundary(fmt.Sprintf("write %d bytes %s", len(p), f.path))
+	err, crash := f.inj.boundary("write", f.path)
 	if err != nil {
 		return 0, err
 	}
@@ -416,7 +416,7 @@ func (f *injFile) Sync() error {
 	if f.ro {
 		return f.f.Sync()
 	}
-	err, crash := f.inj.boundary("sync " + f.path)
+	err, crash := f.inj.boundary("sync", f.path)
 	if err != nil {
 		return err
 	}

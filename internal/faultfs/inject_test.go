@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -58,16 +59,18 @@ func TestInjectorPassthroughCountsBoundaries(t *testing.T) {
 		t.Fatalf("unarmed script failed: %v", err)
 	}
 	// create, 2 writes, sync, rename, syncdir, remove = 7 boundaries
-	// (close is not a boundary).
-	if got := inj.Ops(); got != 7 {
-		t.Fatalf("Ops = %d, want 7", got)
+	// (close is not a boundary), each with the file it hit.
+	tmp, a := filepath.Join(dir, "a.tmp"), filepath.Join(dir, "a")
+	want := []Boundary{{"create", tmp}, {"write", tmp}, {"sync", tmp}, {"write", tmp}, {"rename", tmp}, {"syncdir", dir}, {"remove", a}}
+	if got := inj.Boundaries(); !slices.Equal(got, want) {
+		t.Fatalf("Boundaries = %v, want %v", got, want)
 	}
 }
 
 func TestInjectorCrashSweep(t *testing.T) {
 	probe := NewInjector(OS)
 	script(t.TempDir(), probe) //nolint:errcheck
-	total := probe.Ops()
+	total := int64(len(probe.Boundaries()))
 	for k := int64(1); k <= total; k++ {
 		dir := t.TempDir()
 		inj := NewInjector(OS)

@@ -290,14 +290,7 @@ func ReadToCSR(base string) (*memgraph.CSR, error) {
 		return nil, err
 	}
 	defer g.Close()
-	var edges []graph.Edge
-	if err := graph.Edges(g, func(e graph.Edge) error {
-		edges = append(edges, e)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return memgraph.FromEdges(g.NumNodes(), edges)
+	return memgraph.FromSource(g)
 }
 
 // TextSource streams a whitespace-separated "u v" edge list from a file,

@@ -66,6 +66,34 @@ func FromEdges(n uint32, edges []graph.Edge) (*CSR, error) {
 	return g, nil
 }
 
+// FromSource loads src into a CSR: its degrees give the offsets, and one
+// scan copies its lists, which a Source gives sorted and free of
+// duplicates.
+func FromSource(src graph.Source) (*CSR, error) {
+	n := src.NumNodes()
+	offsets := make([]int64, n+1)
+	if err := src.ScanDegrees(func(v, deg uint32) error {
+		offsets[v+1] = int64(deg)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for v := range n {
+		offsets[v+1] += offsets[v]
+	}
+	g := &CSR{offsets: offsets, adj: make([]uint32, offsets[n])}
+	if err := graph.ScanAll(src, func(v uint32, nbrs []uint32) error {
+		if len(nbrs) != int(g.Degree(v)) {
+			return fmt.Errorf("memgraph: node %d has %d neighbours, its degree is %d", v, len(nbrs), g.Degree(v))
+		}
+		copy(g.Neighbors(v), nbrs)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
 // NumNodes reports n.
 func (g *CSR) NumNodes() uint32 { return uint32(len(g.offsets) - 1) }
 

@@ -168,7 +168,7 @@ func TestFollowerNeverSeesUnloggedRecord(t *testing.T) {
 			ups = append(ups, serve.Update{Op: serve.OpDelete, U: e.U, V: e.V})
 		}
 	}
-	h.fs.Arm(h.fs.Ops()+1, faultfs.Fail)
+	h.fs.Arm(int64(len(h.fs.Boundaries()))+1, faultfs.Fail)
 	if err := h.eng.Apply(ups...); err == nil {
 		t.Fatal("the leader acked a record its log refused")
 	}

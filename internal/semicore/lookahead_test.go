@@ -175,29 +175,24 @@ func TestLookaheadMatchesOracleAndNeverReadsMore(t *testing.T) {
 // TestRevisitsMatchOracleAndNeverReadMore runs SemiCore* as it runs on a
 // disk graph — a violated node behind the cursor whose list is resident
 // recomputed at once — and on the printed pass schedule, over the same
-// fixtures in both layouts at B = 1024 through 2, 4 and 5 frames: both
-// must land on the oracle's cores with exact counters, and on these
+// fixtures in both layouts at B = 1024 through 2, 4 and the most frames
+// whose cache the table still overflows twice (testutil.SpillFrames):
+// both must land on the oracle's cores with exact counters, and on these
 // fixtures the revisits must never pay more block reads than the pass
 // schedule through the same frames. In Build's peeling order no node is
 // violated behind the cursor, so the two schedules are one pass each;
-// the id order is where revisits happen. Every fixture's edge table is
-// at least twice the largest cache (RequireSpill; the smallest, web, is
-// 12,207 bytes at seed 1 in format version 7, 2.38 times 5 KiB, and was
-// 16,334 in version 5, 2.28 times the 7 KiB of the largest leg then):
-// through 64 frames, the leg this test had before the tables were
-// gap-coded, every fixture fits, and through 16 the web table of seed 1
-// fits too. That bound is measured here, not proved: on rmat17 through 2
+// the id order is where revisits happen. Through 64 frames, the leg this
+// test had before the tables were gap-coded, every fixture fits. That
+// bound is measured here, not proved: on rmat17 through 2
 // and 16 frames the revisits read 17 and 15 blocks more (12,674 and
 // 12,672 against 12,657 on the 4-byte tables; BenchmarkCacheSweepRMAT17).
 func TestRevisitsMatchOracleAndNeverReadMore(t *testing.T) {
-	frameLegs := []int{2, 4, 5}
 	forEachFixture(t, func(t *testing.T, fx fixture) {
 		for _, base := range []string{fx.ids, fx.peel} {
 			if base == "" {
 				continue
 			}
-			testutil.RequireSpill(t, base, 1024, frameLegs[len(frameLegs)-1], 2)
-			for _, frames := range frameLegs {
+			for _, frames := range []int{2, 4, testutil.SpillFrames(t, base, 1024, 2)} {
 				rev, revReads := starOnDisk(t, base, false, frames, false)
 				pass, passReads := starOnDisk(t, base, false, frames, true)
 				matchOracle(t, fx.core, fx.cnt, rev, pass)
@@ -293,7 +288,7 @@ func TestSemiCoreStarFromIOGate(t *testing.T) {
 	var prev *semicore.Result
 	for _, leg := range []string{"fresh", "resumed"} {
 		ctr := stats.NewIOCounter(0)
-		g := openDyn(t, base, ctr, testutil.GateFrames)
+		g := openDyn(t, base, ctr, testutil.GateFrames(t, base))
 		bound := slices.Repeat([]uint32{math.MaxUint32}, int(g.NumNodes()))
 		if prev != nil {
 			bound = prev.Core

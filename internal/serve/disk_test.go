@@ -198,16 +198,13 @@ func TestCacheBudgetMetamorphic(t *testing.T) {
 // maintainer through the same valid mutation stream, comparing core
 // arrays at every sync point. Cache and overlay are sized small enough
 // that block eviction and merges both happen mid-test: the encoded edge
-// table is at least twice the cache, 7 frames of 512 bytes (on 300 nodes
-// it fit once the node table, whose fold-back reads had evicted its
-// blocks, took a varint a node; on 900, once the lists took group varint
-// where it is shorter; 8 frames held more than half of it once lists took
-// the Rice form).
+// table is at least twice the cache of 512-byte frames
+// (testutil.SpillFrames).
 func TestEngineMatchesMemOracle(t *testing.T) {
 	const n = 1100
 	seed := testutil.Seed(t, 11)
 	base, edges := testutil.WriteSocial(t, n, seed)
-	testutil.RequireSpill(t, base, 512, 7, 2)
+	frames := testutil.SpillFrames(t, base, 512, 2)
 
 	oracleBase, _ := testutil.WriteSocial(t, n, seed)
 	og, err := kcore.Open(oracleBase, nil)
@@ -219,7 +216,7 @@ func TestEngineMatchesMemOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := openEngine(t, base, 7, 512, 128, nil)
+	eng := openEngine(t, base, frames, 512, 128, nil)
 	compareCores(t, eng.Snapshot().Cores(), oracle.Cores(), "initial")
 
 	stream := testutil.NewMutationStream(n, seed+1, edges)

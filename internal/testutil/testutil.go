@@ -98,22 +98,15 @@ var Families = []Family{
 // edge table of format version 1, GateV1Bytes, was 2.42 times the
 // default 64 frames of 4 KiB the gates read through; the encoded table
 // would nearly fit them, so the gates read through GateFrames, which it
-// overflows by at least as much: Build's version-7 table is 156,822 bytes
-// (39 blocks), 2.55 times 15 frames (version 6's took 195,062, 2.51 times
-// the 19 frames the gates read through then; CHANGES.md has the older
-// tables).
-const (
-	GateV1Bytes = 635304
-	GateFrames  = 15
-)
+// overflows by at least as much.
+const GateV1Bytes = 635304
 
 // GateEdges generates the gates' graph.
 func GateEdges() []graph.Edge { return gen.RMAT(13, 12, .57, .19, .19, 1) }
 
 // GateGraph builds the gates' graph with graphio.Build, in the peeling
 // order Build writes, under the test's temp dir, and returns its path
-// prefix and the generated edges. It fails tb if the edge table no
-// longer overflows GateFrames frames of 4 KiB by the old ratio.
+// prefix and the generated edges.
 func GateGraph(tb testing.TB) (base string, edges []graph.Edge) {
 	tb.Helper()
 	edges = GateEdges()
@@ -121,8 +114,31 @@ func GateGraph(tb testing.TB) (base string, edges []graph.Edge) {
 	if err := graphio.Build(base, graphio.SliceSource(edges), graphio.BuildOptions{}); err != nil {
 		tb.Fatal(err)
 	}
-	RequireSpill(tb, base, 4096, GateFrames, GateV1Bytes/(4096*64.0))
 	return base, edges
+}
+
+// GateFrames is the count of 4 KiB frames the gates read the gate graph
+// at base through: SpillFrames at the ratio of GateV1Bytes to 64 frames.
+func GateFrames(tb testing.TB, base string) int {
+	tb.Helper()
+	return SpillFrames(tb, base, 4096, GateV1Bytes/(4096*64.0))
+}
+
+// SpillFrames returns the largest count of blockSize-byte frames whose
+// cache the edge table of the graph at base still overflows by ratio, so
+// that a gate's frames follow its table's size instead of being tuned to
+// it. It fails tb below one frame.
+func SpillFrames(tb testing.TB, base string, blockSize int, ratio float64) int {
+	tb.Helper()
+	m, err := storage.ReadMeta(base)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frames := int(float64(m.EtBytes) / (ratio * float64(blockSize)))
+	if frames < 1 {
+		tb.Fatalf("fixture %s: its %d-byte edge table is below %.2f times one frame of %d bytes, the least its gate needs", base, m.EtBytes, ratio, blockSize)
+	}
+	return frames
 }
 
 // RequireSpill fails tb unless the edge table of the graph at base is at
@@ -130,15 +146,11 @@ func GateGraph(tb testing.TB) (base string, edges []graph.Edge) {
 // gate passes the ratio its fixture held on the 4-byte-per-arc tables of
 // format version 1: the encoded tables are about half that size, and a
 // gate whose graph shrank into its frames would count no misses and pass
-// on nothing.
+// on nothing. Gates on a fixed tiny cache call it; the others take
+// SpillFrames.
 func RequireSpill(tb testing.TB, base string, blockSize, frames int, ratio float64) {
 	tb.Helper()
-	m, err := storage.ReadMeta(base)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	got := float64(m.EtBytes) / float64(blockSize*frames)
-	if got < ratio {
-		tb.Fatalf("fixture %s: its %d-byte edge table is %.2f times %d frames of %d bytes, below the %.2f its gate needs", base, m.EtBytes, got, frames, blockSize, ratio)
+	if most := SpillFrames(tb, base, blockSize, ratio); most < frames {
+		tb.Fatalf("fixture %s: its edge table overflows %d frames of %d bytes by %.2f, not the %d its gate needs", base, most, blockSize, ratio, frames)
 	}
 }

@@ -9,12 +9,9 @@ import (
 	"testing"
 
 	"kcore"
-	"kcore/internal/emcore"
 	"kcore/internal/gen"
 	"kcore/internal/imcore"
 	"kcore/internal/memgraph"
-	"kcore/internal/stats"
-	"kcore/internal/storage"
 	"kcore/internal/testutil"
 	"kcore/internal/testutil/pins"
 	"kcore/internal/verify"
@@ -348,73 +345,39 @@ func TestFileEdgesAndFlush(t *testing.T) {
 	}
 }
 
-// TestEMCoreRequiresFlush pins the guard that EMCore and IMCore see the
-// materialised graph, not the overlay.
-func TestEMCoreRequiresFlush(t *testing.T) {
+// TestBaselinesSeeUnflushedEdits: EMCore and IMCore decompose the graph
+// as it stands, edits still buffered included, and land on SemiCore*'s
+// cores.
+func TestBaselinesSeeUnflushedEdits(t *testing.T) {
 	g := buildSample(t)
+	base, err := kcore.Decompose(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m, err := kcore.NewMaintainer(g, nil)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.DeleteEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.InsertEdge(7, 8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: kcore.EMCore}); err == nil {
-		t.Fatal("EMCore ran over an unflushed buffer")
-	}
-	if err := g.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: kcore.EMCore, TempDir: t.TempDir()}); err != nil {
-		t.Fatal(err)
-	}
-
-	// A graph read through the block cache flushes into the same tables,
-	// so once flushed the two baselines may read them, and agree.
-	cg, err := kcore.Open(g.Base(), &kcore.OpenOptions{CacheBlocks: 2})
+	star, err := kcore.Decompose(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cg.Close()
-	cm, err := kcore.NewMaintainer(cg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cm.DeleteEdge(7, 8); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := kcore.Decompose(cg, &kcore.DecomposeOptions{Algorithm: kcore.IMCore}); err == nil {
-		t.Fatal("IMCore ran over an unflushed buffer of a cached graph")
-	}
-	if err := cg.Flush(); err != nil {
-		t.Fatal(err)
+	if g.BufferedArcs() == 0 || slices.Equal(star.Core, base.Core) || !slices.Equal(star.Core, m.Cores()) {
+		t.Fatalf("SemiCore* = %v over the edits, %v before them, maintained cores %v", star.Core, base.Core, m.Cores())
 	}
 	for _, algo := range []kcore.Algorithm{kcore.EMCore, kcore.IMCore} {
-		res, err := kcore.Decompose(cg, &kcore.DecomposeOptions{Algorithm: algo, TempDir: t.TempDir()})
+		res, err := kcore.Decompose(g, &kcore.DecomposeOptions{Algorithm: algo, TempDir: t.TempDir()})
 		if err != nil {
-			t.Fatalf("%v over a flushed cached graph: %v", algo, err)
+			t.Fatalf("%v: %v", algo, err)
 		}
-		if !slices.Equal(res.Core, cm.Cores()) {
-			t.Fatalf("%v = %v, maintained cores %v", algo, res.Core, cm.Cores())
-		}
-		if algo == kcore.EMCore {
-			// Decompose charges EMCore its own I/O, as it does every
-			// algorithm, not the open of the tables it re-partitions: what
-			// emcore.Decompose performs after an open of its own.
-			ctr := stats.NewIOCounter(0)
-			sg, err := storage.Open(cg.Base(), ctr, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := ctr.Snapshot()
-			_, err = emcore.Decompose(sg, emcore.Options{TempDir: t.TempDir(), IO: ctr})
-			sg.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := ctr.Snapshot().Sub(before); res.Info.IO != want {
-				t.Errorf("Decompose(EMCore) charged %+v, a direct run after its open %+v", res.Info.IO, want)
-			}
+		if !slices.Equal(res.Core, star.Core) {
+			t.Fatalf("%v = %v, SemiCore* %v", algo, res.Core, star.Core)
 		}
 	}
 }

@@ -163,7 +163,7 @@ func TestMain(m *testing.M) { pins.Main(m) }
 func gateGraph(t *testing.T) (*kcore.Graph, []kcore.Edge) {
 	t.Helper()
 	base, edges := testutil.GateGraph(t)
-	g, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: testutil.GateFrames})
+	g, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: testutil.GateFrames(t, base)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFoldBackStartIOGate(t *testing.T) {
 	if err := g.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := kcore.Open(g.Base(), &kcore.OpenOptions{CacheBlocks: testutil.GateFrames})
+	cold, err := kcore.Open(g.Base(), &kcore.OpenOptions{CacheBlocks: g.DiskStats().CacheBlocks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestExtractKCoreIOGate(t *testing.T) {
 		name string
 		k    uint32
 	}{{"k=1", 1}, {"k=kmax", slices.Max(core)}} {
-		g, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: testutil.GateFrames})
+		g, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: testutil.GateFrames(t, base)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func TestKCoreSubgraphIOGate(t *testing.T) {
 		name string
 		k    uint32
 	}{{"k=1", 1}, {"k=kmax", slices.Max(core)}} {
-		g, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: testutil.GateFrames})
+		g, err := kcore.Open(base, &kcore.OpenOptions{CacheBlocks: testutil.GateFrames(t, base)})
 		if err != nil {
 			t.Fatal(err)
 		}
